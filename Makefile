@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test bench bench-json bench-check bench-diff cover ring-demo ci
+.PHONY: all fmt vet build test bench bench-json bench-check bench-diff bench-test cover ring-demo loc ci
 
 all: build
 
@@ -33,6 +33,16 @@ bench-check: ## fail on >10% cached- or cold-plan slowdown, any alloc growth, or
 bench-diff: ## report the delta between the last two committed BENCH_*.json
 	./scripts/bench-diff.sh
 
+bench-test: ## vet + unit-test the bench/ module against this tree (its own module, so tier-1 never compiles it; no chronosd started)
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+loc: ## comment-free, blank-free, non-test Go line count per serving-layer package (the number simplicity PRs quote)
+	@count() { cat "$$@" | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }; total=0; \
+	for d in internal/server internal/hotjson cmd/chronosd; do \
+		n=$$(count $$(ls $$d/*.go | grep -v _test.go)); total=$$((total + n)); \
+		printf '%-18s %6d\n' $$d $$n; \
+	done; printf '%-18s %6d\n' total $$total
+
 cover: ## -race suite + per-package coverage + the server+tenant gate
 	./scripts/coverage.sh
 
@@ -41,4 +51,4 @@ ring-demo: ## 3-replica consistent-hash ring smoke: plan via A, cache hit via B
 
 # cover subsumes test (its single -race run is both gates), so ci does not
 # execute the suite twice.
-ci: fmt vet build cover bench ring-demo
+ci: fmt vet build cover bench bench-test ring-demo

@@ -5,15 +5,16 @@
 //
 // Usage:
 //
-//	chronosd [-addr :8080] [-cache-capacity 4096] [-cache-shards 16]
-//	         [-workers N] [-max-body 1048576] [-shutdown-grace 10s]
-//	         [-tenants tenants.json]
+//	chronosd [-addr :8080] [-cache-capacity 4096] [-workers N]
+//	         [-max-body 1048576] [-tenants tenants.json]
 //	         [-self http://host:port -peers url1,url2,... | -ring ring.json]
 //	         [-heartbeat-interval 1s] [-suspect-after 3] [-replication 1]
-//	         [-escrow] [-data-dir /var/lib/chronosd]
-//	         [-escrow-lease-ttl 15s] [-escrow-lease-fraction 0.1]
-//	         [-snapshot-interval 30s]
+//	         [-escrow] [-data-dir /var/lib/chronosd] [-escrow-lease-ttl 15s]
 //	         [-log-level info] [-log-sample 1] [-debug-addr 127.0.0.1:6060]
+//
+// Every other operating value (request-size and simulation limits, HTTP
+// timeouts, the peer-call timeout, lease fraction, snapshot interval, cache
+// shard count, trace-ring size) is a fixed constant in internal/server.
 //
 // Endpoints:
 //
@@ -85,35 +86,21 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		cacheCapacity = flag.Int("cache-capacity", 4096, "total cached plans across shards (negative disables)")
-		cacheShards   = flag.Int("cache-shards", 16, "plan cache shard count (rounded up to a power of two)")
 		workers       = flag.Int("workers", 0, "max concurrent optimizations (0 = GOMAXPROCS)")
 		maxBody       = flag.Int64("max-body", 1<<20, "request body limit in bytes")
-		maxBatch      = flag.Int("max-batch-jobs", 1024, "jobs accepted per /v1/plan/batch call")
-		maxSimJobs    = flag.Int("max-sim-jobs", 500, "jobs accepted per /v1/simulate call")
-		maxSimTasks   = flag.Int("max-sim-tasks", 5000, "tasks per simulated job")
-		maxSimTotal   = flag.Int("max-sim-total-tasks", 50000, "total tasks per /v1/simulate call")
-		maxReplay     = flag.Int("max-replay-jobs", 100000, "jobs per /v1/replay stream")
-		maxActive     = flag.Int("max-active-replays", 4, "concurrently running /v1/replay streams")
-		readTimeout   = flag.Duration("read-timeout", 10*time.Second, "HTTP read timeout")
-		writeTimeout  = flag.Duration("write-timeout", 60*time.Second, "HTTP write timeout")
-		grace         = flag.Duration("shutdown-grace", 10*time.Second, "graceful drain budget on shutdown")
 		tenantsPath   = flag.String("tenants", "", "tenant budget-pool config file (JSON); SIGHUP reloads it")
 		self          = flag.String("self", "", "this replica's base URL in the consistent-hash ring")
 		peers         = flag.String("peers", "", "comma-separated fleet base URLs (ring membership)")
 		ringPath      = flag.String("ring", "", "ring membership file (JSON {self, peers}); SIGHUP reloads it")
-		forwardTO     = flag.Duration("forward-timeout", 2*time.Second, "cross-replica forward timeout before local fallback")
 		heartbeat     = flag.Duration("heartbeat-interval", time.Second, "peer liveness probe interval for health-driven membership (0 disables)")
 		suspectAfter  = flag.Int("suspect-after", 3, "consecutive failed probes before a ring member is evicted")
 		replication   = flag.Int("replication", 1, "hot-key copy count R: owner plus R-1 ring successors hold each cached plan")
 		escrow        = flag.Bool("escrow", false, "fleet-exact tenant budgets via the escrow ledger (off = per-replica approximation)")
 		dataDir       = flag.String("data-dir", "", "durability directory for the escrow snapshot+WAL and the plan-cache dump (empty = memory only)")
 		leaseTTL      = flag.Duration("escrow-lease-ttl", 15*time.Second, "escrow lease lifetime without a renewal before the owner reclaims it")
-		leaseFraction = flag.Float64("escrow-lease-fraction", 0.1, "share of a tenant's budget one replica targets for its local lease")
-		snapInterval  = flag.Duration("snapshot-interval", 30*time.Second, "how often the escrow WAL is folded into a fresh snapshot")
 		logLevel      = flag.String("log-level", "info", "log level: debug, info, warn, or error")
 		logSample     = flag.Int("log-sample", 1, "log every Nth request line (5xx always log)")
 		debugAddr     = flag.String("debug-addr", "", "separate listener for /debug/pprof/ and /debug/traces (empty disables)")
-		traceRing     = flag.Int("trace-ring", 0, "retained request traces for /debug/traces (0 = 256)")
 	)
 	flag.Parse()
 
@@ -172,35 +159,21 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Addr:                   *addr,
-		CacheCapacity:          *cacheCapacity,
-		CacheShards:            *cacheShards,
-		Workers:                *workers,
-		MaxBodyBytes:           *maxBody,
-		MaxBatchJobs:           *maxBatch,
-		MaxSimJobs:             *maxSimJobs,
-		MaxSimTasks:            *maxSimTasks,
-		MaxSimTotalTasks:       *maxSimTotal,
-		MaxReplayJobs:          *maxReplay,
-		MaxActiveReplays:       *maxActive,
-		ReadTimeout:            *readTimeout,
-		WriteTimeout:           *writeTimeout,
-		ShutdownGrace:          *grace,
-		Tenants:                tenants,
-		Self:                   membership.Self,
-		Peers:                  membership.Peers,
-		ForwardTimeout:         *forwardTO,
-		HeartbeatInterval:      *heartbeat,
-		SuspectAfter:           *suspectAfter,
-		Replication:            *replication,
-		Escrow:                 *escrow,
-		Store:                  store,
-		EscrowLeaseTTL:         *leaseTTL,
-		EscrowLeaseFraction:    *leaseFraction,
-		EscrowSnapshotInterval: *snapInterval,
-		Logger:                 logger,
-		LogSample:              *logSample,
-		TraceRingSize:          *traceRing,
+		Addr:              *addr,
+		CacheCapacity:     *cacheCapacity,
+		Workers:           *workers,
+		MaxBodyBytes:      *maxBody,
+		Tenants:           tenants,
+		Self:              membership.Self,
+		Peers:             membership.Peers,
+		HeartbeatInterval: *heartbeat,
+		SuspectAfter:      *suspectAfter,
+		Replication:       *replication,
+		Escrow:            *escrow,
+		Store:             store,
+		EscrowLeaseTTL:    *leaseTTL,
+		Logger:            logger,
+		LogSample:         *logSample,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(),

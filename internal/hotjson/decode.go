@@ -429,51 +429,6 @@ func (d *decoder) intField(dst *int) error {
 	return nil
 }
 
-func (d *decoder) uintField(dst *uint64) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return d.literal("null")
-	}
-	tok, err := d.numberToken()
-	if err != nil {
-		return err
-	}
-	n, err := strconv.ParseUint(string(tok), 10, 64)
-	if err != nil {
-		return d.syntaxf("cannot decode number %s into uint64", tok)
-	}
-	*dst = n
-	return nil
-}
-
-func (d *decoder) boolField(dst *bool) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case 't':
-		if err := d.literal("true"); err != nil {
-			return err
-		}
-		*dst = true
-		return nil
-	case 'f':
-		if err := d.literal("false"); err != nil {
-			return err
-		}
-		*dst = false
-		return nil
-	case 'n':
-		return d.literal("null")
-	default:
-		return d.syntaxf("expected boolean")
-	}
-}
-
 // internedString resolves decoded bytes to a string, consulting the common
 // vocabulary and the caller's Interner before allocating.
 func (d *decoder) internedString(b []byte) string {
@@ -505,90 +460,6 @@ func (d *decoder) stringField(dst *string) error {
 	}
 	*dst = d.internedString(b)
 	return nil
-}
-
-// floatPtrField decodes into a *float64 field: null sets the pointer to
-// nil, a number allocates (or reuses) the pointee.
-func (d *decoder) floatPtrField(dst **float64) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*dst = nil
-		return nil
-	}
-	if *dst == nil {
-		*dst = new(float64)
-	}
-	return d.floatField(*dst)
-}
-
-func (d *decoder) intPtrField(dst **int) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*dst = nil
-		return nil
-	}
-	if *dst == nil {
-		*dst = new(int)
-	}
-	return d.intField(*dst)
-}
-
-// strategyField replicates chronos.Strategy.UnmarshalJSON: a strategy name
-// (preferred), a raw enum integer, or an error.
-func (d *decoder) strategyField(dst *chronos.Strategy) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	switch {
-	case c == '"':
-		b, err := d.stringBytes()
-		if err != nil {
-			return err
-		}
-		parsed, perr := chronos.ParseStrategy(string(b))
-		if perr != nil {
-			return perr
-		}
-		*dst = parsed
-		return nil
-	case c == 'n':
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		// Unmarshal(null, &name) succeeds with name == "", so
-		// Strategy.UnmarshalJSON fails in ParseStrategy("").
-		_, perr := chronos.ParseStrategy("")
-		return perr
-	case c == '-' || ('0' <= c && c <= '9'):
-		tok, err := d.numberToken()
-		if err != nil {
-			return err
-		}
-		n, err := strconv.ParseInt(string(tok), 10, 64)
-		if err != nil {
-			return fmt.Errorf("chronos: strategy must be a name or integer: %w", err)
-		}
-		if n < int64(chronos.Clone) || n > int64(chronos.LATE) {
-			return fmt.Errorf("chronos: strategy %d out of range", n)
-		}
-		*dst = chronos.Strategy(n)
-		return nil
-	default:
-		return fmt.Errorf("chronos: strategy must be a name or integer")
-	}
 }
 
 func (d *decoder) decodeJobParams(v *chronos.JobParams) error {
@@ -670,54 +541,6 @@ func (d *decoder) decodeEcon(v *chronos.Econ) error {
 			err = d.floatField(&v.UnitPrice)
 		case fieldFoldIs(key, "rmin"):
 			err = d.floatField(&v.RMin)
-		default:
-			err = d.skipValue()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func (d *decoder) decodePlan(v *chronos.Plan) error {
-	isNull, err := d.enterObject()
-	if isNull || err != nil {
-		return err
-	}
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch {
-		case fieldIs(key, "strategy"):
-			err = d.strategyField(&v.Strategy)
-		case fieldIs(key, "r"):
-			err = d.intField(&v.R)
-		case fieldIs(key, "pocd"):
-			err = d.floatField(&v.PoCD)
-		case fieldIs(key, "machineTime"):
-			err = d.floatField(&v.MachineTime)
-		case fieldIs(key, "cost"):
-			err = d.floatField(&v.Cost)
-		case fieldIs(key, "utility"):
-			err = d.floatField(&v.Utility)
-		case fieldFoldIs(key, "strategy"):
-			err = d.strategyField(&v.Strategy)
-		case fieldFoldIs(key, "r"):
-			err = d.intField(&v.R)
-		case fieldFoldIs(key, "pocd"):
-			err = d.floatField(&v.PoCD)
-		case fieldFoldIs(key, "machineTime"):
-			err = d.floatField(&v.MachineTime)
-		case fieldFoldIs(key, "cost"):
-			err = d.floatField(&v.Cost)
-		case fieldFoldIs(key, "utility"):
-			err = d.floatField(&v.Utility)
 		default:
 			err = d.skipValue()
 		}
@@ -818,536 +641,6 @@ func (d *decoder) decodeAdmitRequest(v *AdmitRequest) error {
 			err = d.stringField(&v.Strategy)
 		case fieldFoldIs(key, "econ"):
 			err = d.decodeEcon(&v.Econ)
-		default:
-			err = d.skipValue()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// DecodePlan decodes data into v with encoding/json's semantics for
-// chronos.Plan, including Strategy's name-or-integer unmarshaling.
-func DecodePlan(data []byte, v *chronos.Plan) error {
-	d := decoder{data: data}
-	if err := d.decodePlan(v); err != nil {
-		return err
-	}
-	return d.end()
-}
-
-// DecodePlanResponse decodes data into v with encoding/json's semantics
-// for the same struct.
-func DecodePlanResponse(data []byte, v *PlanResponse) error {
-	d := decoder{data: data}
-	if err := d.decodePlanResponse(v); err != nil {
-		return err
-	}
-	return d.end()
-}
-
-func (d *decoder) decodePlanResponse(v *PlanResponse) error {
-	isNull, err := d.enterObject()
-	if isNull || err != nil {
-		return err
-	}
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch {
-		case fieldIs(key, "plan"):
-			err = d.decodePlan(&v.Plan)
-		case fieldIs(key, "cached"):
-			err = d.boolField(&v.Cached)
-		case fieldIs(key, "budgetRemaining"):
-			err = d.floatPtrField(&v.BudgetRemaining)
-		case fieldFoldIs(key, "plan"):
-			err = d.decodePlan(&v.Plan)
-		case fieldFoldIs(key, "cached"):
-			err = d.boolField(&v.Cached)
-		case fieldFoldIs(key, "budgetRemaining"):
-			err = d.floatPtrField(&v.BudgetRemaining)
-		default:
-			err = d.skipValue()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// DecodeAdmitResponse decodes data into v with encoding/json's semantics
-// for the same struct.
-func DecodeAdmitResponse(data []byte, v *AdmitResponse) error {
-	d := decoder{data: data}
-	if err := d.decodeAdmitResponse(v); err != nil {
-		return err
-	}
-	return d.end()
-}
-
-func (d *decoder) decodeAdmitResponse(v *AdmitResponse) error {
-	isNull, err := d.enterObject()
-	if isNull || err != nil {
-		return err
-	}
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch {
-		case fieldIs(key, "admitted"):
-			err = d.boolField(&v.Admitted)
-		case fieldIs(key, "tenant"):
-			err = d.stringField(&v.Tenant)
-		case fieldIs(key, "plan"):
-			err = d.planPtrField(&v.Plan)
-		case fieldIs(key, "reason"):
-			err = d.stringField(&v.Reason)
-		case fieldIs(key, "budgetRemaining"):
-			err = d.floatField(&v.BudgetRemaining)
-		case fieldFoldIs(key, "admitted"):
-			err = d.boolField(&v.Admitted)
-		case fieldFoldIs(key, "tenant"):
-			err = d.stringField(&v.Tenant)
-		case fieldFoldIs(key, "plan"):
-			err = d.planPtrField(&v.Plan)
-		case fieldFoldIs(key, "reason"):
-			err = d.stringField(&v.Reason)
-		case fieldFoldIs(key, "budgetRemaining"):
-			err = d.floatField(&v.BudgetRemaining)
-		default:
-			err = d.skipValue()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func (d *decoder) planPtrField(dst **chronos.Plan) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*dst = nil
-		return nil
-	}
-	if *dst == nil {
-		*dst = new(chronos.Plan)
-	}
-	return d.decodePlan(*dst)
-}
-
-// intIntMap decodes an object with integer keys, matching encoding/json's
-// map semantics: null sets the map to nil, {} allocates an empty map, and
-// keys parse with ParseInt.
-func (d *decoder) intIntMap(dst *map[int]int) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*dst = nil
-		return nil
-	}
-	if c != '{' {
-		return d.syntaxf("expected object")
-	}
-	d.off++
-	d.depth++
-	if d.depth > maxNestingDepth {
-		return d.syntaxf("exceeded max depth")
-	}
-	if *dst == nil {
-		*dst = make(map[int]int)
-	}
-	m := *dst
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		k, err := strconv.ParseInt(string(key), 10, 64)
-		if err != nil {
-			return d.syntaxf("cannot decode object key %q into int", key)
-		}
-		var v int
-		if err := d.intField(&v); err != nil {
-			return err
-		}
-		m[int(k)] = v
-	}
-}
-
-// DecodeReplayEvent decodes data into ev with encoding/json's semantics
-// for the same struct.
-func DecodeReplayEvent(data []byte, ev *chronos.ReplayEvent) error {
-	d := decoder{data: data}
-	if err := d.decodeReplayEvent(ev); err != nil {
-		return err
-	}
-	return d.end()
-}
-
-func (d *decoder) decodeReplayEvent(ev *chronos.ReplayEvent) error {
-	isNull, err := d.enterObject()
-	if isNull || err != nil {
-		return err
-	}
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch {
-		case fieldIs(key, "event"):
-			err = d.stringField((*string)(&ev.Kind))
-		case fieldIs(key, "seq"):
-			err = d.uintField(&ev.Seq)
-		case fieldIs(key, "time"):
-			err = d.floatField(&ev.Time)
-		case fieldIs(key, "job"):
-			err = d.jobEventPtrField(&ev.Job)
-		case fieldIs(key, "outcome"):
-			err = d.outcomePtrField(&ev.Outcome)
-		case fieldIs(key, "pocd"):
-			err = d.floatPtrField(&ev.PoCD)
-		case fieldIs(key, "window"):
-			err = d.windowPtrField(&ev.Window)
-		case fieldIs(key, "summary"):
-			err = d.summaryPtrField(&ev.Summary)
-		case fieldIs(key, "traceId"):
-			err = d.stringField(&ev.TraceID)
-		case fieldIs(key, "tenant"):
-			err = d.stringField(&ev.Tenant)
-		case fieldIs(key, "needed"):
-			err = d.floatField(&ev.Needed)
-		case fieldIs(key, "remaining"):
-			err = d.floatPtrField(&ev.Remaining)
-		case fieldIs(key, "error"):
-			err = d.stringField(&ev.Error)
-		case fieldFoldIs(key, "event"):
-			err = d.stringField((*string)(&ev.Kind))
-		case fieldFoldIs(key, "seq"):
-			err = d.uintField(&ev.Seq)
-		case fieldFoldIs(key, "time"):
-			err = d.floatField(&ev.Time)
-		case fieldFoldIs(key, "job"):
-			err = d.jobEventPtrField(&ev.Job)
-		case fieldFoldIs(key, "outcome"):
-			err = d.outcomePtrField(&ev.Outcome)
-		case fieldFoldIs(key, "pocd"):
-			err = d.floatPtrField(&ev.PoCD)
-		case fieldFoldIs(key, "window"):
-			err = d.windowPtrField(&ev.Window)
-		case fieldFoldIs(key, "summary"):
-			err = d.summaryPtrField(&ev.Summary)
-		case fieldFoldIs(key, "traceId"):
-			err = d.stringField(&ev.TraceID)
-		case fieldFoldIs(key, "tenant"):
-			err = d.stringField(&ev.Tenant)
-		case fieldFoldIs(key, "needed"):
-			err = d.floatField(&ev.Needed)
-		case fieldFoldIs(key, "remaining"):
-			err = d.floatPtrField(&ev.Remaining)
-		case fieldFoldIs(key, "error"):
-			err = d.stringField(&ev.Error)
-		default:
-			err = d.skipValue()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func (d *decoder) jobEventPtrField(dst **chronos.ReplayJobEvent) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*dst = nil
-		return nil
-	}
-	if *dst == nil {
-		*dst = new(chronos.ReplayJobEvent)
-	}
-	return d.decodeJobEvent(*dst)
-}
-
-func (d *decoder) decodeJobEvent(v *chronos.ReplayJobEvent) error {
-	isNull, err := d.enterObject()
-	if isNull || err != nil {
-		return err
-	}
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch {
-		case fieldIs(key, "id"):
-			err = d.intField(&v.ID)
-		case fieldIs(key, "strategy"):
-			err = d.stringField(&v.Strategy)
-		case fieldIs(key, "tasks"):
-			err = d.intField(&v.Tasks)
-		case fieldIs(key, "reduceTasks"):
-			err = d.intField(&v.ReduceTasks)
-		case fieldIs(key, "arrival"):
-			err = d.floatField(&v.Arrival)
-		case fieldIs(key, "deadline"):
-			err = d.floatField(&v.Deadline)
-		case fieldIs(key, "r"):
-			err = d.intPtrField(&v.R)
-		case fieldIs(key, "reduceR"):
-			err = d.intPtrField(&v.ReduceR)
-		case fieldFoldIs(key, "id"):
-			err = d.intField(&v.ID)
-		case fieldFoldIs(key, "strategy"):
-			err = d.stringField(&v.Strategy)
-		case fieldFoldIs(key, "tasks"):
-			err = d.intField(&v.Tasks)
-		case fieldFoldIs(key, "reduceTasks"):
-			err = d.intField(&v.ReduceTasks)
-		case fieldFoldIs(key, "arrival"):
-			err = d.floatField(&v.Arrival)
-		case fieldFoldIs(key, "deadline"):
-			err = d.floatField(&v.Deadline)
-		case fieldFoldIs(key, "r"):
-			err = d.intPtrField(&v.R)
-		case fieldFoldIs(key, "reduceR"):
-			err = d.intPtrField(&v.ReduceR)
-		default:
-			err = d.skipValue()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func (d *decoder) outcomePtrField(dst **chronos.ReplayOutcome) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*dst = nil
-		return nil
-	}
-	if *dst == nil {
-		*dst = new(chronos.ReplayOutcome)
-	}
-	return d.decodeOutcome(*dst)
-}
-
-func (d *decoder) decodeOutcome(v *chronos.ReplayOutcome) error {
-	isNull, err := d.enterObject()
-	if isNull || err != nil {
-		return err
-	}
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch {
-		case fieldIs(key, "finish"):
-			err = d.floatField(&v.Finish)
-		case fieldIs(key, "metDeadline"):
-			err = d.boolField(&v.MetDeadline)
-		case fieldIs(key, "lateness"):
-			err = d.floatField(&v.Lateness)
-		case fieldIs(key, "machineTime"):
-			err = d.floatField(&v.MachineTime)
-		case fieldIs(key, "cost"):
-			err = d.floatField(&v.Cost)
-		case fieldFoldIs(key, "finish"):
-			err = d.floatField(&v.Finish)
-		case fieldFoldIs(key, "metDeadline"):
-			err = d.boolField(&v.MetDeadline)
-		case fieldFoldIs(key, "lateness"):
-			err = d.floatField(&v.Lateness)
-		case fieldFoldIs(key, "machineTime"):
-			err = d.floatField(&v.MachineTime)
-		case fieldFoldIs(key, "cost"):
-			err = d.floatField(&v.Cost)
-		default:
-			err = d.skipValue()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func (d *decoder) windowPtrField(dst **chronos.ReplayWindow) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*dst = nil
-		return nil
-	}
-	if *dst == nil {
-		*dst = new(chronos.ReplayWindow)
-	}
-	return d.decodeWindow(*dst)
-}
-
-func (d *decoder) decodeWindow(v *chronos.ReplayWindow) error {
-	isNull, err := d.enterObject()
-	if isNull || err != nil {
-		return err
-	}
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch {
-		case fieldIs(key, "index"):
-			err = d.intField(&v.Index)
-		case fieldIs(key, "start"):
-			err = d.floatField(&v.Start)
-		case fieldIs(key, "end"):
-			err = d.floatField(&v.End)
-		case fieldIs(key, "completed"):
-			err = d.intField(&v.Completed)
-		case fieldIs(key, "running"):
-			err = d.decodeSummary(&v.Running)
-		case fieldFoldIs(key, "index"):
-			err = d.intField(&v.Index)
-		case fieldFoldIs(key, "start"):
-			err = d.floatField(&v.Start)
-		case fieldFoldIs(key, "end"):
-			err = d.floatField(&v.End)
-		case fieldFoldIs(key, "completed"):
-			err = d.intField(&v.Completed)
-		case fieldFoldIs(key, "running"):
-			err = d.decodeSummary(&v.Running)
-		default:
-			err = d.skipValue()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func (d *decoder) summaryPtrField(dst **chronos.ReplaySummary) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*dst = nil
-		return nil
-	}
-	if *dst == nil {
-		*dst = new(chronos.ReplaySummary)
-	}
-	return d.decodeSummary(*dst)
-}
-
-func (d *decoder) decodeSummary(v *chronos.ReplaySummary) error {
-	isNull, err := d.enterObject()
-	if isNull || err != nil {
-		return err
-	}
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch {
-		case fieldIs(key, "jobs"):
-			err = d.intField(&v.Jobs)
-		case fieldIs(key, "submitted"):
-			err = d.intField(&v.Submitted)
-		case fieldIs(key, "met"):
-			err = d.intField(&v.Met)
-		case fieldIs(key, "pocd"):
-			err = d.floatField(&v.PoCD)
-		case fieldIs(key, "meanMachineTime"):
-			err = d.floatField(&v.MeanMachineTime)
-		case fieldIs(key, "meanCost"):
-			err = d.floatField(&v.MeanCost)
-		case fieldIs(key, "rHistogram"):
-			err = d.intIntMap(&v.RHistogram)
-		case fieldFoldIs(key, "jobs"):
-			err = d.intField(&v.Jobs)
-		case fieldFoldIs(key, "submitted"):
-			err = d.intField(&v.Submitted)
-		case fieldFoldIs(key, "met"):
-			err = d.intField(&v.Met)
-		case fieldFoldIs(key, "pocd"):
-			err = d.floatField(&v.PoCD)
-		case fieldFoldIs(key, "meanMachineTime"):
-			err = d.floatField(&v.MeanMachineTime)
-		case fieldFoldIs(key, "meanCost"):
-			err = d.floatField(&v.MeanCost)
-		case fieldFoldIs(key, "rHistogram"):
-			err = d.intIntMap(&v.RHistogram)
 		default:
 			err = d.skipValue()
 		}

@@ -106,60 +106,8 @@ func appendStrategy(dst []byte, s chronos.Strategy) ([]byte, error) {
 	return append(dst, '"'), nil
 }
 
-func appendJobParams(dst []byte, p *chronos.JobParams) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"tasks":`...)
-	dst = strconv.AppendInt(dst, int64(p.Tasks), 10)
-	dst = append(dst, `,"deadline":`...)
-	if dst, err = appendFloat(dst, p.Deadline); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"tmin":`...)
-	if dst, err = appendFloat(dst, p.TMin); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"beta":`...)
-	if dst, err = appendFloat(dst, p.Beta); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"tauEst":`...)
-	if dst, err = appendFloat(dst, p.TauEst); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"tauKill":`...)
-	if dst, err = appendFloat(dst, p.TauKill); err != nil {
-		return dst, err
-	}
-	if p.PhiEst != 0 {
-		dst = append(dst, `,"phiEst":`...)
-		if dst, err = appendFloat(dst, p.PhiEst); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, '}'), nil
-}
-
-func appendEcon(dst []byte, e *chronos.Econ) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"theta":`...)
-	if dst, err = appendFloat(dst, e.Theta); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"unitPrice":`...)
-	if dst, err = appendFloat(dst, e.UnitPrice); err != nil {
-		return dst, err
-	}
-	if e.RMin != 0 {
-		dst = append(dst, `,"rmin":`...)
-		if dst, err = appendFloat(dst, e.RMin); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, '}'), nil
-}
-
-// AppendPlan appends p as json.Marshal would, byte for byte.
-func AppendPlan(dst []byte, p *chronos.Plan) ([]byte, error) {
+// appendPlan appends p as json.Marshal would, byte for byte.
+func appendPlan(dst []byte, p *chronos.Plan) ([]byte, error) {
 	var err error
 	dst = append(dst, `{"strategy":`...)
 	if dst, err = appendStrategy(dst, p.Strategy); err != nil {
@@ -186,33 +134,11 @@ func AppendPlan(dst []byte, p *chronos.Plan) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// AppendPlanRequest appends r as json.Marshal would, byte for byte.
-func AppendPlanRequest(dst []byte, r *PlanRequest) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"job":`...)
-	if dst, err = appendJobParams(dst, &r.Job); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"econ":`...)
-	if dst, err = appendEcon(dst, &r.Econ); err != nil {
-		return dst, err
-	}
-	if r.Strategy != "" {
-		dst = append(dst, `,"strategy":`...)
-		dst = appendString(dst, r.Strategy)
-	}
-	if r.Tenant != "" {
-		dst = append(dst, `,"tenant":`...)
-		dst = appendString(dst, r.Tenant)
-	}
-	return append(dst, '}'), nil
-}
-
 // AppendPlanResponse appends r as json.Marshal would, byte for byte.
 func AppendPlanResponse(dst []byte, r *PlanResponse) ([]byte, error) {
 	var err error
 	dst = append(dst, `{"plan":`...)
-	if dst, err = AppendPlan(dst, &r.Plan); err != nil {
+	if dst, err = appendPlan(dst, &r.Plan); err != nil {
 		return dst, err
 	}
 	dst = append(dst, `,"cached":`...)
@@ -226,28 +152,6 @@ func AppendPlanResponse(dst []byte, r *PlanResponse) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// AppendAdmitRequest appends r as json.Marshal would, byte for byte.
-func AppendAdmitRequest(dst []byte, r *AdmitRequest) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"tenant":`...)
-	dst = appendString(dst, r.Tenant)
-	dst = append(dst, `,"job":`...)
-	if dst, err = appendJobParams(dst, &r.Job); err != nil {
-		return dst, err
-	}
-	if r.Strategy != "" {
-		dst = append(dst, `,"strategy":`...)
-		dst = appendString(dst, r.Strategy)
-	}
-	// Econ carries omitempty, but struct values are never empty to
-	// encoding/json, so it is always present.
-	dst = append(dst, `,"econ":`...)
-	if dst, err = appendEcon(dst, &r.Econ); err != nil {
-		return dst, err
-	}
-	return append(dst, '}'), nil
-}
-
 // AppendAdmitResponse appends r as json.Marshal would, byte for byte.
 func AppendAdmitResponse(dst []byte, r *AdmitResponse) ([]byte, error) {
 	var err error
@@ -257,7 +161,7 @@ func AppendAdmitResponse(dst []byte, r *AdmitResponse) ([]byte, error) {
 	dst = appendString(dst, r.Tenant)
 	if r.Plan != nil {
 		dst = append(dst, `,"plan":`...)
-		if dst, err = AppendPlan(dst, r.Plan); err != nil {
+		if dst, err = appendPlan(dst, r.Plan); err != nil {
 			return dst, err
 		}
 	}

@@ -7,34 +7,43 @@ import (
 	"testing"
 )
 
-// The fuzz targets hold hotjson to its contract: decoding accepts exactly
-// what encoding/json accepts and produces the same struct, and encoding is
-// byte-identical to json.Marshal. Seeds mirror testdata/fuzz committed for
-// the root package's FuzzPlanRequestJSON plus shapes that exercise every
-// field kind (pointers, maps, escapes, folds, duplicate keys).
+// The fuzz targets hold hotjson to its contract: the request decoders
+// accept exactly what encoding/json accepts and produce the same struct,
+// and the response/event encoders are byte-identical to json.Marshal.
+// encoding/json is the other half of each oracle: json.Unmarshal turns the
+// fuzz input into the value an encoder target is checked on. Seeds mirror
+// testdata/fuzz committed for the root package's FuzzPlanRequestJSON plus
+// shapes that exercise every field kind (pointers, maps, escapes, folds,
+// duplicate keys).
 
-// checkDecode decodes data with both decoders and fails on any
-// success/failure or value disagreement. Returns true when both succeeded.
-func checkDecode[T any](t *testing.T, data []byte, hot func([]byte, *T) error) (T, bool) {
+// checkDecode decodes data with both decoders — plain and through an
+// Interner, which must not change the value — and fails on any
+// success/failure or value disagreement with encoding/json.
+func checkDecode[T any](t *testing.T, data []byte, hot func([]byte, *T, Interner) error) {
 	t.Helper()
-	var ref, got T
+	var ref T
 	refErr := json.Unmarshal(data, &ref)
-	hotErr := hot(data, &got)
-	if (refErr == nil) != (hotErr == nil) {
-		t.Fatalf("decode disagreement on %q:\nencoding/json: %v\nhotjson: %v", data, refErr, hotErr)
+	for _, in := range []Interner{nil, testInterner{}} {
+		var got T
+		hotErr := hot(data, &got, in)
+		if (refErr == nil) != (hotErr == nil) {
+			t.Fatalf("decode disagreement on %q:\nencoding/json: %v\nhotjson: %v", data, refErr, hotErr)
+		}
+		if refErr == nil && !reflect.DeepEqual(ref, got) {
+			t.Fatalf("decoded values differ on %q:\nencoding/json: %+v\nhotjson: %+v", data, ref, got)
+		}
 	}
-	if refErr != nil {
-		return ref, false
-	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("decoded values differ on %q:\nencoding/json: %+v\nhotjson: %+v", data, ref, got)
-	}
-	return ref, true
 }
 
-// checkEncode marshals v with both encoders and fails on any disagreement.
-func checkEncode[T any](t *testing.T, v *T, hot func([]byte, *T) ([]byte, error)) {
+// checkEncode turns data into a T with json.Unmarshal (inputs it rejects
+// are skipped), marshals that value with both encoders and fails on any
+// disagreement.
+func checkEncode[T any](t *testing.T, data []byte, hot func([]byte, *T) ([]byte, error)) {
 	t.Helper()
+	v := new(T)
+	if json.Unmarshal(data, v) != nil {
+		return
+	}
 	want, refErr := json.Marshal(v)
 	got, hotErr := hot(nil, v)
 	if (refErr == nil) != (hotErr == nil) {
@@ -54,39 +63,14 @@ func FuzzPlanRequest(f *testing.F) {
 	f.Add([]byte(`{"JOB":{"Tasks":3},"tenant":"acme","strategy":"best","x":[{"deep":[1,2,{}]}]}`))
 	f.Add([]byte(`{"job":null,"econ":{"rmin":0.25,"theta":1e-7},"tenant":"a\u0062c"}`))
 	f.Add([]byte(` {"job":{"tasks":1,"tasks":2}} `))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, ok := checkDecode(t, data, func(b []byte, v *PlanRequest) error {
-			return DecodePlanRequest(b, v, nil)
-		})
-		if !ok {
-			return
-		}
-		// Interning must not change the decoded value.
-		var interned PlanRequest
-		if err := DecodePlanRequest(data, &interned, testInterner{}); err != nil || !reflect.DeepEqual(v, interned) {
-			t.Fatalf("interned decode differs: %v / %+v vs %+v", err, interned, v)
-		}
-		checkEncode(t, &v, AppendPlanRequest)
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data, DecodePlanRequest) })
 }
 
 func FuzzAdmitRequest(f *testing.F) {
 	f.Add([]byte(`{"tenant":"analytics","job":{"tasks":20,"deadline":300,"tmin":60,"beta":1.2},"strategy":"resume","econ":{"theta":0.001}}`))
 	f.Add([]byte(`{"tenant":"","job":{},"econ":null}`))
 	f.Add([]byte(`{"Tenant":"fold","job":{"phiEst":0.5},"unknown":{"a":"b"}}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, ok := checkDecode(t, data, func(b []byte, v *AdmitRequest) error {
-			return DecodeAdmitRequest(b, v, nil)
-		})
-		if !ok {
-			return
-		}
-		var interned AdmitRequest
-		if err := DecodeAdmitRequest(data, &interned, testInterner{}); err != nil || !reflect.DeepEqual(v, interned) {
-			t.Fatalf("interned decode differs: %v / %+v vs %+v", err, interned, v)
-		}
-		checkEncode(t, &v, AppendAdmitRequest)
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data, DecodeAdmitRequest) })
 }
 
 func FuzzPlan(f *testing.F) {
@@ -95,39 +79,21 @@ func FuzzPlan(f *testing.F) {
 	f.Add([]byte(`{"strategy":"unknown"}`))
 	f.Add([]byte(`{"strategy":null}`))
 	f.Add([]byte(`{"strategy":" clone "}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, ok := checkDecode(t, data, DecodePlan)
-		if !ok {
-			return
-		}
-		checkEncode(t, &v, AppendPlan)
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { checkEncode(t, data, appendPlan) })
 }
 
 func FuzzPlanResponse(f *testing.F) {
 	f.Add([]byte(`{"plan":{"strategy":"Clone","r":2,"pocd":0.9999,"machineTime":123.4,"cost":12.3,"utility":3.21},"cached":true}`))
 	f.Add([]byte(`{"plan":{"strategy":"Mantri","r":0,"pocd":0,"machineTime":0,"cost":0,"utility":0},"cached":false,"budgetRemaining":17.5}`))
 	f.Add([]byte(`{"budgetRemaining":null,"cached":true}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, ok := checkDecode(t, data, DecodePlanResponse)
-		if !ok {
-			return
-		}
-		checkEncode(t, &v, AppendPlanResponse)
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { checkEncode(t, data, AppendPlanResponse) })
 }
 
 func FuzzAdmitResponse(f *testing.F) {
 	f.Add([]byte(`{"admitted":true,"tenant":"analytics","plan":{"strategy":"Speculative-Resume","r":1,"pocd":0.99,"machineTime":10,"cost":1,"utility":0.5},"budgetRemaining":90}`))
 	f.Add([]byte(`{"admitted":false,"tenant":"t","reason":"budget_exhausted","budgetRemaining":0.25}`))
 	f.Add([]byte(`{"plan":null,"budgetRemaining":-0}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, ok := checkDecode(t, data, DecodeAdmitResponse)
-		if !ok {
-			return
-		}
-		checkEncode(t, &v, AppendAdmitResponse)
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { checkEncode(t, data, AppendAdmitResponse) })
 }
 
 func FuzzReplayEvent(f *testing.F) {
@@ -136,13 +102,7 @@ func FuzzReplayEvent(f *testing.F) {
 	f.Add([]byte(`{"event":"window_summary","seq":3,"time":600,"window":{"index":0,"start":0,"end":600,"completed":4,"running":{"jobs":4,"submitted":6,"met":3,"pocd":0.75,"meanMachineTime":100,"meanCost":10}}}`))
 	f.Add([]byte(`{"event":"replay_summary","seq":9,"time":9000,"summary":{"jobs":10,"submitted":10,"met":9,"pocd":0.9,"meanMachineTime":90,"meanCost":9,"rHistogram":{"2":7,"10":3,"-1":1}}}`))
 	f.Add([]byte(`{"event":"budget_exhausted","seq":4,"time":12,"tenant":"t","needed":3.5,"remaining":0.5,"error":"x"}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, ok := checkDecode(t, data, DecodeReplayEvent)
-		if !ok {
-			return
-		}
-		checkEncode(t, &v, AppendReplayEvent)
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { checkEncode(t, data, AppendReplayEvent) })
 }
 
 // testInterner interns through a private map, standing in for the server's

@@ -1,17 +1,18 @@
 // Package hotjson is a hand-rolled, reflection-free JSON codec for the
-// chronosd wire structs on the serving hot path: plan and admit requests
-// and responses, chronos.Plan, and replay stream events.
+// chronosd wire structs on the serving hot path, in the one direction
+// production uses each: decoders for plan and admit requests, encoders for
+// plan and admit responses and replay stream events.
 //
 // The encoders are append-style and byte-identical to encoding/json
 // (declared field order, omitempty, HTML-escaped strings, ES6 float
 // formatting, string-sorted map keys); the decoders accept exactly the
 // inputs encoding/json accepts for the same structs (any field order,
 // case-insensitive fallback matching, unknown-field skipping, null
-// semantics, � replacement of invalid UTF-8). Both directions are
-// fuzz-verified against encoding/json — see fuzz_test.go. Neither
-// direction allocates on well-formed hot inputs: encoders append into a
-// caller-owned buffer, and decoders resolve repeated strings through an
-// optional Interner instead of allocating fresh copies.
+// semantics, � replacement of invalid UTF-8). Both are fuzz-verified
+// with encoding/json as the oracle and as the inverse direction — see
+// fuzz_test.go. Neither allocates on well-formed hot inputs: encoders
+// append into a caller-owned buffer, and decoders resolve repeated strings
+// through an optional Interner instead of allocating fresh copies.
 package hotjson
 
 import "chronos"

@@ -103,7 +103,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		ok, rem := bud.TryDebit(plan.MachineTime)
 		tr.Observe(obs.StageDebit, time.Since(dStart))
 		if ok {
-			s.metrics.planServed(plan.Strategy.String())
+			s.metrics.plans.inc(plan.Strategy.String())
 			s.metrics.tenantAdmit(req.Tenant, plan.Strategy.String())
 			hb.plan = plan
 			hb.admitResp = admitResponse{
@@ -128,38 +128,27 @@ func (s *Server) rejectAdmit(w http.ResponseWriter, r *http.Request, hb *hotBuf,
 	s.writeAdmitResponse(w, r, hb)
 }
 
-// cachedPlan returns the unconstrained optimal plan for one job,
-// consulting and populating the sharded plan cache. Every planning path —
-// /v1/plan, the batch strategy fan-out, and admission control — goes
-// through here, so cache policy (and its stage instrumentation) lives in
-// one place. tr may be nil for untraced callers.
+// cachedPlan returns the unconstrained optimal plan for one job of a
+// /v1/plan/batch fan-out, building the job's plan key into a stack buffer.
+// tr may be nil for untraced callers.
 func (s *Server) cachedPlan(tr *obs.Trace, strat chronos.Strategy, best bool, job chronos.JobParams, econ chronos.Econ) (plan chronos.Plan, cached bool, err error) {
+	var buf [128]byte
 	qStart := time.Now()
-	key := planKey(cacheStrategyName(strat, best), job, econ)
+	key := plankey.AppendKey(buf[:0], cacheStrategyName(strat, best), job, econ)
 	tr.Observe(obs.StageQuantize, time.Since(qStart))
 	return s.cachedPlanKeyed(tr, key, strat, best, job, econ)
 }
 
-// cachedPlanKeyed is cachedPlan for callers that already computed the plan
-// key — the sharded handlers, which need it for the ownership lookup before
-// the cache is consulted — so the ~10-float fmt of planKey runs once per
-// request, not twice.
-func (s *Server) cachedPlanKeyed(tr *obs.Trace, key string, strat chronos.Strategy, best bool, job chronos.JobParams, econ chronos.Econ) (plan chronos.Plan, cached bool, err error) {
+// cachedPlanKeyed consults and populates the sharded plan cache under a
+// plan key the caller already computed (the sharded handlers need it for the
+// ownership lookup first). Every planning path — /v1/plan, the batch
+// fan-outs, and admission control — goes through here, so cache policy (and
+// its stage instrumentation) lives in one place. The key usually still lives
+// in a pooled request buffer: a cache hit probes the shard map without
+// materializing the key string, so the hot path allocates nothing.
+func (s *Server) cachedPlanKeyed(tr *obs.Trace, key []byte, strat chronos.Strategy, best bool, job chronos.JobParams, econ chronos.Econ) (plan chronos.Plan, cached bool, err error) {
 	cStart := time.Now()
 	plan, hit := s.cache.get(key)
-	tr.Observe(obs.StageCache, time.Since(cStart))
-	if hit {
-		return plan, true, nil
-	}
-	return s.solveAndCache(tr, key, strat, best, job, econ)
-}
-
-// cachedPlanKeyedBytes is cachedPlanKeyed for the hot handlers, whose key
-// still lives in the pooled request buffer: a cache hit probes the shard map
-// without materializing the key string, so the hot path allocates nothing.
-func (s *Server) cachedPlanKeyedBytes(tr *obs.Trace, key []byte, strat chronos.Strategy, best bool, job chronos.JobParams, econ chronos.Econ) (plan chronos.Plan, cached bool, err error) {
-	cStart := time.Now()
-	plan, hit := s.cache.getBytes(key)
 	tr.Observe(obs.StageCache, time.Since(cStart))
 	if hit {
 		return plan, true, nil
@@ -218,7 +207,7 @@ func (s *Server) solveAndCache(tr *obs.Trace, key string, strat chronos.Strategy
 // cell answers from the table with no model evaluations (and, on the admit
 // path, no allocation).
 func (s *Server) planWithinBudget(tr *obs.Trace, key []byte, strat chronos.Strategy, best bool, job chronos.JobParams, econ chronos.Econ, budget float64) (chronos.Plan, error) {
-	plan, _, err := s.cachedPlanKeyedBytes(tr, key, strat, best, job, econ)
+	plan, _, err := s.cachedPlanKeyed(tr, key, strat, best, job, econ)
 	if err != nil {
 		return chronos.Plan{}, err
 	}
@@ -227,7 +216,7 @@ func (s *Server) planWithinBudget(tr *obs.Trace, key []byte, strat chronos.Strat
 	}
 	sStart := time.Now()
 	defer func() { tr.Observe(obs.StageSolve, time.Since(sStart)) }()
-	if bf := s.cache.frontierBytes(key); bf != nil {
+	if bf := s.cache.frontier(key); bf != nil {
 		return bf.PlanWithinBudget(budget)
 	}
 	var bf *chronos.BudgetFrontier
@@ -247,7 +236,7 @@ func (s *Server) planWithinBudget(tr *obs.Trace, key []byte, strat chronos.Strat
 		}
 		return chronos.OptimizeWithinBudget(strat, job, econ, budget)
 	}
-	s.cache.setFrontier(string(key), bf)
+	s.cache.setFrontier(key, bf)
 	return bf.PlanWithinBudget(budget)
 }
 

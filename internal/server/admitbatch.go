@@ -118,7 +118,7 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 				jobs[i].err = fmt.Errorf("job %d: %w: %v", i, errInternal, p)
 			}
 		}()
-		_, _, err := s.cachedPlanKeyedBytes(tr, jobs[i].key, jobs[i].strat, jobs[i].best, req.Jobs[i].Job, econ)
+		_, _, err := s.cachedPlanKeyed(tr, jobs[i].key, jobs[i].strat, jobs[i].best, req.Jobs[i].Job, econ)
 		jobs[i].err = err
 	})
 
@@ -197,7 +197,7 @@ func (s *Server) finishAdmitBatch(w http.ResponseWriter, r *http.Request, tenant
 	for i := range results {
 		switch {
 		case results[i].Admitted:
-			s.metrics.planServed(results[i].Plan.Strategy.String())
+			s.metrics.plans.inc(results[i].Plan.Strategy.String())
 			s.metrics.tenantAdmit(tenantName, results[i].Plan.Strategy.String())
 		case results[i].Reason != "":
 			s.metrics.tenantReject(tenantName, results[i].Reason)

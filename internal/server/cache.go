@@ -7,33 +7,19 @@ import (
 
 	"chronos"
 	"chronos/internal/metrics"
-	"chronos/internal/plankey"
 )
 
-// planKey builds the cache/ring key for one optimization request. The
-// format lives in internal/plankey so the ring-aware client package builds
-// byte-identical keys and routes straight to the owning replica.
-func planKey(strategy string, p chronos.JobParams, e chronos.Econ) string {
-	return plankey.Key(strategy, p, e)
-}
-
 // FNV-1a, inlined: hash/fnv's New64a allocates its state on every call,
-// which is the plan cache's only allocation on a hit.
+// which would be the plan cache's only allocation on a hit.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-func fnv1a(key []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
-
-func fnv1aString(key string) uint64 {
+// fnv1a is generic over the key's two forms: lookups probe with the []byte
+// still in the pooled request buffer, inserts arrive with the string the
+// entry will keep.
+func fnv1a[K string | []byte](key K) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -96,31 +82,10 @@ func newPlanCache(shards, capacity int) *planCache {
 	return c
 }
 
-func (c *planCache) shard(key string) *cacheShard {
-	return &c.shards[fnv1aString(key)&c.mask]
-}
-
-// get returns the cached plan for key and marks it most recently used.
-func (c *planCache) get(key string) (chronos.Plan, bool) {
-	if c == nil {
-		return chronos.Plan{}, false
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		c.misses.Inc()
-		return chronos.Plan{}, false
-	}
-	s.order.MoveToFront(el)
-	c.hits.Inc()
-	return el.Value.(*cacheEntry).plan, true
-}
-
-// getBytes is get for a key still in its pooled request buffer: the
+// get returns the cached plan for key and marks it most recently used. Keys
+// arrive as the []byte still in the caller's pooled request buffer: the
 // string(key) map probe does not allocate, so a cache hit costs no heap.
-func (c *planCache) getBytes(key []byte) (chronos.Plan, bool) {
+func (c *planCache) get(key []byte) (chronos.Plan, bool) {
 	if c == nil {
 		return chronos.Plan{}, false
 	}
@@ -137,11 +102,11 @@ func (c *planCache) getBytes(key []byte) (chronos.Plan, bool) {
 	return el.Value.(*cacheEntry).plan, true
 }
 
-// peekBytes reports whether key is cached without touching recency or the
+// peek reports whether key is cached without touching recency or the
 // hit/miss counters. The replica-read path uses it to decide whether a
 // local replica copy can answer for a dead owner; the actual serve goes
-// through getBytes, which does the accounting.
-func (c *planCache) peekBytes(key []byte) bool {
+// through get, which does the accounting.
+func (c *planCache) peek(key []byte) bool {
 	if c == nil {
 		return false
 	}
@@ -152,11 +117,10 @@ func (c *planCache) peekBytes(key []byte) bool {
 	return ok
 }
 
-// frontierBytes returns the entry's precomputed capped-solve table, nil
-// when the key is cold or no squeeze has built one yet. Does not touch
-// recency or hit counters: every caller just did a getBytes for the same
-// key.
-func (c *planCache) frontierBytes(key []byte) *chronos.BudgetFrontier {
+// frontier returns the entry's precomputed capped-solve table, nil when the
+// key is cold or no squeeze has built one yet. Does not touch recency or hit
+// counters: every caller just did a get for the same key.
+func (c *planCache) frontier(key []byte) *chronos.BudgetFrontier {
 	if c == nil {
 		return nil
 	}
@@ -173,14 +137,14 @@ func (c *planCache) frontierBytes(key []byte) *chronos.BudgetFrontier {
 // is still cached (an evicted entry simply drops the table). Concurrent
 // squeezes may race to build the same table; both are correct, last one
 // wins.
-func (c *planCache) setFrontier(key string, f *chronos.BudgetFrontier) {
+func (c *planCache) setFrontier(key []byte, f *chronos.BudgetFrontier) {
 	if c == nil {
 		return
 	}
-	s := c.shard(key)
+	s := &c.shards[fnv1a(key)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
+	if el, ok := s.entries[string(key)]; ok {
 		el.Value.(*cacheEntry).frontier = f
 	}
 }
@@ -191,7 +155,7 @@ func (c *planCache) put(key string, plan chronos.Plan) {
 	if c == nil {
 		return
 	}
-	s := c.shard(key)
+	s := &c.shards[fnv1a(key)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.entries[key]; ok {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"chronos"
+	"chronos/internal/plankey"
 )
 
 func TestPlanKeyQuantization(t *testing.T) {
@@ -19,23 +20,23 @@ func TestPlanKeyQuantization(t *testing.T) {
 
 	jittered := base
 	jittered.Deadline = base.Deadline * (1 + 1e-9) // sub-quantum measurement noise
-	if planKey("", base, econ) != planKey("", jittered, econ) {
+	if plankey.Key("", base, econ) != plankey.Key("", jittered, econ) {
 		t.Error("sub-quantum jitter should map to the same cache key")
 	}
 
 	different := base
 	different.Deadline = base.Deadline * 1.01
-	if planKey("", base, econ) == planKey("", different, econ) {
+	if plankey.Key("", base, econ) == plankey.Key("", different, econ) {
 		t.Error("1% deadline change should map to a different cache key")
 	}
 
 	otherEcon := econ
 	otherEcon.Theta = econ.Theta * 10
-	if planKey("", base, econ) == planKey("", base, otherEcon) {
+	if plankey.Key("", base, econ) == plankey.Key("", base, otherEcon) {
 		t.Error("10x theta change should map to a different cache key")
 	}
 
-	if planKey("Clone", base, econ) == planKey("", base, econ) {
+	if plankey.Key("Clone", base, econ) == plankey.Key("", base, econ) {
 		t.Error("pinned and best-of-three plans must not share keys")
 	}
 }
@@ -45,17 +46,17 @@ func TestCacheLRUEviction(t *testing.T) {
 	plan := chronos.Plan{Strategy: chronos.Clone, R: 1}
 	c.put("a", plan)
 	c.put("b", plan)
-	if _, ok := c.get("a"); !ok { // refresh a: b becomes LRU
+	if _, ok := c.get([]byte("a")); !ok { // refresh a: b becomes LRU
 		t.Fatal("a should be cached")
 	}
 	c.put("c", plan)
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.get([]byte("b")); ok {
 		t.Error("b should have been evicted as least recently used")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get([]byte("a")); !ok {
 		t.Error("a was refreshed and should survive")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, ok := c.get([]byte("c")); !ok {
 		t.Error("c was just inserted and should be cached")
 	}
 	if got := c.len(); got != 2 {
@@ -69,7 +70,7 @@ func TestCacheDisabled(t *testing.T) {
 		t.Fatal("negative capacity should disable the cache")
 	}
 	c.put("k", chronos.Plan{})
-	if _, ok := c.get("k"); ok {
+	if _, ok := c.get([]byte("k")); ok {
 		t.Error("disabled cache should never hit")
 	}
 	if c.len() != 0 {
@@ -93,7 +94,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 				if i%3 == 0 {
 					c.put(key, chronos.Plan{Strategy: chronos.Clone, R: i % 8})
 				} else {
-					c.get(key)
+					c.get([]byte(key))
 				}
 			}
 		}(g)

@@ -16,6 +16,27 @@ import (
 	"chronos/internal/tenant"
 )
 
+// Fixed operating values: no deployment, test, script or benchmark needs a
+// different one, so they are not options. The limits a test shrinks in order
+// to exercise them are Config fields below.
+const (
+	// maxTradeoffPoints caps the r range of /v1/tradeoff.
+	maxTradeoffPoints = 256
+	// escrowLeaseFraction is the share of a tenant's total budget one holder
+	// targets for its local lease (top-ups ask for enough to reach it).
+	escrowLeaseFraction = 0.1
+	// escrowSnapshotInterval is how often the owner folds the escrow WAL into
+	// a fresh snapshot.
+	escrowSnapshotInterval = 30 * time.Second
+	// http.Server limits; writes include simulation runs, hence the longer
+	// budget.
+	readTimeout  = 10 * time.Second
+	writeTimeout = 60 * time.Second
+	idleTimeout  = 120 * time.Second
+	// shutdownGrace bounds the graceful drain on shutdown.
+	shutdownGrace = 10 * time.Second
+)
+
 // Config shapes one chronosd instance. The zero value is usable: every
 // field has a production-sane default filled in by withDefaults.
 type Config struct {
@@ -48,8 +69,6 @@ type Config struct {
 	// MaxSimTotalTasks bounds the summed task count of one simulation
 	// request (the discrete-event cost driver). Default 50000.
 	MaxSimTotalTasks int
-	// MaxTradeoffPoints caps the r range of /v1/tradeoff. Default 256.
-	MaxTradeoffPoints int
 
 	// MaxReplayJobs caps the jobs of one POST /v1/replay stream (uploaded
 	// or generated server-side). The streaming engine's memory tracks
@@ -70,13 +89,10 @@ type Config struct {
 	// Server.SetRing.
 	Self  string
 	Peers []string
-	// RingVirtualNodes is the per-member virtual-node count of the ring.
-	// Zero means ring.DefaultVirtualNodes.
-	RingVirtualNodes int
-	// ForwardTimeout bounds one cross-replica forward before local
-	// fallback. Default 2 s.
+	// ForwardTimeout bounds one replica-to-replica call (forward, lease,
+	// cache push or pull) before the caller degrades. Default 2 s.
 	ForwardTimeout time.Duration
-	// BreakerThreshold is the consecutive forward failures that open a
+	// BreakerThreshold is the consecutive failed peer calls that open a
 	// peer's circuit; BreakerCooldown is how long an open circuit skips the
 	// peer before admitting a single half-open probe. Defaults 3 and 5 s.
 	BreakerThreshold int
@@ -131,22 +147,6 @@ type Config struct {
 	// EscrowLeaseTTL is how long a lease stays valid without a renewal
 	// before the owner reclaims its escrow. Default tenant.DefaultLeaseTTL.
 	EscrowLeaseTTL time.Duration
-	// EscrowLeaseFraction is the share of a tenant's total budget one holder
-	// targets for its local lease (top-ups ask for enough to reach it).
-	// Default 0.1.
-	EscrowLeaseFraction float64
-	// EscrowSnapshotInterval is how often the owner folds the WAL into a
-	// fresh snapshot. Default 30 s.
-	EscrowSnapshotInterval time.Duration
-
-	// ReadTimeout, WriteTimeout and IdleTimeout are the http.Server
-	// limits. Defaults 10 s / 60 s / 120 s (writes include simulation
-	// runs, hence the longer budget).
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	IdleTimeout  time.Duration
-	// ShutdownGrace bounds graceful drain on shutdown. Default 10 s.
-	ShutdownGrace time.Duration
 }
 
 // withDefaults fills zero fields.
@@ -178,9 +178,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSimTotalTasks <= 0 {
 		c.MaxSimTotalTasks = 50000
 	}
-	if c.MaxTradeoffPoints <= 0 {
-		c.MaxTradeoffPoints = 256
-	}
 	if c.MaxReplayJobs <= 0 {
 		c.MaxReplayJobs = 100000
 	}
@@ -207,24 +204,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EscrowLeaseTTL <= 0 {
 		c.EscrowLeaseTTL = tenant.DefaultLeaseTTL
-	}
-	if c.EscrowLeaseFraction <= 0 || c.EscrowLeaseFraction > 1 {
-		c.EscrowLeaseFraction = 0.1
-	}
-	if c.EscrowSnapshotInterval <= 0 {
-		c.EscrowSnapshotInterval = 30 * time.Second
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 10 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 60 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 120 * time.Second
-	}
-	if c.ShutdownGrace <= 0 {
-		c.ShutdownGrace = 10 * time.Second
 	}
 	return c
 }

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -118,9 +115,11 @@ func (m *escrowManager) lease(name string) *tenant.Lease {
 
 // leaseTarget is the escrow a holder aims to keep on hand: a fraction of the
 // tenant's total budget, so N holders plus the owner cannot strand most of
-// the pool inside idle leases.
+// the pool inside idle leases. Capped at half a Lease's capacity because a
+// dry-lease top-up may land a whole target on top of a nearly full one; past
+// the cap a holder would be granted escrow its lease cannot represent.
 func (m *escrowManager) leaseTarget(pool *tenant.Pool) float64 {
-	return pool.Limits().Budget * m.srv.cfg.EscrowLeaseFraction
+	return min(pool.Limits().Budget*escrowLeaseFraction, tenant.MaxLeaseLevel/2)
 }
 
 // budgetFor returns the debit interface the serving path uses for one
@@ -204,107 +203,50 @@ func (m *escrowManager) topUp(ctx context.Context, name, owner string, pool *ten
 	tr := obs.FromContext(ctx)
 	start := time.Now()
 	defer func() { tr.Observe(obs.StageEscrow, time.Since(start)) }()
-	resp, err := m.leaseCall(ctx, owner, escrowLeaseRequest{
+	resp, ok := m.leaseCall(ctx, owner, escrowLeaseRequest{
 		Tenant: name,
 		Spent:  lease.TakeSpent(),
 		Want:   want,
 	}, lease)
-	if err != nil || resp.Granted <= 0 {
+	if !ok || resp.Granted <= 0 {
 		return false
 	}
 	lease.Fund(resp.Granted)
-	m.srv.metrics.escrowCount(m.srv.metrics.escrowTopups, name)
+	m.srv.metrics.escrowTopups.inc(name)
 	return true
 }
 
-// leaseCall issues one POST /v1/escrow/lease to the owner, routing through
-// the owner's circuit breaker so a dead owner costs one timeout per cooldown,
-// not one per admit. The spent amount inside req is refunded to the lease's
-// unreported accumulator on failure, so a lost report is carried by the next
-// call instead of dropped.
-func (m *escrowManager) leaseCall(ctx context.Context, owner string, req escrowLeaseRequest, lease *tenant.Lease) (escrowLeaseResponse, error) {
-	var out escrowLeaseResponse
-	refund := func() {
-		if lease != nil {
+// leaseCall issues one POST /v1/escrow/lease to the owner through
+// peerState.call, so a dead owner costs one timeout per breaker cooldown, not
+// one per admit. ok is false unless the owner answered 200 with a decodable
+// grant; the spent amount inside req is then refunded to the lease's
+// unreported accumulator, so a lost report is carried by the next call
+// instead of dropped.
+func (m *escrowManager) leaseCall(ctx context.Context, owner string, req escrowLeaseRequest, lease *tenant.Lease) (out escrowLeaseResponse, ok bool) {
+	defer func() {
+		if !ok {
 			lease.Refund(req.Spent)
 		}
-	}
+	}()
 	rs := m.srv.ringSt.Load()
-	var brk *breaker
-	if rs != nil {
-		if p := rs.peers[owner]; p != nil {
-			brk = &p.breaker
-		}
-		req.Holder = rs.self
+	if rs == nil {
+		return out, false
 	}
-	if req.Holder == "" || owner == "" {
-		refund()
-		return out, errEscrowNoOwner
+	peer := rs.peers[owner]
+	if peer == nil {
+		return out, false
 	}
-	if brk != nil && !brk.allow() {
-		refund()
-		return out, errEscrowCircuitOpen
-	}
+	req.Holder = rs.self
 	body, err := json.Marshal(req)
 	if err != nil {
-		refund()
-		return out, err
+		return out, false
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		owner+escrowPath, bytes.NewReader(body))
-	if err != nil {
-		refund()
-		return out, err
+	status, _, answer, outcome := peer.call(ctx, http.MethodPost, escrowPath, body)
+	if outcome != peerAnswered || status != http.StatusOK {
+		return out, false
 	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	if tr := obs.FromContext(ctx); tr != nil {
-		httpReq.Header.Set(obs.TraceHeader, tr.ID)
-	}
-	httpResp, err := m.srv.forwardClient.Do(httpReq)
-	if err != nil {
-		if brk != nil {
-			brk.fail()
-		}
-		refund()
-		return out, err
-	}
-	defer httpResp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, maxRelayBytes))
-	if err != nil || httpResp.StatusCode != http.StatusOK {
-		// A non-200 is an answer (ownership disagreement, unknown tenant) —
-		// the peer is alive, so only transport failures charge the breaker.
-		if err != nil && brk != nil {
-			brk.fail()
-		}
-		refund()
-		if err == nil {
-			err = &escrowLeaseError{status: httpResp.StatusCode, body: strings.TrimSpace(string(raw))}
-		}
-		return out, err
-	}
-	if brk != nil {
-		brk.success()
-	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		refund()
-		return out, err
-	}
-	return out, nil
+	return out, json.Unmarshal(answer, &out) == nil
 }
-
-type escrowLeaseError struct {
-	status int
-	body   string
-}
-
-func (e *escrowLeaseError) Error() string {
-	return "escrow lease: owner answered " + http.StatusText(e.status) + ": " + e.body
-}
-
-var (
-	errEscrowNoOwner     = &escrowLeaseError{status: 0, body: "no resolvable owner"}
-	errEscrowCircuitOpen = &escrowLeaseError{status: 0, body: "owner circuit open"}
-)
 
 // handleEscrowLease serves POST /v1/escrow/lease: the owner side of the
 // escrow protocol. Non-owners answer 409 with code not_owner so a holder
@@ -336,7 +278,7 @@ func (s *Server) handleEscrowLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if granted > 0 {
-		s.metrics.escrowCount(s.metrics.escrowGrants, req.Tenant)
+		s.metrics.escrowGrants.inc(req.Tenant)
 	}
 	s.writeJSON(w, r, http.StatusOK, escrowLeaseResponse{
 		Granted:       granted,
@@ -353,7 +295,7 @@ func (m *escrowManager) run() {
 	defer close(m.done)
 	renew := time.NewTicker(m.led.TTL() / 3)
 	defer renew.Stop()
-	snapshot := time.NewTicker(m.srv.cfg.EscrowSnapshotInterval)
+	snapshot := time.NewTicker(escrowSnapshotInterval)
 	defer snapshot.Stop()
 	var walFailsSeen uint64
 	for {
@@ -405,17 +347,14 @@ func (m *escrowManager) renewLeases() {
 		if want < 0 {
 			want = 0
 		}
-		resp, err := m.leaseCall(ctx, owner, escrowLeaseRequest{
+		resp, ok := m.leaseCall(ctx, owner, escrowLeaseRequest{
 			Tenant: name,
 			Spent:  lease.TakeSpent(),
 			Want:   want,
 		}, lease)
-		if err != nil {
-			continue
-		}
-		if resp.Granted > 0 {
+		if ok && resp.Granted > 0 {
 			lease.Fund(resp.Granted)
-			m.srv.metrics.escrowCount(m.srv.metrics.escrowTopups, name)
+			m.srv.metrics.escrowTopups.inc(name)
 		}
 	}
 }
@@ -423,7 +362,7 @@ func (m *escrowManager) renewLeases() {
 // reclaim ends owner-side leases whose holders went silent past the TTL.
 func (m *escrowManager) reclaim() {
 	for _, rec := range m.led.ReclaimExpired() {
-		m.srv.metrics.escrowCount(m.srv.metrics.escrowReclaims, rec.Tenant)
+		m.srv.metrics.escrowReclaims.inc(rec.Tenant)
 		m.srv.logOp().Warn("escrow lease reclaimed",
 			"tenant", rec.Tenant, "holder", rec.Holder, "escrow", rec.Escrow)
 	}

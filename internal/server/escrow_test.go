@@ -1,13 +1,18 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"chronos/internal/ring"
 	"chronos/internal/tenant"
 )
 
@@ -383,5 +388,111 @@ func TestEscrowSoloFallsBackToOwnerPath(t *testing.T) {
 	}
 	if admits < 2 {
 		t.Fatalf("admits = %d, want >= 2 (escrow solo mode rejects affordable jobs)", admits)
+	}
+}
+
+// leaseOwnerStub stands in for a tenant's pool owner on a 2-member ring: a
+// Server with escrow on whose only peer is an httptest listener running h.
+func leaseOwnerStub(t *testing.T, cfg Config, h http.HandlerFunc) (s *Server, self, owner string) {
+	t.Helper()
+	peer := httptest.NewServer(h)
+	t.Cleanup(peer.Close)
+	cfg.Tenants, cfg.Escrow = testRegistry(t, "etl", 1e6), true
+	s, ts := newTestServer(t, cfg)
+	t.Cleanup(s.Close)
+	if err := s.SetRing(ring.Membership{Self: ts.URL, Peers: []string{peer.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	return s, ts.URL, peer.URL
+}
+
+// TestLeaseAnswerSettlesHalfOpenProbe: when the first call through a lapsed
+// open circuit is a lease request the owner answers 409 not_owner, that
+// answer must settle the half-open probe — the next forward to the peer is
+// attempted. (leaseCall used to settle the breaker on neither path of a
+// non-200 answer, wedging the gate at probing until restart.)
+func TestLeaseAnswerSettlesHalfOpenProbe(t *testing.T) {
+	var down atomic.Bool
+	var planHits atomic.Int32
+	down.Store(true)
+	s, self, owner := leaseOwnerStub(t, Config{BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond},
+		func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case down.Load():
+				w.WriteHeader(http.StatusInternalServerError)
+			case r.URL.Path == escrowPath:
+				w.WriteHeader(http.StatusConflict)
+				_, _ = io.WriteString(w, `{"error":"not the owner","code":"not_owner"}`)
+			default:
+				planHits.Add(1)
+				_, _ = io.WriteString(w, `{}`)
+			}
+		})
+	forward := func() {
+		resp := postJSON(t, self+"/v1/plan", reqOwnedBy(t, s, owner))
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	forward() // answered 500: the circuit opens
+	down.Store(false)
+	time.Sleep(40 * time.Millisecond) // cooldown lapses: the next call is the probe
+	if s.escrow.topUp(context.Background(), "etl", owner, s.Tenants().Get("etl"), s.escrow.lease("etl"), 10) {
+		t.Fatal("a 409 lease answer granted escrow")
+	}
+	forward()
+	if got := planHits.Load(); got != 1 {
+		t.Fatalf("peer saw %d forwards after the 409 lease probe, want 1 (half-open slot left claimed)", got)
+	}
+}
+
+// TestLeaseCallerCancelDoesNotChargeOwner: a client that disconnects while
+// its admit waits on a lease top-up proves nothing about the owner, whose
+// breaker must stay untouched (threshold 1 would otherwise open it).
+func TestLeaseCallerCancelDoesNotChargeOwner(t *testing.T) {
+	reached := make(chan struct{})
+	s, _, owner := leaseOwnerStub(t, Config{BreakerThreshold: 1, ForwardTimeout: 10 * time.Second},
+		func(w http.ResponseWriter, r *http.Request) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			close(reached)
+			<-r.Context().Done()
+		})
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-reached
+		cancel()
+	}()
+	if s.escrow.topUp(ctx, "etl", owner, s.Tenants().Get("etl"), s.escrow.lease("etl"), 10) {
+		t.Fatal("cancelled top-up reported a grant")
+	}
+	p := s.ringSt.Load().peers[owner]
+	if got := p.breaker.failures.Load(); got != 0 {
+		t.Fatalf("client disconnect charged the owner with %d failures, want 0", got)
+	}
+	if !p.breaker.allow() {
+		t.Fatal("client disconnect opened the owner's circuit")
+	}
+}
+
+// TestFleetEscrowHugeBudget: a 1e15 machine-second budget puts a tenth of
+// it — more than an int64 of micro machine-seconds — in every lease target.
+// The lease conversion used to wrap negative, so every admit on every
+// replica was refused while each attempt drained another grant from the
+// pool; now targets are capped and every replica admits.
+func TestFleetEscrowHugeBudget(t *testing.T) {
+	servers, urls := escrowFleet(t, 3, "deep", 1e15)
+	for i := 0; i < 12; i++ {
+		job := testJob()
+		job.Tasks = 8 + i%7 // spread plan keys, and so serving replicas
+		resp := postJSON(t, urls[i%3]+"/v1/admit", admitRequest{Tenant: "deep", Job: job, Econ: testEcon()})
+		if dec := decodeBody[admitResponse](t, resp); !dec.Admitted {
+			t.Fatalf("admit %d via replica %d refused: %+v", i, i%3, dec)
+		}
+	}
+	for i, s := range servers {
+		if !s.escrow.ownsTenant("deep") {
+			if lvl := s.escrow.lease("deep").Level(); lvl < 0 {
+				t.Errorf("replica %d lease level %g wrapped negative", i, lvl)
+			}
+		}
 	}
 }

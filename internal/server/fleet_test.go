@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"chronos/internal/plankey"
 	"chronos/internal/ring"
 )
 
@@ -77,7 +78,7 @@ func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
 
 	// Locate the key's owner and first successor on the shared ring view.
 	req := planRequest{Job: testJob(), Econ: testEcon()}
-	key := planKey("", req.Job, req.Econ)
+	key := plankey.Key("", req.Job, req.Econ)
 	succ := servers[0].ringSt.Load().ring.Successors(key, 2)
 	if len(succ) != 2 {
 		t.Fatalf("Successors(key, 2) = %v", succ)
@@ -107,7 +108,7 @@ func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
 		t.Fatalf("initial plan cost %d solves, want 1", got)
 	}
 	waitFor(t, "replica copy on the backup", func() bool {
-		return servers[backup].cache.peekBytes([]byte(key))
+		return servers[backup].cache.peek([]byte(key))
 	})
 
 	// 2. Kill the owner and immediately re-request the key through the
@@ -172,7 +173,7 @@ func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
 		})
 	}
 	waitFor(t, "warm handoff back to the owner", func() bool {
-		return servers[owner].cache.peekBytes([]byte(key))
+		return servers[owner].cache.peek([]byte(key))
 	})
 	text = getMetricsText(t, urls[other])
 	if !metricAtLeast(text, "chronosd_ring_readmits_total", 1) {

@@ -269,7 +269,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if s.forwardToOwner(w, r, "/v1/plan", hb.key, req) {
 		return
 	}
-	plan, cached, err := s.cachedPlanKeyedBytes(tr, hb.key, strat, best, req.Job, req.Econ)
+	plan, cached, err := s.cachedPlanKeyed(tr, hb.key, strat, best, req.Job, req.Econ)
 	if err != nil {
 		s.apiError(w, r, planStatus(err), "%v", err)
 		return
@@ -292,7 +292,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		hb.rem = rem
 		resp.BudgetRemaining = &hb.rem
 	}
-	s.metrics.planServed(plan.Strategy.String())
+	s.metrics.plans.inc(plan.Strategy.String())
 	out, err := hotjson.AppendPlanResponse(hb.out[:0], resp)
 	if err != nil {
 		s.encodeFailed(w, r, err)
@@ -465,7 +465,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		BudgetRemaining: budgetRemaining,
 	}
 	for i, p := range plans {
-		s.metrics.planServed(strategies[i].String())
+		s.metrics.plans.inc(strategies[i].String())
 		if pool != nil {
 			s.metrics.tenantAdmit(req.Tenant, strategies[i].String())
 		}
@@ -529,9 +529,9 @@ func (s *Server) handleTradeoff(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, "%v", parseErr)
 		return
 	}
-	if maxR < 0 || maxR > s.cfg.MaxTradeoffPoints {
+	if maxR < 0 || maxR > maxTradeoffPoints {
 		s.apiError(w, r, http.StatusBadRequest,
-			"maxR must be in [0, %d]", s.cfg.MaxTradeoffPoints)
+			"maxR must be in [0, %d]", maxTradeoffPoints)
 		return
 	}
 	curve, err := chronos.TradeoffCurve(strat, params, econ, maxR)

@@ -165,7 +165,7 @@ func (s *Server) recordProbe(member string, alive bool) bool {
 	}
 	s.health.oks[member] = 0
 	s.health.fails[member]++
-	s.metrics.ringHeartbeatFailure(member)
+	s.metrics.ringHeartbeatFails.inc(member)
 	if !s.health.suspects[member] && s.health.fails[member] >= s.cfg.SuspectAfter {
 		s.health.suspects[member] = true
 		s.metrics.ringEvictions.Inc()

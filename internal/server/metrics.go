@@ -1,8 +1,10 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -33,8 +35,8 @@ func stageBuckets() []float64 {
 type serverMetrics struct {
 	mu        sync.Mutex
 	endpoints map[string]*endpointMetrics
-	plans     map[string]*metrics.Counter
 	tenants   map[string]*tenantMetrics
+	plans     counterVec[string] // by winning strategy
 
 	// Streaming-replay series: lifetime starts, currently-open streams, and
 	// cumulative jobs/events pushed over /v1/replay.
@@ -43,10 +45,11 @@ type serverMetrics struct {
 	replayJobs     metrics.Counter
 	replayEvents   metrics.Counter
 
-	// Ring series: per-peer forwards and forward failures, plus the
-	// aggregate fallback/guard counters of the sharded serving path.
-	ringForwards map[string]*metrics.Counter // by peer URL
-	ringErrors   map[string]*metrics.Counter // by peer URL
+	// Ring series: per-peer relayed forwards and failed peer calls (counted
+	// by peerState.call), plus the aggregate fallback/guard counters of the
+	// sharded serving path.
+	ringForwards counterVec[string] // by peer URL
+	ringErrors   counterVec[string] // by peer URL
 	// ringLocalFallbacks counts requests computed locally although another
 	// replica owned the key (circuit open, forward failed, or owner 5xx).
 	ringLocalFallbacks metrics.Counter
@@ -57,7 +60,7 @@ type serverMetrics struct {
 	// Fleet-health series. ringHeartbeatFails counts failed liveness probes
 	// per configured member; ringEvictions/ringReadmits count suspect/alive
 	// membership transitions this replica applied to its effective ring.
-	ringHeartbeatFails map[string]*metrics.Counter // by peer URL
+	ringHeartbeatFails counterVec[string] // by peer URL
 	ringEvictions      metrics.Counter
 	ringReadmits       metrics.Counter
 	// ringReplicaReads counts plan-keyed requests answered from a replica
@@ -80,9 +83,9 @@ type serverMetrics struct {
 
 	// Escrow series: per-tenant grants issued (owner side), lease top-ups
 	// performed (holder side), and expired-lease reclamations (owner side).
-	escrowGrants   map[string]*metrics.Counter // by tenant
-	escrowTopups   map[string]*metrics.Counter // by tenant
-	escrowReclaims map[string]*metrics.Counter // by tenant
+	escrowGrants   counterVec[string] // by tenant
+	escrowTopups   counterVec[string] // by tenant
+	escrowReclaims counterVec[string] // by tenant
 
 	// stageSeconds histograms the per-request time spent in each hot-path
 	// stage (chronosd_stage_seconds{stage=...}); each request contributes
@@ -106,32 +109,66 @@ func (m *serverMetrics) observeStages(snap *obs.Snapshot) {
 	}
 }
 
-// peerCounter returns the per-peer counter in byPeer, creating it on first
-// use.
-func (m *serverMetrics) peerCounter(byPeer map[string]*metrics.Counter, peer string) *metrics.Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := byPeer[peer]
+// counterVec is one labelled counter family: counters keyed by a label
+// value, created on first use, rendered sorted by that value. The zero value
+// is ready to use.
+type counterVec[K cmp.Ordered] struct {
+	mu       sync.Mutex
+	counters map[K]*metrics.Counter
+}
+
+// inc adds one to the counter for label value k.
+func (v *counterVec[K]) inc(k K) {
+	v.mu.Lock()
+	c, ok := v.counters[k]
 	if !ok {
+		if v.counters == nil {
+			v.counters = make(map[K]*metrics.Counter)
+		}
 		c = &metrics.Counter{}
-		byPeer[peer] = c
+		v.counters[k] = c
 	}
-	return c
+	v.mu.Unlock()
+	c.Inc()
 }
 
-// ringForwarded counts one successfully proxied request to peer.
-func (m *serverMetrics) ringForwarded(peer string) {
-	m.peerCounter(m.ringForwards, peer).Inc()
+// write renders the family, snapshotting the counts under the lock before
+// printing. prefix is the series name through the brace and any leading
+// labels, e.g. `chronosd_plans_total{`.
+func (v *counterVec[K]) write(w io.Writer, prefix, label string) {
+	v.mu.Lock()
+	counts := make(map[K]uint64, len(v.counters))
+	for k, c := range v.counters {
+		counts[k] = c.Value()
+	}
+	v.mu.Unlock()
+	writeLabeled(w, prefix, label, counts)
 }
 
-// ringPeerError counts one failed forward attempt to peer.
-func (m *serverMetrics) ringPeerError(peer string) {
-	m.peerCounter(m.ringErrors, peer).Inc()
+// writeLabeled prints one `prefix label="key"} value` line per entry, sorted
+// by key.
+func writeLabeled[K cmp.Ordered, V any](w io.Writer, prefix, label string, values map[K]V) {
+	keys := make([]K, 0, len(values))
+	for k := range values {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		fmt.Fprintf(w, "%s%s=%q} %v\n", prefix, label, fmt.Sprint(k), values[k])
+	}
 }
 
-// ringHeartbeatFailure counts one failed liveness probe of member.
-func (m *serverMetrics) ringHeartbeatFailure(member string) {
-	m.peerCounter(m.ringHeartbeatFails, member).Inc()
+// writeHistogram prints one labelled histogram series: cumulative buckets,
+// +Inf, sum and count.
+func writeHistogram(w io.Writer, metric, label, value string, h *metrics.LatencyHistogram) {
+	snap := h.Snapshot()
+	for i, bound := range snap.Bounds {
+		fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n",
+			metric, label, value, strconv.FormatFloat(bound, 'g', -1, 64), snap.Cumulative[i])
+	}
+	fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", metric, label, value, snap.Count)
+	fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", metric, label, value, snap.Sum)
+	fmt.Fprintf(w, "%s_count{%s=%q} %d\n", metric, label, value, snap.Count)
 }
 
 // replayStarted marks one /v1/replay stream opening; the returned func
@@ -151,38 +188,23 @@ func (m *serverMetrics) replayEmit(jobCompleted bool) {
 	}
 }
 
-// escrowCount increments one per-tenant escrow counter (grants, top-ups, or
-// reclaims), creating it on first use.
-func (m *serverMetrics) escrowCount(byTenant map[string]*metrics.Counter, tenant string) {
-	m.peerCounter(byTenant, tenant).Inc()
-}
-
 // tenantMetrics accumulates one tenant's admission-control counters.
 type tenantMetrics struct {
-	mu      sync.Mutex
 	admits  metrics.Counter
-	rejects map[string]*metrics.Counter // by structured reason
-	plans   map[string]*metrics.Counter // by strategy
+	rejects counterVec[string] // by structured reason
+	plans   counterVec[string] // by strategy
 }
 
 type endpointMetrics struct {
-	mu      sync.Mutex
-	codes   map[int]*metrics.Counter
+	codes   counterVec[int] // by status code
 	latency *metrics.LatencyHistogram
 }
 
 func newServerMetrics() *serverMetrics {
 	m := &serverMetrics{
-		endpoints:          make(map[string]*endpointMetrics),
-		plans:              make(map[string]*metrics.Counter),
-		tenants:            make(map[string]*tenantMetrics),
-		ringForwards:       make(map[string]*metrics.Counter),
-		ringErrors:         make(map[string]*metrics.Counter),
-		ringHeartbeatFails: make(map[string]*metrics.Counter),
-		escrowGrants:       make(map[string]*metrics.Counter),
-		escrowTopups:       make(map[string]*metrics.Counter),
-		escrowReclaims:     make(map[string]*metrics.Counter),
-		start:              time.Now(),
+		endpoints: make(map[string]*endpointMetrics),
+		tenants:   make(map[string]*tenantMetrics),
+		start:     time.Now(),
 	}
 	for s := range m.stageSeconds {
 		m.stageSeconds[s] = metrics.NewLatencyHistogram(stageBuckets()...)
@@ -196,10 +218,7 @@ func (m *serverMetrics) endpoint(path string) *endpointMetrics {
 	defer m.mu.Unlock()
 	em, ok := m.endpoints[path]
 	if !ok {
-		em = &endpointMetrics{
-			codes:   make(map[int]*metrics.Counter),
-			latency: metrics.NewLatencyHistogram(),
-		}
+		em = &endpointMetrics{latency: metrics.NewLatencyHistogram()}
 		m.endpoints[path] = em
 	}
 	return em
@@ -207,27 +226,8 @@ func (m *serverMetrics) endpoint(path string) *endpointMetrics {
 
 // observe records one finished request.
 func (em *endpointMetrics) observe(code int, seconds float64) {
-	em.mu.Lock()
-	c, ok := em.codes[code]
-	if !ok {
-		c = &metrics.Counter{}
-		em.codes[code] = c
-	}
-	em.mu.Unlock()
-	c.Inc()
+	em.codes.inc(code)
 	em.latency.Observe(seconds)
-}
-
-// planServed counts one plan handed out for the named strategy.
-func (m *serverMetrics) planServed(strategy string) {
-	m.mu.Lock()
-	c, ok := m.plans[strategy]
-	if !ok {
-		c = &metrics.Counter{}
-		m.plans[strategy] = c
-	}
-	m.mu.Unlock()
-	c.Inc()
 }
 
 // tenant returns the per-tenant accumulator, creating it on first use.
@@ -236,10 +236,7 @@ func (m *serverMetrics) tenant(name string) *tenantMetrics {
 	defer m.mu.Unlock()
 	tm, ok := m.tenants[name]
 	if !ok {
-		tm = &tenantMetrics{
-			rejects: make(map[string]*metrics.Counter),
-			plans:   make(map[string]*metrics.Counter),
-		}
+		tm = &tenantMetrics{}
 		m.tenants[name] = tm
 	}
 	return tm
@@ -249,88 +246,12 @@ func (m *serverMetrics) tenant(name string) *tenantMetrics {
 func (m *serverMetrics) tenantAdmit(name, strategy string) {
 	tm := m.tenant(name)
 	tm.admits.Inc()
-	tm.mu.Lock()
-	c, ok := tm.plans[strategy]
-	if !ok {
-		c = &metrics.Counter{}
-		tm.plans[strategy] = c
-	}
-	tm.mu.Unlock()
-	c.Inc()
+	tm.plans.inc(strategy)
 }
 
 // tenantReject counts one admission rejection with its structured reason.
 func (m *serverMetrics) tenantReject(name, reason string) {
-	tm := m.tenant(name)
-	tm.mu.Lock()
-	c, ok := tm.rejects[reason]
-	if !ok {
-		c = &metrics.Counter{}
-		tm.rejects[reason] = c
-	}
-	tm.mu.Unlock()
-	c.Inc()
-}
-
-// writeTenantLabeled renders one per-tenant counter family whose second
-// label (reason, strategy, ...) keys the map sel selects, snapshotting each
-// tenant's counts under its lock before printing.
-func (m *serverMetrics) writeTenantLabeled(w io.Writer, metric, label string, tenantNames []string, sel func(*tenantMetrics) map[string]*metrics.Counter) {
-	for _, name := range tenantNames {
-		tm := m.tenant(name)
-		tm.mu.Lock()
-		byLabel := sel(tm)
-		keys := make([]string, 0, len(byLabel))
-		for k := range byLabel {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		counts := make(map[string]uint64, len(keys))
-		for _, k := range keys {
-			counts[k] = byLabel[k].Value()
-		}
-		tm.mu.Unlock()
-		for _, k := range keys {
-			fmt.Fprintf(w, "%s{tenant=%q,%s=%q} %d\n", metric, name, label, k, counts[k])
-		}
-	}
-}
-
-// writePeerLabeled renders one per-peer counter family, snapshotting the map
-// under the metrics lock before printing.
-func (m *serverMetrics) writePeerLabeled(w io.Writer, metric string, byPeer map[string]*metrics.Counter) {
-	m.writePeerLabeledAs(w, metric, "peer", byPeer)
-}
-
-// writePeerLabeledAs is writePeerLabeled with the label name chosen by the
-// caller (the escrow families key the same map shape by tenant).
-func (m *serverMetrics) writePeerLabeledAs(w io.Writer, metric, label string, byKey map[string]*metrics.Counter) {
-	m.mu.Lock()
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	counts := make(map[string]uint64, len(keys))
-	for _, k := range keys {
-		counts[k] = byKey[k].Value()
-	}
-	m.mu.Unlock()
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", metric, label, k, counts[k])
-	}
-}
-
-// writeTenantGauges renders one per-tenant gauge family from a snapshot map.
-func writeTenantGauges(w io.Writer, metric string, byTenant map[string]float64) {
-	names := make([]string, 0, len(byTenant))
-	for n := range byTenant {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(w, "%s{tenant=%q} %g\n", metric, n, byTenant[n])
-	}
+	m.tenant(name).rejects.inc(reason)
 }
 
 // writePrometheus renders every metric in the text exposition format. The
@@ -344,70 +265,29 @@ func (m *serverMetrics) writePrometheus(w io.Writer, cache *planCache, reg *tena
 		endpoints = append(endpoints, p)
 	}
 	sort.Strings(endpoints)
-	strategies := make([]string, 0, len(m.plans))
-	for s := range m.plans {
-		strategies = append(strategies, s)
-	}
-	sort.Strings(strategies)
 	m.mu.Unlock()
 
 	fmt.Fprintln(w, "# HELP chronosd_requests_total Requests served, by endpoint and status code.")
 	fmt.Fprintln(w, "# TYPE chronosd_requests_total counter")
 	for _, path := range endpoints {
-		em := m.endpoint(path)
-		em.mu.Lock()
-		codes := make([]int, 0, len(em.codes))
-		for c := range em.codes {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		counts := make(map[int]uint64, len(codes))
-		for _, c := range codes {
-			counts[c] = em.codes[c].Value()
-		}
-		em.mu.Unlock()
-		for _, c := range codes {
-			fmt.Fprintf(w, "chronosd_requests_total{endpoint=%q,code=%q} %d\n",
-				path, strconv.Itoa(c), counts[c])
-		}
+		m.endpoint(path).codes.write(w, fmt.Sprintf("chronosd_requests_total{endpoint=%q,", path), "code")
 	}
 
 	fmt.Fprintln(w, "# HELP chronosd_request_duration_seconds Request latency, by endpoint.")
 	fmt.Fprintln(w, "# TYPE chronosd_request_duration_seconds histogram")
 	for _, path := range endpoints {
-		snap := m.endpoint(path).latency.Snapshot()
-		for i, bound := range snap.Bounds {
-			fmt.Fprintf(w, "chronosd_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
-				path, strconv.FormatFloat(bound, 'g', -1, 64), snap.Cumulative[i])
-		}
-		fmt.Fprintf(w, "chronosd_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n",
-			path, snap.Count)
-		fmt.Fprintf(w, "chronosd_request_duration_seconds_sum{endpoint=%q} %g\n", path, snap.Sum)
-		fmt.Fprintf(w, "chronosd_request_duration_seconds_count{endpoint=%q} %d\n", path, snap.Count)
+		writeHistogram(w, "chronosd_request_duration_seconds", "endpoint", path, m.endpoint(path).latency)
 	}
 
 	fmt.Fprintln(w, "# HELP chronosd_stage_seconds Per-request time in each hot-path stage.")
 	fmt.Fprintln(w, "# TYPE chronosd_stage_seconds histogram")
 	for s := obs.Stage(0); s < obs.NumStages; s++ {
-		snap := m.stageSeconds[s].Snapshot()
-		stage := s.String()
-		for i, bound := range snap.Bounds {
-			fmt.Fprintf(w, "chronosd_stage_seconds_bucket{stage=%q,le=%q} %d\n",
-				stage, strconv.FormatFloat(bound, 'g', -1, 64), snap.Cumulative[i])
-		}
-		fmt.Fprintf(w, "chronosd_stage_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", stage, snap.Count)
-		fmt.Fprintf(w, "chronosd_stage_seconds_sum{stage=%q} %g\n", stage, snap.Sum)
-		fmt.Fprintf(w, "chronosd_stage_seconds_count{stage=%q} %d\n", stage, snap.Count)
+		writeHistogram(w, "chronosd_stage_seconds", "stage", s.String(), m.stageSeconds[s])
 	}
 
 	fmt.Fprintln(w, "# HELP chronosd_plans_total Plans served, by winning strategy.")
 	fmt.Fprintln(w, "# TYPE chronosd_plans_total counter")
-	for _, s := range strategies {
-		m.mu.Lock()
-		v := m.plans[s].Value()
-		m.mu.Unlock()
-		fmt.Fprintf(w, "chronosd_plans_total{strategy=%q} %d\n", s, v)
-	}
+	m.plans.write(w, "chronosd_plans_total{", "strategy")
 
 	hits, misses := cache.stats()
 	fmt.Fprintln(w, "# HELP chronosd_plan_cache_hits_total Plan cache hits.")
@@ -443,13 +323,15 @@ func (m *serverMetrics) writePrometheus(w io.Writer, cache *planCache, reg *tena
 
 	fmt.Fprintln(w, "# HELP chronosd_tenant_rejects_total Admission rejections, by tenant and reason.")
 	fmt.Fprintln(w, "# TYPE chronosd_tenant_rejects_total counter")
-	m.writeTenantLabeled(w, "chronosd_tenant_rejects_total", "reason", tenantNames,
-		func(tm *tenantMetrics) map[string]*metrics.Counter { return tm.rejects })
+	for _, name := range tenantNames {
+		m.tenant(name).rejects.write(w, fmt.Sprintf("chronosd_tenant_rejects_total{tenant=%q,", name), "reason")
+	}
 
 	fmt.Fprintln(w, "# HELP chronosd_tenant_plans_total Admitted plans, by tenant and strategy.")
 	fmt.Fprintln(w, "# TYPE chronosd_tenant_plans_total counter")
-	m.writeTenantLabeled(w, "chronosd_tenant_plans_total", "strategy", tenantNames,
-		func(tm *tenantMetrics) map[string]*metrics.Counter { return tm.plans })
+	for _, name := range tenantNames {
+		m.tenant(name).plans.write(w, fmt.Sprintf("chronosd_tenant_plans_total{tenant=%q,", name), "strategy")
+	}
 
 	fmt.Fprintln(w, "# HELP chronosd_tenant_budget_remaining Machine-seconds left in each pool.")
 	fmt.Fprintln(w, "# TYPE chronosd_tenant_budget_remaining gauge")
@@ -462,19 +344,19 @@ func (m *serverMetrics) writePrometheus(w io.Writer, cache *planCache, reg *tena
 		outstanding, leaseLevels := esc.escrowStats(reg)
 		fmt.Fprintln(w, "# HELP chronosd_escrow_outstanding Machine-seconds escrowed in outstanding leases, by owned tenant.")
 		fmt.Fprintln(w, "# TYPE chronosd_escrow_outstanding gauge")
-		writeTenantGauges(w, "chronosd_escrow_outstanding", outstanding)
+		writeLabeled(w, "chronosd_escrow_outstanding{", "tenant", outstanding)
 		fmt.Fprintln(w, "# HELP chronosd_escrow_lease_level Machine-seconds available in this replica's local leases, by tenant.")
 		fmt.Fprintln(w, "# TYPE chronosd_escrow_lease_level gauge")
-		writeTenantGauges(w, "chronosd_escrow_lease_level", leaseLevels)
+		writeLabeled(w, "chronosd_escrow_lease_level{", "tenant", leaseLevels)
 		fmt.Fprintln(w, "# HELP chronosd_escrow_grants_total Escrow grants issued by this replica as pool owner, by tenant.")
 		fmt.Fprintln(w, "# TYPE chronosd_escrow_grants_total counter")
-		m.writePeerLabeledAs(w, "chronosd_escrow_grants_total", "tenant", m.escrowGrants)
+		m.escrowGrants.write(w, "chronosd_escrow_grants_total{", "tenant")
 		fmt.Fprintln(w, "# HELP chronosd_escrow_topups_total Lease top-ups performed by this replica as holder, by tenant.")
 		fmt.Fprintln(w, "# TYPE chronosd_escrow_topups_total counter")
-		m.writePeerLabeledAs(w, "chronosd_escrow_topups_total", "tenant", m.escrowTopups)
+		m.escrowTopups.write(w, "chronosd_escrow_topups_total{", "tenant")
 		fmt.Fprintln(w, "# HELP chronosd_escrow_reclaims_total Expired leases reclaimed by this replica as pool owner, by tenant.")
 		fmt.Fprintln(w, "# TYPE chronosd_escrow_reclaims_total counter")
-		m.writePeerLabeledAs(w, "chronosd_escrow_reclaims_total", "tenant", m.escrowReclaims)
+		m.escrowReclaims.write(w, "chronosd_escrow_reclaims_total{", "tenant")
 		walFails, _ := esc.led.WALFailures()
 		fmt.Fprintln(w, "# HELP chronosd_escrow_wal_append_failures_total Ledger records the WAL failed to persist; nonzero means recovery after a restart would resurrect spent budget.")
 		fmt.Fprintln(w, "# TYPE chronosd_escrow_wal_append_failures_total counter")
@@ -508,10 +390,10 @@ func (m *serverMetrics) writePrometheus(w io.Writer, cache *planCache, reg *tena
 	}
 	fmt.Fprintln(w, "# HELP chronosd_ring_forwarded_total Requests proxied to the owning replica, by peer.")
 	fmt.Fprintln(w, "# TYPE chronosd_ring_forwarded_total counter")
-	m.writePeerLabeled(w, "chronosd_ring_forwarded_total", m.ringForwards)
+	m.ringForwards.write(w, "chronosd_ring_forwarded_total{", "peer")
 	fmt.Fprintln(w, "# HELP chronosd_ring_peer_errors_total Failed forward attempts, by peer.")
 	fmt.Fprintln(w, "# TYPE chronosd_ring_peer_errors_total counter")
-	m.writePeerLabeled(w, "chronosd_ring_peer_errors_total", m.ringErrors)
+	m.ringErrors.write(w, "chronosd_ring_peer_errors_total{", "peer")
 	fmt.Fprintln(w, "# HELP chronosd_ring_local_fallbacks_total Non-owned keys computed locally because the owner was unreachable.")
 	fmt.Fprintln(w, "# TYPE chronosd_ring_local_fallbacks_total counter")
 	fmt.Fprintf(w, "chronosd_ring_local_fallbacks_total %d\n", m.ringLocalFallbacks.Value())
@@ -520,7 +402,7 @@ func (m *serverMetrics) writePrometheus(w io.Writer, cache *planCache, reg *tena
 	fmt.Fprintf(w, "chronosd_ring_received_forwards_total %d\n", m.ringReceivedForwards.Value())
 	fmt.Fprintln(w, "# HELP chronosd_ring_heartbeat_failures_total Failed liveness probes, by configured member.")
 	fmt.Fprintln(w, "# TYPE chronosd_ring_heartbeat_failures_total counter")
-	m.writePeerLabeled(w, "chronosd_ring_heartbeat_failures_total", m.ringHeartbeatFails)
+	m.ringHeartbeatFails.write(w, "chronosd_ring_heartbeat_failures_total{", "peer")
 	fmt.Fprintln(w, "# HELP chronosd_ring_evictions_total Members evicted from this replica's effective ring by the health monitor.")
 	fmt.Fprintln(w, "# TYPE chronosd_ring_evictions_total counter")
 	fmt.Fprintf(w, "chronosd_ring_evictions_total %d\n", m.ringEvictions.Value())

@@ -1,9 +1,8 @@
 package server
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"time"
 
@@ -84,61 +83,59 @@ func (s *Server) runReplicator() {
 	}
 }
 
+// plansByReplica groups entries under every replica assign names for their
+// key, at most maxCacheWarmEntries per replica. It is the one "which cached
+// plans does the ring give to whom" walk behind the replication push, the
+// membership-change handoff and the /v1/cache/owned warm answer.
+func plansByReplica(entries []savedPlan, assign func(key string) []string) map[string][]savedPlan {
+	byReplica := make(map[string][]savedPlan)
+	for _, e := range entries {
+		for _, n := range assign(e.Key) {
+			if len(byReplica[n]) < maxCacheWarmEntries {
+				byReplica[n] = append(byReplica[n], e)
+			}
+		}
+	}
+	return byReplica
+}
+
 // pushReplicas fans one batch out to each entry's successor replicas.
 func (s *Server) pushReplicas(batch []savedPlan) {
 	rs := s.ringSt.Load()
 	if rs == nil || rs.replication <= 1 {
 		return
 	}
-	byPeer := make(map[string][]savedPlan)
-	for _, sp := range batch {
-		for _, n := range rs.ring.Successors(sp.Key, rs.replication) {
-			if n == rs.self {
-				continue
-			}
-			byPeer[n] = append(byPeer[n], sp)
-		}
-	}
-	for peer, plans := range byPeer {
-		s.pushPlans(peer, plans)
-	}
+	s.pushPlans(rs, plansByReplica(batch, func(key string) []string {
+		return rs.ring.Successors(key, rs.replication)
+	}))
 }
 
-// pushPlans POSTs plans to peer's /v1/cache/push in bounded chunks,
-// returning how many entries the peer acknowledged loading. Failures are
+// pushPlans POSTs each peer's plans to its /v1/cache/push in bounded chunks,
+// returning how many entries the peers acknowledged loading. Failures are
 // logged and skipped: replication and handoff are warmth optimizations, a
 // missed copy just means a cold solve later.
-func (s *Server) pushPlans(peer string, plans []savedPlan) int {
+func (s *Server) pushPlans(rs *ringState, byPeer map[string][]savedPlan) int {
 	loaded := 0
-	for len(plans) > 0 {
-		chunk := plans
-		if len(chunk) > pushChunk {
-			chunk = chunk[:pushChunk]
+	for target, plans := range byPeer {
+		peer := rs.peers[target]
+		if peer == nil {
+			continue // self, or a member that left the view
 		}
-		plans = plans[len(chunk):]
-		raw, err := json.Marshal(cacheOwnedResponse{Plans: chunk})
-		if err != nil {
-			s.logOp().Error("cache push encode failed", "error", err.Error())
-			return loaded
+		for len(plans) > 0 {
+			chunk := plans[:min(len(plans), pushChunk)]
+			plans = plans[len(chunk):]
+			raw, err := json.Marshal(cacheOwnedResponse{Plans: chunk})
+			if err != nil {
+				s.logOp().Error("cache push encode failed", "error", err.Error())
+				break
+			}
+			status, _, _, outcome := peer.call(context.Background(), http.MethodPost, "/v1/cache/push", raw)
+			if outcome != peerAnswered || status != http.StatusOK {
+				s.logOp().Warn("cache push failed", "peer", target, "status", status)
+				break
+			}
+			loaded += len(chunk)
 		}
-		req, err := http.NewRequest(http.MethodPost, peer+"/v1/cache/push", bytes.NewReader(raw))
-		if err != nil {
-			return loaded
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(obs.TraceHeader, obs.MintID())
-		resp, err := s.forwardClient.Do(req)
-		if err != nil {
-			s.logOp().Warn("cache push: peer unreachable", "peer", peer, "error", err.Error())
-			return loaded
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			s.logOp().Warn("cache push: peer refused", "peer", peer, "status", resp.StatusCode)
-			return loaded
-		}
-		loaded += len(chunk)
 	}
 	return loaded
 }
@@ -164,26 +161,16 @@ func (s *Server) handleCachePush(w http.ResponseWriter, r *http.Request) {
 // cold keyspace slice.
 func (s *Server) handoffRemapped(old, cur *ringState) {
 	start := time.Now()
-	byPeer := make(map[string][]savedPlan)
-	for _, e := range s.cache.dump() {
-		owner, ok := cur.ring.Owner(e.Key)
-		if !ok || owner == cur.self {
-			continue
+	byPeer := plansByReplica(s.cache.dump(), func(key string) []string {
+		owner, _ := cur.ring.Owner(key)
+		if oldOwner, _ := old.ring.Owner(key); owner == cur.self || owner == oldOwner {
+			// Ours, or ownership did not move: the owner warmed this key on
+			// its own write path.
+			return nil
 		}
-		if oldOwner, ok := old.ring.Owner(e.Key); ok && oldOwner == owner {
-			// Ownership did not move; the owner warmed this key on its own
-			// write path.
-			continue
-		}
-		if len(byPeer[owner]) < maxCacheWarmEntries {
-			byPeer[owner] = append(byPeer[owner], e)
-		}
-	}
-	total := 0
-	for peer, plans := range byPeer {
-		total += s.pushPlans(peer, plans)
-	}
-	if total > 0 {
+		return []string{owner}
+	})
+	if total := s.pushPlans(cur, byPeer); total > 0 {
 		s.metrics.ringHandoffEntries.Add(uint64(total))
 		s.logOp().Info("cache handoff", "entries", total, "targets", len(byPeer),
 			"members", len(cur.ring.Nodes()))

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"chronos/internal/obs"
@@ -40,104 +38,6 @@ type ringState struct {
 	// responses' header maps; immutable for the ringState's lifetime, so
 	// sharing one slice across requests is safe.
 	selfHdr []string
-}
-
-// peerState carries what this replica knows about one peer: its base URL and
-// the circuit breaker guarding forwards to it. It survives membership
-// reloads for peers that remain in the fleet, so a reload does not reset a
-// deliberately opened circuit.
-type peerState struct {
-	base    string
-	breaker breaker
-}
-
-// breaker is a consecutive-failure circuit breaker with a half-open probe.
-// After threshold consecutive forward failures the circuit opens for
-// cooldown, during which forwards to the peer are skipped in favor of local
-// computation — keeping a dead replica from adding a connect-timeout to
-// every request it used to own. When the cooldown expires, exactly ONE
-// request wins the CAS in allow and becomes the half-open probe; everyone
-// else keeps falling back locally until that probe's verdict lands. A
-// successful probe closes the circuit, a failed one re-opens it for a fresh
-// cooldown — so a still-dead peer costs at most one connect-timeout per
-// cooldown window, not threshold of them.
-//
-// The whole state machine lives in one atomic word (gate) so a trip is a
-// single CAS: there is no window where the state says open but the deadline
-// is stale, and two goroutines can never both observe the threshold
-// crossing (the old Add-then-Store counter reset allowed exactly that).
-type breaker struct {
-	threshold int
-	cooldown  time.Duration
-	// failures counts consecutive failures while the circuit is closed,
-	// advanced by CAS so a concurrent failure is never clobbered.
-	failures atomic.Int32
-	// gate encodes the state: gateClosed, gateProbing (a half-open probe is
-	// in flight), or a positive open-until deadline in unix nanos.
-	gate atomic.Int64
-}
-
-const (
-	gateClosed  int64 = 0
-	gateProbing int64 = -1
-	// gateExpired is an already-elapsed open deadline: the state an aborted
-	// probe restores, so the next request immediately becomes the new probe.
-	gateExpired int64 = 1
-)
-
-// allow reports whether a forward may be attempted now. Winning the
-// open→probing CAS claims the single half-open probe slot; the caller MUST
-// settle it by calling fail, success, or abort.
-func (b *breaker) allow() bool {
-	g := b.gate.Load()
-	switch {
-	case g == gateClosed:
-		return true
-	case g == gateProbing:
-		return false
-	default:
-		if time.Now().UnixNano() < g {
-			return false
-		}
-		return b.gate.CompareAndSwap(g, gateProbing)
-	}
-}
-
-// fail records one forward failure: a failed half-open probe re-opens the
-// circuit immediately; a closed-state failure advances the consecutive
-// counter and trips at the threshold. A failure while the circuit is
-// already open (an in-flight straggler) only bumps the counter — it never
-// extends the open window, so a trickle of stragglers cannot postpone the
-// next probe forever.
-func (b *breaker) fail() {
-	if b.gate.CompareAndSwap(gateProbing, time.Now().Add(b.cooldown).UnixNano()) {
-		b.failures.Store(0)
-		return
-	}
-	for {
-		n := b.failures.Load()
-		if !b.failures.CompareAndSwap(n, n+1) {
-			continue
-		}
-		if int(n+1) >= b.threshold && b.gate.CompareAndSwap(gateClosed, time.Now().Add(b.cooldown).UnixNano()) {
-			b.failures.Store(0)
-		}
-		return
-	}
-}
-
-// success closes the circuit (and settles a half-open probe as passed).
-func (b *breaker) success() {
-	b.failures.Store(0)
-	b.gate.Store(gateClosed)
-}
-
-// abort releases a claimed half-open probe slot without judging the peer
-// (the client went away mid-probe, so the attempt proves nothing). The gate
-// is restored to an already-expired deadline: the next request becomes the
-// new probe instead of the slot leaking forever.
-func (b *breaker) abort() {
-	b.gate.CompareAndSwap(gateProbing, gateExpired)
 }
 
 // SetRing swaps the operator-configured fleet membership, rebuilding the
@@ -183,8 +83,11 @@ func (s *Server) applyRing(self string, members []string) {
 		s.ringSt.Store(nil)
 		return
 	}
-	r := ring.New(members, s.cfg.RingVirtualNodes)
+	r := ring.New(members, ring.DefaultVirtualNodes)
 	old := s.ringSt.Load()
+	if old != nil && old.self != self {
+		old = nil // a new identity keeps no peer state and hands nothing off
+	}
 	peers := make(map[string]*peerState, len(members))
 	for _, n := range r.Nodes() {
 		if n == self {
@@ -196,7 +99,7 @@ func (s *Server) applyRing(self string, members []string) {
 				continue
 			}
 		}
-		peers[n] = &peerState{base: n, breaker: breaker{
+		peers[n] = &peerState{srv: s, base: n, self: self, breaker: breaker{
 			threshold: s.cfg.BreakerThreshold,
 			cooldown:  s.cfg.BreakerCooldown,
 		}}
@@ -209,22 +112,9 @@ func (s *Server) applyRing(self string, members []string) {
 		selfHdr:     []string{self},
 	}
 	s.ringSt.Store(cur)
-	if old != nil && old.self == self && !sameMembers(old.ring.Nodes(), r.Nodes()) {
+	if old != nil && !slices.Equal(old.ring.Nodes(), r.Nodes()) {
 		go s.handoffRemapped(old, cur)
 	}
-}
-
-// sameMembers compares two sorted member lists.
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // RingMembers returns the current membership view (empty when sharding is
@@ -248,9 +138,10 @@ func (s *Server) RingMembers() (self string, members []string) {
 //
 // With replication factor R > 1 the key's targets are the owner followed by
 // the next R−1 ring successors — the replicas the owner pushes hot entries
-// to — tried in order, skipping any whose circuit is open. A response served
-// by a non-owner counts as a replica read: the warm copy answered while the
-// owner was down, which is the entire point of the replication factor.
+// to — tried in order, moving on when a peer's circuit is open or the call
+// fails (peerState.call settles the breaker). A response served by a
+// non-owner counts as a replica read: the warm copy answered while the owner
+// was down, which is the entire point of the replication factor.
 //
 // payload is the decoded request, re-marshaled for the forward so that
 // fields this replica resolved (e.g. tenant econ defaults) travel with it
@@ -274,6 +165,7 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path str
 	if !ok || owner == rs.self {
 		return false
 	}
+	tr := obs.FromContext(r.Context())
 	var body []byte // marshaled before the first actual forward attempt
 	for i, target := range rs.targetsFor(key, owner) {
 		if target == rs.self {
@@ -281,7 +173,7 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path str
 			// serve it from the local cache instead of forwarding onward. A
 			// warm local copy is a replica read; a cold one just means the
 			// local fallback recomputes.
-			if i > 0 && s.cache.peekBytes(key) {
+			if i > 0 && s.cache.peek(key) {
 				s.metrics.ringReplicaReads.Inc()
 			}
 			return false
@@ -292,33 +184,49 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path str
 			// serving locally is always safe.
 			return false
 		}
-		if !peer.breaker.allow() {
-			continue
-		}
 		if body == nil {
 			var err error
 			if body, err = json.Marshal(payload); err != nil {
-				peer.breaker.abort()
 				return false
 			}
 		}
-		switch s.forwardTo(w, r, rs, peer, path, body) {
-		case fwdServed:
-			if i > 0 {
-				s.metrics.ringReplicaReads.Inc()
-			}
+		// Each attempt — request out through body read — is one StageForward
+		// span on this side.
+		start := time.Now()
+		status, header, answer, outcome := peer.call(r.Context(), http.MethodPost, path, body)
+		if outcome == peerSkipped {
+			continue
+		}
+		tr.Observe(obs.StageForward, time.Since(start))
+		switch {
+		case outcome == peerFailed:
+			continue // try the next replica
+		case outcome == peerAborted:
+			// The client went away mid-forward; a local fallback would compute
+			// a plan nobody reads. Drop the request.
 			return true
-		case fwdClientGone:
-			// The client went away mid-forward. The peer's health is not in
-			// question — its breaker was released, not charged — and a local
-			// fallback would compute a plan nobody reads; drop the request.
-			return true
-		case fwdServeLocal:
+		case status == http.StatusNotFound:
+			// Config drift during a rolling rollout: this replica resolved the
+			// request (tenant lookup included) before forwarding, so a peer 404
+			// means its view disagrees — serve locally instead of failing a
+			// request we know how to answer; trying further replicas would be
+			// wrong.
 			s.metrics.ringLocalFallbacks.Inc()
 			return false
-		case fwdPeerDown:
-			// Breaker charged inside forwardTo; try the next replica.
 		}
+		s.metrics.ringForwards.inc(peer.base)
+		if i > 0 {
+			s.metrics.ringReplicaReads.Inc()
+		}
+		if ct := header.Get("Content-Type"); ct != "" {
+			w.Header().Set("Content-Type", ct)
+		}
+		if sb := header.Get(ServedByHeader); sb != "" {
+			w.Header().Set(ServedByHeader, sb)
+		}
+		w.WriteHeader(status)
+		_, _ = w.Write(answer)
+		return true
 	}
 	s.metrics.ringLocalFallbacks.Inc()
 	return false
@@ -333,103 +241,3 @@ func (rs *ringState) targetsFor(key []byte, owner string) []string {
 	}
 	return rs.ring.SuccessorsBytes(key, rs.replication)
 }
-
-// forwardOutcome is one forward attempt's verdict.
-type forwardOutcome int
-
-const (
-	// fwdServed: the peer's response was relayed; the request is done.
-	fwdServed forwardOutcome = iota
-	// fwdPeerDown: the peer failed (unreachable, 5xx, or bad body); its
-	// breaker has been charged and the caller may try the next replica.
-	fwdPeerDown
-	// fwdServeLocal: the peer is healthy but declined (404 ownership
-	// drift); compute locally, trying further replicas would be wrong.
-	fwdServeLocal
-	// fwdClientGone: our client disconnected mid-forward; drop the request.
-	fwdClientGone
-)
-
-// forwardTo performs one forward attempt against peer and settles its
-// breaker: success/404 close it, failure charges it, a client disconnect
-// releases a claimed half-open probe without judging the peer.
-func (s *Server) forwardTo(w http.ResponseWriter, r *http.Request, rs *ringState, peer *peerState, path string, body []byte) forwardOutcome {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		peer.base+path, bytes.NewReader(body))
-	if err != nil {
-		peer.breaker.abort()
-		return fwdServeLocal
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ForwardedFromHeader, rs.self)
-	// The trace ID travels with the forward so the peer's span record,
-	// logs, and response carry the same ID this replica minted (or
-	// honored); each attempt — request out through body read — is one
-	// StageForward span on this side.
-	tr := obs.FromContext(r.Context())
-	if tr != nil {
-		req.Header.Set(obs.TraceHeader, tr.ID)
-	}
-	fwdStart := time.Now()
-	defer func() { tr.Observe(obs.StageForward, time.Since(fwdStart)) }()
-	resp, err := s.forwardClient.Do(req)
-	if err != nil {
-		if r.Context().Err() != nil {
-			peer.breaker.abort()
-			return fwdClientGone
-		}
-		peer.breaker.fail()
-		s.metrics.ringPeerError(peer.base)
-		return fwdPeerDown
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= http.StatusInternalServerError {
-		// The peer answered but is unhealthy; treat like unreachable and
-		// let the caller degrade rather than relaying its failure.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		peer.breaker.fail()
-		s.metrics.ringPeerError(peer.base)
-		return fwdPeerDown
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		// Config drift during a rolling rollout: this replica resolved the
-		// request (tenant lookup included) before forwarding, so a peer 404
-		// means its view disagrees — serve locally instead of failing a
-		// request we know how to answer. The peer is demonstrably alive, so
-		// this settles a half-open probe as passed and resets the
-		// consecutive-failure count.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		peer.breaker.success()
-		return fwdServeLocal
-	}
-	// Buffer the full answer before committing the status line: a peer
-	// that stalls mid-body inside the forward timeout must degrade to local
-	// fallback, not to a 200 with a truncated JSON body the client cannot
-	// decode. Plan and admit answers are small; the cap only guards a
-	// misbehaving peer.
-	relayed, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes+1))
-	if err != nil || len(relayed) > maxRelayBytes {
-		if r.Context().Err() != nil {
-			peer.breaker.abort()
-			return fwdClientGone
-		}
-		peer.breaker.fail()
-		s.metrics.ringPeerError(peer.base)
-		return fwdPeerDown
-	}
-	peer.breaker.success()
-	s.metrics.ringForwarded(peer.base)
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if sb := resp.Header.Get(ServedByHeader); sb != "" {
-		w.Header().Set(ServedByHeader, sb)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(relayed)
-	return fwdServed
-}
-
-// maxRelayBytes caps a buffered forwarded response. Far above any real plan
-// or admit answer; a peer streaming more than this is broken.
-const maxRelayBytes = 1 << 20

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"chronos/internal/plankey"
 	"chronos/internal/ring"
 )
 
@@ -49,7 +50,7 @@ func fleetOwner(t *testing.T, servers []*Server, listeners []*httptest.Server, r
 	if !ok {
 		t.Fatalf("bad strategy %q", req.Strategy)
 	}
-	key := planKey(cacheStrategyName(strat, best), req.Job, req.Econ)
+	key := plankey.Key(cacheStrategyName(strat, best), req.Job, req.Econ)
 	rs := servers[0].ringSt.Load()
 	owner, ok := rs.ring.Owner(key)
 	if !ok {
@@ -485,7 +486,7 @@ func reqOwnedBy(t *testing.T, s *Server, owner string) planRequest {
 	for d := 0; d < 4096; d++ {
 		job := testJob()
 		job.Deadline = 100 + float64(d)
-		if o, ok := rs.ring.Owner(planKey("", job, testEcon())); ok && o == owner {
+		if o, ok := rs.ring.Owner(plankey.Key("", job, testEcon())); ok && o == owner {
 			return planRequest{Job: job, Econ: testEcon()}
 		}
 	}
@@ -731,7 +732,7 @@ func TestForwardClientDisconnectDoesNotChargeBreaker(t *testing.T) {
 	}
 	req := reqOwnedBy(t, s, hanging.URL)
 	strat, best, _ := keyStrategy(req.Strategy)
-	key := planKey(cacheStrategyName(strat, best), req.Job, req.Econ)
+	key := plankey.Key(cacheStrategyName(strat, best), req.Job, req.Econ)
 
 	hreq := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
 	ctx, cancel := context.WithCancel(hreq.Context())

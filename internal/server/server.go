@@ -30,9 +30,9 @@ type Server struct {
 	// ringSt is the current fleet-membership view; nil disables sharding.
 	// Swapped atomically by SetRing (SIGHUP reload path).
 	ringSt atomic.Pointer[ringState]
-	// forwardClient issues cross-replica forwards; its timeout bounds how
-	// long a request waits on a peer before local fallback.
-	forwardClient *http.Client
+	// peerClient carries every replica-to-replica call (peer.go); each call
+	// is bounded by cfg.ForwardTimeout through its context.
+	peerClient *http.Client
 	// replaySem bounds concurrently running /v1/replay streams; each
 	// running replay holds one slot.
 	replaySem chan struct{}
@@ -87,14 +87,14 @@ func (s *Server) logOp() *slog.Logger {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:           cfg,
-		cache:         newPlanCache(cfg.CacheShards, cfg.CacheCapacity),
-		pool:          newWorkerPool(cfg.Workers),
-		metrics:       newServerMetrics(),
-		forwardClient: &http.Client{Timeout: cfg.ForwardTimeout},
-		replaySem:     make(chan struct{}, cfg.MaxActiveReplays),
-		traces:        obs.NewTraceRing(cfg.TraceRingSize),
-		reqLog:        obs.FromSlog(cfg.Logger, cfg.LogSample),
+		cfg:        cfg,
+		cache:      newPlanCache(cfg.CacheShards, cfg.CacheCapacity),
+		pool:       newWorkerPool(cfg.Workers),
+		metrics:    newServerMetrics(),
+		peerClient: &http.Client{},
+		replaySem:  make(chan struct{}, cfg.MaxActiveReplays),
+		traces:     obs.NewTraceRing(cfg.TraceRingSize),
+		reqLog:     obs.FromSlog(cfg.Logger, cfg.LogSample),
 	}
 	if cfg.Tenants != nil {
 		s.tenants.Store(cfg.Tenants)
@@ -257,7 +257,7 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter 
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // ListenAndServe binds cfg.Addr and serves until ctx is cancelled, then
-// drains gracefully within cfg.ShutdownGrace.
+// drains gracefully within shutdownGrace.
 func (s *Server) ListenAndServe(ctx context.Context) error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
@@ -272,9 +272,9 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
 		Handler:      s.Handler(),
-		ReadTimeout:  s.cfg.ReadTimeout,
-		WriteTimeout: s.cfg.WriteTimeout,
-		IdleTimeout:  s.cfg.IdleTimeout,
+		ReadTimeout:  readTimeout,
+		WriteTimeout: writeTimeout,
+		IdleTimeout:  idleTimeout,
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
@@ -282,7 +282,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	case err := <-errCh:
 		return err
 	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
+		shutCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		if err := srv.Shutdown(shutCtx); err != nil {
 			return err

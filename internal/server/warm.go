@@ -3,13 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
-
-	"chronos/internal/obs"
 )
 
 // Plan-cache warmth across restarts. The cache is pure derived state, so it
@@ -134,14 +131,14 @@ func (s *Server) handleCacheOwned(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := cacheOwnedResponse{Plans: []savedPlan{}}
 	if rs := s.ringSt.Load(); rs != nil {
-		for _, e := range s.cache.dump() {
-			if owner, ok := rs.ring.Owner(e.Key); ok && owner == holder {
-				resp.Plans = append(resp.Plans, e)
-				if len(resp.Plans) >= maxCacheWarmEntries {
-					break
-				}
+		to := []string{holder}
+		owned := plansByReplica(s.cache.dump(), func(key string) []string {
+			if owner, ok := rs.ring.Owner(key); ok && owner == holder {
+				return to
 			}
-		}
+			return nil
+		})
+		resp.Plans = append(resp.Plans, owned[holder]...)
 	}
 	s.writeJSON(w, r, http.StatusOK, resp)
 }
@@ -157,26 +154,15 @@ func (s *Server) WarmFromPeers(ctx context.Context) int {
 		return 0
 	}
 	total := 0
-	for peer := range rs.peers {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			peer+"/v1/cache/owned?holder="+url.QueryEscape(rs.self), nil)
-		if err != nil {
-			continue
-		}
-		req.Header.Set(obs.TraceHeader, obs.MintID())
-		httpResp, err := s.forwardClient.Do(req)
-		if err != nil {
-			s.logOp().Warn("cache warm: peer unreachable", "peer", peer, "error", err.Error())
-			continue
-		}
-		raw, err := io.ReadAll(io.LimitReader(httpResp.Body, s.cfg.MaxBodyBytes*16))
-		httpResp.Body.Close()
-		if err != nil || httpResp.StatusCode != http.StatusOK {
-			s.logOp().Warn("cache warm: peer answered badly", "peer", peer, "status", httpResp.StatusCode)
+	for _, peer := range rs.peers {
+		status, _, answer, outcome := peer.call(ctx, http.MethodGet,
+			"/v1/cache/owned?holder="+url.QueryEscape(rs.self), nil)
+		if outcome != peerAnswered || status != http.StatusOK {
+			s.logOp().Warn("cache warm failed", "peer", peer.base, "status", status)
 			continue
 		}
 		var resp cacheOwnedResponse
-		if err := json.Unmarshal(raw, &resp); err != nil {
+		if err := json.Unmarshal(answer, &resp); err != nil {
 			continue
 		}
 		total += s.cache.load(resp.Plans)

@@ -336,6 +336,35 @@ func (e *EscrowLedger) Rebase(old, fresh *Registry) {
 // leaseMicros is the Lease fixed-point scale: one micro machine-second.
 const leaseMicros = 1e6
 
+// MaxLeaseLevel is the most one Lease can hold, in machine-seconds: MaxInt64
+// micro machine-seconds (≈9.2e12). Conversions into the fixed-point scale
+// saturate there instead of wrapping negative, and holders size their
+// top-ups to stay under it.
+const MaxLeaseLevel = math.MaxInt64 / leaseMicros
+
+// saturate converts an amount already in micro machine-seconds to int64,
+// stopping at MaxInt64.
+func saturate(micros float64) int64 {
+	if micros < math.MaxInt64 {
+		return int64(micros)
+	}
+	return math.MaxInt64
+}
+
+// addSaturating adds delta >= 0 to v, stopping at MaxInt64.
+func addSaturating(v *atomic.Int64, delta int64) {
+	for {
+		cur := v.Load()
+		next := cur + delta
+		if next < cur {
+			next = math.MaxInt64
+		}
+		if v.CompareAndSwap(cur, next) {
+			return
+		}
+	}
+}
+
 // Lease is the holder-side sub-budget: the lock-free fast path every
 // non-owner replica debits against. Levels are fixed-point micro
 // machine-seconds in an atomic, so the serving path's debit is one CAS —
@@ -355,7 +384,7 @@ func (l *Lease) TryDebit(cost float64) (ok bool, remaining float64) {
 	if cost < 0 || math.IsNaN(cost) {
 		cost = 0
 	}
-	c := int64(math.Ceil(cost * leaseMicros))
+	c := saturate(math.Ceil(cost * leaseMicros))
 	for {
 		cur := l.level.Load()
 		if cur < c {
@@ -374,7 +403,7 @@ func (l *Lease) Fund(amount float64) {
 	if amount <= 0 || math.IsNaN(amount) {
 		return
 	}
-	l.level.Add(int64(amount * leaseMicros))
+	addSaturating(&l.level, saturate(amount*leaseMicros))
 }
 
 // Level returns the remaining lease budget.
@@ -401,5 +430,5 @@ func (l *Lease) Refund(spent float64) {
 	if spent <= 0 || math.IsNaN(spent) {
 		return
 	}
-	l.spent.Add(int64(spent * leaseMicros))
+	addSaturating(&l.spent, saturate(spent*leaseMicros))
 }
