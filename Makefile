@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test bench bench-json bench-check bench-diff bench-test cover ring-demo loc ci
+.PHONY: all fmt vet build test bench bench-test cover ring-demo loc ci
 
 all: build
 
@@ -23,15 +23,6 @@ test:
 bench: ## one-iteration benchmark smoke run (the CI bench-smoke job)
 	@$(GO) test -bench=. -benchtime=1x -run='^$$' ./... > bench.txt 2>&1; \
 		rc=$$?; cat bench.txt; exit $$rc
-
-bench-json: ## regenerate the per-PR perf trajectory JSON (BENCH_<n>.json)
-	./scripts/bench-json.sh $(or $(OUT),bench.json)
-
-bench-check: ## fail on >10% cached- or cold-plan slowdown, any alloc growth, or a replay throughput drop vs baseline
-	./scripts/bench-json.sh --check $(or $(BASELINE),BENCH_10.json)
-
-bench-diff: ## report the delta between the last two committed BENCH_*.json
-	./scripts/bench-diff.sh
 
 bench-test: ## vet + unit-test the bench/ module against this tree (its own module, so tier-1 never compiles it; no chronosd started)
 	cd bench && $(GO) vet ./... && $(GO) test ./...

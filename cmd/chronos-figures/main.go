@@ -1,9 +1,9 @@
-// Command chronos-bench regenerates the tables and figures of the paper's
+// Command chronos-figures regenerates the tables and figures of the paper's
 // evaluation section from the simulation substrate.
 //
 // Usage:
 //
-//	chronos-bench [-exp all|fig2|table1|table2|fig3|fig4|fig5] [-jobs N] [-seed S]
+//	chronos-figures [-exp all|fig2|table1|table2|fig3|fig4|fig5] [-jobs N] [-seed S]
 //
 // -jobs scales the trace-driven experiments (the paper's full run uses 2700
 // jobs; the default here is a faster 270).
@@ -27,7 +27,7 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(*exp, *jobs, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, "chronos-bench:", err)
+		fmt.Fprintln(os.Stderr, "chronos-figures:", err)
 		os.Exit(1)
 	}
 }

@@ -234,84 +234,94 @@ func (d *decoder) numberToken() ([]byte, error) {
 	return s[start:i], nil
 }
 
-// enterObject consumes the opening brace of an object, or an entire null
-// (reported via isNull so struct fields keep encoding/json's null-is-no-op
-// semantics).
-func (d *decoder) enterObject() (isNull bool, err error) {
+// null skips whitespace and consumes a null if one is next — a no-op for the
+// struct field being decoded, as in encoding/json. When it returns false with
+// no error, d.off is at the first byte of a non-null value.
+func (d *decoder) null() (bool, error) {
 	c, err := d.peek()
-	if err != nil {
+	if err != nil || c != 'n' {
 		return false, err
 	}
-	if c == 'n' {
-		return true, d.literal("null")
+	return true, d.literal("null")
+}
+
+// object walks one JSON object, or consumes a null, which leaves the struct
+// untouched as in encoding/json. Each key is resolved against names, the
+// struct's JSON field names in declaration order, and field(i) decodes the
+// value of the i-th one; values under unknown keys are validated and
+// skipped. A key decoded by stringBytes is only valid until the next string
+// decode, so it is resolved before its value is read.
+func (d *decoder) object(names []string, field func(i int) error) error {
+	if isNull, err := d.null(); isNull || err != nil {
+		return err
 	}
-	if c != '{' {
-		return false, d.syntaxf("expected object")
+	if d.data[d.off] != '{' {
+		return d.syntaxf("expected object")
 	}
 	d.off++
 	d.depth++
 	if d.depth > maxNestingDepth {
-		return false, d.syntaxf("exceeded max depth")
+		return d.syntaxf("exceeded max depth")
 	}
-	return false, nil
-}
-
-// objectKey advances to the next key of the current object. done reports
-// the closing brace was consumed. The returned key is decoded (unescaped)
-// and only valid until the next string decode.
-func (d *decoder) objectKey(first *bool) (key []byte, done bool, err error) {
-	c, err := d.peek()
-	if err != nil {
-		return nil, false, err
-	}
-	if *first {
-		*first = false
-		if c == '}' {
-			d.off++
-			d.depth--
-			return nil, true, nil
+	for first := true; ; first = false {
+		c, err := d.peek()
+		if err != nil {
+			return err
 		}
-	} else {
-		switch c {
-		case '}':
+		switch {
+		case c == '}':
 			d.off++
 			d.depth--
-			return nil, true, nil
-		case ',':
+			return nil
+		case first:
+		case c == ',':
 			d.off++
 			if c, err = d.peek(); err != nil {
-				return nil, false, err
+				return err
 			}
 		default:
-			return nil, false, d.syntaxf("expected ',' or '}' in object")
+			return d.syntaxf("expected ',' or '}' in object")
+		}
+		if c != '"' {
+			return d.syntaxf("expected object key string")
+		}
+		key, err := d.stringBytes()
+		if err != nil {
+			return err
+		}
+		if c, err = d.peek(); err != nil {
+			return err
+		}
+		if c != ':' {
+			return d.syntaxf("expected ':' after object key")
+		}
+		d.off++
+		if i := fieldIndex(names, key); i >= 0 {
+			err = field(i)
+		} else {
+			err = d.skipValue()
+		}
+		if err != nil {
+			return err
 		}
 	}
-	if c != '"' {
-		return nil, false, d.syntaxf("expected object key string")
-	}
-	key, err = d.stringBytes()
-	if err != nil {
-		return nil, false, err
-	}
-	if c, err = d.peek(); err != nil {
-		return nil, false, err
-	}
-	if c != ':' {
-		return nil, false, d.syntaxf("expected ':' after object key")
-	}
-	d.off++
-	return key, false, nil
 }
 
-// fieldIs matches a decoded key against a field name with encoding/json's
-// resolution: exact bytes, or a case-fold match as fallback (the caller
-// tries exact matches for all fields before folded ones).
-func fieldIs(key []byte, name string) bool {
-	return string(key) == name
-}
-
-func fieldFoldIs(key []byte, name string) bool {
-	return bytes.EqualFold(key, []byte(name))
+// fieldIndex resolves a decoded key to its index in names with
+// encoding/json's precedence: an exact match anywhere in the struct beats a
+// case-folded one. -1 means the struct has no such field.
+func fieldIndex(names []string, key []byte) int {
+	for i, name := range names {
+		if string(key) == name {
+			return i
+		}
+	}
+	for i, name := range names {
+		if bytes.EqualFold(key, []byte(name)) {
+			return i
+		}
+	}
+	return -1
 }
 
 // skipValue validates and discards one JSON value of any type.
@@ -322,24 +332,7 @@ func (d *decoder) skipValue() error {
 	}
 	switch c {
 	case '{':
-		d.off++
-		d.depth++
-		if d.depth > maxNestingDepth {
-			return d.syntaxf("exceeded max depth")
-		}
-		first := true
-		for {
-			_, done, err := d.objectKey(&first)
-			if err != nil {
-				return err
-			}
-			if done {
-				return nil
-			}
-			if err := d.skipValue(); err != nil {
-				return err
-			}
-		}
+		return d.object(nil, nil)
 	case '[':
 		d.off++
 		d.depth++
@@ -390,12 +383,8 @@ func (d *decoder) skipValue() error {
 // floatField decodes a JSON number into dst; null is a no-op, anything
 // else is an error — matching encoding/json for a float64 struct field.
 func (d *decoder) floatField(dst *float64) error {
-	c, err := d.peek()
-	if err != nil {
+	if isNull, err := d.null(); isNull || err != nil {
 		return err
-	}
-	if c == 'n' {
-		return d.literal("null")
 	}
 	tok, err := d.numberToken()
 	if err != nil {
@@ -410,12 +399,8 @@ func (d *decoder) floatField(dst *float64) error {
 }
 
 func (d *decoder) intField(dst *int) error {
-	c, err := d.peek()
-	if err != nil {
+	if isNull, err := d.null(); isNull || err != nil {
 		return err
-	}
-	if c == 'n' {
-		return d.literal("null")
 	}
 	tok, err := d.numberToken()
 	if err != nil {
@@ -447,12 +432,8 @@ func (d *decoder) internedString(b []byte) string {
 }
 
 func (d *decoder) stringField(dst *string) error {
-	c, err := d.peek()
-	if err != nil {
+	if isNull, err := d.null(); isNull || err != nil {
 		return err
-	}
-	if c == 'n' {
-		return d.literal("null")
 	}
 	b, err := d.stringBytes()
 	if err != nil {
@@ -462,190 +443,79 @@ func (d *decoder) stringField(dst *string) error {
 	return nil
 }
 
-func (d *decoder) decodeJobParams(v *chronos.JobParams) error {
-	isNull, err := d.enterObject()
-	if isNull || err != nil {
-		return err
-	}
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch {
-		case fieldIs(key, "tasks"):
-			err = d.intField(&v.Tasks)
-		case fieldIs(key, "deadline"):
-			err = d.floatField(&v.Deadline)
-		case fieldIs(key, "tmin"):
-			err = d.floatField(&v.TMin)
-		case fieldIs(key, "beta"):
-			err = d.floatField(&v.Beta)
-		case fieldIs(key, "tauEst"):
-			err = d.floatField(&v.TauEst)
-		case fieldIs(key, "tauKill"):
-			err = d.floatField(&v.TauKill)
-		case fieldIs(key, "phiEst"):
-			err = d.floatField(&v.PhiEst)
-		case fieldFoldIs(key, "tasks"):
-			err = d.intField(&v.Tasks)
-		case fieldFoldIs(key, "deadline"):
-			err = d.floatField(&v.Deadline)
-		case fieldFoldIs(key, "tmin"):
-			err = d.floatField(&v.TMin)
-		case fieldFoldIs(key, "beta"):
-			err = d.floatField(&v.Beta)
-		case fieldFoldIs(key, "tauEst"):
-			err = d.floatField(&v.TauEst)
-		case fieldFoldIs(key, "tauKill"):
-			err = d.floatField(&v.TauKill)
-		case fieldFoldIs(key, "phiEst"):
-			err = d.floatField(&v.PhiEst)
+// The name tables list each struct's JSON keys in declaration order; the
+// index object hands back is the field's position in its table.
+var (
+	jobParamsFields = []string{"tasks", "deadline", "tmin", "beta", "tauEst", "tauKill", "phiEst"}
+	econFields      = []string{"theta", "unitPrice", "rmin"}
+	requestFields   = []string{"job", "econ", "strategy", "tenant"}
+)
+
+func (d *decoder) jobParams(v *chronos.JobParams) error {
+	return d.object(jobParamsFields, func(i int) error {
+		switch i {
+		case 0:
+			return d.intField(&v.Tasks)
+		case 1:
+			return d.floatField(&v.Deadline)
+		case 2:
+			return d.floatField(&v.TMin)
+		case 3:
+			return d.floatField(&v.Beta)
+		case 4:
+			return d.floatField(&v.TauEst)
+		case 5:
+			return d.floatField(&v.TauKill)
 		default:
-			err = d.skipValue()
+			return d.floatField(&v.PhiEst)
 		}
-		if err != nil {
-			return err
-		}
-	}
+	})
 }
 
-func (d *decoder) decodeEcon(v *chronos.Econ) error {
-	isNull, err := d.enterObject()
-	if isNull || err != nil {
-		return err
-	}
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch {
-		case fieldIs(key, "theta"):
-			err = d.floatField(&v.Theta)
-		case fieldIs(key, "unitPrice"):
-			err = d.floatField(&v.UnitPrice)
-		case fieldIs(key, "rmin"):
-			err = d.floatField(&v.RMin)
-		case fieldFoldIs(key, "theta"):
-			err = d.floatField(&v.Theta)
-		case fieldFoldIs(key, "unitPrice"):
-			err = d.floatField(&v.UnitPrice)
-		case fieldFoldIs(key, "rmin"):
-			err = d.floatField(&v.RMin)
+func (d *decoder) econ(v *chronos.Econ) error {
+	return d.object(econFields, func(i int) error {
+		switch i {
+		case 0:
+			return d.floatField(&v.Theta)
+		case 1:
+			return d.floatField(&v.UnitPrice)
 		default:
-			err = d.skipValue()
+			return d.floatField(&v.RMin)
 		}
-		if err != nil {
-			return err
-		}
-	}
+	})
 }
 
 // DecodePlanRequest decodes data into v with encoding/json's semantics for
 // the same struct. in may be nil.
 func DecodePlanRequest(data []byte, v *PlanRequest, in Interner) error {
-	d := decoder{data: data, intern: in}
-	if err := d.decodePlanRequest(v); err != nil {
-		return err
-	}
-	return d.end()
-}
-
-func (d *decoder) decodePlanRequest(v *PlanRequest) error {
-	isNull, err := d.enterObject()
-	if isNull || err != nil {
-		return err
-	}
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch {
-		case fieldIs(key, "job"):
-			err = d.decodeJobParams(&v.Job)
-		case fieldIs(key, "econ"):
-			err = d.decodeEcon(&v.Econ)
-		case fieldIs(key, "strategy"):
-			err = d.stringField(&v.Strategy)
-		case fieldIs(key, "tenant"):
-			err = d.stringField(&v.Tenant)
-		case fieldFoldIs(key, "job"):
-			err = d.decodeJobParams(&v.Job)
-		case fieldFoldIs(key, "econ"):
-			err = d.decodeEcon(&v.Econ)
-		case fieldFoldIs(key, "strategy"):
-			err = d.stringField(&v.Strategy)
-		case fieldFoldIs(key, "tenant"):
-			err = d.stringField(&v.Tenant)
-		default:
-			err = d.skipValue()
-		}
-		if err != nil {
-			return err
-		}
-	}
+	return decodeRequest(data, in, &v.Job, &v.Econ, &v.Strategy, &v.Tenant)
 }
 
 // DecodeAdmitRequest decodes data into v with encoding/json's semantics
 // for the same struct. in may be nil.
 func DecodeAdmitRequest(data []byte, v *AdmitRequest, in Interner) error {
+	return decodeRequest(data, in, &v.Job, &v.Econ, &v.Strategy, &v.Tenant)
+}
+
+// decodeRequest is the one body behind both request decoders: plan and admit
+// requests carry the same four fields, and JSON does not see the order the
+// Go structs declare them in.
+func decodeRequest(data []byte, in Interner, job *chronos.JobParams, econ *chronos.Econ, strategy, tenant *string) error {
 	d := decoder{data: data, intern: in}
-	if err := d.decodeAdmitRequest(v); err != nil {
+	err := d.object(requestFields, func(i int) error {
+		switch i {
+		case 0:
+			return d.jobParams(job)
+		case 1:
+			return d.econ(econ)
+		case 2:
+			return d.stringField(strategy)
+		default:
+			return d.stringField(tenant)
+		}
+	})
+	if err != nil {
 		return err
 	}
 	return d.end()
-}
-
-func (d *decoder) decodeAdmitRequest(v *AdmitRequest) error {
-	isNull, err := d.enterObject()
-	if isNull || err != nil {
-		return err
-	}
-	first := true
-	for {
-		key, done, err := d.objectKey(&first)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch {
-		case fieldIs(key, "tenant"):
-			err = d.stringField(&v.Tenant)
-		case fieldIs(key, "job"):
-			err = d.decodeJobParams(&v.Job)
-		case fieldIs(key, "strategy"):
-			err = d.stringField(&v.Strategy)
-		case fieldIs(key, "econ"):
-			err = d.decodeEcon(&v.Econ)
-		case fieldFoldIs(key, "tenant"):
-			err = d.stringField(&v.Tenant)
-		case fieldFoldIs(key, "job"):
-			err = d.decodeJobParams(&v.Job)
-		case fieldFoldIs(key, "strategy"):
-			err = d.stringField(&v.Strategy)
-		case fieldFoldIs(key, "econ"):
-			err = d.decodeEcon(&v.Econ)
-		default:
-			err = d.skipValue()
-		}
-		if err != nil {
-			return err
-		}
-	}
 }

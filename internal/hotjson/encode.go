@@ -95,144 +95,128 @@ func appendString(dst []byte, s string) []byte {
 	return dst
 }
 
-// appendStrategy appends the strategy's canonical quoted name, erroring on
-// out-of-range values exactly like Strategy.MarshalJSON.
-func appendStrategy(dst []byte, s chronos.Strategy) ([]byte, error) {
-	if s < chronos.Clone || s > chronos.LATE {
-		return dst, fmt.Errorf("chronos: cannot marshal invalid strategy %d", int(s))
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s.String()...)
-	return append(dst, '"'), nil
+// writer appends JSON into buf and remembers the first error, so a struct's
+// fields read straight down and the caller checks once at the end. Each
+// method takes the literal bytes that precede its value — separator, quoted
+// key and colon — which puts every wire name in exactly one place.
+type writer struct {
+	buf []byte
+	err error
 }
 
-// appendPlan appends p as json.Marshal would, byte for byte.
-func appendPlan(dst []byte, p *chronos.Plan) ([]byte, error) {
+func (w *writer) raw(s string) { w.buf = append(w.buf, s...) }
+
+func (w *writer) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+func (w *writer) float(key string, f float64) {
+	w.raw(key)
 	var err error
-	dst = append(dst, `{"strategy":`...)
-	if dst, err = appendStrategy(dst, p.Strategy); err != nil {
-		return dst, err
+	if w.buf, err = appendFloat(w.buf, f); err != nil {
+		w.fail(err)
 	}
-	dst = append(dst, `,"r":`...)
-	dst = strconv.AppendInt(dst, int64(p.R), 10)
-	dst = append(dst, `,"pocd":`...)
-	if dst, err = appendFloat(dst, p.PoCD); err != nil {
-		return dst, err
+}
+
+func (w *writer) int(key string, n int) {
+	w.raw(key)
+	w.buf = strconv.AppendInt(w.buf, int64(n), 10)
+}
+
+func (w *writer) bool(key string, b bool) {
+	w.raw(key)
+	w.buf = strconv.AppendBool(w.buf, b)
+}
+
+func (w *writer) str(key, s string) {
+	w.raw(key)
+	w.buf = appendString(w.buf, s)
+}
+
+// done closes the top-level object and hands back the buffer with the first
+// error any field hit.
+func (w *writer) done() ([]byte, error) {
+	w.raw("}")
+	return w.buf, w.err
+}
+
+// plan writes p as json.Marshal would, byte for byte; an out-of-range
+// strategy is an error exactly as in Strategy.MarshalJSON.
+func (w *writer) plan(key string, p *chronos.Plan) {
+	if p.Strategy < chronos.Clone || p.Strategy > chronos.LATE {
+		w.fail(fmt.Errorf("chronos: cannot marshal invalid strategy %d", int(p.Strategy)))
 	}
-	dst = append(dst, `,"machineTime":`...)
-	if dst, err = appendFloat(dst, p.MachineTime); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"cost":`...)
-	if dst, err = appendFloat(dst, p.Cost); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"utility":`...)
-	if dst, err = appendFloat(dst, p.Utility); err != nil {
-		return dst, err
-	}
-	return append(dst, '}'), nil
+	w.raw(key)
+	w.raw(`{"strategy":"`)
+	w.raw(p.Strategy.String())
+	w.int(`","r":`, p.R)
+	w.float(`,"pocd":`, p.PoCD)
+	w.float(`,"machineTime":`, p.MachineTime)
+	w.float(`,"cost":`, p.Cost)
+	w.float(`,"utility":`, p.Utility)
+	w.raw("}")
 }
 
 // AppendPlanResponse appends r as json.Marshal would, byte for byte.
 func AppendPlanResponse(dst []byte, r *PlanResponse) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"plan":`...)
-	if dst, err = appendPlan(dst, &r.Plan); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"cached":`...)
-	dst = strconv.AppendBool(dst, r.Cached)
+	w := writer{buf: dst}
+	w.plan(`{"plan":`, &r.Plan)
+	w.bool(`,"cached":`, r.Cached)
 	if r.BudgetRemaining != nil {
-		dst = append(dst, `,"budgetRemaining":`...)
-		if dst, err = appendFloat(dst, *r.BudgetRemaining); err != nil {
-			return dst, err
-		}
+		w.float(`,"budgetRemaining":`, *r.BudgetRemaining)
 	}
-	return append(dst, '}'), nil
+	return w.done()
 }
 
 // AppendAdmitResponse appends r as json.Marshal would, byte for byte.
 func AppendAdmitResponse(dst []byte, r *AdmitResponse) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"admitted":`...)
-	dst = strconv.AppendBool(dst, r.Admitted)
-	dst = append(dst, `,"tenant":`...)
-	dst = appendString(dst, r.Tenant)
+	w := writer{buf: dst}
+	w.bool(`{"admitted":`, r.Admitted)
+	w.str(`,"tenant":`, r.Tenant)
 	if r.Plan != nil {
-		dst = append(dst, `,"plan":`...)
-		if dst, err = appendPlan(dst, r.Plan); err != nil {
-			return dst, err
-		}
+		w.plan(`,"plan":`, r.Plan)
 	}
 	if r.Reason != "" {
-		dst = append(dst, `,"reason":`...)
-		dst = appendString(dst, r.Reason)
+		w.str(`,"reason":`, r.Reason)
 	}
-	dst = append(dst, `,"budgetRemaining":`...)
-	if dst, err = appendFloat(dst, r.BudgetRemaining); err != nil {
-		return dst, err
-	}
-	return append(dst, '}'), nil
+	w.float(`,"budgetRemaining":`, r.BudgetRemaining)
+	return w.done()
 }
 
-func appendJobEvent(dst []byte, ev *chronos.ReplayJobEvent) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"id":`...)
-	dst = strconv.AppendInt(dst, int64(ev.ID), 10)
-	dst = append(dst, `,"strategy":`...)
-	dst = appendString(dst, ev.Strategy)
-	dst = append(dst, `,"tasks":`...)
-	dst = strconv.AppendInt(dst, int64(ev.Tasks), 10)
+func (w *writer) jobEvent(key string, ev *chronos.ReplayJobEvent) {
+	w.raw(key)
+	w.int(`{"id":`, ev.ID)
+	w.str(`,"strategy":`, ev.Strategy)
+	w.int(`,"tasks":`, ev.Tasks)
 	if ev.ReduceTasks != 0 {
-		dst = append(dst, `,"reduceTasks":`...)
-		dst = strconv.AppendInt(dst, int64(ev.ReduceTasks), 10)
+		w.int(`,"reduceTasks":`, ev.ReduceTasks)
 	}
-	dst = append(dst, `,"arrival":`...)
-	if dst, err = appendFloat(dst, ev.Arrival); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"deadline":`...)
-	if dst, err = appendFloat(dst, ev.Deadline); err != nil {
-		return dst, err
-	}
+	w.float(`,"arrival":`, ev.Arrival)
+	w.float(`,"deadline":`, ev.Deadline)
 	if ev.R != nil {
-		dst = append(dst, `,"r":`...)
-		dst = strconv.AppendInt(dst, int64(*ev.R), 10)
+		w.int(`,"r":`, *ev.R)
 	}
 	if ev.ReduceR != nil {
-		dst = append(dst, `,"reduceR":`...)
-		dst = strconv.AppendInt(dst, int64(*ev.ReduceR), 10)
+		w.int(`,"reduceR":`, *ev.ReduceR)
 	}
-	return append(dst, '}'), nil
+	w.raw("}")
 }
 
-func appendOutcome(dst []byte, o *chronos.ReplayOutcome) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"finish":`...)
-	if dst, err = appendFloat(dst, o.Finish); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"metDeadline":`...)
-	dst = strconv.AppendBool(dst, o.MetDeadline)
-	dst = append(dst, `,"lateness":`...)
-	if dst, err = appendFloat(dst, o.Lateness); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"machineTime":`...)
-	if dst, err = appendFloat(dst, o.MachineTime); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"cost":`...)
-	if dst, err = appendFloat(dst, o.Cost); err != nil {
-		return dst, err
-	}
-	return append(dst, '}'), nil
+func (w *writer) outcome(key string, o *chronos.ReplayOutcome) {
+	w.raw(key)
+	w.float(`{"finish":`, o.Finish)
+	w.bool(`,"metDeadline":`, o.MetDeadline)
+	w.float(`,"lateness":`, o.Lateness)
+	w.float(`,"machineTime":`, o.MachineTime)
+	w.float(`,"cost":`, o.Cost)
+	w.raw("}")
 }
 
-// appendIntIntMap appends m with keys sorted by their decimal string form,
-// matching encoding/json's map key ordering.
-func appendIntIntMap(dst []byte, m map[int]int) []byte {
+// intIntMap writes m with keys sorted by their decimal string form, matching
+// encoding/json's map key ordering.
+func (w *writer) intIntMap(key string, m map[int]int) {
 	type kv struct {
 		s string
 		v int
@@ -242,131 +226,79 @@ func appendIntIntMap(dst []byte, m map[int]int) []byte {
 		kvs = append(kvs, kv{strconv.Itoa(k), v})
 	}
 	sort.Slice(kvs, func(i, j int) bool { return kvs[i].s < kvs[j].s })
-	dst = append(dst, '{')
-	for i := range kvs {
+	w.raw(key)
+	w.raw("{")
+	for i, e := range kvs {
 		if i > 0 {
-			dst = append(dst, ',')
+			w.raw(",")
 		}
-		dst = append(dst, '"')
-		dst = append(dst, kvs[i].s...)
-		dst = append(dst, `":`...)
-		dst = strconv.AppendInt(dst, int64(kvs[i].v), 10)
+		w.raw(`"`)
+		w.raw(e.s)
+		w.int(`":`, e.v)
 	}
-	return append(dst, '}')
+	w.raw("}")
 }
 
-func appendSummary(dst []byte, s *chronos.ReplaySummary) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"jobs":`...)
-	dst = strconv.AppendInt(dst, int64(s.Jobs), 10)
-	dst = append(dst, `,"submitted":`...)
-	dst = strconv.AppendInt(dst, int64(s.Submitted), 10)
-	dst = append(dst, `,"met":`...)
-	dst = strconv.AppendInt(dst, int64(s.Met), 10)
-	dst = append(dst, `,"pocd":`...)
-	if dst, err = appendFloat(dst, s.PoCD); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"meanMachineTime":`...)
-	if dst, err = appendFloat(dst, s.MeanMachineTime); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"meanCost":`...)
-	if dst, err = appendFloat(dst, s.MeanCost); err != nil {
-		return dst, err
-	}
+func (w *writer) summary(key string, s *chronos.ReplaySummary) {
+	w.raw(key)
+	w.int(`{"jobs":`, s.Jobs)
+	w.int(`,"submitted":`, s.Submitted)
+	w.int(`,"met":`, s.Met)
+	w.float(`,"pocd":`, s.PoCD)
+	w.float(`,"meanMachineTime":`, s.MeanMachineTime)
+	w.float(`,"meanCost":`, s.MeanCost)
 	if len(s.RHistogram) != 0 {
-		dst = append(dst, `,"rHistogram":`...)
-		dst = appendIntIntMap(dst, s.RHistogram)
+		w.intIntMap(`,"rHistogram":`, s.RHistogram)
 	}
-	return append(dst, '}'), nil
+	w.raw("}")
 }
 
-func appendWindow(dst []byte, w *chronos.ReplayWindow) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"index":`...)
-	dst = strconv.AppendInt(dst, int64(w.Index), 10)
-	dst = append(dst, `,"start":`...)
-	if dst, err = appendFloat(dst, w.Start); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"end":`...)
-	if dst, err = appendFloat(dst, w.End); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"completed":`...)
-	dst = strconv.AppendInt(dst, int64(w.Completed), 10)
-	dst = append(dst, `,"running":`...)
-	if dst, err = appendSummary(dst, &w.Running); err != nil {
-		return dst, err
-	}
-	return append(dst, '}'), nil
+func (w *writer) window(key string, win *chronos.ReplayWindow) {
+	w.raw(key)
+	w.int(`{"index":`, win.Index)
+	w.float(`,"start":`, win.Start)
+	w.float(`,"end":`, win.End)
+	w.int(`,"completed":`, win.Completed)
+	w.summary(`,"running":`, &win.Running)
+	w.raw("}")
 }
 
 // AppendReplayEvent appends ev as json.Marshal would, byte for byte.
 func AppendReplayEvent(dst []byte, ev *chronos.ReplayEvent) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"event":`...)
-	dst = appendString(dst, string(ev.Kind))
-	dst = append(dst, `,"seq":`...)
-	dst = strconv.AppendUint(dst, ev.Seq, 10)
-	dst = append(dst, `,"time":`...)
-	if dst, err = appendFloat(dst, ev.Time); err != nil {
-		return dst, err
-	}
+	w := writer{buf: dst}
+	w.str(`{"event":`, string(ev.Kind))
+	w.raw(`,"seq":`)
+	w.buf = strconv.AppendUint(w.buf, ev.Seq, 10)
+	w.float(`,"time":`, ev.Time)
 	if ev.Job != nil {
-		dst = append(dst, `,"job":`...)
-		if dst, err = appendJobEvent(dst, ev.Job); err != nil {
-			return dst, err
-		}
+		w.jobEvent(`,"job":`, ev.Job)
 	}
 	if ev.Outcome != nil {
-		dst = append(dst, `,"outcome":`...)
-		if dst, err = appendOutcome(dst, ev.Outcome); err != nil {
-			return dst, err
-		}
+		w.outcome(`,"outcome":`, ev.Outcome)
 	}
 	if ev.PoCD != nil {
-		dst = append(dst, `,"pocd":`...)
-		if dst, err = appendFloat(dst, *ev.PoCD); err != nil {
-			return dst, err
-		}
+		w.float(`,"pocd":`, *ev.PoCD)
 	}
 	if ev.Window != nil {
-		dst = append(dst, `,"window":`...)
-		if dst, err = appendWindow(dst, ev.Window); err != nil {
-			return dst, err
-		}
+		w.window(`,"window":`, ev.Window)
 	}
 	if ev.Summary != nil {
-		dst = append(dst, `,"summary":`...)
-		if dst, err = appendSummary(dst, ev.Summary); err != nil {
-			return dst, err
-		}
+		w.summary(`,"summary":`, ev.Summary)
 	}
 	if ev.TraceID != "" {
-		dst = append(dst, `,"traceId":`...)
-		dst = appendString(dst, ev.TraceID)
+		w.str(`,"traceId":`, ev.TraceID)
 	}
 	if ev.Tenant != "" {
-		dst = append(dst, `,"tenant":`...)
-		dst = appendString(dst, ev.Tenant)
+		w.str(`,"tenant":`, ev.Tenant)
 	}
 	if ev.Needed != 0 {
-		dst = append(dst, `,"needed":`...)
-		if dst, err = appendFloat(dst, ev.Needed); err != nil {
-			return dst, err
-		}
+		w.float(`,"needed":`, ev.Needed)
 	}
 	if ev.Remaining != nil {
-		dst = append(dst, `,"remaining":`...)
-		if dst, err = appendFloat(dst, *ev.Remaining); err != nil {
-			return dst, err
-		}
+		w.float(`,"remaining":`, *ev.Remaining)
 	}
 	if ev.Error != "" {
-		dst = append(dst, `,"error":`...)
-		dst = appendString(dst, ev.Error)
+		w.str(`,"error":`, ev.Error)
 	}
-	return append(dst, '}'), nil
+	return w.done()
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"chronos"
 )
 
 // The fuzz targets hold hotjson to its contract: the request decoders
@@ -71,6 +73,14 @@ func FuzzAdmitRequest(f *testing.F) {
 	f.Add([]byte(`{"tenant":"","job":{},"econ":null}`))
 	f.Add([]byte(`{"Tenant":"fold","job":{"phiEst":0.5},"unknown":{"a":"b"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data, DecodeAdmitRequest) })
+}
+
+// appendPlan runs writer.plan as a standalone encoder, the shape checkEncode
+// and the invalid-strategy test take.
+func appendPlan(dst []byte, p *chronos.Plan) ([]byte, error) {
+	w := writer{buf: dst}
+	w.plan("", p)
+	return w.buf, w.err
 }
 
 func FuzzPlan(f *testing.F) {

@@ -7,7 +7,7 @@ import (
 )
 
 // The paper's evaluation is presented as figures; the harness renders the
-// same series as ASCII charts so `chronos-bench` output can be eyeballed
+// same series as ASCII charts so `chronos-figures` output can be eyeballed
 // against the published plots without leaving the terminal.
 
 // BarChart renders labeled horizontal bars scaled to the maximum value.

@@ -11,7 +11,6 @@ import (
 	"chronos/internal/hotjson"
 	"chronos/internal/obs"
 	"chronos/internal/optimize"
-	"chronos/internal/plankey"
 	"chronos/internal/tenant"
 )
 
@@ -27,10 +26,7 @@ const (
 	ReasonInfeasible = "infeasible_deadline"
 )
 
-// admitDebitRetries bounds the solve-then-debit loop. The solve runs
-// against a snapshot of the pool's level; when a concurrent admit wins the
-// race for that remainder the debit fails and the job is re-planned against
-// the shrunken ledger instead of over-committing it.
+// admitDebitRetries bounds settle's allocate-then-debit loop.
 const admitDebitRetries = 3
 
 // admitRequest asks for an online admission decision (can this tenant
@@ -45,7 +41,8 @@ type (
 // handleAdmit serves POST /v1/admit: accept/reject + plan in one round
 // trip, the paper's online setting. The optimizer runs against the tenant's
 // remaining budget; an accepted plan is debited atomically, a rejection
-// carries a structured reason.
+// carries a structured reason. It is /v1/admit/batch for one job, run on the
+// pooled hotBuf so a warm admit allocates nothing.
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	hb := getHotBuf()
 	defer putHotBuf(hb)
@@ -69,175 +66,142 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, "unknown strategy %q", req.Strategy)
 		return
 	}
-	econ := tenantEcon(req.Econ, pool)
 	// Sharded serving: admission decisions for a non-owned plan key run on
 	// the owning replica (its cache holds the unconstrained optimum and its
 	// ledger takes the debit — replicas run identical tenant configs, so
 	// each holds one shard of a tenant's fleet-wide budget). The forwarded
 	// request carries the filled econ so the owner keys its cache
 	// identically.
-	req.Econ = econ
-	qStart := time.Now()
-	hb.key = plankey.AppendKey(hb.key[:0], cacheStrategyName(strat, best), req.Job, econ)
-	tr.Observe(obs.StageQuantize, time.Since(qStart))
+	req.Econ = tenantEcon(req.Econ, pool)
+	j := &hb.jobs[0]
+	*j = admitJob{cell: cell{strat: strat, best: best, job: req.Job, econ: req.Econ}}
+	j.quantize(tr, hb.key[:0])
+	hb.key = j.key
 	if s.forwardToOwner(w, r, "/v1/admit", hb.key, req) {
 		return
 	}
-
-	// The debit target: the raw pool in the legacy per-replica mode, the
-	// escrow-aware budget (authoritative pool on the tenant owner, local
-	// lease elsewhere) when fleet-exact accounting is on.
-	bud := s.tenantBudget(r.Context(), req.Tenant, pool)
-	for attempt := 0; attempt < admitDebitRetries; attempt++ {
-		remaining := bud.Remaining()
-		plan, err := s.planWithinBudget(tr, hb.key, strat, best, req.Job, econ, remaining)
-		if err != nil {
-			if reason := rejectReason(err); reason != "" {
-				s.rejectAdmit(w, r, hb, reason, remaining)
-				return
-			}
-			s.apiError(w, r, planStatus(err), "%v", err)
-			return
-		}
-		dStart := time.Now()
-		ok, rem := bud.TryDebit(plan.MachineTime)
-		tr.Observe(obs.StageDebit, time.Since(dStart))
-		if ok {
-			s.metrics.plans.inc(plan.Strategy.String())
-			s.metrics.tenantAdmit(req.Tenant, plan.Strategy.String())
-			hb.plan = plan
-			hb.admitResp = admitResponse{
-				Admitted: true, Tenant: req.Tenant, Plan: &hb.plan, BudgetRemaining: rem,
-			}
-			s.writeAdmitResponse(w, r, hb)
-			return
-		}
-		// A concurrent admit drained the snapshot we planned against;
-		// re-plan against the new level.
+	_, rem, err := s.admitJobs(tr, req.Tenant, s.tenantBudget(r.Context(), req.Tenant, pool), hb.jobs[:], hb.results[:])
+	if err != nil {
+		// A lone job has no index worth reporting.
+		err = errors.Unwrap(err)
+		s.apiError(w, r, planStatus(err), "%v", err)
+		return
 	}
-	s.rejectAdmit(w, r, hb, ReasonBudgetExhausted, bud.Remaining())
-}
-
-// rejectAdmit answers one /v1/admit rejection: counted per tenant and
-// reason, 200 with the structured decision payload.
-func (s *Server) rejectAdmit(w http.ResponseWriter, r *http.Request, hb *hotBuf, reason string, remaining float64) {
-	s.metrics.tenantReject(hb.admitReq.Tenant, reason)
+	res := &hb.results[0]
 	hb.admitResp = admitResponse{
-		Tenant: hb.admitReq.Tenant, Reason: reason, BudgetRemaining: remaining,
+		Admitted: res.Admitted, Tenant: req.Tenant, Plan: res.Plan, Reason: res.Reason, BudgetRemaining: rem,
 	}
-	s.writeAdmitResponse(w, r, hb)
-}
-
-// cachedPlan returns the unconstrained optimal plan for one job of a
-// /v1/plan/batch fan-out, building the job's plan key into a stack buffer.
-// tr may be nil for untraced callers.
-func (s *Server) cachedPlan(tr *obs.Trace, strat chronos.Strategy, best bool, job chronos.JobParams, econ chronos.Econ) (plan chronos.Plan, cached bool, err error) {
-	var buf [128]byte
-	qStart := time.Now()
-	key := plankey.AppendKey(buf[:0], cacheStrategyName(strat, best), job, econ)
-	tr.Observe(obs.StageQuantize, time.Since(qStart))
-	return s.cachedPlanKeyed(tr, key, strat, best, job, econ)
-}
-
-// cachedPlanKeyed consults and populates the sharded plan cache under a
-// plan key the caller already computed (the sharded handlers need it for the
-// ownership lookup first). Every planning path — /v1/plan, the batch
-// fan-outs, and admission control — goes through here, so cache policy (and
-// its stage instrumentation) lives in one place. The key usually still lives
-// in a pooled request buffer: a cache hit probes the shard map without
-// materializing the key string, so the hot path allocates nothing.
-func (s *Server) cachedPlanKeyed(tr *obs.Trace, key []byte, strat chronos.Strategy, best bool, job chronos.JobParams, econ chronos.Econ) (plan chronos.Plan, cached bool, err error) {
-	cStart := time.Now()
-	plan, hit := s.cache.get(key)
-	tr.Observe(obs.StageCache, time.Since(cStart))
-	if hit {
-		return plan, true, nil
-	}
-	return s.solveAndCache(tr, string(key), strat, best, job, econ)
-}
-
-// solveAndCache runs the unconstrained solve on a cache miss and populates
-// the cache. Concurrent misses for the same key are collapsed through the
-// singleflight table: one leader solves while the others park on its done
-// channel and share the outcome (reported as cached=false — a waiter's plan
-// was not served from the LRU, it piggybacked on a live solve).
-func (s *Server) solveAndCache(tr *obs.Trace, key string, strat chronos.Strategy, best bool, job chronos.JobParams, econ chronos.Econ) (plan chronos.Plan, cached bool, err error) {
-	call, leader := s.flight.join(key)
-	if !leader {
-		// Counted on entry, not exit, so the waiter population is observable
-		// while the leader's solve is still in flight.
-		s.metrics.flightWaiters.Inc()
-		wStart := time.Now()
-		<-call.done
-		tr.Observe(obs.StageFlightWait, time.Since(wStart))
-		return call.plan, false, call.err
-	}
-	s.metrics.flightLeaders.Inc()
-	if s.solveHook != nil {
-		s.solveHook(key)
-	}
-	sStart := time.Now()
-	if best {
-		plan, err = chronos.OptimizeBest(job, econ)
-	} else {
-		plan, err = chronos.Optimize(strat, job, econ)
-	}
-	tr.Observe(obs.StageSolve, time.Since(sStart))
+	out, err := hotjson.AppendAdmitResponse(hb.out[:0], &hb.admitResp)
 	if err != nil {
-		plan = chronos.Plan{}
-	} else {
-		// Cache before leaving the flight table so later misses for this key
-		// hit the LRU instead of starting a fresh solve, then enqueue the
-		// entry's async push to its ring successors (no-op unless this
-		// replica owns the key and replication is on).
-		s.cache.put(key, plan)
-		s.replicateHot(key, plan)
+		s.encodeFailed(w, r, err)
+		return
 	}
-	s.flight.complete(key, call, plan, err)
-	return plan, false, err
+	hb.out = out
+	writeHotBody(w, http.StatusOK, out)
 }
 
-// planWithinBudget returns the best plan whose expected machine time fits
-// budget. The unconstrained optimum is looked up in (and populates) the
-// plan cache under the caller's precomputed key — squeezed plans depend on
-// the transient ledger level and are never cached. What is cached, attached
-// to the same entry, is the cell's precomputed feasibility frontier
-// (chronos.BudgetFrontier): the first budget-squeezed admit in a cell pays
-// the bisection and window scan once, and every later squeeze in the warm
-// cell answers from the table with no model evaluations (and, on the admit
-// path, no allocation).
-func (s *Server) planWithinBudget(tr *obs.Trace, key []byte, strat chronos.Strategy, best bool, job chronos.JobParams, econ chronos.Econ, budget float64) (chronos.Plan, error) {
-	plan, _, err := s.cachedPlanKeyed(tr, key, strat, best, job, econ)
-	if err != nil {
-		return chronos.Plan{}, err
-	}
-	if plan.MachineTime <= budget {
-		return plan, nil
-	}
-	sStart := time.Now()
-	defer func() { tr.Observe(obs.StageSolve, time.Since(sStart)) }()
-	if bf := s.cache.frontier(key); bf != nil {
-		return bf.PlanWithinBudget(budget)
-	}
-	var bf *chronos.BudgetFrontier
-	var ferr error
-	if best {
-		bf, ferr = chronos.NewBudgetFrontierBest(job, econ)
-	} else {
-		bf, ferr = chronos.NewBudgetFrontier(strat, job, econ)
-	}
-	if ferr != nil {
-		// Unreachable after a successful unconstrained solve for the same
-		// cell (construction fails only on budget-independent grounds), but
-		// fall back to the direct capped solve so behavior is identical even
-		// for, say, a corrupted persisted cache entry.
-		if best {
-			return chronos.OptimizeBestWithinBudget(job, econ, budget)
+// admitJob is one job crossing admitJobs: its cell, the error a batch's
+// warm-up solve already hit for it, and the plan its result points at.
+type admitJob struct {
+	cell
+	err  error
+	plan chronos.Plan
+}
+
+// admitJobs decides jobs in request order against one tenant's ledger —
+// each squeezed into whatever the ones before it left — and settles the
+// whole accepted set in ONE debit: the body of /v1/admit and /v1/admit/batch.
+// results[i] is job i's decision; remaining is the ledger level to report. A
+// non-nil error is one job's request fault, prefixed with its index; nothing
+// was debited or counted.
+func (s *Server) admitJobs(tr *obs.Trace, tenantName string, bud budgeter, jobs []admitJob, results []admitBatchResult) (admitted int, remaining float64, err error) {
+	remaining, settled, err := settle(tr, bud, func(left float64) (float64, error) {
+		total := 0.0
+		admitted = 0
+		for i := range jobs {
+			j := &jobs[i]
+			err := j.err
+			if err == nil {
+				j.plan, err = s.planWithin(tr, &j.cell, left)
+			}
+			switch reason := rejectReason(err); {
+			case err == nil:
+				results[i] = admitBatchResult{Admitted: true, Plan: &j.plan}
+				total += j.plan.MachineTime
+				left -= j.plan.MachineTime
+				admitted++
+			case reason != "":
+				results[i] = admitBatchResult{Reason: reason}
+			default:
+				// Not an admission decision: the job itself is malformed.
+				return 0, fmt.Errorf("job %d: %w", i, err)
+			}
 		}
-		return chronos.OptimizeWithinBudget(strat, job, econ, budget)
+		return total, nil
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	s.cache.setFrontier(key, bf)
-	return bf.PlanWithinBudget(budget)
+	if !settled {
+		// The ledger is being drained faster than we can plan against it:
+		// reject the whole accepted set on budget grounds.
+		for i := range results {
+			if results[i].Admitted {
+				results[i] = admitBatchResult{Reason: ReasonBudgetExhausted}
+			}
+		}
+		admitted, remaining = 0, bud.Remaining()
+	}
+	for i := range results {
+		if results[i].Admitted {
+			s.metrics.plans.inc(jobs[i].plan.Strategy.String())
+			s.metrics.tenantAdmit(tenantName, jobs[i].plan.Strategy.String())
+		} else {
+			s.metrics.tenantReject(tenantName, results[i].Reason)
+		}
+	}
+	return admitted, remaining, nil
+}
+
+// settle is the one ledger-settlement loop: snapshot the ledger, run
+// allocate against the snapshot, debit what it asks for once, and when a
+// concurrent request won the race for that remainder re-allocate against
+// the shrunken ledger instead of over-committing it. allocate returns the
+// machine time to debit; zero means it accepted nothing and the snapshot is
+// reported back untouched. settled is false when admitDebitRetries
+// allocations all lost their debit. An allocate error ends the loop.
+func settle(tr *obs.Trace, bud budgeter, allocate func(remaining float64) (debit float64, err error)) (remaining float64, settled bool, err error) {
+	for attempt := 0; attempt < admitDebitRetries; attempt++ {
+		remaining = bud.Remaining()
+		debit, err := allocate(remaining)
+		if err != nil || debit == 0 {
+			return remaining, err == nil, err
+		}
+		// Clamp to the snapshot the allocation ran against, so per-item float
+		// accumulation cannot push the total an epsilon past a ledger that
+		// would otherwise cover it.
+		if ok, rem := timedDebit(tr, bud, min(debit, remaining)); ok {
+			return rem, true, nil
+		}
+	}
+	return 0, false, nil
+}
+
+// timedDebit is one ledger debit, observed as a StageDebit span.
+func timedDebit(tr *obs.Trace, bud budgeter, cost float64) (ok bool, remaining float64) {
+	start := time.Now()
+	ok, remaining = bud.TryDebit(cost)
+	tr.Observe(obs.StageDebit, time.Since(start))
+	return ok, remaining
+}
+
+// containPanic, deferred in a worker-pool goroutine, turns a panic into
+// that one job's errInternal: pool goroutines run outside net/http's
+// per-connection recover, and a panic there would crash the daemon.
+func containPanic(err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("%w: %v", errInternal, p)
+	}
 }
 
 // rejectBudget answers a tenant-routed /v1/plan or /v1/plan/batch whose

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
-	"time"
 
 	"chronos"
 	"chronos/internal/obs"
@@ -89,122 +87,31 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve every job's strategy and plan key up front; an unparseable
 	// strategy name is the request's fault, not an admission decision.
-	type batchJob struct {
-		strat chronos.Strategy
-		best  bool
-		key   []byte
-		err   error
-	}
-	jobs := make([]batchJob, len(req.Jobs))
+	jobs := make([]admitJob, len(req.Jobs))
 	for i, j := range req.Jobs {
 		strat, best, ok := keyStrategy(j.Strategy)
 		if !ok {
 			s.apiError(w, r, http.StatusBadRequest, "job %d: unknown strategy %q", i, j.Strategy)
 			return
 		}
-		jobs[i] = batchJob{
-			strat: strat, best: best,
-			key: plankey.AppendKey(nil, cacheStrategyName(strat, best), j.Job, econ),
-		}
+		c := &jobs[i].cell
+		*c = cell{strat: strat, best: best, job: j.Job, econ: econ}
+		c.key = plankey.AppendKey(nil, c.name(), c.job, c.econ)
 	}
-
 	// One solve fan-out warms the cache for every distinct cell, so the
-	// sequential allocation below is all cache hits.
-	s.pool.fanOut(len(req.Jobs), func(i int) {
-		// Pool goroutines run outside net/http's per-connection recover;
-		// contain panics to the one job instead of crashing the daemon.
-		defer func() {
-			if p := recover(); p != nil {
-				jobs[i].err = fmt.Errorf("job %d: %w: %v", i, errInternal, p)
-			}
-		}()
-		_, _, err := s.cachedPlanKeyed(tr, jobs[i].key, jobs[i].strat, jobs[i].best, req.Jobs[i].Job, econ)
-		jobs[i].err = err
+	// sequential allocation in admitJobs is all cache hits.
+	s.pool.fanOut(len(jobs), func(i int) {
+		defer containPanic(&jobs[i].err)
+		_, _, jobs[i].err = s.cachedPlan(tr, &jobs[i].cell)
 	})
-
-	bud := s.tenantBudget(r.Context(), req.Tenant, pool)
-	plans := make([]chronos.Plan, len(req.Jobs))
-	results := make([]admitBatchResult, len(req.Jobs))
-	for attempt := 0; attempt < admitDebitRetries; attempt++ {
-		// Allocate against a snapshot of the ledger: jobs are decided in
-		// request order, each squeezed into whatever the ones before it left.
-		remaining := bud.Remaining()
-		left := remaining
-		total := 0.0
-		admitted := 0
-		for i := range jobs {
-			results[i] = admitBatchResult{}
-			if jobs[i].err != nil {
-				if reason := rejectReason(jobs[i].err); reason != "" {
-					results[i].Reason = reason
-					continue
-				}
-				s.apiError(w, r, planStatus(jobs[i].err), "%v", jobs[i].err)
-				return
-			}
-			plan, err := s.planWithinBudget(tr, jobs[i].key, jobs[i].strat, jobs[i].best,
-				req.Jobs[i].Job, econ, left)
-			if err != nil {
-				if reason := rejectReason(err); reason != "" {
-					results[i].Reason = reason
-					continue
-				}
-				s.apiError(w, r, planStatus(err), "job %d: %v", i, err)
-				return
-			}
-			plans[i] = plan
-			results[i].Admitted = true
-			results[i].Plan = &plans[i]
-			total += plan.MachineTime
-			left -= plan.MachineTime
-			admitted++
-		}
-		if admitted == 0 {
-			s.finishAdmitBatch(w, r, req.Tenant, results, 0, remaining)
-			return
-		}
-		// The whole accepted set settles in ONE debit. Clamp to the snapshot
-		// the allocation ran against, so per-item float accumulation cannot
-		// push the total an epsilon past a ledger that would otherwise cover
-		// it (same guard as /v1/plan/batch).
-		debit := total
-		if debit > remaining {
-			debit = remaining
-		}
-		dStart := time.Now()
-		ok, rem := bud.TryDebit(debit)
-		tr.Observe(obs.StageDebit, time.Since(dStart))
-		if ok {
-			s.finishAdmitBatch(w, r, req.Tenant, results, admitted, rem)
-			return
-		}
-		// A concurrent admit drained the snapshot we planned against;
-		// re-allocate against the new level.
-	}
-	// Retries exhausted: the ledger is being drained faster than we can plan
-	// against it. Reject the whole batch on budget grounds.
-	for i := range results {
-		if results[i].Admitted {
-			results[i] = admitBatchResult{Reason: ReasonBudgetExhausted}
-		}
-	}
-	s.finishAdmitBatch(w, r, req.Tenant, results, 0, bud.Remaining())
-}
-
-// finishAdmitBatch counts the decisions into the tenant metrics and writes
-// the response.
-func (s *Server) finishAdmitBatch(w http.ResponseWriter, r *http.Request, tenantName string, results []admitBatchResult, admitted int, remaining float64) {
-	for i := range results {
-		switch {
-		case results[i].Admitted:
-			s.metrics.plans.inc(results[i].Plan.Strategy.String())
-			s.metrics.tenantAdmit(tenantName, results[i].Plan.Strategy.String())
-		case results[i].Reason != "":
-			s.metrics.tenantReject(tenantName, results[i].Reason)
-		}
+	results := make([]admitBatchResult, len(jobs))
+	admitted, remaining, err := s.admitJobs(tr, req.Tenant, s.tenantBudget(r.Context(), req.Tenant, pool), jobs, results)
+	if err != nil {
+		s.apiError(w, r, planStatus(err), "%v", err)
+		return
 	}
 	s.writeJSON(w, r, http.StatusOK, admitBatchResponse{
-		Tenant:          tenantName,
+		Tenant:          req.Tenant,
 		Results:         results,
 		Admitted:        admitted,
 		BudgetRemaining: remaining,

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -223,6 +226,24 @@ func TestAdmitBatchSingleLeaseDebit(t *testing.T) {
 			"batched admission must cost one CAS per batch, not per job",
 			debits, batches, jobsPerBatch)
 	}
+
+	// The escrow traffic that funded those debits is on /metrics: the holder
+	// topped its lease up and reports its level, and the tenant's owner
+	// counted the grants.
+	holderText := getMetricsText(t, urls[holder])
+	if !metricAtLeast(holderText, `chronosd_escrow_topups_total{tenant="etl"}`, 1) {
+		t.Error("holder reports no chronosd_escrow_topups_total for the tenant")
+	}
+	if metricValue(holderText, `chronosd_escrow_lease_level{tenant="etl"}`) == "" {
+		t.Error("holder reports no chronosd_escrow_lease_level for the tenant")
+	}
+	granted := false
+	for _, u := range urls {
+		granted = granted || metricAtLeast(getMetricsText(t, u), `chronosd_escrow_grants_total{tenant="etl"}`, 1)
+	}
+	if !granted {
+		t.Error("no replica reports chronosd_escrow_grants_total for the tenant")
+	}
 }
 
 // TestAdmitBatchResultOrder pins the wire contract the ring-aware client
@@ -253,6 +274,134 @@ func TestAdmitBatchResultOrder(t *testing.T) {
 		}
 		if *res.Plan != want[i] {
 			t.Errorf("job %d: plan %+v, want %+v — results out of order?", i, *res.Plan, want[i])
+		}
+	}
+}
+
+// TestAdmitBatchFaultNamesJob: a request fault in one job of a batch must
+// say which job. The warm-up fan-out's error used to be reported bare, so a
+// 1,024-job batch with one beta <= 1 was undebuggable from its 400.
+func TestAdmitBatchFaultNamesJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", 1e9)})
+	bad := testJob()
+	bad.Beta = 0.5
+	resp := postJSON(t, ts.URL+"/v1/admit/batch", admitBatchRequest{
+		Tenant: "etl",
+		Jobs:   []admitBatchJob{{Job: testJob()}, {Job: testJob()}, {Job: bad}, {Job: testJob()}},
+		Econ:   testEcon(),
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	}
+	got := decodeBody[errorResponse](t, resp)
+	if !strings.HasPrefix(got.Error, "job 2: ") {
+		t.Errorf("error = %q, want it to start with the faulting job's index, \"job 2: \"", got.Error)
+	}
+}
+
+// TestAdmitEqualsBatchOfOne is the differential test the shared settle loop
+// makes cheap: on two identically configured servers, /v1/admit for job J
+// and /v1/admit/batch of [J] must reach the same decision, reason, plan
+// bytes and budgetRemaining and move the same tenant and plan counters —
+// for each of the four outcomes, on the bare pool and under escrow, on a
+// cold cell and again on the warm one.
+func TestAdmitEqualsBatchOfOne(t *testing.T) {
+	best, err := chronos.OptimizeBest(testJob(), testEcon())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, err := chronos.ExpectedMachineTime(best.Strategy, testJob(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.R == 0 {
+		t.Fatal("optimal plan already r=0; the squeezed case would not squeeze")
+	}
+	strict := testEcon()
+	strict.RMin = 0.999999999
+	impossible := chronos.JobParams{Tasks: 10, Deadline: 10.5, TMin: 10, Beta: 1.5, TauEst: 3, TauKill: 6}
+	cases := []struct {
+		name     string
+		budget   float64
+		job      chronos.JobParams
+		econ     chronos.Econ
+		admitted bool
+		reason   string
+	}{
+		{"admitted in full", 1e9, testJob(), testEcon(), true, ""},
+		{"squeezed", (r0 + best.MachineTime) / 2, testJob(), testEcon(), true, ""},
+		{"budget exhausted", r0 / 2, testJob(), testEcon(), false, ReasonBudgetExhausted},
+		{"infeasible deadline", 1e9, impossible, strict, false, ReasonInfeasible},
+	}
+	type decision struct {
+		Admitted bool            `json:"admitted"`
+		Plan     json.RawMessage `json:"plan"`
+		Reason   string          `json:"reason"`
+	}
+	counters := func(url string) string {
+		var kept []string
+		for _, line := range strings.Split(getMetricsText(t, url), "\n") {
+			for _, family := range []string{"chronosd_tenant_admits_total", "chronosd_tenant_rejects_total",
+				"chronosd_tenant_plans_total", "chronosd_plans_total"} {
+				if strings.HasPrefix(line, family+"{") {
+					kept = append(kept, line)
+				}
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+	for _, escrow := range []bool{false, true} {
+		for _, tc := range cases {
+			name := tc.name
+			if escrow {
+				name += " under escrow"
+			}
+			t.Run(name, func(t *testing.T) {
+				single, singleTS := newTestServer(t, Config{Tenants: testRegistry(t, "etl", tc.budget), Escrow: escrow})
+				batch, batchTS := newTestServer(t, Config{Tenants: testRegistry(t, "etl", tc.budget), Escrow: escrow})
+				t.Cleanup(single.Close)
+				t.Cleanup(batch.Close)
+				for round := 0; round < 2; round++ {
+					one := decodeBody[struct {
+						decision
+						BudgetRemaining float64 `json:"budgetRemaining"`
+					}](t, postJSON(t, singleTS.URL+"/v1/admit",
+						admitRequest{Tenant: "etl", Job: tc.job, Econ: tc.econ}))
+					many := decodeBody[struct {
+						Results         []decision `json:"results"`
+						Admitted        int        `json:"admitted"`
+						BudgetRemaining float64    `json:"budgetRemaining"`
+					}](t, postJSON(t, batchTS.URL+"/v1/admit/batch",
+						admitBatchRequest{Tenant: "etl", Jobs: []admitBatchJob{{Job: tc.job}}, Econ: tc.econ}))
+					if len(many.Results) != 1 {
+						t.Fatalf("round %d: batch answered %d results, want 1", round, len(many.Results))
+					}
+					got := many.Results[0]
+					// Only the first round is guaranteed its outcome: a second
+					// squeezed admit may find the ledger drained.
+					if round == 0 && (one.Admitted != tc.admitted || one.Reason != tc.reason) {
+						t.Fatalf("/v1/admit: admitted=%v reason=%q, want %v %q", one.Admitted, one.Reason, tc.admitted, tc.reason)
+					}
+					if got.Admitted != one.Admitted || got.Reason != one.Reason {
+						t.Errorf("round %d: batch admitted=%v reason=%q, single admitted=%v reason=%q",
+							round, got.Admitted, got.Reason, one.Admitted, one.Reason)
+					}
+					if !bytes.Equal(got.Plan, one.Plan) {
+						t.Errorf("round %d: plan bytes differ:\nbatch  %s\nsingle %s", round, got.Plan, one.Plan)
+					}
+					if many.BudgetRemaining != one.BudgetRemaining {
+						t.Errorf("round %d: budgetRemaining batch %v, single %v", round, many.BudgetRemaining, one.BudgetRemaining)
+					}
+					if (many.Admitted == 1) != one.Admitted || many.Admitted > 1 {
+						t.Errorf("round %d: batch admitted count %d, single admitted=%v", round, many.Admitted, one.Admitted)
+					}
+					if b, s := counters(batchTS.URL), counters(singleTS.URL); b != s {
+						t.Errorf("round %d: counters differ:\nbatch:\n%s\nsingle:\n%s", round, b, s)
+					} else if b == "" {
+						t.Errorf("round %d: no tenant or plan counter moved", round)
+					}
+				}
+			})
 		}
 	}
 }

@@ -10,121 +10,16 @@ import (
 	"chronos/internal/tenant"
 )
 
-// The tracked serving benchmarks (cached plan, cold plan, admit) call the
-// handlers directly with the reusable request/writer pair from
-// zeroalloc_test.go, so they measure the handler itself — JSON decode,
-// cache, solve, ledger, JSON encode — and the reported allocs/op is the
-// handler's own allocation profile, not the ~29-allocation floor net/http's
-// connection bookkeeping and the routing middleware impose per request. The
-// batch and escrow benchmarks stay on the full httptest stack: their cost is
-// dominated by real work, not harness noise. Run with:
-//
-//	go test -bench=BenchmarkPlanHandler -benchmem ./internal/server/
-//
-// The cached benchmark replays one request body so every call after the
-// first hits the sharded plan cache; the cold benchmark walks a parameter
-// grid wider than the cache so every call solves Algorithm 1 for all three
-// strategies. Their ratio is the cache's speedup on the hot path.
+// The two serving benchmarks with no twin in bench/ (whose traced run
+// reports the plan and admit handlers as server.*_ns and server.*_allocs).
+// Both cross the full httptest stack and run once per `make bench` as a
+// smoke; neither gates anything.
 
-// BenchmarkPlanHandlerCached measures the hot path: repeated plans for the
-// same (quantized) job served from the cache.
-func BenchmarkPlanHandlerCached(b *testing.B) {
-	s := New(Config{})
-	body, req, w := zeroAllocRequest(b, "/v1/plan",
-		planRequest{Job: testJob(), Econ: testEcon()})
-	s.handlePlan(w, req) // warm the cache
-	if w.code != http.StatusOK {
-		b.Fatalf("warmup status = %d, want 200", w.code)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body.off = 0
-		s.handlePlan(w, req)
-	}
-	b.StopTimer()
-	if w.code != http.StatusOK {
-		b.Fatalf("status = %d, want 200", w.code)
-	}
-	hits, _, _ := s.CacheStats()
-	if hits < uint64(b.N) {
-		b.Fatalf("only %d cache hits over %d requests", hits, b.N)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "plans/s")
-}
-
-// BenchmarkPlanHandlerCold measures the miss path: every request carries a
-// distinct deadline drawn from a grid far wider than the cache, so each one
-// runs the full three-strategy optimization.
-func BenchmarkPlanHandlerCold(b *testing.B) {
-	s := New(Config{CacheCapacity: 64})
-	// 256 distinct deadlines in [100, 164): resolvable at six significant
-	// digits, and cycling them through 64 LRU slots evicts each long
-	// before it comes around again, so every request misses.
-	const grid = 256
-	bodies := make([]*rewindBody, grid)
-	reqs := make([]*http.Request, grid)
-	var w *reuseRW
-	for i := range bodies {
-		job := testJob()
-		job.Deadline = 100 + float64(i)*0.25
-		bodies[i], reqs[i], w = zeroAllocRequest(b, "/v1/plan",
-			planRequest{Job: job, Econ: testEcon()})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body := bodies[i%grid]
-		body.off = 0
-		s.handlePlan(w, reqs[i%grid])
-	}
-	b.StopTimer()
-	if w.code != http.StatusOK {
-		b.Fatalf("status = %d, want 200", w.code)
-	}
-	_, misses, _ := s.CacheStats()
-	if misses < uint64(b.N) {
-		b.Fatalf("only %d cache misses over %d requests", misses, b.N)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "plans/s")
-}
-
-// BenchmarkAdmitHandler measures the online admission path: cached optimal
-// plan plus an atomic ledger debit per request, against a pool deep enough
-// to never reject. This is the per-arrival decision latency of the paper's
-// online setting, tracked per PR in BENCH_*.json.
-func BenchmarkAdmitHandler(b *testing.B) {
-	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
-		"bench": {Budget: 1e18},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := New(Config{Tenants: reg})
-	body, req, w := zeroAllocRequest(b, "/v1/admit",
-		admitRequest{Tenant: "bench", Job: testJob(), Econ: testEcon()})
-	s.handleAdmit(w, req) // warm the cache
-	if w.code != http.StatusOK {
-		b.Fatalf("warmup status = %d, want 200", w.code)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body.off = 0
-		s.handleAdmit(w, req)
-	}
-	b.StopTimer()
-	if w.code != http.StatusOK {
-		b.Fatalf("status = %d, want 200", w.code)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "admits/s")
-}
-
-// BenchmarkAdmitHandlerEscrow is BenchmarkAdmitHandler with fleet-exact
-// accounting on: the admit debits the escrow ledger's authoritative pool
-// (owner path — a solo replica owns every tenant) instead of the bare token
-// bucket. The delta against BenchmarkAdmitHandler is the price of exactness
-// without durability.
+// BenchmarkAdmitHandlerEscrow is an admit with fleet-exact accounting on
+// but no WAL: it debits the escrow ledger's authoritative pool (owner path —
+// a solo replica owns every tenant) instead of the bare token bucket. Against
+// bench/'s server.admit_ns and server.admit_escrow_wal_ns it separates the
+// price of exactness from the price of durability.
 func BenchmarkAdmitHandlerEscrow(b *testing.B) {
 	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
 		"bench": {Budget: 1e18},
@@ -151,78 +46,6 @@ func BenchmarkAdmitHandlerEscrow(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "admits/s")
-}
-
-// BenchmarkAdmitHandlerEscrowWAL adds snapshot+WAL durability: every admit
-// appends one debit record. The delta against BenchmarkAdmitHandlerEscrow is
-// the WAL's cost on the admission path.
-func BenchmarkAdmitHandlerEscrowWAL(b *testing.B) {
-	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
-		"bench": {Budget: 1e18},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	store, err := tenant.OpenStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer store.Close()
-	s := New(Config{Tenants: reg, Escrow: true, Store: store})
-	defer s.Close()
-	h := s.Handler()
-	raw, err := json.Marshal(admitRequest{Tenant: "bench", Job: testJob(), Econ: testEcon()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/v1/admit", bytes.NewReader(raw))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status = %d: %s", rec.Code, rec.Body)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "admits/s")
-}
-
-// BenchmarkAdmitBatchHandler measures batched admission: 16 warm-cache
-// admissions settled in one ledger debit. Compare per-job cost against
-// BenchmarkAdmitHandler to see what the batch amortizes.
-func BenchmarkAdmitBatchHandler(b *testing.B) {
-	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
-		"bench": {Budget: 1e18},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := New(Config{Tenants: reg})
-	h := s.Handler()
-	jobs := make([]admitBatchJob, 16)
-	for i := range jobs {
-		job := testJob()
-		job.Tasks = 5 + i
-		jobs[i] = admitBatchJob{Job: job}
-	}
-	raw, err := json.Marshal(admitBatchRequest{Tenant: "bench", Jobs: jobs, Econ: testEcon()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/v1/admit/batch", bytes.NewReader(raw))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status = %d: %s", rec.Code, rec.Body)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*len(jobs))/b.Elapsed().Seconds(), "admits/s")
 }
 
 // BenchmarkBatchHandler measures a 64-job shared-budget allocation with

@@ -270,12 +270,3 @@ func keyStrategy(name string) (strat chronos.Strategy, best, ok bool) {
 	}
 	return s, false, true
 }
-
-// cacheStrategyName is the strategy component of a plan cache key: the
-// canonical name for pinned plans, "" for best-of-three.
-func cacheStrategyName(strat chronos.Strategy, best bool) string {
-	if best {
-		return ""
-	}
-	return strat.String()
-}

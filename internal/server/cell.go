@@ -1,0 +1,145 @@
+package server
+
+import (
+	"time"
+
+	"chronos"
+	"chronos/internal/obs"
+	"chronos/internal/plankey"
+)
+
+// cell is one planning problem as the plan cache sees it: a job under its
+// economics, pinned to one strategy or left open to the best of the three,
+// and the quantised key naming the cache cell it falls in. The methods below
+// are the only code that branches on best.
+type cell struct {
+	strat chronos.Strategy
+	best  bool
+	job   chronos.JobParams
+	econ  chronos.Econ
+	key   []byte
+}
+
+// name is the strategy component of the plan cache key: the canonical name
+// for pinned plans, "" for best-of-three.
+func (c *cell) name() string {
+	if c.best {
+		return ""
+	}
+	return c.strat.String()
+}
+
+// quantize appends the cell's plan key to buf and keeps it as c.key, observed
+// as a StageQuantize span.
+func (c *cell) quantize(tr *obs.Trace, buf []byte) {
+	start := time.Now()
+	c.key = plankey.AppendKey(buf, c.name(), c.job, c.econ)
+	tr.Observe(obs.StageQuantize, time.Since(start))
+}
+
+// solve runs the unconstrained optimization.
+func (c *cell) solve() (chronos.Plan, error) {
+	if c.best {
+		return chronos.OptimizeBest(c.job, c.econ)
+	}
+	return chronos.Optimize(c.strat, c.job, c.econ)
+}
+
+// frontier precomputes the cell's budget-feasibility frontier.
+func (c *cell) frontier() (*chronos.BudgetFrontier, error) {
+	if c.best {
+		return chronos.NewBudgetFrontierBest(c.job, c.econ)
+	}
+	return chronos.NewBudgetFrontier(c.strat, c.job, c.econ)
+}
+
+// solveWithin runs the direct budget-capped optimization.
+func (c *cell) solveWithin(budget float64) (chronos.Plan, error) {
+	if c.best {
+		return chronos.OptimizeBestWithinBudget(c.job, c.econ, budget)
+	}
+	return chronos.OptimizeWithinBudget(c.strat, c.job, c.econ, budget)
+}
+
+// cachedPlan returns the cell's unconstrained optimal plan from the sharded
+// plan cache, solving and populating it on a miss. Every planning path —
+// /v1/plan, the batch fan-outs, and admission control — goes through here,
+// so cache policy (and its stage instrumentation) lives in one place. The key
+// usually still lives in a pooled request buffer: a cache hit probes the
+// shard map without materializing the key string, so the hot path allocates
+// nothing.
+//
+// Concurrent misses for the same key are collapsed through the singleflight
+// table: one leader solves while the others park on its done channel and
+// share the outcome (reported as cached=false — a waiter's plan was not
+// served from the LRU, it piggybacked on a live solve).
+func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached bool, err error) {
+	cStart := time.Now()
+	plan, hit := s.cache.get(c.key)
+	tr.Observe(obs.StageCache, time.Since(cStart))
+	if hit {
+		return plan, true, nil
+	}
+	key := string(c.key)
+	call, leader := s.flight.join(key)
+	if !leader {
+		// Counted on entry, not exit, so the waiter population is observable
+		// while the leader's solve is still in flight.
+		s.metrics.flightWaiters.Inc()
+		wStart := time.Now()
+		<-call.done
+		tr.Observe(obs.StageFlightWait, time.Since(wStart))
+		return call.plan, false, call.err
+	}
+	s.metrics.flightLeaders.Inc()
+	if s.solveHook != nil {
+		s.solveHook(key)
+	}
+	sStart := time.Now()
+	plan, err = c.solve()
+	tr.Observe(obs.StageSolve, time.Since(sStart))
+	if err != nil {
+		plan = chronos.Plan{}
+	} else {
+		// Cache before leaving the flight table so later misses for this key
+		// hit the LRU instead of starting a fresh solve, then enqueue the
+		// entry's async push to its ring successors (no-op unless this
+		// replica owns the key and replication is on).
+		s.cache.put(key, plan)
+		s.replicateHot(key, plan)
+	}
+	s.flight.complete(key, call, plan, err)
+	return plan, false, err
+}
+
+// planWithin returns the cell's best plan whose expected machine time fits
+// budget. The unconstrained optimum comes from (and populates) the plan
+// cache — squeezed plans depend on the transient ledger level and are never
+// cached. What is cached, attached to the same entry, is the cell's
+// precomputed feasibility frontier (chronos.BudgetFrontier): the first
+// budget-squeezed admit in a cell pays the bisection and window scan once,
+// and every later squeeze in the warm cell answers from the table with no
+// model evaluations (and, on the admit path, no allocation).
+func (s *Server) planWithin(tr *obs.Trace, c *cell, budget float64) (chronos.Plan, error) {
+	plan, _, err := s.cachedPlan(tr, c)
+	if err != nil {
+		return chronos.Plan{}, err
+	}
+	if plan.MachineTime <= budget {
+		return plan, nil
+	}
+	sStart := time.Now()
+	defer func() { tr.Observe(obs.StageSolve, time.Since(sStart)) }()
+	bf := s.cache.frontier(c.key)
+	if bf == nil {
+		if bf, err = c.frontier(); err != nil {
+			// Unreachable after a successful unconstrained solve for the same
+			// cell (construction fails only on budget-independent grounds), but
+			// fall back to the direct capped solve so behavior is identical even
+			// for, say, a corrupted persisted cache entry.
+			return c.solveWithin(budget)
+		}
+		s.cache.setFrontier(c.key, bf)
+	}
+	return bf.PlanWithinBudget(budget)
+}

@@ -400,21 +400,26 @@ func (m *escrowManager) shutdown() {
 	})
 }
 
-// escrowStats snapshots the gauge surface for /metrics: per-tenant
-// outstanding owner-side escrow and holder-side lease levels.
-func (m *escrowManager) escrowStats(reg *tenant.Registry) (outstanding map[string]float64, leaseLevels map[string]float64) {
-	outstanding = make(map[string]float64)
-	leaseLevels = make(map[string]float64)
+// outstanding snapshots, for /metrics, the escrow this replica has out on
+// lease per tenant it owns.
+func (m *escrowManager) outstanding(reg *tenant.Registry) map[string]float64 {
+	owed := make(map[string]float64)
 	for _, p := range reg.Pools() {
 		if m.ownsTenant(p.Name()) {
-			_, escrow := m.led.Outstanding(p.Name())
-			outstanding[p.Name()] = escrow
+			_, owed[p.Name()] = m.led.Outstanding(p.Name())
 		}
 	}
+	return owed
+}
+
+// leaseLevels snapshots, for /metrics, this replica's holder-side lease
+// levels per tenant.
+func (m *escrowManager) leaseLevels() map[string]float64 {
+	levels := make(map[string]float64)
 	m.mu.Lock()
 	for name, l := range m.leases {
-		leaseLevels[name] = l.Level()
+		levels[name] = l.Level()
 	}
 	m.mu.Unlock()
-	return outstanding, leaseLevels
+	return levels
 }

@@ -496,3 +496,57 @@ func TestFleetEscrowHugeBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestEscrowReclaimCounted: a holder that takes a lease and goes silent has
+// it reclaimed by the owner's background loop once the TTL passes — counted
+// per tenant, and gone from the outstanding-escrow gauge.
+func TestEscrowReclaimCounted(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		Tenants: testRegistry(t, "etl", 1000), Escrow: true, EscrowLeaseTTL: 30 * time.Millisecond,
+	})
+	t.Cleanup(s.Close)
+	grant := decodeBody[escrowLeaseResponse](t, postJSON(t, ts.URL+escrowPath,
+		escrowLeaseRequest{Tenant: "etl", Holder: "http://silent:1", Want: 100}))
+	if grant.Granted != 100 {
+		t.Fatalf("granted %v, want 100", grant.Granted)
+	}
+	const reclaims = `chronosd_escrow_reclaims_total{tenant="etl"}`
+	deadline := time.Now().Add(5 * time.Second)
+	for metricValue(getMetricsText(t, ts.URL), reclaims) != "1" {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never reached 1", reclaims)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := metricValue(getMetricsText(t, ts.URL), `chronosd_escrow_outstanding{tenant="etl"}`); got != "0" {
+		t.Errorf("outstanding escrow after the reclaim = %q, want 0", got)
+	}
+}
+
+// TestWALAppendFailureCounted: an admit the WAL could not record is still
+// answered — the ledger has already mutated — but it must be visible as
+// chronosd_escrow_wal_append_failures_total, the operator's only warning
+// that a restart would resurrect spent budget.
+func TestWALAppendFailureCounted(t *testing.T) {
+	store, err := tenant.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", 1e9), Escrow: true, Store: store})
+	t.Cleanup(s.Close)
+	const failures = "chronosd_escrow_wal_append_failures_total"
+	if got := metricValue(getMetricsText(t, ts.URL), failures); got != "0" {
+		t.Fatalf("%s = %q before any failure, want 0", failures, got)
+	}
+	if err := store.Close(); err != nil { // every append from here on fails
+		t.Fatal(err)
+	}
+	got := decodeBody[admitResponse](t, postJSON(t, ts.URL+"/v1/admit",
+		admitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}))
+	if !got.Admitted {
+		t.Fatalf("admit rejected (%q); a WAL failure must not fail the request", got.Reason)
+	}
+	if got := metricValue(getMetricsText(t, ts.URL), failures); got != "1" {
+		t.Errorf("%s = %q after one unlogged debit, want 1", failures, got)
+	}
+}

@@ -7,13 +7,11 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"chronos"
 	"chronos/internal/hotjson"
 	"chronos/internal/obs"
 	"chronos/internal/optimize"
-	"chronos/internal/plankey"
 	"chronos/internal/tenant"
 )
 
@@ -263,13 +261,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// request there so the fleet's caches partition the keyspace instead of
 	// overlapping. The forwarded request carries the tenant-filled econ, so
 	// the owner's cache key matches this routing decision.
-	qStart := time.Now()
-	hb.key = plankey.AppendKey(hb.key[:0], cacheStrategyName(strat, best), req.Job, req.Econ)
-	tr.Observe(obs.StageQuantize, time.Since(qStart))
+	c := cell{strat: strat, best: best, job: req.Job, econ: req.Econ}
+	c.quantize(tr, hb.key[:0])
+	hb.key = c.key
 	if s.forwardToOwner(w, r, "/v1/plan", hb.key, req) {
 		return
 	}
-	plan, cached, err := s.cachedPlanKeyed(tr, hb.key, strat, best, req.Job, req.Econ)
+	plan, cached, err := s.cachedPlan(tr, &c)
 	if err != nil {
 		s.apiError(w, r, planStatus(err), "%v", err)
 		return
@@ -278,10 +276,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	resp := &hb.planResp
 	*resp = planResponse{Plan: plan, Cached: cached}
 	if pool != nil {
-		bud := s.tenantBudget(r.Context(), req.Tenant, pool)
-		dStart := time.Now()
-		ok, rem := bud.TryDebit(plan.MachineTime)
-		tr.Observe(obs.StageDebit, time.Since(dStart))
+		ok, rem := timedDebit(tr, s.tenantBudget(r.Context(), req.Tenant, pool), plan.MachineTime)
 		if !ok {
 			s.rejectBudget(w, r, req.Tenant,
 				"tenant %q cannot cover the plan: needs %g machine-seconds, %g remaining",
@@ -346,39 +341,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve every job's strategy, fanning the unpinned ones out across
 	// the worker pool (each selection is a full three-strategy solve or a
-	// cache hit).
+	// cache hit). tr is shared across the fan-out; its stage accumulation is
+	// atomic, so concurrent selections fold into one batch-wide span.
 	strategies := make([]chronos.Strategy, len(req.Jobs))
 	errs := make([]error, len(req.Jobs))
 	s.pool.fanOut(len(req.Jobs), func(i int) {
-		// Pool goroutines run outside net/http's per-connection recover;
-		// contain panics to the one job instead of crashing the daemon.
-		defer func() {
-			if p := recover(); p != nil {
-				errs[i] = fmt.Errorf("job %d: %w: %v", i, errInternal, p)
-			}
-		}()
+		defer containPanic(&errs[i])
 		jr := req.Jobs[i]
 		strat, best, ok := keyStrategy(jr.Strategy)
-		if !ok {
-			errs[i] = fmt.Errorf("job %d: unknown strategy %q", i, jr.Strategy)
-			return
-		}
-		if !best {
+		switch {
+		case !ok:
+			errs[i] = fmt.Errorf("unknown strategy %q", jr.Strategy)
+		case !best:
 			strategies[i] = strat
-			return
+		default:
+			c := cell{best: true, job: jr.Job, econ: req.Econ}
+			var buf [128]byte
+			c.quantize(tr, buf[:0])
+			var plan chronos.Plan
+			plan, _, errs[i] = s.cachedPlan(tr, &c)
+			strategies[i] = plan.Strategy
 		}
-		// tr is shared across the fan-out; its stage accumulation is atomic,
-		// so concurrent selections fold into one batch-wide span.
-		plan, _, err := s.cachedPlan(tr, 0, true, jr.Job, req.Econ)
-		if err != nil {
-			errs[i] = fmt.Errorf("job %d: %w", i, err)
-			return
-		}
-		strategies[i] = plan.Strategy
 	})
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			s.apiError(w, r, planStatus(err), "%v", err)
+			s.apiError(w, r, planStatus(err), "job %d: %v", i, err)
 			return
 		}
 	}
@@ -392,71 +379,59 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		batch[i] = chronos.BatchJob{Strategy: strategies[i], Params: jr.Job, RMin: rmin}
 	}
 
-	// Allocate and, when tenant-routed, debit the allocation's total
-	// machine time from the pool. The allocation runs against a snapshot
-	// of the ledger; a failed debit means a concurrent request drained it,
-	// so re-allocate against the new level instead of over-committing.
+	// Allocate and, when tenant-routed, settle the allocation's total
+	// machine time against the pool: the allocation runs against
+	// min(request budget, ledger snapshot).
 	var (
-		plans           []chronos.BatchPlan
-		budget          float64
-		total           float64
-		budgetRemaining *float64
-		bud             budgeter
+		plans  []chronos.BatchPlan
+		budget float64
+		total  float64
+		capped bool // whether the pool, not the request, set the budget
 	)
-	if pool != nil {
-		bud = s.tenantBudget(r.Context(), req.Tenant, pool)
-	}
-	for attempt := 0; ; attempt++ {
-		budget = req.Budget
-		capped := false // whether the pool, not the request, set the budget
-		if pool != nil {
-			remaining := bud.Remaining()
-			if budget <= 0 || budget > remaining {
-				budget = remaining
-				capped = true
-			}
+	allocate := func(remaining float64) (float64, error) {
+		budget, capped = req.Budget, false
+		if budget <= 0 || budget > remaining {
+			budget, capped = remaining, true
 		}
 		var err error
-		plans, err = chronos.PlanBatch(batch, budget)
-		if err != nil {
-			// A too-small budget is only the tenant ledger's fault when
-			// the ledger set it; an explicit request budget below the r=0
-			// floor gets the same 422 a tenantless batch would.
-			if capped && errors.Is(err, optimize.ErrBudgetTooSmall) {
-				s.rejectBudget(w, r, req.Tenant,
-					"tenant %q cannot cover the batch: %v", req.Tenant, err)
-				return
-			}
-			s.apiError(w, r, planStatus(err), "%v", err)
-			return
+		if plans, err = chronos.PlanBatch(batch, budget); err != nil {
+			return 0, err
 		}
 		total = 0
 		for _, p := range plans {
 			total += p.MachineTime
 		}
-		if pool == nil {
-			break
-		}
 		// BatchSolve tolerates 1e-9 of float slop above its budget; clamp
 		// the debit to the allocation budget so the ledger's strict
 		// comparison cannot deterministically reject an affordable batch.
-		debit := total
-		if debit > budget {
-			debit = budget
-		}
-		dStart := time.Now()
-		ok, rem := bud.TryDebit(debit)
-		tr.Observe(obs.StageDebit, time.Since(dStart))
-		if ok {
-			budgetRemaining = &rem
-			break
-		}
-		if attempt+1 >= admitDebitRetries {
-			s.rejectBudget(w, r, req.Tenant,
-				"tenant %q cannot cover the batch: needs %g machine-seconds",
-				req.Tenant, total)
-			return
-		}
+		return min(total, budget), nil
+	}
+	var (
+		budgetRemaining *float64
+		rem             float64
+		err             error
+	)
+	settled := true
+	if pool == nil {
+		_, err = allocate(math.Inf(1))
+	} else {
+		rem, settled, err = settle(tr, s.tenantBudget(r.Context(), req.Tenant, pool), allocate)
+		budgetRemaining = &rem
+	}
+	switch {
+	case capped && errors.Is(err, optimize.ErrBudgetTooSmall):
+		// A too-small budget is only the tenant ledger's fault when the
+		// ledger set it; an explicit request budget below the r=0 floor gets
+		// the same 422 a tenantless batch would.
+		s.rejectBudget(w, r, req.Tenant, "tenant %q cannot cover the batch: %v", req.Tenant, err)
+		return
+	case err != nil:
+		s.apiError(w, r, planStatus(err), "%v", err)
+		return
+	case !settled:
+		s.rejectBudget(w, r, req.Tenant,
+			"tenant %q cannot cover the batch: needs %g machine-seconds", req.Tenant, total)
+		return
 	}
 
 	resp := batchResponse{

@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"sync"
 
-	"chronos"
-	"chronos/internal/hotjson"
 	"chronos/internal/obs"
 )
 
@@ -34,10 +32,12 @@ type hotBuf struct {
 	admitReq  admitRequest
 	admitResp admitResponse
 
-	// plan and rem back the response-struct pointers (admitResp.Plan,
+	// The one-job batch /v1/admit hands to admitJobs. jobs[0].plan and rem
+	// also back the response-struct pointers (admitResp.Plan,
 	// planResp.BudgetRemaining), which would otherwise escape to the heap.
-	plan chronos.Plan
-	rem  float64
+	jobs    [1]admitJob
+	results [1]admitBatchResult
+	rem     float64
 }
 
 var hotBufPool = sync.Pool{New: func() any {
@@ -63,7 +63,7 @@ func putHotBuf(hb *hotBuf) {
 	hb.planResp = planResponse{}
 	hb.admitReq = admitRequest{}
 	hb.admitResp = admitResponse{}
-	hb.plan = chronos.Plan{}
+	hb.jobs, hb.results = [1]admitJob{}, [1]admitBatchResult{}
 	hb.rem = 0
 	hotBufPool.Put(hb)
 }
@@ -160,17 +160,4 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, code int, v a
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_, _ = buf.WriteTo(w)
-}
-
-// writeAdmitResponse encodes hb.admitResp into the pooled response buffer
-// and commits it. Every /v1/admit outcome — admit, reject, budget-exhausted
-// — answers 200 with the decision payload.
-func (s *Server) writeAdmitResponse(w http.ResponseWriter, r *http.Request, hb *hotBuf) {
-	out, err := hotjson.AppendAdmitResponse(hb.out[:0], &hb.admitResp)
-	if err != nil {
-		s.encodeFailed(w, r, err)
-		return
-	}
-	hb.out = out
-	writeHotBody(w, http.StatusOK, out)
 }

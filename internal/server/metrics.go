@@ -254,173 +254,171 @@ func (m *serverMetrics) tenantReject(name, reason string) {
 	m.tenant(name).rejects.inc(reason)
 }
 
-// writePrometheus renders every metric in the text exposition format. The
-// cache, tenant registry, ring view, and escrow manager are passed in so
-// their gauges reflect live state (reg, rs, and esc may be nil when
-// unconfigured).
+// scrape is the live state one /metrics rendering reads besides the
+// counters: the cache, tenant registry, ring view and escrow manager whose
+// gauges reflect the moment of the scrape (rs and esc are nil when
+// unconfigured), and the label sets, snapshotted once so every family prints
+// the same endpoints and tenants in the same order.
+type scrape struct {
+	cache     *planCache
+	reg       *tenant.Registry
+	rs        *ringState
+	esc       *escrowManager
+	endpoints []string // sorted
+	tenants   []string // sorted; every tenant a counter has seen
+}
+
+// series is one /metrics family. The ordered table catalog returns is both
+// the renderer's program and the inventory of what chronosd exports: help is
+// the one-line meaning printed as # HELP, and checkedBy names what exercises
+// the family — a Test function of this package, or bench:<metric> for a
+// BENCHMARK.json metric computed from it. TestMetricCatalog fails on a row
+// missing either, so a series cannot be added without saying what it is for
+// and what would notice it breaking.
+type series struct {
+	name, typ, help, checkedBy string
+	// present gates a family that exists only in some configurations; nil
+	// means always.
+	present func(*scrape) bool
+	write   sampleWriter
+}
+
+// sampleWriter prints one family's sample lines.
+type sampleWriter func(w io.Writer, name string, sc *scrape)
+
+func hasEscrow(sc *scrape) bool { return sc.esc != nil }
+func hasRing(sc *scrape) bool   { return sc.rs != nil }
+
+// counter writes an unlabelled counter's one sample.
+func counter(c *metrics.Counter) sampleWriter {
+	return func(w io.Writer, name string, _ *scrape) { fmt.Fprintf(w, "%s %d\n", name, c.Value()) }
+}
+
+// gauge writes one unlabelled sample computed at scrape time.
+func gauge[T any](get func(*scrape) T) sampleWriter {
+	return func(w io.Writer, name string, sc *scrape) { fmt.Fprintf(w, "%s %v\n", name, get(sc)) }
+}
+
+// labelled writes a family that is one counterVec.
+func labelled(label string, v *counterVec[string]) sampleWriter {
+	return func(w io.Writer, name string, _ *scrape) { v.write(w, name+"{", label) }
+}
+
+// perTenant writes a two-label family: one counterVec per tenant.
+func (m *serverMetrics) perTenant(label string, vec func(*tenantMetrics) *counterVec[string]) sampleWriter {
+	return func(w io.Writer, name string, sc *scrape) {
+		for _, t := range sc.tenants {
+			vec(m.tenant(t)).write(w, fmt.Sprintf("%s{tenant=%q,", name, t), label)
+		}
+	}
+}
+
+// catalog is the ordered table of every family /metrics exports.
+func (m *serverMetrics) catalog() []series {
+	requests := func(w io.Writer, name string, sc *scrape) {
+		for _, path := range sc.endpoints {
+			m.endpoint(path).codes.write(w, fmt.Sprintf("%s{endpoint=%q,", name, path), "code")
+		}
+	}
+	durations := func(w io.Writer, name string, sc *scrape) {
+		for _, path := range sc.endpoints {
+			writeHistogram(w, name, "endpoint", path, m.endpoint(path).latency)
+		}
+	}
+	stages := func(w io.Writer, name string, _ *scrape) {
+		for s := obs.Stage(0); s < obs.NumStages; s++ {
+			writeHistogram(w, name, "stage", s.String(), m.stageSeconds[s])
+		}
+	}
+	tenantAdmits := func(w io.Writer, name string, sc *scrape) {
+		for _, t := range sc.tenants {
+			fmt.Fprintf(w, "%s{tenant=%q} %d\n", name, t, m.tenant(t).admits.Value())
+		}
+	}
+	budgets := func(w io.Writer, name string, sc *scrape) {
+		for _, p := range sc.reg.Pools() {
+			fmt.Fprintf(w, "%s{tenant=%q} %g\n", name, p.Name(), p.Remaining())
+		}
+	}
+	outstanding := func(w io.Writer, name string, sc *scrape) {
+		writeLabeled(w, name+"{", "tenant", sc.esc.outstanding(sc.reg))
+	}
+	leaseLevels := func(w io.Writer, name string, sc *scrape) {
+		writeLabeled(w, name+"{", "tenant", sc.esc.leaseLevels())
+	}
+	cacheHits := gauge(func(sc *scrape) uint64 { hits, _ := sc.cache.stats(); return hits })
+	cacheMisses := gauge(func(sc *scrape) uint64 { _, misses := sc.cache.stats(); return misses })
+	cacheEntries := gauge(func(sc *scrape) int { return sc.cache.len() })
+	walFailures := gauge(func(sc *scrape) uint64 { fails, _ := sc.esc.led.WALFailures(); return fails })
+	replaysActive := gauge(func(*scrape) int64 { return m.replaysActive.Load() })
+	ringNodes := gauge(func(sc *scrape) int {
+		if sc.rs == nil {
+			return 0
+		}
+		return sc.rs.ring.Len()
+	})
+	ownedFraction := gauge(func(sc *scrape) float64 { return sc.rs.ring.OwnedFraction(sc.rs.self) })
+	uptime := gauge(func(*scrape) float64 { return time.Since(m.start).Seconds() })
+	rejects := m.perTenant("reason", func(tm *tenantMetrics) *counterVec[string] { return &tm.rejects })
+	tenantPlans := m.perTenant("strategy", func(tm *tenantMetrics) *counterVec[string] { return &tm.plans })
+
+	return []series{
+		{"chronosd_requests_total", "counter", "Requests served, by endpoint and status code.", "TestMetricsEndpoint", nil, requests},
+		{"chronosd_request_duration_seconds", "histogram", "Request latency, by endpoint.", "TestMetricsEndpoint", nil, durations},
+		{"chronosd_stage_seconds", "histogram", "Per-request time in each hot-path stage.", "TestMetricsExposeStageHistograms", nil, stages},
+		{"chronosd_plans_total", "counter", "Plans served, by winning strategy.", "TestAdmitEqualsBatchOfOne", nil, labelled("strategy", &m.plans)},
+		{"chronosd_plan_cache_hits_total", "counter", "Plan cache hits.", "TestMetricsEndpoint", nil, cacheHits},
+		{"chronosd_plan_cache_misses_total", "counter", "Plan cache misses.", "TestMetricsEndpoint", nil, cacheMisses},
+		{"chronosd_plan_cache_entries", "gauge", "Plans currently cached.", "TestMetricsEndpoint", nil, cacheEntries},
+		{"chronosd_plan_singleflight_leaders_total", "counter", "Cold-miss solves run as singleflight leaders.", "TestSingleflightCollapsesColdMisses", nil, counter(&m.flightLeaders)},
+		{"chronosd_plan_singleflight_waiters_total", "counter", "Cold misses that piggybacked on a concurrent identical solve.", "TestSingleflightCollapsesColdMisses", nil, counter(&m.flightWaiters)},
+		{"chronosd_tenant_admits_total", "counter", "Ledger-debited plans, by tenant.", "TestAdmitEqualsBatchOfOne", nil, tenantAdmits},
+		{"chronosd_tenant_rejects_total", "counter", "Admission rejections, by tenant and reason.", "TestAdmitEqualsBatchOfOne", nil, rejects},
+		{"chronosd_tenant_plans_total", "counter", "Admitted plans, by tenant and strategy.", "TestAdmitEqualsBatchOfOne", nil, tenantPlans},
+		{"chronosd_tenant_budget_remaining", "gauge", "Machine-seconds left in each pool.", "TestTenantMetrics", nil, budgets},
+		{"chronosd_escrow_outstanding", "gauge", "Machine-seconds escrowed in outstanding leases, by owned tenant.", "TestFleetEscrowNeverOverCommits", hasEscrow, outstanding},
+		{"chronosd_escrow_lease_level", "gauge", "Machine-seconds available in this replica's local leases, by tenant.", "TestAdmitBatchSingleLeaseDebit", hasEscrow, leaseLevels},
+		{"chronosd_escrow_grants_total", "counter", "Escrow grants issued by this replica as pool owner, by tenant.", "TestAdmitBatchSingleLeaseDebit", hasEscrow, labelled("tenant", &m.escrowGrants)},
+		{"chronosd_escrow_topups_total", "counter", "Lease top-ups performed by this replica as holder, by tenant.", "TestAdmitBatchSingleLeaseDebit", hasEscrow, labelled("tenant", &m.escrowTopups)},
+		{"chronosd_escrow_reclaims_total", "counter", "Expired leases reclaimed by this replica as pool owner, by tenant.", "TestEscrowReclaimCounted", hasEscrow, labelled("tenant", &m.escrowReclaims)},
+		{"chronosd_escrow_wal_append_failures_total", "counter", "Ledger records the WAL failed to persist; nonzero means recovery after a restart would resurrect spent budget.", "TestWALAppendFailureCounted", hasEscrow, walFailures},
+		{"chronosd_replays_total", "counter", "Streaming replays started over /v1/replay.", "TestReplayStreamsBeyondSimulateCap", nil, counter(&m.replaysStarted)},
+		{"chronosd_replays_active", "gauge", "Replay streams currently open.", "TestReplayClientDisconnect", nil, replaysActive},
+		{"chronosd_replay_jobs_total", "counter", "Jobs replayed to completion over /v1/replay.", "TestReplayStreamsBeyondSimulateCap", nil, counter(&m.replayJobs)},
+		{"chronosd_replay_events_total", "counter", "NDJSON events emitted over /v1/replay.", "TestReplayStreamsBeyondSimulateCap", nil, counter(&m.replayEvents)},
+		{"chronosd_ring_nodes", "gauge", "Replicas in the consistent-hash ring (0 = sharding off).", "TestRingMetricsGauges", nil, ringNodes},
+		{"chronosd_ring_owned_fraction", "gauge", "Fraction of the plan keyspace this replica owns.", "TestRingMetricsGauges", hasRing, ownedFraction},
+		{"chronosd_ring_forwarded_total", "counter", "Requests proxied to the owning replica, by peer.", "bench:server.forwarded_frac", nil, labelled("peer", &m.ringForwards)},
+		{"chronosd_ring_peer_errors_total", "counter", "Failed forward attempts, by peer.", "TestPeerCall", nil, labelled("peer", &m.ringErrors)},
+		{"chronosd_ring_local_fallbacks_total", "counter", "Non-owned keys computed locally because the owner was unreachable.", "TestFleetOwnerDownLocalFallback", nil, counter(&m.ringLocalFallbacks)},
+		{"chronosd_ring_received_forwards_total", "counter", "Requests served under the single-hop forwarding guard.", "TestForwardLoopGuard", nil, counter(&m.ringReceivedForwards)},
+		{"chronosd_ring_heartbeat_failures_total", "counter", "Failed liveness probes, by configured member.", "TestFleetHealthEvictionReplicaReadAndHandoff", nil, labelled("peer", &m.ringHeartbeatFails)},
+		{"chronosd_ring_evictions_total", "counter", "Members evicted from this replica's effective ring by the health monitor.", "TestFleetHealthEvictionReplicaReadAndHandoff", nil, counter(&m.ringEvictions)},
+		{"chronosd_ring_readmits_total", "counter", "Suspected members re-admitted after recovery.", "TestFleetHealthEvictionReplicaReadAndHandoff", nil, counter(&m.ringReadmits)},
+		{"chronosd_ring_replica_reads_total", "counter", "Plan-keyed requests answered from a replica copy while the owner was unreachable.", "TestFleetHealthEvictionReplicaReadAndHandoff", nil, counter(&m.ringReplicaReads)},
+		{"chronosd_ring_handoff_entries_total", "counter", "Cache entries streamed to their new owners on membership changes.", "TestFleetHealthEvictionReplicaReadAndHandoff", nil, counter(&m.ringHandoffEntries)},
+		{"chronosd_response_encode_failures_total", "counter", "Responses whose JSON encoding failed (answered as HTTP 500).", "TestEncodeFailureIsCounted500", nil, counter(&m.encodeFailures)},
+		{"chronosd_uptime_seconds", "gauge", "Seconds since the server started.", "TestMetricsEndpoint", nil, uptime},
+	}
+}
+
+// writePrometheus renders the catalog in the text exposition format.
 func (m *serverMetrics) writePrometheus(w io.Writer, cache *planCache, reg *tenant.Registry, rs *ringState, esc *escrowManager) {
+	sc := &scrape{cache: cache, reg: reg, rs: rs, esc: esc}
 	m.mu.Lock()
-	endpoints := make([]string, 0, len(m.endpoints))
-	for p := range m.endpoints {
-		endpoints = append(endpoints, p)
+	for path := range m.endpoints {
+		sc.endpoints = append(sc.endpoints, path)
 	}
-	sort.Strings(endpoints)
-	m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP chronosd_requests_total Requests served, by endpoint and status code.")
-	fmt.Fprintln(w, "# TYPE chronosd_requests_total counter")
-	for _, path := range endpoints {
-		m.endpoint(path).codes.write(w, fmt.Sprintf("chronosd_requests_total{endpoint=%q,", path), "code")
-	}
-
-	fmt.Fprintln(w, "# HELP chronosd_request_duration_seconds Request latency, by endpoint.")
-	fmt.Fprintln(w, "# TYPE chronosd_request_duration_seconds histogram")
-	for _, path := range endpoints {
-		writeHistogram(w, "chronosd_request_duration_seconds", "endpoint", path, m.endpoint(path).latency)
-	}
-
-	fmt.Fprintln(w, "# HELP chronosd_stage_seconds Per-request time in each hot-path stage.")
-	fmt.Fprintln(w, "# TYPE chronosd_stage_seconds histogram")
-	for s := obs.Stage(0); s < obs.NumStages; s++ {
-		writeHistogram(w, "chronosd_stage_seconds", "stage", s.String(), m.stageSeconds[s])
-	}
-
-	fmt.Fprintln(w, "# HELP chronosd_plans_total Plans served, by winning strategy.")
-	fmt.Fprintln(w, "# TYPE chronosd_plans_total counter")
-	m.plans.write(w, "chronosd_plans_total{", "strategy")
-
-	hits, misses := cache.stats()
-	fmt.Fprintln(w, "# HELP chronosd_plan_cache_hits_total Plan cache hits.")
-	fmt.Fprintln(w, "# TYPE chronosd_plan_cache_hits_total counter")
-	fmt.Fprintf(w, "chronosd_plan_cache_hits_total %d\n", hits)
-	fmt.Fprintln(w, "# HELP chronosd_plan_cache_misses_total Plan cache misses.")
-	fmt.Fprintln(w, "# TYPE chronosd_plan_cache_misses_total counter")
-	fmt.Fprintf(w, "chronosd_plan_cache_misses_total %d\n", misses)
-	fmt.Fprintln(w, "# HELP chronosd_plan_cache_entries Plans currently cached.")
-	fmt.Fprintln(w, "# TYPE chronosd_plan_cache_entries gauge")
-	fmt.Fprintf(w, "chronosd_plan_cache_entries %d\n", cache.len())
-	fmt.Fprintln(w, "# HELP chronosd_plan_singleflight_leaders_total Cold-miss solves run as singleflight leaders.")
-	fmt.Fprintln(w, "# TYPE chronosd_plan_singleflight_leaders_total counter")
-	fmt.Fprintf(w, "chronosd_plan_singleflight_leaders_total %d\n", m.flightLeaders.Value())
-	fmt.Fprintln(w, "# HELP chronosd_plan_singleflight_waiters_total Cold misses that piggybacked on a concurrent identical solve.")
-	fmt.Fprintln(w, "# TYPE chronosd_plan_singleflight_waiters_total counter")
-	fmt.Fprintf(w, "chronosd_plan_singleflight_waiters_total %d\n", m.flightWaiters.Value())
-
-	m.mu.Lock()
-	tenantNames := make([]string, 0, len(m.tenants))
 	for name := range m.tenants {
-		tenantNames = append(tenantNames, name)
+		sc.tenants = append(sc.tenants, name)
 	}
 	m.mu.Unlock()
-	sort.Strings(tenantNames)
-
-	fmt.Fprintln(w, "# HELP chronosd_tenant_admits_total Ledger-debited plans, by tenant.")
-	fmt.Fprintln(w, "# TYPE chronosd_tenant_admits_total counter")
-	for _, name := range tenantNames {
-		fmt.Fprintf(w, "chronosd_tenant_admits_total{tenant=%q} %d\n",
-			name, m.tenant(name).admits.Value())
+	sort.Strings(sc.endpoints)
+	sort.Strings(sc.tenants)
+	for _, f := range m.catalog() {
+		if f.present == nil || f.present(sc) {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+			f.write(w, f.name, sc)
+		}
 	}
-
-	fmt.Fprintln(w, "# HELP chronosd_tenant_rejects_total Admission rejections, by tenant and reason.")
-	fmt.Fprintln(w, "# TYPE chronosd_tenant_rejects_total counter")
-	for _, name := range tenantNames {
-		m.tenant(name).rejects.write(w, fmt.Sprintf("chronosd_tenant_rejects_total{tenant=%q,", name), "reason")
-	}
-
-	fmt.Fprintln(w, "# HELP chronosd_tenant_plans_total Admitted plans, by tenant and strategy.")
-	fmt.Fprintln(w, "# TYPE chronosd_tenant_plans_total counter")
-	for _, name := range tenantNames {
-		m.tenant(name).plans.write(w, fmt.Sprintf("chronosd_tenant_plans_total{tenant=%q,", name), "strategy")
-	}
-
-	fmt.Fprintln(w, "# HELP chronosd_tenant_budget_remaining Machine-seconds left in each pool.")
-	fmt.Fprintln(w, "# TYPE chronosd_tenant_budget_remaining gauge")
-	for _, p := range reg.Pools() {
-		fmt.Fprintf(w, "chronosd_tenant_budget_remaining{tenant=%q} %g\n",
-			p.Name(), p.Remaining())
-	}
-
-	if esc != nil {
-		outstanding, leaseLevels := esc.escrowStats(reg)
-		fmt.Fprintln(w, "# HELP chronosd_escrow_outstanding Machine-seconds escrowed in outstanding leases, by owned tenant.")
-		fmt.Fprintln(w, "# TYPE chronosd_escrow_outstanding gauge")
-		writeLabeled(w, "chronosd_escrow_outstanding{", "tenant", outstanding)
-		fmt.Fprintln(w, "# HELP chronosd_escrow_lease_level Machine-seconds available in this replica's local leases, by tenant.")
-		fmt.Fprintln(w, "# TYPE chronosd_escrow_lease_level gauge")
-		writeLabeled(w, "chronosd_escrow_lease_level{", "tenant", leaseLevels)
-		fmt.Fprintln(w, "# HELP chronosd_escrow_grants_total Escrow grants issued by this replica as pool owner, by tenant.")
-		fmt.Fprintln(w, "# TYPE chronosd_escrow_grants_total counter")
-		m.escrowGrants.write(w, "chronosd_escrow_grants_total{", "tenant")
-		fmt.Fprintln(w, "# HELP chronosd_escrow_topups_total Lease top-ups performed by this replica as holder, by tenant.")
-		fmt.Fprintln(w, "# TYPE chronosd_escrow_topups_total counter")
-		m.escrowTopups.write(w, "chronosd_escrow_topups_total{", "tenant")
-		fmt.Fprintln(w, "# HELP chronosd_escrow_reclaims_total Expired leases reclaimed by this replica as pool owner, by tenant.")
-		fmt.Fprintln(w, "# TYPE chronosd_escrow_reclaims_total counter")
-		m.escrowReclaims.write(w, "chronosd_escrow_reclaims_total{", "tenant")
-		walFails, _ := esc.led.WALFailures()
-		fmt.Fprintln(w, "# HELP chronosd_escrow_wal_append_failures_total Ledger records the WAL failed to persist; nonzero means recovery after a restart would resurrect spent budget.")
-		fmt.Fprintln(w, "# TYPE chronosd_escrow_wal_append_failures_total counter")
-		fmt.Fprintf(w, "chronosd_escrow_wal_append_failures_total %d\n", walFails)
-	}
-
-	fmt.Fprintln(w, "# HELP chronosd_replays_total Streaming replays started over /v1/replay.")
-	fmt.Fprintln(w, "# TYPE chronosd_replays_total counter")
-	fmt.Fprintf(w, "chronosd_replays_total %d\n", m.replaysStarted.Value())
-	fmt.Fprintln(w, "# HELP chronosd_replays_active Replay streams currently open.")
-	fmt.Fprintln(w, "# TYPE chronosd_replays_active gauge")
-	fmt.Fprintf(w, "chronosd_replays_active %d\n", m.replaysActive.Load())
-	fmt.Fprintln(w, "# HELP chronosd_replay_jobs_total Jobs replayed to completion over /v1/replay.")
-	fmt.Fprintln(w, "# TYPE chronosd_replay_jobs_total counter")
-	fmt.Fprintf(w, "chronosd_replay_jobs_total %d\n", m.replayJobs.Value())
-	fmt.Fprintln(w, "# HELP chronosd_replay_events_total NDJSON events emitted over /v1/replay.")
-	fmt.Fprintln(w, "# TYPE chronosd_replay_events_total counter")
-	fmt.Fprintf(w, "chronosd_replay_events_total %d\n", m.replayEvents.Value())
-
-	fmt.Fprintln(w, "# HELP chronosd_ring_nodes Replicas in the consistent-hash ring (0 = sharding off).")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_nodes gauge")
-	nodes := 0
-	if rs != nil {
-		nodes = rs.ring.Len()
-	}
-	fmt.Fprintf(w, "chronosd_ring_nodes %d\n", nodes)
-	if rs != nil {
-		fmt.Fprintln(w, "# HELP chronosd_ring_owned_fraction Fraction of the plan keyspace this replica owns.")
-		fmt.Fprintln(w, "# TYPE chronosd_ring_owned_fraction gauge")
-		fmt.Fprintf(w, "chronosd_ring_owned_fraction %g\n", rs.ring.OwnedFraction(rs.self))
-	}
-	fmt.Fprintln(w, "# HELP chronosd_ring_forwarded_total Requests proxied to the owning replica, by peer.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_forwarded_total counter")
-	m.ringForwards.write(w, "chronosd_ring_forwarded_total{", "peer")
-	fmt.Fprintln(w, "# HELP chronosd_ring_peer_errors_total Failed forward attempts, by peer.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_peer_errors_total counter")
-	m.ringErrors.write(w, "chronosd_ring_peer_errors_total{", "peer")
-	fmt.Fprintln(w, "# HELP chronosd_ring_local_fallbacks_total Non-owned keys computed locally because the owner was unreachable.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_local_fallbacks_total counter")
-	fmt.Fprintf(w, "chronosd_ring_local_fallbacks_total %d\n", m.ringLocalFallbacks.Value())
-	fmt.Fprintln(w, "# HELP chronosd_ring_received_forwards_total Requests served under the single-hop forwarding guard.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_received_forwards_total counter")
-	fmt.Fprintf(w, "chronosd_ring_received_forwards_total %d\n", m.ringReceivedForwards.Value())
-	fmt.Fprintln(w, "# HELP chronosd_ring_heartbeat_failures_total Failed liveness probes, by configured member.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_heartbeat_failures_total counter")
-	m.ringHeartbeatFails.write(w, "chronosd_ring_heartbeat_failures_total{", "peer")
-	fmt.Fprintln(w, "# HELP chronosd_ring_evictions_total Members evicted from this replica's effective ring by the health monitor.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_evictions_total counter")
-	fmt.Fprintf(w, "chronosd_ring_evictions_total %d\n", m.ringEvictions.Value())
-	fmt.Fprintln(w, "# HELP chronosd_ring_readmits_total Suspected members re-admitted after recovery.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_readmits_total counter")
-	fmt.Fprintf(w, "chronosd_ring_readmits_total %d\n", m.ringReadmits.Value())
-	fmt.Fprintln(w, "# HELP chronosd_ring_replica_reads_total Plan-keyed requests answered from a replica copy while the owner was unreachable.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_replica_reads_total counter")
-	fmt.Fprintf(w, "chronosd_ring_replica_reads_total %d\n", m.ringReplicaReads.Value())
-	fmt.Fprintln(w, "# HELP chronosd_ring_handoff_entries_total Cache entries streamed to their new owners on membership changes.")
-	fmt.Fprintln(w, "# TYPE chronosd_ring_handoff_entries_total counter")
-	fmt.Fprintf(w, "chronosd_ring_handoff_entries_total %d\n", m.ringHandoffEntries.Value())
-
-	fmt.Fprintln(w, "# HELP chronosd_response_encode_failures_total Responses whose JSON encoding failed (answered as HTTP 500).")
-	fmt.Fprintln(w, "# TYPE chronosd_response_encode_failures_total counter")
-	fmt.Fprintf(w, "chronosd_response_encode_failures_total %d\n", m.encodeFailures.Value())
-
-	fmt.Fprintln(w, "# HELP chronosd_uptime_seconds Seconds since the server started.")
-	fmt.Fprintln(w, "# TYPE chronosd_uptime_seconds gauge")
-	fmt.Fprintf(w, "chronosd_uptime_seconds %g\n", time.Since(m.start).Seconds())
 }

@@ -2,12 +2,18 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	"chronos"
 	"chronos/internal/obs"
+	"chronos/internal/plankey"
 	"chronos/internal/tenant"
 )
 
@@ -84,4 +90,77 @@ func TestMetricsGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("/metrics has %d lines, golden has %d", len(gotLines), len(wantLines))
+}
+
+// TestMetricCatalog holds the series table to being a catalog: every family
+// says what it means and names what exercises it — a Test function that
+// exists in this package, or bench:<metric> for a metric BENCHMARK.json
+// declares. A family nothing checks has to gain a test or go.
+func TestMetricCatalog(t *testing.T) {
+	tests := map[string]bool{}
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`(?m)^func (Test\w+)\(`).FindAllSubmatch(src, -1) {
+			tests[string(m[1])] = true
+		}
+	}
+	raw, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decl struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &decl); err != nil {
+		t.Fatal(err)
+	}
+	benchMetrics := map[string]bool{}
+	for _, m := range append(decl.EndToEnd, decl.PerLayer...) {
+		benchMetrics[m.Name] = true
+	}
+
+	seen := map[string]bool{}
+	for _, f := range newServerMetrics().catalog() {
+		if !strings.HasPrefix(f.name, "chronosd_") || seen[f.name] {
+			t.Errorf("%s: family names are unique and start with chronosd_", f.name)
+		}
+		seen[f.name] = true
+		if f.help == "" {
+			t.Errorf("%s: no help text", f.name)
+		}
+		if metric, ok := strings.CutPrefix(f.checkedBy, "bench:"); ok {
+			if !benchMetrics[metric] {
+				t.Errorf("%s: checkedBy names bench metric %q, which BENCHMARK.json does not declare", f.name, metric)
+			}
+		} else if !tests[f.checkedBy] {
+			t.Errorf("%s: checkedBy %q is neither a Test function in this package nor bench:<metric>", f.name, f.checkedBy)
+		}
+	}
+}
+
+// TestEncodeFailureIsCounted500: a plan the codec cannot encode (a NaN, as a
+// corrupted cache dump could carry) is answered as a counted, static 500 —
+// never a truncated 200.
+func TestEncodeFailureIsCounted500(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.cache.put(plankey.Key("", testJob(), testEcon()),
+		chronos.Plan{Strategy: chronos.Clone, R: 1, Utility: math.NaN()})
+	resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", resp.StatusCode)
+	}
+	if got := decodeBody[errorResponse](t, resp); got.Code != codeInternal {
+		t.Errorf("error code = %q, want %q", got.Code, codeInternal)
+	}
+	if got := metricValue(getMetricsText(t, ts.URL), "chronosd_response_encode_failures_total"); got != "1" {
+		t.Errorf("chronosd_response_encode_failures_total = %q, want 1", got)
+	}
 }

@@ -97,6 +97,12 @@ func TestReplayStreamsBeyondSimulateCap(t *testing.T) {
 	if s.metrics.replaysActive.Load() != 0 {
 		t.Fatal("active replays gauge not back to zero")
 	}
+	if got := s.metrics.replaysStarted.Value(); got != 1 {
+		t.Errorf("replays started metric = %d, want 1", got)
+	}
+	if got := s.metrics.replayEvents.Value(); got != uint64(len(events)) {
+		t.Errorf("replay events metric = %d, want the %d lines streamed", got, len(events))
+	}
 }
 
 // TestReplayServerSideGeneration exercises both generation sources.

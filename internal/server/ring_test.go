@@ -50,7 +50,7 @@ func fleetOwner(t *testing.T, servers []*Server, listeners []*httptest.Server, r
 	if !ok {
 		t.Fatalf("bad strategy %q", req.Strategy)
 	}
-	key := plankey.Key(cacheStrategyName(strat, best), req.Job, req.Econ)
+	key := plankey.Key((&cell{strat: strat, best: best}).name(), req.Job, req.Econ)
 	rs := servers[0].ringSt.Load()
 	owner, ok := rs.ring.Owner(key)
 	if !ok {
@@ -732,7 +732,7 @@ func TestForwardClientDisconnectDoesNotChargeBreaker(t *testing.T) {
 	}
 	req := reqOwnedBy(t, s, hanging.URL)
 	strat, best, _ := keyStrategy(req.Strategy)
-	key := plankey.Key(cacheStrategyName(strat, best), req.Job, req.Econ)
+	key := plankey.Key((&cell{strat: strat, best: best}).name(), req.Job, req.Econ)
 
 	hreq := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
 	ctx, cancel := context.WithCancel(hreq.Context())

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -45,8 +46,7 @@ func (w *reuseRW) Header() http.Header         { return w.h }
 func (w *reuseRW) WriteHeader(code int)        { w.code = code }
 func (w *reuseRW) Write(p []byte) (int, error) { return len(p), nil }
 
-// zeroAllocRequest builds the reusable request/writer pair for one handler
-// (shared with the direct-handler benchmarks in bench_test.go).
+// zeroAllocRequest builds the reusable request/writer pair for one handler.
 func zeroAllocRequest(t testing.TB, path string, payload any) (*rewindBody, *http.Request, *reuseRW) {
 	t.Helper()
 	raw, err := json.Marshal(payload)
@@ -105,5 +105,101 @@ func TestAdmitHandlerCachedZeroAlloc(t *testing.T) {
 	assertZeroAlloc(t, "handleAdmit", body, w, func() { s.handleAdmit(w, req) })
 	if hits, _, _ := s.CacheStats(); hits == 0 {
 		t.Fatal("measured requests never hit the plan cache")
+	}
+}
+
+// TestPlanHandlerColdAllocs pins the miss path at exactly 5 allocations per
+// /v1/plan: the key string, the singleflight call and its channel, and the
+// cache entry with its LRU element. Every request carries a distinct deadline
+// from a grid four times the cache, so each one runs the full three-strategy
+// solve and evicts an entry that will not come around again in time.
+func TestPlanHandlerColdAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates and defeats sync.Pool; alloc counts only hold without -race")
+	}
+	s := New(Config{CacheCapacity: 64})
+	const grid = 256
+	bodies := make([]*rewindBody, grid)
+	reqs := make([]*http.Request, grid)
+	var w *reuseRW
+	for i := range bodies {
+		job := testJob()
+		job.Deadline = 100 + float64(i)*0.25
+		bodies[i], reqs[i], w = zeroAllocRequest(t, "/v1/plan", planRequest{Job: job, Econ: testEcon()})
+	}
+	i := 0
+	serve := func() {
+		bodies[i%grid].off = 0
+		s.handlePlan(w, reqs[i%grid])
+		i++
+	}
+	for i < grid { // one lap: pool priming, header-map entries, shard maps at size
+		serve()
+	}
+	allocs := testing.AllocsPerRun(2*grid, serve)
+	if w.code != http.StatusOK {
+		t.Fatalf("status = %d, want 200", w.code)
+	}
+	if _, misses, _ := s.CacheStats(); misses < uint64(i) {
+		t.Fatalf("only %d cache misses over %d requests", misses, i)
+	}
+	if allocs != 5 {
+		t.Errorf("%g allocs per cold plan, want exactly 5", allocs)
+	}
+}
+
+// TestServingStackAllocCeilings holds the three admission rows the retired
+// BENCH_N pipeline tracked to the allocation counts it last recorded. Unlike
+// the pins above these cross the full stack — routing, middleware, trace,
+// a fresh httptest request and recorder per call — so the figures are
+// ceilings, not exact pins: a Go release may move net/http's share.
+func TestServingStackAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates and defeats sync.Pool; alloc counts only hold without -race")
+	}
+	deep := func() *tenant.Registry { return testRegistry(t, "bench", 1e18) }
+	store, err := tenant.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	batch := make([]admitBatchJob, 16)
+	for i := range batch {
+		batch[i].Job = testJob()
+		batch[i].Job.Tasks = 5 + i
+	}
+	admit := admitRequest{Tenant: "bench", Job: testJob(), Econ: testEcon()}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		path    string
+		payload any
+		ceiling float64
+	}{
+		{"admit batch of 16", Config{Tenants: deep()}, "/v1/admit/batch",
+			admitBatchRequest{Tenant: "bench", Jobs: batch, Econ: testEcon()}, 177},
+		{"escrowed admit", Config{Tenants: deep(), Escrow: true}, "/v1/admit", admit, 29},
+		{"escrowed admit with WAL", Config{Tenants: deep(), Escrow: true, Store: store}, "/v1/admit", admit, 31},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(tc.cfg)
+			defer s.Close()
+			h := s.Handler()
+			raw, err := json.Marshal(tc.payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serve := func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(raw)))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+				}
+			}
+			serve() // warm the plan cache
+			if allocs := testing.AllocsPerRun(200, serve); allocs > tc.ceiling {
+				t.Errorf("%g allocs per request, ceiling %g", allocs, tc.ceiling)
+			}
+		})
 	}
 }
