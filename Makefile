@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test bench bench-test cover ring-demo loc ci
+.PHONY: all fmt vet build test pins bench bench-test cover ring-demo loc ci
 
 all: build
 
@@ -19,6 +19,9 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+pins: ## the allocation pins, which skip themselves under -race and so never run in test/cover
+	$(GO) test -run 'Alloc' ./...
 
 bench: ## one-iteration benchmark smoke run (the CI bench-smoke job)
 	@$(GO) test -bench=. -benchtime=1x -run='^$$' ./... > bench.txt 2>&1; \
@@ -41,5 +44,5 @@ ring-demo: ## 3-replica consistent-hash ring smoke: plan via A, cache hit via B
 	./scripts/ring-demo.sh
 
 # cover subsumes test (its single -race run is both gates), so ci does not
-# execute the suite twice.
-ci: fmt vet build cover bench bench-test ring-demo
+# execute the suite twice; pins reruns only the tests that run skipped.
+ci: fmt vet build cover pins bench bench-test ring-demo

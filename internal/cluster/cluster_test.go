@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"chronos/internal/race"
 	"chronos/internal/sim"
 )
 
@@ -280,4 +281,50 @@ func TestContentionAppliedAtAllocate(t *testing.T) {
 	if ctr.Slowdown <= 1 {
 		t.Errorf("Slowdown = %v, want > 1 under P=1 contention", ctr.Slowdown)
 	}
+}
+
+// TestAllocateReleaseZeroAlloc pins the grant path: containers are pooled and
+// the waiter queue is a ring, so neither a grant and release nor a request
+// that queues, is cancelled and is served allocates once warm.
+func TestAllocateReleaseZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
+	}
+	_, c := newTestCluster(t, 256, 8)
+	var held []*Container
+	for i := 0; i < 2047; i++ { // leave one slot free
+		ctr, err := c.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, ctr)
+	}
+	var w pooledWaiter
+	w.c = c
+	allocs := testing.AllocsPerRun(2000, func() {
+		ctr, err := c.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.RequestFor(&w)           // full: queues
+		c.Cancel(c.RequestFor(&w)) // queues, then withdrawn
+		c.Release(ctr)             // serves the first, which releases; then the dead one
+	})
+	if allocs != 0 {
+		t.Errorf("%g allocs per allocate/request/release round, want 0", allocs)
+	}
+	if w.grants == 0 || c.QueueLength() != 0 || c.InUse() != len(held) {
+		t.Errorf("rounds did not drain: %d grants, queue %d, in use %d", w.grants, c.QueueLength(), c.InUse())
+	}
+}
+
+// pooledWaiter releases whatever it is granted.
+type pooledWaiter struct {
+	c      *Cluster
+	grants int
+}
+
+func (w *pooledWaiter) Granted(ctr *Container) {
+	w.grants++
+	w.c.Release(ctr)
 }

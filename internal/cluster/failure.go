@@ -19,7 +19,15 @@ func (c *Cluster) RecoverNode(id int) error {
 		return nil
 	}
 	n.failed = false
-	n.used = len(n.live)
+	// Containers revoked while the node was down did not give their slots
+	// back (Release skips a failed node); what is still held is the load.
+	c.inUse += n.live - n.used
+	n.used = n.live
+	c.capacity += n.slots
+	c.free += n.slots - n.used
+	if n.used < n.slots {
+		c.setLevel(n, true)
+	}
 	c.dispatch()
 	return nil
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"chronos/internal/sim"
@@ -100,18 +101,47 @@ func TestFailureInjectorFailsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestFailureInjectorDeterministic runs the injector over a cluster whose
+// slots are all held, by holders that on revocation release and ask again:
+// the order holders are revoked in decides who gets the next free slot, so it
+// has to be the same from run to run (it is grant order; it used to be the
+// iteration order of a map).
 func TestFailureInjectorDeterministic(t *testing.T) {
-	run := func() uint64 {
+	run := func() (uint64, []int) {
 		eng := sim.NewEngine()
-		c, err := New(eng, Config{Nodes: 4, SlotsPerNode: 1})
+		c, err := New(eng, Config{Nodes: 4, SlotsPerNode: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var revoked []int
+		var hold func(id int)
+		hold = func(id int) {
+			c.Request(func(ctr *Container) {
+				ctr.SetRevokeHandler(func() {
+					revoked = append(revoked, id, ctr.Node.ID)
+					c.Release(ctr)
+					hold(id)
+				})
+			})
+		}
+		for id := 0; id < 16; id++ { // 12 slots: four holders start queued
+			hold(id)
+		}
 		FailureInjector{MTBF: 50, MTTR: 10, Horizon: 1000, Seed: 7}.Install(eng, c)
 		eng.Run()
-		return eng.Processed()
+		return eng.Processed(), revoked
 	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("injector not deterministic: %d vs %d events", a, b)
+	events, revoked := run()
+	if len(revoked) == 0 {
+		t.Fatal("no container was ever revoked")
+	}
+	for i := 0; i < 4; i++ {
+		e, r := run()
+		if e != events {
+			t.Fatalf("injector not deterministic: %d vs %d events", e, events)
+		}
+		if !slices.Equal(r, revoked) {
+			t.Fatalf("run %d revoked %d (holder, node) pairs in a different order than the first", i+2, len(r)/2)
+		}
 	}
 }

@@ -75,8 +75,36 @@ type Attempt struct {
 	// EndTime is when the attempt finished, was killed, or failed.
 	EndTime float64
 
+	ctl         *Controller
 	container   *cluster.Container
-	finishTimer *sim.Timer
+	finishTimer sim.Timer
+	// ticket cancels the container request while the attempt is queued.
+	ticket cluster.Ticket
+}
+
+// attemptHooks is an Attempt as the engine and the cluster call it back: the
+// target of its finish event, of its container grant and of its container's
+// revocation. Converting the pointer costs nothing, where a closure per
+// callback cost three heap objects per attempt; the named type keeps the
+// three methods out of Attempt's own method set.
+type attemptHooks Attempt
+
+// Fire implements sim.Handler: the attempt processed its last byte.
+func (h *attemptHooks) Fire() {
+	a := (*Attempt)(h)
+	a.ctl.rt.finishAttempt(a)
+}
+
+// Granted implements cluster.Waiter.
+func (h *attemptHooks) Granted(ctr *cluster.Container) {
+	a := (*Attempt)(h)
+	a.ctl.rt.startAttempt(a, ctr)
+}
+
+// Revoked implements cluster.Revoker: the node under the attempt failed.
+func (h *attemptHooks) Revoked() {
+	a := (*Attempt)(h)
+	a.ctl.rt.attemptLost(a)
 }
 
 // JVMReady returns tFP, the instant the attempt starts processing data and

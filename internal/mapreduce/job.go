@@ -250,15 +250,15 @@ func (t *Task) Running() []*Attempt {
 	return out
 }
 
-// Active returns attempts that are queued or running.
-func (t *Task) Active() []*Attempt {
-	var out []*Attempt
+// NumActive counts the attempts that are queued or running.
+func (t *Task) NumActive() int {
+	n := 0
 	for _, a := range t.Attempts {
 		if a.State == AttemptQueued || a.State == AttemptRunning {
-			out = append(out, a)
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // BestRunning returns the running attempt with the smallest estimated
@@ -267,7 +267,10 @@ func (t *Task) Active() []*Attempt {
 func (t *Task) BestRunning(now float64, est Estimator) *Attempt {
 	var best *Attempt
 	bestEst := 0.0
-	for _, a := range t.Running() {
+	for _, a := range t.Attempts {
+		if a.State != AttemptRunning {
+			continue
+		}
 		e := est(a, now)
 		if best == nil || e < bestEst {
 			best, bestEst = a, e

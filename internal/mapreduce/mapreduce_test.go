@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"chronos/internal/cluster"
@@ -618,6 +619,92 @@ func TestAttemptStateString(t *testing.T) {
 	for s, want := range states {
 		if got := s.String(); got != want {
 			t.Errorf("state %d String() = %q, want %q", s, got, want)
+		}
+	}
+}
+
+// lateControl launches every task and leaves a control point far past the
+// job's end, as the Chronos strategies' tauKill is for a job that finishes
+// early.
+type lateControl struct {
+	at  float64
+	ran *int
+}
+
+func (lateControl) Name() string { return "late-control" }
+
+func (s lateControl) Start(ctl *Controller) {
+	tasks := ctl.Job().Tasks
+	for _, t := range tasks {
+		ctl.Launch(t, 0)
+	}
+	ctl.AtJobTime(s.at, func() {
+		*s.ran++
+		for _, t := range tasks {
+			for _, a := range t.Attempts {
+				ctl.Kill(a)
+			}
+		}
+	})
+}
+
+// TestDiscardJobsRecyclesSettledJobs covers what DiscardJobs now means: a
+// settled job's tasks and attempts go back to the runtime and serve the next
+// job, and the settled job's own late control point — whose closure still
+// holds those tasks — no longer runs, so it cannot kill the next job's
+// attempts. Without DiscardJobs nothing is recycled and the control point
+// runs (to no effect), as before.
+func TestDiscardJobsRecyclesSettledJobs(t *testing.T) {
+	for _, discard := range []bool{true, false} {
+		eng, _, rt := newHarness(t, Config{Seed: 4, DiscardJobs: discard})
+		settled := 0
+		rt.OnJobSettled = func(*Job) { settled++ }
+
+		ran := 0
+		first, err := rt.Submit(testSpec(), lateControl{at: 5000, ran: &ran})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(4000)
+		if settled != 1 {
+			t.Fatalf("discard=%v: first job not settled by t=4000", discard)
+		}
+		firstTasks := slices.Clone(first.Tasks)
+
+		// The second job is still running when the first one's control
+		// point comes due at t=5000.
+		spec := testSpec()
+		spec.ID, spec.Arrival = 2, 4995
+		second, err := rt.Submit(spec, plainStrategy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused := 0
+		for _, task := range second.Tasks {
+			if slices.Contains(firstTasks, task) {
+				reused++
+			}
+		}
+		eng.Run()
+
+		if discard {
+			if reused != len(second.Tasks) || first.Tasks != nil {
+				t.Errorf("discard: %d of %d tasks reused, first.Tasks = %v; want all reused and nil", reused, len(second.Tasks), first.Tasks)
+			}
+			if ran != 0 {
+				t.Errorf("discard: the settled job's control point ran %d times over recycled tasks", ran)
+			}
+		} else if reused != 0 || first.Tasks == nil || ran != 1 {
+			t.Errorf("keep: %d tasks reused, first.Tasks = %v, control point ran %d times; want 0, kept, 1", reused, first.Tasks, ran)
+		}
+		if settled != 2 || !second.MetDeadline() {
+			t.Errorf("discard=%v: second job settled=%v met=%v finish=%v; its attempts were disturbed",
+				discard, settled == 2, second.MetDeadline(), second.FinishTime)
+		}
+		for _, task := range second.Tasks {
+			if len(task.Attempts) != 1 || task.Attempts[0].State != AttemptFinished {
+				t.Errorf("discard=%v: second job's task %d has attempts %v, want one that finished", discard, task.ID, task.Attempts)
+			}
 		}
 	}
 }

@@ -35,11 +35,23 @@ type Config struct {
 	// paper attributes to limited observation at small tauEst.
 	ReportNoise float64
 	// DiscardJobs, when set, stops the runtime from retaining submitted
-	// jobs in Jobs(): the caller owns each *Job's lifetime. The streaming
-	// replay engine sets this so that memory stays proportional to the
-	// in-flight job count instead of the whole trace.
+	// jobs in Jobs(): the caller owns each *Job's lifetime, and that
+	// lifetime ends when OnJobSettled returns — the runtime then takes the
+	// job's tasks and attempts back for later jobs (Job.Tasks becomes nil;
+	// the Job's own fields stay readable). The streaming replay engine sets
+	// this so that memory stays proportional to the in-flight job count
+	// instead of the whole trace.
 	DiscardJobs bool
 }
+
+// attemptChunk is how many attempts the runtime allocates at a time, and
+// taskAttempts how many a fresh task has room for before its Attempts slice
+// has to grow: an original and the three extra copies the strategies rarely
+// exceed.
+const (
+	attemptChunk = 128
+	taskAttempts = 4
+)
 
 // Runtime is the application-master-style execution core: it owns jobs,
 // launches attempts on cluster containers, tracks completions and machine
@@ -52,6 +64,14 @@ type Runtime struct {
 
 	cfg  Config
 	jobs []*Job
+	// freeTasks and freeAttempts are the runtime's pools. They are filled a
+	// slab at a time and, under DiscardJobs, refilled by reclaim with the
+	// objects of settled jobs; a recycled task keeps its Attempts capacity.
+	freeTasks    []*Task
+	freeAttempts []*Attempt
+	// reclaimable lists the settled jobs whose objects reclaim has yet to
+	// take back.
+	reclaimable []*Job
 	// OnJobDone, if set, is invoked when a job's last task completes.
 	OnJobDone func(*Job)
 	// OnJobSettled, if set, is invoked once per job when its accounting
@@ -81,13 +101,26 @@ func (rt *Runtime) Submit(spec JobSpec, strat Strategy) (*Job, error) {
 	if strat == nil {
 		return nil, fmt.Errorf("mapreduce: job %d submitted without a strategy", spec.ID)
 	}
+	rt.reclaim()
 	job := &Job{Spec: spec, strategy: strat, rt: rt, ChosenR: -1, ChosenReduceR: -1}
-	job.Tasks = make([]*Task, 0, spec.NumTasks+spec.Reduce.NumTasks)
-	for i := 0; i < spec.NumTasks; i++ {
-		job.Tasks = append(job.Tasks, &Task{Job: job, ID: i, Stage: StageMap})
+	n := spec.NumTasks + spec.Reduce.NumTasks
+	if short := n - len(rt.freeTasks); short > 0 {
+		slab := make([]Task, short)
+		room := make([]*Attempt, short*taskAttempts)
+		for i := range slab {
+			slab[i].Attempts = room[i*taskAttempts : i*taskAttempts : (i+1)*taskAttempts]
+			rt.freeTasks = append(rt.freeTasks, &slab[i])
+		}
 	}
-	for i := 0; i < spec.Reduce.NumTasks; i++ {
-		job.Tasks = append(job.Tasks, &Task{Job: job, ID: spec.NumTasks + i, Stage: StageReduce})
+	job.Tasks = make([]*Task, n)
+	copy(job.Tasks, rt.freeTasks[len(rt.freeTasks)-n:])
+	rt.freeTasks = rt.freeTasks[:len(rt.freeTasks)-n]
+	for i, t := range job.Tasks {
+		stage := StageMap
+		if i >= spec.NumTasks {
+			stage = StageReduce
+		}
+		*t = Task{Job: job, ID: i, Stage: stage, Attempts: t.Attempts[:0]}
 	}
 	if !rt.cfg.DiscardJobs {
 		rt.jobs = append(rt.jobs, job)
@@ -95,6 +128,25 @@ func (rt *Runtime) Submit(spec JobSpec, strat Strategy) (*Job, error) {
 	ctl := &Controller{rt: rt, job: job}
 	rt.Eng.Schedule(spec.Arrival, func() { strat.Start(ctl) })
 	return job, nil
+}
+
+// reclaim returns the tasks and attempts of settled jobs to the pools. It
+// runs at the next Submit rather than at settlement because settlement
+// happens inside a handler — a strategy's kill loop, a finish event — that
+// may still be walking the job's tasks. Nothing reaches them afterwards: a
+// settled job has no live attempt, so no finish event, queued request or
+// held container names one, and Controller stops the job's remaining control
+// points.
+func (rt *Runtime) reclaim() {
+	for i, job := range rt.reclaimable {
+		for _, t := range job.Tasks {
+			rt.freeAttempts = append(rt.freeAttempts, t.Attempts...)
+		}
+		rt.freeTasks = append(rt.freeTasks, job.Tasks...)
+		job.Tasks = nil
+		rt.reclaimable[i] = nil
+	}
+	rt.reclaimable = rt.reclaimable[:0]
 }
 
 // launch creates an attempt for the task starting at startFrac of the split
@@ -107,33 +159,38 @@ func (rt *Runtime) launch(ctl *Controller, t *Task, startFrac float64) *Attempt 
 		panic(fmt.Sprintf("mapreduce: job %d launched reduce task %d before map completion",
 			t.Job.Spec.ID, t.ID))
 	}
-	a := &Attempt{
+	if len(rt.freeAttempts) == 0 {
+		slab := make([]Attempt, attemptChunk)
+		for i := range slab {
+			rt.freeAttempts = append(rt.freeAttempts, &slab[i])
+		}
+	}
+	a := rt.freeAttempts[len(rt.freeAttempts)-1]
+	rt.freeAttempts = rt.freeAttempts[:len(rt.freeAttempts)-1]
+	*a = Attempt{
 		Task:        t,
 		Index:       t.nextAttempt,
 		State:       AttemptQueued,
 		RequestTime: rt.Eng.Now(),
 		StartFrac:   startFrac,
+		ctl:         ctl,
 	}
 	t.nextAttempt++
 	t.Attempts = append(t.Attempts, a)
 	t.Job.liveAttempts++
 
-	rt.Cluster.Request(func(ctr *cluster.Container) {
-		if a.State != AttemptQueued {
-			// Killed while waiting; hand the container straight back.
-			rt.Cluster.Release(ctr)
-			return
-		}
-		rt.startAttempt(ctl, a, ctr)
-	})
+	// Granted at once, the attempt is already running when RequestFor
+	// returns (with no ticket); otherwise it waits, and kill cancels the
+	// request.
+	a.ticket = rt.Cluster.RequestFor((*attemptHooks)(a))
 	return a
 }
 
 // startAttempt binds a granted container to the attempt, samples its
 // execution characteristics, and schedules its completion.
-func (rt *Runtime) startAttempt(ctl *Controller, a *Attempt, ctr *cluster.Container) {
-	spec := a.Task.Job.Spec
-	stream := pareto.NewStream(rt.cfg.Seed,
+func (rt *Runtime) startAttempt(a *Attempt, ctr *cluster.Container) {
+	spec := &a.Task.Job.Spec
+	stream := pareto.MakeStream(rt.cfg.Seed,
 		uint64(spec.ID), uint64(a.Task.ID), uint64(a.Index))
 
 	dist := spec.Dist
@@ -142,18 +199,19 @@ func (rt *Runtime) startAttempt(ctl *Controller, a *Attempt, ctr *cluster.Contai
 	}
 	a.State = AttemptRunning
 	a.LaunchTime = rt.Eng.Now()
-	a.JVMDelay = spec.JVM.Sample(stream)
-	a.Intrinsic = dist.Sample(stream)
+	a.JVMDelay = spec.JVM.Sample(&stream)
+	a.Intrinsic = dist.FromUniform(stream.Float64())
 	a.Slowdown = ctr.Slowdown
 	a.container = ctr
 
-	ctr.SetRevokeHandler(func() { rt.attemptLost(ctl, a) })
-	a.finishTimer = rt.Eng.Schedule(a.FinishTime(), func() { rt.finishAttempt(ctl, a) })
+	ctr.SetRevoker((*attemptHooks)(a))
+	a.finishTimer = rt.Eng.ScheduleHandler(a.FinishTime(), (*attemptHooks)(a))
 }
 
 // finishAttempt completes an attempt and, if it is the task's first
 // completion, the task (and possibly the job).
-func (rt *Runtime) finishAttempt(ctl *Controller, a *Attempt) {
+func (rt *Runtime) finishAttempt(a *Attempt) {
+	ctl := a.ctl
 	now := rt.Eng.Now()
 	a.State = AttemptFinished
 	a.EndTime = now
@@ -209,6 +267,7 @@ func (rt *Runtime) kill(a *Attempt) bool {
 	case AttemptQueued:
 		a.State = AttemptKilled
 		a.EndTime = rt.Eng.Now()
+		rt.Cluster.Cancel(a.ticket)
 	case AttemptRunning:
 		a.State = AttemptKilled
 		a.EndTime = rt.Eng.Now()
@@ -223,10 +282,11 @@ func (rt *Runtime) kill(a *Attempt) bool {
 }
 
 // attemptLost handles a node failure under a running attempt.
-func (rt *Runtime) attemptLost(ctl *Controller, a *Attempt) {
+func (rt *Runtime) attemptLost(a *Attempt) {
 	if a.State != AttemptRunning {
 		return
 	}
+	ctl := a.ctl
 	a.State = AttemptFailed
 	a.EndTime = rt.Eng.Now()
 	a.finishTimer.Cancel()
@@ -247,6 +307,9 @@ func (rt *Runtime) maybeSettle(job *Job) {
 	job.settled = true
 	if rt.OnJobSettled != nil {
 		rt.OnJobSettled(job)
+	}
+	if rt.cfg.DiscardJobs {
+		rt.reclaimable = append(rt.reclaimable, job)
 	}
 }
 

@@ -48,18 +48,35 @@ func (c *Controller) Launch(t *Task, startFrac float64) *Attempt {
 func (c *Controller) Kill(a *Attempt) bool { return c.rt.kill(a) }
 
 // After schedules fn delay seconds from now; the timer is cancellable.
-func (c *Controller) After(delay float64, fn func()) *sim.Timer {
-	return c.rt.Eng.After(delay, fn)
+func (c *Controller) After(delay float64, fn func()) sim.Timer {
+	return c.rt.Eng.After(delay, c.whileOpen(fn))
+}
+
+// whileOpen makes a control point of a job whose objects the runtime takes
+// back at settlement (Config.DiscardJobs) do nothing once the job has
+// settled: by then every task is done and no attempt is live, so there is
+// nothing left for a strategy to decide, and the tasks its closure captured
+// may already belong to another job. The event still fires, so the engine's
+// clock and event count do not depend on it.
+func (c *Controller) whileOpen(fn func()) func() {
+	if !c.rt.cfg.DiscardJobs {
+		return fn
+	}
+	return func() {
+		if !c.job.settled {
+			fn()
+		}
+	}
 }
 
 // AtJobTime schedules fn at the job-relative instant rel (seconds after
 // arrival). If that instant has passed, fn runs at the current time.
-func (c *Controller) AtJobTime(rel float64, fn func()) *sim.Timer {
+func (c *Controller) AtJobTime(rel float64, fn func()) sim.Timer {
 	at := c.job.Spec.Arrival + rel
 	if at < c.rt.Eng.Now() {
 		at = c.rt.Eng.Now()
 	}
-	return c.rt.Eng.Schedule(at, fn)
+	return c.rt.Eng.Schedule(at, c.whileOpen(fn))
 }
 
 // OnTaskDone registers a hook invoked whenever one of the job's tasks

@@ -119,8 +119,13 @@ func (d Dist) Variance() float64 {
 
 // Sample draws one variate using inverse-transform sampling.
 func (d Dist) Sample(rng *rand.Rand) float64 {
-	// 1-Float64() is in (0, 1], avoiding a division by zero.
-	u := 1 - rng.Float64()
+	return d.FromUniform(rng.Float64())
+}
+
+// FromUniform maps a uniform draw f in [0, 1) to a variate.
+func (d Dist) FromUniform(f float64) float64 {
+	// 1-f is in (0, 1], avoiding a division by zero.
+	u := 1 - f
 	return d.TMin / math.Pow(u, 1/d.Beta)
 }
 

@@ -368,6 +368,24 @@ func TestNewStreamIndependence(t *testing.T) {
 	}
 }
 
+// TestStreamMatchesNewStream pins the value Stream to the *rand.Rand it
+// stands in for: same keys, same draws, to the bit.
+func TestStreamMatchesNewStream(t *testing.T) {
+	d := MustNew(10, 1.5)
+	for _, keys := range [][]uint64{nil, {0}, {3, 1, 4}, {1 << 63, 0, 0, 7}} {
+		ref := NewStream(99, keys...)
+		s := MakeStream(99, keys...)
+		for i := 0; i < 50; i++ {
+			if got, want := s.Float64(), ref.Float64(); got != want {
+				t.Fatalf("keys %v draw %d: Stream %v, NewStream %v", keys, i, got, want)
+			}
+		}
+		if got, want := d.FromUniform(s.Float64()), d.Sample(ref); got != want {
+			t.Fatalf("keys %v: FromUniform %v, Sample %v", keys, got, want)
+		}
+	}
+}
+
 func TestSurvivalMonotoneProperty(t *testing.T) {
 	d := MustNew(3, 1.7)
 	f := func(a, b float64) bool {

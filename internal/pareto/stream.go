@@ -30,6 +30,28 @@ func DeriveSeed(seed uint64, keys ...uint64) uint64 {
 // NewStream returns a deterministic PCG-backed *rand.Rand derived from seed
 // and keys via DeriveSeed.
 func NewStream(seed uint64, keys ...uint64) *rand.Rand {
+	s := MakeStream(seed, keys...)
+	return rand.New(&s.pcg)
+}
+
+// Stream is the stream NewStream returns, as a value: the same PCG seeded
+// the same way, so it yields the same draws, but it can live on the caller's
+// stack. The simulator samples every attempt from one, which NewStream's two
+// heap objects per stream made the most allocated thing in a replay.
+type Stream struct {
+	pcg rand.PCG
+}
+
+// MakeStream returns the Stream for seed and keys.
+func MakeStream(seed uint64, keys ...uint64) Stream {
 	s := DeriveSeed(seed, keys...)
-	return rand.New(rand.NewPCG(s, splitmix64(s)))
+	var st Stream
+	st.pcg.Seed(s, splitmix64(s))
+	return st
+}
+
+// Float64 returns the next draw in [0, 1), computed as (*rand.Rand).Float64
+// computes it.
+func (s *Stream) Float64() float64 {
+	return float64(s.pcg.Uint64()<<11>>11) / (1 << 53)
 }

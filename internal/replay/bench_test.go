@@ -2,38 +2,46 @@ package replay_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"chronos"
 )
 
 // BenchmarkReplayThroughput measures the streaming core end to end — lazy
-// submission, event emission, per-job settlement — and reports jobs/sec,
-// the capacity number that bounds how far /v1/replay streams can scale on
-// one instance. Runs in the CI bench-smoke job.
+// submission, event emission, per-job settlement — on the shape /v1/replay
+// serves in bench/'s replay_stream workload: a 500-job synthetic trace with
+// arrivals 200 s apart on the default 256x8 cluster, one sub-benchmark per
+// Chronos strategy. ns/task and
+// allocs/job are bench/'s speculate.task_ns.* and replay.allocs_per_job
+// units, so the artifact `make bench` archives reads against them.
 func BenchmarkReplayThroughput(b *testing.B) {
-	const jobs = 200
-	stream := make([]chronos.SimJob, jobs)
-	for i := range stream {
-		stream[i] = chronos.SimJob{
-			Tasks: 8, Deadline: 300, TMin: 10, Beta: 1.5,
-			Arrival: float64(i) * 5,
-		}
+	jobs, err := chronos.SyntheticTrace(chronos.TraceConfig{Jobs: 500, HorizonSeconds: 200 * 500, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
 	}
-	cfg := chronos.SimConfig{
-		Strategy: chronos.SpeculativeResume, Seed: 1,
-		Nodes: 64, SlotsPerNode: 8,
+	tasks := 0
+	for _, j := range jobs {
+		tasks += j.Tasks
 	}
 	obs := chronos.ReplayObserverFunc(func(*chronos.ReplayEvent) error { return nil })
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := chronos.Replay(context.Background(), cfg, stream,
-			chronos.ReplayOptions{WindowSeconds: 300, Observer: obs}); err != nil {
-			b.Fatal(err)
-		}
+	for _, s := range []chronos.Strategy{chronos.Clone, chronos.SpeculativeRestart, chronos.SpeculativeResume} {
+		b.Run(s.String(), func(b *testing.B) {
+			cfg := chronos.SimConfig{Strategy: s, Seed: 1}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := chronos.Replay(context.Background(), cfg, jobs,
+					chronos.ReplayOptions{Observer: obs}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tasks*b.N), "ns/task")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(len(jobs)*b.N), "allocs/job")
+			b.ReportMetric(float64(len(jobs)*b.N)/b.Elapsed().Seconds(), "jobs/sec")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/sec")
 }

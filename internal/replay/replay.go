@@ -135,9 +135,14 @@ func Run(ctx context.Context, rt *mapreduce.Runtime, jobs []Job, cfg Config, obs
 			}
 		}
 		steps++
-		next, ok := eng.NextAt()
-		if !ok {
-			break
+		// Only window boundaries need the next event's time before it runs;
+		// without them Step alone finds out whether there is an event.
+		next := 0.0
+		if windowW > 0 {
+			var ok bool
+			if next, ok = eng.NextAt(); !ok {
+				break
+			}
 		}
 		if windowW > 0 && windowW*float64(windowK) < next {
 			// Events at exactly a boundary belong to the window that the

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"chronos"
+	"chronos/internal/race"
 )
 
 func testJobs(n int) []chronos.SimJob {
@@ -288,5 +289,56 @@ func TestReduceStageEvents(t *testing.T) {
 	}
 	if done.Job.ReduceTasks != 3 || done.Job.ReduceR == nil {
 		t.Fatalf("reduce stage not reflected: %+v", done.Job)
+	}
+}
+
+// TestFailuresReproducible pins the node-failure bugfix: a failing node used
+// to revoke its containers in map-iteration order, so which lost attempt was
+// relaunched (and queued) first — and with it every machine time downstream —
+// changed from run to run of one seed.
+func TestFailuresReproducible(t *testing.T) {
+	jobs, err := chronos.SyntheticTrace(chronos.TraceConfig{Jobs: 60, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := chronos.SimConfig{
+		Strategy: chronos.SpeculativeRestart, Seed: 21,
+		Nodes: 32, SlotsPerNode: 8,
+		Failures: &chronos.FailureModel{MTBF: 3000, MTTR: 300},
+	}
+	first, _, _ := collect(t, cfg, jobs, 0)
+	for run := 2; run <= 5; run++ {
+		if again, _, _ := collect(t, cfg, jobs, 0); !bytes.Equal(first, again) {
+			t.Fatalf("run %d of the same seed produced a different event stream", run)
+		}
+	}
+}
+
+// TestReplayAllocsPerJob pins what the per-event rebuild bought: tasks,
+// attempts, events, containers and queued requests are all pooled, so a
+// replay allocates per job — the Job, its plan, its control points, its two
+// stream events — and no longer per attempt. On this trace a job averages
+// some 300 tasks; before the rebuild a replay cost 5,000 to 11,000
+// allocations per job.
+func TestReplayAllocsPerJob(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
+	}
+	jobs, err := chronos.SyntheticTrace(chronos.TraceConfig{Jobs: 200, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []chronos.Strategy{chronos.Clone, chronos.SpeculativeRestart, chronos.SpeculativeResume} {
+		cfg := chronos.SimConfig{Strategy: s, Seed: 3}
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := chronos.Replay(context.Background(), cfg, jobs, chronos.ReplayOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perJob := allocs / float64(len(jobs)); perJob > 100 {
+			t.Errorf("%v: %.0f allocs per job, want at most 100", s, perJob)
+		} else {
+			t.Logf("%v: %.0f allocs per job", s, perJob)
+		}
 	}
 }

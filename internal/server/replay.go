@@ -71,9 +71,10 @@ var errReplayBudget = errors.New("replay tenant budget exhausted")
 
 // handleReplay serves POST /v1/replay: an NDJSON stream of replay events
 // (job_planned, job_completed, window_summary, replay_summary — see the
-// internal/replay catalog), flushed as they happen. The request context is
-// checked between simulation events, so a disconnected client stops the
-// replay promptly instead of leaving it running to completion.
+// internal/replay catalog), flushed in batches (see ndjsonStream). The
+// request context is checked between simulation events, so a disconnected
+// client stops the replay promptly instead of leaving it running to
+// completion.
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	var req replayRequest
 	if !s.decode(w, r, &req) {
@@ -219,18 +220,29 @@ func validateReplayBounds(cfg Config, req replayRequest, jobs []chronos.SimJob) 
 
 // --- NDJSON plumbing ------------------------------------------------------
 
-// ndjsonStream writes one JSON event per line, flushing each so consumers
-// see events as they happen. The 200 header goes out with the first event.
-// Each write's encode+write+flush accumulates into the request trace's
-// replay_emit span, and the final replay_summary is stamped with the trace
-// ID so the streamed result correlates with the server-side logs.
+// replayFlushEvery is the longest the stream holds written events back while
+// more are being produced. A flush per line is a write(2) and a client
+// wake-up per event — an eighth of a stream's wall time when the simulator
+// emits thousands of events a second — and nothing reading a replay needs
+// finer than this.
+const replayFlushEvery = 5 * time.Millisecond
+
+// ndjsonStream writes one JSON event per line. The 200 header goes out with
+// the first event, which is flushed at once; after that a write flushes only
+// if replayFlushEvery has passed since the last flush, and the events that
+// end a stream (replay_summary, budget_exhausted, error) always flush; what
+// is written between flushes sits in net/http's 4 KiB buffer. Each write's
+// encode+write+flush accumulates into the request trace's replay_emit span,
+// and the final replay_summary is stamped with the trace ID so the streamed
+// result correlates with the server-side logs.
 type ndjsonStream struct {
-	w       http.ResponseWriter
-	rc      *http.ResponseController
-	m       *serverMetrics
-	tr      *obs.Trace
-	started bool
-	lastSeq uint64
+	w         http.ResponseWriter
+	rc        *http.ResponseController
+	m         *serverMetrics
+	tr        *obs.Trace
+	started   bool
+	lastSeq   uint64
+	lastFlush time.Time
 	// buf is the stream's reusable encode buffer: each event is encoded by
 	// the reflection-free hotjson codec into the previous event's capacity,
 	// so a million-event replay performs no per-event allocation.
@@ -264,6 +276,15 @@ func (st *ndjsonStream) write(ev *chronos.ReplayEvent) error {
 		return err
 	}
 	st.m.replayEmit(ev.Kind == chronos.EventJobCompleted)
+	switch ev.Kind {
+	case chronos.EventReplaySummary, chronos.EventBudgetExhausted, chronos.EventError:
+	default:
+		// lastFlush is zero before the first event, so that one flushes.
+		if emitStart.Sub(st.lastFlush) < replayFlushEvery {
+			return nil
+		}
+	}
+	st.lastFlush = emitStart
 	// Flush errors surface on the next Write; ErrNotSupported just means a
 	// buffering middleware will batch the stream.
 	_ = st.rc.Flush()

@@ -312,3 +312,92 @@ func TestSimulateHonorsContext(t *testing.T) {
 		t.Fatalf("cancelled simulate wrote a body: %q", rec.Body.String())
 	}
 }
+
+// flushLog is a ResponseWriter and Flusher that records the order of writes
+// and flushes, and how much of the body each flush covered.
+type flushLog struct {
+	h    http.Header
+	code int
+	body bytes.Buffer
+	// ops holds one 'w' per Write and one 'f' per Flush; flushedAt the body
+	// length at each flush.
+	ops       []byte
+	flushedAt []int
+}
+
+func (w *flushLog) Header() http.Header  { return w.h }
+func (w *flushLog) WriteHeader(code int) { w.code = code }
+func (w *flushLog) Write(p []byte) (int, error) {
+	w.ops = append(w.ops, 'w')
+	return w.body.Write(p)
+}
+func (w *flushLog) Flush() {
+	w.ops = append(w.ops, 'f')
+	w.flushedAt = append(w.flushedAt, w.body.Len())
+}
+
+// TestReplayFlushPolicy pins how /v1/replay groups its lines into flushes:
+// the first event at once, then at most one flush per replayFlushEvery of
+// wall time, and always the event that ends the stream — with every line
+// still written whole and in order.
+func TestReplayFlushPolicy(t *testing.T) {
+	reg, err := tenant.NewRegistry(map[string]tenant.Limits{"etl": {Budget: 2000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Tenants: reg})
+	for _, tc := range []struct {
+		name, tenant string
+		final        chronos.ReplayEventKind
+	}{
+		{"complete", "", chronos.EventReplaySummary},
+		{"budget exhausted", "etl", chronos.EventBudgetExhausted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := json.Marshal(map[string]any{
+				"config": smallSimConfig(), "jobs": tinyStream(500), "tenant": tc.tenant,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := &flushLog{h: make(http.Header)}
+			start := time.Now()
+			s.handleReplay(w, httptest.NewRequest(http.MethodPost, "/v1/replay", bytes.NewReader(raw)))
+			wall := time.Since(start)
+			if w.code != http.StatusOK {
+				t.Fatalf("status = %d: %s", w.code, w.body.String())
+			}
+
+			lines := bytes.Split(bytes.TrimSuffix(w.body.Bytes(), []byte("\n")), []byte("\n"))
+			var last chronos.ReplayEvent
+			for i, line := range lines {
+				last = chronos.ReplayEvent{}
+				if err := json.Unmarshal(line, &last); err != nil {
+					t.Fatalf("line %d is not a whole JSON object: %v: %q", i, err, line)
+				}
+				if last.Seq != uint64(i) {
+					t.Fatalf("line %d has seq %d", i, last.Seq)
+				}
+			}
+			if last.Kind != tc.final {
+				t.Fatalf("final event %q, want %q", last.Kind, tc.final)
+			}
+			if writes := bytes.Count(w.ops, []byte("w")); writes != len(lines) {
+				t.Errorf("%d writes for %d lines, want one write per line", writes, len(lines))
+			}
+
+			if !bytes.HasPrefix(w.ops, []byte("wf")) {
+				t.Errorf("stream began %q, want the first event flushed before the second is written", w.ops[:min(len(w.ops), 4)])
+			}
+			if n := len(w.flushedAt); w.ops[len(w.ops)-1] != 'f' || w.flushedAt[n-1] != w.body.Len() {
+				t.Errorf("the %s event was not flushed", tc.final)
+			}
+			// One flush per replayFlushEvery at most, plus the first and the
+			// last; a flush per line would be len(lines) of them.
+			most := int((wall+replayFlushEvery-1)/replayFlushEvery) + 2
+			if n := len(w.flushedAt); n < 2 || n > most {
+				t.Errorf("%d flushes for %d lines over %v, want between 2 and %d", n, len(lines), wall, most)
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"chronos/internal/race"
 	"chronos/internal/tenant"
 )
 
@@ -62,7 +63,7 @@ func zeroAllocRequest(t testing.TB, path string, payload any) (*rewindBody, *htt
 // entries), then measures.
 func assertZeroAlloc(t *testing.T, name string, body *rewindBody, w *reuseRW, serve func()) {
 	t.Helper()
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool; alloc counts only hold without -race")
 	}
 	serve()
@@ -114,7 +115,7 @@ func TestAdmitHandlerCachedZeroAlloc(t *testing.T) {
 // from a grid four times the cache, so each one runs the full three-strategy
 // solve and evicts an entry that will not come around again in time.
 func TestPlanHandlerColdAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool; alloc counts only hold without -race")
 	}
 	s := New(Config{CacheCapacity: 64})
@@ -154,7 +155,7 @@ func TestPlanHandlerColdAllocs(t *testing.T) {
 // a fresh httptest request and recorder per call — so the figures are
 // ceilings, not exact pins: a Go release may move net/http's share.
 func TestServingStackAllocCeilings(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool; alloc counts only hold without -race")
 	}
 	deep := func() *tenant.Registry { return testRegistry(t, "bench", 1e18) }

@@ -5,43 +5,91 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
+
+// Handler is the target of a scheduled event. A pointer-shaped
+// implementation (a pointer, or a func through Schedule) is stored in the
+// queue without allocating, which is what lets the per-attempt events of the
+// MapReduce runtime skip the closure a func() would need.
+type Handler interface {
+	Fire()
+}
+
+// handlerFunc adapts the func() of Schedule to Handler.
+type handlerFunc func()
+
+func (f handlerFunc) Fire() { f() }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all event handlers run on the caller's goroutine inside
 // Run/Step.
 type Engine struct {
 	now     float64
-	queue   eventQueue
 	seq     uint64
 	stopped bool
 	// processed counts executed events, for introspection and tests.
 	processed uint64
+
+	// heap is a 4-ary min-heap ordered by (at, seq). The key lives in the
+	// heap entry so sifting never leaves the array; the handler lives in a
+	// pooled slot so a Timer can reach it without knowing where the entry
+	// has moved to.
+	heap  []heapEntry
+	slots []slot
+	free  []int32
+}
+
+type heapEntry struct {
+	at   float64
+	seq  uint64
+	slot int32
+}
+
+// slot is one pooled event record. h is nil once the event has fired or been
+// cancelled; seq names the scheduling that owns the slot, so a Timer kept
+// past its event cannot touch the slot's next occupant.
+type slot struct {
+	h   Handler
+	seq uint64
 }
 
 // Timer is a handle on a scheduled event; Cancel prevents a pending event
-// from firing.
+// from firing. The zero Timer (and a nil *Timer) is valid and never pending.
 type Timer struct {
-	item *eventItem
+	eng  *Engine
+	seq  uint64
+	slot int32
+}
+
+// live returns the timer's slot while its event is still scheduled.
+func (t *Timer) live() *slot {
+	if t == nil || t.eng == nil {
+		return nil
+	}
+	if s := &t.eng.slots[t.slot]; s.seq == t.seq && s.h != nil {
+		return s
+	}
+	return nil
 }
 
 // Cancel deschedules the event. Cancelling an already-fired or
 // already-cancelled timer is a no-op. Returns whether the event was pending.
 func (t *Timer) Cancel() bool {
-	if t == nil || t.item == nil || t.item.cancelled || t.item.fired {
+	s := t.live()
+	if s == nil {
 		return false
 	}
-	t.item.cancelled = true
+	// The heap entry stays where it is and is discarded when it surfaces;
+	// dropping the handler here means a cancelled event holds no reference
+	// to its target.
+	s.h = nil
 	return true
 }
 
 // Pending reports whether the event is still scheduled.
-func (t *Timer) Pending() bool {
-	return t != nil && t.item != nil && !t.item.cancelled && !t.item.fired
-}
+func (t *Timer) Pending() bool { return t.live() != nil }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
@@ -56,35 +104,48 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Schedule enqueues fn to run at absolute simulation time at. Scheduling in
 // the past (before Now) panics: it is always a logic bug in the model.
-func (e *Engine) Schedule(at float64, fn func()) *Timer {
+func (e *Engine) Schedule(at float64, fn func()) Timer {
+	return e.ScheduleHandler(at, handlerFunc(fn))
+}
+
+// ScheduleHandler is Schedule for a Handler.
+func (e *Engine) ScheduleHandler(at float64, h Handler) Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	if math.IsNaN(at) {
 		panic("sim: schedule at NaN")
 	}
-	item := &eventItem{at: at, seq: e.seq, fn: fn}
+	var id int32
+	if n := len(e.free); n > 0 {
+		id = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		id = int32(len(e.slots))
+		e.slots = append(e.slots, slot{})
+	}
+	seq := e.seq
 	e.seq++
-	heap.Push(&e.queue, item)
-	return &Timer{item: item}
+	e.slots[id] = slot{h: h, seq: seq}
+	e.push(heapEntry{at: at, seq: seq, slot: id})
+	return Timer{eng: e, seq: seq, slot: id}
 }
 
 // After enqueues fn to run delay units from now.
-func (e *Engine) After(delay float64, fn func()) *Timer {
+func (e *Engine) After(delay float64, fn func()) Timer {
 	return e.Schedule(e.now+delay, fn)
 }
 
-// peek returns the next live event without executing it, discarding
-// cancelled entries from the head of the queue as a side effect. Returns nil
-// when no live event remains.
-func (e *Engine) peek() *eventItem {
-	for e.queue.Len() > 0 {
-		if item := e.queue.items[0]; !item.cancelled {
-			return item
+// skipCancelled discards cancelled entries from the head of the queue and
+// reports whether a live event remains.
+func (e *Engine) skipCancelled() bool {
+	for len(e.heap) > 0 {
+		if e.slots[e.heap[0].slot].h != nil {
+			return true
 		}
-		heap.Pop(&e.queue)
+		e.free = append(e.free, e.pop().slot)
 	}
-	return nil
+	return false
 }
 
 // NextAt reports the timestamp of the next live event, or ok == false when
@@ -92,28 +153,28 @@ func (e *Engine) peek() *eventItem {
 // replay engine) use it to emit window boundaries that fall inside the gap
 // before the next event.
 func (e *Engine) NextAt() (at float64, ok bool) {
-	item := e.peek()
-	if item == nil {
+	if !e.skipCancelled() {
 		return 0, false
 	}
-	return item.at, true
+	return e.heap[0].at, true
 }
 
 // Step executes the next pending event and returns true, or returns false if
 // the queue is empty or the engine is stopped.
 func (e *Engine) Step() bool {
-	if e.stopped {
+	if e.stopped || !e.skipCancelled() {
 		return false
 	}
-	item := e.peek()
-	if item == nil {
-		return false
-	}
-	heap.Pop(&e.queue)
-	e.now = item.at
-	item.fired = true
+	top := e.pop()
+	s := &e.slots[top.slot]
+	h := s.h
+	// Freed before the handler runs, so whatever it schedules can reuse the
+	// slot; the new seq is what tells this event's Timer it has fired.
+	s.h = nil
+	e.free = append(e.free, top.slot)
+	e.now = top.at
 	e.processed++
-	item.fn()
+	h.Fire()
 	return true
 }
 
@@ -128,8 +189,8 @@ func (e *Engine) Run() {
 // to exactly t (even if no event lands there).
 func (e *Engine) RunUntil(t float64) {
 	for !e.stopped {
-		next := e.peek()
-		if next == nil || next.at > t {
+		next, ok := e.NextAt()
+		if !ok || next > t {
 			break
 		}
 		e.Step()
@@ -147,50 +208,62 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Pending returns the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return len(e.heap) }
 
-// eventItem is one queue entry; seq breaks timestamp ties FIFO.
-type eventItem struct {
-	at        float64
-	seq       uint64
-	fn        func()
-	cancelled bool
-	fired     bool
-	index     int
-}
-
-// eventQueue implements heap.Interface ordered by (at, seq).
-type eventQueue struct {
-	items []*eventItem
-}
-
-func (q *eventQueue) Len() int { return len(q.items) }
-
-func (q *eventQueue) Less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
+// before orders heap entries by time, then by scheduling order, so
+// simultaneous events fire FIFO — including ones a handler schedules for the
+// instant it is running at.
+func (a heapEntry) before(b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) Swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.items[i].index = i
-	q.items[j].index = j
+// push adds x to the heap and sifts it up.
+func (e *Engine) push(x heapEntry) {
+	h := append(e.heap, x)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !x.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = x
+	e.heap = h
 }
 
-func (q *eventQueue) Push(x any) {
-	item := x.(*eventItem)
-	item.index = len(q.items)
-	q.items = append(q.items, item)
-}
-
-func (q *eventQueue) Pop() any {
-	old := q.items
-	n := len(old)
-	item := old[n-1]
-	old[n-1] = nil
-	q.items = old[:n-1]
-	return item
+// pop removes and returns the minimum entry; the heap must not be empty.
+func (e *Engine) pop() heapEntry {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	x := h[n] // re-inserted at the root and sifted down
+	h = h[:n]
+	e.heap = h
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h[c].before(h[min]) {
+				min = c
+			}
+		}
+		if !h[min].before(x) {
+			break
+		}
+		h[i] = h[min]
+		i = min
+	}
+	if n > 0 {
+		h[i] = x
+	}
+	return top
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"sort"
 	"testing"
+
+	"chronos/internal/race"
 )
 
 func TestEventsFireInTimeOrder(t *testing.T) {
@@ -199,29 +201,107 @@ func TestPendingCount(t *testing.T) {
 }
 
 // TestHeapStress exercises the queue with random interleaved schedule and
-// cancel operations, verifying global time order.
+// cancel operations — from outside and from inside handlers, through live
+// handles and through handles whose event has fired and whose pooled record
+// has since been given to another event — and checks the fire order against
+// a sort of the surviving events by (at, seq).
 func TestHeapStress(t *testing.T) {
 	e := NewEngine()
 	rng := rand.New(rand.NewPCG(1, 2))
-	var fired []float64
-	var timers []*Timer
-	for i := 0; i < 5000; i++ {
-		at := rng.Float64() * 1000
-		timers = append(timers, e.Schedule(at, func() { fired = append(fired, at) }))
+	type ev struct {
+		at     float64
+		seq    int // scheduling order, the FIFO tie-break
+		timer  Timer
+		killed bool
 	}
-	// Cancel a random third.
-	cancelled := 0
-	for _, timer := range timers {
-		if rng.Float64() < 0.33 && timer.Cancel() {
-			cancelled++
+	var all []*ev
+	var fired []int
+	var schedule func(at float64, depth int)
+	schedule = func(at float64, depth int) {
+		x := &ev{at: at, seq: len(all)}
+		all = append(all, x)
+		x.timer = e.Schedule(at, func() {
+			fired = append(fired, x.seq)
+			if x.timer.Pending() {
+				t.Errorf("event %d pending while it fires", x.seq)
+			}
+			if depth < 3 && rng.Float64() < 0.5 {
+				// Same-instant and later events scheduled from a handler;
+				// the first reuses the record this event just gave back.
+				schedule(at, depth+1)
+				schedule(at+rng.Float64()*50, depth+1)
+			}
+			// Cancel something at random: a pending event must report true
+			// and never fire; a fired or cancelled one must report false and
+			// leave whatever now occupies its record alone.
+			victim := all[rng.IntN(len(all))]
+			pending := victim.timer.Pending()
+			if got := victim.timer.Cancel(); got != pending {
+				t.Errorf("Cancel of event %d = %v, Pending said %v", victim.seq, got, pending)
+			}
+			if pending {
+				victim.killed = true
+			}
+		})
+	}
+	for i := 0; i < 3000; i++ {
+		// A coarse grid, so many events tie on time.
+		schedule(math.Floor(rng.Float64()*400), 0)
+	}
+	for _, x := range all {
+		if rng.Float64() < 0.33 && x.timer.Cancel() {
+			x.killed = true
 		}
 	}
 	e.Run()
-	if len(fired) != 5000-cancelled {
-		t.Errorf("fired %d events, want %d", len(fired), 5000-cancelled)
+
+	var want []int
+	for _, x := range all {
+		if !x.killed {
+			want = append(want, x.seq)
+		}
 	}
-	if !sort.Float64sAreSorted(fired) {
-		t.Error("stress run fired events out of order")
+	sort.SliceStable(want, func(i, j int) bool { return all[want[i]].at < all[want[j]].at })
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d events, want %d of %d scheduled", len(fired), len(want), len(all))
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fire %d was event %d (at %v), want event %d (at %v)",
+				i, fired[i], all[fired[i]].at, want[i], all[want[i]].at)
+		}
+	}
+	if len(e.slots) >= len(all) {
+		t.Errorf("%d records for %d events: records are not being reused", len(e.slots), len(all))
+	}
+	for _, x := range all {
+		if x.timer.Pending() || x.timer.Cancel() {
+			t.Fatalf("event %d still cancellable after the run", x.seq)
+		}
+	}
+}
+
+// TestStaleTimerSparesRecycledRecord is the trap the generation check
+// exists for, in isolation: a handle kept past its event must not cancel the
+// event that inherited its record.
+func TestStaleTimerSparesRecycledRecord(t *testing.T) {
+	e := NewEngine()
+	stale := e.Schedule(1, func() {})
+	e.Run()
+	fired := false
+	fresh := e.Schedule(2, func() { fired = true })
+	if fresh.slot != stale.slot {
+		t.Fatalf("record not recycled: slot %d then %d", stale.slot, fresh.slot)
+	}
+	if stale.Pending() || stale.Cancel() {
+		t.Error("stale handle acted on the record's new occupant")
+	}
+	if !fresh.Pending() {
+		t.Error("new occupant no longer pending")
+	}
+	e.Run()
+	if !fired {
+		t.Error("stale Cancel dropped the new occupant")
 	}
 }
 
@@ -249,3 +329,35 @@ func TestNextAt(t *testing.T) {
 		t.Error("NextAt after drain reported an event")
 	}
 }
+
+// TestScheduleStepZeroAlloc pins the event path: once the heap and the record
+// pool have grown to the queue's working size, scheduling an event — a func
+// or a Handler — and firing it allocates nothing.
+func TestScheduleStepZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
+	}
+	e := NewEngine()
+	noop := func() {}
+	for i := 0; i < 1000; i++ {
+		e.Schedule(float64(i%97), noop)
+	}
+	var target countingHandler
+	allocs := testing.AllocsPerRun(5000, func() {
+		e.Schedule(e.Now()+3, noop)
+		timer := e.ScheduleHandler(e.Now()+5, &target)
+		e.Step()
+		e.Step()
+		timer.Cancel()
+	})
+	if allocs != 0 {
+		t.Errorf("%g allocs per schedule+step, want 0", allocs)
+	}
+	if target == 0 {
+		t.Error("the Handler never fired")
+	}
+}
+
+type countingHandler int
+
+func (h *countingHandler) Fire() { *h++ }

@@ -201,7 +201,7 @@ func (m Mantri) pass(ctl *mapreduce.Controller) {
 		if ctl.FreeSlots() <= 0 || !ctl.QueueEmpty() {
 			return
 		}
-		if t.Done || len(t.Active())-1 >= m.MaxExtra {
+		if t.Done || t.NumActive()-1 >= m.MaxExtra {
 			continue
 		}
 		best := t.BestRunning(now, est)
@@ -210,7 +210,7 @@ func (m Mantri) pass(ctl *mapreduce.Controller) {
 		}
 		remaining := est(best, now) - now
 		if remaining > meanDur+m.RemainingMargin {
-			for len(t.Active())-1 < m.MaxExtra {
+			for t.NumActive()-1 < m.MaxExtra {
 				ctl.Launch(t, 0)
 			}
 		}

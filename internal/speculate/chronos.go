@@ -138,8 +138,8 @@ func (s Resume) runStage(ctl *mapreduce.Controller, cfg ChronosConfig, st stage)
 			if frac >= 1 {
 				continue // effectively done; let it finish
 			}
-			for _, a := range t.Active() {
-				ctl.Kill(a)
+			for _, a := range t.Attempts {
+				ctl.Kill(a) // a no-op on attempts that already ended
 			}
 			for k := 0; k <= r; k++ {
 				ctl.Launch(t, frac)

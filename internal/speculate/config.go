@@ -108,8 +108,8 @@ func launchStaged(ctl *mapreduce.Controller) {
 // model and clean up at tauKill.
 func killLeftoversOnTaskDone(ctl *mapreduce.Controller) {
 	ctl.OnTaskDone(func(t *mapreduce.Task) {
-		for _, a := range t.Active() {
-			ctl.Kill(a)
+		for _, a := range t.Attempts {
+			ctl.Kill(a) // a no-op on attempts that already ended
 		}
 	})
 }
@@ -135,9 +135,9 @@ func keepBestKillRest(ctl *mapreduce.Controller, t *mapreduce.Task, est mapreduc
 			return
 		}
 	}
-	for _, a := range t.Active() {
+	for _, a := range t.Attempts {
 		if a != best {
-			ctl.Kill(a)
+			ctl.Kill(a) // a no-op on attempts that already ended
 		}
 	}
 }

@@ -50,7 +50,9 @@ type goldenCase struct {
 // then the paths a rewrite of the event loop is most likely to disturb —
 // a saturated cluster (queueing, waiters killed while queued, tauKill with
 // nothing running), contention draws, reduce stages, periodic noisy reports,
-// spot pricing, window summaries and fixed r on one-task jobs.
+// spot pricing, window summaries and fixed r on one-task jobs. The failures
+// rows were pinned later than the rest, by the change that made replays with
+// node failures reproducible at all.
 func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	base, err := chronos.SyntheticTrace(chronos.TraceConfig{Jobs: 120, Seed: 17})
@@ -129,6 +131,15 @@ func goldenCases(t *testing.T) []goldenCase {
 				chronos.SimConfig{Strategy: s.s, Seed: 15, UseFixedR: true, FixedR: r}, oneTask, 0)
 		}
 	}
+	failing := func(c chronos.SimConfig) chronos.SimConfig {
+		c.Nodes, c.SlotsPerNode = 40, 8
+		c.Failures = &chronos.FailureModel{MTBF: 3000, MTTR: 300}
+		return c
+	}
+	for _, s := range append(append([]strat{}, chronosStrats...), baselines[2]) {
+		add("failures/"+s.short, failing(chronos.SimConfig{Strategy: s.s, Seed: 16}), base, 0)
+	}
+	add("failures-contention/restart", failing(contended(chronos.SimConfig{Strategy: chronos.SpeculativeRestart, Seed: 16})), base, 0)
 	return cases
 }
 
