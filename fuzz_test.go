@@ -2,6 +2,7 @@ package chronos
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -121,6 +122,52 @@ func FuzzPlanRequestJSON(f *testing.F) {
 		var planBack Plan
 		if err := json.Unmarshal(out, &planBack); err != nil || planBack != plan {
 			t.Fatalf("plan round-trips through %s to %+v (err %v)", out, planBack, err)
+		}
+	})
+}
+
+// FuzzOptimizeFinite is the planner's output contract: for any valid job and
+// econ, every solver entry point returns an error or a plan whose four floats
+// are finite. The committed seeds are requests that once broke it: D - tauEst
+// within a percent of tmin, where Restart's threshold Gamma is in the hundreds
+// and tmin^(beta*r) leaves float64, and within a millionth of it, where Gamma
+// is in the millions.
+func FuzzOptimizeFinite(f *testing.F) {
+	f.Add(1000, 20.0, 10.0, 1.5, 9.9, 15.0, 0.0, 1e-4, 1.0, 0.0)
+	f.Add(1000, 20.0, 10.0, 1.5, 9.999997, 15.0, 0.0, 1e-4, 1.0, 0.0)
+	f.Add(10, 100.0, 10.0, 1.5, 30.0, 60.0, 0.0, 1e-4, 1.0, 0.0)
+	f.Add(10, 100.0, 10.0, 5.0, 30.0, 60.0, 0.0, 1e-4, 1.0, 0.0)
+	f.Add(10, 100.0, 10.0, 1.5, 40.0, 40.0, 0.0, 1e-4, 1.0, 0.0)
+	f.Add(3, 10.05, 10.0, 1.5, 0.0, 10.05, 0.5, 1e-9, 1.0, 0.9)
+	f.Fuzz(func(t *testing.T, tasks int, deadline, tmin, beta, tauEst, tauKill, phiEst, theta, price, rmin float64) {
+		p := JobParams{Tasks: tasks, Deadline: deadline, TMin: tmin, Beta: beta, TauEst: tauEst, TauKill: tauKill, PhiEst: phiEst}
+		e := Econ{Theta: theta, UnitPrice: price, RMin: rmin}
+		if _, err := p.toAnalysis(); err != nil {
+			return
+		}
+		check := func(what string, plan Plan, err error) {
+			if err != nil {
+				return
+			}
+			for _, v := range [...]float64{plan.PoCD, plan.MachineTime, plan.Cost, plan.Utility} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s(%+v, %+v) = %+v with a nil error", what, p, e, plan)
+				}
+			}
+		}
+		best, err := OptimizeBest(p, e)
+		check("OptimizeBest", best, err)
+		for _, s := range ChronosStrategies() {
+			plan, err := Optimize(s, p, e)
+			check("Optimize "+s.String(), plan, err)
+			if err == nil {
+				plan, err = OptimizeWithinBudget(s, p, e, 0.9*plan.MachineTime)
+				check("OptimizeWithinBudget "+s.String(), plan, err)
+			}
+			if rmin < 0.99 { // a target at or below RMin is met at utility -Inf
+				plan, err = MinCostForPoCD(s, p, e, 0.99)
+				check("MinCostForPoCD "+s.String(), plan, err)
+			}
 		}
 	})
 }

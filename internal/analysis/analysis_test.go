@@ -499,6 +499,26 @@ func TestRestartSurvivorNumericAgree(t *testing.T) {
 	}
 }
 
+// TestRestartSurvivorNearDegenerate covers the band where D - tauEst is
+// within a few percent of tmin, Gamma is in the hundreds or thousands and the
+// optimizer probes r that large: tmin^(beta r) overflows in the elementary
+// term (r > 205 here), then the tail series' sum overflows (r > 692), then its
+// factor (tmin/D)^(beta r) underflows (r > 716) while the tail itself is still
+// a few 1e-5 of the answer. Each used to yield NaN, +Inf or a silently dropped
+// tail; all must agree with direct quadrature of the defining integral.
+func TestRestartSurvivorNearDegenerate(t *testing.T) {
+	for _, te := range []float64{9.9, 9.999, 9.999997} {
+		p := testParams()
+		p.Deadline, p.TauEst, p.TauKill = 20, te, 15
+		for _, r := range []int{100, 205, 206, 394, 692, 702, 717, 2000, 8000} {
+			got, want := restartSurvivor(p, r), Restart{P: p}.survivorTimeNumeric(r)
+			if !(math.Abs(got-want) <= 1e-9*want) {
+				t.Errorf("tauEst=%v r=%d: survivor %.17g, quadrature %.17g", te, r, got, want)
+			}
+		}
+	}
+}
+
 // TestDegenerateDeadline exercises the clamped corner where a restarted
 // attempt cannot finish before the deadline at all.
 func TestDegenerateDeadline(t *testing.T) {

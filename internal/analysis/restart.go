@@ -100,14 +100,24 @@ func restartSurvivor(p Params, r int) float64 {
 	var head float64 // Int_tmin^{D-tauEst} (tmin/w)^(beta r) dw
 	if math.Abs(br-1) < 1e-9 {
 		head = tm * math.Log(dBar/tm)
+	} else if num, den := math.Pow(tm, br), (br-1)*math.Pow(dBar, br-1); inFloatRange(num) && inFloatRange(den) {
+		head = tm/(br-1) - num/den
 	} else {
-		head = tm/(br-1) - math.Pow(tm, br)/((br-1)*math.Pow(dBar, br-1))
+		// tmin^(beta r) has left float64 (beta*r*log10(tmin) > 308, which a
+		// Gamma in the hundreds reaches) though the ratio it enters is below
+		// 1: form the ratio first. Only here, so every value the direct form
+		// can represent keeps its bits.
+		head = tm / (br - 1) * (1 - math.Pow(tm/dBar, br-1))
 	}
 
 	return tm + head + restartSurvivorTail(tm, b, d, te, br, dBar)
 }
 
-// tailSeriesMaxTerms caps the series below; sized so every parameter set
+// inFloatRange reports whether a positive intermediate is a normal float64:
+// neither overflowed to +Inf nor underflowed into (or past) the subnormals.
+func inFloatRange(x float64) bool { return x >= 0x1p-1022 && x <= math.MaxFloat64 }
+
+// tailSeriesMaxTerms caps each series below; sized so every parameter set
 // whose scale factor (tmin/D)^(beta*r) has not underflowed converges within
 // it (the slow-convergence corner te/D -> 1 forces tmin/D -> 0, which caps
 // beta*r long before the term count grows past this).
@@ -126,23 +136,30 @@ const tailSeriesMaxTerms = 1 << 15
 // with k = beta*r and y = tauEst/D < 1 - tmin/D (guaranteed by the caller's
 // D - tauEst > tmin branch). Each term follows from the last by one
 // multiply-add, replacing the adaptive quadrature that used to dominate the
-// entire cold-path solve (~95% of a three-strategy optimization). The
-// quadrature remains as the fallback for the (extreme-corner) parameter sets
-// the capped series cannot settle.
+// entire cold-path solve (~95% of a three-strategy optimization).
+//
+// The sum grows like (1-y)^(-k) while its factor (tmin/D)^k shrinks, so for k
+// in the high hundreds one of the two leaves float64 although their product,
+// at most tmin*(tmin/(D-tauEst))^(k-1)/(k-1), need not be negligible. There
+// the same integral is summed in its Euler-transformed form, anchored at
+// D - tauEst instead of D,
+//
+//	(D-tauEst) * (tmin/(D-tauEst))^k * Sum_n (beta)_n * y^n / (beta+k-1)_(n+1),
+//
+// ((x)_n the rising factorial), whose factor is at most 1 and whose terms only
+// fall, each below y times the last. The quadrature remains as the fallback
+// for the (extreme-corner) parameter sets neither capped series can settle.
 func restartSurvivorTail(tm, b, d, te, br, dBar float64) float64 {
-	scale := d * math.Pow(tm/d, br)
-	if scale == 0 {
-		// The integrand's mass underflowed; every series term carries the
-		// same factor, so the tail is exactly zero at float64 precision.
-		return 0
-	}
 	y := te / d
-	sum, c := 0.0, 1.0
 	bk := b + br - 1 // denominator offset: beta + k - 1 > 0 since beta > 1
-	for n := 0; n < tailSeriesMaxTerms; n++ {
+	scale := d * math.Pow(tm/d, br)
+	sum, c := 0.0, 1.0
+	for n := 0; n < tailSeriesMaxTerms && inFloatRange(scale); n++ {
 		fn := float64(n)
 		term := c / (bk + fn)
-		sum += term
+		if sum += term; math.IsInf(sum, 1) {
+			break
+		}
 		// Terms rise until the ratio y*(k+n)/(n+1) drops below 1, then decay
 		// geometrically; once decreasing, the remaining tail is bounded by
 		// term * rho / (1 - rho).
@@ -151,6 +168,16 @@ func restartSurvivorTail(tm, b, d, te, br, dBar float64) float64 {
 			return scale * sum
 		}
 		c *= (br + fn) / (fn + 1) * y
+	}
+	scale = dBar * math.Pow(tm/dBar, br)
+	sum, term := 0.0, 1/bk
+	for n := 0; n < tailSeriesMaxTerms; n++ {
+		fn := float64(n)
+		sum += term
+		term *= y * (b + fn) / (bk + fn + 1)
+		if term <= (1-y)*sum*1e-16 {
+			return scale * sum
+		}
 	}
 	return pareto.Integrate(func(w float64) float64 {
 		return math.Pow(d/(w+te), b) * math.Pow(tm/w, br)

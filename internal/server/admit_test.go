@@ -2,7 +2,9 @@ package server
 
 import (
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -392,6 +394,32 @@ func TestBatchTenantRouting(t *testing.T) {
 		resp.Body.Close()
 	}
 	t.Fatal("pool never exhausted for batch requests")
+}
+
+// TestTenantPlanNearDegenerate: D - tauEst within a percent of tmin puts
+// Restart's concavity threshold in the hundreds, where its machine time used
+// to evaluate to NaN. The plan answered 500, the NaN cost was debited all the
+// same, and the tenant's pool then refused every admit until restart.
+func TestTenantPlanNearDegenerate(t *testing.T) {
+	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "demo", 1e9)})
+	job := chronos.JobParams{Tasks: 1000, Deadline: 20, TMin: 10, Beta: 1.5, TauEst: 9.9, TauKill: 15}
+	resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Tenant: "demo", Strategy: "restart", Job: job, Econ: testEcon()})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	got := decodeBody[planResponse](t, resp)
+	if c := got.Plan.Cost; math.IsNaN(c) || math.IsInf(c, 0) || c <= 0 {
+		t.Fatalf("plan cost = %v, want finite and positive", c)
+	}
+	gauge := metricValue(getMetricsText(t, ts.URL), `chronosd_tenant_budget_remaining{tenant="demo"}`)
+	if left, err := strconv.ParseFloat(gauge, 64); err != nil || math.IsNaN(left) || left != 1e9-got.Plan.MachineTime {
+		t.Errorf("budget remaining = %q (%v), want %v", gauge, err, 1e9-got.Plan.MachineTime)
+	}
+	admit := decodeBody[admitResponse](t, postJSON(t, ts.URL+"/v1/admit",
+		admitRequest{Tenant: "demo", Job: testJob(), Econ: testEcon()}))
+	if !admit.Admitted {
+		t.Errorf("admit after the near-degenerate plan rejected: %q", admit.Reason)
+	}
 }
 
 func TestSetTenantsFlushesCache(t *testing.T) {

@@ -379,9 +379,13 @@ type Lease struct {
 }
 
 // TryDebit deducts cost if the lease covers it. Costs round up to the next
-// micro machine-second, so fixed-point truncation can never under-charge.
+// micro machine-second, so fixed-point truncation can never under-charge. A
+// NaN cost is refused, as Pool.TryDebit refuses it.
 func (l *Lease) TryDebit(cost float64) (ok bool, remaining float64) {
-	if cost < 0 || math.IsNaN(cost) {
+	if math.IsNaN(cost) {
+		return false, l.Level()
+	}
+	if cost < 0 {
 		cost = 0
 	}
 	c := saturate(math.Ceil(cost * leaseMicros))

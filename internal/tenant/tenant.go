@@ -12,6 +12,7 @@ package tenant
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -146,7 +147,9 @@ func (p *Pool) Remaining() float64 {
 // TryDebit atomically deducts cost if the (refilled) level covers it, and
 // reports whether the debit happened along with the post-debit remainder.
 // The check and the deduction share one critical section, so concurrent
-// debitors can never over-commit the pool.
+// debitors can never over-commit the pool. A NaN cost is refused: no
+// comparison against it holds, and deducting it would leave the level NaN —
+// refusing every later debit — until the process restarts.
 func (p *Pool) TryDebit(cost float64) (ok bool, remaining float64) {
 	if cost < 0 {
 		cost = 0
@@ -154,7 +157,7 @@ func (p *Pool) TryDebit(cost float64) (ok bool, remaining float64) {
 	p.led.mu.Lock()
 	defer p.led.mu.Unlock()
 	p.led.refillLocked()
-	if cost > p.led.level {
+	if !(cost <= p.led.level) {
 		return false, p.led.level
 	}
 	p.led.level -= cost
@@ -164,9 +167,10 @@ func (p *Pool) TryDebit(cost float64) (ok bool, remaining float64) {
 // DebitUpTo deducts min(want, level) and returns the amount actually
 // debited. It is the escrow grant primitive: a lease request for more budget
 // than the pool holds gets the remainder rather than nothing, and the sum of
-// partial grants can never exceed what the pool had.
+// partial grants can never exceed what the pool had. A NaN want debits
+// nothing.
 func (p *Pool) DebitUpTo(want float64) (debited, remaining float64) {
-	if want < 0 {
+	if want < 0 || math.IsNaN(want) {
 		want = 0
 	}
 	p.led.mu.Lock()

@@ -91,6 +91,27 @@ func TestTryDebitSequential(t *testing.T) {
 	}
 }
 
+// TestDebitRefusesNaN: a NaN cost must not reach the level. Before the check
+// Pool.TryDebit(NaN) answered ok and left the level NaN, after which the pool
+// refused every debit until restart.
+func TestDebitRefusesNaN(t *testing.T) {
+	p := mustRegistry(t, map[string]Limits{"t": {Budget: 10}}).Get("t")
+	if ok, rem := p.TryDebit(math.NaN()); ok || rem != 10 {
+		t.Errorf("Pool.TryDebit(NaN) = (%v, %v), want (false, 10)", ok, rem)
+	}
+	if debited, rem := p.DebitUpTo(math.NaN()); debited != 0 || rem != 10 {
+		t.Errorf("Pool.DebitUpTo(NaN) = (%v, %v), want (0, 10)", debited, rem)
+	}
+	if ok, rem := p.TryDebit(4); !ok || rem != 6 {
+		t.Errorf("debit after NaN: ok=%v rem=%v, want true 6", ok, rem)
+	}
+	var l Lease
+	l.Fund(10)
+	if ok, rem := l.TryDebit(math.NaN()); ok || rem != 10 || l.Debits() != 0 {
+		t.Errorf("Lease.TryDebit(NaN) = (%v, %v) after %d debits, want (false, 10) after 0", ok, rem, l.Debits())
+	}
+}
+
 // TestTryDebitConcurrentNoOvercommit hammers one pool from many goroutines
 // and asserts the granted total never exceeds the budget: the ledger's core
 // invariant.

@@ -171,6 +171,22 @@ func planCells(t *testing.T) []planCell {
 		chronos.Econ{Theta: 1e-9, UnitPrice: 1})
 	add("corner/price-1e+06", base, chronos.Econ{Theta: 1e-4, UnitPrice: 1e6})
 	add("corner/price-1e-06", base, chronos.Econ{Theta: 1e-4, UnitPrice: 1e-6})
+
+	// The rows above were generated at 9fcfccc. The cells below could not be
+	// answered there, and each was pinned by the commit that fixed it.
+	// D - tauEst within a few percent of tmin, or beta*r in the hundreds for
+	// another reason: tmin^(beta r) overflowed in Restart's survivor term and
+	// some probe (or the plan itself) was NaN.
+	add("fixed/restart-nan", with(func(j *chronos.JobParams) {
+		j.Tasks, j.Deadline, j.TauEst, j.TauKill = 1000, 20, 9.9, 15
+	}), benchEcon)
+	add("fixed/beta-5", with(func(j *chronos.JobParams) { j.Beta = 5 }), benchEcon)
+	add("fixed/deadline-10.5", with(func(j *chronos.JobParams) { j.Deadline, j.TauEst, j.TauKill = 10.5, 0.2, 0.4 }), benchEcon)
+	add("fixed/deadline-10.05-tau0", with(func(j *chronos.JobParams) {
+		j.Tasks, j.Deadline, j.TauEst, j.TauKill = 3, 10.05, 0, 10.05
+	}), benchEcon)
+	add("fixed/rmin-infeasible-tau0", with(func(j *chronos.JobParams) { j.Deadline, j.TauEst, j.TauKill = 10.2, 0, 0 }),
+		chronos.Econ{Theta: 1e-4, UnitPrice: 1, RMin: 0.9999999})
 	return cells
 }
 
