@@ -1,15 +1,33 @@
 package optimize
 
 import (
+	"fmt"
 	"math"
 
 	"chronos/internal/analysis"
 )
 
-// rSafetyCap bounds the search range. U(r) is eventually strictly decreasing
-// (cost grows linearly in r while log10(R - Rmin) is bounded above), so the
-// optimum is far below this; the cap only guards degenerate inputs.
-const rSafetyCap = 1 << 20
+// searchCap bounds every r a solve probes, in either phase, and with it the
+// work one request can ask for. Gamma grows like 1/(D - tauEst - tmin), so
+// without a bound a valid job a hair inside the degenerate band asks Phase 2
+// for millions of closed-form evaluations. Optima cluster near zero (PoCD
+// saturates geometrically); a solve whose threshold or peak lies at or past
+// the cap fails closed with ErrSearchCap. It is also the memo's capacity.
+const searchCap = 1 << 13
+
+// ErrSearchCap reports that Algorithm 1 would have to look at or beyond
+// r = searchCap: ceil(Gamma) is that large, or the utility is still rising
+// there. No plan is returned, so errors.Is(ErrSearchCap, ErrInfeasible) holds
+// and callers that skip an infeasible strategy skip this one too.
+var ErrSearchCap error = searchCapError{}
+
+type searchCapError struct{}
+
+func (searchCapError) Error() string {
+	return fmt.Sprintf("optimize: optimum not below the search cap r = %d", searchCap)
+}
+
+func (searchCapError) Is(target error) bool { return target == ErrInfeasible }
 
 // Result is the outcome of the joint optimization for one strategy.
 type Result struct {
@@ -65,15 +83,18 @@ func SolveStrategy(s analysis.Strategy, p analysis.Params, cfg Config) (Result, 
 // SolveCapped so a constrained solve reuses the same model evaluations.
 func solveMemoized(m *memoModel, cfg Config) (Result, error) {
 	gamma := m.Gamma()
-	start := int(math.Ceil(gamma))
-	if start < 0 {
-		start = 0
+	start := 0
+	if gamma > 0 {
+		start = int(math.Min(math.Ceil(gamma), searchCap))
 	}
 
 	// Phase 1: U is concave (hence unimodal) on r >= start. Bracket the peak
 	// by exponential probing, then binary-search the first difference. The
 	// closure does not escape concaveArgmax, so it stays on the stack.
-	bestR := concaveArgmax(func(r int) float64 { return cfg.Utility(m, r) }, start)
+	bestR := concaveArgmax(func(r int) float64 { return cfg.Utility(m, r) }, start, searchCap)
+	if bestR < 0 {
+		return Result{}, ErrSearchCap
+	}
 	bestU := cfg.Utility(m, bestR)
 
 	// Phase 2: exhaustive scan below the concavity threshold, riding the
@@ -99,9 +120,14 @@ func solveMemoized(m *memoModel, cfg Config) (Result, error) {
 }
 
 // concaveArgmax maximizes a unimodal (discretely concave) function over the
-// integers r >= start in O(log(peak)) evaluations: exponential search to
-// bracket the peak, then binary search on the sign of the first difference.
-func concaveArgmax(u func(int) float64, start int) int {
+// integers start <= r < limit in O(log(peak)) evaluations: exponential search
+// to bracket the peak, then binary search on the sign of the first
+// difference. It evaluates u below limit only, and returns -1 when that does
+// not show the peak: u is still rising at limit-2, or start leaves no room.
+func concaveArgmax(u func(int) float64, start, limit int) int {
+	if start+1 >= limit {
+		return -1
+	}
 	// If the function is already non-increasing at start, start is optimal
 	// within the concave region.
 	if u(start+1) <= u(start) {
@@ -111,12 +137,12 @@ func concaveArgmax(u func(int) float64, start int) int {
 	lo, step := start, 1
 	hi := start + 1
 	for u(hi+1) > u(hi) {
+		if hi+2 >= limit {
+			return -1
+		}
 		lo = hi
 		step *= 2
-		hi += step
-		if hi > rSafetyCap {
-			return rSafetyCap
-		}
+		hi = min(hi+step, limit-2)
 	}
 	// Invariant: u is increasing at lo, non-increasing at hi; peak in
 	// (lo, hi]. Binary search the first r with u(r+1) <= u(r).

@@ -16,7 +16,7 @@ const cappedScanMargin = 64
 
 // cappedScanCap bounds the scan width above the feasibility frontier
 // against degenerate inputs whose unconstrained optimum lands near
-// rSafetyCap. Machine time grows with r past the frontier in every
+// searchCap. Machine time grows with r past the frontier in every
 // non-degenerate model, so affordable plans concentrate at the window's
 // low end.
 const cappedScanCap = 4096
@@ -128,9 +128,6 @@ func cappedScanWindow(m *memoModel, cfg Config, unR int) (rFeas, hi int) {
 		}
 		rFeas = hiF
 	}
-	hi = unR + cappedScanMargin
-	if hi > rFeas+cappedScanCap {
-		hi = rFeas + cappedScanCap
-	}
+	hi = min(unR+cappedScanMargin, rFeas+cappedScanCap, searchCap-1)
 	return rFeas, hi
 }

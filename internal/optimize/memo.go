@@ -7,12 +7,6 @@ import (
 	"chronos/internal/analysis"
 )
 
-// memoDenseCap bounds the slice-backed region of the memo. Optimal r values
-// cluster near zero (PoCD saturates geometrically), and the capped/frontier
-// scans are bounded by cappedScanCap = 4096, so realistic solves never leave
-// the dense region; probes beyond it land in lazily-built overflow maps.
-const memoDenseCap = 1 << 13
-
 // memoModel caches PoCD and MachineTime evaluations by r. The closed-form
 // theorems cost hundreds of floating-point operations per call, and both the
 // Algorithm 1 bracketing search and the greedy batch allocator re-evaluate
@@ -25,7 +19,8 @@ const memoDenseCap = 1 << 13
 // that hoists the r-invariant terms of the closed forms — without a separate
 // allocation. Second, the caches are dense NaN-sentinel slices indexed by r
 // rather than maps, so a pooled memoModel solves without allocating: the
-// slices keep their capacity across pool cycles. A genuine NaN model output
+// slices keep their capacity (at most searchCap entries, the bound on every r
+// a solve probes) across pool cycles; an r past it is evaluated uncached. A genuine NaN model output
 // is simply recomputed on each probe, which is correct, just not cached.
 //
 // Not safe for concurrent use; acquire one per solve call.
@@ -34,9 +29,6 @@ type memoModel struct {
 	ev    analysis.Evaluator
 	pocd  []float64 // dense r-indexed caches; NaN marks an empty slot
 	mt    []float64
-	// overflow for probes at r >= memoDenseCap (degenerate inputs only)
-	pocdOv map[int]float64
-	mtOv   map[int]float64
 }
 
 var _ analysis.Model = (*memoModel)(nil)
@@ -100,12 +92,10 @@ func (m *memoModel) bind(base analysis.Model) {
 func (m *memoModel) clearCaches() {
 	m.pocd = m.pocd[:0]
 	m.mt = m.mt[:0]
-	m.pocdOv = nil
-	m.mtOv = nil
 }
 
 // release returns the memo to the pool. The dense slices keep their capacity
-// (at most memoDenseCap entries each); the rare overflow maps are dropped.
+// (at most searchCap entries each).
 func (m *memoModel) release() {
 	m.model = nil
 	m.clearCaches()
@@ -130,42 +120,24 @@ func denseStore(s []float64, r int, v float64) []float64 {
 }
 
 func (m *memoModel) PoCD(r int) float64 {
-	if r < memoDenseCap {
-		if v, ok := denseLoad(m.pocd, r); ok {
-			return v
-		}
-		v := m.model.PoCD(r)
-		m.pocd = denseStore(m.pocd, r, v)
-		return v
-	}
-	if v, ok := m.pocdOv[r]; ok {
+	if v, ok := denseLoad(m.pocd, r); ok {
 		return v
 	}
 	v := m.model.PoCD(r)
-	if m.pocdOv == nil {
-		m.pocdOv = make(map[int]float64)
+	if r < searchCap {
+		m.pocd = denseStore(m.pocd, r, v)
 	}
-	m.pocdOv[r] = v
 	return v
 }
 
 func (m *memoModel) MachineTime(r int) float64 {
-	if r < memoDenseCap {
-		if v, ok := denseLoad(m.mt, r); ok {
-			return v
-		}
-		v := m.model.MachineTime(r)
-		m.mt = denseStore(m.mt, r, v)
-		return v
-	}
-	if v, ok := m.mtOv[r]; ok {
+	if v, ok := denseLoad(m.mt, r); ok {
 		return v
 	}
 	v := m.model.MachineTime(r)
-	if m.mtOv == nil {
-		m.mtOv = make(map[int]float64)
+	if r < searchCap {
+		m.mt = denseStore(m.mt, r, v)
 	}
-	m.mtOv[r] = v
 	return v
 }
 
@@ -187,7 +159,7 @@ func (m *memoModel) scanProbe(cfg Config, r int) (pocd, mt, u float64) {
 	pocd, okP := denseLoad(m.pocd, r)
 	mt, okM := denseLoad(m.mt, r)
 	if !okP || !okM {
-		if r >= memoDenseCap {
+		if r >= searchCap {
 			return m.PoCD(r), m.MachineTime(r), cfg.Utility(m, r)
 		}
 		if m.model == &m.ev {

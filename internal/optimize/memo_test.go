@@ -1,6 +1,8 @@
 package optimize
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"chronos/internal/analysis"
@@ -59,6 +61,37 @@ func TestMemoizeCachesRepeats(t *testing.T) {
 	}
 	if again := Memoize(memo); again != memo {
 		t.Error("Memoize(Memoize(m)) should return the same wrapper")
+	}
+}
+
+// TestSolveBoundedWork: Gamma grows like 1/(D - tauEst - tmin), and Phase 2
+// scans every integer below it. One valid request with D - tauEst a few
+// millionths above tmin used to cost 13 million closed-form evaluations (and
+// as many overflow-map entries); the search cap bounds both phases, so such a
+// solve fails closed at once and one just inside the cap stays cheap.
+func TestSolveBoundedWork(t *testing.T) {
+	for _, c := range []struct {
+		tauEst float64
+		capped bool
+	}{
+		{9.999997, true}, // Gamma ~ 13e6
+		{9.9951, false},  // Gamma ~ 7,980: the dearest solve the cap admits
+		{9.9, false},     // Gamma ~ 390
+	} {
+		counter := &countingModel{Model: analysis.NewModel(analysis.StrategyRestart, analysis.Params{
+			N: 1000, Deadline: 20, Task: pareto.MustNew(10, 1.5), TauEst: c.tauEst, TauKill: 15,
+		})}
+		res, err := Solve(counter, testConfig())
+		if c.capped {
+			if !errors.Is(err, ErrSearchCap) || !errors.Is(err, ErrInfeasible) {
+				t.Errorf("tauEst=%v: err = %v, want ErrSearchCap (which is ErrInfeasible)", c.tauEst, err)
+			}
+		} else if err != nil || res.R >= searchCap || math.IsNaN(res.MachineTime) {
+			t.Errorf("tauEst=%v: Solve = %+v, %v", c.tauEst, res, err)
+		}
+		if calls := counter.pocdCalls + counter.mtCalls; calls > 2*searchCap+64 {
+			t.Errorf("tauEst=%v: %d closed-form evaluations, want <= %d", c.tauEst, calls, 2*searchCap+64)
+		}
 	}
 }
 

@@ -323,20 +323,37 @@ func TestMaxPoCDForBudget(t *testing.T) {
 func TestConcaveArgmax(t *testing.T) {
 	// Quadratic with peak at 17.
 	u := func(r int) float64 { x := float64(r - 17); return -x * x }
-	if got := concaveArgmax(u, 0); got != 17 {
+	if got := concaveArgmax(u, 0, searchCap); got != 17 {
 		t.Errorf("concaveArgmax = %d, want 17", got)
 	}
 	// Peak below start: start is returned.
-	if got := concaveArgmax(u, 40); got != 40 {
+	if got := concaveArgmax(u, 40, searchCap); got != 40 {
 		t.Errorf("concaveArgmax with start past peak = %d, want 40", got)
 	}
 	// Peak exactly at start.
-	if got := concaveArgmax(u, 17); got != 17 {
+	if got := concaveArgmax(u, 17, searchCap); got != 17 {
 		t.Errorf("concaveArgmax at peak = %d, want 17", got)
 	}
 	// Large peak found in logarithmic steps.
 	u2 := func(r int) float64 { x := float64(r - 5000); return -x * x }
-	if got := concaveArgmax(u2, 3); got != 5000 {
+	if got := concaveArgmax(u2, 3, searchCap); got != 5000 {
 		t.Errorf("concaveArgmax far peak = %d, want 5000", got)
+	}
+	// The limit: no evaluation at or past it, the last r it can confirm is
+	// limit-2 (the peak test reads u(r+1)), and anything later is -1.
+	for _, c := range []struct{ peak, start, limit, want int }{
+		{98, 0, 100, 98}, {99, 0, 100, -1}, {5000, 3, 100, -1},
+		{98, 98, 100, 98}, {50, 99, 100, -1}, {50, 200, 100, -1},
+	} {
+		bounded := func(r int) float64 {
+			if r >= c.limit {
+				t.Errorf("peak %d start %d: evaluated u(%d) with limit %d", c.peak, c.start, r, c.limit)
+			}
+			x := float64(r - c.peak)
+			return -x * x
+		}
+		if got := concaveArgmax(bounded, c.start, c.limit); got != c.want {
+			t.Errorf("concaveArgmax(peak %d, start %d, limit %d) = %d, want %d", c.peak, c.start, c.limit, got, c.want)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"chronos"
 )
@@ -195,6 +196,34 @@ func TestPlanErrors(t *testing.T) {
 			t.Errorf("status = %d, want 405", resp.StatusCode)
 		}
 	})
+}
+
+// TestPlanSearchCap: with D - tauEst three millionths above tmin Restart's
+// Gamma is about 13 million, and one such request used to run for 15 s and
+// grow the process by 700 MB. The solver's search cap fails that strategy
+// closed: 422 when it is pinned, the best of the other two otherwise.
+func TestPlanSearchCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	job := chronos.JobParams{Tasks: 1000, Deadline: 20, TMin: 10, Beta: 1.5, TauEst: 9.999997, TauKill: 15}
+
+	start := time.Now()
+	resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: job, Econ: testEcon(), Strategy: "restart"})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("pinned restart: status = %d, want 422", resp.StatusCode)
+	}
+	resp = postJSON(t, ts.URL+"/v1/plan", planRequest{Job: job, Econ: testEcon()})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("best-of-three: status = %d, want 200", resp.StatusCode)
+	}
+	got := decodeBody[planResponse](t, resp)
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("two plans took %v, want < 100ms", took)
+	}
+	want, err := chronos.OptimizeBest(job, testEcon())
+	if err != nil || got.Plan != want || want.Strategy == chronos.SpeculativeRestart {
+		t.Errorf("best-of-three plan = %+v, want %+v (%v) from another strategy", got.Plan, want, err)
+	}
 }
 
 func TestBatchEndpoint(t *testing.T) {

@@ -187,6 +187,18 @@ func planCells(t *testing.T) []planCell {
 	}), benchEcon)
 	add("fixed/rmin-infeasible-tau0", with(func(j *chronos.JobParams) { j.Deadline, j.TauEst, j.TauKill = 10.2, 0, 0 }),
 		chronos.Econ{Theta: 1e-4, UnitPrice: 1, RMin: 0.9999999})
+	// Solves that ran away: D - tauEst millionths above tmin puts Gamma in the
+	// millions, and with tauKill = tauEst (or tauKill = 0) an extra attempt is
+	// free, so the utility rises for ever. The search cap fails both closed;
+	// the last cell is the dearest solve it still admits (Gamma ~ 7,980).
+	add("fixed/search-cap", with(func(j *chronos.JobParams) {
+		j.Tasks, j.Deadline, j.TauEst, j.TauKill = 1000, 20, 9.999997, 15
+	}), benchEcon)
+	add("fixed/tau0", with(func(j *chronos.JobParams) { j.TauEst, j.TauKill = 0, 0 }), benchEcon)
+	add("fixed/tau-equal", with(func(j *chronos.JobParams) { j.TauEst, j.TauKill = 40, 40 }), benchEcon)
+	add("fixed/gamma-7980", with(func(j *chronos.JobParams) {
+		j.Tasks, j.Deadline, j.TauEst, j.TauKill = 1000, 20, 9.9951, 15
+	}), benchEcon)
 	return cells
 }
 
