@@ -236,10 +236,10 @@ func BenchmarkAlgorithm1(b *testing.B) {
 
 // BenchmarkClosedFormPoCD measures a single Theorem 5 evaluation.
 func BenchmarkClosedFormPoCD(b *testing.B) {
-	m := analysis.Resume{P: analysis.Params{
+	m := analysis.NewModel(analysis.StrategyResume, analysis.Params{
 		N: 100, Deadline: 100, Task: pareto.MustNew(10, 1.5),
 		TauEst: 30, TauKill: 60,
-	}}
+	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = m.PoCD(i % 8)

@@ -157,93 +157,103 @@ func (p JobParams) toAnalysis() (analysis.Params, error) {
 	return ap, nil
 }
 
-// analyticKind maps public strategies onto internal analytic models.
-func analyticKind(s Strategy) (analysis.Strategy, error) {
+// analytic resolves a public (strategy, job) pair to the closed forms'
+// inputs: ErrNotAnalytic for a baseline, else the job's validation error.
+func analytic(s Strategy, p JobParams) (analysis.Strategy, analysis.Params, error) {
+	var kind analysis.Strategy
 	switch s {
 	case Clone:
-		return analysis.StrategyClone, nil
+		kind = analysis.StrategyClone
 	case SpeculativeRestart:
-		return analysis.StrategyRestart, nil
+		kind = analysis.StrategyRestart
 	case SpeculativeResume:
-		return analysis.StrategyResume, nil
+		kind = analysis.StrategyResume
 	default:
-		return 0, fmt.Errorf("%w: %v", ErrNotAnalytic, s)
+		return 0, analysis.Params{}, fmt.Errorf("%w: %v", ErrNotAnalytic, s)
 	}
+	ap, err := p.toAnalysis()
+	return kind, ap, err
+}
+
+// bindAt binds ev to the closed forms of (s, p) for a probe at r.
+func bindAt(ev *analysis.Evaluator, s Strategy, p JobParams, r int) error {
+	kind, ap, err := analytic(s, p)
+	if err != nil {
+		return err
+	}
+	if r < 0 {
+		return fmt.Errorf("chronos: negative r %d", r)
+	}
+	ev.Reset(kind, ap)
+	return nil
 }
 
 // PoCD returns the closed-form probability that the job completes before
 // its deadline when the strategy uses r extra attempts (Theorems 1, 3, 5).
 func PoCD(s Strategy, p JobParams, r int) (float64, error) {
-	kind, err := analyticKind(s)
-	if err != nil {
+	var ev analysis.Evaluator
+	if err := bindAt(&ev, s, p, r); err != nil {
 		return 0, err
 	}
-	ap, err := p.toAnalysis()
-	if err != nil {
-		return 0, err
-	}
-	if r < 0 {
-		return 0, fmt.Errorf("chronos: negative r %d", r)
-	}
-	return analysis.NewModel(kind, ap).PoCD(r), nil
+	return ev.PoCD(r), nil
 }
 
 // ExpectedMachineTime returns the closed-form expected total machine
 // running time of the job (Theorems 2, 4, 6).
 func ExpectedMachineTime(s Strategy, p JobParams, r int) (float64, error) {
-	kind, err := analyticKind(s)
-	if err != nil {
+	var ev analysis.Evaluator
+	if err := bindAt(&ev, s, p, r); err != nil {
 		return 0, err
 	}
-	ap, err := p.toAnalysis()
-	if err != nil {
-		return 0, err
-	}
-	if r < 0 {
-		return 0, fmt.Errorf("chronos: negative r %d", r)
-	}
-	return analysis.NewModel(kind, ap).MachineTime(r), nil
+	return ev.MachineTime(r), nil
 }
 
 // Optimize solves the joint PoCD/cost optimization (Algorithm 1) for one
 // strategy and returns the globally optimal plan.
 func Optimize(s Strategy, p JobParams, e Econ) (Plan, error) {
-	kind, err := analyticKind(s)
-	if err != nil {
-		return Plan{}, err
-	}
-	ap, err := p.toAnalysis()
+	kind, ap, err := analytic(s, p)
 	if err != nil {
 		return Plan{}, err
 	}
 	res, err := optimize.SolveStrategy(kind, ap, optimize.Config(e))
-	if err != nil {
-		return Plan{}, err
+	return planOf(s, res, err)
+}
+
+// bestOf asks solve for each Chronos strategy's plan and returns the one of
+// highest utility; on a tie the earlier strategy in ChronosStrategies order
+// stays. A strategy that is infeasible at any budget (ErrInfeasible) or merely
+// unaffordable (ErrBudgetTooSmall) is skipped, any other error is returned at
+// once. When every strategy was skipped the bare sentinel is returned:
+// ErrBudgetTooSmall if a bigger budget would have admitted one of them,
+// ErrInfeasible otherwise.
+func bestOf(solve func(Strategy) (Plan, error)) (Plan, error) {
+	var best Plan
+	found, sawBudget := false, false
+	for _, s := range ChronosStrategies() {
+		plan, err := solve(s)
+		switch {
+		case errors.Is(err, optimize.ErrBudgetTooSmall):
+			sawBudget = true
+		case errors.Is(err, optimize.ErrInfeasible):
+		case err != nil:
+			return Plan{}, err
+		case !found || plan.Utility > best.Utility:
+			best, found = plan, true
+		}
 	}
-	return planFromResult(s, res), nil
+	switch {
+	case found:
+		return best, nil
+	case sawBudget:
+		return Plan{}, optimize.ErrBudgetTooSmall
+	}
+	return Plan{}, optimize.ErrInfeasible
 }
 
 // OptimizeBest optimizes all three Chronos strategies and returns the one
 // with the highest net utility.
 func OptimizeBest(p JobParams, e Econ) (Plan, error) {
-	best := Plan{}
-	found := false
-	for _, s := range ChronosStrategies() {
-		plan, err := Optimize(s, p, e)
-		if err != nil {
-			if errors.Is(err, optimize.ErrInfeasible) {
-				continue
-			}
-			return Plan{}, err
-		}
-		if !found || plan.Utility > best.Utility {
-			best, found = plan, true
-		}
-	}
-	if !found {
-		return Plan{}, optimize.ErrInfeasible
-	}
-	return best, nil
+	return bestOf(func(s Strategy) (Plan, error) { return Optimize(s, p, e) })
 }
 
 // OptimizeWithinBudget solves the joint optimization for one strategy
@@ -253,19 +263,12 @@ func OptimizeBest(p JobParams, e Econ) (Plan, error) {
 // RMin regardless of budget, and ErrBudgetTooSmall (both from the optimize
 // package) when feasible plans exist but none fits the budget.
 func OptimizeWithinBudget(s Strategy, p JobParams, e Econ, budget float64) (Plan, error) {
-	kind, err := analyticKind(s)
+	kind, ap, err := analytic(s, p)
 	if err != nil {
 		return Plan{}, err
 	}
-	ap, err := p.toAnalysis()
-	if err != nil {
-		return Plan{}, err
-	}
-	res, err := optimize.SolveCappedStrategy(kind, ap, optimize.Config(e), budget)
-	if err != nil {
-		return Plan{}, err
-	}
-	return planFromResult(s, res), nil
+	res, err := optimize.SolveCapped(kind, ap, optimize.Config(e), budget)
+	return planOf(s, res, err)
 }
 
 // OptimizeBestWithinBudget runs OptimizeWithinBudget for all three Chronos
@@ -274,73 +277,43 @@ func OptimizeWithinBudget(s Strategy, p JobParams, e Econ, budget float64) (Plan
 // ErrInfeasible if any strategy was merely unaffordable (a bigger budget
 // would have admitted it).
 func OptimizeBestWithinBudget(p JobParams, e Econ, budget float64) (Plan, error) {
-	best := Plan{}
-	found, sawBudget := false, false
-	for _, s := range ChronosStrategies() {
-		plan, err := OptimizeWithinBudget(s, p, e, budget)
-		switch {
-		case errors.Is(err, optimize.ErrBudgetTooSmall):
-			sawBudget = true
-			continue
-		case errors.Is(err, optimize.ErrInfeasible):
-			continue
-		case err != nil:
-			return Plan{}, err
-		}
-		if !found || plan.Utility > best.Utility {
-			best, found = plan, true
-		}
-	}
-	if !found {
-		if sawBudget {
-			return Plan{}, optimize.ErrBudgetTooSmall
-		}
-		return Plan{}, optimize.ErrInfeasible
-	}
-	return best, nil
+	return bestOf(func(s Strategy) (Plan, error) { return OptimizeWithinBudget(s, p, e, budget) })
 }
 
 // MinCostForPoCD returns the cheapest plan for the strategy that reaches
 // the PoCD target — the "budget for a desired SLA" direction of the
 // tradeoff.
 func MinCostForPoCD(s Strategy, p JobParams, e Econ, target float64) (Plan, error) {
-	kind, err := analyticKind(s)
+	kind, ap, err := analytic(s, p)
 	if err != nil {
 		return Plan{}, err
 	}
-	ap, err := p.toAnalysis()
-	if err != nil {
-		return Plan{}, err
-	}
-	res, err := optimize.MinCostForPoCD(analysis.NewModel(kind, ap), optimize.Config(e), target)
-	if err != nil {
-		return Plan{}, err
-	}
-	return planFromResult(s, res), nil
+	res, err := optimize.MinCostForPoCD(kind, ap, optimize.Config(e), target)
+	return planOf(s, res, err)
 }
 
 // TradeoffCurve samples the PoCD/cost frontier for r = 0..maxR.
 func TradeoffCurve(s Strategy, p JobParams, e Econ, maxR int) ([]TradeoffPoint, error) {
-	kind, err := analyticKind(s)
+	kind, ap, err := analytic(s, p)
 	if err != nil {
 		return nil, err
 	}
-	ap, err := p.toAnalysis()
-	if err != nil {
-		return nil, err
+	if maxR < 0 {
+		return nil, fmt.Errorf("chronos: negative maxR %d", maxR)
 	}
-	pts := optimize.CurveStrategy(kind, ap, optimize.Config(e), maxR)
+	pts := optimize.Curve(kind, ap, optimize.Config(e), maxR)
 	out := make([]TradeoffPoint, len(pts))
 	for i, pt := range pts {
-		out[i] = TradeoffPoint{
-			R: pt.R, PoCD: pt.PoCD, MachineTime: pt.MachineTime,
-			Cost: pt.Cost, Utility: pt.Utility,
-		}
+		out[i] = TradeoffPoint(pt)
 	}
 	return out, nil
 }
 
-func planFromResult(s Strategy, res optimize.Result) Plan {
+// planOf is the public view of a solver's answer.
+func planOf(s Strategy, res optimize.Result, err error) (Plan, error) {
+	if err != nil {
+		return Plan{}, err
+	}
 	return Plan{
 		Strategy:    s,
 		R:           res.R,
@@ -348,37 +321,29 @@ func planFromResult(s Strategy, res optimize.Result) Plan {
 		MachineTime: res.MachineTime,
 		Cost:        res.Cost,
 		Utility:     res.Utility,
-	}
+	}, nil
 }
 
 // CompletionCDF returns P(job completes by t) for the strategy with r extra
 // attempts — the full completion-time distribution behind the PoCD point
 // value.
 func CompletionCDF(s Strategy, p JobParams, r int, t float64) (float64, error) {
-	kind, err := analyticKind(s)
+	kind, ap, err := analytic(s, p)
 	if err != nil {
 		return 0, err
 	}
-	ap, err := p.toAnalysis()
-	if err != nil {
-		return 0, err
-	}
-	return analysis.CompletionCDF(analysis.NewModel(kind, ap), r, t), nil
+	return analysis.CompletionCDF(kind, ap, r, t), nil
 }
 
 // DeadlineQuantile returns the tightest deadline the strategy can promise
 // with probability target using r extra attempts — the SLA-quoting
 // direction of the model ("what D can I sign at the 99.9th percentile?").
 func DeadlineQuantile(s Strategy, p JobParams, r int, target float64) (float64, error) {
-	kind, err := analyticKind(s)
+	kind, ap, err := analytic(s, p)
 	if err != nil {
 		return 0, err
 	}
-	ap, err := p.toAnalysis()
-	if err != nil {
-		return 0, err
-	}
-	return analysis.DeadlineForPoCD(analysis.NewModel(kind, ap), r, target), nil
+	return analysis.DeadlineForPoCD(kind, ap, r, target), nil
 }
 
 // BatchJob pairs a job with its strategy for shared-budget planning.
@@ -408,11 +373,7 @@ type BatchPlan struct {
 func PlanBatch(jobs []BatchJob, budget float64) ([]BatchPlan, error) {
 	batch := make([]optimize.BatchJob, len(jobs))
 	for i, j := range jobs {
-		kind, err := analyticKind(j.Strategy)
-		if err != nil {
-			return nil, err
-		}
-		ap, err := j.Params.toAnalysis()
+		kind, ap, err := analytic(j.Strategy, j.Params)
 		if err != nil {
 			return nil, err
 		}

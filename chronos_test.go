@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chronos/internal/optimize"
+	"chronos/internal/race"
 )
 
 func apiParams() JobParams {
@@ -450,5 +451,83 @@ func TestCompletionCDFAndDeadlineQuantile(t *testing.T) {
 	}
 	if _, err := DeadlineQuantile(Mantri, p, 1, 0.9); !errors.Is(err, ErrNotAnalytic) {
 		t.Errorf("DeadlineQuantile(Mantri) err = %v", err)
+	}
+}
+
+// TestPlanBatchRejectsBadBudget: the library checks the budget itself instead
+// of trusting the server to. A NaN budget compares false with every cost, so
+// it used to be granted like +Inf; OptimizeWithinBudget always rejected it.
+func TestPlanBatchRejectsBadBudget(t *testing.T) {
+	jobs := []BatchJob{
+		{Strategy: Clone, Params: apiParams()},
+		{Strategy: SpeculativeResume, Params: apiParams()},
+	}
+	for _, c := range []struct {
+		name   string
+		budget float64
+		want   error
+	}{
+		{"NaN", math.NaN(), optimize.ErrNaNBudget},
+		{"zero", 0, optimize.ErrBudgetTooSmall},
+		{"negative", -1, optimize.ErrBudgetTooSmall},
+		{"-Inf", math.Inf(-1), optimize.ErrBudgetTooSmall},
+		{"+Inf", math.Inf(1), nil},
+	} {
+		plans, err := PlanBatch(jobs, c.budget)
+		if !errors.Is(err, c.want) || (c.want == nil && len(plans) != len(jobs)) {
+			t.Errorf("%s: PlanBatch = %+v, %v; want error %v", c.name, plans, err, c.want)
+		}
+	}
+	_, ref := OptimizeWithinBudget(Clone, apiParams(), apiEcon(), math.NaN())
+	if _, err := PlanBatch(jobs, math.NaN()); ref == nil || err == nil || err.Error() != ref.Error() {
+		t.Errorf("PlanBatch(NaN) = %v, OptimizeWithinBudget(NaN) = %v; want the same rejection", err, ref)
+	}
+}
+
+// TestTradeoffCurveMaxR: a negative maxR is an error, not a makeslice panic.
+func TestTradeoffCurveMaxR(t *testing.T) {
+	for _, c := range []struct {
+		maxR, points int
+		ok           bool
+	}{
+		{-5, 0, false}, {-1, 0, false}, {0, 1, true}, {8, 9, true},
+	} {
+		pts, err := TradeoffCurve(Clone, apiParams(), apiEcon(), c.maxR)
+		if (err == nil) != c.ok || len(pts) != c.points {
+			t.Errorf("TradeoffCurve(maxR %d) = %d points, %v; want %d points, ok=%v", c.maxR, len(pts), err, c.points, c.ok)
+		}
+	}
+}
+
+// TestAnalyticEntryPointsAlloc pins the analytic entry points at zero
+// allocations: each binds a stack (or pooled) analysis.Evaluator rather than
+// boxing a model — per probe, and per bisection step in DeadlineQuantile.
+func TestAnalyticEntryPointsAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	p, e := apiParams(), apiEcon()
+	un, err := Optimize(Clone, p, e)
+	if err != nil || un.R == 0 {
+		t.Fatalf("Optimize(Clone) = %+v, %v: nothing to squeeze", un, err)
+	}
+	for name, f := range map[string]func(){
+		"PoCD":                func() { _, err = PoCD(SpeculativeRestart, p, 3) },
+		"ExpectedMachineTime": func() { _, err = ExpectedMachineTime(SpeculativeRestart, p, 3) },
+		"CompletionCDF":       func() { _, err = CompletionCDF(SpeculativeResume, p, 2, 80) },
+		"DeadlineQuantile":    func() { _, err = DeadlineQuantile(SpeculativeResume, p, 2, 0.99) },
+		"MinCostForPoCD":      func() { _, err = MinCostForPoCD(Clone, p, e, 0.99) },
+		"Optimize":            func() { _, err = Optimize(SpeculativeRestart, p, e) },
+		"OptimizeBest":        func() { _, err = OptimizeBest(p, e) },
+		// A squeezed solve: the scan window lives in the pooled memo.
+		"OptimizeWithinBudget": func() { _, err = OptimizeWithinBudget(Clone, p, e, 0.8*un.MachineTime) },
+	} {
+		f() // warm the solver's pool
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if avg := testing.AllocsPerRun(100, f); avg != 0 {
+			t.Errorf("%s allocates %.1f times per op, want 0", name, avg)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package chronos
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"chronos/internal/optimize"
@@ -18,35 +16,42 @@ import (
 // PlanWithinBudget returns bit-identical plans and errors to the
 // corresponding Optimize*WithinBudget call for every budget.
 type BudgetFrontier struct {
-	// strategies holds the per-strategy tables in ChronosStrategies order
-	// for best-of-three, or exactly one entry for a pinned strategy. A nil
-	// entry marks a strategy that is infeasible regardless of budget.
-	strategies []frontierEntry
-	best       bool
+	// tables holds one capped-solve table per Chronos strategy, indexed by
+	// strategy - Clone. A nil entry is a strategy that is infeasible at any
+	// budget or, under a pinned construction, was not asked for.
+	tables [3]*optimize.Frontier
+	// pinned is the one strategy of a pinned construction; zero selects the
+	// best of three.
+	pinned Strategy
+	// unconstrained is the best plan at an unlimited budget.
+	unconstrained Plan
 }
 
-type frontierEntry struct {
-	strategy Strategy
-	frontier *optimize.Frontier // nil: infeasible at any budget
+// table builds strategy s's capped-solve table into bf and returns its
+// unconstrained optimum.
+func (bf *BudgetFrontier) table(s Strategy, p JobParams, e Econ) (Plan, error) {
+	kind, ap, err := analytic(s, p)
+	if err != nil {
+		return Plan{}, err
+	}
+	f, err := optimize.NewFrontier(kind, ap, optimize.Config(e))
+	if err != nil {
+		return Plan{}, err
+	}
+	bf.tables[s-Clone] = f
+	return planOf(s, f.Unconstrained(), nil)
 }
 
 // NewBudgetFrontier precomputes the capped-solve table for one pinned
 // strategy. Errors are OptimizeWithinBudget's budget-independent ones:
 // ErrNotAnalytic, parameter validation, ErrInfeasible.
 func NewBudgetFrontier(s Strategy, p JobParams, e Econ) (*BudgetFrontier, error) {
-	kind, err := analyticKind(s)
-	if err != nil {
+	bf := &BudgetFrontier{pinned: s}
+	var err error
+	if bf.unconstrained, err = bf.table(s, p, e); err != nil {
 		return nil, err
 	}
-	ap, err := p.toAnalysis()
-	if err != nil {
-		return nil, err
-	}
-	f, err := optimize.NewFrontierStrategy(kind, ap, optimize.Config(e))
-	if err != nil {
-		return nil, err
-	}
-	return &BudgetFrontier{strategies: []frontierEntry{{strategy: s, frontier: f}}}, nil
+	return bf, nil
 }
 
 // NewBudgetFrontierBest precomputes the capped-solve tables for all three
@@ -55,22 +60,11 @@ func NewBudgetFrontier(s Strategy, p JobParams, e Econ) (*BudgetFrontier, error)
 // OptimizeBestWithinBudget does); the constructor fails only when a
 // budget-independent hard error occurs or every strategy is infeasible.
 func NewBudgetFrontierBest(p JobParams, e Econ) (*BudgetFrontier, error) {
-	bf := &BudgetFrontier{best: true}
-	feasible := false
-	for _, s := range ChronosStrategies() {
-		f, err := NewBudgetFrontier(s, p, e)
-		switch {
-		case errors.Is(err, optimize.ErrInfeasible):
-			bf.strategies = append(bf.strategies, frontierEntry{strategy: s})
-			continue
-		case err != nil:
-			return nil, err
-		}
-		bf.strategies = append(bf.strategies, frontierEntry{strategy: s, frontier: f.strategies[0].frontier})
-		feasible = true
-	}
-	if !feasible {
-		return nil, optimize.ErrInfeasible
+	bf := new(BudgetFrontier)
+	var err error
+	bf.unconstrained, err = bestOf(func(s Strategy) (Plan, error) { return bf.table(s, p, e) })
+	if err != nil {
+		return nil, err
 	}
 	return bf, nil
 }
@@ -81,53 +75,25 @@ func (bf *BudgetFrontier) PlanWithinBudget(budget float64) (Plan, error) {
 	if math.IsNaN(budget) {
 		// SolveCapped rejects a NaN budget before solving, so even cells
 		// whose strategies are all infeasible report this first.
-		return Plan{}, fmt.Errorf("optimize: budget is NaN")
+		return Plan{}, optimize.ErrNaNBudget
 	}
-	best := Plan{}
-	found, sawBudget := false, false
-	for _, ent := range bf.strategies {
-		if ent.frontier == nil {
-			continue
+	within := func(s Strategy) (Plan, error) {
+		f := bf.tables[s-Clone]
+		if f == nil {
+			return Plan{}, optimize.ErrInfeasible
 		}
-		res, err := ent.frontier.Solve(budget)
-		switch {
-		case errors.Is(err, optimize.ErrBudgetTooSmall):
-			if !bf.best {
-				return Plan{}, err
-			}
-			sawBudget = true
-			continue
-		case err != nil:
-			return Plan{}, err
-		}
-		plan := planFromResult(ent.strategy, res)
-		if !found || plan.Utility > best.Utility {
-			best, found = plan, true
-		}
+		res, err := f.Solve(budget)
+		return planOf(s, res, err)
 	}
-	if !found {
-		if sawBudget {
-			return Plan{}, optimize.ErrBudgetTooSmall
-		}
-		return Plan{}, optimize.ErrInfeasible
+	if bf.pinned != 0 {
+		// Not through bestOf: a pinned rejection keeps the solver's "need X,
+		// have Y" detail, best-of-three reports the bare sentinel.
+		return within(bf.pinned)
 	}
-	return best, nil
+	return bestOf(within)
 }
 
 // Unconstrained returns the best unconstrained plan across the tables —
 // what PlanWithinBudget returns for any budget that covers it, and the
 // plan OptimizeBest / Optimize would compute for the same cell.
-func (bf *BudgetFrontier) Unconstrained() Plan {
-	best := Plan{}
-	found := false
-	for _, ent := range bf.strategies {
-		if ent.frontier == nil {
-			continue
-		}
-		plan := planFromResult(ent.strategy, ent.frontier.Unconstrained())
-		if !found || plan.Utility > best.Utility {
-			best, found = plan, true
-		}
-	}
-	return best
-}
+func (bf *BudgetFrontier) Unconstrained() Plan { return bf.unconstrained }

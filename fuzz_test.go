@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"chronos/internal/optimize"
 )
 
 // FuzzParseStrategy hardens the name parser every wire surface funnels
@@ -142,7 +144,7 @@ func FuzzOptimizeFinite(f *testing.F) {
 	f.Fuzz(func(t *testing.T, tasks int, deadline, tmin, beta, tauEst, tauKill, phiEst, theta, price, rmin float64) {
 		p := JobParams{Tasks: tasks, Deadline: deadline, TMin: tmin, Beta: beta, TauEst: tauEst, TauKill: tauKill, PhiEst: phiEst}
 		e := Econ{Theta: theta, UnitPrice: price, RMin: rmin}
-		if _, err := p.toAnalysis(); err != nil {
+		if _, err := p.toAnalysis(); err != nil || optimize.Config(e).Validate() != nil {
 			return
 		}
 		check := func(what string, plan Plan, err error) {

@@ -119,7 +119,7 @@ func TestNewModelPanicsOnUnknown(t *testing.T) {
 
 func TestClonePoCDFormula(t *testing.T) {
 	p := testParams()
-	c := Clone{P: p}
+	c := NewModel(StrategyClone, p)
 	for r := 0; r <= 5; r++ {
 		single := math.Pow(p.Task.TMin/p.Deadline, p.Task.Beta)
 		want := math.Pow(1-math.Pow(single, float64(r+1)), float64(p.N))
@@ -131,7 +131,7 @@ func TestClonePoCDFormula(t *testing.T) {
 
 func TestHadoopNSMatchesCloneAtZero(t *testing.T) {
 	p := testParams()
-	if got, want := HadoopNSPoCD(p), (Clone{P: p}).PoCD(0); got != want {
+	if got, want := HadoopNSPoCD(p), NewModel(StrategyClone, p).PoCD(0); got != want {
 		t.Errorf("HadoopNSPoCD = %v, want Clone.PoCD(0) = %v", got, want)
 	}
 	if got, want := HadoopNSMachineTime(p), float64(p.N)*p.Task.Mean(); got != want {
@@ -146,7 +146,7 @@ func TestPoCDInUnitInterval(t *testing.T) {
 		{N: 1, Deadline: 11, Task: pareto.MustNew(10, 1.9), TauEst: 0.5, TauKill: 1},
 	}
 	for _, p := range ps {
-		for _, m := range []Model{Clone{P: p}, Restart{P: p}, Resume{P: p}} {
+		for _, m := range []Model{NewModel(StrategyClone, p), NewModel(StrategyRestart, p), NewModel(StrategyResume, p)} {
 			for r := 0; r <= 8; r++ {
 				got := m.PoCD(r)
 				if got < 0 || got > 1 || math.IsNaN(got) {
@@ -159,7 +159,7 @@ func TestPoCDInUnitInterval(t *testing.T) {
 
 func TestPoCDMonotoneInR(t *testing.T) {
 	p := testParams()
-	for _, m := range []Model{Clone{P: p}, Restart{P: p}, Resume{P: p}} {
+	for _, m := range []Model{NewModel(StrategyClone, p), NewModel(StrategyRestart, p), NewModel(StrategyResume, p)} {
 		prev := -1.0
 		for r := 0; r <= 10; r++ {
 			got := m.PoCD(r)
@@ -220,7 +220,7 @@ func TestCloneResumeCrossover(t *testing.T) {
 	if math.IsInf(rStar, 0) || math.IsNaN(rStar) {
 		t.Fatalf("crossover = %v, want finite", rStar)
 	}
-	clone, resume := Clone{P: p}, Resume{P: p}
+	clone, resume := NewModel(StrategyClone, p), NewModel(StrategyResume, p)
 	for r := 0; r <= 12; r++ {
 		c, s := clone.PoCD(r), resume.PoCD(r)
 		if float64(r) > rStar && c < s-1e-12 {
@@ -273,7 +273,7 @@ func TestGammaSmall(t *testing.T) {
 
 func TestMachineTimeIncreasingInR(t *testing.T) {
 	p := testParams()
-	for _, m := range []Model{Clone{P: p}, Restart{P: p}, Resume{P: p}} {
+	for _, m := range []Model{NewModel(StrategyClone, p), NewModel(StrategyRestart, p), NewModel(StrategyResume, p)} {
 		prev := 0.0
 		for r := 1; r <= 8; r++ {
 			got := m.MachineTime(r)
@@ -288,7 +288,7 @@ func TestMachineTimeIncreasingInR(t *testing.T) {
 
 func TestCloneMachineTimeFormula(t *testing.T) {
 	p := testParams()
-	c := Clone{P: p}
+	c := NewModel(StrategyClone, p)
 	for r := 0; r <= 4; r++ {
 		brp := p.Task.Beta * float64(r+1)
 		want := float64(p.N) * (float64(r)*p.TauKill + p.Task.TMin + p.Task.TMin/(brp-1))
@@ -301,7 +301,7 @@ func TestCloneMachineTimeFormula(t *testing.T) {
 func TestRestartMachineTimeAtZeroIsMean(t *testing.T) {
 	p := testParams()
 	want := float64(p.N) * p.Task.Mean()
-	if got := (Restart{P: p}).MachineTime(0); math.Abs(got-want) > 1e-9 {
+	if got := NewModel(StrategyRestart, p).MachineTime(0); math.Abs(got-want) > 1e-9 {
 		t.Errorf("Restart MachineTime(0) = %v, want N*mean = %v", got, want)
 	}
 }
@@ -370,12 +370,12 @@ func TestCloneVsMonteCarlo(t *testing.T) {
 	p := testParams()
 	// PoCD converges for any r; machine time is checked for r >= 1 where the
 	// surviving minimum has finite variance (beta*(r+1) > 2).
-	if gotP, _ := mcClone(p, 0, 11); math.Abs(gotP-(Clone{P: p}).PoCD(0)) > mcTol {
-		t.Errorf("r=0: MC PoCD %v vs Theorem 1 %v", gotP, (Clone{P: p}).PoCD(0))
+	if gotP, _ := mcClone(p, 0, 11); math.Abs(gotP-NewModel(StrategyClone, p).PoCD(0)) > mcTol {
+		t.Errorf("r=0: MC PoCD %v vs Theorem 1 %v", gotP, NewModel(StrategyClone, p).PoCD(0))
 	}
 	for _, r := range []int{1, 2, 4} {
 		gotP, gotT := mcClone(p, r, 11)
-		c := Clone{P: p}
+		c := NewModel(StrategyClone, p)
 		if wantP := c.PoCD(r); math.Abs(gotP-wantP) > mcTol {
 			t.Errorf("r=%d: MC PoCD %v vs Theorem 1 %v", r, gotP, wantP)
 		}
@@ -425,7 +425,7 @@ func TestRestartVsMonteCarlo(t *testing.T) {
 	p := testParams()
 	for _, r := range []int{1, 2, 4} {
 		gotP, gotT := mcRestart(p, r, 23)
-		m := Restart{P: p}
+		m := NewModel(StrategyRestart, p)
 		if wantP := m.PoCD(r); math.Abs(gotP-wantP) > mcTol {
 			t.Errorf("r=%d: MC PoCD %v vs Theorem 3 %v", r, gotP, wantP)
 		}
@@ -474,7 +474,7 @@ func TestResumeVsMonteCarlo(t *testing.T) {
 	p.PhiEst = 0.2
 	for _, r := range []int{0, 1, 3} {
 		gotP, gotT := mcResume(p, r, 37)
-		m := Resume{P: p}
+		m := NewModel(StrategyResume, p)
 		if wantP := m.PoCD(r); math.Abs(gotP-wantP) > mcTol {
 			t.Errorf("r=%d: MC PoCD %v vs Theorem 5 %v", r, gotP, wantP)
 		}
@@ -489,10 +489,9 @@ func TestResumeVsMonteCarlo(t *testing.T) {
 // against the direct quadrature fallback.
 func TestRestartSurvivorNumericAgree(t *testing.T) {
 	p := testParams()
-	m := Restart{P: p}
 	for _, r := range []int{1, 2, 5} {
-		a := m.expectedSurvivorTime(r)
-		b := m.survivorTimeNumeric(r)
+		a := restartSurvivor(p, r)
+		b := survivorTimeNumeric(p, r)
 		if math.Abs(a-b)/b > 1e-4 {
 			t.Errorf("r=%d: closed-form survivor %v vs numeric %v", r, a, b)
 		}
@@ -511,7 +510,7 @@ func TestRestartSurvivorNearDegenerate(t *testing.T) {
 		p := testParams()
 		p.Deadline, p.TauEst, p.TauKill = 20, te, 15
 		for _, r := range []int{100, 205, 206, 394, 692, 702, 717, 2000, 8000} {
-			got, want := restartSurvivor(p, r), Restart{P: p}.survivorTimeNumeric(r)
+			got, want := restartSurvivor(p, r), survivorTimeNumeric(p, r)
 			if !(math.Abs(got-want) <= 1e-9*want) {
 				t.Errorf("tauEst=%v r=%d: survivor %.17g, quadrature %.17g", te, r, got, want)
 			}
@@ -525,7 +524,7 @@ func TestDegenerateDeadline(t *testing.T) {
 	p := testParams()
 	p.TauEst = 95 // D - tauEst = 5 < tmin = 10
 	p.TauKill = 97
-	re := Restart{P: p}
+	re := NewModel(StrategyRestart, p)
 	// Extra attempts are useless: PoCD must equal Hadoop-NS for any r.
 	want := HadoopNSPoCD(p)
 	for r := 0; r <= 3; r++ {

@@ -40,9 +40,13 @@ type Comparison struct {
 
 // CompareAtR evaluates the three PoCDs and their orderings at r.
 func CompareAtR(p Params, r int) Comparison {
-	c := Clone{P: p}.PoCD(r)
-	re := Restart{P: p}.PoCD(r)
-	rs := Resume{P: p}.PoCD(r)
+	var pocd [3]float64
+	var e Evaluator
+	for i, s := range Strategies() {
+		e.Reset(s, p)
+		pocd[i] = e.PoCD(r)
+	}
+	c, re, rs := pocd[0], pocd[1], pocd[2]
 	return Comparison{
 		R:                 r,
 		CloneOverRestart:  c >= re,

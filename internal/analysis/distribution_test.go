@@ -12,7 +12,7 @@ func TestCompletionCDFMatchesPoCDAtDeadline(t *testing.T) {
 	for _, s := range Strategies() {
 		m := NewModel(s, p)
 		for r := 0; r <= 3; r++ {
-			if got, want := CompletionCDF(m, r, p.Deadline), m.PoCD(r); math.Abs(got-want) > 1e-12 {
+			if got, want := CompletionCDF(s, p, r, p.Deadline), m.PoCD(r); math.Abs(got-want) > 1e-12 {
 				t.Errorf("%v r=%d: CDF(D) = %v, PoCD = %v", s, r, got, want)
 			}
 		}
@@ -22,10 +22,9 @@ func TestCompletionCDFMatchesPoCDAtDeadline(t *testing.T) {
 func TestCompletionCDFMonotone(t *testing.T) {
 	p := testParams()
 	for _, s := range Strategies() {
-		m := NewModel(s, p)
 		prev := -1.0
 		for _, x := range []float64{5, 10, 20, 40, 61, 80, 100, 200, 1000, 1e6} {
-			got := CompletionCDF(m, 2, x)
+			got := CompletionCDF(s, p, 2, x)
 			if got < prev-1e-12 {
 				t.Errorf("%v: CDF not monotone at t=%v: %v < %v", s, x, got, prev)
 			}
@@ -38,11 +37,11 @@ func TestCompletionCDFMonotone(t *testing.T) {
 }
 
 func TestCompletionCDFEdges(t *testing.T) {
-	m := Clone{P: testParams()}
-	if got := CompletionCDF(m, 1, 5); got != 0 {
+	p := testParams()
+	if got := CompletionCDF(StrategyClone, p, 1, 5); got != 0 {
 		t.Errorf("CDF below tmin = %v, want 0", got)
 	}
-	if got := CompletionCDF(m, 1, 1e9); got < 0.999999 {
+	if got := CompletionCDF(StrategyClone, p, 1, 1e9); got < 0.999999 {
 		t.Errorf("CDF at huge t = %v, want ~1", got)
 	}
 }
@@ -53,14 +52,13 @@ func TestCompletionQuantileInvertsCDF(t *testing.T) {
 	// t with CDF(t) >= prob — it need not hit prob exactly.
 	p := testParams()
 	for _, s := range Strategies() {
-		m := NewModel(s, p)
 		for _, prob := range []float64{0.5, 0.9, 0.99} {
-			q := CompletionQuantile(m, 2, prob)
-			if got := CompletionCDF(m, 2, q); got < prob-1e-6 {
+			q := CompletionQuantile(s, p, 2, prob)
+			if got := CompletionCDF(s, p, 2, q); got < prob-1e-6 {
 				t.Errorf("%v: CDF(quantile(%v)) = %v below target", s, prob, got)
 			}
 			// Minimality: just below q the CDF is still under the target.
-			if below := CompletionCDF(m, 2, q*(1-1e-3)); below > prob+1e-6 {
+			if below := CompletionCDF(s, p, 2, q*(1-1e-3)); below > prob+1e-6 {
 				t.Errorf("%v: CDF just below quantile(%v) = %v already meets target",
 					s, prob, below)
 			}
@@ -69,25 +67,24 @@ func TestCompletionQuantileInvertsCDF(t *testing.T) {
 }
 
 func TestCompletionQuantileEdges(t *testing.T) {
-	m := Resume{P: testParams()}
-	if got := CompletionQuantile(m, 1, 0); got != m.P.Task.TMin {
+	p := testParams()
+	if got := CompletionQuantile(StrategyResume, p, 1, 0); got != p.Task.TMin {
 		t.Errorf("quantile(0) = %v, want tmin", got)
 	}
-	if got := CompletionQuantile(m, 1, 1); !math.IsInf(got, 1) {
+	if got := CompletionQuantile(StrategyResume, p, 1, 1); !math.IsInf(got, 1) {
 		t.Errorf("quantile(1) = %v, want +Inf", got)
 	}
 }
 
 func TestDeadlineForPoCDIsSufficient(t *testing.T) {
 	p := testParams()
-	m := NewModel(StrategyResume, p)
-	d := DeadlineForPoCD(m, 2, 0.999)
+	d := DeadlineForPoCD(StrategyResume, p, 2, 0.999)
 	// Promise that deadline: the PoCD at it must reach the target.
-	if got := CompletionCDF(m, 2, d); got < 0.999-1e-6 {
+	if got := CompletionCDF(StrategyResume, p, 2, d); got < 0.999-1e-6 {
 		t.Errorf("promised deadline %v only reaches PoCD %v", d, got)
 	}
 	// More extra attempts tighten the quotable deadline.
-	if d4 := DeadlineForPoCD(m, 4, 0.999); d4 > d+1e-9 {
+	if d4 := DeadlineForPoCD(StrategyResume, p, 4, 0.999); d4 > d+1e-9 {
 		t.Errorf("deadline with r=4 (%v) looser than with r=2 (%v)", d4, d)
 	}
 }
@@ -118,7 +115,6 @@ func TestEmpiricalCDF(t *testing.T) {
 // Clone model and checks the analytic CDF with a KS-style bound.
 func TestAnalyticCDFAgainstMonteCarlo(t *testing.T) {
 	p := testParams()
-	m := Clone{P: p}
 	const r = 1
 	rng := pareto.NewStream(77)
 	const jobs = 20000
@@ -144,7 +140,7 @@ func TestAnalyticCDFAgainstMonteCarlo(t *testing.T) {
 		if x <= p.TauKill {
 			return e.At(x) // skip the region the analytic CDF approximates
 		}
-		return CompletionCDF(m, r, x)
+		return CompletionCDF(StrategyClone, p, r, x)
 	})
 	if dist > 0.02 {
 		t.Errorf("KS distance between analytic and simulated CDF = %v", dist)

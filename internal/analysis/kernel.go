@@ -2,21 +2,22 @@ package analysis
 
 import "math"
 
-// Evaluator is the recurrence kernel behind the Model interface: a
-// per-(strategy, Params) evaluation state that hoists every r-invariant term
-// of the closed forms — the deadline-miss probabilities, the geometric ratio
-// and its squares table, the truncated-Pareto mean, the concavity threshold —
-// out of the per-probe path, so each PoCD/MachineTime probe costs a handful
-// of multiply-adds plus at most one math.Pow.
+// Evaluator is the implementation of the paper's closed forms — PoCD
+// (Theorems 1, 3, 5), expected machine time (Theorems 2, 4, 6) and the
+// concavity threshold Gamma (Theorem 8) — for one (strategy, Params) pair. It
+// is a recurrence kernel: Reset hoists every r-invariant term (the
+// deadline-miss probabilities, the geometric ratio and its squares table, the
+// truncated-Pareto mean, Gamma) out of the per-probe path, so each
+// PoCD/MachineTime probe costs a handful of multiply-adds plus at most one
+// math.Pow.
 //
-// The contract that makes an Evaluator safe to substitute for the plain
-// models (cache keys, goldens, and frontier tables all depend on it) is BIT
-// IDENTITY: for every r, an Evaluator reset to (s, p) returns exactly the
-// float64 the corresponding Clone/Restart/Resume model returns. Hoisting a
+// Cache keys, goldens and frontier tables all depend on the exact float64 each
+// probe returns. Those bits are pinned by the from-scratch reference forms in
+// kernel_property_test.go (no hoisting, no tables: the published formulas
+// over powInt, in the operation order the branches below keep) and, across
+// commits, by testdata/plan_golden.json in the root package; hoisting a
 // subexpression preserves bits only when the cached value is produced by the
-// same operations on the same operands, so every branch below replicates the
-// model's operation order literally; the property tests in
-// kernel_property_test.go pin this across randomized Params.
+// same operations on the same operands.
 //
 // The zero Evaluator is not usable; call Reset first. An Evaluator is not
 // safe for concurrent use.
@@ -35,8 +36,6 @@ type Evaluator struct {
 	meanAll   float64 // N * E[T], Restart's r == 0 machine time
 	tauDiff   float64 // TauKill - TauEst
 	omPhi     float64 // 1 - phi (Resume only)
-
-	cursor int // next r returned by Advance
 }
 
 var _ Model = (*Evaluator)(nil)
@@ -44,6 +43,24 @@ var _ Model = (*Evaluator)(nil)
 // Reset binds the evaluator to a strategy and parameter set, computing every
 // r-invariant term once. It performs no validation; callers that need the
 // closed forms' preconditions enforced should Validate the Params first.
+//
+// Each strategy's per-task miss probability is geometric in r,
+// q(r) = A * rho^(r+c), and Gamma solves q(r) = 1/N (see gamma.go):
+//
+//   - Clone: r+1 attempts of every task start at time zero, each missing with
+//     probability (tmin/D)^beta; A = 1, rho = (tmin/D)^beta, c = 1, so
+//     Gamma = ln(N) / (beta * ln(D/tmin)) - 1 (Eq. 27).
+//   - Speculative-Restart: the original misses with probability A =
+//     (tmin/D)^beta; each of the r attempts restarted from scratch at tauEst
+//     has D-tauEst seconds left and misses with rho = (tmin/(D-tauEst))^beta;
+//     c = 0 (Eq. 28).
+//   - Speculative-Resume: a detected straggler is killed and r+1 attempts
+//     resume from its last byte offset, each processing the remaining
+//     (1-phi) of the split: rho = ((1-phi)*tmin/(D-tauEst))^beta, c = 1.
+//
+// An extra attempt that cannot finish in time at all (D-tauEst at or below
+// its minimum duration) has rho = 1: extra attempts buy nothing and Gamma
+// degenerates to -1.
 func (e *Evaluator) Reset(s Strategy, p Params) {
 	*e = Evaluator{strat: s, p: p, nF: float64(p.N)}
 
@@ -80,7 +97,7 @@ func (e *Evaluator) Reset(s Strategy, p Params) {
 
 	// Straggler-branch invariants shared by Restart and Resume MachineTime.
 	// pMiss is the same Survival(D) expression as failOrig, and hitTerm
-	// caches the meanHit*(1-pMiss) product the models form on every probe.
+	// caches the meanHit*(1-pMiss) product of the published forms.
 	meanHit := p.Task.MeanBelow(p.Deadline)
 	e.hitTerm = meanHit * (1 - failOrig)
 	e.tauDiff = p.TauKill - p.TauEst
@@ -98,9 +115,17 @@ func (e *Evaluator) Strategy() Strategy { return e.strat }
 // Gamma implements Model; the threshold is computed once at Reset.
 func (e *Evaluator) Gamma() float64 { return e.gamma }
 
-// PoCD implements Model (Theorems 1, 3, 5). The per-task failure probability
-// q(r) = A*rho^(r+c) is assembled from the cached A and the squares table;
-// the only remaining transcendental is pocdFromTaskFailure's (1-q)^N.
+// PoCD implements Model: the job meets its deadline iff all N tasks do, and a
+// task misses only if every one of its attempts does.
+//
+//	Theorem 1  R_Clone     = [1 - (tmin/D)^(beta*(r+1))]^N
+//	Theorem 3  R_S-Restart = [1 - tmin^(beta*(r+1)) / (D^beta * (D-tauEst)^(beta*r))]^N
+//	Theorem 5  R_S-Resume  = [1 - (1-phi)^(beta*(r+1)) * tmin^(beta*(r+2)) /
+//	                              (D^beta * (D-tauEst)^(beta*(r+1)))]^N
+//
+// The per-task failure probability q(r) = A*rho^(r+c) is assembled from the
+// cached A and the squares table; the only remaining transcendental is
+// pocdFromTaskFailure's (1-q)^N.
 func (e *Evaluator) PoCD(r int) float64 {
 	var q float64
 	switch e.strat {
@@ -114,8 +139,29 @@ func (e *Evaluator) PoCD(r int) float64 {
 	return pocdFromTaskFailure(q, e.p.N)
 }
 
-// MachineTime implements Model (Theorems 2, 4, 6), replicating each model's
-// branch structure with the r-invariant terms read from the cache.
+// MachineTime implements Model.
+//
+// Theorem 2 (Clone): the r killed attempts each run for tauKill and the
+// survivor is the minimum of r+1 i.i.d. Pareto variables (Lemma 1):
+//
+//	E(T) = N * [ r*tauKill + tmin + tmin/(beta*(r+1)-1) ].
+//
+// Theorems 4 and 6 condition on whether the original attempt is a straggler
+// (T1 > D):
+//
+//	E(T) = E(Tj | T1<=D) P(T1<=D) + E(Tj | T1>D) P(T1>D)
+//
+// with E(Tj | T1<=D) the truncated Pareto mean and, for the straggler,
+//
+//	E(Tj | T1>D) = tauEst + r*(tauKill - tauEst) + E(survivor).
+//
+// Restart (Theorem 4): the survivor is W = min(T1 - tauEst, T2, ..., Tr+1),
+// the post-tauEst running time of the attempt that is kept; Lemma 3 replaces
+// T1 | T1>D by a Pareto with scale D, giving Eq. 16 (restartSurvivor). With
+// r = 0 no extra attempt is ever launched and E(T) = N * E[T1]. Resume
+// (Theorem 6): the original runs until tauEst, r resumed attempts run from
+// tauEst to tauKill and are killed, and the survivor is the minimum of r+1
+// i.i.d. copies of (1-phi)*T (resumeSurvivor).
 func (e *Evaluator) MachineTime(r int) float64 {
 	p := e.p
 	switch e.strat {
@@ -139,31 +185,9 @@ func (e *Evaluator) MachineTime(r int) float64 {
 	}
 }
 
-// Probe bundles both sides of the tradeoff at one replication level.
-type Probe struct {
-	R           int
-	PoCD        float64
-	MachineTime float64
-}
-
-// Seek positions the cursor so the next Advance evaluates r.
-func (e *Evaluator) Seek(r int) { e.cursor = r }
-
-// Advance evaluates both metrics at the cursor and moves it one step
-// forward. This is the incremental path for sequential searches (frontier
-// construction, capped scans, the below-Gamma exhaustive phase): the squares
-// table built at Reset makes each step a popcount(r)-multiply replay of
-// powInt's exact sequence. A naive running product q(r+1) = q(r)*rho would
-// be cheaper still, but drifts from powInt's rounding by r = 4 and would
-// break the bit-identity contract.
-func (e *Evaluator) Advance() Probe {
-	r := e.cursor
-	e.cursor++
-	return Probe{R: r, PoCD: e.PoCD(r), MachineTime: e.MachineTime(r)}
-}
-
-// resumeSurvivor is Resume.MachineTime's straggler survivor term, shared so
-// the model and the Evaluator produce it with identical operations.
+// resumeSurvivor is Theorem 6's straggler survivor term,
+//
+//	tmin + tmin*(1-phi)^(beta*(r+1)) / (beta*(r+1)-1).
 func resumeSurvivor(tm, b, omPhi float64, r int) float64 {
 	brp := b * float64(r+1)
 	return tm + tm*math.Pow(omPhi, brp)/(brp-1)

@@ -6,13 +6,14 @@ import (
 	"testing/quick"
 )
 
-// The Evaluator kernel's contract is BIT identity with the plain models:
-// cache keys, frontier tables, and the golden files all assume a kernel-built
-// plan equals a model-built plan float for float. These tests pin that
-// contract three ways across randomized parameter points: kernel vs model,
-// kernel vs test-local straightforward reimplementations of the closed forms
-// (so a bug shared by kernel and model refactors still gets caught), and the
-// direct-probe path vs the Seek/Advance incremental path.
+// The Evaluator is the only implementation of the closed forms, and cache
+// keys, frontier tables and the golden files all assume the exact float64 it
+// returns. The reference forms below are what pins those bits inside this
+// package: test-local, straightforward reimplementations of the published
+// formulas — no hoisting, no tables — that the kernel must match bit for bit
+// across randomized parameter points, so a hoisting or reordering slip in the
+// kernel is caught even where it moves only the last place. (Across commits,
+// testdata/plan_golden.json in the root package pins the same values.)
 
 // refPoCD re-derives Theorems 1, 3, 5 from scratch: no hoisting, no tables,
 // just the published formulas over powInt.
@@ -40,8 +41,8 @@ func refPoCD(s Strategy, p Params, r int) float64 {
 	}
 }
 
-// refMachineTime re-derives Theorems 2, 4, 6 with the models' exact operation
-// order but none of the kernel's caching.
+// refMachineTime re-derives Theorems 2, 4, 6 in the published forms' operation
+// order with none of the kernel's caching.
 func refMachineTime(s Strategy, p Params, r int) float64 {
 	switch s {
 	case StrategyClone:
@@ -67,6 +68,35 @@ func refMachineTime(s Strategy, p Params, r int) float64 {
 	}
 }
 
+// refGamma re-derives Theorem 8's threshold: solve q(r) = A*rho^(r+c) = 1/N
+// for r, with each strategy's A, rho and c as refPoCD forms them (the
+// failExtra = 1 override included, where the threshold degenerates to -1).
+func refGamma(s Strategy, p Params) float64 {
+	a, rho, c := p.Task.Survival(p.Deadline), 0.0, 0.0
+	switch s {
+	case StrategyClone:
+		a, rho, c = 1, a, 1
+	case StrategyRestart:
+		rho = clampProb(p.Task.Survival(p.Deadline - p.TauEst))
+		if p.Deadline-p.TauEst <= p.Task.TMin {
+			rho = 1
+		}
+	default: // StrategyResume
+		remaining := p.Task.Scaled(1 - p.phi())
+		rho, c = clampProb(remaining.Survival(p.Deadline-p.TauEst)), 1
+		if p.Deadline-p.TauEst <= remaining.TMin {
+			rho = 1
+		}
+	}
+	if rho <= 0 || rho >= 1 || a <= 0 {
+		return -1
+	}
+	if r := -math.Log(float64(p.N)*a)/math.Log(rho) - c; !math.IsNaN(r) {
+		return r
+	}
+	return -1
+}
+
 // sameBits reports float64 equality at the bit level (NaN == NaN, 0 != -0).
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
@@ -77,8 +107,8 @@ func sameBits(a, b float64) bool {
 var kernelProbeRs = []int{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 100, 1023, 1 << 14, 1<<20 - 1, 1 << 20}
 
 // TestPropertyKernelBitIdentical: for random parameter points, the Evaluator
-// returns bit-identical PoCD, MachineTime, and Gamma to both the plain model
-// and the from-scratch reference forms, at every probed r.
+// returns bit-identical PoCD, MachineTime, and Gamma to the from-scratch
+// reference forms, at every probed r.
 func TestPropertyKernelBitIdentical(t *testing.T) {
 	f := func(nRaw, dRaw, bRaw, tRaw uint32) bool {
 		p := propParams(nRaw, dRaw, bRaw, tRaw)
@@ -87,19 +117,13 @@ func TestPropertyKernelBitIdentical(t *testing.T) {
 		}
 		var e Evaluator
 		for _, s := range Strategies() {
-			m := NewModel(s, p)
 			e.Reset(s, p)
-			if !sameBits(e.Gamma(), m.Gamma()) {
-				t.Logf("%v gamma: kernel %v model %v", s, e.Gamma(), m.Gamma())
+			if !sameBits(e.Gamma(), refGamma(s, p)) {
+				t.Logf("%v gamma: kernel %v reference %v", s, e.Gamma(), refGamma(s, p))
 				return false
 			}
 			for _, r := range kernelProbeRs {
 				kp, kt := e.PoCD(r), e.MachineTime(r)
-				if !sameBits(kp, m.PoCD(r)) || !sameBits(kt, m.MachineTime(r)) {
-					t.Logf("%v r=%d: kernel (%v, %v) model (%v, %v)",
-						s, r, kp, kt, m.PoCD(r), m.MachineTime(r))
-					return false
-				}
 				if !sameBits(kp, refPoCD(s, p, r)) || !sameBits(kt, refMachineTime(s, p, r)) {
 					t.Logf("%v r=%d: kernel (%v, %v) reference (%v, %v)",
 						s, r, kp, kt, refPoCD(s, p, r), refMachineTime(s, p, r))
@@ -114,42 +138,9 @@ func TestPropertyKernelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPropertyKernelAdvance: the incremental Seek/Advance path yields the
-// same bits as direct probes, stepping through a contiguous range.
-func TestPropertyKernelAdvance(t *testing.T) {
-	f := func(nRaw, dRaw, bRaw, tRaw uint32, startRaw uint8) bool {
-		p := propParams(nRaw, dRaw, bRaw, tRaw)
-		if p.Validate() != nil {
-			return true
-		}
-		start := int(startRaw % 64)
-		var e Evaluator
-		for _, s := range Strategies() {
-			e.Reset(s, p)
-			e.Seek(start)
-			for r := start; r < start+32; r++ {
-				pr := e.Advance()
-				if pr.R != r {
-					t.Logf("%v: Advance cursor %d, want %d", s, pr.R, r)
-					return false
-				}
-				if !sameBits(pr.PoCD, e.PoCD(r)) || !sameBits(pr.MachineTime, e.MachineTime(r)) {
-					t.Logf("%v r=%d: Advance (%v, %v) direct (%v, %v)",
-						s, r, pr.PoCD, pr.MachineTime, e.PoCD(r), e.MachineTime(r))
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPropertyWaveModelKernel: the wave wrapper, which evaluates sliced waves
-// through the kernel, returns bit-identical values to slicing evaluated by
-// the plain models.
+// through the kernel, returns bit-identical values to the reference forms
+// evaluated on the sliced parameters.
 func TestPropertyWaveModelKernel(t *testing.T) {
 	f := func(nRaw, dRaw, bRaw, tRaw uint32, slotRaw uint8, rRaw uint8) bool {
 		p := propParams(nRaw, dRaw, bRaw, tRaw)
@@ -159,24 +150,23 @@ func TestPropertyWaveModelKernel(t *testing.T) {
 		slots := int(slotRaw%64) + 1
 		r := int(rRaw % 12)
 		for _, s := range Strategies() {
-			inner := NewModel(s, p)
-			w, err := NewWaveModel(inner, slots)
+			w, err := NewWaveModel(NewModel(s, p), slots)
 			if err != nil {
 				t.Logf("wave model: %v", err)
 				return false
 			}
-			// Reference: the same slicing rules evaluated by a plain model.
+			// Reference: the same slicing rules over the reference forms.
 			waves := w.WavesAtR(r)
-			wantPoCD, wantMT := inner.PoCD(r), inner.MachineTime(r)
+			wantPoCD, wantMT := refPoCD(s, p, r), refMachineTime(s, p, r)
 			if waves > 1 {
 				wp := w.waveParams(waves)
 				if wp.Deadline <= wp.Task.TMin || wp.TauKill > wp.Deadline {
 					wantPoCD = 0
 				} else {
-					wantPoCD = NewModel(s, wp).PoCD(r)
+					wantPoCD = refPoCD(s, wp, r)
 				}
 				if wp.Deadline > wp.Task.TMin {
-					wantMT = NewModel(s, wp).MachineTime(r)
+					wantMT = refMachineTime(s, wp, r)
 				}
 			}
 			if !sameBits(w.PoCD(r), wantPoCD) || !sameBits(w.MachineTime(r), wantMT) {

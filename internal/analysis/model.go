@@ -1,8 +1,9 @@
 package analysis
 
-// Model is the analytic interface shared by the three Chronos strategies.
-// PoCD and MachineTime are the two sides of the paper's tradeoff; Gamma is
-// the Theorem 8 concavity threshold consumed by the optimizer.
+// Model is what the optimizer needs of an analytic model. PoCD and
+// MachineTime are the two sides of the paper's tradeoff; Gamma is the
+// Theorem 8 concavity threshold. The closed forms have one implementation,
+// *Evaluator; WaveModel slices it, and test fakes wrap it.
 type Model interface {
 	// Name returns the canonical strategy name ("Clone",
 	// "Speculative-Restart", "Speculative-Resume").
@@ -44,18 +45,12 @@ func (s Strategy) String() string {
 	}
 }
 
-// NewModel constructs the analytic model for a strategy.
-func NewModel(s Strategy, p Params) Model {
-	switch s {
-	case StrategyClone:
-		return Clone{P: p}
-	case StrategyRestart:
-		return Restart{P: p}
-	case StrategyResume:
-		return Resume{P: p}
-	default:
-		panic("analysis: unknown strategy")
-	}
+// NewModel returns the closed forms bound to (s, p). It panics on a strategy
+// outside the three above.
+func NewModel(s Strategy, p Params) *Evaluator {
+	e := new(Evaluator)
+	e.Reset(s, p)
+	return e
 }
 
 // Strategies lists the three Chronos strategies in paper order.
@@ -66,7 +61,9 @@ func Strategies() []Strategy {
 // HadoopNSPoCD returns the PoCD of default Hadoop without speculation: every
 // task has a single attempt, so this is the Clone formula at r = 0.
 func HadoopNSPoCD(p Params) float64 {
-	return Clone{P: p}.PoCD(0)
+	var e Evaluator
+	e.Reset(StrategyClone, p)
+	return e.PoCD(0)
 }
 
 // HadoopNSMachineTime returns the expected machine time without speculation:

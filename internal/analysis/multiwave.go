@@ -17,11 +17,11 @@ import (
 // finishes) and conservative otherwise: real waves overlap because slots
 // free up task by task, so the true PoCD is at least the model's.
 
-// WaveModel wraps a single-wave strategy model with slot-limited waves.
+// WaveModel wraps the single-wave closed forms with slot-limited waves.
 type WaveModel struct {
-	// Inner is the single-wave analytic model; its Params.N must be the
-	// job's total task count.
-	Inner Model
+	// Inner is the single-wave evaluator; its Params.N must be the job's
+	// total task count.
+	Inner *Evaluator
 	// Slots is the number of containers available to the job per wave.
 	// Clone-style strategies consume (r+1) slots per task, which the model
 	// accounts for in WavesAtR.
@@ -29,7 +29,7 @@ type WaveModel struct {
 }
 
 // NewWaveModel validates and builds the wave wrapper.
-func NewWaveModel(inner Model, slots int) (WaveModel, error) {
+func NewWaveModel(inner *Evaluator, slots int) (WaveModel, error) {
 	if slots < 1 {
 		return WaveModel{}, fmt.Errorf("analysis: wave model needs slots >= 1, got %d", slots)
 	}
@@ -74,7 +74,7 @@ func (w WaveModel) PoCD(r int) float64 {
 		return 0 // a wave slice below tmin cannot complete in time
 	}
 	var e Evaluator
-	e.Reset(strategyOf(w.Inner), p)
+	e.Reset(w.Inner.Strategy(), p)
 	return e.PoCD(r)
 }
 
@@ -93,7 +93,7 @@ func (w WaveModel) MachineTime(r int) float64 {
 		return w.Inner.MachineTime(r)
 	}
 	var e Evaluator
-	e.Reset(strategyOf(w.Inner), p)
+	e.Reset(w.Inner.Strategy(), p)
 	return e.MachineTime(r)
 }
 
@@ -122,7 +122,7 @@ func (w WaveModel) Gamma() float64 {
 		if p.Deadline <= p.Task.TMin || p.TauKill > p.Deadline {
 			continue
 		}
-		e.Reset(strategyOf(w.Inner), p)
+		e.Reset(w.Inner.Strategy(), p)
 		if g := e.Gamma(); g > gamma {
 			gamma = g
 		}
@@ -131,22 +131,6 @@ func (w WaveModel) Gamma() float64 {
 }
 
 var _ Model = WaveModel{}
-
-// strategyOf recovers the strategy enum from a model instance.
-func strategyOf(m Model) Strategy {
-	switch m.(type) {
-	case Clone:
-		return StrategyClone
-	case Restart:
-		return StrategyRestart
-	case Resume:
-		return StrategyResume
-	case WaveModel:
-		return strategyOf(m.(WaveModel).Inner)
-	default:
-		panic(fmt.Sprintf("analysis: unknown model type %T", m))
-	}
-}
 
 // SlotsForWaves returns the minimum slot allocation that keeps the job at
 // the given wave count for attempts-per-task a = r+1; useful for capacity

@@ -18,7 +18,7 @@ func waveParams() Params {
 }
 
 func TestWaveModelValidation(t *testing.T) {
-	inner := Clone{P: waveParams()}
+	inner := NewModel(StrategyClone, waveParams())
 	if _, err := NewWaveModel(inner, 0); err == nil {
 		t.Error("zero slots accepted")
 	}
@@ -28,7 +28,7 @@ func TestWaveModelValidation(t *testing.T) {
 }
 
 func TestWavesAtR(t *testing.T) {
-	w, err := NewWaveModel(Clone{P: waveParams()}, 40)
+	w, err := NewWaveModel(NewModel(StrategyClone, waveParams()), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMultiWavePoCDBelowSingleWave(t *testing.T) {
 func TestMultiWaveDegenerateSlice(t *testing.T) {
 	// With many waves the per-wave deadline drops below tmin: PoCD 0.
 	p := waveParams()
-	w, err := NewWaveModel(Clone{P: p}, 1)
+	w, err := NewWaveModel(NewModel(StrategyClone, p), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMultiWaveDegenerateSlice(t *testing.T) {
 }
 
 func TestWaveModelInterface(t *testing.T) {
-	w, err := NewWaveModel(Resume{P: waveParams()}, 30)
+	w, err := NewWaveModel(NewModel(StrategyResume, waveParams()), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestWaveModelInterface(t *testing.T) {
 }
 
 func TestWaveGammaConservative(t *testing.T) {
-	inner := Clone{P: waveParams()}
+	inner := NewModel(StrategyClone, waveParams())
 	w, err := NewWaveModel(inner, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestSlotsForWaves(t *testing.T) {
 // The DES side lives in internal/speculate's tests; here we check the
 // monotonicity that underpins the bound: more slots never hurt.
 func TestWaveMoreSlotsNeverHurt(t *testing.T) {
-	inner := Clone{P: waveParams()}
+	inner := NewModel(StrategyClone, waveParams())
 	prev := -1.0
 	for _, slots := range []int{10, 20, 40, 80, 160} {
 		w, err := NewWaveModel(inner, slots)

@@ -101,7 +101,7 @@ func TestPropertyCDFConsistency(t *testing.T) {
 		r := int(rRaw % 5)
 		for _, s := range Strategies() {
 			m := NewModel(s, p)
-			cdf := CompletionCDF(m, r, p.Deadline)
+			cdf := CompletionCDF(s, p, r, p.Deadline)
 			if cdf < 0 || cdf > 1 || math.Abs(cdf-m.PoCD(r)) > 1e-9 {
 				return false
 			}

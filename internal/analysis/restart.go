@@ -6,79 +6,9 @@ import (
 	"chronos/internal/pareto"
 )
 
-// Restart is the analytic model of the Speculative-Restart strategy: one
-// attempt per task starts at time zero; at tauEst tasks whose estimated
-// completion exceeds the deadline receive r extra attempts that restart the
-// work from scratch; at tauKill the best attempt is kept.
-type Restart struct {
-	P Params
-}
-
-var _ Model = Restart{}
-
-// Name implements Model.
-func (Restart) Name() string { return "Speculative-Restart" }
-
-// Params implements Model.
-func (s Restart) Params() Params { return s.P }
-
-// PoCD implements Theorem 3:
-//
-//	R_S-Restart = [1 - tmin^(beta*(r+1)) / (D^beta * (D-tauEst)^(beta*r))]^N.
-//
-// The original attempt misses with probability (tmin/D)^beta; each of the r
-// restarted attempts has only D-tauEst seconds left, so it misses with
-// probability (tmin/(D-tauEst))^beta.
-func (s Restart) PoCD(r int) float64 {
-	p := s.P
-	failOrig := p.Task.Survival(p.Deadline)
-	failExtra := clampProb(p.Task.Survival(p.Deadline - p.TauEst))
-	if p.Deadline-p.TauEst <= p.Task.TMin {
-		failExtra = 1 // a restarted attempt cannot finish in time
-	}
-	q := failOrig * powInt(failExtra, r)
-	return pocdFromTaskFailure(q, p.N)
-}
-
-// MachineTime implements Theorem 4. Conditioning on whether the original
-// attempt is a straggler (T1 > D):
-//
-//	E(T) = E(Tj | T1<=D) P(T1<=D) + E(Tj | T1>D) P(T1>D)
-//
-// with E(Tj | T1<=D) the truncated Pareto mean, and for the straggler branch
-//
-//	E(Tj | T1>D) = tauEst + r*(tauKill - tauEst) + E(W^all | T1>D)
-//
-// where W^all = min(T1 - tauEst, T2, ..., Tr+1) is the post-tauEst running
-// time of the surviving attempt. Lemma 3 replaces T1|T1>D by a Pareto with
-// scale D, giving the closed form of Eq. 16 (with its one non-elementary
-// integral evaluated by adaptive quadrature).
-func (s Restart) MachineTime(r int) float64 {
-	p := s.P
-	pMiss := p.Task.Survival(p.Deadline)
-	meanHit := p.Task.MeanBelow(p.Deadline)
-
-	if r == 0 {
-		// No extra attempts are ever launched: machine time is just the
-		// attempt execution time, E(T) = N * E[T1].
-		return float64(p.N) * p.Task.Mean()
-	}
-
-	straggler := p.TauEst + float64(r)*(p.TauKill-p.TauEst) + s.expectedSurvivorTime(r)
-	perTask := meanHit*(1-pMiss) + straggler*pMiss
-	return float64(p.N) * perTask
-}
-
-// expectedSurvivorTime returns E[min(T1-tauEst, T2, ..., Tr+1) | T1 > D]:
-// the expected post-tauEst running time of the attempt that is kept.
-func (s Restart) expectedSurvivorTime(r int) float64 {
-	return restartSurvivor(s.P, r)
-}
-
-// restartSurvivor is the package-level form of expectedSurvivorTime, shared
-// with the Evaluator kernel so both produce bit-identical values.
-//
-// Writing That = T1 | T1 > D ~ Pareto(D, beta) (Lemma 3):
+// restartSurvivor returns E[min(T1-tauEst, T2, ..., Tr+1) | T1 > D]: the
+// expected post-tauEst running time of the attempt Speculative-Restart keeps
+// (Theorem 4). Writing That = T1 | T1 > D ~ Pareto(D, beta) (Lemma 3):
 //
 //	E[W] = tmin + Int_tmin^inf P(That - tauEst >= w) * P(T >= w)^r dw
 //	     = tmin + Int_tmin^{D-tauEst} (tmin/w)^(beta r) dw
@@ -93,7 +23,7 @@ func restartSurvivor(p Params, r int) float64 {
 		// The survivor is effectively the (conditioned) original: the extra
 		// attempts cannot even reach tmin of processing before the original
 		// would have had to finish. Integrate the general form numerically.
-		return Restart{P: p}.survivorTimeNumeric(r)
+		return survivorTimeNumeric(p, r)
 	}
 	br := b * float64(r)
 
@@ -186,8 +116,7 @@ func restartSurvivorTail(tm, b, d, te, br, dBar float64) float64 {
 
 // survivorTimeNumeric evaluates E[W] by direct quadrature of
 // P(That - tauEst >= w) * P(T >= w)^r without assuming D-tauEst >= tmin.
-func (s Restart) survivorTimeNumeric(r int) float64 {
-	p := s.P
+func survivorTimeNumeric(p Params, r int) float64 {
 	tm, b, d, te := p.Task.TMin, p.Task.Beta, p.Deadline, p.TauEst
 	integrand := func(w float64) float64 {
 		pOrig := 1.0
@@ -201,12 +130,4 @@ func (s Restart) survivorTimeNumeric(r int) float64 {
 		return pOrig * pExtra
 	}
 	return tm + pareto.Integrate(integrand, tm, math.Inf(1))
-}
-
-// Gamma implements the Theorem 8 (Eq. 28) threshold for Speculative-Restart.
-func (s Restart) Gamma() float64 {
-	p := s.P
-	a := p.Task.Survival(p.Deadline)
-	rho := clampProb(p.Task.Survival(p.Deadline - p.TauEst))
-	return concavityThreshold(a, rho, 0, p.N)
 }

@@ -44,47 +44,50 @@ type Result struct {
 	Cost float64
 }
 
-// Solve runs Algorithm 1 of the paper for one strategy model: an ascent
-// search over the provably concave region r > Gamma (Phase 1) combined with
-// an exhaustive scan of the integers 0 <= r < ceil(Gamma) (Phase 2). By
-// Theorem 9 the combination returns a global maximizer of U.
-func Solve(m analysis.Model, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := m.Params().Validate(); err != nil {
-		return Result{}, err
-	}
-	// The bracketing and binary-search phases revisit r values; cache the
-	// closed-form evaluations for the duration of the solve.
-	mm, pooled := acquire(m)
-	if pooled {
-		defer mm.release()
-	}
-	return solveMemoized(mm, cfg)
+// result names the strategy a point was evaluated for.
+func (p Point) result(strategy string) Result {
+	return Result{Strategy: strategy, R: p.R, Utility: p.Utility, PoCD: p.PoCD, MachineTime: p.MachineTime, Cost: p.Cost}
 }
 
-// SolveStrategy is Solve for a (strategy, params) pair: the model is bound
-// directly to a pooled recurrence kernel, so the entire solve performs no
-// heap allocation.
-func SolveStrategy(s analysis.Strategy, p analysis.Params, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+// Solve runs Algorithm 1 of the paper for one analytic model: an ascent
+// search over the provably concave region r > Gamma (Phase 1) combined with
+// an exhaustive scan of the integers 0 <= r < ceil(Gamma) (Phase 2). By
+// Theorem 9 the combination returns a global maximizer of U. It is the entry
+// for anything that is a Model — a WaveModel, a test fake; for a plain
+// (strategy, params) pair SolveStrategy does the same without allocating.
+func Solve(m analysis.Model, cfg Config) (Result, error) {
+	if err := validate(cfg, m.Params()); err != nil {
 		return Result{}, err
 	}
-	if err := p.Validate(); err != nil {
+	mm := acquire(m)
+	defer mm.release()
+	return mm.solve(cfg)
+}
+
+// SolveStrategy is Solve for a (strategy, params) pair: the closed forms are
+// bound to a pooled recurrence kernel, so the entire solve performs no heap
+// allocation.
+func SolveStrategy(s analysis.Strategy, p analysis.Params, cfg Config) (Result, error) {
+	if err := validate(cfg, p); err != nil {
 		return Result{}, err
 	}
 	mm := acquireStrategy(s, p)
 	defer mm.release()
-	return solveMemoized(mm, cfg)
+	return mm.solve(cfg)
 }
 
-// solveMemoized is Solve after validation and memoization, shared with
-// SolveCapped so a constrained solve reuses the same model evaluations.
-func solveMemoized(m *memoModel, cfg Config) (Result, error) {
-	gamma := m.Gamma()
+func validate(cfg Config, p analysis.Params) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return p.Validate()
+}
+
+// solve is Algorithm 1 on a memo, shared by the unconstrained and the
+// budget-capped entries so a capped solve reuses the same evaluations.
+func (m *memoModel) solve(cfg Config) (Result, error) {
 	start := 0
-	if gamma > 0 {
+	if gamma := m.Gamma(); gamma > 0 {
 		start = int(math.Min(math.Ceil(gamma), searchCap))
 	}
 
@@ -97,26 +100,19 @@ func solveMemoized(m *memoModel, cfg Config) (Result, error) {
 	}
 	bestU := cfg.Utility(m, bestR)
 
-	// Phase 2: exhaustive scan below the concavity threshold, riding the
-	// kernel's sequential Advance cursor.
+	// Phase 2: exhaustive scan below the concavity threshold.
 	for r := 0; r < start; r++ {
-		if _, _, u := m.scanProbe(cfg, r); u > bestU {
+		if u := cfg.Utility(m, r); u > bestU {
 			bestU, bestR = u, r
 		}
 	}
 
-	if math.IsInf(bestU, -1) {
+	// Not "bestU == -Inf": a NaN utility compares false with everything, and
+	// must not be returned as a plan either.
+	if !(bestU > math.Inf(-1)) {
 		return Result{}, ErrInfeasible
 	}
-	mt := m.MachineTime(bestR)
-	return Result{
-		Strategy:    m.Name(),
-		R:           bestR,
-		Utility:     bestU,
-		PoCD:        m.PoCD(bestR),
-		MachineTime: mt,
-		Cost:        cfg.UnitPrice * mt,
-	}, nil
+	return m.pointAt(cfg, bestR).result(m.Name()), nil
 }
 
 // concaveArgmax maximizes a unimodal (discretely concave) function over the
@@ -155,36 +151,4 @@ func concaveArgmax(u func(int) float64, start, limit int) int {
 		}
 	}
 	return lo
-}
-
-// SolveAll optimizes every Chronos strategy for the same parameters and
-// returns the per-strategy results keyed by paper order (Clone, S-Restart,
-// S-Resume). Strategies that are infeasible (PoCD never exceeds RMin) are
-// reported with Utility = -Inf and R = -1.
-func SolveAll(p analysis.Params, cfg Config) []Result {
-	out := make([]Result, 0, 3)
-	for _, s := range analysis.Strategies() {
-		res, err := SolveStrategy(s, p, cfg)
-		if err != nil {
-			res = Result{Strategy: s.String(), R: -1, Utility: math.Inf(-1)}
-		}
-		out = append(out, res)
-	}
-	return out
-}
-
-// Best returns the strategy result with the highest utility from SolveAll,
-// and ErrInfeasible if none is feasible.
-func Best(p analysis.Params, cfg Config) (Result, error) {
-	results := SolveAll(p, cfg)
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.Utility > best.Utility {
-			best = r
-		}
-	}
-	if math.IsInf(best.Utility, -1) {
-		return Result{}, ErrInfeasible
-	}
-	return best, nil
 }

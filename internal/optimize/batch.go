@@ -57,17 +57,16 @@ func BatchSolve(jobs []BatchJob, budget float64) ([]BatchResult, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("optimize: empty batch")
 	}
+	if math.IsNaN(budget) {
+		return nil, ErrNaNBudget
+	}
 	// The greedy loop below re-evaluates every job's marginal step each
 	// round; memoize the closed forms so each (job, r) pair is computed once.
-	// The memos are pooled: raw strategy models bind to recurrence kernels
-	// and the dense caches are recycled across batches.
-	models := make([]*memoModel, len(jobs))
-	owned := make([]bool, len(jobs))
+	// The memos are pooled, so their dense caches are recycled across batches.
+	models := make([]*memoModel, 0, len(jobs))
 	defer func() {
-		for i, m := range models {
-			if m != nil && owned[i] {
-				m.release()
-			}
+		for _, m := range models {
+			m.release()
 		}
 	}()
 	rs := make([]int, len(jobs))
@@ -76,7 +75,7 @@ func BatchSolve(jobs []BatchJob, budget float64) ([]BatchResult, error) {
 		if err := j.Model.Params().Validate(); err != nil {
 			return nil, fmt.Errorf("optimize: batch job %d: %w", i, err)
 		}
-		models[i], owned[i] = acquire(j.Model)
+		models = append(models, acquire(j.Model))
 		spent += models[i].MachineTime(0)
 	}
 	if spent > budget {
@@ -136,13 +135,4 @@ func BatchSolve(jobs []BatchJob, budget float64) ([]BatchResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// BatchUtility sums the per-job utilities of an allocation.
-func BatchUtility(results []BatchResult) float64 {
-	var total float64
-	for _, r := range results {
-		total += r.Utility
-	}
-	return total
 }

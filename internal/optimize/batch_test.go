@@ -99,7 +99,7 @@ func TestBatchSolveNearBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotU := BatchUtility(got)
+		gotU := got[0].Utility + got[1].Utility
 
 		// Brute force over r pairs.
 		bestU := math.Inf(-1)
@@ -134,12 +134,5 @@ func TestBatchSolveInfeasibleRMin(t *testing.T) {
 	// terminates.
 	if !math.IsInf(results[0].Utility, -1) && results[0].PoCD <= j.RMin {
 		t.Errorf("utility %v with PoCD %v <= RMin", results[0].Utility, results[0].PoCD)
-	}
-}
-
-func TestBatchUtility(t *testing.T) {
-	rs := []BatchResult{{Utility: -1}, {Utility: -0.5}}
-	if got := BatchUtility(rs); got != -1.5 {
-		t.Errorf("BatchUtility = %v, want -1.5", got)
 	}
 }

@@ -30,104 +30,78 @@ const cappedScanCap = 4096
 // holds a finite machine-time ledger per tenant, and an arriving job may
 // only be admitted with a plan it can pay for. When even the unconstrained
 // optimum fits the budget it is returned unchanged; otherwise the integers
-// around and below it are scanned for the best affordable plan.
+// around and below it are scanned for the best affordable plan. Like
+// SolveStrategy it runs on a pooled recurrence kernel and does not allocate.
 //
 // Errors distinguish the two rejection reasons an admission controller
 // reports upstream: ErrInfeasible when no r reaches PoCD > RMin regardless
 // of budget, and ErrBudgetTooSmall when feasible plans exist but none is
 // affordable.
-func SolveCapped(m analysis.Model, cfg Config, budget float64) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+func SolveCapped(s analysis.Strategy, p analysis.Params, cfg Config, budget float64) (Result, error) {
+	if err := validate(cfg, p); err != nil {
 		return Result{}, err
 	}
-	if err := m.Params().Validate(); err != nil {
-		return Result{}, err
-	}
-	mm, pooled := acquire(m)
-	if pooled {
-		defer mm.release()
-	}
-	return solveCappedMemoized(mm, cfg, budget)
-}
-
-// SolveCappedStrategy is SolveCapped for a (strategy, params) pair through a
-// pooled recurrence kernel, the allocation-free form the server's admission
-// path uses.
-func SolveCappedStrategy(s analysis.Strategy, p analysis.Params, cfg Config, budget float64) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := p.Validate(); err != nil {
-		return Result{}, err
+	if math.IsNaN(budget) {
+		return Result{}, ErrNaNBudget
 	}
 	mm := acquireStrategy(s, p)
 	defer mm.release()
-	return solveCappedMemoized(mm, cfg, budget)
-}
-
-// solveCappedMemoized is SolveCapped after validation and memoization.
-func solveCappedMemoized(m *memoModel, cfg Config, budget float64) (Result, error) {
-	if math.IsNaN(budget) {
-		return Result{}, fmt.Errorf("optimize: budget is NaN")
-	}
-	un, err := solveMemoized(m, cfg)
+	un, err := mm.solve(cfg)
 	if err != nil {
 		return Result{}, err // ErrInfeasible: no budget can fix it
 	}
-	if un.MachineTime <= budget {
-		return un, nil
-	}
-
-	// The unconstrained optimum is unaffordable; scan for the best feasible
-	// plan. PoCD is nondecreasing in r, so the feasible region (PoCD >
-	// RMin) is [rFeas, inf): bisect its frontier — un.R is known feasible —
-	// and anchor the scan there, so a wide infeasible prefix (large Gamma)
-	// cannot push the cheapest feasible plans past the scan cap.
-	// Memoization makes the revisited r values slice hits.
-	rFeas, hi := cappedScanWindow(m, cfg, un.R)
-	best := Result{R: -1, Utility: math.Inf(-1)}
-	cheapest := math.Inf(1)
-	for r := rFeas; r <= hi; r++ {
-		_, mt, u := m.scanProbe(cfg, r)
-		if !math.IsInf(u, -1) && mt < cheapest {
-			cheapest = mt
-		}
-		if mt > budget {
-			continue
-		}
-		if u > best.Utility {
-			best = Result{
-				Strategy:    m.Name(),
-				R:           r,
-				Utility:     u,
-				PoCD:        m.PoCD(r),
-				MachineTime: mt,
-				Cost:        cfg.UnitPrice * mt,
-			}
-		}
-	}
-	if best.R < 0 || math.IsInf(best.Utility, -1) {
-		return Result{}, fmt.Errorf("%w: need %v, have %v", ErrBudgetTooSmall, cheapest, budget)
-	}
-	return best, nil
+	return within(un, mm.scanWindow(cfg, un.R), budget)
 }
 
-// cappedScanWindow derives the [rFeas, hi] scan range shared by SolveCapped
-// and Frontier construction: bisect the feasibility frontier anchored at the
-// known-feasible unconstrained optimum unR, then cap the width.
-func cappedScanWindow(m *memoModel, cfg Config, unR int) (rFeas, hi int) {
+// scanWindow evaluates the capped scan's candidates around the
+// known-feasible unconstrained optimum unR, into the memo's scratch slice.
+// PoCD is nondecreasing in r, so the feasible region (PoCD > RMin) is
+// [rFeas, inf): bisect its frontier and anchor the window there, so a wide
+// infeasible prefix (large Gamma) cannot push the cheapest feasible plans
+// past the scan cap. Memoization makes the revisited r values slice hits.
+func (m *memoModel) scanWindow(cfg Config, unR int) []Point {
+	rFeas := 0
 	if math.IsInf(cfg.Utility(m, 0), -1) {
-		lo, hiF := 0, unR // invariant: lo infeasible, hiF feasible
-		for hiF-lo > 1 {
-			mid := lo + (hiF-lo)/2
+		lo, hi := 0, unR // invariant: lo infeasible, hi feasible
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
 			if math.IsInf(cfg.Utility(m, mid), -1) {
 				lo = mid
 			} else {
-				hiF = mid
+				hi = mid
 			}
 		}
-		rFeas = hiF
+		rFeas = hi
 	}
-	hi = min(unR+cappedScanMargin, rFeas+cappedScanCap, searchCap-1)
-	return rFeas, hi
+	m.window = m.window[:0]
+	for r, hi := rFeas, min(unR+cappedScanMargin, rFeas+cappedScanCap, searchCap-1); r <= hi; r++ {
+		m.window = append(m.window, m.pointAt(cfg, r))
+	}
+	return m.window
+}
+
+// within answers a capped solve from its two ingredients: the unconstrained
+// optimum when the budget covers it, else the affordable window point of
+// highest utility (the lowest such r on ties). The rejection names the
+// cheapest feasible point: what the budget would have had to be.
+func within(un Result, window []Point, budget float64) (Result, error) {
+	if un.MachineTime <= budget {
+		return un, nil
+	}
+	best := Point{R: -1, Utility: math.Inf(-1)}
+	for _, p := range window {
+		if p.MachineTime <= budget && p.Utility > best.Utility {
+			best = p
+		}
+	}
+	if best.R >= 0 {
+		return best.result(un.Strategy), nil
+	}
+	cheapest := math.Inf(1)
+	for _, p := range window {
+		if !math.IsInf(p.Utility, -1) && p.MachineTime < cheapest {
+			cheapest = p.MachineTime
+		}
+	}
+	return Result{}, fmt.Errorf("%w: need %v, have %v", ErrBudgetTooSmall, cheapest, budget)
 }

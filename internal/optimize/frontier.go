@@ -1,134 +1,52 @@
 package optimize
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"chronos/internal/analysis"
 )
 
-// Frontier is the precomputed form of SolveCapped for one (model, config)
-// cell. Everything SolveCapped derives before it compares against the
-// budget — the unconstrained optimum, the feasibility frontier rFeas, and
-// the bounded scan window of (machine time, utility) points above it — is a
-// pure function of the model and config alone. A warm cell therefore pays
-// the bisection and the window's closed-form evaluations once, at table
-// build time; each subsequent capped solve is a linear pass over the table
-// with no model evaluations at all.
+// Frontier is the precomputed form of SolveCapped for one (strategy, params,
+// config) cell. Everything SolveCapped derives before it compares against
+// the budget — the unconstrained optimum and the bounded scan window of
+// points above the feasibility frontier — is a pure function of the cell
+// alone. A warm cell therefore pays the bisection and the window's
+// closed-form evaluations once, at table build time; each subsequent capped
+// solve is a linear pass over the table with no model evaluations at all.
 //
 // Solve(budget) returns bit-identical results (and errors) to
-// SolveCapped(m, cfg, budget) for every budget, which TestFrontierMatches
-// SolveCapped pins down.
+// SolveCapped(s, p, cfg, budget) for every budget — both end in within —
+// which TestFrontierMatchesSolveCapped pins down.
 type Frontier struct {
 	unconstrained Result
-	points        []frontierPoint
-	// cheapest is the lowest machine time among feasible window points —
-	// SolveCapped's rejection detail ("need X, have Y").
-	cheapest float64
+	window        []Point
 }
 
-// frontierPoint is one scanned r: the fields SolveCapped computes for it.
-type frontierPoint struct {
-	r           int
-	machineTime float64
-	utility     float64
-	pocd        float64
-	cost        float64
-}
-
-// NewFrontier precomputes the SolveCapped scan for one model and config.
-// Errors are exactly Solve's: validation failures, or ErrInfeasible when no
-// r is feasible regardless of budget (in which case no table can help).
-func NewFrontier(m analysis.Model, cfg Config) (*Frontier, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := m.Params().Validate(); err != nil {
-		return nil, err
-	}
-	mm, pooled := acquire(m)
-	if pooled {
-		defer mm.release()
-	}
-	return newFrontierMemoized(mm, cfg)
-}
-
-// NewFrontierStrategy is NewFrontier for a (strategy, params) pair: the
-// table is built through a pooled recurrence kernel, so construction costs
-// one solve plus a sequential Advance walk of the scan window.
-func NewFrontierStrategy(s analysis.Strategy, p analysis.Params, cfg Config) (*Frontier, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
+// NewFrontier precomputes the SolveCapped scan for one cell. Errors are
+// exactly SolveStrategy's: validation failures, or ErrInfeasible when no r
+// is feasible regardless of budget (in which case no table can help).
+func NewFrontier(s analysis.Strategy, p analysis.Params, cfg Config) (*Frontier, error) {
+	if err := validate(cfg, p); err != nil {
 		return nil, err
 	}
 	mm := acquireStrategy(s, p)
 	defer mm.release()
-	return newFrontierMemoized(mm, cfg)
-}
-
-func newFrontierMemoized(m *memoModel, cfg Config) (*Frontier, error) {
-	un, err := solveMemoized(m, cfg)
+	un, err := mm.solve(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	// The window derivation mirrors SolveCapped exactly: bisect the
-	// feasibility frontier anchored at the known-feasible un.R, then scan
-	// [rFeas, min(un.R+margin, rFeas+cap)].
-	rFeas, hi := cappedScanWindow(m, cfg, un.R)
-	f := &Frontier{
-		unconstrained: un,
-		points:        make([]frontierPoint, 0, hi-rFeas+1),
-		cheapest:      math.Inf(1),
-	}
-	for r := rFeas; r <= hi; r++ {
-		pocd, mt, u := m.scanProbe(cfg, r)
-		if !math.IsInf(u, -1) && mt < f.cheapest {
-			f.cheapest = mt
-		}
-		f.points = append(f.points, frontierPoint{
-			r:           r,
-			machineTime: mt,
-			utility:     u,
-			pocd:        pocd,
-			cost:        cfg.UnitPrice * mt,
-		})
-	}
-	return f, nil
+	return &Frontier{unconstrained: un, window: slices.Clone(mm.scanWindow(cfg, un.R))}, nil
 }
 
 // Unconstrained returns the cell's unconstrained optimum — what SolveCapped
 // returns whenever the budget covers it.
 func (f *Frontier) Unconstrained() Result { return f.unconstrained }
 
-// Solve answers SolveCapped(m, cfg, budget) from the table.
+// Solve answers SolveCapped(s, p, cfg, budget) from the table.
 func (f *Frontier) Solve(budget float64) (Result, error) {
 	if math.IsNaN(budget) {
-		return Result{}, fmt.Errorf("optimize: budget is NaN")
+		return Result{}, ErrNaNBudget
 	}
-	if f.unconstrained.MachineTime <= budget {
-		return f.unconstrained, nil
-	}
-	best := Result{R: -1, Utility: math.Inf(-1)}
-	for _, p := range f.points {
-		if p.machineTime > budget {
-			continue
-		}
-		if p.utility > best.Utility {
-			best = Result{
-				Strategy:    f.unconstrained.Strategy,
-				R:           p.r,
-				Utility:     p.utility,
-				PoCD:        p.pocd,
-				MachineTime: p.machineTime,
-				Cost:        p.cost,
-			}
-		}
-	}
-	if best.R < 0 || math.IsInf(best.Utility, -1) {
-		return Result{}, fmt.Errorf("%w: need %v, have %v", ErrBudgetTooSmall, f.cheapest, budget)
-	}
-	return best, nil
+	return within(f.unconstrained, f.window, budget)
 }

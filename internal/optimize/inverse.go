@@ -2,7 +2,6 @@ package optimize
 
 import (
 	"errors"
-	"math"
 
 	"chronos/internal/analysis"
 )
@@ -19,83 +18,18 @@ const maxInverseR = 4096
 // target: because PoCD is non-decreasing and machine time strictly
 // increasing in r, the minimum-cost feasible point is the smallest r with
 // PoCD(r) >= target. This is the "user budget for desired PoCD" direction of
-// the tradeoff described in the paper's introduction.
-func MinCostForPoCD(m analysis.Model, cfg Config, target float64) (Result, error) {
+// the tradeoff described in the paper's introduction. The utility it reports
+// is -Inf when the target itself does not exceed cfg.RMin.
+func MinCostForPoCD(s analysis.Strategy, p analysis.Params, cfg Config, target float64) (Result, error) {
 	if target <= 0 || target > 1 {
 		return Result{}, ErrUnreachablePoCD
 	}
-	mm, pooled := acquire(m)
-	if pooled {
-		defer mm.release()
-	}
-	m = mm
+	mm := acquireStrategy(s, p)
+	defer mm.release()
 	for r := 0; r <= maxInverseR; r++ {
-		if m.PoCD(r) >= target {
-			mt := m.MachineTime(r)
-			return Result{
-				Strategy:    m.Name(),
-				R:           r,
-				Utility:     cfg.Utility(m, r),
-				PoCD:        m.PoCD(r),
-				MachineTime: mt,
-				Cost:        cfg.UnitPrice * mt,
-			}, nil
+		if mm.PoCD(r) >= target {
+			return mm.pointAt(cfg, r).result(mm.Name()), nil
 		}
 	}
 	return Result{}, ErrUnreachablePoCD
-}
-
-// CheapestStrategyForPoCD evaluates all three strategies against a PoCD
-// target and returns the one meeting it at the lowest cost.
-func CheapestStrategyForPoCD(p analysis.Params, cfg Config, target float64) (Result, error) {
-	best := Result{Cost: math.Inf(1)}
-	found := false
-	for _, s := range analysis.Strategies() {
-		mm := acquireStrategy(s, p)
-		res, err := MinCostForPoCD(mm, cfg, target)
-		mm.release()
-		if err != nil {
-			continue
-		}
-		if res.Cost < best.Cost {
-			best = res
-			found = true
-		}
-	}
-	if !found {
-		return Result{}, ErrUnreachablePoCD
-	}
-	return best, nil
-}
-
-// MaxPoCDForBudget returns the configuration with the highest PoCD whose
-// cost stays within budget — the other direction of the tradeoff frontier.
-func MaxPoCDForBudget(m analysis.Model, cfg Config, budget float64) (Result, error) {
-	mm, pooled := acquire(m)
-	if pooled {
-		defer mm.release()
-	}
-	m = mm
-	best := Result{R: -1}
-	for r := 0; r <= maxInverseR; r++ {
-		mt := m.MachineTime(r)
-		cost := cfg.UnitPrice * mt
-		if cost > budget {
-			break // cost is strictly increasing in r
-		}
-		if pocd := m.PoCD(r); best.R < 0 || pocd > best.PoCD {
-			best = Result{
-				Strategy:    m.Name(),
-				R:           r,
-				Utility:     cfg.Utility(m, r),
-				PoCD:        pocd,
-				MachineTime: mt,
-				Cost:        cost,
-			}
-		}
-	}
-	if best.R < 0 {
-		return Result{}, errors.New("optimize: budget below the cost of r=0")
-	}
-	return best, nil
 }

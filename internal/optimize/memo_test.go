@@ -9,19 +9,29 @@ import (
 	"chronos/internal/pareto"
 )
 
-// countingModel wraps a model and counts underlying evaluations.
+// countingModel wraps a model and counts underlying evaluations, in total and
+// per r.
 type countingModel struct {
 	analysis.Model
 	pocdCalls, mtCalls int
+	pocdAt, mtAt       map[int]int
 }
 
 func (c *countingModel) PoCD(r int) float64 {
 	c.pocdCalls++
+	if c.pocdAt == nil {
+		c.pocdAt = map[int]int{}
+	}
+	c.pocdAt[r]++
 	return c.Model.PoCD(r)
 }
 
 func (c *countingModel) MachineTime(r int) float64 {
 	c.mtCalls++
+	if c.mtAt == nil {
+		c.mtAt = map[int]int{}
+	}
+	c.mtAt[r]++
 	return c.Model.MachineTime(r)
 }
 
@@ -33,34 +43,30 @@ func testModel(t *testing.T) analysis.Model {
 	})
 }
 
-// TestMemoizeTransparent verifies the wrapper returns identical values.
-func TestMemoizeTransparent(t *testing.T) {
-	base := testModel(t)
-	memo := Memoize(base)
-	for r := 0; r <= 8; r++ {
-		if got, want := memo.PoCD(r), base.PoCD(r); got != want {
-			t.Errorf("PoCD(%d): memoized %v != direct %v", r, got, want)
-		}
-		if got, want := memo.MachineTime(r), base.MachineTime(r); got != want {
-			t.Errorf("MachineTime(%d): memoized %v != direct %v", r, got, want)
-		}
-	}
-}
-
-// TestMemoizeCachesRepeats verifies each (r) is evaluated at most once.
+// TestMemoizeCachesRepeats verifies a solve evaluates each closed form at
+// most once per r, although bracketing, bisection, the Phase 2 scan and the
+// result assembly all revisit r values — and that what it returns is what the
+// model says at that r.
 func TestMemoizeCachesRepeats(t *testing.T) {
-	counter := &countingModel{Model: testModel(t)}
-	memo := Memoize(counter)
-	for i := 0; i < 10; i++ {
-		memo.PoCD(3)
-		memo.MachineTime(3)
-	}
-	if counter.pocdCalls != 1 || counter.mtCalls != 1 {
-		t.Errorf("got %d PoCD / %d MachineTime evaluations, want 1 / 1",
-			counter.pocdCalls, counter.mtCalls)
-	}
-	if again := Memoize(memo); again != memo {
-		t.Error("Memoize(Memoize(m)) should return the same wrapper")
+	for _, cfg := range []Config{testConfig(), {Theta: 1e-6, UnitPrice: 1, RMin: 0.9}} {
+		counter := &countingModel{Model: testModel(t)}
+		res, err := Solve(counter, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counter.pocdCalls < 3 {
+			t.Fatalf("only %d PoCD evaluations: the fake is not being driven", counter.pocdCalls)
+		}
+		for r, n := range counter.pocdAt {
+			if n > 1 || counter.mtAt[r] > 1 {
+				t.Errorf("rmin=%v r=%d: %d PoCD / %d MachineTime evaluations, want at most 1 each",
+					cfg.RMin, r, n, counter.mtAt[r])
+			}
+		}
+		if m := counter.Model; res.PoCD != m.PoCD(res.R) || res.MachineTime != m.MachineTime(res.R) ||
+			res.Utility != cfg.Utility(m, res.R) {
+			t.Errorf("rmin=%v: Solve = %+v, not the model's values at r=%d", cfg.RMin, res, res.R)
+		}
 	}
 }
 

@@ -206,37 +206,8 @@ func TestNonDeadlineSensitiveJobsGetZeroR(t *testing.T) {
 	}
 }
 
-func TestSolveAllAndBest(t *testing.T) {
-	p := testParams()
-	cfg := testConfig()
-	all := SolveAll(p, cfg)
-	if len(all) != 3 {
-		t.Fatalf("SolveAll returned %d results, want 3", len(all))
-	}
-	best, err := Best(p, cfg)
-	if err != nil {
-		t.Fatalf("Best: %v", err)
-	}
-	for _, r := range all {
-		if r.Utility > best.Utility {
-			t.Errorf("Best (%v, U=%v) is not the max (%v has U=%v)",
-				best.Strategy, best.Utility, r.Strategy, r.Utility)
-		}
-	}
-}
-
-func TestBestInfeasible(t *testing.T) {
-	p := testParams()
-	cfg := Config{Theta: 1e-4, UnitPrice: 1, RMin: 0.9999999}
-	p.Deadline = 10.2
-	if _, err := Best(p, cfg); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("Best on infeasible problem: err = %v, want ErrInfeasible", err)
-	}
-}
-
 func TestCurve(t *testing.T) {
-	m := analysis.NewModel(analysis.StrategyClone, testParams())
-	pts := Curve(m, testConfig(), 5)
+	pts := Curve(analysis.StrategyClone, testParams(), testConfig(), 5)
 	if len(pts) != 6 {
 		t.Fatalf("Curve returned %d points, want 6", len(pts))
 	}
@@ -255,8 +226,7 @@ func TestCurve(t *testing.T) {
 
 func TestMinCostForPoCD(t *testing.T) {
 	m := analysis.NewModel(analysis.StrategyClone, testParams())
-	cfg := testConfig()
-	res, err := MinCostForPoCD(m, cfg, 0.95)
+	res, err := MinCostForPoCD(analysis.StrategyClone, testParams(), testConfig(), 0.95)
 	if err != nil {
 		t.Fatalf("MinCostForPoCD: %v", err)
 	}
@@ -269,54 +239,10 @@ func TestMinCostForPoCD(t *testing.T) {
 }
 
 func TestMinCostForPoCDUnreachable(t *testing.T) {
-	m := analysis.NewModel(analysis.StrategyClone, testParams())
 	for _, target := range []float64{0, -1, 1.5} {
-		if _, err := MinCostForPoCD(m, testConfig(), target); !errors.Is(err, ErrUnreachablePoCD) {
+		if _, err := MinCostForPoCD(analysis.StrategyClone, testParams(), testConfig(), target); !errors.Is(err, ErrUnreachablePoCD) {
 			t.Errorf("target %v: err = %v, want ErrUnreachablePoCD", target, err)
 		}
-	}
-}
-
-func TestCheapestStrategyForPoCD(t *testing.T) {
-	p := testParams()
-	cfg := testConfig()
-	res, err := CheapestStrategyForPoCD(p, cfg, 0.9)
-	if err != nil {
-		t.Fatalf("CheapestStrategyForPoCD: %v", err)
-	}
-	if res.PoCD < 0.9 {
-		t.Errorf("PoCD %v below target", res.PoCD)
-	}
-	// No other strategy meets the target at lower cost.
-	for _, s := range analysis.Strategies() {
-		other, err := MinCostForPoCD(analysis.NewModel(s, p), cfg, 0.9)
-		if err != nil {
-			continue
-		}
-		if other.Cost < res.Cost {
-			t.Errorf("%v meets target at cost %v < chosen %v (%v)",
-				s, other.Cost, res.Cost, res.Strategy)
-		}
-	}
-}
-
-func TestMaxPoCDForBudget(t *testing.T) {
-	m := analysis.NewModel(analysis.StrategyResume, testParams())
-	cfg := testConfig()
-	baseline := m.MachineTime(0) * cfg.UnitPrice
-	res, err := MaxPoCDForBudget(m, cfg, baseline*3)
-	if err != nil {
-		t.Fatalf("MaxPoCDForBudget: %v", err)
-	}
-	if res.Cost > baseline*3 {
-		t.Errorf("cost %v exceeds budget %v", res.Cost, baseline*3)
-	}
-	if res.PoCD < m.PoCD(0) {
-		t.Errorf("budget solution PoCD %v worse than free r=0 %v", res.PoCD, m.PoCD(0))
-	}
-	// Budget below the r=0 cost is an error.
-	if _, err := MaxPoCDForBudget(m, cfg, baseline/2); err == nil {
-		t.Error("expected error for budget below r=0 cost")
 	}
 }
 

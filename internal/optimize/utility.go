@@ -42,6 +42,9 @@ var (
 	// ErrInfeasible reports that no r achieves PoCD above RMin, so every
 	// utility value is -Inf.
 	ErrInfeasible = errors.New("optimize: no r achieves PoCD above RMin")
+	// ErrNaNBudget rejects a machine-time budget that is not a number: every
+	// comparison against it is false, so it would read as "everything fits".
+	ErrNaNBudget = errors.New("optimize: budget is NaN")
 )
 
 // Validate reports whether the configuration yields a well-posed problem.
@@ -99,39 +102,15 @@ type Point struct {
 	Utility     float64
 }
 
-// Curve evaluates the tradeoff curve for r = 0..maxR inclusive. Useful for
-// plotting the PoCD/cost frontier of Section V. Each closed form is
-// evaluated exactly once per r: the points are built from scanProbe, which
-// shares the PoCD/MachineTime evaluations between the point fields and the
-// utility term (the naive loop evaluated PoCD twice per point — once for the
-// field, once inside cfg.Utility).
-func Curve(m analysis.Model, cfg Config, maxR int) []Point {
-	mm, pooled := acquire(m)
-	if pooled {
-		defer mm.release()
-	}
-	return curveOn(mm, cfg, maxR)
-}
-
-// CurveStrategy is Curve for a (strategy, params) pair, evaluated through a
-// pooled recurrence kernel with no interface boxing.
-func CurveStrategy(s analysis.Strategy, p analysis.Params, cfg Config, maxR int) []Point {
+// Curve evaluates the tradeoff curve for r = 0..maxR inclusive (empty for a
+// negative maxR): the PoCD/cost frontier of Section V, each closed form
+// evaluated once per r.
+func Curve(s analysis.Strategy, p analysis.Params, cfg Config, maxR int) []Point {
 	mm := acquireStrategy(s, p)
 	defer mm.release()
-	return curveOn(mm, cfg, maxR)
-}
-
-func curveOn(mm *memoModel, cfg Config, maxR int) []Point {
-	pts := make([]Point, 0, maxR+1)
+	pts := make([]Point, 0, max(maxR, -1)+1)
 	for r := 0; r <= maxR; r++ {
-		pocd, mt, u := mm.scanProbe(cfg, r)
-		pts = append(pts, Point{
-			R:           r,
-			PoCD:        pocd,
-			MachineTime: mt,
-			Cost:        cfg.UnitPrice * mt,
-			Utility:     u,
-		})
+		pts = append(pts, mm.pointAt(cfg, r))
 	}
 	return pts
 }

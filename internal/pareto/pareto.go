@@ -188,9 +188,18 @@ func (d Dist) MeanBelow(upper float64) float64 {
 		// E[T | T<=D] = tm*D*ln(D/tm) / (D - tm) for beta == 1.
 		return tm * upper * math.Log(upper/tm) / (upper - tm)
 	}
+	pu := math.Pow(upper, b)
 	num := tm * upper * b * (math.Pow(tm, b-1) - math.Pow(upper, b-1))
-	den := (1 - b) * (math.Pow(upper, b) - math.Pow(tm, b))
-	return num / den
+	den := (1 - b) * (pu - math.Pow(tm, b))
+	if pu >= 0x1p-1022 && pu <= math.MaxFloat64 && !math.IsInf(num, 0) && den != 0 {
+		return num / den
+	}
+	// D^beta has left float64 (beta*|log10 D| near 308) though the mean lies
+	// in [tmin, D]: the same expression with the ratio tmin/D formed first.
+	// Only here, so every value the published form can represent keeps its
+	// bits.
+	rho := tm / upper
+	return tm * b / (b - 1) * (1 - math.Pow(rho, b-1)) / (1 - math.Pow(rho, b))
 }
 
 // MeanAbove returns E[T | T > lo] = lo*beta/(beta-1) (Lemma 3: the

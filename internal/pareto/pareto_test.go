@@ -268,6 +268,24 @@ func TestMeanBelowQuadrature(t *testing.T) {
 	}
 }
 
+// TestMeanBelowOutOfRange: once D^beta leaves float64 the published form is
+// Inf/Inf; the ratio form must take over without a seam, agreeing with the
+// published form just inside the range and staying inside [tmin, D] beyond it.
+func TestMeanBelowOutOfRange(t *testing.T) {
+	for _, beta := range []float64{153, 154, 155, 369, 5000} { // 100^154 ~ 1e308
+		d := MustNew(85, beta)
+		got := d.MeanBelow(100)
+		rho := 85.0 / 100
+		want := 85 * beta / (beta - 1) * (1 - math.Pow(rho, beta-1)) / (1 - math.Pow(rho, beta))
+		if !(got >= 85 && got <= 100) || !almostEqual(got, want, 1e-12) {
+			t.Errorf("beta=%v: MeanBelow(100) = %v, want %v", beta, got, want)
+		}
+	}
+	if got := MustNew(1e-3, 120).MeanBelow(2e-3); !(got >= 1e-3 && got <= 2e-3) { // D^beta underflows
+		t.Errorf("underflowing D^beta: MeanBelow = %v", got)
+	}
+}
+
 func TestMeanBelowDegenerate(t *testing.T) {
 	d := MustNew(10, 1.5)
 	if got := d.MeanBelow(10); got != 10 {

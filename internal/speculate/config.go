@@ -61,14 +61,14 @@ func (c ChronosConfig) chooseStageR(s analysis.Strategy, job *mapreduce.Job, st 
 	}
 	cfg := c.Opt
 	cfg.UnitPrice = job.Spec.UnitPrice
-	var model analysis.Model = analysis.NewModel(s, stageParams(job, st, c))
+	p := stageParams(job, st, c)
+	var res optimize.Result
+	var err error
 	if c.PlanSlots > 0 {
-		wave, err := analysis.NewWaveModel(model, c.PlanSlots)
-		if err == nil {
-			model = wave
-		}
+		res, err = optimize.Solve(analysis.WaveModel{Inner: analysis.NewModel(s, p), Slots: c.PlanSlots}, cfg)
+	} else {
+		res, err = optimize.SolveStrategy(s, p, cfg)
 	}
-	res, err := optimize.Solve(model, cfg)
 	if err != nil {
 		return 1
 	}

@@ -129,7 +129,7 @@ func TestWaveBoundAgainstDES(t *testing.T) {
 		TauEst:   60,
 		TauKill:  120,
 	}
-	wave, err := analysis.NewWaveModel(analysis.Clone{P: p}, slots)
+	wave, err := analysis.NewWaveModel(analysis.NewModel(analysis.StrategyClone, p), slots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +190,10 @@ func TestPlanSlotsUsesWaveModel(t *testing.T) {
 	cfg.PlanSlots = 40
 	got := cfg.chooseR(analysis.StrategyClone, spec)
 
-	inner := analysis.Clone{P: analysis.Params{
+	inner := analysis.NewModel(analysis.StrategyClone, analysis.Params{
 		N: spec.NumTasks, Deadline: spec.Deadline, Task: spec.Dist,
 		TauEst: cfg.TauEst, TauKill: cfg.TauKill,
-	}}
+	})
 	wave, err := analysis.NewWaveModel(inner, cfg.PlanSlots)
 	if err != nil {
 		t.Fatal(err)

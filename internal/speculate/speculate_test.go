@@ -128,10 +128,10 @@ func TestCloneMatchesClosedForm(t *testing.T) {
 	cfg.FixedR = 2
 	res := runBatch(t, Clone{Config: cfg}, batchJobs, spec, 7)
 
-	model := analysis.Clone{P: analysis.Params{
+	model := analysis.NewModel(analysis.StrategyClone, analysis.Params{
 		N: spec.NumTasks, Deadline: spec.Deadline, Task: spec.Dist,
 		TauEst: cfg.TauEst, TauKill: cfg.TauKill,
-	}}
+	})
 	if want := model.PoCD(2); math.Abs(res.pocd-want) > 0.05 {
 		t.Errorf("Clone simulated PoCD %v vs Theorem 1 %v", res.pocd, want)
 	}
@@ -171,9 +171,9 @@ func TestCloneLaunchesRPlusOne(t *testing.T) {
 func TestCloneOptimizerPicksR(t *testing.T) {
 	res := runBatch(t, Clone{Config: chronosCfg()}, 3, baseSpec(), 4)
 	want, err := optimize.Solve(
-		analysis.Clone{P: analysis.Params{
+		analysis.NewModel(analysis.StrategyClone, analysis.Params{
 			N: 10, Deadline: 100, Task: baseSpec().Dist, TauEst: 30, TauKill: 60,
-		}},
+		}),
 		optimize.Config{Theta: 1e-4, UnitPrice: 1},
 	)
 	if err != nil {
@@ -213,9 +213,9 @@ func TestRestartSpeculatesOnlyOnStragglers(t *testing.T) {
 		}
 	}
 	// PoCD against Theorem 3.
-	model := analysis.Restart{P: analysis.Params{
+	model := analysis.NewModel(analysis.StrategyRestart, analysis.Params{
 		N: 10, Deadline: 100, Task: baseSpec().Dist, TauEst: 30, TauKill: 60,
-	}}
+	})
 	if want := model.PoCD(2); math.Abs(res.pocd-want) > 0.05 {
 		t.Errorf("Restart simulated PoCD %v vs Theorem 3 %v", res.pocd, want)
 	}
