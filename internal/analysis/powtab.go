@@ -1,9 +1,10 @@
 package analysis
 
 // powTabBits sizes the squares table: exponents up to 2^powTabBits - 1 are
-// answered from the table, which covers the optimizer's r safety cap (1<<20)
-// with room for the +1 offsets in the PoCD formulas.
-const powTabBits = 21
+// answered from the table, which covers every r the optimizer probes (its
+// search cap is 1<<13) with room for the +1 offsets in the PoCD formulas;
+// anything larger falls back to powInt.
+const powTabBits = 14
 
 // powTab caches x^(2^i) for i in [0, powTabBits). powInt computes these same
 // squarings on every call before selecting the set-bit factors; the table

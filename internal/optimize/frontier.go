@@ -17,7 +17,8 @@ import (
 //
 // Solve(budget) returns bit-identical results (and errors) to
 // SolveCapped(s, p, cfg, budget) for every budget — both end in within —
-// which TestFrontierMatchesSolveCapped pins down.
+// which the root package's TestBudgetFrontier* tests pin down, error text
+// included.
 type Frontier struct {
 	unconstrained Result
 	window        []Point

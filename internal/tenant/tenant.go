@@ -157,7 +157,7 @@ func (p *Pool) TryDebit(cost float64) (ok bool, remaining float64) {
 	p.led.mu.Lock()
 	defer p.led.mu.Unlock()
 	p.led.refillLocked()
-	if !(cost <= p.led.level) {
+	if !(cost <= p.led.level) { // not "cost > level": that is false for NaN
 		return false, p.led.level
 	}
 	p.led.level -= cost
