@@ -98,21 +98,21 @@ func (m *memoModel) solve(cfg Config) (Result, error) {
 	if bestR < 0 {
 		return Result{}, ErrSearchCap
 	}
-	bestU := cfg.Utility(m, bestR)
+	best := m.pointAt(cfg, bestR)
 
 	// Phase 2: exhaustive scan below the concavity threshold.
 	for r := 0; r < start; r++ {
-		if u := cfg.Utility(m, r); u > bestU {
-			bestU, bestR = u, r
+		if cfg.Utility(m, r) > best.Utility {
+			best = m.pointAt(cfg, r)
 		}
 	}
 
-	// Not "bestU == -Inf": a NaN utility compares false with everything, and
-	// must not be returned as a plan either.
-	if !(bestU > math.Inf(-1)) {
+	// Not "== -Inf": a NaN utility compares false with everything, and must
+	// not be returned as a plan either.
+	if !(best.Utility > math.Inf(-1)) {
 		return Result{}, ErrInfeasible
 	}
-	return m.pointAt(cfg, bestR).result(m.Name()), nil
+	return best.result(m.Name()), nil
 }
 
 // concaveArgmax maximizes a unimodal (discretely concave) function over the

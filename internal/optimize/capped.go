@@ -47,10 +47,10 @@ func SolveCapped(s analysis.Strategy, p analysis.Params, cfg Config, budget floa
 	mm := acquireStrategy(s, p)
 	defer mm.release()
 	un, err := mm.solve(cfg)
-	if err != nil {
-		return Result{}, err // ErrInfeasible: no budget can fix it
+	if err != nil || un.MachineTime <= budget {
+		return un, err // no budget fixes ErrInfeasible; a fitting optimum needs no scan
 	}
-	return within(un, mm.scanWindow(cfg, un.R), budget)
+	return within(un.Strategy, mm.scanWindow(cfg, un.R), budget)
 }
 
 // scanWindow evaluates the capped scan's candidates around the
@@ -80,14 +80,11 @@ func (m *memoModel) scanWindow(cfg Config, unR int) []Point {
 	return m.window
 }
 
-// within answers a capped solve from its two ingredients: the unconstrained
-// optimum when the budget covers it, else the affordable window point of
-// highest utility (the lowest such r on ties). The rejection names the
-// cheapest feasible point: what the budget would have had to be.
-func within(un Result, window []Point, budget float64) (Result, error) {
-	if un.MachineTime <= budget {
-		return un, nil
-	}
+// within answers a capped solve whose unconstrained optimum does not fit:
+// the affordable window point of highest utility (the lowest such r on
+// ties). The rejection names the cheapest feasible point: what the budget
+// would have had to be.
+func within(strategy string, window []Point, budget float64) (Result, error) {
 	best := Point{R: -1, Utility: math.Inf(-1)}
 	for _, p := range window {
 		if p.MachineTime <= budget && p.Utility > best.Utility {
@@ -95,7 +92,7 @@ func within(un Result, window []Point, budget float64) (Result, error) {
 		}
 	}
 	if best.R >= 0 {
-		return best.result(un.Strategy), nil
+		return best.result(strategy), nil
 	}
 	cheapest := math.Inf(1)
 	for _, p := range window {

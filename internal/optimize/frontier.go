@@ -49,5 +49,8 @@ func (f *Frontier) Solve(budget float64) (Result, error) {
 	if math.IsNaN(budget) {
 		return Result{}, ErrNaNBudget
 	}
-	return within(f.unconstrained, f.window, budget)
+	if f.unconstrained.MachineTime <= budget {
+		return f.unconstrained, nil
+	}
+	return within(f.unconstrained.Strategy, f.window, budget)
 }

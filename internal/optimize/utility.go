@@ -108,7 +108,7 @@ type Point struct {
 func Curve(s analysis.Strategy, p analysis.Params, cfg Config, maxR int) []Point {
 	mm := acquireStrategy(s, p)
 	defer mm.release()
-	pts := make([]Point, 0, max(maxR, -1)+1)
+	pts := make([]Point, 0, max(maxR+1, 0))
 	for r := 0; r <= maxR; r++ {
 		pts = append(pts, mm.pointAt(cfg, r))
 	}
