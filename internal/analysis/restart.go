@@ -82,24 +82,27 @@ const tailSeriesMaxTerms = 1 << 15
 func restartSurvivorTail(tm, b, d, te, br, dBar float64) float64 {
 	y := te / d
 	bk := b + br - 1 // denominator offset: beta + k - 1 > 0 since beta > 1
-	scale := d * math.Pow(tm/d, br)
-	sum, c := 0.0, 1.0
-	for n := 0; n < tailSeriesMaxTerms && inFloatRange(scale); n++ {
-		fn := float64(n)
-		term := c / (bk + fn)
-		if sum += term; math.IsInf(sum, 1) {
-			break
+	if scale := d * math.Pow(tm/d, br); inFloatRange(scale) {
+		sum, c := 0.0, 1.0
+		for n := 0; n < tailSeriesMaxTerms; n++ {
+			fn := float64(n)
+			term := c / (bk + fn)
+			sum += term
+			// Terms rise until the ratio y*(k+n)/(n+1) drops below 1, then
+			// decay geometrically; once decreasing, the remaining tail is
+			// bounded by term * rho / (1 - rho). A sum that overflowed passes
+			// this test too (Inf <= Inf), and is left to the other series.
+			rho := y * (br + fn) / (fn + 1)
+			if rho < 1 && term*rho <= (1-rho)*sum*1e-16 {
+				if math.IsInf(sum, 1) {
+					break
+				}
+				return scale * sum
+			}
+			c *= (br + fn) / (fn + 1) * y
 		}
-		// Terms rise until the ratio y*(k+n)/(n+1) drops below 1, then decay
-		// geometrically; once decreasing, the remaining tail is bounded by
-		// term * rho / (1 - rho).
-		rho := y * (br + fn) / (fn + 1)
-		if rho < 1 && term*rho <= (1-rho)*sum*1e-16 {
-			return scale * sum
-		}
-		c *= (br + fn) / (fn + 1) * y
 	}
-	scale = dBar * math.Pow(tm/dBar, br)
+	scale := dBar * math.Pow(tm/dBar, br)
 	sum, term := 0.0, 1/bk
 	for n := 0; n < tailSeriesMaxTerms; n++ {
 		fn := float64(n)

@@ -50,7 +50,8 @@ func SolveCapped(s analysis.Strategy, p analysis.Params, cfg Config, budget floa
 	if err != nil || un.MachineTime <= budget {
 		return un, err // no budget fixes ErrInfeasible; a fitting optimum needs no scan
 	}
-	return within(un.Strategy, mm.scanWindow(cfg, un.R), budget)
+	window := mm.scanWindow(cfg, un.R)
+	return within(un.Strategy, window, cheapestFeasible(window), budget)
 }
 
 // scanWindow evaluates the capped scan's candidates around the
@@ -82,23 +83,29 @@ func (m *memoModel) scanWindow(cfg Config, unR int) []Point {
 
 // within answers a capped solve whose unconstrained optimum does not fit:
 // the affordable window point of highest utility (the lowest such r on
-// ties). The rejection names the cheapest feasible point: what the budget
-// would have had to be.
-func within(strategy string, window []Point, budget float64) (Result, error) {
+// ties). The rejection names cheapest, the window's cheapestFeasible: what
+// the budget would have had to be.
+func within(strategy string, window []Point, cheapest, budget float64) (Result, error) {
 	best := Point{R: -1, Utility: math.Inf(-1)}
-	for _, p := range window {
-		if p.MachineTime <= budget && p.Utility > best.Utility {
-			best = p
+	for i := range window { // by index: ranging by value copies all five fields per point
+		if p := &window[i]; p.MachineTime <= budget && p.Utility > best.Utility {
+			best = *p
 		}
 	}
-	if best.R >= 0 {
-		return best.result(strategy), nil
+	if best.R < 0 {
+		return Result{}, fmt.Errorf("%w: need %v, have %v", ErrBudgetTooSmall, cheapest, budget)
 	}
+	return best.result(strategy), nil
+}
+
+// cheapestFeasible is the lowest machine time among the window's feasible
+// points (+Inf when there is none).
+func cheapestFeasible(window []Point) float64 {
 	cheapest := math.Inf(1)
 	for _, p := range window {
 		if !math.IsInf(p.Utility, -1) && p.MachineTime < cheapest {
 			cheapest = p.MachineTime
 		}
 	}
-	return Result{}, fmt.Errorf("%w: need %v, have %v", ErrBudgetTooSmall, cheapest, budget)
+	return cheapest
 }

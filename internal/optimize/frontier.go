@@ -22,6 +22,7 @@ import (
 type Frontier struct {
 	unconstrained Result
 	window        []Point
+	cheapest      float64 // cheapestFeasible(window), for the rejection text
 }
 
 // NewFrontier precomputes the SolveCapped scan for one cell. Errors are
@@ -37,7 +38,8 @@ func NewFrontier(s analysis.Strategy, p analysis.Params, cfg Config) (*Frontier,
 	if err != nil {
 		return nil, err
 	}
-	return &Frontier{unconstrained: un, window: slices.Clone(mm.scanWindow(cfg, un.R))}, nil
+	window := slices.Clone(mm.scanWindow(cfg, un.R))
+	return &Frontier{unconstrained: un, window: window, cheapest: cheapestFeasible(window)}, nil
 }
 
 // Unconstrained returns the cell's unconstrained optimum — what SolveCapped
@@ -52,5 +54,5 @@ func (f *Frontier) Solve(budget float64) (Result, error) {
 	if f.unconstrained.MachineTime <= budget {
 		return f.unconstrained, nil
 	}
-	return within(f.unconstrained.Strategy, f.window, budget)
+	return within(f.unconstrained.Strategy, f.window, f.cheapest, budget)
 }
