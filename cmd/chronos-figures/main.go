@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"chronos/internal/experiment"
@@ -26,13 +27,13 @@ func main() {
 		seed = flag.Uint64("seed", 1, "root random seed")
 	)
 	flag.Parse()
-	if err := run(*exp, *jobs, *seed); err != nil {
+	if err := run(os.Stdout, *exp, *jobs, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "chronos-figures:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, jobs int, seed uint64) error {
+func run(w io.Writer, exp string, jobs int, seed uint64) error {
 	runner := experiment.DefaultRunner()
 	runner.Seed = seed
 	// The CLI runs the full-size trace (jobs up to 2000 tasks); keep
@@ -53,8 +54,8 @@ func run(exp string, jobs int, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("=== Figure 2: PoCD / Cost / Utility per benchmark ===")
-		fmt.Println(experiment.Fig2Table(rows))
+		fmt.Fprintln(w, "=== Figure 2: PoCD / Cost / Utility per benchmark ===")
+		fmt.Fprintln(w, experiment.Fig2Table(rows))
 		// Figure 2(a) as bars, one chart per benchmark.
 		byBench := map[string]*metrics.BarChart{}
 		var order []string
@@ -68,7 +69,7 @@ func run(exp string, jobs int, seed uint64) error {
 			c.Add(row.Strategy, row.PoCD)
 		}
 		for _, name := range order {
-			fmt.Println(byBench[name])
+			fmt.Fprintln(w, byBench[name])
 		}
 	}
 	if want("table1") {
@@ -81,8 +82,8 @@ func run(exp string, jobs int, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("=== Table I: varying tauEst (tauKill - tauEst = 0.5*tmin) ===")
-		fmt.Println(experiment.TableText(rows))
+		fmt.Fprintln(w, "=== Table I: varying tauEst (tauKill - tauEst = 0.5*tmin) ===")
+		fmt.Fprintln(w, experiment.TableText(rows))
 	}
 	if want("table2") {
 		ran = true
@@ -94,8 +95,8 @@ func run(exp string, jobs int, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("=== Table II: varying tauKill (fixed tauEst) ===")
-		fmt.Println(experiment.TableText(rows))
+		fmt.Fprintln(w, "=== Table II: varying tauKill (fixed tauEst) ===")
+		fmt.Fprintln(w, experiment.TableText(rows))
 	}
 	if want("fig3") {
 		ran = true
@@ -105,8 +106,8 @@ func run(exp string, jobs int, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("=== Figure 3: PoCD / Cost / Utility vs theta ===")
-		fmt.Println(experiment.Fig3Table(rows))
+		fmt.Fprintln(w, "=== Figure 3: PoCD / Cost / Utility vs theta ===")
+		fmt.Fprintln(w, experiment.Fig3Table(rows))
 		// Cost-vs-theta profile per strategy (Figure 3(b) at a glance).
 		costs := map[string][]float64{}
 		var names []string
@@ -116,11 +117,11 @@ func run(exp string, jobs int, seed uint64) error {
 			}
 			costs[row.Strategy] = append(costs[row.Strategy], row.Cost)
 		}
-		fmt.Println("cost vs theta (left to right = growing theta):")
+		fmt.Fprintln(w, "cost vs theta (left to right = growing theta):")
 		for _, name := range names {
-			fmt.Printf("  %-22s %s\n", name, metrics.Sparkline(costs[name]))
+			fmt.Fprintf(w, "  %-22s %s\n", name, metrics.Sparkline(costs[name]))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if want("fig4") {
 		ran = true
@@ -128,8 +129,8 @@ func run(exp string, jobs int, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("=== Figure 4: PoCD / Cost / Utility vs beta ===")
-		fmt.Println(experiment.Fig4Table(rows))
+		fmt.Fprintln(w, "=== Figure 4: PoCD / Cost / Utility vs beta ===")
+		fmt.Fprintln(w, experiment.Fig4Table(rows))
 	}
 	if want("fig5") {
 		ran = true
@@ -139,8 +140,8 @@ func run(exp string, jobs int, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("=== Figure 5: histogram of the optimal r ===")
-		fmt.Println(experiment.Fig5Table(series))
+		fmt.Fprintln(w, "=== Figure 5: histogram of the optimal r ===")
+		fmt.Fprintln(w, experiment.Fig5Table(series))
 	}
 	if want("failures") {
 		ran = true
@@ -150,8 +151,8 @@ func run(exp string, jobs int, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("=== Extension: node-failure resilience ===")
-		fmt.Println(experiment.FailureTable(rows))
+		fmt.Fprintln(w, "=== Extension: node-failure resilience ===")
+		fmt.Fprintln(w, experiment.FailureTable(rows))
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", exp)
