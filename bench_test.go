@@ -1,14 +1,12 @@
 package chronos
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation section. Run it with:
+// The ablation benchmarks (design choices called out in DESIGN.md) and the
+// micro-benchmarks for the hot paths (Pareto sampling, the event queue,
+// Algorithm 1). The benchmarks that regenerate the paper's tables and figures
+// live beside their drivers in internal/experiment, which imports this
+// package. Run them all with:
 //
-//	go test -bench=. -benchmem
-//
-// Each BenchmarkFigureN / BenchmarkTableN executes the corresponding
-// experiment once per iteration and prints the regenerated rows on the
-// first iteration (compare against EXPERIMENTS.md). Micro-benchmarks for
-// the hot paths (Pareto sampling, the event queue, Algorithm 1) follow.
+//	go test -bench=. -benchmem ./...
 
 import (
 	"fmt"
@@ -17,7 +15,6 @@ import (
 	"testing"
 
 	"chronos/internal/analysis"
-	"chronos/internal/experiment"
 	"chronos/internal/optimize"
 	"chronos/internal/pareto"
 	"chronos/internal/sim"
@@ -29,105 +26,6 @@ var printOnce sync.Map
 func dumpOnce(key, text string) {
 	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
 		fmt.Printf("\n=== %s ===\n%s\n", key, text)
-	}
-}
-
-// BenchmarkFigure2 regenerates Figure 2(a)-(c): PoCD, cost, and utility of
-// Hadoop-NS, Hadoop-S, Clone, S-Restart, and S-Resume on the four testbed
-// benchmarks (100 jobs x 10 tasks each, deadlines 100/150 s, tauEst=40,
-// tauKill=80, theta=1e-4).
-func BenchmarkFigure2(b *testing.B) {
-	r := experiment.DefaultRunner()
-	cfg := experiment.DefaultFig2Config()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunFigure2(r, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dumpOnce("Figure 2 (PoCD / Cost / Utility per benchmark)",
-			experiment.Fig2Table(rows).String())
-	}
-}
-
-// BenchmarkTable1 regenerates Table I: the tauEst sweep with
-// tauKill - tauEst fixed at 0.5*tmin on the trace-driven simulation.
-func BenchmarkTable1(b *testing.B) {
-	r := experiment.DefaultRunner()
-	// The tau sweeps only bite when the AM observes progress the way real
-	// Hadoop does: periodic, noisy reports.
-	r.ReportInterval = 2
-	r.ReportNoise = 0.1
-	cfg := experiment.DefaultTableConfig()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunTable1(r, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dumpOnce("Table I (varying tauEst, tauKill-tauEst = 0.5*tmin)",
-			experiment.TableText(rows).String())
-	}
-}
-
-// BenchmarkTable2 regenerates Table II: the tauKill sweep with tauEst
-// fixed.
-func BenchmarkTable2(b *testing.B) {
-	r := experiment.DefaultRunner()
-	r.ReportInterval = 2
-	r.ReportNoise = 0.1
-	cfg := experiment.DefaultTableConfig()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunTable2(r, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dumpOnce("Table II (varying tauKill, fixed tauEst)",
-			experiment.TableText(rows).String())
-	}
-}
-
-// BenchmarkFigure3 regenerates Figure 3(a)-(c): PoCD, cost, and utility of
-// Mantri, Clone, S-Restart, and S-Resume versus the tradeoff factor theta.
-func BenchmarkFigure3(b *testing.B) {
-	r := experiment.DefaultRunner()
-	cfg := experiment.DefaultFig3Config()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunFigure3(r, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dumpOnce("Figure 3 (PoCD / Cost / Utility vs theta)",
-			experiment.Fig3Table(rows).String())
-	}
-}
-
-// BenchmarkFigure4 regenerates Figure 4(a)-(c): PoCD, cost, and utility of
-// the five strategies versus the Pareto tail index beta, with deadlines at
-// 2x the mean task time.
-func BenchmarkFigure4(b *testing.B) {
-	r := experiment.DefaultRunner()
-	cfg := experiment.DefaultFig4Config()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunFigure4(r, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dumpOnce("Figure 4 (PoCD / Cost / Utility vs beta)",
-			experiment.Fig4Table(rows).String())
-	}
-}
-
-// BenchmarkFigure5 regenerates Figure 5: the histogram of the
-// optimizer-chosen r for Clone and S-Resume at theta = 1e-5 and 1e-4.
-func BenchmarkFigure5(b *testing.B) {
-	r := experiment.DefaultRunner()
-	cfg := experiment.DefaultFig5Config()
-	for i := 0; i < b.N; i++ {
-		series, err := experiment.RunFigure5(r, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dumpOnce("Figure 5 (histogram of optimal r)",
-			experiment.Fig5Table(series).String())
 	}
 }
 
@@ -258,22 +156,5 @@ func BenchmarkSimulateJob(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkExtensionFailures runs the failure-resilience extension: PoCD and
-// cost of Hadoop-NS, S-Restart, and S-Resume as node MTBF shrinks (the
-// paper's closing remark on S-Resume under system breakdown, quantified).
-func BenchmarkExtensionFailures(b *testing.B) {
-	r := experiment.DefaultRunner()
-	r.Nodes = 32
-	cfg := experiment.DefaultFailureConfig()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunFailures(r, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dumpOnce("Extension: node-failure resilience",
-			experiment.FailureTable(rows).String())
 	}
 }

@@ -157,19 +157,27 @@ func (p JobParams) toAnalysis() (analysis.Params, error) {
 	return ap, nil
 }
 
+// analyticKind resolves a Chronos strategy to its closed forms:
+// ErrNotAnalytic for a baseline.
+func analyticKind(s Strategy) (analysis.Strategy, error) {
+	switch s {
+	case Clone:
+		return analysis.StrategyClone, nil
+	case SpeculativeRestart:
+		return analysis.StrategyRestart, nil
+	case SpeculativeResume:
+		return analysis.StrategyResume, nil
+	default:
+		return 0, fmt.Errorf("%w: %v", ErrNotAnalytic, s)
+	}
+}
+
 // analytic resolves a public (strategy, job) pair to the closed forms'
 // inputs: ErrNotAnalytic for a baseline, else the job's validation error.
 func analytic(s Strategy, p JobParams) (analysis.Strategy, analysis.Params, error) {
-	var kind analysis.Strategy
-	switch s {
-	case Clone:
-		kind = analysis.StrategyClone
-	case SpeculativeRestart:
-		kind = analysis.StrategyRestart
-	case SpeculativeResume:
-		kind = analysis.StrategyResume
-	default:
-		return 0, analysis.Params{}, fmt.Errorf("%w: %v", ErrNotAnalytic, s)
+	kind, err := analyticKind(s)
+	if err != nil {
+		return 0, analysis.Params{}, err
 	}
 	ap, err := p.toAnalysis()
 	return kind, ap, err

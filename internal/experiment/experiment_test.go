@@ -285,10 +285,15 @@ func TestRunFigure5Shape(t *testing.T) {
 	}
 }
 
+// A zero Nodes or SlotsPerNode means the simulator's default, so the bad
+// shape is a negative one; cluster.New rejects it through chronos.Simulate.
 func TestRunnerRejectsBadShape(t *testing.T) {
-	r := Runner{Nodes: 0, SlotsPerNode: 0}
-	if _, err := r.run("x", nil); err == nil {
-		t.Error("bad runner accepted")
+	for _, r := range []Runner{{Nodes: -1, SlotsPerNode: 8}, {Nodes: 8, SlotsPerNode: -1}} {
+		cfg := DefaultFig4Config()
+		cfg.Jobs, cfg.Betas = 1, []float64{1.5}
+		if _, err := RunFigure4(r, cfg); err == nil {
+			t.Errorf("bad runner %+v accepted", r)
+		}
 	}
 }
 

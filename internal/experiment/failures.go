@@ -1,12 +1,8 @@
 package experiment
 
 import (
-	"chronos/internal/cluster"
-	"chronos/internal/mapreduce"
+	"chronos"
 	"chronos/internal/metrics"
-	"chronos/internal/optimize"
-	"chronos/internal/sim"
-	"chronos/internal/speculate"
 	"chronos/internal/workload"
 )
 
@@ -62,102 +58,30 @@ type FailureRow struct {
 
 // RunFailures executes the sweep over Hadoop-NS, S-Restart and S-Resume.
 func RunFailures(r Runner, cfg FailureConfig) ([]FailureRow, error) {
-	ccfg := speculate.ChronosConfig{
-		TauEst:  cfg.TauEst,
-		TauKill: cfg.TauKill,
-		Opt:     optimize.Config{Theta: cfg.Theta, UnitPrice: cfg.UnitPrice},
-		FixedR:  -1,
-	}
-	strategies := []mapreduce.Strategy{
-		speculate.HadoopNS{},
-		speculate.Restart{Config: ccfg},
-		speculate.Resume{Config: ccfg},
-	}
+	jobs := profileJobs(cfg.Benchmark, cfg.Jobs, cfg.Tasks, cfg.Benchmark.Deadline*4)
+	sc := r.config()
+	sc.Econ = chronos.Econ{Theta: cfg.Theta, UnitPrice: cfg.UnitPrice}
+	sc.TauEst, sc.TauKill, sc.TauScale = cfg.TauEst, cfg.TauKill, chronos.TauAbsolute
+	sc.JVMMin, sc.JVMMax = cfg.Benchmark.JVM.Min, cfg.Benchmark.JVM.Max
 	var rows []FailureRow
 	for _, mtbf := range cfg.MTBFs {
-		for _, strat := range strategies {
-			row, err := runFailureCell(r, cfg, mtbf, strat)
+		sc.Failures = &chronos.FailureModel{MTBF: mtbf, MTTR: cfg.MTTR}
+		for _, strat := range append([]chronos.Strategy{chronos.HadoopNS}, reactiveStrategies...) {
+			sc.Strategy = strat
+			rep, err := chronos.Simulate(sc, jobs)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, row)
+			rows = append(rows, FailureRow{
+				MTBF:       mtbf,
+				Strategy:   strat.String(),
+				PoCD:       rep.PoCD,
+				Cost:       rep.MeanCost,
+				Relaunches: rep.LostAttempts,
+			})
 		}
 	}
 	return rows, nil
-}
-
-// runFailureCell executes one batch under one failure intensity. It builds
-// the harness inline (rather than via Runner.run) because the injector must
-// be installed on the cluster before jobs arrive.
-func runFailureCell(r Runner, cfg FailureConfig, mtbf float64, strat mapreduce.Strategy) (FailureRow, error) {
-	eng := sim.NewEngine()
-	cl, err := cluster.New(eng, cluster.Config{
-		Nodes:        r.Nodes,
-		SlotsPerNode: r.SlotsPerNode,
-		Seed:         r.Seed ^ 0xC10C0,
-	})
-	if err != nil {
-		return FailureRow{}, err
-	}
-	rt := mapreduce.NewRuntime(eng, cl, mapreduce.Config{Seed: r.Seed})
-
-	spacing := cfg.Benchmark.Deadline * 4
-	if mtbf > 0 {
-		cluster.FailureInjector{
-			MTBF:    mtbf,
-			MTTR:    cfg.MTTR,
-			Horizon: float64(cfg.Jobs) * spacing * 2,
-			Seed:    r.Seed ^ 0xFA11,
-		}.Install(eng, cl)
-	}
-
-	var jobs []*mapreduce.Job
-	for i := 0; i < cfg.Jobs; i++ {
-		spec := cfg.Benchmark.JobSpec(i, cfg.Tasks, cfg.UnitPrice, float64(i)*spacing)
-		job, err := rt.Submit(spec, strat)
-		if err != nil {
-			return FailureRow{}, err
-		}
-		jobs = append(jobs, job)
-	}
-	eng.Run()
-
-	stats := metrics.NewStrategyStats(strat.Name())
-	relaunches := 0
-	for _, j := range jobs {
-		if !j.Done {
-			return FailureRow{}, errIncomplete(strat.Name(), j.Spec.ID)
-		}
-		stats.Observe(j)
-		for _, t := range j.Tasks {
-			for _, a := range t.Attempts {
-				if a.State == mapreduce.AttemptFailed {
-					relaunches++
-				}
-			}
-		}
-	}
-	return FailureRow{
-		MTBF:       mtbf,
-		Strategy:   strat.Name(),
-		PoCD:       stats.PoCD(),
-		Cost:       stats.MeanCost(),
-		Relaunches: relaunches,
-	}, nil
-}
-
-// errIncomplete formats the stuck-job error.
-func errIncomplete(strategy string, jobID int) error {
-	return &incompleteJobError{strategy: strategy, jobID: jobID}
-}
-
-type incompleteJobError struct {
-	strategy string
-	jobID    int
-}
-
-func (e *incompleteJobError) Error() string {
-	return "experiment: job did not complete under failures: " + e.strategy
 }
 
 // FailureTable renders the sweep.

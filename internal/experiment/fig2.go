@@ -3,10 +3,9 @@ package experiment
 import (
 	"math"
 
-	"chronos/internal/mapreduce"
+	"chronos"
 	"chronos/internal/metrics"
 	"chronos/internal/optimize"
-	"chronos/internal/speculate"
 	"chronos/internal/workload"
 )
 
@@ -49,7 +48,7 @@ type Fig2Row struct {
 	PoCD      float64
 	Cost      float64
 	Utility   float64
-	RHist     *metrics.Histogram
+	RHist     metrics.Histogram
 }
 
 // RunFigure2 executes the five strategies on the four benchmarks and
@@ -59,64 +58,42 @@ type Fig2Row struct {
 func RunFigure2(r Runner, cfg Fig2Config) ([]Fig2Row, error) {
 	var rows []Fig2Row
 	for _, prof := range workload.Profiles() {
-		specs := fig2Specs(prof, cfg)
-		ccfg := speculate.ChronosConfig{
-			TauEst:  cfg.TauEst,
-			TauKill: cfg.TauKill,
-			Opt:     optimize.Config{Theta: cfg.Theta, UnitPrice: cfg.UnitPrice},
-			FixedR:  -1,
-		}
-		strategies := []mapreduce.Strategy{
-			speculate.HadoopNS{},
-			speculate.HadoopS{},
-			speculate.Clone{Config: ccfg},
-			speculate.Restart{Config: ccfg},
-			speculate.Resume{Config: ccfg},
-		}
+		jobs := profileJobs(prof, cfg.Jobs, cfg.Tasks, cfg.JobSpacing)
+		sc := r.config()
+		sc.Econ = chronos.Econ{Theta: cfg.Theta, UnitPrice: cfg.UnitPrice}
+		sc.TauEst, sc.TauKill, sc.TauScale = cfg.TauEst, cfg.TauKill, chronos.TauAbsolute
+		sc.JVMMin, sc.JVMMax = prof.JVM.Min, prof.JVM.Max
 
 		var rmin float64
-		for _, strat := range strategies {
-			subs := make([]submission, len(specs))
-			for i, spec := range specs {
-				subs[i] = submission{spec: spec, strat: strat}
-			}
-			stats, err := r.run(strat.Name(), subs)
+		for _, strat := range testbedStrategies {
+			sc.Strategy = strat
+			rep, err := chronos.Simulate(sc, jobs)
 			if err != nil {
 				return nil, err
 			}
-			if strat.Name() == "Hadoop-NS" {
-				rmin = stats.PoCD()
+			if strat == chronos.HadoopNS {
+				rmin = rep.PoCD
 				// Keep Rmin strictly below 1 so feasible strategies exist.
 				if rmin >= 1 {
 					rmin = 1 - 1e-6
 				}
 			}
 			ucfg := optimize.Config{Theta: cfg.Theta, UnitPrice: cfg.UnitPrice, RMin: rmin}
-			pocd := stats.PoCD()
-			utility := ucfg.UtilityFromMeasured(pocd, stats.MeanCost())
-			if strat.Name() == "Hadoop-NS" {
+			utility := ucfg.UtilityFromMeasured(rep.PoCD, rep.MeanCost)
+			if strat == chronos.HadoopNS {
 				utility = math.Inf(-1) // R == Rmin by construction
 			}
 			rows = append(rows, Fig2Row{
 				Benchmark: prof.Name,
-				Strategy:  strat.Name(),
-				PoCD:      pocd,
-				Cost:      stats.MeanCost(),
+				Strategy:  strat.String(),
+				PoCD:      rep.PoCD,
+				Cost:      rep.MeanCost,
 				Utility:   utility,
-				RHist:     stats.RHistogram(),
+				RHist:     rep.RHistogram,
 			})
 		}
 	}
 	return rows, nil
-}
-
-// fig2Specs builds the job stream for one benchmark.
-func fig2Specs(prof workload.Profile, cfg Fig2Config) []mapreduce.JobSpec {
-	specs := make([]mapreduce.JobSpec, cfg.Jobs)
-	for i := range specs {
-		specs[i] = prof.JobSpec(i, cfg.Tasks, cfg.UnitPrice, float64(i)*cfg.JobSpacing)
-	}
-	return specs
 }
 
 // Fig2Table renders the rows as the three-column table of Figure 2.

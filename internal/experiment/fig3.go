@@ -1,10 +1,8 @@
 package experiment
 
 import (
-	"chronos/internal/mapreduce"
+	"chronos"
 	"chronos/internal/metrics"
-	"chronos/internal/optimize"
-	"chronos/internal/speculate"
 	"chronos/internal/trace"
 )
 
@@ -45,49 +43,36 @@ type Fig3Row struct {
 	Utility  float64
 	// RHist records the optimizer-chosen r distribution (Figure 5 input);
 	// nil for Mantri, which does not optimize r.
-	RHist *metrics.Histogram
+	RHist metrics.Histogram
 }
 
 // RunFigure3 sweeps theta over Mantri, Clone, S-Restart, and S-Resume on a
 // common trace.
 func RunFigure3(r Runner, cfg Fig3Config) ([]Fig3Row, error) {
-	jobs, err := trace.Generate(cfg.Trace)
+	jobs, err := traceJobs(cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
+	sc := r.config()
+	sc.TauEst, sc.TauKill, sc.TauScale = cfg.TauEstFactor, cfg.TauKillFactor, chronos.TauOfTMin
 	var rows []Fig3Row
 	for _, theta := range cfg.Thetas {
-		for _, name := range []string{"Mantri", "Clone", "Speculative-Restart", "Speculative-Resume"} {
-			subs := make([]submission, len(jobs))
-			for i, rec := range jobs {
-				spec := traceSpec(rec, cfg.UnitPrice)
-				var strat mapreduce.Strategy
-				if name == "Mantri" {
-					strat = speculate.Mantri{}
-				} else {
-					strat = chronosByName(name, speculate.ChronosConfig{
-						TauEst:  cfg.TauEstFactor * rec.Dist.TMin,
-						TauKill: cfg.TauKillFactor * rec.Dist.TMin,
-						Opt:     optimize.Config{Theta: theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice},
-						FixedR:  -1,
-					})
-				}
-				subs[i] = submission{spec: spec, strat: strat}
-			}
-			stats, err := r.run(name, subs)
+		sc.Econ = chronos.Econ{Theta: theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice}
+		for _, strat := range []chronos.Strategy{chronos.Mantri, chronos.Clone, chronos.SpeculativeRestart, chronos.SpeculativeResume} {
+			sc.Strategy = strat
+			rep, err := chronos.Simulate(sc, jobs)
 			if err != nil {
 				return nil, err
 			}
-			ucfg := optimize.Config{Theta: theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice}
 			row := Fig3Row{
 				Theta:    theta,
-				Strategy: name,
-				PoCD:     stats.PoCD(),
-				Cost:     stats.MeanCost(),
-				Utility:  stats.Utility(ucfg),
+				Strategy: strat.String(),
+				PoCD:     rep.PoCD,
+				Cost:     rep.MeanCost,
+				Utility:  rep.Utility,
 			}
-			if name != "Mantri" {
-				row.RHist = stats.RHistogram()
+			if strat != chronos.Mantri {
+				row.RHist = rep.RHistogram
 			}
 			rows = append(rows, row)
 		}

@@ -1,11 +1,9 @@
 package experiment
 
 import (
-	"chronos/internal/mapreduce"
+	"chronos"
 	"chronos/internal/metrics"
-	"chronos/internal/optimize"
 	"chronos/internal/pareto"
-	"chronos/internal/speculate"
 )
 
 // Fig4Config parameterizes the beta sweep of Figure 4: task execution times
@@ -55,6 +53,9 @@ type Fig4Row struct {
 
 // RunFigure4 sweeps beta over the five strategies of Figure 4.
 func RunFigure4(r Runner, cfg Fig4Config) ([]Fig4Row, error) {
+	sc := r.config()
+	sc.Econ = chronos.Econ{Theta: cfg.Theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice}
+	sc.TauEst, sc.TauKill, sc.TauScale = cfg.TauEstFactor, cfg.TauKillFactor, chronos.TauOfTMin
 	var rows []Fig4Row
 	for _, beta := range cfg.Betas {
 		dist, err := pareto.New(cfg.TMin, beta)
@@ -62,48 +63,19 @@ func RunFigure4(r Runner, cfg Fig4Config) ([]Fig4Row, error) {
 			return nil, err
 		}
 		deadline := cfg.DeadlineRatio * dist.Mean()
-		ccfg := speculate.ChronosConfig{
-			TauEst:  cfg.TauEstFactor * cfg.TMin,
-			TauKill: cfg.TauKillFactor * cfg.TMin,
-			Opt:     optimize.Config{Theta: cfg.Theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice},
-			FixedR:  -1,
-		}
-		strategies := []mapreduce.Strategy{
-			speculate.HadoopNS{},
-			speculate.HadoopS{},
-			speculate.Clone{Config: ccfg},
-			speculate.Restart{Config: ccfg},
-			speculate.Resume{Config: ccfg},
-		}
-		for _, strat := range strategies {
-			subs := make([]submission, cfg.Jobs)
-			for i := range subs {
-				subs[i] = submission{
-					spec: mapreduce.JobSpec{
-						ID:         i,
-						Name:       "fig4",
-						NumTasks:   cfg.Tasks,
-						Deadline:   deadline,
-						Dist:       dist,
-						SplitBytes: 128 << 20,
-						JVM:        mapreduce.JVMModel{Min: 1, Max: 3},
-						UnitPrice:  cfg.UnitPrice,
-						Arrival:    float64(i) * deadline * 4,
-					},
-					strat: strat,
-				}
-			}
-			stats, err := r.run(strat.Name(), subs)
+		jobs := chronos.Benchmark{TMin: cfg.TMin, Beta: beta, Deadline: deadline}.Jobs(cfg.Jobs, cfg.Tasks, deadline*4)
+		for _, strat := range testbedStrategies {
+			sc.Strategy = strat
+			rep, err := chronos.Simulate(sc, jobs)
 			if err != nil {
 				return nil, err
 			}
-			ucfg := optimize.Config{Theta: cfg.Theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice}
 			rows = append(rows, Fig4Row{
 				Beta:     beta,
-				Strategy: strat.Name(),
-				PoCD:     stats.PoCD(),
-				Cost:     stats.MeanCost(),
-				Utility:  stats.Utility(ucfg),
+				Strategy: strat.String(),
+				PoCD:     rep.PoCD,
+				Cost:     rep.MeanCost,
+				Utility:  rep.Utility,
 			})
 		}
 	}

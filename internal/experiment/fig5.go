@@ -26,7 +26,7 @@ func DefaultFig5Config() Fig5Config {
 type Fig5Series struct {
 	Strategy string
 	Theta    float64
-	Hist     *metrics.Histogram
+	Hist     metrics.Histogram
 }
 
 // RunFigure5 produces the four histograms (Clone and S-Resume at each

@@ -1,7 +1,8 @@
 // Package experiment contains one driver per table and figure of the
-// paper's evaluation (Section VII). Each driver builds the workload, runs
-// every strategy on a common-random-numbers simulation, and returns rows
-// matching the paper's reported series:
+// paper's evaluation (Section VII). Each driver is a client of the public
+// simulation API: it builds the workload as []chronos.SimJob, runs every
+// strategy through chronos.Simulate on common random numbers, and returns
+// rows matching the paper's reported series:
 //
 //	Figure 2  — PoCD / Cost / Utility per benchmark (testbed experiment)
 //	Table I   — sweep of tauEst with tauKill - tauEst fixed
@@ -12,24 +13,19 @@
 package experiment
 
 import (
-	"fmt"
-
-	"chronos/internal/cluster"
-	"chronos/internal/mapreduce"
-	"chronos/internal/metrics"
-	"chronos/internal/sim"
+	"chronos"
+	"chronos/internal/trace"
+	"chronos/internal/workload"
 )
 
-// Runner holds the cluster-shape and seeding shared by all experiments.
+// Runner holds the cluster shape and seeding shared by all experiments: the
+// part of a chronos.SimConfig that does not depend on the experiment.
 type Runner struct {
 	// Nodes and SlotsPerNode size the simulated cluster. The defaults
 	// (DefaultRunner) keep capacity ample, matching the paper's
 	// trace-driven simulator.
 	Nodes        int
 	SlotsPerNode int
-	// Contention optionally injects background load (the "Stress"
-	// emulation of the testbed experiments).
-	Contention cluster.ContentionModel
 	// ReportInterval and ReportNoise configure the AM's progress
 	// observation (periodic, noisy reports, as in real Hadoop); zeros mean
 	// continuous exact observation.
@@ -44,49 +40,47 @@ func DefaultRunner() Runner {
 	return Runner{Nodes: 512, SlotsPerNode: 8, Seed: 1}
 }
 
-// submission pairs a job spec with the strategy instance driving it
-// (strategies may be configured per job, e.g. job-relative tauEst).
-type submission struct {
-	spec  mapreduce.JobSpec
-	strat mapreduce.Strategy
-}
-
-// run executes one batch of submissions and aggregates outcomes.
-func (r Runner) run(name string, subs []submission) (*metrics.StrategyStats, error) {
-	if r.Nodes < 1 || r.SlotsPerNode < 1 {
-		return nil, fmt.Errorf("experiment: bad cluster shape %dx%d", r.Nodes, r.SlotsPerNode)
-	}
-	eng := sim.NewEngine()
-	cl, err := cluster.New(eng, cluster.Config{
-		Nodes:        r.Nodes,
-		SlotsPerNode: r.SlotsPerNode,
-		Contention:   r.Contention,
-		Seed:         r.Seed ^ 0xC10C0,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rt := mapreduce.NewRuntime(eng, cl, mapreduce.Config{
+// config returns the SimConfig an experiment starts from; the driver adds
+// the strategy, the control instants and the economics of each run.
+func (r Runner) config() chronos.SimConfig {
+	return chronos.SimConfig{
+		Nodes:          r.Nodes,
+		SlotsPerNode:   r.SlotsPerNode,
 		Seed:           r.Seed,
 		ReportInterval: r.ReportInterval,
 		ReportNoise:    r.ReportNoise,
-	})
-	jobs := make([]*mapreduce.Job, 0, len(subs))
-	for _, sub := range subs {
-		job, err := rt.Submit(sub.spec, sub.strat)
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, job)
 	}
-	eng.Run()
+}
 
-	stats := metrics.NewStrategyStats(name)
-	for _, j := range jobs {
-		if !j.Done {
-			return nil, fmt.Errorf("experiment: job %d (%s) did not complete", j.Spec.ID, name)
-		}
-		stats.Observe(j)
+// The strategy line-ups of the testbed-style experiments (Figures 2 and 4)
+// and of the trace-driven tau sweeps (Tables I and II).
+var (
+	testbedStrategies  = []chronos.Strategy{chronos.HadoopNS, chronos.HadoopS, chronos.Clone, chronos.SpeculativeRestart, chronos.SpeculativeResume}
+	reactiveStrategies = []chronos.Strategy{chronos.SpeculativeRestart, chronos.SpeculativeResume}
+)
+
+// profileJobs expands a benchmark profile into n identical jobs of the given
+// task count, spaced spacing seconds apart.
+func profileJobs(p workload.Profile, n, tasks int, spacing float64) []chronos.SimJob {
+	b := chronos.Benchmark{TMin: p.Dist.TMin, Beta: p.Dist.Beta, Deadline: p.Deadline}
+	return b.Jobs(n, tasks, spacing)
+}
+
+// traceJobs generates the synthetic trace as a job stream.
+func traceJobs(cfg trace.GeneratorConfig) ([]chronos.SimJob, error) {
+	records, err := trace.Generate(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return stats, nil
+	jobs := make([]chronos.SimJob, len(records))
+	for i, rec := range records {
+		jobs[i] = chronos.SimJob{
+			Tasks:    rec.NumTasks,
+			Deadline: rec.Deadline,
+			TMin:     rec.Dist.TMin,
+			Beta:     rec.Dist.Beta,
+			Arrival:  rec.Arrival,
+		}
+	}
+	return jobs, nil
 }

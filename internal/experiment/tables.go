@@ -1,10 +1,8 @@
 package experiment
 
 import (
-	"chronos/internal/mapreduce"
+	"chronos"
 	"chronos/internal/metrics"
-	"chronos/internal/optimize"
-	"chronos/internal/speculate"
 	"chronos/internal/trace"
 )
 
@@ -55,22 +53,22 @@ type TableRow struct {
 // at 0.5*tmin. Clone has only tauEst = 0; S-Restart and S-Resume sweep
 // tauEst in {0.1, 0.3, 0.5}*tmin.
 func RunTable1(r Runner, cfg TableConfig) ([]TableRow, error) {
-	jobs, err := trace.Generate(cfg.Trace)
+	jobs, err := traceJobs(cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
 	var rows []TableRow
 
 	// Clone: tauEst fixed at 0, tauKill = 0.5*tmin.
-	row, err := runTableCell(r, cfg, jobs, "Clone", 0, 0.5)
+	row, err := runTableCell(r, cfg, jobs, chronos.Clone, 0, 0.5)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, row)
 
-	for _, name := range []string{"Speculative-Restart", "Speculative-Resume"} {
+	for _, strat := range reactiveStrategies {
 		for _, estFactor := range []float64{0.1, 0.3, 0.5} {
-			row, err := runTableCell(r, cfg, jobs, name, estFactor, estFactor+0.5)
+			row, err := runTableCell(r, cfg, jobs, strat, estFactor, estFactor+0.5)
 			if err != nil {
 				return nil, err
 			}
@@ -84,21 +82,21 @@ func RunTable1(r Runner, cfg TableConfig) ([]TableRow, error) {
 // sweeps tauKill in {0.4, 0.6, 0.8}*tmin at tauEst = 0; the speculative
 // strategies use tauEst = 0.3*tmin.
 func RunTable2(r Runner, cfg TableConfig) ([]TableRow, error) {
-	jobs, err := trace.Generate(cfg.Trace)
+	jobs, err := traceJobs(cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
 	var rows []TableRow
 	for _, killFactor := range []float64{0.4, 0.6, 0.8} {
-		row, err := runTableCell(r, cfg, jobs, "Clone", 0, killFactor)
+		row, err := runTableCell(r, cfg, jobs, chronos.Clone, 0, killFactor)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
 	}
-	for _, name := range []string{"Speculative-Restart", "Speculative-Resume"} {
+	for _, strat := range reactiveStrategies {
 		for _, killFactor := range []float64{0.4, 0.6, 0.8} {
-			row, err := runTableCell(r, cfg, jobs, name, 0.3, killFactor)
+			row, err := runTableCell(r, cfg, jobs, strat, 0.3, killFactor)
 			if err != nil {
 				return nil, err
 			}
@@ -110,62 +108,25 @@ func RunTable2(r Runner, cfg TableConfig) ([]TableRow, error) {
 
 // runTableCell executes one (strategy, tauEst, tauKill) sweep point over
 // the whole trace.
-func runTableCell(r Runner, cfg TableConfig, jobs []trace.JobRecord,
-	strategy string, estFactor, killFactor float64) (TableRow, error) {
+func runTableCell(r Runner, cfg TableConfig, jobs []chronos.SimJob,
+	strat chronos.Strategy, estFactor, killFactor float64) (TableRow, error) {
 
-	subs := make([]submission, len(jobs))
-	for i, rec := range jobs {
-		spec := traceSpec(rec, cfg.UnitPrice)
-		ccfg := speculate.ChronosConfig{
-			TauEst:  estFactor * rec.Dist.TMin,
-			TauKill: killFactor * rec.Dist.TMin,
-			Opt:     optimize.Config{Theta: cfg.Theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice},
-			FixedR:  -1,
-		}
-		subs[i] = submission{spec: spec, strat: chronosByName(strategy, ccfg)}
-	}
-	stats, err := r.run(strategy, subs)
+	sc := r.config()
+	sc.Strategy = strat
+	sc.Econ = chronos.Econ{Theta: cfg.Theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice}
+	sc.TauEst, sc.TauKill, sc.TauScale = estFactor, killFactor, chronos.TauOfTMin
+	rep, err := chronos.Simulate(sc, jobs)
 	if err != nil {
 		return TableRow{}, err
 	}
-	ucfg := optimize.Config{Theta: cfg.Theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice}
 	return TableRow{
-		Strategy:      strategy,
+		Strategy:      strat.String(),
 		TauEstFactor:  estFactor,
 		TauKillFactor: killFactor,
-		PoCD:          stats.PoCD(),
-		Cost:          stats.MeanCost(),
-		Utility:       stats.Utility(ucfg),
+		PoCD:          rep.PoCD,
+		Cost:          rep.MeanCost,
+		Utility:       rep.Utility,
 	}, nil
-}
-
-// traceSpec converts a trace record into a submit-ready spec.
-func traceSpec(rec trace.JobRecord, price float64) mapreduce.JobSpec {
-	return mapreduce.JobSpec{
-		ID:         rec.ID,
-		Name:       "trace",
-		NumTasks:   rec.NumTasks,
-		Deadline:   rec.Deadline,
-		Dist:       rec.Dist,
-		SplitBytes: 128 << 20,
-		JVM:        mapreduce.JVMModel{Min: 1, Max: 3},
-		UnitPrice:  price,
-		Arrival:    rec.Arrival,
-	}
-}
-
-// chronosByName builds the named Chronos strategy.
-func chronosByName(name string, cfg speculate.ChronosConfig) mapreduce.Strategy {
-	switch name {
-	case "Clone":
-		return speculate.Clone{Config: cfg}
-	case "Speculative-Restart":
-		return speculate.Restart{Config: cfg}
-	case "Speculative-Resume":
-		return speculate.Resume{Config: cfg}
-	default:
-		panic("experiment: unknown Chronos strategy " + name)
-	}
 }
 
 // TableText renders sweep rows in the paper's Table I/II layout.

@@ -163,16 +163,6 @@ func (a *Attempt) OwnProgress(now float64) float64 {
 // Running reports whether the attempt currently holds a container.
 func (a *Attempt) Running() bool { return a.State == AttemptRunning }
 
-// BytesProcessed returns the absolute number of split bytes processed by
-// now, including the inherited offset.
-func (a *Attempt) BytesProcessed(now float64) int64 {
-	split := a.Task.Job.Spec.SplitBytes
-	if a.Task.Stage == StageReduce {
-		split = a.Task.Job.Spec.Reduce.SplitBytes
-	}
-	return int64(a.Progress(now) * float64(split))
-}
-
 // Observation is what the AM knows about an attempt's progress at a given
 // time: the progress value and the instant it was reported.
 type Observation struct {

@@ -57,8 +57,6 @@ type ReduceSpec struct {
 	NumTasks int
 	// Dist is the intrinsic reduce-task processing-time distribution.
 	Dist pareto.Dist
-	// SplitBytes is the shuffled input per reduce task.
-	SplitBytes int64
 }
 
 // Enabled reports whether the job has a reduce stage.
@@ -77,9 +75,6 @@ type JobSpec struct {
 	// Dist is the intrinsic full-split processing-time distribution of one
 	// map attempt (before contention slowdown).
 	Dist pareto.Dist
-	// SplitBytes is the input split size per map task, used by the
-	// byte-offset bookkeeping of Speculative-Resume.
-	SplitBytes int64
 	// JVM is the attempt startup-delay model.
 	JVM JVMModel
 	// UnitPrice is the per-unit-machine-time VM price C for this job.
@@ -105,9 +100,6 @@ func (s JobSpec) Validate() error {
 	if s.Deadline <= 0 {
 		return fmt.Errorf("mapreduce: job %d deadline %v <= 0", s.ID, s.Deadline)
 	}
-	if s.SplitBytes <= 0 {
-		return fmt.Errorf("mapreduce: job %d split bytes %d <= 0", s.ID, s.SplitBytes)
-	}
 	if s.JVM.Min < 0 || s.JVM.Max < s.JVM.Min {
 		return fmt.Errorf("mapreduce: job %d invalid JVM delay [%v, %v]", s.ID, s.JVM.Min, s.JVM.Max)
 	}
@@ -117,9 +109,6 @@ func (s JobSpec) Validate() error {
 	if s.Reduce.Enabled() {
 		if err := s.Reduce.Dist.Validate(); err != nil {
 			return fmt.Errorf("mapreduce: job %d reduce stage: %w", s.ID, err)
-		}
-		if s.Reduce.SplitBytes <= 0 {
-			return fmt.Errorf("mapreduce: job %d reduce split bytes %d <= 0", s.ID, s.Reduce.SplitBytes)
 		}
 		if s.MapDeadlineFrac < 0 || s.MapDeadlineFrac >= 1 {
 			return fmt.Errorf("mapreduce: job %d map deadline fraction %v outside [0, 1)", s.ID, s.MapDeadlineFrac)
@@ -181,10 +170,6 @@ type Job struct {
 	rt           *Runtime
 }
 
-// Settled reports whether the job's accounting is final: Done with no
-// attempt still queued or running, so MachineTime and Cost cannot change.
-func (j *Job) Settled() bool { return j.settled }
-
 // StrategyName returns the driving strategy's name ("" before Submit).
 func (j *Job) StrategyName() string {
 	if j.strategy == nil {
@@ -211,9 +196,6 @@ func (j *Job) Cost() float64 {
 	return j.Spec.UnitPrice * j.MachineTime
 }
 
-// DoneTasks returns the number of completed tasks.
-func (j *Job) DoneTasks() int { return j.doneTasks }
-
 // MapTasks returns the map-stage tasks.
 func (j *Job) MapTasks() []*Task { return j.Tasks[:j.Spec.NumTasks] }
 
@@ -237,17 +219,6 @@ type Task struct {
 	FinishTime float64
 
 	nextAttempt int
-}
-
-// Running returns the attempts currently holding a container and processing.
-func (t *Task) Running() []*Attempt {
-	var out []*Attempt
-	for _, a := range t.Attempts {
-		if a.State == AttemptRunning {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // NumActive counts the attempts that are queued or running.
@@ -274,21 +245,6 @@ func (t *Task) BestRunning(now float64, est Estimator) *Attempt {
 		e := est(a, now)
 		if best == nil || e < bestEst {
 			best, bestEst = a, e
-		}
-	}
-	return best
-}
-
-// MaxProgress returns the highest task-level progress across attempts
-// (completed tasks report 1).
-func (t *Task) MaxProgress(now float64) float64 {
-	if t.Done {
-		return 1
-	}
-	best := 0.0
-	for _, a := range t.Attempts {
-		if p := a.Progress(now); p > best {
-			best = p
 		}
 	}
 	return best

@@ -24,14 +24,13 @@ func (plainStrategy) Start(ctl *Controller) {
 
 func testSpec() JobSpec {
 	return JobSpec{
-		ID:         1,
-		Name:       "test",
-		NumTasks:   4,
-		Deadline:   100,
-		Dist:       pareto.MustNew(10, 1.5),
-		SplitBytes: 1 << 27,
-		JVM:        JVMModel{Min: 2, Max: 2},
-		UnitPrice:  1,
+		ID:        1,
+		Name:      "test",
+		NumTasks:  4,
+		Deadline:  100,
+		Dist:      pareto.MustNew(10, 1.5),
+		JVM:       JVMModel{Min: 2, Max: 2},
+		UnitPrice: 1,
 	}
 }
 
@@ -55,7 +54,6 @@ func TestSpecValidate(t *testing.T) {
 		{"no tasks", func(s *JobSpec) { s.NumTasks = 0 }, false},
 		{"bad dist", func(s *JobSpec) { s.Dist.TMin = 0 }, false},
 		{"zero deadline", func(s *JobSpec) { s.Deadline = 0 }, false},
-		{"zero split", func(s *JobSpec) { s.SplitBytes = 0 }, false},
 		{"negative jvm", func(s *JobSpec) { s.JVM.Min = -1 }, false},
 		{"jvm max below min", func(s *JobSpec) { s.JVM = JVMModel{Min: 3, Max: 1} }, false},
 		{"negative arrival", func(s *JobSpec) { s.Arrival = -5 }, false},
@@ -88,8 +86,8 @@ func TestJobRunsToCompletion(t *testing.T) {
 	if !job.Done {
 		t.Fatal("job did not complete")
 	}
-	if job.DoneTasks() != 4 {
-		t.Errorf("DoneTasks = %d, want 4", job.DoneTasks())
+	if job.doneTasks != 4 {
+		t.Errorf("doneTasks = %d, want 4", job.doneTasks)
 	}
 	// Every attempt finished exactly once; machine time matches the meter.
 	var total float64
@@ -204,18 +202,6 @@ func TestProgressFrozenAfterKill(t *testing.T) {
 	}
 	if got := a.Progress(1000); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("killed attempt progress = %v, want frozen 0.3", got)
-	}
-}
-
-func TestBytesProcessed(t *testing.T) {
-	eng, _, rt := newHarness(t, Config{Seed: 3})
-	job, _ := rt.Submit(testSpec(), plainStrategy{})
-	eng.RunUntil(5)
-	a := job.Tasks[0].Attempts[0]
-	wantFrac := a.Progress(5)
-	want := int64(wantFrac * float64(job.Spec.SplitBytes))
-	if got := a.BytesProcessed(5); got != want {
-		t.Errorf("BytesProcessed = %d, want %d", got, want)
 	}
 }
 
@@ -346,8 +332,8 @@ func TestKillRunningAttempt(t *testing.T) {
 	if job.Done {
 		t.Error("job completed despite killed-only task")
 	}
-	if job.DoneTasks() != 3 {
-		t.Errorf("DoneTasks = %d, want 3", job.DoneTasks())
+	if job.doneTasks != 3 {
+		t.Errorf("doneTasks = %d, want 3", job.doneTasks)
 	}
 	// Machine time still accounted for the killed attempt's 1 second.
 	a := job.Tasks[0].Attempts[0]
@@ -393,35 +379,6 @@ func TestKillQueuedAttempt(t *testing.T) {
 	}
 }
 
-func TestKillSiblingsOnFinish(t *testing.T) {
-	eng, _, rt := newHarness(t, Config{Seed: 7, KillSiblingsOnFinish: true})
-	spec := testSpec()
-	spec.NumTasks = 1
-	job, err := rt.Submit(spec, cloneTestStrategy{extra: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if !job.Done {
-		t.Fatal("job did not finish")
-	}
-	finished, killed := 0, 0
-	for _, a := range job.Tasks[0].Attempts {
-		switch a.State {
-		case AttemptFinished:
-			finished++
-		case AttemptKilled:
-			killed++
-			if a.EndTime != job.Tasks[0].FinishTime {
-				t.Errorf("sibling killed at %v, want task finish %v", a.EndTime, job.Tasks[0].FinishTime)
-			}
-		}
-	}
-	if finished != 1 || killed != 3 {
-		t.Errorf("finished=%d killed=%d, want 1/3", finished, killed)
-	}
-}
-
 // cloneTestStrategy launches 1+extra attempts per task at arrival.
 type cloneTestStrategy struct{ extra int }
 
@@ -431,23 +388,6 @@ func (s cloneTestStrategy) Start(ctl *Controller) {
 	for _, t := range ctl.Job().Tasks {
 		for k := 0; k <= s.extra; k++ {
 			ctl.Launch(t, 0)
-		}
-	}
-}
-
-func TestSiblingsKeepRunningWithoutFlag(t *testing.T) {
-	eng, _, rt := newHarness(t, Config{Seed: 7})
-	spec := testSpec()
-	spec.NumTasks = 1
-	job, err := rt.Submit(spec, cloneTestStrategy{extra: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	// Without the flag every attempt runs to completion.
-	for _, a := range job.Tasks[0].Attempts {
-		if a.State != AttemptFinished {
-			t.Errorf("attempt state %v, want finished", a.State)
 		}
 	}
 }
@@ -465,8 +405,6 @@ func TestTaskDoneAndJobDoneHooks(t *testing.T) {
 			}
 		},
 	}
-	var doneCallback int
-	rt.OnJobDone = func(*Job) { doneCallback++ }
 	if _, err := rt.Submit(testSpec(), strat); err != nil {
 		t.Fatal(err)
 	}
@@ -476,9 +414,6 @@ func TestTaskDoneAndJobDoneHooks(t *testing.T) {
 	}
 	if !jobDone {
 		t.Error("job-done hook did not run")
-	}
-	if doneCallback != 1 {
-		t.Errorf("runtime OnJobDone ran %d times, want 1", doneCallback)
 	}
 }
 
@@ -532,7 +467,7 @@ func TestNodeFailureInvokesAttemptLost(t *testing.T) {
 	}
 }
 
-func TestBestRunningAndMaxProgress(t *testing.T) {
+func TestBestRunning(t *testing.T) {
 	eng, _, rt := newHarness(t, Config{Seed: 10})
 	spec := testSpec()
 	spec.NumTasks = 1
@@ -546,18 +481,10 @@ func TestBestRunningAndMaxProgress(t *testing.T) {
 	if best == nil {
 		t.Fatal("BestRunning returned nil with 3 running attempts")
 	}
-	for _, a := range task.Running() {
-		if a.FinishTime() < best.FinishTime() {
+	for _, a := range task.Attempts {
+		if a.Running() && a.FinishTime() < best.FinishTime() {
 			t.Errorf("BestRunning missed the fastest attempt")
 		}
-	}
-	mp := task.MaxProgress(5)
-	if mp <= 0 || mp > 1 {
-		t.Errorf("MaxProgress = %v", mp)
-	}
-	eng.Run()
-	if got := task.MaxProgress(1e9); got != 1 {
-		t.Errorf("MaxProgress of done task = %v, want 1", got)
 	}
 }
 
@@ -575,22 +502,6 @@ func TestLaunchBadFracPanics(t *testing.T) {
 		}
 	}()
 	ctl.Launch(job.Tasks[0], 1.0)
-}
-
-func TestAtJobTimeClampsPast(t *testing.T) {
-	eng, _, rt := newHarness(t, Config{})
-	job, err := rt.Submit(testSpec(), plainStrategy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(10)
-	ctl := &Controller{rt: rt, job: job}
-	fired := -1.0
-	ctl.AtJobTime(5, func() { fired = eng.Now() }) // 5 is in the past
-	eng.Run()
-	if fired != 10 {
-		t.Errorf("past AtJobTime fired at %v, want now (10)", fired)
-	}
 }
 
 func TestJVMModelSample(t *testing.T) {
@@ -638,7 +549,7 @@ func (s lateControl) Start(ctl *Controller) {
 	for _, t := range tasks {
 		ctl.Launch(t, 0)
 	}
-	ctl.AtJobTime(s.at, func() {
+	ctl.After(s.at, func() {
 		*s.ran++
 		for _, t := range tasks {
 			for _, a := range t.Attempts {
@@ -648,63 +559,57 @@ func (s lateControl) Start(ctl *Controller) {
 	})
 }
 
-// TestDiscardJobsRecyclesSettledJobs covers what DiscardJobs now means: a
-// settled job's tasks and attempts go back to the runtime and serve the next
-// job, and the settled job's own late control point — whose closure still
-// holds those tasks — no longer runs, so it cannot kill the next job's
-// attempts. Without DiscardJobs nothing is recycled and the control point
-// runs (to no effect), as before.
+// TestDiscardJobsRecyclesSettledJobs covers what the runtime does with every
+// job now that none is retained (the behaviour Config.DiscardJobs used to
+// select): a settled job's tasks and attempts go back to the runtime and
+// serve the next job, and the settled job's own late control point — whose
+// closure still holds those tasks — no longer runs, so it cannot kill the
+// next job's attempts.
 func TestDiscardJobsRecyclesSettledJobs(t *testing.T) {
-	for _, discard := range []bool{true, false} {
-		eng, _, rt := newHarness(t, Config{Seed: 4, DiscardJobs: discard})
-		settled := 0
-		rt.OnJobSettled = func(*Job) { settled++ }
+	eng, _, rt := newHarness(t, Config{Seed: 4})
+	settled := 0
+	rt.OnJobSettled = func(*Job) { settled++ }
 
-		ran := 0
-		first, err := rt.Submit(testSpec(), lateControl{at: 5000, ran: &ran})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.RunUntil(4000)
-		if settled != 1 {
-			t.Fatalf("discard=%v: first job not settled by t=4000", discard)
-		}
-		firstTasks := slices.Clone(first.Tasks)
+	ran := 0
+	first, err := rt.Submit(testSpec(), lateControl{at: 5000, ran: &ran})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(4000)
+	if settled != 1 {
+		t.Fatal("first job not settled by t=4000")
+	}
+	firstTasks := slices.Clone(first.Tasks)
 
-		// The second job is still running when the first one's control
-		// point comes due at t=5000.
-		spec := testSpec()
-		spec.ID, spec.Arrival = 2, 4995
-		second, err := rt.Submit(spec, plainStrategy{})
-		if err != nil {
-			t.Fatal(err)
+	// The second job is still running when the first one's control point
+	// comes due at t=5000.
+	spec := testSpec()
+	spec.ID, spec.Arrival = 2, 4995
+	second, err := rt.Submit(spec, plainStrategy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := 0
+	for _, task := range second.Tasks {
+		if slices.Contains(firstTasks, task) {
+			reused++
 		}
-		reused := 0
-		for _, task := range second.Tasks {
-			if slices.Contains(firstTasks, task) {
-				reused++
-			}
-		}
-		eng.Run()
+	}
+	eng.Run()
 
-		if discard {
-			if reused != len(second.Tasks) || first.Tasks != nil {
-				t.Errorf("discard: %d of %d tasks reused, first.Tasks = %v; want all reused and nil", reused, len(second.Tasks), first.Tasks)
-			}
-			if ran != 0 {
-				t.Errorf("discard: the settled job's control point ran %d times over recycled tasks", ran)
-			}
-		} else if reused != 0 || first.Tasks == nil || ran != 1 {
-			t.Errorf("keep: %d tasks reused, first.Tasks = %v, control point ran %d times; want 0, kept, 1", reused, first.Tasks, ran)
-		}
-		if settled != 2 || !second.MetDeadline() {
-			t.Errorf("discard=%v: second job settled=%v met=%v finish=%v; its attempts were disturbed",
-				discard, settled == 2, second.MetDeadline(), second.FinishTime)
-		}
-		for _, task := range second.Tasks {
-			if len(task.Attempts) != 1 || task.Attempts[0].State != AttemptFinished {
-				t.Errorf("discard=%v: second job's task %d has attempts %v, want one that finished", discard, task.ID, task.Attempts)
-			}
+	if reused != len(second.Tasks) || first.Tasks != nil {
+		t.Errorf("%d of %d tasks reused, first.Tasks = %v; want all reused and nil", reused, len(second.Tasks), first.Tasks)
+	}
+	if ran != 0 {
+		t.Errorf("the settled job's control point ran %d times over recycled tasks", ran)
+	}
+	if settled != 2 || !second.MetDeadline() {
+		t.Errorf("second job settled=%v met=%v finish=%v; its attempts were disturbed",
+			settled == 2, second.MetDeadline(), second.FinishTime)
+	}
+	for _, task := range second.Tasks {
+		if len(task.Attempts) != 1 || task.Attempts[0].State != AttemptFinished {
+			t.Errorf("second job's task %d has attempts %v, want one that finished", task.ID, task.Attempts)
 		}
 	}
 }

@@ -175,7 +175,7 @@ func (restartProbe) Start(ctl *Controller) {
 	for _, task := range job.Tasks {
 		ctl.Launch(task, 0)
 	}
-	ctl.AtJobTime(30, func() {
+	ctl.After(30, func() {
 		now := ctl.Now()
 		for _, task := range job.Tasks {
 			if task.Done {

@@ -14,11 +14,6 @@ type Config struct {
 	// (seed, job, task, attempt index) so different strategies observe
 	// common random numbers.
 	Seed uint64
-	// KillSiblingsOnFinish, when set, kills a task's other attempts the
-	// moment one attempt finishes (what production Hadoop does). When
-	// unset, redundant attempts keep running until a strategy kills them —
-	// the accounting assumed by the paper's closed-form cost expressions.
-	KillSiblingsOnFinish bool
 	// SpotIntegral, when non-nil, prices container occupancy against a
 	// time-varying spot market: it must return the integral of the unit
 	// price over [from, to]. Jobs then accrue SpotCost and Job.Cost
@@ -34,14 +29,6 @@ type Config struct {
 	// ReportInterval > 0. This reproduces the estimation inaccuracy the
 	// paper attributes to limited observation at small tauEst.
 	ReportNoise float64
-	// DiscardJobs, when set, stops the runtime from retaining submitted
-	// jobs in Jobs(): the caller owns each *Job's lifetime, and that
-	// lifetime ends when OnJobSettled returns — the runtime then takes the
-	// job's tasks and attempts back for later jobs (Job.Tasks becomes nil;
-	// the Job's own fields stay readable). The streaming replay engine sets
-	// this so that memory stays proportional to the in-flight job count
-	// instead of the whole trace.
-	DiscardJobs bool
 }
 
 // attemptChunk is how many attempts the runtime allocates at a time, and
@@ -53,27 +40,33 @@ const (
 	taskAttempts = 4
 )
 
-// Runtime is the application-master-style execution core: it owns jobs,
-// launches attempts on cluster containers, tracks completions and machine
-// time, and calls into the per-job speculation strategy.
+// Runtime is the application-master-style execution core: it launches
+// attempts on cluster containers, tracks completions and machine time, and
+// calls into the per-job speculation strategy. It does not retain submitted
+// jobs: the caller owns each *Job, and once OnJobSettled has returned the
+// runtime takes the job's tasks and attempts back for later jobs at the next
+// Submit (Job.Tasks becomes nil; the Job's own fields stay readable), so
+// memory tracks the in-flight job count, not the length of the stream.
 type Runtime struct {
 	// Eng is the discrete-event engine driving the simulation.
 	Eng *sim.Engine
 	// Cluster supplies containers.
 	Cluster *cluster.Cluster
 
-	cfg  Config
-	jobs []*Job
+	// LostAttempts counts the attempts node failures have taken so far, over
+	// every job: a settled job's attempts are recycled, so the count cannot
+	// be recovered from the jobs afterwards.
+	LostAttempts int
+
+	cfg Config
 	// freeTasks and freeAttempts are the runtime's pools. They are filled a
-	// slab at a time and, under DiscardJobs, refilled by reclaim with the
-	// objects of settled jobs; a recycled task keeps its Attempts capacity.
+	// slab at a time and refilled by reclaim with the objects of settled
+	// jobs; a recycled task keeps its Attempts capacity.
 	freeTasks    []*Task
 	freeAttempts []*Attempt
 	// reclaimable lists the settled jobs whose objects reclaim has yet to
 	// take back.
 	reclaimable []*Job
-	// OnJobDone, if set, is invoked when a job's last task completes.
-	OnJobDone func(*Job)
 	// OnJobSettled, if set, is invoked once per job when its accounting
 	// closes: the job is Done and no attempt still holds (or waits for) a
 	// container, so MachineTime and Cost are final. Redundant attempts may
@@ -88,9 +81,6 @@ type Runtime struct {
 func NewRuntime(eng *sim.Engine, cl *cluster.Cluster, cfg Config) *Runtime {
 	return &Runtime{Eng: eng, Cluster: cl, cfg: cfg}
 }
-
-// Jobs returns all submitted jobs.
-func (rt *Runtime) Jobs() []*Job { return rt.jobs }
 
 // Submit registers a job and schedules its strategy to start at the job's
 // arrival time.
@@ -121,9 +111,6 @@ func (rt *Runtime) Submit(spec JobSpec, strat Strategy) (*Job, error) {
 			stage = StageReduce
 		}
 		*t = Task{Job: job, ID: i, Stage: stage, Attempts: t.Attempts[:0]}
-	}
-	if !rt.cfg.DiscardJobs {
-		rt.jobs = append(rt.jobs, job)
 	}
 	ctl := &Controller{rt: rt, job: job}
 	rt.Eng.Schedule(spec.Arrival, func() { strat.Start(ctl) })
@@ -231,13 +218,6 @@ func (rt *Runtime) finishAttempt(a *Attempt) {
 		job.doneMapTasks++
 	}
 
-	if rt.cfg.KillSiblingsOnFinish {
-		for _, sib := range t.Attempts {
-			if sib != a {
-				rt.kill(sib)
-			}
-		}
-	}
 	if ctl.taskDone != nil {
 		ctl.taskDone(t)
 	}
@@ -253,9 +233,6 @@ func (rt *Runtime) finishAttempt(a *Attempt) {
 		job.FinishTime = now
 		if ctl.jobDone != nil {
 			ctl.jobDone()
-		}
-		if rt.OnJobDone != nil {
-			rt.OnJobDone(job)
 		}
 	}
 }
@@ -292,6 +269,7 @@ func (rt *Runtime) attemptLost(a *Attempt) {
 	a.finishTimer.Cancel()
 	rt.releaseAndCharge(a)
 	a.Task.Job.liveAttempts--
+	rt.LostAttempts++
 	if ctl.attemptLost != nil {
 		ctl.attemptLost(a)
 	}
@@ -308,9 +286,7 @@ func (rt *Runtime) maybeSettle(job *Job) {
 	if rt.OnJobSettled != nil {
 		rt.OnJobSettled(job)
 	}
-	if rt.cfg.DiscardJobs {
-		rt.reclaimable = append(rt.reclaimable, job)
-	}
+	rt.reclaimable = append(rt.reclaimable, job)
 }
 
 // releaseAndCharge returns the attempt's container and accrues its machine

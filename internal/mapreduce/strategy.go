@@ -32,10 +32,6 @@ func (c *Controller) Job() *Job { return c.job }
 // Now returns the current simulation time.
 func (c *Controller) Now() float64 { return c.rt.Eng.Now() }
 
-// SinceArrival returns the job-relative clock (0 at submission); tauEst and
-// tauKill in the paper are on this clock.
-func (c *Controller) SinceArrival() float64 { return c.rt.Eng.Now() - c.job.Spec.Arrival }
-
 // Launch starts a new attempt of the task from the given split fraction
 // (0 for a from-scratch attempt) and returns it. The attempt may wait for a
 // container.
@@ -52,31 +48,18 @@ func (c *Controller) After(delay float64, fn func()) sim.Timer {
 	return c.rt.Eng.After(delay, c.whileOpen(fn))
 }
 
-// whileOpen makes a control point of a job whose objects the runtime takes
-// back at settlement (Config.DiscardJobs) do nothing once the job has
-// settled: by then every task is done and no attempt is live, so there is
-// nothing left for a strategy to decide, and the tasks its closure captured
-// may already belong to another job. The event still fires, so the engine's
-// clock and event count do not depend on it.
+// whileOpen makes a control point do nothing once its job has settled: by
+// then every task is done and no attempt is live, so there is nothing left
+// for a strategy to decide, and the tasks its closure captured may already
+// belong to another job (the runtime takes them back at the next Submit).
+// The event still fires, so the engine's clock and event count do not depend
+// on it.
 func (c *Controller) whileOpen(fn func()) func() {
-	if !c.rt.cfg.DiscardJobs {
-		return fn
-	}
 	return func() {
 		if !c.job.settled {
 			fn()
 		}
 	}
-}
-
-// AtJobTime schedules fn at the job-relative instant rel (seconds after
-// arrival). If that instant has passed, fn runs at the current time.
-func (c *Controller) AtJobTime(rel float64, fn func()) sim.Timer {
-	at := c.job.Spec.Arrival + rel
-	if at < c.rt.Eng.Now() {
-		at = c.rt.Eng.Now()
-	}
-	return c.rt.Eng.Schedule(at, c.whileOpen(fn))
 }
 
 // OnTaskDone registers a hook invoked whenever one of the job's tasks

@@ -1,3 +1,7 @@
+// Package metrics renders the paper's evaluation — PoCD, cost, net utility and
+// the optimal-r histograms of Figure 5 — as aligned text tables and ASCII
+// charts, and holds the latency histogram and Prometheus text encoding the
+// serving layer exports.
 package metrics
 
 import (
@@ -6,36 +10,25 @@ import (
 	"strings"
 )
 
-// Histogram counts integer-valued observations (the optimal-r values of
-// Figure 5).
-type Histogram struct {
-	counts map[int]int
-	total  int
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int]int)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(v int) {
-	h.counts[v]++
-	h.total++
-}
-
-// Count returns the frequency of v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
+// Histogram counts integer-valued observations by value: the optimal-r
+// distribution of Figure 5, as chronos.Report.RHistogram carries it.
+type Histogram map[int]int
 
 // Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
+func (h Histogram) Total() int {
+	total := 0
+	for _, c := range h {
+		total += c
+	}
+	return total
+}
 
 // Mode returns the most frequent value (smallest wins ties); ok is false
 // for an empty histogram.
-func (h *Histogram) Mode() (v int, ok bool) {
+func (h Histogram) Mode() (v int, ok bool) {
 	best, bestCount := 0, -1
 	for _, k := range h.Keys() {
-		if c := h.counts[k]; c > bestCount {
+		if c := h[k]; c > bestCount {
 			best, bestCount = k, c
 		}
 	}
@@ -43,9 +36,9 @@ func (h *Histogram) Mode() (v int, ok bool) {
 }
 
 // Keys returns the observed values in ascending order.
-func (h *Histogram) Keys() []int {
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
+func (h Histogram) Keys() []int {
+	keys := make([]int, 0, len(h))
+	for k := range h {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
@@ -53,25 +46,26 @@ func (h *Histogram) Keys() []int {
 }
 
 // Mean returns the average observation.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
+func (h Histogram) Mean() float64 {
+	total := h.Total()
+	if total == 0 {
 		return 0
 	}
 	var sum float64
-	for k, c := range h.counts {
+	for k, c := range h {
 		sum += float64(k * c)
 	}
-	return sum / float64(h.total)
+	return sum / float64(total)
 }
 
 // String renders "v:count" pairs in ascending order.
-func (h *Histogram) String() string {
+func (h Histogram) String() string {
 	var b strings.Builder
 	for i, k := range h.Keys() {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%d:%d", k, h.counts[k])
+		fmt.Fprintf(&b, "%d:%d", k, h[k])
 	}
 	return b.String()
 }

@@ -4,95 +4,12 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"chronos/internal/mapreduce"
-	"chronos/internal/optimize"
-	"chronos/internal/pareto"
 )
 
-// doneJob fabricates a completed job with the given outcome.
-func doneJob(id int, met bool, machineTime, price float64, chosenR int) *mapreduce.Job {
-	deadline := 100.0
-	finish := deadline - 1
-	if !met {
-		finish = deadline + 50
-	}
-	j := &mapreduce.Job{
-		Spec: mapreduce.JobSpec{
-			ID: id, NumTasks: 1, Deadline: deadline,
-			Dist: pareto.MustNew(1, 1.5), SplitBytes: 1, UnitPrice: price,
-		},
-		Done:        true,
-		FinishTime:  finish,
-		MachineTime: machineTime,
-		ChosenR:     chosenR,
-	}
-	return j
-}
-
-func TestStrategyStatsAggregation(t *testing.T) {
-	s := NewStrategyStats("X")
-	s.Observe(doneJob(1, true, 100, 2, 1))
-	s.Observe(doneJob(2, false, 300, 2, 3))
-	s.Observe(doneJob(3, true, 200, 2, 1))
-	if s.Jobs() != 3 || s.Finished() != 3 {
-		t.Errorf("Jobs=%d Finished=%d, want 3/3", s.Jobs(), s.Finished())
-	}
-	if got := s.PoCD(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("PoCD = %v, want 2/3", got)
-	}
-	if got := s.MeanMachineTime(); got != 200 {
-		t.Errorf("MeanMachineTime = %v, want 200", got)
-	}
-	if got := s.MeanCost(); got != 400 {
-		t.Errorf("MeanCost = %v, want 400", got)
-	}
-	h := s.RHistogram()
-	if h.Count(1) != 2 || h.Count(3) != 1 {
-		t.Errorf("r histogram = %v", h)
-	}
-}
-
-func TestStatsEmpty(t *testing.T) {
-	s := NewStrategyStats("empty")
-	if s.PoCD() != 0 || s.MeanCost() != 0 || s.MeanMachineTime() != 0 {
-		t.Error("empty stats must be all zero")
-	}
-}
-
-func TestUnoptimizedJobsSkipHistogram(t *testing.T) {
-	s := NewStrategyStats("ns")
-	s.Observe(doneJob(1, true, 10, 1, -1))
-	if s.RHistogram().Total() != 0 {
-		t.Error("ChosenR=-1 polluted the r histogram")
-	}
-}
-
-func TestUtilityAndSummarize(t *testing.T) {
-	cfg := optimize.Config{Theta: 1e-4, UnitPrice: 1, RMin: 0}
-	s := NewStrategyStats("X")
-	s.Observe(doneJob(1, true, 1000, 1, 0))
-	want := math.Log10(1.0) - 1e-4*1000
-	if got := s.Utility(cfg); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Utility = %v, want %v", got, want)
-	}
-	sum := s.Summarize(cfg)
-	if sum.Strategy != "X" || sum.Jobs != 1 || sum.PoCD != 1 || sum.Cost != 1000 {
-		t.Errorf("Summarize = %+v", sum)
-	}
-	// Below RMin: -Inf, as for Hadoop-NS in Figure 2(c).
-	cfg.RMin = 0.9999
-	s2 := NewStrategyStats("Y")
-	s2.Observe(doneJob(1, false, 10, 1, 0))
-	if got := s2.Utility(cfg); !math.IsInf(got, -1) {
-		t.Errorf("Utility below RMin = %v, want -Inf", got)
-	}
-}
-
 func TestHistogram(t *testing.T) {
-	h := NewHistogram()
+	h := Histogram{}
 	for _, v := range []int{2, 2, 2, 4, 4, 1} {
-		h.Add(v)
+		h[v]++
 	}
 	if h.Total() != 6 {
 		t.Errorf("Total = %d", h.Total())
@@ -109,7 +26,7 @@ func TestHistogram(t *testing.T) {
 	if got := h.String(); got != "1:1 2:3 4:2" {
 		t.Errorf("String = %q", got)
 	}
-	empty := NewHistogram()
+	var empty Histogram
 	if _, ok := empty.Mode(); ok {
 		t.Error("empty histogram has a mode")
 	}
@@ -118,34 +35,10 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Errorf("N = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", w.Mean())
-	}
-	// Sample variance of this classic set is 32/7.
-	if math.Abs(w.Variance()-32.0/7) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", w.Variance(), 32.0/7)
-	}
-	if math.Abs(w.StdDev()-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Errorf("StdDev = %v", w.StdDev())
-	}
-	var empty Welford
-	if empty.Variance() != 0 {
-		t.Error("empty Welford variance != 0")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("Strategy", "PoCD", "Cost", "Utility")
-	tab.AddSummaryRow(Summary{Strategy: "Clone", PoCD: 0.93212, Cost: 9373.21, Utility: -0.376})
-	tab.AddSummaryRow(Summary{Strategy: "Hadoop-NS", PoCD: 0.1, Cost: 100, Utility: math.Inf(-1)})
+	tab.AddRow("Clone", FormatFloat(0.93212, 3), FormatFloat(9373.21, 1), FormatFloat(-0.376, 3))
+	tab.AddRow("Hadoop-NS", FormatFloat(0.1, 3), FormatFloat(100, 1), FormatFloat(math.Inf(-1), 3))
 	tab.AddRow("short")
 	out := tab.String()
 	if tab.Rows() != 3 {

@@ -10,7 +10,7 @@ import (
 // /metrics endpoint: a lock-free counter and a fixed-bucket latency
 // histogram whose snapshot matches the Prometheus histogram conventions
 // (cumulative bucket counts plus _sum and _count). The simulation-side
-// accumulators above are single-goroutine by design; these are the serving
+// Histogram is single-goroutine by design; these are the serving
 // counterparts, safe under arbitrary handler concurrency.
 
 // Counter is a monotonically increasing, concurrency-safe counter.

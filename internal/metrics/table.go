@@ -30,12 +30,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddSummaryRow formats a Summary as a row (PoCD to 3 decimals, cost to 1,
-// utility to 3; -Inf utility renders as "-inf").
-func (t *Table) AddSummaryRow(s Summary) {
-	t.AddRow(s.Strategy, FormatFloat(s.PoCD, 3), FormatFloat(s.Cost, 1), FormatFloat(s.Utility, 3))
-}
-
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 

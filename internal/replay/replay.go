@@ -24,6 +24,10 @@ import (
 // resolves consecutive integers; past it, window arithmetic is meaningless.
 const maxWindowOrdinal = 1 << 52
 
+// pollEvery is the number of engine steps between context-cancellation
+// checks.
+const pollEvery = 64
+
 // Job pairs one stream entry's immutable spec with its driving strategy.
 type Job struct {
 	Spec     mapreduce.JobSpec
@@ -35,11 +39,6 @@ type Config struct {
 	// WindowSeconds is the sim-time width of window_summary aggregates;
 	// zero or negative disables them.
 	WindowSeconds float64
-	// PollEvery is the number of engine steps between context-cancellation
-	// checks. Zero means 64. Cancellation is also observed at every emitted
-	// event, so an idle stretch of the event queue cannot outrun it by
-	// more than this many steps.
-	PollEvery int
 	// MaxOpenTasks aborts the replay when the tasks of in-flight
 	// (submitted, unsettled) jobs exceed it; zero means unlimited. The
 	// engine's memory is proportional to in-flight tasks, so a serving
@@ -51,15 +50,10 @@ type Config struct {
 // Run replays jobs on the runtime's engine and cluster, emitting events to
 // obs (which may be nil for aggregate-only runs). It returns the final
 // aggregates, or the first error from the observer, the context, or a
-// stalled stream. The runtime must have been built with DiscardJobs; Run
-// owns its OnJobSettled hook.
+// stalled stream. Run owns the runtime's OnJobSettled hook.
 func Run(ctx context.Context, rt *mapreduce.Runtime, jobs []Job, cfg Config, obs Observer) (Summary, error) {
 	if len(jobs) == 0 {
 		return Summary{}, fmt.Errorf("replay: no jobs to replay")
-	}
-	pollEvery := cfg.PollEvery
-	if pollEvery <= 0 {
-		pollEvery = 64
 	}
 	for i, j := range jobs {
 		if err := j.Spec.Validate(); err != nil {

@@ -26,9 +26,8 @@ func (f handlerFunc) Fire() { f() }
 // concurrent use; all event handlers run on the caller's goroutine inside
 // Run/Step.
 type Engine struct {
-	now     float64
-	seq     uint64
-	stopped bool
+	now float64
+	seq uint64
 	// processed counts executed events, for introspection and tests.
 	processed uint64
 
@@ -160,9 +159,9 @@ func (e *Engine) NextAt() (at float64, ok bool) {
 }
 
 // Step executes the next pending event and returns true, or returns false if
-// the queue is empty or the engine is stopped.
+// the queue is empty.
 func (e *Engine) Step() bool {
-	if e.stopped || !e.skipCancelled() {
+	if !e.skipCancelled() {
 		return false
 	}
 	top := e.pop()
@@ -178,8 +177,7 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run drains the event queue (or stops early if Stop is called from a
-// handler).
+// Run drains the event queue.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -188,7 +186,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t and then advances the clock
 // to exactly t (even if no event lands there).
 func (e *Engine) RunUntil(t float64) {
-	for !e.stopped {
+	for {
 		next, ok := e.NextAt()
 		if !ok || next > t {
 			break
@@ -199,13 +197,6 @@ func (e *Engine) RunUntil(t float64) {
 		e.now = t
 	}
 }
-
-// Stop halts Run/RunUntil after the current handler returns. Pending events
-// stay queued; a stopped engine can not be restarted.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // Pending returns the number of queued (possibly cancelled) events.
 func (e *Engine) Pending() int { return len(e.heap) }

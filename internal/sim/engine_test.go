@@ -164,29 +164,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(float64(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Errorf("fired %d events after Stop, want 3", count)
-	}
-	if !e.Stopped() {
-		t.Error("Stopped() = false")
-	}
-	if e.Step() {
-		t.Error("Step on stopped engine returned true")
-	}
-}
-
 func TestPendingCount(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(1, func() {})

@@ -21,28 +21,14 @@ func (HadoopNS) Start(ctl *mapreduce.Controller) {
 	relaunchOnLoss(ctl)
 }
 
-// HadoopS reproduces default Hadoop speculation: once at least one task of
-// the job has finished, the AM periodically compares each running task's
-// estimated completion time with the mean completion time of finished tasks
-// and launches one extra attempt for the task with the largest (positive)
-// difference — at most one speculative attempt per task, using Hadoop's
-// JVM-oblivious estimator.
-type HadoopS struct {
-	// CheckInterval is the monitoring period (default 5 s).
-	CheckInterval float64
-}
+// checkInterval is the monitoring period of the reactive baselines, in
+// seconds.
+const checkInterval = 5
 
-var _ mapreduce.Strategy = HadoopS{}
-
-// Name implements mapreduce.Strategy.
-func (HadoopS) Name() string { return "Hadoop-S" }
-
-// Start implements mapreduce.Strategy.
-func (s HadoopS) Start(ctl *mapreduce.Controller) {
-	interval := s.CheckInterval
-	if interval <= 0 {
-		interval = 5
-	}
+// monitor is the loop Hadoop-S, Mantri and LATE share: launch the originals,
+// recover lost attempts, kill a task's leftover attempts the moment it
+// commits, and run pass every checkInterval seconds until the job is done.
+func monitor(ctl *mapreduce.Controller, pass func(*mapreduce.Controller)) {
 	job := ctl.Job()
 	launchStaged(ctl)
 	relaunchOnLoss(ctl)
@@ -53,14 +39,30 @@ func (s HadoopS) Start(ctl *mapreduce.Controller) {
 		if job.Done {
 			return
 		}
-		s.speculateOnce(ctl)
-		ctl.After(interval, tick)
+		pass(ctl)
+		ctl.After(checkInterval, tick)
 	}
-	ctl.After(interval, tick)
+	ctl.After(checkInterval, tick)
 }
 
-// speculateOnce runs one monitoring pass.
-func (s HadoopS) speculateOnce(ctl *mapreduce.Controller) {
+// HadoopS reproduces default Hadoop speculation: once at least one task of
+// the job has finished, the AM periodically compares each running task's
+// estimated completion time with the mean completion time of finished tasks
+// and launches one extra attempt for the task with the largest (positive)
+// difference — at most one speculative attempt per task, using Hadoop's
+// JVM-oblivious estimator.
+type HadoopS struct{}
+
+var _ mapreduce.Strategy = HadoopS{}
+
+// Name implements mapreduce.Strategy.
+func (HadoopS) Name() string { return "Hadoop-S" }
+
+// Start implements mapreduce.Strategy.
+func (s HadoopS) Start(ctl *mapreduce.Controller) { monitor(ctl, s.pass) }
+
+// pass runs one Hadoop-S monitoring cycle.
+func (HadoopS) pass(ctl *mapreduce.Controller) {
 	job := ctl.Job()
 	now := ctl.Now()
 
@@ -73,11 +75,9 @@ func (s HadoopS) speculateOnce(ctl *mapreduce.Controller) {
 	var worst *mapreduce.Task
 	worstDiff := 0.0
 	for _, t := range job.Tasks {
-		if t.Done || len(t.Running()) == 0 {
-			continue
-		}
-		// One speculative attempt per task at a time.
-		if len(t.Attempts) > 1 {
+		// Only a task whose one attempt so far is running: one speculative
+		// attempt per task at a time.
+		if t.Done || len(t.Attempts) != 1 || !t.Attempts[0].Running() {
 			continue
 		}
 		a := t.Attempts[0]
@@ -122,17 +122,17 @@ func meanTaskDuration(job *mapreduce.Job) (mean float64, n int) {
 // Mantri reproduces the paper's description of Mantri: while containers are
 // free and no task is waiting for one, keep launching extra attempts for
 // tasks whose estimated remaining time exceeds the average task execution
-// time by RemainingMargin (30 s in the paper), up to MaxExtra extra attempts
-// per task; periodically keep only the best-progress attempt of each task.
-type Mantri struct {
-	// CheckInterval is the monitoring period (default 5 s).
-	CheckInterval float64
-	// RemainingMargin is the required excess of estimated remaining time
-	// over the mean task time (default 30 s, per the paper).
-	RemainingMargin float64
-	// MaxExtra caps extra attempts per task (default 3, per the paper).
-	MaxExtra int
-}
+// time by mantriMargin, up to mantriMaxExtra extra attempts per task;
+// periodically keep only the best-progress attempt of each task.
+type Mantri struct{}
+
+// Mantri's launch rule, per the paper: the required excess of estimated
+// remaining time over the mean task time (seconds), and the cap on extra
+// attempts per task.
+const (
+	mantriMargin   = 30
+	mantriMaxExtra = 3
+)
 
 var _ mapreduce.Strategy = Mantri{}
 
@@ -140,31 +140,7 @@ var _ mapreduce.Strategy = Mantri{}
 func (Mantri) Name() string { return "Mantri" }
 
 // Start implements mapreduce.Strategy.
-func (m Mantri) Start(ctl *mapreduce.Controller) {
-	if m.CheckInterval <= 0 {
-		m.CheckInterval = 5
-	}
-	if m.RemainingMargin <= 0 {
-		m.RemainingMargin = 30
-	}
-	if m.MaxExtra <= 0 {
-		m.MaxExtra = 3
-	}
-	job := ctl.Job()
-	launchStaged(ctl)
-	relaunchOnLoss(ctl)
-	killLeftoversOnTaskDone(ctl)
-
-	var tick func()
-	tick = func() {
-		if job.Done {
-			return
-		}
-		m.pass(ctl)
-		ctl.After(m.CheckInterval, tick)
-	}
-	ctl.After(m.CheckInterval, tick)
-}
+func (m Mantri) Start(ctl *mapreduce.Controller) { monitor(ctl, m.pass) }
 
 // pass runs one Mantri monitoring cycle. Mantri estimates completion with
 // Hadoop-style progress reports (it predates the Chronos JVM-aware
@@ -172,7 +148,7 @@ func (m Mantri) Start(ctl *mapreduce.Controller) {
 // and kills a duplicate only when some sibling is clearly — at least twice —
 // faster. The aggressive launch/late kill combination is what runs up
 // Mantri's cost in Figure 3(b).
-func (m Mantri) pass(ctl *mapreduce.Controller) {
+func (Mantri) pass(ctl *mapreduce.Controller) {
 	job := ctl.Job()
 	now := ctl.Now()
 	est := mapreduce.HadoopEstimator
@@ -194,14 +170,14 @@ func (m Mantri) pass(ctl *mapreduce.Controller) {
 
 	// Launch-phase: only when there is idle capacity and nothing queued.
 	// Mantri "keeps launching new attempts" for an outlier until more than
-	// MaxExtra extra attempts are active, so a flagged task is burst-filled
+	// mantriMaxExtra extra attempts are active, so a flagged task is burst-filled
 	// to the cap — and refilled on later ticks if the prune above discarded
 	// copies while the task still looks like an outlier.
 	for _, t := range job.Tasks {
 		if ctl.FreeSlots() <= 0 || !ctl.QueueEmpty() {
 			return
 		}
-		if t.Done || t.NumActive()-1 >= m.MaxExtra {
+		if t.Done || t.NumActive()-1 >= mantriMaxExtra {
 			continue
 		}
 		best := t.BestRunning(now, est)
@@ -209,8 +185,8 @@ func (m Mantri) pass(ctl *mapreduce.Controller) {
 			continue
 		}
 		remaining := est(best, now) - now
-		if remaining > meanDur+m.RemainingMargin {
-			for t.NumActive()-1 < m.MaxExtra {
+		if remaining > meanDur+mantriMargin {
+			for t.NumActive()-1 < mantriMaxExtra {
 				ctl.Launch(t, 0)
 			}
 		}

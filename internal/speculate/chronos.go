@@ -7,85 +7,74 @@ import (
 	"chronos/internal/mapreduce"
 )
 
-// The three Chronos strategies share their stage orchestration: the map
-// stage runs from job arrival; if the job has a reduce stage, it is planned
-// separately when the last map task commits (the paper: "PoCD for map and
-// reduce stages can be optimized separately"), against the deadline budget
-// remaining at that instant.
-
-// Clone is the proactive Chronos strategy: r+1 attempts of every task start
-// at stage begin; at tauKill the best-progress attempt survives.
-type Clone struct {
+// Chronos is the paper's strategy family, keyed by the closed form that plans
+// it. Every member plans r per stage, starts attempts at stage begin and
+// prunes each task to its best attempt at tauKill; they differ in how many
+// copies start with the stage and in what happens at tauEst:
+//
+//   - Clone (proactive): r+1 attempts of every task start at stage begin, and
+//     nothing happens at tauEst — no event is even scheduled.
+//   - Speculative-Restart: one attempt per task; a straggler detected at
+//     tauEst (estimated completion beyond the deadline) gets r extra
+//     from-scratch attempts.
+//   - Speculative-Resume: one attempt per task; a straggler detected at
+//     tauEst is killed and replaced by r+1 attempts that continue from the
+//     anticipated byte offset (Eq. 31), skipping already-processed data.
+//
+// The map stage runs from job arrival; if the job has a reduce stage, it is
+// planned separately when the last map task commits (the paper: "PoCD for map
+// and reduce stages can be optimized separately"), against the deadline
+// budget remaining at that instant.
+type Chronos struct {
+	Kind   analysis.Strategy
 	Config ChronosConfig
 }
 
-var _ mapreduce.Strategy = Clone{}
+var _ mapreduce.Strategy = Chronos{}
 
 // Name implements mapreduce.Strategy.
-func (Clone) Name() string { return "Clone" }
+func (s Chronos) Name() string { return s.Kind.String() }
 
 // Start implements mapreduce.Strategy.
-func (s Clone) Start(ctl *mapreduce.Controller) {
+func (s Chronos) Start(ctl *mapreduce.Controller) {
 	cfg := s.Config.withDefaults()
 	relaunchOnLoss(ctl)
 	runStages(ctl, func(st stage) { s.runStage(ctl, cfg, st) })
 }
 
-// runStage launches the clones for one stage and schedules the prune.
-func (s Clone) runStage(ctl *mapreduce.Controller, cfg ChronosConfig, st stage) {
-	r := cfg.chooseStageR(analysis.StrategyClone, ctl.Job(), st)
-	st.recordR(ctl.Job(), r)
+// runStage plans and launches one stage, and schedules its stage-relative
+// control points: straggler handling at tauEst (the reactive strategies) and
+// the prune at tauKill.
+func (s Chronos) runStage(ctl *mapreduce.Controller, cfg ChronosConfig, st stage) {
+	job := ctl.Job()
+	r := cfg.chooseStageR(s.Kind, job, st)
+	st.recordR(job, r)
+	copies := 1
+	if s.Kind == analysis.StrategyClone {
+		copies = r + 1
+	}
 	for _, t := range st.tasks {
-		for k := 0; k <= r; k++ {
+		for k := 0; k < copies; k++ {
 			ctl.Launch(t, 0)
 		}
 	}
-	ctl.After(cfg.TauKill, func() {
-		for _, t := range st.tasks {
-			keepBestKillRest(ctl, t, cfg.Estimator)
-		}
-	})
-}
-
-// Restart is the reactive restart strategy: stragglers detected at tauEst
-// (estimated completion beyond the deadline) get r extra from-scratch
-// attempts; at tauKill the best attempt of each task survives.
-type Restart struct {
-	Config ChronosConfig
-}
-
-var _ mapreduce.Strategy = Restart{}
-
-// Name implements mapreduce.Strategy.
-func (Restart) Name() string { return "Speculative-Restart" }
-
-// Start implements mapreduce.Strategy.
-func (s Restart) Start(ctl *mapreduce.Controller) {
-	cfg := s.Config.withDefaults()
-	relaunchOnLoss(ctl)
-	runStages(ctl, func(st stage) { s.runStage(ctl, cfg, st) })
-}
-
-// runStage launches originals, detects stragglers at stage-relative tauEst,
-// and prunes at tauKill.
-func (s Restart) runStage(ctl *mapreduce.Controller, cfg ChronosConfig, st stage) {
-	job := ctl.Job()
-	r := cfg.chooseStageR(analysis.StrategyRestart, job, st)
-	st.recordR(job, r)
-	for _, t := range st.tasks {
-		ctl.Launch(t, 0)
+	if s.Kind != analysis.StrategyClone {
+		ctl.After(cfg.TauEst, func() {
+			now := ctl.Now()
+			for _, t := range st.tasks {
+				if t.Done {
+					continue
+				}
+				if s.Kind == analysis.StrategyResume {
+					resumeStraggler(ctl, cfg, t, now, r)
+				} else if isStraggler(t, now, cfg.Estimator, job.Deadline()) {
+					for k := 0; k < r; k++ {
+						ctl.Launch(t, 0)
+					}
+				}
+			}
+		})
 	}
-	ctl.After(cfg.TauEst, func() {
-		now := ctl.Now()
-		for _, t := range st.tasks {
-			if t.Done || !isStraggler(t, now, cfg.Estimator, job.Deadline()) {
-				continue
-			}
-			for k := 0; k < r; k++ {
-				ctl.Launch(t, 0)
-			}
-		}
-	})
 	ctl.After(cfg.TauKill, func() {
 		for _, t := range st.tasks {
 			keepBestKillRest(ctl, t, cfg.Estimator)
@@ -93,64 +82,25 @@ func (s Restart) runStage(ctl *mapreduce.Controller, cfg ChronosConfig, st stage
 	})
 }
 
-// Resume is the work-preserving reactive strategy: a straggler detected at
-// tauEst is killed and replaced by r+1 attempts that continue from the
-// anticipated byte offset (Eq. 31), skipping already-processed data.
-type Resume struct {
-	Config ChronosConfig
-}
-
-var _ mapreduce.Strategy = Resume{}
-
-// Name implements mapreduce.Strategy.
-func (Resume) Name() string { return "Speculative-Resume" }
-
-// Start implements mapreduce.Strategy.
-func (s Resume) Start(ctl *mapreduce.Controller) {
-	cfg := s.Config.withDefaults()
-	relaunchOnLoss(ctl)
-	runStages(ctl, func(st stage) { s.runStage(ctl, cfg, st) })
-}
-
-// runStage launches originals, replaces stragglers with resumed attempts at
-// stage-relative tauEst, and prunes at tauKill.
-func (s Resume) runStage(ctl *mapreduce.Controller, cfg ChronosConfig, st stage) {
-	job := ctl.Job()
-	r := cfg.chooseStageR(analysis.StrategyResume, job, st)
-	st.recordR(job, r)
-	for _, t := range st.tasks {
-		ctl.Launch(t, 0)
+// resumeStraggler kills a task's attempts and launches r+1 resumed ones in
+// their place if its best running attempt is estimated to miss the absolute
+// deadline. The handoff preserves work: the new attempts start past the bytes
+// the original will have processed by the time their JVMs are up.
+func resumeStraggler(ctl *mapreduce.Controller, cfg ChronosConfig, t *mapreduce.Task, now float64, r int) {
+	orig := t.BestRunning(now, cfg.Estimator)
+	if orig == nil || cfg.Estimator(orig, now) <= ctl.Job().Deadline() {
+		return
 	}
-	ctl.After(cfg.TauEst, func() {
-		now := ctl.Now()
-		for _, t := range st.tasks {
-			if t.Done {
-				continue
-			}
-			orig := t.BestRunning(now, cfg.Estimator)
-			if orig == nil || cfg.Estimator(orig, now) <= job.Deadline() {
-				continue
-			}
-			// Work-preserving handoff: new attempts start past the bytes
-			// the original will have processed by the time their JVMs are
-			// up; then the straggler is killed.
-			frac := mapreduce.AnticipatedResumeFrac(orig, now)
-			if frac >= 1 {
-				continue // effectively done; let it finish
-			}
-			for _, a := range t.Attempts {
-				ctl.Kill(a) // a no-op on attempts that already ended
-			}
-			for k := 0; k <= r; k++ {
-				ctl.Launch(t, frac)
-			}
-		}
-	})
-	ctl.After(cfg.TauKill, func() {
-		for _, t := range st.tasks {
-			keepBestKillRest(ctl, t, cfg.Estimator)
-		}
-	})
+	frac := mapreduce.AnticipatedResumeFrac(orig, now)
+	if frac >= 1 {
+		return // effectively done; let it finish
+	}
+	for _, a := range t.Attempts {
+		ctl.Kill(a) // a no-op on attempts that already ended
+	}
+	for k := 0; k <= r; k++ {
+		ctl.Launch(t, frac)
+	}
 }
 
 // stage bundles the per-stage planning context.

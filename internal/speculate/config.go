@@ -2,9 +2,9 @@
 // Chronos paper on top of the mapreduce substrate:
 //
 //   - the three Chronos strategies — Clone, Speculative-Restart and
-//     Speculative-Resume — each of which picks its number of extra attempts r
-//     by solving the joint PoCD/cost optimization (Algorithm 1) at job
-//     submission;
+//     Speculative-Resume, one type keyed by analysis.Strategy — each of which
+//     picks its number of extra attempts r by solving the joint PoCD/cost
+//     optimization (Algorithm 1) at job submission;
 //   - the baselines — Hadoop-NS (no speculation), Hadoop-S (default Hadoop
 //     speculation), Mantri, and LATE (an extension).
 package speculate
@@ -73,15 +73,6 @@ func (c ChronosConfig) chooseStageR(s analysis.Strategy, job *mapreduce.Job, st 
 		return 1
 	}
 	return res.R
-}
-
-// chooseR solves the map-stage optimization for a spec; kept as the
-// submission-time planning entry point used by tests and tools.
-func (c ChronosConfig) chooseR(s analysis.Strategy, spec mapreduce.JobSpec) int {
-	job := &mapreduce.Job{Spec: spec}
-	st := stage{kind: mapreduce.StageMap, budget: spec.MapBudget()}
-	st.tasks = make([]*mapreduce.Task, spec.NumTasks)
-	return c.chooseStageR(s, job, st)
 }
 
 // launchStaged starts one original attempt per map task now and, if the job

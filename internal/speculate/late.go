@@ -9,20 +9,16 @@ import (
 
 // LATE implements the LATE scheduler (Zaharia et al., OSDI'08) as an
 // additional baseline: speculate on the task with the Longest Approximate
-// Time to End, but only if its progress rate is below the SlowTaskThreshold
-// percentile, and keep the number of concurrent speculative attempts under
-// SpeculativeCap. LATE is not part of the paper's evaluation tables but is
-// the lineage baseline Mantri and Chronos are positioned against.
-type LATE struct {
-	// CheckInterval is the monitoring period (default 5 s).
-	CheckInterval float64
-	// SlowTaskThreshold is the progress-rate percentile below which a task
-	// qualifies for speculation (default 0.25, per the LATE paper).
-	SlowTaskThreshold float64
-	// SpeculativeCap bounds concurrently running speculative attempts per
-	// job (default 10% of tasks, minimum 1).
-	SpeculativeCap int
-}
+// Time to End, but only if its progress rate is below the
+// lateSlowTaskThreshold percentile, and keep the number of concurrent
+// speculative attempts under a tenth of the job's tasks (at least one). LATE
+// is not part of the paper's evaluation tables but is the lineage baseline
+// Mantri and Chronos are positioned against.
+type LATE struct{}
+
+// lateSlowTaskThreshold is the progress-rate percentile below which a task
+// qualifies for speculation, per the LATE paper.
+const lateSlowTaskThreshold = 0.25
 
 var _ mapreduce.Strategy = LATE{}
 
@@ -30,39 +26,13 @@ var _ mapreduce.Strategy = LATE{}
 func (LATE) Name() string { return "LATE" }
 
 // Start implements mapreduce.Strategy.
-func (l LATE) Start(ctl *mapreduce.Controller) {
-	if l.CheckInterval <= 0 {
-		l.CheckInterval = 5
-	}
-	if l.SlowTaskThreshold <= 0 {
-		l.SlowTaskThreshold = 0.25
-	}
-	job := ctl.Job()
-	if l.SpeculativeCap <= 0 {
-		l.SpeculativeCap = len(job.Tasks) / 10
-		if l.SpeculativeCap < 1 {
-			l.SpeculativeCap = 1
-		}
-	}
-	launchStaged(ctl)
-	relaunchOnLoss(ctl)
-	killLeftoversOnTaskDone(ctl)
-
-	var tick func()
-	tick = func() {
-		if job.Done {
-			return
-		}
-		l.pass(ctl)
-		ctl.After(l.CheckInterval, tick)
-	}
-	ctl.After(l.CheckInterval, tick)
-}
+func (l LATE) Start(ctl *mapreduce.Controller) { monitor(ctl, l.pass) }
 
 // pass runs one LATE monitoring cycle.
-func (l LATE) pass(ctl *mapreduce.Controller) {
+func (LATE) pass(ctl *mapreduce.Controller) {
 	job := ctl.Job()
 	now := ctl.Now()
+	speculativeCap := max(len(job.Tasks)/10, 1)
 
 	// Collect progress rates of all original attempts that have reported.
 	type cand struct {
@@ -101,13 +71,13 @@ func (l LATE) pass(ctl *mapreduce.Controller) {
 		}
 		cands = append(cands, cand{task: t, rate: rate, est: est})
 	}
-	if len(cands) == 0 || speculating >= l.SpeculativeCap {
+	if len(cands) == 0 || speculating >= speculativeCap {
 		return
 	}
 
 	// Slow-task threshold: rate below the configured percentile.
 	sort.Float64s(rates)
-	cut := rates[int(float64(len(rates))*l.SlowTaskThreshold)]
+	cut := rates[int(float64(len(rates))*lateSlowTaskThreshold)]
 
 	// Speculate on the slow task with the longest approximate time to end.
 	var pick *cand

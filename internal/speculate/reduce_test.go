@@ -15,9 +15,8 @@ func reduceSpec() mapreduce.JobSpec {
 	spec.NumTasks = 8
 	spec.Deadline = 200
 	spec.Reduce = mapreduce.ReduceSpec{
-		NumTasks:   4,
-		Dist:       pareto.MustNew(8, 1.6),
-		SplitBytes: 64 << 20,
+		NumTasks: 4,
+		Dist:     pareto.MustNew(8, 1.6),
 	}
 	return spec
 }
@@ -44,7 +43,7 @@ func runReduceJob(t *testing.T, strat mapreduce.Strategy, seed uint64) *mapreduc
 func TestReduceStageAllStrategies(t *testing.T) {
 	strategies := []mapreduce.Strategy{
 		HadoopNS{}, HadoopS{}, Mantri{}, LATE{},
-		Clone{Config: chronosCfg()}, Restart{Config: chronosCfg()}, Resume{Config: chronosCfg()},
+		clone(chronosCfg()), restart(chronosCfg()), resume(chronosCfg()),
 	}
 	for _, strat := range strategies {
 		job := runReduceJob(t, strat, 51)
@@ -83,7 +82,7 @@ func TestReduceStageAllStrategies(t *testing.T) {
 }
 
 func TestReduceStagePlansSeparately(t *testing.T) {
-	job := runReduceJob(t, Resume{Config: chronosCfg()}, 53)
+	job := runReduceJob(t, resume(chronosCfg()), 53)
 	if job.ChosenR < 0 {
 		t.Error("map-stage r not recorded")
 	}
@@ -95,7 +94,7 @@ func TestReduceStagePlansSeparately(t *testing.T) {
 func TestReduceStageCloneClonesBothStages(t *testing.T) {
 	cfg := chronosCfg()
 	cfg.FixedR = 2
-	job := runReduceJob(t, Clone{Config: cfg}, 55)
+	job := runReduceJob(t, clone(cfg), 55)
 	for _, task := range job.Tasks {
 		if len(task.Attempts) != 3 {
 			t.Errorf("%v task %d has %d attempts, want 3", task.Stage, task.ID, len(task.Attempts))
@@ -135,11 +134,6 @@ func TestReduceSpecValidation(t *testing.T) {
 	spec.Reduce.Dist.TMin = 0
 	if err := spec.Validate(); err == nil {
 		t.Error("bad reduce dist accepted")
-	}
-	spec = reduceSpec()
-	spec.Reduce.SplitBytes = 0
-	if err := spec.Validate(); err == nil {
-		t.Error("zero reduce split accepted")
 	}
 	spec = reduceSpec()
 	spec.MapDeadlineFrac = 1.2

@@ -63,12 +63,11 @@ func runBatch(t *testing.T, strat mapreduce.Strategy, numJobs int, spec mapreduc
 
 func baseSpec() mapreduce.JobSpec {
 	return mapreduce.JobSpec{
-		Name:       "unit",
-		NumTasks:   10,
-		Deadline:   100,
-		Dist:       pareto.MustNew(10, 1.5),
-		SplitBytes: 1 << 27,
-		UnitPrice:  1,
+		Name:      "unit",
+		NumTasks:  10,
+		Deadline:  100,
+		Dist:      pareto.MustNew(10, 1.5),
+		UnitPrice: 1,
 	}
 }
 
@@ -79,6 +78,25 @@ func chronosCfg() ChronosConfig {
 		Opt:     optimize.Config{Theta: 1e-4, UnitPrice: 1},
 		FixedR:  -1,
 	}
+}
+
+// clone, restart and resume build the three Chronos strategies.
+func clone(cfg ChronosConfig) Chronos {
+	return Chronos{Kind: analysis.StrategyClone, Config: cfg}
+}
+
+func restart(cfg ChronosConfig) Chronos {
+	return Chronos{Kind: analysis.StrategyRestart, Config: cfg}
+}
+
+func resume(cfg ChronosConfig) Chronos {
+	return Chronos{Kind: analysis.StrategyResume, Config: cfg}
+}
+
+// chooseR plans the map stage of a spec as a strategy would at submission.
+func chooseR(c ChronosConfig, s analysis.Strategy, spec mapreduce.JobSpec) int {
+	st := stage{kind: mapreduce.StageMap, tasks: make([]*mapreduce.Task, spec.NumTasks), budget: spec.MapBudget()}
+	return c.chooseStageR(s, &mapreduce.Job{Spec: spec}, st)
 }
 
 const batchJobs = 400
@@ -92,9 +110,9 @@ func TestStrategyNames(t *testing.T) {
 		{HadoopS{}, "Hadoop-S"},
 		{Mantri{}, "Mantri"},
 		{LATE{}, "LATE"},
-		{Clone{}, "Clone"},
-		{Restart{}, "Speculative-Restart"},
-		{Resume{}, "Speculative-Resume"},
+		{clone(ChronosConfig{}), "Clone"},
+		{restart(ChronosConfig{}), "Speculative-Restart"},
+		{resume(ChronosConfig{}), "Speculative-Resume"},
 	}
 	for _, tt := range tests {
 		if got := tt.s.Name(); got != tt.want {
@@ -126,7 +144,7 @@ func TestCloneMatchesClosedForm(t *testing.T) {
 	spec := baseSpec()
 	cfg := chronosCfg()
 	cfg.FixedR = 2
-	res := runBatch(t, Clone{Config: cfg}, batchJobs, spec, 7)
+	res := runBatch(t, clone(cfg), batchJobs, spec, 7)
 
 	model := analysis.NewModel(analysis.StrategyClone, analysis.Params{
 		N: spec.NumTasks, Deadline: spec.Deadline, Task: spec.Dist,
@@ -155,7 +173,7 @@ func TestCloneMatchesClosedForm(t *testing.T) {
 func TestCloneLaunchesRPlusOne(t *testing.T) {
 	cfg := chronosCfg()
 	cfg.FixedR = 3
-	res := runBatch(t, Clone{Config: cfg}, 5, baseSpec(), 3)
+	res := runBatch(t, clone(cfg), 5, baseSpec(), 3)
 	for _, j := range res.jobs {
 		if j.ChosenR != 3 {
 			t.Errorf("ChosenR = %d, want 3", j.ChosenR)
@@ -169,7 +187,7 @@ func TestCloneLaunchesRPlusOne(t *testing.T) {
 }
 
 func TestCloneOptimizerPicksR(t *testing.T) {
-	res := runBatch(t, Clone{Config: chronosCfg()}, 3, baseSpec(), 4)
+	res := runBatch(t, clone(chronosCfg()), 3, baseSpec(), 4)
 	want, err := optimize.Solve(
 		analysis.NewModel(analysis.StrategyClone, analysis.Params{
 			N: 10, Deadline: 100, Task: baseSpec().Dist, TauEst: 30, TauKill: 60,
@@ -189,7 +207,7 @@ func TestCloneOptimizerPicksR(t *testing.T) {
 func TestRestartSpeculatesOnlyOnStragglers(t *testing.T) {
 	cfg := chronosCfg()
 	cfg.FixedR = 2
-	res := runBatch(t, Restart{Config: cfg}, batchJobs, baseSpec(), 11)
+	res := runBatch(t, restart(cfg), batchJobs, baseSpec(), 11)
 	deadline := baseSpec().Deadline
 	for _, j := range res.jobs {
 		for _, task := range j.Tasks {
@@ -224,7 +242,7 @@ func TestRestartSpeculatesOnlyOnStragglers(t *testing.T) {
 func TestResumeKillsOriginalAndResumesOffset(t *testing.T) {
 	cfg := chronosCfg()
 	cfg.FixedR = 2
-	res := runBatch(t, Resume{Config: cfg}, batchJobs, baseSpec(), 13)
+	res := runBatch(t, resume(cfg), batchJobs, baseSpec(), 13)
 	for _, j := range res.jobs {
 		for _, task := range j.Tasks {
 			if len(task.Attempts) == 1 {
@@ -255,8 +273,8 @@ func TestResumeKillsOriginalAndResumesOffset(t *testing.T) {
 func TestResumePoCDBeatsRestart(t *testing.T) {
 	cfg := chronosCfg()
 	cfg.FixedR = 1
-	restart := runBatch(t, Restart{Config: cfg}, batchJobs, baseSpec(), 17)
-	resume := runBatch(t, Resume{Config: cfg}, batchJobs, baseSpec(), 17)
+	restart := runBatch(t, restart(cfg), batchJobs, baseSpec(), 17)
+	resume := runBatch(t, resume(cfg), batchJobs, baseSpec(), 17)
 	// Theorem 7(2): Resume dominates Restart at equal r. With common random
 	// numbers the ordering holds tightly; allow MC slack.
 	if resume.pocd < restart.pocd-0.02 {
@@ -272,7 +290,7 @@ func TestChronosStrategiesBeatHadoopNS(t *testing.T) {
 	cfg := chronosCfg()
 	ns := runBatch(t, HadoopNS{}, batchJobs, spec, 19)
 	for _, strat := range []mapreduce.Strategy{
-		Clone{Config: cfg}, Restart{Config: cfg}, Resume{Config: cfg},
+		clone(cfg), restart(cfg), resume(cfg),
 	} {
 		res := runBatch(t, strat, batchJobs, spec, 19)
 		if res.pocd < ns.pocd {
@@ -291,13 +309,19 @@ func TestAfterTauKillOneAttemptPerTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := mapreduce.NewRuntime(eng, cl, mapreduce.Config{Seed: 23})
-	job, err := rt.Submit(spec, Clone{Config: cfg})
+	job, err := rt.Submit(spec, clone(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(cfg.TauKill + 0.001)
 	for _, task := range job.Tasks {
-		if n := len(task.Running()); n > 1 {
+		n := 0
+		for _, a := range task.Attempts {
+			if a.Running() {
+				n++
+			}
+		}
+		if n > 1 {
 			t.Errorf("task %d has %d running attempts after tauKill", task.ID, n)
 		}
 	}
@@ -309,7 +333,7 @@ func TestAfterTauKillOneAttemptPerTask(t *testing.T) {
 
 func TestHadoopSSpeculatesAfterFirstFinish(t *testing.T) {
 	spec := baseSpec()
-	res := runBatch(t, HadoopS{CheckInterval: 5}, batchJobs, spec, 29)
+	res := runBatch(t, HadoopS{}, batchJobs, spec, 29)
 	for _, j := range res.jobs {
 		var firstDone float64 = math.Inf(1)
 		for _, task := range j.Tasks {
@@ -337,7 +361,7 @@ func TestHadoopSSpeculatesAfterFirstFinish(t *testing.T) {
 }
 
 func TestMantriRespectsCaps(t *testing.T) {
-	res := runBatch(t, Mantri{CheckInterval: 5, RemainingMargin: 30, MaxExtra: 3},
+	res := runBatch(t, Mantri{},
 		batchJobs/2, baseSpec(), 31)
 	for _, j := range res.jobs {
 		for _, task := range j.Tasks {
@@ -360,7 +384,7 @@ func TestMantriKeepsBestAfterPrune(t *testing.T) {
 func TestLATECapAndThreshold(t *testing.T) {
 	spec := baseSpec()
 	spec.NumTasks = 20
-	res := runBatch(t, LATE{CheckInterval: 5, SpeculativeCap: 2}, 50, spec, 41)
+	res := runBatch(t, LATE{}, 50, spec, 41)
 	for _, j := range res.jobs {
 		for _, task := range j.Tasks {
 			if len(task.Attempts) > 2 {
@@ -377,7 +401,7 @@ func TestChooseRFallsBackOnInfeasible(t *testing.T) {
 	spec.Deadline = 10.5
 	cfg.TauEst = 0.2
 	cfg.TauKill = 0.4
-	if r := cfg.chooseR(analysis.StrategyClone, spec); r != 1 {
+	if r := chooseR(cfg, analysis.StrategyClone, spec); r != 1 {
 		t.Errorf("chooseR fallback = %d, want 1", r)
 	}
 }
@@ -385,7 +409,7 @@ func TestChooseRFallsBackOnInfeasible(t *testing.T) {
 func TestFixedROverridesOptimizer(t *testing.T) {
 	cfg := chronosCfg()
 	cfg.FixedR = 7
-	if r := cfg.chooseR(analysis.StrategyResume, baseSpec()); r != 7 {
+	if r := chooseR(cfg, analysis.StrategyResume, baseSpec()); r != 7 {
 		t.Errorf("chooseR with FixedR = %d, want 7", r)
 	}
 }
@@ -393,7 +417,7 @@ func TestFixedROverridesOptimizer(t *testing.T) {
 func TestStrategiesSurviveNodeFailure(t *testing.T) {
 	for _, strat := range []mapreduce.Strategy{
 		HadoopNS{}, HadoopS{}, Mantri{}, LATE{},
-		Clone{Config: chronosCfg()}, Restart{Config: chronosCfg()}, Resume{Config: chronosCfg()},
+		clone(chronosCfg()), restart(chronosCfg()), resume(chronosCfg()),
 	} {
 		eng := sim.NewEngine()
 		cl, err := cluster.New(eng, cluster.Config{Nodes: 4, SlotsPerNode: 16})

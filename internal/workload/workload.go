@@ -1,19 +1,15 @@
 // Package workload defines the benchmark workloads of the paper's testbed
 // evaluation — Sort, SecondarySort, TeraSort and WordCount — as calibrated
-// task-time profiles, together with the input-data generators standing in
-// for RandomWriter/TeraGen and deadline-assignment policies.
+// task-time profiles.
 //
 // The benchmarks matter to the evaluation only through the execution-time
 // distribution their map tasks induce; the paper measures these to be Pareto
 // with tail index beta < 2 under background contention. Each Profile fixes
-// (tmin, beta) along with JVM startup overheads and split sizes so that
-// deadlines of 100 s / 150 s have the same "deadline sensitivity" the paper
-// reports.
+// (tmin, beta) along with JVM startup overheads so that deadlines of
+// 100 s / 150 s have the same "deadline sensitivity" the paper reports.
 package workload
 
 import (
-	"fmt"
-
 	"chronos/internal/mapreduce"
 	"chronos/internal/pareto"
 )
@@ -53,9 +49,6 @@ type Profile struct {
 	Dist pareto.Dist
 	// JVM is the attempt startup-delay model.
 	JVM mapreduce.JVMModel
-	// SplitBytes is the per-task input split (1.2 GB over 10 tasks in the
-	// paper's setup).
-	SplitBytes int64
 	// Deadline is the paper's deadline for this benchmark (100 s for Sort
 	// and TeraSort, 150 s for SecondarySort and WordCount).
 	Deadline float64
@@ -68,40 +61,36 @@ var (
 	// Sort is the I/O-bound shuffle benchmark; workload generated by
 	// RandomWriter.
 	Sort = Profile{
-		Name:       "Sort",
-		Class:      IOBound,
-		Dist:       pareto.MustNew(30, 1.35),
-		JVM:        mapreduce.JVMModel{Min: 2, Max: 4},
-		SplitBytes: 120 << 20,
-		Deadline:   100,
+		Name:     "Sort",
+		Class:    IOBound,
+		Dist:     pareto.MustNew(30, 1.35),
+		JVM:      mapreduce.JVMModel{Min: 2, Max: 4},
+		Deadline: 100,
 	}
 	// SecondarySort sorts composite keys; workload is generated random
 	// number pairs.
 	SecondarySort = Profile{
-		Name:       "SecondarySort",
-		Class:      IOBound,
-		Dist:       pareto.MustNew(40, 1.35),
-		JVM:        mapreduce.JVMModel{Min: 2, Max: 4},
-		SplitBytes: 120 << 20,
-		Deadline:   150,
+		Name:     "SecondarySort",
+		Class:    IOBound,
+		Dist:     pareto.MustNew(40, 1.35),
+		JVM:      mapreduce.JVMModel{Min: 2, Max: 4},
+		Deadline: 150,
 	}
 	// TeraSort's map phase is CPU-bound; workload generated by TeraGen.
 	TeraSort = Profile{
-		Name:       "TeraSort",
-		Class:      CPUBound,
-		Dist:       pareto.MustNew(28, 1.45),
-		JVM:        mapreduce.JVMModel{Min: 2, Max: 4},
-		SplitBytes: 120 << 20,
-		Deadline:   100,
+		Name:     "TeraSort",
+		Class:    CPUBound,
+		Dist:     pareto.MustNew(28, 1.45),
+		JVM:      mapreduce.JVMModel{Min: 2, Max: 4},
+		Deadline: 100,
 	}
 	// WordCount is the canonical CPU-bound benchmark.
 	WordCount = Profile{
-		Name:       "WordCount",
-		Class:      CPUBound,
-		Dist:       pareto.MustNew(38, 1.5),
-		JVM:        mapreduce.JVMModel{Min: 2, Max: 4},
-		SplitBytes: 120 << 20,
-		Deadline:   150,
+		Name:     "WordCount",
+		Class:    CPUBound,
+		Dist:     pareto.MustNew(38, 1.5),
+		JVM:      mapreduce.JVMModel{Min: 2, Max: 4},
+		Deadline: 150,
 	}
 )
 
@@ -109,36 +98,3 @@ var (
 func Profiles() []Profile {
 	return []Profile{Sort, SecondarySort, TeraSort, WordCount}
 }
-
-// ByName finds a profile by its benchmark name.
-func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
-}
-
-// JobSpec instantiates a submit-ready job from the profile.
-func (p Profile) JobSpec(id, numTasks int, price, arrival float64) mapreduce.JobSpec {
-	return mapreduce.JobSpec{
-		ID:         id,
-		Name:       p.Name,
-		NumTasks:   numTasks,
-		Deadline:   p.Deadline,
-		Dist:       p.Dist,
-		SplitBytes: p.SplitBytes,
-		JVM:        p.JVM,
-		UnitPrice:  price,
-		Arrival:    arrival,
-	}
-}
-
-// MeanTaskTime returns the expected single-attempt execution time of the
-// profile (excluding JVM startup).
-func (p Profile) MeanTaskTime() float64 { return p.Dist.Mean() }
-
-// DeadlineTightness returns Deadline / MeanTaskTime: values near 1 are
-// deadline-critical, large values are slack.
-func (p Profile) DeadlineTightness() float64 { return p.Deadline / p.MeanTaskTime() }

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestProfilesAreValid(t *testing.T) {
 	for _, p := range Profiles() {
@@ -16,9 +13,8 @@ func TestProfilesAreValid(t *testing.T) {
 		if p.Deadline <= p.Dist.TMin {
 			t.Errorf("%s: deadline %v <= tmin %v", p.Name, p.Deadline, p.Dist.TMin)
 		}
-		spec := p.JobSpec(1, 10, 1, 0)
-		if err := spec.Validate(); err != nil {
-			t.Errorf("%s: JobSpec invalid: %v", p.Name, err)
+		if p.JVM.Min < 0 || p.JVM.Max < p.JVM.Min {
+			t.Errorf("%s: invalid JVM delay [%v, %v]", p.Name, p.JVM.Min, p.JVM.Max)
 		}
 	}
 }
@@ -43,125 +39,5 @@ func TestClassAssignment(t *testing.T) {
 	}
 	if IOBound.String() != "io-bound" || CPUBound.String() != "cpu-bound" || Class(0).String() != "unknown" {
 		t.Error("Class.String misbehaves")
-	}
-}
-
-func TestByName(t *testing.T) {
-	p, err := ByName("TeraSort")
-	if err != nil || p.Name != "TeraSort" {
-		t.Errorf("ByName(TeraSort) = %v, %v", p, err)
-	}
-	if _, err := ByName("nonsense"); err == nil {
-		t.Error("ByName accepted unknown benchmark")
-	}
-}
-
-func TestDeadlineTightness(t *testing.T) {
-	for _, p := range Profiles() {
-		tight := p.DeadlineTightness()
-		// Deadlines should be meaningful: roughly 0.8x to 3x the mean task
-		// time, i.e. deadline-critical but not impossible.
-		if tight < 0.7 || tight > 3 {
-			t.Errorf("%s: deadline tightness %v outside the deadline-critical regime", p.Name, tight)
-		}
-	}
-}
-
-func TestJobSpecFields(t *testing.T) {
-	spec := WordCount.JobSpec(7, 10, 0.5, 33)
-	if spec.ID != 7 || spec.NumTasks != 10 || spec.UnitPrice != 0.5 || spec.Arrival != 33 {
-		t.Errorf("JobSpec fields wrong: %+v", spec)
-	}
-	if spec.Name != "WordCount" || spec.Deadline != 150 {
-		t.Errorf("JobSpec profile fields wrong: %+v", spec)
-	}
-}
-
-func TestUniformGenerator(t *testing.T) {
-	ds, err := UniformGenerator{}.Generate(1<<30+17, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Splits) != 10 {
-		t.Fatalf("got %d splits, want 10", len(ds.Splits))
-	}
-	// All but the last split equal.
-	for _, s := range ds.Splits[:9] {
-		if s.Bytes != ds.Splits[0].Bytes {
-			t.Errorf("uniform split %d has %d bytes", s.Index, s.Bytes)
-		}
-	}
-	if ds.Name != "RandomWriter" {
-		t.Errorf("default generator name = %q", ds.Name)
-	}
-	if got := (UniformGenerator{Label: "TeraGen"}).Name(); got != "TeraGen" {
-		t.Errorf("labelled generator name = %q", got)
-	}
-}
-
-func TestSkewedGenerator(t *testing.T) {
-	ds, err := SkewedGenerator{Skew: 1.2}.Generate(1<<30, 50, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Skewed: max split much larger than min split.
-	minB, maxB := ds.Splits[0].Bytes, ds.Splits[0].Bytes
-	for _, s := range ds.Splits {
-		if s.Bytes < minB {
-			minB = s.Bytes
-		}
-		if s.Bytes > maxB {
-			maxB = s.Bytes
-		}
-	}
-	if float64(maxB) < 3*float64(minB) {
-		t.Errorf("skewed generator produced max/min = %d/%d, want pronounced skew", maxB, minB)
-	}
-	// Deterministic in the seed.
-	ds2, _ := SkewedGenerator{Skew: 1.2}.Generate(1<<30, 50, 2)
-	for i := range ds.Splits {
-		if ds.Splits[i] != ds2.Splits[i] {
-			t.Fatal("skewed generator not deterministic")
-		}
-	}
-}
-
-func TestGeneratorArgValidation(t *testing.T) {
-	if _, err := (UniformGenerator{}).Generate(0, 5, 1); err == nil {
-		t.Error("accepted zero bytes")
-	}
-	if _, err := (UniformGenerator{}).Generate(100, 0, 1); err == nil {
-		t.Error("accepted zero splits")
-	}
-	if _, err := (SkewedGenerator{}).Generate(5, 10, 1); err == nil {
-		t.Error("accepted more splits than bytes")
-	}
-}
-
-func TestDatasetValidateCatchesCorruption(t *testing.T) {
-	ds, _ := UniformGenerator{}.Generate(1000, 4, 1)
-	ds.Splits[2].Offset += 5
-	if err := ds.Validate(); err == nil {
-		t.Error("Validate missed offset corruption")
-	}
-}
-
-func TestDeadlinePolicies(t *testing.T) {
-	d := Sort.Dist
-	if got := (FixedDeadline{D: 42}).Deadline(d, 10); got != 42 {
-		t.Errorf("FixedDeadline = %v", got)
-	}
-	if got := (MeanRatioDeadline{Ratio: 2}).Deadline(d, 10); math.Abs(got-2*d.Mean()) > 1e-9 {
-		t.Errorf("MeanRatioDeadline = %v, want %v", got, 2*d.Mean())
-	}
-	q := (QuantileDeadline{Q: 0.9}).Deadline(d, 10)
-	if math.Abs(d.CDF(q)-0.9) > 1e-9 {
-		t.Errorf("QuantileDeadline CDF = %v, want 0.9", d.CDF(q))
 	}
 }

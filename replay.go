@@ -65,7 +65,8 @@ type ReplayOptions struct {
 // their accounting settles, so memory tracks the in-flight job count, not
 // the trace length. Cancelling ctx stops the replay between events.
 func Replay(ctx context.Context, cfg SimConfig, jobs []SimJob, opts ReplayOptions) (Report, error) {
-	rt, rjobs, err := buildReplay(cfg.withDefaults(), jobs)
+	cfg = cfg.withDefaults()
+	rt, rjobs, err := buildReplay(cfg, jobs)
 	if err != nil {
 		return Report{}, err
 	}
@@ -76,12 +77,17 @@ func Replay(ctx context.Context, cfg SimConfig, jobs []SimJob, opts ReplayOption
 	if err != nil {
 		return Report{}, err
 	}
-	return reportFromSummary(sum, cfg.withDefaults()), nil
+	rep := reportFromSummary(sum, cfg)
+	rep.LostAttempts = rt.LostAttempts
+	return rep, nil
 }
 
 // buildReplay assembles the engine, cluster, runtime and per-job specs and
 // strategies for one run of the stream. cfg must already have defaults.
 func buildReplay(cfg SimConfig, jobs []SimJob) (*mapreduce.Runtime, []replay.Job, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, nil, err
+	}
 	eng := sim.NewEngine()
 	var contention cluster.ContentionModel
 	if cfg.ContentionP > 0 && cfg.ContentionMean > 1 {
@@ -100,7 +106,6 @@ func buildReplay(cfg SimConfig, jobs []SimJob) (*mapreduce.Runtime, []replay.Job
 		Seed:           cfg.Seed,
 		ReportInterval: cfg.ReportInterval,
 		ReportNoise:    cfg.ReportNoise,
-		DiscardJobs:    true,
 	}
 	if cfg.Spot != nil {
 		series, err := cfg.spotSeries(jobs)
@@ -112,16 +117,10 @@ func buildReplay(cfg SimConfig, jobs []SimJob) (*mapreduce.Runtime, []replay.Job
 	rt := mapreduce.NewRuntime(eng, cl, rtCfg)
 
 	if cfg.Failures != nil && cfg.Failures.MTBF > 0 {
-		horizon := 0.0
-		for _, j := range jobs {
-			if end := j.Arrival + 20*j.Deadline; end > horizon {
-				horizon = end
-			}
-		}
 		cluster.FailureInjector{
 			MTBF:    cfg.Failures.MTBF,
 			MTTR:    cfg.Failures.MTTR,
-			Horizon: horizon,
+			Horizon: streamHorizon(jobs),
 			Seed:    cfg.Seed ^ 0xFA11,
 		}.Install(eng, cl)
 	}

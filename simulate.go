@@ -136,6 +136,9 @@ type Report struct {
 	// RHistogram counts the optimizer-chosen r values (empty for
 	// baselines).
 	RHistogram map[int]int `json:"rHistogram,omitempty"`
+	// LostAttempts counts the attempts lost to injected node failures
+	// (zero without SimConfig.Failures).
+	LostAttempts int `json:"lostAttempts,omitempty"`
 }
 
 // Simulate executes the job stream under the configured strategy on the
@@ -155,16 +158,22 @@ func SimulateContext(ctx context.Context, cfg SimConfig, jobs []SimJob) (Report,
 	return Replay(ctx, cfg, jobs, ReplayOptions{})
 }
 
-// spotSeries generates the market covering the whole job stream.
-func (cfg SimConfig) spotSeries(jobs []SimJob) (trace.SpotPrices, error) {
+// streamHorizon bounds the instants at which the stream can still be running,
+// for the spot series and the failure injector to cover. The slack is
+// generous: stragglers can run far past their deadline (and the spot series
+// extends constantly beyond its end anyway).
+func streamHorizon(jobs []SimJob) float64 {
 	horizon := 0.0
 	for _, j := range jobs {
-		// Generous slack: stragglers can run far past their deadline; the
-		// series extends constantly beyond its end anyway.
 		if end := j.Arrival + 20*j.Deadline; end > horizon {
 			horizon = end
 		}
 	}
+	return horizon
+}
+
+// spotSeries generates the market covering the whole job stream.
+func (cfg SimConfig) spotSeries(jobs []SimJob) (trace.SpotPrices, error) {
 	m := *cfg.Spot
 	if m.Mean <= 0 {
 		m.Mean = cfg.Econ.UnitPrice
@@ -183,7 +192,7 @@ func (cfg SimConfig) spotSeries(jobs []SimJob) (trace.SpotPrices, error) {
 		Volatility: m.Volatility,
 		Reversion:  0.2,
 		Step:       m.StepSeconds,
-		Horizon:    math.Max(horizon, m.StepSeconds),
+		Horizon:    math.Max(streamHorizon(jobs), m.StepSeconds),
 		Seed:       m.Seed,
 	})
 }
@@ -220,15 +229,14 @@ func (j SimJob) spec(id int, cfg SimConfig) (mapreduce.JobSpec, error) {
 		price = cfg.Econ.UnitPrice
 	}
 	spec := mapreduce.JobSpec{
-		ID:         id,
-		Name:       "sim",
-		NumTasks:   j.Tasks,
-		Deadline:   j.Deadline,
-		Dist:       dist,
-		SplitBytes: 128 << 20,
-		JVM:        mapreduce.JVMModel{Min: cfg.JVMMin, Max: cfg.JVMMax},
-		UnitPrice:  price,
-		Arrival:    j.Arrival,
+		ID:        id,
+		Name:      "sim",
+		NumTasks:  j.Tasks,
+		Deadline:  j.Deadline,
+		Dist:      dist,
+		JVM:       mapreduce.JVMModel{Min: cfg.JVMMin, Max: cfg.JVMMax},
+		UnitPrice: price,
+		Arrival:   j.Arrival,
 	}
 	if j.ReduceTasks > 0 {
 		rtmin, rbeta := j.ReduceTMin, j.ReduceBeta
@@ -243,17 +251,51 @@ func (j SimJob) spec(id int, cfg SimConfig) (mapreduce.JobSpec, error) {
 			return mapreduce.JobSpec{}, err
 		}
 		spec.Reduce = mapreduce.ReduceSpec{
-			NumTasks:   j.ReduceTasks,
-			Dist:       rdist,
-			SplitBytes: 64 << 20,
+			NumTasks: j.ReduceTasks,
+			Dist:     rdist,
 		}
 	}
 	return spec, nil
 }
 
+// maxFixedR bounds SimConfig.FixedR: r+1 attempts of every task are launched,
+// and no optimizer-chosen r can reach the planner's search cap
+// (optimize.ErrSearchCap), so no fixed one needs to.
+const maxFixedR = 1 << 13
+
+// validate rejects, once per run, the control settings a strategy cannot be
+// built from: a control instant in the past of its stage would be scheduled
+// before the simulation clock. cfg must already have defaults.
+func (cfg SimConfig) validate() error {
+	if !(cfg.TauEst >= 0 && cfg.TauKill >= 0) || math.IsInf(cfg.TauEst, 0) || math.IsInf(cfg.TauKill, 0) {
+		return fmt.Errorf("chronos: tauEst %v and tauKill %v must be finite and >= 0", cfg.TauEst, cfg.TauKill)
+	}
+	if cfg.TauScale != TauOfTMin && cfg.TauScale != TauAbsolute {
+		return fmt.Errorf("chronos: unknown tauScale %d", cfg.TauScale)
+	}
+	if cfg.UseFixedR && cfg.FixedR >= maxFixedR {
+		return fmt.Errorf("chronos: fixedR %d at or above the planner's search cap r = %d", cfg.FixedR, maxFixedR)
+	}
+	return nil
+}
+
 // strategyFor instantiates the policy for one job (tau instants may be
 // job-relative).
 func (cfg SimConfig) strategyFor(j SimJob) (mapreduce.Strategy, error) {
+	switch cfg.Strategy {
+	case HadoopNS:
+		return speculate.HadoopNS{}, nil
+	case HadoopS:
+		return speculate.HadoopS{}, nil
+	case Mantri:
+		return speculate.Mantri{}, nil
+	case LATE:
+		return speculate.LATE{}, nil
+	}
+	kind, err := analyticKind(cfg.Strategy)
+	if err != nil {
+		return nil, fmt.Errorf("chronos: unknown strategy %d", cfg.Strategy)
+	}
 	tauEst, tauKill := cfg.TauEst, cfg.TauKill
 	if cfg.TauScale == TauOfTMin {
 		tauEst *= j.TMin
@@ -272,24 +314,7 @@ func (cfg SimConfig) strategyFor(j SimJob) (mapreduce.Strategy, error) {
 	if cfg.UseHadoopEstimator {
 		ccfg.Estimator = mapreduce.HadoopEstimator
 	}
-	switch cfg.Strategy {
-	case Clone:
-		return speculate.Clone{Config: ccfg}, nil
-	case SpeculativeRestart:
-		return speculate.Restart{Config: ccfg}, nil
-	case SpeculativeResume:
-		return speculate.Resume{Config: ccfg}, nil
-	case HadoopNS:
-		return speculate.HadoopNS{}, nil
-	case HadoopS:
-		return speculate.HadoopS{}, nil
-	case Mantri:
-		return speculate.Mantri{}, nil
-	case LATE:
-		return speculate.LATE{}, nil
-	default:
-		return nil, fmt.Errorf("chronos: unknown strategy %d", cfg.Strategy)
-	}
+	return speculate.Chronos{Kind: kind, Config: ccfg}, nil
 }
 
 // Benchmark is a public view of one of the paper's testbed workloads.
