@@ -1,9 +1,11 @@
 package chronos
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
+	"time"
 
 	"chronos/internal/optimize"
 )
@@ -172,4 +174,91 @@ func FuzzOptimizeFinite(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSimulateNoPanic is the simulator's input contract: for any
+// JSON-decodable request inside the bounds chronosd enforces before it calls
+// Simulate or Replay (cluster shape, spot step, MTBF, per-job tasks, deadline
+// and arrival — restated here because the server imports this package), a
+// run under a 2 s context returns an error or a report — never a panic. The
+// report's numbers are finite (utility may be -Inf, its documented value at
+// or below RMin) wherever float64 cannot overflow on the way: no number in
+// the request above 1e6 in magnitude and no tail index below 1, a Pareto
+// sample being at most tmin * 2^(53/beta). The first two seeds are the bodies
+// that did panic, a control instant scheduled before the clock; the third
+// launched r+1 = 4,000,001 attempts of one task.
+func FuzzSimulateNoPanic(f *testing.F) {
+	for _, seed := range []string{
+		`{"config":{"strategy":"Speculative-Restart","tauEst":-5,"tauKill":1},"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5}]}`,
+		`{"config":{"strategy":"Clone","tauKill":-1},"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5}]}`,
+		`{"config":{"strategy":"Clone","useFixedR":true,"fixedR":4000000},"jobs":[{"tasks":1,"deadline":100,"tmin":10,"beta":1.5}]}`,
+		`{"config":{"strategy":"s-resume","seed":7,"tauEst":40,"tauKill":80,"tauScale":1},"jobs":[{"tasks":10,"deadline":100,"tmin":10,"beta":1.5}]}`,
+		`{"config":{"strategy":"clone","tauEst":0.3,"tauKill":0.6,"tauScale":2},"jobs":[{"tasks":2,"deadline":50,"tmin":10,"beta":1.2}]}`,
+		`{"config":{"strategy":"mantri","nodes":2,"slotsPerNode":1,"failures":{"mtbf":60,"mttr":5},"spot":{"mean":2}},"jobs":[{"tasks":6,"deadline":40,"tmin":10,"beta":1.1,"reduceTasks":2},{"tasks":3,"deadline":30,"tmin":5,"beta":1.9,"arrival":10}]}`,
+		`{"config":{"strategy":"restart","tauEst":1e300,"tauKill":1e308,"reportInterval":2,"reportNoise":0.5,"useHadoopEstimator":true,"contentionP":0.5,"contentionMean":3},"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5}]}`,
+		`{"config":{"strategy":"late","econ":{"theta":1e-4,"unitPrice":1,"rmin":0.999}},"jobs":[{"tasks":12,"deadline":20,"tmin":10,"beta":1.5}]}`,
+		`{"config":{"strategy":"resume"},"jobs":[{"tasks":12,"deadline":20,"tmin":10,"beta":0.00625,"reduceTasks":2}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req struct {
+			Config SimConfig `json:"config"`
+			Jobs   []SimJob  `json:"jobs"`
+		}
+		if json.Unmarshal(body, &req) != nil || len(req.Jobs) < 1 || len(req.Jobs) > 3 {
+			return
+		}
+		c := req.Config
+		if c.Nodes < 0 || c.Nodes > 4096 || c.SlotsPerNode < 0 || c.SlotsPerNode > 64 ||
+			(c.Spot != nil && c.Spot.StepSeconds != 0 && c.Spot.StepSeconds < 60) ||
+			(c.Failures != nil && c.Failures.MTBF > 0 && c.Failures.MTBF < 60) {
+			return
+		}
+		var numbers any
+		_ = json.Unmarshal(body, &numbers) // it decoded once already
+		overflowFree := tame(numbers)
+		for _, j := range req.Jobs {
+			if j.Tasks < 1 || j.ReduceTasks < 0 || j.Tasks+j.ReduceTasks > 16 ||
+				!(j.Deadline > 0) || j.Deadline > 1e5 || j.Arrival < 0 || j.Arrival > 1e6 {
+				return
+			}
+			if j.Beta < 1 || (j.ReduceBeta != 0 && j.ReduceBeta < 1) {
+				overflowFree = false
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		rep, err := Replay(ctx, c, req.Jobs, ReplayOptions{WindowSeconds: 300})
+		if err != nil || !overflowFree {
+			return
+		}
+		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+		if !finite(rep.PoCD) || !finite(rep.MeanMachineTime) || !finite(rep.MeanCost) ||
+			math.IsNaN(rep.Utility) || math.IsInf(rep.Utility, 1) {
+			t.Fatalf("Replay(%s) = %+v with a nil error", body, rep)
+		}
+	})
+}
+
+// tame reports whether every number in a decoded JSON value is at most 1e6 in
+// magnitude.
+func tame(v any) bool {
+	switch v := v.(type) {
+	case float64:
+		return math.Abs(v) <= 1e6
+	case []any:
+		for _, e := range v {
+			if !tame(e) {
+				return false
+			}
+		}
+	case map[string]any:
+		for _, e := range v {
+			if !tame(e) {
+				return false
+			}
+		}
+	}
+	return true
 }

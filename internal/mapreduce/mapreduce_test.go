@@ -467,7 +467,7 @@ func TestNodeFailureInvokesAttemptLost(t *testing.T) {
 	}
 }
 
-func TestBestRunning(t *testing.T) {
+func TestBestRunningAndMaxProgress(t *testing.T) {
 	eng, _, rt := newHarness(t, Config{Seed: 10})
 	spec := testSpec()
 	spec.NumTasks = 1
@@ -559,12 +559,10 @@ func (s lateControl) Start(ctl *Controller) {
 	})
 }
 
-// TestDiscardJobsRecyclesSettledJobs covers what the runtime does with every
-// job now that none is retained (the behaviour Config.DiscardJobs used to
-// select): a settled job's tasks and attempts go back to the runtime and
-// serve the next job, and the settled job's own late control point — whose
-// closure still holds those tasks — no longer runs, so it cannot kill the
-// next job's attempts.
+// TestDiscardJobsRecyclesSettledJobs: the runtime retains no job. A settled
+// job's tasks and attempts go back to the runtime and serve the next job, and
+// the settled job's own late control point — whose closure still holds those
+// tasks — does not run, so it cannot kill the next job's attempts.
 func TestDiscardJobsRecyclesSettledJobs(t *testing.T) {
 	eng, _, rt := newHarness(t, Config{Seed: 4})
 	settled := 0

@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -310,6 +312,60 @@ func TestSimulateHonorsContext(t *testing.T) {
 	s.Handler().ServeHTTP(rec, req)
 	if rec.Body.Len() != 0 {
 		t.Fatalf("cancelled simulate wrote a body: %q", rec.Body.String())
+	}
+}
+
+// TestSimulateAndReplayRejectBadControl: a well-formed body whose control
+// instant lies before its stage, or whose fixed r is unbounded, is a 400 with
+// the JSON error envelope on both endpoints — it used to panic the handler
+// (the connection dropped with no HTTP answer) or launch r+1 = four million
+// attempts of one task (200 after seconds and a gigabyte).
+func TestSimulateAndReplayRejectBadControl(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	post := func(path, config string) (*http.Response, time.Duration) {
+		t.Helper()
+		body := `{"config":` + config + `,"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5}]}`
+		start := time.Now()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s %s: %v", path, config, err)
+		}
+		return resp, time.Since(start)
+	}
+	for _, path := range []string{"/v1/simulate", "/v1/replay"} {
+		for _, config := range []string{
+			`{"strategy":"Speculative-Restart","tauEst":-5,"tauKill":1}`,
+			`{"strategy":"Clone","tauKill":-1}`,
+			`{"strategy":"Clone","tauEst":0.3,"tauKill":0.6,"tauScale":2}`,
+			`{"strategy":"Clone","useFixedR":true,"fixedR":4000000}`,
+		} {
+			resp, took := post(path, config)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400", path, config, resp.StatusCode)
+			}
+			if env := decodeBody[errorResponse](t, resp); env.Error == "" || env.Code == "" || env.TraceID == "" {
+				t.Errorf("%s %s: error envelope %+v incomplete", path, config, env)
+			}
+			if took > 50*time.Millisecond {
+				t.Errorf("%s %s: answered after %v", path, config, took)
+			}
+		}
+	}
+	// A small fixed r still simulates, and a negative one still means "use
+	// the optimizer".
+	histogram := func(config string) map[int]int {
+		resp, _ := post("/v1/simulate", config)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", config, resp.StatusCode)
+		}
+		return decodeBody[simulateResponse](t, resp).RHistogram
+	}
+	if got := histogram(`{"strategy":"Clone","useFixedR":true,"fixedR":3}`); got[3] != 1 {
+		t.Errorf("fixedR 3: rHistogram %v, want {3: 1}", got)
+	}
+	planned := histogram(`{"strategy":"Clone"}`)
+	if got := histogram(`{"strategy":"Clone","useFixedR":true,"fixedR":-1}`); !reflect.DeepEqual(got, planned) {
+		t.Errorf("negative fixedR: rHistogram %v, want the optimizer's %v", got, planned)
 	}
 }
 
