@@ -59,14 +59,12 @@ type FailureRow struct {
 // RunFailures executes the sweep over Hadoop-NS, S-Restart and S-Resume.
 func RunFailures(r Runner, cfg FailureConfig) ([]FailureRow, error) {
 	jobs := profileJobs(cfg.Benchmark, cfg.Jobs, cfg.Tasks, cfg.Benchmark.Deadline*4)
-	sc := r.config()
-	sc.Econ = chronos.Econ{Theta: cfg.Theta, UnitPrice: cfg.UnitPrice}
-	sc.TauEst, sc.TauKill, sc.TauScale = cfg.TauEst, cfg.TauKill, chronos.TauAbsolute
+	sc := r.config(chronos.Econ{Theta: cfg.Theta, UnitPrice: cfg.UnitPrice}, cfg.TauEst, cfg.TauKill, chronos.TauAbsolute)
 	sc.JVMMin, sc.JVMMax = cfg.Benchmark.JVM.Min, cfg.Benchmark.JVM.Max
 	var rows []FailureRow
 	for _, mtbf := range cfg.MTBFs {
 		sc.Failures = &chronos.FailureModel{MTBF: mtbf, MTTR: cfg.MTTR}
-		for _, strat := range append([]chronos.Strategy{chronos.HadoopNS}, reactiveStrategies...) {
+		for _, strat := range []chronos.Strategy{chronos.HadoopNS, chronos.SpeculativeRestart, chronos.SpeculativeResume} {
 			sc.Strategy = strat
 			rep, err := chronos.Simulate(sc, jobs)
 			if err != nil {

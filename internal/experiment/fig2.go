@@ -59,9 +59,7 @@ func RunFigure2(r Runner, cfg Fig2Config) ([]Fig2Row, error) {
 	var rows []Fig2Row
 	for _, prof := range workload.Profiles() {
 		jobs := profileJobs(prof, cfg.Jobs, cfg.Tasks, cfg.JobSpacing)
-		sc := r.config()
-		sc.Econ = chronos.Econ{Theta: cfg.Theta, UnitPrice: cfg.UnitPrice}
-		sc.TauEst, sc.TauKill, sc.TauScale = cfg.TauEst, cfg.TauKill, chronos.TauAbsolute
+		sc := r.config(chronos.Econ{Theta: cfg.Theta, UnitPrice: cfg.UnitPrice}, cfg.TauEst, cfg.TauKill, chronos.TauAbsolute)
 		sc.JVMMin, sc.JVMMax = prof.JVM.Min, prof.JVM.Max
 
 		var rmin float64

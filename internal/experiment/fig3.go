@@ -53,12 +53,11 @@ func RunFigure3(r Runner, cfg Fig3Config) ([]Fig3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := r.config()
-	sc.TauEst, sc.TauKill, sc.TauScale = cfg.TauEstFactor, cfg.TauKillFactor, chronos.TauOfTMin
 	var rows []Fig3Row
 	for _, theta := range cfg.Thetas {
-		sc.Econ = chronos.Econ{Theta: theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice}
-		for _, strat := range []chronos.Strategy{chronos.Mantri, chronos.Clone, chronos.SpeculativeRestart, chronos.SpeculativeResume} {
+		econ := chronos.Econ{Theta: theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice}
+		sc := r.config(econ, cfg.TauEstFactor, cfg.TauKillFactor, chronos.TauOfTMin)
+		for _, strat := range append([]chronos.Strategy{chronos.Mantri}, chronos.ChronosStrategies()...) {
 			sc.Strategy = strat
 			rep, err := chronos.Simulate(sc, jobs)
 			if err != nil {

@@ -53,9 +53,8 @@ type Fig4Row struct {
 
 // RunFigure4 sweeps beta over the five strategies of Figure 4.
 func RunFigure4(r Runner, cfg Fig4Config) ([]Fig4Row, error) {
-	sc := r.config()
-	sc.Econ = chronos.Econ{Theta: cfg.Theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice}
-	sc.TauEst, sc.TauKill, sc.TauScale = cfg.TauEstFactor, cfg.TauKillFactor, chronos.TauOfTMin
+	econ := chronos.Econ{Theta: cfg.Theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice}
+	sc := r.config(econ, cfg.TauEstFactor, cfg.TauKillFactor, chronos.TauOfTMin)
 	var rows []Fig4Row
 	for _, beta := range cfg.Betas {
 		dist, err := pareto.New(cfg.TMin, beta)

@@ -40,22 +40,30 @@ func DefaultRunner() Runner {
 	return Runner{Nodes: 512, SlotsPerNode: 8, Seed: 1}
 }
 
-// config returns the SimConfig an experiment starts from; the driver adds
-// the strategy, the control instants and the economics of each run.
-func (r Runner) config() chronos.SimConfig {
+// config returns the SimConfig of an experiment's runs on this runner, with
+// the control instants on the given scale; the driver sets the strategy of
+// each run.
+func (r Runner) config(econ chronos.Econ, tauEst, tauKill float64, scale chronos.TauScale) chronos.SimConfig {
 	return chronos.SimConfig{
 		Nodes:          r.Nodes,
 		SlotsPerNode:   r.SlotsPerNode,
 		Seed:           r.Seed,
 		ReportInterval: r.ReportInterval,
 		ReportNoise:    r.ReportNoise,
+		Econ:           econ,
+		TauEst:         tauEst,
+		TauKill:        tauKill,
+		TauScale:       scale,
 	}
 }
 
 // The strategy line-ups of the testbed-style experiments (Figures 2 and 4)
 // and of the trace-driven tau sweeps (Tables I and II).
 var (
-	testbedStrategies  = []chronos.Strategy{chronos.HadoopNS, chronos.HadoopS, chronos.Clone, chronos.SpeculativeRestart, chronos.SpeculativeResume}
+	testbedStrategies = []chronos.Strategy{
+		chronos.HadoopNS, chronos.HadoopS,
+		chronos.Clone, chronos.SpeculativeRestart, chronos.SpeculativeResume,
+	}
 	reactiveStrategies = []chronos.Strategy{chronos.SpeculativeRestart, chronos.SpeculativeResume}
 )
 

@@ -111,10 +111,9 @@ func RunTable2(r Runner, cfg TableConfig) ([]TableRow, error) {
 func runTableCell(r Runner, cfg TableConfig, jobs []chronos.SimJob,
 	strat chronos.Strategy, estFactor, killFactor float64) (TableRow, error) {
 
-	sc := r.config()
+	econ := chronos.Econ{Theta: cfg.Theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice}
+	sc := r.config(econ, estFactor, killFactor, chronos.TauOfTMin)
 	sc.Strategy = strat
-	sc.Econ = chronos.Econ{Theta: cfg.Theta, RMin: cfg.RMin, UnitPrice: cfg.UnitPrice}
-	sc.TauEst, sc.TauKill, sc.TauScale = estFactor, killFactor, chronos.TauOfTMin
 	rep, err := chronos.Simulate(sc, jobs)
 	if err != nil {
 		return TableRow{}, err

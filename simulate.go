@@ -268,7 +268,7 @@ const maxFixedR = 1 << 13
 // before the simulation clock. cfg must already have defaults.
 func (cfg SimConfig) validate() error {
 	if !(cfg.TauEst >= 0 && cfg.TauKill >= 0) || math.IsInf(cfg.TauEst, 0) || math.IsInf(cfg.TauKill, 0) {
-		return fmt.Errorf("chronos: tauEst %v and tauKill %v must be finite and >= 0", cfg.TauEst, cfg.TauKill)
+		return fmt.Errorf("chronos: tauEst %v and tauKill %v must be finite and non-negative", cfg.TauEst, cfg.TauKill)
 	}
 	if cfg.TauScale != TauOfTMin && cfg.TauScale != TauAbsolute {
 		return fmt.Errorf("chronos: unknown tauScale %d", cfg.TauScale)
