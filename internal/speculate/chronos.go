@@ -49,8 +49,9 @@ func (s Chronos) runStage(ctl *mapreduce.Controller, cfg ChronosConfig, st stage
 	job := ctl.Job()
 	r := cfg.chooseStageR(s.Kind, job, st)
 	st.recordR(job, r)
+	clone, resume := s.Kind == analysis.StrategyClone, s.Kind == analysis.StrategyResume
 	copies := 1
-	if s.Kind == analysis.StrategyClone {
+	if clone {
 		copies = r + 1
 	}
 	for _, t := range st.tasks {
@@ -58,14 +59,14 @@ func (s Chronos) runStage(ctl *mapreduce.Controller, cfg ChronosConfig, st stage
 			ctl.Launch(t, 0)
 		}
 	}
-	if s.Kind != analysis.StrategyClone {
+	if !clone {
 		ctl.After(cfg.TauEst, func() {
 			now := ctl.Now()
 			for _, t := range st.tasks {
 				if t.Done {
 					continue
 				}
-				if s.Kind == analysis.StrategyResume {
+				if resume {
 					resumeStraggler(ctl, cfg, t, now, r)
 				} else if isStraggler(t, now, cfg.Estimator, job.Deadline()) {
 					for k := 0; k < r; k++ {
