@@ -59,10 +59,10 @@ var _ mapreduce.Strategy = HadoopS{}
 func (HadoopS) Name() string { return "Hadoop-S" }
 
 // Start implements mapreduce.Strategy.
-func (s HadoopS) Start(ctl *mapreduce.Controller) { monitor(ctl, s.pass) }
+func (HadoopS) Start(ctl *mapreduce.Controller) { monitor(ctl, hadoopSPass) }
 
-// pass runs one Hadoop-S monitoring cycle.
-func (HadoopS) pass(ctl *mapreduce.Controller) {
+// hadoopSPass runs one Hadoop-S monitoring cycle.
+func hadoopSPass(ctl *mapreduce.Controller) {
 	job := ctl.Job()
 	now := ctl.Now()
 
@@ -140,15 +140,15 @@ var _ mapreduce.Strategy = Mantri{}
 func (Mantri) Name() string { return "Mantri" }
 
 // Start implements mapreduce.Strategy.
-func (m Mantri) Start(ctl *mapreduce.Controller) { monitor(ctl, m.pass) }
+func (Mantri) Start(ctl *mapreduce.Controller) { monitor(ctl, mantriPass) }
 
-// pass runs one Mantri monitoring cycle. Mantri estimates completion with
-// Hadoop-style progress reports (it predates the Chronos JVM-aware
+// mantriPass runs one Mantri monitoring cycle. Mantri estimates completion
+// with Hadoop-style progress reports (it predates the Chronos JVM-aware
 // estimator), launches an extra attempt per tick for every outlier task,
 // and kills a duplicate only when some sibling is clearly — at least twice —
 // faster. The aggressive launch/late kill combination is what runs up
 // Mantri's cost in Figure 3(b).
-func (Mantri) pass(ctl *mapreduce.Controller) {
+func mantriPass(ctl *mapreduce.Controller) {
 	job := ctl.Job()
 	now := ctl.Now()
 	est := mapreduce.HadoopEstimator
@@ -170,9 +170,9 @@ func (Mantri) pass(ctl *mapreduce.Controller) {
 
 	// Launch-phase: only when there is idle capacity and nothing queued.
 	// Mantri "keeps launching new attempts" for an outlier until more than
-	// mantriMaxExtra extra attempts are active, so a flagged task is burst-filled
-	// to the cap — and refilled on later ticks if the prune above discarded
-	// copies while the task still looks like an outlier.
+	// mantriMaxExtra extra attempts are active, so a flagged task is
+	// burst-filled to the cap — and refilled on later ticks if the prune
+	// above discarded copies while the task still looks like an outlier.
 	for _, t := range job.Tasks {
 		if ctl.FreeSlots() <= 0 || !ctl.QueueEmpty() {
 			return

@@ -26,10 +26,10 @@ var _ mapreduce.Strategy = LATE{}
 func (LATE) Name() string { return "LATE" }
 
 // Start implements mapreduce.Strategy.
-func (l LATE) Start(ctl *mapreduce.Controller) { monitor(ctl, l.pass) }
+func (LATE) Start(ctl *mapreduce.Controller) { monitor(ctl, latePass) }
 
-// pass runs one LATE monitoring cycle.
-func (LATE) pass(ctl *mapreduce.Controller) {
+// latePass runs one LATE monitoring cycle.
+func latePass(ctl *mapreduce.Controller) {
 	job := ctl.Job()
 	now := ctl.Now()
 	speculativeCap := max(len(job.Tasks)/10, 1)
