@@ -20,12 +20,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 	"sync/atomic"
 
 	"chronos"
+	"chronos/api"
 	"chronos/internal/plankey"
 	"chronos/internal/ring"
 )
@@ -46,17 +45,6 @@ type Option func(*Client)
 // doubles). The default is http.DefaultClient.
 func WithHTTPClient(h *http.Client) Option {
 	return func(c *Client) { c.http = h }
-}
-
-// WithVirtualNodes overrides the per-replica virtual-node count of the
-// client-side ring. It must match the fleet's -ring-vnodes for client-side
-// routing to agree with the servers; the default matches the server default.
-func WithVirtualNodes(n int) Option {
-	return func(c *Client) {
-		if len(c.replicas) > 1 {
-			c.ring = ring.New(c.replicas, n)
-		}
-	}
 }
 
 // New returns a client for a single chronosd instance at baseURL (e.g.
@@ -122,153 +110,33 @@ func (e *Error) Error() string {
 }
 
 // CodeBudgetExhausted is the envelope code of a tenant-ledger rejection
-// (HTTP 429); poll again after the pool refills.
-const CodeBudgetExhausted = "budget_exhausted"
+// (HTTP 429, or a tenant-routed replay's in-band budget_exhausted event); poll
+// again after the pool refills.
+const CodeBudgetExhausted = api.CodeBudgetExhausted
 
-// --- wire types -----------------------------------------------------------
-
-// PlanRequest asks for one job's optimal speculation plan.
-type PlanRequest struct {
-	Job      chronos.JobParams `json:"job"`
-	Econ     chronos.Econ      `json:"econ"`
-	Strategy string            `json:"strategy,omitempty"` // empty or "best" = best-of-three
-	Tenant   string            `json:"tenant,omitempty"`
-}
-
-// PlanResponse is the /v1/plan answer.
-type PlanResponse struct {
-	Plan            chronos.Plan `json:"plan"`
-	Cached          bool         `json:"cached"`
-	BudgetRemaining *float64     `json:"budgetRemaining,omitempty"`
-}
-
-// BatchJob is one member of a shared-budget batch.
-type BatchJob struct {
-	Strategy string            `json:"strategy,omitempty"`
-	Job      chronos.JobParams `json:"job"`
-	RMin     float64           `json:"rmin,omitempty"`
-}
-
-// BatchRequest plans a job set under one shared machine-time budget.
-type BatchRequest struct {
-	Jobs   []BatchJob   `json:"jobs"`
-	Budget float64      `json:"budget"`
-	Econ   chronos.Econ `json:"econ,omitempty"`
-	Tenant string       `json:"tenant,omitempty"`
-}
-
-// BatchPlan is one job's slice of a batch allocation.
-type BatchPlan struct {
-	Strategy    chronos.Strategy `json:"strategy"`
-	R           int              `json:"r"`
-	PoCD        float64          `json:"pocd"`
-	MachineTime float64          `json:"machineTime"`
-}
-
-// BatchResponse is the /v1/plan/batch answer.
-type BatchResponse struct {
-	Plans            []BatchPlan `json:"plans"`
-	TotalMachineTime float64     `json:"totalMachineTime"`
-	Budget           float64     `json:"budget"`
-	BudgetRemaining  *float64    `json:"budgetRemaining,omitempty"`
-}
-
-// AdmitRequest asks for an online admission decision.
-type AdmitRequest struct {
-	Tenant   string            `json:"tenant"`
-	Job      chronos.JobParams `json:"job"`
-	Strategy string            `json:"strategy,omitempty"`
-	Econ     chronos.Econ      `json:"econ,omitempty"`
-}
-
-// AdmitResponse is the /v1/admit decision.
-type AdmitResponse struct {
-	Admitted        bool          `json:"admitted"`
-	Tenant          string        `json:"tenant"`
-	Plan            *chronos.Plan `json:"plan,omitempty"`
-	Reason          string        `json:"reason,omitempty"`
-	BudgetRemaining float64       `json:"budgetRemaining"`
-}
-
-// AdmitBatchJob is one arriving job in a batch admission.
-type AdmitBatchJob struct {
-	Job      chronos.JobParams `json:"job"`
-	Strategy string            `json:"strategy,omitempty"`
-}
-
-// AdmitBatchRequest asks for admission decisions for several same-tenant
-// jobs, settled against the tenant's budget in one ledger debit per server
-// contacted.
-type AdmitBatchRequest struct {
-	Tenant string          `json:"tenant"`
-	Jobs   []AdmitBatchJob `json:"jobs"`
-	Econ   chronos.Econ    `json:"econ,omitempty"`
-}
-
-// AdmitBatchResult is one job's decision, in request order.
-type AdmitBatchResult struct {
-	Admitted bool          `json:"admitted"`
-	Plan     *chronos.Plan `json:"plan,omitempty"`
-	Reason   string        `json:"reason,omitempty"`
-}
-
-// AdmitBatchResponse is the /v1/admit/batch answer.
-type AdmitBatchResponse struct {
-	Tenant          string             `json:"tenant"`
-	Results         []AdmitBatchResult `json:"results"`
-	Admitted        int                `json:"admitted"`
-	BudgetRemaining float64            `json:"budgetRemaining"`
-}
-
-// SimulateRequest runs a bounded Monte-Carlo what-if.
-type SimulateRequest struct {
-	Config chronos.SimConfig `json:"config"`
-	Jobs   []chronos.SimJob  `json:"jobs"`
-}
-
-// SimulateResponse is the /v1/simulate answer.
-type SimulateResponse struct {
-	Jobs            int         `json:"jobs"`
-	PoCD            float64     `json:"pocd"`
-	MeanMachineTime float64     `json:"meanMachineTime"`
-	MeanCost        float64     `json:"meanCost"`
-	Utility         *float64    `json:"utility,omitempty"`
-	RHistogram      map[int]int `json:"rHistogram,omitempty"`
-}
-
-// TradeoffPoint is one r on the PoCD/cost frontier.
-type TradeoffPoint struct {
-	R           int      `json:"r"`
-	PoCD        float64  `json:"pocd"`
-	MachineTime float64  `json:"machineTime"`
-	Cost        float64  `json:"cost"`
-	Utility     *float64 `json:"utility"`
-}
-
-// TradeoffResponse is the /v1/tradeoff answer.
-type TradeoffResponse struct {
-	Strategy chronos.Strategy `json:"strategy"`
-	Points   []TradeoffPoint  `json:"points"`
-}
-
-// ReplayTrace generates a synthetic Google-like job stream server-side.
-type ReplayTrace struct {
-	Jobs           int     `json:"jobs"`
-	HorizonSeconds float64 `json:"horizonSeconds,omitempty"`
-	DeadlineRatio  float64 `json:"deadlineRatio,omitempty"`
-	Seed           uint64  `json:"seed,omitempty"`
-}
-
-// ReplayRequest streams a trace-driven simulation over /v1/replay. Exactly
-// one of Jobs, Trace, or Benchmark supplies the job stream.
-type ReplayRequest struct {
-	Config        chronos.SimConfig `json:"config"`
-	Jobs          []chronos.SimJob  `json:"jobs,omitempty"`
-	Trace         *ReplayTrace      `json:"trace,omitempty"`
-	Benchmark     json.RawMessage   `json:"benchmark,omitempty"`
-	Tenant        string            `json:"tenant,omitempty"`
-	WindowSeconds float64           `json:"windowSeconds,omitempty"`
-}
+// The wire types, declared once in package api and named here as the SDK
+// always has.
+type (
+	PlanRequest        = api.PlanRequest
+	PlanResponse       = api.PlanResponse
+	BatchJob           = api.BatchJob
+	BatchRequest       = api.BatchRequest
+	BatchPlan          = api.BatchPlan
+	BatchResponse      = api.BatchResponse
+	AdmitRequest       = api.AdmitRequest
+	AdmitResponse      = api.AdmitResponse
+	AdmitBatchJob      = api.AdmitBatchJob
+	AdmitBatchRequest  = api.AdmitBatchRequest
+	AdmitBatchResult   = api.AdmitBatchResult
+	AdmitBatchResponse = api.AdmitBatchResponse
+	SimulateRequest    = api.SimulateRequest
+	SimulateResponse   = api.SimulateResponse
+	TradeoffPoint      = api.TradeoffPoint
+	TradeoffResponse   = api.TradeoffResponse
+	ReplayRequest      = api.ReplayRequest
+	ReplayTrace        = chronos.TraceConfig
+	ReplayBenchmark    = api.ReplayBenchmark
+)
 
 // --- endpoint methods -----------------------------------------------------
 
@@ -277,21 +145,13 @@ type ReplayRequest struct {
 // (the replicas that hold the key's warm copies when the fleet runs with a
 // replication factor).
 func (c *Client) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, error) {
-	var resp PlanResponse
-	if err := c.postPlanKeyed(ctx, req.Strategy, req.Job, req.Econ, "/v1/plan", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return postPlanKeyed[PlanResponse](ctx, c, req.Strategy, req.Job, req.Econ, "/v1/plan", req)
 }
 
 // Admit asks for an online admission decision, routed like Plan (the
 // servers key admission by the same plan key).
 func (c *Client) Admit(ctx context.Context, req AdmitRequest) (*AdmitResponse, error) {
-	var resp AdmitResponse
-	if err := c.postPlanKeyed(ctx, req.Strategy, req.Job, req.Econ, "/v1/admit", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return postPlanKeyed[AdmitResponse](ctx, c, req.Strategy, req.Job, req.Econ, "/v1/admit", req)
 }
 
 // postPlanKeyed posts a plan-keyed request to its ring owner, retrying the
@@ -299,17 +159,15 @@ func (c *Client) Admit(ctx context.Context, req AdmitRequest) (*AdmitResponse, e
 // (*Error) is a live replica's answer and is returned as-is; only a replica
 // we could not talk to at all triggers failover, and a dead context stops
 // the walk (the caller gave up, not the replica).
-func (c *Client) postPlanKeyed(ctx context.Context, strategy string, job chronos.JobParams, econ chronos.Econ, path string, req, resp any) error {
-	targets := c.planTargets(strategy, job, econ)
-	var err error
-	for _, base := range targets {
-		err = c.postJSON(ctx, base, path, req, resp)
+func postPlanKeyed[T any](ctx context.Context, c *Client, strategy string, job chronos.JobParams, econ chronos.Econ, path string, req any) (resp *T, err error) {
+	for _, base := range c.planTargets(strategy, job, econ) {
+		resp, err = roundTrip[T](ctx, c, base+path, req)
 		var httpErr *Error
 		if err == nil || errors.As(err, &httpErr) || ctx.Err() != nil {
-			return err
+			break
 		}
 	}
-	return err
+	return resp, err
 }
 
 // planTargets resolves the replicas for a plan-keyed request in preference
@@ -321,14 +179,18 @@ func (c *Client) planTargets(strategy string, job chronos.JobParams, econ chrono
 	if c.ring == nil {
 		return c.replicas[:1:1]
 	}
-	canon, ok := plankey.CanonicalStrategy(strategy)
+	strat, best, ok := plankey.ParseStrategy(strategy)
 	if !ok {
 		return []string{c.next()}
+	}
+	name := ""
+	if !best {
+		name = strat.String()
 	}
 	// Two targets: the owner plus its first successor. Matches the smallest
 	// useful server-side replication factor; with R = 1 the successor still
 	// answers correctly (one forward hop or a local fallback).
-	if targets := c.ring.Successors(plankey.Key(canon, job, econ), 2); len(targets) > 0 {
+	if targets := c.ring.Successors(plankey.Key(name, job, econ), 2); len(targets) > 0 {
 		return targets
 	}
 	return []string{c.next()}
@@ -345,17 +207,13 @@ func (c *Client) planTargets(strategy string, job chronos.JobParams, econ chrono
 // have been admitted and debited.
 func (c *Client) AdmitBatch(ctx context.Context, req AdmitBatchRequest) (*AdmitBatchResponse, error) {
 	if c.ring == nil || len(req.Jobs) == 0 {
-		var resp AdmitBatchResponse
-		if err := c.postJSON(ctx, c.replicas[0], "/v1/admit/batch", req, &resp); err != nil {
-			return nil, err
-		}
-		return &resp, nil
+		return roundTrip[AdmitBatchResponse](ctx, c, c.replicas[0]+"/v1/admit/batch", req)
 	}
 	// Group job indices by owning replica, preserving input order per group.
 	groups := make(map[string][]int)
 	var order []string
 	for i, j := range req.Jobs {
-		base := c.planTarget(j.Strategy, j.Job, req.Econ)
+		base := c.planTargets(j.Strategy, j.Job, req.Econ)[0]
 		if _, seen := groups[base]; !seen {
 			order = append(order, base)
 		}
@@ -376,8 +234,8 @@ func (c *Client) AdmitBatch(ctx context.Context, req AdmitBatchRequest) (*AdmitB
 		for _, i := range idxs {
 			sub.Jobs = append(sub.Jobs, req.Jobs[i])
 		}
-		var resp AdmitBatchResponse
-		if err := c.postJSON(ctx, base, "/v1/admit/batch", sub, &resp); err != nil {
+		resp, err := roundTrip[AdmitBatchResponse](ctx, c, base+"/v1/admit/batch", sub)
+		if err != nil {
 			return nil, err
 		}
 		if len(resp.Results) != len(idxs) {
@@ -399,76 +257,34 @@ func (c *Client) AdmitBatch(ctx context.Context, req AdmitBatchRequest) (*AdmitB
 // PlanBatch plans a shared-budget batch on the next replica in round-robin
 // order (a batch spans many plan keys, so there is no single owner).
 func (c *Client) PlanBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
-	var resp BatchResponse
-	if err := c.postJSON(ctx, c.next(), "/v1/plan/batch", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return roundTrip[BatchResponse](ctx, c, c.next()+"/v1/plan/batch", req)
 }
 
 // Simulate runs a what-if simulation on the next replica in round-robin
 // order.
 func (c *Client) Simulate(ctx context.Context, req SimulateRequest) (*SimulateResponse, error) {
-	var resp SimulateResponse
-	if err := c.postJSON(ctx, c.next(), "/v1/simulate", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return roundTrip[SimulateResponse](ctx, c, c.next()+"/v1/simulate", req)
 }
 
 // Tradeoff fetches the PoCD/cost frontier of one strategy for a job. maxR
 // caps the curve; zero takes the server default.
 func (c *Client) Tradeoff(ctx context.Context, strategy string, job chronos.JobParams, econ chronos.Econ, maxR int) (*TradeoffResponse, error) {
-	q := url.Values{}
-	q.Set("strategy", strategy)
-	q.Set("tasks", strconv.Itoa(job.Tasks))
-	setF := func(k string, v float64) {
-		if v != 0 {
-			q.Set(k, strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	setF("deadline", job.Deadline)
-	setF("tmin", job.TMin)
-	setF("beta", job.Beta)
-	setF("tauEst", job.TauEst)
-	setF("tauKill", job.TauKill)
-	setF("phiEst", job.PhiEst)
-	setF("theta", econ.Theta)
-	setF("price", econ.UnitPrice)
-	setF("rmin", econ.RMin)
-	if maxR > 0 {
-		q.Set("maxR", strconv.Itoa(maxR))
-	}
-	var resp TradeoffResponse
-	if err := c.getJSON(ctx, c.next(), "/v1/tradeoff?"+q.Encode(), &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	q := api.TradeoffQuery{Strategy: strategy, Job: job, Econ: econ, MaxR: maxR}
+	return roundTrip[TradeoffResponse](ctx, c, c.next()+"/v1/tradeoff?"+q.Values().Encode(), nil)
 }
 
 // Replay streams one trace-driven simulation, invoking onEvent for every
 // NDJSON event in order (a nil onEvent skips the callback), and returns the
 // stream's final replay_summary. An error event ends the stream as an
-// error; onEvent returning an error aborts it.
+// error, a tenant-routed replay whose pool drained as an *Error with
+// CodeBudgetExhausted (Status is the stream's own 200: the rejection arrives
+// in-band); onEvent returning an error aborts it.
 func (c *Client) Replay(ctx context.Context, req ReplayRequest, onEvent func(*chronos.ReplayEvent) error) (*chronos.ReplaySummary, error) {
-	raw, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.next()+"/v1/replay", bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.http.Do(httpReq)
+	httpResp, err := c.send(ctx, c.next()+"/v1/replay", req)
 	if err != nil {
 		return nil, err
 	}
 	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, decodeError(httpResp)
-	}
 	var summary *chronos.ReplaySummary
 	dec := json.NewDecoder(httpResp.Body)
 	for {
@@ -489,6 +305,14 @@ func (c *Client) Replay(ctx context.Context, req ReplayRequest, onEvent func(*ch
 				return nil, err
 			}
 		}
+		if ev.Kind == chronos.EventBudgetExhausted {
+			e := &Error{Status: httpResp.StatusCode, Code: CodeBudgetExhausted}
+			e.Message = fmt.Sprintf("tenant %q cannot cover the replay: needs %g machine-seconds", ev.Tenant, ev.Needed)
+			if ev.Remaining != nil {
+				e.Message += fmt.Sprintf(", %g remaining", *ev.Remaining)
+			}
+			return nil, e
+		}
 	}
 	if summary == nil {
 		return nil, errors.New("chronosd: replay stream ended without a summary")
@@ -499,11 +323,7 @@ func (c *Client) Replay(ctx context.Context, req ReplayRequest, onEvent func(*ch
 // Metrics fetches one replica's Prometheus exposition text (the first
 // replica unless the round-robin cursor says otherwise).
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.next()+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	httpResp, err := c.http.Do(httpReq)
+	httpResp, err := c.send(ctx, c.next()+"/metrics", nil)
 	if err != nil {
 		return "", err
 	}
@@ -512,31 +332,10 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if httpResp.StatusCode != http.StatusOK {
-		return "", &Error{Status: httpResp.StatusCode, Message: strings.TrimSpace(string(raw))}
-	}
 	return string(raw), nil
 }
 
 // --- transport ------------------------------------------------------------
-
-// planTarget resolves the replica that owns a plan-keyed request; requests
-// the key cannot be computed for (unknown strategy name — the server will
-// answer 400 anyway) and single-replica clients fall back to round-robin.
-func (c *Client) planTarget(strategy string, job chronos.JobParams, econ chronos.Econ) string {
-	if c.ring == nil {
-		return c.replicas[0]
-	}
-	canon, ok := plankey.CanonicalStrategy(strategy)
-	if !ok {
-		return c.next()
-	}
-	owner, ok := c.ring.Owner(plankey.Key(canon, job, econ))
-	if !ok {
-		return c.next()
-	}
-	return owner
-}
 
 // next returns the round-robin replica for keyless requests.
 func (c *Client) next() string {
@@ -546,37 +345,48 @@ func (c *Client) next() string {
 	return c.replicas[(c.rr.Add(1)-1)%uint64(len(c.replicas))]
 }
 
-func (c *Client) postJSON(ctx context.Context, base, path string, req, resp any) error {
-	raw, err := json.Marshal(req)
-	if err != nil {
-		return err
+// send is the one request path: it POSTs in as JSON (or GETs, when in is
+// nil) and hands back the 200 response, whose body the caller reads and
+// closes; any other status comes back as *Error.
+func (c *Client) send(ctx context.Context, url string, in any) (*http.Response, error) {
+	method, body := http.MethodGet, io.Reader(nil)
+	if in != nil {
+		raw, err := json.Marshal(in)
+		if err != nil {
+			return nil, err
+		}
+		method, body = http.MethodPost, bytes.NewReader(raw)
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(raw))
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	return c.do(httpReq, resp)
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, decodeError(resp)
+	}
+	return resp, nil
 }
 
-func (c *Client) getJSON(ctx context.Context, base, pathAndQuery string, resp any) error {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+pathAndQuery, nil)
+// roundTrip is send for the endpoints that answer one JSON document, a T.
+func roundTrip[T any](ctx context.Context, c *Client, url string, in any) (*T, error) {
+	resp, err := c.send(ctx, url, in)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return c.do(httpReq, resp)
-}
-
-func (c *Client) do(req *http.Request, resp any) error {
-	httpResp, err := c.http.Do(req)
-	if err != nil {
-		return err
+	defer resp.Body.Close()
+	out := new(T)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return nil, err
 	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		return decodeError(httpResp)
-	}
-	return json.NewDecoder(httpResp.Body).Decode(resp)
+	return out, nil
 }
 
 // decodeError turns a non-200 answer into *Error, tolerating non-envelope
@@ -584,11 +394,7 @@ func (c *Client) do(req *http.Request, resp any) error {
 func decodeError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	e := &Error{Status: resp.StatusCode, Message: strings.TrimSpace(string(raw))}
-	var env struct {
-		Error   string `json:"error"`
-		Code    string `json:"code"`
-		TraceID string `json:"traceId"`
-	}
+	var env api.ErrorResponse
 	if err := json.Unmarshal(raw, &env); err == nil && env.Error != "" {
 		e.Message, e.Code, e.TraceID = env.Error, env.Code, env.TraceID
 	}

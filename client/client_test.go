@@ -224,6 +224,47 @@ func TestClientAdmitBatchFleet(t *testing.T) {
 	}
 }
 
+// TestClientReplayBudgetExhausted: a tenant-routed replay that drains its
+// pool ends with an in-band budget_exhausted event, and Replay must hand that
+// back as the same *Error a 429 decodes to — it used to be a bare "stream
+// ended without a summary" — after onEvent has seen the event.
+func TestClientReplayBudgetExhausted(t *testing.T) {
+	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
+		"small": {Budget: 50, Theta: 1e-4, UnitPrice: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{Tenants: reg})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var kinds []string
+	summary, err := New(ts.URL).Replay(context.Background(), ReplayRequest{
+		Config: chronos.SimConfig{Strategy: chronos.SpeculativeResume, Seed: 3},
+		Trace:  &ReplayTrace{Jobs: 20, Seed: 5},
+		Tenant: "small",
+	}, func(ev *chronos.ReplayEvent) error {
+		kinds = append(kinds, string(ev.Kind))
+		return nil
+	})
+	var apiErr *Error
+	if !errors.As(err, &apiErr) {
+		t.Fatalf("Replay = (%v, %v), want a *client.Error", summary, err)
+	}
+	if apiErr.Code != CodeBudgetExhausted {
+		t.Errorf("code = %q, want %q", apiErr.Code, CodeBudgetExhausted)
+	}
+	for _, want := range []string{"small", "needs", "remaining"} {
+		if !strings.Contains(apiErr.Message, want) {
+			t.Errorf("message %q does not carry %q", apiErr.Message, want)
+		}
+	}
+	if n := len(kinds); n == 0 || kinds[n-1] != string(chronos.EventBudgetExhausted) {
+		t.Errorf("onEvent saw %v, want the stream through budget_exhausted", kinds)
+	}
+}
+
 func TestNewPanicsOnEmptyURL(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -85,6 +85,12 @@ func requestRows(t *testing.T) []requestRow {
 	rows = append(rows,
 		requestRow{Name: "Tradeoff", Sent: tradeoffQuery(t, "resume", job, econ, 6)},
 		requestRow{Name: "Tradeoff zero", Sent: tradeoffQuery(t, "clone", chronos.JobParams{}, chronos.Econ{}, 0)})
+
+	// Appended when Benchmark became a typed field (at d9d3b30 it was a
+	// json.RawMessage the caller wrote by hand).
+	add("ReplayRequest benchmark", ReplayRequest{Config: simCfg,
+		Benchmark: &ReplayBenchmark{Name: "Sort", Jobs: 5, Tasks: 6, SpacingSeconds: 300}})
+	add("ReplayRequest bare benchmark", ReplayRequest{Config: bare, Benchmark: &ReplayBenchmark{}})
 	return rows
 }
 

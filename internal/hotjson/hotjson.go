@@ -15,7 +15,7 @@
 // through an optional Interner instead of allocating fresh copies.
 package hotjson
 
-import "chronos"
+import "chronos/api"
 
 // Interner resolves a decoded string to a previously allocated string with
 // identical bytes, letting hot decodes avoid a per-request allocation for
@@ -26,37 +26,14 @@ type Interner interface {
 	InternString(b []byte) (string, bool)
 }
 
-// PlanRequest mirrors the body of POST /v1/plan.
-type PlanRequest struct {
-	Job      chronos.JobParams `json:"job"`
-	Econ     chronos.Econ      `json:"econ"`
-	Strategy string            `json:"strategy,omitempty"`
-	Tenant   string            `json:"tenant,omitempty"`
-}
-
-// PlanResponse mirrors the body answered by POST /v1/plan.
-type PlanResponse struct {
-	Plan            chronos.Plan `json:"plan"`
-	Cached          bool         `json:"cached"`
-	BudgetRemaining *float64     `json:"budgetRemaining,omitempty"`
-}
-
-// AdmitRequest mirrors the body of POST /v1/admit.
-type AdmitRequest struct {
-	Tenant   string            `json:"tenant"`
-	Job      chronos.JobParams `json:"job"`
-	Strategy string            `json:"strategy,omitempty"`
-	Econ     chronos.Econ      `json:"econ,omitempty"`
-}
-
-// AdmitResponse mirrors the body answered by POST /v1/admit.
-type AdmitResponse struct {
-	Admitted        bool          `json:"admitted"`
-	Tenant          string        `json:"tenant"`
-	Plan            *chronos.Plan `json:"plan,omitempty"`
-	Reason          string        `json:"reason,omitempty"`
-	BudgetRemaining float64       `json:"budgetRemaining"`
-}
+// The four bodies this codec serves, by the names its callers (the serving
+// layer, bench/) have always used; api holds the one declaration.
+type (
+	PlanRequest   = api.PlanRequest
+	PlanResponse  = api.PlanResponse
+	AdmitRequest  = api.AdmitRequest
+	AdmitResponse = api.AdmitResponse
+)
 
 // commonStrings interns the strategy vocabulary every request carries, so
 // decoding {"strategy":"clone"} never allocates regardless of the caller's

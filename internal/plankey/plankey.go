@@ -18,8 +18,8 @@ import (
 // in measurement noise below that resolution share a plan — the point of
 // the plan cache: schedulers see streams of near-identical jobs (same
 // benchmark, same SLA tier) and Algorithm 1 is invariant under sub-ppm
-// perturbations. strategy is the canonical strategy component from
-// CanonicalStrategy ("" for best-of-three planning).
+// perturbations. strategy is the canonical strategy name, "" for
+// best-of-three planning (see ParseStrategy).
 func Key(strategy string, p chronos.JobParams, e chronos.Econ) string {
 	return string(AppendKey(nil, strategy, p, e))
 }
@@ -43,17 +43,15 @@ func AppendKey(dst []byte, strategy string, p chronos.JobParams, e chronos.Econ)
 	return dst
 }
 
-// CanonicalStrategy maps a request's strategy selector — empty or "best"
-// for best-of-three, otherwise a strategy name in any case — onto the key's
-// strategy component. ok is false for unparseable names.
-func CanonicalStrategy(name string) (canonical string, ok bool) {
+// ParseStrategy resolves a request's optional strategy selector: empty or
+// "best" (any case) means best-of-three planning (best == true, key component
+// ""); otherwise s is the pinned strategy, whose String() is the key
+// component. ok is false for unparseable names.
+func ParseStrategy(name string) (s chronos.Strategy, best, ok bool) {
 	name = strings.TrimSpace(name)
 	if name == "" || strings.EqualFold(name, "best") {
-		return "", true
+		return 0, true, true
 	}
 	s, err := chronos.ParseStrategy(name)
-	if err != nil {
-		return "", false
-	}
-	return s.String(), true
+	return s, false, err == nil
 }

@@ -32,23 +32,24 @@ func TestKeySeparatesStrategies(t *testing.T) {
 	}
 }
 
-func TestCanonicalStrategy(t *testing.T) {
+func TestParseStrategy(t *testing.T) {
 	cases := []struct {
 		in   string
-		want string
+		want chronos.Strategy
+		best bool
 		ok   bool
 	}{
-		{"", "", true},
-		{"best", "", true},
-		{" Best ", "", true},
-		{"clone", chronos.Clone.String(), true},
-		{"s-resume", chronos.SpeculativeResume.String(), true},
-		{"warp-drive", "", false},
+		{"", 0, true, true},
+		{"best", 0, true, true},
+		{" Best ", 0, true, true},
+		{"clone", chronos.Clone, false, true},
+		{"s-resume", chronos.SpeculativeResume, false, true},
+		{"warp-drive", 0, false, false},
 	}
 	for _, c := range cases {
-		got, ok := CanonicalStrategy(c.in)
-		if got != c.want || ok != c.ok {
-			t.Errorf("CanonicalStrategy(%q) = (%q, %v), want (%q, %v)", c.in, got, ok, c.want, c.ok)
+		got, best, ok := ParseStrategy(c.in)
+		if got != c.want || best != c.best || ok != c.ok {
+			t.Errorf("ParseStrategy(%q) = (%v, %v, %v), want (%v, %v, %v)", c.in, got, best, ok, c.want, c.best, c.ok)
 		}
 	}
 }

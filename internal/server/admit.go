@@ -8,35 +8,16 @@ import (
 	"time"
 
 	"chronos"
+	"chronos/api"
 	"chronos/internal/hotjson"
 	"chronos/internal/obs"
 	"chronos/internal/optimize"
+	"chronos/internal/plankey"
 	"chronos/internal/tenant"
-)
-
-// Structured rejection reasons reported by POST /v1/admit and used as the
-// reason label on chronosd_tenant_rejects_total.
-const (
-	// ReasonBudgetExhausted: the tenant's ledger cannot pay for any
-	// feasible plan right now. With a refilling pool the job may be
-	// admittable later.
-	ReasonBudgetExhausted = "budget_exhausted"
-	// ReasonInfeasible: no attempt count reaches the tenant's required
-	// PoCD — the deadline cannot be met at RMin no matter the budget.
-	ReasonInfeasible = "infeasible_deadline"
 )
 
 // admitDebitRetries bounds settle's allocate-then-debit loop.
 const admitDebitRetries = 3
-
-// admitRequest asks for an online admission decision (can this tenant
-// afford a feasible speculation plan for the arriving job?); admitResponse
-// answers it. Both are served by the reflection-free internal/hotjson codec,
-// so the wire structs live there and the handlers alias them.
-type (
-	admitRequest  = hotjson.AdmitRequest
-	admitResponse = hotjson.AdmitResponse
-)
 
 // handleAdmit serves POST /v1/admit: accept/reject + plan in one round
 // trip, the paper's online setting. The optimizer runs against the tenant's
@@ -61,7 +42,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	strat, best, ok := keyStrategy(req.Strategy)
+	strat, best, ok := plankey.ParseStrategy(req.Strategy)
 	if !ok {
 		s.apiError(w, r, http.StatusBadRequest, "unknown strategy %q", req.Strategy)
 		return
@@ -88,7 +69,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := &hb.results[0]
-	hb.admitResp = admitResponse{
+	hb.admitResp = api.AdmitResponse{
 		Admitted: res.Admitted, Tenant: req.Tenant, Plan: res.Plan, Reason: res.Reason, BudgetRemaining: rem,
 	}
 	out, err := hotjson.AppendAdmitResponse(hb.out[:0], &hb.admitResp)
@@ -114,7 +95,7 @@ type admitJob struct {
 // results[i] is job i's decision; remaining is the ledger level to report. A
 // non-nil error is one job's request fault, prefixed with its index; nothing
 // was debited or counted.
-func (s *Server) admitJobs(tr *obs.Trace, tenantName string, bud budgeter, jobs []admitJob, results []admitBatchResult) (admitted int, remaining float64, err error) {
+func (s *Server) admitJobs(tr *obs.Trace, tenantName string, bud budgeter, jobs []admitJob, results []api.AdmitBatchResult) (admitted int, remaining float64, err error) {
 	remaining, settled, err := settle(tr, bud, func(left float64) (float64, error) {
 		total := 0.0
 		admitted = 0
@@ -126,12 +107,12 @@ func (s *Server) admitJobs(tr *obs.Trace, tenantName string, bud budgeter, jobs 
 			}
 			switch reason := rejectReason(err); {
 			case err == nil:
-				results[i] = admitBatchResult{Admitted: true, Plan: &j.plan}
+				results[i] = api.AdmitBatchResult{Admitted: true, Plan: &j.plan}
 				total += j.plan.MachineTime
 				left -= j.plan.MachineTime
 				admitted++
 			case reason != "":
-				results[i] = admitBatchResult{Reason: reason}
+				results[i] = api.AdmitBatchResult{Reason: reason}
 			default:
 				// Not an admission decision: the job itself is malformed.
 				return 0, fmt.Errorf("job %d: %w", i, err)
@@ -147,7 +128,7 @@ func (s *Server) admitJobs(tr *obs.Trace, tenantName string, bud budgeter, jobs 
 		// reject the whole accepted set on budget grounds.
 		for i := range results {
 			if results[i].Admitted {
-				results[i] = admitBatchResult{Reason: ReasonBudgetExhausted}
+				results[i] = api.AdmitBatchResult{Reason: api.ReasonBudgetExhausted}
 			}
 		}
 		admitted, remaining = 0, bud.Remaining()
@@ -209,16 +190,8 @@ func containPanic(err *error) {
 // envelope code and the legacy reason field), counted per tenant.
 // (/v1/admit reports the same condition in its own 200 decision payload.)
 func (s *Server) rejectBudget(w http.ResponseWriter, r *http.Request, tenantName, format string, args ...any) {
-	s.metrics.tenantReject(tenantName, ReasonBudgetExhausted)
-	resp := errorResponse{
-		Error:  fmt.Sprintf(format, args...),
-		Code:   codeBudgetExhausted,
-		Reason: ReasonBudgetExhausted,
-	}
-	if tr := obs.FromContext(r.Context()); tr != nil {
-		resp.TraceID = tr.ID
-	}
-	s.writeJSON(w, r, http.StatusTooManyRequests, resp)
+	s.metrics.tenantReject(tenantName, api.ReasonBudgetExhausted)
+	s.apiError(w, r, http.StatusTooManyRequests, format, args...)
 }
 
 // rejectReason maps optimization failures onto the admission-control
@@ -227,9 +200,9 @@ func (s *Server) rejectBudget(w http.ResponseWriter, r *http.Request, tenantName
 func rejectReason(err error) string {
 	switch {
 	case errors.Is(err, optimize.ErrBudgetTooSmall):
-		return ReasonBudgetExhausted
+		return api.ReasonBudgetExhausted
 	case errors.Is(err, optimize.ErrInfeasible):
-		return ReasonInfeasible
+		return api.ReasonInfeasible
 	}
 	return ""
 }

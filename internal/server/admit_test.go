@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"chronos"
+	"chronos/api"
 	"chronos/internal/tenant"
 )
 
@@ -48,7 +49,7 @@ func TestAdmitEndpoint(t *testing.T) {
 	budget := 2*mt + r0/2
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget)})
 
-	req := admitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}
+	req := api.AdmitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}
 	var admitted float64
 	admits := 0
 	for i := 0; i < 10; i++ {
@@ -56,14 +57,14 @@ func TestAdmitEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status = %d, want 200", i, resp.StatusCode)
 		}
-		got := decodeBody[admitResponse](t, resp)
+		got := decodeBody[api.AdmitResponse](t, resp)
 		if got.Tenant != "etl" {
 			t.Fatalf("tenant = %q, want etl", got.Tenant)
 		}
 		if !got.Admitted {
-			if got.Reason != ReasonBudgetExhausted {
+			if got.Reason != api.ReasonBudgetExhausted {
 				t.Fatalf("request %d rejected with reason %q, want %q",
-					i, got.Reason, ReasonBudgetExhausted)
+					i, got.Reason, api.ReasonBudgetExhausted)
 			}
 			if got.Plan != nil {
 				t.Fatal("rejection carried a plan")
@@ -109,8 +110,8 @@ func TestAdmitSqueezedPlan(t *testing.T) {
 	budget := (r0 + plan.MachineTime) / 2
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget)})
 
-	got := decodeBody[admitResponse](t, postJSON(t, ts.URL+"/v1/admit",
-		admitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}))
+	got := decodeBody[api.AdmitResponse](t, postJSON(t, ts.URL+"/v1/admit",
+		api.AdmitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}))
 	if !got.Admitted {
 		t.Fatalf("want squeezed admission, got rejection (%s)", got.Reason)
 	}
@@ -133,8 +134,8 @@ func TestAdmitTenantDefaults(t *testing.T) {
 
 	// No econ in the request: the pool's defaults must apply, including
 	// its PoCD floor.
-	got := decodeBody[admitResponse](t, postJSON(t, ts.URL+"/v1/admit",
-		admitRequest{Tenant: "sla", Job: testJob()}))
+	got := decodeBody[api.AdmitResponse](t, postJSON(t, ts.URL+"/v1/admit",
+		api.AdmitRequest{Tenant: "sla", Job: testJob()}))
 	if !got.Admitted {
 		t.Fatalf("want admission under tenant defaults, got %q", got.Reason)
 	}
@@ -150,13 +151,13 @@ func TestAdmitInfeasible(t *testing.T) {
 	impossible := chronos.JobParams{
 		Tasks: 10, Deadline: 10.5, TMin: 10, Beta: 1.5, TauEst: 3, TauKill: 6,
 	}
-	got := decodeBody[admitResponse](t, postJSON(t, ts.URL+"/v1/admit",
-		admitRequest{Tenant: "etl", Job: impossible, Econ: econ}))
+	got := decodeBody[api.AdmitResponse](t, postJSON(t, ts.URL+"/v1/admit",
+		api.AdmitRequest{Tenant: "etl", Job: impossible, Econ: econ}))
 	if got.Admitted {
 		t.Fatal("impossible job admitted")
 	}
-	if got.Reason != ReasonInfeasible {
-		t.Errorf("reason = %q, want %q", got.Reason, ReasonInfeasible)
+	if got.Reason != api.ReasonInfeasible {
+		t.Errorf("reason = %q, want %q", got.Reason, api.ReasonInfeasible)
 	}
 }
 
@@ -164,7 +165,7 @@ func TestAdmitErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", 100)})
 
 	t.Run("missing tenant", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/admit", admitRequest{Job: testJob(), Econ: testEcon()})
+		resp := postJSON(t, ts.URL+"/v1/admit", api.AdmitRequest{Job: testJob(), Econ: testEcon()})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
@@ -173,7 +174,7 @@ func TestAdmitErrors(t *testing.T) {
 
 	t.Run("unknown tenant", func(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/admit",
-			admitRequest{Tenant: "nope", Job: testJob(), Econ: testEcon()})
+			api.AdmitRequest{Tenant: "nope", Job: testJob(), Econ: testEcon()})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("status = %d, want 404", resp.StatusCode)
@@ -182,7 +183,7 @@ func TestAdmitErrors(t *testing.T) {
 
 	t.Run("unknown strategy", func(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/admit",
-			admitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon(), Strategy: "dolly"})
+			api.AdmitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon(), Strategy: "dolly"})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
@@ -193,7 +194,7 @@ func TestAdmitErrors(t *testing.T) {
 		bad := testJob()
 		bad.Beta = 0.5
 		resp := postJSON(t, ts.URL+"/v1/admit",
-			admitRequest{Tenant: "etl", Job: bad, Econ: testEcon()})
+			api.AdmitRequest{Tenant: "etl", Job: bad, Econ: testEcon()})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
@@ -203,7 +204,7 @@ func TestAdmitErrors(t *testing.T) {
 	t.Run("no tenants configured", func(t *testing.T) {
 		_, bare := newTestServer(t, Config{})
 		resp := postJSON(t, bare.URL+"/v1/admit",
-			admitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()})
+			api.AdmitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("status = %d, want 404", resp.StatusCode)
@@ -234,13 +235,13 @@ func TestAdmitConcurrentNoOvercommit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				resp := postJSON(t, ts.URL+"/v1/admit",
-					admitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()})
+					api.AdmitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()})
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("status = %d, want 200", resp.StatusCode)
 					resp.Body.Close()
 					return
 				}
-				got := decodeBody[admitResponse](t, resp)
+				got := decodeBody[api.AdmitResponse](t, resp)
 				mu.Lock()
 				if got.Admitted {
 					admitted += got.Plan.MachineTime
@@ -277,8 +278,8 @@ func TestPlanTenantRouting(t *testing.T) {
 	budget := 1.5 * mt
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget)})
 
-	req := planRequest{Job: testJob(), Econ: testEcon(), Tenant: "etl"}
-	first := decodeBody[planResponse](t, postJSON(t, ts.URL+"/v1/plan", req))
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon(), Tenant: "etl"}
+	first := decodeBody[api.PlanResponse](t, postJSON(t, ts.URL+"/v1/plan", req))
 	if first.BudgetRemaining == nil {
 		t.Fatal("tenant-routed plan missing budgetRemaining")
 	}
@@ -294,14 +295,14 @@ func TestPlanTenantRouting(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
-	errBody := decodeBody[errorResponse](t, resp)
-	if errBody.Reason != ReasonBudgetExhausted {
-		t.Errorf("reason = %q, want %q", errBody.Reason, ReasonBudgetExhausted)
+	errBody := decodeBody[api.ErrorResponse](t, resp)
+	if errBody.Reason != api.ReasonBudgetExhausted {
+		t.Errorf("reason = %q, want %q", errBody.Reason, api.ReasonBudgetExhausted)
 	}
 
 	t.Run("unknown tenant", func(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/plan",
-			planRequest{Job: testJob(), Econ: testEcon(), Tenant: "nope"})
+			api.PlanRequest{Job: testJob(), Econ: testEcon(), Tenant: "nope"})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("status = %d, want 404", resp.StatusCode)
@@ -316,12 +317,12 @@ func TestBatchTenantRouting(t *testing.T) {
 
 	// No explicit budget: the allocation runs against the pool's
 	// remainder and debits what it allocates.
-	req := batchRequest{
-		Jobs:   []batchJobRequest{{Job: testJob()}, {Job: testJob()}},
+	req := api.BatchRequest{
+		Jobs:   []api.BatchJob{{Job: testJob()}, {Job: testJob()}},
 		Econ:   testEcon(),
 		Tenant: "etl",
 	}
-	got := decodeBody[batchResponse](t, postJSON(t, ts.URL+"/v1/plan/batch", req))
+	got := decodeBody[api.BatchResponse](t, postJSON(t, ts.URL+"/v1/plan/batch", req))
 	if len(got.Plans) != 2 {
 		t.Fatalf("got %d plans, want 2", len(got.Plans))
 	}
@@ -347,9 +348,9 @@ func TestBatchTenantRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, slaTS := newTestServer(t, Config{Tenants: reg})
-		got := decodeBody[batchResponse](t, postJSON(t, slaTS.URL+"/v1/plan/batch",
-			batchRequest{
-				Jobs:   []batchJobRequest{{Job: testJob(), Strategy: "clone"}},
+		got := decodeBody[api.BatchResponse](t, postJSON(t, slaTS.URL+"/v1/plan/batch",
+			api.BatchRequest{
+				Jobs:   []api.BatchJob{{Job: testJob(), Strategy: "clone"}},
 				Tenant: "sla",
 			}))
 		if got.Plans[0].PoCD <= 0.9 {
@@ -385,9 +386,9 @@ func TestBatchTenantRouting(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		resp := postJSON(t, ts.URL+"/v1/plan/batch", req)
 		if resp.StatusCode == http.StatusTooManyRequests {
-			errBody := decodeBody[errorResponse](t, resp)
-			if errBody.Reason != ReasonBudgetExhausted {
-				t.Errorf("reason = %q, want %q", errBody.Reason, ReasonBudgetExhausted)
+			errBody := decodeBody[api.ErrorResponse](t, resp)
+			if errBody.Reason != api.ReasonBudgetExhausted {
+				t.Errorf("reason = %q, want %q", errBody.Reason, api.ReasonBudgetExhausted)
 			}
 			return
 		}
@@ -403,11 +404,11 @@ func TestBatchTenantRouting(t *testing.T) {
 func TestTenantPlanNearDegenerate(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "demo", 1e9)})
 	job := chronos.JobParams{Tasks: 1000, Deadline: 20, TMin: 10, Beta: 1.5, TauEst: 9.9, TauKill: 15}
-	resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Tenant: "demo", Strategy: "restart", Job: job, Econ: testEcon()})
+	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Tenant: "demo", Strategy: "restart", Job: job, Econ: testEcon()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-	got := decodeBody[planResponse](t, resp)
+	got := decodeBody[api.PlanResponse](t, resp)
 	if c := got.Plan.Cost; math.IsNaN(c) || math.IsInf(c, 0) || c <= 0 {
 		t.Fatalf("plan cost = %v, want finite and positive", c)
 	}
@@ -415,8 +416,8 @@ func TestTenantPlanNearDegenerate(t *testing.T) {
 	if left, err := strconv.ParseFloat(gauge, 64); err != nil || math.IsNaN(left) || left != 1e9-got.Plan.MachineTime {
 		t.Errorf("budget remaining = %q (%v), want %v", gauge, err, 1e9-got.Plan.MachineTime)
 	}
-	admit := decodeBody[admitResponse](t, postJSON(t, ts.URL+"/v1/admit",
-		admitRequest{Tenant: "demo", Job: testJob(), Econ: testEcon()}))
+	admit := decodeBody[api.AdmitResponse](t, postJSON(t, ts.URL+"/v1/admit",
+		api.AdmitRequest{Tenant: "demo", Job: testJob(), Econ: testEcon()}))
 	if !admit.Admitted {
 		t.Errorf("admit after the near-degenerate plan rejected: %q", admit.Reason)
 	}
@@ -424,7 +425,7 @@ func TestTenantPlanNearDegenerate(t *testing.T) {
 
 func TestSetTenantsFlushesCache(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", 1e6)})
-	postJSON(t, ts.URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()}).Body.Close()
+	postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()}).Body.Close()
 	if _, _, entries := srv.CacheStats(); entries != 1 {
 		t.Fatalf("entries = %d, want 1", entries)
 	}
@@ -438,7 +439,7 @@ func TestTenantMetrics(t *testing.T) {
 	mt := bestPlanMachineTime(t)
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", 1.5*mt)})
 
-	req := admitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}
+	req := api.AdmitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}
 	for i := 0; i < 6; i++ { // one optimal admit, maybe squeezed ones, then rejects
 		postJSON(t, ts.URL+"/v1/admit", req).Body.Close()
 	}

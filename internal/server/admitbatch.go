@@ -3,7 +3,7 @@ package server
 import (
 	"net/http"
 
-	"chronos"
+	"chronos/api"
 	"chronos/internal/obs"
 	"chronos/internal/plankey"
 )
@@ -21,50 +21,9 @@ import (
 // partitioning is diluted); the ring-aware client groups jobs by owner and
 // posts one sub-batch per owning replica to keep even that.
 
-// admitBatchRequest asks for admission decisions for several jobs against
-// one tenant's budget.
-type admitBatchRequest struct {
-	// Tenant names the budget pool to admit against. Required.
-	Tenant string `json:"tenant"`
-	// Jobs are the arriving jobs, decided independently but debited once.
-	Jobs []admitBatchJob `json:"jobs"`
-	// Econ overrides the tenant's planning defaults field by field for every
-	// job in the batch; zero fields fall back to the pool's defaults.
-	Econ chronos.Econ `json:"econ,omitempty"`
-}
-
-// admitBatchJob is one arriving job in a batch admission.
-type admitBatchJob struct {
-	Job chronos.JobParams `json:"job"`
-	// Strategy optionally pins one Chronos strategy; empty or "best"
-	// optimizes all three.
-	Strategy string `json:"strategy,omitempty"`
-}
-
-// admitBatchResult is one job's decision, in request order.
-type admitBatchResult struct {
-	Admitted bool `json:"admitted"`
-	// Plan is the admitted speculation plan, already debited. Absent on
-	// rejection.
-	Plan *chronos.Plan `json:"plan,omitempty"`
-	// Reason is the structured rejection reason (ReasonBudgetExhausted or
-	// ReasonInfeasible). Absent on admission.
-	Reason string `json:"reason,omitempty"`
-}
-
-type admitBatchResponse struct {
-	Tenant  string             `json:"tenant"`
-	Results []admitBatchResult `json:"results"`
-	// Admitted counts the accepted jobs (the true entries in Results).
-	Admitted int `json:"admitted"`
-	// BudgetRemaining is the pool's machine-time level after the batch's
-	// single debit.
-	BudgetRemaining float64 `json:"budgetRemaining"`
-}
-
 // handleAdmitBatch serves POST /v1/admit/batch.
 func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
-	var req admitBatchRequest
+	var req api.AdmitBatchRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -89,7 +48,7 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 	// strategy name is the request's fault, not an admission decision.
 	jobs := make([]admitJob, len(req.Jobs))
 	for i, j := range req.Jobs {
-		strat, best, ok := keyStrategy(j.Strategy)
+		strat, best, ok := plankey.ParseStrategy(j.Strategy)
 		if !ok {
 			s.apiError(w, r, http.StatusBadRequest, "job %d: unknown strategy %q", i, j.Strategy)
 			return
@@ -104,13 +63,13 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 		defer containPanic(&jobs[i].err)
 		_, _, jobs[i].err = s.cachedPlan(tr, &jobs[i].cell)
 	})
-	results := make([]admitBatchResult, len(jobs))
+	results := make([]api.AdmitBatchResult, len(jobs))
 	admitted, remaining, err := s.admitJobs(tr, req.Tenant, s.tenantBudget(r.Context(), req.Tenant, pool), jobs, results)
 	if err != nil {
 		s.apiError(w, r, planStatus(err), "%v", err)
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, admitBatchResponse{
+	s.writeJSON(w, r, http.StatusOK, api.AdmitBatchResponse{
 		Tenant:          req.Tenant,
 		Results:         results,
 		Admitted:        admitted,

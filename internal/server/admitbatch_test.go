@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"chronos"
+	"chronos/api"
 )
 
 func TestAdmitBatchEndpoint(t *testing.T) {
@@ -22,12 +23,12 @@ func TestAdmitBatchEndpoint(t *testing.T) {
 	budget := 2*mt + r0/2
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget)})
 
-	jobs := make([]admitBatchJob, 6)
+	jobs := make([]api.AdmitBatchJob, 6)
 	for i := range jobs {
-		jobs[i] = admitBatchJob{Job: testJob()}
+		jobs[i] = api.AdmitBatchJob{Job: testJob()}
 	}
-	got := decodeBody[admitBatchResponse](t, postJSON(t, ts.URL+"/v1/admit/batch",
-		admitBatchRequest{Tenant: "etl", Jobs: jobs, Econ: testEcon()}))
+	got := decodeBody[api.AdmitBatchResponse](t, postJSON(t, ts.URL+"/v1/admit/batch",
+		api.AdmitBatchRequest{Tenant: "etl", Jobs: jobs, Econ: testEcon()}))
 
 	if got.Tenant != "etl" {
 		t.Fatalf("tenant = %q, want etl", got.Tenant)
@@ -52,8 +53,8 @@ func TestAdmitBatchEndpoint(t *testing.T) {
 			continue
 		}
 		sawReject = true
-		if res.Reason != ReasonBudgetExhausted {
-			t.Errorf("job %d rejected with reason %q, want %q", i, res.Reason, ReasonBudgetExhausted)
+		if res.Reason != api.ReasonBudgetExhausted {
+			t.Errorf("job %d rejected with reason %q, want %q", i, res.Reason, api.ReasonBudgetExhausted)
 		}
 		if res.Plan != nil {
 			t.Errorf("job %d rejection carried a plan", i)
@@ -82,7 +83,7 @@ func TestAdmitBatchEndpoint(t *testing.T) {
 
 func TestAdmitBatchErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", 1e6)})
-	wantStatus := func(t *testing.T, req admitBatchRequest, want int) {
+	wantStatus := func(t *testing.T, req api.AdmitBatchRequest, want int) {
 		t.Helper()
 		resp := postJSON(t, ts.URL+"/v1/admit/batch", req)
 		defer resp.Body.Close()
@@ -92,20 +93,20 @@ func TestAdmitBatchErrors(t *testing.T) {
 	}
 
 	t.Run("missing tenant", func(t *testing.T) {
-		wantStatus(t, admitBatchRequest{Jobs: []admitBatchJob{{Job: testJob()}}, Econ: testEcon()},
+		wantStatus(t, api.AdmitBatchRequest{Jobs: []api.AdmitBatchJob{{Job: testJob()}}, Econ: testEcon()},
 			http.StatusBadRequest)
 	})
 	t.Run("unknown tenant", func(t *testing.T) {
-		wantStatus(t, admitBatchRequest{Tenant: "nope", Jobs: []admitBatchJob{{Job: testJob()}}},
+		wantStatus(t, api.AdmitBatchRequest{Tenant: "nope", Jobs: []api.AdmitBatchJob{{Job: testJob()}}},
 			http.StatusNotFound)
 	})
 	t.Run("empty batch", func(t *testing.T) {
-		wantStatus(t, admitBatchRequest{Tenant: "etl"}, http.StatusBadRequest)
+		wantStatus(t, api.AdmitBatchRequest{Tenant: "etl"}, http.StatusBadRequest)
 	})
 	t.Run("unknown strategy", func(t *testing.T) {
-		wantStatus(t, admitBatchRequest{
+		wantStatus(t, api.AdmitBatchRequest{
 			Tenant: "etl",
-			Jobs:   []admitBatchJob{{Job: testJob()}, {Job: testJob(), Strategy: "dolly"}},
+			Jobs:   []api.AdmitBatchJob{{Job: testJob()}, {Job: testJob(), Strategy: "dolly"}},
 		}, http.StatusBadRequest)
 	})
 	t.Run("over the batch limit", func(t *testing.T) {
@@ -113,9 +114,9 @@ func TestAdmitBatchErrors(t *testing.T) {
 			Tenants: testRegistry(t, "etl", 1e6), MaxBatchJobs: 2,
 		})
 		_ = srv
-		jobs := []admitBatchJob{{Job: testJob()}, {Job: testJob()}, {Job: testJob()}}
+		jobs := []api.AdmitBatchJob{{Job: testJob()}, {Job: testJob()}, {Job: testJob()}}
 		resp := postJSON(t, small.URL+"/v1/admit/batch",
-			admitBatchRequest{Tenant: "etl", Jobs: jobs, Econ: testEcon()})
+			api.AdmitBatchRequest{Tenant: "etl", Jobs: jobs, Econ: testEcon()})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
@@ -135,15 +136,15 @@ func TestAdmitBatchInfeasibleMixed(t *testing.T) {
 	impossible := chronos.JobParams{
 		Tasks: 10, Deadline: 10.5, TMin: 10, Beta: 1.5, TauEst: 3, TauKill: 6,
 	}
-	got := decodeBody[admitBatchResponse](t, postJSON(t, ts.URL+"/v1/admit/batch",
-		admitBatchRequest{
+	got := decodeBody[api.AdmitBatchResponse](t, postJSON(t, ts.URL+"/v1/admit/batch",
+		api.AdmitBatchRequest{
 			Tenant: "etl",
-			Jobs:   []admitBatchJob{{Job: impossible}, {Job: testJob()}},
+			Jobs:   []api.AdmitBatchJob{{Job: impossible}, {Job: testJob()}},
 			Econ:   econ,
 		}))
-	if got.Results[0].Admitted || got.Results[0].Reason != ReasonInfeasible {
+	if got.Results[0].Admitted || got.Results[0].Reason != api.ReasonInfeasible {
 		t.Errorf("impossible job: admitted=%v reason=%q, want rejection with %q",
-			got.Results[0].Admitted, got.Results[0].Reason, ReasonInfeasible)
+			got.Results[0].Admitted, got.Results[0].Reason, api.ReasonInfeasible)
 	}
 	if !got.Results[1].Admitted {
 		t.Errorf("feasible neighbor rejected (%q)", got.Results[1].Reason)
@@ -188,22 +189,22 @@ func TestAdmitBatchSingleLeaseDebit(t *testing.T) {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			jobs := make([]admitBatchJob, jobsPerBatch)
+			jobs := make([]api.AdmitBatchJob, jobsPerBatch)
 			for i := range jobs {
 				// Distinct shapes per slot so the fan-out actually solves
 				// several cells rather than hitting one cached plan.
 				job := testJob()
 				job.Tasks = 8 + (b*jobsPerBatch+i)%7
-				jobs[i] = admitBatchJob{Job: job}
+				jobs[i] = api.AdmitBatchJob{Job: job}
 			}
 			resp := postJSON(t, urls[holder]+"/v1/admit/batch",
-				admitBatchRequest{Tenant: "etl", Jobs: jobs, Econ: testEcon()})
+				api.AdmitBatchRequest{Tenant: "etl", Jobs: jobs, Econ: testEcon()})
 			if resp.StatusCode != http.StatusOK {
 				resp.Body.Close()
 				t.Errorf("batch %d: status = %d, want 200", b, resp.StatusCode)
 				return
 			}
-			got := decodeBody[admitBatchResponse](t, resp)
+			got := decodeBody[api.AdmitBatchResponse](t, resp)
 			for i, res := range got.Results {
 				if !res.Admitted {
 					t.Errorf("batch %d job %d rejected (%q) under a generous budget", b, i, res.Reason)
@@ -251,20 +252,20 @@ func TestAdmitBatchSingleLeaseDebit(t *testing.T) {
 // are positional — result i is job i's unconstrained optimal plan.
 func TestAdmitBatchResultOrder(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", 1e6)})
-	jobs := make([]admitBatchJob, 4)
+	jobs := make([]api.AdmitBatchJob, 4)
 	want := make([]chronos.Plan, len(jobs))
 	for i := range jobs {
 		job := testJob()
 		job.Tasks = 8 + i
-		jobs[i] = admitBatchJob{Job: job}
+		jobs[i] = api.AdmitBatchJob{Job: job}
 		plan, err := chronos.OptimizeBest(job, testEcon())
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = plan
 	}
-	got := decodeBody[admitBatchResponse](t, postJSON(t, ts.URL+"/v1/admit/batch",
-		admitBatchRequest{Tenant: "etl", Jobs: jobs, Econ: testEcon()}))
+	got := decodeBody[api.AdmitBatchResponse](t, postJSON(t, ts.URL+"/v1/admit/batch",
+		api.AdmitBatchRequest{Tenant: "etl", Jobs: jobs, Econ: testEcon()}))
 	if len(got.Results) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(got.Results), len(jobs))
 	}
@@ -285,15 +286,15 @@ func TestAdmitBatchFaultNamesJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", 1e9)})
 	bad := testJob()
 	bad.Beta = 0.5
-	resp := postJSON(t, ts.URL+"/v1/admit/batch", admitBatchRequest{
+	resp := postJSON(t, ts.URL+"/v1/admit/batch", api.AdmitBatchRequest{
 		Tenant: "etl",
-		Jobs:   []admitBatchJob{{Job: testJob()}, {Job: testJob()}, {Job: bad}, {Job: testJob()}},
+		Jobs:   []api.AdmitBatchJob{{Job: testJob()}, {Job: testJob()}, {Job: bad}, {Job: testJob()}},
 		Econ:   testEcon(),
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
-	got := decodeBody[errorResponse](t, resp)
+	got := decodeBody[api.ErrorResponse](t, resp)
 	if !strings.HasPrefix(got.Error, "job 2: ") {
 		t.Errorf("error = %q, want it to start with the faulting job's index, \"job 2: \"", got.Error)
 	}
@@ -330,8 +331,8 @@ func TestAdmitEqualsBatchOfOne(t *testing.T) {
 	}{
 		{"admitted in full", 1e9, testJob(), testEcon(), true, ""},
 		{"squeezed", (r0 + best.MachineTime) / 2, testJob(), testEcon(), true, ""},
-		{"budget exhausted", r0 / 2, testJob(), testEcon(), false, ReasonBudgetExhausted},
-		{"infeasible deadline", 1e9, impossible, strict, false, ReasonInfeasible},
+		{"budget exhausted", r0 / 2, testJob(), testEcon(), false, api.ReasonBudgetExhausted},
+		{"infeasible deadline", 1e9, impossible, strict, false, api.ReasonInfeasible},
 	}
 	type decision struct {
 		Admitted bool            `json:"admitted"`
@@ -366,13 +367,13 @@ func TestAdmitEqualsBatchOfOne(t *testing.T) {
 						decision
 						BudgetRemaining float64 `json:"budgetRemaining"`
 					}](t, postJSON(t, singleTS.URL+"/v1/admit",
-						admitRequest{Tenant: "etl", Job: tc.job, Econ: tc.econ}))
+						api.AdmitRequest{Tenant: "etl", Job: tc.job, Econ: tc.econ}))
 					many := decodeBody[struct {
 						Results         []decision `json:"results"`
 						Admitted        int        `json:"admitted"`
 						BudgetRemaining float64    `json:"budgetRemaining"`
 					}](t, postJSON(t, batchTS.URL+"/v1/admit/batch",
-						admitBatchRequest{Tenant: "etl", Jobs: []admitBatchJob{{Job: tc.job}}, Econ: tc.econ}))
+						api.AdmitBatchRequest{Tenant: "etl", Jobs: []api.AdmitBatchJob{{Job: tc.job}}, Econ: tc.econ}))
 					if len(many.Results) != 1 {
 						t.Fatalf("round %d: batch answered %d results, want 1", round, len(many.Results))
 					}

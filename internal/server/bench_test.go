@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"chronos/api"
 	"chronos/internal/tenant"
 )
 
@@ -30,7 +31,7 @@ func BenchmarkAdmitHandlerEscrow(b *testing.B) {
 	s := New(Config{Tenants: reg, Escrow: true})
 	defer s.Close()
 	h := s.Handler()
-	raw, err := json.Marshal(admitRequest{Tenant: "bench", Job: testJob(), Econ: testEcon()})
+	raw, err := json.Marshal(api.AdmitRequest{Tenant: "bench", Job: testJob(), Econ: testEcon()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,13 +54,13 @@ func BenchmarkAdmitHandlerEscrow(b *testing.B) {
 func BenchmarkBatchHandler(b *testing.B) {
 	s := New(Config{})
 	h := s.Handler()
-	jobs := make([]batchJobRequest, 64)
+	jobs := make([]api.BatchJob, 64)
 	for i := range jobs {
 		job := testJob()
 		job.Tasks = 5 + i%20
-		jobs[i] = batchJobRequest{Job: job}
+		jobs[i] = api.BatchJob{Job: job}
 	}
-	raw, err := json.Marshal(batchRequest{Jobs: jobs, Budget: 500000, Econ: testEcon()})
+	raw, err := json.Marshal(api.BatchRequest{Jobs: jobs, Budget: 500000, Econ: testEcon()})
 	if err != nil {
 		b.Fatal(err)
 	}

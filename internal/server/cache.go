@@ -2,7 +2,6 @@ package server
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 
 	"chronos"
@@ -254,19 +253,4 @@ func (c *planCache) load(entries []savedPlan) int {
 		n++
 	}
 	return n
-}
-
-// keyStrategy resolves the optional per-request strategy selector: empty or
-// "best" means best-of-three (best == true); otherwise strat holds the
-// pinned strategy. ok is false for unparseable names.
-func keyStrategy(name string) (strat chronos.Strategy, best, ok bool) {
-	name = strings.TrimSpace(name)
-	if name == "" || strings.EqualFold(name, "best") {
-		return 0, true, true
-	}
-	s, err := chronos.ParseStrategy(name)
-	if err != nil {
-		return 0, false, false
-	}
-	return s, false, true
 }

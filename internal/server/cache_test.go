@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"chronos"
+	"chronos/api"
 	"chronos/internal/plankey"
 )
 
@@ -123,7 +124,7 @@ func TestPlanHandlerConcurrent(t *testing.T) {
 	for i := range bodies {
 		job := testJob()
 		job.Deadline = 100 + float64(i)*10
-		raw, err := json.Marshal(planRequest{Job: job, Econ: testEcon()})
+		raw, err := json.Marshal(api.PlanRequest{Job: job, Econ: testEcon()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,13 +173,13 @@ func TestPlanHandlerConcurrent(t *testing.T) {
 // TestBatchHandlerConcurrent exercises the worker-pool fan-out under -race.
 func TestBatchHandlerConcurrent(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4})
-	jobs := make([]batchJobRequest, 16)
+	jobs := make([]api.BatchJob, 16)
 	for i := range jobs {
 		job := testJob()
 		job.Tasks = 5 + i
-		jobs[i] = batchJobRequest{Job: job}
+		jobs[i] = api.BatchJob{Job: job}
 	}
-	raw, err := json.Marshal(batchRequest{Jobs: jobs, Budget: 100000, Econ: testEcon()})
+	raw, err := json.Marshal(api.BatchRequest{Jobs: jobs, Budget: 100000, Econ: testEcon()})
 	if err != nil {
 		t.Fatal(err)
 	}

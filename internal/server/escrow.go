@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"chronos/api"
 	"chronos/internal/obs"
 	"chronos/internal/tenant"
 )
@@ -267,7 +268,7 @@ func (s *Server) handleEscrowLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.escrow.ownsTenant(req.Tenant) {
-		s.writeError(w, r, http.StatusConflict, codeNotOwner,
+		s.writeError(w, r, http.StatusConflict, api.CodeNotOwner,
 			"this replica does not own tenant %q", req.Tenant)
 		return
 	}

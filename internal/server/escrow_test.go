@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"chronos/api"
 	"chronos/internal/ring"
 	"chronos/internal/tenant"
 )
@@ -65,7 +66,7 @@ func TestFleetEscrowNeverOverCommits(t *testing.T) {
 				// across replicas too.
 				job := testJob()
 				job.Tasks = 8 + (w*perWorker+i)%7
-				req := admitRequest{Tenant: "etl", Job: job, Econ: testEcon()}
+				req := api.AdmitRequest{Tenant: "etl", Job: job, Econ: testEcon()}
 				raw, err := json.Marshal(req)
 				if err != nil {
 					t.Error(err)
@@ -83,7 +84,7 @@ func TestFleetEscrowNeverOverCommits(t *testing.T) {
 					t.Errorf("admit: status %d body %s err %v", resp.StatusCode, body, err)
 					return
 				}
-				var dec admitResponse
+				var dec api.AdmitResponse
 				if err := json.Unmarshal(body, &dec); err != nil {
 					t.Error(err)
 					return
@@ -141,8 +142,8 @@ func TestEscrowRestartRestoresLevels(t *testing.T) {
 	admitOnce := func(url string, tasks int) float64 {
 		job := testJob()
 		job.Tasks = tasks
-		resp := postJSON(t, url+"/v1/admit", admitRequest{Tenant: "etl", Job: job, Econ: testEcon()})
-		dec := decodeBody[admitResponse](t, resp)
+		resp := postJSON(t, url+"/v1/admit", api.AdmitRequest{Tenant: "etl", Job: job, Econ: testEcon()})
+		dec := decodeBody[api.AdmitResponse](t, resp)
 		if !dec.Admitted {
 			t.Fatalf("admit(tasks=%d) rejected: %s", tasks, dec.Reason)
 		}
@@ -276,24 +277,24 @@ func TestErrorEnvelopeUnified(t *testing.T) {
 				return resp
 			},
 			wantStatus: http.StatusBadRequest,
-			wantCode:   codeBadRequest,
+			wantCode:   api.CodeBadRequest,
 		},
 		{
 			name: "unknown tenant",
 			do: func() *http.Response {
-				return postJSON(t, ts.URL+"/v1/admit", admitRequest{Tenant: "nope", Job: testJob()})
+				return postJSON(t, ts.URL+"/v1/admit", api.AdmitRequest{Tenant: "nope", Job: testJob()})
 			},
 			wantStatus: http.StatusNotFound,
-			wantCode:   codeNotFound,
+			wantCode:   api.CodeNotFound,
 		},
 		{
 			name: "budget exhausted",
 			do: func() *http.Response {
 				return postJSON(t, ts.URL+"/v1/plan",
-					planRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()})
+					api.PlanRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()})
 			},
 			wantStatus: http.StatusTooManyRequests,
-			wantCode:   codeBudgetExhausted,
+			wantCode:   api.CodeBudgetExhausted,
 		},
 	}
 	for _, tc := range cases {
@@ -307,7 +308,7 @@ func TestErrorEnvelopeUnified(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var env errorResponse
+			var env api.ErrorResponse
 			if err := json.Unmarshal(raw, &env); err != nil {
 				t.Fatalf("not an error envelope: %s", raw)
 			}
@@ -333,8 +334,8 @@ func TestErrorEnvelopeUnified(t *testing.T) {
 				if err := json.Unmarshal(raw, &legacy); err != nil {
 					t.Fatal(err)
 				}
-				if legacy.Reason != ReasonBudgetExhausted {
-					t.Errorf("legacy reason = %q, want %q", legacy.Reason, ReasonBudgetExhausted)
+				if legacy.Reason != api.ReasonBudgetExhausted {
+					t.Errorf("legacy reason = %q, want %q", legacy.Reason, api.ReasonBudgetExhausted)
 				}
 			}
 		})
@@ -363,9 +364,9 @@ func TestEscrowLeaseNotOwner(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("status = %d, want 409", resp.StatusCode)
 	}
-	env := decodeBody[errorResponse](t, resp)
-	if env.Code != codeNotOwner {
-		t.Errorf("code = %q, want %q", env.Code, codeNotOwner)
+	env := decodeBody[api.ErrorResponse](t, resp)
+	if env.Code != api.CodeNotOwner {
+		t.Errorf("code = %q, want %q", env.Code, api.CodeNotOwner)
 	}
 }
 
@@ -380,8 +381,8 @@ func TestEscrowSoloFallsBackToOwnerPath(t *testing.T) {
 	defer srv.Close()
 	admits := 0
 	for i := 0; i < 5; i++ {
-		resp := postJSON(t, ts.URL+"/v1/admit", admitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()})
-		dec := decodeBody[admitResponse](t, resp)
+		resp := postJSON(t, ts.URL+"/v1/admit", api.AdmitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()})
+		dec := decodeBody[api.AdmitResponse](t, resp)
 		if dec.Admitted {
 			admits++
 		}
@@ -483,8 +484,8 @@ func TestFleetEscrowHugeBudget(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		job := testJob()
 		job.Tasks = 8 + i%7 // spread plan keys, and so serving replicas
-		resp := postJSON(t, urls[i%3]+"/v1/admit", admitRequest{Tenant: "deep", Job: job, Econ: testEcon()})
-		if dec := decodeBody[admitResponse](t, resp); !dec.Admitted {
+		resp := postJSON(t, urls[i%3]+"/v1/admit", api.AdmitRequest{Tenant: "deep", Job: job, Econ: testEcon()})
+		if dec := decodeBody[api.AdmitResponse](t, resp); !dec.Admitted {
 			t.Fatalf("admit %d via replica %d refused: %+v", i, i%3, dec)
 		}
 	}
@@ -541,8 +542,8 @@ func TestWALAppendFailureCounted(t *testing.T) {
 	if err := store.Close(); err != nil { // every append from here on fails
 		t.Fatal(err)
 	}
-	got := decodeBody[admitResponse](t, postJSON(t, ts.URL+"/v1/admit",
-		admitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}))
+	got := decodeBody[api.AdmitResponse](t, postJSON(t, ts.URL+"/v1/admit",
+		api.AdmitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}))
 	if !got.Admitted {
 		t.Fatalf("admit rejected (%q); a WAL failure must not fail the request", got.Reason)
 	}

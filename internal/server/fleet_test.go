@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"chronos/api"
 	"chronos/internal/plankey"
 	"chronos/internal/ring"
 )
@@ -77,7 +78,7 @@ func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
 	}
 
 	// Locate the key's owner and first successor on the shared ring view.
-	req := planRequest{Job: testJob(), Econ: testEcon()}
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon()}
 	key := plankey.Key("", req.Job, req.Econ)
 	succ := servers[0].ringSt.Load().ring.Successors(key, 2)
 	if len(succ) != 2 {
@@ -101,7 +102,7 @@ func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("initial plan: status = %d, want 200", resp.StatusCode)
 	}
-	if first := decodeBody[planResponse](t, resp); first.Cached {
+	if first := decodeBody[api.PlanResponse](t, resp); first.Cached {
 		t.Fatal("first fleet request cannot be cached")
 	}
 	if got := totalSolves(); got != 1 {
@@ -125,7 +126,7 @@ func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
 	if got := resp.Header.Get(ServedByHeader); got != urls[backup] {
 		t.Errorf("dead-owner plan served by %q, want backup %q", got, urls[backup])
 	}
-	warm := decodeBody[planResponse](t, resp)
+	warm := decodeBody[api.PlanResponse](t, resp)
 	if !warm.Cached {
 		t.Error("replica read must hit the backup's warm copy")
 	}

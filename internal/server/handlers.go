@@ -6,157 +6,38 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 
 	"chronos"
+	"chronos/api"
 	"chronos/internal/hotjson"
 	"chronos/internal/obs"
 	"chronos/internal/optimize"
+	"chronos/internal/plankey"
 	"chronos/internal/tenant"
 )
 
-// --- wire types -----------------------------------------------------------
-
-// planRequest asks for one job's optimal speculation plan; planResponse
-// answers it. Both are served by the reflection-free internal/hotjson codec
-// (fuzz-verified byte-compatible with encoding/json), so the wire structs
-// live there and the handlers alias them.
-type (
-	planRequest  = hotjson.PlanRequest
-	planResponse = hotjson.PlanResponse
-)
-
-// batchJobRequest is one member of a shared-budget batch.
-type batchJobRequest struct {
-	// Strategy pins the job's strategy; empty or "best" lets the server
-	// pick the per-job utility winner before the budget allocation.
-	Strategy string            `json:"strategy,omitempty"`
-	Job      chronos.JobParams `json:"job"`
-	// RMin is the job's minimum acceptable PoCD inside the allocator.
-	// Zero falls back to the batch econ's rmin (which tenant routing fills
-	// from the pool's default), so a tenant's PoCD floor binds pinned jobs
-	// too.
-	RMin float64 `json:"rmin,omitempty"`
-}
-
-type batchRequest struct {
-	Jobs []batchJobRequest `json:"jobs"`
-	// Budget is the shared machine-time budget B. Must be positive unless
-	// Tenant is set, in which case it is optional and is additionally
-	// capped by the pool's remaining budget.
-	Budget float64 `json:"budget"`
-	// Econ drives per-job strategy selection for jobs without a pinned
-	// strategy. Ignored (may be zero) when every job pins one.
-	Econ chronos.Econ `json:"econ,omitempty"`
-	// Tenant optionally routes the batch through a named budget pool: the
-	// allocation runs against min(Budget, pool remaining) and its total
-	// machine time is debited from the ledger (429 when it cannot cover
-	// it).
-	Tenant string `json:"tenant,omitempty"`
-}
-
-type batchPlanResponse struct {
-	Strategy    chronos.Strategy `json:"strategy"`
-	R           int              `json:"r"`
-	PoCD        float64          `json:"pocd"`
-	MachineTime float64          `json:"machineTime"`
-}
-
-type batchResponse struct {
-	Plans []batchPlanResponse `json:"plans"`
-	// TotalMachineTime is the expected machine time of the allocation;
-	// always <= budget.
-	TotalMachineTime float64 `json:"totalMachineTime"`
-	// Budget is the effective budget the allocation ran against (the
-	// request's budget, capped by the tenant pool when routed).
-	Budget float64 `json:"budget"`
-	// BudgetRemaining is the tenant pool's post-debit level; present only
-	// for tenant-routed requests.
-	BudgetRemaining *float64 `json:"budgetRemaining,omitempty"`
-}
-
-type tradeoffPoint struct {
-	R           int     `json:"r"`
-	PoCD        float64 `json:"pocd"`
-	MachineTime float64 `json:"machineTime"`
-	Cost        float64 `json:"cost"`
-	// Utility is null when the point is below RMin (utility -Inf).
-	Utility *float64 `json:"utility"`
-}
-
-type tradeoffResponse struct {
-	Strategy chronos.Strategy `json:"strategy"`
-	Points   []tradeoffPoint  `json:"points"`
-}
-
-type simulateRequest struct {
-	Config chronos.SimConfig `json:"config"`
-	Jobs   []chronos.SimJob  `json:"jobs"`
-}
-
-type simulateResponse struct {
-	Jobs            int     `json:"jobs"`
-	PoCD            float64 `json:"pocd"`
-	MeanMachineTime float64 `json:"meanMachineTime"`
-	MeanCost        float64 `json:"meanCost"`
-	// Utility is null when the measured PoCD is at or below RMin.
-	Utility    *float64    `json:"utility"`
-	RHistogram map[int]int `json:"rHistogram,omitempty"`
-}
-
-// errorResponse is the error envelope every /v1 endpoint answers with:
-// human-readable error text, a stable machine-readable code, and the
-// request's trace ID so a client-side error report can be joined to the
-// server-side logs and /debug/traces without extra plumbing.
-type errorResponse struct {
-	Error string `json:"error"`
-	// Code is the stable machine-readable error class (bad_request,
-	// not_found, budget_exhausted, ...).
-	Code string `json:"code,omitempty"`
-	// TraceID is the request's trace ID (the X-Chronosd-Trace-Id value).
-	TraceID string `json:"traceId,omitempty"`
-	// Reason is the legacy alias of Code kept for pre-envelope readers; on
-	// tenant-ledger rejections it carries the structured admission-control
-	// reason (e.g. "budget_exhausted"), exactly as it always did.
-	Reason string `json:"reason,omitempty"`
-}
-
-// Stable error codes carried in errorResponse.Code.
-const (
-	codeBadRequest      = "bad_request"
-	codeNotFound        = "not_found"
-	codePayloadTooLarge = "payload_too_large"
-	codeUnprocessable   = "unprocessable"
-	codeBudgetExhausted = ReasonBudgetExhausted
-	codeUnavailable     = "unavailable"
-	codeInternal        = "internal"
-	// codeNotOwner answers an escrow lease call that landed on a replica
-	// that does not own the tenant key (membership race).
-	codeNotOwner = "not_owner"
-)
-
 // errorCodeForStatus maps an HTTP status onto the default error code; call
-// sites with a more specific class (budget_exhausted, not_owner) pass it
+// sites with a more specific class (not_owner) pass it
 // explicitly via writeError.
 func errorCodeForStatus(status int) string {
 	switch status {
 	case http.StatusBadRequest:
-		return codeBadRequest
+		return api.CodeBadRequest
 	case http.StatusNotFound:
-		return codeNotFound
+		return api.CodeNotFound
 	case http.StatusRequestEntityTooLarge:
-		return codePayloadTooLarge
+		return api.CodePayloadTooLarge
 	case http.StatusUnprocessableEntity:
-		return codeUnprocessable
+		return api.CodeUnprocessable
 	case http.StatusTooManyRequests:
-		return codeBudgetExhausted
+		return api.CodeBudgetExhausted
 	case http.StatusServiceUnavailable:
-		return codeUnavailable
+		return api.CodeUnavailable
 	}
 	if status >= http.StatusInternalServerError {
-		return codeInternal
+		return api.CodeInternal
 	}
-	return codeBadRequest
+	return api.CodeBadRequest
 }
 
 // --- helpers --------------------------------------------------------------
@@ -164,9 +45,13 @@ func errorCodeForStatus(status int) string {
 // writeError emits the unified error envelope with an explicit code; the
 // trace ID comes from the request context (empty for untraced callers).
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, code, format string, args ...any) {
-	resp := errorResponse{
+	resp := api.ErrorResponse{
 		Error: fmt.Sprintf(format, args...),
 		Code:  code,
+	}
+	if code == api.CodeBudgetExhausted {
+		// Tenant-ledger rejections keep the field pre-envelope readers parse.
+		resp.Reason = api.ReasonBudgetExhausted
 	}
 	if tr := obs.FromContext(r.Context()); tr != nil {
 		resp.TraceID = tr.ID
@@ -179,16 +64,18 @@ func (s *Server) apiError(w http.ResponseWriter, r *http.Request, status int, fo
 	s.writeError(w, r, status, errorCodeForStatus(status), format, args...)
 }
 
-// decode parses the JSON body, writing 413 for oversize bodies (the
-// middleware installs http.MaxBytesReader) and 400 for malformed JSON.
+// decode reads the whole body (readBody, which answers 413 and read errors)
+// and unmarshals it into v, answering 400 for anything but exactly one JSON
+// value of v's shape: the one body path of every POST endpoint that is not
+// served by the hotjson codec, which applies the same rule.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.apiError(w, r, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
-			return false
-		}
+	hb := getHotBuf()
+	defer putHotBuf(hb)
+	var ok bool
+	if hb.in, ok = s.readBody(w, r, hb.in); !ok {
+		return false
+	}
+	if err := json.Unmarshal(hb.in, v); err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "invalid JSON: %v", err)
 		return false
 	}
@@ -244,7 +131,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := obs.FromContext(r.Context())
-	strat, best, ok := keyStrategy(req.Strategy)
+	strat, best, ok := plankey.ParseStrategy(req.Strategy)
 	if !ok {
 		s.apiError(w, r, http.StatusBadRequest, "unknown strategy %q", req.Strategy)
 		return
@@ -274,7 +161,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.SetCached(cached)
 	resp := &hb.planResp
-	*resp = planResponse{Plan: plan, Cached: cached}
+	*resp = api.PlanResponse{Plan: plan, Cached: cached}
 	if pool != nil {
 		ok, rem := timedDebit(tr, s.tenantBudget(r.Context(), req.Tenant, pool), plan.MachineTime)
 		if !ok {
@@ -303,7 +190,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 // cache; the coupled budget split then runs through the greedy
 // marginal-gain allocator (optimize.BatchSolve).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
+	var req api.BatchRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -348,7 +235,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.pool.fanOut(len(req.Jobs), func(i int) {
 		defer containPanic(&errs[i])
 		jr := req.Jobs[i]
-		strat, best, ok := keyStrategy(jr.Strategy)
+		strat, best, ok := plankey.ParseStrategy(jr.Strategy)
 		switch {
 		case !ok:
 			errs[i] = fmt.Errorf("unknown strategy %q", jr.Strategy)
@@ -434,8 +321,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := batchResponse{
-		Plans:           make([]batchPlanResponse, len(plans)),
+	resp := api.BatchResponse{
+		Plans:           make([]api.BatchPlan, len(plans)),
 		Budget:          budget,
 		BudgetRemaining: budgetRemaining,
 	}
@@ -444,7 +331,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if pool != nil {
 			s.metrics.tenantAdmit(req.Tenant, strategies[i].String())
 		}
-		resp.Plans[i] = batchPlanResponse{
+		resp.Plans[i] = api.BatchPlan{
 			Strategy:    strategies[i],
 			R:           p.R,
 			PoCD:        p.PoCD,
@@ -458,65 +345,30 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // handleTradeoff serves GET /v1/tradeoff: the PoCD/cost frontier for one
 // strategy, r = 0..maxR.
 func (s *Server) handleTradeoff(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	strat, err := chronos.ParseStrategy(q.Get("strategy"))
+	query := r.URL.Query()
+	strat, err := chronos.ParseStrategy(query.Get("strategy"))
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var params chronos.JobParams
-	var econ chronos.Econ
-	var parseErr error
-	qInt := func(name string, def int) int {
-		v := q.Get(name)
-		if v == "" {
-			return def
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil && parseErr == nil {
-			parseErr = fmt.Errorf("query param %s: %v", name, err)
-		}
-		return n
-	}
-	qFloat := func(name string, def float64) float64 {
-		v := q.Get(name)
-		if v == "" {
-			return def
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil && parseErr == nil {
-			parseErr = fmt.Errorf("query param %s: %v", name, err)
-		}
-		return f
-	}
-	params.Tasks = qInt("tasks", 0)
-	params.Deadline = qFloat("deadline", 0)
-	params.TMin = qFloat("tmin", 0)
-	params.Beta = qFloat("beta", 0)
-	params.TauEst = qFloat("tauEst", 0)
-	params.TauKill = qFloat("tauKill", 0)
-	params.PhiEst = qFloat("phiEst", 0)
-	econ.Theta = qFloat("theta", 1e-4)
-	econ.UnitPrice = qFloat("price", 1)
-	econ.RMin = qFloat("rmin", 0)
-	maxR := qInt("maxR", 8)
-	if parseErr != nil {
-		s.apiError(w, r, http.StatusBadRequest, "%v", parseErr)
+	q, err := api.ParseTradeoffQuery(query)
+	if err != nil {
+		s.apiError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if maxR < 0 || maxR > maxTradeoffPoints {
+	if q.MaxR < 0 || q.MaxR > maxTradeoffPoints {
 		s.apiError(w, r, http.StatusBadRequest,
 			"maxR must be in [0, %d]", maxTradeoffPoints)
 		return
 	}
-	curve, err := chronos.TradeoffCurve(strat, params, econ, maxR)
+	curve, err := chronos.TradeoffCurve(strat, q.Job, q.Econ, q.MaxR)
 	if err != nil {
 		s.apiError(w, r, planStatus(err), "%v", err)
 		return
 	}
-	resp := tradeoffResponse{Strategy: strat, Points: make([]tradeoffPoint, len(curve))}
+	resp := api.TradeoffResponse{Strategy: strat, Points: make([]api.TradeoffPoint, len(curve))}
 	for i, pt := range curve {
-		resp.Points[i] = tradeoffPoint{
+		resp.Points[i] = api.TradeoffPoint{
 			R:           pt.R,
 			PoCD:        pt.PoCD,
 			MachineTime: pt.MachineTime,
@@ -535,7 +387,7 @@ func (s *Server) handleTradeoff(w http.ResponseWriter, r *http.Request) {
 // completion. Size limits keep one request from monopolizing the instance;
 // larger studies belong on /v1/replay or in the offline CLIs.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req simulateRequest
+	var req api.SimulateRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -561,7 +413,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, simulateResponse{
+	s.writeJSON(w, r, http.StatusOK, api.SimulateResponse{
 		Jobs:            report.Jobs,
 		PoCD:            report.PoCD,
 		MeanMachineTime: report.MeanMachineTime,
@@ -586,7 +438,7 @@ const (
 
 // validateSimBounds returns a rejection message, or "" when the request is
 // within serving bounds.
-func validateSimBounds(cfg Config, req simulateRequest) string {
+func validateSimBounds(cfg Config, req api.SimulateRequest) string {
 	if msg := validateSimConfigBounds(req.Config); msg != "" {
 		return msg
 	}

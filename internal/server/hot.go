@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sync"
 
+	"chronos/api"
 	"chronos/internal/obs"
 )
 
@@ -27,16 +28,16 @@ type hotBuf struct {
 	out []byte // encoded response body
 	key []byte // plan cache / ring key
 
-	planReq   planRequest
-	planResp  planResponse
-	admitReq  admitRequest
-	admitResp admitResponse
+	planReq   api.PlanRequest
+	planResp  api.PlanResponse
+	admitReq  api.AdmitRequest
+	admitResp api.AdmitResponse
 
 	// The one-job batch /v1/admit hands to admitJobs. jobs[0].plan and rem
 	// also back the response-struct pointers (admitResp.Plan,
 	// planResp.BudgetRemaining), which would otherwise escape to the heap.
 	jobs    [1]admitJob
-	results [1]admitBatchResult
+	results [1]api.AdmitBatchResult
 	rem     float64
 }
 
@@ -59,11 +60,11 @@ func putHotBuf(hb *hotBuf) {
 	if cap(hb.in) > maxRetain || cap(hb.out) > maxRetain {
 		return
 	}
-	hb.planReq = planRequest{}
-	hb.planResp = planResponse{}
-	hb.admitReq = admitRequest{}
-	hb.admitResp = admitResponse{}
-	hb.jobs, hb.results = [1]admitJob{}, [1]admitBatchResult{}
+	hb.planReq = api.PlanRequest{}
+	hb.planResp = api.PlanResponse{}
+	hb.admitReq = api.AdmitRequest{}
+	hb.admitResp = api.AdmitResponse{}
+	hb.jobs, hb.results = [1]admitJob{}, [1]api.AdmitBatchResult{}
 	hb.rem = 0
 	hotBufPool.Put(hb)
 }

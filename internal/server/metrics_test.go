@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"chronos"
+	"chronos/api"
 	"chronos/internal/obs"
 	"chronos/internal/plankey"
 	"chronos/internal/tenant"
@@ -153,12 +154,12 @@ func TestEncodeFailureIsCounted500(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	s.cache.put(plankey.Key("", testJob(), testEcon()),
 		chronos.Plan{Strategy: chronos.Clone, R: 1, Utility: math.NaN()})
-	resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
+	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", resp.StatusCode)
 	}
-	if got := decodeBody[errorResponse](t, resp); got.Code != codeInternal {
-		t.Errorf("error code = %q, want %q", got.Code, codeInternal)
+	if got := decodeBody[api.ErrorResponse](t, resp); got.Code != api.CodeInternal {
+		t.Errorf("error code = %q, want %q", got.Code, api.CodeInternal)
 	}
 	if got := metricValue(getMetricsText(t, ts.URL), "chronosd_response_encode_failures_total"); got != "1" {
 		t.Errorf("chronosd_response_encode_failures_total = %q, want 1", got)

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"chronos/api"
 	"chronos/internal/obs"
 )
 
@@ -20,7 +21,7 @@ import (
 func TestTraceIDStampedOnEveryResponse(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
+	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()})
 	minted := resp.Header.Get(obs.TraceHeader)
 	if !obs.ValidID(minted) {
 		t.Errorf("plan response trace ID %q is not a valid minted ID", minted)
@@ -66,7 +67,7 @@ func TestTraceIDStampedOnEveryResponse(t *testing.T) {
 // the cached one in quantize+cache only, and both carry the cached flag.
 func TestPlanTraceRecordsStages(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	body := planRequest{Job: testJob(), Econ: testEcon()}
+	body := api.PlanRequest{Job: testJob(), Econ: testEcon()}
 
 	ids := make([]string, 2)
 	for i := range ids {
@@ -121,7 +122,7 @@ func TestPlanTraceRecordsStages(t *testing.T) {
 // forwarded hop with the solve work.
 func TestFleetTraceSpansForwardHop(t *testing.T) {
 	servers, listeners := newRingFleet(t, 3, func(int) Config { return Config{} })
-	req := planRequest{Job: testJob(), Econ: testEcon()}
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon()}
 	owner := fleetOwner(t, servers, listeners, req)
 	via := (owner + 1) % 3
 
@@ -217,7 +218,7 @@ func TestConcurrentRequestsKeepTracesIsolated(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				job := testJob()
 				job.Deadline = 100 + float64((w*perWorker+i)%31)
-				resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: job, Econ: testEcon()})
+				resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: job, Econ: testEcon()})
 				id := resp.Header.Get(obs.TraceHeader)
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
@@ -258,7 +259,7 @@ func TestConcurrentRequestsKeepTracesIsolated(t *testing.T) {
 func TestDebugTracesEndpointOnServingMux(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for i := 0; i < 3; i++ {
-		resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
+		resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()})
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
@@ -346,7 +347,7 @@ func TestRequestLogLine(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(&syncWriter{w: &buf, mu: &mu}, nil))
 	_, ts := newTestServer(t, Config{Logger: logger})
 
-	resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
+	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()})
 	traceID := resp.Header.Get(obs.TraceHeader)
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -390,7 +391,7 @@ func TestRequestLogLine(t *testing.T) {
 // with counts, and the replay_emit stage stays absent until a replay runs.
 func TestMetricsExposeStageHistograms(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
+	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()})
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
@@ -412,9 +413,9 @@ func TestMetricsExposeStageHistograms(t *testing.T) {
 // stored stream output can be joined back to the server-side logs.
 func TestReplaySummaryCarriesTraceID(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body := replayRequest{
+	body := api.ReplayRequest{
 		Config:    smallSimConfig(),
-		Benchmark: &replayBenchSpec{Name: "Sort", Jobs: 3, Tasks: 5},
+		Benchmark: &api.ReplayBenchmark{Name: "Sort", Jobs: 3, Tasks: 5},
 	}
 	resp := postJSON(t, ts.URL+"/v1/replay", body)
 	defer resp.Body.Close()

@@ -8,53 +8,11 @@ import (
 	"time"
 
 	"chronos"
+	"chronos/api"
 	"chronos/internal/hotjson"
 	"chronos/internal/obs"
 	"chronos/internal/tenant"
 )
-
-// replayRequest asks for a streaming trace replay. The job stream comes from
-// exactly one of Jobs (an uploaded trace), Trace (a server-side synthetic
-// Google-like trace), or Benchmark (a stream of one of the paper's testbed
-// workloads), so long online-setting studies need not upload anything.
-type replayRequest struct {
-	// Config shapes the simulation (strategy, cluster, seed, ...); the same
-	// shape POST /v1/simulate takes.
-	Config chronos.SimConfig `json:"config"`
-	// Jobs is an explicit uploaded trace.
-	Jobs []chronos.SimJob `json:"jobs,omitempty"`
-	// Trace generates a synthetic Google-like stream server-side.
-	Trace *replayTraceSpec `json:"trace,omitempty"`
-	// Benchmark generates a stream of identical jobs from one of the
-	// paper's four testbed workloads.
-	Benchmark *replayBenchSpec `json:"benchmark,omitempty"`
-	// Tenant optionally routes the replay through a budget pool: each
-	// completed job's machine time is debited from the ledger, and the
-	// stream ends with a budget_exhausted event when the pool drains.
-	Tenant string `json:"tenant,omitempty"`
-	// WindowSeconds is the sim-time width of window_summary events; zero
-	// disables them.
-	WindowSeconds float64 `json:"windowSeconds,omitempty"`
-}
-
-// replayTraceSpec mirrors chronos.TraceConfig on the wire.
-type replayTraceSpec struct {
-	Jobs           int     `json:"jobs"`
-	HorizonSeconds float64 `json:"horizonSeconds,omitempty"`
-	DeadlineRatio  float64 `json:"deadlineRatio,omitempty"`
-	Seed           uint64  `json:"seed,omitempty"`
-}
-
-// replayBenchSpec expands one named benchmark into a uniform job stream.
-type replayBenchSpec struct {
-	// Name is one of the paper's workloads (Sort, SecondarySort, TeraSort,
-	// WordCount), case-insensitive.
-	Name string `json:"name"`
-	// Jobs and Tasks size the stream; SpacingSeconds separates arrivals.
-	Jobs           int     `json:"jobs"`
-	Tasks          int     `json:"tasks"`
-	SpacingSeconds float64 `json:"spacingSeconds,omitempty"`
-}
 
 // replayMaxArrival bounds arrivals for /v1/replay. Streaming runs exist for
 // long-horizon studies, so this is far looser than the /v1/simulate cap.
@@ -76,7 +34,7 @@ var errReplayBudget = errors.New("replay tenant budget exhausted")
 // client stops the replay promptly instead of leaving it running to
 // completion.
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
-	var req replayRequest
+	var req api.ReplayRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -153,7 +111,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 
 // resolveReplayJobs materializes the job stream from whichever source the
 // request names. A non-empty message is a 400.
-func (s *Server) resolveReplayJobs(req replayRequest) ([]chronos.SimJob, string) {
+func (s *Server) resolveReplayJobs(req api.ReplayRequest) ([]chronos.SimJob, string) {
 	sources := 0
 	for _, set := range []bool{len(req.Jobs) > 0, req.Trace != nil, req.Benchmark != nil} {
 		if set {
@@ -169,12 +127,7 @@ func (s *Server) resolveReplayJobs(req replayRequest) ([]chronos.SimJob, string)
 		if t.Jobs < 1 || t.Jobs > s.cfg.MaxReplayJobs {
 			return nil, fmt.Sprintf("trace.jobs must be in [1, %d]", s.cfg.MaxReplayJobs)
 		}
-		jobs, err := chronos.SyntheticTrace(chronos.TraceConfig{
-			Jobs:           t.Jobs,
-			HorizonSeconds: t.HorizonSeconds,
-			DeadlineRatio:  t.DeadlineRatio,
-			Seed:           t.Seed,
-		})
+		jobs, err := chronos.SyntheticTrace(*t)
 		if err != nil {
 			return nil, err.Error()
 		}
@@ -208,7 +161,7 @@ func (s *Server) resolveReplayJobs(req replayRequest) ([]chronos.SimJob, string)
 // Unlike /v1/simulate there is no total-task ceiling: the streaming engine's
 // memory is bounded by in-flight jobs, and wall-clock commitment is bounded
 // by disconnect cancellation.
-func validateReplayBounds(cfg Config, req replayRequest, jobs []chronos.SimJob) string {
+func validateReplayBounds(cfg Config, req api.ReplayRequest, jobs []chronos.SimJob) string {
 	if req.WindowSeconds != 0 && !(req.WindowSeconds >= replayMinWindow) {
 		return fmt.Sprintf("windowSeconds must be 0 (disabled) or >= %g", replayMinWindow)
 	}
@@ -307,7 +260,7 @@ func (s *Server) debitingObserver(st *ndjsonStream, bud budgeter, name string) c
 		if ok {
 			return nil
 		}
-		s.metrics.tenantReject(name, ReasonBudgetExhausted)
+		s.metrics.tenantReject(name, api.ReasonBudgetExhausted)
 		_ = st.write(&chronos.ReplayEvent{
 			Kind:      chronos.EventBudgetExhausted,
 			Seq:       st.lastSeq + 1,

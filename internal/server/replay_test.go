@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"chronos"
+	"chronos/api"
 	"chronos/internal/tenant"
 )
 
@@ -303,7 +304,7 @@ func TestSimulateHonorsContext(t *testing.T) {
 	s := New(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	body, err := json.Marshal(simulateRequest{Config: smallSimConfig(), Jobs: tinyStream(50)})
+	body, err := json.Marshal(api.SimulateRequest{Config: smallSimConfig(), Jobs: tinyStream(50)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestSimulateAndReplayRejectBadControl(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("%s %s: status %d, want 400", path, config, resp.StatusCode)
 			}
-			if env := decodeBody[errorResponse](t, resp); env.Error == "" || env.Code == "" || env.TraceID == "" {
+			if env := decodeBody[api.ErrorResponse](t, resp); env.Error == "" || env.Code == "" || env.TraceID == "" {
 				t.Errorf("%s %s: error envelope %+v incomplete", path, config, env)
 			}
 			if took > 50*time.Millisecond {
@@ -358,7 +359,7 @@ func TestSimulateAndReplayRejectBadControl(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d, want 200", config, resp.StatusCode)
 		}
-		return decodeBody[simulateResponse](t, resp).RHistogram
+		return decodeBody[api.SimulateResponse](t, resp).RHistogram
 	}
 	if got := histogram(`{"strategy":"Clone","useFixedR":true,"fixedR":3}`); got[3] != 1 {
 		t.Errorf("fixedR 3: rHistogram %v, want {3: 1}", got)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"chronos/api"
 	"chronos/internal/plankey"
 	"chronos/internal/ring"
 )
@@ -44,9 +45,9 @@ func newRingFleet(t *testing.T, n int, mkCfg func(i int) Config) ([]*Server, []*
 
 // fleetOwner resolves which replica index owns the plan key of req on
 // replica 0's ring view (all views agree by construction).
-func fleetOwner(t *testing.T, servers []*Server, listeners []*httptest.Server, req planRequest) int {
+func fleetOwner(t *testing.T, servers []*Server, listeners []*httptest.Server, req api.PlanRequest) int {
 	t.Helper()
-	strat, best, ok := keyStrategy(req.Strategy)
+	strat, best, ok := plankey.ParseStrategy(req.Strategy)
 	if !ok {
 		t.Fatalf("bad strategy %q", req.Strategy)
 	}
@@ -107,7 +108,7 @@ func metricValue(text, prefix string) string {
 // caching independently.
 func TestFleetCrossReplicaCacheHit(t *testing.T) {
 	servers, listeners := newRingFleet(t, 3, func(int) Config { return Config{} })
-	req := planRequest{Job: testJob(), Econ: testEcon()}
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon()}
 	owner := fleetOwner(t, servers, listeners, req)
 
 	// Route the two requests through two replicas that are not required to
@@ -119,7 +120,7 @@ func TestFleetCrossReplicaCacheHit(t *testing.T) {
 	if got := respA.Header.Get(ServedByHeader); got != listeners[owner].URL {
 		t.Errorf("plan via A served by %q, want owner %q", got, listeners[owner].URL)
 	}
-	first := decodeBody[planResponse](t, respA)
+	first := decodeBody[api.PlanResponse](t, respA)
 	if first.Cached {
 		t.Error("first fleet request should not be cached")
 	}
@@ -131,7 +132,7 @@ func TestFleetCrossReplicaCacheHit(t *testing.T) {
 	if got := respB.Header.Get(ServedByHeader); got != listeners[owner].URL {
 		t.Errorf("plan via B served by %q, want owner %q", got, listeners[owner].URL)
 	}
-	second := decodeBody[planResponse](t, respB)
+	second := decodeBody[api.PlanResponse](t, respB)
 	if !second.Cached {
 		t.Error("request via B should hit the owner's cache entry planned via A")
 	}
@@ -169,7 +170,7 @@ func TestFleetConcurrentMixedTraffic(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				job := testJob()
 				job.Deadline = 100 + float64((w*perWorker+i)%17) // spread keys over owners
-				req := planRequest{Job: job, Econ: testEcon()}
+				req := api.PlanRequest{Job: job, Econ: testEcon()}
 				resp := postJSON(t, listeners[(w+i)%3].URL+"/v1/plan", req)
 				if resp.StatusCode != http.StatusOK {
 					errs <- resp.Status
@@ -193,7 +194,7 @@ func TestFleetOwnerDownLocalFallback(t *testing.T) {
 	servers, listeners := newRingFleet(t, 3, func(int) Config {
 		return Config{BreakerThreshold: 100} // keep the circuit closed; every request attempts the forward
 	})
-	req := planRequest{Job: testJob(), Econ: testEcon()}
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon()}
 	owner := fleetOwner(t, servers, listeners, req)
 	via := (owner + 1) % 3
 	listeners[owner].Close()
@@ -205,7 +206,7 @@ func TestFleetOwnerDownLocalFallback(t *testing.T) {
 	if got := resp.Header.Get(ServedByHeader); got != listeners[via].URL {
 		t.Errorf("fallback served by %q, want local replica %q", got, listeners[via].URL)
 	}
-	out := decodeBody[planResponse](t, resp)
+	out := decodeBody[api.PlanResponse](t, resp)
 	if out.Cached {
 		t.Error("fallback plan cannot be a cache hit")
 	}
@@ -228,7 +229,7 @@ func TestFleetBreakerSkipsDeadOwner(t *testing.T) {
 	servers, listeners := newRingFleet(t, 3, func(int) Config {
 		return Config{BreakerThreshold: 1, BreakerCooldown: time.Hour}
 	})
-	req := planRequest{Job: testJob(), Econ: testEcon()}
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon()}
 	owner := fleetOwner(t, servers, listeners, req)
 	via := (owner + 1) % 3
 	listeners[owner].Close()
@@ -257,7 +258,7 @@ func TestFleetBreakerSkipsDeadOwner(t *testing.T) {
 // locally instead of forwarding again.
 func TestForwardLoopGuard(t *testing.T) {
 	servers, listeners := newRingFleet(t, 3, func(int) Config { return Config{} })
-	req := planRequest{Job: testJob(), Econ: testEcon()}
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon()}
 	owner := fleetOwner(t, servers, listeners, req)
 	via := (owner + 1) % 3
 
@@ -279,7 +280,7 @@ func TestForwardLoopGuard(t *testing.T) {
 	if got := resp.Header.Get(ServedByHeader); got != listeners[via].URL {
 		t.Errorf("guarded request served by %q, want local replica %q", got, listeners[via].URL)
 	}
-	out := decodeBody[planResponse](t, resp)
+	out := decodeBody[api.PlanResponse](t, resp)
 	if out.Cached {
 		t.Error("guarded request computed locally cannot be a cache hit")
 	}
@@ -303,14 +304,14 @@ func TestFleetAdmitForwarded(t *testing.T) {
 	servers, listeners := newRingFleet(t, 3, func(int) Config {
 		return Config{Tenants: testRegistry(t, "etl", 1e9)}
 	})
-	areq := admitRequest{Tenant: "etl", Job: testJob()}
+	areq := api.AdmitRequest{Tenant: "etl", Job: testJob()}
 
 	resp := postJSON(t, listeners[0].URL+"/v1/admit", areq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("admit: status = %d, want 200", resp.StatusCode)
 	}
 	servedBy := resp.Header.Get(ServedByHeader)
-	dec := decodeBody[admitResponse](t, resp)
+	dec := decodeBody[api.AdmitResponse](t, resp)
 	if !dec.Admitted {
 		t.Fatalf("admit rejected: %+v", dec)
 	}
@@ -334,7 +335,7 @@ func TestFleetAdmitForwarded(t *testing.T) {
 	// A second admit through another replica reuses the owner's cached plan:
 	// its cache stats show a hit.
 	resp2 := postJSON(t, listeners[1].URL+"/v1/admit", areq)
-	dec2 := decodeBody[admitResponse](t, resp2)
+	dec2 := decodeBody[api.AdmitResponse](t, resp2)
 	if !dec2.Admitted {
 		t.Fatalf("second admit rejected: %+v", dec2)
 	}
@@ -357,7 +358,7 @@ func TestFleetTenantDriftFallsBackLocally(t *testing.T) {
 	servers, listeners := newRingFleet(t, 3, func(i int) Config {
 		return Config{Tenants: testRegistry(t, "etl", 1e9)}
 	})
-	req := planRequest{Job: testJob(), Econ: testEcon(), Tenant: "etl"}
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon(), Tenant: "etl"}
 	owner := fleetOwner(t, servers, listeners, req)
 	via := (owner + 1) % 3
 	// The owner's registry loses the tenant (drifted config).
@@ -370,7 +371,7 @@ func TestFleetTenantDriftFallsBackLocally(t *testing.T) {
 	if got := resp.Header.Get(ServedByHeader); got != listeners[via].URL {
 		t.Errorf("drift fallback served by %q, want local replica %q", got, listeners[via].URL)
 	}
-	out := decodeBody[planResponse](t, resp)
+	out := decodeBody[api.PlanResponse](t, resp)
 	if out.BudgetRemaining == nil || *out.BudgetRemaining >= 1e9 {
 		t.Errorf("local fallback did not debit the local ledger: %+v", out)
 	}
@@ -407,7 +408,7 @@ func TestSetRingLifecycle(t *testing.T) {
 
 	// Requests keep working against a one-sided membership (the other
 	// member may own keys; it is unreachable, so they fall back locally).
-	resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
+	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan with unreachable peer: status = %d", resp.StatusCode)
 	}
@@ -420,7 +421,7 @@ func TestSetRingLifecycle(t *testing.T) {
 	if self, members := s.RingMembers(); self != "" || members != nil {
 		t.Fatalf("disabled ring still reports %q %v", self, members)
 	}
-	resp = postJSON(t, ts.URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
+	resp = postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()})
 	if got := resp.Header.Get(ServedByHeader); got != "" {
 		t.Errorf("ringless response carries %s=%q", ServedByHeader, got)
 	}
@@ -462,7 +463,7 @@ func TestRingMetricsGauges(t *testing.T) {
 // owning replica, the in-process mirror of the scripts/ring-demo.sh smoke.
 func TestFleetPinnedStrategyRoutesConsistently(t *testing.T) {
 	_, listeners := newRingFleet(t, 3, func(int) Config { return Config{} })
-	req := planRequest{Job: testJob(), Econ: testEcon(), Strategy: "clone"}
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon(), Strategy: "clone"}
 	served := make(map[string]bool)
 	for _, ts := range listeners {
 		resp := postJSON(t, ts.URL+"/v1/plan", req)
@@ -480,18 +481,18 @@ func TestFleetPinnedStrategyRoutesConsistently(t *testing.T) {
 
 // reqOwnedBy scans deadlines until it finds a plan request whose cache key
 // is owned by the given member on s's current ring view.
-func reqOwnedBy(t *testing.T, s *Server, owner string) planRequest {
+func reqOwnedBy(t *testing.T, s *Server, owner string) api.PlanRequest {
 	t.Helper()
 	rs := s.ringSt.Load()
 	for d := 0; d < 4096; d++ {
 		job := testJob()
 		job.Deadline = 100 + float64(d)
 		if o, ok := rs.ring.Owner(plankey.Key("", job, testEcon())); ok && o == owner {
-			return planRequest{Job: job, Econ: testEcon()}
+			return api.PlanRequest{Job: job, Econ: testEcon()}
 		}
 	}
 	t.Fatalf("no key owned by %q in 4096 candidates", owner)
-	return planRequest{}
+	return api.PlanRequest{}
 }
 
 // --- breaker state machine ------------------------------------------------
@@ -731,7 +732,7 @@ func TestForwardClientDisconnectDoesNotChargeBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := reqOwnedBy(t, s, hanging.URL)
-	strat, best, _ := keyStrategy(req.Strategy)
+	strat, best, _ := plankey.ParseStrategy(req.Strategy)
 	key := plankey.Key((&cell{strat: strat, best: best}).name(), req.Job, req.Econ)
 
 	hreq := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"chronos"
+	"chronos/api"
 )
 
 // testJob returns parameters with a real straggler problem, so the
@@ -75,13 +76,13 @@ func TestHealthz(t *testing.T) {
 
 func TestPlanEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	req := planRequest{Job: testJob(), Econ: testEcon()}
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon()}
 
 	resp := postJSON(t, ts.URL+"/v1/plan", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-	first := decodeBody[planResponse](t, resp)
+	first := decodeBody[api.PlanResponse](t, resp)
 	if first.Cached {
 		t.Error("first request should not be cached")
 	}
@@ -99,7 +100,7 @@ func TestPlanEndpoint(t *testing.T) {
 	}
 
 	// The identical request must short-circuit through the plan cache.
-	second := decodeBody[planResponse](t, postJSON(t, ts.URL+"/v1/plan", req))
+	second := decodeBody[api.PlanResponse](t, postJSON(t, ts.URL+"/v1/plan", req))
 	if !second.Cached {
 		t.Error("repeated request should be served from cache")
 	}
@@ -114,8 +115,8 @@ func TestPlanEndpoint(t *testing.T) {
 
 func TestPlanPinnedStrategy(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := planRequest{Job: testJob(), Econ: testEcon(), Strategy: "clone"}
-	got := decodeBody[planResponse](t, postJSON(t, ts.URL+"/v1/plan", req))
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon(), Strategy: "clone"}
+	got := decodeBody[api.PlanResponse](t, postJSON(t, ts.URL+"/v1/plan", req))
 	if got.Plan.Strategy != chronos.Clone {
 		t.Errorf("strategy = %v, want Clone", got.Plan.Strategy)
 	}
@@ -139,7 +140,7 @@ func TestPlanErrors(t *testing.T) {
 	t.Run("invalid params", func(t *testing.T) {
 		bad := testJob()
 		bad.Beta = 0.5 // infinite-mean Pareto: rejected by validation
-		resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: bad, Econ: testEcon()})
+		resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: bad, Econ: testEcon()})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
@@ -148,7 +149,7 @@ func TestPlanErrors(t *testing.T) {
 
 	t.Run("unknown strategy", func(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/plan",
-			planRequest{Job: testJob(), Econ: testEcon(), Strategy: "dolly"})
+			api.PlanRequest{Job: testJob(), Econ: testEcon(), Strategy: "dolly"})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
@@ -165,7 +166,7 @@ func TestPlanErrors(t *testing.T) {
 		econ := testEcon()
 		econ.RMin = 0.999999999
 		resp := postJSON(t, ts.URL+"/v1/plan",
-			planRequest{Job: impossible, Econ: econ})
+			api.PlanRequest{Job: impossible, Econ: econ})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Errorf("status = %d, want 422", resp.StatusCode)
@@ -207,16 +208,16 @@ func TestPlanSearchCap(t *testing.T) {
 	job := chronos.JobParams{Tasks: 1000, Deadline: 20, TMin: 10, Beta: 1.5, TauEst: 9.999997, TauKill: 15}
 
 	start := time.Now()
-	resp := postJSON(t, ts.URL+"/v1/plan", planRequest{Job: job, Econ: testEcon(), Strategy: "restart"})
+	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: job, Econ: testEcon(), Strategy: "restart"})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("pinned restart: status = %d, want 422", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/v1/plan", planRequest{Job: job, Econ: testEcon()})
+	resp = postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: job, Econ: testEcon()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("best-of-three: status = %d, want 200", resp.StatusCode)
 	}
-	got := decodeBody[planResponse](t, resp)
+	got := decodeBody[api.PlanResponse](t, resp)
 	if took := time.Since(start); took > 100*time.Millisecond {
 		t.Errorf("two plans took %v, want < 100ms", took)
 	}
@@ -228,19 +229,19 @@ func TestPlanSearchCap(t *testing.T) {
 
 func TestBatchEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	jobs := []batchJobRequest{
+	jobs := []api.BatchJob{
 		{Job: testJob()},                       // best-of-three
 		{Job: testJob(), Strategy: "clone"},    // pinned
 		{Job: testJob(), Strategy: "s-resume"}, // pinned short form
 		{Job: testJob(), RMin: 0.5},            // with a PoCD floor
 	}
-	req := batchRequest{Jobs: jobs, Budget: 5000, Econ: testEcon()}
+	req := api.BatchRequest{Jobs: jobs, Budget: 5000, Econ: testEcon()}
 	resp := postJSON(t, ts.URL+"/v1/plan/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status = %d, want 200 (%s)", resp.StatusCode, body)
 	}
-	got := decodeBody[batchResponse](t, resp)
+	got := decodeBody[api.BatchResponse](t, resp)
 	if len(got.Plans) != len(jobs) {
 		t.Fatalf("got %d plans, want %d", len(got.Plans), len(jobs))
 	}
@@ -262,7 +263,7 @@ func TestBatchErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatchJobs: 2})
 
 	t.Run("no jobs", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/plan/batch", batchRequest{Budget: 100})
+		resp := postJSON(t, ts.URL+"/v1/plan/batch", api.BatchRequest{Budget: 100})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
@@ -270,9 +271,9 @@ func TestBatchErrors(t *testing.T) {
 	})
 
 	t.Run("too many jobs", func(t *testing.T) {
-		jobs := []batchJobRequest{{Job: testJob()}, {Job: testJob()}, {Job: testJob()}}
+		jobs := []api.BatchJob{{Job: testJob()}, {Job: testJob()}, {Job: testJob()}}
 		resp := postJSON(t, ts.URL+"/v1/plan/batch",
-			batchRequest{Jobs: jobs, Budget: 5000, Econ: testEcon()})
+			api.BatchRequest{Jobs: jobs, Budget: 5000, Econ: testEcon()})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
@@ -281,7 +282,7 @@ func TestBatchErrors(t *testing.T) {
 
 	t.Run("missing budget", func(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/plan/batch",
-			batchRequest{Jobs: []batchJobRequest{{Job: testJob()}}, Econ: testEcon()})
+			api.BatchRequest{Jobs: []api.BatchJob{{Job: testJob()}}, Econ: testEcon()})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
@@ -289,8 +290,8 @@ func TestBatchErrors(t *testing.T) {
 	})
 
 	t.Run("budget too small", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/plan/batch", batchRequest{
-			Jobs:   []batchJobRequest{{Job: testJob(), Strategy: "clone"}},
+		resp := postJSON(t, ts.URL+"/v1/plan/batch", api.BatchRequest{
+			Jobs:   []api.BatchJob{{Job: testJob(), Strategy: "clone"}},
 			Budget: 1, Econ: testEcon(),
 		})
 		defer resp.Body.Close()
@@ -311,7 +312,7 @@ func TestTradeoffEndpoint(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status = %d, want 200 (%s)", resp.StatusCode, body)
 	}
-	got := decodeBody[tradeoffResponse](t, resp)
+	got := decodeBody[api.TradeoffResponse](t, resp)
 	if len(got.Points) != 7 {
 		t.Fatalf("got %d points, want 7", len(got.Points))
 	}
@@ -369,12 +370,12 @@ func TestSimulateEndpoint(t *testing.T) {
 		{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5},
 		{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5, Arrival: 50},
 	}
-	resp := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{Config: cfg, Jobs: jobs})
+	resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{Config: cfg, Jobs: jobs})
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status = %d, want 200 (%s)", resp.StatusCode, body)
 	}
-	got := decodeBody[simulateResponse](t, resp)
+	got := decodeBody[api.SimulateResponse](t, resp)
 	if got.Jobs != 2 {
 		t.Errorf("jobs = %d, want 2", got.Jobs)
 	}
@@ -386,7 +387,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	}
 
 	t.Run("no jobs", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{Config: cfg})
+		resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{Config: cfg})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
@@ -394,7 +395,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	})
 
 	t.Run("job too large", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{
+		resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{
 			Config: cfg,
 			Jobs:   []chronos.SimJob{{Tasks: 51, Deadline: 100, TMin: 10, Beta: 1.5}},
 		})
@@ -409,7 +410,7 @@ func TestSimulateEndpoint(t *testing.T) {
 		for i := range many {
 			many[i] = chronos.SimJob{Tasks: 30, Deadline: 100, TMin: 10, Beta: 1.5}
 		}
-		resp := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{Config: cfg, Jobs: many})
+		resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{Config: cfg, Jobs: many})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
@@ -419,7 +420,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	t.Run("negative reduce tasks cannot bypass caps", func(t *testing.T) {
 		// 100 map tasks disguised as 100 + (-60): the sum is under the
 		// 50-task cap, but the negative reduce count must be rejected.
-		resp := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{
+		resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{
 			Config: cfg,
 			Jobs:   []chronos.SimJob{{Tasks: 100, ReduceTasks: -60, Deadline: 100, TMin: 10, Beta: 1.5}},
 		})
@@ -432,7 +433,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	t.Run("oversized cluster", func(t *testing.T) {
 		huge := cfg
 		huge.Nodes = 500_000_000
-		resp := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{
+		resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{
 			Config: huge,
 			Jobs:   []chronos.SimJob{{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5}},
 		})
@@ -443,7 +444,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	})
 
 	t.Run("extreme deadline", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{
+		resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{
 			Config: cfg,
 			Jobs:   []chronos.SimJob{{Tasks: 10, Deadline: 1e18, TMin: 10, Beta: 1.5}},
 		})
@@ -456,7 +457,7 @@ func TestSimulateEndpoint(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := planRequest{Job: testJob(), Econ: testEcon()}
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon()}
 	postJSON(t, ts.URL+"/v1/plan", req).Body.Close()
 	postJSON(t, ts.URL+"/v1/plan", req).Body.Close()
 

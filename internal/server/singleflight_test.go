@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"chronos"
+	"chronos/api"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -40,7 +41,7 @@ func TestSingleflightCollapsesColdMisses(t *testing.T) {
 		<-release
 	}
 
-	req := planRequest{Job: testJob(), Econ: testEcon()}
+	req := api.PlanRequest{Job: testJob(), Econ: testEcon()}
 	plans := make([]chronos.Plan, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -53,7 +54,7 @@ func TestSingleflightCollapsesColdMisses(t *testing.T) {
 				resp.Body.Close()
 				return
 			}
-			plans[i] = decodeBody[planResponse](t, resp).Plan
+			plans[i] = decodeBody[api.PlanResponse](t, resp).Plan
 		}(i)
 	}
 
@@ -82,7 +83,7 @@ func TestSingleflightCollapsesColdMisses(t *testing.T) {
 
 	// The leader populated the cache before leaving the flight table, so a
 	// late arrival is a plain hit: no new leader, no new waiter.
-	late := decodeBody[planResponse](t, postJSON(t, ts.URL+"/v1/plan", req))
+	late := decodeBody[api.PlanResponse](t, postJSON(t, ts.URL+"/v1/plan", req))
 	if !late.Cached {
 		t.Error("post-flight request should be served from cache")
 	}
@@ -114,7 +115,7 @@ func TestSingleflightEvictionStorm(t *testing.T) {
 	for k := 0; k < keys; k++ {
 		job := testJob()
 		job.Tasks = 10 + k // distinct quantized plan keys
-		req := planRequest{Job: job, Econ: testEcon()}
+		req := api.PlanRequest{Job: job, Econ: testEcon()}
 		for i := 0; i < perKey; i++ {
 			wg.Add(1)
 			go func() {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"chronos"
+	"chronos/api"
 	"chronos/internal/ring"
 	"chronos/internal/tenant"
 )
@@ -90,7 +91,7 @@ func TestCorruptCacheDumpIsSkippedAndRewritten(t *testing.T) {
 	if _, _, n := s1.CacheStats(); n != 0 {
 		t.Fatalf("corrupt dump warmed %d entries, want 0", n)
 	}
-	resp := postJSON(t, ts1.URL+"/v1/plan", planRequest{Job: testJob(), Econ: testEcon()})
+	resp := postJSON(t, ts1.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan after corrupt-dump boot: status = %d, want 200", resp.StatusCode)
 	}

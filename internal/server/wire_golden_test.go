@@ -151,6 +151,19 @@ func wireCases() []wireCase {
 		`{"plans":[{"key":"Clone|10|100|10|1.5|30|60|0|0.0001|1|0","plan":{"strategy":"Clone","r":2,"pocd":0.99,"machineTime":300,"cost":300,"utility":-1}},{"key":""}]}`)
 	add("/v1/cache/push 400 invalid JSON", "/v1/cache/push", `{"plans" nope}`)
 	add("/v1/cache/push 413", "/v1/cache/push", wireOversize)
+
+	// Appended with the one body path: bytes after the JSON value are a 400 on
+	// every endpoint (at d9d3b30 all but the first and the third of these
+	// answered 200).
+	trailing := func(path, valid string) { add(path+" 400 trailing bytes", path, valid+" xyz") }
+	trailing("/v1/plan", `{"job":`+wireJob+`,"econ":`+wireEcon+`}`)
+	trailing("/v1/plan/batch", `{"jobs":`+batchJobs+`,"budget":5000,"econ":`+wireEcon+`}`)
+	trailing("/v1/admit", `{"tenant":"team","job":`+wireJob+`}`)
+	trailing("/v1/admit/batch", `{"tenant":"team","jobs":[{"job":`+wireJob+`}]}`)
+	trailing("/v1/simulate", `{"config":{"strategy":"clone","seed":7},"jobs":[`+wireSimJob+`]}`)
+	trailing("/v1/replay", `{"config":{"strategy":"clone","seed":7},"benchmark":`+wireBench+`}`)
+	trailing("/v1/cache/push", `{"plans":[]}`)
+	cases = append(cases, wireCase{name: "/v1/escrow/lease 400 trailing bytes", path: "/v1/escrow/lease", body: lease + " xyz", escrow: true})
 	return cases
 }
 

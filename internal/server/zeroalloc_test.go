@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"chronos/api"
 	"chronos/internal/race"
 	"chronos/internal/tenant"
 )
@@ -86,7 +87,7 @@ func assertZeroAlloc(t *testing.T, name string, body *rewindBody, w *reuseRW, se
 func TestPlanHandlerCachedZeroAlloc(t *testing.T) {
 	s := New(Config{})
 	body, req, w := zeroAllocRequest(t, "/v1/plan",
-		planRequest{Job: testJob(), Econ: testEcon()})
+		api.PlanRequest{Job: testJob(), Econ: testEcon()})
 	assertZeroAlloc(t, "handlePlan", body, w, func() { s.handlePlan(w, req) })
 	if hits, _, _ := s.CacheStats(); hits == 0 {
 		t.Fatal("measured requests never hit the plan cache")
@@ -102,7 +103,7 @@ func TestAdmitHandlerCachedZeroAlloc(t *testing.T) {
 	}
 	s := New(Config{Tenants: reg})
 	body, req, w := zeroAllocRequest(t, "/v1/admit",
-		admitRequest{Tenant: "bench", Job: testJob(), Econ: testEcon()})
+		api.AdmitRequest{Tenant: "bench", Job: testJob(), Econ: testEcon()})
 	assertZeroAlloc(t, "handleAdmit", body, w, func() { s.handleAdmit(w, req) })
 	if hits, _, _ := s.CacheStats(); hits == 0 {
 		t.Fatal("measured requests never hit the plan cache")
@@ -126,7 +127,7 @@ func TestPlanHandlerColdAllocs(t *testing.T) {
 	for i := range bodies {
 		job := testJob()
 		job.Deadline = 100 + float64(i)*0.25
-		bodies[i], reqs[i], w = zeroAllocRequest(t, "/v1/plan", planRequest{Job: job, Econ: testEcon()})
+		bodies[i], reqs[i], w = zeroAllocRequest(t, "/v1/plan", api.PlanRequest{Job: job, Econ: testEcon()})
 	}
 	i := 0
 	serve := func() {
@@ -164,12 +165,12 @@ func TestServingStackAllocCeilings(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	batch := make([]admitBatchJob, 16)
+	batch := make([]api.AdmitBatchJob, 16)
 	for i := range batch {
 		batch[i].Job = testJob()
 		batch[i].Job.Tasks = 5 + i
 	}
-	admit := admitRequest{Tenant: "bench", Job: testJob(), Econ: testEcon()}
+	admit := api.AdmitRequest{Tenant: "bench", Job: testJob(), Econ: testEcon()}
 	for _, tc := range []struct {
 		name    string
 		cfg     Config
@@ -178,7 +179,7 @@ func TestServingStackAllocCeilings(t *testing.T) {
 		ceiling float64
 	}{
 		{"admit batch of 16", Config{Tenants: deep()}, "/v1/admit/batch",
-			admitBatchRequest{Tenant: "bench", Jobs: batch, Econ: testEcon()}, 177},
+			api.AdmitBatchRequest{Tenant: "bench", Jobs: batch, Econ: testEcon()}, 177},
 		{"escrowed admit", Config{Tenants: deep(), Escrow: true}, "/v1/admit", admit, 29},
 		{"escrowed admit with WAL", Config{Tenants: deep(), Escrow: true, Store: store}, "/v1/admit", admit, 31},
 	} {

@@ -363,15 +363,16 @@ func (b Benchmark) Jobs(n, tasks int, spacing float64) []SimJob {
 }
 
 // TraceConfig shapes a synthetic Google-like trace (see internal/trace for
-// the substitution rationale).
+// the substitution rationale). Its JSON form is the "trace" member of a
+// POST /v1/replay body.
 type TraceConfig struct {
 	// Jobs and HorizonSeconds size the trace (paper: 2700 jobs / 30 h).
-	Jobs           int
-	HorizonSeconds float64
+	Jobs           int     `json:"jobs"`
+	HorizonSeconds float64 `json:"horizonSeconds,omitempty"`
 	// DeadlineRatio sets each job's deadline to ratio x mean task time.
-	DeadlineRatio float64
+	DeadlineRatio float64 `json:"deadlineRatio,omitempty"`
 	// Seed drives the generation.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // SyntheticTrace generates a Google-trace-like job stream ready for
