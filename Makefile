@@ -30,10 +30,11 @@ bench: ## one-iteration benchmark smoke run (the CI bench-smoke job)
 bench-test: ## vet + unit-test the bench/ module against this tree (its own module, so tier-1 never compiles it; no chronosd started)
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-loc: ## comment-free, blank-free, non-test Go line count per package: serving layer, planner core, simulator substrate (the numbers simplicity PRs quote)
+loc: ## comment-free, blank-free, non-test Go line count per package: serving layer, planner core, simulator substrate, contract and SDK (the numbers simplicity PRs quote)
 	@count() { cat "$$@" | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }; \
 	for group in "internal/server internal/hotjson cmd/chronosd" "internal/analysis internal/optimize ." \
-		"internal/sim internal/cluster internal/mapreduce internal/speculate internal/replay internal/experiment internal/workload internal/trace internal/metrics internal/pareto cmd/chronos-figures"; do total=0; \
+		"internal/sim internal/cluster internal/mapreduce internal/speculate internal/replay internal/experiment internal/workload internal/trace internal/metrics internal/pareto cmd/chronos-figures" \
+		"api client internal/tenant internal/ring internal/obs internal/plankey"; do total=0; \
 		for d in $$group; do \
 			n=$$(count $$(ls $$d/*.go | grep -v _test.go)); total=$$((total + n)); \
 			[ $$d = . ] && d='root package'; printf '%-20s %6d\n' "$$d" $$n; \

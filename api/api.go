@@ -64,12 +64,11 @@ type BatchRequest struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// BatchPlan is one job's slice of a batch allocation.
+// BatchPlan is one job's slice of a batch allocation: the strategy it was
+// planned under, then the allocator's r, pocd and machineTime.
 type BatchPlan struct {
-	Strategy    chronos.Strategy `json:"strategy"`
-	R           int              `json:"r"`
-	PoCD        float64          `json:"pocd"`
-	MachineTime float64          `json:"machineTime"`
+	Strategy chronos.Strategy `json:"strategy"`
+	chronos.BatchPlan
 }
 
 // BatchResponse answers POST /v1/plan/batch.

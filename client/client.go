@@ -67,8 +67,7 @@ func New(baseURL string, opts ...Option) *Client {
 func NewFleet(replicas []string, opts ...Option) (*Client, error) {
 	cleaned := make([]string, 0, len(replicas))
 	for _, r := range replicas {
-		r = strings.TrimRight(strings.TrimSpace(r), "/")
-		if r != "" {
+		if r = ring.NormalizeURL(r); r != "" {
 			cleaned = append(cleaned, r)
 		}
 	}

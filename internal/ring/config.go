@@ -1,8 +1,10 @@
 package ring
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -86,17 +88,21 @@ func ParsePeers(s string) []string {
 }
 
 // LoadFile reads a Membership from a JSON file of the form
-// {"self": "http://...", "peers": ["http://...", ...]} and validates it.
+// {"self": "http://...", "peers": ["http://...", ...]} — that one document,
+// with no other key and nothing after it — and validates it.
 func LoadFile(path string) (Membership, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Membership{}, fmt.Errorf("ring: %w", err)
 	}
 	var m Membership
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return Membership{}, fmt.Errorf("ring: parse %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Membership{}, fmt.Errorf("ring: parse %s: data after the document", path)
 	}
 	if err := m.Validate(); err != nil {
 		return Membership{}, fmt.Errorf("%w (in %s)", err, path)

@@ -399,6 +399,34 @@ func TestLoadFile(t *testing.T) {
 	}
 }
 
+// TestLoadFileRejectsTrailingData: the streaming decoder LoadFile reads with
+// stops at the end of the first document, so a second membership (or garbage)
+// after it used to load without a word.
+func TestLoadFileRejectsTrailingData(t *testing.T) {
+	dir := t.TempDir()
+	good := `{"self":"http://a:1","peers":["http://b:2"]}`
+	for name, doc := range map[string]string{
+		"second document": good + ` {"self":"http://evil:1"} garbage`,
+		"garbage":         good + ` xyz`,
+		"closing brace":   good + ` }`,
+	} {
+		path := filepath.Join(dir, "ring.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := LoadFile(path); err == nil {
+			t.Errorf("%s: loaded %+v, want an error", name, m)
+		}
+	}
+	path := filepath.Join(dir, "ring.json")
+	if err := os.WriteFile(path, []byte(good+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(path); err != nil {
+		t.Errorf("trailing newline: %v", err)
+	}
+}
+
 func BenchmarkOwner(b *testing.B) {
 	r := New(fleet(8), 0)
 	keys := sampleKeys(1024)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"chronos/api"
 	"chronos/internal/obs"
 	"chronos/internal/tenant"
 )
@@ -268,8 +267,7 @@ func (s *Server) handleEscrowLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.escrow.ownsTenant(req.Tenant) {
-		s.writeError(w, r, http.StatusConflict, api.CodeNotOwner,
-			"this replica does not own tenant %q", req.Tenant)
+		s.apiError(w, r, http.StatusConflict, "this replica does not own tenant %q", req.Tenant)
 		return
 	}
 	granted, remaining, err := s.escrow.led.Grant(

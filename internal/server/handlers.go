@@ -16,15 +16,15 @@ import (
 	"chronos/internal/tenant"
 )
 
-// errorCodeForStatus maps an HTTP status onto the default error code; call
-// sites with a more specific class (not_owner) pass it
-// explicitly via writeError.
+// errorCodeForStatus maps an HTTP status onto the envelope's error code.
 func errorCodeForStatus(status int) string {
 	switch status {
 	case http.StatusBadRequest:
 		return api.CodeBadRequest
 	case http.StatusNotFound:
 		return api.CodeNotFound
+	case http.StatusConflict:
+		return api.CodeNotOwner
 	case http.StatusRequestEntityTooLarge:
 		return api.CodePayloadTooLarge
 	case http.StatusUnprocessableEntity:
@@ -42,14 +42,15 @@ func errorCodeForStatus(status int) string {
 
 // --- helpers --------------------------------------------------------------
 
-// writeError emits the unified error envelope with an explicit code; the
-// trace ID comes from the request context (empty for untraced callers).
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, code, format string, args ...any) {
+// apiError emits the unified error envelope, the only place one is built: the
+// code follows from the status, the trace ID comes from the request context
+// (empty for untraced callers).
+func (s *Server) apiError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
 	resp := api.ErrorResponse{
 		Error: fmt.Sprintf(format, args...),
-		Code:  code,
+		Code:  errorCodeForStatus(status),
 	}
-	if code == api.CodeBudgetExhausted {
+	if resp.Code == api.CodeBudgetExhausted {
 		// Tenant-ledger rejections keep the field pre-envelope readers parse.
 		resp.Reason = api.ReasonBudgetExhausted
 	}
@@ -57,11 +58,6 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 		resp.TraceID = tr.ID
 	}
 	s.writeJSON(w, r, status, resp)
-}
-
-// apiError is writeError with the code derived from the status.
-func (s *Server) apiError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
-	s.writeError(w, r, status, errorCodeForStatus(status), format, args...)
 }
 
 // decode reads the whole body (readBody, which answers 413 and read errors)
@@ -331,12 +327,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if pool != nil {
 			s.metrics.tenantAdmit(req.Tenant, strategies[i].String())
 		}
-		resp.Plans[i] = api.BatchPlan{
-			Strategy:    strategies[i],
-			R:           p.R,
-			PoCD:        p.PoCD,
-			MachineTime: p.MachineTime,
-		}
+		resp.Plans[i] = api.BatchPlan{Strategy: strategies[i], BatchPlan: p}
 		resp.TotalMachineTime += p.MachineTime
 	}
 	s.writeJSON(w, r, http.StatusOK, resp)

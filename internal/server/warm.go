@@ -7,6 +7,8 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+
+	"chronos/internal/tenant"
 )
 
 // Plan-cache warmth across restarts. The cache is pure derived state, so it
@@ -41,11 +43,9 @@ func (s *Server) cacheDumpPath() string {
 	return filepath.Join(s.cfg.Store.Dir(), cacheDumpFile)
 }
 
-// saveCache dumps the plan cache under the data dir. The write is durable,
-// not just atomic: temp file, File.Sync, rename, then a directory fsync —
-// a rename alone only orders the metadata in the page cache, so a power
-// loss right after Close could otherwise surface an empty or missing dump
-// despite the rename ceremony.
+// saveCache dumps the plan cache under the data dir, durably (see
+// tenant.WriteFileDurable): a power loss right after Close must not surface
+// an empty or missing dump.
 func (s *Server) saveCache() {
 	path := s.cacheDumpPath()
 	if path == "" {
@@ -57,46 +57,11 @@ func (s *Server) saveCache() {
 		s.logOp().Error("plan cache dump encode failed", "error", err.Error())
 		return
 	}
-	if err := writeFileDurable(path, raw); err != nil {
+	if err := tenant.WriteFileDurable(path, raw); err != nil {
 		s.logOp().Error("plan cache dump failed", "error", err.Error())
 		return
 	}
 	s.logOp().Info("plan cache dumped", "entries", len(entries), "path", path)
-}
-
-// writeFileDurable writes data to path via temp+rename, fsyncing both the
-// file (contents reach disk before the rename can) and its directory (the
-// rename itself reaches disk).
-func writeFileDurable(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer dir.Close()
-	return dir.Sync()
 }
 
 // loadCache warms the cache from the previous run's dump; absence is just a

@@ -1,8 +1,10 @@
 package tenant
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -17,7 +19,8 @@ import (
 //	}
 //
 // Zero theta/unitPrice take the package defaults; rmin defaults to 0 (any
-// PoCD acceptable); refillPerSec 0 means a fixed budget.
+// PoCD acceptable); refillPerSec 0 means a fixed budget. Keys other than
+// these six are an error.
 type File struct {
 	Tenants []PoolConfig `json:"tenants"`
 }
@@ -31,9 +34,17 @@ type PoolConfig struct {
 
 // Parse decodes and validates a tenant config document.
 func Parse(data []byte) (*Registry, error) {
+	// Strict, like ring.LoadFile: a misspelt key ("refilPerSec", "rmn") must
+	// fail the load, not silently leave the field at zero — RMin 0 admits
+	// worthless squeezed plans.
 	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("tenant: invalid config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("tenant: invalid config: data after the document")
 	}
 	if len(f.Tenants) == 0 {
 		return nil, fmt.Errorf("tenant: config declares no tenants")

@@ -267,6 +267,26 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnknownField: a typo in tenants.json used to load with the
+// misspelt field at zero — here RefillPerSec 0 and RMin 0, the setting under
+// which admission accepts worthless squeezed plans — and no error.
+func TestParseRejectsUnknownField(t *testing.T) {
+	for name, doc := range map[string]string{
+		"misspelt keys":  `{"tenants":[{"name":"tiny","budget":50,"refilPerSec":5,"rmn":0.5}]}`,
+		"top-level key":  `{"tenants":[{"name":"tiny","budget":50}],"defaults":{}}`,
+		"trailing data":  `{"tenants":[{"name":"tiny","budget":50}]} {"tenants":[{"name":"tiny","budget":1e9}]}`,
+		"trailing brace": `{"tenants":[{"name":"tiny","budget":50}]} }`,
+	} {
+		if r, err := Parse([]byte(doc)); err == nil {
+			t.Errorf("%s: loaded %+v, want an error", name, r.Get("tiny").Limits())
+		}
+	}
+	// Trailing whitespace is not data.
+	if _, err := Parse([]byte(`{"tenants":[{"name":"tiny","budget":50,"refillPerSec":5,"rmin":0.5}]}` + "\n")); err != nil {
+		t.Errorf("well-formed document: %v", err)
+	}
+}
+
 func TestLoadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tenants.json")
 	if err := os.WriteFile(path, []byte(`{"tenants": [{"name": "a", "budget": 7}]}`), 0o600); err != nil {

@@ -172,16 +172,27 @@ func (s *Store) recover() error {
 	leases := leaseIndex(snap.Leases)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	lineNo, torn := 0, 0
 	for sc.Scan() {
+		lineNo++
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
+		if torn != 0 {
+			// A crash tears only the append it interrupts, and the owner's
+			// boot-time anchor Compact truncates the log before the next
+			// process life appends — so a record after an undecodable line
+			// means the log is damaged, and skipping the line (or stopping at
+			// it) would restore budget that was spent.
+			return fmt.Errorf("tenant: wal %s: line %d is corrupt and records follow it; refusing to restore levels above their true spend", walFile, torn)
+		}
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			// A torn final append from a crash; everything before it is
-			// intact, so stop here rather than failing the boot.
-			break
+			// So far a torn final append from a crash: everything before it
+			// is intact, and if nothing follows the boot goes on without it.
+			torn = lineNo
+			continue
 		}
 		if rec.Seq <= snap.Seq {
 			continue // already folded into the snapshot
@@ -312,9 +323,9 @@ func (s *Store) AppendFailures() (uint64, error) {
 }
 
 // Compact writes a fresh snapshot of the given state and truncates the WAL.
-// The snapshot lands via write-to-temp + rename, so a crash mid-compaction
-// leaves either the old snapshot (plus the intact WAL) or the new one; the
-// stored sequence number makes leftover WAL records idempotent.
+// The snapshot lands via WriteFileDurable, so a crash mid-compaction leaves
+// either the old snapshot (plus the intact WAL) or the new one; the stored
+// sequence number makes leftover WAL records idempotent.
 func (s *Store) Compact(pools map[string]float64, leases []LeaseRecord) error {
 	if s == nil {
 		return nil
@@ -331,11 +342,9 @@ func (s *Store) Compact(pools map[string]float64, leases []LeaseRecord) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, snapshotFile+".tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapshotFile)); err != nil {
+	// The snapshot must be on disk before the records it folds in are
+	// truncated away, or a power loss leaves neither.
+	if err := WriteFileDurable(filepath.Join(s.dir, snapshotFile), raw); err != nil {
 		return err
 	}
 	if err := s.w.Flush(); err != nil {
@@ -349,6 +358,40 @@ func (s *Store) Compact(pools map[string]float64, leases []LeaseRecord) error {
 	}
 	s.w.Reset(s.wal)
 	return nil
+}
+
+// WriteFileDurable replaces the file at path with data, atomically and
+// durably: temp file, File.Sync (the contents reach disk before the rename
+// can), rename, then a directory fsync (the rename itself reaches disk — a
+// rename alone only orders the metadata in the page cache). The one file
+// writer under -data-dir: the ledger snapshot above and the serving layer's
+// plan-cache dump.
+func WriteFileDurable(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // Close flushes and closes the WAL. The caller should Compact first on a

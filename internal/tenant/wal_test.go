@@ -159,6 +159,49 @@ func TestStoreTornTailTolerated(t *testing.T) {
 	}
 }
 
+// TestStoreMidFileCorruptionFailsOpen: recovery used to treat any undecodable
+// line as a torn tail and stop there, so one damaged byte in the first of
+// three debits restored the pool at 1000 instead of 700 — spent budget back
+// from the dead. Only the final line can be torn by a crash; an undecodable
+// line with records after it must fail the open, naming the line.
+func TestStoreMidFileCorruptionFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(map[string]float64{"a": 1000}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := st.Append(Record{Op: OpDebit, Tenant: "a", Amount: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, walFile)
+	wal, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal[1] = '#' // inside the first record
+	if err := os.WriteFile(walPath, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := OpenStore(dir)
+	if err == nil {
+		level := st2.State().Pools["a"]
+		st2.Close()
+		t.Fatalf("OpenStore accepted a WAL corrupt at line 1 of 3 and restored the pool at %v (true level 700)", level)
+	}
+	if !strings.Contains(err.Error(), "line 1") {
+		t.Errorf("error %q does not name the corrupt line", err)
+	}
+}
+
 func TestStoreSequencesSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)

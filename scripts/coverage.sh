@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # coverage.sh — per-package coverage report plus a gate on the serving
-# layer: internal/server, internal/tenant, internal/replay, internal/ring
-# and internal/obs together must stay at or above THRESHOLD percent
-# statement coverage. One `go test -race` run doubles as
+# layer and its contract: internal/server, internal/tenant, internal/replay,
+# internal/ring, internal/obs, internal/plankey, api and client together must
+# stay at or above THRESHOLD percent statement coverage. One `go test -race` run doubles as
 # the race gate and produces both the per-package report and the profile
 # the coverage gate is computed from, so CI never executes the suite twice.
 # Used by `make cover` and the CI test step, so local runs match the
@@ -17,11 +17,11 @@ echo "== per-package coverage (with -race) =="
 go test -race -coverprofile="$PROFILE" ./...
 
 echo
-echo "== gated packages (>= ${THRESHOLD}%): internal/server + internal/tenant + internal/replay + internal/ring + internal/obs =="
+echo "== gated packages (>= ${THRESHOLD}%): internal/server + internal/tenant + internal/replay + internal/ring + internal/obs + internal/plankey + api + client =="
 gated="$(mktemp)"
 trap 'rm -f "$gated"' EXIT
 head -n 1 "$PROFILE" > "$gated" # the "mode:" line
-grep -E '^chronos/internal/(server|tenant|replay|ring|obs)/' "$PROFILE" >> "$gated"
+grep -E '^chronos/(internal/(server|tenant|replay|ring|obs|plankey)|api|client)/' "$PROFILE" >> "$gated"
 total="$(go tool cover -func="$gated" | awk '/^total:/ {sub(/%/, "", $3); print $3}')"
 echo "combined statement coverage: ${total}%"
 awk -v got="$total" -v want="$THRESHOLD" 'BEGIN {
