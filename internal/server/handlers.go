@@ -336,13 +336,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // handleTradeoff serves GET /v1/tradeoff: the PoCD/cost frontier for one
 // strategy, r = 0..maxR.
 func (s *Server) handleTradeoff(w http.ResponseWriter, r *http.Request) {
-	query := r.URL.Query()
-	strat, err := chronos.ParseStrategy(query.Get("strategy"))
-	if err != nil {
-		s.apiError(w, r, http.StatusBadRequest, "%v", err)
-		return
+	q, paramErr := api.ParseTradeoffQuery(r.URL.Query())
+	strat, err := chronos.ParseStrategy(q.Strategy)
+	if err == nil {
+		// An unknown strategy is reported ahead of a malformed parameter.
+		err = paramErr
 	}
-	q, err := api.ParseTradeoffQuery(query)
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "%v", err)
 		return
