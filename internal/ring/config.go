@@ -3,10 +3,14 @@ package ring
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
+	"net/url"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -16,10 +20,10 @@ import (
 // into the serving layer.
 type Membership struct {
 	// Self is this replica's own base URL as the fleet addresses it
-	// (scheme://host:port, no trailing slash).
+	// (http://host:port).
 	Self string `json:"self"`
-	// Peers are the fleet members' base URLs. Self may be included or not;
-	// Members always adds it.
+	// Peers are the fleet members' base URLs, in the same form. Self may be
+	// included or not; Members always adds it.
 	Peers []string `json:"peers"`
 }
 
@@ -30,8 +34,11 @@ func (m Membership) Enabled() bool {
 }
 
 // Validate checks the invariants the serving layer depends on: a ring with
-// peers must know its own identity, and every member must be a non-empty
-// base URL.
+// peers must know its own identity, and every member, self included, must be
+// a base URL its peers can dial (see DialAddr). A member that cannot be
+// dialed would otherwise load without a word and cost its arc of the
+// keyspace: every forward to it fails, its breaker opens, and its keys are
+// served by cold local fallback for as long as the membership stands.
 func (m Membership) Validate() error {
 	if !m.Enabled() {
 		return nil
@@ -39,12 +46,38 @@ func (m Membership) Validate() error {
 	if m.Self == "" {
 		return fmt.Errorf("ring: peers configured but self is empty")
 	}
-	for _, p := range m.Peers {
-		if strings.TrimSpace(p) == "" {
-			return fmt.Errorf("ring: empty peer URL in membership")
+	for _, member := range append([]string{m.Self}, m.Peers...) {
+		if _, err := DialAddr(NormalizeURL(member)); err != nil {
+			return fmt.Errorf("ring: member %q %w", member, err)
 		}
 	}
 	return nil
+}
+
+// DialAddr returns the host:port at which a normalized member URL is dialed,
+// or the reason the URL cannot name a chronosd replica. A member is exactly
+// http://host[:port]: chronosd has no TLS listener and serves from the root,
+// and the URL's text is the member's identity on the ring, so userinfo, a
+// path, a query or a fragment is a misconfiguration rather than a variant.
+func DialAddr(member string) (string, error) {
+	u, err := url.Parse(member)
+	if err != nil {
+		return "", fmt.Errorf("does not parse: %w", err)
+	}
+	if u.Scheme == "https" {
+		return "", errors.New("is https, and chronosd has no TLS listener: members are plain http:// URLs")
+	}
+	if u.Hostname() == "" || member != "http://"+u.Host {
+		return "", errors.New("is not of the form http://host[:port] (no userinfo, path, query or fragment)")
+	}
+	port := u.Port()
+	if port == "" {
+		return net.JoinHostPort(u.Hostname(), "80"), nil
+	}
+	if _, err := strconv.ParseUint(port, 10, 16); err != nil {
+		return "", fmt.Errorf("has port %s, which is out of range", port)
+	}
+	return u.Host, nil
 }
 
 // Members returns the full deduplicated member set — peers plus self, each

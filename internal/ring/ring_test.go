@@ -5,6 +5,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -354,6 +356,42 @@ func TestMembershipValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUndialableMember: a member URL no replica can dial used
+// to load without a word — every forward to it failed, its breaker opened,
+// and its arc of the keyspace was served by cold local fallback for good.
+func TestValidateRejectsUndialableMember(t *testing.T) {
+	for _, member := range []string{
+		"127.0.0.1:8081",    // no scheme
+		"ftp://a",           // not HTTP
+		"http://a:1/prefix", // chronosd serves from the root
+		"http://",           // normalizes to the member "http:"
+		"https://a:1",       // chronosd has no TLS listener
+		"http://u@a:1", "http://a:1?x=1", "http://a:1#f", "http://a:99999", "HTTP://a:1",
+	} {
+		for _, m := range []Membership{
+			{Self: "http://s:1", Peers: []string{"http://b:2", member}},
+			{Self: member, Peers: []string{"http://b:2"}},
+		} {
+			err := m.Validate()
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(member)) {
+				t.Errorf("Validate(%+v) = %v, want an error naming %q", m, err, member)
+			}
+		}
+	}
+	if err := (Membership{Self: "http://s:1", Peers: []string{"https://a:1"}}).Validate(); err == nil || !strings.Contains(err.Error(), "TLS") {
+		t.Errorf("https member: %v, want the reason (no TLS listener)", err)
+	}
+	ok := Membership{Self: " http://s:1/ ", Peers: []string{"http://b", "http://[::1]:8080", "http://10.0.0.1:8080/"}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("Validate(%+v) = %v", ok, err)
+	}
+	for member, want := range map[string]string{"http://b": "b:80", "http://[::1]": "[::1]:80", "http://10.0.0.1:8080": "10.0.0.1:8080"} {
+		if got, err := DialAddr(member); err != nil || got != want {
+			t.Errorf("DialAddr(%q) = %q, %v, want %q", member, got, err, want)
+		}
+	}
+}
+
 func TestParsePeers(t *testing.T) {
 	got := ParsePeers(" http://a:1 ,,http://b:2, ")
 	if len(got) != 2 || got[0] != "http://a:1" || got[1] != "http://b:2" {
@@ -424,6 +462,18 @@ func TestLoadFileRejectsTrailingData(t *testing.T) {
 	}
 	if _, err := LoadFile(path); err != nil {
 		t.Errorf("trailing newline: %v", err)
+	}
+}
+
+// TestLoadFileRejectsUndialableMember: the -ring file goes through the same
+// check, so boot exits and a SIGHUP reload keeps the previous ring.
+func TestLoadFileRejectsUndialableMember(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ring.json")
+	if err := os.WriteFile(path, []byte(`{"self":"http://a:1","peers":["http://b:2","c:3"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), `"c:3"`) {
+		t.Errorf("loaded %+v, %v, want an error naming \"c:3\"", m, err)
 	}
 }
 

@@ -1,20 +1,25 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"chronos/api"
+	"chronos/internal/ring"
 	"chronos/internal/tenant"
 )
 
-// The two serving benchmarks with no twin in bench/ (whose traced run
-// reports the plan and admit handlers as server.*_ns and server.*_allocs).
-// Both cross the full httptest stack and run once per `make bench` as a
-// smoke; neither gates anything.
+// The serving benchmarks with no twin in bench/ (whose traced run reports
+// the plan and admit handlers as server.*_ns and server.*_allocs, and the
+// forward hop only as a share of a mixed workload). Each runs once per
+// `make bench` as a smoke; none gates a timing.
 
 // BenchmarkAdmitHandlerEscrow is an admit with fleet-exact accounting on
 // but no WAL: it debits the escrow ledger's authoritative pool (owner path —
@@ -76,4 +81,57 @@ func BenchmarkBatchHandler(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*len(jobs))/b.Elapsed().Seconds(), "plans/s")
+}
+
+// BenchmarkForwardHop is one forwarded cached plan over real sockets: a raw
+// persistent client posts to a replica a plan whose key the other replica
+// owns, so an iteration is the forwarder's server pass, peerState.call, and
+// the owner's server pass. Connection reuse is asserted as a count: however
+// many forwards ran, the forwarder dialed its peer once.
+func BenchmarkForwardHop(b *testing.B) {
+	var servers [2]*Server
+	var urls [2]string
+	for i := range servers {
+		servers[i] = New(Config{})
+		defer servers[i].Close()
+		ts := httptest.NewServer(servers[i].Handler())
+		defer ts.Close()
+		urls[i] = ts.URL
+	}
+	for i, s := range servers {
+		if err := s.SetRing(ring.Membership{Self: urls[i], Peers: urls[:]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	raw, err := json.Marshal(reqOwnedBy(b, servers[0], urls[1]))
+	if err != nil {
+		b.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", strings.TrimPrefix(urls[0], "http://"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	req := []byte(fmt.Sprintf("POST /v1/plan HTTP/1.1\r\nHost: bench\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(raw), raw))
+	post := func() {
+		if _, err := conn.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		ans, _, err := readPeerAnswer(br, urls[1])
+		if err != nil || ans.status != http.StatusOK || ans.servedBy != urls[1] {
+			b.Fatalf("forwarded plan: status %d served by %q: %s (%v)", ans.status, ans.servedBy, ans.body, err)
+		}
+	}
+	post() // the owner solves and caches; the forwarder dials
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+	b.StopTimer()
+	forwards, dials := vecValue(&servers[0].metrics.ringForwards, urls[1]), vecValue(&servers[0].metrics.ringDials, urls[1])
+	if forwards != uint64(b.N)+1 || dials != 1 {
+		b.Fatalf("%d forwards over %d dials, want %d over exactly 1", forwards, dials, b.N+1)
+	}
 }

@@ -241,11 +241,11 @@ func (m *escrowManager) leaseCall(ctx context.Context, owner string, req escrowL
 	if err != nil {
 		return out, false
 	}
-	status, _, answer, outcome := peer.call(ctx, http.MethodPost, escrowPath, body)
-	if outcome != peerAnswered || status != http.StatusOK {
+	ans, outcome := peer.call(ctx, http.MethodPost, escrowPath, body)
+	if outcome != peerAnswered || ans.status != http.StatusOK {
 		return out, false
 	}
-	return out, json.Unmarshal(answer, &out) == nil
+	return out, json.Unmarshal(ans.body, &out) == nil
 }
 
 // handleEscrowLease serves POST /v1/escrow/lease: the owner side of the

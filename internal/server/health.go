@@ -80,9 +80,10 @@ func (h *healthState) effectiveLocked(self string) []string {
 // ring is configured, so chronosd can always run it.
 func (s *Server) runHealthMonitor() {
 	defer close(s.healthDone)
-	// Probes get their own short-timeout client: a probe slower than the
-	// interval is as good as failed, and sharing forwardClient would let a
-	// wedged peer consume its connection pool.
+	// Probes get their own short-timeout net/http client rather than
+	// peerState.call: a probe slower than the interval is as good as failed,
+	// it must reach configured members that are evicted and so have no
+	// peerState, and its verdict must not touch a breaker.
 	probeClient := &http.Client{Timeout: s.cfg.HeartbeatInterval}
 	ticker := time.NewTicker(s.cfg.HeartbeatInterval)
 	defer ticker.Stop()

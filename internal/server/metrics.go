@@ -45,11 +45,13 @@ type serverMetrics struct {
 	replayJobs     metrics.Counter
 	replayEvents   metrics.Counter
 
-	// Ring series: per-peer relayed forwards and failed peer calls (counted
-	// by peerState.call), plus the aggregate fallback/guard counters of the
-	// sharded serving path.
+	// Ring series: per-peer relayed forwards, failed peer calls (counted by
+	// peerState.call) and connections dialed (peerState.exchange; forwards ÷
+	// dials is the connection reuse ratio), plus the aggregate fallback/guard
+	// counters of the sharded serving path.
 	ringForwards counterVec[string] // by peer URL
 	ringErrors   counterVec[string] // by peer URL
+	ringDials    counterVec[string] // by peer URL
 	// ringLocalFallbacks counts requests computed locally although another
 	// replica owned the key (circuit open, forward failed, or owner 5xx).
 	ringLocalFallbacks metrics.Counter
@@ -389,7 +391,8 @@ func (m *serverMetrics) catalog() []series {
 		{"chronosd_ring_nodes", "gauge", "Replicas in the consistent-hash ring (0 = sharding off).", "TestRingMetricsGauges", nil, ringNodes},
 		{"chronosd_ring_owned_fraction", "gauge", "Fraction of the plan keyspace this replica owns.", "TestRingMetricsGauges", hasRing, ownedFraction},
 		{"chronosd_ring_forwarded_total", "counter", "Requests proxied to the owning replica, by peer.", "bench:server.forwarded_frac", nil, labelled("peer", &m.ringForwards)},
-		{"chronosd_ring_peer_errors_total", "counter", "Failed forward attempts, by peer.", "TestPeerCall", nil, labelled("peer", &m.ringErrors)},
+		{"chronosd_ring_peer_errors_total", "counter", "Failed peer calls (forwards, escrow leases, cache pushes and pulls), by peer.", "TestPeerCall", nil, labelled("peer", &m.ringErrors)},
+		{"chronosd_ring_peer_dials_total", "counter", "Connections dialed to a peer; peer calls reuse them, so forwards per dial is the reuse ratio.", "TestPeerCall", nil, labelled("peer", &m.ringDials)},
 		{"chronosd_ring_local_fallbacks_total", "counter", "Non-owned keys computed locally because the owner was unreachable.", "TestFleetOwnerDownLocalFallback", nil, counter(&m.ringLocalFallbacks)},
 		{"chronosd_ring_received_forwards_total", "counter", "Requests served under the single-hop forwarding guard.", "TestForwardLoopGuard", nil, counter(&m.ringReceivedForwards)},
 		{"chronosd_ring_heartbeat_failures_total", "counter", "Failed liveness probes, by configured member.", "TestFleetHealthEvictionReplicaReadAndHandoff", nil, labelled("peer", &m.ringHeartbeatFails)},

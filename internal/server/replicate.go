@@ -129,9 +129,9 @@ func (s *Server) pushPlans(rs *ringState, byPeer map[string][]savedPlan) int {
 				s.logOp().Error("cache push encode failed", "error", err.Error())
 				break
 			}
-			status, _, _, outcome := peer.call(context.Background(), http.MethodPost, "/v1/cache/push", raw)
-			if outcome != peerAnswered || status != http.StatusOK {
-				s.logOp().Warn("cache push failed", "peer", target, "status", status)
+			ans, outcome := peer.call(context.Background(), http.MethodPost, "/v1/cache/push", raw)
+			if outcome != peerAnswered || ans.status != http.StatusOK {
+				s.logOp().Warn("cache push failed", "peer", target, "status", ans.status)
 				break
 			}
 			loaded += len(chunk)

@@ -73,46 +73,48 @@ func (s *Server) SetRing(m ring.Membership) error {
 }
 
 // applyRing swaps in a new effective ring over members (nil disables
-// sharding). Circuit-breaker state carries over for peers present in both
-// the old and new view; an evicted peer's breaker is dropped, so a
-// re-admitted member starts with a closed circuit. When the member set
-// actually changed, the remapped slice of the hot cache is streamed to its
-// new owners in the background (warm handoff).
+// sharding). Circuit-breaker state and idle connections carry over for peers
+// present in both the old and new view; an evicted peer's state is dropped
+// and its connections closed, so a re-admitted member starts with a closed
+// circuit and a fresh dial. When the member set actually changed, the
+// remapped slice of the hot cache is streamed to its new owners in the
+// background (warm handoff).
 func (s *Server) applyRing(self string, members []string) {
-	if len(members) == 0 {
-		s.ringSt.Store(nil)
-		return
-	}
-	r := ring.New(members, ring.DefaultVirtualNodes)
+	s.ringMu.Lock()
+	defer s.ringMu.Unlock()
 	old := s.ringSt.Load()
-	if old != nil && old.self != self {
-		old = nil // a new identity keeps no peer state and hands nothing off
-	}
-	peers := make(map[string]*peerState, len(members))
-	for _, n := range r.Nodes() {
-		if n == self {
-			continue
-		}
-		if old != nil {
-			if p, ok := old.peers[n]; ok {
-				peers[n] = p
-				continue
+	// A new identity keeps no peer state and hands nothing off.
+	sameSelf := old != nil && old.self == self
+	var cur *ringState
+	if len(members) > 0 {
+		r := ring.New(members, ring.DefaultVirtualNodes)
+		peers := make(map[string]*peerState, len(members))
+		for _, n := range r.Nodes() {
+			switch {
+			case n == self:
+			case sameSelf && old.peers[n] != nil:
+				peers[n] = old.peers[n]
+			default:
+				peers[n] = newPeerState(s, n, self)
 			}
 		}
-		peers[n] = &peerState{srv: s, base: n, self: self, breaker: breaker{
-			threshold: s.cfg.BreakerThreshold,
-			cooldown:  s.cfg.BreakerCooldown,
-		}}
-	}
-	cur := &ringState{
-		ring:        r,
-		self:        self,
-		peers:       peers,
-		replication: s.cfg.Replication,
-		selfHdr:     []string{self},
+		cur = &ringState{
+			ring:        r,
+			self:        self,
+			peers:       peers,
+			replication: s.cfg.Replication,
+			selfHdr:     []string{self},
+		}
 	}
 	s.ringSt.Store(cur)
-	if old != nil && !slices.Equal(old.ring.Nodes(), r.Nodes()) {
+	if old != nil {
+		for n, p := range old.peers {
+			if cur == nil || cur.peers[n] != p {
+				p.closeIdle()
+			}
+		}
+	}
+	if cur != nil && sameSelf && !slices.Equal(old.ring.Nodes(), cur.ring.Nodes()) {
 		go s.handoffRemapped(old, cur)
 	}
 }
@@ -193,7 +195,7 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path str
 		// Each attempt — request out through body read — is one StageForward
 		// span on this side.
 		start := time.Now()
-		status, header, answer, outcome := peer.call(r.Context(), http.MethodPost, path, body)
+		ans, outcome := peer.call(r.Context(), http.MethodPost, path, body)
 		if outcome == peerSkipped {
 			continue
 		}
@@ -205,7 +207,7 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path str
 			// The client went away mid-forward; a local fallback would compute
 			// a plan nobody reads. Drop the request.
 			return true
-		case status == http.StatusNotFound:
+		case ans.status == http.StatusNotFound:
 			// Config drift during a rolling rollout: this replica resolved the
 			// request (tenant lookup included) before forwarding, so a peer 404
 			// means its view disagrees — serve locally instead of failing a
@@ -218,14 +220,14 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path str
 		if i > 0 {
 			s.metrics.ringReplicaReads.Inc()
 		}
-		if ct := header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
+		if ans.contentType != "" {
+			w.Header().Set("Content-Type", ans.contentType)
 		}
-		if sb := header.Get(ServedByHeader); sb != "" {
-			w.Header().Set(ServedByHeader, sb)
+		if ans.servedBy != "" {
+			w.Header().Set(ServedByHeader, ans.servedBy)
 		}
-		w.WriteHeader(status)
-		_, _ = w.Write(answer)
+		w.WriteHeader(ans.status)
+		_, _ = w.Write(ans.body)
 		return true
 	}
 	s.metrics.ringLocalFallbacks.Inc()

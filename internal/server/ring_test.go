@@ -481,7 +481,7 @@ func TestFleetPinnedStrategyRoutesConsistently(t *testing.T) {
 
 // reqOwnedBy scans deadlines until it finds a plan request whose cache key
 // is owned by the given member on s's current ring view.
-func reqOwnedBy(t *testing.T, s *Server, owner string) api.PlanRequest {
+func reqOwnedBy(t testing.TB, s *Server, owner string) api.PlanRequest {
 	t.Helper()
 	rs := s.ringSt.Load()
 	for d := 0; d < 4096; d++ {

@@ -28,11 +28,11 @@ type Server struct {
 	mux     *http.ServeMux
 	tenants atomic.Pointer[tenant.Registry]
 	// ringSt is the current fleet-membership view; nil disables sharding.
-	// Swapped atomically by SetRing (SIGHUP reload path).
+	// Swapped atomically by applyRing (SIGHUP reloads and health transitions),
+	// which ringMu serializes: a swap also closes the connections of the
+	// peers it drops, and two interleaved swaps could close a kept peer's.
 	ringSt atomic.Pointer[ringState]
-	// peerClient carries every replica-to-replica call (peer.go); each call
-	// is bounded by cfg.ForwardTimeout through its context.
-	peerClient *http.Client
+	ringMu sync.Mutex
 	// replaySem bounds concurrently running /v1/replay streams; each
 	// running replay holds one slot.
 	replaySem chan struct{}
@@ -87,14 +87,13 @@ func (s *Server) logOp() *slog.Logger {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:        cfg,
-		cache:      newPlanCache(cfg.CacheShards, cfg.CacheCapacity),
-		pool:       newWorkerPool(cfg.Workers),
-		metrics:    newServerMetrics(),
-		peerClient: &http.Client{},
-		replaySem:  make(chan struct{}, cfg.MaxActiveReplays),
-		traces:     obs.NewTraceRing(cfg.TraceRingSize),
-		reqLog:     obs.FromSlog(cfg.Logger, cfg.LogSample),
+		cfg:       cfg,
+		cache:     newPlanCache(cfg.CacheShards, cfg.CacheCapacity),
+		pool:      newWorkerPool(cfg.Workers),
+		metrics:   newServerMetrics(),
+		replaySem: make(chan struct{}, cfg.MaxActiveReplays),
+		traces:    obs.NewTraceRing(cfg.TraceRingSize),
+		reqLog:    obs.FromSlog(cfg.Logger, cfg.LogSample),
 	}
 	if cfg.Tenants != nil {
 		s.tenants.Store(cfg.Tenants)
@@ -183,9 +182,10 @@ func (s *Server) SetTenants(reg *tenant.Registry) {
 
 // Close stops the heartbeat monitor and replication fan-out, releases this
 // replica's escrow leases back to their owners, compacts the ledger into a
-// final snapshot, and dumps the hot plan cache under the data dir for the
-// next boot's warm start. Safe to call more than once; a server without
-// those subsystems closes as a no-op.
+// final snapshot, dumps the hot plan cache under the data dir for the next
+// boot's warm start, and leaves the ring, which closes the idle peer
+// connections (after the lease release, which travels on them). Safe to call
+// more than once; a server without those subsystems closes as a no-op.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.healthStop != nil {
@@ -200,6 +200,7 @@ func (s *Server) Close() {
 			s.escrow.shutdown()
 		}
 		s.saveCache()
+		s.applyRing("", nil)
 	})
 }
 

@@ -120,14 +120,14 @@ func (s *Server) WarmFromPeers(ctx context.Context) int {
 	}
 	total := 0
 	for _, peer := range rs.peers {
-		status, _, answer, outcome := peer.call(ctx, http.MethodGet,
+		ans, outcome := peer.call(ctx, http.MethodGet,
 			"/v1/cache/owned?holder="+url.QueryEscape(rs.self), nil)
-		if outcome != peerAnswered || status != http.StatusOK {
-			s.logOp().Warn("cache warm failed", "peer", peer.base, "status", status)
+		if outcome != peerAnswered || ans.status != http.StatusOK {
+			s.logOp().Warn("cache warm failed", "peer", peer.base, "status", ans.status)
 			continue
 		}
 		var resp cacheOwnedResponse
-		if err := json.Unmarshal(answer, &resp); err != nil {
+		if err := json.Unmarshal(ans.body, &resp); err != nil {
 			continue
 		}
 		total += s.cache.load(resp.Plans)
