@@ -110,8 +110,9 @@ func main() {
 		os.Exit(1)
 	}
 	// All operational logs are structured JSON on stderr, machine-parseable
-	// by the same pipeline that ingests the request lines.
-	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	// by the same pipeline that ingests the request lines; obs's handler is
+	// what lets the server append those lines into the same stream itself.
+	logger := slog.New(obs.NewHandler(os.Stderr, level))
 	slog.SetDefault(logger)
 
 	var tenants *tenant.Registry

@@ -2,40 +2,15 @@ package hotjson
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"unicode/utf8"
 
 	"chronos"
+	"chronos/internal/jsonfloat"
 )
 
 const hexDigits = "0123456789abcdef"
-
-// appendFloat appends f exactly as encoding/json does: ES6 number-to-string
-// conversion ('f' format, switching to 'e' outside [1e-6, 1e21) with the
-// zero-padded exponent trimmed). Inf and NaN are an error, as in
-// json.Marshal.
-func appendFloat(dst []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, fmt.Errorf("hotjson: unsupported float value %s", strconv.FormatFloat(f, 'g', -1, 64))
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// Clean up e-09 to e-9, as encoding/json does.
-		n := len(dst)
-		if n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, nil
-}
 
 // appendString appends s as a quoted JSON string with encoding/json's
 // default escaping: control characters, quote and backslash, the
@@ -115,7 +90,7 @@ func (w *writer) fail(err error) {
 func (w *writer) float(key string, f float64) {
 	w.raw(key)
 	var err error
-	if w.buf, err = appendFloat(w.buf, f); err != nil {
+	if w.buf, err = jsonfloat.Append(w.buf, f); err != nil {
 		w.fail(err)
 	}
 }

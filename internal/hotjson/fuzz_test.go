@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"chronos"
+	"chronos/internal/jsonfloat"
 )
 
 // The fuzz targets hold hotjson to its contract: the request decoders
@@ -127,7 +128,7 @@ func (testInterner) InternString(b []byte) (string, bool) {
 
 var _ Interner = testInterner{}
 
-// FuzzFloatFormat pins appendFloat to encoding/json's ES6 float format on
+// FuzzFloatFormat pins jsonfloat.Append to encoding/json's ES6 float format on
 // raw bit patterns, not just floats reachable by decoding.
 func FuzzFloatFormat(f *testing.F) {
 	f.Add(0.0)
@@ -140,7 +141,7 @@ func FuzzFloatFormat(f *testing.F) {
 	f.Add(5e-324)
 	f.Fuzz(func(t *testing.T, v float64) {
 		want, refErr := json.Marshal(v)
-		got, hotErr := appendFloat(nil, v)
+		got, hotErr := jsonfloat.Append(nil, v)
 		if (refErr == nil) != (hotErr == nil) {
 			t.Fatalf("float %v: encoding/json err %v, hotjson err %v", v, refErr, hotErr)
 		}

@@ -8,11 +8,12 @@ import (
 )
 
 // TraceRing keeps the last capacity finished request snapshots. Inserts are
-// O(1) under one mutex (once per request, after the response is written, so
-// the lock is off the client-visible latency path); readers get the slowest
-// of the retained window, which is what an operator debugging a latency
-// regression wants: "what were the worst recent requests and where did they
-// spend their time".
+// O(1) under one mutex, once per request, after the handler returns. That
+// is off the client's latency only for a streamed answer: a buffered one
+// leaves net/http after the middleware does, so the insert is ahead of it.
+// Readers get the slowest of the retained window, which is what an operator
+// debugging a latency regression wants: "what were the worst recent
+// requests and where did they spend their time".
 type TraceRing struct {
 	mu   sync.Mutex
 	buf  []*Snapshot

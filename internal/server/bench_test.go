@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"chronos/api"
+	"chronos/internal/obs"
 	"chronos/internal/ring"
 	"chronos/internal/tenant"
 )
@@ -133,5 +136,24 @@ func BenchmarkForwardHop(b *testing.B) {
 	forwards, dials := vecValue(&servers[0].metrics.ringForwards, urls[1]), vecValue(&servers[0].metrics.ringDials, urls[1])
 	if forwards != uint64(b.N)+1 || dials != 1 {
 		b.Fatalf("%d forwards over %d dials, want %d over exactly 1", forwards, dials, b.N+1)
+	}
+}
+
+// BenchmarkRouteEnvelope is what route wraps around every handler, as one
+// number: mux dispatch, MaxBytesReader, trace mint and header stamp,
+// WithContext, the status recorder, the latency and stage histograms, the
+// trace ring and the default request log line — around a handler that does
+// nothing, with chronosd's own log handler on.
+func BenchmarkRouteEnvelope(b *testing.B) {
+	s := New(Config{Logger: slog.New(obs.NewHandler(io.Discard, slog.LevelInfo))})
+	defer s.Close()
+	s.route("POST /bench/noop", "/bench/noop", func(http.ResponseWriter, *http.Request) {})
+	h := s.Handler()
+	_, req, w := zeroAllocRequest(b, "/bench/noop", api.PlanRequest{Job: testJob(), Econ: testEcon()})
+	h.ServeHTTP(w, req)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, req)
 	}
 }

@@ -115,13 +115,16 @@ type Config struct {
 	Replication int
 
 	// Logger receives structured logs: sampled per-request lines (trace ID,
-	// route, status, stage breakdown) and unsampled 5xx lines. Nil disables
-	// request logging entirely — the zero-config embedded/test server and
-	// the benchmarks run silent.
+	// route, status, stage breakdown) and unsampled 5xx lines, which are
+	// ERROR lines and so survive any level. On a handler from
+	// obs.NewHandler (chronosd's) the server appends request lines into the
+	// handler's stream itself; on any other handler they go through slog
+	// with the same bytes. Nil disables request logging entirely — the
+	// zero-config embedded/test server and the benchmarks run silent.
 	Logger *slog.Logger
 	// LogSample logs every Nth request line (5xx lines always log). Zero or
-	// one logs every request; production fleets raise it so the cached plan
-	// path does not pay a JSON encode per request.
+	// one logs every request; a line is cheap to make, so a fleet raises
+	// this for volume — about 150 bytes times its request rate.
 	LogSample int
 	// TraceRingSize is how many finished request snapshots /debug/traces
 	// retains. Zero means obs.DefaultTraceRingSize (256).

@@ -16,8 +16,9 @@ import (
 // pooled request/response buffers, the reflection-free hotjson wiring, and
 // the buffered writeJSON used by every other endpoint. A cached plan or a
 // warm admit allocates nothing between the body read and the response write
-// (net/http's own per-request machinery aside), which TestHotPathZeroAlloc
-// pins down.
+// (net/http's own per-request machinery aside), which
+// TestPlanHandlerCachedZeroAlloc and TestAdmitHandlerCachedZeroAlloc pin
+// down.
 
 // hotBuf carries every per-request scratch object the plan/admit handlers
 // need: body and response buffers, the plan-key buffer, and the wire structs

@@ -340,11 +340,21 @@ func TestDebugHandlerServesPprof(t *testing.T) {
 
 // TestRequestLogLine injects a buffer-backed slog logger and checks the
 // structured request line: trace ID, route, status, cache flag, and the stage
-// group all land in one JSON object.
+// group all land in one JSON object — on chronosd's own handler, where the
+// server renders the line itself, and on a foreign one, where slog does.
 func TestRequestLogLine(t *testing.T) {
+	for name, handler := range map[string]func(io.Writer) slog.Handler{
+		"obs handler":  func(w io.Writer) slog.Handler { return obs.NewHandler(w, slog.LevelInfo) },
+		"slog handler": func(w io.Writer) slog.Handler { return slog.NewJSONHandler(w, nil) },
+	} {
+		t.Run(name, func(t *testing.T) { testRequestLogLine(t, handler) })
+	}
+}
+
+func testRequestLogLine(t *testing.T, handler func(io.Writer) slog.Handler) {
 	var buf bytes.Buffer
 	var mu sync.Mutex
-	logger := slog.New(slog.NewJSONHandler(&syncWriter{w: &buf, mu: &mu}, nil))
+	logger := slog.New(handler(&syncWriter{w: &buf, mu: &mu}))
 	_, ts := newTestServer(t, Config{Logger: logger})
 
 	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()})

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"chronos/api"
+	"chronos/internal/obs"
 	"chronos/internal/race"
 	"chronos/internal/tenant"
 )
@@ -154,7 +156,9 @@ func TestPlanHandlerColdAllocs(t *testing.T) {
 // BENCH_N pipeline tracked to the allocation counts it last recorded. Unlike
 // the pins above these cross the full stack — routing, middleware, trace,
 // a fresh httptest request and recorder per call — so the figures are
-// ceilings, not exact pins: a Go release may move net/http's share.
+// ceilings, not exact pins: a Go release may move net/http's share. The
+// logged row has no figure of its own: on chronosd's log handler a cached
+// plan may allocate nothing its unlogged twin does not.
 func TestServingStackAllocCeilings(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool; alloc counts only hold without -race")
@@ -204,4 +208,28 @@ func TestServingStackAllocCeilings(t *testing.T) {
 			}
 		})
 	}
+	t.Run("logged cached plan", func(t *testing.T) {
+		raw, err := json.Marshal(api.PlanRequest{Job: testJob(), Econ: testEcon()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var allocs [2]float64
+		for i, logger := range []*slog.Logger{nil, slog.New(obs.NewHandler(io.Discard, slog.LevelInfo))} {
+			s := New(Config{Logger: logger})
+			defer s.Close()
+			h := s.Handler()
+			serve := func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(raw)))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+				}
+			}
+			serve() // warm the plan cache and the line pool
+			allocs[i] = testing.AllocsPerRun(200, serve)
+		}
+		if allocs[1] > allocs[0] {
+			t.Errorf("%g allocs per logged cached plan, %g unlogged: the request line must add none", allocs[1], allocs[0])
+		}
+	})
 }

@@ -12,10 +12,15 @@
 # asserts re-admission plus the warm cache handoff back. Finally it exercises
 # the escrow failure path: it plants a lease at the tenant's pool owner,
 # SIGKILLs that owner mid-run, restarts it from its data dir, and asserts the
-# boot-time lease reclamation in the structured logs. Also used as the CI
-# smoke step for the ring serving path (make ring-demo).
+# boot-time lease reclamation in the structured logs. It ends by reading
+# every replica's stderr file back: request lines and operational lines share
+# one stream, and through two SIGKILLs every line of it must still be one
+# complete JSON object. Also used as the CI smoke step for the ring serving
+# path (make ring-demo).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+command -v jq >/dev/null \
+  || { echo "FAIL: jq is required (the log-stream checks parse every line)"; exit 1; }
 
 PORT_BASE="${RING_DEMO_PORT_BASE:-18080}"
 BIN="$(mktemp -d)/chronosd"
@@ -137,6 +142,9 @@ for port in "$ENTRY_PORT" "$OWNER_PORT"; do
 done
 grep "\"traceId\":\"$TRACE_ID\"" "$LOG_DIR/$ENTRY_PORT.log" | grep -q '"forward"' \
   || { echo "FAIL: entry replica's log line has no forward span"; exit 1; }
+grep "\"traceId\":\"$TRACE_ID\"" "$LOG_DIR/$OWNER_PORT.log" | head -1 \
+  | jq -e '.msg == "request" and .forwardHop == true' >/dev/null \
+  || { echo "FAIL: owner's request line for the forwarded trace lacks \"forwardHop\":true"; exit 1; }
 
 echo
 echo "OK: cross-replica cache hit — planned via A, hit via B, owned by $OWNER"
@@ -265,3 +273,19 @@ echo "   restored pool level: ${LEVEL:-?} / 100000 machine-seconds"
 
 echo
 echo "OK: owner crash + restart reclaimed the orphaned escrow lease from the WAL"
+
+# --- one stream, whole lines -----------------------------------------------
+# Stop the fleet so the files are final, then require every line of every
+# stderr file (three replicas, two of them with a second file from their
+# restart) to parse as one JSON object on its own.
+for p in "${!PID_OF[@]}"; do kill "${PID_OF[$p]}" 2>/dev/null || true; done
+wait 2>/dev/null || true
+PID_OF=()
+LINES=0
+for log in "$LOG_DIR"/*.log; do
+  jq -e -R -n '[inputs | fromjson | type == "object"] | length > 0 and all' "$log" >/dev/null \
+    || { echo "FAIL: $(basename "$log") holds a line that is not one complete JSON object"; exit 1; }
+  LINES=$((LINES + $(wc -l < "$log")))
+done
+echo
+echo "OK: all $LINES log lines across $(ls "$LOG_DIR"/*.log | wc -l) stderr files are complete JSON objects"
