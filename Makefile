@@ -30,7 +30,7 @@ bench: ## one-iteration benchmark smoke run (the CI bench-smoke job)
 bench-test: ## vet + unit-test the bench/ module against this tree (its own module, so tier-1 never compiles it; no chronosd started)
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-loc: ## comment-free, blank-free, non-test Go line count per package: serving layer, planner core, simulator substrate, contract and SDK (the numbers simplicity PRs quote)
+loc: ## comment-free, blank-free, non-test Go line count per package: serving layer, planner core, simulator substrate, contract and SDK, then their sum (the numbers simplicity PRs quote)
 	@count() { cat "$$@" | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }; \
 	for group in "internal/server internal/hotjson internal/jsonfloat cmd/chronosd" "internal/analysis internal/optimize ." \
 		"internal/sim internal/cluster internal/mapreduce internal/speculate internal/replay internal/experiment internal/workload internal/trace internal/metrics internal/pareto cmd/chronos-figures" \
@@ -38,8 +38,8 @@ loc: ## comment-free, blank-free, non-test Go line count per package: serving la
 		for d in $$group; do \
 			n=$$(count $$(ls $$d/*.go | grep -v _test.go)); total=$$((total + n)); \
 			[ $$d = . ] && d='root package'; printf '%-20s %6d\n' "$$d" $$n; \
-		done; printf '%-20s %6d\n' total $$total; \
-	done
+		done; printf '%-20s %6d\n' total $$total; grand=$$((grand + total)); \
+	done; printf '%-20s %6d\n' 'four groups' $$grand
 
 cover: ## -race suite + per-package coverage + the server+tenant gate
 	./scripts/coverage.sh

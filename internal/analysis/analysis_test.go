@@ -129,13 +129,18 @@ func TestClonePoCDFormula(t *testing.T) {
 	}
 }
 
+// TestHadoopNSMatchesCloneAtZero: no speculation is one attempt per task, so
+// Hadoop-NS is the r = 0 corner of the closed forms — Clone's PoCD(0) is
+// P(every task's single attempt beats D), and with nothing restarted the
+// machine time is N times the unconditional Pareto mean.
 func TestHadoopNSMatchesCloneAtZero(t *testing.T) {
 	p := testParams()
-	if got, want := HadoopNSPoCD(p), NewModel(StrategyClone, p).PoCD(0); got != want {
-		t.Errorf("HadoopNSPoCD = %v, want Clone.PoCD(0) = %v", got, want)
+	want := math.Pow(1-p.Task.Survival(p.Deadline), float64(p.N))
+	if got := NewModel(StrategyClone, p).PoCD(0); math.Abs(got-want) > 1e-12 {
+		t.Errorf("Clone.PoCD(0) = %v, want (1-S(D))^N = %v", got, want)
 	}
-	if got, want := HadoopNSMachineTime(p), float64(p.N)*p.Task.Mean(); got != want {
-		t.Errorf("HadoopNSMachineTime = %v, want %v", got, want)
+	if got, want := NewModel(StrategyRestart, p).MachineTime(0), float64(p.N)*p.Task.Mean(); got != want {
+		t.Errorf("Restart.MachineTime(0) = %v, want N*E[T] = %v", got, want)
 	}
 }
 
@@ -188,6 +193,12 @@ func TestPoCDMonotoneInDeadline(t *testing.T) {
 	}
 }
 
+// pocdAtR evaluates the three closed-form PoCDs at a common r, the quantities
+// Theorem 7 orders.
+func pocdAtR(p Params, r int) (clone, restart, resume float64) {
+	return NewModel(StrategyClone, p).PoCD(r), NewModel(StrategyRestart, p).PoCD(r), NewModel(StrategyResume, p).PoCD(r)
+}
+
 // TestTheorem7Orderings checks R_Clone > R_S-Restart and
 // R_S-Resume > R_S-Restart on a grid of parameters.
 func TestTheorem7Orderings(t *testing.T) {
@@ -197,37 +208,52 @@ func TestTheorem7Orderings(t *testing.T) {
 				p := testParams()
 				p.Task.Beta = beta
 				p.TauEst = tauEst
-				cmp := CompareAtR(p, r)
-				if !cmp.CloneOverRestart {
+				clone, restart, resume := pocdAtR(p, r)
+				if clone < restart {
 					t.Errorf("beta=%v tauEst=%v r=%d: Clone %v < Restart %v",
-						beta, tauEst, r, cmp.Clone, cmp.Restart)
+						beta, tauEst, r, clone, restart)
 				}
-				if !cmp.ResumeOverRestart {
+				if resume < restart {
 					t.Errorf("beta=%v tauEst=%v r=%d: Resume %v < Restart %v",
-						beta, tauEst, r, cmp.Res, cmp.Restart)
+						beta, tauEst, r, resume, restart)
 				}
 			}
 		}
 	}
 }
 
-// TestCloneResumeCrossover verifies conclusion 3 of Theorem 7: Clone's PoCD
-// overtakes Resume's exactly above the crossover r*.
-func TestCloneResumeCrossover(t *testing.T) {
-	p := testParams()
-	p.PhiEst = 0.2
-	rStar := CloneResumeCrossover(p)
-	if math.IsInf(rStar, 0) || math.IsNaN(rStar) {
-		t.Fatalf("crossover = %v, want finite", rStar)
-	}
-	clone, resume := NewModel(StrategyClone, p), NewModel(StrategyResume, p)
-	for r := 0; r <= 12; r++ {
-		c, s := clone.PoCD(r), resume.PoCD(r)
-		if float64(r) > rStar && c < s-1e-12 {
-			t.Errorf("r=%d > r*=%.3f but Clone %v < Resume %v", r, rStar, c, s)
+// TestTheorem7Crossover verifies conclusion 3 of Theorem 7 by scanning r:
+// Clone and Resume cross at most once. Resume leads at small r (a resumed
+// attempt has only (1-phi) of the split left), Clone from some r on, and the
+// order never flips back. A late tauEst pulls the crossover down to where
+// float64 still separates the two PoCDs; at the default tauEst it lies past
+// r = 12, where both have rounded to 1.
+func TestTheorem7Crossover(t *testing.T) {
+	for _, tc := range []struct {
+		tauEst, tauKill float64
+		wantCross       int // first r with Clone ahead; -1 for none in 0..12
+	}{
+		{tauEst: 30, tauKill: 60, wantCross: -1},
+		{tauEst: 60, tauKill: 80, wantCross: 3},
+	} {
+		p := testParams()
+		p.PhiEst, p.TauEst, p.TauKill = 0.2, tc.tauEst, tc.tauKill
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
 		}
-		if float64(r) < rStar && c > s+1e-12 {
-			t.Errorf("r=%d < r*=%.3f but Clone %v > Resume %v", r, rStar, c, s)
+		cross := -1
+		for r := 0; r <= 12; r++ {
+			clone, _, resume := pocdAtR(p, r)
+			switch {
+			case cross < 0 && clone > resume+1e-12:
+				cross = r
+			case cross >= 0 && clone < resume-1e-12:
+				t.Errorf("tauEst=%v r=%d: Resume %v back above Clone %v after the crossover at r=%d",
+					tc.tauEst, r, resume, clone, cross)
+			}
+		}
+		if cross != tc.wantCross {
+			t.Errorf("tauEst=%v: Clone first ahead at r=%d, want %d", tc.tauEst, cross, tc.wantCross)
 		}
 	}
 }
@@ -350,7 +376,7 @@ func mcClone(p Params, r int, seed uint64) (pocd, machineTime float64) {
 		for task := 0; task < p.N; task++ {
 			w := math.Inf(1)
 			for k := 0; k <= r; k++ {
-				if x := p.Task.Sample(rng); x < w {
+				if x := p.Task.FromUniform(rng.Float64()); x < w {
 					w = x
 				}
 			}
@@ -396,7 +422,7 @@ func mcRestart(p Params, r int, seed uint64) (pocd, machineTime float64) {
 	for j := 0; j < mcJobs; j++ {
 		jobMeets := true
 		for task := 0; task < p.N; task++ {
-			t1 := p.Task.Sample(rng)
+			t1 := p.Task.FromUniform(rng.Float64())
 			if t1 <= p.Deadline {
 				totalTime += t1
 				continue
@@ -405,7 +431,7 @@ func mcRestart(p Params, r int, seed uint64) (pocd, machineTime float64) {
 			// attempt with the smallest post-tauEst remaining time.
 			w := t1 - p.TauEst
 			for k := 0; k < r; k++ {
-				if x := p.Task.Sample(rng); x < w {
+				if x := p.Task.FromUniform(rng.Float64()); x < w {
 					w = x
 				}
 			}
@@ -446,14 +472,14 @@ func mcResume(p Params, r int, seed uint64) (pocd, machineTime float64) {
 	for j := 0; j < mcJobs; j++ {
 		jobMeets := true
 		for task := 0; task < p.N; task++ {
-			t1 := p.Task.Sample(rng)
+			t1 := p.Task.FromUniform(rng.Float64())
 			if t1 <= p.Deadline {
 				totalTime += t1
 				continue
 			}
 			w := math.Inf(1)
 			for k := 0; k <= r; k++ {
-				if x := (1 - phi) * p.Task.Sample(rng); x < w {
+				if x := (1 - phi) * p.Task.FromUniform(rng.Float64()); x < w {
 					w = x
 				}
 			}
@@ -526,7 +552,7 @@ func TestDegenerateDeadline(t *testing.T) {
 	p.TauKill = 97
 	re := NewModel(StrategyRestart, p)
 	// Extra attempts are useless: PoCD must equal Hadoop-NS for any r.
-	want := HadoopNSPoCD(p)
+	want := NewModel(StrategyClone, p).PoCD(0)
 	for r := 0; r <= 3; r++ {
 		if got := re.PoCD(r); math.Abs(got-want) > 1e-12 {
 			t.Errorf("degenerate Restart PoCD(%d) = %v, want %v", r, got, want)

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // PoCD is a point evaluation of the job completion-time distribution:
 // R(r) = P(T_job <= D). Because every strategy's closed form holds for any
@@ -78,53 +75,4 @@ func CompletionQuantile(s Strategy, p Params, r int, prob float64) float64 {
 // the target PoCD with r extra attempts — the SLA-quoting direction.
 func DeadlineForPoCD(s Strategy, p Params, r int, target float64) float64 {
 	return CompletionQuantile(s, p, r, target)
-}
-
-// EmpiricalCDF builds a step CDF from samples (e.g. measured job completion
-// times) for comparison against the analytic curve.
-type EmpiricalCDF struct {
-	sorted []float64
-}
-
-// NewEmpiricalCDF copies and sorts the samples.
-func NewEmpiricalCDF(samples []float64) EmpiricalCDF {
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	return EmpiricalCDF{sorted: s}
-}
-
-// At returns the empirical P(X <= t).
-func (e EmpiricalCDF) At(t float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, t)
-	// SearchFloat64s finds the first index >= t; include equal values.
-	for i < len(e.sorted) && e.sorted[i] == t {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// N returns the sample count.
-func (e EmpiricalCDF) N() int { return len(e.sorted) }
-
-// KolmogorovDistance returns the maximum absolute gap between the empirical
-// CDF and a reference CDF evaluated at the sample points — the KS statistic
-// used by the validation tests to compare simulation and theory.
-func (e EmpiricalCDF) KolmogorovDistance(ref func(float64) float64) float64 {
-	worst := 0.0
-	n := float64(len(e.sorted))
-	for i, x := range e.sorted {
-		r := ref(x)
-		// Compare against both step edges.
-		if d := math.Abs(float64(i)/n - r); d > worst {
-			worst = d
-		}
-		if d := math.Abs(float64(i+1)/n - r); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"chronos/internal/pareto"
@@ -89,6 +90,56 @@ func TestDeadlineForPoCDIsSufficient(t *testing.T) {
 	}
 }
 
+// EmpiricalCDF builds a step CDF from samples (here: Monte-Carlo job
+// completion times) — the reference the analytic CompletionCDF is checked
+// against. It has no production caller, so it lives with the test.
+type EmpiricalCDF struct {
+	sorted []float64
+}
+
+// NewEmpiricalCDF copies and sorts the samples.
+func NewEmpiricalCDF(samples []float64) EmpiricalCDF {
+	s := make([]float64, len(samples))
+	copy(s, samples)
+	sort.Float64s(s)
+	return EmpiricalCDF{sorted: s}
+}
+
+// At returns the empirical P(X <= t).
+func (e EmpiricalCDF) At(t float64) float64 {
+	if len(e.sorted) == 0 {
+		return 0
+	}
+	i := sort.SearchFloat64s(e.sorted, t)
+	// SearchFloat64s finds the first index >= t; include equal values.
+	for i < len(e.sorted) && e.sorted[i] == t {
+		i++
+	}
+	return float64(i) / float64(len(e.sorted))
+}
+
+// N returns the sample count.
+func (e EmpiricalCDF) N() int { return len(e.sorted) }
+
+// KolmogorovDistance returns the maximum absolute gap between the empirical
+// CDF and a reference CDF evaluated at the sample points — the KS statistic
+// that compares simulation and theory.
+func (e EmpiricalCDF) KolmogorovDistance(ref func(float64) float64) float64 {
+	worst := 0.0
+	n := float64(len(e.sorted))
+	for i, x := range e.sorted {
+		r := ref(x)
+		// Compare against both step edges.
+		if d := math.Abs(float64(i)/n - r); d > worst {
+			worst = d
+		}
+		if d := math.Abs(float64(i+1)/n - r); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
 func TestEmpiricalCDF(t *testing.T) {
 	e := NewEmpiricalCDF([]float64{1, 2, 2, 3})
 	tests := []struct {
@@ -124,7 +175,7 @@ func TestAnalyticCDFAgainstMonteCarlo(t *testing.T) {
 		for task := 0; task < p.N; task++ {
 			w := math.Inf(1)
 			for k := 0; k <= r; k++ {
-				if x := p.Task.Sample(rng); x < w {
+				if x := p.Task.FromUniform(rng.Float64()); x < w {
 					w = x
 				}
 			}

@@ -109,9 +109,6 @@ func (e *Evaluator) Name() string { return e.strat.String() }
 // Params implements Model.
 func (e *Evaluator) Params() Params { return e.p }
 
-// Strategy returns the bound strategy.
-func (e *Evaluator) Strategy() Strategy { return e.strat }
-
 // Gamma implements Model; the threshold is computed once at Reset.
 func (e *Evaluator) Gamma() float64 { return e.gamma }
 

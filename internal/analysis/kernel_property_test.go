@@ -138,50 +138,6 @@ func TestPropertyKernelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPropertyWaveModelKernel: the wave wrapper, which evaluates sliced waves
-// through the kernel, returns bit-identical values to the reference forms
-// evaluated on the sliced parameters.
-func TestPropertyWaveModelKernel(t *testing.T) {
-	f := func(nRaw, dRaw, bRaw, tRaw uint32, slotRaw uint8, rRaw uint8) bool {
-		p := propParams(nRaw, dRaw, bRaw, tRaw)
-		if p.Validate() != nil {
-			return true
-		}
-		slots := int(slotRaw%64) + 1
-		r := int(rRaw % 12)
-		for _, s := range Strategies() {
-			w, err := NewWaveModel(NewModel(s, p), slots)
-			if err != nil {
-				t.Logf("wave model: %v", err)
-				return false
-			}
-			// Reference: the same slicing rules over the reference forms.
-			waves := w.WavesAtR(r)
-			wantPoCD, wantMT := refPoCD(s, p, r), refMachineTime(s, p, r)
-			if waves > 1 {
-				wp := w.waveParams(waves)
-				if wp.Deadline <= wp.Task.TMin || wp.TauKill > wp.Deadline {
-					wantPoCD = 0
-				} else {
-					wantPoCD = refPoCD(s, wp, r)
-				}
-				if wp.Deadline > wp.Task.TMin {
-					wantMT = refMachineTime(s, wp, r)
-				}
-			}
-			if !sameBits(w.PoCD(r), wantPoCD) || !sameBits(w.MachineTime(r), wantMT) {
-				t.Logf("%v slots=%d r=%d: wave (%v, %v) reference (%v, %v)",
-					s, slots, r, w.PoCD(r), w.MachineTime(r), wantPoCD, wantMT)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPropertyPowTab: the squares table replays powInt's exact multiply
 // sequence, so every in-range exponent matches bit for bit; out-of-range
 // exponents (negative, >= 2^powTabBits) fall back to powInt by construction.

@@ -2,8 +2,9 @@ package analysis
 
 // Model is what the optimizer needs of an analytic model. PoCD and
 // MachineTime are the two sides of the paper's tradeoff; Gamma is the
-// Theorem 8 concavity threshold. The closed forms have one implementation,
-// *Evaluator; WaveModel slices it, and test fakes wrap it.
+// Theorem 8 concavity threshold. *Evaluator, the paper's single-wave closed
+// forms, is the only production implementation; the others are test fakes
+// that wrap it to count probes.
 type Model interface {
 	// Name returns the canonical strategy name ("Clone",
 	// "Speculative-Restart", "Speculative-Resume").
@@ -56,18 +57,4 @@ func NewModel(s Strategy, p Params) *Evaluator {
 // Strategies lists the three Chronos strategies in paper order.
 func Strategies() []Strategy {
 	return []Strategy{StrategyClone, StrategyRestart, StrategyResume}
-}
-
-// HadoopNSPoCD returns the PoCD of default Hadoop without speculation: every
-// task has a single attempt, so this is the Clone formula at r = 0.
-func HadoopNSPoCD(p Params) float64 {
-	var e Evaluator
-	e.Reset(StrategyClone, p)
-	return e.PoCD(0)
-}
-
-// HadoopNSMachineTime returns the expected machine time without speculation:
-// N times the unconditional Pareto mean.
-func HadoopNSMachineTime(p Params) float64 {
-	return float64(p.N) * p.Task.Mean()
 }

@@ -41,3 +41,21 @@ func (p *powTab) pow(n int) float64 {
 	}
 	return result
 }
+
+// powInt computes x^n for integer n >= 0 by repeated squaring; it avoids the
+// accuracy loss of math.Pow for exact small integer exponents. It is pow's
+// fallback past the table and the reference the table is pinned against.
+func powInt(x float64, n int) float64 {
+	if n < 0 {
+		return 1 / powInt(x, -n)
+	}
+	result := 1.0
+	for n > 0 {
+		if n&1 == 1 {
+			result *= x
+		}
+		x *= x
+		n >>= 1
+	}
+	return result
+}

@@ -60,8 +60,8 @@ func TestPropertyTheorem7(t *testing.T) {
 			return true
 		}
 		r := int(rRaw%6) + 1
-		cmp := CompareAtR(p, r)
-		return cmp.CloneOverRestart && cmp.ResumeOverRestart
+		clone, restart, resume := pocdAtR(p, r)
+		return clone >= restart && resume >= restart
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

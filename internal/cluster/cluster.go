@@ -52,15 +52,6 @@ type Node struct {
 	live       int
 }
 
-// Slots returns the node's container capacity.
-func (n *Node) Slots() int { return n.slots }
-
-// Used returns the number of occupied slots.
-func (n *Node) Used() int { return n.used }
-
-// Failed reports whether the node has been failed by injection.
-func (n *Node) Failed() bool { return n.failed }
-
 // Container is a granted slot on a node. It is leased from Allocate/Request
 // and returned with Release, after which the cluster reuses it for a later
 // grant: a holder must drop its pointer when it releases.
@@ -209,9 +200,6 @@ func (c *Cluster) Capacity() int { return c.capacity }
 
 // InUse returns the number of occupied slots.
 func (c *Cluster) InUse() int { return c.inUse }
-
-// Nodes returns the node list (shared; callers must not mutate).
-func (c *Cluster) Nodes() []*Node { return c.nodes }
 
 // Allocate grants a container immediately or returns ErrNoCapacity. Nodes
 // are filled least-loaded first, mirroring a spreading scheduler.

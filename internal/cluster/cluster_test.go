@@ -215,12 +215,6 @@ func TestAllocationSkipsFailedNodes(t *testing.T) {
 	}
 }
 
-func TestNoContentionSlowdown(t *testing.T) {
-	if got := (NoContention{}).Slowdown(0, 0, 1); got != 1 {
-		t.Errorf("NoContention slowdown = %v, want 1", got)
-	}
-}
-
 func TestHotspotContention(t *testing.T) {
 	h := HotspotContention{P: 0.3, Mean: 3}
 	slowed, total := 0, 20000
@@ -245,22 +239,6 @@ func TestHotspotContention(t *testing.T) {
 	// Degenerate mean <= 1 never slows down.
 	if got := (HotspotContention{P: 1, Mean: 1}).Slowdown(0, 0, 5); got != 1 {
 		t.Errorf("degenerate hotspot slowdown = %v, want 1", got)
-	}
-}
-
-func TestDiurnalContention(t *testing.T) {
-	d := DiurnalContention{Amplitude: 0.5, Period: 100}
-	// Peak of sin at t=25: slowdown = 1 + 0.5*(1+1)/2 = 1.5.
-	if got := d.Slowdown(25, 0, 1); got < 1.49 || got > 1.51 {
-		t.Errorf("diurnal peak slowdown = %v, want ~1.5", got)
-	}
-	// Trough at t=75: 1.0.
-	if got := d.Slowdown(75, 0, 1); got < 0.99 || got > 1.01 {
-		t.Errorf("diurnal trough slowdown = %v, want ~1", got)
-	}
-	withJitter := DiurnalContention{Amplitude: 0, Period: 0, Jitter: 0.2}
-	if got := withJitter.Slowdown(0, 0, 7); got < 1 || got >= 1.2 {
-		t.Errorf("jittered slowdown = %v, want in [1, 1.2)", got)
 	}
 }
 

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"math"
-
-	"chronos/internal/pareto"
-)
+import "chronos/internal/pareto"
 
 // ContentionModel produces a slowdown factor (>= 1) for an attempt granted a
 // container at time now on the given node. It stands in for the background
@@ -13,12 +9,6 @@ import (
 type ContentionModel interface {
 	Slowdown(now float64, nodeID int, seed uint64) float64
 }
-
-// NoContention returns slowdown 1 everywhere.
-type NoContention struct{}
-
-// Slowdown implements ContentionModel.
-func (NoContention) Slowdown(float64, int, uint64) float64 { return 1 }
 
 // HotspotContention models a cluster where a fraction of placements land on
 // busy nodes: with probability P the attempt is slowed by a factor drawn
@@ -42,28 +32,4 @@ func (h HotspotContention) Slowdown(now float64, nodeID int, seed uint64) float6
 		return 1
 	}
 	return 1 + rng.ExpFloat64()*extra
-}
-
-// DiurnalContention modulates a base slowdown sinusoidally with time,
-// modelling cluster-wide load cycles: slowdown(t) = 1 + Amplitude *
-// (1 + sin(2*pi*t/Period)) / 2, jittered per placement.
-type DiurnalContention struct {
-	// Amplitude is the peak extra slowdown (e.g. 0.5 = up to 1.5x).
-	Amplitude float64
-	// Period is the cycle length in simulation seconds.
-	Period float64
-	// Jitter adds a uniform [0, Jitter) per-placement component.
-	Jitter float64
-}
-
-// Slowdown implements ContentionModel.
-func (d DiurnalContention) Slowdown(now float64, nodeID int, seed uint64) float64 {
-	base := 1.0
-	if d.Period > 0 {
-		base += d.Amplitude * (1 + math.Sin(2*math.Pi*now/d.Period)) / 2
-	}
-	if d.Jitter > 0 {
-		base += pareto.NewStream(seed).Float64() * d.Jitter
-	}
-	return base
 }

@@ -40,8 +40,11 @@ func HadoopEstimator(a *Attempt, now float64) float64 {
 // attempts starting from FP = 0 this is exactly the published Eq. 30; the
 // (1 - FP) factor generalizes it to resumed attempts whose first report is
 // already non-zero. Under continuous observation it is exact for
-// linear-progress attempts; with periodic noisy reports its accuracy
-// improves as observations accumulate, the tauEst tension of Table I.
+// linear-progress attempts. With periodic noisy reports it extrapolates from
+// two instants only — JVM-ready and the latest report — so one noisy report
+// moves the estimate by its full error and earlier reports never average it
+// out (ROADMAP item 1(c): on wide jobs that decides which copy survives
+// tauKill).
 func ChronosEstimator(a *Attempt, now float64) float64 {
 	if a.State == AttemptFinished {
 		return a.EndTime

@@ -52,9 +52,11 @@ func (p Point) result(strategy string) Result {
 // Solve runs Algorithm 1 of the paper for one analytic model: an ascent
 // search over the provably concave region r > Gamma (Phase 1) combined with
 // an exhaustive scan of the integers 0 <= r < ceil(Gamma) (Phase 2). By
-// Theorem 9 the combination returns a global maximizer of U. It is the entry
-// for anything that is a Model — a WaveModel, a test fake; for a plain
-// (strategy, params) pair SolveStrategy does the same without allocating.
+// Theorem 9 the combination returns a global maximizer of U. Production plans
+// a (strategy, params) pair through SolveStrategy, which does the same without
+// allocating; Solve is the seam for any other Model — today only the tests'
+// probe-counting fakes call it, and a capacity-aware model (ROADMAP item 1(d))
+// would plug in here.
 func Solve(m analysis.Model, cfg Config) (Result, error) {
 	if err := validate(cfg, m.Params()); err != nil {
 		return Result{}, err

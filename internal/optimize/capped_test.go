@@ -9,8 +9,8 @@ import (
 	"chronos/internal/analysis"
 )
 
-// cappedModel is the closed forms of strategy s on testParams; its Params()
-// and Strategy() are what SolveCapped is called with.
+// cappedModel is the closed forms of strategy s on testParams; s and its
+// Params() are what SolveCapped is called with.
 func cappedModel(t *testing.T, s analysis.Strategy) *analysis.Evaluator {
 	t.Helper()
 	p := testParams()
@@ -18,10 +18,6 @@ func cappedModel(t *testing.T, s analysis.Strategy) *analysis.Evaluator {
 		t.Fatal(err)
 	}
 	return analysis.NewModel(s, p)
-}
-
-func solveCapped(m *analysis.Evaluator, cfg Config, budget float64) (Result, error) {
-	return SolveCapped(m.Strategy(), m.Params(), cfg, budget)
 }
 
 func TestSolveCappedMatchesSolveWhenBudgetIsLoose(t *testing.T) {
@@ -32,7 +28,7 @@ func TestSolveCappedMatchesSolveWhenBudgetIsLoose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: Solve: %v", s, err)
 		}
-		got, err := solveCapped(m, cfg, un.MachineTime*2)
+		got, err := SolveCapped(s, m.Params(), cfg, un.MachineTime*2)
 		if err != nil {
 			t.Fatalf("%v: SolveCapped: %v", s, err)
 		}
@@ -55,7 +51,7 @@ func TestSolveCappedRespectsBudget(t *testing.T) {
 	// A budget strictly between r=0 and the optimum's machine time must
 	// yield an affordable, lower-r plan.
 	budget := (m.MachineTime(0) + un.MachineTime) / 2
-	got, err := solveCapped(m, cfg, budget)
+	got, err := SolveCapped(analysis.StrategyClone, m.Params(), cfg, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +77,11 @@ func TestSolveCappedBudgetTooSmall(t *testing.T) {
 	m := cappedModel(t, analysis.StrategyClone)
 	cfg := Config{Theta: 1e-4, UnitPrice: 1}
 	// Below even the r=0 machine time, nothing is affordable.
-	_, err := solveCapped(m, cfg, m.MachineTime(0)/2)
+	_, err := SolveCapped(analysis.StrategyClone, m.Params(), cfg, m.MachineTime(0)/2)
 	if !errors.Is(err, ErrBudgetTooSmall) {
 		t.Errorf("err = %v, want ErrBudgetTooSmall", err)
 	}
-	_, err = solveCapped(m, cfg, 0)
+	_, err = SolveCapped(analysis.StrategyClone, m.Params(), cfg, 0)
 	if !errors.Is(err, ErrBudgetTooSmall) {
 		t.Errorf("zero budget: err = %v, want ErrBudgetTooSmall", err)
 	}
@@ -115,7 +111,7 @@ func TestSolveCappedInfeasiblePrefix(t *testing.T) {
 		t.Skip("no room between the frontier and the optimum")
 	}
 	budget := (m.MachineTime(rFeas) + un.MachineTime) / 2
-	got, err := solveCapped(m, cfg, budget)
+	got, err := SolveCapped(analysis.StrategyClone, m.Params(), cfg, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +122,7 @@ func TestSolveCappedInfeasiblePrefix(t *testing.T) {
 		t.Errorf("plan PoCD %v at or below RMin %v", got.PoCD, cfg.RMin)
 	}
 	// Below the frontier's cost, rejection must name a finite need.
-	_, err = solveCapped(m, cfg, m.MachineTime(rFeas)/2)
+	_, err = SolveCapped(analysis.StrategyClone, m.Params(), cfg, m.MachineTime(rFeas)/2)
 	if !errors.Is(err, ErrBudgetTooSmall) {
 		t.Fatalf("err = %v, want ErrBudgetTooSmall", err)
 	}
@@ -139,7 +135,7 @@ func TestSolveCappedInfeasibleBeatsBudget(t *testing.T) {
 	m := cappedModel(t, analysis.StrategyClone)
 	cfg := Config{Theta: 1e-4, UnitPrice: 1, RMin: 1 - 1e-12}
 	// RMin unreachable: infeasible no matter the budget.
-	_, err := solveCapped(m, cfg, math.Inf(1))
+	_, err := SolveCapped(analysis.StrategyClone, m.Params(), cfg, math.Inf(1))
 	if !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}

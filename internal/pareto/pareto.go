@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 )
 
 // Dist is a Pareto Type I distribution with scale TMin > 0 and shape Beta > 0.
@@ -61,40 +60,12 @@ func (d Dist) Validate() error {
 	return nil
 }
 
-// PDF returns the probability density at t.
-func (d Dist) PDF(t float64) float64 {
-	if t < d.TMin {
-		return 0
-	}
-	return d.Beta * math.Pow(d.TMin, d.Beta) / math.Pow(t, d.Beta+1)
-}
-
-// CDF returns P(T <= t).
-func (d Dist) CDF(t float64) float64 {
-	if t <= d.TMin {
-		return 0
-	}
-	return 1 - math.Pow(d.TMin/t, d.Beta)
-}
-
 // Survival returns P(T > t) = (tmin/t)^beta for t >= tmin and 1 otherwise.
 func (d Dist) Survival(t float64) float64 {
 	if t <= d.TMin {
 		return 1
 	}
 	return math.Pow(d.TMin/t, d.Beta)
-}
-
-// Quantile returns the value t such that CDF(t) = p, for p in [0, 1).
-// Quantile(0) == TMin; Quantile(1) is +Inf.
-func (d Dist) Quantile(p float64) float64 {
-	if p <= 0 {
-		return d.TMin
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return d.TMin / math.Pow(1-p, 1/d.Beta)
 }
 
 // Mean returns E[T] = tmin*beta/(beta-1) for beta > 1 and +Inf otherwise.
@@ -105,37 +76,12 @@ func (d Dist) Mean() float64 {
 	return d.TMin * d.Beta / (d.Beta - 1)
 }
 
-// Median returns the 50th percentile.
-func (d Dist) Median() float64 { return d.Quantile(0.5) }
-
-// Variance returns Var[T] for beta > 2 and +Inf otherwise.
-func (d Dist) Variance() float64 {
-	if d.Beta <= 2 {
-		return math.Inf(1)
-	}
-	b := d.Beta
-	return d.TMin * d.TMin * b / ((b - 1) * (b - 1) * (b - 2))
-}
-
-// Sample draws one variate using inverse-transform sampling.
-func (d Dist) Sample(rng *rand.Rand) float64 {
-	return d.FromUniform(rng.Float64())
-}
-
-// FromUniform maps a uniform draw f in [0, 1) to a variate.
+// FromUniform maps a uniform draw f in [0, 1) to a variate by
+// inverse-transform sampling.
 func (d Dist) FromUniform(f float64) float64 {
 	// 1-f is in (0, 1], avoiding a division by zero.
 	u := 1 - f
 	return d.TMin / math.Pow(u, 1/d.Beta)
-}
-
-// SampleN draws n variates.
-func (d Dist) SampleN(rng *rand.Rand, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.Sample(rng)
-	}
-	return out
 }
 
 // Scaled returns the distribution of c*T for c > 0, which is again Pareto
@@ -143,22 +89,6 @@ func (d Dist) SampleN(rng *rand.Rand, n int) []float64 {
 // the remaining work (1-phi)*T of a resumed task.
 func (d Dist) Scaled(c float64) Dist {
 	return Dist{TMin: c * d.TMin, Beta: d.Beta}
-}
-
-// ConditionedAbove returns the distribution of T given T > lo for lo >= tmin.
-// By the Pareto "Lindy" property (Lemma 3 in the paper) this is again Pareto
-// with scale lo and unchanged shape.
-func (d Dist) ConditionedAbove(lo float64) Dist {
-	if lo < d.TMin {
-		lo = d.TMin
-	}
-	return Dist{TMin: lo, Beta: d.Beta}
-}
-
-// MinOf returns the distribution of min(T_1, ..., T_n) of n i.i.d. copies,
-// which is Pareto(tmin, n*beta).
-func (d Dist) MinOf(n int) Dist {
-	return Dist{TMin: d.TMin, Beta: d.Beta * float64(n)}
 }
 
 // ExpectedMin returns E[min(T_1,...,T_n)] = tmin*n*beta/(n*beta - 1), the
@@ -200,18 +130,6 @@ func (d Dist) MeanBelow(upper float64) float64 {
 	// bits.
 	rho := tm / upper
 	return tm * b / (b - 1) * (1 - math.Pow(rho, b-1)) / (1 - math.Pow(rho, b))
-}
-
-// MeanAbove returns E[T | T > lo] = lo*beta/(beta-1) (Lemma 3: the
-// conditional law is Pareto(lo, beta)). Returns +Inf when beta <= 1.
-func (d Dist) MeanAbove(lo float64) float64 {
-	if lo < d.TMin {
-		lo = d.TMin
-	}
-	if d.Beta <= 1 {
-		return math.Inf(1)
-	}
-	return lo * d.Beta / (d.Beta - 1)
 }
 
 // String implements fmt.Stringer.

@@ -15,6 +15,15 @@ func almostEqual(a, b, tol float64) bool {
 	return diff <= tol*math.Max(1, scale)
 }
 
+// density is the Pareto pdf f(t) = beta * tmin^beta / t^(beta+1), the
+// integrand the closed-form means are checked against by quadrature.
+func density(d Dist, t float64) float64 {
+	if t < d.TMin {
+		return 0
+	}
+	return d.Beta * math.Pow(d.TMin, d.Beta) / math.Pow(t, d.Beta+1)
+}
+
 func TestNewValidation(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -49,40 +58,37 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(0, 1)
 }
 
+// TestPDFIntegratesToOne: the density's tail mass beyond x is Survival(x) —
+// all of it, 1, at and below tmin.
 func TestPDFIntegratesToOne(t *testing.T) {
 	for _, d := range []Dist{MustNew(1, 1.1), MustNew(10, 1.5), MustNew(40, 1.9), MustNew(2, 3)} {
-		got := Integrate(d.PDF, d.TMin, math.Inf(1))
-		if !almostEqual(got, 1, 1e-6) {
-			t.Errorf("%v: integral of PDF = %v, want 1", d, got)
-		}
-	}
-}
-
-func TestCDFSurvivalComplement(t *testing.T) {
-	d := MustNew(10, 1.5)
-	for _, x := range []float64{5, 10, 11, 20, 100, 1e6} {
-		if got := d.CDF(x) + d.Survival(x); !almostEqual(got, 1, 1e-12) {
-			t.Errorf("CDF(%v)+Survival(%v) = %v, want 1", x, x, got)
+		for _, x := range []float64{d.TMin / 2, d.TMin, 2 * d.TMin, 10 * d.TMin} {
+			got := Integrate(func(t float64) float64 { return density(d, t) }, math.Max(x, d.TMin), math.Inf(1))
+			if !almostEqual(got, d.Survival(x), 1e-6) {
+				t.Errorf("%v: integral of the density beyond %v = %v, want Survival = %v", d, x, got, d.Survival(x))
+			}
 		}
 	}
 }
 
 func TestCDFBelowTMinIsZero(t *testing.T) {
 	d := MustNew(10, 1.5)
-	if d.CDF(9.999) != 0 {
-		t.Errorf("CDF below tmin = %v, want 0", d.CDF(9.999))
+	if cdf := 1 - d.Survival(9.999); cdf != 0 {
+		t.Errorf("CDF below tmin = %v, want 0", cdf)
 	}
 	if d.Survival(3) != 1 {
 		t.Errorf("Survival below tmin = %v, want 1", d.Survival(3))
 	}
 }
 
+// TestQuantileInvertsCDF: FromUniform is the quantile function — the sampler
+// is inverse-transform — so the CDF, 1 - Survival, takes FromUniform(p) back
+// to p.
 func TestQuantileInvertsCDF(t *testing.T) {
 	d := MustNew(7, 1.3)
 	f := func(p float64) bool {
 		p = math.Abs(math.Mod(p, 1)) // fold into [0,1)
-		q := d.Quantile(p)
-		return almostEqual(d.CDF(q), p, 1e-9)
+		return almostEqual(1-d.Survival(d.FromUniform(p)), p, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -91,11 +97,12 @@ func TestQuantileInvertsCDF(t *testing.T) {
 
 func TestQuantileEdges(t *testing.T) {
 	d := MustNew(5, 2)
-	if got := d.Quantile(0); got != 5 {
-		t.Errorf("Quantile(0) = %v, want 5", got)
+	if got := d.FromUniform(0); got != 5 {
+		t.Errorf("FromUniform(0) = %v, want tmin = 5", got)
 	}
-	if got := d.Quantile(1); !math.IsInf(got, 1) {
-		t.Errorf("Quantile(1) = %v, want +Inf", got)
+	// The largest draw rand's Float64 can return still maps to a finite time.
+	if got := d.FromUniform(1 - 0x1p-53); math.IsInf(got, 0) || got < 5 {
+		t.Errorf("FromUniform(1 - 2^-53) = %v, want finite", got)
 	}
 }
 
@@ -103,7 +110,7 @@ func TestMeanMatchesQuadrature(t *testing.T) {
 	// Betas well above 1 so the tail of t*f(t) decays fast enough for the
 	// semi-infinite transform to capture it.
 	for _, d := range []Dist{MustNew(40, 1.8), MustNew(3, 2.5), MustNew(1, 4)} {
-		want := Integrate(func(t float64) float64 { return t * d.PDF(t) }, d.TMin, math.Inf(1))
+		want := Integrate(func(t float64) float64 { return t * density(d, t) }, d.TMin, math.Inf(1))
 		if !almostEqual(d.Mean(), want, 1e-3) {
 			t.Errorf("%v: Mean() = %v, quadrature %v", d, d.Mean(), want)
 		}
@@ -114,26 +121,14 @@ func TestMeanInfiniteForSmallBeta(t *testing.T) {
 	if got := MustNew(1, 0.9).Mean(); !math.IsInf(got, 1) {
 		t.Errorf("Mean with beta<=1 = %v, want +Inf", got)
 	}
-	if got := MustNew(1, 1.5).Variance(); !math.IsInf(got, 1) {
-		t.Errorf("Variance with beta<=2 = %v, want +Inf", got)
-	}
-}
-
-func TestVarianceFinite(t *testing.T) {
-	d := MustNew(2, 3)
-	meanSq := Integrate(func(t float64) float64 { return t * t * d.PDF(t) }, d.TMin, math.Inf(1))
-	want := meanSq - d.Mean()*d.Mean()
-	if !almostEqual(d.Variance(), want, 1e-4) {
-		t.Errorf("Variance() = %v, quadrature %v", d.Variance(), want)
-	}
 }
 
 func TestSampleRespectsSupport(t *testing.T) {
 	d := MustNew(10, 1.5)
 	rng := NewStream(1)
 	for i := 0; i < 10000; i++ {
-		if x := d.Sample(rng); x < d.TMin || math.IsNaN(x) || math.IsInf(x, 0) {
-			t.Fatalf("Sample() = %v outside support [tmin, inf)", x)
+		if x := d.FromUniform(rng.Float64()); x < d.TMin || math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatalf("FromUniform() = %v outside support [tmin, inf)", x)
 		}
 	}
 }
@@ -143,22 +138,17 @@ func TestSampleEmpiricalCDF(t *testing.T) {
 	rng := NewStream(42)
 	const n = 200000
 	var below float64
-	cut := d.Quantile(0.7)
+	cut := d.TMin / math.Pow(0.3, 1/d.Beta) // the 70th percentile: Survival(cut) = 0.3
+	if !almostEqual(d.Survival(cut), 0.3, 1e-12) {
+		t.Fatalf("Survival(%v) = %v, want 0.3", cut, d.Survival(cut))
+	}
 	for i := 0; i < n; i++ {
-		if d.Sample(rng) <= cut {
+		if d.FromUniform(rng.Float64()) <= cut {
 			below++
 		}
 	}
 	if got := below / n; math.Abs(got-0.7) > 0.01 {
 		t.Errorf("empirical CDF at q70 = %v, want ~0.7", got)
-	}
-}
-
-func TestSampleN(t *testing.T) {
-	d := MustNew(1, 2)
-	xs := d.SampleN(NewStream(9), 17)
-	if len(xs) != 17 {
-		t.Fatalf("SampleN returned %d samples, want 17", len(xs))
 	}
 }
 
@@ -177,34 +167,32 @@ func TestScaled(t *testing.T) {
 	}
 }
 
+// TestConditionedAbove is Lemma 3: T given T > lo is again Pareto, with scale
+// lo and the same shape — P(T > x | T > 25) = Survival(x)/Survival(25).
 func TestConditionedAbove(t *testing.T) {
 	d := MustNew(10, 1.5)
-	c := d.ConditionedAbove(25)
-	if c.TMin != 25 || c.Beta != d.Beta {
-		t.Fatalf("ConditionedAbove(25) = %v, want Pareto(25, 1.5)", c)
-	}
-	// P(T > x | T > 25) = Survival(x)/Survival(25) for x >= 25.
+	c := MustNew(25, d.Beta)
 	for _, x := range []float64{25, 40, 100} {
 		want := d.Survival(x) / d.Survival(25)
 		if got := c.Survival(x); !almostEqual(got, want, 1e-12) {
 			t.Errorf("conditional survival(%v) = %v, want %v", x, got, want)
 		}
 	}
-	// Conditioning below tmin is a no-op.
-	if got := d.ConditionedAbove(1); got != d {
-		t.Errorf("ConditionedAbove(1) = %v, want %v", got, d)
-	}
 }
 
+// TestMinOfDistribution: the minimum of n i.i.d. copies is Pareto(tmin,
+// n*beta), the law ExpectedMin takes its mean from — P(min > t) = Survival(t)^n.
 func TestMinOfDistribution(t *testing.T) {
 	d := MustNew(10, 1.5)
-	m := d.MinOf(4)
-	// P(min > t) = Survival(t)^4.
+	m := MustNew(d.TMin, 4*d.Beta)
 	for _, x := range []float64{12, 30, 200} {
 		want := math.Pow(d.Survival(x), 4)
 		if got := m.Survival(x); !almostEqual(got, want, 1e-12) {
-			t.Errorf("MinOf(4).Survival(%v) = %v, want %v", x, got, want)
+			t.Errorf("Pareto(tmin, 4*beta).Survival(%v) = %v, want %v", x, got, want)
 		}
+	}
+	if got, want := m.Mean(), d.ExpectedMin(4); !almostEqual(got, want, 1e-12) {
+		t.Errorf("mean of the minimum's law = %v, ExpectedMin(4) = %v", got, want)
 	}
 }
 
@@ -227,7 +215,7 @@ func TestLemma1(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			m := math.Inf(1)
 			for k := 0; k < tc.n; k++ {
-				if x := tc.d.Sample(rng); x < m {
+				if x := tc.d.FromUniform(rng.Float64()); x < m {
 					m = x
 				}
 			}
@@ -260,8 +248,8 @@ func TestMeanBelowQuadrature(t *testing.T) {
 	} {
 		d, D := tc.d, tc.D
 		// E[T | T<=D] = int_tmin^D t f(t) dt / P(T<=D).
-		num := Integrate(func(t float64) float64 { return t * d.PDF(t) }, d.TMin, D)
-		want := num / d.CDF(D)
+		num := Integrate(func(t float64) float64 { return t * density(d, t) }, d.TMin, D)
+		want := num / (1 - d.Survival(D))
 		if got := d.MeanBelow(D); !almostEqual(got, want, 1e-6) {
 			t.Errorf("%v MeanBelow(%v) = %v, quadrature %v", d, D, got, want)
 		}
@@ -293,23 +281,24 @@ func TestMeanBelowDegenerate(t *testing.T) {
 	}
 }
 
+// TestMeanAbove is Lemma 3's mean: E[T | T > 50] is the mean of Pareto(50,
+// beta), infinite at beta <= 1.
 func TestMeanAbove(t *testing.T) {
-	d := MustNew(10, 1.5)
-	// Lemma 3: E[T | T > 50] is the mean of Pareto(50, 1.5).
-	if got, want := d.MeanAbove(50), 50*1.5/0.5; !almostEqual(got, want, 1e-12) {
-		t.Errorf("MeanAbove(50) = %v, want %v", got, want)
+	if got, want := MustNew(50, 1.5).Mean(), 50*1.5/0.5; !almostEqual(got, want, 1e-12) {
+		t.Errorf("mean of Pareto(50, 1.5) = %v, want %v", got, want)
 	}
-	if got := MustNew(1, 1).MeanAbove(5); !math.IsInf(got, 1) {
-		t.Errorf("MeanAbove with beta<=1 = %v, want +Inf", got)
+	if got := MustNew(5, 1).Mean(); !math.IsInf(got, 1) {
+		t.Errorf("mean with beta<=1 = %v, want +Inf", got)
 	}
 }
 
 // TestTotalExpectation verifies E[T] = E[T|T<=D]P(T<=D) + E[T|T>D]P(T>D),
-// the decomposition Theorems 4 and 6 rely on.
+// the decomposition Theorems 4 and 6 rely on; by Lemma 3 the law of T given
+// T > D is Pareto(D, beta).
 func TestTotalExpectation(t *testing.T) {
 	d := MustNew(10, 1.5)
 	D := 100.0
-	got := d.MeanBelow(D)*d.CDF(D) + d.MeanAbove(D)*d.Survival(D)
+	got := d.MeanBelow(D)*(1-d.Survival(D)) + MustNew(D, d.Beta).Mean()*d.Survival(D)
 	if !almostEqual(got, d.Mean(), 1e-9) {
 		t.Errorf("law of total expectation: %v, want %v", got, d.Mean())
 	}
@@ -398,8 +387,8 @@ func TestStreamMatchesNewStream(t *testing.T) {
 				t.Fatalf("keys %v draw %d: Stream %v, NewStream %v", keys, i, got, want)
 			}
 		}
-		if got, want := d.FromUniform(s.Float64()), d.Sample(ref); got != want {
-			t.Fatalf("keys %v: FromUniform %v, Sample %v", keys, got, want)
+		if got, want := d.FromUniform(s.Float64()), d.FromUniform(ref.Float64()); got != want {
+			t.Fatalf("keys %v: FromUniform of Stream %v, of NewStream %v", keys, got, want)
 		}
 	}
 }

@@ -370,6 +370,42 @@ func TestSimulateAndReplayRejectBadControl(t *testing.T) {
 	}
 }
 
+// heavyTailJobs are well-formed simulated jobs whose task-time law has no
+// mean: a tail index at or below 1, on the map stage or on a reduce stage that
+// sets its own.
+var heavyTailJobs = []string{
+	`{"tasks":4,"deadline":100,"tmin":10,"beta":0.5}`,
+	`{"tasks":4,"deadline":100,"tmin":10,"beta":1}`,
+	`{"tasks":12,"deadline":20,"tmin":10,"beta":0.00625,"reduceTasks":2}`,
+	`{"tasks":4,"deadline":100,"tmin":10,"beta":1.5,"reduceTasks":2,"reduceBeta":0.9}`,
+}
+
+// rejectsHeavyTail posts each such job to path and requires the planner's own
+// rejection: a 400 envelope naming the rule, where the simulator used to
+// sample astronomically long tasks and answer 200 — or 500 `response encoding
+// failed` once a sum overflowed.
+func rejectsHeavyTail(t *testing.T, path string) {
+	_, ts := newTestServer(t, Config{})
+	for _, job := range heavyTailJobs {
+		body := `{"config":{"strategy":"Clone","tauEst":40,"tauKill":80,"tauScale":1},"jobs":[` + job + `]}`
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s %s: %v", path, job, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", path, job, resp.StatusCode)
+		}
+		if env := decodeBody[api.ErrorResponse](t, resp); !strings.Contains(env.Error, "beta must exceed 1") || env.Code != api.CodeBadRequest {
+			t.Errorf("%s %s: error envelope %+v, want bad_request naming the beta rule", path, job, env)
+		}
+	}
+}
+
+func TestSimulateRejectsHeavyTail(t *testing.T) { rejectsHeavyTail(t, "/v1/simulate") }
+
+// TestReplayRejectsHeavyTail: the rejection comes before any stream line.
+func TestReplayRejectsHeavyTail(t *testing.T) { rejectsHeavyTail(t, "/v1/replay") }
+
 // flushLog is a ResponseWriter and Flusher that records the order of writes
 // and flushes, and how much of the body each flush covered.
 type flushLog struct {

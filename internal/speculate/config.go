@@ -34,12 +34,6 @@ type ChronosConfig struct {
 	// Estimator predicts attempt completion times; defaults to the
 	// improved Chronos estimator (Eq. 30).
 	Estimator mapreduce.Estimator
-	// PlanSlots, when > 0, makes the optimizer account for slot-limited
-	// multi-wave execution: a job whose N*(r+1) attempts exceed PlanSlots
-	// runs in sequential waves, so the per-wave deadline shrinks (the
-	// analysis.WaveModel bound). Zero plans as if capacity were unlimited,
-	// the paper's setting.
-	PlanSlots int
 }
 
 // withDefaults fills zero values.
@@ -52,7 +46,8 @@ func (c ChronosConfig) withDefaults() ChronosConfig {
 
 // chooseStageR solves the joint optimization for one stage of a job, as the
 // AM does in the paper's prototype (and again at reduce-stage start, against
-// the remaining deadline budget). On optimizer failure (infeasible RMin,
+// the remaining deadline budget). It plans the paper's single-wave setting:
+// capacity is taken as unlimited. On optimizer failure (infeasible RMin,
 // degenerate parameters such as an exhausted budget) it falls back to r = 1,
 // which mirrors Hadoop's single speculative copy.
 func (c ChronosConfig) chooseStageR(s analysis.Strategy, job *mapreduce.Job, st stage) int {
@@ -61,14 +56,7 @@ func (c ChronosConfig) chooseStageR(s analysis.Strategy, job *mapreduce.Job, st 
 	}
 	cfg := c.Opt
 	cfg.UnitPrice = job.Spec.UnitPrice
-	p := stageParams(job, st, c)
-	var res optimize.Result
-	var err error
-	if c.PlanSlots > 0 {
-		res, err = optimize.Solve(analysis.WaveModel{Inner: analysis.NewModel(s, p), Slots: c.PlanSlots}, cfg)
-	} else {
-		res, err = optimize.SolveStrategy(s, p, cfg)
-	}
+	res, err := optimize.SolveStrategy(s, stageParams(job, st, c), cfg)
 	if err != nil {
 		return 1
 	}

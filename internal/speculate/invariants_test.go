@@ -4,10 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"chronos/internal/analysis"
 	"chronos/internal/cluster"
 	"chronos/internal/mapreduce"
-	"chronos/internal/pareto"
 	"chronos/internal/sim"
 )
 
@@ -108,108 +106,5 @@ func TestConservationInvariants(t *testing.T) {
 		if cl.InUse() != 0 {
 			t.Errorf("%s: %d containers leaked", strat.Name(), cl.InUse())
 		}
-	}
-}
-
-// TestWaveBoundAgainstDES validates the multi-wave analytic bound: the
-// synchronized-wave PoCD approximation is a lower bound, because the real
-// (simulated) cluster overlaps waves as slots free up task by task.
-func TestWaveBoundAgainstDES(t *testing.T) {
-	const (
-		tasks = 40
-		slots = 40 // Clone at r=1 needs 80 => 2 synchronized waves
-		r     = 1
-		jobs  = 300
-	)
-	p := analysis.Params{
-		N:        tasks,
-		Deadline: 400,
-		Task:     pareto.MustNew(10, 1.5),
-		TauEst:   60,
-		TauKill:  120,
-	}
-	wave, err := analysis.NewWaveModel(analysis.NewModel(analysis.StrategyClone, p), slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := wave.PoCD(r)
-
-	eng := sim.NewEngine()
-	cl, err := cluster.New(eng, cluster.Config{Nodes: slots, SlotsPerNode: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := mapreduce.NewRuntime(eng, cl, mapreduce.Config{Seed: 5})
-	cfg := ChronosConfig{TauEst: p.TauEst, TauKill: p.TauKill, FixedR: r}
-	var sims []*mapreduce.Job
-	for i := 0; i < jobs; i++ {
-		spec := mapreduce.JobSpec{
-			ID: i, Name: "wave", NumTasks: tasks, Deadline: p.Deadline,
-			Dist: p.Task, UnitPrice: 1,
-			Arrival: float64(i) * p.Deadline * 10,
-		}
-		job, err := rt.Submit(spec, clone(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sims = append(sims, job)
-	}
-	eng.Run()
-
-	met := 0
-	for _, j := range sims {
-		if !j.Done {
-			t.Fatal("wave job incomplete")
-		}
-		if j.MetDeadline() {
-			met++
-		}
-	}
-	des := float64(met) / jobs
-	// The DES overlaps waves, so it should meet at least the synchronized
-	// bound (minus MC noise).
-	if des < bound-0.05 {
-		t.Errorf("DES PoCD %v below synchronized-wave bound %v", des, bound)
-	}
-}
-
-// TestPlanSlotsUsesWaveModel checks wave-aware planning: with PlanSlots
-// set, the chosen r must be near-optimal for the slot-constrained
-// (WaveModel) utility, not the unconstrained one. Note the wave model can
-// legitimately pick a *larger* r than the unconstrained plan: several short
-// waves of heavily-replicated tasks can beat one long wave of single
-// attempts.
-func TestPlanSlotsUsesWaveModel(t *testing.T) {
-	spec := baseSpec()
-	spec.NumTasks = 40
-	spec.Deadline = 120
-
-	cfg := chronosCfg()
-	cfg.TauEst, cfg.TauKill = 20, 40
-	cfg.PlanSlots = 40
-	got := chooseR(cfg, analysis.StrategyClone, spec)
-
-	inner := analysis.NewModel(analysis.StrategyClone, analysis.Params{
-		N: spec.NumTasks, Deadline: spec.Deadline, Task: spec.Dist,
-		TauEst: cfg.TauEst, TauKill: cfg.TauKill,
-	})
-	wave, err := analysis.NewWaveModel(inner, cfg.PlanSlots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ocfg := cfg.Opt
-	ocfg.UnitPrice = spec.UnitPrice
-	bestU, bestR := math.Inf(-1), -1
-	for r := 0; r <= 30; r++ {
-		if u := ocfg.Utility(wave, r); u > bestU {
-			bestU, bestR = u, r
-		}
-	}
-	// The wave utility is not globally unimodal (wave-count steps), so the
-	// hybrid optimizer may land on a local plateau; accept anything within
-	// a small utility gap of the brute-force optimum.
-	if gotU := ocfg.Utility(wave, got); gotU < bestU-0.05 {
-		t.Errorf("slot-aware choice r=%d (U=%v) far from brute-force r=%d (U=%v)",
-			got, gotU, bestR, bestU)
 	}
 }

@@ -124,9 +124,10 @@ func TestStrategyNames(t *testing.T) {
 func TestHadoopNSMatchesClosedForm(t *testing.T) {
 	spec := baseSpec()
 	res := runBatch(t, HadoopNS{}, batchJobs, spec, 101)
-	want := analysis.HadoopNSPoCD(analysis.Params{
+	// No speculation is one attempt per task: the Clone closed form at r = 0.
+	want := analysis.NewModel(analysis.StrategyClone, analysis.Params{
 		N: spec.NumTasks, Deadline: spec.Deadline, Task: spec.Dist,
-	})
+	}).PoCD(0)
 	if math.Abs(res.pocd-want) > 0.05 {
 		t.Errorf("Hadoop-NS simulated PoCD %v vs closed form %v", res.pocd, want)
 	}
@@ -160,7 +161,7 @@ func TestCloneMatchesClosedForm(t *testing.T) {
 	// between that floor and the Theorem 2 ceiling.
 	upper := model.MachineTime(2)
 	d := spec.Dist
-	eMinTK := d.MeanBelow(cfg.TauKill)*d.CDF(cfg.TauKill) + cfg.TauKill*d.Survival(cfg.TauKill)
+	eMinTK := d.MeanBelow(cfg.TauKill)*(1-d.Survival(cfg.TauKill)) + cfg.TauKill*d.Survival(cfg.TauKill)
 	lower := float64(spec.NumTasks) * 3 * eMinTK // r+1 = 3 attempts
 	if res.meanMachine > upper*1.02 {
 		t.Errorf("Clone simulated machine time %v above Theorem 2 ceiling %v", res.meanMachine, upper)

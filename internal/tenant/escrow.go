@@ -245,17 +245,8 @@ func (e *EscrowLedger) Restore(state Snapshot) []Reclaimed {
 	return e.ReclaimExpired()
 }
 
-// SnapshotState captures the current pool levels and outstanding leases.
-// For durability use Compact, which captures the state and writes the
-// snapshot under one hold of the ledger lock; this accessor is for
-// inspection only.
-func (e *EscrowLedger) SnapshotState() (pools map[string]float64, leases []LeaseRecord) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.snapshotLocked()
-}
-
-// snapshotLocked is SnapshotState's body; the caller holds e.mu.
+// snapshotLocked captures the current pool levels and outstanding leases for
+// Compact; the caller holds e.mu.
 func (e *EscrowLedger) snapshotLocked() (pools map[string]float64, leases []LeaseRecord) {
 	pools = make(map[string]float64, e.reg.Len())
 	for _, p := range e.reg.Pools() {

@@ -160,7 +160,7 @@ func (s *Store) recover() error {
 	s.seq = snap.Seq
 
 	walPath := filepath.Join(s.dir, walFile)
-	f, err := os.Open(walPath)
+	f, err := os.OpenFile(walPath, os.O_RDWR, 0)
 	if errors.Is(err, os.ErrNotExist) {
 		s.snap = snap
 		return nil
@@ -172,7 +172,19 @@ func (s *Store) recover() error {
 	leases := leaseIndex(snap.Leases)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo, torn := 0, 0
+	// start and off are the byte offsets the line just scanned begins and
+	// ends at; terminated says whether it ended in a newline.
+	var start, off int64
+	terminated := true
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if adv > 0 {
+			start, off = off, off+int64(adv)
+			terminated = adv > len(tok)
+		}
+		return adv, tok, err
+	})
+	lineNo, torn, tornAt := 0, 0, int64(0)
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
@@ -191,7 +203,7 @@ func (s *Store) recover() error {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			// So far a torn final append from a crash: everything before it
 			// is intact, and if nothing follows the boot goes on without it.
-			torn = lineNo
+			torn, tornAt = lineNo, start
 			continue
 		}
 		if rec.Seq <= snap.Seq {
@@ -204,6 +216,18 @@ func (s *Store) recover() error {
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("tenant: wal replay: %w", err)
+	}
+	// The log is reopened for appending: left as it is, a torn tail (or an
+	// intact last line the crash cut before its newline) would have the next
+	// record glued onto it, and the boot after that would read one corrupt
+	// line. Cut the fragment; end the line.
+	if torn != 0 {
+		err = f.Truncate(tornAt)
+	} else if !terminated {
+		_, err = f.WriteAt([]byte{'\n'}, off)
+	}
+	if err != nil {
+		return fmt.Errorf("tenant: wal tail repair: %w", err)
 	}
 	snap.Leases = flattenLeases(leases)
 	s.snap = snap

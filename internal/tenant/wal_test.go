@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -156,6 +157,75 @@ func TestStoreTornTailTolerated(t *testing.T) {
 	defer st2.Close()
 	if got := st2.State().Pools["etl"]; got != 90 {
 		t.Errorf("level = %v, want 90 (intact prefix applied, torn tail dropped)", got)
+	}
+}
+
+// TestStoreTornTailTrimmed: OpenStore used to tolerate a torn tail and then
+// reopen the log for appending with the fragment still there, so a Store
+// appended to without the boot-time anchor Compact glued its next record onto
+// the fragment: the following boot dropped that record with the fragment as
+// one torn tail (its spend forgotten), or failed closed if more had followed.
+// The tail is cut on open (and an intact last line the crash cut before its
+// newline is ended), so the next record stands on a line of its own.
+func TestStoreTornTailTrimmed(t *testing.T) {
+	for _, tail := range []string{
+		`{"seq":99,"op":"debit","ten`,                      // half a record
+		"{\"seq\":99,\"op\n\n",                             // half a record, then blank lines
+		`{"seq":4,"op":"debit","tenant":"a","amount":100}`, // a whole one, newline lost
+	} {
+		dir := t.TempDir()
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Compact(map[string]float64{"a": 1000}, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := st.Append(Record{Op: OpDebit, Tenant: "a", Amount: 100}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		walPath := filepath.Join(dir, walFile)
+		f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(tail); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		want := 700.0
+		if json.Valid([]byte(tail)) {
+			want = 600
+		}
+
+		st2, err := OpenStore(dir)
+		if err != nil {
+			t.Fatalf("tail %q: %v", tail, err)
+		}
+		if got := st2.State().Pools["a"]; got != want {
+			t.Errorf("tail %q: level after first reopen = %v, want %v", tail, got, want)
+		}
+		// No anchor Compact: the next record goes straight onto the log.
+		if err := st2.Append(Record{Op: OpDebit, Tenant: "a", Amount: 50}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st3, err := OpenStore(dir)
+		if err != nil {
+			raw, _ := os.ReadFile(walPath)
+			t.Fatalf("tail %q: boot after an append onto the recovered log failed: %v\n%s", tail, err, raw)
+		}
+		if got := st3.State().Pools["a"]; got != want-50 {
+			t.Errorf("tail %q: level after second reopen = %v, want %v", tail, got, want-50)
+		}
+		st3.Close()
 	}
 }
 

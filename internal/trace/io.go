@@ -10,7 +10,8 @@ import (
 // Trace I/O: job streams round-trip through a small CSV schema so that
 // generated traces can be archived, inspected, or replaced with records
 // distilled from a real cluster trace (the Google trace's job events reduce
-// to exactly these columns after Pareto fitting — see FitPareto).
+// to exactly these columns once a Pareto law is fitted to each job's task
+// times).
 //
 // Schema (with header):
 //

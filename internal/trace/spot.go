@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"chronos/internal/pareto"
 )
@@ -15,38 +13,6 @@ import (
 type SpotPrices struct {
 	Times  []float64
 	Prices []float64
-}
-
-// Validate reports structural errors.
-func (s SpotPrices) Validate() error {
-	if len(s.Times) == 0 || len(s.Times) != len(s.Prices) {
-		return errors.New("trace: spot series needs equal, non-empty times and prices")
-	}
-	for i := 1; i < len(s.Times); i++ {
-		if s.Times[i] <= s.Times[i-1] {
-			return fmt.Errorf("trace: spot times not increasing at %d", i)
-		}
-	}
-	for i, p := range s.Prices {
-		if p <= 0 {
-			return fmt.Errorf("trace: spot price %v at %d", p, i)
-		}
-	}
-	return nil
-}
-
-// At returns the price in effect at time t (the first price before Times[0]).
-func (s SpotPrices) At(t float64) float64 {
-	i := sort.SearchFloat64s(s.Times, t)
-	// SearchFloat64s returns the first index with Times[i] >= t; the price
-	// in effect is the previous segment unless t hits a boundary exactly.
-	if i < len(s.Times) && s.Times[i] == t {
-		return s.Prices[i]
-	}
-	if i == 0 {
-		return s.Prices[0]
-	}
-	return s.Prices[i-1]
 }
 
 // Integral returns the integral of the price over [a, b] — the exact spot
@@ -76,21 +42,6 @@ func (s SpotPrices) Integral(a, b float64) float64 {
 		}
 	}
 	return total
-}
-
-// Mean returns the time-weighted average price over the series' span (the
-// fixed C used by the paper's experiments).
-func (s SpotPrices) Mean() float64 {
-	if len(s.Prices) == 1 {
-		return s.Prices[0]
-	}
-	var weighted, span float64
-	for i := 0; i+1 < len(s.Times); i++ {
-		dt := s.Times[i+1] - s.Times[i]
-		weighted += s.Prices[i] * dt
-		span += dt
-	}
-	return weighted / span
 }
 
 // SpotConfig shapes a synthetic mean-reverting spot-price series.

@@ -1,12 +1,9 @@
 package trace
 
 import (
-	"errors"
 	"math"
 	"sort"
 	"testing"
-
-	"chronos/internal/pareto"
 )
 
 func TestGenerateDefault(t *testing.T) {
@@ -105,94 +102,22 @@ func TestTotalTasks(t *testing.T) {
 	}
 }
 
-func TestFitParetoRecovers(t *testing.T) {
-	truth := pareto.MustNew(12, 1.6)
-	rng := pareto.NewStream(5)
-	samples := truth.SampleN(rng, 20000)
-	fit, err := FitPareto(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.TMin-truth.TMin)/truth.TMin > 0.01 {
-		t.Errorf("fitted tmin %v, want ~%v", fit.TMin, truth.TMin)
-	}
-	if math.Abs(fit.Beta-truth.Beta)/truth.Beta > 0.05 {
-		t.Errorf("fitted beta %v, want ~%v", fit.Beta, truth.Beta)
-	}
-}
-
-func TestFitParetoErrors(t *testing.T) {
-	if _, err := FitPareto([]float64{1}); !errors.Is(err, ErrTooFewSamples) {
-		t.Errorf("one sample: err = %v", err)
-	}
-	if _, err := FitPareto([]float64{1, -2}); err == nil {
-		t.Error("negative sample accepted")
-	}
-	// Identical samples: degenerate near-deterministic fit.
-	fit, err := FitPareto([]float64{5, 5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.TMin != 5 || fit.Beta < 50 {
-		t.Errorf("degenerate fit = %v", fit)
-	}
-}
-
-func TestSpotPricesAt(t *testing.T) {
-	s := SpotPrices{Times: []float64{0, 10, 20}, Prices: []float64{1, 2, 3}}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		t    float64
-		want float64
-	}{
-		{-5, 1}, {0, 1}, {5, 1}, {10, 2}, {15, 2}, {20, 3}, {100, 3},
-	}
-	for _, tt := range tests {
-		if got := s.At(tt.t); got != tt.want {
-			t.Errorf("At(%v) = %v, want %v", tt.t, got, tt.want)
-		}
-	}
-}
-
-func TestSpotPricesMean(t *testing.T) {
-	s := SpotPrices{Times: []float64{0, 10, 30}, Prices: []float64{1, 4, 9}}
-	// Time-weighted: (1*10 + 4*20) / 30 = 3.
-	if got := s.Mean(); math.Abs(got-3) > 1e-12 {
-		t.Errorf("Mean() = %v, want 3", got)
-	}
-	single := SpotPrices{Times: []float64{0}, Prices: []float64{7}}
-	if got := single.Mean(); got != 7 {
-		t.Errorf("single-point Mean() = %v, want 7", got)
-	}
-}
-
-func TestSpotPricesValidate(t *testing.T) {
-	bad := []SpotPrices{
-		{},
-		{Times: []float64{0, 1}, Prices: []float64{1}},
-		{Times: []float64{0, 0}, Prices: []float64{1, 2}},
-		{Times: []float64{0, 1}, Prices: []float64{1, -2}},
-	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("bad series %d accepted", i)
-		}
-	}
-}
-
 func TestGenerateSpotPrices(t *testing.T) {
 	cfg := SpotConfig{Mean: 0.05, Volatility: 0.1, Reversion: 0.2, Step: 60, Horizon: 36000, Seed: 3}
 	s, err := GenerateSpotPrices(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
+	if len(s.Times) != len(s.Prices) || len(s.Times) != int(cfg.Horizon/cfg.Step)+1 {
+		t.Fatalf("%d times, %d prices, want %v of each", len(s.Times), len(s.Prices), cfg.Horizon/cfg.Step+1)
+	}
+	for i := 1; i < len(s.Times); i++ {
+		if s.Times[i] <= s.Times[i-1] {
+			t.Fatalf("spot times not increasing at %d", i)
+		}
 	}
 	// Mean reversion keeps the time average near the configured mean.
-	if m := s.Mean(); math.Abs(m-cfg.Mean)/cfg.Mean > 0.25 {
+	if m := s.Integral(0, cfg.Horizon) / cfg.Horizon; math.Abs(m-cfg.Mean)/cfg.Mean > 0.25 {
 		t.Errorf("series mean %v, want near %v", m, cfg.Mean)
 	}
 	// The floor holds.
@@ -240,9 +165,5 @@ func TestSpotIntegral(t *testing.T) {
 	// Reversed bounds negate.
 	if got := s.Integral(15, 5); math.Abs(got+25) > 1e-9 {
 		t.Errorf("reversed Integral = %v, want -25", got)
-	}
-	// Consistency with Mean over the covered span.
-	if got, want := s.Integral(0, 30), s.Mean()*30; math.Abs(got-want) > 1e-9 {
-		t.Errorf("Integral(0,30) = %v, want Mean*30 = %v", got, want)
 	}
 }

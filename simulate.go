@@ -6,6 +6,7 @@ import (
 
 	"fmt"
 
+	"chronos/internal/analysis"
 	"chronos/internal/mapreduce"
 	"chronos/internal/optimize"
 	"chronos/internal/pareto"
@@ -218,11 +219,16 @@ func (cfg SimConfig) withDefaults() SimConfig {
 	return cfg
 }
 
-// spec converts a SimJob to the internal job description.
+// spec converts a SimJob to the internal job description. A tail index at or
+// below 1 is rejected by the planner's own rule: the mean is infinite there,
+// and sampled task times run to where sums leave float64.
 func (j SimJob) spec(id int, cfg SimConfig) (mapreduce.JobSpec, error) {
 	dist, err := pareto.New(j.TMin, j.Beta)
 	if err != nil {
 		return mapreduce.JobSpec{}, err
+	}
+	if j.Beta <= 1 {
+		return mapreduce.JobSpec{}, fmt.Errorf("%w: beta=%v", analysis.ErrHeavyTail, j.Beta)
 	}
 	price := j.UnitPrice
 	if price == 0 {
@@ -249,6 +255,9 @@ func (j SimJob) spec(id int, cfg SimConfig) (mapreduce.JobSpec, error) {
 		rdist, err := pareto.New(rtmin, rbeta)
 		if err != nil {
 			return mapreduce.JobSpec{}, err
+		}
+		if rbeta <= 1 {
+			return mapreduce.JobSpec{}, fmt.Errorf("%w: reduceBeta=%v", analysis.ErrHeavyTail, rbeta)
 		}
 		spec.Reduce = mapreduce.ReduceSpec{
 			NumTasks: j.ReduceTasks,
