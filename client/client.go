@@ -140,9 +140,7 @@ type (
 // --- endpoint methods -----------------------------------------------------
 
 // Plan asks for one job's plan, routed client-side to the ring owner of its
-// plan key, failing over to the key's ring successors on transport errors
-// (the replicas that hold the key's warm copies when the fleet runs with a
-// replication factor).
+// plan key, failing over to one other replica on transport errors.
 func (c *Client) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, error) {
 	return postPlanKeyed[PlanResponse](ctx, c, req.Strategy, req.Job, req.Econ, "/v1/plan", req)
 }
@@ -153,8 +151,8 @@ func (c *Client) Admit(ctx context.Context, req AdmitRequest) (*AdmitResponse, e
 	return postPlanKeyed[AdmitResponse](ctx, c, req.Strategy, req.Job, req.Econ, "/v1/admit", req)
 }
 
-// postPlanKeyed posts a plan-keyed request to its ring owner, retrying the
-// key's next ring successors on transport errors. An HTTP-level error
+// postPlanKeyed posts a plan-keyed request to its ring owner, retrying on
+// one other replica after a transport error. An HTTP-level error
 // (*Error) is a live replica's answer and is returned as-is; only a replica
 // we could not talk to at all triggers failover, and a dead context stops
 // the walk (the caller gave up, not the replica).
@@ -170,8 +168,9 @@ func postPlanKeyed[T any](ctx context.Context, c *Client, strategy string, job c
 }
 
 // planTargets resolves the replicas for a plan-keyed request in preference
-// order: the ring owner of the key followed by its successors (the fleet's
-// replica set for the key). Requests whose key cannot be computed (unknown
+// order: the ring owner of the key, then any one other replica, which
+// answers correctly whatever it is (one forward hop, or a local solve when
+// the owner is down). Requests whose key cannot be computed (unknown
 // strategy name — the server will answer 400 anyway) and single-replica
 // clients get one round-robin target.
 func (c *Client) planTargets(strategy string, job chronos.JobParams, econ chronos.Econ) []string {
@@ -186,13 +185,12 @@ func (c *Client) planTargets(strategy string, job chronos.JobParams, econ chrono
 	if !best {
 		name = strat.String()
 	}
-	// Two targets: the owner plus its first successor. Matches the smallest
-	// useful server-side replication factor; with R = 1 the successor still
-	// answers correctly (one forward hop or a local fallback).
-	if targets := c.ring.Successors(plankey.Key(name, job, econ), 2); len(targets) > 0 {
-		return targets
+	owner, _ := c.ring.Owner(plankey.Key(name, job, econ))
+	second := c.next()
+	if second == owner {
+		second = c.next()
 	}
-	return []string{c.next()}
+	return []string{owner, second}
 }
 
 // AdmitBatch asks for admission decisions for several same-tenant jobs.

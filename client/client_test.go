@@ -73,6 +73,61 @@ func TestFleetClientRoutesToOwner(t *testing.T) {
 	}
 }
 
+// TestFleetClientFailsOverFromDeadOwner: when the key's owner cannot be
+// reached, the plan-keyed call is retried on one other replica, which answers
+// it (solving locally, its own forward to the dead owner having failed).
+func TestFleetClientFailsOverFromDeadOwner(t *testing.T) {
+	listeners := make(map[string]*httptest.Server)
+	servers := make([]*server.Server, 3)
+	var urls []string
+	for i := range servers {
+		servers[i] = server.New(server.Config{})
+		ts := httptest.NewServer(servers[i].Handler())
+		t.Cleanup(ts.Close)
+		listeners[ts.URL] = ts
+		urls = append(urls, ts.URL)
+	}
+	for i, s := range servers {
+		if err := s.SetRing(ring.Membership{Self: urls[i], Peers: urls}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewFleet(urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	req := PlanRequest{
+		Job:  chronos.JobParams{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5, TauEst: 30, TauKill: 60},
+		Econ: chronos.Econ{Theta: 1e-4, UnitPrice: 1},
+	}
+	targets := c.planTargets(req.Strategy, req.Job, req.Econ)
+	if len(targets) != 2 || targets[0] == targets[1] {
+		t.Fatalf("planTargets = %v, want the owner and one other replica", targets)
+	}
+	owner := targets[0]
+	listeners[owner].Close()
+	if _, err := c.Plan(ctx, req); err != nil {
+		t.Fatalf("plan with the owner down: %v", err)
+	}
+	served := 0
+	for _, base := range urls {
+		if base == owner {
+			continue
+		}
+		text, err := metricsAt(ctx, c, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(text, `chronosd_requests_total{endpoint="/v1/plan",code="200"} 1`) {
+			served++
+		}
+	}
+	if served != 1 {
+		t.Errorf("%d of the two live replicas answered the plan, want exactly 1", served)
+	}
+}
+
 // metricsAt fetches one specific replica's metrics (Metrics() round-robins,
 // which the routing assertion must not depend on).
 func metricsAt(ctx context.Context, c *Client, base string) (string, error) {

@@ -8,7 +8,7 @@
 //	chronosd [-addr :8080] [-cache-capacity 4096] [-workers N]
 //	         [-max-body 1048576] [-tenants tenants.json]
 //	         [-self http://host:port -peers url1,url2,... | -ring ring.json]
-//	         [-heartbeat-interval 1s] [-suspect-after 3] [-replication 1]
+//	         [-heartbeat-interval 1s] [-suspect-after 3]
 //	         [-escrow] [-data-dir /var/lib/chronosd] [-escrow-lease-ttl 15s]
 //	         [-log-level info] [-log-sample 1] [-debug-addr 127.0.0.1:6060]
 //
@@ -45,19 +45,19 @@
 //
 // The fleet is self-managing: every -heartbeat-interval each replica probes
 // its peers' /healthz, evicts a member from its effective ring view after
-// -suspect-after consecutive failures, and re-admits it once probes recover
-// (warm-handing the remapped cache entries back). With -replication R > 1
-// the owner of each plan key pushes hot cache entries to the key's next R-1
-// ring successors, so a forward that finds the owner dead is served warm
-// from a replica instead of recomputing cold.
+// -suspect-after consecutive failures, and re-admits it once probes recover.
+// An evicted member's plan keys are solved by the survivors that inherit
+// them: plans are never persisted or exchanged, because solving one (2.5 µs)
+// costs less than moving it (4.0 µs).
 //
 // With -escrow, tenant budgets are fleet-exact instead of per-replica: the
 // ring owner of each tenant key holds the authoritative pool and every other
 // replica debits a local lease topped up over the internal /v1/escrow/lease
 // API, so concurrent admits across the whole fleet can never over-commit a
 // pool. -data-dir makes the ledger durable (periodic snapshot + append-only
-// WAL, replayed on boot) and persists the hot plan cache across restarts; a
-// booting ring member also bulk-fetches the plans it owns from its peers.
+// WAL, replayed on boot). Tenant pools are owned on the configured
+// membership: while the health monitor has a pool owner evicted, the
+// survivors refuse that tenant's admits instead of opening a second pool.
 //
 // SIGHUP re-reads the -tenants and -ring config files: tenant reloads carry
 // live ledger levels over for pools whose budget shape is unchanged and
@@ -94,9 +94,8 @@ func main() {
 		ringPath      = flag.String("ring", "", "ring membership file (JSON {self, peers}); SIGHUP reloads it")
 		heartbeat     = flag.Duration("heartbeat-interval", time.Second, "peer liveness probe interval for health-driven membership (0 disables)")
 		suspectAfter  = flag.Int("suspect-after", 3, "consecutive failed probes before a ring member is evicted")
-		replication   = flag.Int("replication", 1, "hot-key copy count R: owner plus R-1 ring successors hold each cached plan")
 		escrow        = flag.Bool("escrow", false, "fleet-exact tenant budgets via the escrow ledger (off = per-replica approximation)")
-		dataDir       = flag.String("data-dir", "", "durability directory for the escrow snapshot+WAL and the plan-cache dump (empty = memory only)")
+		dataDir       = flag.String("data-dir", "", "durability directory for the escrow snapshot+WAL (empty = memory only)")
 		leaseTTL      = flag.Duration("escrow-lease-ttl", 15*time.Second, "escrow lease lifetime without a renewal before the owner reclaims it")
 		logLevel      = flag.String("log-level", "info", "log level: debug, info, warn, or error")
 		logSample     = flag.Int("log-sample", 1, "log every Nth request line (5xx always log)")
@@ -169,7 +168,6 @@ func main() {
 		Peers:             membership.Peers,
 		HeartbeatInterval: *heartbeat,
 		SuspectAfter:      *suspectAfter,
-		Replication:       *replication,
 		Escrow:            *escrow,
 		Store:             store,
 		EscrowLeaseTTL:    *leaseTTL,
@@ -242,18 +240,6 @@ func main() {
 		}()
 	}
 
-	// A replica joining a sharded fleet warms the slice of the plan
-	// keyspace it owns from its peers' caches, so a restart (or a reshard
-	// that moved keys here) starts hot instead of cold. Concurrent with
-	// serving: a plan that arrives before its warm copy is just solved once.
-	if membership.Enabled() {
-		go func() {
-			warmCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-			defer cancel()
-			srv.WarmFromPeers(warmCtx)
-		}()
-	}
-
 	logger.Info("listening", "addr", *addr,
 		"logLevel", level.String(), "logSample", *logSample,
 		"escrow", *escrow, "dataDir", *dataDir)
@@ -262,7 +248,7 @@ func main() {
 		os.Exit(1)
 	}
 	// Graceful teardown: release escrow leases to their owners, compact the
-	// ledger, dump the hot plan cache, then close the WAL.
+	// ledger, then close the WAL.
 	srv.Close()
 	if err := store.Close(); err != nil {
 		logger.Error("data dir close failed", "error", err.Error())

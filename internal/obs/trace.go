@@ -53,9 +53,6 @@ const (
 	// configured membership (not request-scoped; observed directly into the
 	// stage histogram by the monitor goroutine).
 	StageHeartbeat
-	// StageHandoff is one warm cache handoff after a membership change:
-	// dump, ownership diff, and the pushes to every new owner.
-	StageHandoff
 
 	// NumStages sizes per-stage arrays; keep it last.
 	NumStages
@@ -63,7 +60,7 @@ const (
 
 var stageNames = [NumStages]string{
 	"quantize", "cache", "solve", "debit", "escrow", "forward", "replay_emit",
-	"flight_wait", "heartbeat", "handoff",
+	"flight_wait", "heartbeat",
 }
 
 // String returns the stable label used in logs, metrics, and /debug/traces.

@@ -27,8 +27,8 @@ func Key(strategy string, p chronos.JobParams, e chronos.Econ) string {
 // AppendKey appends the plan key to dst and returns the extended slice —
 // Key for the serving hot path, which reuses a pooled buffer instead of
 // allocating a string per request. The output is byte-identical to Key
-// (historically fmt.Sprintf with %.6g), which persisted cache dumps and
-// fleet-wide ring placement both depend on.
+// (historically fmt.Sprintf with %.6g), which fleet-wide ring placement
+// depends on.
 func AppendKey(dst []byte, strategy string, p chronos.JobParams, e chronos.Econ) []byte {
 	dst = append(dst, strategy...)
 	dst = append(dst, '|')

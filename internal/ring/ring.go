@@ -180,83 +180,6 @@ func (r *Ring) OwnerBytes(key []byte) (owner string, ok bool) {
 	return r.breakTie(string(key), idx, end), true
 }
 
-// Successors returns up to n distinct members in ring order starting at the
-// virtual point that owns key: the owner first, then the members whose
-// virtual points follow clockwise — exactly the members that inherit the
-// key's arc, in order, as their predecessors leave the ring. This is the
-// placement rule behind hot-key replication: a key's R−1 backup copies live
-// on Successors(key, R)[1:], so when the owner is evicted the remapped owner
-// already holds the entry. n is clamped to the member count. In the
-// astronomically rare collision case the first element is resolved by the
-// same rendezvous tie-break as Owner, so the two always agree.
-func (r *Ring) Successors(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	idx, end := r.span(hash64(key))
-	out := r.walkSuccessors(idx, n)
-	if end != idx {
-		promote(out, r.breakTie(key, idx, end))
-	}
-	return out
-}
-
-// SuccessorsBytes is Successors for a key still in a pooled request buffer.
-func (r *Ring) SuccessorsBytes(key []byte, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	idx, end := r.span(hash64Bytes(key))
-	out := r.walkSuccessors(idx, n)
-	if end != idx {
-		promote(out, r.breakTie(string(key), idx, end))
-	}
-	return out
-}
-
-// promote moves owner to the front of nodes, preserving the relative order
-// of the rest. A collision span's rendezvous winner may sit anywhere in the
-// first few positions of the clockwise walk; it must lead the successor list
-// so list[0] always agrees with Owner.
-func promote(nodes []string, owner string) {
-	for i, n := range nodes {
-		if n == owner {
-			copy(nodes[1:i+1], nodes[:i])
-			nodes[0] = owner
-			return
-		}
-	}
-	// The winner fell outside the clamped walk (possible only when n was
-	// smaller than the collision span); displace the head.
-	if len(nodes) > 0 {
-		nodes[0] = owner
-	}
-}
-
-// walkSuccessors collects up to n distinct members walking clockwise from
-// points[idx]. n is small (a replication factor), so the distinctness check
-// is a linear scan.
-func (r *Ring) walkSuccessors(idx, n int) []string {
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		node := r.points[(idx+i)%len(r.points)].node
-		dup := false
-		for _, seen := range out {
-			if seen == node {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, node)
-		}
-	}
-	return out
-}
-
 // span locates the owning virtual point for hash h and extends across any
 // colliding points at the same circle position, returning the [idx, end]
 // index range (end == idx in the no-collision common case).

@@ -13,7 +13,7 @@ import (
 // TestBodyContractUniform: every POST endpoint accepts exactly the same set
 // of bodies — one JSON value of the endpoint's shape, whitespace around it
 // allowed — and answers every other body with the same status and code. The
-// streaming decoder six of the eight used to read with stopped at the end of
+// streaming decoder six of them used to read with stopped at the end of
 // the first value, so `{...} xyz` was a 200 (on /v1/admit/batch a 200 with a
 // ledger debit) where /v1/plan and /v1/admit answered 400.
 func TestBodyContractUniform(t *testing.T) {
@@ -23,10 +23,12 @@ func TestBodyContractUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Escrow on, because /v1/escrow/lease is a 404 without it; a solo replica
-	// owns every tenant.
+	// Escrow on, because /v1/escrow/lease is a 404 without it, and a ring with
+	// one other member for this replica to grant the lease to (plan keys that
+	// member owns fall back locally: nothing listens there).
 	s, ts := newTestServer(t, Config{Tenants: reg, MaxBodyBytes: wireMaxBody, Escrow: true})
 	t.Cleanup(s.Close)
+	holder := leaseHolder(t, s, "team")
 
 	endpoints := []struct{ path, valid string }{
 		{"/v1/plan", `{"job":` + wireJob + `,"econ":` + wireEcon + `}`},
@@ -35,8 +37,7 @@ func TestBodyContractUniform(t *testing.T) {
 		{"/v1/admit/batch", `{"tenant":"team","jobs":[{"job":` + wireJob + `}]}`},
 		{"/v1/simulate", `{"config":{"strategy":"clone","seed":7},"jobs":[` + wireSimJob + `]}`},
 		{"/v1/replay", `{"config":{"strategy":"clone","seed":7},"jobs":[` + wireSimJob + `]}`},
-		{"/v1/escrow/lease", `{"tenant":"team","holder":"http://holder:1","want":100}`},
-		{"/v1/cache/push", `{"plans":[]}`},
+		{"/v1/escrow/lease", `{"tenant":"team","holder":"` + holder + `","want":100}`},
 	}
 	malformed := []struct {
 		name   string

@@ -101,21 +101,6 @@ func (c *planCache) get(key []byte) (chronos.Plan, bool) {
 	return el.Value.(*cacheEntry).plan, true
 }
 
-// peek reports whether key is cached without touching recency or the
-// hit/miss counters. The replica-read path uses it to decide whether a
-// local replica copy can answer for a dead owner; the actual serve goes
-// through get, which does the accounting.
-func (c *planCache) peek(key []byte) bool {
-	if c == nil {
-		return false
-	}
-	s := &c.shards[fnv1a(key)&c.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[string(key)]
-	return ok
-}
-
 // frontier returns the entry's precomputed capped-solve table, nil when the
 // key is cold or no squeeze has built one yet. Does not touch recency or hit
 // counters: every caller just did a get for the same key.
@@ -208,49 +193,4 @@ func (c *planCache) stats() (hits, misses uint64) {
 		return 0, 0
 	}
 	return c.hits.Value(), c.misses.Value()
-}
-
-// savedPlan is one persisted plan-cache entry: the disk/wire form shared by
-// the shutdown dump under -data-dir and the GET /v1/cache/owned peer-warm
-// surface.
-type savedPlan struct {
-	Key  string       `json:"key"`
-	Plan chronos.Plan `json:"plan"`
-}
-
-// dump snapshots every cached entry, per shard in recency order, for
-// persistence or peer warm-up.
-func (c *planCache) dump() []savedPlan {
-	if c == nil {
-		return nil
-	}
-	out := make([]savedPlan, 0, c.len())
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.order.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*cacheEntry)
-			out = append(out, savedPlan{Key: e.key, Plan: e.plan})
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// load inserts saved entries — the boot-time warm path. Plans are a pure
-// function of their key, so overwriting a concurrently computed entry is
-// harmless.
-func (c *planCache) load(entries []savedPlan) int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for _, e := range entries {
-		if e.Key == "" {
-			continue
-		}
-		c.put(e.Key, e.Plan)
-		n++
-	}
-	return n
 }

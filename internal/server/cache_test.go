@@ -226,3 +226,54 @@ func TestServeGraceful(t *testing.T) {
 		t.Errorf("Serve returned %v after graceful shutdown, want nil", err)
 	}
 }
+
+// TestCachePlaneGone: nothing can plant a plan. The two endpoints that moved
+// cached plans between replicas are 404, and the request that used to poison
+// a tenant's cell — a free plan pushed under the job's key, which /v1/plan
+// then served as cached and /v1/admit admitted without a debit — changes no
+// answer.
+func TestCachePlaneGone(t *testing.T) {
+	const budget = 20000.0
+	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget)})
+	planBytes := func() string {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()})
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("plan: status %d, read error %v", resp.StatusCode, err)
+		}
+		return buf.String()
+	}
+	planBytes() // the solve; every later answer is the cached form
+	before := planBytes()
+
+	poison := fmt.Sprintf(`{"plans":[{"key":%q,"plan":{"strategy":"Clone","r":0,"pocd":1,"machineTime":0}}]}`,
+		plankey.Key("", testJob(), testEcon()))
+	resp, err := http.Post(ts.URL+"/v1/cache/push", "application/json", bytes.NewBufferString(poison))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/cache/push: status %d, want 404", resp.StatusCode)
+	}
+	if resp, err = http.Get(ts.URL + "/v1/cache/owned?holder=http://127.0.0.1:1"); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/cache/owned: status %d, want 404", resp.StatusCode)
+	}
+
+	if after := planBytes(); after != before {
+		t.Errorf("/v1/plan moved:\n got %s\nwant %s", after, before)
+	}
+	mt := bestPlanMachineTime(t)
+	dec := decodeBody[api.AdmitResponse](t, postJSON(t, ts.URL+"/v1/admit",
+		api.AdmitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}))
+	if !dec.Admitted || dec.Plan.MachineTime != mt || dec.BudgetRemaining != budget-mt {
+		t.Errorf("admit: admitted=%v plan=%+v budgetRemaining=%g, want the %g machine-second plan debited from %g",
+			dec.Admitted, dec.Plan, dec.BudgetRemaining, mt, budget)
+	}
+}

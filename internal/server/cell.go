@@ -102,11 +102,8 @@ func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached b
 		plan = chronos.Plan{}
 	} else {
 		// Cache before leaving the flight table so later misses for this key
-		// hit the LRU instead of starting a fresh solve, then enqueue the
-		// entry's async push to its ring successors (no-op unless this
-		// replica owns the key and replication is on).
+		// hit the LRU instead of starting a fresh solve.
 		s.cache.put(key, plan)
-		s.replicateHot(key, plan)
 	}
 	s.flight.complete(key, call, plan, err)
 	return plan, false, err
@@ -135,8 +132,7 @@ func (s *Server) planWithin(tr *obs.Trace, c *cell, budget float64) (chronos.Pla
 		if bf, err = c.frontier(); err != nil {
 			// Unreachable after a successful unconstrained solve for the same
 			// cell (construction fails only on budget-independent grounds), but
-			// fall back to the direct capped solve so behavior is identical even
-			// for, say, a corrupted persisted cache entry.
+			// fall back to the direct capped solve.
 			return c.solveWithin(budget)
 		}
 		s.cache.setFrontier(c.key, bf)

@@ -89,8 +89,8 @@ type Config struct {
 	// Server.SetRing.
 	Self  string
 	Peers []string
-	// ForwardTimeout bounds one replica-to-replica call (forward, lease,
-	// cache push or pull) before the caller degrades. Default 2 s.
+	// ForwardTimeout bounds one replica-to-replica call (forward or lease)
+	// before the caller degrades. Default 2 s.
 	ForwardTimeout time.Duration
 	// BreakerThreshold is the consecutive failed peer calls that open a
 	// peer's circuit; BreakerCooldown is how long an open circuit skips the
@@ -108,11 +108,6 @@ type Config struct {
 	// before a suspect is re-admitted. Defaults 3 and 2.
 	SuspectAfter int
 	ReadmitAfter int
-	// Replication is the hot-key copy count R: each cached plan lives on
-	// its ring owner plus the next R−1 ring successors (the owner pushes
-	// copies asynchronously), and forwards read from a replica when the
-	// owner is unreachable. 1 (the default) keeps single-copy placement.
-	Replication int
 
 	// Logger receives structured logs: sampled per-request lines (trace ID,
 	// route, status, stage breakdown) and unsampled 5xx lines, which are
@@ -142,10 +137,9 @@ type Config struct {
 	// fleet runs the legacy per-replica approximation (each replica holds a
 	// full copy of every pool).
 	Escrow bool
-	// Store is the snapshot+WAL durability layer for escrow accounting and
-	// the plan-cache dump (opened from -data-dir). Nil keeps the ledger
-	// memory-only; escrow still enforces fleet-exactness, it just cannot
-	// survive an owner restart.
+	// Store is the snapshot+WAL durability layer for escrow accounting
+	// (opened from -data-dir). Nil keeps the ledger memory-only; escrow still
+	// enforces fleet-exactness, it just cannot survive an owner restart.
 	Store *tenant.Store
 	// EscrowLeaseTTL is how long a lease stays valid without a renewal
 	// before the owner reclaims its escrow. Default tenant.DefaultLeaseTTL.
@@ -201,9 +195,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadmitAfter <= 0 {
 		c.ReadmitAfter = 2
-	}
-	if c.Replication <= 0 {
-		c.Replication = 1
 	}
 	if c.EscrowLeaseTTL <= 0 {
 		c.EscrowLeaseTTL = tenant.DefaultLeaseTTL

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -192,6 +193,24 @@ func TestEscrowRestartRestoresLevels(t *testing.T) {
 	}
 }
 
+// leaseHolder puts s on a two-member ring whose other member it returns: the
+// one holder s, which owns the tenant's pool there, grants leases to. The
+// choice is a pure function of the tenant name; neither URL is listened on.
+func leaseHolder(t *testing.T, s *Server, tenantName string) string {
+	t.Helper()
+	for port := 2; port < 64; port++ {
+		holder := "http://127.0.0.1:" + strconv.Itoa(port)
+		if err := s.SetRing(ring.Membership{Self: "http://127.0.0.1:1", Peers: []string{holder}}); err != nil {
+			t.Fatal(err)
+		}
+		if s.escrow.ownsTenant(tenantName) {
+			return holder
+		}
+	}
+	t.Fatalf("no two-member ring gives this replica tenant %q", tenantName)
+	return ""
+}
+
 // leaseViaHTTP drives the owner-side escrow API directly, playing a remote
 // holder.
 func leaseViaHTTP(t *testing.T, url string, req escrowLeaseRequest) escrowLeaseResponse {
@@ -215,10 +234,11 @@ func TestSetTenantsRebaseWithOutstandingLeases(t *testing.T) {
 		Tenants: testRegistry(t, "etl", budget), Escrow: true,
 	})
 	defer srv.Close()
+	holder := leaseHolder(t, srv, "etl")
 
 	// A remote holder leases 300 machine-seconds of escrow.
 	grant := leaseViaHTTP(t, ts.URL, escrowLeaseRequest{
-		Tenant: "etl", Holder: "http://holder.example:1", Want: 300,
+		Tenant: "etl", Holder: holder, Want: 300,
 	})
 	if grant.Granted != 300 {
 		t.Fatalf("granted = %g, want 300", grant.Granted)
@@ -248,7 +268,7 @@ func TestSetTenantsRebaseWithOutstandingLeases(t *testing.T) {
 	// The holder comes back from the lease: 100 spent, 200 unspent. The
 	// release credits exactly the unspent escrow.
 	leaseViaHTTP(t, ts.URL, escrowLeaseRequest{
-		Tenant: "etl", Holder: "http://holder.example:1", Spent: 100, Release: true,
+		Tenant: "etl", Holder: holder, Spent: 100, Release: true,
 	})
 	if got := srv.Tenants().Get("etl").Remaining(); got != 1900 {
 		t.Fatalf("after release: remaining = %g, want 1900", got)
@@ -358,7 +378,7 @@ func TestEscrowLeaseNotOwner(t *testing.T) {
 		t.Fatal("both replicas claim tenant ownership")
 	}
 	resp := postJSON(t, urls[nonOwner]+escrowPath, escrowLeaseRequest{
-		Tenant: "etl", Holder: "http://holder.example:1", Want: 10,
+		Tenant: "etl", Holder: urls[1-nonOwner], Want: 10,
 	})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
@@ -507,7 +527,7 @@ func TestEscrowReclaimCounted(t *testing.T) {
 	})
 	t.Cleanup(s.Close)
 	grant := decodeBody[escrowLeaseResponse](t, postJSON(t, ts.URL+escrowPath,
-		escrowLeaseRequest{Tenant: "etl", Holder: "http://silent:1", Want: 100}))
+		escrowLeaseRequest{Tenant: "etl", Holder: leaseHolder(t, s, "etl"), Want: 100}))
 	if grant.Granted != 100 {
 		t.Fatalf("granted %v, want 100", grant.Granted)
 	}
@@ -549,5 +569,117 @@ func TestWALAppendFailureCounted(t *testing.T) {
 	}
 	if got := metricValue(getMetricsText(t, ts.URL), failures); got != "1" {
 		t.Errorf("%s = %q after one unlogged debit, want 1", failures, got)
+	}
+}
+
+// TestEscrowLeaseRejectsUnknownHolder: a lease is granted only to another
+// member of the configured ring. One POST naming a made-up holder used to
+// move the whole pool into a lease nobody would spend or renew, which the TTL
+// then reclaimed as spent.
+func TestEscrowLeaseRejectsUnknownHolder(t *testing.T) {
+	const budget = 1000.0
+	s, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget), Escrow: true})
+	t.Cleanup(s.Close)
+	refused := func(when, holder string) {
+		t.Helper()
+		resp := postJSON(t, ts.URL+escrowPath, escrowLeaseRequest{Tenant: "etl", Holder: holder, Want: 1e9})
+		if env := decodeBody[api.ErrorResponse](t, resp); resp.StatusCode != http.StatusBadRequest || env.Code != api.CodeBadRequest {
+			t.Errorf("%s, holder %q: %d %q, want 400 %q", when, holder, resp.StatusCode, env.Code, api.CodeBadRequest)
+		}
+		if got := s.Tenants().Get("etl").Remaining(); got != budget {
+			t.Fatalf("%s, holder %q: the refused lease left %g in the pool, want %g", when, holder, got, budget)
+		}
+	}
+	refused("without a ring", "http://127.0.0.1:2")
+	member := leaseHolder(t, s, "etl")
+	self, _ := s.RingMembers()
+	for _, holder := range []string{"nobody", "", self, member + "0"} {
+		refused("on a ring", holder)
+	}
+	if grant := leaseViaHTTP(t, ts.URL, escrowLeaseRequest{Tenant: "etl", Holder: member, Want: 100}); grant.Granted != 100 {
+		t.Errorf("a member was granted %g, want 100", grant.Granted)
+	}
+}
+
+// TestFleetEscrowOwnerEvictionNeverOverCommits: the health monitor evicting
+// a tenant's pool owner must not hand the tenant a second budget. Ownership
+// used to follow the effective ring, so a survivor became the owner with a
+// pool no debit had ever reached and admitted the whole budget again.
+func TestFleetEscrowOwnerEvictionNeverOverCommits(t *testing.T) {
+	budget := 4.4 * bestPlanMachineTime(t)
+	servers, listeners := newRingFleet(t, 3, func(int) Config {
+		return Config{
+			Tenants: testRegistry(t, "etl", budget), Escrow: true,
+			EscrowLeaseTTL:    time.Hour, // no renewal moves escrow mid-test
+			HeartbeatInterval: 20 * time.Millisecond,
+			BreakerThreshold:  1,
+		}
+	})
+	owner := -1
+	for i, s := range servers {
+		t.Cleanup(s.Close)
+		if s.escrow.ownsTenant("etl") {
+			owner = i
+		}
+	}
+	// A job whose plan key the pool owner owns too, so that every replica's
+	// admit debits the pool itself: a holder cannot pay for a plan this size
+	// out of its lease (at most a tenth of the budget).
+	job := reqOwnedBy(t, servers[0], listeners[owner].URL).Job
+	req := api.AdmitRequest{Tenant: "etl", Job: job, Econ: testEcon()}
+	admit := func(via int) api.AdmitResponse {
+		t.Helper()
+		resp := postJSON(t, listeners[via].URL+"/v1/admit", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("admit via replica %d: status %d", via, resp.StatusCode)
+		}
+		return decodeBody[api.AdmitResponse](t, resp)
+	}
+
+	// Spend the pool: the job through every replica until all refuse it.
+	admitted := 0.0
+	for i, refusals := 0, 0; refusals < 3; i++ {
+		if i == 100 {
+			t.Fatal("the pool never ran dry")
+		}
+		if dec := admit(i % 3); dec.Admitted {
+			admitted, refusals = admitted+dec.Plan.MachineTime, 0
+		} else {
+			refusals++
+		}
+	}
+	if admitted < budget/2 {
+		t.Fatalf("the fleet admitted %g machine-seconds of a %g budget before the outage", admitted, budget)
+	}
+
+	listeners[owner].Close()
+	survivors := []int{(owner + 1) % 3, (owner + 2) % 3}
+	for _, i := range survivors {
+		waitFor(t, "eviction of the pool owner on replica "+strconv.Itoa(i), func() bool {
+			_, members := servers[i].RingMembers()
+			return len(members) == 2
+		})
+	}
+	for _, i := range survivors {
+		if dec := admit(i); dec.Admitted {
+			admitted += dec.Plan.MachineTime
+			t.Errorf("survivor %d admitted %g machine-seconds with the pool owner evicted", i, dec.Plan.MachineTime)
+		} else if dec.Reason != api.ReasonBudgetExhausted {
+			t.Errorf("survivor %d refused with reason %q, want %q", i, dec.Reason, api.ReasonBudgetExhausted)
+		}
+		resp := postJSON(t, listeners[i].URL+"/v1/admit/batch", api.AdmitBatchRequest{
+			Tenant: "etl", Econ: testEcon(), Jobs: []api.AdmitBatchJob{{Job: job}, {Job: job}},
+		})
+		for k, res := range decodeBody[api.AdmitBatchResponse](t, resp).Results {
+			if res.Admitted {
+				admitted += res.Plan.MachineTime
+				t.Errorf("survivor %d admitted batch job %d with the pool owner evicted", i, k)
+			} else if res.Reason != api.ReasonBudgetExhausted {
+				t.Errorf("survivor %d refused batch job %d with reason %q, want %q", i, k, res.Reason, api.ReasonBudgetExhausted)
+			}
+		}
+	}
+	if admitted > budget*(1+1e-9) {
+		t.Fatalf("fleet admitted %g machine-seconds against a %g budget through the owner's eviction", admitted, budget)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -20,21 +21,19 @@ func metricAtLeast(text, prefix string, min int) bool {
 	return err == nil && v >= float64(min)
 }
 
-// TestFleetHealthEvictionReplicaReadAndHandoff is the tentpole acceptance
-// scenario, run under -race:
+// TestFleetHealthEvictionAndReadmit is the fleet's death-and-rebirth cycle,
+// run under -race:
 //
-//  1. A 3-replica fleet with heartbeat membership and replication factor 2
-//     solves one plan; the owner asynchronously pushes the hot entry to the
-//     key's first ring successor.
-//  2. The owner's listener dies. A request for the key through the third
-//     replica is served WARM from the successor's replica copy — no cold
-//     solve — and counts as a ring replica read.
+//  1. A 3-replica fleet with heartbeat membership solves one plan on the
+//     key's owner, reached through a forward.
+//  2. The owner's listener dies. The next request for the key is solved once
+//     more, by the replica it was sent to (nothing holds a copy of the plan),
+//     and is a hit there afterwards.
 //  3. The survivors' health monitors evict the dead owner from their
 //     effective rings within the suspect window.
-//  4. The owner comes back on the same address; the survivors re-admit it,
-//     and the successor hands the remapped hot entry back, so the owner
-//     rejoins warm.
-func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
+//  4. The owner comes back on the same address; the survivors re-admit it
+//     and forward the key to it again.
+func TestFleetHealthEvictionAndReadmit(t *testing.T) {
 	const n = 3
 	servers := make([]*Server, n)
 	httpSrvs := make([]*http.Server, n)
@@ -49,7 +48,6 @@ func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
 			HeartbeatInterval: 50 * time.Millisecond,
 			SuspectAfter:      3,
 			ReadmitAfter:      2,
-			Replication:       2,
 			BreakerThreshold:  1,
 			BreakerCooldown:   50 * time.Millisecond,
 		})
@@ -69,77 +67,53 @@ func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
 			t.Fatalf("SetRing(replica %d): %v", i, err)
 		}
 	}
-	totalSolves := func() int32 {
-		var sum int32
-		for i := range solves {
-			sum += solves[i].Load()
-		}
-		return sum
-	}
 
-	// Locate the key's owner and first successor on the shared ring view.
 	req := api.PlanRequest{Job: testJob(), Econ: testEcon()}
-	key := plankey.Key("", req.Job, req.Econ)
-	succ := servers[0].ringSt.Load().ring.Successors(key, 2)
-	if len(succ) != 2 {
-		t.Fatalf("Successors(key, 2) = %v", succ)
+	ownerURL, _ := servers[0].ringSt.Load().ring.Owner(plankey.Key("", req.Job, req.Econ))
+	owner := slices.Index(urls, ownerURL)
+	if owner < 0 {
+		t.Fatalf("%q is not a fleet member", ownerURL)
 	}
-	idxOf := func(url string) int {
-		for i, u := range urls {
-			if u == url {
-				return i
-			}
+	via, other := (owner+1)%n, (owner+2)%n
+	// plan posts the key through replica via and reports who served it.
+	plan := func(step string) (servedBy string, cached bool) {
+		t.Helper()
+		resp := postJSON(t, urls[via]+"/v1/plan", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d, want 200", step, resp.StatusCode)
 		}
-		t.Fatalf("%q is not a fleet member", url)
-		return -1
+		return resp.Header.Get(ServedByHeader), decodeBody[api.PlanResponse](t, resp).Cached
 	}
-	owner, backup := idxOf(succ[0]), idxOf(succ[1])
-	other := 3 - owner - backup // the replica holding neither copy
 
-	// 1. Solve through the non-owning, non-backup replica: the owner
-	// computes and caches, then replicates the hot entry to the backup.
-	resp := postJSON(t, urls[other]+"/v1/plan", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("initial plan: status = %d, want 200", resp.StatusCode)
+	// 1. Solve through a non-owner: the owner computes and caches.
+	if by, cached := plan("initial plan"); by != urls[owner] || cached {
+		t.Fatalf("initial plan served by %q cached=%v, want a cold solve on the owner %q", by, cached, urls[owner])
 	}
-	if first := decodeBody[api.PlanResponse](t, resp); first.Cached {
-		t.Fatal("first fleet request cannot be cached")
+	if got := solves[owner].Load(); got != 1 {
+		t.Fatalf("initial plan cost the owner %d solves, want 1", got)
 	}
-	if got := totalSolves(); got != 1 {
-		t.Fatalf("initial plan cost %d solves, want 1", got)
-	}
-	waitFor(t, "replica copy on the backup", func() bool {
-		return servers[backup].cache.peek([]byte(key))
-	})
 
-	// 2. Kill the owner and immediately re-request the key through the
-	// third replica: the forward walks owner (dead, breaker trips) then the
-	// backup, which answers warm from its replica copy.
+	// 2. Kill the owner and re-request the key: the forward fails, and the
+	// replica that took the request solves it itself, once.
 	if err := httpSrvs[owner].Close(); err != nil {
 		t.Fatal(err)
 	}
-	servers[owner].FlushCache() // its in-process cache must not mask the handoff later
-	resp = postJSON(t, urls[other]+"/v1/plan", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plan with dead owner: status = %d, want 200", resp.StatusCode)
+	if by, cached := plan("plan with dead owner"); by != urls[via] || cached {
+		t.Errorf("dead-owner plan served by %q cached=%v, want a cold solve on %q", by, cached, urls[via])
 	}
-	if got := resp.Header.Get(ServedByHeader); got != urls[backup] {
-		t.Errorf("dead-owner plan served by %q, want backup %q", got, urls[backup])
+	if by, cached := plan("second plan with dead owner"); by != urls[via] || !cached {
+		t.Errorf("second dead-owner plan served by %q cached=%v, want a hit on %q", by, cached, urls[via])
 	}
-	warm := decodeBody[api.PlanResponse](t, resp)
-	if !warm.Cached {
-		t.Error("replica read must hit the backup's warm copy")
+	if got := solves[via].Load(); got != 1 {
+		t.Errorf("owner death cost replica %d %d solves, want 1", via, got)
 	}
-	if got := totalSolves(); got != 1 {
-		t.Errorf("owner death cost %d extra solves, want 0 (warm replica read)", got-1)
-	}
-	if text := getMetricsText(t, urls[other]); !metricAtLeast(text, "chronosd_ring_replica_reads_total", 1) {
-		t.Errorf("chronosd_ring_replica_reads_total = %q on the forwarding replica, want >= 1",
-			metricValue(text, "chronosd_ring_replica_reads_total"))
+	if text := getMetricsText(t, urls[via]); !metricAtLeast(text, "chronosd_ring_local_fallbacks_total", 1) {
+		t.Errorf("chronosd_ring_local_fallbacks_total = %q, want >= 1",
+			metricValue(text, "chronosd_ring_local_fallbacks_total"))
 	}
 
 	// 3. Both survivors evict the dead owner from their effective rings.
-	for _, i := range []int{backup, other} {
+	for _, i := range []int{via, other} {
 		i := i
 		waitFor(t, "eviction on replica "+strconv.Itoa(i), func() bool {
 			_, members := servers[i].RingMembers()
@@ -156,8 +130,8 @@ func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
 		t.Errorf("%s = %q, want >= 1", failLine, metricValue(text, failLine))
 	}
 
-	// 4. Restart the owner on its old address: the survivors re-admit it
-	// and the backup hands the remapped hot entry back.
+	// 4. Restart the owner on its old address: the survivors re-admit it and
+	// forward the key to it again.
 	ln, err := net.Listen("tcp", urls[owner][len("http://"):])
 	if err != nil {
 		t.Fatal(err)
@@ -166,28 +140,22 @@ func TestFleetHealthEvictionReplicaReadAndHandoff(t *testing.T) {
 	go restarted.Serve(ln)
 	t.Cleanup(func() { restarted.Close() })
 
-	for _, i := range []int{backup, other} {
+	for _, i := range []int{via, other} {
 		i := i
 		waitFor(t, "re-admission on replica "+strconv.Itoa(i), func() bool {
 			_, members := servers[i].RingMembers()
 			return len(members) == 3
 		})
 	}
-	waitFor(t, "warm handoff back to the owner", func() bool {
-		return servers[owner].cache.peek([]byte(key))
-	})
-	text = getMetricsText(t, urls[other])
-	if !metricAtLeast(text, "chronosd_ring_readmits_total", 1) {
+	if text := getMetricsText(t, urls[other]); !metricAtLeast(text, "chronosd_ring_readmits_total", 1) {
 		t.Errorf("chronosd_ring_readmits_total = %q, want >= 1",
 			metricValue(text, "chronosd_ring_readmits_total"))
 	}
-	if bt := getMetricsText(t, urls[backup]); !metricAtLeast(bt, "chronosd_ring_handoff_entries_total", 1) {
-		t.Errorf("chronosd_ring_handoff_entries_total = %q on the backup, want >= 1",
-			metricValue(bt, "chronosd_ring_handoff_entries_total"))
+	if by, _ := plan("plan after re-admission"); by != urls[owner] {
+		t.Errorf("plan after re-admission served by %q, want the owner %q", by, urls[owner])
 	}
-
-	// The whole death-and-rebirth cycle never re-solved the plan.
-	if got := totalSolves(); got != 1 {
-		t.Errorf("fleet performed %d solves across the cycle, want 1", got)
+	forwarded := "chronosd_ring_forwarded_total{peer=\"" + urls[owner] + "\"}"
+	if text := getMetricsText(t, urls[via]); !metricAtLeast(text, forwarded, 2) {
+		t.Errorf("%s = %q, want >= 2 (one forward before the outage, one after)", forwarded, metricValue(text, forwarded))
 	}
 }

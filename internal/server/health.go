@@ -16,10 +16,10 @@ import (
 // replica probes every configured member's GET /healthz on a fixed interval,
 // evicts a member from its EFFECTIVE ring view after SuspectAfter
 // consecutive failures, and re-admits it after ReadmitAfter consecutive
-// successes. Eviction remaps each of the dead member's keys to the key's
-// first ring successor — exactly the replica that holds its hot copy when
-// the replication factor is >1 — and re-admission triggers the warm handoff
-// that streams the remapped entries back (see applyRing).
+// successes. Eviction remaps each of the dead member's plan keys to one of
+// the survivors, which solves them on first use; re-admission maps them back.
+// Tenant pools do not move with it: they stay owned on the configured ring
+// (see SetRing), so a dead pool owner's tenants are refused, not re-funded.
 //
 // Views are per-replica and eventually consistent: two replicas may briefly
 // disagree about a flapping member, which costs at most the usual one-hop
@@ -32,6 +32,7 @@ import (
 type healthState struct {
 	mu         sync.Mutex
 	configured ring.Membership
+	ring       *ring.Ring // over configured's members; nil when sharding is off
 	suspects   map[string]bool
 	fails      map[string]int
 	oks        map[string]int
@@ -119,9 +120,9 @@ func (s *Server) heartbeatRound(probeClient *http.Client) {
 	}
 	if changed {
 		s.health.mu.Lock()
-		members := s.health.effectiveLocked(self)
+		members, configured := s.health.effectiveLocked(self), s.health.ring
 		s.health.mu.Unlock()
-		s.applyRing(self, members)
+		s.applyRing(self, members, configured)
 	}
 	s.metrics.stageSeconds[obs.StageHeartbeat].Observe(time.Since(start).Seconds())
 }

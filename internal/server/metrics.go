@@ -65,12 +65,6 @@ type serverMetrics struct {
 	ringHeartbeatFails counterVec[string] // by peer URL
 	ringEvictions      metrics.Counter
 	ringReadmits       metrics.Counter
-	// ringReplicaReads counts plan-keyed requests answered from a replica
-	// copy (local or remote) while the key's owner was unreachable;
-	// ringHandoffEntries counts cache entries streamed to their new owners
-	// on membership changes.
-	ringReplicaReads   metrics.Counter
-	ringHandoffEntries metrics.Counter
 
 	// encodeFailures counts responses whose JSON encoding failed (answered
 	// as HTTP 500 and logged at warn with the trace ID).
@@ -391,15 +385,13 @@ func (m *serverMetrics) catalog() []series {
 		{"chronosd_ring_nodes", "gauge", "Replicas in the consistent-hash ring (0 = sharding off).", "TestRingMetricsGauges", nil, ringNodes},
 		{"chronosd_ring_owned_fraction", "gauge", "Fraction of the plan keyspace this replica owns.", "TestRingMetricsGauges", hasRing, ownedFraction},
 		{"chronosd_ring_forwarded_total", "counter", "Requests proxied to the owning replica, by peer.", "bench:server.forwarded_frac", nil, labelled("peer", &m.ringForwards)},
-		{"chronosd_ring_peer_errors_total", "counter", "Failed peer calls (forwards, escrow leases, cache pushes and pulls), by peer.", "TestPeerCall", nil, labelled("peer", &m.ringErrors)},
+		{"chronosd_ring_peer_errors_total", "counter", "Failed peer calls (forwards and escrow leases), by peer.", "TestPeerCall", nil, labelled("peer", &m.ringErrors)},
 		{"chronosd_ring_peer_dials_total", "counter", "Connections dialed to a peer; peer calls reuse them, so forwards per dial is the reuse ratio.", "TestPeerCall", nil, labelled("peer", &m.ringDials)},
 		{"chronosd_ring_local_fallbacks_total", "counter", "Non-owned keys computed locally because the owner was unreachable.", "TestFleetOwnerDownLocalFallback", nil, counter(&m.ringLocalFallbacks)},
 		{"chronosd_ring_received_forwards_total", "counter", "Requests served under the single-hop forwarding guard.", "TestForwardLoopGuard", nil, counter(&m.ringReceivedForwards)},
-		{"chronosd_ring_heartbeat_failures_total", "counter", "Failed liveness probes, by configured member.", "TestFleetHealthEvictionReplicaReadAndHandoff", nil, labelled("peer", &m.ringHeartbeatFails)},
-		{"chronosd_ring_evictions_total", "counter", "Members evicted from this replica's effective ring by the health monitor.", "TestFleetHealthEvictionReplicaReadAndHandoff", nil, counter(&m.ringEvictions)},
-		{"chronosd_ring_readmits_total", "counter", "Suspected members re-admitted after recovery.", "TestFleetHealthEvictionReplicaReadAndHandoff", nil, counter(&m.ringReadmits)},
-		{"chronosd_ring_replica_reads_total", "counter", "Plan-keyed requests answered from a replica copy while the owner was unreachable.", "TestFleetHealthEvictionReplicaReadAndHandoff", nil, counter(&m.ringReplicaReads)},
-		{"chronosd_ring_handoff_entries_total", "counter", "Cache entries streamed to their new owners on membership changes.", "TestFleetHealthEvictionReplicaReadAndHandoff", nil, counter(&m.ringHandoffEntries)},
+		{"chronosd_ring_heartbeat_failures_total", "counter", "Failed liveness probes, by configured member.", "TestFleetHealthEvictionAndReadmit", nil, labelled("peer", &m.ringHeartbeatFails)},
+		{"chronosd_ring_evictions_total", "counter", "Members evicted from this replica's effective ring by the health monitor.", "TestFleetHealthEvictionAndReadmit", nil, counter(&m.ringEvictions)},
+		{"chronosd_ring_readmits_total", "counter", "Suspected members re-admitted after recovery.", "TestFleetHealthEvictionAndReadmit", nil, counter(&m.ringReadmits)},
 		{"chronosd_response_encode_failures_total", "counter", "Responses whose JSON encoding failed (answered as HTTP 500).", "TestEncodeFailureIsCounted500", nil, counter(&m.encodeFailures)},
 		{"chronosd_uptime_seconds", "gauge", "Seconds since the server started.", "TestMetricsEndpoint", nil, uptime},
 	}

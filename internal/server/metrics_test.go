@@ -71,7 +71,6 @@ func TestMetricsGolden(t *testing.T) {
 	s.escrow.lease("alpha")
 	m.stageSeconds[obs.StageSolve].Observe(0.0004)
 	m.ringLocalFallbacks.Inc()
-	m.ringReplicaReads.Inc()
 	m.flightWaiters.Inc()
 	m.replayEmit(true)
 

@@ -21,10 +21,10 @@ import (
 	"chronos/internal/ring"
 )
 
-// This file is the one replica-to-replica HTTP client. Forwards, escrow
-// lease calls, cache pushes and warm pulls are all peerState.call: one
-// request builder, one timeout, one body cap, and one circuit-breaker policy,
-// so the allow→settle protocol is written exactly once. Underneath it speaks
+// This file is the one replica-to-replica HTTP client. Forwards and escrow
+// lease calls are both peerState.call: one request builder, one timeout, one
+// body cap, and one circuit-breaker policy, so the allow→settle protocol is
+// written exactly once. Underneath it speaks
 // HTTP/1.1 by hand over persistent per-peer connections — one write per
 // request, one buffered parse per answer, on the caller's goroutine —
 // because a forward sits on the request path and net/http's client spends
@@ -32,10 +32,10 @@ import (
 // spends answering it.
 
 const (
-	// maxPeerBodyBytes caps a buffered peer answer. The largest legitimate
-	// one is a /v1/cache/owned reply of maxCacheWarmEntries plans (~1 MiB); a
-	// peer sending more than this is broken.
-	maxPeerBodyBytes = 16 << 20
+	// maxPeerBodyBytes caps a buffered peer answer. A relayed /v1/plan or
+	// /v1/admit answer, a lease grant and an error envelope are all under a
+	// kilobyte; a peer sending more than the default request limit is broken.
+	maxPeerBodyBytes = 1 << 20
 	// maxPeerHeaderLines bounds an answer's header section (and a chunked
 	// answer's trailer). One line is bounded by the connection's 4 KiB
 	// bufio.Reader.

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"slices"
 	"time"
 
 	"chronos/internal/obs"
@@ -30,10 +29,11 @@ type ringState struct {
 	ring  *ring.Ring
 	self  string
 	peers map[string]*peerState // by member URL, excluding self
-	// replication is the hot-key copy count R: the owner plus the next R−1
-	// ring successors hold each cached plan, and a forward that cannot reach
-	// the owner reads from a replica before falling back to cold compute.
-	replication int
+	// configured is the ring over the operator-configured membership, health
+	// evictions ignored. Tenant pools are owned on it (see escrow.go): the
+	// monitor moving a pool to a survivor that never saw its debits would
+	// hand the tenant a second budget.
+	configured *ring.Ring
 	// selfHdr is the precomputed ServedByHeader value assigned into hot
 	// responses' header maps; immutable for the ringState's lifetime, so
 	// sharing one slice across requests is safe.
@@ -50,40 +50,45 @@ type ringState struct {
 // the health monitor currently suspects dead (self is never suspect). A
 // reload therefore composes with health state instead of resurrecting a
 // replica the monitor just evicted.
+//
+// Plan keys are owned on the effective ring, tenant pools (-escrow) on the
+// configured one: an evicted pool owner keeps its tenants, whose admits are
+// refused on the survivors until it returns. A reload that moves a tenant to
+// another owner is a fresh pool there — budget the old owner already debited
+// is not carried over.
 func (s *Server) SetRing(m ring.Membership) error {
 	if !m.Enabled() {
 		s.health.mu.Lock()
-		s.health.configured = ring.Membership{}
+		s.health.configured, s.health.ring = ring.Membership{}, nil
 		s.health.suspects, s.health.fails, s.health.oks = nil, nil, nil
 		s.health.mu.Unlock()
-		s.applyRing("", nil)
+		s.applyRing("", nil, nil)
 		return nil
 	}
 	if err := m.Validate(); err != nil {
 		return err
 	}
 	self := ring.NormalizeURL(m.Self)
+	configured := ring.New(m.Members(), ring.DefaultVirtualNodes)
 	s.health.mu.Lock()
-	s.health.configured = m
+	s.health.configured, s.health.ring = m, configured
 	s.health.pruneLocked(m.Members())
 	members := s.health.effectiveLocked(self)
 	s.health.mu.Unlock()
-	s.applyRing(self, members)
+	s.applyRing(self, members, configured)
 	return nil
 }
 
 // applyRing swaps in a new effective ring over members (nil disables
-// sharding). Circuit-breaker state and idle connections carry over for peers
-// present in both the old and new view; an evicted peer's state is dropped
-// and its connections closed, so a re-admitted member starts with a closed
-// circuit and a fresh dial. When the member set actually changed, the
-// remapped slice of the hot cache is streamed to its new owners in the
-// background (warm handoff).
-func (s *Server) applyRing(self string, members []string) {
+// sharding) beside the configured one. Circuit-breaker state and idle
+// connections carry over for peers present in both the old and new view; an
+// evicted peer's state is dropped and its connections closed, so a
+// re-admitted member starts with a closed circuit and a fresh dial.
+func (s *Server) applyRing(self string, members []string, configured *ring.Ring) {
 	s.ringMu.Lock()
 	defer s.ringMu.Unlock()
 	old := s.ringSt.Load()
-	// A new identity keeps no peer state and hands nothing off.
+	// A new identity keeps no peer state.
 	sameSelf := old != nil && old.self == self
 	var cur *ringState
 	if len(members) > 0 {
@@ -99,11 +104,11 @@ func (s *Server) applyRing(self string, members []string) {
 			}
 		}
 		cur = &ringState{
-			ring:        r,
-			self:        self,
-			peers:       peers,
-			replication: s.cfg.Replication,
-			selfHdr:     []string{self},
+			ring:       r,
+			self:       self,
+			peers:      peers,
+			configured: configured,
+			selfHdr:    []string{self},
 		}
 	}
 	s.ringSt.Store(cur)
@@ -113,9 +118,6 @@ func (s *Server) applyRing(self string, members []string) {
 				p.closeIdle()
 			}
 		}
-	}
-	if cur != nil && sameSelf && !slices.Equal(old.ring.Nodes(), cur.ring.Nodes()) {
-		go s.handoffRemapped(old, cur)
 	}
 }
 
@@ -131,19 +133,12 @@ func (s *Server) RingMembers() (self string, members []string) {
 
 // forwardToOwner implements the sharded serving path for one plan-keyed
 // request. It returns true when the response has been fully written (the
-// request was proxied to the owning replica or a live replica of the key);
-// false means the caller must compute locally — either because this replica
-// owns the key (or holds a replica copy of it), sharding is off, the
-// request already took its one forwarding hop, or no replica of the key is
-// reachable and we fall back to local computation rather than failing the
-// request.
-//
-// With replication factor R > 1 the key's targets are the owner followed by
-// the next R−1 ring successors — the replicas the owner pushes hot entries
-// to — tried in order, moving on when a peer's circuit is open or the call
-// fails (peerState.call settles the breaker). A response served by a
-// non-owner counts as a replica read: the warm copy answered while the owner
-// was down, which is the entire point of the replication factor.
+// request was proxied to the owning replica); false means the caller must
+// compute locally — either because this replica owns the key, sharding is
+// off, the request already took its one forwarding hop, or the owner is
+// unreachable (its circuit is open or the call failed; peerState.call
+// settles the breaker) and we fall back to local computation rather than
+// failing the request.
 //
 // payload is the decoded request, re-marshaled for the forward so that
 // fields this replica resolved (e.g. tenant econ defaults) travel with it
@@ -167,79 +162,44 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path str
 	if !ok || owner == rs.self {
 		return false
 	}
-	tr := obs.FromContext(r.Context())
-	var body []byte // marshaled before the first actual forward attempt
-	for i, target := range rs.targetsFor(key, owner) {
-		if target == rs.self {
-			// This replica holds (or should hold) a replica copy of the key:
-			// serve it from the local cache instead of forwarding onward. A
-			// warm local copy is a replica read; a cold one just means the
-			// local fallback recomputes.
-			if i > 0 && s.cache.peek(key) {
-				s.metrics.ringReplicaReads.Inc()
-			}
-			return false
-		}
-		peer := rs.peers[target]
-		if peer == nil {
-			// Membership raced a reload between Owner and the peer lookup;
-			// serving locally is always safe.
-			return false
-		}
-		if body == nil {
-			var err error
-			if body, err = json.Marshal(payload); err != nil {
-				return false
-			}
-		}
-		// Each attempt — request out through body read — is one StageForward
-		// span on this side.
-		start := time.Now()
-		ans, outcome := peer.call(r.Context(), http.MethodPost, path, body)
-		if outcome == peerSkipped {
-			continue
-		}
-		tr.Observe(obs.StageForward, time.Since(start))
-		switch {
-		case outcome == peerFailed:
-			continue // try the next replica
-		case outcome == peerAborted:
-			// The client went away mid-forward; a local fallback would compute
-			// a plan nobody reads. Drop the request.
-			return true
-		case ans.status == http.StatusNotFound:
-			// Config drift during a rolling rollout: this replica resolved the
-			// request (tenant lookup included) before forwarding, so a peer 404
-			// means its view disagrees — serve locally instead of failing a
-			// request we know how to answer; trying further replicas would be
-			// wrong.
-			s.metrics.ringLocalFallbacks.Inc()
-			return false
-		}
-		s.metrics.ringForwards.inc(peer.base)
-		if i > 0 {
-			s.metrics.ringReplicaReads.Inc()
-		}
-		if ans.contentType != "" {
-			w.Header().Set("Content-Type", ans.contentType)
-		}
-		if ans.servedBy != "" {
-			w.Header().Set(ServedByHeader, ans.servedBy)
-		}
-		w.WriteHeader(ans.status)
-		_, _ = w.Write(ans.body)
+	peer := rs.peers[owner]
+	if peer == nil {
+		// Membership raced a reload between Owner and the peer lookup;
+		// serving locally is always safe.
+		return false
+	}
+	body, err := json.Marshal(payload)
+	if err != nil {
+		return false
+	}
+	// The attempt — request out through body read — is one StageForward span
+	// on this side.
+	start := time.Now()
+	ans, outcome := peer.call(r.Context(), http.MethodPost, path, body)
+	if outcome != peerSkipped {
+		obs.FromContext(r.Context()).Observe(obs.StageForward, time.Since(start))
+	}
+	switch {
+	case outcome == peerAborted:
+		// The client went away mid-forward; a local fallback would compute
+		// a plan nobody reads. Drop the request.
 		return true
+	case outcome != peerAnswered || ans.status == http.StatusNotFound:
+		// The owner is unreachable, or — a 404 — config drift during a rolling
+		// rollout: this replica resolved the request (tenant lookup included)
+		// before forwarding, so the owner's view disagrees. Serve locally
+		// instead of failing a request we know how to answer.
+		s.metrics.ringLocalFallbacks.Inc()
+		return false
 	}
-	s.metrics.ringLocalFallbacks.Inc()
-	return false
-}
-
-// targetsFor returns the replicas to try for key, owner first. With R == 1
-// that is just the owner (no slice walk, no allocation beyond the literal);
-// with R > 1 the ring's successor list already leads with the owner.
-func (rs *ringState) targetsFor(key []byte, owner string) []string {
-	if rs.replication <= 1 {
-		return []string{owner}
+	s.metrics.ringForwards.inc(peer.base)
+	if ans.contentType != "" {
+		w.Header().Set("Content-Type", ans.contentType)
 	}
-	return rs.ring.SuccessorsBytes(key, rs.replication)
+	if ans.servedBy != "" {
+		w.Header().Set(ServedByHeader, ans.servedBy)
+	}
+	w.WriteHeader(ans.status)
+	_, _ = w.Write(ans.body)
+	return true
 }

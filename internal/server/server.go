@@ -55,11 +55,6 @@ type Server struct {
 	// (nil when cfg.HeartbeatInterval is 0).
 	healthStop chan struct{}
 	healthDone chan struct{}
-	// replic is the hot-key replication inbox (replicate.go); nil when
-	// cfg.Replication <= 1. replicStop/replicDone bracket its goroutine.
-	replic     *replicator
-	replicStop chan struct{}
-	replicDone chan struct{}
 	// solveHook, when set (tests), runs in the singleflight leader just
 	// before the solve — the hook point for counting and gating real solves.
 	solveHook func(key string)
@@ -120,13 +115,6 @@ func New(cfg Config) *Server {
 		s.escrow = newEscrowManager(s, led)
 		go s.escrow.run()
 	}
-	s.loadCache()
-	if cfg.Replication > 1 {
-		s.replic = &replicator{ch: make(chan savedPlan, 4*replicaPushBatch)}
-		s.replicStop = make(chan struct{})
-		s.replicDone = make(chan struct{})
-		go s.runReplicator()
-	}
 	if cfg.HeartbeatInterval > 0 {
 		s.healthStop = make(chan struct{})
 		s.healthDone = make(chan struct{})
@@ -141,8 +129,6 @@ func New(cfg Config) *Server {
 	s.route("POST /v1/simulate", "/v1/simulate", s.handleSimulate)
 	s.route("POST /v1/replay", "/v1/replay", s.handleReplay)
 	s.route("POST "+escrowPath, escrowPath, s.handleEscrowLease)
-	s.route("GET /v1/cache/owned", "/v1/cache/owned", s.handleCacheOwned)
-	s.route("POST /v1/cache/push", "/v1/cache/push", s.handleCachePush)
 	s.route("GET /healthz", "/healthz", s.handleHealthz)
 	s.route("GET /metrics", "/metrics", s.handleMetrics)
 	// The slow-trace buffer is also reachable on the serving listener (it is
@@ -180,27 +166,21 @@ func (s *Server) SetTenants(reg *tenant.Registry) {
 	s.FlushCache()
 }
 
-// Close stops the heartbeat monitor and replication fan-out, releases this
-// replica's escrow leases back to their owners, compacts the ledger into a
-// final snapshot, dumps the hot plan cache under the data dir for the next
-// boot's warm start, and leaves the ring, which closes the idle peer
-// connections (after the lease release, which travels on them). Safe to call
-// more than once; a server without those subsystems closes as a no-op.
+// Close stops the heartbeat monitor, releases this replica's escrow leases
+// back to their owners, compacts the ledger into a final snapshot, and leaves
+// the ring, which closes the idle peer connections (after the lease release,
+// which travels on them). Safe to call more than once; a server without those
+// subsystems closes as a no-op.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.healthStop != nil {
 			close(s.healthStop)
 			<-s.healthDone
 		}
-		if s.replicStop != nil {
-			close(s.replicStop)
-			<-s.replicDone
-		}
 		if s.escrow != nil {
 			s.escrow.shutdown()
 		}
-		s.saveCache()
-		s.applyRing("", nil)
+		s.applyRing("", nil, nil)
 	})
 }
 

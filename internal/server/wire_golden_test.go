@@ -40,6 +40,10 @@ type wireCase struct {
 	escrow bool   // boot with escrow accounting on (the lease endpoint 404s without it)
 }
 
+// wireHolder is the ring member the escrow rows' server grants leases to (see
+// leaseHolder).
+const wireHolder = "http://127.0.0.1:2"
+
 // wireMaxBody is the golden servers' -max-body: small, so the 413 rows stay
 // small.
 const wireMaxBody = 2048
@@ -141,16 +145,12 @@ func wireCases() []wireCase {
 	add("/v1/replay 400 unknown benchmark", "/v1/replay", `{"config":{"strategy":"clone"},"benchmark":{"name":"Grep","jobs":5,"tasks":6}}`)
 	add("/v1/replay 404 unknown tenant", "/v1/replay", `{"config":{"strategy":"clone"},"benchmark":`+wireBench+`,"tenant":"nobody"}`)
 
-	// The two peer-only POST endpoints share the body path with the rest.
-	lease := `{"tenant":"team","holder":"http://holder:1","want":100}`
+	// The peer-only POST endpoint shares the body path with the rest.
+	lease := `{"tenant":"team","holder":"` + wireHolder + `","want":100}`
 	cases = append(cases, wireCase{name: "/v1/escrow/lease 200", path: "/v1/escrow/lease", body: lease, escrow: true})
 	cases = append(cases, wireCase{name: "/v1/escrow/lease 400 invalid JSON", path: "/v1/escrow/lease", body: `{"tenant" nope}`, escrow: true})
 	cases = append(cases, wireCase{name: "/v1/escrow/lease 413", path: "/v1/escrow/lease", body: wireOversize, escrow: true})
 	add("/v1/escrow/lease 404 escrow off", "/v1/escrow/lease", lease)
-	add("/v1/cache/push 200", "/v1/cache/push",
-		`{"plans":[{"key":"Clone|10|100|10|1.5|30|60|0|0.0001|1|0","plan":{"strategy":"Clone","r":2,"pocd":0.99,"machineTime":300,"cost":300,"utility":-1}},{"key":""}]}`)
-	add("/v1/cache/push 400 invalid JSON", "/v1/cache/push", `{"plans" nope}`)
-	add("/v1/cache/push 413", "/v1/cache/push", wireOversize)
 
 	// Appended with the one body path: bytes after the JSON value are a 400 on
 	// every endpoint (at d9d3b30 all but the first and the third of these
@@ -162,7 +162,6 @@ func wireCases() []wireCase {
 	trailing("/v1/admit/batch", `{"tenant":"team","jobs":[{"job":`+wireJob+`}]}`)
 	trailing("/v1/simulate", `{"config":{"strategy":"clone","seed":7},"jobs":[`+wireSimJob+`]}`)
 	trailing("/v1/replay", `{"config":{"strategy":"clone","seed":7},"benchmark":`+wireBench+`}`)
-	trailing("/v1/cache/push", `{"plans":[]}`)
 	cases = append(cases, wireCase{name: "/v1/escrow/lease 400 trailing bytes", path: "/v1/escrow/lease", body: lease + " xyz", escrow: true})
 	return cases
 }
@@ -182,6 +181,9 @@ func newWireServer(t *testing.T, escrow bool) *httptest.Server {
 		t.Fatal(err)
 	}
 	s := New(Config{Tenants: reg, MaxBodyBytes: wireMaxBody, Escrow: escrow})
+	if escrow && leaseHolder(t, s, "team") != wireHolder {
+		t.Fatalf("wireHolder is not the member leaseHolder picks for tenant team")
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return ts

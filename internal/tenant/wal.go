@@ -128,10 +128,6 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the durability directory (the serving layer derives sibling
-// files, e.g. the plan-cache dump, from it).
-func (s *Store) Dir() string { return s.dir }
-
 // State returns the ledger state recovered at open: pool levels and
 // outstanding leases with WAL replay already applied.
 func (s *Store) State() Snapshot {
@@ -347,7 +343,7 @@ func (s *Store) AppendFailures() (uint64, error) {
 }
 
 // Compact writes a fresh snapshot of the given state and truncates the WAL.
-// The snapshot lands via WriteFileDurable, so a crash mid-compaction leaves
+// The snapshot lands via writeFileDurable, so a crash mid-compaction leaves
 // either the old snapshot (plus the intact WAL) or the new one; the stored
 // sequence number makes leftover WAL records idempotent.
 func (s *Store) Compact(pools map[string]float64, leases []LeaseRecord) error {
@@ -368,7 +364,7 @@ func (s *Store) Compact(pools map[string]float64, leases []LeaseRecord) error {
 	}
 	// The snapshot must be on disk before the records it folds in are
 	// truncated away, or a power loss leaves neither.
-	if err := WriteFileDurable(filepath.Join(s.dir, snapshotFile), raw); err != nil {
+	if err := writeFileDurable(filepath.Join(s.dir, snapshotFile), raw); err != nil {
 		return err
 	}
 	if err := s.w.Flush(); err != nil {
@@ -384,13 +380,11 @@ func (s *Store) Compact(pools map[string]float64, leases []LeaseRecord) error {
 	return nil
 }
 
-// WriteFileDurable replaces the file at path with data, atomically and
+// writeFileDurable replaces the file at path with data, atomically and
 // durably: temp file, File.Sync (the contents reach disk before the rename
 // can), rename, then a directory fsync (the rename itself reaches disk — a
-// rename alone only orders the metadata in the page cache). The one file
-// writer under -data-dir: the ledger snapshot above and the serving layer's
-// plan-cache dump.
-func WriteFileDurable(path string, data []byte) error {
+// rename alone only orders the metadata in the page cache).
+func writeFileDurable(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

@@ -7,12 +7,13 @@
 # replica and greps that ID out of BOTH replicas' structured logs — the
 # out-of-process proof that one trace ID spans a forward hop. Then it proves
 # the fleet self-manages: it SIGKILLs the plan owner, shows the very next
-# request served WARM from the key's replica copy (-replication 2), waits for
-# the survivors' health monitors to evict the dead member, restarts it, and
-# asserts re-admission plus the warm cache handoff back. Finally it exercises
-# the escrow failure path: it plants a lease at the tenant's pool owner,
-# SIGKILLs that owner mid-run, restarts it from its data dir, and asserts the
-# boot-time lease reclamation in the structured logs. It ends by reading
+# request solved by the replica it was sent to, waits for the survivors'
+# health monitors to evict the dead member, restarts it, and asserts
+# re-admission and that forwards to it resume. Finally it exercises the
+# escrow failure path: it plants a lease at the tenant's pool owner, SIGKILLs
+# that owner mid-run, asserts that the survivors evict it and then refuse the
+# tenant instead of opening a second pool, restarts it from its data dir, and
+# asserts the boot-time lease reclamation in the structured logs. It ends by reading
 # every replica's stderr file back: request lines and operational lines share
 # one stream, and through two SIGKILLs every line of it must still be one
 # complete JSON object. Also used as the CI smoke step for the ring serving
@@ -39,7 +40,7 @@ TENANTS="$LOG_DIR/tenants.json"
 cat > "$TENANTS" <<'EOF'
 {"tenants": [{"name": "demo", "budget": 100000, "theta": 0.0001, "unitPrice": 1}]}
 EOF
-declare -A PID_OF
+declare -A PID_OF LOG_OF
 cleanup() {
   for p in "${!PID_OF[@]}"; do kill "${PID_OF[$p]}" 2>/dev/null || true; done
   wait 2>/dev/null || true
@@ -49,15 +50,38 @@ trap cleanup EXIT
 
 # start_replica <port> <logfile>: one escrow-enabled ring member with a
 # per-port durable data dir. The short lease TTL keeps the reclamation
-# demonstration below fast; the fast heartbeat and replication factor 2 keep
-# the eviction/re-admission demonstration fast.
+# demonstration below fast; the fast heartbeat keeps the eviction and
+# re-admission demonstrations fast. LOG_OF[port] is the stderr file of the
+# port's current process.
 start_replica() {
   local p="$1" log="$2"
   "$BIN" -addr "127.0.0.1:$p" -self "http://127.0.0.1:$p" -peers "$PEERS" \
     -tenants "$TENANTS" -escrow -data-dir "$DATA_DIR/$p" \
     -escrow-lease-ttl 2s \
-    -heartbeat-interval 500ms -suspect-after 3 -replication 2 2>"$log" &
+    -heartbeat-interval 500ms -suspect-after 3 2>"$log" &
   PID_OF[$p]=$!
+  LOG_OF[$p]="$log"
+}
+
+# wait_membership <dead-or-recovered port> <log message>: every other
+# replica's current log must come to hold the message naming that member.
+wait_membership() {
+  local member="http://127.0.0.1:$1" msg="$2" p seen
+  for p in "${PORTS[@]}"; do
+    [ "$p" = "$1" ] && continue
+    seen=""
+    for _ in $(seq 1 50); do
+      grep "$msg" "${LOG_OF[$p]}" | grep -q "\"member\":\"$member\"" && { seen=1; break; }
+      sleep 0.2
+    done
+    [ -n "$seen" ] || { echo "FAIL: replica :$p never logged '$msg' for $member"; exit 1; }
+  done
+}
+
+# served_by <base url> <body>: POST /v1/plan and print who answered it.
+served_by() {
+  curl -sf -o /dev/null -D - -X POST -H 'Content-Type: application/json' -d "$2" "$1/v1/plan" \
+    | awk -F': ' 'tolower($1)=="x-chronosd-served-by" {gsub(/\r/,"",$2); print $2}'
 }
 
 wait_healthy() {
@@ -150,80 +174,49 @@ echo
 echo "OK: cross-replica cache hit — planned via A, hit via B, owned by $OWNER"
 echo "OK: trace $TRACE_ID spans the forward hop ($ENTRY -> $OWNER)"
 
-# --- health-driven membership: kill the owner, read from its replica -------
-# With -replication 2 the owner pushed the hot plan to the key's first ring
-# successor as it solved it. SIGKILL the owner: the next request through a
-# survivor must be served WARM from that replica copy (cached:true — no cold
-# re-solve), the survivors' heartbeat monitors must evict the dead member
-# within the suspect window, and a restart must be re-admitted and receive
-# the remapped hot entries back via the warm handoff.
+# --- health-driven membership: kill the owner, solve where the request lands
+# Plans are never copied between replicas: solving one costs less than moving
+# it. SIGKILL the owner: the next request through a survivor must be answered
+# by that survivor (its forward fails, it solves the plan itself), the
+# survivors' heartbeat monitors must evict the dead member within the suspect
+# window, and a restart must be re-admitted and forwarded to again.
 echo
 echo "== SIGKILL the plan owner (:$OWNER_PORT) =="
 kill -9 "${PID_OF[$OWNER_PORT]}"
 unset "PID_OF[$OWNER_PORT]"
 
-WARM=""
-for _ in $(seq 1 20); do
-  R3="$(curl -sf -X POST -H 'Content-Type: application/json' -d "$BODY" "$ENTRY/v1/plan")" \
-    || { sleep 0.2; continue; }
-  grep -q '"cached":true' <<<"$R3" && { WARM=1; break; }
-  sleep 0.2
-done
-[ -n "$WARM" ] \
-  || { echo "FAIL: no survivor served the dead owner's hot key from a replica copy"; exit 1; }
-REPLICA_READS="$(curl -sf "$ENTRY/metrics" \
-  | awk '$1 == "chronosd_ring_replica_reads_total" {print $2}')"
-[ "${REPLICA_READS:-0}" -ge 1 ] \
-  || { echo "FAIL: chronosd_ring_replica_reads_total=${REPLICA_READS:-0} on $ENTRY, want >= 1"; exit 1; }
-echo "   hot key served warm from its replica copy (replica_reads=$REPLICA_READS)"
+BY="$(served_by "$ENTRY" "$BODY")"
+[ "$BY" = "$ENTRY" ] \
+  || { echo "FAIL: with the owner dead, the plan sent to $ENTRY was served by '$BY'"; exit 1; }
+echo "   the dead owner's key was solved by the replica that took the request ($BY)"
 
-SURVIVOR_LOGS=()
-for p in "${PORTS[@]}"; do
-  [ "$p" != "$OWNER_PORT" ] && SURVIVOR_LOGS+=("$LOG_DIR/$p.log")
-done
-for log in "${SURVIVOR_LOGS[@]}"; do
-  for _ in $(seq 1 50); do
-    grep -q 'ring member suspected, evicting' "$log" && break
-    sleep 0.2
-  done
-  grep -q 'ring member suspected, evicting' "$log" \
-    || { echo "FAIL: $(basename "$log") never evicted the dead member"; exit 1; }
-done
+wait_membership "$OWNER_PORT" 'ring member suspected, evicting'
 echo "   both survivors evicted the dead member from their effective rings"
 
 echo "== restarting the evicted member (:$OWNER_PORT) =="
 start_replica "$OWNER_PORT" "$LOG_DIR/$OWNER_PORT.rejoin.log"
 wait_healthy "$OWNER_PORT"
-for log in "${SURVIVOR_LOGS[@]}"; do
-  for _ in $(seq 1 50); do
-    grep -q 'ring member recovered, re-admitting' "$log" && break
-    sleep 0.2
-  done
-  grep -q 'ring member recovered, re-admitting' "$log" \
-    || { echo "FAIL: $(basename "$log") never re-admitted the recovered member"; exit 1; }
-done
-HANDOFF=0
-for p in "${PORTS[@]}"; do
-  [ "$p" = "$OWNER_PORT" ] && continue
-  n="$(curl -sf "http://127.0.0.1:$p/metrics" \
-    | awk '$1 == "chronosd_ring_handoff_entries_total" {print $2}')"
-  [ "${n:-0}" -ge 1 ] && HANDOFF="$n"
-done
-[ "$HANDOFF" -ge 1 ] \
-  || { echo "FAIL: no survivor streamed remapped cache entries back (handoff_entries=0)"; exit 1; }
-echo "   re-admitted; a survivor handed $HANDOFF remapped hot entries back"
+wait_membership "$OWNER_PORT" 'ring member recovered, re-admitting'
+BY="$(served_by "$ENTRY" "$BODY")"
+[ "$BY" = "$OWNER" ] \
+  || { echo "FAIL: after re-admission the plan sent to $ENTRY was served by '$BY', want $OWNER"; exit 1; }
+echo "   re-admitted; $ENTRY forwards the key to $OWNER again"
 
 echo
-echo "OK: dead member evicted, hot key served from its replica, rejoin handed the keys back"
+echo "OK: dead member evicted, its key solved where the request landed, rejoin took the key back"
 
 # --- escrow: kill the pool owner, assert lease reclamation -----------------
 # Real admits flow through the fleet (non-owners of the tenant key lease
 # escrow from the pool owner), then a deterministic lease is planted via the
-# internal escrow API: the replica that answers 200 is the pool owner; the
-# others answer 409/not_owner. The owner is then SIGKILLed mid-run — no
-# graceful release, no final snapshot — and restarted from its data dir
-# after the lease TTL. Boot replays the snapshot+WAL, finds the expired
-# lease, and conservatively reclaims it: the log line is the proof.
+# internal escrow API under another member's URL (the only holders an owner
+# grants to): the replica that answers 200 is the pool owner; the others
+# answer 409/not_owner. The owner is then SIGKILLed mid-run — no graceful
+# release, no final snapshot. The survivors evict it, and the tenant's pool
+# stays with it: a job no survivor's lease can pay for is refused, not
+# admitted from a fresh pool on whoever inherited the dead member's keys.
+# Restarted from its data dir after the lease TTL, the owner replays the
+# snapshot+WAL, finds the expired lease, and conservatively reclaims it: the
+# log line is the proof.
 echo
 echo "== escrow: admits across the fleet (tenant 'demo') =="
 for i in 1 2 3 4 5 6; do
@@ -234,9 +227,10 @@ for i in 1 2 3 4 5 6; do
     || { echo "FAIL: admit $i via :$port rejected"; exit 1; }
 done
 
-LEASE_BODY='{"tenant":"demo","holder":"http://ring-demo-holder.invalid:1","want":500}'
 POOL_OWNER_PORT=""
-for p in "${PORTS[@]}"; do
+for i in 0 1 2; do
+  p="${PORTS[$i]}"
+  LEASE_BODY="{\"tenant\":\"demo\",\"holder\":\"http://127.0.0.1:${PORTS[$(((i + 1) % 3))]}\",\"want\":500}"
   code="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
     -H 'Content-Type: application/json' -d "$LEASE_BODY" \
     "http://127.0.0.1:$p/v1/escrow/lease")"
@@ -250,6 +244,23 @@ echo "== SIGKILL the pool owner (:$POOL_OWNER_PORT), wait out the 2s lease TTL =
 kill -9 "${PID_OF[$POOL_OWNER_PORT]}"
 unset "PID_OF[$POOL_OWNER_PORT]"
 sleep 3
+
+wait_membership "$POOL_OWNER_PORT" 'ring member suspected, evicting'
+# Jobs of 200-odd tasks cost two lease targets (a tenth of the budget) each:
+# no survivor's lease pays for one, a pool would pay for several. Eight plan
+# keys, so that both survivors decide some of them.
+SURVIVORS=()
+for p in "${PORTS[@]}"; do
+  [ "$p" != "$POOL_OWNER_PORT" ] && SURVIVORS+=("$p")
+done
+for i in 0 1 2 3 4 5 6 7; do
+  p="${SURVIVORS[$((i % 2))]}"
+  BIG_ADMIT="{\"tenant\":\"demo\",\"job\":{\"tasks\":$((200 + i)),\"deadline\":3600,\"tmin\":40,\"beta\":1.6,\"tauEst\":300,\"tauKill\":600}}"
+  R4="$(curl -sf -X POST -H 'Content-Type: application/json' -d "$BIG_ADMIT" "http://127.0.0.1:$p/v1/admit")"
+  jq -e '.admitted == false and .reason == "budget_exhausted"' <<<"$R4" >/dev/null \
+    || { echo "FAIL: with the pool owner evicted, survivor :$p answered $R4, want budget_exhausted"; exit 1; }
+done
+echo "   pool owner evicted; both survivors refuse the tenant (budget_exhausted), no second pool"
 
 echo "== restarting the owner from $DATA_DIR/$POOL_OWNER_PORT =="
 start_replica "$POOL_OWNER_PORT" "$LOG_DIR/$POOL_OWNER_PORT.restart.log"
@@ -272,7 +283,7 @@ LEVEL="$(curl -sf "http://127.0.0.1:$POOL_OWNER_PORT/metrics" \
 echo "   restored pool level: ${LEVEL:-?} / 100000 machine-seconds"
 
 echo
-echo "OK: owner crash + restart reclaimed the orphaned escrow lease from the WAL"
+echo "OK: owner crash refused the tenant on the survivors; restart reclaimed the orphaned escrow lease from the WAL"
 
 # --- one stream, whole lines -----------------------------------------------
 # Stop the fleet so the files are final, then require every line of every
