@@ -8,7 +8,6 @@
 //	chronosd [-addr :8080] [-cache-capacity 4096] [-workers N]
 //	         [-max-body 1048576] [-tenants tenants.json]
 //	         [-self http://host:port -peers url1,url2,... | -ring ring.json]
-//	         [-heartbeat-interval 1s] [-suspect-after 3]
 //	         [-escrow] [-data-dir /var/lib/chronosd] [-escrow-lease-ttl 15s]
 //	         [-log-level info] [-log-sample 1] [-debug-addr 127.0.0.1:6060]
 //
@@ -41,23 +40,20 @@
 // plan key another replica owns are proxied there, so the fleet's LRU caches
 // partition the keyspace instead of overlapping. An unreachable owner
 // degrades to local computation (per-peer circuit breaking with a single
-// half-open probe per cooldown), never to a failed request.
-//
-// The fleet is self-managing: every -heartbeat-interval each replica probes
-// its peers' /healthz, evicts a member from its effective ring view after
-// -suspect-after consecutive failures, and re-admits it once probes recover.
-// An evicted member's plan keys are solved by the survivors that inherit
-// them: plans are never persisted or exchanged, because solving one (2.5 µs)
-// costs less than moving it (4.0 µs).
+// half-open probe per cooldown), never to a failed request. The breaker is
+// the only liveness judge: a dead member keeps its keys, each replica solves
+// them locally while the member's circuit is open, and the first half-open
+// probe after its return forwards to it again. Plans are never persisted or
+// exchanged, because solving one (2.5 µs) costs less than moving it (4.0 µs).
 //
 // With -escrow, tenant budgets are fleet-exact instead of per-replica: the
 // ring owner of each tenant key holds the authoritative pool and every other
 // replica debits a local lease topped up over the internal /v1/escrow/lease
 // API, so concurrent admits across the whole fleet can never over-commit a
 // pool. -data-dir makes the ledger durable (periodic snapshot + append-only
-// WAL, replayed on boot). Tenant pools are owned on the configured
-// membership: while the health monitor has a pool owner evicted, the
-// survivors refuse that tenant's admits instead of opening a second pool.
+// WAL, replayed on boot). A dead pool owner keeps its tenants: once their
+// leases run dry the survivors refuse those admits instead of opening a
+// second pool.
 //
 // SIGHUP re-reads the -tenants and -ring config files: tenant reloads carry
 // live ledger levels over for pools whose budget shape is unchanged and
@@ -92,8 +88,6 @@ func main() {
 		self          = flag.String("self", "", "this replica's base URL in the consistent-hash ring")
 		peers         = flag.String("peers", "", "comma-separated fleet base URLs (ring membership)")
 		ringPath      = flag.String("ring", "", "ring membership file (JSON {self, peers}); SIGHUP reloads it")
-		heartbeat     = flag.Duration("heartbeat-interval", time.Second, "peer liveness probe interval for health-driven membership (0 disables)")
-		suspectAfter  = flag.Int("suspect-after", 3, "consecutive failed probes before a ring member is evicted")
 		escrow        = flag.Bool("escrow", false, "fleet-exact tenant budgets via the escrow ledger (off = per-replica approximation)")
 		dataDir       = flag.String("data-dir", "", "durability directory for the escrow snapshot+WAL (empty = memory only)")
 		leaseTTL      = flag.Duration("escrow-lease-ttl", 15*time.Second, "escrow lease lifetime without a renewal before the owner reclaims it")
@@ -159,20 +153,18 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Addr:              *addr,
-		CacheCapacity:     *cacheCapacity,
-		Workers:           *workers,
-		MaxBodyBytes:      *maxBody,
-		Tenants:           tenants,
-		Self:              membership.Self,
-		Peers:             membership.Peers,
-		HeartbeatInterval: *heartbeat,
-		SuspectAfter:      *suspectAfter,
-		Escrow:            *escrow,
-		Store:             store,
-		EscrowLeaseTTL:    *leaseTTL,
-		Logger:            logger,
-		LogSample:         *logSample,
+		Addr:           *addr,
+		CacheCapacity:  *cacheCapacity,
+		Workers:        *workers,
+		MaxBodyBytes:   *maxBody,
+		Tenants:        tenants,
+		Self:           membership.Self,
+		Peers:          membership.Peers,
+		Escrow:         *escrow,
+		Store:          store,
+		EscrowLeaseTTL: *leaseTTL,
+		Logger:         logger,
+		LogSample:      *logSample,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(),

@@ -49,10 +49,6 @@ const (
 	// StageFlightWait is time a cold plan request spent parked behind another
 	// request's in-flight solve for the same plan key (singleflight waiter).
 	StageFlightWait
-	// StageHeartbeat is one full health-monitor probe round over the
-	// configured membership (not request-scoped; observed directly into the
-	// stage histogram by the monitor goroutine).
-	StageHeartbeat
 
 	// NumStages sizes per-stage arrays; keep it last.
 	NumStages
@@ -60,7 +56,7 @@ const (
 
 var stageNames = [NumStages]string{
 	"quantize", "cache", "solve", "debit", "escrow", "forward", "replay_emit",
-	"flight_wait", "heartbeat",
+	"flight_wait",
 }
 
 // String returns the stable label used in logs, metrics, and /debug/traces.

@@ -225,9 +225,9 @@ func TestRendezvousTieBreak(t *testing.T) {
 
 // --- eviction ---------------------------------------------------------------
 
-// TestSuccessorInheritsOnEviction is the failover property the health monitor
-// relies on: when a member leaves the ring, each of its keys is inherited by
-// one of the remaining members, and no other key changes owner.
+// TestSuccessorInheritsOnEviction is the property membership removal relies
+// on: when a member leaves the ring, each of its keys is inherited by one of
+// the remaining members, and no other key changes owner.
 func TestSuccessorInheritsOnEviction(t *testing.T) {
 	nodes := fleet(5)
 	r := New(nodes, 0)

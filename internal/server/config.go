@@ -98,17 +98,6 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// HeartbeatInterval turns on health-driven membership: every interval,
-	// this replica probes each configured member's GET /healthz and evicts
-	// or re-admits members from its effective ring view (see health.go).
-	// Zero (the default) disables the monitor — membership stays static.
-	HeartbeatInterval time.Duration
-	// SuspectAfter is the consecutive failed probes before a member is
-	// suspected dead and evicted; ReadmitAfter the consecutive successes
-	// before a suspect is re-admitted. Defaults 3 and 2.
-	SuspectAfter int
-	ReadmitAfter int
-
 	// Logger receives structured logs: sampled per-request lines (trace ID,
 	// route, status, stage breakdown) and unsampled 5xx lines, which are
 	// ERROR lines and so survive any level. On a handler from
@@ -189,12 +178,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3
-	}
-	if c.ReadmitAfter <= 0 {
-		c.ReadmitAfter = 2
 	}
 	if c.EscrowLeaseTTL <= 0 {
 		c.EscrowLeaseTTL = tenant.DefaultLeaseTTL

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -57,8 +56,8 @@ type escrowLeaseResponse struct {
 
 // escrowManager is one replica's escrow state: the owner-side ledger for
 // tenants this replica owns, and the holder-side leases for tenants it does
-// not. The configured ring is consulted per request, so ownership follows
-// SetRing reloads without any manager-side swap.
+// not. The ring is consulted per request, so ownership follows SetRing
+// reloads without any manager-side swap.
 type escrowManager struct {
 	srv *Server
 	led *tenant.EscrowLedger
@@ -89,17 +88,16 @@ func (m *escrowManager) ownsTenant(name string) bool {
 }
 
 // tenantOwner resolves the tenant's pool owner: local == true means this
-// replica (or sharding is off); otherwise owner is the peer's base URL. It
-// resolves on the configured ring, not the effective one plan keys use: only
-// the configured owner's pool has seen the tenant's debits, so while the
-// health monitor has that owner evicted it has no peerState here, leaseCall
-// fails and this replica refuses instead of spending a pool of its own.
+// replica (or sharding is off); otherwise owner is the peer's base URL. A dead
+// owner stays the owner: only its pool has seen the tenant's debits, so while
+// its breaker is open leaseCall fails and this replica refuses instead of
+// spending a pool of its own.
 func (m *escrowManager) tenantOwner(name string) (owner string, local bool) {
 	rs := m.srv.ringSt.Load()
 	if rs == nil {
 		return "", true
 	}
-	owner, ok := rs.configured.Owner(tenantKeyPrefix + name)
+	owner, ok := rs.ring.Owner(tenantKeyPrefix + name)
 	if !ok || owner == rs.self {
 		return "", true
 	}
@@ -256,11 +254,11 @@ func (m *escrowManager) leaseCall(ctx context.Context, owner string, req escrowL
 // handleEscrowLease serves POST /v1/escrow/lease: the owner side of the
 // escrow protocol. Non-owners answer 409 with code not_owner so a holder
 // racing a membership reload re-resolves instead of splitting a pool across
-// two owners. A holder that is not another member of the configured ring is
-// a 400 (so a server without a ring grants nothing): a lease nobody will
-// spend or renew is reclaimed as spent, and one such request could drain a
-// pool for good. That fails closed against a stray caller; it is not
-// authentication — the holder is whatever URL the body claims.
+// two owners. A holder that is not another member of the ring is a 400 (so a
+// server without a ring grants nothing): a lease nobody will spend or renew
+// is reclaimed as spent, and one such request could drain a pool for good.
+// That fails closed against a stray caller; it is not authentication — the
+// holder is whatever URL the body claims.
 func (s *Server) handleEscrowLease(w http.ResponseWriter, r *http.Request) {
 	if s.escrow == nil {
 		s.apiError(w, r, http.StatusNotFound, "escrow accounting is not enabled")
@@ -279,7 +277,7 @@ func (s *Server) handleEscrowLease(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusConflict, "this replica does not own tenant %q", req.Tenant)
 		return
 	}
-	if rs := s.ringSt.Load(); rs == nil || req.Holder == rs.self || !slices.Contains(rs.configured.Nodes(), req.Holder) {
+	if rs := s.ringSt.Load(); rs == nil || rs.peers[req.Holder] == nil {
 		s.apiError(w, r, http.StatusBadRequest, "holder %q is not another member of the ring", req.Holder)
 		return
 	}

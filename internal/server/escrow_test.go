@@ -471,10 +471,11 @@ func TestLeaseAnswerSettlesHalfOpenProbe(t *testing.T) {
 // breaker must stay untouched (threshold 1 would otherwise open it).
 func TestLeaseCallerCancelDoesNotChargeOwner(t *testing.T) {
 	reached := make(chan struct{})
+	var once sync.Once // the stub also receives the lease release of s.Close
 	s, _, owner := leaseOwnerStub(t, Config{BreakerThreshold: 1, ForwardTimeout: 10 * time.Second},
 		func(w http.ResponseWriter, r *http.Request) {
 			_, _ = io.Copy(io.Discard, r.Body)
-			close(reached)
+			once.Do(func() { close(reached) })
 			<-r.Context().Done()
 		})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -573,7 +574,7 @@ func TestWALAppendFailureCounted(t *testing.T) {
 }
 
 // TestEscrowLeaseRejectsUnknownHolder: a lease is granted only to another
-// member of the configured ring. One POST naming a made-up holder used to
+// member of the ring. One POST naming a made-up holder used to
 // move the whole pool into a lease nobody would spend or renew, which the TTL
 // then reclaimed as spent.
 func TestEscrowLeaseRejectsUnknownHolder(t *testing.T) {
@@ -601,18 +602,19 @@ func TestEscrowLeaseRejectsUnknownHolder(t *testing.T) {
 	}
 }
 
-// TestFleetEscrowOwnerEvictionNeverOverCommits: the health monitor evicting
-// a tenant's pool owner must not hand the tenant a second budget. Ownership
-// used to follow the effective ring, so a survivor became the owner with a
-// pool no debit had ever reached and admitted the whole budget again.
-func TestFleetEscrowOwnerEvictionNeverOverCommits(t *testing.T) {
+// TestFleetEscrowOwnerDeathNeverOverCommits: a dead pool owner must not hand
+// its tenant a second budget. Pools are owned on the one ring, so a survivor
+// never becomes the owner: with the owner's circuit open its lease cannot be
+// topped up, and it refuses what its lease cannot pay for. (While a health
+// monitor moved ownership to the survivors, one became the owner with a pool
+// no debit had ever reached and admitted the whole budget again.)
+func TestFleetEscrowOwnerDeathNeverOverCommits(t *testing.T) {
 	budget := 4.4 * bestPlanMachineTime(t)
 	servers, listeners := newRingFleet(t, 3, func(int) Config {
 		return Config{
 			Tenants: testRegistry(t, "etl", budget), Escrow: true,
-			EscrowLeaseTTL:    time.Hour, // no renewal moves escrow mid-test
-			HeartbeatInterval: 20 * time.Millisecond,
-			BreakerThreshold:  1,
+			EscrowLeaseTTL:   time.Hour, // no renewal moves escrow mid-test
+			BreakerThreshold: 1,
 		}
 	})
 	owner := -1
@@ -655,15 +657,9 @@ func TestFleetEscrowOwnerEvictionNeverOverCommits(t *testing.T) {
 	listeners[owner].Close()
 	survivors := []int{(owner + 1) % 3, (owner + 2) % 3}
 	for _, i := range survivors {
-		waitFor(t, "eviction of the pool owner on replica "+strconv.Itoa(i), func() bool {
-			_, members := servers[i].RingMembers()
-			return len(members) == 2
-		})
-	}
-	for _, i := range survivors {
 		if dec := admit(i); dec.Admitted {
 			admitted += dec.Plan.MachineTime
-			t.Errorf("survivor %d admitted %g machine-seconds with the pool owner evicted", i, dec.Plan.MachineTime)
+			t.Errorf("survivor %d admitted %g machine-seconds with the pool owner dead", i, dec.Plan.MachineTime)
 		} else if dec.Reason != api.ReasonBudgetExhausted {
 			t.Errorf("survivor %d refused with reason %q, want %q", i, dec.Reason, api.ReasonBudgetExhausted)
 		}
@@ -673,13 +669,13 @@ func TestFleetEscrowOwnerEvictionNeverOverCommits(t *testing.T) {
 		for k, res := range decodeBody[api.AdmitBatchResponse](t, resp).Results {
 			if res.Admitted {
 				admitted += res.Plan.MachineTime
-				t.Errorf("survivor %d admitted batch job %d with the pool owner evicted", i, k)
+				t.Errorf("survivor %d admitted batch job %d with the pool owner dead", i, k)
 			} else if res.Reason != api.ReasonBudgetExhausted {
 				t.Errorf("survivor %d refused batch job %d with reason %q, want %q", i, k, res.Reason, api.ReasonBudgetExhausted)
 			}
 		}
 	}
 	if admitted > budget*(1+1e-9) {
-		t.Fatalf("fleet admitted %g machine-seconds against a %g budget through the owner's eviction", admitted, budget)
+		t.Fatalf("fleet admitted %g machine-seconds against a %g budget through the owner's death", admitted, budget)
 	}
 }

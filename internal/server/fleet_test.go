@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,36 +22,32 @@ func metricAtLeast(text, prefix string, min int) bool {
 	return err == nil && v >= float64(min)
 }
 
-// TestFleetHealthEvictionAndReadmit is the fleet's death-and-rebirth cycle,
-// run under -race:
+// TestFleetOwnerDeathAndReturn is the fleet's death-and-rebirth cycle, run
+// under -race, with the owner's breaker as the only liveness judge:
 //
-//  1. A 3-replica fleet with heartbeat membership solves one plan on the
-//     key's owner, reached through a forward.
+//  1. A 3-replica fleet solves one plan on the key's owner, reached through a
+//     forward.
 //  2. The owner's listener dies. The next request for the key is solved once
 //     more, by the replica it was sent to (nothing holds a copy of the plan),
 //     and is a hit there afterwards.
-//  3. The survivors' health monitors evict the dead owner from their
-//     effective rings within the suspect window.
-//  4. The owner comes back on the same address; the survivors re-admit it
-//     and forward the key to it again.
-func TestFleetHealthEvictionAndReadmit(t *testing.T) {
-	const n = 3
+//  3. The owner comes back on the same address; within one BreakerCooldown
+//     the half-open probe is a live request, and the key is forwarded to the
+//     owner again.
+func TestFleetOwnerDeathAndReturn(t *testing.T) {
+	const (
+		n        = 3
+		cooldown = 100 * time.Millisecond
+	)
 	servers := make([]*Server, n)
 	httpSrvs := make([]*http.Server, n)
 	urls := make([]string, n)
 	solves := make([]atomic.Int32, n)
 
 	// The fleet runs on real net.Listeners (not httptest) because the dead
-	// owner's port must be re-bindable for the re-admission half.
+	// owner's port must be re-bindable for the return half.
 	for i := 0; i < n; i++ {
 		i := i
-		servers[i] = New(Config{
-			HeartbeatInterval: 50 * time.Millisecond,
-			SuspectAfter:      3,
-			ReadmitAfter:      2,
-			BreakerThreshold:  1,
-			BreakerCooldown:   50 * time.Millisecond,
-		})
+		servers[i] = New(Config{BreakerThreshold: 1, BreakerCooldown: cooldown})
 		t.Cleanup(servers[i].Close)
 		servers[i].solveHook = func(string) { solves[i].Add(1) }
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -74,7 +71,7 @@ func TestFleetHealthEvictionAndReadmit(t *testing.T) {
 	if owner < 0 {
 		t.Fatalf("%q is not a fleet member", ownerURL)
 	}
-	via, other := (owner+1)%n, (owner+2)%n
+	via := (owner + 1) % n
 	// plan posts the key through replica via and reports who served it.
 	plan := func(step string) (servedBy string, cached bool) {
 		t.Helper()
@@ -112,27 +109,10 @@ func TestFleetHealthEvictionAndReadmit(t *testing.T) {
 			metricValue(text, "chronosd_ring_local_fallbacks_total"))
 	}
 
-	// 3. Both survivors evict the dead owner from their effective rings.
-	for _, i := range []int{via, other} {
-		i := i
-		waitFor(t, "eviction on replica "+strconv.Itoa(i), func() bool {
-			_, members := servers[i].RingMembers()
-			return len(members) == 2
-		})
-	}
-	text := getMetricsText(t, urls[other])
-	if !metricAtLeast(text, "chronosd_ring_evictions_total", 1) {
-		t.Errorf("chronosd_ring_evictions_total = %q, want >= 1",
-			metricValue(text, "chronosd_ring_evictions_total"))
-	}
-	failLine := "chronosd_ring_heartbeat_failures_total{peer=\"" + urls[owner] + "\"}"
-	if !metricAtLeast(text, failLine, 1) {
-		t.Errorf("%s = %q, want >= 1", failLine, metricValue(text, failLine))
-	}
-
-	// 4. Restart the owner on its old address: the survivors re-admit it and
-	// forward the key to it again.
-	ln, err := net.Listen("tcp", urls[owner][len("http://"):])
+	// 3. Restart the owner on its old address. Every failure above predates
+	// the restart, so one cooldown later the circuit admits its half-open
+	// probe, and that probe is the next request: forwarded, answered, closed.
+	ln, err := net.Listen("tcp", strings.TrimPrefix(urls[owner], "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,19 +120,9 @@ func TestFleetHealthEvictionAndReadmit(t *testing.T) {
 	go restarted.Serve(ln)
 	t.Cleanup(func() { restarted.Close() })
 
-	for _, i := range []int{via, other} {
-		i := i
-		waitFor(t, "re-admission on replica "+strconv.Itoa(i), func() bool {
-			_, members := servers[i].RingMembers()
-			return len(members) == 3
-		})
-	}
-	if text := getMetricsText(t, urls[other]); !metricAtLeast(text, "chronosd_ring_readmits_total", 1) {
-		t.Errorf("chronosd_ring_readmits_total = %q, want >= 1",
-			metricValue(text, "chronosd_ring_readmits_total"))
-	}
-	if by, _ := plan("plan after re-admission"); by != urls[owner] {
-		t.Errorf("plan after re-admission served by %q, want the owner %q", by, urls[owner])
+	time.Sleep(cooldown)
+	if by, _ := plan("plan after the owner returned"); by != urls[owner] {
+		t.Errorf("plan one cooldown after the owner returned served by %q, want the owner %q", by, urls[owner])
 	}
 	forwarded := "chronosd_ring_forwarded_total{peer=\"" + urls[owner] + "\"}"
 	if text := getMetricsText(t, urls[via]); !metricAtLeast(text, forwarded, 2) {

@@ -59,13 +59,6 @@ type serverMetrics struct {
 	// guard header and were therefore computed locally.
 	ringReceivedForwards metrics.Counter
 
-	// Fleet-health series. ringHeartbeatFails counts failed liveness probes
-	// per configured member; ringEvictions/ringReadmits count suspect/alive
-	// membership transitions this replica applied to its effective ring.
-	ringHeartbeatFails counterVec[string] // by peer URL
-	ringEvictions      metrics.Counter
-	ringReadmits       metrics.Counter
-
 	// encodeFailures counts responses whose JSON encoding failed (answered
 	// as HTTP 500 and logged at warn with the trace ID).
 	encodeFailures metrics.Counter
@@ -389,9 +382,6 @@ func (m *serverMetrics) catalog() []series {
 		{"chronosd_ring_peer_dials_total", "counter", "Connections dialed to a peer; peer calls reuse them, so forwards per dial is the reuse ratio.", "TestPeerCall", nil, labelled("peer", &m.ringDials)},
 		{"chronosd_ring_local_fallbacks_total", "counter", "Non-owned keys computed locally because the owner was unreachable.", "TestFleetOwnerDownLocalFallback", nil, counter(&m.ringLocalFallbacks)},
 		{"chronosd_ring_received_forwards_total", "counter", "Requests served under the single-hop forwarding guard.", "TestForwardLoopGuard", nil, counter(&m.ringReceivedForwards)},
-		{"chronosd_ring_heartbeat_failures_total", "counter", "Failed liveness probes, by configured member.", "TestFleetHealthEvictionAndReadmit", nil, labelled("peer", &m.ringHeartbeatFails)},
-		{"chronosd_ring_evictions_total", "counter", "Members evicted from this replica's effective ring by the health monitor.", "TestFleetHealthEvictionAndReadmit", nil, counter(&m.ringEvictions)},
-		{"chronosd_ring_readmits_total", "counter", "Suspected members re-admitted after recovery.", "TestFleetHealthEvictionAndReadmit", nil, counter(&m.ringReadmits)},
 		{"chronosd_response_encode_failures_total", "counter", "Responses whose JSON encoding failed (answered as HTTP 500).", "TestEncodeFailureIsCounted500", nil, counter(&m.encodeFailures)},
 		{"chronosd_uptime_seconds", "gauge", "Seconds since the server started.", "TestMetricsEndpoint", nil, uptime},
 	}

@@ -61,7 +61,6 @@ func TestMetricsGolden(t *testing.T) {
 	m.ringErrors.inc("http://127.0.0.1:2")
 	m.ringDials.inc("http://127.0.0.1:1")
 	m.ringDials.inc("http://127.0.0.1:2")
-	m.ringHeartbeatFails.inc("http://127.0.0.1:1")
 	m.escrowGrants.inc("beta")
 	for _, name := range []string{"alpha", "alpha", "beta"} {
 		m.escrowTopups.inc(name)

@@ -29,11 +29,6 @@ type ringState struct {
 	ring  *ring.Ring
 	self  string
 	peers map[string]*peerState // by member URL, excluding self
-	// configured is the ring over the operator-configured membership, health
-	// evictions ignored. Tenant pools are owned on it (see escrow.go): the
-	// monitor moving a pool to a survivor that never saw its debits would
-	// hand the tenant a second budget.
-	configured *ring.Ring
 	// selfHdr is the precomputed ServedByHeader value assigned into hot
 	// responses' header maps; immutable for the ringState's lifetime, so
 	// sharing one slice across requests is safe.
@@ -45,46 +40,30 @@ type ringState struct {
 // computed locally). chronosd calls this on SIGHUP alongside SetTenants, so
 // one signal reloads both tenant budgets and ring membership.
 //
-// The configured membership is the operator's intent; the ring actually
-// served from is the EFFECTIVE membership — configured minus the members
-// the health monitor currently suspects dead (self is never suspect). A
-// reload therefore composes with health state instead of resurrecting a
-// replica the monitor just evicted.
-//
-// Plan keys are owned on the effective ring, tenant pools (-escrow) on the
-// configured one: an evicted pool owner keeps its tenants, whose admits are
-// refused on the survivors until it returns. A reload that moves a tenant to
-// another owner is a fresh pool there — budget the old owner already debited
-// is not carried over.
+// The ring is the operator's membership and nothing else: a dead member keeps
+// its plan keys and its tenant pools (-escrow). Its peer's breaker answers
+// for it — plan keys fall back to a local solve, its tenants' admits are
+// refused once the survivors' leases run dry — until a half-open probe finds
+// it back. A reload that moves a tenant to another owner is a fresh pool
+// there — budget the old owner already debited is not carried over.
 func (s *Server) SetRing(m ring.Membership) error {
 	if !m.Enabled() {
-		s.health.mu.Lock()
-		s.health.configured, s.health.ring = ring.Membership{}, nil
-		s.health.suspects, s.health.fails, s.health.oks = nil, nil, nil
-		s.health.mu.Unlock()
-		s.applyRing("", nil, nil)
+		s.applyRing("", nil)
 		return nil
 	}
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	self := ring.NormalizeURL(m.Self)
-	configured := ring.New(m.Members(), ring.DefaultVirtualNodes)
-	s.health.mu.Lock()
-	s.health.configured, s.health.ring = m, configured
-	s.health.pruneLocked(m.Members())
-	members := s.health.effectiveLocked(self)
-	s.health.mu.Unlock()
-	s.applyRing(self, members, configured)
+	s.applyRing(ring.NormalizeURL(m.Self), m.Members())
 	return nil
 }
 
-// applyRing swaps in a new effective ring over members (nil disables
-// sharding) beside the configured one. Circuit-breaker state and idle
-// connections carry over for peers present in both the old and new view; an
-// evicted peer's state is dropped and its connections closed, so a
-// re-admitted member starts with a closed circuit and a fresh dial.
-func (s *Server) applyRing(self string, members []string, configured *ring.Ring) {
+// applyRing swaps in a new ring over members (nil disables sharding).
+// Circuit-breaker state and idle connections carry over for peers present in
+// both the old and new membership; a dropped peer's state is discarded and
+// its connections closed, so a member added back starts with a closed
+// circuit and a fresh dial.
+func (s *Server) applyRing(self string, members []string) {
 	s.ringMu.Lock()
 	defer s.ringMu.Unlock()
 	old := s.ringSt.Load()
@@ -104,11 +83,10 @@ func (s *Server) applyRing(self string, members []string, configured *ring.Ring)
 			}
 		}
 		cur = &ringState{
-			ring:       r,
-			self:       self,
-			peers:      peers,
-			configured: configured,
-			selfHdr:    []string{self},
+			ring:    r,
+			self:    self,
+			peers:   peers,
+			selfHdr: []string{self},
 		}
 	}
 	s.ringSt.Store(cur)

@@ -28,9 +28,9 @@ type Server struct {
 	mux     *http.ServeMux
 	tenants atomic.Pointer[tenant.Registry]
 	// ringSt is the current fleet-membership view; nil disables sharding.
-	// Swapped atomically by applyRing (SIGHUP reloads and health transitions),
-	// which ringMu serializes: a swap also closes the connections of the
-	// peers it drops, and two interleaved swaps could close a kept peer's.
+	// Swapped atomically by applyRing (SetRing on SIGHUP, and Close), which
+	// ringMu serializes: a swap also closes the connections of the peers it
+	// drops, and two interleaved swaps could close a kept peer's.
 	ringSt atomic.Pointer[ringState]
 	ringMu sync.Mutex
 	// replaySem bounds concurrently running /v1/replay streams; each
@@ -47,14 +47,6 @@ type Server struct {
 	// flight collapses concurrent cold-miss solves per plan key: one leader
 	// runs the optimizer, waiters share its result (see singleflight.go).
 	flight planFlight
-	// health is the heartbeat monitor's membership view (health.go): the
-	// configured ring plus the members currently suspected dead. The
-	// effective ring in ringSt is derived from it.
-	health healthState
-	// healthStop/healthDone bracket the heartbeat goroutine's lifetime
-	// (nil when cfg.HeartbeatInterval is 0).
-	healthStop chan struct{}
-	healthDone chan struct{}
 	// solveHook, when set (tests), runs in the singleflight leader just
 	// before the solve — the hook point for counting and gating real solves.
 	solveHook func(key string)
@@ -115,11 +107,6 @@ func New(cfg Config) *Server {
 		s.escrow = newEscrowManager(s, led)
 		go s.escrow.run()
 	}
-	if cfg.HeartbeatInterval > 0 {
-		s.healthStop = make(chan struct{})
-		s.healthDone = make(chan struct{})
-		go s.runHealthMonitor()
-	}
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/plan", "/v1/plan", s.handlePlan)
 	s.route("POST /v1/plan/batch", "/v1/plan/batch", s.handleBatch)
@@ -166,21 +153,16 @@ func (s *Server) SetTenants(reg *tenant.Registry) {
 	s.FlushCache()
 }
 
-// Close stops the heartbeat monitor, releases this replica's escrow leases
-// back to their owners, compacts the ledger into a final snapshot, and leaves
-// the ring, which closes the idle peer connections (after the lease release,
-// which travels on them). Safe to call more than once; a server without those
-// subsystems closes as a no-op.
+// Close releases this replica's escrow leases back to their owners, compacts
+// the ledger into a final snapshot, and leaves the ring, which closes the idle
+// peer connections (after the lease release, which travels on them). Safe to
+// call more than once; a server without those subsystems closes as a no-op.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		if s.healthStop != nil {
-			close(s.healthStop)
-			<-s.healthDone
-		}
 		if s.escrow != nil {
 			s.escrow.shutdown()
 		}
-		s.applyRing("", nil, nil)
+		s.applyRing("", nil)
 	})
 }
 
