@@ -104,7 +104,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	default:
 		// Mid-stream failure after a 200: report in-band and end.
 		_ = stream.write(&chronos.ReplayEvent{
-			Kind: chronos.EventError, Seq: stream.lastSeq + 1, Error: err.Error(),
+			Kind: chronos.EventError, Seq: stream.nextSeq, Error: err.Error(),
 		})
 	}
 }
@@ -189,12 +189,14 @@ const replayFlushEvery = 5 * time.Millisecond
 // and the final replay_summary is stamped with the trace ID so the streamed
 // result correlates with the server-side logs.
 type ndjsonStream struct {
-	w         http.ResponseWriter
-	rc        *http.ResponseController
-	m         *serverMetrics
-	tr        *obs.Trace
-	started   bool
-	lastSeq   uint64
+	w       http.ResponseWriter
+	rc      *http.ResponseController
+	m       *serverMetrics
+	tr      *obs.Trace
+	started bool
+	// nextSeq is one past the last line written: the seq of an event the
+	// stream adds itself (budget_exhausted, error).
+	nextSeq   uint64
 	lastFlush time.Time
 	// buf is the stream's reusable encode buffer: each event is encoded by
 	// the reflection-free hotjson codec into the previous event's capacity,
@@ -208,7 +210,6 @@ func (st *ndjsonStream) write(ev *chronos.ReplayEvent) error {
 	if ev.Kind == chronos.EventReplaySummary && st.tr != nil {
 		ev.TraceID = st.tr.ID
 	}
-	st.lastSeq = ev.Seq
 	if !st.started {
 		st.started = true
 		h := st.w.Header()
@@ -223,6 +224,9 @@ func (st *ndjsonStream) write(ev *chronos.ReplayEvent) error {
 	if err != nil {
 		return err
 	}
+	// Only a line that encoded takes its number, so an error event after a
+	// dropped one keeps seq gap-free.
+	st.nextSeq = ev.Seq + 1
 	line = append(line, '\n')
 	st.buf = line
 	if _, err := st.w.Write(line); err != nil {
@@ -263,7 +267,7 @@ func (s *Server) debitingObserver(st *ndjsonStream, bud budgeter, name string) c
 		s.metrics.tenantReject(name, api.ReasonBudgetExhausted)
 		_ = st.write(&chronos.ReplayEvent{
 			Kind:      chronos.EventBudgetExhausted,
-			Seq:       st.lastSeq + 1,
+			Seq:       st.nextSeq,
 			Time:      ev.Time,
 			Tenant:    name,
 			Needed:    ev.Outcome.MachineTime,

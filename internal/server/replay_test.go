@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -405,6 +406,77 @@ func TestSimulateRejectsHeavyTail(t *testing.T) { rejectsHeavyTail(t, "/v1/simul
 
 // TestReplayRejectsHeavyTail: the rejection comes before any stream line.
 func TestReplayRejectsHeavyTail(t *testing.T) { rejectsHeavyTail(t, "/v1/replay") }
+
+// TestSimulateAndReplayRejectBadEcon: a theta, unit price or spot mean that
+// is negative, non-finite or above the cap is a 400 on both endpoints, on
+// /v1/replay before any stream line. /v1/simulate used to answer the 1e308
+// bodies 500 `response encoding failed`, the negative prices 200 with a
+// negative cost and a positive utility, theta -1 200 with utility 97.5 and
+// theta 1e308 200 with `"utility":null`; /v1/replay streamed the job price
+// into an in-band error event.
+func TestSimulateAndReplayRejectBadEcon(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const control = `"strategy":"Clone","tauEst":40,"tauKill":80,"tauScale":1`
+	const job = `"tasks":4,"deadline":100,"tmin":10,"beta":1.5`
+	bodies := []string{
+		`{"config":{` + control + `,"econ":{"theta":1e-4,"unitPrice":1e308}},"jobs":[{` + job + `}]}`,
+		`{"config":{` + control + `},"jobs":[{` + job + `,"unitPrice":1e308}]}`,
+		`{"config":{` + control + `,"spot":{"mean":1e308}},"jobs":[{` + job + `}]}`,
+		`{"config":{` + control + `,"econ":{"theta":1e-4,"unitPrice":-5}},"jobs":[{` + job + `}]}`,
+		`{"config":{` + control + `},"jobs":[{` + job + `,"unitPrice":-5}]}`,
+		`{"config":{` + control + `,"econ":{"theta":-1,"unitPrice":1}},"jobs":[{` + job + `}]}`,
+		`{"config":{` + control + `,"econ":{"theta":1e308,"unitPrice":1}},"jobs":[{` + job + `}]}`,
+	}
+	for _, path := range []string{"/v1/simulate", "/v1/replay"} {
+		for _, body := range bodies {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST %s %s: %v", path, body, err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400", path, body, resp.StatusCode)
+			}
+			if env := decodeBody[api.ErrorResponse](t, resp); !strings.Contains(env.Error, "must be in [0, 1e+06]") || env.Code != api.CodeBadRequest {
+				t.Errorf("%s %s: error envelope %+v, want bad_request naming the range", path, body, env)
+			}
+		}
+	}
+}
+
+// TestReplaySeqGaplessAfterFailedEncode: a line that cannot be encoded is not
+// written, so it must not consume a sequence number — the in-band error event
+// that follows takes the number it left free. The stream used to record the
+// number before encoding and skip it.
+func TestReplaySeqGaplessAfterFailedEncode(t *testing.T) {
+	for _, good := range []int{0, 1, 3} {
+		rec := httptest.NewRecorder()
+		st := &ndjsonStream{w: rec, rc: http.NewResponseController(rec), m: newServerMetrics()}
+		for seq := range good {
+			if err := st.write(&chronos.ReplayEvent{Kind: chronos.EventJobPlanned, Seq: uint64(seq), Time: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.write(&chronos.ReplayEvent{Kind: chronos.EventJobPlanned, Seq: uint64(good), Time: math.Inf(1)}); err == nil {
+			t.Fatal("an infinite event time encoded")
+		}
+		if err := st.write(&chronos.ReplayEvent{Kind: chronos.EventError, Seq: st.nextSeq, Error: "boom"}); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+		if len(lines) != good+1 {
+			t.Fatalf("%d good lines: streamed %d lines, want %d: %q", good, len(lines), good+1, lines)
+		}
+		for i, line := range lines {
+			var ev chronos.ReplayEvent
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("line %d: %v: %q", i, err, line)
+			}
+			if ev.Seq != uint64(i) {
+				t.Errorf("%d good lines: line %d (%s) has seq %d, want %d", good, i, ev.Kind, ev.Seq, i)
+			}
+		}
+	}
+}
 
 // flushLog is a ResponseWriter and Flusher that records the order of writes
 // and flushes, and how much of the body each flush covered.

@@ -1,12 +1,34 @@
 // Package sim provides a minimal deterministic discrete-event simulation
-// engine: a virtual clock, a priority event queue with stable FIFO ordering
+// engine: a virtual clock, a radix-heap event queue with stable FIFO ordering
 // for simultaneous events, and cancellable timers. The cluster and MapReduce
 // substrates are built on top of it.
+//
+// The queue is a radix heap, a priority queue for keys that never go below
+// the last one extracted — which a simulation clock guarantees, since nothing
+// may be scheduled before Now. The key of an event is the IEEE-754 bit
+// pattern of its time: for non-negative floats the bits order exactly like the
+// values (+Inf included), and a time is never negative because it is at least
+// Now, which starts at zero; -0 is filed as +0. An event whose key equals the
+// base (the key last extracted) waits in a ready list; any other sits in the
+// bucket named by the highest bit in which its key differs from the base.
+// Only the lowest non-empty bucket is ever redistributed, when the ready list
+// runs dry: its minimum becomes the new base and every entry moves to a
+// strictly lower bucket or to the ready list, so an entry is moved at most 64
+// times however long it waits. Cancelled events are dropped there, by a look
+// at their record and without a comparison, instead of being sifted through a
+// heap one pop at a time. Equal keys always share a bucket and move together
+// in the order they were filed, so simultaneous events reach the ready list
+// in scheduling order and fire FIFO without a sort.
+//
+// NextAt peeks without moving the base, so an event scheduled into the gap
+// before the peeked one still files above the base. Pending counts queued
+// entries, cancelled ones until a redistribution or a peek drops them.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Handler is the target of a scheduled event. A pointer-shaped
@@ -31,24 +53,37 @@ type Engine struct {
 	// processed counts executed events, for introspection and tests.
 	processed uint64
 
-	// heap is a 4-ary min-heap ordered by (at, seq). The key lives in the
-	// heap entry so sifting never leaves the array; the handler lives in a
-	// pooled slot so a Timer can reach it without knowing where the entry
-	// has moved to.
-	heap  []heapEntry
+	// base is the key last extracted: every queued key is at least base, and
+	// base is at most the key of Now. Only extraction (Step) moves it; NextAt
+	// never does, so a schedule into the gap before a peeked event cannot
+	// land below it.
+	base uint64
+	// ready holds the slots of the events whose key equals base, in
+	// scheduling order from head on; it is consumed before any bucket.
+	ready []int32
+	head  int
+	// buckets[i] holds the events whose key differs from base first in bit
+	// i, so every key in buckets[i] is below every key in buckets[i+1];
+	// filled is the set of non-empty buckets. A bucket keeps its capacity
+	// for the engine's lifetime.
+	buckets [64][]entry
+	filled  uint64
+	// The handler lives in a pooled slot, so a Timer can reach it without
+	// knowing which bucket its entry is in.
 	slots []slot
 	free  []int32
 }
 
-type heapEntry struct {
-	at   float64
-	seq  uint64
+// entry is one queued event: its time as a key, and its record.
+type entry struct {
+	key  uint64
 	slot int32
 }
 
 // slot is one pooled event record. h is nil once the event has fired or been
 // cancelled; seq names the scheduling that owns the slot, so a Timer kept
-// past its event cannot touch the slot's next occupant.
+// past its event cannot touch the slot's next occupant. A cancelled event
+// keeps its slot until the queue drops its entry.
 type slot struct {
 	h   Handler
 	seq uint64
@@ -80,7 +115,8 @@ func (t *Timer) Cancel() bool {
 	if s == nil {
 		return false
 	}
-	// The heap entry stays where it is and is discarded when it surfaces;
+	// The queue entry stays where it is until the queue next passes over it
+	// (a redistribution, a peek, the ready list's head) and drops it;
 	// dropping the handler here means a cancelled event holds no reference
 	// to its target.
 	s.h = nil
@@ -126,7 +162,9 @@ func (e *Engine) ScheduleHandler(at float64, h Handler) Timer {
 	seq := e.seq
 	e.seq++
 	e.slots[id] = slot{h: h, seq: seq}
-	e.push(heapEntry{at: at, seq: seq, slot: id})
+	// at >= Now >= 0, so only -0 has its sign bit set; clearing it files -0
+	// as +0 and leaves every other key as it is.
+	e.file(entry{key: math.Float64bits(at) &^ (1 << 63), slot: id})
 	return Timer{eng: e, seq: seq, slot: id}
 }
 
@@ -135,43 +173,125 @@ func (e *Engine) After(delay float64, fn func()) Timer {
 	return e.Schedule(e.now+delay, fn)
 }
 
-// skipCancelled discards cancelled entries from the head of the queue and
-// reports whether a live event remains.
-func (e *Engine) skipCancelled() bool {
-	for len(e.heap) > 0 {
-		if e.slots[e.heap[0].slot].h != nil {
+// file puts x on the ready list or in its bucket relative to base.
+func (e *Engine) file(x entry) {
+	d := x.key ^ e.base
+	if d == 0 {
+		e.ready = append(e.ready, x.slot)
+		return
+	}
+	i := bits.Len64(d) - 1
+	e.buckets[i] = append(e.buckets[i], x)
+	e.filled |= 1 << i
+}
+
+// readyHead drops cancelled events from the head of the ready list and
+// reports whether a live one is left there.
+func (e *Engine) readyHead() bool {
+	for e.head < len(e.ready) {
+		id := e.ready[e.head]
+		if e.slots[id].h != nil {
 			return true
 		}
-		e.free = append(e.free, e.pop().slot)
+		e.free = append(e.free, id)
+		e.advanceHead()
+	}
+	return false
+}
+
+// advanceHead consumes the ready list's head; a drained list restarts at its
+// first element, so same-instant chains reuse its capacity.
+func (e *Engine) advanceHead() {
+	e.head++
+	if e.head == len(e.ready) {
+		e.ready, e.head = e.ready[:0], 0
+	}
+}
+
+// compact drops the cancelled entries of bucket i and returns the smallest
+// live key in it; ok is false when none is left, and the bucket is then
+// marked empty.
+func (e *Engine) compact(i int) (min uint64, ok bool) {
+	b := e.buckets[i]
+	n := 0
+	min = math.MaxUint64
+	for _, x := range b {
+		if e.slots[x.slot].h == nil {
+			e.free = append(e.free, x.slot)
+			continue
+		}
+		b[n] = x
+		n++
+		if x.key < min {
+			min = x.key
+		}
+	}
+	e.buckets[i] = b[:n]
+	if n == 0 {
+		e.filled &^= 1 << i
+	}
+	return min, n > 0
+}
+
+// refill moves the base to the smallest live key and redistributes the
+// lowest non-empty bucket around it, which leaves a live event at the ready
+// list's head. It reports false when the queue holds none. The ready list
+// must be empty.
+func (e *Engine) refill() bool {
+	for e.filled != 0 {
+		i := bits.TrailingZeros64(e.filled)
+		min, ok := e.compact(i)
+		if !ok {
+			continue
+		}
+		// Every key in bucket i agrees with min above bit i, so each entry
+		// lands in a lower bucket or on the ready list; higher buckets stay
+		// valid as they are.
+		b := e.buckets[i]
+		e.buckets[i] = b[:0]
+		e.filled &^= 1 << i
+		e.base = min
+		for _, x := range b {
+			e.file(x)
+		}
+		return true
 	}
 	return false
 }
 
 // NextAt reports the timestamp of the next live event, or ok == false when
-// the queue holds none. It does not advance the clock. Stream consumers (the
+// the queue holds none. It does not advance the clock, and it does not move
+// the base: it drops cancelled entries from the ready list and from the
+// lowest buckets and scans for their minimum in place. Stream consumers (the
 // replay engine) use it to emit window boundaries that fall inside the gap
 // before the next event.
 func (e *Engine) NextAt() (at float64, ok bool) {
-	if !e.skipCancelled() {
-		return 0, false
+	if e.readyHead() {
+		return math.Float64frombits(e.base), true
 	}
-	return e.heap[0].at, true
+	for e.filled != 0 {
+		if min, ok := e.compact(bits.TrailingZeros64(e.filled)); ok {
+			return math.Float64frombits(min), true
+		}
+	}
+	return 0, false
 }
 
 // Step executes the next pending event and returns true, or returns false if
 // the queue is empty.
 func (e *Engine) Step() bool {
-	if !e.skipCancelled() {
+	if !e.readyHead() && !e.refill() {
 		return false
 	}
-	top := e.pop()
-	s := &e.slots[top.slot]
+	id := e.ready[e.head]
+	e.advanceHead()
+	s := &e.slots[id]
 	h := s.h
 	// Freed before the handler runs, so whatever it schedules can reuse the
 	// slot; the new seq is what tells this event's Timer it has fired.
 	s.h = nil
-	e.free = append(e.free, top.slot)
-	e.now = top.at
+	e.free = append(e.free, id)
+	e.now = math.Float64frombits(e.base)
 	e.processed++
 	h.Fire()
 	return true
@@ -198,63 +318,13 @@ func (e *Engine) RunUntil(t float64) {
 	}
 }
 
-// Pending returns the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int { return len(e.heap) }
-
-// before orders heap entries by time, then by scheduling order, so
-// simultaneous events fire FIFO — including ones a handler schedules for the
-// instant it is running at.
-func (a heapEntry) before(b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// Pending returns the number of queued events, cancelled ones included until
+// the queue drops them: at the ready list's head, when their bucket is
+// redistributed, or when NextAt scans it.
+func (e *Engine) Pending() int {
+	n := len(e.ready) - e.head
+	for _, b := range e.buckets {
+		n += len(b)
 	}
-	return a.seq < b.seq
-}
-
-// push adds x to the heap and sifts it up.
-func (e *Engine) push(x heapEntry) {
-	h := append(e.heap, x)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !x.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = x
-	e.heap = h
-}
-
-// pop removes and returns the minimum entry; the heap must not be empty.
-func (e *Engine) pop() heapEntry {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	x := h[n] // re-inserted at the root and sifted down
-	h = h[:n]
-	e.heap = h
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		for c := first + 1; c < first+4 && c < n; c++ {
-			if h[c].before(h[min]) {
-				min = c
-			}
-		}
-		if !h[min].before(x) {
-			break
-		}
-		h[i] = h[min]
-		i = min
-	}
-	if n > 0 {
-		h[i] = x
-	}
-	return top
+	return n
 }

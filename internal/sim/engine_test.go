@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -338,3 +340,460 @@ func TestScheduleStepZeroAlloc(t *testing.T) {
 type countingHandler int
 
 func (h *countingHandler) Fire() { *h++ }
+
+// refEngine is the queue the radix heap replaced, kept as the differential
+// oracle: a 4-ary min-heap ordered by (at, seq) that discards a cancelled
+// entry when it surfaces at the root.
+type refEngine struct {
+	now       float64
+	seq       uint64
+	processed uint64
+	heap      []refEntry
+}
+
+type refEntry struct {
+	at  float64
+	seq uint64
+	ev  *refEvent
+}
+
+// refEvent is the oracle's timer; done once the event fired or was cancelled.
+type refEvent struct {
+	fn   func()
+	done bool
+}
+
+func (v *refEvent) Cancel() bool {
+	was := !v.done
+	v.done = true
+	return was
+}
+
+func (v *refEvent) Pending() bool { return !v.done }
+
+func (a refEntry) before(b refEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func (e *refEngine) push(x refEntry) {
+	h := append(e.heap, x)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !x.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = x
+	e.heap = h
+}
+
+func (e *refEngine) pop() refEntry {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	x := h[n]
+	h = h[:n]
+	e.heap = h
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h[c].before(h[min]) {
+				min = c
+			}
+		}
+		if !h[min].before(x) {
+			break
+		}
+		h[i] = h[min]
+		i = min
+	}
+	if n > 0 {
+		h[i] = x
+	}
+	return top
+}
+
+func (e *refEngine) skipCancelled() bool {
+	for len(e.heap) > 0 && e.heap[0].ev.done {
+		e.pop()
+	}
+	return len(e.heap) > 0
+}
+
+func (e *refEngine) schedule(at float64, fn func()) handle {
+	ev := &refEvent{fn: fn}
+	e.push(refEntry{at: at, seq: e.seq, ev: ev})
+	e.seq++
+	return ev
+}
+
+func (e *refEngine) step() bool {
+	if !e.skipCancelled() {
+		return false
+	}
+	top := e.pop()
+	top.ev.done = true
+	e.now = top.at
+	e.processed++
+	top.ev.fn()
+	return true
+}
+
+func (e *refEngine) nextAt() (float64, bool) {
+	if !e.skipCancelled() {
+		return 0, false
+	}
+	return e.heap[0].at, true
+}
+
+func (e *refEngine) runUntil(t float64) {
+	for {
+		next, ok := e.nextAt()
+		if !ok || next > t {
+			break
+		}
+		e.step()
+	}
+	if t > e.now {
+		e.now = t
+	}
+}
+
+func (e *refEngine) clock() (float64, uint64) { return e.now, e.processed }
+
+// handle and queue are what the differential script drives: the oracle above
+// and the Engine under test, through radixQueue.
+type handle interface {
+	Cancel() bool
+	Pending() bool
+}
+
+type queue interface {
+	schedule(at float64, fn func()) handle
+	step() bool
+	nextAt() (float64, bool)
+	runUntil(t float64)
+	clock() (now float64, processed uint64)
+}
+
+type radixQueue struct{ e *Engine }
+
+func (q radixQueue) schedule(at float64, fn func()) handle {
+	t := q.e.Schedule(at, fn)
+	return &t
+}
+func (q radixQueue) step() bool              { return q.e.Step() }
+func (q radixQueue) nextAt() (float64, bool) { return q.e.NextAt() }
+func (q radixQueue) runUntil(t float64)      { q.e.RunUntil(t) }
+func (q radixQueue) clock() (float64, uint64) {
+	return q.e.Now(), q.e.Processed()
+}
+
+// script is one seeded run of the differential test against one queue. Two
+// scripts with the same seed make the same decisions for as long as their
+// queues behave alike, so the first divergence shows in their logs.
+type script struct {
+	q      queue
+	rng    *rand.Rand
+	timers []handle
+	at     []float64 // the time each event was scheduled for
+	fired  []int
+	log    []observation
+	bad    []string
+}
+
+// observation is what the script records after every operation.
+type observation struct {
+	op        string
+	fired     int
+	lastFired int
+	now       float64
+	processed uint64
+	next      float64
+	ok        bool
+}
+
+func (s *script) now() float64 {
+	now, _ := s.q.clock()
+	return now
+}
+
+// schedule adds event len(timers). When it fires it may schedule at its own
+// instant or on the grid, or cancel any event, pending or not.
+func (s *script) schedule(at float64, depth int) {
+	id := len(s.timers)
+	s.at = append(s.at, at)
+	s.timers = append(s.timers, nil)
+	s.timers[id] = s.q.schedule(at, func() {
+		s.fired = append(s.fired, id)
+		if s.timers[id].Pending() {
+			s.bad = append(s.bad, fmt.Sprintf("event %d pending while it fires", id))
+		}
+		if depth >= 3 {
+			return
+		}
+		switch s.rng.IntN(4) {
+		case 0:
+			s.schedule(s.now(), depth+1)
+		case 1:
+			s.schedule(s.grid(), depth+1)
+		case 2:
+			s.timers[s.rng.IntN(len(s.timers))].Cancel()
+		}
+	})
+}
+
+// grid is a time on a coarse grid at or after Now, so many events tie.
+func (s *script) grid() float64 {
+	return math.Ceil(s.now()) + float64(s.rng.IntN(16))
+}
+
+// fillGap schedules one or two events in [Now, next], the interval a peek
+// has just reported empty of live events.
+func (s *script) fillGap(next float64, ok bool) {
+	now := s.now()
+	for n := 1 + s.rng.IntN(2); n > 0; n-- {
+		at := now
+		if ok && next < math.Inf(1) && s.rng.IntN(3) > 0 {
+			at = now + (next-now)*s.rng.Float64()
+		}
+		s.schedule(at, 0)
+	}
+}
+
+// head is the pending event that fires next, by (at, scheduling order), or -1.
+func (s *script) head() int {
+	best := -1
+	for id, t := range s.timers {
+		if t.Pending() && (best < 0 || s.at[id] < s.at[best]) {
+			best = id
+		}
+	}
+	return best
+}
+
+func (s *script) observe(op string) {
+	next, ok := s.q.nextAt()
+	now, processed := s.q.clock()
+	o := observation{op: op, fired: len(s.fired), lastFired: -1, now: now, processed: processed, next: next, ok: ok}
+	if len(s.fired) > 0 {
+		o.lastFired = s.fired[len(s.fired)-1]
+	}
+	s.log = append(s.log, o)
+}
+
+// phase runs ops random operations and then drains the queue, observing
+// after each of them and after every step of the drain.
+func (s *script) phase(ops int) {
+	for i := 0; i < ops; i++ {
+		switch s.rng.IntN(8) {
+		case 0:
+			for n := 1 + s.rng.IntN(4); n > 0; n-- {
+				s.schedule(s.grid(), 0)
+			}
+			s.observe("schedule on the grid")
+		case 1:
+			for n := 1 + s.rng.IntN(3); n > 0; n-- {
+				s.q.step()
+			}
+			s.observe("step")
+		case 2:
+			if id := s.head(); id >= 0 && !s.timers[id].Cancel() {
+				s.bad = append(s.bad, fmt.Sprintf("cancel of the pending head %d reported false", id))
+			}
+			s.observe("cancel the head")
+		case 3:
+			s.timers[s.rng.IntN(len(s.timers))].Cancel()
+			s.observe("cancel any")
+		case 4:
+			if id := s.rng.IntN(len(s.timers)); !s.timers[id].Pending() && s.timers[id].Cancel() {
+				s.bad = append(s.bad, fmt.Sprintf("stale cancel of %d reported true", id))
+			}
+			s.observe("stale cancel")
+		case 5:
+			s.fillGap(s.q.nextAt())
+			s.observe("NextAt, then schedule inside the gap")
+		case 6:
+			s.q.runUntil(s.now() + s.rng.Float64()*20)
+			s.fillGap(s.q.nextAt())
+			s.observe("RunUntil, then schedule inside the gap")
+		case 7:
+			at := math.Max(math.MaxFloat64, s.now())
+			if s.rng.IntN(4) == 0 {
+				at = math.Inf(1)
+			}
+			s.schedule(at, 0)
+			s.observe("schedule at MaxFloat64 or +Inf")
+		}
+	}
+	for s.q.step() {
+		s.observe("drain")
+	}
+	s.observe("drained")
+}
+
+// run is the whole script: the special keys, a long phase, and a short one
+// that starts wherever the drain left the clock — +Inf when an event was
+// scheduled there, so the top of the key space sees random operations too.
+func (s *script) run() {
+	for _, at := range []float64{math.Copysign(0, -1), 0, math.MaxFloat64, math.Inf(1), math.Copysign(0, -1), 0} {
+		s.schedule(at, 0)
+	}
+	s.observe("schedule -0, 0, MaxFloat64, +Inf")
+	s.phase(4000)
+	s.phase(500)
+}
+
+// TestQueueMatchesHeapOracle drives the radix heap and the 4-ary heap it
+// replaced with one seeded script — ties on a coarse grid, same-instant
+// schedules from handlers, cancels of the head, of buried events and through
+// stale timers, schedules into the gap NextAt and RunUntil peeked at, and the
+// keys -0, 0, MaxFloat64 and +Inf — and compares fire order, Now, Processed
+// and NextAt after every operation.
+func TestQueueMatchesHeapOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		got := &script{q: radixQueue{NewEngine()}, rng: rand.New(rand.NewPCG(seed, 7))}
+		want := &script{q: &refEngine{}, rng: rand.New(rand.NewPCG(seed, 7))}
+		got.run()
+		want.run()
+		for _, msg := range append(got.bad, want.bad...) {
+			t.Errorf("seed %d: %s", seed, msg)
+		}
+		for i := range min(len(got.log), len(want.log)) {
+			if got.log[i] != want.log[i] {
+				t.Fatalf("seed %d, operation %d (%s):\n radix %+v\n  heap %+v", seed, i, want.log[i].op, got.log[i], want.log[i])
+			}
+		}
+		if len(got.log) != len(want.log) {
+			t.Fatalf("seed %d: %d operations against the oracle's %d", seed, len(got.log), len(want.log))
+		}
+		if !slices.Equal(got.fired, want.fired) {
+			t.Fatalf("seed %d: fire orders differ", seed)
+		}
+		if len(got.fired) < len(got.timers)/2 {
+			t.Errorf("seed %d: only %d of %d events fired; the script cancels too much to test order", seed, len(got.fired), len(got.timers))
+		}
+	}
+}
+
+// TestNextAtKeepsBase is the rule NextAt lives by: a peek past an empty gap
+// must leave room to schedule inside it, below the peeked event.
+func TestNextAtKeepsBase(t *testing.T) {
+	e := NewEngine()
+	var got []float64
+	record := func() { got = append(got, e.Now()) }
+	e.Schedule(1000, record)
+	if at, ok := e.NextAt(); !ok || at != 1000 {
+		t.Fatalf("NextAt = %v, %v, want 1000, true", at, ok)
+	}
+	e.RunUntil(10)
+	e.Schedule(10, record)
+	e.Schedule(999, record)
+	e.Schedule(11, record)
+	e.Run()
+	if want := []float64{10, 11, 999, 1000}; !slices.Equal(got, want) {
+		t.Errorf("fired at %v, want %v", got, want)
+	}
+}
+
+// TestPendingShedsCancelled: cancelled entries leave the count when their
+// bucket is redistributed, not only when they reach the front.
+func TestPendingShedsCancelled(t *testing.T) {
+	e := NewEngine()
+	var timers []Timer
+	for i := 0; i < 8; i++ {
+		timers = append(timers, e.Schedule(float64(100+i), func() {}))
+	}
+	e.Schedule(1, func() {})
+	for _, tm := range timers[1:] {
+		tm.Cancel()
+	}
+	e.Step() // fires t=1 and leaves the 100s bucket alone
+	if e.Pending() != 8 {
+		t.Fatalf("Pending() = %d before the bucket is redistributed, want 8", e.Pending())
+	}
+	e.Step() // redistributes the bucket, dropping the 7 cancelled entries
+	if e.Pending() != 0 || e.Now() != 100 {
+		t.Errorf("after the t=100 event: Pending() = %d, Now() = %v, want 0, 100", e.Pending(), e.Now())
+	}
+}
+
+// cloneR is the r of BenchmarkEngineCloneShape: r+1 copies per task.
+const cloneR = 2
+
+// cloneTask is one Clone task: its copies' finish events, and a control event
+// (the task itself) that keeps the copy finishing first and kills the rest.
+type cloneTask struct {
+	finish [cloneR + 1]Timer
+	at     [cloneR + 1]float64
+}
+
+func (c *cloneTask) Fire() {
+	best := 0
+	for k := range c.at {
+		if c.at[k] < c.at[best] {
+			best = k
+		}
+	}
+	for k := range c.finish {
+		if k != best {
+			c.finish[k].Cancel()
+		}
+	}
+}
+
+// cloneArrivals is the task-arrival chain of BenchmarkEngineCloneShape.
+type cloneArrivals struct {
+	e       *Engine
+	tasks   []cloneTask // a ring: a task's control fires before its slot is reused
+	samples []float64   // Pareto(10, 1.5) task times, drawn up front
+	n, left int
+	done    countingHandler
+}
+
+func (a *cloneArrivals) Fire() {
+	now := a.e.Now()
+	t := &a.tasks[a.n%len(a.tasks)]
+	for k := range t.finish {
+		t.at[k] = now + a.samples[(a.n*(cloneR+1)+k)%len(a.samples)]
+		t.finish[k] = a.e.ScheduleHandler(t.at[k], &a.done)
+	}
+	a.e.ScheduleHandler(now+6, t) // tauKill = 0.6 tmin, before any copy can finish
+	a.n++
+	if a.n < a.left {
+		a.e.ScheduleHandler(now+0.05, a)
+	}
+}
+
+// BenchmarkEngineCloneShape drives the queue with the traffic a Clone replay
+// gives it: every task schedules r+1 finish events at Pareto-spread times
+// and, at its control instant, cancels all but the earliest, so r of its r+2
+// events are cancelled ones (43–44 % of a Clone stream's events are; 14–16 % of
+// Restart's and Resume's). Tasks arrive 50 ms apart, ~600 in flight. One op
+// is one task.
+func BenchmarkEngineCloneShape(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	samples := make([]float64, 4096)
+	for i := range samples {
+		samples[i] = 10 * math.Pow(1-rng.Float64(), -1/1.5)
+	}
+	a := &cloneArrivals{e: NewEngine(), tasks: make([]cloneTask, 256), samples: samples, left: b.N}
+	b.ReportAllocs()
+	b.ResetTimer()
+	a.e.ScheduleHandler(0, a)
+	a.e.Run()
+	if int(a.done) != b.N {
+		b.Fatalf("%d tasks finished, want %d", a.done, b.N)
+	}
+}

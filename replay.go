@@ -85,7 +85,7 @@ func Replay(ctx context.Context, cfg SimConfig, jobs []SimJob, opts ReplayOption
 // buildReplay assembles the engine, cluster, runtime and per-job specs and
 // strategies for one run of the stream. cfg must already have defaults.
 func buildReplay(cfg SimConfig, jobs []SimJob) (*mapreduce.Runtime, []replay.Job, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validate(jobs); err != nil {
 		return nil, nil, err
 	}
 	eng := sim.NewEngine()

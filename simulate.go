@@ -272,10 +272,17 @@ func (j SimJob) spec(id int, cfg SimConfig) (mapreduce.JobSpec, error) {
 // (optimize.ErrSearchCap), so no fixed one needs to.
 const maxFixedR = 1 << 13
 
-// validate rejects, once per run, the control settings a strategy cannot be
-// built from: a control instant in the past of its stage would be scheduled
-// before the simulation clock. cfg must already have defaults.
-func (cfg SimConfig) validate() error {
+// maxEcon caps econ.theta, econ.unitPrice, every job's unitPrice and the spot
+// mean. Inside it, and inside the serving bounds on tasks, attempts and task
+// times, no cost or utility a run reports leaves float64.
+const maxEcon = 1e6
+
+// validate rejects, once per run and before any event, what a run cannot be
+// built from or reported on. A control instant in the past of its stage would
+// be scheduled before the simulation clock. A negative price or theta makes
+// cost negative or spending a gain, and a non-finite or uncapped one makes an
+// infinity no encoder can write. cfg must already have defaults.
+func (cfg SimConfig) validate(jobs []SimJob) error {
 	if !(cfg.TauEst >= 0 && cfg.TauKill >= 0) || math.IsInf(cfg.TauEst, 0) || math.IsInf(cfg.TauKill, 0) {
 		return fmt.Errorf("chronos: tauEst %v and tauKill %v must be finite and non-negative", cfg.TauEst, cfg.TauKill)
 	}
@@ -285,7 +292,32 @@ func (cfg SimConfig) validate() error {
 	if cfg.UseFixedR && cfg.FixedR >= maxFixedR {
 		return fmt.Errorf("chronos: fixedR %d at or above the planner's search cap r = %d", cfg.FixedR, maxFixedR)
 	}
+	spotMean := 0.0
+	if cfg.Spot != nil {
+		spotMean = cfg.Spot.Mean
+	}
+	for _, c := range [...]struct {
+		name string
+		v    float64
+	}{{"econ.theta", cfg.Econ.Theta}, {"econ.unitPrice", cfg.Econ.UnitPrice}, {"spot.mean", spotMean}} {
+		if !inEconRange(c.v) {
+			return econRangeError(c.name, c.v)
+		}
+	}
+	for i, j := range jobs {
+		if !inEconRange(j.UnitPrice) {
+			return econRangeError(fmt.Sprintf("job %d unitPrice", i), j.UnitPrice)
+		}
+	}
 	return nil
+}
+
+// inEconRange reports whether a price or theta lies in [0, maxEcon]; NaN
+// does not.
+func inEconRange(v float64) bool { return v >= 0 && v <= maxEcon }
+
+func econRangeError(name string, v float64) error {
+	return fmt.Errorf("chronos: %s %v must be in [0, %g]", name, v, float64(maxEcon))
 }
 
 // strategyFor instantiates the policy for one job (tau instants may be

@@ -132,3 +132,64 @@ func TestSimulateRejectsBadControl(t *testing.T) {
 		t.Errorf("negative fixedR: report %+v, err %v; want the optimizer's %+v", negative, err, planned)
 	}
 }
+
+// TestSimulateRejectsBadEcon: a theta, unit price or spot mean that is
+// negative, non-finite or above maxEcon is an error from Simulate. A 1e308
+// price used to report an infinite cost (500 `response encoding failed` on
+// /v1/simulate), a negative one a negative cost and a positive utility, and a
+// negative theta a utility of 97.5.
+func TestSimulateRejectsBadEcon(t *testing.T) {
+	job := SimJob{Tasks: 4, Deadline: 100, TMin: 10, Beta: 1.5}
+	priced := func(price float64) []SimJob {
+		j := job
+		j.UnitPrice = price
+		return []SimJob{j}
+	}
+	econ := func(theta, price float64) SimConfig {
+		return SimConfig{Strategy: Clone, Econ: Econ{Theta: theta, UnitPrice: price}}
+	}
+	spot := func(mean float64) SimConfig {
+		return SimConfig{Strategy: Clone, Spot: &SpotMarket{Mean: mean}}
+	}
+	for name, tc := range map[string]struct {
+		cfg  SimConfig
+		jobs []SimJob
+	}{
+		"econ.unitPrice 1e308": {econ(1e-4, 1e308), []SimJob{job}},
+		"econ.unitPrice -5":    {econ(1e-4, -5), []SimJob{job}},
+		"econ.unitPrice +Inf":  {econ(1e-4, math.Inf(1)), []SimJob{job}},
+		"econ.theta -1":        {econ(-1, 1), []SimJob{job}},
+		"econ.theta 1e308":     {econ(1e308, 1), []SimJob{job}},
+		"econ.theta NaN":       {econ(math.NaN(), 1), []SimJob{job}},
+		"job unitPrice 1e308":  {SimConfig{Strategy: Clone}, priced(1e308)},
+		"job unitPrice -5":     {SimConfig{Strategy: Clone}, priced(-5)},
+		"job unitPrice NaN":    {SimConfig{Strategy: Clone}, priced(math.NaN())},
+		"spot.mean 1e308":      {spot(1e308), []SimJob{job}},
+		"spot.mean -1":         {spot(-1), []SimJob{job}},
+		"just above the cap":   {econ(1e-4, math.Nextafter(maxEcon, math.Inf(1))), []SimJob{job}},
+	} {
+		if rep, err := Simulate(tc.cfg, tc.jobs); err == nil {
+			t.Errorf("%s: accepted, report %+v", name, rep)
+		}
+	}
+
+	// The cap itself and the defaults (a zero job price inherits econ's, a
+	// zero spot mean follows it) still simulate, with finite numbers.
+	for name, tc := range map[string]struct {
+		cfg  SimConfig
+		jobs []SimJob
+	}{
+		"theta and price at the cap": {econ(maxEcon, maxEcon), priced(maxEcon)},
+		"spot mean at the cap":       {spot(maxEcon), []SimJob{job}},
+		"defaults":                   {spot(0), priced(0)},
+	} {
+		rep, err := Simulate(tc.cfg, tc.jobs)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if math.IsInf(rep.MeanCost, 0) || math.IsNaN(rep.MeanCost) || math.IsNaN(rep.Utility) || math.IsInf(rep.Utility, 1) {
+			t.Errorf("%s: report %+v is not finite", name, rep)
+		}
+	}
+}
