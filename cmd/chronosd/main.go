@@ -8,7 +8,7 @@
 //	chronosd [-addr :8080] [-cache-capacity 4096] [-workers N]
 //	         [-max-body 1048576] [-tenants tenants.json]
 //	         [-self http://host:port -peers url1,url2,... | -ring ring.json]
-//	         [-escrow] [-data-dir /var/lib/chronosd] [-escrow-lease-ttl 15s]
+//	         [-escrow] [-data-dir /var/lib/chronosd]
 //	         [-log-level info] [-log-sample 1] [-debug-addr 127.0.0.1:6060]
 //
 // Every other operating value (request-size and simulation limits, HTTP
@@ -50,10 +50,12 @@
 // ring owner of each tenant key holds the authoritative pool and every other
 // replica debits a local lease topped up over the internal /v1/escrow/lease
 // API, so concurrent admits across the whole fleet can never over-commit a
-// pool. -data-dir makes the ledger durable (periodic snapshot + append-only
-// WAL, replayed on boot). A dead pool owner keeps its tenants: once their
-// leases run dry the survivors refuse those admits instead of opening a
-// second pool.
+// pool. A lease lives until its holder returns it: on a graceful shutdown
+// the holder drains each lease and the owner credits back what it held.
+// -data-dir makes the ledger durable (periodic snapshot + append-only WAL,
+// replayed on boot); a data dir the owner cannot write its boot snapshot to
+// stops chronosd. A dead pool owner keeps its tenants: once their leases run
+// dry the survivors refuse those admits instead of opening a second pool.
 //
 // SIGHUP re-reads the -tenants and -ring config files: tenant reloads carry
 // live ledger levels over for pools whose budget shape is unchanged and
@@ -90,7 +92,6 @@ func main() {
 		ringPath      = flag.String("ring", "", "ring membership file (JSON {self, peers}); SIGHUP reloads it")
 		escrow        = flag.Bool("escrow", false, "fleet-exact tenant budgets via the escrow ledger (off = per-replica approximation)")
 		dataDir       = flag.String("data-dir", "", "durability directory for the escrow snapshot+WAL (empty = memory only)")
-		leaseTTL      = flag.Duration("escrow-lease-ttl", 15*time.Second, "escrow lease lifetime without a renewal before the owner reclaims it")
 		logLevel      = flag.String("log-level", "info", "log level: debug, info, warn, or error")
 		logSample     = flag.Int("log-sample", 1, "log every Nth request line (5xx always log)")
 		debugAddr     = flag.String("debug-addr", "", "separate listener for /debug/pprof/ and /debug/traces (empty disables)")
@@ -152,20 +153,23 @@ func main() {
 			"pools", len(st.Pools), "leases", len(st.Leases))
 	}
 
-	srv := server.New(server.Config{
-		Addr:           *addr,
-		CacheCapacity:  *cacheCapacity,
-		Workers:        *workers,
-		MaxBodyBytes:   *maxBody,
-		Tenants:        tenants,
-		Self:           membership.Self,
-		Peers:          membership.Peers,
-		Escrow:         *escrow,
-		Store:          store,
-		EscrowLeaseTTL: *leaseTTL,
-		Logger:         logger,
-		LogSample:      *logSample,
+	srv, err := server.Open(server.Config{
+		Addr:          *addr,
+		CacheCapacity: *cacheCapacity,
+		Workers:       *workers,
+		MaxBodyBytes:  *maxBody,
+		Tenants:       tenants,
+		Self:          membership.Self,
+		Peers:         membership.Peers,
+		Escrow:        *escrow,
+		Store:         store,
+		Logger:        logger,
+		LogSample:     *logSample,
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chronosd:", err)
+		os.Exit(1)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(),
 		os.Interrupt, syscall.SIGTERM)

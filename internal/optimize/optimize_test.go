@@ -33,6 +33,10 @@ func TestConfigValidate(t *testing.T) {
 		{"zero theta", Config{Theta: 0, UnitPrice: 1}, ErrBadTheta},
 		{"negative theta", Config{Theta: -1, UnitPrice: 1}, ErrBadTheta},
 		{"zero price", Config{Theta: 1, UnitPrice: 0}, ErrBadPrice},
+		{"theta and price at the cap", Config{Theta: MaxEcon, UnitPrice: MaxEcon}, nil},
+		{"theta above the cap", Config{Theta: math.Nextafter(MaxEcon, math.Inf(1)), UnitPrice: 1}, ErrBadTheta},
+		{"price 1e308", Config{Theta: 1e-4, UnitPrice: 1e308}, ErrBadPrice},
+		{"price +Inf", Config{Theta: 1e-4, UnitPrice: math.Inf(1)}, ErrBadPrice},
 		{"rmin one", Config{Theta: 1, UnitPrice: 1, RMin: 1}, ErrBadRMin},
 		{"rmin negative", Config{Theta: 1, UnitPrice: 1, RMin: -0.1}, ErrBadRMin},
 	}

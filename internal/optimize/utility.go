@@ -26,7 +26,8 @@ type Config struct {
 	// theta == 0 the objective is unbounded in r.
 	Theta float64
 	// UnitPrice is the usage-based VM price C per unit machine time (e.g.
-	// the average EC2 spot price for the subscribed VM type).
+	// the average EC2 spot price for the subscribed VM type). Theta and
+	// UnitPrice must not exceed MaxEcon.
 	UnitPrice float64
 	// RMin is the minimum required PoCD; the utility drops to -Inf when
 	// R(r) <= RMin. The paper uses the PoCD of Hadoop-NS as RMin in its
@@ -34,10 +35,15 @@ type Config struct {
 	RMin float64
 }
 
+// MaxEcon caps theta and the unit price. Inside it, and inside the serving
+// bounds on tasks and task times, no cost or utility leaves float64, so
+// every plan can be encoded.
+const MaxEcon = 1e6
+
 // Validation errors.
 var (
-	ErrBadTheta = errors.New("optimize: theta must be positive")
-	ErrBadPrice = errors.New("optimize: unit price must be positive")
+	ErrBadTheta = errors.New("optimize: theta must be in (0, 1e+06]")
+	ErrBadPrice = errors.New("optimize: unit price must be in (0, 1e+06]")
 	ErrBadRMin  = errors.New("optimize: rmin must be in [0, 1)")
 	// ErrInfeasible reports that no r achieves PoCD above RMin, so every
 	// utility value is -Inf.
@@ -49,10 +55,10 @@ var (
 
 // Validate reports whether the configuration yields a well-posed problem.
 func (c Config) Validate() error {
-	if !(c.Theta > 0) {
+	if !(c.Theta > 0 && c.Theta <= MaxEcon) {
 		return fmt.Errorf("%w: got %v", ErrBadTheta, c.Theta)
 	}
-	if !(c.UnitPrice > 0) {
+	if !(c.UnitPrice > 0 && c.UnitPrice <= MaxEcon) {
 		return fmt.Errorf("%w: got %v", ErrBadPrice, c.UnitPrice)
 	}
 	if c.RMin < 0 || c.RMin >= 1 {

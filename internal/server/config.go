@@ -130,9 +130,6 @@ type Config struct {
 	// (opened from -data-dir). Nil keeps the ledger memory-only; escrow still
 	// enforces fleet-exactness, it just cannot survive an owner restart.
 	Store *tenant.Store
-	// EscrowLeaseTTL is how long a lease stays valid without a renewal
-	// before the owner reclaims its escrow. Default tenant.DefaultLeaseTTL.
-	EscrowLeaseTTL time.Duration
 }
 
 // withDefaults fills zero fields.
@@ -178,9 +175,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.EscrowLeaseTTL <= 0 {
-		c.EscrowLeaseTTL = tenant.DefaultLeaseTTL
 	}
 	return c
 }

@@ -22,9 +22,9 @@ import (
 // with a full copy of the pool) is gone by construction.
 //
 // The serving path stays lock-free: a local lease debit is one CAS. Owner
-// round trips happen only when a lease runs dry (synchronous top-up, traced
-// as the escrow stage) and in the background renew loop, which batches the
-// spent report and the next top-up into one request.
+// round trips happen only when a lease runs low (a synchronous top-up, traced
+// as the escrow stage, which also reports the spend since the last one) and
+// once at shutdown, when the holder drains its leases and returns them.
 
 // tenantKeyPrefix namespaces tenant ownership keys on the plan-key ring.
 const tenantKeyPrefix = "tenant:"
@@ -32,16 +32,18 @@ const tenantKeyPrefix = "tenant:"
 // escrowPath is the internal lease API every replica serves.
 const escrowPath = "/v1/escrow/lease"
 
-// escrowLeaseRequest is the wire form of one lease call: acknowledge spent,
-// ask for want more escrow, or end the lease (release).
+// escrowLeaseRequest is the wire form of one lease call: acknowledge spent
+// and ask for want more escrow, or end the lease (release), returning the
+// unspent level the holder drained from it. A release ignores spent and want.
 type escrowLeaseRequest struct {
 	Tenant string `json:"tenant"`
 	// Holder is the requesting replica's self URL — the lease identity the
-	// owner tracks and reclaims by.
+	// owner tracks.
 	Holder  string  `json:"holder"`
 	Spent   float64 `json:"spent,omitempty"`
 	Want    float64 `json:"want,omitempty"`
 	Release bool    `json:"release,omitempty"`
+	Unspent float64 `json:"unspent,omitempty"`
 }
 
 type escrowLeaseResponse struct {
@@ -50,8 +52,6 @@ type escrowLeaseResponse struct {
 	Granted float64 `json:"granted"`
 	// PoolRemaining is the owner pool's post-grant level.
 	PoolRemaining float64 `json:"poolRemaining"`
-	// TTLMillis is the lease lifetime; the holder must renew within it.
-	TTLMillis int64 `json:"ttlMillis"`
 }
 
 // escrowManager is one replica's escrow state: the owner-side ledger for
@@ -255,8 +255,8 @@ func (m *escrowManager) leaseCall(ctx context.Context, owner string, req escrowL
 // escrow protocol. Non-owners answer 409 with code not_owner so a holder
 // racing a membership reload re-resolves instead of splitting a pool across
 // two owners. A holder that is not another member of the ring is a 400 (so a
-// server without a ring grants nothing): a lease nobody will spend or renew
-// is reclaimed as spent, and one such request could drain a pool for good.
+// server without a ring grants nothing): nobody would ever release its lease,
+// and one such request could drain a pool for good.
 // That fails closed against a stray caller; it is not authentication — the
 // holder is whatever URL the body claims.
 func (s *Server) handleEscrowLease(w http.ResponseWriter, r *http.Request) {
@@ -281,30 +281,27 @@ func (s *Server) handleEscrowLease(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, "holder %q is not another member of the ring", req.Holder)
 		return
 	}
-	granted, remaining, err := s.escrow.led.Grant(
-		req.Tenant, req.Holder, req.Spent, req.Want, req.Release)
+	var out escrowLeaseResponse
+	var err error
+	if req.Release {
+		out.PoolRemaining, err = s.escrow.led.Release(req.Tenant, req.Holder, req.Unspent)
+	} else {
+		out.Granted, out.PoolRemaining, err = s.escrow.led.Grant(req.Tenant, req.Holder, req.Spent, req.Want)
+	}
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if granted > 0 {
+	if out.Granted > 0 {
 		s.metrics.escrowGrants.inc(req.Tenant)
 	}
-	s.writeJSON(w, r, http.StatusOK, escrowLeaseResponse{
-		Granted:       granted,
-		PoolRemaining: remaining,
-		TTLMillis:     s.escrow.led.TTL().Milliseconds(),
-	})
+	s.writeJSON(w, r, http.StatusOK, out)
 }
 
-// run is the escrow background loop: holder-side lease renewal (batched
-// spent report + top-up, at a third of the TTL so two consecutive failures
-// still beat reclamation), owner-side reclamation of silent holders, and
-// periodic snapshot compaction.
+// run is the escrow background loop: periodic snapshot compaction, and a
+// check that the WAL is still taking appends.
 func (m *escrowManager) run() {
 	defer close(m.done)
-	renew := time.NewTicker(m.led.TTL() / 3)
-	defer renew.Stop()
 	snapshot := time.NewTicker(escrowSnapshotInterval)
 	defer snapshot.Stop()
 	var walFailsSeen uint64
@@ -312,9 +309,7 @@ func (m *escrowManager) run() {
 		select {
 		case <-m.stop:
 			return
-		case <-renew.C:
-			m.renewLeases()
-			m.reclaim()
+		case <-snapshot.C:
 			// A failed WAL append cannot be rolled back (the ledger mutated
 			// before it logged), so silent loss is the one unacceptable
 			// outcome: latch-check here and shout.
@@ -323,7 +318,6 @@ func (m *escrowManager) run() {
 				m.srv.logOp().Error("escrow WAL appends failing; a restart would restore stale budget levels",
 					"failures", fails, "error", lastErr.Error())
 			}
-		case <-snapshot.C:
 			if err := m.led.Compact(); err != nil {
 				m.srv.logOp().Error("escrow snapshot failed", "error", err.Error())
 			}
@@ -331,56 +325,11 @@ func (m *escrowManager) run() {
 	}
 }
 
-// renewLeases reports spend and tops every holder-side lease back up toward
-// its target, extending its expiry at the owner.
-func (m *escrowManager) renewLeases() {
-	ctx, cancel := context.WithTimeout(context.Background(), m.srv.cfg.ForwardTimeout)
-	defer cancel()
-	reg := m.srv.tenants.Load()
-	m.mu.Lock()
-	names := make([]string, 0, len(m.leases))
-	for name := range m.leases {
-		names = append(names, name)
-	}
-	m.mu.Unlock()
-	for _, name := range names {
-		pool := reg.Get(name)
-		if pool == nil {
-			continue // tenant vanished in a reload; owner reclaims by TTL
-		}
-		owner, local := m.tenantOwner(name)
-		if local {
-			continue // ownership moved here; the lease drains and is GC-noise
-		}
-		lease := m.lease(name)
-		want := m.leaseTarget(pool) - lease.Level()
-		if want < 0 {
-			want = 0
-		}
-		resp, ok := m.leaseCall(ctx, owner, escrowLeaseRequest{
-			Tenant: name,
-			Spent:  lease.TakeSpent(),
-			Want:   want,
-		}, lease)
-		if ok && resp.Granted > 0 {
-			lease.Fund(resp.Granted)
-			m.srv.metrics.escrowTopups.inc(name)
-		}
-	}
-}
-
-// reclaim ends owner-side leases whose holders went silent past the TTL.
-func (m *escrowManager) reclaim() {
-	for _, rec := range m.led.ReclaimExpired() {
-		m.srv.metrics.escrowReclaims.inc(rec.Tenant)
-		m.srv.logOp().Warn("escrow lease reclaimed",
-			"tenant", rec.Tenant, "holder", rec.Holder, "escrow", rec.Escrow)
-	}
-}
-
 // shutdown stops the loop and releases every holder-side lease back to its
-// owner (final spent report + credit of the unspent escrow), then compacts
-// the owner-side state into the snapshot so the next boot replays nothing.
+// owner (drained in one swap, so the owner credits exactly what this
+// replica still holds), then compacts the owner-side state into the snapshot
+// so the next boot replays nothing. A release the owner never hears of
+// forfeits the drained escrow: the fleet under-admits, it never over-commits.
 func (m *escrowManager) shutdown() {
 	m.stopOnce.Do(func() {
 		close(m.stop)
@@ -400,8 +349,8 @@ func (m *escrowManager) shutdown() {
 			}
 			_, _ = m.leaseCall(ctx, owner, escrowLeaseRequest{
 				Tenant:  name,
-				Spent:   lease.TakeSpent(),
 				Release: true,
+				Unspent: lease.Drain(),
 			}, lease)
 		}
 		if err := m.led.Compact(); err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"chronos"
 	"chronos/api"
 	"chronos/internal/ring"
 	"chronos/internal/tenant"
@@ -268,7 +269,7 @@ func TestSetTenantsRebaseWithOutstandingLeases(t *testing.T) {
 	// The holder comes back from the lease: 100 spent, 200 unspent. The
 	// release credits exactly the unspent escrow.
 	leaseViaHTTP(t, ts.URL, escrowLeaseRequest{
-		Tenant: "etl", Holder: holder, Spent: 100, Release: true,
+		Tenant: "etl", Holder: holder, Unspent: 200, Release: true,
 	})
 	if got := srv.Tenants().Get("etl").Remaining(); got != 1900 {
 		t.Fatalf("after release: remaining = %g, want 1900", got)
@@ -519,32 +520,6 @@ func TestFleetEscrowHugeBudget(t *testing.T) {
 	}
 }
 
-// TestEscrowReclaimCounted: a holder that takes a lease and goes silent has
-// it reclaimed by the owner's background loop once the TTL passes — counted
-// per tenant, and gone from the outstanding-escrow gauge.
-func TestEscrowReclaimCounted(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		Tenants: testRegistry(t, "etl", 1000), Escrow: true, EscrowLeaseTTL: 30 * time.Millisecond,
-	})
-	t.Cleanup(s.Close)
-	grant := decodeBody[escrowLeaseResponse](t, postJSON(t, ts.URL+escrowPath,
-		escrowLeaseRequest{Tenant: "etl", Holder: leaseHolder(t, s, "etl"), Want: 100}))
-	if grant.Granted != 100 {
-		t.Fatalf("granted %v, want 100", grant.Granted)
-	}
-	const reclaims = `chronosd_escrow_reclaims_total{tenant="etl"}`
-	deadline := time.Now().Add(5 * time.Second)
-	for metricValue(getMetricsText(t, ts.URL), reclaims) != "1" {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never reached 1", reclaims)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := metricValue(getMetricsText(t, ts.URL), `chronosd_escrow_outstanding{tenant="etl"}`); got != "0" {
-		t.Errorf("outstanding escrow after the reclaim = %q, want 0", got)
-	}
-}
-
 // TestWALAppendFailureCounted: an admit the WAL could not record is still
 // answered — the ledger has already mutated — but it must be visible as
 // chronosd_escrow_wal_append_failures_total, the operator's only warning
@@ -575,8 +550,7 @@ func TestWALAppendFailureCounted(t *testing.T) {
 
 // TestEscrowLeaseRejectsUnknownHolder: a lease is granted only to another
 // member of the ring. One POST naming a made-up holder used to
-// move the whole pool into a lease nobody would spend or renew, which the TTL
-// then reclaimed as spent.
+// move the whole pool into a lease nobody would ever spend or release.
 func TestEscrowLeaseRejectsUnknownHolder(t *testing.T) {
 	const budget = 1000.0
 	s, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget), Escrow: true})
@@ -613,7 +587,6 @@ func TestFleetEscrowOwnerDeathNeverOverCommits(t *testing.T) {
 	servers, listeners := newRingFleet(t, 3, func(int) Config {
 		return Config{
 			Tenants: testRegistry(t, "etl", budget), Escrow: true,
-			EscrowLeaseTTL:   time.Hour, // no renewal moves escrow mid-test
 			BreakerThreshold: 1,
 		}
 	})
@@ -677,5 +650,65 @@ func TestFleetEscrowOwnerDeathNeverOverCommits(t *testing.T) {
 	}
 	if admitted > budget*(1+1e-9) {
 		t.Fatalf("fleet admitted %g machine-seconds against a %g budget through the owner's death", admitted, budget)
+	}
+}
+
+// TestEscrowRestartedHolderNeverOverCredits: a holder replica spends out of
+// its lease, crashes before any later call reports the spend, and restarts
+// under the same URL with an empty lease. It admits again and shuts down
+// gracefully. The release must return only what the restarted holder still
+// holds. It used to report its own spend and have the owner credit the rest
+// of the outstanding escrow, which put the first life's spend back in the
+// pool.
+func TestEscrowRestartedHolderNeverOverCredits(t *testing.T) {
+	budget := 20 * bestPlanMachineTime(t) // lease target: two plans
+	owner, ots := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget), Escrow: true})
+	t.Cleanup(owner.Close)
+	var holder string
+	for port := 2; holder == ""; port++ {
+		url := "http://127.0.0.1:" + strconv.Itoa(port)
+		if err := owner.SetRing(ring.Membership{Self: ots.URL, Peers: []string{url}}); err != nil {
+			t.Fatal(err)
+		}
+		if owner.escrow.ownsTenant("etl") {
+			holder = url
+		}
+	}
+	// boot starts one life of the holder: a fresh Server under the same self
+	// URL, reached through a listener of its own.
+	boot := func() (*Server, string) {
+		s, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget), Escrow: true})
+		if err := s.SetRing(ring.Membership{Self: holder, Peers: []string{ots.URL}}); err != nil {
+			t.Fatal(err)
+		}
+		return s, ts.URL
+	}
+	var spent float64
+	admit := func(url string, job chronos.JobParams) {
+		t.Helper()
+		resp := postJSON(t, url+"/v1/admit", api.AdmitRequest{Tenant: "etl", Job: job, Econ: testEcon()})
+		dec := decodeBody[api.AdmitResponse](t, resp)
+		if !dec.Admitted {
+			t.Fatalf("admit refused: %+v", dec)
+		}
+		spent += dec.Plan.MachineTime
+	}
+
+	first, url := boot()
+	t.Cleanup(first.Close)
+	// A key the holder owns, so it is served and paid for on the holder.
+	job := reqOwnedBy(t, first, holder).Job
+	admit(url, job) // spent out of the lease; the crash comes before any report
+
+	second, url := boot()
+	admit(url, job)
+	second.Close()
+
+	pool := owner.Tenants().Get("etl").Remaining()
+	_, outstanding := owner.escrow.led.Outstanding("etl")
+	held := second.escrow.lease("etl").Level()
+	if total := pool + outstanding + held; total > budget-spent+1e-6 {
+		t.Fatalf("pool %g + outstanding %g + held %g = %g exceeds budget %g - true spend %g = %g",
+			pool, outstanding, held, total, budget, spent, budget-spent)
 	}
 }

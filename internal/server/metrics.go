@@ -72,9 +72,8 @@ type serverMetrics struct {
 
 	// Escrow series: per-tenant grants issued (owner side), lease top-ups
 	// performed (holder side), and expired-lease reclamations (owner side).
-	escrowGrants   counterVec[string] // by tenant
-	escrowTopups   counterVec[string] // by tenant
-	escrowReclaims counterVec[string] // by tenant
+	escrowGrants counterVec[string] // by tenant
+	escrowTopups counterVec[string] // by tenant
 
 	// stageSeconds histograms the per-request time spent in each hot-path
 	// stage (chronosd_stage_seconds{stage=...}); each request contributes
@@ -365,11 +364,10 @@ func (m *serverMetrics) catalog() []series {
 		{"chronosd_tenant_rejects_total", "counter", "Admission rejections, by tenant and reason.", "TestAdmitEqualsBatchOfOne", nil, rejects},
 		{"chronosd_tenant_plans_total", "counter", "Admitted plans, by tenant and strategy.", "TestAdmitEqualsBatchOfOne", nil, tenantPlans},
 		{"chronosd_tenant_budget_remaining", "gauge", "Machine-seconds left in each pool.", "TestTenantMetrics", nil, budgets},
-		{"chronosd_escrow_outstanding", "gauge", "Machine-seconds escrowed in outstanding leases, by owned tenant.", "TestFleetEscrowNeverOverCommits", hasEscrow, outstanding},
+		{"chronosd_escrow_outstanding", "gauge", "Machine-seconds granted and not yet reported spent, by owned tenant.", "TestFleetEscrowNeverOverCommits", hasEscrow, outstanding},
 		{"chronosd_escrow_lease_level", "gauge", "Machine-seconds available in this replica's local leases, by tenant.", "TestAdmitBatchSingleLeaseDebit", hasEscrow, leaseLevels},
 		{"chronosd_escrow_grants_total", "counter", "Escrow grants issued by this replica as pool owner, by tenant.", "TestAdmitBatchSingleLeaseDebit", hasEscrow, labelled("tenant", &m.escrowGrants)},
 		{"chronosd_escrow_topups_total", "counter", "Lease top-ups performed by this replica as holder, by tenant.", "TestAdmitBatchSingleLeaseDebit", hasEscrow, labelled("tenant", &m.escrowTopups)},
-		{"chronosd_escrow_reclaims_total", "counter", "Expired leases reclaimed by this replica as pool owner, by tenant.", "TestEscrowReclaimCounted", hasEscrow, labelled("tenant", &m.escrowReclaims)},
 		{"chronosd_escrow_wal_append_failures_total", "counter", "Ledger records the WAL failed to persist; nonzero means recovery after a restart would resurrect spent budget.", "TestWALAppendFailureCounted", hasEscrow, walFailures},
 		{"chronosd_replays_total", "counter", "Streaming replays started over /v1/replay.", "TestReplayStreamsBeyondSimulateCap", nil, counter(&m.replaysStarted)},
 		{"chronosd_replays_active", "gauge", "Replay streams currently open.", "TestReplayClientDisconnect", nil, replaysActive},

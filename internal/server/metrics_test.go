@@ -65,7 +65,6 @@ func TestMetricsGolden(t *testing.T) {
 	for _, name := range []string{"alpha", "alpha", "beta"} {
 		m.escrowTopups.inc(name)
 	}
-	m.escrowReclaims.inc("beta")
 	s.escrow.lease("beta").Fund(12.5)
 	s.escrow.lease("alpha")
 	m.stageSeconds[obs.StageSolve].Observe(0.0004)

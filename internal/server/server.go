@@ -66,12 +66,23 @@ func (s *Server) logOp() *slog.Logger {
 	return discardLogger
 }
 
-// New builds a server from cfg (zero fields take defaults). Invalid ring
-// membership in cfg (peers without a self URL) panics: it is a startup
-// misconfiguration that would otherwise silently disable sharding —
-// cmd/chronosd validates flags first, so operators see a flag error, not
-// this panic.
+// New is Open for configurations that cannot fail — tests, examples,
+// embedders without a data dir — and panics where Open would return an error.
 func New(cfg Config) *Server {
+	s, err := Open(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("server.New: %v", err))
+	}
+	return s
+}
+
+// Open builds a server from cfg (zero fields take defaults). It fails on
+// invalid ring membership (peers without a self URL), a startup
+// misconfiguration that would otherwise silently disable sharding, and on a
+// data dir the escrow ledger cannot anchor its snapshot in: the WAL records
+// that follow are deltas against that snapshot, so serving without it would
+// restore wrong levels at the next boot.
+func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,
@@ -86,22 +97,18 @@ func New(cfg Config) *Server {
 		s.tenants.Store(cfg.Tenants)
 	}
 	if err := s.SetRing(ring.Membership{Self: cfg.Self, Peers: cfg.Peers}); err != nil {
-		panic(fmt.Sprintf("server.New: %v", err))
+		return nil, err
 	}
 	if cfg.Escrow {
-		led := tenant.NewEscrowLedger(cfg.Tenants, cfg.Store, cfg.EscrowLeaseTTL)
+		led := tenant.NewEscrowLedger(cfg.Tenants, cfg.Store)
 		if cfg.Store != nil {
-			// Fold the recovered snapshot+WAL state into the live pools; any
-			// lease whose holder never came back is conservatively reclaimed.
-			for _, rec := range led.Restore(cfg.Store.State()) {
-				s.logOp().Warn("escrow lease reclaimed at boot",
-					"tenant", rec.Tenant, "holder", rec.Holder, "escrow", rec.Escrow)
-			}
-			// Anchor snapshot: WAL records are deltas against the latest
-			// snapshot, so the restored absolute levels must be compacted
-			// before the first post-boot append.
+			// Fold the recovered snapshot+WAL state into the live pools and
+			// leases, then anchor it: WAL records are deltas against the
+			// latest snapshot, so the restored absolute levels must be
+			// compacted before the first post-boot append.
+			led.Restore(cfg.Store.State())
 			if err := led.Compact(); err != nil {
-				s.logOp().Error("escrow anchor snapshot failed", "error", err.Error())
+				return nil, fmt.Errorf("escrow anchor snapshot: %w", err)
 			}
 		}
 		s.escrow = newEscrowManager(s, led)
@@ -123,7 +130,7 @@ func New(cfg Config) *Server {
 	// profiling never shares the serving listener. Registered outside
 	// route(): inspecting traces should not itself mint traces.
 	s.mux.Handle("GET /debug/traces", obs.TracesHandler(s.traces))
-	return s
+	return s, nil
 }
 
 // DebugHandler returns the debug surface chronosd serves on a separate

@@ -497,3 +497,22 @@ func TestNotFound(t *testing.T) {
 		t.Errorf("status = %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestPlanEconAboveCapIs400: a theta or unit price above the planner's cap
+// is the request's fault. A 1e308 price used to overflow the plan's cost and
+// answer 500 "response encoding failed".
+func TestPlanEconAboveCapIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const job = `{"tasks":10,"deadline":100,"tmin":10,"beta":1.5,"tauEst":30,"tauKill":60}`
+	for _, econ := range []string{`{"theta":1e-4,"unitPrice":1e308}`, `{"theta":1e308,"unitPrice":1}`} {
+		resp, err := http.Post(ts.URL+"/v1/plan", "application/json",
+			strings.NewReader(`{"job":`+job+`,"econ":`+econ+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := decodeBody[api.ErrorResponse](t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(env.Error, "(0, 1e+06]") {
+			t.Errorf("econ %s: %d %q, want 400 naming the cap", econ, resp.StatusCode, env.Error)
+		}
+	}
+}

@@ -12,11 +12,11 @@
 //     learns about budget the owner has already given up.
 //   - A holder's spent reports shrink its outstanding escrow but never touch
 //     the pool (the grant already paid).
-//   - A released lease credits back only its unspent escrow.
-//   - A reclaimed lease (holder silent past TTL) credits back nothing: the
-//     owner cannot know how much of the escrow was spent, so it treats all
-//     of it as spent. The fleet under-admits by at most one lease per
-//     crashed holder — never over-admits.
+//   - A lease lives until its holder releases it. The release credits back
+//     what the holder drained from its lease, never more than the escrow
+//     outstanding, so a holder that crashed and restarted returns only what
+//     it holds now. The escrow a crashed holder lost stays forfeited: the
+//     fleet under-admits by at most one lease per crash, never over-admits.
 package tenant
 
 import (
@@ -27,10 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// DefaultLeaseTTL is the escrow lease lifetime when the serving layer does
-// not configure one. Holders renew at one third of it.
-const DefaultLeaseTTL = 15 * time.Second
 
 // EscrowLedger is the owner-side escrow state for every tenant this replica
 // is authoritative for. All methods are safe for concurrent use.
@@ -44,35 +40,16 @@ const DefaultLeaseTTL = 15 * time.Second
 type EscrowLedger struct {
 	mu     sync.Mutex
 	reg    *Registry
-	leases map[leaseKey]*escrowGrant
-	store  *Store // nil: exact but not durable
-	ttl    time.Duration
-	now    func() time.Time
-}
-
-// escrowGrant is one holder's outstanding lease as the owner sees it.
-type escrowGrant struct {
-	escrow float64
-	expiry time.Time
+	leases map[leaseKey]float64 // outstanding escrow by holder
+	store  *Store               // nil: exact but not durable
 }
 
 // NewEscrowLedger builds a ledger over reg. store may be nil (no
-// durability); ttl <= 0 means DefaultLeaseTTL.
-func NewEscrowLedger(reg *Registry, store *Store, ttl time.Duration) *EscrowLedger {
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
-	return &EscrowLedger{
-		reg:    reg,
-		leases: make(map[leaseKey]*escrowGrant),
-		store:  store,
-		ttl:    ttl,
-		now:    time.Now,
-	}
+// durability). Leases do not expire; a trailing argument, which once set
+// their lifetime, is accepted and ignored so existing callers compile.
+func NewEscrowLedger(reg *Registry, store *Store, _ ...time.Duration) *EscrowLedger {
+	return &EscrowLedger{reg: reg, leases: make(map[leaseKey]float64), store: store}
 }
-
-// TTL returns the lease lifetime grants carry.
-func (e *EscrowLedger) TTL() time.Duration { return e.ttl }
 
 // pool resolves tenant against the live registry under e.mu.
 func (e *EscrowLedger) pool(tenant string) (*Pool, error) {
@@ -81,6 +58,20 @@ func (e *EscrowLedger) pool(tenant string) (*Pool, error) {
 		return nil, fmt.Errorf("tenant: unknown pool %q", tenant)
 	}
 	return p, nil
+}
+
+// leaseArgs rejects what no lease call may carry: an anonymous holder, or an
+// amount that is negative or NaN.
+func leaseArgs(holder string, amounts ...float64) error {
+	if holder == "" {
+		return fmt.Errorf("tenant: escrow holder must be non-empty")
+	}
+	for _, a := range amounts {
+		if a < 0 || math.IsNaN(a) {
+			return fmt.Errorf("tenant: escrow amounts must be non-negative")
+		}
+	}
+	return nil
 }
 
 // DebitLocal is the owner's own serving debit: authoritative, WAL-logged.
@@ -103,17 +94,12 @@ func (e *EscrowLedger) DebitLocal(tenant string, cost float64) (ok bool, remaini
 }
 
 // Grant escrows up to want machine-seconds from tenant's pool into holder's
-// lease, extending the lease expiry. spent is the holder's debits since its
-// last report and is acknowledged first (shrinking the outstanding escrow),
-// so one round trip both settles and tops up. granted may be zero when the
-// pool is dry. release ends the lease instead, crediting unspent escrow
-// back.
-func (e *EscrowLedger) Grant(tenant, holder string, spent, want float64, release bool) (granted, poolRemaining float64, err error) {
-	if holder == "" {
-		return 0, 0, fmt.Errorf("tenant: escrow holder must be non-empty")
-	}
-	if spent < 0 || math.IsNaN(spent) || want < 0 || math.IsNaN(want) {
-		return 0, 0, fmt.Errorf("tenant: escrow amounts must be non-negative")
+// lease. spent is the holder's debits since its last report and is
+// acknowledged first (shrinking the outstanding escrow), so one round trip
+// both settles and tops up. granted may be zero when the pool is dry.
+func (e *EscrowLedger) Grant(tenant, holder string, spent, want float64) (granted, poolRemaining float64, err error) {
+	if err := leaseArgs(holder, spent, want); err != nil {
+		return 0, 0, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -122,88 +108,48 @@ func (e *EscrowLedger) Grant(tenant, holder string, spent, want float64, release
 		return 0, 0, err
 	}
 	k := leaseKey{tenant, holder}
-	g := e.leases[k]
-
-	if spent > 0 && g != nil {
-		ack := spent
-		if ack > g.escrow {
-			// A holder can briefly report more spend than the owner tracks
-			// (e.g. the owner reclaimed and re-granted around a partition);
-			// never let the report drive escrow negative.
-			ack = g.escrow
-		}
-		g.escrow -= ack
+	escrow := e.leases[k]
+	// A holder can report more spend than this owner tracks (its lease was
+	// funded by a previous owner of the tenant, or by a grant whose WAL
+	// record a crash tore off); never let the report drive escrow negative.
+	if ack := min(spent, escrow); ack > 0 {
+		escrow -= ack
 		_ = e.store.Append(Record{Op: OpSpent, Tenant: tenant, Holder: holder, Amount: ack})
 	}
-
-	if release {
-		if g != nil {
-			if g.escrow > 0 {
-				p.Credit(g.escrow)
-				_ = e.store.Append(Record{Op: OpCredit, Tenant: tenant, Amount: g.escrow})
-			}
-			delete(e.leases, k)
-			_ = e.store.Append(Record{Op: OpRelease, Tenant: tenant, Holder: holder})
-		}
-		return 0, p.Remaining(), nil
-	}
-
 	granted, poolRemaining = p.DebitUpTo(want)
-	if g == nil {
-		g = &escrowGrant{}
-		e.leases[k] = g
-	}
-	g.escrow += granted
-	g.expiry = e.now().Add(e.ttl)
 	if granted > 0 {
-		_ = e.store.Append(Record{
-			Op: OpGrant, Tenant: tenant, Holder: holder,
-			Amount: granted, ExpiryUnixNano: g.expiry.UnixNano(),
-		})
-	} else if g.escrow > 0 {
-		// A renewal against a dry pool still extends the lease in memory; it
-		// must extend it on disk too, or a restarted owner restores the lease
-		// with a stale expiry and reclaims escrow the live holder is spending.
-		_ = e.store.Append(Record{
-			Op: OpRenew, Tenant: tenant, Holder: holder,
-			ExpiryUnixNano: g.expiry.UnixNano(),
-		})
+		escrow += granted
+		_ = e.store.Append(Record{Op: OpGrant, Tenant: tenant, Holder: holder, Amount: granted})
 	}
+	e.leases[k] = escrow
 	return granted, poolRemaining, nil
 }
 
-// Reclaimed describes one lease ended because its holder went silent.
-type Reclaimed struct {
-	Tenant string
-	Holder string
-	// Escrow is the outstanding (conservatively forfeited) escrow.
-	Escrow float64
-}
-
-// ReclaimExpired ends every lease whose expiry has passed. The outstanding
-// escrow is treated as spent — no credit — so a holder that died mid-lease
-// can never cause over-commit; with a refilling pool the forfeited budget
-// grows back.
-func (e *EscrowLedger) ReclaimExpired() []Reclaimed {
+// Release ends holder's lease and credits the pool with unspent, the level
+// the holder drained from its lease, capped at the escrow outstanding. The
+// cap is what keeps a restarted holder honest: it can return only what it
+// holds now, never the budget it spent, unreported, before it crashed. The
+// rest of the escrow is forfeited as spent.
+func (e *EscrowLedger) Release(tenant, holder string, unspent float64) (poolRemaining float64, err error) {
+	if err := leaseArgs(holder, unspent); err != nil {
+		return 0, err
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	now := e.now()
-	var out []Reclaimed
-	for k, g := range e.leases {
-		if g.expiry.After(now) {
-			continue
-		}
-		out = append(out, Reclaimed{Tenant: k.tenant, Holder: k.holder, Escrow: g.escrow})
-		delete(e.leases, k)
-		_ = e.store.Append(Record{Op: OpReclaim, Tenant: k.tenant, Holder: k.holder})
+	p, err := e.pool(tenant)
+	if err != nil {
+		return 0, err
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Tenant != out[j].Tenant {
-			return out[i].Tenant < out[j].Tenant
+	k := leaseKey{tenant, holder}
+	if escrow, ok := e.leases[k]; ok {
+		if credit := min(unspent, escrow); credit > 0 {
+			p.Credit(credit)
+			_ = e.store.Append(Record{Op: OpCredit, Tenant: tenant, Amount: credit})
 		}
-		return out[i].Holder < out[j].Holder
-	})
-	return out
+		delete(e.leases, k)
+		_ = e.store.Append(Record{Op: OpRelease, Tenant: tenant, Holder: holder})
+	}
+	return p.Remaining(), nil
 }
 
 // Outstanding returns the lease count and summed escrow for tenant.
@@ -213,7 +159,7 @@ func (e *EscrowLedger) Outstanding(tenant string) (holders int, escrow float64) 
 	for k, g := range e.leases {
 		if k.tenant == tenant {
 			holders++
-			escrow += g.escrow
+			escrow += g
 		}
 	}
 	return holders, escrow
@@ -221,28 +167,21 @@ func (e *EscrowLedger) Outstanding(tenant string) (holders int, escrow float64) 
 
 // Restore loads the recovered store state into the live registry: pool
 // levels are clamped to the (possibly reconfigured) budgets and outstanding
-// leases resume with their persisted expiries. Call once at boot, before
-// serving. Tenants present in the state but absent from the registry are
-// dropped. Returns the leases that were already expired at restore time,
-// reclaimed exactly as ReclaimExpired would.
-func (e *EscrowLedger) Restore(state Snapshot) []Reclaimed {
+// leases resume. Call once at boot, before serving. Tenants present in the
+// state but absent from the registry are dropped.
+func (e *EscrowLedger) Restore(state Snapshot) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	for name, level := range state.Pools {
 		if p := e.reg.Get(name); p != nil {
 			p.SetLevel(level)
 		}
 	}
 	for _, l := range state.Leases {
-		if e.reg.Get(l.Tenant) == nil || l.Escrow <= 0 {
-			continue
-		}
-		e.leases[leaseKey{l.Tenant, l.Holder}] = &escrowGrant{
-			escrow: l.Escrow,
-			expiry: time.Unix(0, l.ExpiryUnixNano),
+		if e.reg.Get(l.Tenant) != nil && l.Escrow > 0 {
+			e.leases[leaseKey{l.Tenant, l.Holder}] = l.Escrow
 		}
 	}
-	e.mu.Unlock()
-	return e.ReclaimExpired()
 }
 
 // snapshotLocked captures the current pool levels and outstanding leases for
@@ -254,10 +193,7 @@ func (e *EscrowLedger) snapshotLocked() (pools map[string]float64, leases []Leas
 	}
 	leases = make([]LeaseRecord, 0, len(e.leases))
 	for k, g := range e.leases {
-		leases = append(leases, LeaseRecord{
-			Tenant: k.tenant, Holder: k.holder,
-			Escrow: g.escrow, ExpiryUnixNano: g.expiry.UnixNano(),
-		})
+		leases = append(leases, LeaseRecord{Tenant: k.tenant, Holder: k.holder, Escrow: g})
 	}
 	sort.Slice(leases, func(i, j int) bool {
 		if leases[i].Tenant != leases[j].Tenant {
@@ -313,7 +249,7 @@ func (e *EscrowLedger) Rebase(old, fresh *Registry) {
 		if p.SharesLedger(old.Get(k.tenant)) {
 			continue // grants already debited from this bucket
 		}
-		reserve[k.tenant] += g.escrow
+		reserve[k.tenant] += g
 	}
 	for name, escrow := range reserve {
 		p := fresh.Get(name)
@@ -410,6 +346,13 @@ func (l *Lease) Level() float64 {
 // lifetime.
 func (l *Lease) Debits() uint64 {
 	return l.debits.Load()
+}
+
+// Drain atomically empties the lease and returns the level it held: the
+// unspent escrow a release hands back. A debit racing it either lands first
+// or finds the lease dry.
+func (l *Lease) Drain() float64 {
+	return float64(l.level.Swap(0)) / leaseMicros
 }
 
 // TakeSpent atomically returns and resets the spend accumulated since the

@@ -4,18 +4,17 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
-func newTestLedger(t *testing.T, budget float64, store *Store, ttl time.Duration) (*EscrowLedger, *Registry) {
+func newTestLedger(t *testing.T, budget float64, store *Store) (*EscrowLedger, *Registry) {
 	t.Helper()
 	reg := mustRegistry(t, map[string]Limits{"etl": {Budget: budget}})
-	return NewEscrowLedger(reg, store, ttl), reg
+	return NewEscrowLedger(reg, store), reg
 }
 
 func TestEscrowGrantDebitsPoolFirst(t *testing.T) {
-	e, reg := newTestLedger(t, 100, nil, 0)
-	granted, remaining, err := e.Grant("etl", "http://h1", 0, 30, false)
+	e, reg := newTestLedger(t, 100, nil)
+	granted, remaining, err := e.Grant("etl", "http://h1", 0, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,24 +31,24 @@ func TestEscrowGrantDebitsPoolFirst(t *testing.T) {
 }
 
 func TestEscrowGrantPartialWhenPoolLow(t *testing.T) {
-	e, _ := newTestLedger(t, 100, nil, 0)
-	if g, _, _ := e.Grant("etl", "h1", 0, 80, false); g != 80 {
+	e, _ := newTestLedger(t, 100, nil)
+	if g, _, _ := e.Grant("etl", "h1", 0, 80); g != 80 {
 		t.Fatalf("first grant = %v, want 80", g)
 	}
 	// Only 20 left: a 50 request gets the remainder, never more.
-	if g, rem, _ := e.Grant("etl", "h2", 0, 50, false); g != 20 || rem != 0 {
+	if g, rem, _ := e.Grant("etl", "h2", 0, 50); g != 20 || rem != 0 {
 		t.Fatalf("second grant = (%v, %v), want (20, 0)", g, rem)
 	}
-	if g, _, _ := e.Grant("etl", "h3", 0, 10, false); g != 0 {
+	if g, _, _ := e.Grant("etl", "h3", 0, 10); g != 0 {
 		t.Fatalf("dry-pool grant = %v, want 0", g)
 	}
 }
 
 func TestEscrowSpentShrinksOutstandingNotPool(t *testing.T) {
-	e, reg := newTestLedger(t, 100, nil, 0)
-	_, _, _ = e.Grant("etl", "h1", 0, 40, false)
+	e, reg := newTestLedger(t, 100, nil)
+	_, _, _ = e.Grant("etl", "h1", 0, 40)
 	// Report 15 spent, ask for nothing more.
-	if _, _, err := e.Grant("etl", "h1", 15, 0, false); err != nil {
+	if _, _, err := e.Grant("etl", "h1", 15, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, escrow := e.Outstanding("etl"); escrow != 25 {
@@ -61,10 +60,10 @@ func TestEscrowSpentShrinksOutstandingNotPool(t *testing.T) {
 }
 
 func TestEscrowReleaseCreditsUnspent(t *testing.T) {
-	e, reg := newTestLedger(t, 100, nil, 0)
-	_, _, _ = e.Grant("etl", "h1", 0, 40, false)
+	e, reg := newTestLedger(t, 100, nil)
+	_, _, _ = e.Grant("etl", "h1", 0, 40)
 	// Spend 10, release the rest: 30 returns to the pool.
-	if _, rem, err := e.Grant("etl", "h1", 10, 0, true); err != nil || rem != 90 {
+	if rem, err := e.Release("etl", "h1", 30); err != nil || rem != 90 {
 		t.Fatalf("release = (rem %v, err %v), want (90, nil)", rem, err)
 	}
 	if got := reg.Get("etl").Remaining(); got != 90 {
@@ -75,50 +74,43 @@ func TestEscrowReleaseCreditsUnspent(t *testing.T) {
 	}
 }
 
-func TestEscrowReclaimForfeitsEscrow(t *testing.T) {
-	e, reg := newTestLedger(t, 100, nil, time.Second)
-	now := time.Unix(1000, 0)
-	e.now = func() time.Time { return now }
-	_, _, _ = e.Grant("etl", "h1", 0, 40, false)
-	if rec := e.ReclaimExpired(); len(rec) != 0 {
-		t.Fatalf("live lease reclaimed: %v", rec)
+// TestEscrowRestartedHolderForfeitsLostEscrow: a holder spends 60 of a
+// 100 grant without reporting it, crashes, restarts under the same URL,
+// takes a new grant, spends 10 of it and releases. The release returns the
+// 90 it holds; the 40 it lost in the crash stays forfeited. Crediting the
+// owner's outstanding escrow instead (what the old "spent" release did)
+// returned 190 and put 60 spent machine-seconds back in the pool.
+func TestEscrowRestartedHolderForfeitsLostEscrow(t *testing.T) {
+	const budget = 1000.0
+	e, reg := newTestLedger(t, budget, nil)
+	_, _, _ = e.Grant("etl", "h1", 0, 100) // first life: 60 of it spent, unreported
+	_, _, _ = e.Grant("etl", "h1", 0, 100) // second life, same URL: 10 spent
+	if _, err := e.Release("etl", "h1", 90); err != nil {
+		t.Fatal(err)
 	}
-	now = now.Add(2 * time.Second)
-	rec := e.ReclaimExpired()
-	if len(rec) != 1 || rec[0].Holder != "h1" || rec[0].Escrow != 40 {
-		t.Fatalf("reclaim = %+v, want h1/40", rec)
+	const trueSpend = 70.0
+	pool := reg.Get("etl").Remaining()
+	_, escrow := e.Outstanding("etl")
+	if pool+escrow > budget-trueSpend {
+		t.Fatalf("pool %g + outstanding %g exceeds budget %g - true spend %g", pool, escrow, budget, trueSpend)
 	}
-	// Conservative: the forfeited escrow does NOT return to the pool.
-	if got := reg.Get("etl").Remaining(); got != 60 {
-		t.Errorf("pool remaining after reclaim = %v, want 60", got)
-	}
-}
-
-func TestEscrowRenewExtendsExpiry(t *testing.T) {
-	e, _ := newTestLedger(t, 100, nil, time.Second)
-	now := time.Unix(1000, 0)
-	e.now = func() time.Time { return now }
-	_, _, _ = e.Grant("etl", "h1", 0, 40, false)
-	now = now.Add(900 * time.Millisecond)
-	_, _, _ = e.Grant("etl", "h1", 0, 1, false) // renewal
-	now = now.Add(900 * time.Millisecond)
-	if rec := e.ReclaimExpired(); len(rec) != 0 {
-		t.Fatalf("renewed lease reclaimed: %+v", rec)
+	if pool != 890 || escrow != 0 {
+		t.Errorf("after release: pool %g, outstanding %g; want 890, 0", pool, escrow)
 	}
 }
 
 func TestEscrowRejectsBadInput(t *testing.T) {
-	e, _ := newTestLedger(t, 100, nil, 0)
-	if _, _, err := e.Grant("nope", "h1", 0, 1, false); err == nil {
+	e, _ := newTestLedger(t, 100, nil)
+	if _, _, err := e.Grant("nope", "h1", 0, 1); err == nil {
 		t.Error("unknown tenant accepted")
 	}
-	if _, _, err := e.Grant("etl", "", 0, 1, false); err == nil {
+	if _, _, err := e.Grant("etl", "", 0, 1); err == nil {
 		t.Error("empty holder accepted")
 	}
-	if _, _, err := e.Grant("etl", "h1", -1, 0, false); err == nil {
+	if _, _, err := e.Grant("etl", "h1", -1, 0); err == nil {
 		t.Error("negative spent accepted")
 	}
-	if _, _, err := e.Grant("etl", "h1", 0, math.NaN(), false); err == nil {
+	if _, _, err := e.Grant("etl", "h1", 0, math.NaN()); err == nil {
 		t.Error("NaN want accepted")
 	}
 }
@@ -127,7 +119,7 @@ func TestEscrowRejectsBadInput(t *testing.T) {
 // of all grants plus owner-local debits can never exceed the pool budget.
 func TestEscrowConcurrentGrantsNeverOvercommit(t *testing.T) {
 	const budget = 1000.0
-	e, _ := newTestLedger(t, budget, nil, 0)
+	e, _ := newTestLedger(t, budget, nil)
 	var mu sync.Mutex
 	var total float64
 	var wg sync.WaitGroup
@@ -143,7 +135,7 @@ func TestEscrowConcurrentGrantsNeverOvercommit(t *testing.T) {
 						got = 1.5
 					}
 				} else {
-					g, _, _ := e.Grant("etl", holder, 0, 2, false)
+					g, _, _ := e.Grant("etl", holder, 0, 2)
 					got = g
 				}
 				mu.Lock()
@@ -160,8 +152,8 @@ func TestEscrowConcurrentGrantsNeverOvercommit(t *testing.T) {
 
 func TestEscrowRebaseFreshLedgerReReservesLeases(t *testing.T) {
 	old := mustRegistry(t, map[string]Limits{"etl": {Budget: 100}})
-	e := NewEscrowLedger(old, nil, 0)
-	_, _, _ = e.Grant("etl", "h1", 0, 40, false)
+	e := NewEscrowLedger(old, nil)
+	_, _, _ = e.Grant("etl", "h1", 0, 40)
 
 	// Budget reshaped: the reloaded pool starts full at 200 and must have
 	// the outstanding 40 re-debited, or the fleet could spend 200 + 40.
@@ -178,8 +170,8 @@ func TestEscrowRebaseFreshLedgerReReservesLeases(t *testing.T) {
 
 func TestEscrowRebaseSharedLedgerUntouched(t *testing.T) {
 	old := mustRegistry(t, map[string]Limits{"etl": {Budget: 100}})
-	e := NewEscrowLedger(old, nil, 0)
-	_, _, _ = e.Grant("etl", "h1", 0, 40, false)
+	e := NewEscrowLedger(old, nil)
+	_, _, _ = e.Grant("etl", "h1", 0, 40)
 
 	// Same budget shape: Rebase shares the bucket, which already sits at 60.
 	fresh := mustRegistry(t, map[string]Limits{"etl": {Budget: 100}})
@@ -192,8 +184,8 @@ func TestEscrowRebaseSharedLedgerUntouched(t *testing.T) {
 
 func TestEscrowRebaseDropsVanishedTenants(t *testing.T) {
 	old := mustRegistry(t, map[string]Limits{"etl": {Budget: 100}})
-	e := NewEscrowLedger(old, nil, 0)
-	_, _, _ = e.Grant("etl", "h1", 0, 40, false)
+	e := NewEscrowLedger(old, nil)
+	_, _, _ = e.Grant("etl", "h1", 0, 40)
 	fresh := mustRegistry(t, map[string]Limits{"other": {Budget: 10}})
 	fresh.Rebase(old)
 	e.Rebase(old, fresh)
@@ -223,6 +215,18 @@ func TestLeaseDebitAndSpent(t *testing.T) {
 	l.Refund(4)
 	if got := l.TakeSpent(); got != 4 {
 		t.Errorf("refunded TakeSpent = %v, want 4", got)
+	}
+}
+
+func TestLeaseDrain(t *testing.T) {
+	var l Lease
+	l.Fund(10)
+	l.TryDebit(4)
+	if got := l.Drain(); got != 6 {
+		t.Errorf("Drain = %v, want 6", got)
+	}
+	if ok, _ := l.TryDebit(1e-6); ok || l.Level() != 0 {
+		t.Errorf("a drained lease still pays: level %v", l.Level())
 	}
 }
 
@@ -260,45 +264,5 @@ func TestLeaseConcurrentDebitNeverOverdraws(t *testing.T) {
 	}
 	if lvl := l.Level(); lvl < 0 {
 		t.Fatalf("lease level went negative: %v", lvl)
-	}
-}
-
-// TestEscrowDryPoolRenewalPersistsExpiry: a renewal that finds the pool dry
-// grants nothing but still extends the lease in memory; the extension must
-// reach the WAL too, or a restarted owner restores the lease with a stale
-// expiry and reclaims escrow the live holder is still spending.
-func TestEscrowDryPoolRenewalPersistsExpiry(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := mustRegistry(t, map[string]Limits{"etl": {Budget: 50}})
-	e := NewEscrowLedger(reg, st, time.Second)
-	now := time.Unix(1000, 0)
-	e.now = func() time.Time { return now }
-	if g, _, _ := e.Grant("etl", "h1", 0, 50, false); g != 50 {
-		t.Fatal("grant did not drain the pool")
-	}
-	now = now.Add(900 * time.Millisecond)
-	if g, _, err := e.Grant("etl", "h1", 0, 10, false); err != nil || g != 0 {
-		t.Fatalf("dry renewal = (%v, %v), want a zero grant", g, err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	state := st2.State()
-	if len(state.Leases) != 1 {
-		t.Fatalf("recovered leases = %+v, want one", state.Leases)
-	}
-	want := now.Add(time.Second).UnixNano()
-	if got := state.Leases[0].ExpiryUnixNano; got != want {
-		t.Errorf("recovered expiry = %d, want %d (dry renewal extension lost)", got, want)
 	}
 }

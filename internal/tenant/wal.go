@@ -25,10 +25,8 @@ import (
 // Records carry a monotonic sequence number and the snapshot remembers the
 // last sequence it folded in, so a crash between "snapshot written" and "WAL
 // truncated" replays nothing twice. WAL appends are flushed to the OS per
-// record but not fsynced: the crash window this leaves open is a handful of
-// grants, each of which errs toward *under*-counting pool spend never being
-// restored as extra budget (grants debit the pool before they are logged, so
-// a lost record surfaces as a reclaimable lease, not free budget).
+// record but not fsynced: a process crash loses none of them, a machine crash
+// can lose the last few, and their debits then return to the pool.
 type Store struct {
 	mu   sync.Mutex
 	dir  string
@@ -59,15 +57,9 @@ const (
 	// level is unchanged (the grant already debited it), only the
 	// outstanding escrow shrinks.
 	OpSpent Op = "spent"
-	// OpRenew extends a lease's expiry without granting budget (a renewal
-	// that found the pool dry). Pool level and escrow are unchanged.
-	OpRenew Op = "renew"
-	// OpRelease ends a lease, crediting its unspent escrow back to the pool.
+	// OpRelease ends a lease; what it returned to the pool is the OpCredit
+	// record before it.
 	OpRelease Op = "release"
-	// OpReclaim ends a lease whose holder went silent past its TTL. The
-	// outstanding escrow is conservatively treated as spent (no credit), so
-	// an untracked holder can never cause fleet-wide over-commit.
-	OpReclaim Op = "reclaim"
 )
 
 // Record is one WAL entry.
@@ -77,8 +69,6 @@ type Record struct {
 	Tenant string  `json:"tenant"`
 	Holder string  `json:"holder,omitempty"`
 	Amount float64 `json:"amount,omitempty"`
-	// ExpiryUnixNano is the lease expiry for OpGrant records.
-	ExpiryUnixNano int64 `json:"expiry,omitempty"`
 }
 
 // LeaseRecord is one outstanding lease in a snapshot.
@@ -86,8 +76,6 @@ type LeaseRecord struct {
 	Tenant string  `json:"tenant"`
 	Holder string  `json:"holder"`
 	Escrow float64 `json:"escrow"`
-	// ExpiryUnixNano is when the lease lapses if not renewed.
-	ExpiryUnixNano int64 `json:"expiry"`
 }
 
 // Snapshot is the durable point-in-time ledger state.
@@ -271,7 +259,6 @@ func applyRecord(snap *Snapshot, leases map[leaseKey]*LeaseRecord, rec Record) {
 				leases[k] = l
 			}
 			l.Escrow += rec.Amount
-			l.ExpiryUnixNano = rec.ExpiryUnixNano
 		}
 	case OpCredit:
 		snap.Pools[rec.Tenant] += rec.Amount
@@ -282,15 +269,10 @@ func applyRecord(snap *Snapshot, leases map[leaseKey]*LeaseRecord, rec Record) {
 				l.Escrow = 0
 			}
 		}
-	case OpRenew:
-		if l := leases[leaseKey{rec.Tenant, rec.Holder}]; l != nil {
-			l.ExpiryUnixNano = rec.ExpiryUnixNano
-		}
-	case OpRelease:
-		// The credited remainder is its own OpCredit record; here only the
-		// lease ends.
-		delete(leases, leaseKey{rec.Tenant, rec.Holder})
-	case OpReclaim:
+	// Logs from when leases expired also hold "reclaim", which ended a
+	// silent holder's lease with no credit, and "renew", which moved only an
+	// expiry and so, like the expiry fields, is ignored.
+	case OpRelease, "reclaim":
 		delete(leases, leaseKey{rec.Tenant, rec.Holder})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestStoreRoundTripThroughWAL(t *testing.T) {
@@ -17,17 +16,17 @@ func TestStoreRoundTripThroughWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := mustRegistry(t, map[string]Limits{"etl": {Budget: 100}})
-	e := NewEscrowLedger(reg, st, time.Hour)
+	e := NewEscrowLedger(reg, st)
 	if err := e.Compact(); err != nil { // anchor snapshot, as boot does
 		t.Fatal(err)
 	}
 	if ok, _ := e.DebitLocal("etl", 10); !ok {
 		t.Fatal("debit failed")
 	}
-	if g, _, _ := e.Grant("etl", "h1", 0, 30, false); g != 30 {
+	if g, _, _ := e.Grant("etl", "h1", 0, 30); g != 30 {
 		t.Fatal("grant failed")
 	}
-	if _, _, err := e.Grant("etl", "h1", 5, 0, false); err != nil {
+	if _, _, err := e.Grant("etl", "h1", 5, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -56,8 +55,8 @@ func TestStoreSnapshotPlusTailReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := mustRegistry(t, map[string]Limits{"etl": {Budget: 100}})
-	e := NewEscrowLedger(reg, st, time.Hour)
-	_, _, _ = e.Grant("etl", "h1", 0, 30, false)
+	e := NewEscrowLedger(reg, st)
+	_, _, _ = e.Grant("etl", "h1", 0, 30)
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestStoreSnapshotPlusTailReplay(t *testing.T) {
 	if ok, _ := e.DebitLocal("etl", 7); !ok {
 		t.Fatal("debit failed")
 	}
-	_, _, _ = e.Grant("etl", "h1", 30, 0, true) // spend everything, release
+	_, _ = e.Release("etl", "h1", 0) // everything spent, then released
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestStoreDuplicateReplayImpossible(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := mustRegistry(t, map[string]Limits{"etl": {Budget: 100}})
-	e := NewEscrowLedger(reg, st, time.Hour)
+	e := NewEscrowLedger(reg, st)
 	if ok, _ := e.DebitLocal("etl", 40); !ok {
 		t.Fatal("debit failed")
 	}
@@ -132,7 +131,7 @@ func TestStoreTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := mustRegistry(t, map[string]Limits{"etl": {Budget: 100}})
-	e := NewEscrowLedger(reg, st, time.Hour)
+	e := NewEscrowLedger(reg, st)
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +307,7 @@ func TestStoreCompactConcurrentMutationsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := mustRegistry(t, map[string]Limits{"etl": {Budget: 4096}})
-	e := NewEscrowLedger(reg, st, time.Hour)
+	e := NewEscrowLedger(reg, st)
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -339,9 +338,9 @@ func TestStoreCompactConcurrentMutationsExact(t *testing.T) {
 				case 0:
 					e.DebitLocal("etl", 0.25)
 				case 1:
-					_, _, _ = e.Grant("etl", holder, 0, 0.5, false)
+					_, _, _ = e.Grant("etl", holder, 0, 0.5)
 				case 2:
-					_, _, _ = e.Grant("etl", holder, 0.25, 0, false)
+					_, _, _ = e.Grant("etl", holder, 0.25, 0)
 				}
 			}
 		}(w)
@@ -395,5 +394,47 @@ func TestStoreAppendFailureLatched(t *testing.T) {
 	}
 	if n, lastErr := st.AppendFailures(); n != 1 || lastErr == nil {
 		t.Errorf("AppendFailures = (%d, %v), want (1, non-nil)", n, lastErr)
+	}
+}
+
+// TestStoreOpensExpiringLeaseDataDir opens a data dir written while leases
+// still expired: grants and snapshot leases carry an "expiry", and the log
+// holds a dry-pool "renew" and a "reclaim" of the lease of h2. It must
+// restore the pool levels that build restored (etl 1000 - 100 - 50 - 10 - 30
+// - 5 = 805, ml drained to 0). The reclaim still ends h2's lease; the other
+// two stay outstanding until their holder releases them.
+func TestStoreOpensExpiringLeaseDataDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{snapshotFile, walFile} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "expiring-leases", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg := mustRegistry(t, map[string]Limits{"etl": {Budget: 1000}, "ml": {Budget: 500}})
+	e := NewEscrowLedger(reg, st)
+	e.Restore(st.State())
+	const h1 = "http://10.0.0.2:8080"
+	for _, c := range []struct {
+		tenant       string
+		pool, escrow float64
+	}{{"etl", 805, 110}, {"ml", 0, 500}} {
+		if got := reg.Get(c.tenant).Remaining(); got != c.pool {
+			t.Errorf("%s pool = %v, want %v", c.tenant, got, c.pool)
+		}
+		if holders, escrow := e.Outstanding(c.tenant); holders != 1 || escrow != c.escrow {
+			t.Errorf("%s outstanding = (%d, %v), want (1, %v)", c.tenant, holders, escrow, c.escrow)
+		}
+	}
+	if rem, err := e.Release("etl", h1, 110); err != nil || rem != 915 {
+		t.Errorf("releasing the restored lease = (%v, %v), want (915, nil)", rem, err)
 	}
 }

@@ -49,13 +49,11 @@ cleanup() {
 trap cleanup EXIT
 
 # start_replica <port> <logfile>: one escrow-enabled ring member with a
-# per-port durable data dir. The short lease TTL keeps the reclamation
-# demonstration below fast.
+# per-port durable data dir.
 start_replica() {
   local p="$1" log="$2"
   "$BIN" -addr "127.0.0.1:$p" -self "http://127.0.0.1:$p" -peers "$PEERS" \
-    -tenants "$TENANTS" -escrow -data-dir "$DATA_DIR/$p" \
-    -escrow-lease-ttl 2s 2>"$log" &
+    -tenants "$TENANTS" -escrow -data-dir "$DATA_DIR/$p" 2>"$log" &
   PID_OF[$p]=$!
 }
 
@@ -200,7 +198,7 @@ echo "   back; $ENTRY forwards the key to $OWNER again"
 echo
 echo "OK: dead owner's key solved where the request landed, the restarted owner took it back within a cooldown"
 
-# --- escrow: kill the pool owner, assert lease reclamation -----------------
+# --- escrow: kill the pool owner, assert it restores pool and leases -------
 # Real admits flow through the fleet (non-owners of the tenant key lease
 # escrow from the pool owner), then a deterministic lease is planted via the
 # internal escrow API under another member's URL (the only holders an owner
@@ -208,9 +206,10 @@ echo "OK: dead owner's key solved where the request landed, the restarted owner 
 # answer 409/not_owner. The owner is then SIGKILLed mid-run — no graceful
 # release, no final snapshot. The tenant's pool stays with it: a job no
 # survivor's lease can pay for is refused, not admitted from a fresh pool.
-# Restarted from its data dir after the lease TTL, the owner replays the
-# snapshot+WAL, finds the expired lease, and conservatively reclaims it: the
-# log line is the proof.
+# Restarted from its data dir, the owner replays the snapshot+WAL and comes
+# back with its pre-crash pool level and every outstanding lease, the planted
+# one included: leases do not expire, they end when their holder releases
+# them.
 echo
 echo "== escrow: admits across the fleet (tenant 'demo') =="
 for i in 1 2 3 4 5 6; do
@@ -234,10 +233,20 @@ done
   || { echo "FAIL: no replica granted the escrow lease (no pool owner?)"; exit 1; }
 echo "   pool owner for tenant 'demo': 127.0.0.1:$POOL_OWNER_PORT"
 
-echo "== SIGKILL the pool owner (:$POOL_OWNER_PORT), wait out the 2s lease TTL =="
+# escrow_gauge <port> <family>: the owner's gauge for tenant 'demo'.
+escrow_gauge() {
+  curl -sf "http://127.0.0.1:$1/metrics" | awk -v k="$2{tenant=\"demo\"}" '$1 == k {print $2}'
+}
+LEVEL_BEFORE="$(escrow_gauge "$POOL_OWNER_PORT" chronosd_tenant_budget_remaining)"
+OWED_BEFORE="$(escrow_gauge "$POOL_OWNER_PORT" chronosd_escrow_outstanding)"
+awk -v o="${OWED_BEFORE:-0}" 'BEGIN {exit !(o >= 500)}' \
+  || { echo "FAIL: owner reports ${OWED_BEFORE:-no} outstanding escrow, want the planted 500 at least"; exit 1; }
+echo "   before the crash: pool $LEVEL_BEFORE, outstanding escrow $OWED_BEFORE"
+
+echo "== SIGKILL the pool owner (:$POOL_OWNER_PORT) =="
 kill -9 "${PID_OF[$POOL_OWNER_PORT]}"
+wait "${PID_OF[$POOL_OWNER_PORT]}" 2>/dev/null || true
 unset "PID_OF[$POOL_OWNER_PORT]"
-sleep 3
 
 # Jobs of 200-odd tasks cost two lease targets (a tenth of the budget) each:
 # no survivor's lease pays for one, a pool would pay for several. Eight plan
@@ -259,24 +268,18 @@ echo "== restarting the owner from $DATA_DIR/$POOL_OWNER_PORT =="
 start_replica "$POOL_OWNER_PORT" "$LOG_DIR/$POOL_OWNER_PORT.restart.log"
 wait_healthy "$POOL_OWNER_PORT"
 
-for _ in $(seq 1 20); do
-  grep -q 'escrow lease reclaimed at boot' "$LOG_DIR/$POOL_OWNER_PORT.restart.log" && break
-  sleep 0.1
-done
-grep -q 'escrow lease reclaimed at boot' "$LOG_DIR/$POOL_OWNER_PORT.restart.log" \
-  || { echo "FAIL: restarted owner never reclaimed the orphaned lease"; exit 1; }
-echo "   reclaimed:"
-grep 'escrow lease reclaimed at boot' "$LOG_DIR/$POOL_OWNER_PORT.restart.log" \
-  | head -3 | sed 's/^/     /'
-
-# The restarted owner's pool must reflect the pre-crash debits (level came
-# back from snapshot+WAL, not from the config default).
-LEVEL="$(curl -sf "http://127.0.0.1:$POOL_OWNER_PORT/metrics" \
-  | awk '$1 == "chronosd_tenant_budget_remaining{tenant=\"demo\"}" {print $2}')"
-echo "   restored pool level: ${LEVEL:-?} / 100000 machine-seconds"
+# The restarted owner's pool and leases must be the pre-crash ones (they
+# came back from snapshot+WAL, not from the config default).
+LEVEL="$(escrow_gauge "$POOL_OWNER_PORT" chronosd_tenant_budget_remaining)"
+OWED="$(escrow_gauge "$POOL_OWNER_PORT" chronosd_escrow_outstanding)"
+[ "$LEVEL" = "$LEVEL_BEFORE" ] \
+  || { echo "FAIL: restarted owner's pool is '$LEVEL', want the pre-crash $LEVEL_BEFORE"; exit 1; }
+[ "$OWED" = "$OWED_BEFORE" ] \
+  || { echo "FAIL: restarted owner's outstanding escrow is '$OWED', want the pre-crash $OWED_BEFORE"; exit 1; }
+echo "   restored: pool $LEVEL / 100000 machine-seconds, outstanding escrow $OWED (planted lease included)"
 
 echo
-echo "OK: owner crash refused the tenant on the survivors; restart reclaimed the orphaned escrow lease from the WAL"
+echo "OK: owner crash refused the tenant on the survivors; restart restored the pool and its leases from the WAL"
 
 # --- one stream, whole lines -----------------------------------------------
 # Stop the fleet so the files are final, then require every line of every

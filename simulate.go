@@ -273,9 +273,10 @@ func (j SimJob) spec(id int, cfg SimConfig) (mapreduce.JobSpec, error) {
 const maxFixedR = 1 << 13
 
 // maxEcon caps econ.theta, econ.unitPrice, every job's unitPrice and the spot
-// mean. Inside it, and inside the serving bounds on tasks, attempts and task
-// times, no cost or utility a run reports leaves float64.
-const maxEcon = 1e6
+// mean at the planner's cap. Inside it, and inside the serving bounds on
+// tasks, attempts and task times, no cost or utility a run reports leaves
+// float64.
+const maxEcon = optimize.MaxEcon
 
 // validate rejects, once per run and before any event, what a run cannot be
 // built from or reported on. A control instant in the past of its stage would
