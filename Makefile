@@ -30,7 +30,7 @@ bench: ## one-iteration benchmark smoke run (the CI bench-smoke job)
 bench-test: ## vet + unit-test the bench/ module against this tree (its own module, so tier-1 never compiles it; no chronosd started)
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-loc: ## comment-free, blank-free, non-test Go line count per package: serving layer, planner core, simulator substrate, contract and SDK, then their sum (the numbers simplicity PRs quote)
+loc: ## comment-free, blank-free, non-test Go line count per package: serving layer, planner core, simulator substrate, contract and SDK, then their sum, then the knobs: chronosd flags, server.Config fields, /metrics families (the numbers simplicity PRs quote)
 	@count() { cat "$$@" | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }; \
 	for group in "internal/server internal/hotjson internal/jsonfloat cmd/chronosd" "internal/analysis internal/optimize ." \
 		"internal/sim internal/cluster internal/mapreduce internal/speculate internal/replay internal/experiment internal/workload internal/trace internal/metrics internal/pareto cmd/chronos-figures" \
@@ -39,7 +39,10 @@ loc: ## comment-free, blank-free, non-test Go line count per package: serving la
 			n=$$(count $$(ls $$d/*.go | grep -v _test.go)); total=$$((total + n)); \
 			[ $$d = . ] && d='root package'; printf '%-20s %6d\n' "$$d" $$n; \
 		done; printf '%-20s %6d\n' total $$total; grand=$$((grand + total)); \
-	done; printf '%-20s %6d\n' 'four groups' $$grand
+	done; printf '%-20s %6d\n' 'four groups' $$grand; \
+	printf '%-20s %6d\n' 'chronosd flags' $$(grep -cE '= flag\.[A-Z][A-Za-z0-9]*\(' cmd/chronosd/main.go); \
+	printf '%-20s %6d\n' 'Config fields' $$(awk '/^type Config struct/,/^}/' internal/server/config.go | grep -cE '^\s+[A-Z][A-Za-z0-9]*\s+[^ /]'); \
+	printf '%-20s %6d\n' '/metrics families' $$(grep -c '^# TYPE' internal/server/testdata/metrics.golden)
 
 cover: ## -race suite + per-package coverage + the server+tenant gate
 	./scripts/coverage.sh

@@ -1,12 +1,12 @@
 // Command chronosd runs the online speculation-planning service: an HTTP
 // JSON API over the Chronos PoCD/cost optimization, with a sharded plan
-// cache, a bounded optimization worker pool, multi-tenant budget pools,
-// Prometheus metrics, and graceful shutdown on SIGINT/SIGTERM.
+// cache (a miss solves on its request's goroutine), multi-tenant budget
+// pools, Prometheus metrics, and graceful shutdown on SIGINT/SIGTERM.
 //
 // Usage:
 //
-//	chronosd [-addr :8080] [-cache-capacity 4096] [-workers N]
-//	         [-max-body 1048576] [-tenants tenants.json]
+//	chronosd [-addr :8080] [-cache-capacity 4096] [-max-body 1048576]
+//	         [-tenants tenants.json]
 //	         [-self http://host:port -peers url1,url2,... | -ring ring.json]
 //	         [-escrow] [-data-dir /var/lib/chronosd]
 //	         [-log-level info] [-log-sample 1] [-debug-addr 127.0.0.1:6060]
@@ -53,9 +53,10 @@
 // pool. A lease lives until its holder returns it: on a graceful shutdown
 // the holder drains each lease and the owner credits back what it held.
 // -data-dir makes the ledger durable (periodic snapshot + append-only WAL,
-// replayed on boot); a data dir the owner cannot write its boot snapshot to
-// stops chronosd. A dead pool owner keeps its tenants: once their leases run
-// dry the survivors refuse those admits instead of opening a second pool.
+// replayed on boot); it requires -escrow, and a data dir the owner cannot
+// write its boot snapshot to stops chronosd. A dead pool owner keeps its
+// tenants: once their leases run dry the survivors refuse those admits
+// instead of opening a second pool.
 //
 // SIGHUP re-reads the -tenants and -ring config files: tenant reloads carry
 // live ledger levels over for pools whose budget shape is unchanged and
@@ -83,8 +84,7 @@ import (
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		cacheCapacity = flag.Int("cache-capacity", 4096, "total cached plans across shards (negative disables)")
-		workers       = flag.Int("workers", 0, "max concurrent optimizations (0 = GOMAXPROCS)")
+		cacheCapacity = flag.Int("cache-capacity", 4096, "total cached plans across shards")
 		maxBody       = flag.Int64("max-body", 1<<20, "request body limit in bytes")
 		tenantsPath   = flag.String("tenants", "", "tenant budget-pool config file (JSON); SIGHUP reloads it")
 		self          = flag.String("self", "", "this replica's base URL in the consistent-hash ring")
@@ -156,7 +156,6 @@ func main() {
 	srv, err := server.Open(server.Config{
 		Addr:          *addr,
 		CacheCapacity: *cacheCapacity,
-		Workers:       *workers,
 		MaxBodyBytes:  *maxBody,
 		Tenants:       tenants,
 		Self:          membership.Self,

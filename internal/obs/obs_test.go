@@ -112,8 +112,8 @@ func TestNilTraceIsInert(t *testing.T) {
 }
 
 // TestConcurrentSpansStayIsolated drives many goroutines, each with its own
-// trace, every one also hammered by inner workers (the batch fan-out shape).
-// Under -race this is the data-race gate; the assertions check that no span
+// trace, every one also hammered by inner workers recording into it. Under
+// -race this is the data-race gate; the assertions check that no span
 // data leaked across traces.
 func TestConcurrentSpansStayIsolated(t *testing.T) {
 	const traces, workers, perWorker = 32, 8, 50

@@ -46,9 +46,6 @@ const (
 	StageForward
 	// StageReplayEmit is NDJSON replay-event encoding, write, and flush.
 	StageReplayEmit
-	// StageFlightWait is time a cold plan request spent parked behind another
-	// request's in-flight solve for the same plan key (singleflight waiter).
-	StageFlightWait
 
 	// NumStages sizes per-stage arrays; keep it last.
 	NumStages
@@ -56,7 +53,6 @@ const (
 
 var stageNames = [NumStages]string{
 	"quantize", "cache", "solve", "debit", "escrow", "forward", "replay_emit",
-	"flight_wait",
 }
 
 // String returns the stable label used in logs, metrics, and /debug/traces.
@@ -68,12 +64,12 @@ func (s Stage) String() string {
 }
 
 // Trace is one request's span recorder. Stage observations are lock-free
-// atomic accumulations (matching the internal/metrics style), so concurrent
-// workers of one request — the batch fan-out — can record without
-// interleaving or locking; the identity fields are written only by the
-// request's own handler goroutine. A nil *Trace is valid everywhere and
-// records nothing, so library call paths without a request context stay
-// uninstrumented at zero cost.
+// atomic accumulations (matching the internal/metrics style): every span is
+// observed on the request's own goroutine today, and a goroutine a handler
+// starts may record beside it without locking. The identity fields are
+// written only by the request's own handler goroutine. A nil *Trace is valid
+// everywhere and records nothing, so library call paths without a request
+// context stay uninstrumented at zero cost.
 type Trace struct {
 	// ID is the request's trace ID: honored from the inbound TraceHeader or
 	// minted at the edge.
@@ -175,7 +171,7 @@ type Snapshot struct {
 	StageNanos [NumStages]int64
 	// StageCounts holds per-stage observation counts; for a well-formed
 	// single-plan request each instrumented stage fires at most once, so a
-	// higher count signals fan-out (batch) or retries.
+	// higher count signals a batch's jobs or retries.
 	StageCounts [NumStages]int64
 }
 

@@ -81,11 +81,10 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	writeHotBody(w, http.StatusOK, out)
 }
 
-// admitJob is one job crossing admitJobs: its cell, the error a batch's
-// warm-up solve already hit for it, and the plan its result points at.
+// admitJob is one job crossing admitJobs: its cell and the plan its result
+// points at.
 type admitJob struct {
 	cell
-	err  error
 	plan chronos.Plan
 }
 
@@ -101,10 +100,8 @@ func (s *Server) admitJobs(tr *obs.Trace, tenantName string, bud budgeter, jobs 
 		admitted = 0
 		for i := range jobs {
 			j := &jobs[i]
-			err := j.err
-			if err == nil {
-				j.plan, err = s.planWithin(tr, &j.cell, left)
-			}
+			var err error
+			j.plan, err = s.planWithin(tr, &j.cell, left)
 			switch reason := rejectReason(err); {
 			case err == nil:
 				results[i] = api.AdmitBatchResult{Admitted: true, Plan: &j.plan}
@@ -174,15 +171,6 @@ func timedDebit(tr *obs.Trace, bud budgeter, cost float64) (ok bool, remaining f
 	ok, remaining = bud.TryDebit(cost)
 	tr.Observe(obs.StageDebit, time.Since(start))
 	return ok, remaining
-}
-
-// containPanic, deferred in a worker-pool goroutine, turns a panic into
-// that one job's errInternal: pool goroutines run outside net/http's
-// per-connection recover, and a panic there would crash the daemon.
-func containPanic(err *error) {
-	if p := recover(); p != nil {
-		*err = fmt.Errorf("%w: %v", errInternal, p)
-	}
 }
 
 // rejectBudget answers a tenant-routed /v1/plan or /v1/plan/batch whose

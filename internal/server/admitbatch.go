@@ -9,11 +9,12 @@ import (
 )
 
 // POST /v1/admit/batch: admission decisions for several same-tenant jobs in
-// one round trip. The jobs share one solve fan-out across the worker pool
-// (each selection is a cache hit or a full solve) and — the point — one
-// atomic ledger debit for the whole accepted set: with escrow accounting on,
-// a batch of N admits costs one CAS on the tenant's lease instead of N, so
-// high-arrival tenants stop serializing on their own budget counter.
+// one round trip. The jobs are planned in order through the plan cache (each
+// is a cache hit or a full solve, so repeated shapes solve once) and — the
+// point — settled in one atomic ledger debit for the whole accepted set:
+// with escrow accounting on, a batch of N admits costs one CAS on the
+// tenant's lease instead of N, so high-arrival tenants stop serializing on
+// their own budget counter.
 //
 // The batch is never forwarded: its jobs span plan-key owners, so there is
 // no single replica to forward to. Any replica can serve it correctly (the
@@ -57,12 +58,6 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 		*c = cell{strat: strat, best: best, job: j.Job, econ: econ}
 		c.key = plankey.AppendKey(nil, c.name(), c.job, c.econ)
 	}
-	// One solve fan-out warms the cache for every distinct cell, so the
-	// sequential allocation in admitJobs is all cache hits.
-	s.pool.fanOut(len(jobs), func(i int) {
-		defer containPanic(&jobs[i].err)
-		_, _, jobs[i].err = s.cachedPlan(tr, &jobs[i].cell)
-	})
 	results := make([]api.AdmitBatchResult, len(jobs))
 	admitted, remaining, err := s.admitJobs(tr, req.Tenant, s.tenantBudget(r.Context(), req.Tenant, pool), jobs, results)
 	if err != nil {

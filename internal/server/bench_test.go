@@ -58,7 +58,8 @@ func BenchmarkAdmitHandlerEscrow(b *testing.B) {
 }
 
 // BenchmarkBatchHandler measures a 64-job shared-budget allocation with
-// best-of-three selection fanned out across the worker pool.
+// best-of-three selection from a warm plan cache (20 distinct shapes, all
+// hits after the first iteration).
 func BenchmarkBatchHandler(b *testing.B) {
 	s := New(Config{})
 	h := s.Handler()

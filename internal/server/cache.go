@@ -56,12 +56,8 @@ type cacheEntry struct {
 }
 
 // newPlanCache builds a cache with the given shard count (rounded up to a
-// power of two) and total capacity. Nil is returned when capacity < 0
-// (cache disabled); planCache methods tolerate a nil receiver.
+// power of two) and total capacity; every shard holds at least one plan.
 func newPlanCache(shards, capacity int) *planCache {
-	if capacity < 0 {
-		return nil
-	}
 	n := 1
 	for n < shards {
 		n <<= 1
@@ -85,9 +81,6 @@ func newPlanCache(shards, capacity int) *planCache {
 // arrive as the []byte still in the caller's pooled request buffer: the
 // string(key) map probe does not allocate, so a cache hit costs no heap.
 func (c *planCache) get(key []byte) (chronos.Plan, bool) {
-	if c == nil {
-		return chronos.Plan{}, false
-	}
 	s := &c.shards[fnv1a(key)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -105,9 +98,6 @@ func (c *planCache) get(key []byte) (chronos.Plan, bool) {
 // key is cold or no squeeze has built one yet. Does not touch recency or hit
 // counters: every caller just did a get for the same key.
 func (c *planCache) frontier(key []byte) *chronos.BudgetFrontier {
-	if c == nil {
-		return nil
-	}
 	s := &c.shards[fnv1a(key)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -122,9 +112,6 @@ func (c *planCache) frontier(key []byte) *chronos.BudgetFrontier {
 // squeezes may race to build the same table; both are correct, last one
 // wins.
 func (c *planCache) setFrontier(key []byte, f *chronos.BudgetFrontier) {
-	if c == nil {
-		return
-	}
 	s := &c.shards[fnv1a(key)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -136,9 +123,6 @@ func (c *planCache) setFrontier(key []byte, f *chronos.BudgetFrontier) {
 // put inserts or refreshes key, evicting the shard's least recently used
 // entry when full.
 func (c *planCache) put(key string, plan chronos.Plan) {
-	if c == nil {
-		return
-	}
 	s := &c.shards[fnv1a(key)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -160,9 +144,6 @@ func (c *planCache) put(key string, plan chronos.Plan) {
 // flush empties every shard. Called when the tenant config is hot-reloaded,
 // so no plan computed under the old defaults outlives the config change.
 func (c *planCache) flush() {
-	if c == nil {
-		return
-	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
@@ -174,9 +155,6 @@ func (c *planCache) flush() {
 
 // len sums the shard sizes.
 func (c *planCache) len() int {
-	if c == nil {
-		return 0
-	}
 	total := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -189,8 +167,5 @@ func (c *planCache) len() int {
 
 // stats returns cumulative hit/miss counts.
 func (c *planCache) stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
 	return c.hits.Value(), c.misses.Value()
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -65,17 +66,17 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheDisabled(t *testing.T) {
-	c := newPlanCache(4, -1)
-	if c != nil {
-		t.Fatal("negative capacity should disable the cache")
+// TestOpenRejectsNegativeCacheCapacity: there is no cache-off mode. A
+// negative capacity used to run every plan uncached; it is an Open error
+// naming the value.
+func TestOpenRejectsNegativeCacheCapacity(t *testing.T) {
+	s, err := Open(Config{CacheCapacity: -1})
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted cache capacity -1")
 	}
-	c.put("k", chronos.Plan{})
-	if _, ok := c.get([]byte("k")); ok {
-		t.Error("disabled cache should never hit")
-	}
-	if c.len() != 0 {
-		t.Error("disabled cache should be empty")
+	if !strings.Contains(err.Error(), "-1") {
+		t.Errorf("error %q does not name the capacity", err)
 	}
 }
 
@@ -115,7 +116,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 
 // TestPlanHandlerConcurrent drives the full handler stack from many
 // goroutines against a handful of distinct jobs; under -race this covers
-// the cache, pool, and metrics paths end to end.
+// the cache and metrics paths end to end.
 func TestPlanHandlerConcurrent(t *testing.T) {
 	srv, ts := newTestServer(t, Config{CacheShards: 4, CacheCapacity: 64})
 	const goroutines = 8
@@ -170,9 +171,10 @@ func TestPlanHandlerConcurrent(t *testing.T) {
 	}
 }
 
-// TestBatchHandlerConcurrent exercises the worker-pool fan-out under -race.
+// TestBatchHandlerConcurrent drives concurrent cold batches over the same
+// shapes; under -race it covers the shared cache and trace paths.
 func TestBatchHandlerConcurrent(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4})
+	_, ts := newTestServer(t, Config{})
 	jobs := make([]api.BatchJob, 16)
 	for i := range jobs {
 		job := testJob()

@@ -53,26 +53,18 @@ func (c *cell) frontier() (*chronos.BudgetFrontier, error) {
 	return chronos.NewBudgetFrontier(c.strat, c.job, c.econ)
 }
 
-// solveWithin runs the direct budget-capped optimization.
-func (c *cell) solveWithin(budget float64) (chronos.Plan, error) {
-	if c.best {
-		return chronos.OptimizeBestWithinBudget(c.job, c.econ, budget)
-	}
-	return chronos.OptimizeWithinBudget(c.strat, c.job, c.econ, budget)
-}
-
 // cachedPlan returns the cell's unconstrained optimal plan from the sharded
 // plan cache, solving and populating it on a miss. Every planning path —
-// /v1/plan, the batch fan-outs, and admission control — goes through here,
+// /v1/plan, both batch endpoints, and admission control — goes through here,
 // so cache policy (and its stage instrumentation) lives in one place. The key
 // usually still lives in a pooled request buffer: a cache hit probes the
 // shard map without materializing the key string, so the hot path allocates
 // nothing.
 //
-// Concurrent misses for the same key are collapsed through the singleflight
-// table: one leader solves while the others park on its done channel and
-// share the outcome (reported as cached=false — a waiter's plan was not
-// served from the LRU, it piggybacked on a live solve).
+// A miss solves on the request's own goroutine. A solve costs a few
+// microseconds, so concurrent misses on one key each solve (and the last
+// insert wins) rather than wait on one another, and a batch's repeated shapes
+// are hits after their first job.
 func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached bool, err error) {
 	cStart := time.Now()
 	plan, hit := s.cache.get(c.key)
@@ -81,17 +73,6 @@ func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached b
 		return plan, true, nil
 	}
 	key := string(c.key)
-	call, leader := s.flight.join(key)
-	if !leader {
-		// Counted on entry, not exit, so the waiter population is observable
-		// while the leader's solve is still in flight.
-		s.metrics.flightWaiters.Inc()
-		wStart := time.Now()
-		<-call.done
-		tr.Observe(obs.StageFlightWait, time.Since(wStart))
-		return call.plan, false, call.err
-	}
-	s.metrics.flightLeaders.Inc()
 	if s.solveHook != nil {
 		s.solveHook(key)
 	}
@@ -99,14 +80,10 @@ func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached b
 	plan, err = c.solve()
 	tr.Observe(obs.StageSolve, time.Since(sStart))
 	if err != nil {
-		plan = chronos.Plan{}
-	} else {
-		// Cache before leaving the flight table so later misses for this key
-		// hit the LRU instead of starting a fresh solve.
-		s.cache.put(key, plan)
+		return chronos.Plan{}, false, err
 	}
-	s.flight.complete(key, call, plan, err)
-	return plan, false, err
+	s.cache.put(key, plan)
+	return plan, false, nil
 }
 
 // planWithin returns the cell's best plan whose expected machine time fits
@@ -130,10 +107,7 @@ func (s *Server) planWithin(tr *obs.Trace, c *cell, budget float64) (chronos.Pla
 	bf := s.cache.frontier(c.key)
 	if bf == nil {
 		if bf, err = c.frontier(); err != nil {
-			// Unreachable after a successful unconstrained solve for the same
-			// cell (construction fails only on budget-independent grounds), but
-			// fall back to the direct capped solve.
-			return c.solveWithin(budget)
+			return chronos.Plan{}, err
 		}
 		s.cache.setFrontier(c.key, bf)
 	}

@@ -10,7 +10,6 @@ package server
 
 import (
 	"log/slog"
-	"runtime"
 	"time"
 
 	"chronos/internal/tenant"
@@ -47,12 +46,8 @@ type Config struct {
 	// rounded up to a power of two. Default 16.
 	CacheShards int
 	// CacheCapacity is the total number of cached plans across all shards.
-	// Zero means 4096; negative disables the cache.
+	// Zero means 4096; negative is an Open error.
 	CacheCapacity int
-
-	// Workers bounds the number of concurrent optimizations across all
-	// batch requests. Default GOMAXPROCS.
-	Workers int
 
 	// MaxBodyBytes caps request bodies; larger requests get 413.
 	// Default 1 MiB.
@@ -76,10 +71,11 @@ type Config struct {
 	// above MaxSimJobs; it bounds CPU commitment, not allocation.
 	// Default 100000.
 	MaxReplayJobs int
-	// MaxActiveReplays bounds concurrently running /v1/replay streams;
-	// excess requests get 503 with Retry-After. Replays are long
-	// whole-simulation CPU commitments, so this keeps a burst of them from
-	// starving the planning hot path. Default 4.
+	// MaxActiveReplays bounds concurrently running simulations: /v1/replay
+	// streams and /v1/simulate runs share the slots, and excess requests get
+	// 503 with Retry-After. Both are whole-simulation CPU commitments, so
+	// this keeps a burst of them from starving the planning hot path.
+	// Default 4.
 	MaxActiveReplays int
 
 	// Self and Peers are the initial consistent-hash ring membership: Self
@@ -128,7 +124,8 @@ type Config struct {
 	Escrow bool
 	// Store is the snapshot+WAL durability layer for escrow accounting
 	// (opened from -data-dir). Nil keeps the ledger memory-only; escrow still
-	// enforces fleet-exactness, it just cannot survive an owner restart.
+	// enforces fleet-exactness, it just cannot survive an owner restart. A
+	// Store without Escrow is an Open error: nothing else is persisted.
 	Store *tenant.Store
 }
 
@@ -142,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = 4096
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20

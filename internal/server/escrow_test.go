@@ -548,6 +548,25 @@ func TestWALAppendFailureCounted(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsStoreWithoutEscrow: only the escrow ledger is persisted, so
+// a Store without Escrow would write nothing and a restart would restore
+// every pool to full. Open used to accept it silently.
+func TestOpenRejectsStoreWithoutEscrow(t *testing.T) {
+	store, err := tenant.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	s, err := Open(Config{Tenants: testRegistry(t, "etl", 1000), Store: store})
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a Store without Escrow")
+	}
+	if !strings.Contains(err.Error(), "escrow") {
+		t.Errorf("error %q does not name escrow", err)
+	}
+}
+
 // TestEscrowLeaseRejectsUnknownHolder: a lease is granted only to another
 // member of the ring. One POST naming a made-up holder used to
 // move the whole pool into a lease nobody would ever spend or release.

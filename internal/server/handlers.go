@@ -78,17 +78,10 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// errInternal marks failures that are the server's fault, not the
-// request's.
-var errInternal = errors.New("internal error")
-
 // planStatus maps optimization failures to HTTP codes: infeasible problems
-// are well-formed but unsatisfiable (422), server-side faults are 500, and
-// everything else is a bad request.
+// are well-formed but unsatisfiable (422), and everything else is a bad
+// request.
 func planStatus(err error) int {
-	if errors.Is(err, errInternal) {
-		return http.StatusInternalServerError
-	}
 	if errors.Is(err, optimize.ErrInfeasible) ||
 		errors.Is(err, optimize.ErrBudgetTooSmall) ||
 		errors.Is(err, optimize.ErrUnreachablePoCD) {
@@ -182,9 +175,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 // handleBatch serves POST /v1/plan/batch: shared-budget allocation across M
 // concurrent jobs. Per-job strategy selection (for jobs without a pinned
-// strategy) fans out across the bounded worker pool and reuses the plan
-// cache; the coupled budget split then runs through the greedy
-// marginal-gain allocator (optimize.BatchSolve).
+// strategy) goes through the plan cache; the coupled budget split then runs
+// through the greedy marginal-gain allocator (optimize.BatchSolve).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchRequest
 	if !s.decode(w, r, &req) {
@@ -222,35 +214,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Resolve every job's strategy, fanning the unpinned ones out across
-	// the worker pool (each selection is a full three-strategy solve or a
-	// cache hit). tr is shared across the fan-out; its stage accumulation is
-	// atomic, so concurrent selections fold into one batch-wide span.
+	// Resolve every job's strategy in order; an unpinned one is the best of
+	// the three from the plan cache, so a batch's repeated shapes solve once.
 	strategies := make([]chronos.Strategy, len(req.Jobs))
-	errs := make([]error, len(req.Jobs))
-	s.pool.fanOut(len(req.Jobs), func(i int) {
-		defer containPanic(&errs[i])
-		jr := req.Jobs[i]
+	var key []byte
+	for i, jr := range req.Jobs {
 		strat, best, ok := plankey.ParseStrategy(jr.Strategy)
-		switch {
-		case !ok:
-			errs[i] = fmt.Errorf("unknown strategy %q", jr.Strategy)
-		case !best:
-			strategies[i] = strat
-		default:
-			c := cell{best: true, job: jr.Job, econ: req.Econ}
-			var buf [128]byte
-			c.quantize(tr, buf[:0])
-			var plan chronos.Plan
-			plan, _, errs[i] = s.cachedPlan(tr, &c)
-			strategies[i] = plan.Strategy
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			s.apiError(w, r, planStatus(err), "job %d: %v", i, err)
+		if !ok {
+			s.apiError(w, r, http.StatusBadRequest, "job %d: unknown strategy %q", i, jr.Strategy)
 			return
 		}
+		if best {
+			c := cell{best: true, job: jr.Job, econ: req.Econ}
+			c.quantize(tr, key[:0])
+			key = c.key
+			plan, _, err := s.cachedPlan(tr, &c)
+			if err != nil {
+				s.apiError(w, r, planStatus(err), "job %d: %v", i, err)
+				return
+			}
+			strat = plan.Strategy
+		}
+		strategies[i] = strat
 	}
 
 	batch := make([]chronos.BatchJob, len(req.Jobs))
@@ -374,8 +359,10 @@ func (s *Server) handleTradeoff(w http.ResponseWriter, r *http.Request) {
 // replay core as POST /v1/replay (fold the events, return the final
 // summary), and honors the request context: a disconnected client cancels
 // the simulation between events instead of leaving it running to
-// completion. Size limits keep one request from monopolizing the instance;
-// larger studies belong on /v1/replay or in the offline CLIs.
+// completion. It holds a replay slot while it runs, so simulations and
+// streams together never exceed MaxActiveReplays. Size limits keep one
+// request from monopolizing the instance; larger studies belong on
+// /v1/replay or in the offline CLIs.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req api.SimulateRequest
 	if !s.decode(w, r, &req) {
@@ -394,6 +381,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, "%s", msg)
 		return
 	}
+	if !s.takeReplaySlot(w, r) {
+		return
+	}
+	defer s.releaseReplaySlot()
 	report, err := chronos.SimulateContext(r.Context(), req.Config, req.Jobs)
 	if err != nil {
 		if r.Context().Err() != nil {

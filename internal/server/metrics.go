@@ -17,7 +17,7 @@ import (
 )
 
 // stageBuckets covers the per-stage span range: a sharded cache lookup is
-// ~100 ns, a cold three-strategy solve ~500 µs, a cross-replica forward or a
+// ~100 ns, a cold three-strategy solve 3.5–4 µs, a cross-replica forward or a
 // long replay's cumulative event writes can reach seconds. The default
 // request-latency buckets bottom out at 100 µs — far too coarse here.
 func stageBuckets() []float64 {
@@ -62,13 +62,6 @@ type serverMetrics struct {
 	// encodeFailures counts responses whose JSON encoding failed (answered
 	// as HTTP 500 and logged at warn with the trace ID).
 	encodeFailures metrics.Counter
-
-	// Singleflight series: cold-miss solves actually run (leaders) and
-	// requests that piggybacked on a concurrent identical solve (waiters).
-	// waiters/(leaders+waiters) is the fraction of cold traffic the miss
-	// collapse absorbed.
-	flightLeaders metrics.Counter
-	flightWaiters metrics.Counter
 
 	// Escrow series: per-tenant grants issued (owner side), lease top-ups
 	// performed (holder side), and expired-lease reclamations (owner side).
@@ -358,8 +351,6 @@ func (m *serverMetrics) catalog() []series {
 		{"chronosd_plan_cache_hits_total", "counter", "Plan cache hits.", "TestMetricsEndpoint", nil, cacheHits},
 		{"chronosd_plan_cache_misses_total", "counter", "Plan cache misses.", "TestMetricsEndpoint", nil, cacheMisses},
 		{"chronosd_plan_cache_entries", "gauge", "Plans currently cached.", "TestMetricsEndpoint", nil, cacheEntries},
-		{"chronosd_plan_singleflight_leaders_total", "counter", "Cold-miss solves run as singleflight leaders.", "TestSingleflightCollapsesColdMisses", nil, counter(&m.flightLeaders)},
-		{"chronosd_plan_singleflight_waiters_total", "counter", "Cold misses that piggybacked on a concurrent identical solve.", "TestSingleflightCollapsesColdMisses", nil, counter(&m.flightWaiters)},
 		{"chronosd_tenant_admits_total", "counter", "Ledger-debited plans, by tenant.", "TestAdmitEqualsBatchOfOne", nil, tenantAdmits},
 		{"chronosd_tenant_rejects_total", "counter", "Admission rejections, by tenant and reason.", "TestAdmitEqualsBatchOfOne", nil, rejects},
 		{"chronosd_tenant_plans_total", "counter", "Admitted plans, by tenant and strategy.", "TestAdmitEqualsBatchOfOne", nil, tenantPlans},

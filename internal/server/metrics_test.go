@@ -69,7 +69,6 @@ func TestMetricsGolden(t *testing.T) {
 	s.escrow.lease("alpha")
 	m.stageSeconds[obs.StageSolve].Observe(0.0004)
 	m.ringLocalFallbacks.Inc()
-	m.flightWaiters.Inc()
 	m.replayEmit(true)
 
 	var buf bytes.Buffer

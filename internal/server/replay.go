@@ -56,18 +56,10 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Replays are whole-simulation CPU commitments; bound how many run at
-	// once the same way the worker pool bounds optimizations, instead of
-	// letting a burst of streams starve the cheap planning endpoints.
-	select {
-	case s.replaySem <- struct{}{}:
-		defer func() { <-s.replaySem }()
-	default:
-		w.Header().Set("Retry-After", "1")
-		s.apiError(w, r, http.StatusServiceUnavailable,
-			"%d replays already running, limit %d", len(s.replaySem), cap(s.replaySem))
+	if !s.takeReplaySlot(w, r) {
 		return
 	}
+	defer s.releaseReplaySlot()
 
 	// The response header is written lazily at the first event, so setup
 	// failures (bad distribution parameters, unknown strategy) still get a
@@ -108,6 +100,26 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 }
+
+// takeReplaySlot claims one of the MaxActiveReplays slots /v1/replay and
+// /v1/simulate share, or answers 503 with Retry-After. Simulations are
+// whole-run CPU commitments; bounding them keeps a burst from starving the
+// cheap planning endpoints. A true return must be paired with
+// releaseReplaySlot.
+func (s *Server) takeReplaySlot(w http.ResponseWriter, r *http.Request) bool {
+	select {
+	case s.replaySem <- struct{}{}:
+		return true
+	default:
+		w.Header().Set("Retry-After", "1")
+		s.apiError(w, r, http.StatusServiceUnavailable,
+			"%d replays already running, limit %d", len(s.replaySem), cap(s.replaySem))
+		return false
+	}
+}
+
+// releaseReplaySlot returns a slot takeReplaySlot claimed.
+func (s *Server) releaseReplaySlot() { <-s.replaySem }
 
 // resolveReplayJobs materializes the job stream from whichever source the
 // request names. A non-empty message is a 400.

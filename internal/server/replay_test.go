@@ -209,8 +209,9 @@ func TestReplayClientDisconnect(t *testing.T) {
 	}
 }
 
-// TestReplayConcurrencyCap holds one stream open and checks the next is
-// turned away with 503 instead of stacking unbounded CPU commitments.
+// TestReplayConcurrencyCap holds one stream open and checks the next stream
+// and a simulation are turned away with 503 instead of stacking unbounded
+// CPU commitments.
 func TestReplayConcurrencyCap(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxActiveReplays: 1})
 	body, err := json.Marshal(map[string]any{
@@ -247,6 +248,19 @@ func TestReplayConcurrencyCap(t *testing.T) {
 	}
 	if second.Header.Get("Retry-After") == "" {
 		t.Error("503 missing Retry-After")
+	}
+
+	// /v1/simulate runs the same replay core and takes the same slot; it used
+	// to run beside the cap without bound.
+	sim := postJSON(t, ts.URL+"/v1/simulate", map[string]any{
+		"config": smallSimConfig(), "jobs": tinyStream(3),
+	})
+	sim.Body.Close()
+	if sim.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("simulate status = %d, want 503", sim.StatusCode)
+	}
+	if sim.Header.Get("Retry-After") == "" {
+		t.Error("simulate 503 missing Retry-After")
 	}
 }
 

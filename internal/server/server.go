@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -17,13 +18,12 @@ import (
 )
 
 // Server is one chronosd instance: HTTP handlers over the chronos planning
-// core, a sharded plan cache, a bounded optimization worker pool, a
-// hot-swappable tenant registry, consistent-hash plan-key sharding across a
-// replica fleet, and Prometheus-style metrics.
+// core, a sharded plan cache, a hot-swappable tenant registry,
+// consistent-hash plan-key sharding across a replica fleet, and
+// Prometheus-style metrics.
 type Server struct {
 	cfg     Config
 	cache   *planCache
-	pool    *workerPool
 	metrics *serverMetrics
 	mux     *http.ServeMux
 	tenants atomic.Pointer[tenant.Registry]
@@ -33,8 +33,8 @@ type Server struct {
 	// drops, and two interleaved swaps could close a kept peer's.
 	ringSt atomic.Pointer[ringState]
 	ringMu sync.Mutex
-	// replaySem bounds concurrently running /v1/replay streams; each
-	// running replay holds one slot.
+	// replaySem bounds concurrently running simulations; each /v1/replay
+	// stream and /v1/simulate run holds one slot.
 	replaySem chan struct{}
 	// traces retains finished request snapshots for GET /debug/traces;
 	// reqLog emits the sampled structured request lines. Both tolerate
@@ -44,11 +44,8 @@ type Server struct {
 	// escrow is the fleet-exact tenant accounting subsystem; nil when
 	// cfg.Escrow is off (the legacy per-replica approximation).
 	escrow *escrowManager
-	// flight collapses concurrent cold-miss solves per plan key: one leader
-	// runs the optimizer, waiters share its result (see singleflight.go).
-	flight planFlight
-	// solveHook, when set (tests), runs in the singleflight leader just
-	// before the solve — the hook point for counting and gating real solves.
+	// solveHook, when set (tests), runs on every plan-cache miss just before
+	// the solve — the hook point for counting real solves.
 	solveHook func(key string)
 	closeOnce sync.Once
 }
@@ -76,18 +73,24 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Open builds a server from cfg (zero fields take defaults). It fails on
-// invalid ring membership (peers without a self URL), a startup
-// misconfiguration that would otherwise silently disable sharding, and on a
+// Open builds a server from cfg (zero fields take defaults). It fails on a
+// negative cache capacity; on invalid ring membership (peers without a self
+// URL), a startup misconfiguration that would otherwise silently disable
+// sharding; on a Store without Escrow, which would persist nothing; and on a
 // data dir the escrow ledger cannot anchor its snapshot in: the WAL records
 // that follow are deltas against that snapshot, so serving without it would
 // restore wrong levels at the next boot.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if cfg.CacheCapacity < 0 {
+		return nil, fmt.Errorf("cache capacity %d is negative", cfg.CacheCapacity)
+	}
+	if cfg.Store != nil && !cfg.Escrow {
+		return nil, errors.New("a data dir needs escrow accounting: only the escrow ledger is persisted")
+	}
 	s := &Server{
 		cfg:       cfg,
 		cache:     newPlanCache(cfg.CacheShards, cfg.CacheCapacity),
-		pool:      newWorkerPool(cfg.Workers),
 		metrics:   newServerMetrics(),
 		replaySem: make(chan struct{}, cfg.MaxActiveReplays),
 		traces:    obs.NewTraceRing(cfg.TraceRingSize),
