@@ -3,8 +3,8 @@
 // MapReduce Jobs" (Xu, Alamro, Lan, Subramaniam — ICDCS 2018).
 //
 // Chronos mitigates straggler tasks in deadline-critical MapReduce jobs by
-// launching speculative or clone task attempts, and — unlike LATE, Mantri,
-// or default Hadoop speculation — chooses how many attempts to launch by
+// launching speculative or clone task attempts, and — unlike Mantri or
+// default Hadoop speculation — chooses how many attempts to launch by
 // solving a joint optimization of the Probability of Completion before
 // Deadline (PoCD) against the machine-time cost of the extra attempts.
 //
@@ -17,9 +17,9 @@
 //     theta*C*E(T) solved exactly by Algorithm 1, via Optimize, OptimizeBest,
 //     MinCostForPoCD, and TradeoffCurve.
 //   - Simulation: a discrete-event MapReduce cluster that executes job
-//     streams under any of the seven strategies (the three Chronos
-//     strategies plus the Hadoop-NS, Hadoop-S, Mantri, and LATE baselines),
-//     via Simulate, Benchmarks, and SyntheticTrace.
+//     streams under any of the six strategies (the three Chronos strategies
+//     plus the paper's Hadoop-NS, Hadoop-S and Mantri baselines), via
+//     Simulate, Benchmarks, and SyntheticTrace.
 package chronos
 
 import (
@@ -34,7 +34,7 @@ import (
 // Strategy selects a speculation policy.
 type Strategy int
 
-// The seven policies: three Chronos strategies and four baselines.
+// The six policies: three Chronos strategies and three baselines.
 const (
 	// Clone proactively launches r+1 attempts of every task at submission.
 	Clone Strategy = iota + 1
@@ -50,8 +50,6 @@ const (
 	HadoopS
 	// Mantri is the OSDI'10 outlier-mitigation baseline.
 	Mantri
-	// LATE is the OSDI'08 Longest-Approximate-Time-to-End baseline.
-	LATE
 )
 
 // String implements fmt.Stringer.
@@ -69,8 +67,6 @@ func (s Strategy) String() string {
 		return "Hadoop-S"
 	case Mantri:
 		return "Mantri"
-	case LATE:
-		return "LATE"
 	default:
 		return "Unknown"
 	}

@@ -32,7 +32,6 @@ func TestStrategyString(t *testing.T) {
 		HadoopNS:           "Hadoop-NS",
 		HadoopS:            "Hadoop-S",
 		Mantri:             "Mantri",
-		LATE:               "LATE",
 		Strategy(0):        "Unknown",
 	}
 	for s, want := range names {
@@ -152,14 +151,14 @@ func TestOptimizeWithinBudget(t *testing.T) {
 	if _, err := OptimizeBestWithinBudget(apiParams(), apiEcon(), 1e-9); !errors.Is(err, optimize.ErrBudgetTooSmall) {
 		t.Errorf("tiny budget: err = %v, want ErrBudgetTooSmall", err)
 	}
-	if _, err := OptimizeWithinBudget(LATE, apiParams(), apiEcon(), 1e9); !errors.Is(err, ErrNotAnalytic) {
+	if _, err := OptimizeWithinBudget(Mantri, apiParams(), apiEcon(), 1e9); !errors.Is(err, ErrNotAnalytic) {
 		t.Errorf("baseline accepted: %v", err)
 	}
 }
 
 func TestOptimizeBaselineRejected(t *testing.T) {
-	if _, err := Optimize(LATE, apiParams(), apiEcon()); !errors.Is(err, ErrNotAnalytic) {
-		t.Errorf("Optimize(LATE) err = %v", err)
+	if _, err := Optimize(Mantri, apiParams(), apiEcon()); !errors.Is(err, ErrNotAnalytic) {
+		t.Errorf("Optimize(Mantri) err = %v", err)
 	}
 }
 
@@ -215,7 +214,7 @@ func TestSimulateQuickstart(t *testing.T) {
 
 func TestSimulateAllStrategiesRun(t *testing.T) {
 	jobs := []SimJob{{Tasks: 5, Deadline: 100, TMin: 10, Beta: 1.5}}
-	for _, s := range []Strategy{Clone, SpeculativeRestart, SpeculativeResume, HadoopNS, HadoopS, Mantri, LATE} {
+	for _, s := range []Strategy{Clone, SpeculativeRestart, SpeculativeResume, HadoopNS, HadoopS, Mantri} {
 		rep, err := Simulate(SimConfig{Strategy: s, Seed: 3}, jobs)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
@@ -253,28 +252,6 @@ func TestSimulateFixedRZero(t *testing.T) {
 	}
 	if rep.RHistogram[0] != 1 {
 		t.Errorf("FixedR=0 not honoured: hist %v", rep.RHistogram)
-	}
-}
-
-func TestSimulateContention(t *testing.T) {
-	jobs := Benchmarks()[0].Jobs(50, 10, 400)
-	clean, err := Simulate(SimConfig{Strategy: HadoopNS, Seed: 11}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy, err := Simulate(SimConfig{
-		Strategy: HadoopNS, Seed: 11,
-		ContentionP: 0.4, ContentionMean: 3,
-	}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noisy.MeanMachineTime <= clean.MeanMachineTime {
-		t.Errorf("contention did not inflate machine time: %v vs %v",
-			noisy.MeanMachineTime, clean.MeanMachineTime)
-	}
-	if noisy.PoCD > clean.PoCD {
-		t.Errorf("contention improved PoCD: %v vs %v", noisy.PoCD, clean.PoCD)
 	}
 }
 
@@ -391,34 +368,6 @@ func TestSimulateHadoopEstimatorAblation(t *testing.T) {
 	}
 }
 
-func TestSimulateNodeFailures(t *testing.T) {
-	jobs := Benchmarks()[0].Jobs(40, 10, 400)
-	stable, err := Simulate(SimConfig{
-		Strategy: SpeculativeRestart, Seed: 33,
-		Nodes: 16, SlotsPerNode: 8,
-		TauEst: 40, TauKill: 80, TauScale: TauAbsolute,
-	}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failing, err := Simulate(SimConfig{
-		Strategy: SpeculativeRestart, Seed: 33,
-		Nodes: 16, SlotsPerNode: 8,
-		TauEst: 40, TauKill: 80, TauScale: TauAbsolute,
-		Failures: &FailureModel{MTBF: 600, MTTR: 60},
-	}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every job still completes under failures; PoCD may only degrade.
-	if failing.Jobs != stable.Jobs {
-		t.Errorf("failures lost jobs: %d vs %d", failing.Jobs, stable.Jobs)
-	}
-	if failing.PoCD > stable.PoCD+0.05 {
-		t.Errorf("failures improved PoCD: %v vs %v", failing.PoCD, stable.PoCD)
-	}
-}
-
 func TestCompletionCDFAndDeadlineQuantile(t *testing.T) {
 	p := apiParams()
 	// CDF at the deadline equals the PoCD.
@@ -446,8 +395,8 @@ func TestCompletionCDFAndDeadlineQuantile(t *testing.T) {
 		t.Errorf("quoted deadline %v reaches only %v", d, check)
 	}
 	// Baselines have no closed form.
-	if _, err := CompletionCDF(LATE, p, 1, 50); !errors.Is(err, ErrNotAnalytic) {
-		t.Errorf("CompletionCDF(LATE) err = %v", err)
+	if _, err := CompletionCDF(Mantri, p, 1, 50); !errors.Is(err, ErrNotAnalytic) {
+		t.Errorf("CompletionCDF(Mantri) err = %v", err)
 	}
 	if _, err := DeadlineQuantile(Mantri, p, 1, 0.9); !errors.Is(err, ErrNotAnalytic) {
 		t.Errorf("DeadlineQuantile(Mantri) err = %v", err)

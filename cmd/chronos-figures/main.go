@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp  = flag.String("exp", "all", "experiment to run: all, fig2, table1, table2, fig3, fig4, fig5, failures")
+		exp  = flag.String("exp", "all", "experiment to run: all, fig2, table1, table2, fig3, fig4, fig5")
 		jobs = flag.Int("jobs", 270, "number of trace jobs for the trace-driven experiments")
 		seed = flag.Uint64("seed", 1, "root random seed")
 	)
@@ -142,17 +142,6 @@ func run(w io.Writer, exp string, jobs int, seed uint64) error {
 		}
 		fmt.Fprintln(w, "=== Figure 5: histogram of the optimal r ===")
 		fmt.Fprintln(w, experiment.Fig5Table(series))
-	}
-	if want("failures") {
-		ran = true
-		r := runner
-		r.Nodes = 32 // small cluster so failures actually bite
-		rows, err := experiment.RunFailures(r, experiment.DefaultFailureConfig())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "=== Extension: node-failure resilience ===")
-		fmt.Fprintln(w, experiment.FailureTable(rows))
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", exp)

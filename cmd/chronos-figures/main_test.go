@@ -14,7 +14,8 @@ import (
 // change to the simulator, the strategies or the experiment drivers that
 // moves any printed digit of the paper's evaluation fails here. The files are
 // not regenerated; a deliberate change of the numbers replaces them by hand
-// and says so.
+// and says so. The one edit since is a deletion: the node-failure extension's
+// section went with the experiment, every other byte as generated.
 func TestFiguresGolden(t *testing.T) {
 	for _, tc := range []struct {
 		file string

@@ -33,12 +33,11 @@ var strategies = map[string]chronos.Strategy{
 	"ns":      chronos.HadoopNS,
 	"hadoop":  chronos.HadoopS,
 	"mantri":  chronos.Mantri,
-	"late":    chronos.LATE,
 }
 
 func main() {
 	var (
-		strategy = flag.String("strategy", "resume", "clone, restart, resume, ns, hadoop, mantri, late, or all")
+		strategy = flag.String("strategy", "resume", "clone, restart, resume, ns, hadoop, mantri, or all")
 		jobs     = flag.Int("jobs", 270, "number of trace jobs")
 		horizon  = flag.Float64("horizon", 3*3600, "arrival horizon (seconds)")
 		ratio    = flag.Float64("deadline-ratio", 2, "deadline as a multiple of mean task time")

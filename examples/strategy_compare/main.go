@@ -2,10 +2,9 @@
 //
 // A compact version of the paper's Figure 2 experiment: for each of Sort,
 // SecondarySort, TeraSort, and WordCount (calibrated to their measured
-// heavy-tailed task-time profiles and paper deadlines), run all seven
-// strategies — the three Chronos strategies plus the four baselines — under
-// identical random numbers and background contention, and print the PoCD /
-// cost outcome per cell.
+// heavy-tailed task-time profiles and paper deadlines), run all six
+// strategies — the three Chronos strategies plus the paper's three baselines —
+// under identical random numbers, and print the PoCD / cost outcome per cell.
 //
 // Run with:
 //
@@ -22,7 +21,7 @@ import (
 func main() {
 	econ := chronos.Econ{Theta: 1e-4, UnitPrice: 1}
 	strategies := []chronos.Strategy{
-		chronos.HadoopNS, chronos.HadoopS, chronos.LATE, chronos.Mantri,
+		chronos.HadoopNS, chronos.HadoopS, chronos.Mantri,
 		chronos.Clone, chronos.SpeculativeRestart, chronos.SpeculativeResume,
 	}
 
@@ -43,10 +42,6 @@ func main() {
 				TauKill:  80,
 				TauScale: chronos.TauAbsolute,
 				Econ:     econ,
-				// Background load, as injected with Stress on the paper's
-				// testbed.
-				ContentionP:    0.15,
-				ContentionMean: 2,
 			}, jobs)
 			if err != nil {
 				log.Fatal(err)

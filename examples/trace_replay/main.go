@@ -46,7 +46,7 @@ func main() {
 	c := client.New("http://" + ln.Addr().String())
 
 	order := []chronos.Strategy{
-		chronos.HadoopNS, chronos.HadoopS, chronos.LATE, chronos.Mantri,
+		chronos.HadoopNS, chronos.HadoopS, chronos.Mantri,
 		chronos.Clone, chronos.SpeculativeRestart, chronos.SpeculativeResume,
 	}
 	fmt.Printf("replaying a %d-job generated trace over %s/v1/replay\n\n",

@@ -119,10 +119,10 @@ func TestBudgetFrontierRandomCells(t *testing.T) {
 }
 
 func TestBudgetFrontierInfeasibleStrategy(t *testing.T) {
-	// LATE is not analytically optimizable; a pinned frontier must report
+	// Mantri is not analytically optimizable; a pinned frontier must report
 	// the same error the optimizer does.
-	if _, err := NewBudgetFrontier(LATE, apiParams(), apiEcon()); err == nil {
-		t.Fatal("NewBudgetFrontier(LATE) succeeded")
+	if _, err := NewBudgetFrontier(Mantri, apiParams(), apiEcon()); err == nil {
+		t.Fatal("NewBudgetFrontier(Mantri) succeeded")
 	}
 	// An unreachable RMin makes every strategy infeasible.
 	e := apiEcon()

@@ -17,7 +17,7 @@ import (
 func FuzzParseStrategy(f *testing.F) {
 	for _, seed := range []string{
 		"clone", "Clone", " CLONE ", "speculative-restart", "s-restart",
-		"restart", "resume", "hadoop-ns", "hadoopS", "mantri", "late",
+		"restart", "resume", "hadoop-ns", "hadoopS", "mantri", "MANTRI",
 		"best", "", "c\x00lone", "Speculative-Resume",
 	} {
 		f.Add(seed)
@@ -40,7 +40,7 @@ func FuzzParseStrategy(f *testing.F) {
 // marshal/unmarshal round trip unchanged.
 func FuzzStrategyJSON(f *testing.F) {
 	for _, seed := range []string{
-		`"clone"`, `"Speculative-Resume"`, `"LATE"`, `0`, `6`, `-1`, `7`,
+		`"clone"`, `"Speculative-Resume"`, `"Hadoop-S"`, `0`, `6`, `-1`, `7`,
 		`3.5`, `null`, `{}`, `[]`, `"best"`, `""`, `1e999`,
 		`" "`, `18446744073709551616`,
 	} {
@@ -83,7 +83,7 @@ func FuzzPlanRequestJSON(f *testing.F) {
 		`{"strategy":"nope","tenant":"etl"}`,
 		`{"job":null,"econ":null}`,
 		`{}`, `[]`, `""`, `0`,
-		`{"plan":{"strategy":"LATE","r":3,"pocd":0.5,"machineTime":1,"cost":1,"utility":-1}}`,
+		`{"plan":{"strategy":"Mantri","r":3,"pocd":0.5,"machineTime":1,"cost":1,"utility":-1}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -114,7 +114,7 @@ func FuzzPlanRequestJSON(f *testing.F) {
 			return
 		}
 		out, err = json.Marshal(plan)
-		if plan.Strategy < Clone || plan.Strategy > LATE {
+		if plan.Strategy < Clone || plan.Strategy > Mantri {
 			if err == nil {
 				t.Fatalf("invalid strategy %d marshaled to %s", plan.Strategy, out)
 			}
@@ -178,16 +178,19 @@ func FuzzOptimizeFinite(f *testing.F) {
 
 // FuzzSimulateNoPanic is the simulator's input contract: for any
 // JSON-decodable request inside the bounds chronosd enforces before it calls
-// Simulate or Replay (cluster shape, spot step, MTBF, per-job tasks, deadline
-// and arrival — restated here because the server imports this package), a
-// run under a 2 s context returns an error or a report — never a panic. The
-// report's numbers are finite (utility may be -Inf, its documented value at
-// or below RMin) wherever float64 cannot overflow on the way: no number in
-// the request above 1e6 in magnitude (a tail index at or below 1 is an error,
-// so a Pareto sample is at most tmin * 2^53; a 1e308 price still yields an
-// honest +Inf). The first two seeds are the bodies
-// that did panic, a control instant scheduled before the clock; the third
-// launched r+1 = 4,000,001 attempts of one task.
+// Simulate or Replay (cluster shape, start-up delays in [0, 1e5], per-job
+// tasks, deadline, tmin and reduceTMin at most 1e5, and arrival — restated
+// here because the server imports this package), a run under a 2 s context
+// returns an error or a report — never a panic. The report's numbers are
+// finite (utility may be -Inf, its documented value at or below RMin)
+// wherever float64 cannot overflow on the way: no number in the request above
+// 1e6 in magnitude (a tail index at or below 1 is an error, so a Pareto
+// sample is at most tmin * 2^53; a 1e308 price still yields an honest +Inf).
+// The first two seeds are the bodies that did panic, a control instant
+// scheduled before the clock; the third launched r+1 = 4,000,001 attempts of
+// one task; the last three overflowed machine time to +Inf, which /v1/simulate
+// answered 500 `response encoding failed`, until the start-up delay and task
+// time caps.
 func FuzzSimulateNoPanic(f *testing.F) {
 	for _, seed := range []string{
 		`{"config":{"strategy":"Speculative-Restart","tauEst":-5,"tauKill":1},"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5}]}`,
@@ -195,10 +198,13 @@ func FuzzSimulateNoPanic(f *testing.F) {
 		`{"config":{"strategy":"Clone","useFixedR":true,"fixedR":4000000},"jobs":[{"tasks":1,"deadline":100,"tmin":10,"beta":1.5}]}`,
 		`{"config":{"strategy":"s-resume","seed":7,"tauEst":40,"tauKill":80,"tauScale":1},"jobs":[{"tasks":10,"deadline":100,"tmin":10,"beta":1.5}]}`,
 		`{"config":{"strategy":"clone","tauEst":0.3,"tauKill":0.6,"tauScale":2},"jobs":[{"tasks":2,"deadline":50,"tmin":10,"beta":1.2}]}`,
-		`{"config":{"strategy":"mantri","nodes":2,"slotsPerNode":1,"failures":{"mtbf":60,"mttr":5},"spot":{"mean":2}},"jobs":[{"tasks":6,"deadline":40,"tmin":10,"beta":1.1,"reduceTasks":2},{"tasks":3,"deadline":30,"tmin":5,"beta":1.9,"arrival":10}]}`,
-		`{"config":{"strategy":"restart","tauEst":1e300,"tauKill":1e308,"reportInterval":2,"reportNoise":0.5,"useHadoopEstimator":true,"contentionP":0.5,"contentionMean":3},"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5}]}`,
-		`{"config":{"strategy":"late","econ":{"theta":1e-4,"unitPrice":1,"rmin":0.999}},"jobs":[{"tasks":12,"deadline":20,"tmin":10,"beta":1.5}]}`,
+		`{"config":{"strategy":"mantri","nodes":2,"slotsPerNode":1},"jobs":[{"tasks":6,"deadline":40,"tmin":10,"beta":1.1,"reduceTasks":2},{"tasks":3,"deadline":30,"tmin":5,"beta":1.9,"arrival":10}]}`,
+		`{"config":{"strategy":"restart","tauEst":1e300,"tauKill":1e308,"reportInterval":2,"reportNoise":0.5,"useHadoopEstimator":true},"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5}]}`,
+		`{"config":{"strategy":"hadoop-s","econ":{"theta":1e-4,"unitPrice":1,"rmin":0.999}},"jobs":[{"tasks":12,"deadline":20,"tmin":10,"beta":1.5}]}`,
 		`{"config":{"strategy":"resume"},"jobs":[{"tasks":12,"deadline":20,"tmin":10,"beta":0.00625,"reduceTasks":2}]}`,
+		`{"config":{"strategy":"Clone","jvmMin":1e308,"jvmMax":1e308},"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5}]}`,
+		`{"config":{"strategy":"Clone"},"jobs":[{"tasks":4,"deadline":100,"tmin":1e308,"beta":1.5}]}`,
+		`{"config":{"strategy":"Clone"},"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5,"reduceTasks":2,"reduceTMin":1e308}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -212,8 +218,7 @@ func FuzzSimulateNoPanic(f *testing.F) {
 		}
 		c := req.Config
 		if c.Nodes < 0 || c.Nodes > 4096 || c.SlotsPerNode < 0 || c.SlotsPerNode > 64 ||
-			(c.Spot != nil && c.Spot.StepSeconds != 0 && c.Spot.StepSeconds < 60) ||
-			(c.Failures != nil && c.Failures.MTBF > 0 && c.Failures.MTBF < 60) {
+			!(c.JVMMin >= 0 && c.JVMMin <= 1e5 && c.JVMMax >= 0 && c.JVMMax <= 1e5) {
 			return
 		}
 		var numbers any
@@ -221,7 +226,8 @@ func FuzzSimulateNoPanic(f *testing.F) {
 		overflowFree := tame(numbers)
 		for _, j := range req.Jobs {
 			if j.Tasks < 1 || j.ReduceTasks < 0 || j.Tasks+j.ReduceTasks > 16 ||
-				!(j.Deadline > 0) || j.Deadline > 1e5 || j.Arrival < 0 || j.Arrival > 1e6 {
+				!(j.Deadline > 0) || j.Deadline > 1e5 || j.TMin > 1e5 || j.ReduceTMin > 1e5 ||
+				j.Arrival < 0 || j.Arrival > 1e6 {
 				return
 			}
 		}

@@ -1,8 +1,6 @@
 // Package cluster models the datacenter substrate Chronos schedules on:
-// nodes with a fixed number of container slots, a FIFO allocation queue, a
-// usage meter that converts container occupancy into machine time and cost
-// (spot pricing), background resource contention that slows attempts down,
-// and optional node-failure injection.
+// nodes with a fixed number of container slots, a FIFO allocation queue and a
+// usage meter that converts container occupancy into machine time.
 package cluster
 
 import (
@@ -10,7 +8,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"chronos/internal/pareto"
 	"chronos/internal/sim"
 )
 
@@ -21,11 +18,6 @@ type Config struct {
 	// SlotsPerNode is the number of concurrently running containers a node
 	// supports (vCPUs in the paper's EC2 testbed: 8).
 	SlotsPerNode int
-	// Contention injects background load: an attempt placed on a node runs
-	// slower by a sampled slowdown factor. Nil means no contention.
-	Contention ContentionModel
-	// Seed drives the contention randomness.
-	Seed uint64
 }
 
 // Validate reports configuration errors.
@@ -42,14 +34,8 @@ type Node struct {
 	// ID is the node index.
 	ID int
 
-	slots  int
-	used   int
-	failed bool
-	// head and tail bound the node's outstanding containers, linked in
-	// grant order — the order a failure revokes them in — and live counts
-	// them.
-	head, tail *Container
-	live       int
+	slots int
+	used  int
 }
 
 // Container is a granted slot on a node. It is leased from Allocate/Request
@@ -60,14 +46,8 @@ type Container struct {
 	Node *Node
 	// AcquiredAt is the grant time, used by the meter.
 	AcquiredAt float64
-	// Slowdown is the contention factor sampled at grant time; execution on
-	// this container takes Slowdown times the intrinsic duration.
-	Slowdown float64
 
-	revoke   Revoker
 	released bool
-	// prev and next link the container into its node's live list.
-	prev, next *Container
 }
 
 // containerChunk is how many containers the cluster allocates at a time.
@@ -87,42 +67,28 @@ type grantFunc func(*Container)
 
 func (f grantFunc) Granted(ctr *Container) { f(ctr) }
 
-// Revoker is told when the node under a held container fails.
-type Revoker interface {
-	Revoked()
-}
-
-// revokeFunc adapts the func of SetRevokeHandler to Revoker.
-type revokeFunc func()
-
-func (f revokeFunc) Revoked() { f() }
-
 // Ticket names a queued request so it can be cancelled; the zero Ticket
 // names none (the request was granted at once).
 type Ticket uint64
 
-// Cluster tracks slot occupancy, the allocation wait queue, machine-time
-// metering, and failure state.
+// Cluster tracks slot occupancy, the allocation wait queue and machine-time
+// metering.
 type Cluster struct {
-	cfg   Config
 	eng   *sim.Engine
 	nodes []*Node
 	meter Meter
-	rng   randState
 
 	// Placement is least-loaded first, lowest ID on ties. levels holds one
 	// bitset over node IDs per load: bit id of level l is set while node id
-	// is up, has l slots used and at least one free, so the pick is the
-	// first set bit of the lowest non-empty level. levelNodes counts the
-	// bits of each level and no level below lowest has any.
+	// has l slots used and at least one free, so the pick is the first set
+	// bit of the lowest non-empty level. levelNodes counts the bits of each
+	// level and no level below lowest has any.
 	levels     []uint64
 	words      int
 	levelNodes []int
 	lowest     int
-	// free counts the slots a grant could take, capacity the slots of nodes
-	// that are up, and inUse the occupied ones — which on a failed node
-	// stay counted until it recovers, as Node.used does.
-	free, capacity, inUse int
+	// capacity counts all slots, inUse the occupied ones.
+	capacity, inUse int
 
 	// queue is a ring of the pending requests, oldest at qhead; a cancelled
 	// request stays in place as a nil entry. served counts the requests
@@ -138,18 +104,6 @@ type Cluster struct {
 	pool []*Container
 }
 
-// randState derives a fresh sub-seed per draw, keeping contention sampling
-// deterministic without sharing a stream with the workload.
-type randState struct {
-	seed uint64
-	n    uint64
-}
-
-func (r *randState) next() uint64 {
-	r.n++
-	return pareto.DeriveSeed(r.seed, r.n)
-}
-
 // New builds a cluster bound to the engine.
 func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
@@ -157,14 +111,11 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	}
 	words := (cfg.Nodes + 63) / 64
 	c := &Cluster{
-		cfg:        cfg,
 		eng:        eng,
 		nodes:      make([]*Node, cfg.Nodes),
-		rng:        randState{seed: cfg.Seed},
 		levels:     make([]uint64, cfg.SlotsPerNode*words),
 		words:      words,
 		levelNodes: make([]int, cfg.SlotsPerNode),
-		free:       cfg.Nodes * cfg.SlotsPerNode,
 		capacity:   cfg.Nodes * cfg.SlotsPerNode,
 	}
 	slab := make([]Node, cfg.Nodes)
@@ -177,7 +128,7 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 }
 
 // setLevel adds node n to, or removes it from, the level of its current
-// load. Only a node that is up and not full is ever in a level.
+// load. Only a node that is not full is ever in a level.
 func (c *Cluster) setLevel(n *Node, in bool) {
 	word, bit := &c.levels[n.used*c.words+n.ID/64], uint64(1)<<(n.ID%64)
 	if !in {
@@ -195,7 +146,7 @@ func (c *Cluster) setLevel(n *Node, in bool) {
 // Meter exposes the usage meter.
 func (c *Cluster) Meter() *Meter { return &c.meter }
 
-// Capacity returns the total number of slots on live nodes.
+// Capacity returns the total number of slots.
 func (c *Cluster) Capacity() int { return c.capacity }
 
 // InUse returns the number of occupied slots.
@@ -204,7 +155,7 @@ func (c *Cluster) InUse() int { return c.inUse }
 // Allocate grants a container immediately or returns ErrNoCapacity. Nodes
 // are filled least-loaded first, mirroring a spreading scheduler.
 func (c *Cluster) Allocate() (*Container, error) {
-	if c.free == 0 {
+	if c.inUse == c.capacity {
 		return nil, ErrNoCapacity
 	}
 	for c.levelNodes[c.lowest] == 0 {
@@ -222,13 +173,8 @@ func (c *Cluster) Allocate() (*Container, error) {
 	if n.used < n.slots {
 		c.setLevel(n, true)
 	}
-	c.free--
 	c.inUse++
 
-	slow := 1.0
-	if c.cfg.Contention != nil {
-		slow = c.cfg.Contention.Slowdown(c.eng.Now(), n.ID, c.rng.next())
-	}
 	if len(c.pool) == 0 {
 		slab := make([]Container, containerChunk)
 		for i := range slab {
@@ -237,14 +183,7 @@ func (c *Cluster) Allocate() (*Container, error) {
 	}
 	ctr := c.pool[len(c.pool)-1]
 	c.pool = c.pool[:len(c.pool)-1]
-	*ctr = Container{Node: n, AcquiredAt: c.eng.Now(), Slowdown: slow, prev: n.tail}
-	if n.tail == nil {
-		n.head = ctr
-	} else {
-		n.tail.next = ctr
-	}
-	n.tail = ctr
-	n.live++
+	*ctr = Container{Node: n, AcquiredAt: c.eng.Now()}
 	return ctr, nil
 }
 
@@ -281,8 +220,8 @@ func (c *Cluster) growQueue() {
 // Cancel withdraws a queued request and reports whether it was still
 // waiting. The request keeps its place in the queue and, when it reaches the
 // head, is still granted a container that goes straight back: that is what a
-// waiter that no longer wants its grant does, and it leaves the contention
-// draws and the meter's release count where they would have been.
+// waiter that no longer wants its grant does, and it leaves placement and the
+// meter's release count where they would have been.
 func (c *Cluster) Cancel(t Ticket) bool {
 	i := uint64(t) - c.served - 1 // wraps to a huge offset when t <= served
 	if i >= uint64(c.qlen) {
@@ -314,30 +253,15 @@ func (c *Cluster) release(ctr *Container) {
 	ctr.released = true
 	c.meter.charge(c.eng.Now() - ctr.AcquiredAt)
 
-	n := ctr.Node
-	if ctr.prev == nil {
-		n.head = ctr.next
-	} else {
-		ctr.prev.next = ctr.next
-	}
-	if ctr.next == nil {
-		n.tail = ctr.prev
-	} else {
-		ctr.next.prev = ctr.prev
-	}
-	ctr.prev, ctr.next, ctr.revoke = nil, nil, nil
-	n.live--
 	c.pool = append(c.pool, ctr)
 
-	if !n.failed {
-		if n.used < n.slots {
-			c.setLevel(n, false)
-		}
-		n.used--
-		c.setLevel(n, true)
-		c.free++
-		c.inUse--
+	n := ctr.Node
+	if n.used < n.slots {
+		c.setLevel(n, false)
 	}
+	n.used--
+	c.setLevel(n, true)
+	c.inUse--
 }
 
 // dispatch hands freed capacity to waiting requests.
@@ -358,44 +282,4 @@ func (c *Cluster) dispatch() {
 		}
 		w.Granted(ctr)
 	}
-}
-
-// SetRevokeHandler registers fn to run if the container's node fails while
-// the container is held. The handler must Release the container (usage up to
-// the failure instant is charged normally).
-func (ctr *Container) SetRevokeHandler(fn func()) { ctr.revoke = revokeFunc(fn) }
-
-// SetRevoker is SetRevokeHandler for a Revoker.
-func (ctr *Container) SetRevoker(r Revoker) { ctr.revoke = r }
-
-// FailNode marks a node failed and revokes its outstanding containers, in
-// the order they were granted, via their revoke handlers. Returns the number
-// of revoked containers.
-func (c *Cluster) FailNode(id int) (int, error) {
-	if id < 0 || id >= len(c.nodes) {
-		return 0, fmt.Errorf("cluster: no node %d", id)
-	}
-	n := c.nodes[id]
-	if n.failed {
-		return 0, nil
-	}
-	if n.used < n.slots {
-		c.setLevel(n, false)
-	}
-	n.failed = true
-	c.free -= n.slots - n.used
-	c.capacity -= n.slots
-	// Collect first: revoke handlers unlink containers via Release, and a
-	// released container may be granted again, elsewhere, before the loop
-	// reaches it.
-	victims := make([]*Container, 0, n.live)
-	for ctr := n.head; ctr != nil; ctr = ctr.next {
-		victims = append(victims, ctr)
-	}
-	for _, ctr := range victims {
-		if ctr.Node == n && !ctr.released && ctr.revoke != nil {
-			ctr.revoke.Revoked()
-		}
-	}
-	return len(victims), nil
 }

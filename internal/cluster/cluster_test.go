@@ -156,111 +156,6 @@ func TestDoubleReleasePanics(t *testing.T) {
 	c.Release(ctr)
 }
 
-func TestFailNodeRevokes(t *testing.T) {
-	_, c := newTestCluster(t, 2, 2)
-	var revoked []*Container
-	var grants []*Container
-	for i := 0; i < 4; i++ {
-		ctr, err := c.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		grants = append(grants, ctr)
-		ctr.SetRevokeHandler(func() {
-			revoked = append(revoked, ctr)
-			c.Release(ctr)
-		})
-	}
-	n, err := c.FailNode(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("FailNode revoked %d containers, want 2", n)
-	}
-	if len(revoked) != 2 {
-		t.Errorf("revoke handlers ran %d times, want 2", len(revoked))
-	}
-	// Failed node is out of capacity.
-	if c.Capacity() != 2 {
-		t.Errorf("Capacity() after failure = %d, want 2", c.Capacity())
-	}
-	// Containers on the healthy node are untouched.
-	for _, g := range grants {
-		if g.Node.ID != 0 && g.released {
-			t.Error("container on healthy node was revoked")
-		}
-	}
-	// Failing again is a no-op.
-	if n, _ := c.FailNode(0); n != 0 {
-		t.Errorf("second FailNode revoked %d, want 0", n)
-	}
-	// Out-of-range node id errors.
-	if _, err := c.FailNode(99); err == nil {
-		t.Error("FailNode(99) succeeded")
-	}
-}
-
-func TestAllocationSkipsFailedNodes(t *testing.T) {
-	_, c := newTestCluster(t, 2, 1)
-	if _, err := c.FailNode(0); err != nil {
-		t.Fatal(err)
-	}
-	ctr, err := c.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctr.Node.ID != 1 {
-		t.Errorf("allocation landed on failed node %d", ctr.Node.ID)
-	}
-}
-
-func TestHotspotContention(t *testing.T) {
-	h := HotspotContention{P: 0.3, Mean: 3}
-	slowed, total := 0, 20000
-	var sum float64
-	for i := 0; i < total; i++ {
-		s := h.Slowdown(0, 0, uint64(i))
-		if s < 1 {
-			t.Fatalf("slowdown %v < 1", s)
-		}
-		if s > 1 {
-			slowed++
-			sum += s
-		}
-	}
-	frac := float64(slowed) / float64(total)
-	if frac < 0.27 || frac > 0.33 {
-		t.Errorf("contended fraction = %v, want ~0.3", frac)
-	}
-	if mean := sum / float64(slowed); mean < 2.8 || mean > 3.2 {
-		t.Errorf("mean contended slowdown = %v, want ~3", mean)
-	}
-	// Degenerate mean <= 1 never slows down.
-	if got := (HotspotContention{P: 1, Mean: 1}).Slowdown(0, 0, 5); got != 1 {
-		t.Errorf("degenerate hotspot slowdown = %v, want 1", got)
-	}
-}
-
-func TestContentionAppliedAtAllocate(t *testing.T) {
-	eng := sim.NewEngine()
-	c, err := New(eng, Config{
-		Nodes: 1, SlotsPerNode: 4,
-		Contention: HotspotContention{P: 1, Mean: 2},
-		Seed:       9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctr, err := c.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctr.Slowdown <= 1 {
-		t.Errorf("Slowdown = %v, want > 1 under P=1 contention", ctr.Slowdown)
-	}
-}
-
 // TestAllocateReleaseZeroAlloc pins the grant path: containers are pooled and
 // the waiter queue is a ring, so neither a grant and release nor a request
 // that queues, is cancelled and is served allocates once warm.

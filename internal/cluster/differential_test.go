@@ -13,40 +13,18 @@ import (
 // costs O(1); what it is supposed to compute is much simpler than that. These
 // tests drive it and a reference that computes the simple thing — scan every
 // node for the least loaded, keep waiters in a slice, recurse on release —
-// with the same random operations and require the same log of grants and
-// revocations, the same contention draws and the same counters throughout.
+// with the same random operations and require the same log of grants and the
+// same counters throughout.
 
 // system is what the driver needs from either implementation. Holders are
-// named by small integers; every grant, revocation and contention draw is
-// appended to the log.
+// named by small integers; every grant is appended to the log.
 type system interface {
 	allocate(holder int) bool
 	request(holder int)
 	cancel(holder int) bool
 	release(holder int)
-	fail(node int) int
-	recover(node int)
 	counters() string
 	events() []string
-}
-
-// revoked is what every holder does when its node fails: give the container
-// back and, for even holders, ask for another — so the revocation order
-// decides who is served first.
-func revoked(s system, holder int) {
-	s.release(holder)
-	if holder%2 == 0 {
-		s.request(holder)
-	}
-}
-
-// drawLog is a ContentionModel that records each draw, so a skipped or
-// reordered one shows up.
-type drawLog struct{ log *[]string }
-
-func (d drawLog) Slowdown(now float64, node int, seed uint64) float64 {
-	*d.log = append(*d.log, fmt.Sprintf("draw node=%d seed=%x", node, seed))
-	return 1
 }
 
 // --- the real cluster ---
@@ -60,7 +38,7 @@ type realSystem struct {
 
 func newRealSystem(t *testing.T, nodes, slots int) *realSystem {
 	r := &realSystem{held: map[int]*Container{}, tickets: map[int]Ticket{}}
-	c, err := New(sim.NewEngine(), Config{Nodes: nodes, SlotsPerNode: slots, Contention: drawLog{&r.log}, Seed: 3})
+	c, err := New(sim.NewEngine(), Config{Nodes: nodes, SlotsPerNode: slots})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +50,6 @@ func (r *realSystem) granted(holder int, ctr *Container) {
 	r.log = append(r.log, fmt.Sprintf("grant %d on %d", holder, ctr.Node.ID))
 	delete(r.tickets, holder)
 	r.held[holder] = ctr
-	ctr.SetRevokeHandler(func() {
-		r.log = append(r.log, fmt.Sprintf("revoke %d", holder))
-		revoked(r, holder)
-	})
 }
 
 func (r *realSystem) allocate(holder int) bool {
@@ -114,13 +88,6 @@ func (r *realSystem) release(holder int) {
 	r.c.Release(ctr)
 }
 
-func (r *realSystem) fail(node int) int {
-	n, _ := r.c.FailNode(node)
-	return n
-}
-
-func (r *realSystem) recover(node int) { _ = r.c.RecoverNode(node) }
-
 func (r *realSystem) counters() string {
 	return fmt.Sprintf("inUse=%d capacity=%d queue=%d releases=%d",
 		r.c.InUse(), r.c.Capacity(), r.c.QueueLength(), r.c.Meter().Releases())
@@ -131,14 +98,11 @@ func (r *realSystem) events() []string { return r.log }
 // --- the reference ---
 
 type refContainer struct {
-	node   int
-	holder int
+	node int
 }
 
 type refNode struct {
-	used   int
-	failed bool
-	live   []*refContainer // grant order
+	used int
 }
 
 type refWaiter struct {
@@ -152,21 +116,19 @@ type refSystem struct {
 	waiters  []*refWaiter
 	held     map[int]*refContainer
 	releases int
-	draws    randState
 	log      []string
 }
 
 func newRefSystem(nodes, slots int) *refSystem {
-	return &refSystem{nodes: make([]refNode, nodes), slots: slots,
-		held: map[int]*refContainer{}, draws: randState{seed: 3}}
+	return &refSystem{nodes: make([]refNode, nodes), slots: slots, held: map[int]*refContainer{}}
 }
 
-// place is the specification of placement: the least-loaded node that is up
-// and not full, lowest ID first.
+// place is the specification of placement: the least-loaded node that is not
+// full, lowest ID first.
 func (r *refSystem) place() (*refContainer, bool) {
 	best := -1
 	for i, n := range r.nodes {
-		if n.failed || n.used >= r.slots {
+		if n.used >= r.slots {
 			continue
 		}
 		if best < 0 || n.used < r.nodes[best].used {
@@ -177,15 +139,11 @@ func (r *refSystem) place() (*refContainer, bool) {
 		return nil, false
 	}
 	r.nodes[best].used++
-	r.log = append(r.log, fmt.Sprintf("draw node=%d seed=%x", best, r.draws.next()))
-	ctr := &refContainer{node: best}
-	r.nodes[best].live = append(r.nodes[best].live, ctr)
-	return ctr, true
+	return &refContainer{node: best}, true
 }
 
 func (r *refSystem) granted(holder int, ctr *refContainer) {
 	r.log = append(r.log, fmt.Sprintf("grant %d on %d", holder, ctr.node))
-	ctr.holder = holder
 	r.held[holder] = ctr
 }
 
@@ -221,11 +179,7 @@ func (r *refSystem) release(holder int) {
 
 func (r *refSystem) giveBack(ctr *refContainer) {
 	r.releases++
-	n := &r.nodes[ctr.node]
-	n.live = slices.DeleteFunc(n.live, func(c *refContainer) bool { return c == ctr })
-	if !n.failed {
-		n.used--
-	}
+	r.nodes[ctr.node].used--
 	r.dispatch()
 }
 
@@ -247,39 +201,12 @@ func (r *refSystem) dispatch() {
 	}
 }
 
-func (r *refSystem) fail(node int) int {
-	n := &r.nodes[node]
-	if n.failed {
-		return 0
-	}
-	n.failed = true
-	victims := slices.Clone(n.live)
-	for _, ctr := range victims {
-		r.log = append(r.log, fmt.Sprintf("revoke %d", ctr.holder))
-		revoked(r, ctr.holder)
-	}
-	return len(victims)
-}
-
-func (r *refSystem) recover(node int) {
-	n := &r.nodes[node]
-	if !n.failed {
-		return
-	}
-	n.failed = false
-	n.used = len(n.live)
-	r.dispatch()
-}
-
 func (r *refSystem) counters() string {
-	inUse, capacity := 0, 0
+	inUse := 0
 	for _, n := range r.nodes {
 		inUse += n.used
-		if !n.failed {
-			capacity += r.slots
-		}
 	}
-	return fmt.Sprintf("inUse=%d capacity=%d queue=%d releases=%d", inUse, capacity, len(r.waiters), r.releases)
+	return fmt.Sprintf("inUse=%d capacity=%d queue=%d releases=%d", inUse, len(r.nodes)*r.slots, len(r.waiters), r.releases)
 }
 
 func (r *refSystem) events() []string { return r.log }
@@ -310,10 +237,6 @@ func TestAllocatorMatchesLinearScan(t *testing.T) {
 			var desc string
 			var a, b any
 			switch k := rng.IntN(100); {
-			case k < 10:
-				desc = fmt.Sprintf("allocate %d", next)
-				a, b = real.allocate(next), ref.allocate(next)
-				next++
 			case k < 45:
 				// Bursts fill the cluster, so requests queue.
 				for i := rng.IntN(2 * slots); i >= 0; i-- {
@@ -336,15 +259,10 @@ func TestAllocatorMatchesLinearScan(t *testing.T) {
 				h := queued[rng.IntN(len(queued))]
 				desc = fmt.Sprintf("cancel %d", h)
 				a, b = real.cancel(h), ref.cancel(h)
-			case k < 95:
-				n := rng.IntN(nodes)
-				desc = fmt.Sprintf("fail node %d", n)
-				a, b = real.fail(n), ref.fail(n)
 			default:
-				n := rng.IntN(nodes)
-				desc = fmt.Sprintf("recover node %d", n)
-				real.recover(n)
-				ref.recover(n)
+				desc = fmt.Sprintf("allocate %d", next)
+				a, b = real.allocate(next), ref.allocate(next)
+				next++
 			}
 			if a != b {
 				t.Fatalf("trial %d (%dx%d) op %d, %s: returned %v, reference %v", trial, nodes, slots, op, desc, a, b)

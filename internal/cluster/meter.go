@@ -1,7 +1,7 @@
 package cluster
 
 // Meter accumulates machine running time across all released containers.
-// Cost conversion (machine time x unit spot price) happens at the metrics
+// Cost conversion (machine time x unit price) happens at the metrics
 // layer, where per-job prices are known; the cluster-level meter is the
 // ground truth for total VM occupancy.
 type Meter struct {

@@ -122,20 +122,3 @@ func BenchmarkFigure5(b *testing.B) {
 			Fig5Table(series).String())
 	}
 }
-
-// BenchmarkExtensionFailures runs the failure-resilience extension: PoCD and
-// cost of Hadoop-NS, S-Restart, and S-Resume as node MTBF shrinks (the
-// paper's closing remark on S-Resume under system breakdown, quantified).
-func BenchmarkExtensionFailures(b *testing.B) {
-	r := DefaultRunner()
-	r.Nodes = 32
-	cfg := DefaultFailureConfig()
-	for i := 0; i < b.N; i++ {
-		rows, err := RunFailures(r, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dumpOnce("Extension: node-failure resilience",
-			FailureTable(rows).String())
-	}
-}

@@ -296,57 +296,3 @@ func TestRunnerRejectsBadShape(t *testing.T) {
 		}
 	}
 }
-
-func TestRunFailuresShape(t *testing.T) {
-	r := DefaultRunner()
-	r.Nodes = 32 // small cluster so failures actually bite
-	cfg := DefaultFailureConfig()
-	cfg.Jobs = 40
-	rows, err := RunFailures(r, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(cfg.MTBFs)*3 {
-		t.Fatalf("got %d rows, want %d", len(rows), len(cfg.MTBFs)*3)
-	}
-	byStrat := map[string][]FailureRow{}
-	for _, row := range rows {
-		byStrat[row.Strategy] = append(byStrat[row.Strategy], row)
-		if row.PoCD < 0 || row.PoCD > 1 || row.Cost <= 0 {
-			t.Errorf("row %+v out of range", row)
-		}
-	}
-	for name, series := range byStrat {
-		// The no-failure column loses no attempts; intense failure rates do.
-		if series[0].MTBF != 0 {
-			t.Fatalf("%s: first row MTBF = %v, want 0", name, series[0].MTBF)
-		}
-		if series[0].Relaunches != 0 {
-			t.Errorf("%s: lost %d attempts with no failures", name, series[0].Relaunches)
-		}
-		last := series[len(series)-1]
-		if last.Relaunches == 0 {
-			t.Errorf("%s: no attempts lost at MTBF=%v", name, last.MTBF)
-		}
-		// PoCD degrades (weakly) under the most intense failures compared
-		// with the stable cluster.
-		if last.PoCD > series[0].PoCD+0.05 {
-			t.Errorf("%s: PoCD improved under failures: %v -> %v",
-				name, series[0].PoCD, last.PoCD)
-		}
-	}
-	// The speculative strategies stay far above Hadoop-NS even while
-	// failing.
-	for i := range byStrat["Hadoop-NS"] {
-		ns := byStrat["Hadoop-NS"][i]
-		for _, name := range []string{"Speculative-Restart", "Speculative-Resume"} {
-			if byStrat[name][i].PoCD < ns.PoCD {
-				t.Errorf("MTBF=%v: %s PoCD %v below Hadoop-NS %v",
-					ns.MTBF, name, byStrat[name][i].PoCD, ns.PoCD)
-			}
-		}
-	}
-	if out := FailureTable(rows).String(); len(out) == 0 {
-		t.Error("FailureTable rendering broken")
-	}
-}

@@ -15,8 +15,7 @@ type TableConfig struct {
 	// Theta and RMin configure the measured-utility computation.
 	Theta float64
 	RMin  float64
-	// UnitPrice is the per-machine-second VM price C (e.g. the mean of a
-	// generated spot series).
+	// UnitPrice is the per-machine-second VM price C.
 	UnitPrice float64
 }
 

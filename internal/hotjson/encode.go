@@ -120,7 +120,7 @@ func (w *writer) done() ([]byte, error) {
 // plan writes p as json.Marshal would, byte for byte; an out-of-range
 // strategy is an error exactly as in Strategy.MarshalJSON.
 func (w *writer) plan(key string, p *chronos.Plan) {
-	if p.Strategy < chronos.Clone || p.Strategy > chronos.LATE {
+	if p.Strategy < chronos.Clone || p.Strategy > chronos.Mantri {
 		w.fail(fmt.Errorf("chronos: cannot marshal invalid strategy %d", int(p.Strategy)))
 	}
 	w.raw(key)

@@ -85,7 +85,7 @@ func appendPlan(dst []byte, p *chronos.Plan) ([]byte, error) {
 }
 
 func FuzzPlan(f *testing.F) {
-	f.Add([]byte(`{"strategy":"LATE","r":3,"pocd":0.5,"machineTime":1,"cost":1,"utility":-1}`))
+	f.Add([]byte(`{"strategy":"Mantri","r":3,"pocd":0.5,"machineTime":1,"cost":1,"utility":-1}`))
 	f.Add([]byte(`{"strategy":2,"r":-1,"pocd":1e-9,"machineTime":1e21,"cost":6.123e-9,"utility":0}`))
 	f.Add([]byte(`{"strategy":"unknown"}`))
 	f.Add([]byte(`{"strategy":null}`))

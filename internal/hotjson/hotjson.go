@@ -50,7 +50,6 @@ func init() {
 		"Hadoop-NS", "hadoop-ns", "hadoopns",
 		"Hadoop-S", "hadoop-s", "hadoops",
 		"Mantri", "mantri",
-		"LATE", "late", "Late",
 	} {
 		commonStrings[s] = s
 	}

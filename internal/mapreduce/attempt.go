@@ -22,8 +22,6 @@ const (
 	AttemptFinished
 	// AttemptKilled: killed by a strategy or by task completion.
 	AttemptKilled
-	// AttemptFailed: lost its container to a node failure.
-	AttemptFailed
 )
 
 // String implements fmt.Stringer.
@@ -37,8 +35,6 @@ func (s AttemptState) String() string {
 		return "finished"
 	case AttemptKilled:
 		return "killed"
-	case AttemptFailed:
-		return "failed"
 	default:
 		return "unknown"
 	}
@@ -46,9 +42,8 @@ func (s AttemptState) String() string {
 
 // Attempt is a single execution attempt of a task. Its processing model is
 // linear: after a JVM startup delay the attempt processes its byte range at
-// constant rate, completing the range in Slowdown * Intrinsic * (1-StartFrac)
-// seconds, where Intrinsic is the attempt's sampled full-split processing
-// time.
+// constant rate, completing the range in Intrinsic * (1-StartFrac) seconds,
+// where Intrinsic is the attempt's sampled full-split processing time.
 type Attempt struct {
 	// Task backlink.
 	Task *Task
@@ -70,9 +65,7 @@ type Attempt struct {
 	StartFrac float64
 	// Intrinsic is the sampled Pareto full-split processing time.
 	Intrinsic float64
-	// Slowdown is the contention factor of the attempt's container.
-	Slowdown float64
-	// EndTime is when the attempt finished, was killed, or failed.
+	// EndTime is when the attempt finished or was killed.
 	EndTime float64
 
 	ctl         *Controller
@@ -83,10 +76,10 @@ type Attempt struct {
 }
 
 // attemptHooks is an Attempt as the engine and the cluster call it back: the
-// target of its finish event, of its container grant and of its container's
-// revocation. Converting the pointer costs nothing, where a closure per
-// callback cost three heap objects per attempt; the named type keeps the
-// three methods out of Attempt's own method set.
+// target of its finish event and of its container grant. Converting the
+// pointer costs nothing, where a closure per callback cost a heap object per
+// attempt; the named type keeps the two methods out of Attempt's own method
+// set.
 type attemptHooks Attempt
 
 // Fire implements sim.Handler: the attempt processed its last byte.
@@ -101,24 +94,14 @@ func (h *attemptHooks) Granted(ctr *cluster.Container) {
 	a.ctl.rt.startAttempt(a, ctr)
 }
 
-// Revoked implements cluster.Revoker: the node under the attempt failed.
-func (h *attemptHooks) Revoked() {
-	a := (*Attempt)(h)
-	a.ctl.rt.attemptLost(a)
-}
-
 // JVMReady returns tFP, the instant the attempt starts processing data and
 // reports progress for the first time.
 func (a *Attempt) JVMReady() float64 { return a.LaunchTime + a.JVMDelay }
 
-// FullSplitTime returns the wall-clock time the attempt would need to
-// process the entire split: Slowdown * Intrinsic.
-func (a *Attempt) FullSplitTime() float64 { return a.Slowdown * a.Intrinsic }
-
 // FinishTime returns the attempt's (oracle) completion instant, assuming it
-// is not killed: JVMReady + FullSplitTime * (1 - StartFrac).
+// is not killed: JVMReady + Intrinsic * (1 - StartFrac).
 func (a *Attempt) FinishTime() float64 {
-	return a.JVMReady() + a.FullSplitTime()*(1-a.StartFrac)
+	return a.JVMReady() + a.Intrinsic*(1-a.StartFrac)
 }
 
 // Progress returns the task-level progress score of the attempt at now: the
@@ -130,16 +113,16 @@ func (a *Attempt) Progress(now float64) float64 {
 		return 1
 	case AttemptQueued:
 		return a.StartFrac
-	case AttemptKilled, AttemptFailed:
+	case AttemptKilled:
 		now = a.EndTime
 	}
 	ready := a.JVMReady()
-	if now <= ready || a.FullSplitTime() <= 0 {
+	if now <= ready || a.Intrinsic <= 0 {
 		// Not processing yet, or killed before ever being granted a
-		// container (FullSplitTime is unsampled and zero).
+		// container (Intrinsic is unsampled and zero).
 		return a.StartFrac
 	}
-	p := a.StartFrac + (now-ready)/a.FullSplitTime()
+	p := a.StartFrac + (now-ready)/a.Intrinsic
 	if p > 1 {
 		p = 1
 	}
@@ -234,7 +217,7 @@ func (a *Attempt) Observe(now float64) Observation {
 // progress.
 func (a *Attempt) endOfProcessing() float64 {
 	switch a.State {
-	case AttemptFinished, AttemptKilled, AttemptFailed:
+	case AttemptFinished, AttemptKilled:
 		return a.EndTime
 	default:
 		return math.Inf(1)

@@ -73,7 +73,7 @@ type JobSpec struct {
 	// Deadline is the job deadline in seconds after arrival.
 	Deadline float64
 	// Dist is the intrinsic full-split processing-time distribution of one
-	// map attempt (before contention slowdown).
+	// map attempt.
 	Dist pareto.Dist
 	// JVM is the attempt startup-delay model.
 	JVM JVMModel
@@ -150,9 +150,6 @@ type Job struct {
 	// MachineTime accumulates container occupancy across all attempts of
 	// the job, the paper's execution-cost measure.
 	MachineTime float64
-	// SpotCost accumulates the spot-priced cost of that occupancy when the
-	// runtime is configured with a spot-price series (zero otherwise).
-	SpotCost float64
 	// ChosenR records the r selected by the strategy's optimizer for the
 	// map stage, for the Figure 5 histograms. -1 when the strategy does
 	// not optimize r.
@@ -186,15 +183,9 @@ func (j *Job) MetDeadline() bool {
 	return j.Done && j.FinishTime <= j.Deadline()+1e-9
 }
 
-// Cost returns the job's execution cost: the exact spot-market cost when
-// the runtime prices against a spot series, otherwise the paper's fixed
-// UnitPrice times machine time.
-func (j *Job) Cost() float64 {
-	if j.rt != nil && j.rt.cfg.SpotIntegral != nil {
-		return j.SpotCost
-	}
-	return j.Spec.UnitPrice * j.MachineTime
-}
+// Cost returns the job's execution cost: the paper's fixed UnitPrice times
+// machine time.
+func (j *Job) Cost() float64 { return j.Spec.UnitPrice * j.MachineTime }
 
 // MapTasks returns the map-stage tasks.
 func (j *Job) MapTasks() []*Task { return j.Tasks[:j.Spec.NumTasks] }

@@ -161,8 +161,7 @@ func TestProgressModel(t *testing.T) {
 		LaunchTime: 10,
 		JVMDelay:   5,
 		StartFrac:  0.25,
-		Intrinsic:  100,
-		Slowdown:   2,
+		Intrinsic:  200,
 	}
 	// JVMReady = 15; full split time = 200; finish = 15 + 200*0.75 = 165.
 	if got := a.JVMReady(); got != 15 {
@@ -197,7 +196,6 @@ func TestProgressFrozenAfterKill(t *testing.T) {
 		LaunchTime: 0,
 		JVMDelay:   0,
 		Intrinsic:  100,
-		Slowdown:   1,
 		EndTime:    30,
 	}
 	if got := a.Progress(1000); math.Abs(got-0.3) > 1e-12 {
@@ -210,8 +208,7 @@ func TestChronosEstimatorExact(t *testing.T) {
 		State:      AttemptRunning,
 		LaunchTime: 0,
 		JVMDelay:   8,
-		Intrinsic:  50,
-		Slowdown:   1.5,
+		Intrinsic:  75,
 	}
 	// True finish = 8 + 75 = 83.
 	for _, now := range []float64{10, 30, 60} {
@@ -231,7 +228,6 @@ func TestChronosEstimatorExactForResumed(t *testing.T) {
 		JVMDelay:   5,
 		StartFrac:  0.6,
 		Intrinsic:  100,
-		Slowdown:   1,
 	}
 	// Finish = 45 + 100*0.4 = 85.
 	for _, now := range []float64{50, 70, 80} {
@@ -247,7 +243,6 @@ func TestHadoopEstimatorOverestimatesUnderJVMDelay(t *testing.T) {
 		LaunchTime: 0,
 		JVMDelay:   8,
 		Intrinsic:  50,
-		Slowdown:   1,
 	}
 	// True finish 58. Hadoop divides by a rate dragged down by the JVM
 	// delay, so its estimate must strictly exceed the truth.
@@ -265,7 +260,7 @@ func TestHadoopEstimatorOverestimatesUnderJVMDelay(t *testing.T) {
 }
 
 func TestEstimatorsBeforeFirstReport(t *testing.T) {
-	a := &Attempt{State: AttemptRunning, LaunchTime: 0, JVMDelay: 10, Intrinsic: 50, Slowdown: 1}
+	a := &Attempt{State: AttemptRunning, LaunchTime: 0, JVMDelay: 10, Intrinsic: 50}
 	if got := HadoopEstimator(a, 5); !math.IsInf(got, 1) {
 		t.Errorf("HadoopEstimator before first report = %v, want +Inf", got)
 	}
@@ -293,7 +288,6 @@ func TestAnticipatedResumeFrac(t *testing.T) {
 		LaunchTime: 0,
 		JVMDelay:   10,
 		Intrinsic:  200,
-		Slowdown:   1,
 	}
 	// At now=50: progress = 40/200 = 0.2; rate = 0.2/40 = 0.005/s;
 	// extra = 0.005*10 = 0.05; anticipated = 0.25.
@@ -424,49 +418,6 @@ type hookStrategy struct {
 func (hookStrategy) Name() string          { return "hook" }
 func (h hookStrategy) Start(c *Controller) { h.onStart(c) }
 
-func TestNodeFailureInvokesAttemptLost(t *testing.T) {
-	eng := sim.NewEngine()
-	cl, err := cluster.New(eng, cluster.Config{Nodes: 2, SlotsPerNode: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := NewRuntime(eng, cl, Config{Seed: 9})
-	var lost []*Attempt
-	strat := hookStrategy{
-		onStart: func(ctl *Controller) {
-			ctl.OnAttemptLost(func(a *Attempt) {
-				lost = append(lost, a)
-				// Relaunch from scratch, as Speculative-Restart would.
-				ctl.Launch(a.Task, 0)
-			})
-			for _, t := range ctl.Job().Tasks {
-				ctl.Launch(t, 0)
-			}
-		},
-	}
-	job, err := rt.Submit(testSpec(), strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Schedule(1, func() {
-		if _, err := cl.FailNode(0); err != nil {
-			t.Error(err)
-		}
-	})
-	eng.Run()
-	if len(lost) == 0 {
-		t.Fatal("no attempts lost despite node failure")
-	}
-	for _, a := range lost {
-		if a.State != AttemptFailed {
-			t.Errorf("lost attempt state = %v, want failed", a.State)
-		}
-	}
-	if !job.Done {
-		t.Error("job did not recover from node failure")
-	}
-}
-
 func TestBestRunningAndMaxProgress(t *testing.T) {
 	eng, _, rt := newHarness(t, Config{Seed: 10})
 	spec := testSpec()
@@ -524,7 +475,6 @@ func TestAttemptStateString(t *testing.T) {
 		AttemptRunning:  "running",
 		AttemptFinished: "finished",
 		AttemptKilled:   "killed",
-		AttemptFailed:   "failed",
 		AttemptState(0): "unknown",
 	}
 	for s, want := range states {

@@ -145,7 +145,7 @@ func TestReportsCreateEstimationMistakes(t *testing.T) {
 		for _, job := range jobs {
 			for _, task := range job.Tasks {
 				orig := task.Attempts[0]
-				isStrag := orig.JVMDelay+orig.FullSplitTime() > deadline
+				isStrag := orig.JVMDelay+orig.Intrinsic > deadline
 				if !isStrag && len(task.Attempts) > 1 {
 					falsePos++
 				}

@@ -14,11 +14,6 @@ type Config struct {
 	// (seed, job, task, attempt index) so different strategies observe
 	// common random numbers.
 	Seed uint64
-	// SpotIntegral, when non-nil, prices container occupancy against a
-	// time-varying spot market: it must return the integral of the unit
-	// price over [from, to]. Jobs then accrue SpotCost and Job.Cost
-	// reports it instead of UnitPrice * MachineTime.
-	SpotIntegral func(from, to float64) float64
 	// ReportInterval, when > 0, makes estimators observe progress only
 	// through periodic reports (every ReportInterval seconds after the
 	// first report at JVM-ready), as real Hadoop AMs do. Zero means
@@ -52,11 +47,6 @@ type Runtime struct {
 	Eng *sim.Engine
 	// Cluster supplies containers.
 	Cluster *cluster.Cluster
-
-	// LostAttempts counts the attempts node failures have taken so far, over
-	// every job: a settled job's attempts are recycled, so the count cannot
-	// be recovered from the jobs afterwards.
-	LostAttempts int
 
 	cfg Config
 	// freeTasks and freeAttempts are the runtime's pools. They are filled a
@@ -188,10 +178,7 @@ func (rt *Runtime) startAttempt(a *Attempt, ctr *cluster.Container) {
 	a.LaunchTime = rt.Eng.Now()
 	a.JVMDelay = spec.JVM.Sample(&stream)
 	a.Intrinsic = dist.FromUniform(stream.Float64())
-	a.Slowdown = ctr.Slowdown
 	a.container = ctr
-
-	ctr.SetRevoker((*attemptHooks)(a))
 	a.finishTimer = rt.Eng.ScheduleHandler(a.FinishTime(), (*attemptHooks)(a))
 }
 
@@ -237,8 +224,8 @@ func (rt *Runtime) finishAttempt(a *Attempt) {
 	}
 }
 
-// kill terminates a queued or running attempt; finished/killed/failed
-// attempts are left untouched. Returns whether the attempt was live.
+// kill terminates a queued or running attempt; finished or killed attempts
+// are left untouched. Returns whether the attempt was live.
 func (rt *Runtime) kill(a *Attempt) bool {
 	switch a.State {
 	case AttemptQueued:
@@ -258,24 +245,6 @@ func (rt *Runtime) kill(a *Attempt) bool {
 	return true
 }
 
-// attemptLost handles a node failure under a running attempt.
-func (rt *Runtime) attemptLost(a *Attempt) {
-	if a.State != AttemptRunning {
-		return
-	}
-	ctl := a.ctl
-	a.State = AttemptFailed
-	a.EndTime = rt.Eng.Now()
-	a.finishTimer.Cancel()
-	rt.releaseAndCharge(a)
-	a.Task.Job.liveAttempts--
-	rt.LostAttempts++
-	if ctl.attemptLost != nil {
-		ctl.attemptLost(a)
-	}
-	rt.maybeSettle(a.Task.Job)
-}
-
 // maybeSettle fires OnJobSettled exactly once, when the job is complete and
 // its last live attempt has released (or abandoned) its container.
 func (rt *Runtime) maybeSettle(job *Job) {
@@ -290,16 +259,12 @@ func (rt *Runtime) maybeSettle(job *Job) {
 }
 
 // releaseAndCharge returns the attempt's container and accrues its machine
-// time (and spot cost, when spot pricing is configured) to the job.
+// time to the job.
 func (rt *Runtime) releaseAndCharge(a *Attempt) {
 	if a.container == nil {
 		return
 	}
-	job := a.Task.Job
-	job.MachineTime += rt.Eng.Now() - a.LaunchTime
-	if rt.cfg.SpotIntegral != nil {
-		job.SpotCost += rt.cfg.SpotIntegral(a.LaunchTime, rt.Eng.Now())
-	}
+	a.Task.Job.MachineTime += rt.Eng.Now() - a.LaunchTime
 	rt.Cluster.Release(a.container)
 	a.container = nil
 }

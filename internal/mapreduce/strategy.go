@@ -21,7 +21,6 @@ type Controller struct {
 	job *Job
 
 	taskDone     func(*Task)
-	attemptLost  func(*Attempt)
 	jobDone      func()
 	mapStageDone func()
 }
@@ -65,10 +64,6 @@ func (c *Controller) whileOpen(fn func()) func() {
 // OnTaskDone registers a hook invoked whenever one of the job's tasks
 // completes.
 func (c *Controller) OnTaskDone(fn func(*Task)) { c.taskDone = fn }
-
-// OnAttemptLost registers a hook invoked when an attempt is lost to a node
-// failure, letting the strategy relaunch it.
-func (c *Controller) OnAttemptLost(fn func(*Attempt)) { c.attemptLost = fn }
 
 // OnJobDone registers a hook invoked when the job's last task completes,
 // e.g. to cancel outstanding control timers.

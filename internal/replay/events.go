@@ -82,7 +82,7 @@ type JobEvent struct {
 	Arrival  float64 `json:"arrival"`
 	Deadline float64 `json:"deadline"`
 	// R is the optimizer-chosen number of extra attempts for the map stage;
-	// absent for strategies that do not plan r (the Hadoop/LATE/Mantri
+	// absent for strategies that do not plan r (the Hadoop and Mantri
 	// baselines).
 	R *int `json:"r,omitempty"`
 	// ReduceR is the reduce-stage r, when a reduce stage was planned.
@@ -100,7 +100,7 @@ type Outcome struct {
 	Lateness float64 `json:"lateness"`
 	// MachineTime is the job's total container occupancy (seconds).
 	MachineTime float64 `json:"machineTime"`
-	// Cost is the priced machine time (spot-priced when configured).
+	// Cost is the machine time at the job's unit price.
 	Cost float64 `json:"cost"`
 }
 

@@ -292,28 +292,6 @@ func TestReduceStageEvents(t *testing.T) {
 	}
 }
 
-// TestFailuresReproducible pins the node-failure bugfix: a failing node used
-// to revoke its containers in map-iteration order, so which lost attempt was
-// relaunched (and queued) first — and with it every machine time downstream —
-// changed from run to run of one seed.
-func TestFailuresReproducible(t *testing.T) {
-	jobs, err := chronos.SyntheticTrace(chronos.TraceConfig{Jobs: 60, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := chronos.SimConfig{
-		Strategy: chronos.SpeculativeRestart, Seed: 21,
-		Nodes: 32, SlotsPerNode: 8,
-		Failures: &chronos.FailureModel{MTBF: 3000, MTTR: 300},
-	}
-	first, _, _ := collect(t, cfg, jobs, 0)
-	for run := 2; run <= 5; run++ {
-		if again, _, _ := collect(t, cfg, jobs, 0); !bytes.Equal(first, again) {
-			t.Fatalf("run %d of the same seed produced a different event stream", run)
-		}
-	}
-}
-
 // TestReplayAllocsPerJob pins what the per-event rebuild bought: tasks,
 // attempts, events, containers and queued requests are all pooled, so a
 // replay allocates per job — the Job, its plan, its control points, its two

@@ -405,16 +405,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // Hard sanity caps on /v1/simulate beyond the configurable task limits.
-// They bound the allocations and event counts one request can force
-// (cluster nodes, spot-price series length, failure-injection events); the
-// unbounded studies belong in the offline CLIs.
+// They bound the allocations one request can force (cluster nodes) and keep
+// every time the run reports finite (deadlines, start-up delays and task
+// times); the unbounded studies belong in the offline CLIs.
 const (
 	simMaxNodes        = 4096
 	simMaxSlotsPerNode = 64
-	simMaxDeadline     = 1e5 // seconds; also bounds the event horizon
+	simMaxDeadline     = 1e5 // seconds; also bounds the event horizon, jvmMax and tmin
 	simMaxArrival      = 1e6
-	simMinSpotStep     = 60 // seconds between repricings
-	simMinMTBF         = 60 // seconds between per-node failures
 )
 
 // validateSimBounds returns a rejection message, or "" when the request is
@@ -435,11 +433,8 @@ func validateSimConfigBounds(c chronos.SimConfig) string {
 	if c.SlotsPerNode < 0 || c.SlotsPerNode > simMaxSlotsPerNode {
 		return fmt.Sprintf("slotsPerNode must be in [0, %d]", simMaxSlotsPerNode)
 	}
-	if c.Spot != nil && c.Spot.StepSeconds != 0 && c.Spot.StepSeconds < simMinSpotStep {
-		return fmt.Sprintf("spot.stepSeconds must be 0 (default) or >= %d", simMinSpotStep)
-	}
-	if c.Failures != nil && c.Failures.MTBF > 0 && c.Failures.MTBF < simMinMTBF {
-		return fmt.Sprintf("failures.mtbf must be >= %d seconds", simMinMTBF)
+	if !(c.JVMMin >= 0 && c.JVMMin <= simMaxDeadline && c.JVMMax >= 0 && c.JVMMax <= simMaxDeadline) {
+		return fmt.Sprintf("jvmMin and jvmMax must be in [0, %g]", float64(simMaxDeadline))
 	}
 	return ""
 }
@@ -459,6 +454,9 @@ func validateSimJobs(cfg Config, jobs []chronos.SimJob, maxArrival float64, maxT
 		}
 		if !(j.Deadline > 0) || j.Deadline > simMaxDeadline {
 			return fmt.Sprintf("job %d: deadline must be in (0, %g]", i, float64(simMaxDeadline))
+		}
+		if !(j.TMin <= simMaxDeadline && j.ReduceTMin <= simMaxDeadline) {
+			return fmt.Sprintf("job %d: tmin and reduceTMin must be at most %g", i, float64(simMaxDeadline))
 		}
 		if j.Arrival < 0 || j.Arrival > maxArrival {
 			return fmt.Sprintf("job %d: arrival must be in [0, %g]", i, maxArrival)

@@ -421,26 +421,12 @@ func TestSimulateRejectsHeavyTail(t *testing.T) { rejectsHeavyTail(t, "/v1/simul
 // TestReplayRejectsHeavyTail: the rejection comes before any stream line.
 func TestReplayRejectsHeavyTail(t *testing.T) { rejectsHeavyTail(t, "/v1/replay") }
 
-// TestSimulateAndReplayRejectBadEcon: a theta, unit price or spot mean that
-// is negative, non-finite or above the cap is a 400 on both endpoints, on
-// /v1/replay before any stream line. /v1/simulate used to answer the 1e308
-// bodies 500 `response encoding failed`, the negative prices 200 with a
-// negative cost and a positive utility, theta -1 200 with utility 97.5 and
-// theta 1e308 200 with `"utility":null`; /v1/replay streamed the job price
-// into an in-band error event.
-func TestSimulateAndReplayRejectBadEcon(t *testing.T) {
+// rejectsOnBoth posts every body to /v1/simulate and to /v1/replay and
+// requires a 400 bad_request envelope whose message contains want: on
+// /v1/replay that is the answer before any stream line.
+func rejectsOnBoth(t *testing.T, bodies []string, want string) {
+	t.Helper()
 	_, ts := newTestServer(t, Config{})
-	const control = `"strategy":"Clone","tauEst":40,"tauKill":80,"tauScale":1`
-	const job = `"tasks":4,"deadline":100,"tmin":10,"beta":1.5`
-	bodies := []string{
-		`{"config":{` + control + `,"econ":{"theta":1e-4,"unitPrice":1e308}},"jobs":[{` + job + `}]}`,
-		`{"config":{` + control + `},"jobs":[{` + job + `,"unitPrice":1e308}]}`,
-		`{"config":{` + control + `,"spot":{"mean":1e308}},"jobs":[{` + job + `}]}`,
-		`{"config":{` + control + `,"econ":{"theta":1e-4,"unitPrice":-5}},"jobs":[{` + job + `}]}`,
-		`{"config":{` + control + `},"jobs":[{` + job + `,"unitPrice":-5}]}`,
-		`{"config":{` + control + `,"econ":{"theta":-1,"unitPrice":1}},"jobs":[{` + job + `}]}`,
-		`{"config":{` + control + `,"econ":{"theta":1e308,"unitPrice":1}},"jobs":[{` + job + `}]}`,
-	}
 	for _, path := range []string{"/v1/simulate", "/v1/replay"} {
 		for _, body := range bodies {
 			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
@@ -450,11 +436,63 @@ func TestSimulateAndReplayRejectBadEcon(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("%s %s: status %d, want 400", path, body, resp.StatusCode)
 			}
-			if env := decodeBody[api.ErrorResponse](t, resp); !strings.Contains(env.Error, "must be in [0, 1e+06]") || env.Code != api.CodeBadRequest {
-				t.Errorf("%s %s: error envelope %+v, want bad_request naming the range", path, body, env)
+			if env := decodeBody[api.ErrorResponse](t, resp); !strings.Contains(env.Error, want) || env.Code != api.CodeBadRequest {
+				t.Errorf("%s %s: error envelope %+v, want bad_request containing %q", path, body, env, want)
 			}
 		}
 	}
+}
+
+// The control instants and the one job the simulated-request tests below
+// vary one field of.
+const (
+	simControl = `"strategy":"Clone","tauEst":40,"tauKill":80,"tauScale":1`
+	simJob     = `"tasks":4,"deadline":100,"tmin":10,"beta":1.5`
+)
+
+// TestSimulateAndReplayRejectBadEcon: a theta or unit price that is
+// negative, non-finite or above the cap is a 400 on both endpoints, on
+// /v1/replay before any stream line. /v1/simulate used to answer the 1e308
+// bodies 500 `response encoding failed`, the negative prices 200 with a
+// negative cost and a positive utility, theta -1 200 with utility 97.5 and
+// theta 1e308 200 with `"utility":null`; /v1/replay streamed the job price
+// into an in-band error event.
+func TestSimulateAndReplayRejectBadEcon(t *testing.T) {
+	rejectsOnBoth(t, []string{
+		`{"config":{` + simControl + `,"econ":{"theta":1e-4,"unitPrice":1e308}},"jobs":[{` + simJob + `}]}`,
+		`{"config":{` + simControl + `},"jobs":[{` + simJob + `,"unitPrice":1e308}]}`,
+		`{"config":{` + simControl + `,"econ":{"theta":1e-4,"unitPrice":-5}},"jobs":[{` + simJob + `}]}`,
+		`{"config":{` + simControl + `},"jobs":[{` + simJob + `,"unitPrice":-5}]}`,
+		`{"config":{` + simControl + `,"econ":{"theta":-1,"unitPrice":1}},"jobs":[{` + simJob + `}]}`,
+		`{"config":{` + simControl + `,"econ":{"theta":1e308,"unitPrice":1}},"jobs":[{` + simJob + `}]}`,
+	}, "must be in [0, 1e+06]")
+}
+
+// TestSimulateAndReplayRejectUnknownConfigKeys: the simulation config is
+// decoded strictly, so a misspelt knob, or one the simulator no longer has,
+// is a 400 on both endpoints. Each used to answer 200, the run simulated
+// without it.
+func TestSimulateAndReplayRejectUnknownConfigKeys(t *testing.T) {
+	rejectsOnBoth(t, []string{
+		`{"config":{"strategy":"Clone","tauEts":0.3},"jobs":[{` + simJob + `}]}`,
+		`{"config":{` + simControl + `,"spot":{"mean":2}},"jobs":[{` + simJob + `}]}`,
+		`{"config":{` + simControl + `,"failures":{"mtbf":600}},"jobs":[{` + simJob + `}]}`,
+		`{"config":{` + simControl + `,"contentionP":0.2,"contentionMean":2.5},"jobs":[{` + simJob + `}]}`,
+	}, "unknown field")
+}
+
+// TestSimulateAndReplayRejectUnboundedTimes: a start-up delay or a task-time
+// scale above the deadline cap is a 400 on both endpoints. Each overflowed
+// machine time to +Inf: /v1/simulate answered 500 `response encoding failed`,
+// /v1/replay a 200 and then an in-band error event.
+func TestSimulateAndReplayRejectUnboundedTimes(t *testing.T) {
+	rejectsOnBoth(t, []string{
+		`{"config":{` + simControl + `,"jvmMin":1e308,"jvmMax":1e308},"jobs":[{` + simJob + `}]}`,
+	}, "jvmMin and jvmMax must be in [0, 100000]")
+	rejectsOnBoth(t, []string{
+		`{"config":{` + simControl + `},"jobs":[{"tasks":4,"deadline":100,"tmin":1e308,"beta":1.5}]}`,
+		`{"config":{` + simControl + `},"jobs":[{` + simJob + `,"reduceTasks":2,"reduceTMin":1e308}]}`,
+	}, "tmin and reduceTMin must be at most 100000")
 }
 
 // TestReplaySeqGaplessAfterFailedEncode: a line that cannot be encoded is not

@@ -126,7 +126,7 @@ func wireCases() []wireCase {
 	add("/v1/simulate 200", "/v1/simulate",
 		`{"config":{"strategy":"s-resume","seed":7,"tauEst":40,"tauKill":80,"tauScale":1},"jobs":[`+wireSimJob+`,`+wireSimJob+`]}`)
 	add("/v1/simulate 200 utility null", "/v1/simulate",
-		`{"config":{"strategy":"Hadoop-NS","seed":7,"rmin":0.999999},"jobs":[{"tasks":40,"deadline":11,"tmin":10,"beta":1.2}]}`)
+		`{"config":{"strategy":"Hadoop-NS","seed":7,"econ":{"theta":1e-4,"unitPrice":1,"rmin":0.999999}},"jobs":[{"tasks":40,"deadline":11,"tmin":10,"beta":1.2}]}`)
 	add("/v1/simulate 400 no jobs", "/v1/simulate", `{"config":{"strategy":"clone"},"jobs":[]}`)
 	add("/v1/simulate 400 unknown strategy", "/v1/simulate", `{"config":{"strategy":"bogus"},"jobs":[`+wireSimJob+`]}`)
 	add("/v1/simulate 400 bad control", "/v1/simulate",

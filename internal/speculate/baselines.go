@@ -16,22 +16,18 @@ var _ mapreduce.Strategy = HadoopNS{}
 func (HadoopNS) Name() string { return "Hadoop-NS" }
 
 // Start implements mapreduce.Strategy.
-func (HadoopNS) Start(ctl *mapreduce.Controller) {
-	launchStaged(ctl)
-	relaunchOnLoss(ctl)
-}
+func (HadoopNS) Start(ctl *mapreduce.Controller) { launchStaged(ctl) }
 
 // checkInterval is the monitoring period of the reactive baselines, in
 // seconds.
 const checkInterval = 5
 
-// monitor is the loop Hadoop-S, Mantri and LATE share: launch the originals,
-// recover lost attempts, kill a task's leftover attempts the moment it
-// commits, and run pass every checkInterval seconds until the job is done.
+// monitor is the loop Hadoop-S and Mantri share: launch the originals, kill a
+// task's leftover attempts the moment it commits, and run pass every
+// checkInterval seconds until the job is done.
 func monitor(ctl *mapreduce.Controller, pass func(*mapreduce.Controller)) {
 	job := ctl.Job()
 	launchStaged(ctl)
-	relaunchOnLoss(ctl)
 	killLeftoversOnTaskDone(ctl)
 
 	var tick func()

@@ -38,7 +38,6 @@ func (s Chronos) Name() string { return s.Kind.String() }
 // Start implements mapreduce.Strategy.
 func (s Chronos) Start(ctl *mapreduce.Controller) {
 	cfg := s.Config.withDefaults()
-	relaunchOnLoss(ctl)
 	runStages(ctl, func(st stage) { s.runStage(ctl, cfg, st) })
 }
 
@@ -155,17 +154,6 @@ func isStraggler(t *mapreduce.Task, now float64, est mapreduce.Estimator, deadli
 		return true
 	}
 	return est(best, now) > deadline
-}
-
-// relaunchOnLoss recovers from node failures by launching a fresh attempt
-// for the lost one's task (restart semantics: resume state on the failed
-// node is gone).
-func relaunchOnLoss(ctl *mapreduce.Controller) {
-	ctl.OnAttemptLost(func(a *mapreduce.Attempt) {
-		if !a.Task.Done {
-			ctl.Launch(a.Task, 0)
-		}
-	})
 }
 
 // stageParams builds the analytic inputs for one stage of a job.

@@ -5,8 +5,8 @@
 //     Speculative-Resume, one type keyed by analysis.Strategy — each of which
 //     picks its number of extra attempts r by solving the joint PoCD/cost
 //     optimization (Algorithm 1) at job submission;
-//   - the baselines — Hadoop-NS (no speculation), Hadoop-S (default Hadoop
-//     speculation), Mantri, and LATE (an extension).
+//   - the paper's three baselines — Hadoop-NS (no speculation), Hadoop-S
+//     (default Hadoop speculation) and Mantri.
 package speculate
 
 import (
@@ -82,9 +82,9 @@ func launchStaged(ctl *mapreduce.Controller) {
 }
 
 // killLeftoversOnTaskDone mirrors production Hadoop: the moment a task
-// commits, its redundant attempts are killed. The baselines (Hadoop-S,
-// Mantri, LATE) use this; the Chronos strategies instead follow the paper's
-// model and clean up at tauKill.
+// commits, its redundant attempts are killed. Hadoop-S and Mantri use this;
+// the Chronos strategies instead follow the paper's model and clean up at
+// tauKill.
 func killLeftoversOnTaskDone(ctl *mapreduce.Controller) {
 	ctl.OnTaskDone(func(t *mapreduce.Task) {
 		for _, a := range t.Attempts {

@@ -21,15 +21,13 @@ import (
 //  5. task and job finish times are consistent.
 func TestConservationInvariants(t *testing.T) {
 	strategies := []mapreduce.Strategy{
-		HadoopNS{}, HadoopS{}, Mantri{}, LATE{},
+		HadoopNS{}, HadoopS{}, Mantri{},
 		clone(chronosCfg()), restart(chronosCfg()), resume(chronosCfg()),
 	}
 	for _, strat := range strategies {
 		eng := sim.NewEngine()
 		cl, err := cluster.New(eng, cluster.Config{
 			Nodes: 8, SlotsPerNode: 4, // deliberately tight: queueing happens
-			Contention: cluster.HotspotContention{P: 0.3, Mean: 2},
-			Seed:       7,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -42,7 +42,7 @@ func runReduceJob(t *testing.T, strat mapreduce.Strategy, seed uint64) *mapreduc
 
 func TestReduceStageAllStrategies(t *testing.T) {
 	strategies := []mapreduce.Strategy{
-		HadoopNS{}, HadoopS{}, Mantri{}, LATE{},
+		HadoopNS{}, HadoopS{}, Mantri{},
 		clone(chronosCfg()), restart(chronosCfg()), resume(chronosCfg()),
 	}
 	for _, strat := range strategies {

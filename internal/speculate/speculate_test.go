@@ -109,7 +109,6 @@ func TestStrategyNames(t *testing.T) {
 		{HadoopNS{}, "Hadoop-NS"},
 		{HadoopS{}, "Hadoop-S"},
 		{Mantri{}, "Mantri"},
-		{LATE{}, "LATE"},
 		{clone(ChronosConfig{}), "Clone"},
 		{restart(ChronosConfig{}), "Speculative-Restart"},
 		{resume(ChronosConfig{}), "Speculative-Resume"},
@@ -382,19 +381,6 @@ func TestMantriKeepsBestAfterPrune(t *testing.T) {
 	}
 }
 
-func TestLATECapAndThreshold(t *testing.T) {
-	spec := baseSpec()
-	spec.NumTasks = 20
-	res := runBatch(t, LATE{}, 50, spec, 41)
-	for _, j := range res.jobs {
-		for _, task := range j.Tasks {
-			if len(task.Attempts) > 2 {
-				t.Errorf("LATE launched %d attempts per task, want <= 2", len(task.Attempts))
-			}
-		}
-	}
-}
-
 func TestChooseRFallsBackOnInfeasible(t *testing.T) {
 	cfg := chronosCfg()
 	cfg.Opt.RMin = 0.99999999 // infeasible: forces optimizer error
@@ -412,32 +398,5 @@ func TestFixedROverridesOptimizer(t *testing.T) {
 	cfg.FixedR = 7
 	if r := chooseR(cfg, analysis.StrategyResume, baseSpec()); r != 7 {
 		t.Errorf("chooseR with FixedR = %d, want 7", r)
-	}
-}
-
-func TestStrategiesSurviveNodeFailure(t *testing.T) {
-	for _, strat := range []mapreduce.Strategy{
-		HadoopNS{}, HadoopS{}, Mantri{}, LATE{},
-		clone(chronosCfg()), restart(chronosCfg()), resume(chronosCfg()),
-	} {
-		eng := sim.NewEngine()
-		cl, err := cluster.New(eng, cluster.Config{Nodes: 4, SlotsPerNode: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt := mapreduce.NewRuntime(eng, cl, mapreduce.Config{Seed: 43})
-		job, err := rt.Submit(baseSpec(), strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Schedule(2, func() {
-			if _, err := cl.FailNode(0); err != nil {
-				t.Error(err)
-			}
-		})
-		eng.Run()
-		if !job.Done {
-			t.Errorf("%s: job did not recover from node failure", strat.Name())
-		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package trace provides the trace-driven-simulation substrate of the
 // paper's large-scale evaluation: a synthetic generator of Google-trace-like
-// MapReduce job streams, Pareto fitting of empirical task-time samples, and
-// an EC2-like spot-price series.
+// MapReduce job streams and Pareto fitting of empirical task-time samples.
 //
 // Substitution note (see DESIGN.md): the paper replays 30 hours of the 2011
 // Google cluster trace (2700 jobs, ~1M tasks), extracting per job only the
@@ -10,7 +9,7 @@
 // tuple stream with the published shape characteristics — Poisson-ish
 // arrivals, heavy-tailed task counts, per-job Pareto parameters — so every
 // downstream code path (per-job optimization, strategy simulation, cost
-// accounting against spot prices) is exercised identically.
+// accounting) is exercised identically.
 package trace
 
 import (

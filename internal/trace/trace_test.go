@@ -101,69 +101,3 @@ func TestTotalTasks(t *testing.T) {
 		t.Errorf("TotalTasks = %d, want 12", got)
 	}
 }
-
-func TestGenerateSpotPrices(t *testing.T) {
-	cfg := SpotConfig{Mean: 0.05, Volatility: 0.1, Reversion: 0.2, Step: 60, Horizon: 36000, Seed: 3}
-	s, err := GenerateSpotPrices(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Times) != len(s.Prices) || len(s.Times) != int(cfg.Horizon/cfg.Step)+1 {
-		t.Fatalf("%d times, %d prices, want %v of each", len(s.Times), len(s.Prices), cfg.Horizon/cfg.Step+1)
-	}
-	for i := 1; i < len(s.Times); i++ {
-		if s.Times[i] <= s.Times[i-1] {
-			t.Fatalf("spot times not increasing at %d", i)
-		}
-	}
-	// Mean reversion keeps the time average near the configured mean.
-	if m := s.Integral(0, cfg.Horizon) / cfg.Horizon; math.Abs(m-cfg.Mean)/cfg.Mean > 0.25 {
-		t.Errorf("series mean %v, want near %v", m, cfg.Mean)
-	}
-	// The floor holds.
-	for _, p := range s.Prices {
-		if p < cfg.Mean*0.2-1e-12 {
-			t.Errorf("price %v below floor", p)
-		}
-	}
-}
-
-func TestGenerateSpotPricesValidation(t *testing.T) {
-	bad := []SpotConfig{
-		{Mean: 0, Step: 1, Horizon: 10, Reversion: 0.5},
-		{Mean: 1, Step: 0, Horizon: 10, Reversion: 0.5},
-		{Mean: 1, Step: 10, Horizon: 5, Reversion: 0.5},
-		{Mean: 1, Step: 1, Horizon: 10, Reversion: 0},
-		{Mean: 1, Step: 1, Horizon: 10, Reversion: 1.5},
-	}
-	for i, cfg := range bad {
-		if _, err := GenerateSpotPrices(cfg); err == nil {
-			t.Errorf("bad spot config %d accepted", i)
-		}
-	}
-}
-
-func TestSpotIntegral(t *testing.T) {
-	s := SpotPrices{Times: []float64{0, 10, 30}, Prices: []float64{1, 4, 9}}
-	tests := []struct {
-		a, b float64
-		want float64
-	}{
-		{0, 10, 10},  // whole first segment
-		{0, 30, 90},  // 1*10 + 4*20
-		{5, 15, 25},  // 1*5 + 4*5
-		{30, 40, 90}, // last price extends
-		{-10, 0, 10}, // first price extends backwards
-		{12, 12, 0},  // empty interval
-		{25, 35, 65}, // 4*5 + 9*5
-	}
-	for _, tt := range tests {
-		if got := s.Integral(tt.a, tt.b); math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("Integral(%v, %v) = %v, want %v", tt.a, tt.b, got, tt.want)
-		}
-	}
-	// Reversed bounds negate.
-	if got := s.Integral(15, 5); math.Abs(got+25) > 1e-9 {
-		t.Errorf("reversed Integral = %v, want -25", got)
-	}
-}

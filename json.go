@@ -8,7 +8,7 @@ import (
 
 // ParseStrategy resolves a strategy name as it appears in the paper, the CLI
 // flags, or the chronosd wire format. Matching is case-insensitive and
-// tolerates the common short forms ("clone", "restart", "resume", "late").
+// tolerates the common short forms ("clone", "restart", "resume").
 func ParseStrategy(name string) (Strategy, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "clone":
@@ -23,8 +23,6 @@ func ParseStrategy(name string) (Strategy, error) {
 		return HadoopS, nil
 	case "mantri":
 		return Mantri, nil
-	case "late":
-		return LATE, nil
 	default:
 		return 0, fmt.Errorf("chronos: unknown strategy %q", name)
 	}
@@ -37,7 +35,7 @@ func ParseStrategy(name string) (Strategy, error) {
 // silently emitting it would produce JSON that no decoder round-trips.
 // (Surfaced by FuzzPlanRequestJSON.)
 func (s Strategy) MarshalJSON() ([]byte, error) {
-	if s < Clone || s > LATE {
+	if s < Clone || s > Mantri {
 		return nil, fmt.Errorf("chronos: cannot marshal invalid strategy %d", int(s))
 	}
 	return json.Marshal(s.String())
@@ -59,7 +57,7 @@ func (s *Strategy) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &n); err != nil {
 		return fmt.Errorf("chronos: strategy must be a name or integer: %w", err)
 	}
-	if n < int(Clone) || n > int(LATE) {
+	if n < int(Clone) || n > int(Mantri) {
 		return fmt.Errorf("chronos: strategy %d out of range", n)
 	}
 	*s = Strategy(n)

@@ -77,9 +77,7 @@ func Replay(ctx context.Context, cfg SimConfig, jobs []SimJob, opts ReplayOption
 	if err != nil {
 		return Report{}, err
 	}
-	rep := reportFromSummary(sum, cfg)
-	rep.LostAttempts = rt.LostAttempts
-	return rep, nil
+	return reportFromSummary(sum, cfg), nil
 }
 
 // buildReplay assembles the engine, cluster, runtime and per-job specs and
@@ -89,41 +87,15 @@ func buildReplay(cfg SimConfig, jobs []SimJob) (*mapreduce.Runtime, []replay.Job
 		return nil, nil, err
 	}
 	eng := sim.NewEngine()
-	var contention cluster.ContentionModel
-	if cfg.ContentionP > 0 && cfg.ContentionMean > 1 {
-		contention = cluster.HotspotContention{P: cfg.ContentionP, Mean: cfg.ContentionMean}
-	}
-	cl, err := cluster.New(eng, cluster.Config{
-		Nodes:        cfg.Nodes,
-		SlotsPerNode: cfg.SlotsPerNode,
-		Contention:   contention,
-		Seed:         cfg.Seed ^ 0xBEEF,
-	})
+	cl, err := cluster.New(eng, cluster.Config{Nodes: cfg.Nodes, SlotsPerNode: cfg.SlotsPerNode})
 	if err != nil {
 		return nil, nil, err
 	}
-	rtCfg := mapreduce.Config{
+	rt := mapreduce.NewRuntime(eng, cl, mapreduce.Config{
 		Seed:           cfg.Seed,
 		ReportInterval: cfg.ReportInterval,
 		ReportNoise:    cfg.ReportNoise,
-	}
-	if cfg.Spot != nil {
-		series, err := cfg.spotSeries(jobs)
-		if err != nil {
-			return nil, nil, err
-		}
-		rtCfg.SpotIntegral = series.Integral
-	}
-	rt := mapreduce.NewRuntime(eng, cl, rtCfg)
-
-	if cfg.Failures != nil && cfg.Failures.MTBF > 0 {
-		cluster.FailureInjector{
-			MTBF:    cfg.Failures.MTBF,
-			MTTR:    cfg.Failures.MTTR,
-			Horizon: streamHorizon(jobs),
-			Seed:    cfg.Seed ^ 0xFA11,
-		}.Install(eng, cl)
-	}
+	})
 
 	rjobs := make([]replay.Job, len(jobs))
 	for i, j := range jobs {

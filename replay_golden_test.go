@@ -49,10 +49,8 @@ type goldenCase struct {
 // goldenCases is the pinned matrix: every strategy on the default cluster,
 // then the paths a rewrite of the event loop is most likely to disturb —
 // a saturated cluster (queueing, waiters killed while queued, tauKill with
-// nothing running), contention draws, reduce stages, periodic noisy reports,
-// spot pricing, window summaries and fixed r on one-task jobs. The failures
-// rows were pinned later than the rest, by the change that made replays with
-// node failures reproducible at all.
+// nothing running), reduce stages, periodic noisy reports, window summaries
+// and fixed r on one-task jobs.
 func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	base, err := chronos.SyntheticTrace(chronos.TraceConfig{Jobs: 120, Seed: 17})
@@ -80,7 +78,6 @@ func goldenCases(t *testing.T) []goldenCase {
 		{"hadoop-ns", chronos.HadoopNS},
 		{"hadoop-s", chronos.HadoopS},
 		{"mantri", chronos.Mantri},
-		{"late", chronos.LATE},
 	}
 	saturated := func(c chronos.SimConfig) chronos.SimConfig {
 		c.Nodes, c.SlotsPerNode = 8, 4
@@ -88,10 +85,6 @@ func goldenCases(t *testing.T) []goldenCase {
 	}
 	tight := func(c chronos.SimConfig) chronos.SimConfig {
 		c.Nodes, c.SlotsPerNode = 40, 8
-		return c
-	}
-	contended := func(c chronos.SimConfig) chronos.SimConfig {
-		c.ContentionP, c.ContentionMean = 0.2, 2.5
 		return c
 	}
 
@@ -109,19 +102,11 @@ func goldenCases(t *testing.T) []goldenCase {
 		add("tight/"+s.short, tight(chronos.SimConfig{Strategy: s.s, Seed: 8}), base, 0)
 	}
 	for _, s := range chronosStrats {
-		add("contention/"+s.short, contended(chronos.SimConfig{Strategy: s.s, Seed: 9}), base, 0)
-		add("contention-saturated/"+s.short, saturated(contended(chronos.SimConfig{Strategy: s.s, Seed: 10})), base, 0)
-	}
-	add("contention-tight/mantri", tight(contended(chronos.SimConfig{Strategy: chronos.Mantri, Seed: 10})), base, 0)
-	for _, s := range chronosStrats {
 		add("reduce/"+s.short, chronos.SimConfig{Strategy: s.s, Seed: 11}, withReduce, 0)
 	}
 	add("reduce-saturated/resume", saturated(chronos.SimConfig{Strategy: chronos.SpeculativeResume, Seed: 11}), withReduce, 0)
 	for _, s := range chronosStrats[1:] {
 		add("reports/"+s.short, chronos.SimConfig{Strategy: s.s, Seed: 12, ReportInterval: 2, ReportNoise: 0.1}, base, 0)
-	}
-	for _, s := range chronosStrats[:2] {
-		add("spot/"+s.short, chronos.SimConfig{Strategy: s.s, Seed: 13, Spot: &chronos.SpotMarket{Mean: 1.2}}, base, 0)
 	}
 	add("window/resume", chronos.SimConfig{Strategy: chronos.SpeculativeResume, Seed: 14}, base, 600)
 	add("window-saturated/clone", saturated(chronos.SimConfig{Strategy: chronos.Clone, Seed: 14}), base, 45)
@@ -131,15 +116,6 @@ func goldenCases(t *testing.T) []goldenCase {
 				chronos.SimConfig{Strategy: s.s, Seed: 15, UseFixedR: true, FixedR: r}, oneTask, 0)
 		}
 	}
-	failing := func(c chronos.SimConfig) chronos.SimConfig {
-		c.Nodes, c.SlotsPerNode = 40, 8
-		c.Failures = &chronos.FailureModel{MTBF: 3000, MTTR: 300}
-		return c
-	}
-	for _, s := range append(append([]strat{}, chronosStrats...), baselines[2]) {
-		add("failures/"+s.short, failing(chronos.SimConfig{Strategy: s.s, Seed: 16}), base, 0)
-	}
-	add("failures-contention/restart", failing(contended(chronos.SimConfig{Strategy: chronos.SpeculativeRestart, Seed: 16})), base, 0)
 	return cases
 }
 

@@ -1,10 +1,11 @@
 package chronos
 
 import (
+	"bytes"
 	"context"
-	"math"
-
+	"encoding/json"
 	"fmt"
+	"math"
 
 	"chronos/internal/analysis"
 	"chronos/internal/mapreduce"
@@ -78,16 +79,6 @@ type SimConfig struct {
 	// JVMMin and JVMMax bound the attempt startup delay; zeros mean 1-3 s.
 	JVMMin float64 `json:"jvmMin,omitempty"`
 	JVMMax float64 `json:"jvmMax,omitempty"`
-	// ContentionP and ContentionMean, when positive, inject hotspot
-	// background load (probability and mean slowdown).
-	ContentionP    float64 `json:"contentionP,omitempty"`
-	ContentionMean float64 `json:"contentionMean,omitempty"`
-	// Spot, when non-nil, prices machine time against a synthetic
-	// EC2-like spot market instead of the fixed Econ.UnitPrice.
-	Spot *SpotMarket `json:"spot,omitempty"`
-	// Failures, when non-nil, injects random node failures; running
-	// attempts on a failing node are lost and strategies relaunch them.
-	Failures *FailureModel `json:"failures,omitempty"`
 	// UseHadoopEstimator makes the Chronos strategies predict completion
 	// times with Hadoop's default (JVM-oblivious) estimator instead of the
 	// paper's Eq. 30. Exists for the estimator ablation: it re-creates the
@@ -101,26 +92,19 @@ type SimConfig struct {
 	ReportNoise float64 `json:"reportNoise,omitempty"`
 }
 
-// FailureModel configures node-failure injection.
-type FailureModel struct {
-	// MTBF is the per-node mean time between failures (seconds).
-	MTBF float64 `json:"mtbf"`
-	// MTTR is the mean node repair time (seconds); zero means failed
-	// nodes stay down.
-	MTTR float64 `json:"mttr,omitempty"`
-}
-
-// SpotMarket configures time-varying VM pricing: a mean-reverting synthetic
-// series standing in for EC2 spot-price history (see DESIGN.md).
-type SpotMarket struct {
-	// Mean is the long-run unit price.
-	Mean float64 `json:"mean"`
-	// Volatility is the per-step relative shock magnitude (default 0.15).
-	Volatility float64 `json:"volatility,omitempty"`
-	// StepSeconds is the repricing interval (default 300 s).
-	StepSeconds float64 `json:"stepSeconds,omitempty"`
-	// Seed drives the shocks (default: the simulation seed).
-	Seed uint64 `json:"seed,omitempty"`
+// UnmarshalJSON decodes the config strictly: a key SimConfig does not have
+// is an error rather than silently ignored, so a misspelt knob never runs a
+// simulation without it.
+func (cfg *SimConfig) UnmarshalJSON(data []byte) error {
+	type plain SimConfig // no methods: decodes without recursing here
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	p := plain(*cfg)
+	if err := dec.Decode(&p); err != nil {
+		return err // bare: request decoders prefix their own context
+	}
+	*cfg = SimConfig(p)
+	return nil
 }
 
 // Report summarizes one simulation run.
@@ -137,9 +121,6 @@ type Report struct {
 	// RHistogram counts the optimizer-chosen r values (empty for
 	// baselines).
 	RHistogram map[int]int `json:"rHistogram,omitempty"`
-	// LostAttempts counts the attempts lost to injected node failures
-	// (zero without SimConfig.Failures).
-	LostAttempts int `json:"lostAttempts,omitempty"`
 }
 
 // Simulate executes the job stream under the configured strategy on the
@@ -157,45 +138,6 @@ func SimulateContext(ctx context.Context, cfg SimConfig, jobs []SimJob) (Report,
 		return Report{}, fmt.Errorf("chronos: no jobs to simulate")
 	}
 	return Replay(ctx, cfg, jobs, ReplayOptions{})
-}
-
-// streamHorizon bounds the instants at which the stream can still be running,
-// for the spot series and the failure injector to cover. The slack is
-// generous: stragglers can run far past their deadline (and the spot series
-// extends constantly beyond its end anyway).
-func streamHorizon(jobs []SimJob) float64 {
-	horizon := 0.0
-	for _, j := range jobs {
-		if end := j.Arrival + 20*j.Deadline; end > horizon {
-			horizon = end
-		}
-	}
-	return horizon
-}
-
-// spotSeries generates the market covering the whole job stream.
-func (cfg SimConfig) spotSeries(jobs []SimJob) (trace.SpotPrices, error) {
-	m := *cfg.Spot
-	if m.Mean <= 0 {
-		m.Mean = cfg.Econ.UnitPrice
-	}
-	if m.Volatility == 0 {
-		m.Volatility = 0.15
-	}
-	if m.StepSeconds == 0 {
-		m.StepSeconds = 300
-	}
-	if m.Seed == 0 {
-		m.Seed = cfg.Seed
-	}
-	return trace.GenerateSpotPrices(trace.SpotConfig{
-		Mean:       m.Mean,
-		Volatility: m.Volatility,
-		Reversion:  0.2,
-		Step:       m.StepSeconds,
-		Horizon:    math.Max(streamHorizon(jobs), m.StepSeconds),
-		Seed:       m.Seed,
-	})
 }
 
 // withDefaults fills zero values.
@@ -272,8 +214,8 @@ func (j SimJob) spec(id int, cfg SimConfig) (mapreduce.JobSpec, error) {
 // (optimize.ErrSearchCap), so no fixed one needs to.
 const maxFixedR = 1 << 13
 
-// maxEcon caps econ.theta, econ.unitPrice, every job's unitPrice and the spot
-// mean at the planner's cap. Inside it, and inside the serving bounds on
+// maxEcon caps econ.theta, econ.unitPrice and every job's unitPrice at the
+// planner's cap. Inside it, and inside the serving bounds on
 // tasks, attempts and task times, no cost or utility a run reports leaves
 // float64.
 const maxEcon = optimize.MaxEcon
@@ -293,14 +235,10 @@ func (cfg SimConfig) validate(jobs []SimJob) error {
 	if cfg.UseFixedR && cfg.FixedR >= maxFixedR {
 		return fmt.Errorf("chronos: fixedR %d at or above the planner's search cap r = %d", cfg.FixedR, maxFixedR)
 	}
-	spotMean := 0.0
-	if cfg.Spot != nil {
-		spotMean = cfg.Spot.Mean
-	}
 	for _, c := range [...]struct {
 		name string
 		v    float64
-	}{{"econ.theta", cfg.Econ.Theta}, {"econ.unitPrice", cfg.Econ.UnitPrice}, {"spot.mean", spotMean}} {
+	}{{"econ.theta", cfg.Econ.Theta}, {"econ.unitPrice", cfg.Econ.UnitPrice}} {
 		if !inEconRange(c.v) {
 			return econRangeError(c.name, c.v)
 		}
@@ -331,8 +269,6 @@ func (cfg SimConfig) strategyFor(j SimJob) (mapreduce.Strategy, error) {
 		return speculate.HadoopS{}, nil
 	case Mantri:
 		return speculate.Mantri{}, nil
-	case LATE:
-		return speculate.LATE{}, nil
 	}
 	kind, err := analyticKind(cfg.Strategy)
 	if err != nil {

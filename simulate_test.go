@@ -39,55 +39,6 @@ func TestSimulateReduceValidation(t *testing.T) {
 	}
 }
 
-func TestSimulateSpotPricing(t *testing.T) {
-	jobs := Benchmarks()[0].Jobs(60, 10, 400)
-	fixed, err := Simulate(SimConfig{Strategy: HadoopNS, Seed: 13}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spot, err := Simulate(SimConfig{
-		Strategy: HadoopNS, Seed: 13,
-		Spot: &SpotMarket{Mean: 1, Volatility: 0.3},
-	}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical seeds: same schedule, same machine time; only pricing
-	// differs.
-	if fixed.MeanMachineTime != spot.MeanMachineTime {
-		t.Errorf("spot pricing changed the schedule: %v vs %v",
-			fixed.MeanMachineTime, spot.MeanMachineTime)
-	}
-	if spot.MeanCost == fixed.MeanCost {
-		t.Error("spot cost identical to fixed cost; series had no effect")
-	}
-	// Mean-reverting around the same mean: costs within a band.
-	ratio := spot.MeanCost / fixed.MeanCost
-	if ratio < 0.5 || ratio > 1.5 {
-		t.Errorf("spot/fixed cost ratio %v implausible", ratio)
-	}
-}
-
-func TestSimulateSpotDefaultsFromEcon(t *testing.T) {
-	jobs := []SimJob{{Tasks: 2, Deadline: 100, TMin: 10, Beta: 1.5}}
-	rep, err := Simulate(SimConfig{
-		Strategy: HadoopNS, Seed: 17,
-		Econ: Econ{Theta: 1e-4, UnitPrice: 2},
-		Spot: &SpotMarket{}, // mean defaults to Econ.UnitPrice
-	}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MeanCost <= 0 {
-		t.Errorf("spot-priced cost = %v", rep.MeanCost)
-	}
-	// Cost should be near 2x machine time (mean price 2).
-	ratio := rep.MeanCost / rep.MeanMachineTime
-	if math.Abs(ratio-2) > 1 {
-		t.Errorf("cost/machine-time ratio %v, want ~2", ratio)
-	}
-}
-
 // TestSimulateRejectsBadControl: a control instant before its stage, an
 // undefined tau scale or an unbounded fixed r is an error from Simulate, not
 // a panic in the engine ("sim: schedule at -50 before now 0") and not r+1 =
@@ -133,8 +84,8 @@ func TestSimulateRejectsBadControl(t *testing.T) {
 	}
 }
 
-// TestSimulateRejectsBadEcon: a theta, unit price or spot mean that is
-// negative, non-finite or above maxEcon is an error from Simulate. A 1e308
+// TestSimulateRejectsBadEcon: a theta or unit price that is negative,
+// non-finite or above maxEcon is an error from Simulate. A 1e308
 // price used to report an infinite cost (500 `response encoding failed` on
 // /v1/simulate), a negative one a negative cost and a positive utility, and a
 // negative theta a utility of 97.5.
@@ -147,9 +98,6 @@ func TestSimulateRejectsBadEcon(t *testing.T) {
 	}
 	econ := func(theta, price float64) SimConfig {
 		return SimConfig{Strategy: Clone, Econ: Econ{Theta: theta, UnitPrice: price}}
-	}
-	spot := func(mean float64) SimConfig {
-		return SimConfig{Strategy: Clone, Spot: &SpotMarket{Mean: mean}}
 	}
 	for name, tc := range map[string]struct {
 		cfg  SimConfig
@@ -164,8 +112,6 @@ func TestSimulateRejectsBadEcon(t *testing.T) {
 		"job unitPrice 1e308":  {SimConfig{Strategy: Clone}, priced(1e308)},
 		"job unitPrice -5":     {SimConfig{Strategy: Clone}, priced(-5)},
 		"job unitPrice NaN":    {SimConfig{Strategy: Clone}, priced(math.NaN())},
-		"spot.mean 1e308":      {spot(1e308), []SimJob{job}},
-		"spot.mean -1":         {spot(-1), []SimJob{job}},
 		"just above the cap":   {econ(1e-4, math.Nextafter(maxEcon, math.Inf(1))), []SimJob{job}},
 	} {
 		if rep, err := Simulate(tc.cfg, tc.jobs); err == nil {
@@ -173,15 +119,14 @@ func TestSimulateRejectsBadEcon(t *testing.T) {
 		}
 	}
 
-	// The cap itself and the defaults (a zero job price inherits econ's, a
-	// zero spot mean follows it) still simulate, with finite numbers.
+	// The cap itself and the defaults (a zero job price inherits econ's) still
+	// simulate, with finite numbers.
 	for name, tc := range map[string]struct {
 		cfg  SimConfig
 		jobs []SimJob
 	}{
 		"theta and price at the cap": {econ(maxEcon, maxEcon), priced(maxEcon)},
-		"spot mean at the cap":       {spot(maxEcon), []SimJob{job}},
-		"defaults":                   {spot(0), priced(0)},
+		"defaults":                   {SimConfig{Strategy: Clone}, priced(0)},
 	} {
 		rep, err := Simulate(tc.cfg, tc.jobs)
 		if err != nil {
