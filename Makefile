@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test pins bench bench-test cover ring-demo loc ci
+.PHONY: all fmt vet build test pins goldens bench bench-test cover ring-demo loc ci
 
 all: build
 
@@ -22,6 +22,9 @@ test:
 
 pins: ## the allocation pins, which skip themselves under -race and so never run in test/cover
 	$(GO) test -run 'Alloc' ./...
+
+goldens: ## the full-size simulation goldens (figures at 270 jobs, the 2,000-job oracle cells), which shrink or skip themselves under -race
+	$(GO) test -run 'Golden|ModelOracle' . ./cmd/chronos-figures
 
 bench: ## one-iteration benchmark smoke run (the CI bench-smoke job)
 	@$(GO) test -bench=. -benchtime=1x -run='^$$' ./... > bench.txt 2>&1; \
@@ -52,5 +55,6 @@ ring-demo: ## 3-replica consistent-hash ring smoke: plan via A, cache hit via B
 	./scripts/ring-demo.sh
 
 # cover subsumes test (its single -race run is both gates), so ci does not
-# execute the suite twice; pins reruns only the tests that run skipped.
-ci: fmt vet build cover pins bench bench-test ring-demo
+# execute the suite twice; pins and goldens rerun only the tests that -race
+# skips or shrinks.
+ci: fmt vet build cover pins goldens bench bench-test ring-demo

@@ -1,12 +1,19 @@
-// Package cluster models the datacenter substrate Chronos schedules on:
-// nodes with a fixed number of container slots, a FIFO allocation queue and a
+// Package cluster models the datacenter substrate Chronos schedules on: a
+// pool of Nodes × SlotsPerNode container slots, a FIFO allocation queue and a
 // usage meter that converts container occupancy into machine time.
+//
+// Only the product of the two sizes is simulated. The paper's model has no
+// notion of placement — an attempt's duration depends on its own sampled
+// draws, never on the machine it lands on — so which node hosts a container
+// changes nothing a job, the meter or a strategy can observe. The two fields
+// stay because they are how a testbed is described (the paper's EC2 cluster:
+// nodes of 8 vCPUs).
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
+	"math"
 
 	"chronos/internal/sim"
 )
@@ -26,24 +33,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: need at least 1 node and 1 slot, got %d x %d",
 			c.Nodes, c.SlotsPerNode)
 	}
+	if c.Nodes > math.MaxInt/c.SlotsPerNode {
+		return fmt.Errorf("cluster: %d x %d slots overflow the slot count", c.Nodes, c.SlotsPerNode)
+	}
 	return nil
 }
 
-// Node is one worker machine.
-type Node struct {
-	// ID is the node index.
-	ID int
-
-	slots int
-	used  int
-}
-
-// Container is a granted slot on a node. It is leased from Allocate/Request
-// and returned with Release, after which the cluster reuses it for a later
+// Container is a granted slot. It is leased from Allocate/Request and
+// returned with Release, after which the cluster reuses it for a later
 // grant: a holder must drop its pointer when it releases.
 type Container struct {
-	// Node hosting this container.
-	Node *Node
 	// AcquiredAt is the grant time, used by the meter.
 	AcquiredAt float64
 
@@ -75,18 +74,7 @@ type Ticket uint64
 // metering.
 type Cluster struct {
 	eng   *sim.Engine
-	nodes []*Node
 	meter Meter
-
-	// Placement is least-loaded first, lowest ID on ties. levels holds one
-	// bitset over node IDs per load: bit id of level l is set while node id
-	// has l slots used and at least one free, so the pick is the first set
-	// bit of the lowest non-empty level. levelNodes counts the bits of each
-	// level and no level below lowest has any.
-	levels     []uint64
-	words      int
-	levelNodes []int
-	lowest     int
 	// capacity counts all slots, inUse the occupied ones.
 	capacity, inUse int
 
@@ -109,38 +97,7 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	words := (cfg.Nodes + 63) / 64
-	c := &Cluster{
-		eng:        eng,
-		nodes:      make([]*Node, cfg.Nodes),
-		levels:     make([]uint64, cfg.SlotsPerNode*words),
-		words:      words,
-		levelNodes: make([]int, cfg.SlotsPerNode),
-		capacity:   cfg.Nodes * cfg.SlotsPerNode,
-	}
-	slab := make([]Node, cfg.Nodes)
-	for i := range slab {
-		slab[i] = Node{ID: i, slots: cfg.SlotsPerNode}
-		c.nodes[i] = &slab[i]
-		c.setLevel(&slab[i], true)
-	}
-	return c, nil
-}
-
-// setLevel adds node n to, or removes it from, the level of its current
-// load. Only a node that is not full is ever in a level.
-func (c *Cluster) setLevel(n *Node, in bool) {
-	word, bit := &c.levels[n.used*c.words+n.ID/64], uint64(1)<<(n.ID%64)
-	if !in {
-		*word &^= bit
-		c.levelNodes[n.used]--
-		return
-	}
-	*word |= bit
-	c.levelNodes[n.used]++
-	if n.used < c.lowest {
-		c.lowest = n.used
-	}
+	return &Cluster{eng: eng, capacity: cfg.Nodes * cfg.SlotsPerNode}, nil
 }
 
 // Meter exposes the usage meter.
@@ -152,29 +109,12 @@ func (c *Cluster) Capacity() int { return c.capacity }
 // InUse returns the number of occupied slots.
 func (c *Cluster) InUse() int { return c.inUse }
 
-// Allocate grants a container immediately or returns ErrNoCapacity. Nodes
-// are filled least-loaded first, mirroring a spreading scheduler.
+// Allocate grants a container immediately or returns ErrNoCapacity.
 func (c *Cluster) Allocate() (*Container, error) {
 	if c.inUse == c.capacity {
 		return nil, ErrNoCapacity
 	}
-	for c.levelNodes[c.lowest] == 0 {
-		c.lowest++
-	}
-	level := c.levels[c.lowest*c.words : (c.lowest+1)*c.words]
-	w := 0
-	for level[w] == 0 {
-		w++
-	}
-	n := c.nodes[w*64+bits.TrailingZeros64(level[w])]
-
-	c.setLevel(n, false)
-	n.used++
-	if n.used < n.slots {
-		c.setLevel(n, true)
-	}
 	c.inUse++
-
 	if len(c.pool) == 0 {
 		slab := make([]Container, containerChunk)
 		for i := range slab {
@@ -183,7 +123,7 @@ func (c *Cluster) Allocate() (*Container, error) {
 	}
 	ctr := c.pool[len(c.pool)-1]
 	c.pool = c.pool[:len(c.pool)-1]
-	*ctr = Container{Node: n, AcquiredAt: c.eng.Now()}
+	*ctr = Container{AcquiredAt: c.eng.Now()}
 	return ctr, nil
 }
 
@@ -220,8 +160,8 @@ func (c *Cluster) growQueue() {
 // Cancel withdraws a queued request and reports whether it was still
 // waiting. The request keeps its place in the queue and, when it reaches the
 // head, is still granted a container that goes straight back: that is what a
-// waiter that no longer wants its grant does, and it leaves placement and the
-// meter's release count where they would have been.
+// waiter that no longer wants its grant does, and it leaves the meter's
+// release count where it would have been.
 func (c *Cluster) Cancel(t Ticket) bool {
 	i := uint64(t) - c.served - 1 // wraps to a huge offset when t <= served
 	if i >= uint64(c.qlen) {
@@ -252,15 +192,7 @@ func (c *Cluster) release(ctr *Container) {
 	}
 	ctr.released = true
 	c.meter.charge(c.eng.Now() - ctr.AcquiredAt)
-
 	c.pool = append(c.pool, ctr)
-
-	n := ctr.Node
-	if n.used < n.slots {
-		c.setLevel(n, false)
-	}
-	n.used--
-	c.setLevel(n, true)
 	c.inUse--
 }
 

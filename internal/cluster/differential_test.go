@@ -9,16 +9,17 @@ import (
 	"chronos/internal/sim"
 )
 
-// The allocator keeps bitsets, counters, a ring and pools so that a grant
-// costs O(1); what it is supposed to compute is much simpler than that. These
-// tests drive it and a reference that computes the simple thing — scan every
-// node for the least loaded, keep waiters in a slice, recurse on release —
-// with the same random operations and require the same log of grants and the
-// same counters throughout.
+// The allocator keeps a ring of waiters with tickets and a container pool so
+// that a grant costs O(1); what it is supposed to compute is much simpler
+// than that. These tests drive it and a reference that computes the simple
+// thing — count free slots, keep waiters in a slice, recurse on release —
+// with the same random operations, on a clock that moves between them, and
+// require the same log of grants and the same counters throughout.
 
 // system is what the driver needs from either implementation. Holders are
 // named by small integers; every grant is appended to the log.
 type system interface {
+	advance(now float64)
 	allocate(holder int) bool
 	request(holder int)
 	cancel(holder int) bool
@@ -30,6 +31,7 @@ type system interface {
 // --- the real cluster ---
 
 type realSystem struct {
+	eng     *sim.Engine
 	c       *Cluster
 	held    map[int]*Container
 	tickets map[int]Ticket
@@ -37,8 +39,8 @@ type realSystem struct {
 }
 
 func newRealSystem(t *testing.T, nodes, slots int) *realSystem {
-	r := &realSystem{held: map[int]*Container{}, tickets: map[int]Ticket{}}
-	c, err := New(sim.NewEngine(), Config{Nodes: nodes, SlotsPerNode: slots})
+	r := &realSystem{eng: sim.NewEngine(), held: map[int]*Container{}, tickets: map[int]Ticket{}}
+	c, err := New(r.eng, Config{Nodes: nodes, SlotsPerNode: slots})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func newRealSystem(t *testing.T, nodes, slots int) *realSystem {
 }
 
 func (r *realSystem) granted(holder int, ctr *Container) {
-	r.log = append(r.log, fmt.Sprintf("grant %d on %d", holder, ctr.Node.ID))
+	r.log = append(r.log, fmt.Sprintf("grant %d", holder))
 	delete(r.tickets, holder)
 	r.held[holder] = ctr
 }
@@ -88,9 +90,11 @@ func (r *realSystem) release(holder int) {
 	r.c.Release(ctr)
 }
 
+func (r *realSystem) advance(now float64) { r.eng.RunUntil(now) }
+
 func (r *realSystem) counters() string {
-	return fmt.Sprintf("inUse=%d capacity=%d queue=%d releases=%d",
-		r.c.InUse(), r.c.Capacity(), r.c.QueueLength(), r.c.Meter().Releases())
+	return fmt.Sprintf("inUse=%d capacity=%d queue=%d machineTime=%g releases=%d",
+		r.c.InUse(), r.c.Capacity(), r.c.QueueLength(), r.c.Meter().MachineTime(), r.c.Meter().Releases())
 }
 
 func (r *realSystem) events() []string { return r.log }
@@ -98,11 +102,7 @@ func (r *realSystem) events() []string { return r.log }
 // --- the reference ---
 
 type refContainer struct {
-	node int
-}
-
-type refNode struct {
-	used int
+	acquiredAt float64
 }
 
 type refWaiter struct {
@@ -111,44 +111,36 @@ type refWaiter struct {
 }
 
 type refSystem struct {
-	nodes    []refNode
-	slots    int
-	waiters  []*refWaiter
-	held     map[int]*refContainer
-	releases int
-	log      []string
+	now         float64
+	capacity    int
+	inUse       int
+	waiters     []*refWaiter
+	held        map[int]*refContainer
+	machineTime float64
+	releases    int
+	log         []string
 }
 
 func newRefSystem(nodes, slots int) *refSystem {
-	return &refSystem{nodes: make([]refNode, nodes), slots: slots, held: map[int]*refContainer{}}
+	return &refSystem{capacity: nodes * slots, held: map[int]*refContainer{}}
 }
 
-// place is the specification of placement: the least-loaded node that is not
-// full, lowest ID first.
-func (r *refSystem) place() (*refContainer, bool) {
-	best := -1
-	for i, n := range r.nodes {
-		if n.used >= r.slots {
-			continue
-		}
-		if best < 0 || n.used < r.nodes[best].used {
-			best = i
-		}
-	}
-	if best < 0 {
+// take is the specification of a grant: any free slot will do.
+func (r *refSystem) take() (*refContainer, bool) {
+	if r.inUse == r.capacity {
 		return nil, false
 	}
-	r.nodes[best].used++
-	return &refContainer{node: best}, true
+	r.inUse++
+	return &refContainer{acquiredAt: r.now}, true
 }
 
 func (r *refSystem) granted(holder int, ctr *refContainer) {
-	r.log = append(r.log, fmt.Sprintf("grant %d on %d", holder, ctr.node))
+	r.log = append(r.log, fmt.Sprintf("grant %d", holder))
 	r.held[holder] = ctr
 }
 
 func (r *refSystem) allocate(holder int) bool {
-	ctr, ok := r.place()
+	ctr, ok := r.take()
 	if ok {
 		r.granted(holder, ctr)
 	}
@@ -179,7 +171,8 @@ func (r *refSystem) release(holder int) {
 
 func (r *refSystem) giveBack(ctr *refContainer) {
 	r.releases++
-	r.nodes[ctr.node].used--
+	r.machineTime += r.now - ctr.acquiredAt
+	r.inUse--
 	r.dispatch()
 }
 
@@ -187,7 +180,7 @@ func (r *refSystem) giveBack(ctr *refContainer) {
 // granted anyway and hands it straight back, which recurses.
 func (r *refSystem) dispatch() {
 	for len(r.waiters) > 0 {
-		ctr, ok := r.place()
+		ctr, ok := r.take()
 		if !ok {
 			return
 		}
@@ -201,12 +194,11 @@ func (r *refSystem) dispatch() {
 	}
 }
 
+func (r *refSystem) advance(now float64) { r.now = now }
+
 func (r *refSystem) counters() string {
-	inUse := 0
-	for _, n := range r.nodes {
-		inUse += n.used
-	}
-	return fmt.Sprintf("inUse=%d capacity=%d queue=%d releases=%d", inUse, len(r.nodes)*r.slots, len(r.waiters), r.releases)
+	return fmt.Sprintf("inUse=%d capacity=%d queue=%d machineTime=%g releases=%d",
+		r.inUse, r.capacity, len(r.waiters), r.machineTime, r.releases)
 }
 
 func (r *refSystem) events() []string { return r.log }
@@ -215,7 +207,6 @@ func (r *refSystem) events() []string { return r.log }
 func TestAllocatorMatchesLinearScan(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 99))
-		// Word boundaries of the bitsets sit at 64, 128 and 256 nodes.
 		nodes := 1 + rng.IntN(300)
 		if trial < 8 {
 			nodes = []int{1, 63, 64, 65, 128, 129, 256, 257}[trial]
@@ -225,6 +216,8 @@ func TestAllocatorMatchesLinearScan(t *testing.T) {
 
 		next := 0 // next unused holder name
 		for op := 0; op < 1500; op++ {
+			real.advance(float64(op))
+			ref.advance(float64(op))
 			// The reference's state picks the operands; if the two have
 			// diverged the comparison below has already failed.
 			heldNow := sortedKeys(ref.held)

@@ -210,6 +210,10 @@ type Task struct {
 	FinishTime float64
 
 	nextAttempt int
+	// streamPrefix is DeriveSeed(seed, job ID, task ID): each attempt's
+	// stream, MakeStream(seed, job ID, task ID, attempt index), continues it
+	// with the index.
+	streamPrefix uint64
 }
 
 // NumActive counts the attempts that are queued or running.
@@ -224,9 +228,11 @@ func (t *Task) NumActive() int {
 }
 
 // BestRunning returns the running attempt with the smallest estimated
-// completion time under the estimator, or nil if none is running. This is
-// the "attempt with the best progress" kept alive at tauKill.
-func (t *Task) BestRunning(now float64, est Estimator) *Attempt {
+// completion time under the estimator, and that estimate, or nil if none is
+// running. This is the "attempt with the best progress" kept alive at
+// tauKill. It calls est once per running attempt; a caller that needs the
+// winner's estimate uses the one returned rather than asking again.
+func (t *Task) BestRunning(now float64, est Estimator) (*Attempt, float64) {
 	var best *Attempt
 	bestEst := 0.0
 	for _, a := range t.Attempts {
@@ -238,5 +244,5 @@ func (t *Task) BestRunning(now float64, est Estimator) *Attempt {
 			best, bestEst = a, e
 		}
 	}
-	return best
+	return best, bestEst
 }

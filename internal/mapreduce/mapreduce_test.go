@@ -428,9 +428,12 @@ func TestBestRunningAndMaxProgress(t *testing.T) {
 	}
 	eng.RunUntil(5)
 	task := job.Tasks[0]
-	best := task.BestRunning(5, OracleEstimator)
+	best, bestEst := task.BestRunning(5, OracleEstimator)
 	if best == nil {
 		t.Fatal("BestRunning returned nil with 3 running attempts")
+	}
+	if bestEst != best.FinishTime() {
+		t.Errorf("BestRunning returned estimate %v for an attempt finishing at %v", bestEst, best.FinishTime())
 	}
 	for _, a := range task.Attempts {
 		if a.Running() && a.FinishTime() < best.FinishTime() {

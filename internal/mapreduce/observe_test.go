@@ -181,8 +181,8 @@ func (restartProbe) Start(ctl *Controller) {
 			if task.Done {
 				continue
 			}
-			best := task.BestRunning(now, ChronosEstimator)
-			if best != nil && ChronosEstimator(best, now) > job.Deadline() {
+			best, bestEst := task.BestRunning(now, ChronosEstimator)
+			if best != nil && bestEst > job.Deadline() {
 				ctl.Launch(task, 0)
 			}
 		}

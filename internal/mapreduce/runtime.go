@@ -100,7 +100,8 @@ func (rt *Runtime) Submit(spec JobSpec, strat Strategy) (*Job, error) {
 		if i >= spec.NumTasks {
 			stage = StageReduce
 		}
-		*t = Task{Job: job, ID: i, Stage: stage, Attempts: t.Attempts[:0]}
+		*t = Task{Job: job, ID: i, Stage: stage, Attempts: t.Attempts[:0],
+			streamPrefix: pareto.DeriveSeed(rt.cfg.Seed, uint64(spec.ID), uint64(i))}
 	}
 	ctl := &Controller{rt: rt, job: job}
 	rt.Eng.Schedule(spec.Arrival, func() { strat.Start(ctl) })
@@ -167,8 +168,7 @@ func (rt *Runtime) launch(ctl *Controller, t *Task, startFrac float64) *Attempt 
 // execution characteristics, and schedules its completion.
 func (rt *Runtime) startAttempt(a *Attempt, ctr *cluster.Container) {
 	spec := &a.Task.Job.Spec
-	stream := pareto.MakeStream(rt.cfg.Seed,
-		uint64(spec.ID), uint64(a.Task.ID), uint64(a.Index))
+	stream := pareto.ExtendStream(a.Task.streamPrefix, uint64(a.Index))
 
 	dist := spec.Dist
 	if a.Task.Stage == StageReduce {

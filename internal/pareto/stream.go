@@ -20,7 +20,11 @@ func splitmix64(state uint64) uint64 {
 // DeriveSeed folds keys into seed, producing a well-mixed 64-bit value that
 // is stable across runs and platforms.
 func DeriveSeed(seed uint64, keys ...uint64) uint64 {
-	s := splitmix64(seed)
+	return fold(splitmix64(seed), keys)
+}
+
+// fold continues a derivation chain at s with keys, in order.
+func fold(s uint64, keys []uint64) uint64 {
 	for _, k := range keys {
 		s = splitmix64(s ^ splitmix64(k))
 	}
@@ -44,7 +48,15 @@ type Stream struct {
 
 // MakeStream returns the Stream for seed and keys.
 func MakeStream(seed uint64, keys ...uint64) Stream {
-	s := DeriveSeed(seed, keys...)
+	return ExtendStream(DeriveSeed(seed), keys...)
+}
+
+// ExtendStream continues the chain a DeriveSeed call returned with more keys
+// and returns the Stream at its end: ExtendStream(DeriveSeed(seed, a, b), c)
+// is MakeStream(seed, a, b, c). A caller that draws many streams under one
+// key prefix derives the prefix once and pays only for the keys after it.
+func ExtendStream(prefix uint64, keys ...uint64) Stream {
+	s := fold(prefix, keys)
 	var st Stream
 	st.pcg.Seed(s, splitmix64(s))
 	return st

@@ -16,7 +16,7 @@ import (
 
 // testRegistry builds a single-pool registry with a fixed (non-refilling)
 // budget.
-func testRegistry(t *testing.T, name string, budget float64) *tenant.Registry {
+func testRegistry(t testing.TB, name string, budget float64) *tenant.Registry {
 	t.Helper()
 	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
 		name: {Budget: budget},

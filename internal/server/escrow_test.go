@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -197,7 +198,7 @@ func TestEscrowRestartRestoresLevels(t *testing.T) {
 // leaseHolder puts s on a two-member ring whose other member it returns: the
 // one holder s, which owns the tenant's pool there, grants leases to. The
 // choice is a pure function of the tenant name; neither URL is listened on.
-func leaseHolder(t *testing.T, s *Server, tenantName string) string {
+func leaseHolder(t testing.TB, s *Server, tenantName string) string {
 	t.Helper()
 	for port := 2; port < 64; port++ {
 		holder := "http://127.0.0.1:" + strconv.Itoa(port)
@@ -593,6 +594,59 @@ func TestEscrowLeaseRejectsUnknownHolder(t *testing.T) {
 	if grant := leaseViaHTTP(t, ts.URL, escrowLeaseRequest{Tenant: "etl", Holder: member, Want: 100}); grant.Granted != 100 {
 		t.Errorf("a member was granted %g, want 100", grant.Granted)
 	}
+}
+
+// FuzzEscrowLeaseRequest posts arbitrary bytes to /v1/escrow/lease, the one
+// body only a peer sends, on an owner with one other ring member. No body
+// may panic the handler or earn a 5xx, and a body that is refused must leave
+// the pool level and the escrow out on lease where they were. Each input gets
+// a fresh owner, so a failure reproduces from its input alone.
+func FuzzEscrowLeaseRequest(f *testing.F) {
+	const budget = 1000.0
+	owner := func(t testing.TB) (*Server, string) {
+		s := New(Config{Tenants: testRegistry(t, "etl", budget), Escrow: true})
+		return s, leaseHolder(t, s, "etl")
+	}
+	s, member := owner(f)
+	s.Close()
+	valid := `{"tenant":"etl","holder":"` + member + `","want":100}`
+	for _, seed := range []string{
+		valid,
+		`{"tenant":"etl","holder":"` + member + `","want":1e9}`,
+		`{"tenant":"etl","holder":"nobody","want":1e9}`,
+		`{"tenant":"etl","holder":"","want":100}`,
+		valid + " xyz",
+		valid + valid,
+		`{"tenant":"etl","holder":"` + member + `","spent":-50,"want":-100}`,
+		`{"tenant":"etl","holder":"` + member + `","release":true,"unspent":1e300}`,
+		`{"tenant":"nope","holder":"` + member + `","want":100}`,
+		`{"tenant":"etl","holder":"` + member + `","want":"100"}`,
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, _ := owner(t)
+		defer s.Close()
+		pool := s.Tenants().Get("etl")
+		level := func() (float64, float64) {
+			_, out := s.escrow.led.Outstanding("etl")
+			return pool.Remaining(), out
+		}
+		beforePool, beforeOut := level()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, escrowPath, bytes.NewReader(body)))
+		afterPool, afterOut := level()
+		switch {
+		case rec.Code >= 500:
+			t.Fatalf("%d for body %q: %s", rec.Code, body, rec.Body)
+		case rec.Code >= 300 && (afterPool != beforePool || afterOut != beforeOut):
+			t.Fatalf("%d for body %q moved the pool %g -> %g and the escrow %g -> %g",
+				rec.Code, body, beforePool, afterPool, beforeOut, afterOut)
+		case rec.Code < 300 && (afterPool < 0 || afterPool > budget):
+			t.Fatalf("%d for body %q left the pool at %g of %g", rec.Code, body, afterPool, budget)
+		}
+	})
 }
 
 // TestFleetEscrowOwnerDeathNeverOverCommits: a dead pool owner must not hand

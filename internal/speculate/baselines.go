@@ -24,8 +24,9 @@ const checkInterval = 5
 
 // monitor is the loop Hadoop-S and Mantri share: launch the originals, kill a
 // task's leftover attempts the moment it commits, and run pass every
-// checkInterval seconds until the job is done.
-func monitor(ctl *mapreduce.Controller, pass func(*mapreduce.Controller)) {
+// checkInterval seconds until the job is done. Both baselines predate the
+// Chronos JVM-aware estimator, so pass estimates with Hadoop's.
+func monitor(ctl *mapreduce.Controller, pass func(*mapreduce.Controller, mapreduce.Estimator)) {
 	job := ctl.Job()
 	launchStaged(ctl)
 	killLeftoversOnTaskDone(ctl)
@@ -35,7 +36,7 @@ func monitor(ctl *mapreduce.Controller, pass func(*mapreduce.Controller)) {
 		if job.Done {
 			return
 		}
-		pass(ctl)
+		pass(ctl, mapreduce.HadoopEstimator)
 		ctl.After(checkInterval, tick)
 	}
 	ctl.After(checkInterval, tick)
@@ -58,7 +59,7 @@ func (HadoopS) Name() string { return "Hadoop-S" }
 func (HadoopS) Start(ctl *mapreduce.Controller) { monitor(ctl, hadoopSPass) }
 
 // hadoopSPass runs one Hadoop-S monitoring cycle.
-func hadoopSPass(ctl *mapreduce.Controller) {
+func hadoopSPass(ctl *mapreduce.Controller, est mapreduce.Estimator) {
 	job := ctl.Job()
 	now := ctl.Now()
 
@@ -77,13 +78,13 @@ func hadoopSPass(ctl *mapreduce.Controller) {
 			continue
 		}
 		a := t.Attempts[0]
-		est := mapreduce.HadoopEstimator(a, now)
-		if math.IsInf(est, 1) {
+		e := est(a, now)
+		if math.IsInf(e, 1) {
 			continue
 		}
 		// Compare estimated remaining completion against the average
 		// duration of finished tasks (both on the task-duration clock).
-		diff := (est - a.LaunchTime) - meanDone
+		diff := (e - a.LaunchTime) - meanDone
 		if diff > worstDiff {
 			worstDiff, worst = diff, t
 		}
@@ -139,15 +140,13 @@ func (Mantri) Name() string { return "Mantri" }
 func (Mantri) Start(ctl *mapreduce.Controller) { monitor(ctl, mantriPass) }
 
 // mantriPass runs one Mantri monitoring cycle. Mantri estimates completion
-// with Hadoop-style progress reports (it predates the Chronos JVM-aware
-// estimator), launches an extra attempt per tick for every outlier task,
-// and kills a duplicate only when some sibling is clearly — at least twice —
-// faster. The aggressive launch/late kill combination is what runs up
-// Mantri's cost in Figure 3(b).
-func mantriPass(ctl *mapreduce.Controller) {
+// with Hadoop-style progress reports (monitor's est), launches an extra
+// attempt per tick for every outlier task, and kills a duplicate only when
+// some sibling is clearly — at least twice — faster. The aggressive
+// launch/late kill combination is what runs up Mantri's cost in Figure 3(b).
+func mantriPass(ctl *mapreduce.Controller, est mapreduce.Estimator) {
 	job := ctl.Job()
 	now := ctl.Now()
-	est := mapreduce.HadoopEstimator
 
 	// Unlike the Chronos strategies, Mantri never kills the original
 	// straggler early and lets duplicates ride until the task commits
@@ -176,11 +175,11 @@ func mantriPass(ctl *mapreduce.Controller) {
 		if t.Done || t.NumActive()-1 >= mantriMaxExtra {
 			continue
 		}
-		best := t.BestRunning(now, est)
+		best, bestEst := t.BestRunning(now, est)
 		if best == nil {
 			continue
 		}
-		remaining := est(best, now) - now
+		remaining := bestEst - now
 		if remaining > meanDur+mantriMargin {
 			for t.NumActive()-1 < mantriMaxExtra {
 				ctl.Launch(t, 0)

@@ -87,8 +87,8 @@ func (s Chronos) runStage(ctl *mapreduce.Controller, cfg ChronosConfig, st stage
 // deadline. The handoff preserves work: the new attempts start past the bytes
 // the original will have processed by the time their JVMs are up.
 func resumeStraggler(ctl *mapreduce.Controller, cfg ChronosConfig, t *mapreduce.Task, now float64, r int) {
-	orig := t.BestRunning(now, cfg.Estimator)
-	if orig == nil || cfg.Estimator(orig, now) <= ctl.Job().Deadline() {
+	orig, origEst := t.BestRunning(now, cfg.Estimator)
+	if orig == nil || origEst <= ctl.Job().Deadline() {
 		return
 	}
 	frac := mapreduce.AnticipatedResumeFrac(orig, now)
@@ -149,11 +149,8 @@ func runStages(ctl *mapreduce.Controller, run func(stage)) {
 // to miss the absolute deadline. Tasks with no running attempt (still queued
 // under cluster contention) are stragglers by definition.
 func isStraggler(t *mapreduce.Task, now float64, est mapreduce.Estimator, deadline float64) bool {
-	best := t.BestRunning(now, est)
-	if best == nil {
-		return true
-	}
-	return est(best, now) > deadline
+	best, bestEst := t.BestRunning(now, est)
+	return best == nil || bestEst > deadline
 }
 
 // stageParams builds the analytic inputs for one stage of a job.

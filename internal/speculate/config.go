@@ -100,7 +100,8 @@ func killLeftoversOnTaskDone(ctl *mapreduce.Controller) {
 func keepBestKillRest(ctl *mapreduce.Controller, t *mapreduce.Task, est mapreduce.Estimator) {
 	var best *mapreduce.Attempt
 	if !t.Done {
-		best = t.BestRunning(ctl.Now(), est)
+		var bestEst float64
+		best, bestEst = t.BestRunning(ctl.Now(), est)
 		// If nothing is running yet (all attempts queued behind a saturated
 		// cluster), killing would wedge the task forever.
 		if best == nil {
@@ -110,7 +111,7 @@ func keepBestKillRest(ctl *mapreduce.Controller, t *mapreduce.Task, est mapreduc
 		// is +Inf), killing would be a blind pick among indistinguishable
 		// attempts — possibly discarding the fastest. Defer to natural
 		// completion instead.
-		if math.IsInf(est(best, ctl.Now()), 1) {
+		if math.IsInf(bestEst, 1) {
 			return
 		}
 	}

@@ -55,7 +55,10 @@ const (
 type SimConfig struct {
 	// Strategy is the speculation policy driving every job.
 	Strategy Strategy `json:"strategy"`
-	// Nodes and SlotsPerNode size the cluster; zero means 256 x 8.
+	// Nodes and SlotsPerNode size the cluster; zero means 256 x 8. Only
+	// their product, the number of container slots, is simulated: in the
+	// paper's model an attempt's duration is its own draw wherever it runs,
+	// so no placement of containers on nodes could change a result.
 	Nodes        int `json:"nodes,omitempty"`
 	SlotsPerNode int `json:"slotsPerNode,omitempty"`
 	// Seed makes the run reproducible; equal seeds give identical runs and
