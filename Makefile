@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test pins goldens bench bench-test cover ring-demo loc ci
+.PHONY: all fmt vet build test pins goldens examples bench bench-test cover ring-demo loc ci
 
 all: build
 
@@ -25,6 +25,10 @@ pins: ## the allocation pins, which skip themselves under -race and so never run
 
 goldens: ## the full-size simulation goldens (figures at 270 jobs, the 2,000-job oracle cells), which shrink or skip themselves under -race
 	$(GO) test -run 'Golden|ModelOracle' . ./cmd/chronos-figures
+
+examples: ## run every example program end to end: each must exit 0 within the timeout (a compiling example can still fail at runtime)
+	@for d in examples/*/; do echo "go run ./$$d"; \
+		timeout 120 $(GO) run ./$$d > /dev/null || exit 1; done
 
 bench: ## one-iteration benchmark smoke run (the CI bench-smoke job)
 	@$(GO) test -bench=. -benchtime=1x -run='^$$' ./... > bench.txt 2>&1; \
@@ -57,4 +61,4 @@ ring-demo: ## 3-replica consistent-hash ring smoke: plan via A, cache hit via B
 # cover subsumes test (its single -race run is both gates), so ci does not
 # execute the suite twice; pins and goldens rerun only the tests that -race
 # skips or shrinks.
-ci: fmt vet build cover pins goldens bench bench-test ring-demo
+ci: fmt vet build cover pins goldens examples bench bench-test ring-demo

@@ -6,6 +6,11 @@
 // that moves here moves for every party at compile time. The job, economics,
 // plan, simulation and replay-event shapes inside the bodies are the root
 // chronos package's own types.
+//
+// Only the admission bodies (AdmitRequest, AdmitBatchRequest) name a tenant:
+// POST /v1/admit and /v1/admit/batch are the one way to spend a tenant's
+// budget. Every POST body is strict: a key its type does not declare is a
+// 400 "json: unknown field", never silently ignored.
 package api
 
 import "chronos"
@@ -18,19 +23,12 @@ type PlanRequest struct {
 	// Strategy pins one Chronos strategy; empty or "best" optimizes all
 	// three and answers the utility winner.
 	Strategy string `json:"strategy,omitempty"`
-	// Tenant optionally routes the request through a named budget pool:
-	// zero Econ fields take the pool's defaults and the plan's machine time
-	// is debited from its ledger (429 when it cannot cover it).
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // PlanResponse answers POST /v1/plan.
 type PlanResponse struct {
 	Plan   chronos.Plan `json:"plan"`
 	Cached bool         `json:"cached"`
-	// BudgetRemaining is the tenant pool's post-debit level; present only
-	// for tenant-routed requests.
-	BudgetRemaining *float64 `json:"budgetRemaining,omitempty"`
 }
 
 // BatchJob is one member of a shared-budget batch.
@@ -40,9 +38,7 @@ type BatchJob struct {
 	Strategy string            `json:"strategy,omitempty"`
 	Job      chronos.JobParams `json:"job"`
 	// RMin is the job's minimum acceptable PoCD inside the allocator.
-	// Zero falls back to the batch econ's rmin (which tenant routing fills
-	// from the pool's default), so a tenant's PoCD floor binds pinned jobs
-	// too.
+	// Zero falls back to the batch econ's rmin.
 	RMin float64 `json:"rmin,omitempty"`
 }
 
@@ -50,18 +46,11 @@ type BatchJob struct {
 // one shared machine-time budget.
 type BatchRequest struct {
 	Jobs []BatchJob `json:"jobs"`
-	// Budget is the shared machine-time budget B. Must be positive unless
-	// Tenant is set, in which case it is optional and is additionally
-	// capped by the pool's remaining budget.
+	// Budget is the shared machine-time budget B. Required and positive.
 	Budget float64 `json:"budget"`
 	// Econ drives per-job strategy selection for jobs without a pinned
 	// strategy. Ignored (may be zero) when every job pins one.
 	Econ chronos.Econ `json:"econ,omitempty"`
-	// Tenant optionally routes the batch through a named budget pool: the
-	// allocation runs against min(Budget, pool remaining) and its total
-	// machine time is debited from the ledger (429 when it cannot cover
-	// it).
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // BatchPlan is one job's slice of a batch allocation: the strategy it was
@@ -77,12 +66,8 @@ type BatchResponse struct {
 	// TotalMachineTime is the expected machine time of the allocation;
 	// always <= budget.
 	TotalMachineTime float64 `json:"totalMachineTime"`
-	// Budget is the effective budget the allocation ran against (the
-	// request's budget, capped by the tenant pool when routed).
+	// Budget is the budget the allocation ran against: the request's.
 	Budget float64 `json:"budget"`
-	// BudgetRemaining is the tenant pool's post-debit level; present only
-	// for tenant-routed requests.
-	BudgetRemaining *float64 `json:"budgetRemaining,omitempty"`
 }
 
 // AdmitRequest is the body of POST /v1/admit: can this tenant afford a
@@ -213,10 +198,6 @@ type ReplayRequest struct {
 	Jobs      []chronos.SimJob     `json:"jobs,omitempty"`
 	Trace     *chronos.TraceConfig `json:"trace,omitempty"`
 	Benchmark *ReplayBenchmark     `json:"benchmark,omitempty"`
-	// Tenant optionally routes the replay through a budget pool: each
-	// completed job's machine time is debited from the ledger, and the
-	// stream ends with a budget_exhausted event when the pool drains.
-	Tenant string `json:"tenant,omitempty"`
 	// WindowSeconds is the sim-time width of window_summary events; zero
 	// disables them.
 	WindowSeconds float64 `json:"windowSeconds,omitempty"`
@@ -243,10 +224,6 @@ type ErrorResponse struct {
 	Code string `json:"code,omitempty"`
 	// TraceID is the request's trace ID (the X-Chronosd-Trace-Id value).
 	TraceID string `json:"traceId,omitempty"`
-	// Reason is the legacy alias of Code kept for pre-envelope readers; on
-	// tenant-ledger rejections it carries the structured admission-control
-	// reason (e.g. "budget_exhausted"), exactly as it always did.
-	Reason string `json:"reason,omitempty"`
 }
 
 // Stable error codes carried in ErrorResponse.Code.
@@ -255,9 +232,6 @@ const (
 	CodeNotFound        = "not_found"
 	CodePayloadTooLarge = "payload_too_large"
 	CodeUnprocessable   = "unprocessable"
-	// CodeBudgetExhausted is a tenant-ledger rejection (HTTP 429); poll
-	// again after the pool refills.
-	CodeBudgetExhausted = ReasonBudgetExhausted
 	CodeUnavailable     = "unavailable"
 	CodeInternal        = "internal"
 	// CodeNotOwner answers an escrow lease call that landed on a replica

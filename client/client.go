@@ -7,9 +7,12 @@
 //
 // Client-side routing is a fast path, not a correctness requirement: the
 // servers verify ownership on every request and forward at most one hop, so
-// a stale fleet view or a tenant-routed request whose econ defaults the
-// client cannot see merely costs that hop. Keyless endpoints (batch,
-// simulate, replay) are spread round-robin across the fleet.
+// a stale fleet view or an admit whose tenant econ defaults the client
+// cannot see merely costs that hop. Keyless endpoints (batch, simulate,
+// replay) are spread round-robin across the fleet.
+//
+// Admit and AdmitBatch are the only calls that spend a tenant's budget; a
+// rejection there is a 200 decision carrying a reason, not an *Error.
 package client
 
 import (
@@ -107,11 +110,6 @@ func (e *Error) Error() string {
 	}
 	return fmt.Sprintf("chronosd: %s (HTTP %d)", e.Message, e.Status)
 }
-
-// CodeBudgetExhausted is the envelope code of a tenant-ledger rejection
-// (HTTP 429, or a tenant-routed replay's in-band budget_exhausted event); poll
-// again after the pool refills.
-const CodeBudgetExhausted = api.CodeBudgetExhausted
 
 // The wire types, declared once in package api and named here as the SDK
 // always has.
@@ -273,9 +271,7 @@ func (c *Client) Tradeoff(ctx context.Context, strategy string, job chronos.JobP
 // Replay streams one trace-driven simulation, invoking onEvent for every
 // NDJSON event in order (a nil onEvent skips the callback), and returns the
 // stream's final replay_summary. An error event ends the stream as an
-// error, a tenant-routed replay whose pool drained as an *Error with
-// CodeBudgetExhausted (Status is the stream's own 200: the rejection arrives
-// in-band); onEvent returning an error aborts it.
+// error; onEvent returning an error aborts it.
 func (c *Client) Replay(ctx context.Context, req ReplayRequest, onEvent func(*chronos.ReplayEvent) error) (*chronos.ReplaySummary, error) {
 	httpResp, err := c.send(ctx, c.next()+"/v1/replay", req)
 	if err != nil {
@@ -301,14 +297,6 @@ func (c *Client) Replay(ctx context.Context, req ReplayRequest, onEvent func(*ch
 			if err := onEvent(&ev); err != nil {
 				return nil, err
 			}
-		}
-		if ev.Kind == chronos.EventBudgetExhausted {
-			e := &Error{Status: httpResp.StatusCode, Code: CodeBudgetExhausted}
-			e.Message = fmt.Sprintf("tenant %q cannot cover the replay: needs %g machine-seconds", ev.Tenant, ev.Needed)
-			if ev.Remaining != nil {
-				e.Message += fmt.Sprintf(", %g remaining", *ev.Remaining)
-			}
-			return nil, e
 		}
 	}
 	if summary == nil {

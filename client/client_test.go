@@ -3,11 +3,13 @@ package client
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"chronos"
+	"chronos/api"
 	"chronos/internal/ring"
 	"chronos/internal/server"
 	"chronos/internal/tenant"
@@ -135,8 +137,9 @@ func metricsAt(ctx context.Context, c *Client, base string) (string, error) {
 	return solo.Metrics(ctx)
 }
 
-// TestClientDecodesErrorEnvelope: a 429 tenant rejection surfaces as
-// *client.Error carrying the unified envelope's code and trace ID.
+// TestClientDecodesErrorEnvelope: an HTTP error (here an admit naming an
+// unknown tenant) surfaces as *client.Error carrying the unified envelope's
+// code and trace ID.
 func TestClientDecodesErrorEnvelope(t *testing.T) {
 	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
 		"tiny": {Budget: 1, Theta: 1e-4, UnitPrice: 1},
@@ -150,21 +153,21 @@ func TestClientDecodesErrorEnvelope(t *testing.T) {
 	c := New(ts.URL)
 
 	job := chronos.JobParams{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5, TauEst: 30, TauKill: 60}
-	_, err = c.Plan(context.Background(), PlanRequest{Tenant: "tiny", Job: job})
+	_, err = c.Admit(context.Background(), AdmitRequest{Tenant: "nope", Job: job})
 	var apiErr *Error
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("want *client.Error, got %v", err)
 	}
-	if apiErr.Status != 429 {
-		t.Errorf("status = %d, want 429", apiErr.Status)
+	if apiErr.Status != http.StatusNotFound {
+		t.Errorf("status = %d, want 404", apiErr.Status)
 	}
-	if apiErr.Code != CodeBudgetExhausted {
-		t.Errorf("code = %q, want %q", apiErr.Code, CodeBudgetExhausted)
+	if apiErr.Code != api.CodeNotFound {
+		t.Errorf("code = %q, want %q", apiErr.Code, api.CodeNotFound)
 	}
 	if apiErr.TraceID == "" {
 		t.Error("trace ID missing from error envelope")
 	}
-	if !strings.Contains(apiErr.Message, "tiny") {
+	if !strings.Contains(apiErr.Message, "nope") {
 		t.Errorf("message %q does not name the tenant", apiErr.Message)
 	}
 }
@@ -276,47 +279,6 @@ func TestClientAdmitBatchFleet(t *testing.T) {
 				t.Errorf("replica %d forwarded during a grouped batch: %s", i, line)
 			}
 		}
-	}
-}
-
-// TestClientReplayBudgetExhausted: a tenant-routed replay that drains its
-// pool ends with an in-band budget_exhausted event, and Replay must hand that
-// back as the same *Error a 429 decodes to — it used to be a bare "stream
-// ended without a summary" — after onEvent has seen the event.
-func TestClientReplayBudgetExhausted(t *testing.T) {
-	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
-		"small": {Budget: 50, Theta: 1e-4, UnitPrice: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(server.Config{Tenants: reg})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	var kinds []string
-	summary, err := New(ts.URL).Replay(context.Background(), ReplayRequest{
-		Config: chronos.SimConfig{Strategy: chronos.SpeculativeResume, Seed: 3},
-		Trace:  &ReplayTrace{Jobs: 20, Seed: 5},
-		Tenant: "small",
-	}, func(ev *chronos.ReplayEvent) error {
-		kinds = append(kinds, string(ev.Kind))
-		return nil
-	})
-	var apiErr *Error
-	if !errors.As(err, &apiErr) {
-		t.Fatalf("Replay = (%v, %v), want a *client.Error", summary, err)
-	}
-	if apiErr.Code != CodeBudgetExhausted {
-		t.Errorf("code = %q, want %q", apiErr.Code, CodeBudgetExhausted)
-	}
-	for _, want := range []string{"small", "needs", "remaining"} {
-		if !strings.Contains(apiErr.Message, want) {
-			t.Errorf("message %q does not carry %q", apiErr.Message, want)
-		}
-	}
-	if n := len(kinds); n == 0 || kinds[n-1] != string(chronos.EventBudgetExhausted) {
-		t.Errorf("onEvent saw %v, want the stream through budget_exhausted", kinds)
 	}
 }
 

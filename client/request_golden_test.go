@@ -3,7 +3,9 @@ package client
 // Cross-commit pin of what the SDK puts on the wire: json.Marshal of every
 // request type with fixed values (and with none, for the omitempty rules), and
 // the query string Tradeoff builds, compared with testdata/request_golden.json.
-// The file was generated at d9d3b30; rows are only ever appended.
+// The file was generated at d9d3b30; rows are only ever appended, except
+// that PlanRequest, BatchRequest and ReplayRequest jobs lost their "tenant"
+// key with the field.
 
 import (
 	"context"
@@ -58,11 +60,11 @@ func requestRows(t *testing.T) []requestRow {
 		}
 		rows = append(rows, requestRow{Name: name, Sent: string(raw)})
 	}
-	add("PlanRequest", PlanRequest{Job: job, Econ: econ, Strategy: "clone", Tenant: "team"})
+	add("PlanRequest", PlanRequest{Job: job, Econ: econ, Strategy: "clone"})
 	add("PlanRequest zero", PlanRequest{})
 	add("BatchRequest", BatchRequest{
 		Jobs:   []BatchJob{{Job: job}, {Strategy: "resume", Job: job, RMin: 0.9}},
-		Budget: 5000, Econ: econ, Tenant: "team",
+		Budget: 5000, Econ: econ,
 	})
 	add("BatchRequest zero", BatchRequest{})
 	add("AdmitRequest", AdmitRequest{Tenant: "team", Job: job, Strategy: "restart", Econ: econ})
@@ -76,7 +78,7 @@ func requestRows(t *testing.T) []requestRow {
 	// form still names one.
 	bare := chronos.SimConfig{Strategy: chronos.Clone}
 	add("SimulateRequest bare", SimulateRequest{Config: bare})
-	add("ReplayRequest jobs", ReplayRequest{Config: simCfg, Jobs: simJobs, Tenant: "team", WindowSeconds: 300})
+	add("ReplayRequest jobs", ReplayRequest{Config: simCfg, Jobs: simJobs, WindowSeconds: 300})
 	add("ReplayRequest trace", ReplayRequest{Config: simCfg,
 		Trace: &ReplayTrace{Jobs: 5, HorizonSeconds: 3600, DeadlineRatio: 2.5, Seed: 11}})
 	add("ReplayRequest bare trace", ReplayRequest{Config: bare, Trace: &ReplayTrace{}})

@@ -5,9 +5,9 @@
 // client.Admit answers accept/reject plus a plan in one round trip,
 // debiting each accepted plan's expected machine time from the tenant's
 // ledger. Once the pool runs dry the optimizer first squeezes plans down to
-// what the remaining budget affords, then rejects with a structured reason
-// — and tenant-routed planning rejections surface as *client.Error carrying
-// the unified envelope's code and trace ID.
+// what the remaining budget affords, then rejects with a structured reason,
+// while the other tenant's pool is untouched. Admission is the only way a
+// request spends a tenant's budget.
 //
 // Run with:
 //
@@ -17,7 +17,6 @@ package main
 import (
 	"context"
 	_ "embed"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -85,24 +84,17 @@ func run() error {
 		}
 	}
 
-	// The same ledger also backs tenant-routed planning: a plan with a
-	// tenant field debits the pool, and once it cannot pay the client
-	// surfaces the 429 envelope as a typed *client.Error.
-	fmt.Println("\n--- client.Plan routed through the ad-hoc pool ---")
-	for i := 1; i <= 3; i++ {
-		plan, err := c.Plan(ctx, client.PlanRequest{Tenant: "ad-hoc", Job: job})
-		var apiErr *client.Error
-		switch {
-		case errors.As(err, &apiErr):
-			fmt.Printf("plan %d: %s code=%s traceId=%s\n",
-				i, apiErr.Message, apiErr.Code, apiErr.TraceID)
-		case err != nil:
-			return err
-		default:
-			fmt.Printf("plan %d: r=%d machineTime=%.1f budgetRemaining=%.1f\n",
-				i, plan.Plan.R, plan.Plan.MachineTime, *plan.BudgetRemaining)
-		}
+	// Pools are isolated: the other tenant still admits the same job.
+	fmt.Println("\n--- client.Admit against ad-hoc ---")
+	dec, err := c.Admit(ctx, client.AdmitRequest{Tenant: "ad-hoc", Job: job})
+	if err != nil {
+		return err
 	}
+	if !dec.Admitted {
+		return fmt.Errorf("ad-hoc rejected its first job: %s", dec.Reason)
+	}
+	fmt.Printf("admitted r=%d machineTime=%.1f budgetRemaining=%.1f\n",
+		dec.Plan.R, dec.Plan.MachineTime, dec.BudgetRemaining)
 
 	// Per-tenant observability: admits, rejects by reason, plans by
 	// strategy, and the live ledger levels.

@@ -69,7 +69,6 @@ type planRequestWire struct {
 	Job      JobParams `json:"job"`
 	Econ     Econ      `json:"econ"`
 	Strategy string    `json:"strategy,omitempty"`
-	Tenant   string    `json:"tenant,omitempty"`
 }
 
 // FuzzPlanRequestJSON feeds arbitrary bytes through the plan-request decode
@@ -80,7 +79,7 @@ func FuzzPlanRequestJSON(f *testing.F) {
 		`{"job":{"tasks":10,"deadline":100,"tmin":10,"beta":1.5,"tauEst":30,"tauKill":60},"econ":{"theta":1e-4,"unitPrice":1}}`,
 		`{"job":{"tasks":-1},"strategy":"clone"}`,
 		`{"job":{"deadline":1e308,"beta":-1e308},"econ":{"rmin":2}}`,
-		`{"strategy":"nope","tenant":"etl"}`,
+		`{"strategy":"nope"}`,
 		`{"job":null,"econ":null}`,
 		`{}`, `[]`, `""`, `0`,
 		`{"plan":{"strategy":"Mantri","r":3,"pocd":0.5,"machineTime":1,"cost":1,"utility":-1}}`,

@@ -10,17 +10,12 @@ import (
 	"chronos"
 )
 
-// maxNestingDepth matches encoding/json's scanner limit: the decoder
-// errors once more than this many objects/arrays are open at once.
-const maxNestingDepth = 10000
-
 // decoder is a single-pass JSON scanner over one request body. It lives on
 // the caller's stack; scratch is only touched when a string needs
 // unescaping or UTF-8 repair, so hot numeric bodies never allocate.
 type decoder struct {
 	data    []byte
 	off     int
-	depth   int
 	intern  Interner
 	scratch []byte
 }
@@ -248,9 +243,10 @@ func (d *decoder) null() (bool, error) {
 // object walks one JSON object, or consumes a null, which leaves the struct
 // untouched as in encoding/json. Each key is resolved against names, the
 // struct's JSON field names in declaration order, and field(i) decodes the
-// value of the i-th one; values under unknown keys are validated and
-// skipped. A key decoded by stringBytes is only valid until the next string
-// decode, so it is resolved before its value is read.
+// value of the i-th one; a key the struct does not declare is an error, as
+// under a json.Decoder with DisallowUnknownFields. A key decoded by
+// stringBytes is only valid until the next string decode, so it is resolved
+// before its value is read.
 func (d *decoder) object(names []string, field func(i int) error) error {
 	if isNull, err := d.null(); isNull || err != nil {
 		return err
@@ -259,10 +255,6 @@ func (d *decoder) object(names []string, field func(i int) error) error {
 		return d.syntaxf("expected object")
 	}
 	d.off++
-	d.depth++
-	if d.depth > maxNestingDepth {
-		return d.syntaxf("exceeded max depth")
-	}
 	for first := true; ; first = false {
 		c, err := d.peek()
 		if err != nil {
@@ -271,7 +263,6 @@ func (d *decoder) object(names []string, field func(i int) error) error {
 		switch {
 		case c == '}':
 			d.off++
-			d.depth--
 			return nil
 		case first:
 		case c == ',':
@@ -296,12 +287,11 @@ func (d *decoder) object(names []string, field func(i int) error) error {
 			return d.syntaxf("expected ':' after object key")
 		}
 		d.off++
-		if i := fieldIndex(names, key); i >= 0 {
-			err = field(i)
-		} else {
-			err = d.skipValue()
+		i := fieldIndex(names, key)
+		if i < 0 {
+			return fmt.Errorf("json: unknown field %q", key)
 		}
-		if err != nil {
+		if err := field(i); err != nil {
 			return err
 		}
 	}
@@ -322,62 +312,6 @@ func fieldIndex(names []string, key []byte) int {
 		}
 	}
 	return -1
-}
-
-// skipValue validates and discards one JSON value of any type.
-func (d *decoder) skipValue() error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case '{':
-		return d.object(nil, nil)
-	case '[':
-		d.off++
-		d.depth++
-		if d.depth > maxNestingDepth {
-			return d.syntaxf("exceeded max depth")
-		}
-		if c, err = d.peek(); err != nil {
-			return err
-		}
-		if c == ']' {
-			d.off++
-			d.depth--
-			return nil
-		}
-		for {
-			if err := d.skipValue(); err != nil {
-				return err
-			}
-			if c, err = d.peek(); err != nil {
-				return err
-			}
-			switch c {
-			case ']':
-				d.off++
-				d.depth--
-				return nil
-			case ',':
-				d.off++
-			default:
-				return d.syntaxf("expected ',' or ']' in array")
-			}
-		}
-	case '"':
-		_, err := d.stringBytes()
-		return err
-	case 't':
-		return d.literal("true")
-	case 'f':
-		return d.literal("false")
-	case 'n':
-		return d.literal("null")
-	default:
-		_, err := d.numberToken()
-		return err
-	}
 }
 
 // floatField decodes a JSON number into dst; null is a no-op, anything
@@ -448,7 +382,8 @@ func (d *decoder) stringField(dst *string) error {
 var (
 	jobParamsFields = []string{"tasks", "deadline", "tmin", "beta", "tauEst", "tauKill", "phiEst"}
 	econFields      = []string{"theta", "unitPrice", "rmin"}
-	requestFields   = []string{"job", "econ", "strategy", "tenant"}
+	planFields      = []string{"job", "econ", "strategy"}
+	admitFields     = []string{"job", "econ", "strategy", "tenant"}
 )
 
 func (d *decoder) jobParams(v *chronos.JobParams) error {
@@ -488,21 +423,22 @@ func (d *decoder) econ(v *chronos.Econ) error {
 // DecodePlanRequest decodes data into v with encoding/json's semantics for
 // the same struct. in may be nil.
 func DecodePlanRequest(data []byte, v *PlanRequest, in Interner) error {
-	return decodeRequest(data, in, &v.Job, &v.Econ, &v.Strategy, &v.Tenant)
+	return decodeRequest(data, in, planFields, &v.Job, &v.Econ, &v.Strategy, nil)
 }
 
 // DecodeAdmitRequest decodes data into v with encoding/json's semantics
 // for the same struct. in may be nil.
 func DecodeAdmitRequest(data []byte, v *AdmitRequest, in Interner) error {
-	return decodeRequest(data, in, &v.Job, &v.Econ, &v.Strategy, &v.Tenant)
+	return decodeRequest(data, in, admitFields, &v.Job, &v.Econ, &v.Strategy, &v.Tenant)
 }
 
-// decodeRequest is the one body behind both request decoders: plan and admit
-// requests carry the same four fields, and JSON does not see the order the
-// Go structs declare them in.
-func decodeRequest(data []byte, in Interner, job *chronos.JobParams, econ *chronos.Econ, strategy, tenant *string) error {
+// decodeRequest is the one body behind both request decoders: an admit
+// request is a plan request plus the tenant it names (names omits "tenant"
+// for a plan, whose tenant is nil), and JSON does not see the order the Go
+// structs declare them in.
+func decodeRequest(data []byte, in Interner, names []string, job *chronos.JobParams, econ *chronos.Econ, strategy, tenant *string) error {
 	d := decoder{data: data, intern: in}
-	err := d.object(requestFields, func(i int) error {
+	err := d.object(names, func(i int) error {
 		switch i {
 		case 0:
 			return d.jobParams(job)

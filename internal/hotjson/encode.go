@@ -139,9 +139,6 @@ func AppendPlanResponse(dst []byte, r *PlanResponse) ([]byte, error) {
 	w := writer{buf: dst}
 	w.plan(`{"plan":`, &r.Plan)
 	w.bool(`,"cached":`, r.Cached)
-	if r.BudgetRemaining != nil {
-		w.float(`,"budgetRemaining":`, *r.BudgetRemaining)
-	}
 	return w.done()
 }
 
@@ -262,15 +259,6 @@ func AppendReplayEvent(dst []byte, ev *chronos.ReplayEvent) ([]byte, error) {
 	}
 	if ev.TraceID != "" {
 		w.str(`,"traceId":`, ev.TraceID)
-	}
-	if ev.Tenant != "" {
-		w.str(`,"tenant":`, ev.Tenant)
-	}
-	if ev.Needed != 0 {
-		w.float(`,"needed":`, ev.Needed)
-	}
-	if ev.Remaining != nil {
-		w.float(`,"remaining":`, *ev.Remaining)
 	}
 	if ev.Error != "" {
 		w.str(`,"error":`, ev.Error)

@@ -19,13 +19,26 @@ import (
 // shapes that exercise every field kind (pointers, maps, escapes, folds,
 // duplicate keys).
 
+// strictUnmarshal is the decode oracle: json.Unmarshal's rules and error
+// texts for the bytes (exactly one JSON value), then a json.Decoder with
+// DisallowUnknownFields for the value — the serving layer's reflection body
+// path.
+func strictUnmarshal(data []byte, v any) error {
+	if !json.Valid(data) {
+		return json.Unmarshal(data, v)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 // checkDecode decodes data with both decoders — plain and through an
 // Interner, which must not change the value — and fails on any
-// success/failure or value disagreement with encoding/json.
+// success/failure or value disagreement with a strict encoding/json decode.
 func checkDecode[T any](t *testing.T, data []byte, hot func([]byte, *T, Interner) error) {
 	t.Helper()
 	var ref T
-	refErr := json.Unmarshal(data, &ref)
+	refErr := strictUnmarshal(data, &ref)
 	for _, in := range []Interner{nil, testInterner{}} {
 		var got T
 		hotErr := hot(data, &got, in)
@@ -66,6 +79,7 @@ func FuzzPlanRequest(f *testing.F) {
 	f.Add([]byte(`{"JOB":{"Tasks":3},"tenant":"acme","strategy":"best","x":[{"deep":[1,2,{}]}]}`))
 	f.Add([]byte(`{"job":null,"econ":{"rmin":0.25,"theta":1e-7},"tenant":"a\u0062c"}`))
 	f.Add([]byte(` {"job":{"tasks":1,"tasks":2}} `))
+	f.Add([]byte(`{"job":{"tasks":1},"econ":{"Theta":1e-4,"unitprice":1},"STRATEGY":"clone"}`))
 	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data, DecodePlanRequest) })
 }
 
@@ -95,8 +109,8 @@ func FuzzPlan(f *testing.F) {
 
 func FuzzPlanResponse(f *testing.F) {
 	f.Add([]byte(`{"plan":{"strategy":"Clone","r":2,"pocd":0.9999,"machineTime":123.4,"cost":12.3,"utility":3.21},"cached":true}`))
-	f.Add([]byte(`{"plan":{"strategy":"Mantri","r":0,"pocd":0,"machineTime":0,"cost":0,"utility":0},"cached":false,"budgetRemaining":17.5}`))
-	f.Add([]byte(`{"budgetRemaining":null,"cached":true}`))
+	f.Add([]byte(`{"plan":{"strategy":"Mantri","r":0,"pocd":0,"machineTime":0,"cost":0,"utility":0},"cached":false}`))
+	f.Add([]byte(`{"cached":true}`))
 	f.Fuzz(func(t *testing.T, data []byte) { checkEncode(t, data, AppendPlanResponse) })
 }
 
@@ -112,7 +126,7 @@ func FuzzReplayEvent(f *testing.F) {
 	f.Add([]byte(`{"event":"job_completed","seq":2,"time":310,"job":{"id":7,"strategy":"Clone","tasks":10,"arrival":0.5,"deadline":300},"outcome":{"finish":290,"metDeadline":true,"lateness":0,"machineTime":123,"cost":12.3},"pocd":1}`))
 	f.Add([]byte(`{"event":"window_summary","seq":3,"time":600,"window":{"index":0,"start":0,"end":600,"completed":4,"running":{"jobs":4,"submitted":6,"met":3,"pocd":0.75,"meanMachineTime":100,"meanCost":10}}}`))
 	f.Add([]byte(`{"event":"replay_summary","seq":9,"time":9000,"summary":{"jobs":10,"submitted":10,"met":9,"pocd":0.9,"meanMachineTime":90,"meanCost":9,"rHistogram":{"2":7,"10":3,"-1":1}}}`))
-	f.Add([]byte(`{"event":"budget_exhausted","seq":4,"time":12,"tenant":"t","needed":3.5,"remaining":0.5,"error":"x"}`))
+	f.Add([]byte(`{"event":"error","seq":4,"time":12,"error":"x"}`))
 	f.Fuzz(func(t *testing.T, data []byte) { checkEncode(t, data, AppendReplayEvent) })
 }
 

@@ -6,11 +6,12 @@
 // The encoders are append-style and byte-identical to encoding/json
 // (declared field order, omitempty, HTML-escaped strings, ES6 float
 // formatting, string-sorted map keys); the decoders accept exactly the
-// inputs encoding/json accepts for the same structs (any field order,
-// case-insensitive fallback matching, unknown-field skipping, null
-// semantics, � replacement of invalid UTF-8). Both are fuzz-verified
-// with encoding/json as the oracle and as the inverse direction — see
-// fuzz_test.go. Neither allocates on well-formed hot inputs: encoders
+// inputs a strict encoding/json decoder (DisallowUnknownFields, one value)
+// accepts for the same structs (any field order, case-insensitive fallback
+// matching, null semantics, � replacement of invalid UTF-8) and reject an
+// unknown key with its text, `json: unknown field "<key>"`. Both are
+// fuzz-verified with encoding/json as the oracle and as the inverse
+// direction — see fuzz_test.go. Neither allocates on well-formed hot inputs: encoders
 // append into a caller-owned buffer, and decoders resolve repeated strings
 // through an optional Interner instead of allocating fresh copies.
 package hotjson

@@ -23,10 +23,9 @@ func mustPlan(t *testing.T) chronos.Plan {
 }
 
 func TestAppendPlanResponseMatchesEncodingJSON(t *testing.T) {
-	rem := 42.5
 	cases := []PlanResponse{
 		{Plan: mustPlan(t), Cached: true},
-		{Plan: mustPlan(t), Cached: false, BudgetRemaining: &rem},
+		{Plan: mustPlan(t), Cached: false},
 		{Plan: chronos.Plan{Strategy: chronos.Clone, PoCD: 1e-9, MachineTime: 1e21, Cost: 6.123e-9, Utility: -0.5}},
 	}
 	for _, c := range cases {
@@ -82,13 +81,12 @@ func TestAppendPlanInvalidStrategyErrors(t *testing.T) {
 func TestAppendReplayEventMatchesEncodingJSON(t *testing.T) {
 	r := 3
 	pocd := 0.75
-	rem := 0.0
 	cases := []chronos.ReplayEvent{
 		{Kind: "job_planned", Seq: 1, Time: 0.5, Job: &chronos.ReplayJobEvent{ID: 7, Strategy: "Clone", Tasks: 10, Arrival: 0.5, Deadline: 300, R: &r}, TraceID: "abc"},
 		{Kind: "job_completed", Seq: 2, Time: 310, Outcome: &chronos.ReplayOutcome{Finish: 290, MetDeadline: true, MachineTime: 123, Cost: 12.3}, PoCD: &pocd},
 		{Kind: "window_summary", Seq: 3, Time: 600, Window: &chronos.ReplayWindow{Index: 1, Start: 0, End: 600, Completed: 4, Running: chronos.ReplaySummary{Jobs: 4, Submitted: 6, Met: 3, PoCD: 0.75, MeanMachineTime: 100, MeanCost: 10}}},
 		{Kind: "replay_summary", Seq: 9, Time: 9000, Summary: &chronos.ReplaySummary{Jobs: 10, Met: 9, PoCD: 0.9, RHistogram: map[int]int{2: 7, 10: 3, -1: 1, 100: 4}}},
-		{Kind: "budget_exhausted", Seq: 4, Time: 12, Tenant: "t", Needed: 3.5, Remaining: &rem, Error: "boom"},
+		{Kind: "error", Seq: 4, Time: 12, Error: "boom"},
 	}
 	for _, ev := range cases {
 		want, err := json.Marshal(&ev)
@@ -106,9 +104,9 @@ func TestAppendReplayEventMatchesEncodingJSON(t *testing.T) {
 }
 
 func TestDecodePlanRequestSemantics(t *testing.T) {
-	body := `{"unknown":{"nested":[1,"two",{"three":3}]},"JOB":{"tasks":5,"DEADLINE":250,"tmin":50,"beta":1.5,"tauEst":60,"tauKill":5,"phiEst":0.4},"econ":{"theta":0.001,"unitPrice":2,"rmin":0.5},"strategy":"clone","tenant":"acme","strategy":"best"}`
+	body := `{"JOB":{"tasks":5,"DEADLINE":250,"tmin":50,"beta":1.5,"tauEst":60,"tauKill":5,"phiEst":0.4},"econ":{"theta":0.001,"unitPrice":2,"rmin":0.5},"strategy":"clone","Strategy":"best"}`
 	var want, got PlanRequest
-	if err := json.Unmarshal([]byte(body), &want); err != nil {
+	if err := strictUnmarshal([]byte(body), &want); err != nil {
 		t.Fatal(err)
 	}
 	if err := DecodePlanRequest([]byte(body), &got, nil); err != nil {
@@ -128,16 +126,50 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		`{"job":{"tasks":01}}`, `{"job":{"deadline":1.}}`, `{"job":{"deadline":+1}}`,
 		`{"job":{}}x`, `{"job":{},}`, `{"strategy":"a` + "\x01" + `"}`,
 		`{"job":{"deadline":1e999}}`, `{"job":{"tasks":1.5}}`,
-		strings.Repeat("[", 10001),
+		strings.Repeat("[", 10001), `{"job":{},"tenant":"acme"}`,
 	}
 	for _, body := range bad {
 		var ref PlanRequest
-		if err := json.Unmarshal([]byte(body), &ref); err == nil {
+		if err := strictUnmarshal([]byte(body), &ref); err == nil {
 			t.Fatalf("encoding/json accepted %q — test expectation wrong", body)
 		}
 		var v PlanRequest
 		if err := DecodePlanRequest([]byte(body), &v, nil); err == nil {
 			t.Fatalf("DecodePlanRequest accepted malformed %q", body)
+		}
+	}
+}
+
+// TestDecodeRejectsUnknownKeys: a key the struct does not declare, at any
+// depth and whatever its value, fails the decode with exactly the text a
+// json.Decoder with DisallowUnknownFields gives, so the serving layer's two
+// body paths answer an unknown key alike.
+func TestDecodeRejectsUnknownKeys(t *testing.T) {
+	for _, tc := range []struct {
+		body  string
+		admit bool
+	}{
+		{`{"job":{"tasks":1},"tenant":"acme"}`, false},
+		{`{"tenant":null}`, false},
+		{`{"strategy":"clone","x":[{"deep":[1,2,{}]}]}`, false},
+		{`{"job":{"tasks":1,"deadlines":100}}`, false},
+		{`{"econ":{"theta":0.1,"price":1}}`, true},
+		{`{"tenant":"acme","budget":5}`, true},
+		{`{"tenant":"a\u0062c","t\u00e9nant":"x"}`, true},
+	} {
+		var ref, got error
+		if tc.admit {
+			ref = strictUnmarshal([]byte(tc.body), new(AdmitRequest))
+			got = DecodeAdmitRequest([]byte(tc.body), new(AdmitRequest), nil)
+		} else {
+			ref = strictUnmarshal([]byte(tc.body), new(PlanRequest))
+			got = DecodePlanRequest([]byte(tc.body), new(PlanRequest), nil)
+		}
+		if ref == nil || !strings.Contains(ref.Error(), "unknown field") {
+			t.Fatalf("%s: encoding/json said %v — test expectation wrong", tc.body, ref)
+		}
+		if got == nil || got.Error() != ref.Error() {
+			t.Errorf("%s: hotjson said %v, want %q", tc.body, got, ref.Error())
 		}
 	}
 }
@@ -176,8 +208,7 @@ func TestDecodeZeroAlloc(t *testing.T) {
 // allocates nothing.
 func TestEncodeZeroAlloc(t *testing.T) {
 	plan := mustPlan(t)
-	rem := 12.5
-	resp := PlanResponse{Plan: plan, Cached: true, BudgetRemaining: &rem}
+	resp := PlanResponse{Plan: plan, Cached: true}
 	admit := AdmitResponse{Admitted: true, Tenant: "analytics", Plan: &plan, BudgetRemaining: 90}
 	buf := make([]byte, 0, 1024)
 	if avg := testing.AllocsPerRun(200, func() {

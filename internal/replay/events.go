@@ -6,8 +6,8 @@ package replay
 type Kind string
 
 // The event catalog. The first four are emitted by the replay core itself;
-// the last two are reserved for the serving layer, which shares this wire
-// format for its own stream entries.
+// the last is reserved for the serving layer, which shares this wire format
+// for its own stream entries.
 const (
 	// KindJobPlanned fires when a job arrives and its strategy has chosen
 	// a speculation plan (Outcome is absent; Job.R carries the chosen r for
@@ -23,10 +23,6 @@ const (
 	KindWindowSummary Kind = "window_summary"
 	// KindReplaySummary is the final event of a successful replay.
 	KindReplaySummary Kind = "replay_summary"
-	// KindBudgetExhausted is emitted by the serving layer when a tenant
-	// pool can no longer cover a completed job's machine time; the stream
-	// ends after it.
-	KindBudgetExhausted Kind = "budget_exhausted"
 	// KindError is emitted by the serving layer when a replay fails after
 	// the stream has started (the HTTP status is already written).
 	KindError Kind = "error"
@@ -60,11 +56,6 @@ type Event struct {
 	// library and CLI replays.
 	TraceID string `json:"traceId,omitempty"`
 
-	// Tenant, Needed and Remaining describe a ledger failure
-	// (budget_exhausted only, set by the serving layer).
-	Tenant    string   `json:"tenant,omitempty"`
-	Needed    float64  `json:"needed,omitempty"`
-	Remaining *float64 `json:"remaining,omitempty"`
 	// Error is the failure message (error events only).
 	Error string `json:"error,omitempty"`
 }

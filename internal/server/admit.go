@@ -173,15 +173,6 @@ func timedDebit(tr *obs.Trace, bud budgeter, cost float64) (ok bool, remaining f
 	return ok, remaining
 }
 
-// rejectBudget answers a tenant-routed /v1/plan or /v1/plan/batch whose
-// ledger cannot pay: 429 with the structured reason (carried both as the
-// envelope code and the legacy reason field), counted per tenant.
-// (/v1/admit reports the same condition in its own 200 decision payload.)
-func (s *Server) rejectBudget(w http.ResponseWriter, r *http.Request, tenantName, format string, args ...any) {
-	s.metrics.tenantReject(tenantName, api.ReasonBudgetExhausted)
-	s.apiError(w, r, http.StatusTooManyRequests, format, args...)
-}
-
 // rejectReason maps optimization failures onto the admission-control
 // rejection vocabulary; "" marks errors that are the request's fault
 // (reported as HTTP errors instead).
@@ -215,7 +206,7 @@ func (s *Server) lookupPool(w http.ResponseWriter, r *http.Request, name string)
 	return pool, true
 }
 
-// tenantBudget picks the debit interface for one tenant-routed request: the
+// tenantBudget picks the debit interface for one admission request: the
 // raw pool when escrow accounting is off (the legacy per-replica
 // approximation), the escrow-aware budget when it is on.
 func (s *Server) tenantBudget(ctx context.Context, name string, pool *tenant.Pool) budgeter {

@@ -273,73 +273,60 @@ func TestAdmitConcurrentNoOvercommit(t *testing.T) {
 	}
 }
 
+// postTenantBody posts a raw body to url and asserts the answer an unknown
+// "tenant" key gets: the JSON error envelope (no stream), 400, code
+// bad_request, the strict decoders' text.
+func postTenantBody(t *testing.T, url, body string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("%s: Content-Type %q, want the JSON error envelope", url, ct)
+	}
+	env := decodeBody[api.ErrorResponse](t, resp)
+	const want = `invalid JSON: json: unknown field "tenant"`
+	if resp.StatusCode != http.StatusBadRequest || env.Code != api.CodeBadRequest || env.Error != want {
+		t.Errorf("%s: %d %s %q, want 400 bad_request %q", url, resp.StatusCode, env.Code, env.Error, want)
+	}
+}
+
+// TestPlanTenantRouting: /v1/plan no longer routes through a tenant pool (it
+// used to debit the plan's machine time, and answer 429 once the pool could
+// not pay). A body naming a tenant, known or not, is a 400 unknown field and
+// the pool does not move: /v1/admit is the way to spend it.
 func TestPlanTenantRouting(t *testing.T) {
-	mt := bestPlanMachineTime(t)
-	budget := 1.5 * mt
-	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget)})
-
-	req := api.PlanRequest{Job: testJob(), Econ: testEcon(), Tenant: "etl"}
-	first := decodeBody[api.PlanResponse](t, postJSON(t, ts.URL+"/v1/plan", req))
-	if first.BudgetRemaining == nil {
-		t.Fatal("tenant-routed plan missing budgetRemaining")
+	budget := 1.5 * bestPlanMachineTime(t)
+	srv, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget)})
+	body := `{"job":` + wireJob + `,"econ":` + wireEcon + `,"tenant":"etl"}`
+	for i := 0; i < 2; i++ { // the second used to be the 429
+		postTenantBody(t, ts.URL+"/v1/plan", body)
 	}
-	if got := *first.BudgetRemaining; got > budget-mt+1e-9 {
-		t.Errorf("budgetRemaining = %v, want <= %v", got, budget-mt)
+	if rem := srv.Tenants().Get("etl").Remaining(); rem != budget {
+		t.Errorf("pool at %g after tenant-named plans, want %g untouched", rem, budget)
 	}
 
-	// The second identical request is a cache hit but cannot pay: 1.5
-	// optimal plans do not cover two. /v1/plan never squeezes — that is
-	// /v1/admit's job.
-	resp := postJSON(t, ts.URL+"/v1/plan", req)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	errBody := decodeBody[api.ErrorResponse](t, resp)
-	if errBody.Reason != api.ReasonBudgetExhausted {
-		t.Errorf("reason = %q, want %q", errBody.Reason, api.ReasonBudgetExhausted)
-	}
-
-	t.Run("unknown tenant", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/plan",
-			api.PlanRequest{Job: testJob(), Econ: testEcon(), Tenant: "nope"})
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("status = %d, want 404", resp.StatusCode)
-		}
+	t.Run("unknown tenant", func(t *testing.T) { // used to be a 404
+		postTenantBody(t, ts.URL+"/v1/plan", `{"job":`+wireJob+`,"tenant":"nope"}`)
 	})
 }
 
+// TestBatchTenantRouting: /v1/plan/batch no longer routes through a tenant
+// pool (it used to cap the allocation by the pool, debit it, and answer 429
+// once drained). A batch naming a tenant is a 400 unknown field and the pool
+// does not move; the budget is the request's own, required and positive. A
+// tenant's PoCD floor still binds pinned jobs where budgets are spent, on
+// /v1/admit/batch.
 func TestBatchTenantRouting(t *testing.T) {
-	mt := bestPlanMachineTime(t)
-	budget := 4 * mt
-	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget)})
-
-	// No explicit budget: the allocation runs against the pool's
-	// remainder and debits what it allocates.
-	req := api.BatchRequest{
-		Jobs:   []api.BatchJob{{Job: testJob()}, {Job: testJob()}},
-		Econ:   testEcon(),
-		Tenant: "etl",
-	}
-	got := decodeBody[api.BatchResponse](t, postJSON(t, ts.URL+"/v1/plan/batch", req))
-	if len(got.Plans) != 2 {
-		t.Fatalf("got %d plans, want 2", len(got.Plans))
-	}
-	if got.Budget > budget {
-		t.Errorf("effective budget %v exceeds pool budget %v", got.Budget, budget)
-	}
-	if got.BudgetRemaining == nil {
-		t.Fatal("tenant-routed batch missing budgetRemaining")
-	}
-	wantRem := budget - got.TotalMachineTime
-	if diff := *got.BudgetRemaining - wantRem; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("budgetRemaining = %v, want %v", *got.BudgetRemaining, wantRem)
+	budget := 4 * bestPlanMachineTime(t)
+	srv, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget)})
+	postTenantBody(t, ts.URL+"/v1/plan/batch",
+		`{"jobs":[{"job":`+wireJob+`},{"job":`+wireJob+`}],"econ":`+wireEcon+`,"tenant":"etl"}`)
+	if rem := srv.Tenants().Get("etl").Remaining(); rem != budget {
+		t.Errorf("pool at %g after a tenant-named batch, want %g untouched", rem, budget)
 	}
 
-	// The tenant's PoCD floor binds jobs that pin a strategy (and so skip
-	// best-of-three selection): their allocator RMin falls back to the
-	// pool default.
 	t.Run("tenant rmin floors pinned jobs", func(t *testing.T) {
 		reg, err := tenant.NewRegistry(map[string]tenant.Limits{
 			"sla": {Budget: 1e6, RMin: 0.9},
@@ -348,17 +335,17 @@ func TestBatchTenantRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, slaTS := newTestServer(t, Config{Tenants: reg})
-		got := decodeBody[api.BatchResponse](t, postJSON(t, slaTS.URL+"/v1/plan/batch",
-			api.BatchRequest{
-				Jobs:   []api.BatchJob{{Job: testJob(), Strategy: "clone"}},
-				Tenant: "sla",
-			}))
-		if got.Plans[0].PoCD <= 0.9 {
-			t.Errorf("pinned job PoCD %v at or below the tenant's RMin 0.9", got.Plans[0].PoCD)
+		got := decodeBody[api.AdmitBatchResponse](t, postJSON(t, slaTS.URL+"/v1/admit/batch",
+			api.AdmitBatchRequest{Tenant: "sla", Jobs: []api.AdmitBatchJob{{Job: testJob(), Strategy: "clone"}}}))
+		if len(got.Results) != 1 || !got.Results[0].Admitted {
+			t.Fatalf("pinned job not admitted: %+v", got)
+		}
+		if pocd := got.Results[0].Plan.PoCD; pocd <= 0.9 {
+			t.Errorf("pinned job PoCD %v at or below the tenant's RMin 0.9", pocd)
 		}
 	})
 
-	// A negative budget is malformed, not an implicit full-pool grant.
+	req := api.BatchRequest{Jobs: []api.BatchJob{{Job: testJob()}, {Job: testJob()}}, Econ: testEcon()}
 	t.Run("negative budget is 400", func(t *testing.T) {
 		neg := req
 		neg.Budget = -5
@@ -369,9 +356,8 @@ func TestBatchTenantRouting(t *testing.T) {
 		}
 	})
 
-	// An explicit request budget below the r=0 floor is the request's
-	// fault, not the ledger's: 422 like a tenantless batch, even though
-	// the pool could cover far more.
+	// A request budget below the r=0 floor is a 422, the pool's level
+	// notwithstanding.
 	t.Run("tiny explicit budget is 422 not 429", func(t *testing.T) {
 		small := req
 		small.Budget = 1
@@ -381,20 +367,6 @@ func TestBatchTenantRouting(t *testing.T) {
 			t.Errorf("status = %d, want 422", resp.StatusCode)
 		}
 	})
-
-	// Drain the pool, then the same batch must be rejected with 429.
-	for i := 0; i < 20; i++ {
-		resp := postJSON(t, ts.URL+"/v1/plan/batch", req)
-		if resp.StatusCode == http.StatusTooManyRequests {
-			errBody := decodeBody[api.ErrorResponse](t, resp)
-			if errBody.Reason != api.ReasonBudgetExhausted {
-				t.Errorf("reason = %q, want %q", errBody.Reason, api.ReasonBudgetExhausted)
-			}
-			return
-		}
-		resp.Body.Close()
-	}
-	t.Fatal("pool never exhausted for batch requests")
 }
 
 // TestTenantPlanNearDegenerate: D - tauEst within a percent of tmin puts
@@ -404,11 +376,14 @@ func TestBatchTenantRouting(t *testing.T) {
 func TestTenantPlanNearDegenerate(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "demo", 1e9)})
 	job := chronos.JobParams{Tasks: 1000, Deadline: 20, TMin: 10, Beta: 1.5, TauEst: 9.9, TauKill: 15}
-	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Tenant: "demo", Strategy: "restart", Job: job, Econ: testEcon()})
+	resp := postJSON(t, ts.URL+"/v1/admit", api.AdmitRequest{Tenant: "demo", Strategy: "restart", Job: job, Econ: testEcon()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-	got := decodeBody[api.PlanResponse](t, resp)
+	got := decodeBody[api.AdmitResponse](t, resp)
+	if !got.Admitted || got.Plan == nil {
+		t.Fatalf("near-degenerate admit rejected: %q", got.Reason)
+	}
 	if c := got.Plan.Cost; math.IsNaN(c) || math.IsInf(c, 0) || c <= 0 {
 		t.Fatalf("plan cost = %v, want finite and positive", c)
 	}
@@ -465,5 +440,47 @@ func TestTenantMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q\n--- got:\n%s", want, body)
 		}
+	}
+}
+
+// TestOnlyAdmitSpendsTenantBudget: /v1/admit and /v1/admit/batch are the one
+// way to spend a tenant's budget. A "tenant" key on /v1/plan, /v1/plan/batch
+// or /v1/replay — which used to debit the pool, or stream until it drained —
+// is an unknown field: a 400 before anything is planned or streamed, with the
+// pool level, the escrow outstanding and the admit counter where they were.
+func TestOnlyAdmitSpendsTenantBudget(t *testing.T) {
+	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
+		"team": {Budget: 5000, Theta: 1e-4, UnitPrice: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Tenants: reg, Escrow: true})
+	t.Cleanup(s.Close)
+	holder := leaseHolder(t, s, "team")
+	leaseViaHTTP(t, ts.URL, escrowLeaseRequest{Tenant: "team", Holder: holder, Want: 100})
+
+	ledger := func() [4]string {
+		text := getMetricsText(t, ts.URL)
+		return [4]string{
+			strconv.FormatFloat(s.Tenants().Get("team").Remaining(), 'g', -1, 64),
+			metricValue(text, `chronosd_escrow_outstanding{tenant="team"}`),
+			metricValue(text, `chronosd_tenant_admits_total{tenant="team"}`),
+			metricValue(text, "chronosd_replays_total"),
+		}
+	}
+	before := ledger()
+	if before[1] != "100" {
+		t.Fatalf("escrow outstanding = %q before the probes, want 100", before[1])
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/plan", `{"job":` + wireJob + `,"econ":` + wireEcon + `,"tenant":"team"}`},
+		{"/v1/plan/batch", `{"jobs":[{"job":` + wireJob + `}],"tenant":"team"}`},
+		{"/v1/replay", `{"config":{"strategy":"clone","seed":7},"jobs":[` + wireSimJob + `],"tenant":"team"}`},
+	} {
+		postTenantBody(t, ts.URL+tc.path, tc.body)
+	}
+	if after := ledger(); after != before {
+		t.Errorf("pool, outstanding, admits, replays moved from %q to %q", before, after)
 	}
 }

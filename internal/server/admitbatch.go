@@ -46,8 +46,10 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 	econ := tenantEcon(req.Econ, pool)
 
 	// Resolve every job's strategy and plan key up front; an unparseable
-	// strategy name is the request's fault, not an admission decision.
+	// strategy name is the request's fault, not an admission decision. The
+	// keys share one buffer, each cell's key a cap-limited window of it.
 	jobs := make([]admitJob, len(req.Jobs))
+	var keys []byte
 	for i, j := range req.Jobs {
 		strat, best, ok := plankey.ParseStrategy(j.Strategy)
 		if !ok {
@@ -56,7 +58,9 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		c := &jobs[i].cell
 		*c = cell{strat: strat, best: best, job: j.Job, econ: econ}
-		c.key = plankey.AppendKey(nil, c.name(), c.job, c.econ)
+		start := len(keys)
+		keys = plankey.AppendKey(keys, c.name(), c.job, c.econ)
+		c.key = keys[start:len(keys):len(keys)]
 	}
 	results := make([]api.AdmitBatchResult, len(jobs))
 	admitted, remaining, err := s.admitJobs(tr, req.Tenant, s.tenantBudget(r.Context(), req.Tenant, pool), jobs, results)

@@ -11,8 +11,9 @@ import (
 )
 
 // TestBodyContractUniform: every POST endpoint accepts exactly the same set
-// of bodies — one JSON value of the endpoint's shape, whitespace around it
-// allowed — and answers every other body with the same status and code. The
+// of bodies — one JSON value of the endpoint's shape with no key that shape
+// does not declare, whitespace around it allowed — and answers every other
+// body with the same status and code. The
 // streaming decoder six of them used to read with stopped at the end of
 // the first value, so `{...} xyz` was a 200 (on /v1/admit/batch a 200 with a
 // ledger debit) where /v1/plan and /v1/admit answered 400.
@@ -50,6 +51,7 @@ func TestBodyContractUniform(t *testing.T) {
 		{"empty body", func(string) string { return "" }, 400, api.CodeBadRequest},
 		{"limit+1 bytes", func(string) string { return strings.Repeat("x", wireMaxBody+1) }, 413, api.CodePayloadTooLarge},
 		{"wrong top-level type", func(string) string { return `[]` }, 400, api.CodeBadRequest},
+		{"unknown key", func(v string) string { return `{"unknown":1,` + v[1:] }, 400, api.CodeBadRequest},
 	}
 	post := func(path, body string) (int, string) {
 		t.Helper()

@@ -110,10 +110,9 @@ type Config struct {
 	// retains. Zero means obs.DefaultTraceRingSize (256).
 	TraceRingSize int
 
-	// Tenants is the initial multi-tenant budget registry. Nil disables
-	// tenant routing: /v1/admit answers 404 and the tenant field on
-	// /v1/plan and /v1/plan/batch is rejected. Swappable at runtime with
-	// Server.SetTenants.
+	// Tenants is the initial multi-tenant budget registry, spent only
+	// through /v1/admit and /v1/admit/batch. Nil disables admission: both
+	// answer 404. Swappable at runtime with Server.SetTenants.
 	Tenants *tenant.Registry
 
 	// Escrow turns on fleet-exact tenant accounting: the ring owner of each

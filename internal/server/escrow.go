@@ -126,7 +126,7 @@ func (m *escrowManager) leaseTarget(pool *tenant.Pool) float64 {
 }
 
 // budgetFor returns the debit interface the serving path uses for one
-// tenant-routed request: the WAL-logged authoritative pool when this replica
+// admission request: the WAL-logged authoritative pool when this replica
 // owns the tenant, the local lease (with synchronous owner top-ups) when it
 // does not.
 func (m *escrowManager) budgetFor(ctx context.Context, name string, pool *tenant.Pool) budgeter {

@@ -278,8 +278,7 @@ func TestSetTenantsRebaseWithOutstandingLeases(t *testing.T) {
 }
 
 // TestErrorEnvelopeUnified: every /v1 error carries the unified envelope —
-// error text, stable code, and the request's trace ID — while readers of
-// the legacy reason field still see it on budget rejections.
+// error text, stable code, and the request's trace ID.
 func TestErrorEnvelopeUnified(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", 1)})
 
@@ -309,15 +308,6 @@ func TestErrorEnvelopeUnified(t *testing.T) {
 			wantStatus: http.StatusNotFound,
 			wantCode:   api.CodeNotFound,
 		},
-		{
-			name: "budget exhausted",
-			do: func() *http.Response {
-				return postJSON(t, ts.URL+"/v1/plan",
-					api.PlanRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()})
-			},
-			wantStatus: http.StatusTooManyRequests,
-			wantCode:   api.CodeBudgetExhausted,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -345,20 +335,6 @@ func TestErrorEnvelopeUnified(t *testing.T) {
 			}
 			if header := resp.Header.Get("X-Chronosd-Trace-Id"); env.TraceID != header {
 				t.Errorf("envelope trace ID %q != response header %q", env.TraceID, header)
-			}
-			// Compatibility: a pre-envelope reader that only knows the
-			// legacy reason field still sees structured budget rejections.
-			if tc.wantStatus == http.StatusTooManyRequests {
-				var legacy struct {
-					Error  string `json:"error"`
-					Reason string `json:"reason"`
-				}
-				if err := json.Unmarshal(raw, &legacy); err != nil {
-					t.Fatal(err)
-				}
-				if legacy.Reason != api.ReasonBudgetExhausted {
-					t.Errorf("legacy reason = %q, want %q", legacy.Reason, api.ReasonBudgetExhausted)
-				}
 			}
 		})
 	}

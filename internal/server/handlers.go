@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +14,6 @@ import (
 	"chronos/internal/obs"
 	"chronos/internal/optimize"
 	"chronos/internal/plankey"
-	"chronos/internal/tenant"
 )
 
 // errorCodeForStatus maps an HTTP status onto the envelope's error code.
@@ -29,8 +29,6 @@ func errorCodeForStatus(status int) string {
 		return api.CodePayloadTooLarge
 	case http.StatusUnprocessableEntity:
 		return api.CodeUnprocessable
-	case http.StatusTooManyRequests:
-		return api.CodeBudgetExhausted
 	case http.StatusServiceUnavailable:
 		return api.CodeUnavailable
 	}
@@ -50,10 +48,6 @@ func (s *Server) apiError(w http.ResponseWriter, r *http.Request, status int, fo
 		Error: fmt.Sprintf(format, args...),
 		Code:  errorCodeForStatus(status),
 	}
-	if resp.Code == api.CodeBudgetExhausted {
-		// Tenant-ledger rejections keep the field pre-envelope readers parse.
-		resp.Reason = api.ReasonBudgetExhausted
-	}
 	if tr := obs.FromContext(r.Context()); tr != nil {
 		resp.TraceID = tr.ID
 	}
@@ -61,9 +55,11 @@ func (s *Server) apiError(w http.ResponseWriter, r *http.Request, status int, fo
 }
 
 // decode reads the whole body (readBody, which answers 413 and read errors)
-// and unmarshals it into v, answering 400 for anything but exactly one JSON
-// value of v's shape: the one body path of every POST endpoint that is not
-// served by the hotjson codec, which applies the same rule.
+// and decodes it into v, answering 400 for anything but exactly one JSON
+// value of v's shape with no key v does not declare: the one body path of
+// every POST endpoint that is not served by the hotjson codec, which applies
+// the same rule with the same texts. The bytes are checked first, so a
+// syntax error reads as json.Unmarshal words it.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	hb := getHotBuf()
 	defer putHotBuf(hb)
@@ -71,7 +67,15 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if hb.in, ok = s.readBody(w, r, hb.in); !ok {
 		return false
 	}
-	if err := json.Unmarshal(hb.in, v); err != nil {
+	var err error
+	if json.Valid(hb.in) {
+		dec := json.NewDecoder(bytes.NewReader(hb.in))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
+	} else {
+		err = json.Unmarshal(hb.in, v)
+	}
+	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "invalid JSON: %v", err)
 		return false
 	}
@@ -103,10 +107,9 @@ func finitePtr(x float64) *float64 {
 
 // handlePlan serves POST /v1/plan: the per-arrival planning hot path. The
 // sharded cache short-circuits repeated requests for quantization-equal
-// jobs. Tenant-routed requests additionally debit the plan's machine time
-// from the named pool, with 429 when the ledger cannot cover it. The whole
-// path — body read, hotjson decode, key build, cache probe, encode, write —
-// runs on one pooled hotBuf and allocates nothing on a cache hit.
+// jobs. It spends no tenant budget; that is /v1/admit. The whole path —
+// body read, hotjson decode, key build, cache probe, encode, write — runs on
+// one pooled hotBuf and allocates nothing on a cache hit.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	hb := getHotBuf()
 	defer putHotBuf(hb)
@@ -125,18 +128,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, "unknown strategy %q", req.Strategy)
 		return
 	}
-	var pool *tenant.Pool
-	if req.Tenant != "" {
-		tr.SetTenant(req.Tenant)
-		if pool, ok = s.lookupPool(w, r, req.Tenant); !ok {
-			return
-		}
-		req.Econ = tenantEcon(req.Econ, pool)
-	}
 	// Sharded serving: when another replica owns this plan key, proxy the
 	// request there so the fleet's caches partition the keyspace instead of
-	// overlapping. The forwarded request carries the tenant-filled econ, so
-	// the owner's cache key matches this routing decision.
+	// overlapping.
 	c := cell{strat: strat, best: best, job: req.Job, econ: req.Econ}
 	c.quantize(tr, hb.key[:0])
 	hb.key = c.key
@@ -151,18 +145,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	tr.SetCached(cached)
 	resp := &hb.planResp
 	*resp = api.PlanResponse{Plan: plan, Cached: cached}
-	if pool != nil {
-		ok, rem := timedDebit(tr, s.tenantBudget(r.Context(), req.Tenant, pool), plan.MachineTime)
-		if !ok {
-			s.rejectBudget(w, r, req.Tenant,
-				"tenant %q cannot cover the plan: needs %g machine-seconds, %g remaining",
-				req.Tenant, plan.MachineTime, rem)
-			return
-		}
-		s.metrics.tenantAdmit(req.Tenant, plan.Strategy.String())
-		hb.rem = rem
-		resp.BudgetRemaining = &hb.rem
-	}
 	s.metrics.plans.inc(plan.Strategy.String())
 	out, err := hotjson.AppendPlanResponse(hb.out[:0], resp)
 	if err != nil {
@@ -192,31 +174,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			"batch has %d jobs, limit %d", len(req.Jobs), s.cfg.MaxBatchJobs)
 		return
 	}
-	var pool *tenant.Pool
-	if req.Tenant != "" {
-		tr.SetTenant(req.Tenant)
-		var ok bool
-		if pool, ok = s.lookupPool(w, r, req.Tenant); !ok {
-			return
-		}
-		req.Econ = tenantEcon(req.Econ, pool)
-	}
-	if pool == nil {
-		if !(req.Budget > 0) {
-			s.apiError(w, r, http.StatusBadRequest, "budget must be positive")
-			return
-		}
-	} else if req.Budget < 0 || math.IsNaN(req.Budget) {
-		// Only an omitted (zero) budget means "use the pool's remainder";
-		// a negative or NaN budget is malformed, not a full-pool grant.
-		s.apiError(w, r, http.StatusBadRequest,
-			"budget must be positive, or omitted for tenant-routed batches")
+	if !(req.Budget > 0) {
+		s.apiError(w, r, http.StatusBadRequest, "budget must be positive")
 		return
 	}
 
 	// Resolve every job's strategy in order; an unpinned one is the best of
 	// the three from the plan cache, so a batch's repeated shapes solve once.
-	strategies := make([]chronos.Strategy, len(req.Jobs))
+	batch := make([]chronos.BatchJob, len(req.Jobs))
 	var key []byte
 	for i, jr := range req.Jobs {
 		strat, best, ok := plankey.ParseStrategy(jr.Strategy)
@@ -235,84 +200,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			strat = plan.Strategy
 		}
-		strategies[i] = strat
-	}
-
-	batch := make([]chronos.BatchJob, len(req.Jobs))
-	for i, jr := range req.Jobs {
 		rmin := jr.RMin
 		if rmin == 0 {
 			rmin = req.Econ.RMin
 		}
-		batch[i] = chronos.BatchJob{Strategy: strategies[i], Params: jr.Job, RMin: rmin}
+		batch[i] = chronos.BatchJob{Strategy: strat, Params: jr.Job, RMin: rmin}
 	}
 
-	// Allocate and, when tenant-routed, settle the allocation's total
-	// machine time against the pool: the allocation runs against
-	// min(request budget, ledger snapshot).
-	var (
-		plans  []chronos.BatchPlan
-		budget float64
-		total  float64
-		capped bool // whether the pool, not the request, set the budget
-	)
-	allocate := func(remaining float64) (float64, error) {
-		budget, capped = req.Budget, false
-		if budget <= 0 || budget > remaining {
-			budget, capped = remaining, true
-		}
-		var err error
-		if plans, err = chronos.PlanBatch(batch, budget); err != nil {
-			return 0, err
-		}
-		total = 0
-		for _, p := range plans {
-			total += p.MachineTime
-		}
-		// BatchSolve tolerates 1e-9 of float slop above its budget; clamp
-		// the debit to the allocation budget so the ledger's strict
-		// comparison cannot deterministically reject an affordable batch.
-		return min(total, budget), nil
-	}
-	var (
-		budgetRemaining *float64
-		rem             float64
-		err             error
-	)
-	settled := true
-	if pool == nil {
-		_, err = allocate(math.Inf(1))
-	} else {
-		rem, settled, err = settle(tr, s.tenantBudget(r.Context(), req.Tenant, pool), allocate)
-		budgetRemaining = &rem
-	}
-	switch {
-	case capped && errors.Is(err, optimize.ErrBudgetTooSmall):
-		// A too-small budget is only the tenant ledger's fault when the
-		// ledger set it; an explicit request budget below the r=0 floor gets
-		// the same 422 a tenantless batch would.
-		s.rejectBudget(w, r, req.Tenant, "tenant %q cannot cover the batch: %v", req.Tenant, err)
-		return
-	case err != nil:
+	plans, err := chronos.PlanBatch(batch, req.Budget)
+	if err != nil {
 		s.apiError(w, r, planStatus(err), "%v", err)
 		return
-	case !settled:
-		s.rejectBudget(w, r, req.Tenant,
-			"tenant %q cannot cover the batch: needs %g machine-seconds", req.Tenant, total)
-		return
 	}
-
-	resp := api.BatchResponse{
-		Plans:           make([]api.BatchPlan, len(plans)),
-		Budget:          budget,
-		BudgetRemaining: budgetRemaining,
-	}
+	resp := api.BatchResponse{Plans: make([]api.BatchPlan, len(plans)), Budget: req.Budget}
 	for i, p := range plans {
-		s.metrics.plans.inc(strategies[i].String())
-		if pool != nil {
-			s.metrics.tenantAdmit(req.Tenant, strategies[i].String())
-		}
-		resp.Plans[i] = api.BatchPlan{Strategy: strategies[i], BatchPlan: p}
+		s.metrics.plans.inc(batch[i].Strategy.String())
+		resp.Plans[i] = api.BatchPlan{Strategy: batch[i].Strategy, BatchPlan: p}
 		resp.TotalMachineTime += p.MachineTime
 	}
 	s.writeJSON(w, r, http.StatusOK, resp)

@@ -34,12 +34,10 @@ type hotBuf struct {
 	admitReq  api.AdmitRequest
 	admitResp api.AdmitResponse
 
-	// The one-job batch /v1/admit hands to admitJobs. jobs[0].plan and rem
-	// also back the response-struct pointers (admitResp.Plan,
-	// planResp.BudgetRemaining), which would otherwise escape to the heap.
+	// The one-job batch /v1/admit hands to admitJobs. jobs[0].plan also
+	// backs admitResp.Plan, which would otherwise escape to the heap.
 	jobs    [1]admitJob
 	results [1]api.AdmitBatchResult
-	rem     float64
 }
 
 var hotBufPool = sync.Pool{New: func() any {
@@ -66,7 +64,6 @@ func putHotBuf(hb *hotBuf) {
 	hb.admitReq = api.AdmitRequest{}
 	hb.admitResp = api.AdmitResponse{}
 	hb.jobs, hb.results = [1]admitJob{}, [1]api.AdmitBatchResult{}
-	hb.rem = 0
 	hotBufPool.Put(hb)
 }
 

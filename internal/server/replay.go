@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"chronos/api"
 	"chronos/internal/hotjson"
 	"chronos/internal/obs"
-	"chronos/internal/tenant"
 )
 
 // replayMaxArrival bounds arrivals for /v1/replay. Streaming runs exist for
@@ -22,10 +20,6 @@ const replayMaxArrival = 1e8
 // windows). Sub-second windows over HTTP are pure event spam and a
 // degenerate width must not be able to grind the boundary arithmetic.
 const replayMinWindow = 1.0
-
-// errReplayBudget aborts a tenant-routed replay whose pool drained; the
-// budget_exhausted event has already been streamed when it is raised.
-var errReplayBudget = errors.New("replay tenant budget exhausted")
 
 // handleReplay serves POST /v1/replay: an NDJSON stream of replay events
 // (job_planned, job_completed, window_summary, replay_summary — see the
@@ -46,16 +40,6 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, "%s", msg)
 		return
 	}
-	tr := obs.FromContext(r.Context())
-	var pool *tenant.Pool
-	if req.Tenant != "" {
-		tr.SetTenant(req.Tenant)
-		var ok bool
-		if pool, ok = s.lookupPool(w, r, req.Tenant); !ok {
-			return
-		}
-	}
-
 	if !s.takeReplaySlot(w, r) {
 		return
 	}
@@ -68,26 +52,22 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		w:  w,
 		rc: http.NewResponseController(w),
 		m:  s.metrics,
-		tr: tr,
+		tr: obs.FromContext(r.Context()),
 	}
 	finish := s.metrics.replayStarted()
 	defer finish()
 
-	obs := chronos.ReplayObserverFunc(stream.write)
-	if pool != nil {
-		obs = s.debitingObserver(stream, s.tenantBudget(r.Context(), req.Tenant, pool), req.Tenant)
-	}
 	// The replay engine's memory tracks in-flight tasks; cap them with the
 	// same ceiling /v1/simulate puts on a whole run, so a trace whose jobs
 	// all arrive at once cannot materialize wholesale.
 	_, err := chronos.Replay(r.Context(), req.Config, jobs, chronos.ReplayOptions{
 		WindowSeconds: req.WindowSeconds,
 		MaxOpenTasks:  s.cfg.MaxSimTotalTasks,
-		Observer:      obs,
+		Observer:      chronos.ReplayObserverFunc(stream.write),
 	})
 	switch {
-	case err == nil || errors.Is(err, errReplayBudget):
-		// Complete stream, or a ledger stop already reported in-band.
+	case err == nil:
+		// Complete stream.
 	case !stream.started:
 		// Nothing streamed yet: report as a plain HTTP error.
 		s.apiError(w, r, http.StatusBadRequest, "%v", err)
@@ -195,7 +175,7 @@ const replayFlushEvery = 5 * time.Millisecond
 // ndjsonStream writes one JSON event per line. The 200 header goes out with
 // the first event, which is flushed at once; after that a write flushes only
 // if replayFlushEvery has passed since the last flush, and the events that
-// end a stream (replay_summary, budget_exhausted, error) always flush; what
+// end a stream (replay_summary, error) always flush; what
 // is written between flushes sits in net/http's 4 KiB buffer. Each write's
 // encode+write+flush accumulates into the request trace's replay_emit span,
 // and the final replay_summary is stamped with the trace ID so the streamed
@@ -206,8 +186,8 @@ type ndjsonStream struct {
 	m       *serverMetrics
 	tr      *obs.Trace
 	started bool
-	// nextSeq is one past the last line written: the seq of an event the
-	// stream adds itself (budget_exhausted, error).
+	// nextSeq is one past the last line written: the seq of an error event
+	// the stream adds itself.
 	nextSeq   uint64
 	lastFlush time.Time
 	// buf is the stream's reusable encode buffer: each event is encoded by
@@ -246,7 +226,7 @@ func (st *ndjsonStream) write(ev *chronos.ReplayEvent) error {
 	}
 	st.m.replayEmit(ev.Kind == chronos.EventJobCompleted)
 	switch ev.Kind {
-	case chronos.EventReplaySummary, chronos.EventBudgetExhausted, chronos.EventError:
+	case chronos.EventReplaySummary, chronos.EventError:
 	default:
 		// lastFlush is zero before the first event, so that one flushes.
 		if emitStart.Sub(st.lastFlush) < replayFlushEvery {
@@ -258,33 +238,4 @@ func (st *ndjsonStream) write(ev *chronos.ReplayEvent) error {
 	// buffering middleware will batch the stream.
 	_ = st.rc.Flush()
 	return nil
-}
-
-// debitingObserver wraps the stream with per-job tenant accounting: every
-// settled job's machine time is debited from the tenant's budget (the raw
-// pool, or the escrow-aware budget when fleet-exact accounting is on), and a
-// failed debit emits a budget_exhausted event and stops the replay.
-func (s *Server) debitingObserver(st *ndjsonStream, bud budgeter, name string) chronos.ReplayObserverFunc {
-	return func(ev *chronos.ReplayEvent) error {
-		if err := st.write(ev); err != nil {
-			return err
-		}
-		if ev.Kind != chronos.EventJobCompleted || ev.Outcome == nil {
-			return nil
-		}
-		ok, rem := bud.TryDebit(ev.Outcome.MachineTime)
-		if ok {
-			return nil
-		}
-		s.metrics.tenantReject(name, api.ReasonBudgetExhausted)
-		_ = st.write(&chronos.ReplayEvent{
-			Kind:      chronos.EventBudgetExhausted,
-			Seq:       st.nextSeq,
-			Time:      ev.Time,
-			Tenant:    name,
-			Needed:    ev.Outcome.MachineTime,
-			Remaining: &rem,
-		})
-		return errReplayBudget
-	}
 }

@@ -15,7 +15,6 @@ import (
 
 	"chronos"
 	"chronos/api"
-	"chronos/internal/tenant"
 )
 
 // tinyStream builds n cheap one-task jobs arriving steadily.
@@ -264,55 +263,6 @@ func TestReplayConcurrencyCap(t *testing.T) {
 	}
 }
 
-// TestReplayTenantExhaustion drains a small pool mid-replay and expects a
-// budget_exhausted event to end the stream.
-func TestReplayTenantExhaustion(t *testing.T) {
-	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
-		"etl": {Budget: 2000}, // a few tiny jobs' worth of machine time
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, Config{Tenants: reg})
-
-	resp := postJSON(t, ts.URL+"/v1/replay", map[string]any{
-		"config": smallSimConfig(),
-		"jobs":   tinyStream(300),
-		"tenant": "etl",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	events := readEvents(t, resp)
-	final := events[len(events)-1]
-	if final.Kind != chronos.EventBudgetExhausted {
-		t.Fatalf("final event %q, want budget_exhausted", final.Kind)
-	}
-	if final.Tenant != "etl" || final.Remaining == nil || final.Needed <= *final.Remaining {
-		t.Fatalf("bad budget_exhausted payload: %+v", final)
-	}
-	completed := 0
-	for _, ev := range events {
-		if ev.Kind == chronos.EventJobCompleted {
-			completed++
-		}
-	}
-	if completed == 0 || completed >= 300 {
-		t.Fatalf("completed %d jobs before exhaustion, want some but not all", completed)
-	}
-	if rem := reg.Get("etl").Remaining(); rem >= 2000 {
-		t.Fatalf("pool was never debited: %g remaining", rem)
-	}
-
-	resp = postJSON(t, ts.URL+"/v1/replay", map[string]any{
-		"config": smallSimConfig(), "jobs": tinyStream(3), "tenant": "ghost",
-	})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown tenant status = %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestSimulateHonorsContext pins the satellite bugfix: /v1/simulate no
 // longer runs to completion for a client that is already gone.
 func TestSimulateHonorsContext(t *testing.T) {
@@ -558,63 +508,49 @@ func (w *flushLog) Flush() {
 // wall time, and always the event that ends the stream — with every line
 // still written whole and in order.
 func TestReplayFlushPolicy(t *testing.T) {
-	reg, err := tenant.NewRegistry(map[string]tenant.Limits{"etl": {Budget: 2000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{Tenants: reg})
-	for _, tc := range []struct {
-		name, tenant string
-		final        chronos.ReplayEventKind
-	}{
-		{"complete", "", chronos.EventReplaySummary},
-		{"budget exhausted", "etl", chronos.EventBudgetExhausted},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			raw, err := json.Marshal(map[string]any{
-				"config": smallSimConfig(), "jobs": tinyStream(500), "tenant": tc.tenant,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := &flushLog{h: make(http.Header)}
-			start := time.Now()
-			s.handleReplay(w, httptest.NewRequest(http.MethodPost, "/v1/replay", bytes.NewReader(raw)))
-			wall := time.Since(start)
-			if w.code != http.StatusOK {
-				t.Fatalf("status = %d: %s", w.code, w.body.String())
-			}
+	s := New(Config{})
+	t.Run("complete", func(t *testing.T) {
+		raw, err := json.Marshal(map[string]any{"config": smallSimConfig(), "jobs": tinyStream(500)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &flushLog{h: make(http.Header)}
+		start := time.Now()
+		s.handleReplay(w, httptest.NewRequest(http.MethodPost, "/v1/replay", bytes.NewReader(raw)))
+		wall := time.Since(start)
+		if w.code != http.StatusOK {
+			t.Fatalf("status = %d: %s", w.code, w.body.String())
+		}
 
-			lines := bytes.Split(bytes.TrimSuffix(w.body.Bytes(), []byte("\n")), []byte("\n"))
-			var last chronos.ReplayEvent
-			for i, line := range lines {
-				last = chronos.ReplayEvent{}
-				if err := json.Unmarshal(line, &last); err != nil {
-					t.Fatalf("line %d is not a whole JSON object: %v: %q", i, err, line)
-				}
-				if last.Seq != uint64(i) {
-					t.Fatalf("line %d has seq %d", i, last.Seq)
-				}
+		lines := bytes.Split(bytes.TrimSuffix(w.body.Bytes(), []byte("\n")), []byte("\n"))
+		var last chronos.ReplayEvent
+		for i, line := range lines {
+			last = chronos.ReplayEvent{}
+			if err := json.Unmarshal(line, &last); err != nil {
+				t.Fatalf("line %d is not a whole JSON object: %v: %q", i, err, line)
 			}
-			if last.Kind != tc.final {
-				t.Fatalf("final event %q, want %q", last.Kind, tc.final)
+			if last.Seq != uint64(i) {
+				t.Fatalf("line %d has seq %d", i, last.Seq)
 			}
-			if writes := bytes.Count(w.ops, []byte("w")); writes != len(lines) {
-				t.Errorf("%d writes for %d lines, want one write per line", writes, len(lines))
-			}
+		}
+		if last.Kind != chronos.EventReplaySummary {
+			t.Fatalf("final event %q, want replay_summary", last.Kind)
+		}
+		if writes := bytes.Count(w.ops, []byte("w")); writes != len(lines) {
+			t.Errorf("%d writes for %d lines, want one write per line", writes, len(lines))
+		}
 
-			if !bytes.HasPrefix(w.ops, []byte("wf")) {
-				t.Errorf("stream began %q, want the first event flushed before the second is written", w.ops[:min(len(w.ops), 4)])
-			}
-			if n := len(w.flushedAt); w.ops[len(w.ops)-1] != 'f' || w.flushedAt[n-1] != w.body.Len() {
-				t.Errorf("the %s event was not flushed", tc.final)
-			}
-			// One flush per replayFlushEvery at most, plus the first and the
-			// last; a flush per line would be len(lines) of them.
-			most := int((wall+replayFlushEvery-1)/replayFlushEvery) + 2
-			if n := len(w.flushedAt); n < 2 || n > most {
-				t.Errorf("%d flushes for %d lines over %v, want between 2 and %d", n, len(lines), wall, most)
-			}
-		})
-	}
+		if !bytes.HasPrefix(w.ops, []byte("wf")) {
+			t.Errorf("stream began %q, want the first event flushed before the second is written", w.ops[:min(len(w.ops), 4)])
+		}
+		if n := len(w.flushedAt); w.ops[len(w.ops)-1] != 'f' || w.flushedAt[n-1] != w.body.Len() {
+			t.Error("the replay_summary event was not flushed")
+		}
+		// One flush per replayFlushEvery at most, plus the first and the
+		// last; a flush per line would be len(lines) of them.
+		most := int((wall+replayFlushEvery-1)/replayFlushEvery) + 2
+		if n := len(w.flushedAt); n < 2 || n > most {
+			t.Errorf("%d flushes for %d lines over %v, want between 2 and %d", n, len(lines), wall, most)
+		}
+	})
 }

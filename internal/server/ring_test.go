@@ -358,21 +358,21 @@ func TestFleetTenantDriftFallsBackLocally(t *testing.T) {
 	servers, listeners := newRingFleet(t, 3, func(i int) Config {
 		return Config{Tenants: testRegistry(t, "etl", 1e9)}
 	})
-	req := api.PlanRequest{Job: testJob(), Econ: testEcon(), Tenant: "etl"}
-	owner := fleetOwner(t, servers, listeners, req)
+	req := api.AdmitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}
+	owner := fleetOwner(t, servers, listeners, api.PlanRequest{Job: req.Job, Econ: req.Econ})
 	via := (owner + 1) % 3
 	// The owner's registry loses the tenant (drifted config).
 	servers[owner].SetTenants(testRegistry(t, "other", 1))
 
-	resp := postJSON(t, listeners[via].URL+"/v1/plan", req)
+	resp := postJSON(t, listeners[via].URL+"/v1/admit", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("drift fallback: status = %d, want 200", resp.StatusCode)
 	}
 	if got := resp.Header.Get(ServedByHeader); got != listeners[via].URL {
 		t.Errorf("drift fallback served by %q, want local replica %q", got, listeners[via].URL)
 	}
-	out := decodeBody[api.PlanResponse](t, resp)
-	if out.BudgetRemaining == nil || *out.BudgetRemaining >= 1e9 {
+	out := decodeBody[api.AdmitResponse](t, resp)
+	if !out.Admitted || out.BudgetRemaining >= 1e9 {
 		t.Errorf("local fallback did not debit the local ledger: %+v", out)
 	}
 	text := getMetricsText(t, listeners[via].URL)

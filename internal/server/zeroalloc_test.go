@@ -182,7 +182,7 @@ func TestServingStackAllocCeilings(t *testing.T) {
 		ceiling float64
 	}{
 		{"admit batch of 16", Config{Tenants: deep()}, "/v1/admit/batch",
-			api.AdmitBatchRequest{Tenant: "bench", Jobs: batch, Econ: testEcon()}, 137},
+			api.AdmitBatchRequest{Tenant: "bench", Jobs: batch, Econ: testEcon()}, 92},
 		{"escrowed admit", Config{Tenants: deep(), Escrow: true}, "/v1/admit", admit, 29},
 		{"escrowed admit with WAL", Config{Tenants: deep(), Escrow: true, Store: store}, "/v1/admit", admit, 31},
 	} {

@@ -1,8 +1,8 @@
 // Package trace provides the trace-driven-simulation substrate of the
 // paper's large-scale evaluation: a synthetic generator of Google-trace-like
-// MapReduce job streams and Pareto fitting of empirical task-time samples.
+// MapReduce job streams, each job carrying its Pareto task-time parameters.
 //
-// Substitution note (see DESIGN.md): the paper replays 30 hours of the 2011
+// Substitution note: the paper replays 30 hours of the 2011
 // Google cluster trace (2700 jobs, ~1M tasks), extracting per job only the
 // start time, task count, and an execution-time distribution it then
 // re-samples as Pareto. The synthetic generator below emits exactly that
@@ -134,13 +134,4 @@ func Generate(cfg GeneratorConfig) ([]JobRecord, error) {
 		jobs[i].ID = i // re-key in arrival order
 	}
 	return jobs, nil
-}
-
-// TotalTasks sums the task counts of a job stream.
-func TotalTasks(jobs []JobRecord) int {
-	total := 0
-	for _, j := range jobs {
-		total += j.NumTasks
-	}
-	return total
 }

@@ -94,10 +94,3 @@ func TestGenerateValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestTotalTasks(t *testing.T) {
-	jobs := []JobRecord{{NumTasks: 5}, {NumTasks: 7}}
-	if got := TotalTasks(jobs); got != 12 {
-		t.Errorf("TotalTasks = %d, want 12", got)
-	}
-}

@@ -35,12 +35,11 @@ type (
 
 // The streamed event kinds.
 const (
-	EventJobPlanned      = replay.KindJobPlanned
-	EventJobCompleted    = replay.KindJobCompleted
-	EventWindowSummary   = replay.KindWindowSummary
-	EventReplaySummary   = replay.KindReplaySummary
-	EventBudgetExhausted = replay.KindBudgetExhausted
-	EventError           = replay.KindError
+	EventJobPlanned    = replay.KindJobPlanned
+	EventJobCompleted  = replay.KindJobCompleted
+	EventWindowSummary = replay.KindWindowSummary
+	EventReplaySummary = replay.KindReplaySummary
+	EventError         = replay.KindError
 )
 
 // ReplayOptions tunes the streaming side of a replay; the simulation physics
