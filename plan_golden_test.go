@@ -271,10 +271,6 @@ func planTranscript(c planCell) (best string, transcript []byte) {
 		}
 		p, err := chronos.MinCostForPoCD(s, j, e, 0.99)
 		plan(fmt.Sprintf("%v MinCostForPoCD(0.99)", s), p, err)
-		for _, at := range []float64{j.TauKill, 0.75 * j.Deadline, 1.5 * j.Deadline} {
-			v, err := chronos.CompletionCDF(s, j, 2, at)
-			val(fmt.Sprintf("%v CompletionCDF(2, %x)", s, at), v, err)
-		}
 		v, err := chronos.DeadlineQuantile(s, j, 2, 0.99)
 		val(fmt.Sprintf("%v DeadlineQuantile(2, 0.99)", s), v, err)
 	}
