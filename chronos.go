@@ -328,17 +328,6 @@ func planOf(s Strategy, res optimize.Result, err error) (Plan, error) {
 	}, nil
 }
 
-// CompletionCDF returns P(job completes by t) for the strategy with r extra
-// attempts — the full completion-time distribution behind the PoCD point
-// value.
-func CompletionCDF(s Strategy, p JobParams, r int, t float64) (float64, error) {
-	kind, ap, err := analytic(s, p)
-	if err != nil {
-		return 0, err
-	}
-	return analysis.CompletionCDF(kind, ap, r, t), nil
-}
-
 // DeadlineQuantile returns the tightest deadline the strategy can promise
 // with probability target using r extra attempts — the SLA-quoting
 // direction of the model ("what D can I sign at the 99.9th percentile?").

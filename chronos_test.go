@@ -368,26 +368,16 @@ func TestSimulateHadoopEstimatorAblation(t *testing.T) {
 	}
 }
 
-func TestCompletionCDFAndDeadlineQuantile(t *testing.T) {
+// TestDeadlineQuantile: the quoted deadline is one the plan meets — PoCD with
+// the job's deadline set to it reaches the target.
+func TestDeadlineQuantile(t *testing.T) {
 	p := apiParams()
-	// CDF at the deadline equals the PoCD.
-	pocd, err := PoCD(SpeculativeResume, p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cdf, err := CompletionCDF(SpeculativeResume, p, 2, p.Deadline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cdf-pocd) > 1e-12 {
-		t.Errorf("CDF(D) = %v, PoCD = %v", cdf, pocd)
-	}
-	// The quotable deadline at the 99.9th percentile actually delivers it.
 	d, err := DeadlineQuantile(SpeculativeResume, p, 2, 0.999)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check, err := CompletionCDF(SpeculativeResume, p, 2, d)
+	p.Deadline = d
+	check, err := PoCD(SpeculativeResume, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,9 +385,6 @@ func TestCompletionCDFAndDeadlineQuantile(t *testing.T) {
 		t.Errorf("quoted deadline %v reaches only %v", d, check)
 	}
 	// Baselines have no closed form.
-	if _, err := CompletionCDF(Mantri, p, 1, 50); !errors.Is(err, ErrNotAnalytic) {
-		t.Errorf("CompletionCDF(Mantri) err = %v", err)
-	}
 	if _, err := DeadlineQuantile(Mantri, p, 1, 0.9); !errors.Is(err, ErrNotAnalytic) {
 		t.Errorf("DeadlineQuantile(Mantri) err = %v", err)
 	}
@@ -463,7 +450,6 @@ func TestAnalyticEntryPointsAlloc(t *testing.T) {
 	for name, f := range map[string]func(){
 		"PoCD":                func() { _, err = PoCD(SpeculativeRestart, p, 3) },
 		"ExpectedMachineTime": func() { _, err = ExpectedMachineTime(SpeculativeRestart, p, 3) },
-		"CompletionCDF":       func() { _, err = CompletionCDF(SpeculativeResume, p, 2, 80) },
 		"DeadlineQuantile":    func() { _, err = DeadlineQuantile(SpeculativeResume, p, 2, 0.99) },
 		"MinCostForPoCD":      func() { _, err = MinCostForPoCD(Clone, p, e, 0.99) },
 		"Optimize":            func() { _, err = Optimize(SpeculativeRestart, p, e) },

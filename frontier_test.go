@@ -98,9 +98,9 @@ func TestBudgetFrontierRandomCells(t *testing.T) {
 		}
 		bf, err := NewBudgetFrontierBest(p, e)
 		if err != nil {
-			// The optimizer must agree the cell is hopeless (any finite
+			// The optimizer must agree the cell is infeasible at any finite
 			// budget — the frontier only fails on budget-independent
-			// grounds).
+			// grounds.
 			if _, refErr := OptimizeBestWithinBudget(p, e, 1e18); refErr == nil {
 				t.Fatalf("cell %d: frontier build failed (%v) but optimizer succeeded", i, err)
 			}

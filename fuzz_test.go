@@ -187,9 +187,11 @@ func FuzzOptimizeFinite(f *testing.F) {
 // sample is at most tmin * 2^53; a 1e308 price still yields an honest +Inf).
 // The first two seeds are the bodies that did panic, a control instant
 // scheduled before the clock; the third launched r+1 = 4,000,001 attempts of
-// one task; the last three overflowed machine time to +Inf, which /v1/simulate
-// answered 500 `response encoding failed`, until the start-up delay and task
-// time caps.
+// one task; the three before the last overflowed machine time to +Inf, which
+// /v1/simulate answered 500 `response encoding failed`, until the start-up
+// delay and task time caps. The last one's map stage overruns the job's
+// deadline, so its reduce stage starts with no time left to plan for (Clone
+// used to launch 165 copies of each reduce task there).
 func FuzzSimulateNoPanic(f *testing.F) {
 	for _, seed := range []string{
 		`{"config":{"strategy":"Speculative-Restart","tauEst":-5,"tauKill":1},"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5}]}`,
@@ -204,6 +206,7 @@ func FuzzSimulateNoPanic(f *testing.F) {
 		`{"config":{"strategy":"Clone","jvmMin":1e308,"jvmMax":1e308},"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5}]}`,
 		`{"config":{"strategy":"Clone"},"jobs":[{"tasks":4,"deadline":100,"tmin":1e308,"beta":1.5}]}`,
 		`{"config":{"strategy":"Clone"},"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5,"reduceTasks":2,"reduceTMin":1e308}]}`,
+		`{"config":{"strategy":"Clone","seed":3,"nodes":64,"slotsPerNode":8,"tauEst":3,"tauKill":6,"tauScale":1},"jobs":[{"tasks":4,"deadline":10,"tmin":10,"beta":1.5,"reduceTasks":2}]}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -8,72 +8,77 @@ import (
 	"chronos/internal/pareto"
 )
 
-func TestCompletionCDFMatchesPoCDAtDeadline(t *testing.T) {
+// pocdAt evaluates PoCD with the deadline set to d, as DeadlineForPoCD's
+// bisection does.
+func pocdAt(s Strategy, p Params, r int, d float64) float64 {
+	var e Evaluator
+	return e.pocdAt(s, p, r, d)
+}
+
+func TestPoCDAtMatchesPoCD(t *testing.T) {
 	p := testParams()
 	for _, s := range Strategies() {
 		m := NewModel(s, p)
 		for r := 0; r <= 3; r++ {
-			if got, want := CompletionCDF(s, p, r, p.Deadline), m.PoCD(r); math.Abs(got-want) > 1e-12 {
-				t.Errorf("%v r=%d: CDF(D) = %v, PoCD = %v", s, r, got, want)
+			if got, want := pocdAt(s, p, r, p.Deadline), m.PoCD(r); math.Abs(got-want) > 1e-12 {
+				t.Errorf("%v r=%d: pocdAt(D) = %v, PoCD = %v", s, r, got, want)
 			}
 		}
 	}
 }
 
-func TestCompletionCDFMonotone(t *testing.T) {
+// TestPoCDAtMonotone: the bisection needs PoCD non-decreasing in the
+// deadline, across the fallback at tauKill too, and in [0, 1].
+func TestPoCDAtMonotone(t *testing.T) {
 	p := testParams()
 	for _, s := range Strategies() {
 		prev := -1.0
-		for _, x := range []float64{5, 10, 20, 40, 61, 80, 100, 200, 1000, 1e6} {
-			got := CompletionCDF(s, p, 2, x)
+		for _, d := range []float64{5, 10, 20, 40, 61, 80, 100, 200, 1000, 1e6, 1e9} {
+			got := pocdAt(s, p, 2, d)
 			if got < prev-1e-12 {
-				t.Errorf("%v: CDF not monotone at t=%v: %v < %v", s, x, got, prev)
+				t.Errorf("%v: PoCD not monotone at d=%v: %v < %v", s, d, got, prev)
 			}
 			if got < 0 || got > 1 {
-				t.Errorf("%v: CDF(%v) = %v", s, x, got)
+				t.Errorf("%v: PoCD(%v) = %v", s, d, got)
 			}
 			prev = got
 		}
+		if prev < 0.999999 {
+			t.Errorf("%v: PoCD at a huge deadline = %v, want ~1", s, prev)
+		}
+	}
+	if got := pocdAt(StrategyClone, p, 1, 5); got != 0 {
+		t.Errorf("PoCD below tmin = %v, want 0", got)
 	}
 }
 
-func TestCompletionCDFEdges(t *testing.T) {
-	p := testParams()
-	if got := CompletionCDF(StrategyClone, p, 1, 5); got != 0 {
-		t.Errorf("CDF below tmin = %v, want 0", got)
-	}
-	if got := CompletionCDF(StrategyClone, p, 1, 1e9); got < 0.999999 {
-		t.Errorf("CDF at huge t = %v, want ~1", got)
-	}
-}
-
-func TestCompletionQuantileInvertsCDF(t *testing.T) {
-	// The modeled CDF jumps at tauKill for the reactive strategies (the
-	// speculative survivor appears there), so the quantile is the smallest
-	// t with CDF(t) >= prob — it need not hit prob exactly.
+func TestDeadlineForPoCDInvertsPoCD(t *testing.T) {
+	// PoCD jumps at tauKill for the reactive strategies (the speculative
+	// survivor appears there), so the answer is the smallest deadline whose
+	// PoCD reaches the target — it need not hit the target exactly.
 	p := testParams()
 	for _, s := range Strategies() {
-		for _, prob := range []float64{0.5, 0.9, 0.99} {
-			q := CompletionQuantile(s, p, 2, prob)
-			if got := CompletionCDF(s, p, 2, q); got < prob-1e-6 {
-				t.Errorf("%v: CDF(quantile(%v)) = %v below target", s, prob, got)
+		for _, target := range []float64{0.5, 0.9, 0.99} {
+			d := DeadlineForPoCD(s, p, 2, target)
+			if got := pocdAt(s, p, 2, d); got < target-1e-6 {
+				t.Errorf("%v: PoCD at DeadlineForPoCD(%v) = %v below target", s, target, got)
 			}
-			// Minimality: just below q the CDF is still under the target.
-			if below := CompletionCDF(s, p, 2, q*(1-1e-3)); below > prob+1e-6 {
-				t.Errorf("%v: CDF just below quantile(%v) = %v already meets target",
-					s, prob, below)
+			// Minimality: just below d the PoCD is still under the target.
+			if below := pocdAt(s, p, 2, d*(1-1e-3)); below > target+1e-6 {
+				t.Errorf("%v: PoCD just below DeadlineForPoCD(%v) = %v already meets target",
+					s, target, below)
 			}
 		}
 	}
 }
 
-func TestCompletionQuantileEdges(t *testing.T) {
+func TestDeadlineForPoCDEdges(t *testing.T) {
 	p := testParams()
-	if got := CompletionQuantile(StrategyResume, p, 1, 0); got != p.Task.TMin {
-		t.Errorf("quantile(0) = %v, want tmin", got)
+	if got := DeadlineForPoCD(StrategyResume, p, 1, 0); got != p.Task.TMin {
+		t.Errorf("DeadlineForPoCD(0) = %v, want tmin", got)
 	}
-	if got := CompletionQuantile(StrategyResume, p, 1, 1); !math.IsInf(got, 1) {
-		t.Errorf("quantile(1) = %v, want +Inf", got)
+	if got := DeadlineForPoCD(StrategyResume, p, 1, 1); !math.IsInf(got, 1) {
+		t.Errorf("DeadlineForPoCD(1) = %v, want +Inf", got)
 	}
 }
 
@@ -81,17 +86,18 @@ func TestDeadlineForPoCDIsSufficient(t *testing.T) {
 	p := testParams()
 	d := DeadlineForPoCD(StrategyResume, p, 2, 0.999)
 	// Promise that deadline: the PoCD at it must reach the target.
-	if got := CompletionCDF(StrategyResume, p, 2, d); got < 0.999-1e-6 {
+	p.Deadline = d
+	if got := NewModel(StrategyResume, p).PoCD(2); got < 0.999-1e-6 {
 		t.Errorf("promised deadline %v only reaches PoCD %v", d, got)
 	}
 	// More extra attempts tighten the quotable deadline.
-	if d4 := DeadlineForPoCD(StrategyResume, p, 4, 0.999); d4 > d+1e-9 {
+	if d4 := DeadlineForPoCD(StrategyResume, testParams(), 4, 0.999); d4 > d+1e-9 {
 		t.Errorf("deadline with r=4 (%v) looser than with r=2 (%v)", d4, d)
 	}
 }
 
 // EmpiricalCDF builds a step CDF from samples (here: Monte-Carlo job
-// completion times) — the reference the analytic CompletionCDF is checked
+// completion times) — the reference Clone's PoCD at each deadline is checked
 // against. It has no production caller, so it lives with the test.
 type EmpiricalCDF struct {
 	sorted []float64
@@ -163,7 +169,9 @@ func TestEmpiricalCDF(t *testing.T) {
 }
 
 // TestAnalyticCDFAgainstMonteCarlo draws full job completion times from the
-// Clone model and checks the analytic CDF with a KS-style bound.
+// Clone model and checks Clone's PoCD at deadline x, which has no threshold
+// that moves with x and so is the completion-time CDF at x, with a KS-style
+// bound.
 func TestAnalyticCDFAgainstMonteCarlo(t *testing.T) {
 	p := testParams()
 	const r = 1
@@ -191,7 +199,7 @@ func TestAnalyticCDFAgainstMonteCarlo(t *testing.T) {
 		if x <= p.TauKill {
 			return e.At(x) // skip the region the analytic CDF approximates
 		}
-		return CompletionCDF(StrategyClone, p, r, x)
+		return pocdAt(StrategyClone, p, r, x)
 	})
 	if dist > 0.02 {
 		t.Errorf("KS distance between analytic and simulated CDF = %v", dist)

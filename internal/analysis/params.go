@@ -5,7 +5,11 @@
 //
 // All expressions assume a job of N parallel tasks whose attempt execution
 // times are i.i.d. Pareto(tmin, beta), a job deadline D, a straggler-detection
-// time tauEst and a kill time tauKill (both relative to job start).
+// time tauEst and a kill time tauKill (both relative to job start). The
+// reactive strategies judge a straggler at tauEst against D itself, so PoCD
+// is the probability of meeting D under a plan for D: evaluating a model at
+// another deadline moves that threshold too, and does not give a
+// completion-time distribution for a fixed D.
 package analysis
 
 import (

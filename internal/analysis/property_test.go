@@ -89,26 +89,3 @@ func TestPropertyMachineTimePositive(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestPropertyCDFConsistency: for every strategy, CompletionCDF is within
-// [0,1] and agrees with PoCD at the configured deadline.
-func TestPropertyCDFConsistency(t *testing.T) {
-	f := func(nRaw, dRaw, bRaw, tRaw uint32, rRaw uint8) bool {
-		p := propParams(nRaw, dRaw, bRaw, tRaw)
-		if p.Validate() != nil {
-			return true
-		}
-		r := int(rRaw % 5)
-		for _, s := range Strategies() {
-			m := NewModel(s, p)
-			cdf := CompletionCDF(s, p, r, p.Deadline)
-			if cdf < 0 || cdf > 1 || math.Abs(cdf-m.PoCD(r)) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

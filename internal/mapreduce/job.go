@@ -83,10 +83,6 @@ type JobSpec struct {
 	Arrival float64
 	// Reduce optionally adds a reduce stage gated on map completion.
 	Reduce ReduceSpec
-	// MapDeadlineFrac is the fraction of the deadline budgeted to the map
-	// stage when planning (only meaningful with a reduce stage; default
-	// 0.5).
-	MapDeadlineFrac float64
 }
 
 // Validate reports spec errors.
@@ -110,25 +106,8 @@ func (s JobSpec) Validate() error {
 		if err := s.Reduce.Dist.Validate(); err != nil {
 			return fmt.Errorf("mapreduce: job %d reduce stage: %w", s.ID, err)
 		}
-		if s.MapDeadlineFrac < 0 || s.MapDeadlineFrac >= 1 {
-			return fmt.Errorf("mapreduce: job %d map deadline fraction %v outside [0, 1)", s.ID, s.MapDeadlineFrac)
-		}
 	}
 	return nil
-}
-
-// MapBudget returns the planning deadline for the map stage: the full
-// deadline for map-only jobs, MapDeadlineFrac (default 0.5) of it when a
-// reduce stage follows.
-func (s JobSpec) MapBudget() float64 {
-	if !s.Reduce.Enabled() {
-		return s.Deadline
-	}
-	frac := s.MapDeadlineFrac
-	if frac == 0 {
-		frac = 0.5
-	}
-	return frac * s.Deadline
 }
 
 // Job is the runtime state of one submitted job.

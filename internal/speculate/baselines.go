@@ -16,7 +16,7 @@ var _ mapreduce.Strategy = HadoopNS{}
 func (HadoopNS) Name() string { return "Hadoop-NS" }
 
 // Start implements mapreduce.Strategy.
-func (HadoopNS) Start(ctl *mapreduce.Controller) { launchStaged(ctl) }
+func (HadoopNS) Start(ctl *mapreduce.Controller) { launchOriginals(ctl) }
 
 // checkInterval is the monitoring period of the reactive baselines, in
 // seconds.
@@ -28,7 +28,7 @@ const checkInterval = 5
 // Chronos JVM-aware estimator, so pass estimates with Hadoop's.
 func monitor(ctl *mapreduce.Controller, pass func(*mapreduce.Controller, mapreduce.Estimator)) {
 	job := ctl.Job()
-	launchStaged(ctl)
+	launchOriginals(ctl)
 	killLeftoversOnTaskDone(ctl)
 
 	var tick func()

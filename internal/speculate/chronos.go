@@ -1,8 +1,6 @@
 package speculate
 
 import (
-	"math"
-
 	"chronos/internal/analysis"
 	"chronos/internal/mapreduce"
 )
@@ -15,16 +13,17 @@ import (
 //   - Clone (proactive): r+1 attempts of every task start at stage begin, and
 //     nothing happens at tauEst — no event is even scheduled.
 //   - Speculative-Restart: one attempt per task; a straggler detected at
-//     tauEst (estimated completion beyond the deadline) gets r extra
+//     tauEst (estimated completion beyond the stage deadline) gets r extra
 //     from-scratch attempts.
 //   - Speculative-Resume: one attempt per task; a straggler detected at
 //     tauEst is killed and replaced by r+1 attempts that continue from the
 //     anticipated byte offset (Eq. 31), skipping already-processed data.
 //
-// The map stage runs from job arrival; if the job has a reduce stage, it is
-// planned separately when the last map task commits (the paper: "PoCD for map
-// and reduce stages can be optimized separately"), against the deadline
-// budget remaining at that instant.
+// A stage is planned for one absolute deadline and its stragglers are judged
+// against that same deadline (see runStages). The map stage runs from job
+// arrival; if the job has a reduce stage, it is planned separately when the
+// last map task commits (the paper: "PoCD for map and reduce stages can be
+// optimized separately"), for the time left until the job's deadline.
 type Chronos struct {
 	Kind   analysis.Strategy
 	Config ChronosConfig
@@ -46,7 +45,7 @@ func (s Chronos) Start(ctl *mapreduce.Controller) {
 // the prune at tauKill.
 func (s Chronos) runStage(ctl *mapreduce.Controller, cfg ChronosConfig, st stage) {
 	job := ctl.Job()
-	r := cfg.chooseStageR(s.Kind, job, st)
+	r := cfg.chooseStageR(s.Kind, job, st, ctl.Now())
 	st.recordR(job, r)
 	clone, resume := s.Kind == analysis.StrategyClone, s.Kind == analysis.StrategyResume
 	copies := 1
@@ -66,8 +65,8 @@ func (s Chronos) runStage(ctl *mapreduce.Controller, cfg ChronosConfig, st stage
 					continue
 				}
 				if resume {
-					resumeStraggler(ctl, cfg, t, now, r)
-				} else if isStraggler(t, now, cfg.Estimator, job.Deadline()) {
+					resumeStraggler(ctl, cfg, t, now, st.deadline, r)
+				} else if isStraggler(t, now, cfg.Estimator, st.deadline) {
 					for k := 0; k < r; k++ {
 						ctl.Launch(t, 0)
 					}
@@ -83,12 +82,12 @@ func (s Chronos) runStage(ctl *mapreduce.Controller, cfg ChronosConfig, st stage
 }
 
 // resumeStraggler kills a task's attempts and launches r+1 resumed ones in
-// their place if its best running attempt is estimated to miss the absolute
-// deadline. The handoff preserves work: the new attempts start past the bytes
-// the original will have processed by the time their JVMs are up.
-func resumeStraggler(ctl *mapreduce.Controller, cfg ChronosConfig, t *mapreduce.Task, now float64, r int) {
+// their place if its best running attempt is estimated to miss the stage's
+// absolute deadline. The handoff preserves work: the new attempts start past
+// the bytes the original will have processed by the time their JVMs are up.
+func resumeStraggler(ctl *mapreduce.Controller, cfg ChronosConfig, t *mapreduce.Task, now, deadline float64, r int) {
 	orig, origEst := t.BestRunning(now, cfg.Estimator)
-	if orig == nil || origEst <= ctl.Job().Deadline() {
+	if orig == nil || origEst <= deadline {
 		return
 	}
 	frac := mapreduce.AnticipatedResumeFrac(orig, now)
@@ -103,14 +102,12 @@ func resumeStraggler(ctl *mapreduce.Controller, cfg ChronosConfig, t *mapreduce.
 	}
 }
 
-// stage bundles the per-stage planning context.
+// stage is one planning unit of a job: its tasks and the absolute deadline
+// they are planned for and judged against.
 type stage struct {
-	kind mapreduce.StageKind
-	// tasks are the stage's tasks.
-	tasks []*mapreduce.Task
-	// budget is the planning deadline for the optimizer (seconds from the
-	// stage start).
-	budget float64
+	kind     mapreduce.StageKind
+	tasks    []*mapreduce.Task
+	deadline float64
 }
 
 // recordR stores the chosen r on the job for the Figure 5 histograms.
@@ -122,26 +119,29 @@ func (st stage) recordR(job *mapreduce.Job, r int) {
 	}
 }
 
-// runStages invokes run for the map stage now and, if the job has a reduce
-// stage, again when the map stage commits — with the reduce budget set to
-// the deadline time remaining at that instant.
+// mapDeadlineFrac is the share of a two-stage job's deadline D its map stage
+// is given: the map stage is due at arrival + D/2, the reduce stage at
+// arrival + D.
+const mapDeadlineFrac = 0.5
+
+// runStages is the one map→reduce sequencing of every strategy: it invokes
+// run for the map stage now and, if the job has a reduce stage, again when
+// the map stage commits. The map stage is due at the job's deadline, or at
+// mapDeadlineFrac of it when a reduce stage follows; the reduce stage is due
+// at the job's deadline.
 func runStages(ctl *mapreduce.Controller, run func(stage)) {
 	job := ctl.Job()
-	run(stage{
-		kind:   mapreduce.StageMap,
-		tasks:  job.MapTasks(),
-		budget: job.Spec.MapBudget(),
-	})
 	if !job.Spec.Reduce.Enabled() {
+		run(stage{kind: mapreduce.StageMap, tasks: job.MapTasks(), deadline: job.Deadline()})
 		return
 	}
+	run(stage{
+		kind:     mapreduce.StageMap,
+		tasks:    job.MapTasks(),
+		deadline: job.Spec.Arrival + mapDeadlineFrac*job.Spec.Deadline,
+	})
 	ctl.OnMapStageDone(func() {
-		remaining := job.Deadline() - ctl.Now()
-		run(stage{
-			kind:   mapreduce.StageReduce,
-			tasks:  job.ReduceTasks(),
-			budget: remaining,
-		})
+		run(stage{kind: mapreduce.StageReduce, tasks: job.ReduceTasks(), deadline: job.Deadline()})
 	})
 }
 
@@ -153,20 +153,16 @@ func isStraggler(t *mapreduce.Task, now float64, est mapreduce.Estimator, deadli
 	return best == nil || bestEst > deadline
 }
 
-// stageParams builds the analytic inputs for one stage of a job.
-func stageParams(job *mapreduce.Job, st stage, cfg ChronosConfig) analysis.Params {
-	spec := job.Spec
-	dist := spec.Dist
+// stageParams builds the analytic inputs for one stage of a job that starts
+// at now: the stage is planned for the time left until its deadline.
+func stageParams(job *mapreduce.Job, st stage, now float64, cfg ChronosConfig) analysis.Params {
+	dist := job.Spec.Dist
 	if st.kind == mapreduce.StageReduce {
-		dist = spec.Reduce.Dist
-	}
-	budget := st.budget
-	if math.IsNaN(budget) || budget <= 0 {
-		budget = dist.TMin * 1.01 // hopeless budget; validation will reject
+		dist = job.Spec.Reduce.Dist
 	}
 	return analysis.Params{
 		N:        len(st.tasks),
-		Deadline: budget,
+		Deadline: st.deadline - now,
 		Task:     dist,
 		TauEst:   cfg.TauEst,
 		TauKill:  cfg.TauKill,

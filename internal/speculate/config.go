@@ -19,11 +19,12 @@ import (
 
 // ChronosConfig is shared by the three Chronos strategies.
 type ChronosConfig struct {
-	// TauEst is the straggler-detection instant, in seconds after job
-	// arrival. Ignored by Clone.
+	// TauEst is the straggler-detection instant, in seconds after the
+	// stage starts (job arrival for the map stage, the last map commit for
+	// the reduce stage). Ignored by Clone.
 	TauEst float64
 	// TauKill is the instant at which all but the best attempt of each
-	// unfinished task are killed, in seconds after job arrival.
+	// unfinished task are killed, in seconds after the stage starts.
 	TauKill float64
 	// Opt carries theta and RMin for the net-utility optimization. The
 	// unit price is taken from each job's spec; Opt.UnitPrice is ignored.
@@ -44,41 +45,33 @@ func (c ChronosConfig) withDefaults() ChronosConfig {
 	return c
 }
 
-// chooseStageR solves the joint optimization for one stage of a job, as the
-// AM does in the paper's prototype (and again at reduce-stage start, against
-// the remaining deadline budget). It plans the paper's single-wave setting:
-// capacity is taken as unlimited. On optimizer failure (infeasible RMin,
-// degenerate parameters such as an exhausted budget) it falls back to r = 1,
-// which mirrors Hadoop's single speculative copy.
-func (c ChronosConfig) chooseStageR(s analysis.Strategy, job *mapreduce.Job, st stage) int {
+// chooseStageR solves the joint optimization for one stage of a job that
+// starts at now, as the AM does in the paper's prototype (and again at
+// reduce-stage start). It plans the paper's single-wave setting: capacity is
+// taken as unlimited. On optimizer failure (infeasible RMin, degenerate
+// parameters such as no more than tmin left before the stage deadline) it
+// falls back to r = 1, which mirrors Hadoop's single speculative copy.
+func (c ChronosConfig) chooseStageR(s analysis.Strategy, job *mapreduce.Job, st stage, now float64) int {
 	if c.FixedR >= 0 {
 		return c.FixedR
 	}
 	cfg := c.Opt
 	cfg.UnitPrice = job.Spec.UnitPrice
-	res, err := optimize.SolveStrategy(s, stageParams(job, st, c), cfg)
+	res, err := optimize.SolveStrategy(s, stageParams(job, st, now, c), cfg)
 	if err != nil {
 		return 1
 	}
 	return res.R
 }
 
-// launchStaged starts one original attempt per map task now and, if the job
-// has a reduce stage, one per reduce task when the map stage commits. The
-// baselines use this; the Chronos strategies drive stages through their own
-// per-stage planning.
-func launchStaged(ctl *mapreduce.Controller) {
-	job := ctl.Job()
-	for _, t := range job.MapTasks() {
-		ctl.Launch(t, 0)
-	}
-	if job.Spec.Reduce.Enabled() {
-		ctl.OnMapStageDone(func() {
-			for _, t := range job.ReduceTasks() {
-				ctl.Launch(t, 0)
-			}
-		})
-	}
+// launchOriginals starts one original attempt per task of every stage, as
+// its stage begins. The baselines use this.
+func launchOriginals(ctl *mapreduce.Controller) {
+	runStages(ctl, func(st stage) {
+		for _, t := range st.tasks {
+			ctl.Launch(t, 0)
+		}
+	})
 }
 
 // killLeftoversOnTaskDone mirrors production Hadoop: the moment a task

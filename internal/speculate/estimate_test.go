@@ -28,7 +28,7 @@ func TestOneEstimatePerAttemptPerControlPoint(t *testing.T) {
 			isStraggler(task, ctl.Now(), est, ctl.Job().Deadline())
 		}},
 		{"resumeStraggler", func(ctl *mapreduce.Controller, task *mapreduce.Task, est mapreduce.Estimator) {
-			resumeStraggler(ctl, ChronosConfig{Estimator: est}, task, ctl.Now(), 1)
+			resumeStraggler(ctl, ChronosConfig{Estimator: est}, task, ctl.Now(), ctl.Job().Deadline(), 1)
 		}},
 		{"mantriPass", func(ctl *mapreduce.Controller, _ *mapreduce.Task, est mapreduce.Estimator) {
 			mantriPass(ctl, est)

@@ -135,25 +135,88 @@ func TestReduceSpecValidation(t *testing.T) {
 	if err := spec.Validate(); err == nil {
 		t.Error("bad reduce dist accepted")
 	}
-	spec = reduceSpec()
-	spec.MapDeadlineFrac = 1.2
-	if err := spec.Validate(); err == nil {
-		t.Error("bad map deadline fraction accepted")
+}
+
+// TestRunStagesDeadlines pins the deadline each stage is planned for and
+// judged against: arrival + D for a map-only job; arrival + D/2 for the map
+// stage and arrival + D for the reduce stage of a two-stage job.
+func TestRunStagesDeadlines(t *testing.T) {
+	type seen struct {
+		kind     mapreduce.StageKind
+		tasks    int
+		deadline float64
+	}
+	mapOnly, twoStage := baseSpec(), reduceSpec()
+	for _, c := range []struct {
+		spec mapreduce.JobSpec
+		want []seen
+	}{
+		{mapOnly, []seen{{mapreduce.StageMap, 10, 107}}},
+		{twoStage, []seen{{mapreduce.StageMap, 8, 107}, {mapreduce.StageReduce, 4, 207}}},
+	} {
+		eng := sim.NewEngine()
+		cl, err := cluster.New(eng, cluster.Config{Nodes: 16, SlotsPerNode: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := mapreduce.NewRuntime(eng, cl, mapreduce.Config{Seed: 63})
+		spec := c.spec
+		spec.Arrival = 7
+		var got []seen
+		if _, err := rt.Submit(spec, hookedStrategy{start: func(ctl *mapreduce.Controller) {
+			runStages(ctl, func(st stage) {
+				got = append(got, seen{st.kind, len(st.tasks), st.deadline})
+				for _, task := range st.tasks {
+					ctl.Launch(task, 0)
+				}
+			})
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if len(got) != len(c.want) {
+			t.Fatalf("D=%v: stages %+v, want %+v", spec.Deadline, got, c.want)
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("D=%v: stage %d = %+v, want %+v", spec.Deadline, i, got[i], c.want[i])
+			}
+		}
 	}
 }
 
-func TestMapBudget(t *testing.T) {
-	spec := baseSpec()
-	if got := spec.MapBudget(); got != spec.Deadline {
-		t.Errorf("map-only MapBudget = %v, want full deadline", got)
+// TestLateReduceStageRunsOneExtraAttempt: a reduce stage that starts after
+// the job's deadline has no time left to plan for, and falls back to r = 1
+// like any stage with no more than tmin left. It used to be planned for a
+// made-up 1.01·tmin, where Clone chose r = 164 for a job that had already
+// missed its deadline.
+func TestLateReduceStageRunsOneExtraAttempt(t *testing.T) {
+	eng := sim.NewEngine()
+	cl, err := cluster.New(eng, cluster.Config{Nodes: 64, SlotsPerNode: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	spec = reduceSpec()
-	if got := spec.MapBudget(); got != 100 { // default 0.5 of 200
-		t.Errorf("default MapBudget = %v, want 100", got)
+	rt := mapreduce.NewRuntime(eng, cl, mapreduce.Config{Seed: 3})
+	spec := mapreduce.JobSpec{
+		NumTasks:  4,
+		Deadline:  10,
+		Dist:      pareto.MustNew(10, 1.5),
+		UnitPrice: 1,
+		Reduce:    mapreduce.ReduceSpec{NumTasks: 2, Dist: pareto.MustNew(10, 1.5)},
 	}
-	spec.MapDeadlineFrac = 0.7
-	if got := spec.MapBudget(); got != 140 {
-		t.Errorf("MapBudget with frac 0.7 = %v, want 140", got)
+	cfg := chronosCfg()
+	cfg.TauEst, cfg.TauKill = 3, 6
+	job, err := rt.Submit(spec, clone(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if !job.Done || job.MapFinishTime <= job.Deadline() {
+		t.Fatalf("setup: done %v, map stage finished at %v, want after the deadline %v",
+			job.Done, job.MapFinishTime, job.Deadline())
+	}
+	if job.ChosenReduceR != 1 {
+		t.Errorf("late reduce stage planned r = %d, want the fallback 1", job.ChosenReduceR)
 	}
 }
 

@@ -93,10 +93,11 @@ func resume(cfg ChronosConfig) Chronos {
 	return Chronos{Kind: analysis.StrategyResume, Config: cfg}
 }
 
-// chooseR plans the map stage of a spec as a strategy would at submission.
+// chooseR plans the map stage of a map-only spec arriving at 0 as a strategy
+// would at submission.
 func chooseR(c ChronosConfig, s analysis.Strategy, spec mapreduce.JobSpec) int {
-	st := stage{kind: mapreduce.StageMap, tasks: make([]*mapreduce.Task, spec.NumTasks), budget: spec.MapBudget()}
-	return c.chooseStageR(s, &mapreduce.Job{Spec: spec}, st)
+	st := stage{kind: mapreduce.StageMap, tasks: make([]*mapreduce.Task, spec.NumTasks), deadline: spec.Deadline}
+	return c.chooseStageR(s, &mapreduce.Job{Spec: spec}, st, 0)
 }
 
 const batchJobs = 400
