@@ -46,8 +46,9 @@ const (
 	// TauOfTMin (default): tau values are multiples of each job's TMin,
 	// the convention of the paper's Tables I and II.
 	TauOfTMin TauScale = iota
-	// TauAbsolute: tau values are absolute seconds after job arrival, the
-	// convention of the paper's testbed experiments (40 s / 80 s).
+	// TauAbsolute: tau values are absolute seconds after the stage starts
+	// (job arrival for the map stage), the convention of the paper's
+	// testbed experiments (40 s / 80 s).
 	TauAbsolute
 )
 
