@@ -23,8 +23,8 @@ test:
 pins: ## the allocation pins, which skip themselves under -race and so never run in test/cover
 	$(GO) test -run 'Alloc' ./...
 
-goldens: ## the full-size simulation goldens (figures at 270 jobs, the 2,000-job oracle cells), which shrink or skip themselves under -race
-	$(GO) test -run 'Golden|ModelOracle' . ./cmd/chronos-figures
+goldens: ## the full-size simulation goldens (figures at 270 jobs, the 2,000-job oracle cells, 10^7 Pareto draws against math.Pow), which shrink or skip themselves under -race
+	$(GO) test -run 'Golden|ModelOracle|MatchesPow' . ./cmd/chronos-figures ./internal/pareto
 
 examples: ## run every example program end to end: each must exit 0 within the timeout (a compiling example can still fail at runtime)
 	@for d in examples/*/; do echo "go run ./$$d"; \

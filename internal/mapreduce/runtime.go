@@ -100,8 +100,12 @@ func (rt *Runtime) Submit(spec JobSpec, strat Strategy) (*Job, error) {
 		if i >= spec.NumTasks {
 			stage = StageReduce
 		}
-		*t = Task{Job: job, ID: i, Stage: stage, Attempts: t.Attempts[:0],
-			streamPrefix: pareto.DeriveSeed(rt.cfg.Seed, uint64(spec.ID), uint64(i))}
+		// Field by field, not *t = Task{...}: a composite literal is built
+		// on the stack and copied over the record. TestRecycledRecordsStartFresh
+		// fails if a field is missed.
+		t.Job, t.ID, t.Stage, t.Attempts = job, i, stage, t.Attempts[:0]
+		t.Done, t.FinishTime, t.nextAttempt = false, 0, 0
+		t.streamPrefix = pareto.DeriveSeed(rt.cfg.Seed, uint64(spec.ID), uint64(i))
 	}
 	ctl := &Controller{rt: rt, job: job}
 	rt.Eng.Schedule(spec.Arrival, func() { strat.Start(ctl) })
@@ -145,14 +149,11 @@ func (rt *Runtime) launch(ctl *Controller, t *Task, startFrac float64) *Attempt 
 	}
 	a := rt.freeAttempts[len(rt.freeAttempts)-1]
 	rt.freeAttempts = rt.freeAttempts[:len(rt.freeAttempts)-1]
-	*a = Attempt{
-		Task:        t,
-		Index:       t.nextAttempt,
-		State:       AttemptQueued,
-		RequestTime: rt.Eng.Now(),
-		StartFrac:   startFrac,
-		ctl:         ctl,
-	}
+	// Reset field by field, as Submit resets a task.
+	a.Task, a.Index, a.State, a.ctl = t, t.nextAttempt, AttemptQueued, ctl
+	a.RequestTime, a.StartFrac = rt.Eng.Now(), startFrac
+	a.LaunchTime, a.JVMDelay, a.Intrinsic, a.EndTime = 0, 0, 0, 0
+	a.container, a.finishTimer, a.ticket = nil, sim.Timer{}, 0
 	t.nextAttempt++
 	t.Attempts = append(t.Attempts, a)
 	t.Job.liveAttempts++

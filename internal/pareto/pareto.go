@@ -77,11 +77,27 @@ func (d Dist) Mean() float64 {
 }
 
 // FromUniform maps a uniform draw f in [0, 1) to a variate by
-// inverse-transform sampling.
+// inverse-transform sampling: TMin / u^(1/Beta) with u = 1-f, bit for bit
+// what math.Pow gives.
 func (d Dist) FromUniform(f float64) float64 {
 	// 1-f is in (0, 1], avoiding a division by zero.
 	u := 1 - f
-	return d.TMin / math.Pow(u, 1/d.Beta)
+	y := 1 / d.Beta
+	// For u in (0, 1] and y in (0, 1) other than 1/2, math.Pow (the portable
+	// one every port but s390x runs) reaches only these lines of its
+	// general algorithm. Above 1/2 it raises u to the
+	// exact y-1 and multiplies in u once, by its mantissa then its exponent:
+	// the same rounding, since u^y >= u >= 2^-53 stays normal. Everything
+	// else (y = 1/2 is its Sqrt case, Beta <= 1) is left to math.Pow.
+	if u > 0 && u <= 1 {
+		if y > 0.5 && y < 1 {
+			return d.TMin / (math.Exp((y-1)*math.Log(u)) * u)
+		}
+		if y > 0 && y < 0.5 {
+			return d.TMin / math.Exp(y*math.Log(u))
+		}
+	}
+	return d.TMin / math.Pow(u, y)
 }
 
 // Scaled returns the distribution of c*T for c > 0, which is again Pareto
