@@ -13,8 +13,10 @@ import (
 	"strings"
 	"testing"
 
+	"chronos"
 	"chronos/api"
 	"chronos/internal/obs"
+	"chronos/internal/plankey"
 	"chronos/internal/ring"
 	"chronos/internal/tenant"
 )
@@ -157,4 +159,53 @@ func BenchmarkRouteEnvelope(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.ServeHTTP(w, req)
 	}
+}
+
+// BenchmarkPlanCache is the plan cache alone at its default size (16 shards,
+// 4,096 plans) under real plan keys. hit gets 1,024 cached keys in turn, the
+// plan_hot case; miss_evict is what a cold /v1/plan does to a full cache, a
+// missing get and a put that evicts, cycling over four times the capacity so
+// that no key comes around before it is evicted.
+func BenchmarkPlanCache(b *testing.B) {
+	const capacity = 4096
+	keys := func(n int) [][]byte {
+		out := make([][]byte, n)
+		for i := range out {
+			job := testJob()
+			job.Deadline = 100 + float64(i)*0.25
+			out[i] = plankey.AppendKey(nil, "", job, testEcon())
+		}
+		return out
+	}
+	plan := chronos.Plan{Strategy: chronos.Clone, R: 1}
+	b.Run("hit", func(b *testing.B) {
+		c := newPlanCache(cacheShards, capacity)
+		hot := keys(1024)
+		for _, k := range hot {
+			c.put(k, plan)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.get(hot[i%len(hot)]); !ok {
+				b.Fatal("miss on a cached key")
+			}
+		}
+	})
+	b.Run("miss_evict", func(b *testing.B) {
+		c := newPlanCache(cacheShards, capacity)
+		cold := keys(4 * capacity)
+		for _, k := range cold { // fill every shard to capacity
+			c.put(k, plan)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := cold[i%len(cold)]
+			if _, ok := c.get(k); ok {
+				b.Fatal("hit on a key evicted a lap ago")
+			}
+			c.put(k, plan)
+		}
+	})
 }

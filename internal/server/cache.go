@@ -1,7 +1,7 @@
 package server
 
 import (
-	"container/list"
+	"bytes"
 	"sync"
 
 	"chronos"
@@ -15,21 +15,18 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// fnv1a is generic over the key's two forms: lookups probe with the []byte
-// still in the pooled request buffer, inserts arrive with the string the
-// entry will keep.
-func fnv1a[K string | []byte](key K) uint64 {
+func fnv1a(key []byte) uint64 {
 	h := uint64(fnvOffset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+	for _, b := range key {
+		h ^= uint64(b)
 		h *= fnvPrime64
 	}
 	return h
 }
 
 // planCache is a sharded LRU over optimized plans. Each shard has its own
-// mutex, map, and recency list; the FNV-1a hash of the key picks the shard,
-// so concurrent planners contend only 1/shards of the time.
+// mutex, hash index and recency list; the FNV-1a hash of the key picks the
+// shard, so concurrent planners contend only 1/shards of the time.
 type planCache struct {
 	shards []cacheShard
 	mask   uint64
@@ -38,21 +35,35 @@ type planCache struct {
 	misses metrics.Counter
 }
 
+// cacheShard keeps its entries in one slice linked in recency order by
+// int32 slot indices, so neither a hit nor a miss allocates: a miss reuses
+// the evicted slot and its key buffer, and the GC scans one slice per shard
+// instead of a key string, an entry and a list element per plan.
+//
+// index maps a key's 64-bit hash to its slot. Two keys with the same hash
+// share one slot and evict each other; every lookup compares the whole key,
+// so a collision can cost a solve but never returns another key's plan.
 type cacheShard struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
+	mu    sync.Mutex
+	index map[uint64]int32
+	// slots has the shard's capacity from the start; its length grows up to
+	// it, and only a flush shrinks it.
+	slots []cacheEntry
+	// head and tail are the most and least recently used slots, -1 when
+	// the shard is empty.
+	head, tail int32
 }
 
 type cacheEntry struct {
-	key  string
+	hash uint64
+	key  []byte
 	plan chronos.Plan
 	// frontier is the cell's precomputed capped-solve table, attached
 	// lazily by the first budget-squeezed admit against this entry; later
 	// squeezes in the warm cell skip the feasibility bisection entirely.
 	// Guarded by the shard mutex like the rest of the entry.
-	frontier *chronos.BudgetFrontier
+	frontier   *chronos.BudgetFrontier
+	prev, next int32
 }
 
 // newPlanCache builds a cache with the given shard count (rounded up to a
@@ -69,40 +80,80 @@ func newPlanCache(shards, capacity int) *planCache {
 	c := &planCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
-			capacity: perShard,
-			entries:  make(map[string]*list.Element, perShard),
-			order:    list.New(),
+			index: make(map[uint64]int32, perShard),
+			slots: make([]cacheEntry, 0, perShard),
+			head:  -1,
+			tail:  -1,
 		}
 	}
 	return c
 }
 
-// get returns the cached plan for key and marks it most recently used. Keys
-// arrive as the []byte still in the caller's pooled request buffer: the
-// string(key) map probe does not allocate, so a cache hit costs no heap.
-func (c *planCache) get(key []byte) (chronos.Plan, bool) {
-	s := &c.shards[fnv1a(key)&c.mask]
+// lock returns key's shard, locked, and the key's hash.
+func (c *planCache) lock(key []byte) (*cacheShard, uint64) {
+	h := fnv1a(key)
+	s := &c.shards[h&c.mask]
 	s.mu.Lock()
+	return s, h
+}
+
+// find returns the slot holding key, or -1.
+func (s *cacheShard) find(h uint64, key []byte) int32 {
+	if i, ok := s.index[h]; ok && bytes.Equal(s.slots[i].key, key) {
+		return i
+	}
+	return -1
+}
+
+func (s *cacheShard) unlink(i int32) {
+	e := &s.slots[i]
+	if e.prev >= 0 {
+		s.slots[e.prev].next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next >= 0 {
+		s.slots[e.next].prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+}
+
+func (s *cacheShard) pushFront(i int32) {
+	e := &s.slots[i]
+	e.prev, e.next = -1, s.head
+	if s.head >= 0 {
+		s.slots[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
+}
+
+// get returns the cached plan for key and marks it most recently used. Keys
+// arrive as the []byte still in the caller's pooled request buffer.
+func (c *planCache) get(key []byte) (chronos.Plan, bool) {
+	s, h := c.lock(key)
 	defer s.mu.Unlock()
-	el, ok := s.entries[string(key)]
-	if !ok {
+	i := s.find(h, key)
+	if i < 0 {
 		c.misses.Inc()
 		return chronos.Plan{}, false
 	}
-	s.order.MoveToFront(el)
+	s.unlink(i)
+	s.pushFront(i)
 	c.hits.Inc()
-	return el.Value.(*cacheEntry).plan, true
+	return s.slots[i].plan, true
 }
 
 // frontier returns the entry's precomputed capped-solve table, nil when the
 // key is cold or no squeeze has built one yet. Does not touch recency or hit
 // counters: every caller just did a get for the same key.
 func (c *planCache) frontier(key []byte) *chronos.BudgetFrontier {
-	s := &c.shards[fnv1a(key)&c.mask]
-	s.mu.Lock()
+	s, h := c.lock(key)
 	defer s.mu.Unlock()
-	if el, ok := s.entries[string(key)]; ok {
-		return el.Value.(*cacheEntry).frontier
+	if i := s.find(h, key); i >= 0 {
+		return s.slots[i].frontier
 	}
 	return nil
 }
@@ -112,43 +163,52 @@ func (c *planCache) frontier(key []byte) *chronos.BudgetFrontier {
 // squeezes may race to build the same table; both are correct, last one
 // wins.
 func (c *planCache) setFrontier(key []byte, f *chronos.BudgetFrontier) {
-	s := &c.shards[fnv1a(key)&c.mask]
-	s.mu.Lock()
+	s, h := c.lock(key)
 	defer s.mu.Unlock()
-	if el, ok := s.entries[string(key)]; ok {
-		el.Value.(*cacheEntry).frontier = f
+	if i := s.find(h, key); i >= 0 {
+		s.slots[i].frontier = f
 	}
 }
 
 // put inserts or refreshes key, evicting the shard's least recently used
-// entry when full.
-func (c *planCache) put(key string, plan chronos.Plan) {
-	s := &c.shards[fnv1a(key)&c.mask]
-	s.mu.Lock()
+// entry when full. The key is copied: callers may reuse its buffer.
+func (c *planCache) put(key []byte, plan chronos.Plan) {
+	s, h := c.lock(key)
 	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*cacheEntry).plan = plan
-		s.order.MoveToFront(el)
-		return
+	i, ok := s.index[h]
+	switch {
+	case ok:
+		s.unlink(i)
+	case len(s.slots) < cap(s.slots):
+		i = int32(len(s.slots))
+		s.slots = s.slots[:i+1] // a slot a flush truncated keeps its key buffer
+	default:
+		i = s.tail
+		s.unlink(i)
+		delete(s.index, s.slots[i].hash)
 	}
-	if s.order.Len() >= s.capacity {
-		oldest := s.order.Back()
-		if oldest != nil {
-			s.order.Remove(oldest)
-			delete(s.entries, oldest.Value.(*cacheEntry).key)
-		}
+	e := &s.slots[i]
+	if !ok || !bytes.Equal(e.key, key) {
+		e.hash, e.key, e.frontier = h, append(e.key[:0], key...), nil
+		s.index[h] = i
 	}
-	s.entries[key] = s.order.PushFront(&cacheEntry{key: key, plan: plan})
+	e.plan = plan
+	s.pushFront(i)
 }
 
 // flush empties every shard. Called when the tenant config is hot-reloaded,
 // so no plan computed under the old defaults outlives the config change.
+// The slots keep their key buffers for the plans that refill the cache.
 func (c *planCache) flush() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.entries = make(map[string]*list.Element, s.capacity)
-		s.order.Init()
+		clear(s.index)
+		for j := range s.slots {
+			s.slots[j].frontier = nil
+		}
+		s.slots = s.slots[:0]
+		s.head, s.tail = -1, -1
 		s.mu.Unlock()
 	}
 }
@@ -159,7 +219,7 @@ func (c *planCache) len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		total += s.order.Len()
+		total += len(s.slots)
 		s.mu.Unlock()
 	}
 	return total

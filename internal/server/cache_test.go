@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"strings"
@@ -46,12 +47,12 @@ func TestPlanKeyQuantization(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := newPlanCache(1, 2) // single shard, capacity 2
 	plan := chronos.Plan{Strategy: chronos.Clone, R: 1}
-	c.put("a", plan)
-	c.put("b", plan)
+	c.put([]byte("a"), plan)
+	c.put([]byte("b"), plan)
 	if _, ok := c.get([]byte("a")); !ok { // refresh a: b becomes LRU
 		t.Fatal("a should be cached")
 	}
-	c.put("c", plan)
+	c.put([]byte("c"), plan)
 	if _, ok := c.get([]byte("b")); ok {
 		t.Error("b should have been evicted as least recently used")
 	}
@@ -63,6 +64,149 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if got := c.len(); got != 2 {
 		t.Errorf("len = %d, want 2", got)
+	}
+}
+
+// lruRef is the naive LRU TestPlanCacheMatchesReferenceLRU holds the cache
+// to: one slice in recency order, most recently used first.
+type lruRef struct {
+	capacity int
+	entries  []lruRefEntry
+}
+
+type lruRefEntry struct {
+	key      string
+	plan     chronos.Plan
+	frontier *chronos.BudgetFrontier
+}
+
+func (r *lruRef) find(key string) int {
+	for i := range r.entries {
+		if r.entries[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch moves entry i to the front and returns it.
+func (r *lruRef) touch(i int) *lruRefEntry {
+	e := r.entries[i]
+	copy(r.entries[1:i+1], r.entries[:i])
+	r.entries[0] = e
+	return &r.entries[0]
+}
+
+func (r *lruRef) put(key string, plan chronos.Plan) {
+	i := r.find(key)
+	if i < 0 {
+		if len(r.entries) == r.capacity {
+			r.entries = r.entries[:len(r.entries)-1]
+		}
+		r.entries = append(r.entries, lruRefEntry{key: key})
+		i = len(r.entries) - 1
+	}
+	r.touch(i).plan = plan
+}
+
+// TestPlanCacheMatchesReferenceLRU runs seeded random sequences of every
+// cache operation on one shard against lruRef. Keys are drawn from three
+// times the capacity, so hits, refreshes and evictions all happen; after
+// every operation hit or miss, the plan, the frontier pointer and len agree.
+func TestPlanCacheMatchesReferenceLRU(t *testing.T) {
+	for _, capacity := range []int{1, 3, 17} {
+		for seed := int64(1); seed <= 4; seed++ {
+			c := newPlanCache(1, capacity)
+			ref := &lruRef{capacity: capacity}
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; step < 5000; step++ {
+				key := fmt.Sprintf("job-%d", rng.Intn(3*capacity))
+				i := ref.find(key)
+				fail := func(format string, args ...any) {
+					t.Fatalf("capacity %d seed %d step %d key %s: %s", capacity, seed, step, key, fmt.Sprintf(format, args...))
+				}
+				switch op := rng.Intn(100); {
+				case op < 40:
+					plan, ok := c.get([]byte(key))
+					if ok != (i >= 0) {
+						fail("get hit = %v, reference %v", ok, i >= 0)
+					}
+					if ok {
+						if want := ref.touch(i).plan; plan != want {
+							fail("get = %+v, reference %+v", plan, want)
+						}
+					}
+				case op < 75:
+					plan := chronos.Plan{Strategy: chronos.Clone, R: step}
+					c.put([]byte(key), plan)
+					ref.put(key, plan)
+				case op < 85:
+					f := new(chronos.BudgetFrontier)
+					c.setFrontier([]byte(key), f)
+					if i >= 0 {
+						ref.entries[i].frontier = f
+					}
+				case op < 99:
+					var want *chronos.BudgetFrontier
+					if i >= 0 {
+						want = ref.entries[i].frontier
+					}
+					if got := c.frontier([]byte(key)); got != want {
+						fail("frontier = %p, reference %p", got, want)
+					}
+				default:
+					c.flush()
+					ref.entries = ref.entries[:0]
+				}
+				if got, want := c.len(), len(ref.entries); got != want {
+					fail("len = %d, reference %d", got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanCacheHashCollision plants key a's entry under key b's hash, the
+// state two keys with one 64-bit hash leave behind, and checks that b never
+// gets a's plan or table: b misses, b's put takes the slot in place with a
+// nil frontier, and a misses after that.
+func TestPlanCacheHashCollision(t *testing.T) {
+	a, b := []byte("a"), []byte("b")
+	planA := chronos.Plan{Strategy: chronos.Clone, R: 1}
+	planB := chronos.Plan{Strategy: chronos.SpeculativeResume, R: 2}
+	tableA := new(chronos.BudgetFrontier)
+	c := newPlanCache(1, 4)
+	c.put(a, planA)
+	c.setFrontier(a, tableA)
+	s := &c.shards[0]
+	i := s.index[fnv1a(a)]
+	delete(s.index, fnv1a(a))
+	s.index[fnv1a(b)] = i
+	s.slots[i].hash = fnv1a(b)
+
+	if plan, ok := c.get(b); ok {
+		t.Errorf("get(b) hit with %+v from a's slot", plan)
+	}
+	if f := c.frontier(b); f != nil {
+		t.Error("frontier(b) returned a's table")
+	}
+	c.setFrontier(b, new(chronos.BudgetFrontier))
+	if s.slots[i].frontier != tableA {
+		t.Error("setFrontier(b) replaced a's table")
+	}
+
+	c.put(b, planB)
+	if n := c.len(); n != 1 {
+		t.Errorf("len = %d after b took a's slot, want 1", n)
+	}
+	if f := c.frontier(b); f != nil {
+		t.Error("b inherited a's table")
+	}
+	if plan, ok := c.get(b); !ok || plan != planB {
+		t.Errorf("get(b) = %+v, %v; want %+v, true", plan, ok, planB)
+	}
+	if plan, ok := c.get(a); ok {
+		t.Errorf("get(a) hit with %+v after b took its slot", plan)
 	}
 }
 
@@ -94,7 +238,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 			for i := 0; i < opsPerG; i++ {
 				key := fmt.Sprintf("job-%d", (g*opsPerG+i)%200)
 				if i%3 == 0 {
-					c.put(key, chronos.Plan{Strategy: chronos.Clone, R: i % 8})
+					c.put([]byte(key), chronos.Plan{Strategy: chronos.Clone, R: i % 8})
 				} else {
 					c.get([]byte(key))
 				}
@@ -118,7 +262,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 // goroutines against a handful of distinct jobs; under -race this covers
 // the cache and metrics paths end to end.
 func TestPlanHandlerConcurrent(t *testing.T) {
-	srv, ts := newTestServer(t, Config{CacheShards: 4, CacheCapacity: 64})
+	srv, ts := newTestServer(t, Config{CacheCapacity: 64})
 	const goroutines = 8
 	const requestsPerG = 25
 	bodies := make([][]byte, 5)

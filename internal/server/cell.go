@@ -57,9 +57,8 @@ func (c *cell) frontier() (*chronos.BudgetFrontier, error) {
 // plan cache, solving and populating it on a miss. Every planning path —
 // /v1/plan, both batch endpoints, and admission control — goes through here,
 // so cache policy (and its stage instrumentation) lives in one place. The key
-// usually still lives in a pooled request buffer: a cache hit probes the
-// shard map without materializing the key string, so the hot path allocates
-// nothing.
+// usually still lives in a pooled request buffer: a hit probes with it and a
+// miss copies it into the slot it takes, so neither allocates.
 //
 // A miss solves on the request's own goroutine. A solve costs a few
 // microseconds, so concurrent misses on one key each solve (and the last
@@ -72,9 +71,8 @@ func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached b
 	if hit {
 		return plan, true, nil
 	}
-	key := string(c.key)
 	if s.solveHook != nil {
-		s.solveHook(key)
+		s.solveHook(string(c.key))
 	}
 	sStart := time.Now()
 	plan, err = c.solve()
@@ -82,7 +80,7 @@ func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached b
 	if err != nil {
 		return chronos.Plan{}, false, err
 	}
-	s.cache.put(key, plan)
+	s.cache.put(c.key, plan)
 	return plan, false, nil
 }
 

@@ -19,6 +19,8 @@ import (
 // different one, so they are not options. The limits a test shrinks in order
 // to exercise them are Config fields below.
 const (
+	// cacheShards is the number of independently locked plan-cache shards.
+	cacheShards = 16
 	// maxTradeoffPoints caps the r range of /v1/tradeoff.
 	maxTradeoffPoints = 256
 	// escrowLeaseFraction is the share of a tenant's total budget one holder
@@ -42,9 +44,6 @@ type Config struct {
 	// Addr is the listen address (host:port). Default ":8080".
 	Addr string
 
-	// CacheShards is the number of independently locked cache shards;
-	// rounded up to a power of two. Default 16.
-	CacheShards int
 	// CacheCapacity is the total number of cached plans across all shards.
 	// Zero means 4096; negative is an Open error.
 	CacheCapacity int
@@ -132,9 +131,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = ":8080"
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
 	}
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = 4096

@@ -150,7 +150,7 @@ func TestMetricCatalog(t *testing.T) {
 // never a truncated 200.
 func TestEncodeFailureIsCounted500(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.cache.put(plankey.Key("", testJob(), testEcon()),
+	s.cache.put([]byte(plankey.Key("", testJob(), testEcon())),
 		chronos.Plan{Strategy: chronos.Clone, R: 1, Utility: math.NaN()})
 	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()})
 	if resp.StatusCode != http.StatusInternalServerError {

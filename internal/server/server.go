@@ -90,7 +90,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		cache:     newPlanCache(cfg.CacheShards, cfg.CacheCapacity),
+		cache:     newPlanCache(cacheShards, cfg.CacheCapacity),
 		metrics:   newServerMetrics(),
 		replaySem: make(chan struct{}, cfg.MaxActiveReplays),
 		traces:    obs.NewTraceRing(cfg.TraceRingSize),

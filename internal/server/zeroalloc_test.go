@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -112,42 +113,52 @@ func TestAdmitHandlerCachedZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPlanHandlerColdAllocs pins the miss path at exactly 3 allocations per
-// /v1/plan: the key string, and the cache entry with its LRU element. Every request carries a distinct deadline
-// from a grid four times the cache, so each one runs the full three-strategy
-// solve and evicts an entry that will not come around again in time.
+// TestPlanHandlerColdAllocs pins the miss path at exactly 0 allocations per
+// /v1/plan: the solve works on the stack and the cache copies the key into a
+// slot it reuses. Every request carries a distinct deadline from a grid four
+// times the cache, so each one runs the full three-strategy solve and evicts
+// an entry that will not come around again in time. The flushing run empties
+// the cache every 32 requests, as a SIGHUP tenant reload does: refilling it
+// must not allocate either.
 func TestPlanHandlerColdAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool; alloc counts only hold without -race")
 	}
-	s := New(Config{CacheCapacity: 64})
-	const grid = 256
-	bodies := make([]*rewindBody, grid)
-	reqs := make([]*http.Request, grid)
-	var w *reuseRW
-	for i := range bodies {
-		job := testJob()
-		job.Deadline = 100 + float64(i)*0.25
-		bodies[i], reqs[i], w = zeroAllocRequest(t, "/v1/plan", api.PlanRequest{Job: job, Econ: testEcon()})
-	}
-	i := 0
-	serve := func() {
-		bodies[i%grid].off = 0
-		s.handlePlan(w, reqs[i%grid])
-		i++
-	}
-	for i < grid { // one lap: pool priming, header-map entries, shard maps at size
-		serve()
-	}
-	allocs := testing.AllocsPerRun(2*grid, serve)
-	if w.code != http.StatusOK {
-		t.Fatalf("status = %d, want 200", w.code)
-	}
-	if _, misses, _ := s.CacheStats(); misses < uint64(i) {
-		t.Fatalf("only %d cache misses over %d requests", misses, i)
-	}
-	if allocs != 3 {
-		t.Errorf("%g allocs per cold plan, want exactly 3", allocs)
+	for _, flushEvery := range []int{0, 32} {
+		t.Run(fmt.Sprintf("flush every %d", flushEvery), func(t *testing.T) {
+			s := New(Config{CacheCapacity: 64})
+			const grid = 256
+			bodies := make([]*rewindBody, grid)
+			reqs := make([]*http.Request, grid)
+			var w *reuseRW
+			for i := range bodies {
+				job := testJob()
+				job.Deadline = 100 + float64(i)*0.25
+				bodies[i], reqs[i], w = zeroAllocRequest(t, "/v1/plan", api.PlanRequest{Job: job, Econ: testEcon()})
+			}
+			i := 0
+			serve := func() {
+				if flushEvery > 0 && i%flushEvery == 0 {
+					s.FlushCache()
+				}
+				bodies[i%grid].off = 0
+				s.handlePlan(w, reqs[i%grid])
+				i++
+			}
+			for i < grid { // one lap: pool priming, header-map entries, shards at capacity
+				serve()
+			}
+			allocs := testing.AllocsPerRun(2*grid, serve)
+			if w.code != http.StatusOK {
+				t.Fatalf("status = %d, want 200", w.code)
+			}
+			if _, misses, _ := s.CacheStats(); misses < uint64(i) {
+				t.Fatalf("only %d cache misses over %d requests", misses, i)
+			}
+			if allocs != 0 {
+				t.Errorf("%g allocs per cold plan, want exactly 0", allocs)
+			}
+		})
 	}
 }
 
