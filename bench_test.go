@@ -11,6 +11,7 @@ package chronos
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -130,6 +131,48 @@ func BenchmarkAlgorithm1(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkBudgetFrontier builds the best-of-three budget frontier of 512
+// trace jobs drawn as the socket benchmark's fleet_admit workload draws its
+// seed-1 shapes (control instants at 0.3 and 0.6 of tmin), the table the
+// plan cache keeps per squeezed admit cell. ns/op is one build;
+// retained-B/frontier is the live heap all 512 tables hold after a GC,
+// divided by 512.
+func BenchmarkBudgetFrontier(b *testing.B) {
+	jobs, err := SyntheticTrace(TraceConfig{Jobs: 512, Seed: 2_000_009})
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := make([]JobParams, len(jobs))
+	for i, j := range jobs {
+		params[i] = JobParams{Tasks: j.Tasks, Deadline: j.Deadline, TMin: j.TMin, Beta: j.Beta,
+			TauEst: 0.3 * j.TMin, TauKill: 0.6 * j.TMin}
+	}
+	econ := Econ{Theta: 1e-4, UnitPrice: 1}
+	frontiers := make([]*BudgetFrontier, len(params))
+	build := func(i int) {
+		if frontiers[i], err = NewBudgetFrontierBest(params[i], econ); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		build(i % len(params))
+	}
+	b.StopTimer()
+	for i, f := range frontiers {
+		if f == nil {
+			build(i)
+		}
+	}
+	var held, freed runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	clear(frontiers)
+	runtime.GC()
+	runtime.ReadMemStats(&freed)
+	b.ReportMetric(float64(held.HeapAlloc-freed.HeapAlloc)/float64(len(params)), "retained-B/frontier")
 }
 
 // BenchmarkClosedFormPoCD measures a single Theorem 5 evaluation.

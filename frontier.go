@@ -13,6 +13,13 @@ import (
 // request; building it once turns each subsequent capped solve into a scan
 // of an in-memory table with no model evaluations.
 //
+// Each strategy's table keeps only the plans some budget can pick: the
+// points of its scan window that no cheaper-or-equal point beats on
+// utility (or ties at lower r), in r order — a few of the window's ~70,
+// about 600 bytes for all three tables of a typical cell. Machine time may
+// dip as r grows; the table is pruned by machine time, not by r, so a dip
+// only changes which points stay, never an answer.
+//
 // PlanWithinBudget returns bit-identical plans and errors to the
 // corresponding Optimize*WithinBudget call for every budget.
 type BudgetFrontier struct {

@@ -11,7 +11,10 @@ import (
 // optimum. Expected machine time is monotone in r for Clone but can dip for
 // the reactive strategies (straggler truncation), so an affordable plan may
 // sit slightly above the unconstrained argmax; PoCD saturates geometrically,
-// so a bounded margin covers every non-degenerate dip.
+// so a bounded margin covers every non-degenerate dip. A cached Frontier
+// keeps only the window's undominated points, and a dip cannot cost it an
+// answer: each point is judged against every point that costs no more,
+// whatever its r, never against its neighbour in r.
 const cappedScanMargin = 64
 
 // cappedScanCap bounds the scan width above the feasibility frontier

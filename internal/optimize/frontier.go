@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -15,14 +16,24 @@ import (
 // closed-form evaluations once, at table build time; each subsequent capped
 // solve is a linear pass over the table with no model evaluations at all.
 //
+// The table keeps only the window's undominated points, in r order: a point
+// goes when another costs no more machine time and has higher utility, or
+// equal utility at lower r, because that other point is affordable whenever
+// it is and within prefers it. What is left is exactly the set of answers
+// within gives for some budget — each kept point is the answer at its own
+// machine time — typically a few of the window's ~70 points. Nothing here
+// assumes machine time rises with r: a reactive strategy's dip only makes a
+// higher r dominate a lower one, and the sort below is by machine time, not
+// by r.
+//
 // Solve(budget) returns bit-identical results (and errors) to
 // SolveCapped(s, p, cfg, budget) for every budget — both end in within —
-// which the root package's TestBudgetFrontier* tests pin down, error text
-// included.
+// which TestFrontierMatchesSolveCappedAtEveryBreakpoint and the root
+// package's TestBudgetFrontier* tests pin down, error text included.
 type Frontier struct {
 	unconstrained Result
-	window        []Point
-	cheapest      float64 // cheapestFeasible(window), for the rejection text
+	points        []Point // the window's undominated points, in r order
+	cheapest      float64 // cheapestFeasible of the whole window, for the rejection text
 }
 
 // NewFrontier precomputes the SolveCapped scan for one cell. Errors are
@@ -38,8 +49,44 @@ func NewFrontier(s analysis.Strategy, p analysis.Params, cfg Config) (*Frontier,
 	if err != nil {
 		return nil, err
 	}
-	window := slices.Clone(mm.scanWindow(cfg, un.R))
-	return &Frontier{unconstrained: un, window: window, cheapest: cheapestFeasible(window)}, nil
+	window := mm.scanWindow(cfg, un.R)
+	return &Frontier{unconstrained: un, points: mm.undominated(window), cheapest: cheapestFeasible(window)}, nil
+}
+
+// undominated returns a fresh slice of the window points within can pick
+// for some budget, in r order. It sorts indices into the memo's scratch by
+// machine time, then utility descending, then r, so every point that could
+// dominate a point precedes it; one pass keeping each point that beats the
+// best before it then leaves exactly the undominated ones.
+func (m *memoModel) undominated(window []Point) []Point {
+	m.order = m.order[:0]
+	for i := range window {
+		m.order = append(m.order, int32(i))
+	}
+	slices.SortFunc(m.order, func(i, j int32) int {
+		a, b := &window[i], &window[j]
+		if c := cmp.Compare(a.MachineTime, b.MachineTime); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.Utility, a.Utility); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	// A utility of -Inf or NaN never beats bestU, so a point within cannot
+	// pick is never kept.
+	kept, bestU, best := m.order[:0], math.Inf(-1), int32(0)
+	for _, i := range m.order {
+		if u := window[i].Utility; u > bestU || u == bestU && i < best {
+			kept, bestU, best = append(kept, i), u, i
+		}
+	}
+	slices.Sort(kept)
+	points := make([]Point, len(kept))
+	for k, i := range kept {
+		points[k] = window[i]
+	}
+	return points
 }
 
 // Unconstrained returns the cell's unconstrained optimum — what SolveCapped
@@ -54,5 +101,5 @@ func (f *Frontier) Solve(budget float64) (Result, error) {
 	if f.unconstrained.MachineTime <= budget {
 		return f.unconstrained, nil
 	}
-	return within(f.unconstrained.Strategy, f.window, f.cheapest, budget)
+	return within(f.unconstrained.Strategy, f.points, f.cheapest, budget)
 }

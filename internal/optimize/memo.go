@@ -28,6 +28,7 @@ type memoModel struct {
 	pocd           []float64 // dense r-indexed caches; NaN marks an empty slot
 	mt             []float64
 	window         []Point // scratch for the capped scan, see scanWindow
+	order          []int32 // scratch for a frontier's sort, see undominated
 }
 
 var memoPool = sync.Pool{New: func() any { return new(memoModel) }}
