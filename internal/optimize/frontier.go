@@ -22,9 +22,9 @@ import (
 // it is and within prefers it. What is left is exactly the set of answers
 // within gives for some budget — each kept point is the answer at its own
 // machine time — typically a few of the window's ~70 points. Nothing here
-// assumes machine time rises with r: a reactive strategy's dip only makes a
-// higher r dominate a lower one, and the sort below is by machine time, not
-// by r.
+// assumes machine time rises with r (it dips for the reactive strategies):
+// undominated compares each point with every point that costs no more,
+// whatever its r, never with its neighbour in r.
 //
 // Solve(budget) returns bit-identical results (and errors) to
 // SolveCapped(s, p, cfg, budget) for every budget — both end in within —
@@ -65,13 +65,7 @@ func (m *memoModel) undominated(window []Point) []Point {
 	}
 	slices.SortFunc(m.order, func(i, j int32) int {
 		a, b := &window[i], &window[j]
-		if c := cmp.Compare(a.MachineTime, b.MachineTime); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(b.Utility, a.Utility); c != 0 {
-			return c
-		}
-		return cmp.Compare(i, j)
+		return cmp.Or(cmp.Compare(a.MachineTime, b.MachineTime), cmp.Compare(b.Utility, a.Utility), cmp.Compare(i, j))
 	})
 	// A utility of -Inf or NaN never beats bestU, so a point within cannot
 	// pick is never kept.

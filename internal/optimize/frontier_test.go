@@ -140,10 +140,11 @@ func TestFrontierMatchesSolveCappedAtEveryBreakpoint(t *testing.T) {
 }
 
 // TestFrontierKeepsExactlyTheUndominatedPoints holds the table to an O(n²)
-// reference: a window point stays unless it is never an answer — its
-// utility is -Inf or NaN — or another point costs no more machine time and
-// has higher utility, or equal utility at lower r. Fewer points would lose
-// answers; more would keep memory the table does not need.
+// reference: a window point stays unless within can never pick it — its
+// utility is -Inf or NaN, or its machine time NaN — or another point costs
+// no more machine time and has higher utility, or equal utility at lower r.
+// Fewer points would lose answers; more would keep memory the table does
+// not need.
 func TestFrontierKeepsExactlyTheUndominatedPoints(t *testing.T) {
 	var windowed, kept int
 	for _, c := range frontierCells(frontierJobCount()) {
