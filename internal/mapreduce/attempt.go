@@ -68,7 +68,6 @@ type Attempt struct {
 	// EndTime is when the attempt finished or was killed.
 	EndTime float64
 
-	ctl         *Controller
 	container   *cluster.Container
 	finishTimer sim.Timer
 	// ticket cancels the container request while the attempt is queued.
@@ -85,13 +84,13 @@ type attemptHooks Attempt
 // Fire implements sim.Handler: the attempt processed its last byte.
 func (h *attemptHooks) Fire() {
 	a := (*Attempt)(h)
-	a.ctl.rt.finishAttempt(a)
+	a.Task.Job.ctl.rt.finishAttempt(a)
 }
 
 // Granted implements cluster.Waiter.
 func (h *attemptHooks) Granted(ctr *cluster.Container) {
 	a := (*Attempt)(h)
-	a.ctl.rt.startAttempt(a, ctr)
+	a.Task.Job.ctl.rt.startAttempt(a, ctr)
 }
 
 // JVMReady returns tFP, the instant the attempt starts processing data and
@@ -165,7 +164,7 @@ type Observation struct {
 func (a *Attempt) Observe(now float64) Observation {
 	var rt *Runtime
 	if a.Task != nil && a.Task.Job != nil {
-		rt = a.Task.Job.rt
+		rt = a.Task.Job.ctl.rt
 	}
 	interval := 0.0
 	noise := 0.0

@@ -143,7 +143,9 @@ type Job struct {
 	liveAttempts int
 	settled      bool
 	strategy     Strategy
-	rt           *Runtime
+	// ctl is the strategy's handle on the job, and the way back to the
+	// runtime from any of its tasks or attempts.
+	ctl Controller
 }
 
 // StrategyName returns the driving strategy's name ("" before Submit).
@@ -180,14 +182,25 @@ type Task struct {
 	ID int
 	// Stage is the task's MapReduce stage.
 	Stage StageKind
-	// Attempts lists every attempt ever launched for the task, in launch
-	// order (index 0 is the original).
+	// Attempts lists the task's attempts in launch order (index 0 is the
+	// original) until the task settles: it is Done and none of its attempts
+	// is queued or running. The runtime takes the records back at the next
+	// Submit and Attempts becomes empty, so an *Attempt is valid until its
+	// task settles and the next Submit runs.
 	Attempts []*Attempt
 	// Done flips when the first attempt finishes.
 	Done bool
 	// FinishTime is the completion instant (valid when Done).
 	FinishTime float64
+	// Duration is EndTime − LaunchTime of the task's lowest-Index finished
+	// attempt (valid when Done): the task duration Hadoop-S and Mantri
+	// average, kept here because it outlives the attempt records.
+	Duration float64
 
+	// durationIndex is the Index of the attempt Duration was taken from.
+	durationIndex int
+	// live counts the task's queued and running attempts.
+	live        int
 	nextAttempt int
 	// streamPrefix is DeriveSeed(seed, job ID, task ID): each attempt's
 	// stream, MakeStream(seed, job ID, task ID, attempt index), continues it
@@ -196,15 +209,7 @@ type Task struct {
 }
 
 // NumActive counts the attempts that are queued or running.
-func (t *Task) NumActive() int {
-	n := 0
-	for _, a := range t.Attempts {
-		if a.State == AttemptQueued || a.State == AttemptRunning {
-			n++
-		}
-	}
-	return n
-}
+func (t *Task) NumActive() int { return t.live }
 
 // BestRunning returns the running attempt with the smallest estimated
 // completion time under the estimator, and that estimate, or nil if none is

@@ -458,6 +458,75 @@ func TestLaunchBadFracPanics(t *testing.T) {
 	ctl.Launch(job.Tasks[0], 1.0)
 }
 
+func TestLaunchDoneTaskPanics(t *testing.T) {
+	eng, _, rt := newHarness(t, Config{})
+	job, err := rt.Submit(testSpec(), plainStrategy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Launch of a done task did not panic")
+		}
+	}()
+	job.ctl.Launch(job.Tasks[0], 0)
+}
+
+// TestDurationIsFirstFinishedInLaunchOrder: Task.Duration is the run time of
+// the lowest-Index finished attempt, the one a scan of Attempts in launch
+// order finds first, even when a higher-Index attempt finished earlier.
+func TestDurationIsFirstFinishedInLaunchOrder(t *testing.T) {
+	eng, _, rt := newHarness(t, Config{Seed: 12})
+	spec := testSpec()
+	spec.NumTasks = 1
+	spec.Dist = pareto.MustNew(10, 1e6) // every attempt runs ≈ 2 + 10 s
+	// Attempt 0 processes the whole split and finishes at ≈ 12; attempt 1
+	// resumes at 0.5 and finishes first, at ≈ 7.
+	job, err := rt.Submit(spec, hookStrategy{onStart: func(ctl *Controller) {
+		ctl.Launch(ctl.Job().Tasks[0], 0)
+		ctl.Launch(ctl.Job().Tasks[0], 0.5)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := job.Tasks[0]
+	eng.RunUntil(1)
+	orig, resumed := task.Attempts[0], task.Attempts[1]
+	eng.RunUntil(10)
+	if resumed.State != AttemptFinished || orig.State != AttemptRunning {
+		t.Fatalf("setup at 10: attempts %v, %v, want running, finished", orig.State, resumed.State)
+	}
+	if want := resumed.EndTime - resumed.LaunchTime; task.Duration != want {
+		t.Errorf("Duration after attempt 1 finished = %v, want its run time %v", task.Duration, want)
+	}
+	eng.Run()
+	if want := orig.EndTime - orig.LaunchTime; orig.State != AttemptFinished || task.Duration != want {
+		t.Errorf("Duration after attempt 0 finished = %v, want its run time %v", task.Duration, want)
+	}
+
+	// Over many tasks with three unkilled copies each, Duration is what the
+	// launch-order scan finds.
+	eng, _, rt = newHarness(t, Config{Seed: 13})
+	spec = testSpec()
+	spec.NumTasks = 40
+	job, err = rt.Submit(spec, cloneTestStrategy{extra: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	for _, task := range job.Tasks {
+		for _, a := range task.Attempts {
+			if a.State == AttemptFinished {
+				if want := a.EndTime - a.LaunchTime; task.Duration != want {
+					t.Errorf("task %d Duration %v, want attempt %d's %v", task.ID, task.Duration, a.Index, want)
+				}
+				break
+			}
+		}
+	}
+}
+
 func TestJVMModelSample(t *testing.T) {
 	rng := pareto.NewStream(1)
 	constant := JVMModel{Min: 3, Max: 3}

@@ -113,7 +113,7 @@ func TestRecycledRecordsStartFresh(t *testing.T) {
 				t.Fatalf("launch %d got a record the first job did not use", launched)
 			}
 			want := Attempt{Task: task, Index: index, State: AttemptQueued, RequestTime: now,
-				StartFrac: 0.5, ctl: ctl, ticket: a.ticket}
+				StartFrac: 0.5, ticket: a.ticket}
 			if a.ticket == 0 || !reflect.DeepEqual(*a, want) {
 				t.Errorf("recycled attempt %+v, want %+v", *a, want)
 			}
@@ -131,6 +131,7 @@ func TestRecycledRecordsStartFresh(t *testing.T) {
 			stage = StageReduce
 		}
 		want := Task{Job: second, ID: i, Stage: stage, Attempts: task.Attempts[:0],
+			Duration: 0, durationIndex: 0, live: 0,
 			streamPrefix: pareto.DeriveSeed(seed, uint64(spec.ID), uint64(i))}
 		if !reflect.DeepEqual(*task, want) {
 			t.Errorf("recycled task %+v, want %+v", *task, want)
@@ -139,5 +140,58 @@ func TestRecycledRecordsStartFresh(t *testing.T) {
 	eng.Run()
 	if launched != len(attempts) {
 		t.Errorf("second job launched %d attempts, want %d", launched, len(attempts))
+	}
+}
+
+// TestSettledTaskReturnsAttemptsBeforeItsJob: a task that is done with no
+// live attempt gives its attempt records back at the next Submit, while its
+// job is still open. The Submit empties its Attempts, keeps its Duration, and
+// the next launch reuses the record.
+func TestSettledTaskReturnsAttemptsBeforeItsJob(t *testing.T) {
+	eng, _, rt := newHarness(t, Config{Seed: 6})
+	spec := testSpec()
+	spec.NumTasks = 2
+	spec.Dist = pareto.MustNew(10, 1e6) // every attempt runs ≈ 2 + 10 s
+	// Task 0 runs over [0, 12]; task 1 starts only at 20, so the job is
+	// open when the second job arrives at 15.
+	first, err := rt.Submit(spec, hookStrategy{onStart: func(ctl *Controller) {
+		ctl.Launch(ctl.Job().Tasks[0], 0)
+		ctl.After(20, func() { ctl.Launch(ctl.Job().Tasks[1], 0) })
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(14)
+	settled := first.Tasks[0]
+	if !settled.Done || settled.NumActive() != 0 || len(settled.Attempts) != 1 {
+		t.Fatalf("setup: task 0 done %v with %d live of %d attempts, want done with 0 live of 1",
+			settled.Done, settled.NumActive(), len(settled.Attempts))
+	}
+	old, duration := settled.Attempts[0], settled.Duration
+
+	spec.ID, spec.Arrival = 2, 15
+	var reused *Attempt
+	eng.Schedule(15, func() {
+		if _, err := rt.Submit(spec, hookStrategy{onStart: func(ctl *Controller) {
+			reused = ctl.Launch(ctl.Job().Tasks[0], 0)
+		}}); err != nil {
+			t.Error(err)
+		}
+		if first.Done || first.Tasks == nil {
+			t.Errorf("first job done %v, tasks %v at the second Submit, want it open", first.Done, first.Tasks)
+		}
+		if len(settled.Attempts) != 0 {
+			t.Errorf("settled task kept %d attempts past Submit, want 0", len(settled.Attempts))
+		}
+		if settled.Duration != duration {
+			t.Errorf("settled task Duration %v after Submit, want %v", settled.Duration, duration)
+		}
+	})
+	eng.Run()
+	if reused != old {
+		t.Error("the second job's first launch did not reuse the settled task's attempt")
+	}
+	if !first.Done {
+		t.Error("first job did not finish after the second Submit")
 	}
 }

@@ -38,10 +38,14 @@ const (
 // Runtime is the application-master-style execution core: it launches
 // attempts on cluster containers, tracks completions and machine time, and
 // calls into the per-job speculation strategy. It does not retain submitted
-// jobs: the caller owns each *Job, and once OnJobSettled has returned the
-// runtime takes the job's tasks and attempts back for later jobs at the next
-// Submit (Job.Tasks becomes nil; the Job's own fields stay readable), so
-// memory tracks the in-flight job count, not the length of the stream.
+// jobs: the caller owns each *Job. Records go back to the runtime's pools at
+// the next Submit after they are last needed, so memory tracks the live
+// attempts and in-flight jobs, not the length of the stream:
+//   - a task's attempts once the task settles — it is Done and none of its
+//     attempts is queued or running — so an *Attempt is valid until its task
+//     settles and the next Submit runs (Task.Attempts becomes empty);
+//   - a job's tasks once OnJobSettled has returned (Job.Tasks becomes nil;
+//     the Job's own fields stay readable).
 type Runtime struct {
 	// Eng is the discrete-event engine driving the simulation.
 	Eng *sim.Engine
@@ -54,9 +58,10 @@ type Runtime struct {
 	// jobs; a recycled task keeps its Attempts capacity.
 	freeTasks    []*Task
 	freeAttempts []*Attempt
-	// reclaimable lists the settled jobs whose objects reclaim has yet to
-	// take back.
-	reclaimable []*Job
+	// settledTasks and reclaimable list the settled tasks and jobs whose
+	// records reclaim has yet to take back.
+	settledTasks []*Task
+	reclaimable  []*Job
 	// OnJobSettled, if set, is invoked once per job when its accounting
 	// closes: the job is Done and no attempt still holds (or waits for) a
 	// container, so MachineTime and Cost are final. Redundant attempts may
@@ -82,7 +87,8 @@ func (rt *Runtime) Submit(spec JobSpec, strat Strategy) (*Job, error) {
 		return nil, fmt.Errorf("mapreduce: job %d submitted without a strategy", spec.ID)
 	}
 	rt.reclaim()
-	job := &Job{Spec: spec, strategy: strat, rt: rt, ChosenR: -1, ChosenReduceR: -1}
+	job := &Job{Spec: spec, strategy: strat, ChosenR: -1, ChosenReduceR: -1}
+	job.ctl = Controller{rt: rt, job: job}
 	n := spec.NumTasks + spec.Reduce.NumTasks
 	if short := n - len(rt.freeTasks); short > 0 {
 		slab := make([]Task, short)
@@ -104,26 +110,31 @@ func (rt *Runtime) Submit(spec JobSpec, strat Strategy) (*Job, error) {
 		// on the stack and copied over the record. TestRecycledRecordsStartFresh
 		// fails if a field is missed.
 		t.Job, t.ID, t.Stage, t.Attempts = job, i, stage, t.Attempts[:0]
-		t.Done, t.FinishTime, t.nextAttempt = false, 0, 0
+		t.Done, t.FinishTime, t.Duration, t.durationIndex = false, 0, 0, 0
+		t.live, t.nextAttempt = 0, 0
 		t.streamPrefix = pareto.DeriveSeed(rt.cfg.Seed, uint64(spec.ID), uint64(i))
 	}
-	ctl := &Controller{rt: rt, job: job}
-	rt.Eng.Schedule(spec.Arrival, func() { strat.Start(ctl) })
+	rt.Eng.Schedule(spec.Arrival, func() { strat.Start(&job.ctl) })
 	return job, nil
 }
 
-// reclaim returns the tasks and attempts of settled jobs to the pools. It
-// runs at the next Submit rather than at settlement because settlement
-// happens inside a handler — a strategy's kill loop, a finish event — that
-// may still be walking the job's tasks. Nothing reaches them afterwards: a
-// settled job has no live attempt, so no finish event, queued request or
-// held container names one, and Controller stops the job's remaining control
-// points.
+// reclaim returns the attempts of settled tasks and the tasks of settled jobs
+// to the pools. It runs at the next Submit rather than at settlement because
+// settlement happens inside a handler — a strategy's kill loop, a finish
+// event — that may still be walking the task's attempts or the job's tasks.
+// Nothing reaches a settled task's attempts afterwards: none is live, so no
+// finish event, queued request or held container names one, a Done task takes
+// no new attempt, and a strategy skips Done tasks (Duration keeps what
+// Hadoop-S and Mantri read of them). Nothing reaches a settled job's tasks:
+// Controller stops the job's remaining control points.
 func (rt *Runtime) reclaim() {
+	for i, t := range rt.settledTasks {
+		rt.freeAttempts = append(rt.freeAttempts, t.Attempts...)
+		t.Attempts = t.Attempts[:0]
+		rt.settledTasks[i] = nil
+	}
+	rt.settledTasks = rt.settledTasks[:0]
 	for i, job := range rt.reclaimable {
-		for _, t := range job.Tasks {
-			rt.freeAttempts = append(rt.freeAttempts, t.Attempts...)
-		}
 		rt.freeTasks = append(rt.freeTasks, job.Tasks...)
 		job.Tasks = nil
 		rt.reclaimable[i] = nil
@@ -133,9 +144,13 @@ func (rt *Runtime) reclaim() {
 
 // launch creates an attempt for the task starting at startFrac of the split
 // and requests a container for it.
-func (rt *Runtime) launch(ctl *Controller, t *Task, startFrac float64) *Attempt {
+func (rt *Runtime) launch(t *Task, startFrac float64) *Attempt {
 	if startFrac < 0 || startFrac >= 1 {
 		panic(fmt.Sprintf("mapreduce: launch with startFrac %v", startFrac))
+	}
+	if t.Done {
+		panic(fmt.Sprintf("mapreduce: job %d launched an attempt of task %d after it finished",
+			t.Job.Spec.ID, t.ID))
 	}
 	if t.Stage == StageReduce && !t.Job.MapDone {
 		panic(fmt.Sprintf("mapreduce: job %d launched reduce task %d before map completion",
@@ -150,12 +165,13 @@ func (rt *Runtime) launch(ctl *Controller, t *Task, startFrac float64) *Attempt 
 	a := rt.freeAttempts[len(rt.freeAttempts)-1]
 	rt.freeAttempts = rt.freeAttempts[:len(rt.freeAttempts)-1]
 	// Reset field by field, as Submit resets a task.
-	a.Task, a.Index, a.State, a.ctl = t, t.nextAttempt, AttemptQueued, ctl
+	a.Task, a.Index, a.State = t, t.nextAttempt, AttemptQueued
 	a.RequestTime, a.StartFrac = rt.Eng.Now(), startFrac
 	a.LaunchTime, a.JVMDelay, a.Intrinsic, a.EndTime = 0, 0, 0, 0
 	a.container, a.finishTimer, a.ticket = nil, sim.Timer{}, 0
 	t.nextAttempt++
 	t.Attempts = append(t.Attempts, a)
+	t.live++
 	t.Job.liveAttempts++
 
 	// Granted at once, the attempt is already running when RequestFor
@@ -186,21 +202,27 @@ func (rt *Runtime) startAttempt(a *Attempt, ctr *cluster.Container) {
 // finishAttempt completes an attempt and, if it is the task's first
 // completion, the task (and possibly the job).
 func (rt *Runtime) finishAttempt(a *Attempt) {
-	ctl := a.ctl
+	t := a.Task
+	job := t.Job
+	ctl := &job.ctl
 	now := rt.Eng.Now()
 	a.State = AttemptFinished
 	a.EndTime = now
 	rt.releaseAndCharge(a)
-	a.Task.Job.liveAttempts--
-	defer rt.maybeSettle(a.Task.Job)
+	defer rt.maybeSettle(job)
 
-	t := a.Task
-	if t.Done {
-		return
+	// A later finish by a lower-Index attempt replaces the record: Duration
+	// is the attempt a launch-order scan for the first finished one finds.
+	first := !t.Done
+	if first || a.Index < t.durationIndex {
+		t.Duration, t.durationIndex = now-a.LaunchTime, a.Index
 	}
 	t.Done = true
+	rt.attemptEnded(t)
+	if !first {
+		return
+	}
 	t.FinishTime = now
-	job := t.Job
 	job.doneTasks++
 	if t.Stage == StageMap {
 		job.doneMapTasks++
@@ -241,9 +263,20 @@ func (rt *Runtime) kill(a *Attempt) bool {
 	default:
 		return false
 	}
-	a.Task.Job.liveAttempts--
+	rt.attemptEnded(a.Task)
 	rt.maybeSettle(a.Task.Job)
 	return true
+}
+
+// attemptEnded drops one of the task's and its job's live attempts and, when
+// the task is Done and that was its last, queues the task for reclaim: its
+// attempts are no longer needed.
+func (rt *Runtime) attemptEnded(t *Task) {
+	t.live--
+	t.Job.liveAttempts--
+	if t.Done && t.live == 0 {
+		rt.settledTasks = append(rt.settledTasks, t)
+	}
 }
 
 // maybeSettle fires OnJobSettled exactly once, when the job is complete and

@@ -33,9 +33,11 @@ func (c *Controller) Now() float64 { return c.rt.Eng.Now() }
 
 // Launch starts a new attempt of the task from the given split fraction
 // (0 for a from-scratch attempt) and returns it. The attempt may wait for a
-// container.
+// container. The task must not be Done. The returned *Attempt is valid until
+// its task settles (it is Done and none of its attempts is queued or
+// running) and the next Submit runs; then the runtime reuses the record.
 func (c *Controller) Launch(t *Task, startFrac float64) *Attempt {
-	return c.rt.launch(c, t, startFrac)
+	return c.rt.launch(t, startFrac)
 }
 
 // Kill terminates an attempt. Killing a finished or already-killed attempt

@@ -14,7 +14,8 @@ import (
 // arrivals 200 s apart on the default 256x8 cluster, one sub-benchmark per
 // Chronos strategy. ns/task and
 // allocs/job are bench/'s speculate.task_ns.* and replay.allocs_per_job
-// units, so the artifact `make bench` archives reads against them.
+// units, so the artifact `make bench` archives reads against them; B/op is
+// the bytes one replay allocates.
 func BenchmarkReplayThroughput(b *testing.B) {
 	jobs, err := chronos.SyntheticTrace(chronos.TraceConfig{Jobs: 500, HorizonSeconds: 200 * 500, Seed: 1})
 	if err != nil {
@@ -27,6 +28,7 @@ func BenchmarkReplayThroughput(b *testing.B) {
 	obs := chronos.ReplayObserverFunc(func(*chronos.ReplayEvent) error { return nil })
 	for _, s := range []chronos.Strategy{chronos.Clone, chronos.SpeculativeRestart, chronos.SpeculativeResume} {
 		b.Run(s.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			cfg := chronos.SimConfig{Strategy: s, Seed: 1}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -95,19 +95,14 @@ func hadoopSPass(ctl *mapreduce.Controller, est mapreduce.Estimator) {
 }
 
 // meanTaskDuration returns the mean winning-attempt duration of the job's
-// finished tasks.
+// finished tasks. It reads Task.Duration, not the attempts: a finished task's
+// attempt records go back to the runtime once none of them is live.
 func meanTaskDuration(job *mapreduce.Job) (mean float64, n int) {
 	var sum float64
 	for _, t := range job.Tasks {
-		if !t.Done {
-			continue
-		}
-		for _, a := range t.Attempts {
-			if a.State == mapreduce.AttemptFinished {
-				sum += a.EndTime - a.LaunchTime
-				n++
-				break
-			}
+		if t.Done {
+			sum += t.Duration
+			n++
 		}
 	}
 	if n == 0 {
