@@ -8,7 +8,7 @@ import (
 
 // BudgetFrontier is the precomputed form of OptimizeWithinBudget /
 // OptimizeBestWithinBudget for one (job, econ, strategy-selector) cell. An
-// admission controller squeezing repeated quantization-equal jobs against a
+// admission controller squeezing repeated identical jobs against a
 // draining ledger re-derives the same feasibility frontier on every
 // request; building it once turns each subsequent capped solve into a scan
 // of an in-memory table with no model evaluations.

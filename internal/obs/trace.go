@@ -27,10 +27,13 @@ const TraceHeader = "X-Chronosd-Trace-Id"
 type Stage uint8
 
 const (
-	// StageQuantize is plan-key construction: float quantization plus
-	// formatting of the cache/ring key.
+	// StageQuantize is plan-key construction: the request's exact bits
+	// written as the cache/ring key. (The label predates exact-bit keys,
+	// when the floats were rounded first; it stays for the metrics it names.)
 	StageQuantize Stage = iota
-	// StageCache is a sharded plan-cache lookup.
+	// StageCache is a sharded plan-cache lookup. Where the key build comes
+	// straight before it, the span starts at the key build's end, so it also
+	// covers the ring-owner lookup between them.
 	StageCache
 	// StageSolve is an Algorithm 1 optimization (cache miss, batch strategy
 	// selection, or a budget-capped re-solve).
@@ -89,11 +92,16 @@ type Trace struct {
 // NewTrace starts a trace for route, honoring id when it is usable and
 // minting otherwise.
 func NewTrace(id, route string) *Trace {
+	start := time.Now()
 	if !ValidID(id) {
 		id = MintID()
 	}
-	return &Trace{ID: id, Route: route, start: time.Now()}
+	return &Trace{ID: id, Route: route, start: start}
 }
+
+// Start returns the instant NewTrace started the trace, so the edge can time
+// the request from the same clock read.
+func (t *Trace) Start() time.Time { return t.start }
 
 // Observe adds one stage span of duration d.
 func (t *Trace) Observe(s Stage, d time.Duration) {

@@ -8,16 +8,24 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"chronos"
+	"chronos/internal/plankey"
 )
 
-// sampleKeys returns a deterministic 10k-key sample shaped like real plan
-// keys (strategy|tasks|floats), so the distribution properties are measured
-// on the key population the ring actually shards.
+// sampleKeys returns a deterministic sample of real plan keys (plankey's
+// exact-bit format over jobs that differ in a few fields), so the
+// distribution properties are measured on the key population the ring
+// actually shards.
 func sampleKeys(n int) []string {
 	keys := make([]string, n)
+	econ := chronos.Econ{Theta: 1e-4, UnitPrice: 1}
 	for i := range keys {
-		keys[i] = fmt.Sprintf("|%d|%.6g|%.6g|40|1.6|300|600|0|0.0001|1|0",
-			100+i%400, 1800.0+float64(i), 30.0+float64(i%97))
+		tmin := 30.0 + float64(i%97)
+		keys[i] = plankey.Key("", chronos.JobParams{
+			Tasks: 100 + i%400, Deadline: 1800.0 + float64(i), TMin: tmin, Beta: 1.6,
+			TauEst: 0.3 * tmin, TauKill: 0.6 * tmin,
+		}, econ)
 	}
 	return keys
 }

@@ -56,9 +56,9 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	req.Econ = tenantEcon(req.Econ, pool)
 	j := &hb.jobs[0]
 	*j = admitJob{cell: cell{strat: strat, best: best, job: req.Job, econ: req.Econ}}
-	j.quantize(tr, hb.key[:0])
+	j.buildKey(tr, hb.key[:0])
 	hb.key = j.key
-	if s.forwardToOwner(w, r, "/v1/admit", hb.key, req) {
+	if s.forwardToOwner(w, r, "/v1/admit", &j.cell, req) {
 		return
 	}
 	_, rem, err := s.admitJobs(tr, req.Tenant, s.tenantBudget(r.Context(), req.Tenant, pool), hb.jobs[:], hb.results[:])

@@ -47,9 +47,10 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve every job's strategy and plan key up front; an unparseable
 	// strategy name is the request's fault, not an admission decision. The
-	// keys share one buffer, each cell's key a cap-limited window of it.
+	// keys share one buffer, sized once from their fixed lengths, each cell's
+	// key a cap-limited window of it.
 	jobs := make([]admitJob, len(req.Jobs))
-	var keys []byte
+	n := 0
 	for i, j := range req.Jobs {
 		strat, best, ok := plankey.ParseStrategy(j.Strategy)
 		if !ok {
@@ -58,6 +59,11 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		c := &jobs[i].cell
 		*c = cell{strat: strat, best: best, job: j.Job, econ: econ}
+		n += plankey.Len(c.name())
+	}
+	keys := make([]byte, 0, n)
+	for i := range jobs {
+		c := &jobs[i].cell
 		start := len(keys)
 		keys = plankey.AppendKey(keys, c.name(), c.job, c.econ)
 		c.key = keys[start:len(keys):len(keys)]

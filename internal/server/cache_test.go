@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -17,30 +18,46 @@ import (
 	"chronos/internal/plankey"
 )
 
-func TestPlanKeyQuantization(t *testing.T) {
-	base := testJob()
-	econ := testEcon()
-
-	jittered := base
-	jittered.Deadline = base.Deadline * (1 + 1e-9) // sub-quantum measurement noise
-	if plankey.Key("", base, econ) != plankey.Key("", jittered, econ) {
-		t.Error("sub-quantum jitter should map to the same cache key")
+// TestPlanBytesIndependentOfFillOrder sends two bodies that differ only past
+// the deadline's sixth significant digit, D = 100 and D = 100.00004, to two
+// fresh servers in opposite orders, on /v1/plan and on /v1/admit against a
+// tenant so ample no debit here moves its level. Each body must read the same
+// bytes from both servers: a cached plan depends only on its key, never on
+// which request filled the cell.
+func TestPlanBytesIndependentOfFillOrder(t *testing.T) {
+	a, b := testJob(), testJob()
+	b.Deadline = 100.00004
+	routes := []struct {
+		path string
+		body func(chronos.JobParams) any
+	}{
+		{"/v1/plan", func(j chronos.JobParams) any { return api.PlanRequest{Job: j, Econ: testEcon()} }},
+		{"/v1/admit", func(j chronos.JobParams) any {
+			return api.AdmitRequest{Tenant: "ample", Job: j, Econ: testEcon()}
+		}},
 	}
-
-	different := base
-	different.Deadline = base.Deadline * 1.01
-	if plankey.Key("", base, econ) == plankey.Key("", different, econ) {
-		t.Error("1% deadline change should map to a different cache key")
-	}
-
-	otherEcon := econ
-	otherEcon.Theta = econ.Theta * 10
-	if plankey.Key("", base, econ) == plankey.Key("", base, otherEcon) {
-		t.Error("10x theta change should map to a different cache key")
-	}
-
-	if plankey.Key("Clone", base, econ) == plankey.Key("", base, econ) {
-		t.Error("pinned and best-of-three plans must not share keys")
+	for _, route := range routes {
+		t.Run(strings.TrimPrefix(route.path, "/v1/"), func(t *testing.T) {
+			var answers [2]map[float64]string
+			for i, order := range [2][2]chronos.JobParams{{a, b}, {b, a}} {
+				_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "ample", 1e30)})
+				answers[i] = map[float64]string{}
+				for _, job := range order {
+					resp := postJSON(t, ts.URL+route.path, route.body(job))
+					raw, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK {
+						t.Fatalf("deadline %v: status %d, err %v: %s", job.Deadline, resp.StatusCode, err, raw)
+					}
+					answers[i][job.Deadline] = wireTraceID.ReplaceAllString(string(raw), `"traceId":""`)
+				}
+			}
+			for _, d := range []float64{a.Deadline, b.Deadline} {
+				if answers[0][d] != answers[1][d] {
+					t.Errorf("deadline %v answered by fill order:\nA first: %s\nB first: %s", d, answers[0][d], answers[1][d])
+				}
+			}
+		})
 	}
 }
 
@@ -166,6 +183,25 @@ func TestPlanCacheMatchesReferenceLRU(t *testing.T) {
 	}
 }
 
+// TestKeyHashSpreadsPlanKeys checks that plan keys of jobs differing only in
+// a few round-valued fields — whose words differ only in their high bits —
+// still spread evenly over the 16 shards the low bits of keyHash pick.
+func TestKeyHashSpreadsPlanKeys(t *testing.T) {
+	const shards, n = 16, 16000
+	var count [shards]int
+	for i := 0; i < n; i++ {
+		job := testJob()
+		job.Tasks = 1 + i%40
+		job.Deadline = float64(100 + i/40)
+		count[keyHash([]byte(plankey.Key("", job, testEcon())))%shards]++
+	}
+	for s, c := range count {
+		if c < n/shards*9/10 || c > n/shards*11/10 {
+			t.Errorf("shard %d holds %d of %d keys, want %d ± 10 %%", s, c, n, n/shards)
+		}
+	}
+}
+
 // TestPlanCacheHashCollision plants key a's entry under key b's hash, the
 // state two keys with one 64-bit hash leave behind, and checks that b never
 // gets a's plan or table: b misses, b's put takes the slot in place with a
@@ -179,10 +215,10 @@ func TestPlanCacheHashCollision(t *testing.T) {
 	c.put(a, planA)
 	c.setFrontier(a, tableA)
 	s := &c.shards[0]
-	i := s.index[fnv1a(a)]
-	delete(s.index, fnv1a(a))
-	s.index[fnv1a(b)] = i
-	s.slots[i].hash = fnv1a(b)
+	i := s.index[keyHash(a)]
+	delete(s.index, keyHash(a))
+	s.index[keyHash(b)] = i
+	s.slots[i].hash = keyHash(b)
 
 	if plan, ok := c.get(b); ok {
 		t.Errorf("get(b) hit with %+v from a's slot", plan)

@@ -10,7 +10,7 @@ import (
 
 // cell is one planning problem as the plan cache sees it: a job under its
 // economics, pinned to one strategy or left open to the best of the three,
-// and the quantised key naming the cache cell it falls in. The methods below
+// and the exact-bit key naming the cache cell it falls in. The methods below
 // are the only code that branches on best.
 type cell struct {
 	strat chronos.Strategy
@@ -18,6 +18,11 @@ type cell struct {
 	job   chronos.JobParams
 	econ  chronos.Econ
 	key   []byte
+	// keyed is when the key build ended, and so where the cache probe's
+	// StageCache span starts. Work that may record a span of its own between
+	// them (a forward attempt, the admit path's budget read) clears it, and
+	// cachedPlan then reads the clock itself.
+	keyed time.Time
 }
 
 // name is the strategy component of the plan cache key: the canonical name
@@ -29,12 +34,16 @@ func (c *cell) name() string {
 	return c.strat.String()
 }
 
-// quantize appends the cell's plan key to buf and keeps it as c.key, observed
-// as a StageQuantize span.
-func (c *cell) quantize(tr *obs.Trace, buf []byte) {
+// buildKey appends the cell's plan key to buf and keeps it as c.key, observed
+// as a StageQuantize span whose end is c.keyed. The end is start plus the
+// span, one monotonic clock read, where time.Now would read the wall clock
+// too.
+func (c *cell) buildKey(tr *obs.Trace, buf []byte) {
 	start := time.Now()
 	c.key = plankey.AppendKey(buf, c.name(), c.job, c.econ)
-	tr.Observe(obs.StageQuantize, time.Since(start))
+	d := time.Since(start)
+	c.keyed = start.Add(d)
+	tr.Observe(obs.StageQuantize, d)
 }
 
 // solve runs the unconstrained optimization.
@@ -60,12 +69,19 @@ func (c *cell) frontier() (*chronos.BudgetFrontier, error) {
 // usually still lives in a pooled request buffer: a hit probes with it and a
 // miss copies it into the slot it takes, so neither allocates.
 //
+// The StageCache span starts at c.keyed when it is set, so the key build and
+// the probe share one clock read at their boundary.
+//
 // A miss solves on the request's own goroutine. A solve costs a few
 // microseconds, so concurrent misses on one key each solve (and the last
 // insert wins) rather than wait on one another, and a batch's repeated shapes
 // are hits after their first job.
 func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached bool, err error) {
-	cStart := time.Now()
+	cStart := c.keyed
+	if cStart.IsZero() {
+		cStart = time.Now()
+	}
+	c.keyed = time.Time{}
 	plan, hit := s.cache.get(c.key)
 	tr.Observe(obs.StageCache, time.Since(cStart))
 	if hit {
@@ -92,7 +108,11 @@ func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached b
 // budget-squeezed admit in a cell pays the bisection and window scan once,
 // and every later squeeze in the warm cell answers from the table with no
 // model evaluations (and, on the admit path, no allocation).
+//
+// The budget read before this call may top up an escrow lease, a span of its
+// own, so the cache span here never starts where the key build ended.
 func (s *Server) planWithin(tr *obs.Trace, c *cell, budget float64) (chronos.Plan, error) {
+	c.keyed = time.Time{}
 	plan, _, err := s.cachedPlan(tr, c)
 	if err != nil {
 		return chronos.Plan{}, err

@@ -4,7 +4,7 @@
 // deadline-critical job (POST /v1/plan), per admission batch under a shared
 // machine-time budget (POST /v1/plan/batch), and for offline what-if
 // analysis (GET /v1/tradeoff, POST /v1/simulate). Hot-path plans are served
-// from a sharded LRU cache keyed by quantized job parameters, and all
+// from a sharded LRU cache keyed by the job parameters' exact bits, and all
 // traffic is observable through GET /metrics in Prometheus text format.
 package server
 

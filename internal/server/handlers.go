@@ -106,10 +106,10 @@ func finitePtr(x float64) *float64 {
 // --- handlers -------------------------------------------------------------
 
 // handlePlan serves POST /v1/plan: the per-arrival planning hot path. The
-// sharded cache short-circuits repeated requests for quantization-equal
-// jobs. It spends no tenant budget; that is /v1/admit. The whole path —
-// body read, hotjson decode, key build, cache probe, encode, write — runs on
-// one pooled hotBuf and allocates nothing on a cache hit.
+// sharded cache short-circuits repeated requests for bit-identical jobs. It
+// spends no tenant budget; that is /v1/admit. The whole path — body read,
+// hotjson decode, key build, cache probe, encode, write — runs on one pooled
+// hotBuf and allocates nothing on a cache hit.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	hb := getHotBuf()
 	defer putHotBuf(hb)
@@ -132,9 +132,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// request there so the fleet's caches partition the keyspace instead of
 	// overlapping.
 	c := cell{strat: strat, best: best, job: req.Job, econ: req.Econ}
-	c.quantize(tr, hb.key[:0])
+	c.buildKey(tr, hb.key[:0])
 	hb.key = c.key
-	if s.forwardToOwner(w, r, "/v1/plan", hb.key, req) {
+	if s.forwardToOwner(w, r, "/v1/plan", &c, req) {
 		return
 	}
 	plan, cached, err := s.cachedPlan(tr, &c)
@@ -191,7 +191,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if best {
 			c := cell{best: true, job: jr.Job, econ: req.Econ}
-			c.quantize(tr, key[:0])
+			c.buildKey(tr, key[:0])
 			key = c.key
 			plan, _, err := s.cachedPlan(tr, &c)
 			if err != nil {

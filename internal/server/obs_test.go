@@ -5,14 +5,18 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"chronos/api"
 	"chronos/internal/obs"
+	"chronos/internal/plankey"
+	"chronos/internal/ring"
 )
 
 // TestTraceIDStampedOnEveryResponse pins the edge contract: every response —
@@ -113,6 +117,56 @@ func TestPlanTraceRecordsStages(t *testing.T) {
 		t.Errorf("cached snapshot has non-positive timings: total %g, cache %g",
 			hit.Seconds, hit.StageSeconds(obs.StageCache))
 	}
+}
+
+// TestCacheSpanSkipsInterveningWork holds the shared key-build/cache-probe
+// boundary to the requests it is true for. A forward attempt that falls back
+// to local work, and the admit path's budget read (which may top up an
+// escrow lease), run between the key build and the probe, and the cache
+// span must cover neither.
+func TestCacheSpanSkipsInterveningWork(t *testing.T) {
+	t.Run("forward fallback", func(t *testing.T) {
+		slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			time.Sleep(20 * time.Millisecond)
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}))
+		t.Cleanup(slow.Close)
+		s, ts := newTestServer(t, Config{BreakerThreshold: 100})
+		if err := s.SetRing(ring.Membership{Self: ts.URL, Peers: []string{slow.URL}}); err != nil {
+			t.Fatal(err)
+		}
+		resp := postJSON(t, ts.URL+"/v1/plan", reqOwnedBy(t, s, slow.URL))
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("fallback plan: status = %d", resp.StatusCode)
+		}
+		snap := s.Traces().Find(resp.Header.Get(obs.TraceHeader))
+		if snap == nil {
+			t.Fatal("no snapshot for the fallback plan")
+		}
+		fwd, cache := snap.StageNanos[obs.StageForward], snap.StageNanos[obs.StageCache]
+		if snap.StageCounts[obs.StageForward] != 1 || snap.StageCounts[obs.StageCache] != 1 {
+			t.Fatalf("stage counts %v, want one forward and one cache span", snap.StageCounts)
+		}
+		if cache >= fwd {
+			t.Errorf("cache span %v covers the %v forward attempt before it", time.Duration(cache), time.Duration(fwd))
+		}
+	})
+	t.Run("admit budget read", func(t *testing.T) {
+		s := New(Config{})
+		defer s.Close()
+		c := cell{best: true, job: testJob(), econ: testEcon(), keyed: time.Now().Add(-time.Hour)}
+		c.key = []byte(plankey.Key(c.name(), c.job, c.econ))
+		tr := obs.NewTrace("", "/v1/admit")
+		if _, err := s.planWithin(tr, &c, math.Inf(1)); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Duration(tr.Finish(http.StatusOK, 0, "", false).StageNanos[obs.StageCache]); d >= time.Minute {
+			t.Errorf("cache span %v starts at the key build, before the budget read", d)
+		}
+	})
 }
 
 // TestFleetTraceSpansForwardHop is the acceptance scenario: one /v1/plan

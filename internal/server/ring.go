@@ -121,7 +121,9 @@ func (s *Server) RingMembers() (self string, members []string) {
 // payload is the decoded request, re-marshaled for the forward so that
 // fields this replica resolved (e.g. tenant econ defaults) travel with it
 // and the owner computes the exact cache key the routing decision used.
-func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path string, key []byte, payload any) bool {
+// c is the request's cell, routed by its key; a fallback after a forward
+// attempt clears c.keyed, so the local cache span does not cover the attempt.
+func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path string, c *cell, payload any) bool {
 	rs := s.ringSt.Load()
 	if rs == nil {
 		return false
@@ -136,7 +138,7 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path str
 		s.metrics.ringReceivedForwards.Inc()
 		return false
 	}
-	owner, ok := rs.ring.OwnerBytes(key)
+	owner, ok := rs.ring.OwnerBytes(c.key)
 	if !ok || owner == rs.self {
 		return false
 	}
@@ -146,6 +148,7 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path str
 		// serving locally is always safe.
 		return false
 	}
+	c.keyed = time.Time{}
 	body, err := json.Marshal(payload)
 	if err != nil {
 		return false

@@ -733,7 +733,8 @@ func TestForwardClientDisconnectDoesNotChargeBreaker(t *testing.T) {
 	}
 	req := reqOwnedBy(t, s, hanging.URL)
 	strat, best, _ := plankey.ParseStrategy(req.Strategy)
-	key := plankey.Key((&cell{strat: strat, best: best}).name(), req.Job, req.Econ)
+	c := cell{strat: strat, best: best, job: req.Job, econ: req.Econ}
+	c.key = []byte(plankey.Key(c.name(), req.Job, req.Econ))
 
 	hreq := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
 	ctx, cancel := context.WithCancel(hreq.Context())
@@ -743,7 +744,7 @@ func TestForwardClientDisconnectDoesNotChargeBreaker(t *testing.T) {
 		cancel()
 	}()
 
-	if done := s.forwardToOwner(httptest.NewRecorder(), hreq, "/v1/plan", []byte(key), req); !done {
+	if done := s.forwardToOwner(httptest.NewRecorder(), hreq, "/v1/plan", &c, req); !done {
 		t.Fatal("client disconnect mid-forward must consume the request, not fall back locally")
 	}
 	peer := s.ringSt.Load().peers[hanging.URL]

@@ -192,12 +192,11 @@ func (s *Server) route(pattern, label string, h http.HandlerFunc) {
 		if r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		}
-		start := time.Now()
 		tr := obs.NewTrace(r.Header.Get(obs.TraceHeader), label)
 		w.Header().Set(obs.TraceHeader, tr.ID)
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r.WithContext(obs.NewContext(r.Context(), tr)))
-		elapsed := time.Since(start)
+		elapsed := time.Since(tr.Start())
 		em.observe(rec.code, elapsed.Seconds())
 		// ServedByHeader is stamped by the sharded path (self or, after a
 		// successful proxy, the owning replica); reading it back here keeps
