@@ -37,7 +37,7 @@ bench: ## one-iteration benchmark smoke run (the CI bench-smoke job)
 bench-test: ## vet + unit-test the bench/ module against this tree (its own module, so tier-1 never compiles it; no chronosd started)
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-loc: ## comment-free, blank-free, non-test Go line count per package: serving layer, planner core, simulator substrate, contract and SDK, then their sum, then the knobs: chronosd flags, server.Config fields, SimConfig fields (the /v1 simulation schema), /metrics families (the numbers simplicity PRs quote)
+loc: ## comment-free, blank-free, non-test Go line count per package: serving layer, planner core, simulator substrate, contract and SDK, then their sum, then the knobs: chronosd flags, server.Config fields, SimConfig fields (the /v1 simulation schema), /metrics families, routes (the numbers simplicity PRs quote)
 	@count() { cat "$$@" | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }; \
 	for group in "internal/server internal/hotjson internal/jsonfloat cmd/chronosd" "internal/analysis internal/optimize ." \
 		"internal/sim internal/cluster internal/mapreduce internal/speculate internal/replay internal/experiment internal/workload internal/trace internal/metrics internal/pareto cmd/chronos-figures" \
@@ -50,7 +50,8 @@ loc: ## comment-free, blank-free, non-test Go line count per package: serving la
 	printf '%-20s %6d\n' 'chronosd flags' $$(grep -cE '= flag\.[A-Z][A-Za-z0-9]*\(' cmd/chronosd/main.go); \
 	printf '%-20s %6d\n' 'Config fields' $$(awk '/^type Config struct/,/^}/' internal/server/config.go | grep -cE '^\s+[A-Z][A-Za-z0-9]*\s+[^ /]'); \
 	printf '%-20s %6d\n' 'SimConfig fields' $$(awk '/^type SimConfig struct/,/^}/' simulate.go | grep -cE '^\s+[A-Z][A-Za-z0-9]*\s+[^ /]'); \
-	printf '%-20s %6d\n' '/metrics families' $$(grep -c '^# TYPE' internal/server/testdata/metrics.golden)
+	printf '%-20s %6d\n' '/metrics families' $$(grep -c '^# TYPE' internal/server/testdata/metrics.golden); \
+	printf '%-20s %6d\n' 'routes' $$(grep -c 's\.route(' internal/server/server.go)
 
 cover: ## -race suite + per-package coverage + the server+tenant gate
 	./scripts/coverage.sh

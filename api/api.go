@@ -1,5 +1,5 @@
 // Package api declares chronosd's /v1 JSON contract, once: the request and
-// response bodies of the seven /v1 endpoints, the error envelope with its
+// response bodies of the six /v1 endpoints, the error envelope with its
 // codes, the two admission-control reasons, and (tradeoff.go) the query
 // parameters of GET /v1/tradeoff. The server decodes and encodes these types
 // directly, the client package and internal/hotjson alias them, so a field
@@ -169,31 +169,14 @@ type TradeoffResponse struct {
 	Points   []TradeoffPoint  `json:"points"`
 }
 
-// SimulateRequest is the body of POST /v1/simulate: a bounded what-if run.
-type SimulateRequest struct {
-	Config chronos.SimConfig `json:"config"`
-	Jobs   []chronos.SimJob  `json:"jobs"`
-}
-
-// SimulateResponse answers POST /v1/simulate.
-type SimulateResponse struct {
-	Jobs            int     `json:"jobs"`
-	PoCD            float64 `json:"pocd"`
-	MeanMachineTime float64 `json:"meanMachineTime"`
-	MeanCost        float64 `json:"meanCost"`
-	// Utility is null when the measured PoCD is at or below RMin.
-	Utility    *float64    `json:"utility"`
-	RHistogram map[int]int `json:"rHistogram,omitempty"`
-}
-
 // ReplayRequest is the body of POST /v1/replay, answered with an NDJSON
 // stream of chronos.ReplayEvent. The job stream comes from exactly one of
 // Jobs (an uploaded trace), Trace (a server-side synthetic Google-like
 // trace), or Benchmark (a stream of one of the paper's testbed workloads),
 // so long online-setting studies need not upload anything.
 type ReplayRequest struct {
-	// Config shapes the simulation (strategy, cluster, seed, ...); the same
-	// shape POST /v1/simulate takes.
+	// Config shapes the simulation (strategy, cluster, seed, ...): the
+	// chronos.SimConfig a library Simulate or Replay call takes.
 	Config    chronos.SimConfig    `json:"config"`
 	Jobs      []chronos.SimJob     `json:"jobs,omitempty"`
 	Trace     *chronos.TraceConfig `json:"trace,omitempty"`

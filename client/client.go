@@ -8,7 +8,7 @@
 // Client-side routing is a fast path, not a correctness requirement: the
 // servers verify ownership on every request and forward at most one hop, so
 // a stale fleet view or an admit whose tenant econ defaults the client
-// cannot see merely costs that hop. Keyless endpoints (batch, simulate,
+// cannot see merely costs that hop. Keyless endpoints (batch, tradeoff,
 // replay) are spread round-robin across the fleet.
 //
 // Admit and AdmitBatch are the only calls that spend a tenant's budget; a
@@ -126,8 +126,6 @@ type (
 	AdmitBatchRequest  = api.AdmitBatchRequest
 	AdmitBatchResult   = api.AdmitBatchResult
 	AdmitBatchResponse = api.AdmitBatchResponse
-	SimulateRequest    = api.SimulateRequest
-	SimulateResponse   = api.SimulateResponse
 	TradeoffPoint      = api.TradeoffPoint
 	TradeoffResponse   = api.TradeoffResponse
 	ReplayRequest      = api.ReplayRequest
@@ -253,12 +251,6 @@ func (c *Client) AdmitBatch(ctx context.Context, req AdmitBatchRequest) (*AdmitB
 // order (a batch spans many plan keys, so there is no single owner).
 func (c *Client) PlanBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	return roundTrip[BatchResponse](ctx, c, c.next()+"/v1/plan/batch", req)
-}
-
-// Simulate runs a what-if simulation on the next replica in round-robin
-// order.
-func (c *Client) Simulate(ctx context.Context, req SimulateRequest) (*SimulateResponse, error) {
-	return roundTrip[SimulateResponse](ctx, c, c.next()+"/v1/simulate", req)
 }
 
 // Tradeoff fetches the PoCD/cost frontier of one strategy for a job. maxR

@@ -5,7 +5,8 @@ package client
 // the query string Tradeoff builds, compared with testdata/request_golden.json.
 // The file was generated at d9d3b30; rows are only ever appended, except
 // that PlanRequest, BatchRequest and ReplayRequest jobs lost their "tenant"
-// key with the field.
+// key with the field, and the two SimulateRequest rows went with
+// POST /v1/simulate.
 
 import (
 	"context"
@@ -73,11 +74,9 @@ func requestRows(t *testing.T) []requestRow {
 		Tenant: "team", Jobs: []AdmitBatchJob{{Job: job}, {Job: job, Strategy: "clone"}}, Econ: econ,
 	})
 	add("AdmitBatchRequest zero", AdmitBatchRequest{})
-	add("SimulateRequest", SimulateRequest{Config: simCfg, Jobs: simJobs})
 	// A zero Strategy does not marshal, so the simulation requests' barest
 	// form still names one.
 	bare := chronos.SimConfig{Strategy: chronos.Clone}
-	add("SimulateRequest bare", SimulateRequest{Config: bare})
 	add("ReplayRequest jobs", ReplayRequest{Config: simCfg, Jobs: simJobs, WindowSeconds: 300})
 	add("ReplayRequest trace", ReplayRequest{Config: simCfg,
 		Trace: &ReplayTrace{Jobs: 5, HorizonSeconds: 3600, DeadlineRatio: 2.5, Seed: 11}})

@@ -21,10 +21,9 @@
 //	POST /v1/plan/batch  shared-budget allocation across a job batch
 //	POST /v1/admit       online admission control against a tenant budget pool
 //	GET  /v1/tradeoff    PoCD/cost frontier for one strategy
-//	POST /v1/simulate    bounded discrete-event what-if run (one JSON report)
-//	POST /v1/replay      streaming trace replay: NDJSON per-job events, with
-//	                     optional server-side trace generation and tenant
-//	                     budget debiting
+//	POST /v1/replay      discrete-event what-if run: NDJSON per-job events
+//	                     ending in the run's report, with optional
+//	                     server-side trace generation
 //	GET  /metrics        Prometheus text metrics
 //	GET  /healthz        liveness probe
 //	GET  /debug/traces   slowest recent request traces with stage breakdowns

@@ -2,10 +2,10 @@
 // drives every endpoint through the importable chronos/client package, the
 // way a cluster scheduler would: a single-job plan (twice, showing the
 // cache hit), a shared-budget batch, a tradeoff curve, and a what-if
-// simulation, finishing with the server's own Prometheus metrics. Against a
-// sharded fleet the same code routes plan-keyed requests straight to the
-// owning replica — build the client with NewFleet and the replicas' -self
-// URLs instead of New.
+// simulation replayed as a stream, finishing with the server's own
+// Prometheus metrics. Against a sharded fleet the same code routes
+// plan-keyed requests straight to the owning replica — build the client
+// with NewFleet and the replicas' -self URLs instead of New.
 //
 // Run with:
 //
@@ -98,9 +98,10 @@ func run() error {
 		fmt.Printf("r=%d pocd=%.4f cost=%.1f\n", pt.R, pt.PoCD, pt.Cost)
 	}
 
-	// 4) A bounded what-if simulation of the same job class.
-	fmt.Println("\n--- client.Simulate ---")
-	sim, err := c.Simulate(ctx, client.SimulateRequest{
+	// 4) A what-if simulation of the same job class: the replay stream's
+	// final replay_summary carries the run's aggregate report.
+	fmt.Println("\n--- client.Replay ---")
+	sum, err := c.Replay(ctx, client.ReplayRequest{
 		Config: chronos.SimConfig{
 			Strategy: chronos.SpeculativeResume, Seed: 7,
 			TauEst: 40, TauKill: 80, TauScale: 1,
@@ -109,12 +110,12 @@ func run() error {
 			{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5},
 			{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5, Arrival: 50},
 		},
-	})
+	}, nil)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("jobs=%d pocd=%.3f meanMachineTime=%.1f meanCost=%.1f\n",
-		sim.Jobs, sim.PoCD, sim.MeanMachineTime, sim.MeanCost)
+		sum.Jobs, sum.PoCD, sum.MeanMachineTime, sum.MeanCost)
 
 	// 5) The serving metrics, filtered to the cache and plan counters.
 	fmt.Println("\n--- client.Metrics (excerpt) ---")

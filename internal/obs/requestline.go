@@ -22,12 +22,12 @@ var linePool = sync.Pool{New: func() any {
 const maxLineRetain = 16 << 10
 
 // writeRequestLine renders snap and hands the line to the stream in one
-// Write. It reports false, having written nothing, when the snapshot holds
-// a non-finite float: slog prints an "!ERROR:" string there, which the
-// caller's attr path reproduces.
+// Write, stamped with the request's end. It reports false, having written
+// nothing, when the snapshot holds a non-finite float: slog prints an
+// "!ERROR:" string there, which the caller's attr path reproduces.
 func (h *Handler) writeRequestLine(level slog.Level, snap *Snapshot) bool {
 	bp := linePool.Get().(*[]byte)
-	buf, err := appendRequestLine((*bp)[:0], time.Now(), level, snap)
+	buf, err := appendRequestLine((*bp)[:0], snap.End, level, snap)
 	if err == nil {
 		_, _ = h.out.Write(buf) // like slog, a log write that fails has no one to tell
 	}

@@ -130,6 +130,20 @@ func FuzzRequestLine(f *testing.F) {
 	})
 }
 
+// TestRequestLineStampedAtEnd: the line's time is the snapshot's end, the
+// instant the server measured, not a clock read at logging time.
+func TestRequestLineStampedAtEnd(t *testing.T) {
+	start := time.Date(2024, 5, 6, 7, 8, 9, 123456789, time.UTC)
+	var buf bytes.Buffer
+	NewLogger(&buf, slog.LevelInfo, 1).Request(&Snapshot{
+		ID: "t", Route: "/v1/plan", Status: 200, Start: start,
+		End: start.Add(42 * time.Microsecond), Seconds: 42e-6,
+	})
+	if stamp, _ := afterTime(t, buf.Bytes()); stamp != "2024-05-06T07:08:09.123498789Z" {
+		t.Errorf("line stamped %s, want the snapshot's end 2024-05-06T07:08:09.123498789Z", stamp)
+	}
+}
+
 // TestRequestLine5xxAtWarnLevel: a 5xx line is an ERROR line, so -log-level
 // warn and error keep it while dropping the INFO lines of healthy requests.
 func TestRequestLine5xxAtWarnLevel(t *testing.T) {

@@ -146,6 +146,7 @@ func (t *Trace) Finish(status int, elapsed time.Duration, servedBy string, forwa
 		Route:      t.Route,
 		Status:     status,
 		Start:      t.start,
+		End:        t.start.Add(elapsed),
 		Seconds:    elapsed.Seconds(),
 		Tenant:     t.tenant,
 		ServedBy:   servedBy,
@@ -171,6 +172,7 @@ type Snapshot struct {
 	Route      string
 	Status     int
 	Start      time.Time
+	End        time.Time // Start plus the measured elapsed time: the request line's stamp
 	Seconds    float64
 	Tenant     string
 	Cached     *bool

@@ -36,7 +36,6 @@ func TestBodyContractUniform(t *testing.T) {
 		{"/v1/plan/batch", `{"jobs":[{"job":` + wireJob + `}],"budget":5000,"econ":` + wireEcon + `}`},
 		{"/v1/admit", `{"tenant":"team","job":` + wireJob + `}`},
 		{"/v1/admit/batch", `{"tenant":"team","jobs":[{"job":` + wireJob + `}]}`},
-		{"/v1/simulate", `{"config":{"strategy":"clone","seed":7},"jobs":[` + wireSimJob + `]}`},
 		{"/v1/replay", `{"config":{"strategy":"clone","seed":7},"jobs":[` + wireSimJob + `]}`},
 		{"/v1/escrow/lease", `{"tenant":"team","holder":"` + holder + `","want":100}`},
 	}

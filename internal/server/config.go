@@ -3,9 +3,10 @@
 // simulation layers. A cluster scheduler consults it per arriving
 // deadline-critical job (POST /v1/plan), per admission batch under a shared
 // machine-time budget (POST /v1/plan/batch), and for offline what-if
-// analysis (GET /v1/tradeoff, POST /v1/simulate). Hot-path plans are served
-// from a sharded LRU cache keyed by the job parameters' exact bits, and all
-// traffic is observable through GET /metrics in Prometheus text format.
+// analysis (GET /v1/tradeoff, and POST /v1/replay, which runs a job stream
+// on the discrete-event cluster). Hot-path plans are served from a sharded
+// LRU cache keyed by the job parameters' exact bits, and all traffic is
+// observable through GET /metrics in Prometheus text format.
 package server
 
 import (
@@ -29,8 +30,11 @@ const (
 	// escrowSnapshotInterval is how often the owner folds the escrow WAL into
 	// a fresh snapshot.
 	escrowSnapshotInterval = 30 * time.Second
-	// http.Server limits; writes include simulation runs, hence the longer
-	// budget.
+	// http.Server limits. The write deadline runs from the request header
+	// to the end of the answer, so it spans the handler's work: a cold
+	// /v1/plan/batch solves up to MaxBatchJobs plans, and a /v1/replay
+	// stream builds its job stream before its first event clears the
+	// deadline.
 	readTimeout  = 10 * time.Second
 	writeTimeout = 60 * time.Second
 	idleTimeout  = 120 * time.Second
@@ -55,25 +59,16 @@ type Config struct {
 	// MaxBatchJobs caps the jobs accepted by one /v1/plan/batch call.
 	// Default 1024.
 	MaxBatchJobs int
-	// MaxSimJobs and MaxSimTasks bound /v1/simulate runs (jobs per run,
-	// tasks per job) so a single request cannot monopolize the server.
-	// Defaults 500 and 5000.
-	MaxSimJobs  int
-	MaxSimTasks int
-	// MaxSimTotalTasks bounds the summed task count of one simulation
-	// request (the discrete-event cost driver). Default 50000.
-	MaxSimTotalTasks int
-
 	// MaxReplayJobs caps the jobs of one POST /v1/replay stream (uploaded
 	// or generated server-side). The streaming engine's memory tracks
-	// in-flight jobs rather than the trace, so this is deliberately far
-	// above MaxSimJobs; it bounds CPU commitment, not allocation.
+	// in-flight jobs rather than the trace, so this bounds CPU commitment,
+	// not allocation.
 	// Default 100000.
 	MaxReplayJobs int
-	// MaxActiveReplays bounds concurrently running simulations: /v1/replay
-	// streams and /v1/simulate runs share the slots, and excess requests get
-	// 503 with Retry-After. Both are whole-simulation CPU commitments, so
-	// this keeps a burst of them from starving the planning hot path.
+	// MaxActiveReplays bounds concurrently running /v1/replay streams;
+	// excess requests get 503 with Retry-After. Each is a whole-simulation
+	// CPU commitment, so this keeps a burst of them from starving the
+	// planning hot path.
 	// Default 4.
 	MaxActiveReplays int
 
@@ -140,15 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchJobs <= 0 {
 		c.MaxBatchJobs = 1024
-	}
-	if c.MaxSimJobs <= 0 {
-		c.MaxSimJobs = 500
-	}
-	if c.MaxSimTasks <= 0 {
-		c.MaxSimTasks = 5000
-	}
-	if c.MaxSimTotalTasks <= 0 {
-		c.MaxSimTotalTasks = 50000
 	}
 	if c.MaxReplayJobs <= 0 {
 		c.MaxReplayJobs = 100000

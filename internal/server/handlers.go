@@ -257,121 +257,6 @@ func (s *Server) handleTradeoff(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
-// handleSimulate serves POST /v1/simulate: a bounded discrete-event what-if
-// run, answered as one aggregate report. It runs on the same streaming
-// replay core as POST /v1/replay (fold the events, return the final
-// summary), and honors the request context: a disconnected client cancels
-// the simulation between events instead of leaving it running to
-// completion. It holds a replay slot while it runs, so simulations and
-// streams together never exceed MaxActiveReplays. Size limits keep one
-// request from monopolizing the instance; larger studies belong on
-// /v1/replay or in the offline CLIs.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req api.SimulateRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if len(req.Jobs) == 0 {
-		s.apiError(w, r, http.StatusBadRequest, "simulation has no jobs")
-		return
-	}
-	if len(req.Jobs) > s.cfg.MaxSimJobs {
-		s.apiError(w, r, http.StatusBadRequest,
-			"simulation has %d jobs, limit %d", len(req.Jobs), s.cfg.MaxSimJobs)
-		return
-	}
-	if msg := validateSimBounds(s.cfg, req); msg != "" {
-		s.apiError(w, r, http.StatusBadRequest, "%s", msg)
-		return
-	}
-	if !s.takeReplaySlot(w, r) {
-		return
-	}
-	defer s.releaseReplaySlot()
-	report, err := chronos.SimulateContext(r.Context(), req.Config, req.Jobs)
-	if err != nil {
-		if r.Context().Err() != nil {
-			// Client is gone; the status code is a formality.
-			return
-		}
-		s.apiError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.writeJSON(w, r, http.StatusOK, api.SimulateResponse{
-		Jobs:            report.Jobs,
-		PoCD:            report.PoCD,
-		MeanMachineTime: report.MeanMachineTime,
-		MeanCost:        report.MeanCost,
-		Utility:         finitePtr(report.Utility),
-		RHistogram:      report.RHistogram,
-	})
-}
-
-// Hard sanity caps on /v1/simulate beyond the configurable task limits.
-// They bound the allocations one request can force (cluster nodes) and keep
-// every time the run reports finite (deadlines, start-up delays and task
-// times); the unbounded studies belong in the offline CLIs.
-const (
-	simMaxNodes        = 4096
-	simMaxSlotsPerNode = 64
-	simMaxDeadline     = 1e5 // seconds; also bounds the event horizon, jvmMax and tmin
-	simMaxArrival      = 1e6
-)
-
-// validateSimBounds returns a rejection message, or "" when the request is
-// within serving bounds.
-func validateSimBounds(cfg Config, req api.SimulateRequest) string {
-	if msg := validateSimConfigBounds(req.Config); msg != "" {
-		return msg
-	}
-	return validateSimJobs(cfg, req.Jobs, simMaxArrival, cfg.MaxSimTotalTasks)
-}
-
-// validateSimConfigBounds checks the cluster- and model-shaping knobs shared
-// by /v1/simulate and /v1/replay.
-func validateSimConfigBounds(c chronos.SimConfig) string {
-	if c.Nodes < 0 || c.Nodes > simMaxNodes {
-		return fmt.Sprintf("nodes must be in [0, %d]", simMaxNodes)
-	}
-	if c.SlotsPerNode < 0 || c.SlotsPerNode > simMaxSlotsPerNode {
-		return fmt.Sprintf("slotsPerNode must be in [0, %d]", simMaxSlotsPerNode)
-	}
-	if !(c.JVMMin >= 0 && c.JVMMin <= simMaxDeadline && c.JVMMax >= 0 && c.JVMMax <= simMaxDeadline) {
-		return fmt.Sprintf("jvmMin and jvmMax must be in [0, %g]", float64(simMaxDeadline))
-	}
-	return ""
-}
-
-// validateSimJobs checks per-job bounds. maxTotalTasks == 0 means no
-// stream-wide task ceiling (the streaming replay path, whose memory is
-// bounded by in-flight jobs rather than trace size).
-func validateSimJobs(cfg Config, jobs []chronos.SimJob, maxArrival float64, maxTotalTasks int) string {
-	total := 0
-	for i, j := range jobs {
-		if j.Tasks < 1 || j.ReduceTasks < 0 {
-			return fmt.Sprintf("job %d: tasks must be >= 1 and reduceTasks >= 0", i)
-		}
-		tasks := j.Tasks + j.ReduceTasks
-		if tasks > cfg.MaxSimTasks {
-			return fmt.Sprintf("job %d has %d tasks, limit %d per job", i, tasks, cfg.MaxSimTasks)
-		}
-		if !(j.Deadline > 0) || j.Deadline > simMaxDeadline {
-			return fmt.Sprintf("job %d: deadline must be in (0, %g]", i, float64(simMaxDeadline))
-		}
-		if !(j.TMin <= simMaxDeadline && j.ReduceTMin <= simMaxDeadline) {
-			return fmt.Sprintf("job %d: tmin and reduceTMin must be at most %g", i, float64(simMaxDeadline))
-		}
-		if j.Arrival < 0 || j.Arrival > maxArrival {
-			return fmt.Sprintf("job %d: arrival must be in [0, %g]", i, maxArrival)
-		}
-		total += tasks
-	}
-	if maxTotalTasks > 0 && total > maxTotalTasks {
-		return fmt.Sprintf("simulation has %d total tasks, limit %d", total, maxTotalTasks)
-	}
-	return ""
-}
-
 // handleHealthz serves GET /healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, map[string]string{"status": "ok"})

@@ -360,10 +360,10 @@ func (m *serverMetrics) catalog() []series {
 		{"chronosd_escrow_grants_total", "counter", "Escrow grants issued by this replica as pool owner, by tenant.", "TestAdmitBatchSingleLeaseDebit", hasEscrow, labelled("tenant", &m.escrowGrants)},
 		{"chronosd_escrow_topups_total", "counter", "Lease top-ups performed by this replica as holder, by tenant.", "TestAdmitBatchSingleLeaseDebit", hasEscrow, labelled("tenant", &m.escrowTopups)},
 		{"chronosd_escrow_wal_append_failures_total", "counter", "Ledger records the WAL failed to persist; nonzero means recovery after a restart would resurrect spent budget.", "TestWALAppendFailureCounted", hasEscrow, walFailures},
-		{"chronosd_replays_total", "counter", "Streaming replays started over /v1/replay.", "TestReplayStreamsBeyondSimulateCap", nil, counter(&m.replaysStarted)},
+		{"chronosd_replays_total", "counter", "Streaming replays started over /v1/replay.", "TestReplayStreamProtocol", nil, counter(&m.replaysStarted)},
 		{"chronosd_replays_active", "gauge", "Replay streams currently open.", "TestReplayClientDisconnect", nil, replaysActive},
-		{"chronosd_replay_jobs_total", "counter", "Jobs replayed to completion over /v1/replay.", "TestReplayStreamsBeyondSimulateCap", nil, counter(&m.replayJobs)},
-		{"chronosd_replay_events_total", "counter", "NDJSON events emitted over /v1/replay.", "TestReplayStreamsBeyondSimulateCap", nil, counter(&m.replayEvents)},
+		{"chronosd_replay_jobs_total", "counter", "Jobs replayed to completion over /v1/replay.", "TestReplayStreamProtocol", nil, counter(&m.replayJobs)},
+		{"chronosd_replay_events_total", "counter", "NDJSON events emitted over /v1/replay.", "TestReplayStreamProtocol", nil, counter(&m.replayEvents)},
 		{"chronosd_ring_nodes", "gauge", "Replicas in the consistent-hash ring (0 = sharding off).", "TestRingMetricsGauges", nil, ringNodes},
 		{"chronosd_ring_owned_fraction", "gauge", "Fraction of the plan keyspace this replica owns.", "TestRingMetricsGauges", hasRing, ownedFraction},
 		{"chronosd_ring_forwarded_total", "counter", "Requests proxied to the owning replica, by peer.", "bench:server.forwarded_frac", nil, labelled("peer", &m.ringForwards)},

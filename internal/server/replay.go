@@ -12,9 +12,24 @@ import (
 	"chronos/internal/obs"
 )
 
-// replayMaxArrival bounds arrivals for /v1/replay. Streaming runs exist for
-// long-horizon studies, so this is far looser than the /v1/simulate cap.
-const replayMaxArrival = 1e8
+// Hard sanity caps on /v1/replay. They bound the allocations one request can
+// force (cluster nodes, one job's tasks, the tasks in flight at once) and keep
+// every time the run reports finite (deadlines, start-up delays, task times
+// and arrivals); the unbounded studies belong in the offline CLIs.
+const (
+	simMaxNodes        = 4096
+	simMaxSlotsPerNode = 64
+	simMaxDeadline     = 1e5 // seconds; also bounds the event horizon, jvmMax and tmin
+	// replayMaxArrival is loose because streaming runs exist for
+	// long-horizon studies.
+	replayMaxArrival = 1e8
+	// replayMaxJobTasks bounds one job's map plus reduce tasks.
+	replayMaxJobTasks = 5000
+	// replayMaxOpenTasks bounds the tasks of the jobs in flight at once: the
+	// replay engine's memory tracks them rather than the trace, so a trace
+	// whose jobs all arrive together cannot materialize wholesale.
+	replayMaxOpenTasks = 50000
+)
 
 // replayMinWindow is the smallest accepted windowSeconds (0 still disables
 // windows). Sub-second windows over HTTP are pure event spam and a
@@ -34,7 +49,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs, msg := s.resolveReplayJobs(req)
 	if msg == "" {
-		msg = validateReplayBounds(s.cfg, req, jobs)
+		msg = validateReplayBounds(req, jobs)
 	}
 	if msg != "" {
 		s.apiError(w, r, http.StatusBadRequest, "%s", msg)
@@ -57,22 +72,20 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	finish := s.metrics.replayStarted()
 	defer finish()
 
-	// The replay engine's memory tracks in-flight tasks; cap them with the
-	// same ceiling /v1/simulate puts on a whole run, so a trace whose jobs
-	// all arrive at once cannot materialize wholesale.
 	_, err := chronos.Replay(r.Context(), req.Config, jobs, chronos.ReplayOptions{
 		WindowSeconds: req.WindowSeconds,
-		MaxOpenTasks:  s.cfg.MaxSimTotalTasks,
+		MaxOpenTasks:  replayMaxOpenTasks,
 		Observer:      chronos.ReplayObserverFunc(stream.write),
 	})
 	switch {
 	case err == nil:
 		// Complete stream.
+	case r.Context().Err() != nil:
+		// Client is gone, whether or not a line went out; there is no one
+		// left to tell, and a gone client is not a bad request.
 	case !stream.started:
 		// Nothing streamed yet: report as a plain HTTP error.
 		s.apiError(w, r, http.StatusBadRequest, "%v", err)
-	case r.Context().Err() != nil:
-		// Client is gone; there is no one left to tell.
 	default:
 		// Mid-stream failure after a 200: report in-band and end.
 		_ = stream.write(&chronos.ReplayEvent{
@@ -81,11 +94,10 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// takeReplaySlot claims one of the MaxActiveReplays slots /v1/replay and
-// /v1/simulate share, or answers 503 with Retry-After. Simulations are
-// whole-run CPU commitments; bounding them keeps a burst from starving the
-// cheap planning endpoints. A true return must be paired with
-// releaseReplaySlot.
+// takeReplaySlot claims one of the MaxActiveReplays slots, or answers 503
+// with Retry-After. Replays are whole-run CPU commitments; bounding them
+// keeps a burst from starving the cheap planning endpoints. A true return
+// must be paired with releaseReplaySlot.
 func (s *Server) takeReplaySlot(w http.ResponseWriter, r *http.Request) bool {
 	select {
 	case s.replaySem <- struct{}{}:
@@ -150,17 +162,46 @@ func (s *Server) resolveReplayJobs(req api.ReplayRequest) ([]chronos.SimJob, str
 }
 
 // validateReplayBounds applies the serving sanity caps to a resolved stream.
-// Unlike /v1/simulate there is no total-task ceiling: the streaming engine's
-// memory is bounded by in-flight jobs, and wall-clock commitment is bounded
-// by disconnect cancellation.
-func validateReplayBounds(cfg Config, req api.ReplayRequest, jobs []chronos.SimJob) string {
+// There is no ceiling on a stream's summed tasks: the engine's memory is
+// bounded by the tasks in flight (replayMaxOpenTasks), and wall-clock
+// commitment by disconnect cancellation.
+func validateReplayBounds(req api.ReplayRequest, jobs []chronos.SimJob) string {
 	if req.WindowSeconds != 0 && !(req.WindowSeconds >= replayMinWindow) {
 		return fmt.Sprintf("windowSeconds must be 0 (disabled) or >= %g", replayMinWindow)
 	}
-	if msg := validateSimConfigBounds(req.Config); msg != "" {
-		return msg
+	c := req.Config
+	if c.Nodes < 0 || c.Nodes > simMaxNodes {
+		return fmt.Sprintf("nodes must be in [0, %d]", simMaxNodes)
 	}
-	return validateSimJobs(cfg, jobs, replayMaxArrival, 0)
+	if c.SlotsPerNode < 0 || c.SlotsPerNode > simMaxSlotsPerNode {
+		return fmt.Sprintf("slotsPerNode must be in [0, %d]", simMaxSlotsPerNode)
+	}
+	if !(c.JVMMin >= 0 && c.JVMMin <= simMaxDeadline && c.JVMMax >= 0 && c.JVMMax <= simMaxDeadline) {
+		return fmt.Sprintf("jvmMin and jvmMax must be in [0, %g]", float64(simMaxDeadline))
+	}
+	return validateSimJobs(jobs)
+}
+
+// validateSimJobs checks per-job bounds.
+func validateSimJobs(jobs []chronos.SimJob) string {
+	for i, j := range jobs {
+		if j.Tasks < 1 || j.ReduceTasks < 0 {
+			return fmt.Sprintf("job %d: tasks must be >= 1 and reduceTasks >= 0", i)
+		}
+		if tasks := j.Tasks + j.ReduceTasks; tasks > replayMaxJobTasks {
+			return fmt.Sprintf("job %d has %d tasks, limit %d per job", i, tasks, replayMaxJobTasks)
+		}
+		if !(j.Deadline > 0) || j.Deadline > simMaxDeadline {
+			return fmt.Sprintf("job %d: deadline must be in (0, %g]", i, float64(simMaxDeadline))
+		}
+		if !(j.TMin <= simMaxDeadline && j.ReduceTMin <= simMaxDeadline) {
+			return fmt.Sprintf("job %d: tmin and reduceTMin must be at most %g", i, float64(simMaxDeadline))
+		}
+		if j.Arrival < 0 || j.Arrival > replayMaxArrival {
+			return fmt.Sprintf("job %d: arrival must be in [0, %g]", i, float64(replayMaxArrival))
+		}
+	}
+	return ""
 }
 
 // --- NDJSON plumbing ------------------------------------------------------

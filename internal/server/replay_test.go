@@ -56,11 +56,11 @@ func readEvents(t *testing.T, resp *http.Response) []chronos.ReplayEvent {
 	return events
 }
 
-// TestReplayStreamsBeyondSimulateCap replays a stream larger than the
-// /v1/simulate job ceiling and checks the full event protocol.
-func TestReplayStreamsBeyondSimulateCap(t *testing.T) {
+// TestReplayStreamProtocol replays a 600-job stream and checks the full
+// event protocol and the replay metrics.
+func TestReplayStreamProtocol(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	n := s.cfg.MaxSimJobs + 100 // over the one-shot cap by construction
+	const n = 600
 
 	resp := postJSON(t, ts.URL+"/v1/replay", map[string]any{
 		"config":        smallSimConfig(),
@@ -209,8 +209,7 @@ func TestReplayClientDisconnect(t *testing.T) {
 }
 
 // TestReplayConcurrencyCap holds one stream open and checks the next stream
-// and a simulation are turned away with 503 instead of stacking unbounded
-// CPU commitments.
+// is turned away with 503 instead of stacking unbounded CPU commitments.
 func TestReplayConcurrencyCap(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxActiveReplays: 1})
 	body, err := json.Marshal(map[string]any{
@@ -249,82 +248,165 @@ func TestReplayConcurrencyCap(t *testing.T) {
 		t.Error("503 missing Retry-After")
 	}
 
-	// /v1/simulate runs the same replay core and takes the same slot; it used
-	// to run beside the cap without bound.
-	sim := postJSON(t, ts.URL+"/v1/simulate", map[string]any{
-		"config": smallSimConfig(), "jobs": tinyStream(3),
-	})
-	sim.Body.Close()
-	if sim.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("simulate status = %d, want 503", sim.StatusCode)
-	}
-	if sim.Header.Get("Retry-After") == "" {
-		t.Error("simulate 503 missing Retry-After")
-	}
 }
 
-// TestSimulateHonorsContext pins the satellite bugfix: /v1/simulate no
-// longer runs to completion for a client that is already gone.
+// TestSimulateHonorsContext: a /v1/replay whose client is gone before the
+// first event writes nothing. It used to answer 400 "context canceled", a
+// client error in chronosd_requests_total and the request log for a request
+// no one was left to read.
 func TestSimulateHonorsContext(t *testing.T) {
 	s := New(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	body, err := json.Marshal(api.SimulateRequest{Config: smallSimConfig(), Jobs: tinyStream(50)})
+	body, err := json.Marshal(api.ReplayRequest{Config: smallSimConfig(), Jobs: tinyStream(50)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/simulate", bytes.NewReader(body)).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodPost, "/v1/replay", bytes.NewReader(body)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
 	if rec.Body.Len() != 0 {
-		t.Fatalf("cancelled simulate wrote a body: %q", rec.Body.String())
+		t.Fatalf("cancelled replay wrote a body: %q", rec.Body.String())
 	}
 }
 
-// TestSimulateAndReplayRejectBadControl: a well-formed body whose control
-// instant lies before its stage, or whose fixed r is unbounded, is a 400 with
-// the JSON error envelope on both endpoints — it used to panic the handler
-// (the connection dropped with no HTTP answer) or launch r+1 = four million
-// attempts of one task (200 after seconds and a gigabyte).
-func TestSimulateAndReplayRejectBadControl(t *testing.T) {
+// TestSimulateRouteGone: POST /v1/replay is the one HTTP path that runs a
+// simulation; the one-shot /v1/simulate route it duplicated is a 404.
+func TestSimulateRouteGone(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	post := func(path, config string) (*http.Response, time.Duration) {
-		t.Helper()
-		body := `{"config":` + config + `,"jobs":[{"tasks":4,"deadline":100,"tmin":10,"beta":1.5}]}`
-		start := time.Now()
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatalf("POST %s %s: %v", path, config, err)
-		}
-		return resp, time.Since(start)
+	resp := postJSON(t, ts.URL+"/v1/simulate", api.ReplayRequest{Config: smallSimConfig(), Jobs: tinyStream(3)})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/simulate: status %d, want 404", resp.StatusCode)
 	}
-	for _, path := range []string{"/v1/simulate", "/v1/replay"} {
-		for _, config := range []string{
-			`{"strategy":"Speculative-Restart","tauEst":-5,"tauKill":1}`,
-			`{"strategy":"Clone","tauKill":-1}`,
-			`{"strategy":"Clone","tauEst":0.3,"tauKill":0.6,"tauScale":2}`,
-			`{"strategy":"Clone","useFixedR":true,"fixedR":4000000}`,
-		} {
-			resp, took := post(path, config)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s %s: status %d, want 400", path, config, resp.StatusCode)
-			}
-			if env := decodeBody[api.ErrorResponse](t, resp); env.Error == "" || env.Code == "" || env.TraceID == "" {
-				t.Errorf("%s %s: error envelope %+v incomplete", path, config, env)
-			}
-			if took > 50*time.Millisecond {
-				t.Errorf("%s %s: answered after %v", path, config, took)
-			}
+}
+
+// replaySummary posts body to /v1/replay and returns the stream's final
+// replay_summary.
+func replaySummary(t *testing.T, url string, body any) *chronos.ReplaySummary {
+	t.Helper()
+	resp := postJSON(t, url+"/v1/replay", body)
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	events := readEvents(t, resp)
+	final := events[len(events)-1]
+	if final.Kind != chronos.EventReplaySummary || final.Summary == nil {
+		t.Fatalf("stream ended in %+v, want a replay_summary", final)
+	}
+	return final.Summary
+}
+
+// The strategy and the two jobs of the one-shot simulation body the replay
+// tests below send.
+var (
+	replayConfig = chronos.SimConfig{
+		Strategy: chronos.SpeculativeResume, Seed: 7,
+		TauEst: 40, TauKill: 80, TauScale: chronos.TauAbsolute,
+	}
+	replayJobs = []chronos.SimJob{
+		{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5},
+		{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5, Arrival: 50},
+	}
+)
+
+// TestReplayMatchesSimulate: the final replay_summary of a stream carries
+// the library Simulate's report for the same config and jobs, bit for bit,
+// so what the one-shot route answered is still one request away.
+func TestReplayMatchesSimulate(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	want, err := chronos.Simulate(replayConfig, replayJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := replaySummary(t, ts.URL, api.ReplayRequest{Config: replayConfig, Jobs: replayJobs})
+	if got.Jobs != want.Jobs ||
+		math.Float64bits(got.PoCD) != math.Float64bits(want.PoCD) ||
+		math.Float64bits(got.MeanMachineTime) != math.Float64bits(want.MeanMachineTime) ||
+		math.Float64bits(got.MeanCost) != math.Float64bits(want.MeanCost) {
+		t.Errorf("replay_summary %+v, want Simulate's %+v", *got, want)
+	}
+	if len(want.RHistogram) == 0 || !reflect.DeepEqual(got.RHistogram, want.RHistogram) {
+		t.Errorf("rHistogram %v, want Simulate's non-empty %v", got.RHistogram, want.RHistogram)
+	}
+}
+
+// TestSimulateEndpoint: /v1/replay, the one HTTP path that runs a
+// simulation, turns away a job stream past each serving bound with a 400
+// before any stream line.
+func TestSimulateEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	rejects := func(t *testing.T, cfg chronos.SimConfig, jobs []chronos.SimJob) {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/replay", api.ReplayRequest{Config: cfg, Jobs: jobs})
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("status = %d, want 400", resp.StatusCode)
+		}
+	}
+
+	t.Run("no jobs", func(t *testing.T) { rejects(t, replayConfig, nil) })
+
+	t.Run("job too large", func(t *testing.T) {
+		rejects(t, replayConfig, []chronos.SimJob{{Tasks: replayMaxJobTasks + 1, Deadline: 100, TMin: 10, Beta: 1.5}})
+	})
+
+	t.Run("negative reduce tasks cannot bypass caps", func(t *testing.T) {
+		// Map tasks over the per-job cap disguised by a negative reduce
+		// count: the sum is under the cap, but the negative count must be
+		// rejected.
+		rejects(t, replayConfig, []chronos.SimJob{{
+			Tasks: replayMaxJobTasks + 50, ReduceTasks: -60, Deadline: 100, TMin: 10, Beta: 1.5,
+		}})
+	})
+
+	t.Run("oversized cluster", func(t *testing.T) {
+		huge := replayConfig
+		huge.Nodes = 500_000_000
+		rejects(t, huge, []chronos.SimJob{{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5}})
+	})
+
+	t.Run("extreme deadline", func(t *testing.T) {
+		rejects(t, replayConfig, []chronos.SimJob{{Tasks: 10, Deadline: 1e18, TMin: 10, Beta: 1.5}})
+	})
+}
+
+// TestReplayRejectsBadControl: a well-formed body whose control instant lies
+// before its stage, or whose fixed r is unbounded, is a 400 with the JSON
+// error envelope — it used to panic the handler (the connection dropped with
+// no HTTP answer) or launch r+1 = four million attempts of one task (200
+// after seconds and a gigabyte).
+func TestReplayRejectsBadControl(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const job = `{"tasks":4,"deadline":100,"tmin":10,"beta":1.5}`
+	for _, config := range []string{
+		`{"strategy":"Speculative-Restart","tauEst":-5,"tauKill":1}`,
+		`{"strategy":"Clone","tauKill":-1}`,
+		`{"strategy":"Clone","tauEst":0.3,"tauKill":0.6,"tauScale":2}`,
+		`{"strategy":"Clone","useFixedR":true,"fixedR":4000000}`,
+	} {
+		start := time.Now()
+		resp, err := http.Post(ts.URL+"/v1/replay", "application/json",
+			strings.NewReader(`{"config":`+config+`,"jobs":[`+job+`]}`))
+		if err != nil {
+			t.Fatalf("POST %s: %v", config, err)
+		}
+		took := time.Since(start)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", config, resp.StatusCode)
+		}
+		if env := decodeBody[api.ErrorResponse](t, resp); env.Error == "" || env.Code == "" || env.TraceID == "" {
+			t.Errorf("%s: error envelope %+v incomplete", config, env)
+		}
+		if took > 50*time.Millisecond {
+			t.Errorf("%s: answered after %v", config, took)
 		}
 	}
 	// A small fixed r still simulates, and a negative one still means "use
 	// the optimizer".
 	histogram := func(config string) map[int]int {
-		resp, _ := post("/v1/simulate", config)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d, want 200", config, resp.StatusCode)
-		}
-		return decodeBody[api.SimulateResponse](t, resp).RHistogram
+		return replaySummary(t, ts.URL, json.RawMessage(`{"config":`+config+`,"jobs":[`+job+`]}`)).RHistogram
 	}
 	if got := histogram(`{"strategy":"Clone","useFixedR":true,"fixedR":3}`); got[3] != 1 {
 		t.Errorf("fixedR 3: rHistogram %v, want {3: 1}", got)
@@ -345,50 +427,34 @@ var heavyTailJobs = []string{
 	`{"tasks":4,"deadline":100,"tmin":10,"beta":1.5,"reduceTasks":2,"reduceBeta":0.9}`,
 }
 
-// rejectsHeavyTail posts each such job to path and requires the planner's own
-// rejection: a 400 envelope naming the rule, where the simulator used to
-// sample astronomically long tasks and answer 200 — or 500 `response encoding
-// failed` once a sum overflowed.
-func rejectsHeavyTail(t *testing.T, path string) {
-	_, ts := newTestServer(t, Config{})
+// TestReplayRejectsHeavyTail posts each such job and requires the planner's
+// own rejection before any stream line: a 400 envelope naming the rule, where
+// the simulator used to sample astronomically long tasks and answer 200 — or
+// 500 `response encoding failed` once a sum overflowed.
+func TestReplayRejectsHeavyTail(t *testing.T) {
+	var bodies []string
 	for _, job := range heavyTailJobs {
-		body := `{"config":{"strategy":"Clone","tauEst":40,"tauKill":80,"tauScale":1},"jobs":[` + job + `]}`
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatalf("POST %s %s: %v", path, job, err)
-		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s %s: status %d, want 400", path, job, resp.StatusCode)
-		}
-		if env := decodeBody[api.ErrorResponse](t, resp); !strings.Contains(env.Error, "beta must exceed 1") || env.Code != api.CodeBadRequest {
-			t.Errorf("%s %s: error envelope %+v, want bad_request naming the beta rule", path, job, env)
-		}
+		bodies = append(bodies, `{"config":{"strategy":"Clone","tauEst":40,"tauKill":80,"tauScale":1},"jobs":[`+job+`]}`)
 	}
+	replayRejects(t, bodies, "beta must exceed 1")
 }
 
-func TestSimulateRejectsHeavyTail(t *testing.T) { rejectsHeavyTail(t, "/v1/simulate") }
-
-// TestReplayRejectsHeavyTail: the rejection comes before any stream line.
-func TestReplayRejectsHeavyTail(t *testing.T) { rejectsHeavyTail(t, "/v1/replay") }
-
-// rejectsOnBoth posts every body to /v1/simulate and to /v1/replay and
-// requires a 400 bad_request envelope whose message contains want: on
-// /v1/replay that is the answer before any stream line.
-func rejectsOnBoth(t *testing.T, bodies []string, want string) {
+// replayRejects posts every body to /v1/replay and requires a 400
+// bad_request envelope whose message contains want: the answer before any
+// stream line.
+func replayRejects(t *testing.T, bodies []string, want string) {
 	t.Helper()
 	_, ts := newTestServer(t, Config{})
-	for _, path := range []string{"/v1/simulate", "/v1/replay"} {
-		for _, body := range bodies {
-			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Fatalf("POST %s %s: %v", path, body, err)
-			}
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s %s: status %d, want 400", path, body, resp.StatusCode)
-			}
-			if env := decodeBody[api.ErrorResponse](t, resp); !strings.Contains(env.Error, want) || env.Code != api.CodeBadRequest {
-				t.Errorf("%s %s: error envelope %+v, want bad_request containing %q", path, body, env, want)
-			}
+	for _, body := range bodies {
+		resp, err := http.Post(ts.URL+"/v1/replay", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+		if env := decodeBody[api.ErrorResponse](t, resp); !strings.Contains(env.Error, want) || env.Code != api.CodeBadRequest {
+			t.Errorf("%s: error envelope %+v, want bad_request containing %q", body, env, want)
 		}
 	}
 }
@@ -400,15 +466,13 @@ const (
 	simJob     = `"tasks":4,"deadline":100,"tmin":10,"beta":1.5`
 )
 
-// TestSimulateAndReplayRejectBadEcon: a theta or unit price that is
-// negative, non-finite or above the cap is a 400 on both endpoints, on
-// /v1/replay before any stream line. /v1/simulate used to answer the 1e308
-// bodies 500 `response encoding failed`, the negative prices 200 with a
-// negative cost and a positive utility, theta -1 200 with utility 97.5 and
-// theta 1e308 200 with `"utility":null`; /v1/replay streamed the job price
-// into an in-band error event.
-func TestSimulateAndReplayRejectBadEcon(t *testing.T) {
-	rejectsOnBoth(t, []string{
+// TestReplayRejectsBadEcon: a theta or unit price that is negative,
+// non-finite or above the cap is a 400 before any stream line. A 1e308 price
+// used to overflow the reported cost and a negative one to report a negative
+// cost with a positive utility; /v1/replay streamed the job price into an
+// in-band error event.
+func TestReplayRejectsBadEcon(t *testing.T) {
+	replayRejects(t, []string{
 		`{"config":{` + simControl + `,"econ":{"theta":1e-4,"unitPrice":1e308}},"jobs":[{` + simJob + `}]}`,
 		`{"config":{` + simControl + `},"jobs":[{` + simJob + `,"unitPrice":1e308}]}`,
 		`{"config":{` + simControl + `,"econ":{"theta":1e-4,"unitPrice":-5}},"jobs":[{` + simJob + `}]}`,
@@ -418,12 +482,11 @@ func TestSimulateAndReplayRejectBadEcon(t *testing.T) {
 	}, "must be in [0, 1e+06]")
 }
 
-// TestSimulateAndReplayRejectUnknownConfigKeys: the simulation config is
-// decoded strictly, so a misspelt knob, or one the simulator no longer has,
-// is a 400 on both endpoints. Each used to answer 200, the run simulated
-// without it.
-func TestSimulateAndReplayRejectUnknownConfigKeys(t *testing.T) {
-	rejectsOnBoth(t, []string{
+// TestReplayRejectsUnknownConfigKeys: the simulation config is decoded
+// strictly, so a misspelt knob, or one the simulator no longer has, is a 400.
+// Each used to answer 200, the run simulated without it.
+func TestReplayRejectsUnknownConfigKeys(t *testing.T) {
+	replayRejects(t, []string{
 		`{"config":{"strategy":"Clone","tauEts":0.3},"jobs":[{` + simJob + `}]}`,
 		`{"config":{` + simControl + `,"spot":{"mean":2}},"jobs":[{` + simJob + `}]}`,
 		`{"config":{` + simControl + `,"failures":{"mtbf":600}},"jobs":[{` + simJob + `}]}`,
@@ -431,15 +494,14 @@ func TestSimulateAndReplayRejectUnknownConfigKeys(t *testing.T) {
 	}, "unknown field")
 }
 
-// TestSimulateAndReplayRejectUnboundedTimes: a start-up delay or a task-time
-// scale above the deadline cap is a 400 on both endpoints. Each overflowed
-// machine time to +Inf: /v1/simulate answered 500 `response encoding failed`,
-// /v1/replay a 200 and then an in-band error event.
-func TestSimulateAndReplayRejectUnboundedTimes(t *testing.T) {
-	rejectsOnBoth(t, []string{
+// TestReplayRejectsUnboundedTimes: a start-up delay or a task-time scale
+// above the deadline cap is a 400. Each overflowed machine time to +Inf, and
+// /v1/replay answered a 200 and then an in-band error event.
+func TestReplayRejectsUnboundedTimes(t *testing.T) {
+	replayRejects(t, []string{
 		`{"config":{` + simControl + `,"jvmMin":1e308,"jvmMax":1e308},"jobs":[{` + simJob + `}]}`,
 	}, "jvmMin and jvmMax must be in [0, 100000]")
-	rejectsOnBoth(t, []string{
+	replayRejects(t, []string{
 		`{"config":{` + simControl + `},"jobs":[{"tasks":4,"deadline":100,"tmin":1e308,"beta":1.5}]}`,
 		`{"config":{` + simControl + `},"jobs":[{` + simJob + `,"reduceTasks":2,"reduceTMin":1e308}]}`,
 	}, "tmin and reduceTMin must be at most 100000")

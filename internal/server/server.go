@@ -34,7 +34,7 @@ type Server struct {
 	ringSt atomic.Pointer[ringState]
 	ringMu sync.Mutex
 	// replaySem bounds concurrently running simulations; each /v1/replay
-	// stream and /v1/simulate run holds one slot.
+	// stream holds one slot.
 	replaySem chan struct{}
 	// traces retains finished request snapshots for GET /debug/traces;
 	// reqLog emits the sampled structured request lines. Both tolerate
@@ -123,7 +123,6 @@ func Open(cfg Config) (*Server, error) {
 	s.route("POST /v1/admit", "/v1/admit", s.handleAdmit)
 	s.route("POST /v1/admit/batch", "/v1/admit/batch", s.handleAdmitBatch)
 	s.route("GET /v1/tradeoff", "/v1/tradeoff", s.handleTradeoff)
-	s.route("POST /v1/simulate", "/v1/simulate", s.handleSimulate)
 	s.route("POST /v1/replay", "/v1/replay", s.handleReplay)
 	s.route("POST "+escrowPath, escrowPath, s.handleEscrowLease)
 	s.route("GET /healthz", "/healthz", s.handleHealthz)

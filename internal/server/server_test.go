@@ -360,101 +360,6 @@ func TestTradeoffEndpoint(t *testing.T) {
 	})
 }
 
-func TestSimulateEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSimJobs: 10, MaxSimTasks: 50, MaxSimTotalTasks: 100})
-	cfg := chronos.SimConfig{
-		Strategy: chronos.SpeculativeResume, Seed: 7,
-		TauEst: 40, TauKill: 80, TauScale: chronos.TauAbsolute,
-	}
-	jobs := []chronos.SimJob{
-		{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5},
-		{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5, Arrival: 50},
-	}
-	resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{Config: cfg, Jobs: jobs})
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status = %d, want 200 (%s)", resp.StatusCode, body)
-	}
-	got := decodeBody[api.SimulateResponse](t, resp)
-	if got.Jobs != 2 {
-		t.Errorf("jobs = %d, want 2", got.Jobs)
-	}
-	if got.PoCD < 0 || got.PoCD > 1 {
-		t.Errorf("PoCD = %v, want in [0, 1]", got.PoCD)
-	}
-	if got.MeanMachineTime <= 0 {
-		t.Errorf("mean machine time = %v, want > 0", got.MeanMachineTime)
-	}
-
-	t.Run("no jobs", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{Config: cfg})
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("status = %d, want 400", resp.StatusCode)
-		}
-	})
-
-	t.Run("job too large", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{
-			Config: cfg,
-			Jobs:   []chronos.SimJob{{Tasks: 51, Deadline: 100, TMin: 10, Beta: 1.5}},
-		})
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("status = %d, want 400", resp.StatusCode)
-		}
-	})
-
-	t.Run("too many total tasks", func(t *testing.T) {
-		many := make([]chronos.SimJob, 5)
-		for i := range many {
-			many[i] = chronos.SimJob{Tasks: 30, Deadline: 100, TMin: 10, Beta: 1.5}
-		}
-		resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{Config: cfg, Jobs: many})
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("status = %d, want 400", resp.StatusCode)
-		}
-	})
-
-	t.Run("negative reduce tasks cannot bypass caps", func(t *testing.T) {
-		// 100 map tasks disguised as 100 + (-60): the sum is under the
-		// 50-task cap, but the negative reduce count must be rejected.
-		resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{
-			Config: cfg,
-			Jobs:   []chronos.SimJob{{Tasks: 100, ReduceTasks: -60, Deadline: 100, TMin: 10, Beta: 1.5}},
-		})
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("status = %d, want 400", resp.StatusCode)
-		}
-	})
-
-	t.Run("oversized cluster", func(t *testing.T) {
-		huge := cfg
-		huge.Nodes = 500_000_000
-		resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{
-			Config: huge,
-			Jobs:   []chronos.SimJob{{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5}},
-		})
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("status = %d, want 400", resp.StatusCode)
-		}
-	})
-
-	t.Run("extreme deadline", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{
-			Config: cfg,
-			Jobs:   []chronos.SimJob{{Tasks: 10, Deadline: 1e18, TMin: 10, Beta: 1.5}},
-		})
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("status = %d, want 400", resp.StatusCode)
-		}
-	})
-}
-
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := api.PlanRequest{Job: testJob(), Econ: testEcon()}

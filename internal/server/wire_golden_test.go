@@ -5,7 +5,8 @@ package server
 // called) to a fresh server and compares the status and the whole response
 // body, traceId value blanked, with testdata/wire_golden.json. The file was
 // generated at d9d3b30; rows are only ever appended, except the eight tenant
-// rows of /v1/plan, /v1/plan/batch and /v1/replay, deleted with the field.
+// rows of /v1/plan, /v1/plan/batch and /v1/replay, deleted with the field,
+// and the eight /v1/simulate rows, deleted with the route.
 
 import (
 	"encoding/json"
@@ -69,7 +70,7 @@ func wireCases() []wireCase {
 	add := func(name, path, body string) { cases = append(cases, wireCase{name: name, path: path, body: body}) }
 
 	// The four error classes every JSON endpoint shares.
-	for _, ep := range []string{"/v1/plan", "/v1/plan/batch", "/v1/admit", "/v1/admit/batch", "/v1/simulate", "/v1/replay"} {
+	for _, ep := range []string{"/v1/plan", "/v1/plan/batch", "/v1/admit", "/v1/admit/batch", "/v1/replay"} {
 		add(ep+" 400 invalid JSON", ep, `{"job" nope}`)
 		add(ep+" 413", ep, wireOversize)
 	}
@@ -118,15 +119,6 @@ func wireCases() []wireCase {
 	add("/v1/tradeoff 400 maxR range", "/v1/tradeoff?strategy=clone&tasks=10&deadline=100&tmin=10&beta=1.5&maxR=100000", "")
 	add("/v1/tradeoff 400 bad job", "/v1/tradeoff?strategy=clone&tasks=10&deadline=100&tmin=10&beta=0.5", "")
 
-	add("/v1/simulate 200", "/v1/simulate",
-		`{"config":{"strategy":"s-resume","seed":7,"tauEst":40,"tauKill":80,"tauScale":1},"jobs":[`+wireSimJob+`,`+wireSimJob+`]}`)
-	add("/v1/simulate 200 utility null", "/v1/simulate",
-		`{"config":{"strategy":"Hadoop-NS","seed":7,"econ":{"theta":1e-4,"unitPrice":1,"rmin":0.999999}},"jobs":[{"tasks":40,"deadline":11,"tmin":10,"beta":1.2}]}`)
-	add("/v1/simulate 400 no jobs", "/v1/simulate", `{"config":{"strategy":"clone"},"jobs":[]}`)
-	add("/v1/simulate 400 unknown strategy", "/v1/simulate", `{"config":{"strategy":"bogus"},"jobs":[`+wireSimJob+`]}`)
-	add("/v1/simulate 400 bad control", "/v1/simulate",
-		`{"config":{"strategy":"Speculative-Restart","tauEst":-5,"tauKill":1},"jobs":[`+wireSimJob+`]}`)
-
 	add("/v1/replay 200 benchmark", "/v1/replay",
 		`{"config":{"strategy":"s-resume","seed":3,"nodes":16},"benchmark":`+wireBench+`,"windowSeconds":300}`)
 	add("/v1/replay 200 trace", "/v1/replay",
@@ -152,7 +144,6 @@ func wireCases() []wireCase {
 	trailing("/v1/plan/batch", `{"jobs":`+batchJobs+`,"budget":5000,"econ":`+wireEcon+`}`)
 	trailing("/v1/admit", `{"tenant":"team","job":`+wireJob+`}`)
 	trailing("/v1/admit/batch", `{"tenant":"team","jobs":[{"job":`+wireJob+`}]}`)
-	trailing("/v1/simulate", `{"config":{"strategy":"clone","seed":7},"jobs":[`+wireSimJob+`]}`)
 	trailing("/v1/replay", `{"config":{"strategy":"clone","seed":7},"benchmark":`+wireBench+`}`)
 	cases = append(cases, wireCase{name: "/v1/escrow/lease 400 trailing bytes", path: "/v1/escrow/lease", body: lease + " xyz", escrow: true})
 

@@ -132,16 +132,10 @@ type Report struct {
 // one-shot fold over the streaming replay core (see Replay): every event is
 // aggregated and only the final report returned.
 func Simulate(cfg SimConfig, jobs []SimJob) (Report, error) {
-	return SimulateContext(context.Background(), cfg, jobs)
-}
-
-// SimulateContext is Simulate with cancellation: the run stops between
-// simulation events when ctx is cancelled and returns ctx's error.
-func SimulateContext(ctx context.Context, cfg SimConfig, jobs []SimJob) (Report, error) {
 	if len(jobs) == 0 {
 		return Report{}, fmt.Errorf("chronos: no jobs to simulate")
 	}
-	return Replay(ctx, cfg, jobs, ReplayOptions{})
+	return Replay(context.Background(), cfg, jobs, ReplayOptions{})
 }
 
 // withDefaults fills zero values.
