@@ -23,8 +23,8 @@ test:
 pins: ## the allocation pins, which skip themselves under -race and so never run in test/cover
 	$(GO) test -run 'Alloc' ./...
 
-goldens: ## the full-size simulation goldens (figures at 270 jobs, the 2,000-job oracle cells, 10^7 Pareto draws against math.Pow) and the full 900-cell budget-frontier breakpoint sweep, which shrink or skip themselves under -race
-	$(GO) test -run 'Golden|ModelOracle|MatchesPow|AtEveryBreakpoint' . ./cmd/chronos-figures ./internal/pareto ./internal/optimize
+goldens: ## the full-size simulation goldens (figures at 270 jobs, the 2,000-job oracle cells, 10^7 Pareto draws and 10^7 closed-form kernel powers against math.Pow) and the full 900-cell budget-frontier breakpoint sweep, which shrink or skip themselves under -race
+	$(GO) test -run 'Golden|ModelOracle|MatchesPow|AtEveryBreakpoint' . ./cmd/chronos-figures ./internal/pareto ./internal/optimize ./internal/analysis
 
 examples: ## run every example program end to end: each must exit 0 within the timeout (a compiling example can still fail at runtime)
 	@for d in examples/*/; do echo "go run ./$$d"; \

@@ -133,6 +133,30 @@ func BenchmarkAlgorithm1(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeBest times the best-of-three solve one /v1/plan miss
+// runs, over 4,096 trace jobs drawn as the socket benchmark's plan_cold
+// workload draws its seed-1 shapes (control instants at 0.3 and 0.6 of
+// tmin). ns/op is one OptimizeBest call.
+func BenchmarkOptimizeBest(b *testing.B) {
+	jobs, err := SyntheticTrace(TraceConfig{Jobs: 4096, Seed: 2_000_008})
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := make([]JobParams, len(jobs))
+	for i, j := range jobs {
+		params[i] = JobParams{Tasks: j.Tasks, Deadline: j.Deadline, TMin: j.TMin, Beta: j.Beta,
+			TauEst: 0.3 * j.TMin, TauKill: 0.6 * j.TMin}
+	}
+	econ := Econ{Theta: 1e-4, UnitPrice: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := OptimizeBest(params[i%len(params)], econ); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBudgetFrontier builds the best-of-three budget frontier of 512
 // trace jobs drawn as the socket benchmark's fleet_admit workload draws its
 // seed-1 shapes (control instants at 0.3 and 0.6 of tmin), the table the

@@ -156,17 +156,14 @@ func (p JobParams) toAnalysis() (analysis.Params, error) {
 // analyticKind resolves a Chronos strategy to its closed forms:
 // ErrNotAnalytic for a baseline.
 func analyticKind(s Strategy) (analysis.Strategy, error) {
-	switch s {
-	case Clone:
-		return analysis.StrategyClone, nil
-	case SpeculativeRestart:
-		return analysis.StrategyRestart, nil
-	case SpeculativeResume:
-		return analysis.StrategyResume, nil
-	default:
+	if s < Clone || s > SpeculativeResume {
 		return 0, fmt.Errorf("%w: %v", ErrNotAnalytic, s)
 	}
+	return analyticKinds[s-Clone], nil
 }
+
+// analyticKinds lists the closed forms of ChronosStrategies, in its order.
+var analyticKinds = [...]analysis.Strategy{analysis.StrategyClone, analysis.StrategyRestart, analysis.StrategyResume}
 
 // analytic resolves a public (strategy, job) pair to the closed forms'
 // inputs: ErrNotAnalytic for a baseline, else the job's validation error.
@@ -255,9 +252,17 @@ func bestOf(solve func(Strategy) (Plan, error)) (Plan, error) {
 }
 
 // OptimizeBest optimizes all three Chronos strategies and returns the one
-// with the highest net utility.
+// with the highest net utility. The three solves share one pass over the
+// job (optimize.SolveStrategies); each plan is bit for bit Optimize's.
 func OptimizeBest(p JobParams, e Econ) (Plan, error) {
-	return bestOf(func(s Strategy) (Plan, error) { return Optimize(s, p, e) })
+	ap, err := p.toAnalysis()
+	if err != nil {
+		return Plan{}, err
+	}
+	var res [len(analyticKinds)]optimize.Result
+	var errs [len(analyticKinds)]error
+	optimize.SolveStrategies(analyticKinds[:], ap, optimize.Config(e), res[:], errs[:])
+	return bestOf(func(s Strategy) (Plan, error) { return planOf(s, res[s-Clone], errs[s-Clone]) })
 }
 
 // OptimizeWithinBudget solves the joint optimization for one strategy

@@ -3,6 +3,7 @@ package chronos
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"chronos/internal/optimize"
@@ -117,6 +118,93 @@ func TestOptimizeBest(t *testing.T) {
 		}
 		if plan.Utility > best.Utility+1e-12 {
 			t.Errorf("OptimizeBest missed %v with utility %v > %v", s, plan.Utility, best.Utility)
+		}
+	}
+}
+
+// bestOfOptimize is OptimizeBest's rule applied to three separate Optimize
+// calls: the highest utility, the earlier strategy on a tie, an infeasible
+// strategy skipped, any other error returned at once.
+func bestOfOptimize(p JobParams, e Econ) (Plan, error) {
+	var best Plan
+	found := false
+	for _, s := range ChronosStrategies() {
+		plan, err := Optimize(s, p, e)
+		switch {
+		case errors.Is(err, optimize.ErrInfeasible):
+		case err != nil:
+			return Plan{}, err
+		case !found || plan.Utility > best.Utility:
+			best, found = plan, true
+		}
+	}
+	if !found {
+		return Plan{}, optimize.ErrInfeasible
+	}
+	return best, nil
+}
+
+// TestOptimizeBestMatchesOptimize: OptimizeBest solves the three strategies
+// in one pass over the job, and must answer exactly what three separate
+// Optimize calls do: the same plan bit for bit, or the same error. 5,000
+// trace shapes drawn as the plan_cold benchmark draws them, and 5,000 random
+// shapes and economics over a wider range, infeasible and invalid ones
+// included; 500 of each under -short or -race.
+func TestOptimizeBestMatchesOptimize(t *testing.T) {
+	n := 5000
+	if testing.Short() || race.Enabled {
+		n = 500
+	}
+	jobs, err := SyntheticTrace(TraceConfig{Jobs: n, Seed: 2_000_008})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
+		p JobParams
+		e Econ
+	}
+	cells := make([]cell, 0, 2*len(jobs))
+	for _, j := range jobs {
+		cells = append(cells, cell{JobParams{Tasks: j.Tasks, Deadline: j.Deadline, TMin: j.TMin, Beta: j.Beta,
+			TauEst: 0.3 * j.TMin, TauKill: 0.6 * j.TMin}, Econ{Theta: 1e-4, UnitPrice: 1}})
+	}
+	rng := rand.New(rand.NewPCG(44, 3))
+	logU := func(lo, hi float64) float64 { return math.Exp(math.Log(lo) + rng.Float64()*math.Log(hi/lo)) }
+	for range len(jobs) {
+		tmin := logU(0.01, 1000)
+		d := tmin * (1 + logU(0.05, 30))
+		te := d * rng.Float64() * 0.9
+		p := JobParams{Tasks: 1 + rng.IntN(5000), Deadline: d, TMin: tmin, Beta: 1 + logU(1e-3, 3),
+			TauEst: te, TauKill: te + (d-te)*rng.Float64()}
+		if rng.IntN(2) == 0 {
+			p.PhiEst = 0.99 * rng.Float64()
+		}
+		e := Econ{Theta: logU(1e-7, 1), UnitPrice: logU(0.1, 10)}
+		if rng.IntN(4) == 0 {
+			e.RMin = rng.Float64()
+		}
+		switch rng.IntN(100) { // one cell in 25 fails validation
+		case 0:
+			p.Tasks = 0
+		case 1:
+			p.Beta = 1
+		case 2:
+			p.TauKill = 1.5 * d
+		case 3:
+			e.Theta = 0
+		}
+		cells = append(cells, cell{p, e})
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, c := range cells {
+		got, gotErr := OptimizeBest(c.p, c.e)
+		want, wantErr := bestOfOptimize(c.p, c.e)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%+v %+v: OptimizeBest error %v, Optimize's %v", c.p, c.e, gotErr, wantErr)
+		}
+		if got.Strategy != want.Strategy || got.R != want.R || !same(got.PoCD, want.PoCD) ||
+			!same(got.MachineTime, want.MachineTime) || !same(got.Cost, want.Cost) || !same(got.Utility, want.Utility) {
+			t.Fatalf("%+v %+v: OptimizeBest = %+v, best of Optimize = %+v", c.p, c.e, got, want)
 		}
 	}
 }

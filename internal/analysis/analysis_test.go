@@ -516,7 +516,7 @@ func TestResumeVsMonteCarlo(t *testing.T) {
 func TestRestartSurvivorNumericAgree(t *testing.T) {
 	p := testParams()
 	for _, r := range []int{1, 2, 5} {
-		a := restartSurvivor(p, r)
+		a := restartSurvivor(p, r, refRestartPows(p))
 		b := survivorTimeNumeric(p, r)
 		if math.Abs(a-b)/b > 1e-4 {
 			t.Errorf("r=%d: closed-form survivor %v vs numeric %v", r, a, b)
@@ -530,15 +530,22 @@ func TestRestartSurvivorNumericAgree(t *testing.T) {
 // term (r > 205 here), then the tail series' sum overflows (r > 692), then its
 // factor (tmin/D)^(beta r) underflows (r > 716) while the tail itself is still
 // a few 1e-5 of the answer. Each used to yield NaN, +Inf or a silently dropped
-// tail; all must agree with direct quadrature of the defining integral.
+// tail; all must agree with direct quadrature of the defining integral. The
+// kernel's cached bases, whose powers leave float64 here, must give
+// math.Pow's bits.
 func TestRestartSurvivorNearDegenerate(t *testing.T) {
 	for _, te := range []float64{9.9, 9.999, 9.999997} {
 		p := testParams()
 		p.Deadline, p.TauEst, p.TauKill = 20, te, 15
+		var pw restartPows
+		pw.init(p)
 		for _, r := range []int{100, 205, 206, 394, 692, 702, 717, 2000, 8000} {
-			got, want := restartSurvivor(p, r), survivorTimeNumeric(p, r)
+			got, want := restartSurvivor(p, r, &pw), survivorTimeNumeric(p, r)
 			if !(math.Abs(got-want) <= 1e-9*want) {
 				t.Errorf("tauEst=%v r=%d: survivor %.17g, quadrature %.17g", te, r, got, want)
+			}
+			if ref := restartSurvivor(p, r, refRestartPows(p)); !sameBits(got, ref) {
+				t.Errorf("tauEst=%v r=%d: survivor %.17g over cached bases, %.17g over math.Pow", te, r, got, ref)
 			}
 		}
 	}

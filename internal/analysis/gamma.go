@@ -21,12 +21,15 @@ import "math"
 // all r >= 0 even when q(0) > 1/N. We implement the threshold derived
 // directly from the concavity condition q(r) < 1/N, which reproduces the
 // paper's Gamma_Clone (Eq. 27) and Gamma_{S-Restart} (Eq. 28) exactly.
-func concavityThreshold(a, rho, c float64, n int) float64 {
+//
+// lnNA is ln(N*A), taken by the caller: the reactive strategies share their
+// A, so one Log serves both.
+func concavityThreshold(a, rho, c, lnNA float64) float64 {
 	if rho <= 0 || rho >= 1 || a <= 0 {
 		return -1 // degenerate: treat as concave everywhere relevant
 	}
 	// Solve A * rho^(r+c) = 1/N  =>  r = (-ln(N*A))/ln(rho) - c.
-	r := -math.Log(float64(n)*a)/math.Log(rho) - c
+	r := -lnNA/math.Log(rho) - c
 	if math.IsNaN(r) {
 		return -1
 	}

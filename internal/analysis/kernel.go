@@ -5,44 +5,82 @@ import "math"
 // Evaluator is the implementation of the paper's closed forms — PoCD
 // (Theorems 1, 3, 5), expected machine time (Theorems 2, 4, 6) and the
 // concavity threshold Gamma (Theorem 8) — for one (strategy, Params) pair. It
-// is a recurrence kernel: Reset hoists every r-invariant term (the
+// is a recurrence kernel: binding hoists every r-invariant term (the
 // deadline-miss probabilities, the geometric ratio and its squares table, the
-// truncated-Pareto mean, Gamma) out of the per-probe path, so each
-// PoCD/MachineTime probe costs a handful of multiply-adds plus at most one
-// math.Pow.
+// truncated-Pareto mean, Gamma; at the first MachineTime probe, the bases of
+// its powers) out of the per-probe path. A PoCD probe then costs a few multiplies and one integer
+// power by squaring; a MachineTime probe costs Clone a few multiply-adds,
+// Resume one power of a cached base, and Restart three powers of cached
+// bases plus the series of restartSurvivorTail.
+//
+// Binding has two levels, so one job's three strategies share the work:
+// BindJob computes the terms of the job alone, and Rebind the terms of one
+// strategy on top of them. Reset does both.
 //
 // Cache keys, goldens and frontier tables all depend on the exact float64 each
 // probe returns. Those bits are pinned by the from-scratch reference forms in
 // kernel_property_test.go (no hoisting, no tables: the published formulas
-// over powInt, in the operation order the branches below keep) and, across
-// commits, by testdata/plan_golden.json in the root package; hoisting a
-// subexpression preserves bits only when the cached value is produced by the
-// same operations on the same operands.
+// over powInt and math.Pow, in the operation order the branches below keep)
+// and, across commits, by testdata/plan_golden.json in the root package;
+// hoisting a subexpression preserves bits only when the cached value is
+// produced by the same operations on the same operands.
 //
-// The zero Evaluator is not usable; call Reset first. An Evaluator is not
-// safe for concurrent use.
+// The zero Evaluator is not usable; call Reset, or BindJob then Rebind,
+// first. An Evaluator is not safe for concurrent use.
 type Evaluator struct {
 	strat Strategy
 	p     Params
 
+	// Job terms, set by BindJob.
 	nF       float64 // float64(p.N), conversion is exact
-	gamma    float64 // Theorem 8 threshold, fixed per (strategy, Params)
 	failOrig float64 // P(original attempt misses D); Clone: single-attempt miss
+	tauDiff  float64 // TauKill - TauEst
+	// Reactive job terms, read by Restart and Resume only and so set at the
+	// first Rebind to either.
+	reactive bool    // hitTerm and lnNFail are set
+	hitTerm  float64 // meanHit * (1 - pMiss), the non-straggler cost term
+	lnNFail  float64 // Log(N * failOrig), Theorem 8's numerator
+
+	// Strategy terms, set by Rebind.
+	gamma float64 // Theorem 8 threshold
 	// failExtra is the geometric ratio rho of q(r) = A*rho^(r+c): the miss
 	// probability of one extra attempt (Clone: same as failOrig).
 	failExtra float64
 	powExtra  powTab  // squares table over failExtra, see powtab.go
-	hitTerm   float64 // meanHit * (1 - pMiss), the non-straggler cost term
 	meanAll   float64 // N * E[T], Restart's r == 0 machine time
-	tauDiff   float64 // TauKill - TauEst
-	omPhi     float64 // 1 - phi (Resume only)
+	// The bases of the survivor term's powers, read by MachineTime only and
+	// so set at its first probe (see bindBases).
+	basesBound bool
+	restart    restartPows // Restart's survivor bases
+	omPhi      powBase     // 1 - phi, Resume's survivor base
 }
 
 var _ Model = (*Evaluator)(nil)
 
-// Reset binds the evaluator to a strategy and parameter set, computing every
-// r-invariant term once. It performs no validation; callers that need the
-// closed forms' preconditions enforced should Validate the Params first.
+// Reset binds the evaluator to a strategy and parameter set: BindJob(p),
+// then Rebind(s). It performs no validation; callers that need the closed
+// forms' preconditions enforced should Validate the Params first.
+func (e *Evaluator) Reset(s Strategy, p Params) {
+	e.BindJob(p)
+	e.Rebind(s)
+}
+
+// BindJob binds the evaluator to a parameter set, computing the terms every
+// strategy shares: the miss probability of the original attempt, Survival(D),
+// among them. No strategy is bound until Rebind. Like Reset it performs no
+// validation.
+func (e *Evaluator) BindJob(p Params) {
+	*e = Evaluator{
+		p:        p,
+		nF:       float64(p.N),
+		failOrig: p.Task.Survival(p.Deadline),
+		tauDiff:  p.TauKill - p.TauEst,
+	}
+}
+
+// Rebind binds the evaluator to strategy s on the job BindJob bound,
+// computing every r-invariant term of s and reusing the job's. It panics on
+// a strategy outside the three Chronos strategies.
 //
 // Each strategy's per-task miss probability is geometric in r,
 // q(r) = A * rho^(r+c), and Gamma solves q(r) = 1/N (see gamma.go):
@@ -61,46 +99,50 @@ var _ Model = (*Evaluator)(nil)
 // An extra attempt that cannot finish in time at all (D-tauEst at or below
 // its minimum duration) has rho = 1: extra attempts buy nothing and Gamma
 // degenerates to -1.
-func (e *Evaluator) Reset(s Strategy, p Params) {
-	*e = Evaluator{strat: s, p: p, nF: float64(p.N)}
-
-	failOrig := p.Task.Survival(p.Deadline)
-	e.failOrig = failOrig
-
+func (e *Evaluator) Rebind(s Strategy) {
+	p := &e.p
+	e.strat, e.basesBound = s, false
 	switch s {
 	case StrategyClone:
-		e.failExtra = failOrig
-		e.gamma = concavityThreshold(1, failOrig, 1, p.N)
+		e.failExtra = e.failOrig
+		// A = 1: Log(N*1) is Log(N), bit for bit.
+		e.gamma = concavityThreshold(1, e.failOrig, 1, math.Log(e.nF))
 	case StrategyRestart:
+		e.bindReactive()
 		failExtra := clampProb(p.Task.Survival(p.Deadline - p.TauEst))
 		if p.Deadline-p.TauEst <= p.Task.TMin {
 			failExtra = 1 // a restarted attempt cannot finish in time
 		}
 		e.failExtra = failExtra
-		e.gamma = concavityThreshold(failOrig, failExtra, 0, p.N)
-		e.meanAll = float64(p.N) * p.Task.Mean()
+		e.gamma = concavityThreshold(e.failOrig, failExtra, 0, e.lnNFail)
+		e.meanAll = e.nF * p.Task.Mean()
 	case StrategyResume:
+		e.bindReactive()
 		phi := p.phi()
-		e.omPhi = 1 - phi
 		remaining := p.Task.Scaled(1 - phi)
 		failExtra := clampProb(remaining.Survival(p.Deadline - p.TauEst))
 		if p.Deadline-p.TauEst <= remaining.TMin {
 			failExtra = 1
 		}
 		e.failExtra = failExtra
-		e.gamma = concavityThreshold(failOrig, failExtra, 1, p.N)
+		e.gamma = concavityThreshold(e.failOrig, failExtra, 1, e.lnNFail)
 	default:
 		panic("analysis: unknown strategy")
 	}
-
 	e.powExtra.init(e.failExtra)
+}
 
-	// Straggler-branch invariants shared by Restart and Resume MachineTime.
-	// pMiss is the same Survival(D) expression as failOrig, and hitTerm
-	// caches the meanHit*(1-pMiss) product of the published forms.
-	meanHit := p.Task.MeanBelow(p.Deadline)
-	e.hitTerm = meanHit * (1 - failOrig)
-	e.tauDiff = p.TauKill - p.TauEst
+// bindReactive sets the job terms only the reactive strategies read, once
+// per BindJob. The non-straggler branch of Restart's and Resume's
+// MachineTime weighs the truncated mean by 1 - pMiss, the same Survival(D)
+// as failOrig; hitTerm caches that product of the published forms.
+func (e *Evaluator) bindReactive() {
+	if e.reactive {
+		return
+	}
+	e.reactive = true
+	e.hitTerm = e.p.Task.MeanBelow(e.p.Deadline) * (1 - e.failOrig)
+	e.lnNFail = math.Log(e.nF * e.failOrig)
 }
 
 // Name implements Model.
@@ -109,7 +151,7 @@ func (e *Evaluator) Name() string { return e.strat.String() }
 // Params implements Model.
 func (e *Evaluator) Params() Params { return e.p }
 
-// Gamma implements Model; the threshold is computed once at Reset.
+// Gamma implements Model; the threshold is computed once at Rebind.
 func (e *Evaluator) Gamma() float64 { return e.gamma }
 
 // PoCD implements Model: the job meets its deadline iff all N tasks do, and a
@@ -121,8 +163,8 @@ func (e *Evaluator) Gamma() float64 { return e.gamma }
 //	                              (D^beta * (D-tauEst)^(beta*(r+1)))]^N
 //
 // The per-task failure probability q(r) = A*rho^(r+c) is assembled from the
-// cached A and the squares table; the only remaining transcendental is
-// pocdFromTaskFailure's (1-q)^N.
+// cached A and the squares table; what remains is pocdFromTaskFailure's
+// (1-q)^N, an integer power by squaring.
 func (e *Evaluator) PoCD(r int) float64 {
 	var q float64
 	switch e.strat {
@@ -169,23 +211,43 @@ func (e *Evaluator) MachineTime(r int) float64 {
 		if r == 0 {
 			return e.meanAll
 		}
-		straggler := p.TauEst + float64(r)*e.tauDiff + restartSurvivor(p, r)
+		if !e.basesBound {
+			e.bindBases()
+		}
+		straggler := p.TauEst + float64(r)*e.tauDiff + restartSurvivor(p, r, &e.restart)
 		perTask := e.hitTerm + straggler*e.failOrig
 		return e.nF * perTask
 	default: // StrategyResume
 		if r < 0 {
 			r = 0
 		}
-		straggler := p.TauEst + float64(r)*e.tauDiff + resumeSurvivor(p.Task.TMin, p.Task.Beta, e.omPhi, r)
+		if !e.basesBound {
+			e.bindBases()
+		}
+		straggler := p.TauEst + float64(r)*e.tauDiff + resumeSurvivor(p.Task.TMin, p.Task.Beta, &e.omPhi, r)
 		perTask := e.hitTerm + straggler*e.failOrig
 		return e.nF * perTask
 	}
 }
 
+// bindBases sets the bases of the reactive strategy's survivor powers. It
+// runs at the strategy's first MachineTime probe, so a caller that asks only
+// for PoCD, as DeadlineForPoCD's bisection does, never pays for them.
+func (e *Evaluator) bindBases() {
+	e.basesBound = true
+	if e.strat == StrategyRestart {
+		e.restart.init(e.p)
+	} else {
+		e.omPhi.init(1 - e.p.phi())
+	}
+}
+
 // resumeSurvivor is Theorem 6's straggler survivor term,
 //
-//	tmin + tmin*(1-phi)^(beta*(r+1)) / (beta*(r+1)-1).
-func resumeSurvivor(tm, b, omPhi float64, r int) float64 {
+//	tmin + tmin*(1-phi)^(beta*(r+1)) / (beta*(r+1)-1),
+//
+// with omPhi the base 1-phi.
+func resumeSurvivor(tm, b float64, omPhi *powBase, r int) float64 {
 	brp := b * float64(r+1)
-	return tm + tm*math.Pow(omPhi, brp)/(brp-1)
+	return tm + tm*omPhi.pow(brp)/(brp-1)
 }

@@ -15,20 +15,35 @@ import (
 // kernel is caught even where it moves only the last place. (Across commits,
 // testdata/plan_golden.json in the root package pins the same values.)
 
+// refPoCDFrom is pocdFromTaskFailure as published: (1-q)^N by math.Pow.
+func refPoCDFrom(q float64, n int) float64 {
+	return math.Pow(1-clampProb(q), float64(n))
+}
+
+// refRestartPows binds restartSurvivor to bases that take every power from
+// math.Pow: a powBase with only x set.
+func refRestartPows(p Params) *restartPows {
+	return &restartPows{
+		tm:   powBase{x: p.Task.TMin},
+		dBar: powBase{x: p.Deadline - p.TauEst},
+		tmD:  powBase{x: p.Task.TMin / p.Deadline},
+	}
+}
+
 // refPoCD re-derives Theorems 1, 3, 5 from scratch: no hoisting, no tables,
-// just the published formulas over powInt.
+// just the published formulas over powInt and math.Pow.
 func refPoCD(s Strategy, p Params, r int) float64 {
 	switch s {
 	case StrategyClone:
 		q := powInt(p.Task.Survival(p.Deadline), r+1)
-		return pocdFromTaskFailure(q, p.N)
+		return refPoCDFrom(q, p.N)
 	case StrategyRestart:
 		failOrig := p.Task.Survival(p.Deadline)
 		failExtra := clampProb(p.Task.Survival(p.Deadline - p.TauEst))
 		if p.Deadline-p.TauEst <= p.Task.TMin {
 			failExtra = 1
 		}
-		return pocdFromTaskFailure(failOrig*powInt(failExtra, r), p.N)
+		return refPoCDFrom(failOrig*powInt(failExtra, r), p.N)
 	default: // StrategyResume
 		phi := p.phi()
 		failOrig := p.Task.Survival(p.Deadline)
@@ -37,12 +52,12 @@ func refPoCD(s Strategy, p Params, r int) float64 {
 		if p.Deadline-p.TauEst <= remaining.TMin {
 			failExtra = 1
 		}
-		return pocdFromTaskFailure(failOrig*powInt(failExtra, r+1), p.N)
+		return refPoCDFrom(failOrig*powInt(failExtra, r+1), p.N)
 	}
 }
 
 // refMachineTime re-derives Theorems 2, 4, 6 in the published forms' operation
-// order with none of the kernel's caching.
+// order with none of the kernel's caching: every power is math.Pow's.
 func refMachineTime(s Strategy, p Params, r int) float64 {
 	switch s {
 	case StrategyClone:
@@ -53,7 +68,7 @@ func refMachineTime(s Strategy, p Params, r int) float64 {
 		}
 		pMiss := p.Task.Survival(p.Deadline)
 		meanHit := p.Task.MeanBelow(p.Deadline)
-		straggler := p.TauEst + float64(r)*(p.TauKill-p.TauEst) + restartSurvivor(p, r)
+		straggler := p.TauEst + float64(r)*(p.TauKill-p.TauEst) + restartSurvivor(p, r, refRestartPows(p))
 		return float64(p.N) * (meanHit*(1-pMiss) + straggler*pMiss)
 	default: // StrategyResume
 		phi := p.phi()
@@ -62,7 +77,7 @@ func refMachineTime(s Strategy, p Params, r int) float64 {
 		if r < 0 {
 			r = 0
 		}
-		survivor := resumeSurvivor(p.Task.TMin, p.Task.Beta, 1-phi, r)
+		survivor := resumeSurvivor(p.Task.TMin, p.Task.Beta, &powBase{x: 1 - phi}, r)
 		straggler := p.TauEst + float64(r)*(p.TauKill-p.TauEst) + survivor
 		return float64(p.N) * (meanHit*(1-pMiss) + straggler*pMiss)
 	}
@@ -108,27 +123,46 @@ var kernelProbeRs = []int{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 100, 1023, 1 << 14
 
 // TestPropertyKernelBitIdentical: for random parameter points, the Evaluator
 // returns bit-identical PoCD, MachineTime, and Gamma to the from-scratch
-// reference forms, at every probed r.
+// reference forms, at every probed r: bound by Reset, and by one BindJob
+// whose strategies are rebound Clone, Restart, Resume and then back, so a
+// term left over from the strategy bound before fails it. One Evaluator
+// serves every parameter point, as a pooled one does, so a term left over
+// from the job bound before fails it too.
 func TestPropertyKernelBitIdentical(t *testing.T) {
-	f := func(nRaw, dRaw, bRaw, tRaw uint32) bool {
+	var e Evaluator
+	check := func(e *Evaluator, s Strategy, p Params, how string) bool {
+		if !sameBits(e.Gamma(), refGamma(s, p)) {
+			t.Logf("%v (%s) gamma: kernel %v reference %v", s, how, e.Gamma(), refGamma(s, p))
+			return false
+		}
+		for _, r := range kernelProbeRs {
+			kp, kt := e.PoCD(r), e.MachineTime(r)
+			if !sameBits(kp, refPoCD(s, p, r)) || !sameBits(kt, refMachineTime(s, p, r)) {
+				t.Logf("%v (%s) r=%d: kernel (%v, %v) reference (%v, %v)",
+					s, how, r, kp, kt, refPoCD(s, p, r), refMachineTime(s, p, r))
+				return false
+			}
+		}
+		return true
+	}
+	order := append(Strategies(), StrategyRestart, StrategyClone)
+	f := func(nRaw, dRaw, bRaw, tRaw uint32, phiRaw uint8) bool {
 		p := propParams(nRaw, dRaw, bRaw, tRaw)
+		p.PhiEst = float64(phiRaw%4) / 4 // the default, then 1/4, 1/2, 3/4
 		if p.Validate() != nil {
 			return true
 		}
-		var e Evaluator
 		for _, s := range Strategies() {
 			e.Reset(s, p)
-			if !sameBits(e.Gamma(), refGamma(s, p)) {
-				t.Logf("%v gamma: kernel %v reference %v", s, e.Gamma(), refGamma(s, p))
+			if !check(&e, s, p, "Reset") {
 				return false
 			}
-			for _, r := range kernelProbeRs {
-				kp, kt := e.PoCD(r), e.MachineTime(r)
-				if !sameBits(kp, refPoCD(s, p, r)) || !sameBits(kt, refMachineTime(s, p, r)) {
-					t.Logf("%v r=%d: kernel (%v, %v) reference (%v, %v)",
-						s, r, kp, kt, refPoCD(s, p, r), refMachineTime(s, p, r))
-					return false
-				}
+		}
+		e.BindJob(p)
+		for _, s := range order { // Clone, Restart, Resume, Restart, Clone
+			e.Rebind(s)
+			if !check(&e, s, p, "Rebind") {
+				return false
 			}
 		}
 		return true
@@ -214,7 +248,7 @@ func TestRestartSurvivorTailSeries(t *testing.T) {
 						continue
 					}
 					br := beta * float64(r)
-					got := restartSurvivorTail(tm, beta, d, te, br, dBar)
+					got := restartSurvivorTail(tm, beta, d, te, br, dBar, math.Pow(tm/d, br))
 					want := tailSimpson(beta, d, te, br, tm, dBar)
 					if rel := math.Abs(got-want) / math.Abs(want); rel > 1e-9 {
 						t.Errorf("beta=%v D/tm=%v te/D=%v r=%d: series %v simpson %v rel %v",

@@ -108,7 +108,8 @@ func clampProb(p float64) float64 {
 }
 
 // pocdFromTaskFailure converts a per-task failure probability into a job
-// PoCD: the job meets the deadline iff all N tasks do.
+// PoCD: the job meets the deadline iff all N tasks do. (1-q)^N is
+// math.Pow(1-q, N), bit for bit (see powN).
 func pocdFromTaskFailure(q float64, n int) float64 {
-	return math.Pow(1-clampProb(q), float64(n))
+	return powN(1-clampProb(q), n)
 }

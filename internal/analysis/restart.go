@@ -16,7 +16,8 @@ import (
 //
 // The first integral is elementary (with a log limit at beta*r == 1); the
 // second has the convergent series form evaluated by restartSurvivorTail.
-func restartSurvivor(p Params, r int) float64 {
+// pw holds the bases of the per-probe powers, bound to p.
+func restartSurvivor(p Params, r int, pw *restartPows) float64 {
 	tm, b, d, te := p.Task.TMin, p.Task.Beta, p.Deadline, p.TauEst
 	dBar := d - te
 	if dBar <= tm {
@@ -30,7 +31,7 @@ func restartSurvivor(p Params, r int) float64 {
 	var head float64 // Int_tmin^{D-tauEst} (tmin/w)^(beta r) dw
 	if math.Abs(br-1) < 1e-9 {
 		head = tm * math.Log(dBar/tm)
-	} else if num, den := math.Pow(tm, br), (br-1)*math.Pow(dBar, br-1); inFloatRange(num) && inFloatRange(den) {
+	} else if num, den := pw.tm.pow(br), (br-1)*pw.dBar.pow(br-1); inFloatRange(num) && inFloatRange(den) {
 		head = tm/(br-1) - num/den
 	} else {
 		// tmin^(beta r) has left float64 (beta*r*log10(tmin) > 308, which a
@@ -40,7 +41,18 @@ func restartSurvivor(p Params, r int) float64 {
 		head = tm / (br - 1) * (1 - math.Pow(tm/dBar, br-1))
 	}
 
-	return tm + head + restartSurvivorTail(tm, b, d, te, br, dBar)
+	return tm + head + restartSurvivorTail(tm, b, d, te, br, dBar, pw.tmD.pow(br))
+}
+
+// restartPows are the bases of restartSurvivor's per-probe powers, which
+// take only the exponent from r: tmin, D-tauEst and tmin/D.
+type restartPows struct{ tm, dBar, tmD powBase }
+
+// init binds the bases to p.
+func (pw *restartPows) init(p Params) {
+	pw.tm.init(p.Task.TMin)
+	pw.dBar.init(p.Deadline - p.TauEst)
+	pw.tmD.init(p.Task.TMin / p.Deadline)
 }
 
 // inFloatRange reports whether a positive intermediate is a normal float64:
@@ -64,7 +76,7 @@ const tailSeriesMaxTerms = 1 << 15
 //	D * (tmin/D)^k * Sum_n C(k+n-1, n) * y^n / (beta+k+n-1),
 //
 // with k = beta*r and y = tauEst/D < 1 - tmin/D (guaranteed by the caller's
-// D - tauEst > tmin branch). Each term follows from the last by one
+// D - tauEst > tmin branch); tmDk is the caller's (tmin/D)^k. Each term follows from the last by one
 // multiply-add, replacing the adaptive quadrature that used to dominate the
 // entire cold-path solve (~95% of a three-strategy optimization).
 //
@@ -79,10 +91,10 @@ const tailSeriesMaxTerms = 1 << 15
 // ((x)_n the rising factorial), whose factor is at most 1 and whose terms only
 // fall, each below y times the last. The quadrature remains as the fallback
 // for the (extreme-corner) parameter sets neither capped series can settle.
-func restartSurvivorTail(tm, b, d, te, br, dBar float64) float64 {
+func restartSurvivorTail(tm, b, d, te, br, dBar, tmDk float64) float64 {
 	y := te / d
 	bk := b + br - 1 // denominator offset: beta + k - 1 > 0 since beta > 1
-	if scale := d * math.Pow(tm/d, br); inFloatRange(scale) {
+	if scale := d * tmDk; inFloatRange(scale) {
 		sum, c := 0.0, 1.0
 		for n := 0; n < tailSeriesMaxTerms; n++ {
 			fn := float64(n)

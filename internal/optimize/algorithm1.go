@@ -53,7 +53,7 @@ func (p Point) result(strategy string) Result {
 // search over the provably concave region r > Gamma (Phase 1) combined with
 // an exhaustive scan of the integers 0 <= r < ceil(Gamma) (Phase 2). By
 // Theorem 9 the combination returns a global maximizer of U. Production plans
-// a (strategy, params) pair through SolveStrategy, which does the same without
+// a (strategy, params) pair through SolveStrategies, which does the same without
 // allocating; Solve is the seam for any other Model — today only the tests'
 // probe-counting fakes call it, and a capacity-aware model (ROADMAP item 1(d))
 // would plug in here.
@@ -66,16 +66,34 @@ func Solve(m analysis.Model, cfg Config) (Result, error) {
 	return mm.solve(cfg)
 }
 
-// SolveStrategy is Solve for a (strategy, params) pair: the closed forms are
-// bound to a pooled recurrence kernel, so the entire solve performs no heap
-// allocation.
+// SolveStrategy is SolveStrategies for one strategy.
 func SolveStrategy(s analysis.Strategy, p analysis.Params, cfg Config) (Result, error) {
+	var res [1]Result
+	var errs [1]error
+	SolveStrategies([]analysis.Strategy{s}, p, cfg, res[:], errs[:])
+	return res[0], errs[0]
+}
+
+// SolveStrategies runs Algorithm 1 for each strategy ss[i] over one job,
+// leaving its answer in res[i] and errs[i]: the plan, or ErrInfeasible (and
+// ErrSearchCap) when the strategy has none. It validates once — a
+// validation error is every strategy's — and solves on one pooled memo: the
+// kernel binds the job's terms once and rebinds only the strategy's for
+// each, and the memo's caches are emptied between strategies. Nothing is
+// allocated. res and errs must be at least as long as ss.
+func SolveStrategies(ss []analysis.Strategy, p analysis.Params, cfg Config, res []Result, errs []error) {
 	if err := validate(cfg, p); err != nil {
-		return Result{}, err
+		for i := range ss {
+			res[i], errs[i] = Result{}, err
+		}
+		return
 	}
-	mm := acquireStrategy(s, p)
+	mm := acquireJob(p)
 	defer mm.release()
-	return mm.solve(cfg)
+	for i, s := range ss {
+		mm.rebind(s)
+		res[i], errs[i] = mm.solve(cfg)
+	}
 }
 
 func validate(cfg Config, p analysis.Params) error {
@@ -96,7 +114,7 @@ func (m *memoModel) solve(cfg Config) (Result, error) {
 	// Phase 1: U is concave (hence unimodal) on r >= start. Bracket the peak
 	// by exponential probing, then binary-search the first difference. The
 	// closure does not escape concaveArgmax, so it stays on the stack.
-	bestR := concaveArgmax(func(r int) float64 { return cfg.Utility(m, r) }, start, searchCap)
+	bestR := concaveArgmax(func(r int) float64 { return m.utility(cfg, r) }, start, searchCap)
 	if bestR < 0 {
 		return Result{}, ErrSearchCap
 	}
@@ -104,7 +122,7 @@ func (m *memoModel) solve(cfg Config) (Result, error) {
 
 	// Phase 2: exhaustive scan below the concavity threshold.
 	for r := 0; r < start; r++ {
-		if cfg.Utility(m, r) > best.Utility {
+		if m.utility(cfg, r) > best.Utility {
 			best = m.pointAt(cfg, r)
 		}
 	}

@@ -65,11 +65,11 @@ func SolveCapped(s analysis.Strategy, p analysis.Params, cfg Config, budget floa
 // past the scan cap. Memoization makes the revisited r values slice hits.
 func (m *memoModel) scanWindow(cfg Config, unR int) []Point {
 	rFeas := 0
-	if math.IsInf(cfg.Utility(m, 0), -1) {
+	if math.IsInf(m.utility(cfg, 0), -1) {
 		lo, hi := 0, unR // invariant: lo infeasible, hi feasible
 		for hi-lo > 1 {
 			mid := lo + (hi-lo)/2
-			if math.IsInf(cfg.Utility(m, mid), -1) {
+			if math.IsInf(m.utility(cfg, mid), -1) {
 				lo = mid
 			} else {
 				hi = mid

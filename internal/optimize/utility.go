@@ -68,24 +68,15 @@ func (c Config) Validate() error {
 }
 
 // Utility evaluates the net utility U(r) for the given analytic model.
-// Returns -Inf when the PoCD does not exceed RMin.
+// Returns -Inf when the PoCD does not exceed RMin. Goldens and frontier
+// tables hold its bits: c.Theta*c.UnitPrice*mt associates left, and changing
+// the association changes low-order bits.
 func (c Config) Utility(m analysis.Model, r int) float64 {
 	pocd := m.PoCD(r)
 	if pocd <= c.RMin {
 		return math.Inf(-1)
 	}
-	return c.utilityAt(pocd, m.MachineTime(r))
-}
-
-// utilityAt assembles U from already-evaluated metrics with exactly the
-// operations Utility performs — c.Theta*c.UnitPrice*mt associates left, and
-// changing the association changes low-order bits — so values produced
-// either way are interchangeable in goldens and frontier tables.
-func (c Config) utilityAt(pocd, mt float64) float64 {
-	if pocd <= c.RMin {
-		return math.Inf(-1)
-	}
-	return math.Log10(pocd-c.RMin) - c.Theta*c.UnitPrice*mt
+	return math.Log10(pocd-c.RMin) - c.Theta*c.UnitPrice*m.MachineTime(r)
 }
 
 // UtilityFromMeasured computes the same net utility from measured PoCD and

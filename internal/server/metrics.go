@@ -17,7 +17,7 @@ import (
 )
 
 // stageBuckets covers the per-stage span range: a sharded cache lookup is
-// ~100 ns, a cold three-strategy solve 3.5–4 µs, a cross-replica forward or a
+// ~100 ns, a cold three-strategy solve ≈5 µs, a cross-replica forward or a
 // long replay's cumulative event writes can reach seconds. The default
 // request-latency buckets bottom out at 100 µs — far too coarse here.
 func stageBuckets() []float64 {
@@ -344,7 +344,7 @@ func (m *serverMetrics) catalog() []series {
 	tenantPlans := m.perTenant("strategy", func(tm *tenantMetrics) *counterVec[string] { return &tm.plans })
 
 	return []series{
-		{"chronosd_requests_total", "counter", "Requests served, by endpoint and status code.", "TestMetricsEndpoint", nil, requests},
+		{"chronosd_requests_total", "counter", "Requests served, by endpoint and status code; 499: the client left before anything was written.", "TestMetricsEndpoint", nil, requests},
 		{"chronosd_request_duration_seconds", "histogram", "Request latency, by endpoint.", "TestMetricsEndpoint", nil, durations},
 		{"chronosd_stage_seconds", "histogram", "Per-request time in each hot-path stage.", "TestMetricsExposeStageHistograms", nil, stages},
 		{"chronosd_plans_total", "counter", "Plans served, by winning strategy.", "TestAdmitEqualsBatchOfOne", nil, labelled("strategy", &m.plans)},

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"chronos"
 	"chronos/api"
+	"chronos/internal/obs"
 )
 
 // tinyStream builds n cheap one-task jobs arriving steadily.
@@ -253,9 +255,11 @@ func TestReplayConcurrencyCap(t *testing.T) {
 // TestSimulateHonorsContext: a /v1/replay whose client is gone before the
 // first event writes nothing. It used to answer 400 "context canceled", a
 // client error in chronosd_requests_total and the request log for a request
-// no one was left to read.
+// no one was left to read. Nor is it a 200: chronosd_requests_total and the
+// request line count it as 499, client closed.
 func TestSimulateHonorsContext(t *testing.T) {
-	s := New(Config{})
+	var log bytes.Buffer
+	s := New(Config{Logger: slog.New(obs.NewHandler(&log, slog.LevelInfo))})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	body, err := json.Marshal(api.ReplayRequest{Config: smallSimConfig(), Jobs: tinyStream(50)})
@@ -267,6 +271,29 @@ func TestSimulateHonorsContext(t *testing.T) {
 	s.Handler().ServeHTTP(rec, req)
 	if rec.Body.Len() != 0 {
 		t.Fatalf("cancelled replay wrote a body: %q", rec.Body.String())
+	}
+
+	var line struct {
+		Route  string `json:"route"`
+		Status int    `json:"status"`
+	}
+	if err := json.Unmarshal(log.Bytes(), &line); err != nil {
+		t.Fatalf("request line %q: %v", log.String(), err)
+	}
+	if line.Route != "/v1/replay" || line.Status != 499 {
+		t.Errorf("request line %q: want route /v1/replay, status 499", log.String())
+	}
+
+	scrape := httptest.NewRecorder()
+	s.Handler().ServeHTTP(scrape, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var replays []string
+	for _, l := range strings.Split(scrape.Body.String(), "\n") {
+		if strings.HasPrefix(l, `chronosd_requests_total{endpoint="/v1/replay"`) {
+			replays = append(replays, l)
+		}
+	}
+	if want := `chronosd_requests_total{endpoint="/v1/replay",code="499"} 1`; len(replays) != 1 || replays[0] != want {
+		t.Errorf("/metrics counts the replay as %q, want [%s]", replays, want)
 	}
 }
 

@@ -195,6 +195,9 @@ func (s *Server) route(pattern, label string, h http.HandlerFunc) {
 		w.Header().Set(obs.TraceHeader, tr.ID)
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r.WithContext(obs.NewContext(r.Context(), tr)))
+		if !rec.wrote && r.Context().Err() != nil {
+			rec.code = statusClientClosed // nothing went out: not a 200
+		}
 		elapsed := time.Since(tr.Start())
 		em.observe(rec.code, elapsed.Seconds())
 		// ServedByHeader is stamped by the sharded path (self or, after a
@@ -209,15 +212,27 @@ func (s *Server) route(pattern, label string, h http.HandlerFunc) {
 	})
 }
 
-// statusRecorder captures the response code for metrics.
+// statusClientClosed is the code counted and logged for a request whose
+// client was gone before the handler wrote anything (nginx's 499): no
+// status line was sent, so neither the implicit 200 nor an error applies.
+const statusClientClosed = 499
+
+// statusRecorder captures the response code for metrics, and whether the
+// handler wrote anything at all.
 type statusRecorder struct {
 	http.ResponseWriter
-	code int
+	code  int
+	wrote bool
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
+	r.code, r.wrote = code, true
 	r.ResponseWriter.WriteHeader(code)
+}
+
+func (r *statusRecorder) Write(b []byte) (int, error) {
+	r.wrote = true
+	return r.ResponseWriter.Write(b)
 }
 
 // Unwrap lets http.ResponseController reach the underlying writer's Flush
