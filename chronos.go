@@ -156,14 +156,17 @@ func (p JobParams) toAnalysis() (analysis.Params, error) {
 // analyticKind resolves a Chronos strategy to its closed forms:
 // ErrNotAnalytic for a baseline.
 func analyticKind(s Strategy) (analysis.Strategy, error) {
-	if s < Clone || s > SpeculativeResume {
+	switch s {
+	case Clone:
+		return analysis.StrategyClone, nil
+	case SpeculativeRestart:
+		return analysis.StrategyRestart, nil
+	case SpeculativeResume:
+		return analysis.StrategyResume, nil
+	default:
 		return 0, fmt.Errorf("%w: %v", ErrNotAnalytic, s)
 	}
-	return analyticKinds[s-Clone], nil
 }
-
-// analyticKinds lists the closed forms of ChronosStrategies, in its order.
-var analyticKinds = [...]analysis.Strategy{analysis.StrategyClone, analysis.StrategyRestart, analysis.StrategyResume}
 
 // analytic resolves a public (strategy, job) pair to the closed forms'
 // inputs: ErrNotAnalytic for a baseline, else the job's validation error.
@@ -220,18 +223,19 @@ func Optimize(s Strategy, p JobParams, e Econ) (Plan, error) {
 	return planOf(s, res, err)
 }
 
-// bestOf asks solve for each Chronos strategy's plan and returns the one of
-// highest utility; on a tie the earlier strategy in ChronosStrategies order
-// stays. A strategy that is infeasible at any budget (ErrInfeasible) or merely
-// unaffordable (ErrBudgetTooSmall) is skipped, any other error is returned at
-// once. When every strategy was skipped the bare sentinel is returned:
+// bestOf asks solve for each Chronos strategy's plan, passing the strategy
+// and its index in ChronosStrategies, and returns the one of highest
+// utility; on a tie the earlier strategy in ChronosStrategies order stays. A
+// strategy that is infeasible at any budget (ErrInfeasible) or merely
+// unaffordable (ErrBudgetTooSmall) is skipped, any other error is returned
+// at once. When every strategy was skipped the bare sentinel is returned:
 // ErrBudgetTooSmall if a bigger budget would have admitted one of them,
 // ErrInfeasible otherwise.
-func bestOf(solve func(Strategy) (Plan, error)) (Plan, error) {
+func bestOf(solve func(i int, s Strategy) (Plan, error)) (Plan, error) {
 	var best Plan
 	found, sawBudget := false, false
-	for _, s := range ChronosStrategies() {
-		plan, err := solve(s)
+	for i, s := range ChronosStrategies() {
+		plan, err := solve(i, s)
 		switch {
 		case errors.Is(err, optimize.ErrBudgetTooSmall):
 			sawBudget = true
@@ -259,10 +263,16 @@ func OptimizeBest(p JobParams, e Econ) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	var res [len(analyticKinds)]optimize.Result
-	var errs [len(analyticKinds)]error
-	optimize.SolveStrategies(analyticKinds[:], ap, optimize.Config(e), res[:], errs[:])
-	return bestOf(func(s Strategy) (Plan, error) { return planOf(s, res[s-Clone], errs[s-Clone]) })
+	var kinds [3]analysis.Strategy
+	for i, s := range ChronosStrategies() {
+		if kinds[i], err = analyticKind(s); err != nil {
+			return Plan{}, err
+		}
+	}
+	var res [len(kinds)]optimize.Result
+	var errs [len(kinds)]error
+	optimize.SolveStrategies(kinds[:], ap, optimize.Config(e), res[:], errs[:])
+	return bestOf(func(i int, s Strategy) (Plan, error) { return planOf(s, res[i], errs[i]) })
 }
 
 // OptimizeWithinBudget solves the joint optimization for one strategy
@@ -286,7 +296,7 @@ func OptimizeWithinBudget(s Strategy, p JobParams, e Econ, budget float64) (Plan
 // ErrInfeasible if any strategy was merely unaffordable (a bigger budget
 // would have admitted it).
 func OptimizeBestWithinBudget(p JobParams, e Econ, budget float64) (Plan, error) {
-	return bestOf(func(s Strategy) (Plan, error) { return OptimizeWithinBudget(s, p, e, budget) })
+	return bestOf(func(_ int, s Strategy) (Plan, error) { return OptimizeWithinBudget(s, p, e, budget) })
 }
 
 // MinCostForPoCD returns the cheapest plan for the strategy that reaches

@@ -69,7 +69,7 @@ func NewBudgetFrontier(s Strategy, p JobParams, e Econ) (*BudgetFrontier, error)
 func NewBudgetFrontierBest(p JobParams, e Econ) (*BudgetFrontier, error) {
 	bf := new(BudgetFrontier)
 	var err error
-	bf.unconstrained, err = bestOf(func(s Strategy) (Plan, error) { return bf.table(s, p, e) })
+	bf.unconstrained, err = bestOf(func(_ int, s Strategy) (Plan, error) { return bf.table(s, p, e) })
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func (bf *BudgetFrontier) PlanWithinBudget(budget float64) (Plan, error) {
 		// have Y" detail, best-of-three reports the bare sentinel.
 		return within(bf.pinned)
 	}
-	return bestOf(within)
+	return bestOf(func(_ int, s Strategy) (Plan, error) { return within(s) })
 }
 
 // Unconstrained returns the best unconstrained plan across the tables —

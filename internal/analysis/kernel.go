@@ -7,8 +7,8 @@ import "math"
 // concavity threshold Gamma (Theorem 8) — for one (strategy, Params) pair. It
 // is a recurrence kernel: binding hoists every r-invariant term (the
 // deadline-miss probabilities, the geometric ratio and its squares table, the
-// truncated-Pareto mean, Gamma; at the first MachineTime probe, the bases of
-// its powers) out of the per-probe path. A PoCD probe then costs a few multiplies and one integer
+// truncated-Pareto mean, Gamma, the bases of its powers) out of the
+// per-probe path. A PoCD probe then costs a few multiplies and one integer
 // power by squaring; a MachineTime probe costs Clone a few multiply-adds,
 // Resume one power of a cached base, and Restart three powers of cached
 // bases plus the series of restartSurvivorTail.
@@ -46,13 +46,10 @@ type Evaluator struct {
 	// failExtra is the geometric ratio rho of q(r) = A*rho^(r+c): the miss
 	// probability of one extra attempt (Clone: same as failOrig).
 	failExtra float64
-	powExtra  powTab  // squares table over failExtra, see powtab.go
-	meanAll   float64 // N * E[T], Restart's r == 0 machine time
-	// The bases of the survivor term's powers, read by MachineTime only and
-	// so set at its first probe (see bindBases).
-	basesBound bool
-	restart    restartPows // Restart's survivor bases
-	omPhi      powBase     // 1 - phi, Resume's survivor base
+	powExtra  powTab      // squares table over failExtra, see powtab.go
+	meanAll   float64     // N * E[T], Restart's r == 0 machine time
+	restart   restartPows // Restart's survivor bases
+	omPhi     powBase     // 1 - phi, Resume's survivor base
 }
 
 var _ Model = (*Evaluator)(nil)
@@ -101,7 +98,7 @@ func (e *Evaluator) BindJob(p Params) {
 // degenerates to -1.
 func (e *Evaluator) Rebind(s Strategy) {
 	p := &e.p
-	e.strat, e.basesBound = s, false
+	e.strat = s
 	switch s {
 	case StrategyClone:
 		e.failExtra = e.failOrig
@@ -116,6 +113,7 @@ func (e *Evaluator) Rebind(s Strategy) {
 		e.failExtra = failExtra
 		e.gamma = concavityThreshold(e.failOrig, failExtra, 0, e.lnNFail)
 		e.meanAll = e.nF * p.Task.Mean()
+		e.restart.init(*p)
 	case StrategyResume:
 		e.bindReactive()
 		phi := p.phi()
@@ -126,6 +124,7 @@ func (e *Evaluator) Rebind(s Strategy) {
 		}
 		e.failExtra = failExtra
 		e.gamma = concavityThreshold(e.failOrig, failExtra, 1, e.lnNFail)
+		e.omPhi.init(1 - phi)
 	default:
 		panic("analysis: unknown strategy")
 	}
@@ -211,9 +210,6 @@ func (e *Evaluator) MachineTime(r int) float64 {
 		if r == 0 {
 			return e.meanAll
 		}
-		if !e.basesBound {
-			e.bindBases()
-		}
 		straggler := p.TauEst + float64(r)*e.tauDiff + restartSurvivor(p, r, &e.restart)
 		perTask := e.hitTerm + straggler*e.failOrig
 		return e.nF * perTask
@@ -221,24 +217,9 @@ func (e *Evaluator) MachineTime(r int) float64 {
 		if r < 0 {
 			r = 0
 		}
-		if !e.basesBound {
-			e.bindBases()
-		}
 		straggler := p.TauEst + float64(r)*e.tauDiff + resumeSurvivor(p.Task.TMin, p.Task.Beta, &e.omPhi, r)
 		perTask := e.hitTerm + straggler*e.failOrig
 		return e.nF * perTask
-	}
-}
-
-// bindBases sets the bases of the reactive strategy's survivor powers. It
-// runs at the strategy's first MachineTime probe, so a caller that asks only
-// for PoCD, as DeadlineForPoCD's bisection does, never pays for them.
-func (e *Evaluator) bindBases() {
-	e.basesBound = true
-	if e.strat == StrategyRestart {
-		e.restart.init(e.p)
-	} else {
-		e.omPhi.init(1 - e.p.phi())
 	}
 }
 

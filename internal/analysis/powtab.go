@@ -91,9 +91,7 @@ func (b *powBase) init(x float64) {
 }
 
 // pow returns x^y, bit-identical to math.Pow(x, y). Past the special cases
-// every statement is math.Pow's, in its order, so the roundings are its;
-// only the final Ldexp of a normal a1 to a normal result, which moves just
-// the exponent field, is done in place.
+// every statement is math.Pow's, in its order, so the roundings are its.
 func (b *powBase) pow(y float64) float64 {
 	if b.x1 == 0 || !(y > 0 && y < 1<<63) || y == 0.5 || y == 1 {
 		return math.Pow(b.x, y)
@@ -127,10 +125,6 @@ func (b *powBase) pow(y float64) float64 {
 			x1 += x1
 			xe--
 		}
-	}
-	bits := math.Float64bits(a1)
-	if e := int(bits >> 52); e >= 1 && e <= 2046 && e+ae >= 1 && e+ae <= 2046 {
-		return math.Float64frombits(uint64(int64(bits) + int64(ae)<<52))
 	}
 	return math.Ldexp(a1, ae)
 }
