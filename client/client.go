@@ -1,7 +1,7 @@
 // Package client is the importable Go client for chronosd. It speaks every
 // /v1 endpoint with typed requests and responses, decodes the unified error
 // envelope into *client.Error, and — given the fleet's replica URLs — hashes
-// plan keys locally on the same consistent-hash ring the servers use, so
+// plan keys locally on the same rendezvous-hash ring the servers use, so
 // single-plan and admission requests go straight to the owning replica
 // instead of paying a server-side forward hop.
 //
@@ -79,7 +79,7 @@ func NewFleet(replicas []string, opts ...Option) (*Client, error) {
 	}
 	c := &Client{replicas: cleaned, http: http.DefaultClient}
 	if len(cleaned) > 1 {
-		c.ring = ring.New(cleaned, 0)
+		c.ring = ring.New(cleaned)
 	}
 	for _, opt := range opts {
 		opt(c)

@@ -35,7 +35,7 @@
 // /debug/traces, so profiling never shares the serving listener.
 //
 // With -self/-peers (or a -ring membership file), the replica joins a
-// consistent-hash ring over the fleet: /v1/plan and /v1/admit requests whose
+// rendezvous-hash ring over the fleet: /v1/plan and /v1/admit requests whose
 // plan key another replica owns are proxied there, so the fleet's LRU caches
 // partition the keyspace instead of overlapping. An unreachable owner
 // degrades to local computation (per-peer circuit breaking with a single
@@ -86,7 +86,7 @@ func main() {
 		cacheCapacity = flag.Int("cache-capacity", 4096, "total cached plans across shards")
 		maxBody       = flag.Int64("max-body", 1<<20, "request body limit in bytes")
 		tenantsPath   = flag.String("tenants", "", "tenant budget-pool config file (JSON); SIGHUP reloads it")
-		self          = flag.String("self", "", "this replica's base URL in the consistent-hash ring")
+		self          = flag.String("self", "", "this replica's base URL in the rendezvous-hash ring")
 		peers         = flag.String("peers", "", "comma-separated fleet base URLs (ring membership)")
 		ringPath      = flag.String("ring", "", "ring membership file (JSON {self, peers}); SIGHUP reloads it")
 		escrow        = flag.Bool("escrow", false, "fleet-exact tenant budgets via the escrow ledger (off = per-replica approximation)")

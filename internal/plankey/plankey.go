@@ -1,6 +1,6 @@
 // Package plankey owns the canonical plan-key format: the bytes that
 // identify one optimization request across the whole fleet. The serving
-// layer keys its sharded plan cache and its consistent-hash ring with it,
+// layer keys its sharded plan cache and its rendezvous-hash ring with it,
 // and the client package hashes it locally to route requests straight to
 // the owning replica — both sides must build byte-identical keys, which is
 // why the format lives in one package instead of two.

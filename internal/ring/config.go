@@ -9,7 +9,7 @@ import (
 	"net"
 	"net/url"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -36,7 +36,7 @@ func (m Membership) Enabled() bool {
 // Validate checks the invariants the serving layer depends on: a ring with
 // peers must know its own identity, and every member, self included, must be
 // a base URL its peers can dial (see DialAddr). A member that cannot be
-// dialed would otherwise load without a word and cost its arc of the
+// dialed would otherwise load without a word and cost its share of the
 // keyspace: every forward to it fails, its breaker opens, and its keys are
 // served by cold local fallback for as long as the membership stands.
 func (m Membership) Validate() error {
@@ -83,22 +83,14 @@ func DialAddr(member string) (string, error) {
 // Members returns the full deduplicated member set — peers plus self, each
 // normalized with NormalizeURL — sorted for determinism.
 func (m Membership) Members() []string {
-	seen := make(map[string]bool, len(m.Peers)+1)
 	out := make([]string, 0, len(m.Peers)+1)
-	add := func(u string) {
-		u = NormalizeURL(u)
-		if u == "" || seen[u] {
-			return
+	for _, u := range append([]string{m.Self}, m.Peers...) {
+		if u = NormalizeURL(u); u != "" {
+			out = append(out, u)
 		}
-		seen[u] = true
-		out = append(out, u)
 	}
-	add(m.Self)
-	for _, p := range m.Peers {
-		add(p)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // NormalizeURL canonicalizes a member URL so that textual variants of the

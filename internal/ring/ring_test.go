@@ -39,7 +39,7 @@ func fleet(n int) []string {
 }
 
 func TestNewDedupesAndSorts(t *testing.T) {
-	r := New([]string{"b", "", "a", "b", "a"}, 8)
+	r := New([]string{"b", "", "a", "b", "a"})
 	got := r.Nodes()
 	want := []string{"a", "b"}
 	if len(got) != len(want) || got[0] != "a" || got[1] != "b" {
@@ -51,34 +51,28 @@ func TestNewDedupesAndSorts(t *testing.T) {
 }
 
 func TestEmptyRingHasNoOwner(t *testing.T) {
-	r := New(nil, 0)
+	r := New(nil)
 	if owner, ok := r.Owner("key"); ok {
 		t.Fatalf("empty ring returned owner %q", owner)
 	}
-	if f := r.OwnedFraction("anyone"); f != 0 {
-		t.Fatalf("empty ring OwnedFraction = %g, want 0", f)
+	if owner, ok := r.OwnerBytes([]byte("key")); ok {
+		t.Fatalf("empty ring returned owner %q", owner)
 	}
 }
 
 func TestSingleNodeOwnsEverything(t *testing.T) {
-	r := New([]string{"solo"}, 0)
+	r := New([]string{"solo"})
 	for _, key := range sampleKeys(100) {
 		owner, ok := r.Owner(key)
 		if !ok || owner != "solo" {
 			t.Fatalf("Owner(%q) = %q, %v; want solo, true", key, owner, ok)
 		}
 	}
-	if f := r.OwnedFraction("solo"); math.Abs(f-1) > 1e-9 {
-		t.Fatalf("OwnedFraction(solo) = %g, want 1", f)
-	}
-	if f := r.OwnedFraction("other"); f != 0 {
-		t.Fatalf("OwnedFraction(other) = %g, want 0", f)
-	}
 }
 
 func TestOwnerIsDeterministicAcrossConstructions(t *testing.T) {
 	nodes := fleet(5)
-	a, b := New(nodes, 0), New(nodes, 0)
+	a, b := New(nodes), New(nodes)
 	for _, key := range sampleKeys(1000) {
 		oa, _ := a.Owner(key)
 		ob, _ := b.Owner(key)
@@ -91,7 +85,7 @@ func TestOwnerIsDeterministicAcrossConstructions(t *testing.T) {
 func TestOwnerIgnoresMemberOrder(t *testing.T) {
 	nodes := fleet(6)
 	shuffled := []string{nodes[3], nodes[0], nodes[5], nodes[1], nodes[4], nodes[2]}
-	a, b := New(nodes, 0), New(shuffled, 0)
+	a, b := New(nodes), New(shuffled)
 	for _, key := range sampleKeys(1000) {
 		oa, _ := a.Owner(key)
 		ob, _ := b.Owner(key)
@@ -108,7 +102,7 @@ func TestKeyDistributionNearUniform(t *testing.T) {
 	keys := sampleKeys(10000)
 	for n := 3; n <= 16; n++ {
 		nodes := fleet(n)
-		r := New(nodes, 0)
+		r := New(nodes)
 		counts := make(map[string]int, n)
 		for _, key := range keys {
 			owner, ok := r.Owner(key)
@@ -128,106 +122,98 @@ func TestKeyDistributionNearUniform(t *testing.T) {
 	}
 }
 
-// TestOwnedFractionMatchesSampledShare cross-checks the analytic arc-width
-// gauge against the empirical key distribution and confirms the fractions
-// partition the keyspace (sum to 1).
-func TestOwnedFractionMatchesSampledShare(t *testing.T) {
-	keys := sampleKeys(10000)
-	for _, n := range []int{3, 8, 16} {
-		nodes := fleet(n)
-		r := New(nodes, 0)
-		counts := make(map[string]int, n)
-		for _, key := range keys {
-			owner, _ := r.Owner(key)
-			counts[owner]++
-		}
-		var sum float64
-		for _, node := range nodes {
-			f := r.OwnedFraction(node)
-			sum += f
-			sampled := float64(counts[node]) / float64(len(keys))
-			if math.Abs(f-sampled) > 0.03 {
-				t.Errorf("n=%d: %s OwnedFraction %.4f vs sampled share %.4f", n, node, f, sampled)
-			}
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("n=%d: fractions sum to %.12f, want 1", n, sum)
-		}
-	}
-}
-
-// TestMembershipChangeRemapsFewKeys is the consistency property: growing or
-// shrinking the fleet by one replica remaps fewer than 2/N of the keys — no
-// full reshuffle, so a rolling resize keeps most of the fleet cache warm.
+// TestMembershipChangeRemapsFewKeys is the consistency property: a join
+// moves only the keys the joiner wins, and a leave moves only the leaver's
+// keys, so a rolling resize keeps the rest of the fleet cache warm.
 func TestMembershipChangeRemapsFewKeys(t *testing.T) {
 	keys := sampleKeys(10000)
 	for _, n := range []int{3, 4, 8, 15} {
 		grown := fleet(n + 1)
-		base := grown[:n]
-		before := New(base, 0)
-		after := New(grown, 0)
+		joiner := grown[n]
+		before := New(grown[:n])
+		after := New(grown)
 
-		moved := 0
+		won := 0
 		for _, key := range keys {
 			ob, _ := before.Owner(key)
 			oa, _ := after.Owner(key)
-			if ob != oa {
-				moved++
+			switch {
+			case oa == joiner:
+				won++
+			case ob != oa:
+				t.Fatalf("adding %s to %d members moved %q from %s to %s", joiner, n, key, ob, oa)
 			}
 		}
-		limit := 2 * len(keys) / (n + 1)
-		if moved >= limit {
-			t.Errorf("adding 1 node to %d remapped %d/%d keys, limit %d",
-				n, moved, len(keys), limit)
+		if won == 0 {
+			t.Errorf("adding 1 member to %d: the joiner won none of %d keys", n, len(keys))
 		}
 
-		// Removal is the inverse comparison: everything the departed node
-		// owned must move, and (almost) nothing else.
-		moved = 0
+		// Removal is the inverse comparison: everything the leaver owned
+		// moves, and nothing else.
 		for _, key := range keys {
-			ob, _ := after.Owner(key)
-			oa, _ := before.Owner(key)
-			if ob != oa {
-				moved++
+			oa, _ := after.Owner(key)
+			ob, _ := before.Owner(key)
+			if oa != joiner && ob != oa {
+				t.Fatalf("removing %s from %d members moved %q from %s to %s", joiner, n+1, key, oa, ob)
 			}
-		}
-		limit = 2 * len(keys) / (n + 1)
-		if moved >= limit {
-			t.Errorf("removing 1 node from %d remapped %d/%d keys, limit %d",
-				n+1, moved, len(keys), limit)
 		}
 	}
 }
 
-// TestRendezvousTieBreak drives the collision path directly: two members'
-// virtual points on the same circle position must split the contested arc
-// deterministically by rendezvous score, not hand it all to the
-// lexicographically first member.
-func TestRendezvousTieBreak(t *testing.T) {
-	r := &Ring{
-		nodes: []string{"a", "b"},
-		points: []point{
-			{hash: 1 << 32, node: "a"},
-			{hash: 1 << 32, node: "b"},
-		},
-	}
+// TestOwnerIsHighestScore holds Owner and OwnerBytes to a brute-force
+// argmax of the score over the members, in construction order, with a tie
+// going to the member whose name sorts first.
+func TestOwnerIsHighestScore(t *testing.T) {
+	nodes := fleet(7)
+	nodes[0], nodes[6] = nodes[6], nodes[0]
+	r := New(nodes)
 	counts := map[string]int{}
 	for _, key := range sampleKeys(2000) {
-		owner, ok := r.Owner(key)
-		if !ok {
-			t.Fatal("tied ring returned no owner")
+		want, wantScore := "", uint64(0)
+		for _, n := range nodes {
+			s := score(Hash(key), Hash(n))
+			if want == "" || s > wantScore || (s == wantScore && n < want) {
+				want, wantScore = n, s
+			}
 		}
-		want := "a"
-		if sb := rendezvousScore(key, "b"); sb > rendezvousScore(key, "a") {
-			want = "b"
+		if owner, ok := r.Owner(key); !ok || owner != want {
+			t.Fatalf("Owner(%q) = %q, %v; the highest score is %s's", key, owner, ok, want)
 		}
-		if owner != want {
-			t.Fatalf("Owner(%q) = %q, rendezvous says %q", key, owner, want)
+		if owner, _ := r.OwnerBytes([]byte(key)); owner != want {
+			t.Fatalf("OwnerBytes(%q) = %q; the highest score is %s's", key, owner, want)
 		}
-		counts[owner]++
+		counts[want]++
 	}
-	if counts["a"] == 0 || counts["b"] == 0 {
-		t.Fatalf("tie-break never chose one side: %v", counts)
+	if len(counts) != len(nodes) {
+		t.Errorf("2000 keys went to %d of %d members: %v", len(counts), len(nodes), counts)
+	}
+
+	// Two members whose hashes collide score every key alike.
+	tied := &Ring{nodes: []string{"a", "b"}, hashes: []uint64{Hash("b"), Hash("b")}}
+	for _, key := range sampleKeys(100) {
+		if owner, _ := tied.Owner(key); owner != "a" {
+			t.Fatalf("tied Owner(%q) = %q, want a (sorts first)", key, owner)
+		}
+	}
+}
+
+// TestHashPinned holds Hash to the values the plan cache's own key hash
+// returned before the ring shared it, on real plan keys and on short keys
+// that exercise the byte-wise tail: every key keeps its cache shard.
+func TestHashPinned(t *testing.T) {
+	keys := sampleKeys(4)
+	econ := chronos.Econ{Theta: 1e-4, UnitPrice: 1}
+	keys = append(keys, plankey.Key("etl", chronos.JobParams{Tasks: 10, Deadline: 100, TMin: 10, Beta: 2, TauEst: 3, TauKill: 6}, econ),
+		"", "a", "tenant\x00etl", "http://10.0.0.1:8080")
+	want := []uint64{0x69a81c9e40853709, 0xaf388c12152a3a3, 0xfccd9f4633511c9b, 0x3f9a99e1a25bd0e0,
+		0xeffb5492f4b74fad, 0xefd01f60ba992926, 0x82a2a958a9bece5b, 0x86ada9413fc9aba3, 0x29a2fdcff4ec63d1}
+	for i, key := range keys {
+		if got := Hash(key); got != want[i] {
+			t.Errorf("Hash(%q) = %#x, want %#x", key, got, want[i])
+		}
+		if got := Hash([]byte(key)); got != want[i] {
+			t.Errorf("Hash([]byte(%q)) = %#x, want %#x", key, got, want[i])
+		}
 	}
 }
 
@@ -238,7 +224,7 @@ func TestRendezvousTieBreak(t *testing.T) {
 // the remaining members, and no other key changes owner.
 func TestSuccessorInheritsOnEviction(t *testing.T) {
 	nodes := fleet(5)
-	r := New(nodes, 0)
+	r := New(nodes)
 	for _, dead := range nodes {
 		survivors := make([]string, 0, len(nodes)-1)
 		for _, n := range nodes {
@@ -246,7 +232,7 @@ func TestSuccessorInheritsOnEviction(t *testing.T) {
 				survivors = append(survivors, n)
 			}
 		}
-		after := New(survivors, 0)
+		after := New(survivors)
 		inherited := map[string]int{}
 		for _, key := range sampleKeys(2000) {
 			owner, _ := r.Owner(key)
@@ -261,7 +247,7 @@ func TestSuccessorInheritsOnEviction(t *testing.T) {
 			}
 		}
 		if len(inherited) < 2 {
-			t.Errorf("the keys of %s all went to one member: %v (virtual nodes should spread them)", dead, inherited)
+			t.Errorf("the keys of %s all went to one member: %v (the scores should spread them)", dead, inherited)
 		}
 	}
 }
@@ -308,7 +294,7 @@ func TestMembershipValidate(t *testing.T) {
 
 // TestValidateRejectsUndialableMember: a member URL no replica can dial used
 // to load without a word — every forward to it failed, its breaker opened,
-// and its arc of the keyspace was served by cold local fallback for good.
+// and its share of the keyspace was served by cold local fallback for good.
 func TestValidateRejectsUndialableMember(t *testing.T) {
 	for _, member := range []string{
 		"127.0.0.1:8081",    // no scheme
@@ -428,7 +414,7 @@ func TestLoadFileRejectsUndialableMember(t *testing.T) {
 }
 
 func BenchmarkOwner(b *testing.B) {
-	r := New(fleet(8), 0)
+	r := New(fleet(8))
 	keys := sampleKeys(1024)
 	b.ReportAllocs()
 	b.ResetTimer()

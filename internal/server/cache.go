@@ -2,44 +2,15 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"sync"
 
 	"chronos"
 	"chronos/internal/metrics"
+	"chronos/internal/ring"
 )
-
-// FNV-1a's constants, inlined: hash/fnv's New64a allocates its state on
-// every call, which would be the plan cache's only allocation on a hit.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// keyHash is FNV-1a's xor-multiply step over whole 8-byte words, then over
-// the tail bytes, finished by MurmurHash3's fmix64 so the low bits that pick
-// the shard depend on every input bit. A plan key is mostly fixed-width
-// words, so this takes a tenth of the multiplies a byte-wise FNV-1a would.
-func keyHash(key []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for ; len(key) >= 8; key = key[8:] {
-		h ^= binary.LittleEndian.Uint64(key)
-		h *= fnvPrime64
-	}
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
 
 // planCache is a sharded LRU over optimized plans. Each shard has its own
-// mutex, hash index and recency list; the key's keyHash picks the shard, so
+// mutex, hash index and recency list; the key's ring.Hash picks the shard, so
 // concurrent planners contend only 1/shards of the time.
 type planCache struct {
 	shards []cacheShard
@@ -105,7 +76,7 @@ func newPlanCache(shards, capacity int) *planCache {
 
 // lock returns key's shard, locked, and the key's hash.
 func (c *planCache) lock(key []byte) (*cacheShard, uint64) {
-	h := keyHash(key)
+	h := ring.Hash(key)
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
 	return s, h

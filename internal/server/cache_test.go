@@ -16,6 +16,7 @@ import (
 	"chronos"
 	"chronos/api"
 	"chronos/internal/plankey"
+	"chronos/internal/ring"
 )
 
 // TestPlanBytesIndependentOfFillOrder sends two bodies that differ only past
@@ -185,7 +186,7 @@ func TestPlanCacheMatchesReferenceLRU(t *testing.T) {
 
 // TestKeyHashSpreadsPlanKeys checks that plan keys of jobs differing only in
 // a few round-valued fields — whose words differ only in their high bits —
-// still spread evenly over the 16 shards the low bits of keyHash pick.
+// still spread evenly over the 16 shards the low bits of ring.Hash pick.
 func TestKeyHashSpreadsPlanKeys(t *testing.T) {
 	const shards, n = 16, 16000
 	var count [shards]int
@@ -193,7 +194,7 @@ func TestKeyHashSpreadsPlanKeys(t *testing.T) {
 		job := testJob()
 		job.Tasks = 1 + i%40
 		job.Deadline = float64(100 + i/40)
-		count[keyHash([]byte(plankey.Key("", job, testEcon())))%shards]++
+		count[ring.Hash(plankey.Key("", job, testEcon()))%shards]++
 	}
 	for s, c := range count {
 		if c < n/shards*9/10 || c > n/shards*11/10 {
@@ -215,10 +216,10 @@ func TestPlanCacheHashCollision(t *testing.T) {
 	c.put(a, planA)
 	c.setFrontier(a, tableA)
 	s := &c.shards[0]
-	i := s.index[keyHash(a)]
-	delete(s.index, keyHash(a))
-	s.index[keyHash(b)] = i
-	s.slots[i].hash = keyHash(b)
+	i := s.index[ring.Hash(a)]
+	delete(s.index, ring.Hash(a))
+	s.index[ring.Hash(b)] = i
+	s.slots[i].hash = ring.Hash(b)
 
 	if plan, ok := c.get(b); ok {
 		t.Errorf("get(b) hit with %+v from a's slot", plan)

@@ -72,7 +72,7 @@ type Config struct {
 	// Default 4.
 	MaxActiveReplays int
 
-	// Self and Peers are the initial consistent-hash ring membership: Self
+	// Self and Peers are the initial rendezvous-hash ring membership: Self
 	// is this replica's advertised base URL, Peers the fleet's base URLs
 	// (Self may be included or not). Both empty disables sharding; Peers
 	// without Self is a startup error. Swappable at runtime with

@@ -82,26 +82,22 @@ func newEscrowManager(s *Server, led *tenant.EscrowLedger) *escrowManager {
 
 // ownsTenant reports whether this replica is the tenant's pool owner (true
 // whenever sharding is off: a solo replica owns everything).
-func (m *escrowManager) ownsTenant(name string) bool {
-	owner, local := m.tenantOwner(name)
-	return local || owner == ""
-}
+func (m *escrowManager) ownsTenant(name string) bool { return m.tenantOwner(name) == "" }
 
-// tenantOwner resolves the tenant's pool owner: local == true means this
-// replica (or sharding is off); otherwise owner is the peer's base URL. A dead
-// owner stays the owner: only its pool has seen the tenant's debits, so while
-// its breaker is open leaseCall fails and this replica refuses instead of
+// tenantOwner resolves the tenant's pool owner: "" means this replica (or
+// sharding is off); otherwise it is the peer's base URL. A dead owner stays
+// the owner: only its pool has seen the tenant's debits, so while its
+// breaker is open leaseCall fails and this replica refuses instead of
 // spending a pool of its own.
-func (m *escrowManager) tenantOwner(name string) (owner string, local bool) {
+func (m *escrowManager) tenantOwner(name string) string {
 	rs := m.srv.ringSt.Load()
 	if rs == nil {
-		return "", true
+		return ""
 	}
-	owner, ok := rs.ring.Owner(tenantKeyPrefix + name)
-	if !ok || owner == rs.self {
-		return "", true
+	if owner, _ := rs.ring.Owner(tenantKeyPrefix + name); owner != rs.self {
+		return owner
 	}
-	return owner, false
+	return ""
 }
 
 // lease returns the holder-side lease for tenant, creating it on first use.
@@ -130,8 +126,8 @@ func (m *escrowManager) leaseTarget(pool *tenant.Pool) float64 {
 // owns the tenant, the local lease (with synchronous owner top-ups) when it
 // does not.
 func (m *escrowManager) budgetFor(ctx context.Context, name string, pool *tenant.Pool) budgeter {
-	owner, local := m.tenantOwner(name)
-	if local {
+	owner := m.tenantOwner(name)
+	if owner == "" {
 		return &ownerBudget{led: m.led, name: name, pool: pool}
 	}
 	return &leaseBudget{m: m, ctx: ctx, name: name, owner: owner, pool: pool, lease: m.lease(name)}
@@ -343,8 +339,8 @@ func (m *escrowManager) shutdown() {
 		}
 		m.mu.Unlock()
 		for name, lease := range leases {
-			owner, local := m.tenantOwner(name)
-			if local {
+			owner := m.tenantOwner(name)
+			if owner == "" {
 				continue
 			}
 			_, _ = m.leaseCall(ctx, owner, escrowLeaseRequest{

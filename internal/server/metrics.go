@@ -268,7 +268,6 @@ type series struct {
 type sampleWriter func(w io.Writer, name string, sc *scrape)
 
 func hasEscrow(sc *scrape) bool { return sc.esc != nil }
-func hasRing(sc *scrape) bool   { return sc.rs != nil }
 
 // counter writes an unlabelled counter's one sample.
 func counter(c *metrics.Counter) sampleWriter {
@@ -338,7 +337,6 @@ func (m *serverMetrics) catalog() []series {
 		}
 		return sc.rs.ring.Len()
 	})
-	ownedFraction := gauge(func(sc *scrape) float64 { return sc.rs.ring.OwnedFraction(sc.rs.self) })
 	uptime := gauge(func(*scrape) float64 { return time.Since(m.start).Seconds() })
 	rejects := m.perTenant("reason", func(tm *tenantMetrics) *counterVec[string] { return &tm.rejects })
 	tenantPlans := m.perTenant("strategy", func(tm *tenantMetrics) *counterVec[string] { return &tm.plans })
@@ -364,8 +362,7 @@ func (m *serverMetrics) catalog() []series {
 		{"chronosd_replays_active", "gauge", "Replay streams currently open.", "TestReplayClientDisconnect", nil, replaysActive},
 		{"chronosd_replay_jobs_total", "counter", "Jobs replayed to completion over /v1/replay.", "TestReplayStreamProtocol", nil, counter(&m.replayJobs)},
 		{"chronosd_replay_events_total", "counter", "NDJSON events emitted over /v1/replay.", "TestReplayStreamProtocol", nil, counter(&m.replayEvents)},
-		{"chronosd_ring_nodes", "gauge", "Replicas in the consistent-hash ring (0 = sharding off).", "TestRingMetricsGauges", nil, ringNodes},
-		{"chronosd_ring_owned_fraction", "gauge", "Fraction of the plan keyspace this replica owns.", "TestRingMetricsGauges", hasRing, ownedFraction},
+		{"chronosd_ring_nodes", "gauge", "Replicas in the ring; each owns 1/n of the plan keys (0 = sharding off).", "TestRingMetricsGauges", nil, ringNodes},
 		{"chronosd_ring_forwarded_total", "counter", "Requests proxied to the owning replica, by peer.", "bench:server.forwarded_frac", nil, labelled("peer", &m.ringForwards)},
 		{"chronosd_ring_peer_errors_total", "counter", "Failed peer calls (forwards and escrow leases), by peer.", "TestPeerCall", nil, labelled("peer", &m.ringErrors)},
 		{"chronosd_ring_peer_dials_total", "counter", "Connections dialed to a peer; peer calls reuse them, so forwards per dial is the reuse ratio.", "TestPeerCall", nil, labelled("peer", &m.ringDials)},

@@ -32,9 +32,14 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	s := New(Config{
 		Tenants: reg, Escrow: true,
-		Self: "http://127.0.0.1:3", Peers: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		Self: "http://127.0.0.1:10", Peers: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
 	})
 	defer s.Close()
+	// Self is the first port from 3 up, as leaseHolder picks a holder, at
+	// which this replica owns alpha's pool and not beta's.
+	if !s.escrow.ownsTenant("alpha") || s.escrow.ownsTenant("beta") {
+		t.Fatal("the fixture must own alpha's pool and not beta's")
+	}
 	m := s.metrics
 	for _, code := range []int{200, 200, 200, 400, 1000, 99} {
 		seconds := 0.002

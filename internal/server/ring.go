@@ -21,7 +21,7 @@ const (
 	ServedByHeader      = "X-Chronosd-Served-By"
 )
 
-// ringState is one immutable view of the fleet: the consistent-hash ring
+// ringState is one immutable view of the fleet: the rendezvous-hash ring
 // over the member URLs plus per-peer forwarding state. Membership changes
 // (SetRing, typically on SIGHUP) swap in a whole new ringState; in-flight
 // requests keep the view they started with.
@@ -36,7 +36,7 @@ type ringState struct {
 }
 
 // SetRing swaps the operator-configured fleet membership, rebuilding the
-// consistent-hash ring. A zero Membership disables sharding (every key is
+// rendezvous-hash ring. A zero Membership disables sharding (every key is
 // computed locally). chronosd calls this on SIGHUP alongside SetTenants, so
 // one signal reloads both tenant budgets and ring membership.
 //
@@ -71,7 +71,7 @@ func (s *Server) applyRing(self string, members []string) {
 	sameSelf := old != nil && old.self == self
 	var cur *ringState
 	if len(members) > 0 {
-		r := ring.New(members, ring.DefaultVirtualNodes)
+		r := ring.New(members)
 		peers := make(map[string]*peerState, len(members))
 		for _, n := range r.Nodes() {
 			switch {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +19,7 @@ import (
 )
 
 // newRingFleet boots n in-process replicas and joins them into one
-// consistent-hash ring. Each replica gets its own Server (cache, metrics,
+// rendezvous-hash ring. Each replica gets its own Server (cache, metrics,
 // optional tenant registry via mkCfg) fronted by an httptest listener; ring
 // membership is applied after the listeners exist because the URLs are not
 // known before.
@@ -440,21 +439,13 @@ func TestNewPanicsOnInvalidRingConfig(t *testing.T) {
 	New(Config{Peers: []string{"http://b:1"}})
 }
 
-// TestRingMetricsGauges checks the membership gauges a fleet dashboard
-// scrapes: node count and this replica's owned-keyspace share.
+// TestRingMetricsGauges checks the membership gauge a fleet dashboard
+// scrapes: the node count, whose inverse is each replica's keyspace share.
 func TestRingMetricsGauges(t *testing.T) {
 	_, listeners := newRingFleet(t, 3, func(int) Config { return Config{} })
 	text := getMetricsText(t, listeners[0].URL)
 	if got := metricValue(text, "chronosd_ring_nodes"); got != "3" {
 		t.Errorf("chronosd_ring_nodes = %q, want 3", got)
-	}
-	frac := metricValue(text, "chronosd_ring_owned_fraction")
-	if frac == "" {
-		t.Fatal("chronosd_ring_owned_fraction missing")
-	}
-	f, err := strconv.ParseFloat(frac, 64)
-	if err != nil || f <= 0.05 || f >= 0.95 {
-		t.Errorf("chronosd_ring_owned_fraction = %q, want a proper share of a 3-replica ring", frac)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 
 // Server is one chronosd instance: HTTP handlers over the chronos planning
 // core, a sharded plan cache, a hot-swappable tenant registry,
-// consistent-hash plan-key sharding across a replica fleet, and
+// rendezvous-hash plan-key sharding across a replica fleet, and
 // Prometheus-style metrics.
 type Server struct {
 	cfg     Config

@@ -44,7 +44,7 @@ type wireCase struct {
 
 // wireHolder is the ring member the escrow rows' server grants leases to (see
 // leaseHolder).
-const wireHolder = "http://127.0.0.1:2"
+const wireHolder = "http://127.0.0.1:4"
 
 // wireMaxBody is the golden servers' -max-body: small, so the 413 rows stay
 // small.

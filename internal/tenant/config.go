@@ -3,6 +3,7 @@ package tenant
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -38,13 +39,8 @@ func Parse(data []byte) (*Registry, error) {
 	// fail the load, not silently leave the field at zero — RMin 0 admits
 	// worthless squeezed plans.
 	var f File
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
+	if err := decodeStrict(data, &f); err != nil {
 		return nil, fmt.Errorf("tenant: invalid config: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("tenant: invalid config: data after the document")
 	}
 	if len(f.Tenants) == 0 {
 		return nil, fmt.Errorf("tenant: config declares no tenants")
@@ -60,6 +56,20 @@ func Parse(data []byte) (*Registry, error) {
 		limits[pc.Name] = pc.Limits
 	}
 	return NewRegistry(limits)
+}
+
+// decodeStrict decodes the one JSON document in data into v. A key v has no
+// field for, or anything after the document, is an error.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the document")
+	}
+	return nil
 }
 
 // LoadFile reads and parses the tenant config at path.

@@ -130,8 +130,22 @@ func (s *Store) recover() error {
 	raw, err := os.ReadFile(filepath.Join(s.dir, snapshotFile))
 	switch {
 	case err == nil:
-		if err := json.Unmarshal(raw, &snap); err != nil {
+		// Strict, like a WAL line: with a damaged "pools" key a lenient
+		// decode restored every pool full. Snapshots from when leases
+		// expired carry an expiry per lease.
+		var doc struct {
+			Snapshot
+			Leases []struct {
+				LeaseRecord
+				Expiry json.RawMessage `json:"expiry"`
+			} `json:"leases"`
+		}
+		if err := decodeStrict(raw, &doc); err != nil {
 			return fmt.Errorf("tenant: snapshot %s: %w", snapshotFile, err)
+		}
+		snap = doc.Snapshot
+		for _, l := range doc.Leases {
+			snap.Leases = append(snap.Leases, l.LeaseRecord)
 		}
 		if snap.Pools == nil {
 			snap.Pools = map[string]float64{}
@@ -183,8 +197,8 @@ func (s *Store) recover() error {
 			// it) would restore budget that was spent.
 			return fmt.Errorf("tenant: wal %s: line %d is corrupt and records follow it; refusing to restore levels above their true spend", walFile, torn)
 		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, err := decodeRecord(line)
+		if err != nil {
 			// So far a torn final append from a crash: everything before it
 			// is intact, and if nothing follows the boot goes on without it.
 			torn, tornAt = lineNo, start
@@ -216,6 +230,26 @@ func (s *Store) recover() error {
 	snap.Leases = flattenLeases(leases)
 	s.snap = snap
 	return nil
+}
+
+// decodeRecord decodes one WAL line. A key a Record does not have or an op
+// replay does not know makes the line undecodable, like a torn one: decoded
+// leniently, one damaged byte in "debit", "amount" or "tenant" replayed a
+// debit as nothing and brought its spend back. Logs from when leases
+// expired also hold an expiry on grants.
+func decodeRecord(line []byte) (Record, error) {
+	var rec struct {
+		Record
+		Expiry json.RawMessage `json:"expiry"`
+	}
+	if err := decodeStrict(line, &rec); err != nil {
+		return Record{}, err
+	}
+	switch rec.Op {
+	case OpDebit, OpCredit, OpGrant, OpSpent, OpRelease, "renew", "reclaim":
+		return rec.Record, nil
+	}
+	return Record{}, fmt.Errorf("unknown op %q", rec.Op)
 }
 
 // leaseKey indexes a lease by tenant and holder.

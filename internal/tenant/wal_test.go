@@ -271,6 +271,84 @@ func TestStoreMidFileCorruptionFailsOpen(t *testing.T) {
 	}
 }
 
+// TestStoreDamagedNameIsUndecodable: recovery used to decode a WAL line
+// leniently, ignoring a key it did not know and replaying an op it did not
+// know as nothing. One damaged byte in the first of three debits of 100 —
+// "debiu", "amounu" or "tenanu" — then restored a pool of 1000 at 800, not
+// 700, and a damaged "pools" key in the snapshot restored every pool full.
+// Such a line is undecodable: followed by records it fails the open, and
+// last it is trimmed as a torn tail.
+func TestStoreDamagedNameIsUndecodable(t *testing.T) {
+	for _, damage := range [][2]string{
+		{`"debit"`, `"debiu"`}, {`"amount"`, `"amounu"`}, {`"tenant"`, `"tenanu"`},
+	} {
+		for _, last := range []bool{false, true} {
+			dir := t.TempDir()
+			st, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Compact(map[string]float64{"a": 1000}, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := st.Append(Record{Op: OpDebit, Tenant: "a", Amount: 100}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			walPath := filepath.Join(dir, walFile)
+			raw, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(string(raw), "\n")
+			i := 0
+			if last {
+				i = 2
+			}
+			lines[i] = strings.Replace(lines[i], damage[0], damage[1], 1)
+			if err := os.WriteFile(walPath, []byte(strings.Join(lines, "")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			st2, err := OpenStore(dir)
+			if !last {
+				if err == nil {
+					level := st2.State().Pools["a"]
+					st2.Close()
+					t.Errorf("%s in line 1 of 3: restored the pool at %v (true level 700)", damage[1], level)
+				} else if !strings.Contains(err.Error(), "line 1") {
+					t.Errorf("%s in line 1 of 3: error %q does not name the line", damage[1], err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s in the last line: %v, want it trimmed as a torn tail", damage[1], err)
+			}
+			if got := st2.State().Pools["a"]; got != 800 {
+				t.Errorf("%s in the last line: level %v, want 800", damage[1], got)
+			}
+			st2.Close()
+			if trimmed, _ := os.ReadFile(walPath); string(trimmed) != lines[0]+lines[1] {
+				t.Errorf("%s in the last line: log after open is %q, want the two intact lines", damage[1], trimmed)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	snap := `{"seq":0,"at":0,"poolt":{"a":100}}`
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := OpenStore(dir); err == nil {
+		st.Close()
+		t.Errorf("OpenStore accepted the snapshot %s", snap)
+	}
+}
+
 func TestStoreSequencesSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# ring-demo.sh — boots 3 chronosd replicas joined into one consistent-hash
+# ring-demo.sh — boots 3 chronosd replicas joined into one rendezvous-hash
 # ring and demonstrates the point of plan-key sharding: a plan computed via
 # replica A is a cache hit when the same job is requested via replica B,
 # because both forward the key to its single owning replica. It then sends a
