@@ -217,7 +217,4 @@ const (
 	CodeUnprocessable   = "unprocessable"
 	CodeUnavailable     = "unavailable"
 	CodeInternal        = "internal"
-	// CodeNotOwner answers an escrow lease call that landed on a replica
-	// that does not own the tenant key (membership race).
-	CodeNotOwner = "not_owner"
 )

@@ -1,15 +1,15 @@
 // Package client is the importable Go client for chronosd. It speaks every
 // /v1 endpoint with typed requests and responses, decodes the unified error
-// envelope into *client.Error, and — given the fleet's replica URLs — hashes
-// plan keys locally on the same rendezvous-hash ring the servers use, so
-// single-plan and admission requests go straight to the owning replica
-// instead of paying a server-side forward hop.
+// envelope into *client.Error, and — given the fleet's replica URLs — places
+// requests locally on the same rendezvous-hash ring the servers use, so a
+// single-job plan goes straight to the owner of its plan key, and an admit
+// or admit batch straight to its tenant's pool owner, instead of paying a
+// server-side forward hop.
 //
 // Client-side routing is a fast path, not a correctness requirement: the
 // servers verify ownership on every request and forward at most one hop, so
-// a stale fleet view or an admit whose tenant econ defaults the client
-// cannot see merely costs that hop. Keyless endpoints (batch, tradeoff,
-// replay) are spread round-robin across the fleet.
+// a stale fleet view merely costs that hop. Keyless endpoints (plan batch,
+// tradeoff, replay) are spread round-robin across the fleet.
 //
 // Admit and AdmitBatch are the only calls that spend a tenant's budget; a
 // rejection there is a 200 decision carrying a reason, not an *Error.
@@ -138,22 +138,30 @@ type (
 // Plan asks for one job's plan, routed client-side to the ring owner of its
 // plan key, failing over to one other replica on transport errors.
 func (c *Client) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, error) {
-	return postPlanKeyed[PlanResponse](ctx, c, req.Strategy, req.Job, req.Econ, "/v1/plan", req)
+	return post[PlanResponse](ctx, c, c.planTargets(req.Strategy, req.Job, req.Econ), "/v1/plan", req)
 }
 
-// Admit asks for an online admission decision, routed like Plan (the
-// servers key admission by the same plan key).
+// Admit asks for an online admission decision, routed client-side to the
+// tenant's pool owner, where the servers decide every admit, failing over to
+// one other replica on transport errors.
 func (c *Client) Admit(ctx context.Context, req AdmitRequest) (*AdmitResponse, error) {
-	return postPlanKeyed[AdmitResponse](ctx, c, req.Strategy, req.Job, req.Econ, "/v1/admit", req)
+	return post[AdmitResponse](ctx, c, c.tenantTargets(req.Tenant), "/v1/admit", req)
 }
 
-// postPlanKeyed posts a plan-keyed request to its ring owner, retrying on
-// one other replica after a transport error. An HTTP-level error
-// (*Error) is a live replica's answer and is returned as-is; only a replica
-// we could not talk to at all triggers failover, and a dead context stops
-// the walk (the caller gave up, not the replica).
-func postPlanKeyed[T any](ctx context.Context, c *Client, strategy string, job chronos.JobParams, econ chronos.Econ, path string, req any) (resp *T, err error) {
-	for _, base := range c.planTargets(strategy, job, econ) {
+// AdmitBatch asks for admission decisions for several same-tenant jobs: one
+// POST, routed and failed over like Admit. The tenant's pool owner decides
+// the jobs in order and settles the accepted set in a single ledger debit.
+func (c *Client) AdmitBatch(ctx context.Context, req AdmitBatchRequest) (*AdmitBatchResponse, error) {
+	return post[AdmitBatchResponse](ctx, c, c.tenantTargets(req.Tenant), "/v1/admit/batch", req)
+}
+
+// post posts req to the first of targets, retrying on the next after a
+// transport error. An HTTP-level error (*Error) is a live replica's answer
+// and is returned as-is; only a replica we could not talk to at all triggers
+// failover, and a dead context stops the walk (the caller gave up, not the
+// replica).
+func post[T any](ctx context.Context, c *Client, targets []string, path string, req any) (resp *T, err error) {
+	for _, base := range targets {
 		resp, err = roundTrip[T](ctx, c, base+path, req)
 		var httpErr *Error
 		if err == nil || errors.As(err, &httpErr) || ctx.Err() != nil {
@@ -168,7 +176,7 @@ func postPlanKeyed[T any](ctx context.Context, c *Client, strategy string, job c
 // answers correctly whatever it is (one forward hop, or a local solve when
 // the owner is down). Requests whose key cannot be computed (unknown
 // strategy name — the server will answer 400 anyway) and single-replica
-// clients get one round-robin target.
+// clients get one target.
 func (c *Client) planTargets(strategy string, job chronos.JobParams, econ chronos.Econ) []string {
 	if c.ring == nil {
 		return c.replicas[:1:1]
@@ -182,69 +190,28 @@ func (c *Client) planTargets(strategy string, job chronos.JobParams, econ chrono
 		name = strat.String()
 	}
 	owner, _ := c.ring.Owner(plankey.Key(name, job, econ))
+	return c.ownerFirst(owner)
+}
+
+// tenantTargets resolves the replicas for an admit in preference order: the
+// tenant's pool owner, then any one other replica, which relays to the owner
+// (or, while the owner is unreachable, refuses with budget_exhausted).
+func (c *Client) tenantTargets(tenant string) []string {
+	if c.ring == nil {
+		return c.replicas[:1:1]
+	}
+	owner, _ := c.ring.TenantOwner(tenant)
+	return c.ownerFirst(owner)
+}
+
+// ownerFirst returns owner followed by one other replica, the round-robin
+// cursor's next.
+func (c *Client) ownerFirst(owner string) []string {
 	second := c.next()
 	if second == owner {
 		second = c.next()
 	}
 	return []string{owner, second}
-}
-
-// AdmitBatch asks for admission decisions for several same-tenant jobs.
-// Against a fleet it groups the jobs by the ring owner of their plan key and
-// posts one sub-batch per owning replica — each sub-batch is decided on the
-// replica whose cache holds its plans and settled in a single ledger debit —
-// then reassembles the per-job results in input order. BudgetRemaining in
-// the merged response is the lowest level any contacted replica reported
-// (the most conservative fleet view). The first transport or HTTP error
-// aborts the whole call; jobs in sub-batches already decided by then may
-// have been admitted and debited.
-func (c *Client) AdmitBatch(ctx context.Context, req AdmitBatchRequest) (*AdmitBatchResponse, error) {
-	if c.ring == nil || len(req.Jobs) == 0 {
-		return roundTrip[AdmitBatchResponse](ctx, c, c.replicas[0]+"/v1/admit/batch", req)
-	}
-	// Group job indices by owning replica, preserving input order per group.
-	groups := make(map[string][]int)
-	var order []string
-	for i, j := range req.Jobs {
-		base := c.planTargets(j.Strategy, j.Job, req.Econ)[0]
-		if _, seen := groups[base]; !seen {
-			order = append(order, base)
-		}
-		groups[base] = append(groups[base], i)
-	}
-	merged := &AdmitBatchResponse{
-		Tenant:  req.Tenant,
-		Results: make([]AdmitBatchResult, len(req.Jobs)),
-	}
-	first := true
-	for _, base := range order {
-		idxs := groups[base]
-		sub := AdmitBatchRequest{
-			Tenant: req.Tenant,
-			Jobs:   make([]AdmitBatchJob, 0, len(idxs)),
-			Econ:   req.Econ,
-		}
-		for _, i := range idxs {
-			sub.Jobs = append(sub.Jobs, req.Jobs[i])
-		}
-		resp, err := roundTrip[AdmitBatchResponse](ctx, c, base+"/v1/admit/batch", sub)
-		if err != nil {
-			return nil, err
-		}
-		if len(resp.Results) != len(idxs) {
-			return nil, fmt.Errorf("chronosd: admit batch: replica %s answered %d results for %d jobs",
-				base, len(resp.Results), len(idxs))
-		}
-		for k, i := range idxs {
-			merged.Results[i] = resp.Results[k]
-		}
-		merged.Admitted += resp.Admitted
-		if first || resp.BudgetRemaining < merged.BudgetRemaining {
-			merged.BudgetRemaining = resp.BudgetRemaining
-		}
-		first = false
-	}
-	return merged, nil
 }
 
 // PlanBatch plans a shared-budget batch on the next replica in round-robin

@@ -212,10 +212,10 @@ func TestClientAdmitAndBatch(t *testing.T) {
 	}
 }
 
-// TestClientAdmitBatchFleet scatters one admission batch across a 3-replica
-// fleet: the client splits jobs by plan-key owner, each replica decides its
-// sub-batch locally (no forwards), and the merged results come back in
-// input order with every job's plan.
+// TestClientAdmitBatchFleet posts one admission batch to a 3-replica fleet:
+// the client sends it whole to the tenant's pool owner, which decides every
+// job (no forwards) and answers the results in input order with every job's
+// plan; no other replica's pool moves.
 func TestClientAdmitBatchFleet(t *testing.T) {
 	mkReg := func() *tenant.Registry {
 		reg, err := tenant.NewRegistry(map[string]tenant.Limits{
@@ -226,7 +226,7 @@ func TestClientAdmitBatchFleet(t *testing.T) {
 		}
 		return reg
 	}
-	c, _ := newFleet(t, 3, func(i int) server.Config {
+	c, servers := newFleet(t, 3, func(i int) server.Config {
 		return server.Config{Tenants: mkReg()}
 	})
 	ctx := context.Background()
@@ -254,21 +254,23 @@ func TestClientAdmitBatchFleet(t *testing.T) {
 			t.Fatalf("job %d: %+v, want admitted with a plan", i, res)
 		}
 		// Each job shape has a distinct optimal plan; recompute it to prove
-		// the scatter/gather preserved input order.
+		// the results are in input order.
 		want, err := chronos.OptimizeBest(jobs[i].Job, chronos.Econ{Theta: 1e-4, UnitPrice: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if *res.Plan != want {
-			t.Errorf("job %d: plan %+v, want %+v — scatter/gather reordered results",
+			t.Errorf("job %d: plan %+v, want %+v — results reordered",
 				i, *res.Plan, want)
 		}
 	}
 	if resp.BudgetRemaining <= 0 || resp.BudgetRemaining >= 1e6 {
-		t.Errorf("merged budgetRemaining = %g, want in (0, 1e6)", resp.BudgetRemaining)
+		t.Errorf("budgetRemaining = %g, want in (0, 1e6)", resp.BudgetRemaining)
 	}
 
-	// The client-side split means no replica should have paid a forward hop.
+	// The client sent the batch to the owner, so no replica paid a forward
+	// hop, and only the owner's pool moved.
+	owner := c.tenantTargets("team")[0]
 	for i, base := range c.Replicas() {
 		text, err := metricsAt(ctx, c, base)
 		if err != nil {
@@ -276,8 +278,59 @@ func TestClientAdmitBatchFleet(t *testing.T) {
 		}
 		for _, line := range strings.Split(text, "\n") {
 			if strings.HasPrefix(line, "chronosd_ring_forwarded_total") && !strings.HasSuffix(line, " 0") {
-				t.Errorf("replica %d forwarded during a grouped batch: %s", i, line)
+				t.Errorf("replica %d forwarded an admit batch: %s", i, line)
 			}
+		}
+		left := servers[i].Tenants().Get("team").Remaining()
+		if want := base == owner; (left < 1e6) != want {
+			t.Errorf("replica %d (owner: %v) has %g of its 1e6 pool left", i, want, left)
+		}
+	}
+}
+
+// TestFleetClientAdmitFailsOverFromDeadOwner: when the tenant's pool owner
+// cannot be reached, the admit is retried on one other replica, which
+// refuses it with budget_exhausted instead of spending a pool of its own.
+func TestFleetClientAdmitFailsOverFromDeadOwner(t *testing.T) {
+	reg := func() *tenant.Registry {
+		reg, err := tenant.NewRegistry(map[string]tenant.Limits{"team": {Budget: 1e6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	listeners := make(map[string]*httptest.Server)
+	servers := make([]*server.Server, 3)
+	var urls []string
+	for i := range servers {
+		servers[i] = server.New(server.Config{Tenants: reg()})
+		ts := httptest.NewServer(servers[i].Handler())
+		t.Cleanup(ts.Close)
+		listeners[ts.URL] = ts
+		urls = append(urls, ts.URL)
+	}
+	for i, s := range servers {
+		if err := s.SetRing(ring.Membership{Self: urls[i], Peers: urls}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewFleet(urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := c.tenantTargets("team")[0]
+	listeners[owner].Close()
+	job := chronos.JobParams{Tasks: 10, Deadline: 100, TMin: 10, Beta: 1.5, TauEst: 30, TauKill: 60}
+	dec, err := c.Admit(context.Background(), AdmitRequest{Tenant: "team", Job: job})
+	if err != nil {
+		t.Fatalf("admit with the owner down: %v", err)
+	}
+	if dec.Admitted || dec.Reason != api.ReasonBudgetExhausted {
+		t.Fatalf("admit with the owner down = %+v, want refused with %q", dec, api.ReasonBudgetExhausted)
+	}
+	for i, s := range servers {
+		if urls[i] != owner && s.Tenants().Get("team").Remaining() != 1e6 {
+			t.Errorf("survivor %d spent its copy of the pool", i)
 		}
 	}
 }

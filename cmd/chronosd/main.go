@@ -8,18 +8,19 @@
 //	chronosd [-addr :8080] [-cache-capacity 4096] [-max-body 1048576]
 //	         [-tenants tenants.json]
 //	         [-self http://host:port -peers url1,url2,... | -ring ring.json]
-//	         [-escrow] [-data-dir /var/lib/chronosd]
+//	         [-data-dir /var/lib/chronosd]
 //	         [-log-level info] [-log-sample 1] [-debug-addr 127.0.0.1:6060]
 //
 // Every other operating value (request-size and simulation limits, HTTP
-// timeouts, the peer-call timeout, lease fraction, snapshot interval, cache
-// shard count, trace-ring size) is a fixed constant in internal/server.
+// timeouts, the peer-call timeout, snapshot interval, cache shard count,
+// trace-ring size) is a fixed constant in internal/server.
 //
 // Endpoints:
 //
 //	POST /v1/plan        optimal plan for one job (cached hot path)
 //	POST /v1/plan/batch  shared-budget allocation across a job batch
 //	POST /v1/admit       online admission control against a tenant budget pool
+//	POST /v1/admit/batch admission decisions for several same-tenant jobs
 //	GET  /v1/tradeoff    PoCD/cost frontier for one strategy
 //	POST /v1/replay      discrete-event what-if run: NDJSON per-job events
 //	                     ending in the run's report, with optional
@@ -35,8 +36,8 @@
 // /debug/traces, so profiling never shares the serving listener.
 //
 // With -self/-peers (or a -ring membership file), the replica joins a
-// rendezvous-hash ring over the fleet: /v1/plan and /v1/admit requests whose
-// plan key another replica owns are proxied there, so the fleet's LRU caches
+// rendezvous-hash ring over the fleet: /v1/plan requests whose plan key
+// another replica owns are proxied there, so the fleet's LRU caches
 // partition the keyspace instead of overlapping. An unreachable owner
 // degrades to local computation (per-peer circuit breaking with a single
 // half-open probe per cooldown), never to a failed request. The breaker is
@@ -45,17 +46,16 @@
 // probe after its return forwards to it again. Plans are never persisted or
 // exchanged, because solving one (2.5 µs) costs less than moving it (4.0 µs).
 //
-// With -escrow, tenant budgets are fleet-exact instead of per-replica: the
-// ring owner of each tenant key holds the authoritative pool and every other
-// replica debits a local lease topped up over the internal /v1/escrow/lease
-// API, so concurrent admits across the whole fleet can never over-commit a
-// pool. A lease lives until its holder returns it: on a graceful shutdown
-// the holder drains each lease and the owner credits back what it held.
-// -data-dir makes the ledger durable (periodic snapshot + append-only WAL,
-// replayed on boot); it requires -escrow, and a data dir the owner cannot
-// write its boot snapshot to stops chronosd. A dead pool owner keeps its
-// tenants: once their leases run dry the survivors refuse those admits
-// instead of opening a second pool.
+// Tenant budgets are fleet-exact: the ring owner of each tenant key (every
+// replica, without a ring) holds the tenant's one pool, and /v1/admit and
+// /v1/admit/batch are decided and debited there only. Any other replica
+// relays them to the owner unchanged; while the owner cannot be reached it
+// refuses them with budget_exhausted and never spends a pool of its own, so
+// a dead owner's tenants are refused instead of handed a second pool.
+// -data-dir makes the pools this replica owns durable (periodic snapshot +
+// append-only WAL, replayed on boot); a data dir the owner cannot write its
+// boot snapshot to stops chronosd. -escrow, which once selected this mode,
+// is accepted and ignored.
 //
 // SIGHUP re-reads the -tenants and -ring config files: tenant reloads carry
 // live ledger levels over for pools whose budget shape is unchanged and
@@ -89,8 +89,8 @@ func main() {
 		self          = flag.String("self", "", "this replica's base URL in the rendezvous-hash ring")
 		peers         = flag.String("peers", "", "comma-separated fleet base URLs (ring membership)")
 		ringPath      = flag.String("ring", "", "ring membership file (JSON {self, peers}); SIGHUP reloads it")
-		escrow        = flag.Bool("escrow", false, "fleet-exact tenant budgets via the escrow ledger (off = per-replica approximation)")
-		dataDir       = flag.String("data-dir", "", "durability directory for the escrow snapshot+WAL (empty = memory only)")
+		_             = flag.Bool("escrow", false, "deprecated and ignored: every replica decides a tenant's admits on the tenant's pool owner")
+		dataDir       = flag.String("data-dir", "", "durability directory for the owned pools' snapshot+WAL (empty = memory only)")
 		logLevel      = flag.String("log-level", "info", "log level: debug, info, warn, or error")
 		logSample     = flag.Int("log-sample", 1, "log every Nth request line (5xx always log)")
 		debugAddr     = flag.String("debug-addr", "", "separate listener for /debug/pprof/ and /debug/traces (empty disables)")
@@ -147,9 +147,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "chronosd:", err)
 			os.Exit(1)
 		}
-		st := store.State()
-		logger.Info("data dir opened", "path", *dataDir,
-			"pools", len(st.Pools), "leases", len(st.Leases))
+		logger.Info("data dir opened", "path", *dataDir, "pools", len(store.State().Pools))
 	}
 
 	srv, err := server.Open(server.Config{
@@ -159,7 +157,6 @@ func main() {
 		Tenants:       tenants,
 		Self:          membership.Self,
 		Peers:         membership.Peers,
-		Escrow:        *escrow,
 		Store:         store,
 		Logger:        logger,
 		LogSample:     *logSample,
@@ -236,13 +233,12 @@ func main() {
 
 	logger.Info("listening", "addr", *addr,
 		"logLevel", level.String(), "logSample", *logSample,
-		"escrow", *escrow, "dataDir", *dataDir)
+		"dataDir", *dataDir)
 	if err := srv.ListenAndServe(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "chronosd:", err)
 		os.Exit(1)
 	}
-	// Graceful teardown: release escrow leases to their owners, compact the
-	// ledger, then close the WAL.
+	// Graceful teardown: compact the ledger, then close the WAL.
 	srv.Close()
 	if err := store.Close(); err != nil {
 		logger.Error("data dir close failed", "error", err.Error())

@@ -45,7 +45,7 @@ func bootExit(t *testing.T, args string) (int, string) {
 	return exit.ExitCode(), stderr.String()
 }
 
-// TestBootFailsWithoutAnchorSnapshot: a data dir the escrow ledger cannot
+// TestBootFailsWithoutAnchorSnapshot: a data dir the ledger cannot
 // write its boot snapshot to must stop chronosd, naming the error. (A
 // directory where the snapshot's temporary file goes makes the write fail
 // for any user, root included.) chronosd used to log the failure and serve,
@@ -61,19 +61,6 @@ func TestBootFailsWithoutAnchorSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "chronosd: escrow anchor snapshot:") {
 		t.Errorf("exit message does not name the failed snapshot:\n%s", stderr)
-	}
-}
-
-// TestBootFailsOnDataDirWithoutEscrow: only the escrow ledger is persisted,
-// so -data-dir without -escrow used to open the directory, log it, write
-// nothing, and restore every pool to full at the next boot.
-func TestBootFailsOnDataDirWithoutEscrow(t *testing.T) {
-	code, stderr := bootExit(t, "-data-dir "+t.TempDir())
-	if code != 1 {
-		t.Fatalf("chronosd exited %d, want status 1:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "chronosd: a data dir needs escrow accounting") {
-		t.Errorf("exit message does not name the missing -escrow:\n%s", stderr)
 	}
 }
 

@@ -3,8 +3,7 @@
 // for the serving hot path, a ring buffer of recent slow traces, and the
 // pprof/trace debug surface. The serving layer (internal/server) threads a
 // *Trace through every handler; this package owns the vocabulary so the
-// server, the CLIs, and future fleet subsystems (gossip membership, escrow
-// ledger) log and trace through one mechanism.
+// server and the CLIs log and trace through one mechanism.
 package obs
 
 import (
@@ -40,10 +39,6 @@ const (
 	StageSolve
 	// StageDebit is a tenant-ledger debit attempt.
 	StageDebit
-	// StageEscrow is an escrow-lease round trip to the tenant's pool owner
-	// (a synchronous top-up on the admit path, request out through response
-	// body read).
-	StageEscrow
 	// StageForward is a cross-replica forward round trip (request out
 	// through response body read).
 	StageForward
@@ -55,7 +50,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"quantize", "cache", "solve", "debit", "escrow", "forward", "replay_emit",
+	"quantize", "cache", "solve", "debit", "forward", "replay_emit",
 }
 
 // String returns the stable label used in logs, metrics, and /debug/traces.

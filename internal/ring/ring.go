@@ -93,6 +93,17 @@ func (r *Ring) Nodes() []string {
 // ring.
 func (r *Ring) Owner(key string) (owner string, ok bool) { return r.owner(Hash(key)) }
 
+// TenantKeyPrefix namespaces a tenant's pool on the ring: the pool of tenant
+// t belongs to the owner of the key TenantKeyPrefix+t, which no plan key
+// equals. Servers decide a tenant's admits there, and clients send them
+// there.
+const TenantKeyPrefix = "tenant:"
+
+// TenantOwner returns the member that owns tenant's pool.
+func (r *Ring) TenantOwner(tenant string) (owner string, ok bool) {
+	return r.Owner(TenantKeyPrefix + tenant)
+}
+
 // OwnerBytes is Owner for a key still sitting in a pooled request buffer.
 // It allocates nothing.
 func (r *Ring) OwnerBytes(key []byte) (owner string, ok bool) { return r.owner(Hash(key)) }

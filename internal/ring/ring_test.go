@@ -422,3 +422,19 @@ func BenchmarkOwner(b *testing.B) {
 		_, _ = r.Owner(keys[i&1023])
 	}
 }
+
+// TestTenantOwnerIsPrefixedKey pins where a tenant's pool lives: on the owner
+// of "tenant:" + name, the key servers and clients of every version place it
+// by.
+func TestTenantOwnerIsPrefixedKey(t *testing.T) {
+	r := New([]string{"http://a:1", "http://b:2", "http://c:3"})
+	for _, name := range []string{"etl", "deep", "tight-0", ""} {
+		want, _ := r.Owner("tenant:" + name)
+		if got, ok := r.TenantOwner(name); !ok || got != want {
+			t.Errorf("TenantOwner(%q) = %q, %v; want %q, true", name, got, ok, want)
+		}
+	}
+	if _, ok := New(nil).TenantOwner("etl"); ok {
+		t.Error("an empty ring reported a tenant owner")
+	}
+}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -21,9 +20,10 @@ const admitDebitRetries = 3
 
 // handleAdmit serves POST /v1/admit: accept/reject + plan in one round
 // trip, the paper's online setting. The optimizer runs against the tenant's
-// remaining budget; an accepted plan is debited atomically, a rejection
-// carries a structured reason. It is /v1/admit/batch for one job, run on the
-// pooled hotBuf so a warm admit allocates nothing.
+// remaining budget on the tenant's pool owner (ledger.go); an accepted plan
+// is debited atomically, a rejection carries a structured reason. It is
+// /v1/admit/batch for one job, run on the pooled hotBuf so a warm admit
+// allocates nothing.
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	hb := getHotBuf()
 	defer putHotBuf(hb)
@@ -47,26 +47,25 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, "unknown strategy %q", req.Strategy)
 		return
 	}
-	// Sharded serving: admission decisions for a non-owned plan key run on
-	// the owning replica (its cache holds the unconstrained optimum and its
-	// ledger takes the debit — replicas run identical tenant configs, so
-	// each holds one shard of a tenant's fleet-wide budget). The forwarded
-	// request carries the filled econ so the owner keys its cache
-	// identically.
-	req.Econ = tenantEcon(req.Econ, pool)
-	j := &hb.jobs[0]
-	*j = admitJob{cell: cell{strat: strat, best: best, job: req.Job, econ: req.Econ}}
-	j.buildKey(tr, hb.key[:0])
-	hb.key = j.key
-	if s.forwardToOwner(w, r, "/v1/admit", &j.cell, req) {
+	var rem float64
+	switch s.routeAdmit(w, r, "/v1/admit", req.Tenant, hb.in) {
+	case admitRelayed:
 		return
-	}
-	_, rem, err := s.admitJobs(tr, req.Tenant, s.tenantBudget(r.Context(), req.Tenant, pool), hb.jobs[:], hb.results[:])
-	if err != nil {
-		// A lone job has no index worth reporting.
-		err = errors.Unwrap(err)
-		s.apiError(w, r, planStatus(err), "%v", err)
-		return
+	case admitRefused:
+		s.refuseAll(req.Tenant, hb.results[:])
+	default:
+		req.Econ = tenantEcon(req.Econ, pool)
+		j := &hb.jobs[0]
+		*j = admitJob{cell: cell{strat: strat, best: best, job: req.Job, econ: req.Econ}}
+		j.buildKey(tr, hb.key[:0])
+		hb.key = j.key
+		var err error
+		if _, rem, err = s.admitJobs(tr, pool, hb.jobs[:], hb.results[:]); err != nil {
+			// A lone job has no index worth reporting.
+			err = errors.Unwrap(err)
+			s.apiError(w, r, planStatus(err), "%v", err)
+			return
+		}
 	}
 	res := &hb.results[0]
 	hb.admitResp = api.AdmitResponse{
@@ -88,14 +87,14 @@ type admitJob struct {
 	plan chronos.Plan
 }
 
-// admitJobs decides jobs in request order against one tenant's ledger —
+// admitJobs decides jobs in request order against one tenant's pool —
 // each squeezed into whatever the ones before it left — and settles the
-// whole accepted set in ONE debit: the body of /v1/admit and /v1/admit/batch.
-// results[i] is job i's decision; remaining is the ledger level to report. A
-// non-nil error is one job's request fault, prefixed with its index; nothing
-// was debited or counted.
-func (s *Server) admitJobs(tr *obs.Trace, tenantName string, bud budgeter, jobs []admitJob, results []api.AdmitBatchResult) (admitted int, remaining float64, err error) {
-	remaining, settled, err := settle(tr, bud, func(left float64) (float64, error) {
+// whole accepted set in ONE debit: the body of /v1/admit and /v1/admit/batch
+// on the pool's owner. results[i] is job i's decision; remaining is the
+// pool level to report. A non-nil error is one job's request fault, prefixed
+// with its index; nothing was debited or counted.
+func (s *Server) admitJobs(tr *obs.Trace, pool *tenant.Pool, jobs []admitJob, results []api.AdmitBatchResult) (admitted int, remaining float64, err error) {
+	remaining, settled, err := s.settle(tr, pool, func(left float64) (float64, error) {
 		total := 0.0
 		admitted = 0
 		for i := range jobs {
@@ -128,8 +127,9 @@ func (s *Server) admitJobs(tr *obs.Trace, tenantName string, bud budgeter, jobs 
 				results[i] = api.AdmitBatchResult{Reason: api.ReasonBudgetExhausted}
 			}
 		}
-		admitted, remaining = 0, bud.Remaining()
+		admitted, remaining = 0, pool.Remaining()
 	}
+	tenantName := pool.Name()
 	for i := range results {
 		if results[i].Admitted {
 			s.metrics.plans.inc(jobs[i].plan.Strategy.String())
@@ -141,36 +141,32 @@ func (s *Server) admitJobs(tr *obs.Trace, tenantName string, bud budgeter, jobs 
 	return admitted, remaining, nil
 }
 
-// settle is the one ledger-settlement loop: snapshot the ledger, run
-// allocate against the snapshot, debit what it asks for once, and when a
-// concurrent request won the race for that remainder re-allocate against
-// the shrunken ledger instead of over-committing it. allocate returns the
-// machine time to debit; zero means it accepted nothing and the snapshot is
-// reported back untouched. settled is false when admitDebitRetries
-// allocations all lost their debit. An allocate error ends the loop.
-func settle(tr *obs.Trace, bud budgeter, allocate func(remaining float64) (debit float64, err error)) (remaining float64, settled bool, err error) {
+// settle is the one ledger-settlement loop: snapshot the pool's level, run
+// allocate against the snapshot, debit what it asks for once through the
+// ledger, and when a concurrent request won the race for that remainder
+// re-allocate against the shrunken pool instead of over-committing it.
+// allocate returns the machine time to debit; zero means it accepted nothing
+// and the snapshot is reported back untouched. settled is false when
+// admitDebitRetries allocations all lost their debit. An allocate error ends
+// the loop.
+func (s *Server) settle(tr *obs.Trace, pool *tenant.Pool, allocate func(remaining float64) (debit float64, err error)) (remaining float64, settled bool, err error) {
 	for attempt := 0; attempt < admitDebitRetries; attempt++ {
-		remaining = bud.Remaining()
+		remaining = pool.Remaining()
 		debit, err := allocate(remaining)
 		if err != nil || debit == 0 {
 			return remaining, err == nil, err
 		}
 		// Clamp to the snapshot the allocation ran against, so per-item float
 		// accumulation cannot push the total an epsilon past a ledger that
-		// would otherwise cover it.
-		if ok, rem := timedDebit(tr, bud, min(debit, remaining)); ok {
+		// would otherwise cover it. The debit is one StageDebit span.
+		start := time.Now()
+		ok, rem := s.ledger.DebitLocal(pool.Name(), min(debit, remaining))
+		tr.Observe(obs.StageDebit, time.Since(start))
+		if ok {
 			return rem, true, nil
 		}
 	}
 	return 0, false, nil
-}
-
-// timedDebit is one ledger debit, observed as a StageDebit span.
-func timedDebit(tr *obs.Trace, bud budgeter, cost float64) (ok bool, remaining float64) {
-	start := time.Now()
-	ok, remaining = bud.TryDebit(cost)
-	tr.Observe(obs.StageDebit, time.Since(start))
-	return ok, remaining
 }
 
 // rejectReason maps optimization failures onto the admission-control
@@ -204,16 +200,6 @@ func (s *Server) lookupPool(w http.ResponseWriter, r *http.Request, name string)
 		return nil, false
 	}
 	return pool, true
-}
-
-// tenantBudget picks the debit interface for one admission request: the
-// raw pool when escrow accounting is off (the legacy per-replica
-// approximation), the escrow-aware budget when it is on.
-func (s *Server) tenantBudget(ctx context.Context, name string, pool *tenant.Pool) budgeter {
-	if s.escrow == nil {
-		return pool
-	}
-	return s.escrow.budgetFor(ctx, name, pool)
 }
 
 // tenantEcon fills zero economic fields from the pool's defaults.

@@ -447,7 +447,7 @@ func TestTenantMetrics(t *testing.T) {
 // way to spend a tenant's budget. A "tenant" key on /v1/plan, /v1/plan/batch
 // or /v1/replay — which used to debit the pool, or stream until it drained —
 // is an unknown field: a 400 before anything is planned or streamed, with the
-// pool level, the escrow outstanding and the admit counter where they were.
+// pool level and the admit counter where they were.
 func TestOnlyAdmitSpendsTenantBudget(t *testing.T) {
 	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
 		"team": {Budget: 5000, Theta: 1e-4, UnitPrice: 1},
@@ -455,23 +455,24 @@ func TestOnlyAdmitSpendsTenantBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := newTestServer(t, Config{Tenants: reg, Escrow: true})
+	s, ts := newTestServer(t, Config{Tenants: reg})
 	t.Cleanup(s.Close)
-	holder := leaseHolder(t, s, "team")
-	leaseViaHTTP(t, ts.URL, escrowLeaseRequest{Tenant: "team", Holder: holder, Want: 100})
+	if dec := decodeBody[api.AdmitResponse](t, postJSON(t, ts.URL+"/v1/admit",
+		api.AdmitRequest{Tenant: "team", Job: testJob()})); !dec.Admitted {
+		t.Fatalf("admit refused: %q", dec.Reason)
+	}
 
-	ledger := func() [4]string {
+	ledger := func() [3]string {
 		text := getMetricsText(t, ts.URL)
-		return [4]string{
+		return [3]string{
 			strconv.FormatFloat(s.Tenants().Get("team").Remaining(), 'g', -1, 64),
-			metricValue(text, `chronosd_escrow_outstanding{tenant="team"}`),
 			metricValue(text, `chronosd_tenant_admits_total{tenant="team"}`),
 			metricValue(text, "chronosd_replays_total"),
 		}
 	}
 	before := ledger()
-	if before[1] != "100" {
-		t.Fatalf("escrow outstanding = %q before the probes, want 100", before[1])
+	if before[1] != "1" {
+		t.Fatalf("tenant admits = %q before the probes, want 1", before[1])
 	}
 	for _, tc := range []struct{ path, body string }{
 		{"/v1/plan", `{"job":` + wireJob + `,"econ":` + wireEcon + `,"tenant":"team"}`},
@@ -481,6 +482,6 @@ func TestOnlyAdmitSpendsTenantBudget(t *testing.T) {
 		postTenantBody(t, ts.URL+tc.path, tc.body)
 	}
 	if after := ledger(); after != before {
-		t.Errorf("pool, outstanding, admits, replays moved from %q to %q", before, after)
+		t.Errorf("pool, admits, replays moved from %q to %q", before, after)
 	}
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"chronos"
 	"chronos/api"
+	"chronos/internal/tenant"
 )
 
 func TestAdmitBatchEndpoint(t *testing.T) {
@@ -154,29 +157,27 @@ func TestAdmitBatchInfeasibleMixed(t *testing.T) {
 	}
 }
 
-// TestAdmitBatchSingleLeaseDebit is the batched-admission acceptance
-// property: on a lease-holding (non-owner) replica of an escrow fleet, a
-// whole batch settles against the tenant lease in ONE successful CAS —
-// Lease.Debits() advances by the number of batches, not the number of
-// admitted jobs. Run under -race this also exercises concurrent batches
-// contending on the same lease.
-func TestAdmitBatchSingleLeaseDebit(t *testing.T) {
-	mt := bestPlanMachineTime(t)
-	budget := 200 * mt // generous: every job in every batch admits
-	servers, urls := escrowFleet(t, 3, "etl", budget)
-
-	// Pick a replica that does NOT own the tenant: its admissions go through
-	// the holder-side lease, which is where batching collapses the CAS count.
-	holder := -1
-	for i, s := range servers {
-		if !s.escrow.ownsTenant("etl") {
-			holder = i
-			break
+// TestAdmitBatchSingleDebit is the batched-admission acceptance property: a
+// whole batch settles against the tenant's pool in ONE ledger debit — one
+// WAL record per batch, not per admitted job — on the pool owner, whichever
+// replica received it. Run under -race this also exercises concurrent
+// batches relayed to, and contending on, the same pool.
+func TestAdmitBatchSingleDebit(t *testing.T) {
+	budget := 200 * bestPlanMachineTime(t) // generous: every job in every batch admits
+	dirs := make([]string, 3)
+	servers, listeners := newRingFleet(t, 3, func(i int) Config {
+		dirs[i] = t.TempDir()
+		store, err := tenant.OpenStore(dirs[i])
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { store.Close() })
+		return Config{Tenants: testRegistry(t, "etl", budget), Store: store}
+	})
+	for _, s := range servers {
+		t.Cleanup(s.Close)
 	}
-	if holder < 0 {
-		t.Fatal("every replica claims to own the tenant; ring is degenerate")
-	}
+	owner := tenantOwner(t, servers, "etl")
 
 	const batches = 6
 	const jobsPerBatch = 4
@@ -191,13 +192,13 @@ func TestAdmitBatchSingleLeaseDebit(t *testing.T) {
 			defer wg.Done()
 			jobs := make([]api.AdmitBatchJob, jobsPerBatch)
 			for i := range jobs {
-				// Distinct shapes per slot so the fan-out actually solves
+				// Distinct shapes per slot so the batch actually solves
 				// several cells rather than hitting one cached plan.
 				job := testJob()
 				job.Tasks = 8 + (b*jobsPerBatch+i)%7
 				jobs[i] = api.AdmitBatchJob{Job: job}
 			}
-			resp := postJSON(t, urls[holder]+"/v1/admit/batch",
+			resp := postJSON(t, listeners[b%3].URL+"/v1/admit/batch",
 				api.AdmitBatchRequest{Tenant: "etl", Jobs: jobs, Econ: testEcon()})
 			if resp.StatusCode != http.StatusOK {
 				resp.Body.Close()
@@ -218,38 +219,27 @@ func TestAdmitBatchSingleLeaseDebit(t *testing.T) {
 	wg.Wait()
 
 	if admitted != batches*jobsPerBatch {
-		t.Fatalf("admitted %d of %d jobs; the lease-debit count below is only "+
+		t.Fatalf("admitted %d of %d jobs; the debit count below is only "+
 			"meaningful when every batch settles", admitted, batches*jobsPerBatch)
 	}
-	debits := servers[holder].escrow.lease("etl").Debits()
-	if debits != batches {
-		t.Errorf("lease debits = %d for %d batches of %d jobs; "+
-			"batched admission must cost one CAS per batch, not per job",
-			debits, batches, jobsPerBatch)
-	}
-
-	// The escrow traffic that funded those debits is on /metrics: the holder
-	// topped its lease up and reports its level, and the tenant's owner
-	// counted the grants.
-	holderText := getMetricsText(t, urls[holder])
-	if !metricAtLeast(holderText, `chronosd_escrow_topups_total{tenant="etl"}`, 1) {
-		t.Error("holder reports no chronosd_escrow_topups_total for the tenant")
-	}
-	if metricValue(holderText, `chronosd_escrow_lease_level{tenant="etl"}`) == "" {
-		t.Error("holder reports no chronosd_escrow_lease_level for the tenant")
-	}
-	granted := false
-	for _, u := range urls {
-		granted = granted || metricAtLeast(getMetricsText(t, u), `chronosd_escrow_grants_total{tenant="etl"}`, 1)
-	}
-	if !granted {
-		t.Error("no replica reports chronosd_escrow_grants_total for the tenant")
+	for i, dir := range dirs {
+		raw, err := os.ReadFile(filepath.Join(dir, "escrow-wal.ndjson"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if i == owner {
+			want = batches
+		}
+		if got := strings.Count(string(raw), `"op":"debit"`); got != want {
+			t.Errorf("replica %d (owner %d) logged %d debits for %d batches of %d jobs, want %d",
+				i, owner, got, batches, jobsPerBatch, want)
+		}
 	}
 }
 
-// TestAdmitBatchResultOrder pins the wire contract the ring-aware client
-// relies on when it scatters a batch and reassembles the answers: results
-// are positional — result i is job i's unconstrained optimal plan.
+// TestAdmitBatchResultOrder pins the wire contract: results are positional
+// — result i is job i's unconstrained optimal plan.
 func TestAdmitBatchResultOrder(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", 1e6)})
 	jobs := make([]api.AdmitBatchJob, 4)
@@ -304,8 +294,8 @@ func TestAdmitBatchFaultNamesJob(t *testing.T) {
 // makes cheap: on two identically configured servers, /v1/admit for job J
 // and /v1/admit/batch of [J] must reach the same decision, reason, plan
 // bytes and budgetRemaining and move the same tenant and plan counters —
-// for each of the four outcomes, on the bare pool and under escrow, on a
-// cold cell and again on the warm one.
+// for each of the four outcomes, with and without Escrow set (as bench/ sets
+// it; it is ignored), on a cold cell and again on the warm one.
 func TestAdmitEqualsBatchOfOne(t *testing.T) {
 	best, err := chronos.OptimizeBest(testJob(), testEcon())
 	if err != nil {

@@ -18,46 +18,12 @@ import (
 	"chronos/internal/obs"
 	"chronos/internal/plankey"
 	"chronos/internal/ring"
-	"chronos/internal/tenant"
 )
 
 // The serving benchmarks with no twin in bench/ (whose traced run reports
 // the plan and admit handlers as server.*_ns and server.*_allocs, and the
 // forward hop only as a share of a mixed workload). Each runs once per
 // `make bench` as a smoke; none gates a timing.
-
-// BenchmarkAdmitHandlerEscrow is an admit with fleet-exact accounting on
-// but no WAL: it debits the escrow ledger's authoritative pool (owner path —
-// a solo replica owns every tenant) instead of the bare token bucket. Against
-// bench/'s server.admit_ns and server.admit_escrow_wal_ns it separates the
-// price of exactness from the price of durability.
-func BenchmarkAdmitHandlerEscrow(b *testing.B) {
-	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
-		"bench": {Budget: 1e18},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := New(Config{Tenants: reg, Escrow: true})
-	defer s.Close()
-	h := s.Handler()
-	raw, err := json.Marshal(api.AdmitRequest{Tenant: "bench", Job: testJob(), Econ: testEcon()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/v1/admit", bytes.NewReader(raw))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status = %d: %s", rec.Code, rec.Body)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "admits/s")
-}
 
 // BenchmarkBatchHandler measures a 64-job shared-budget allocation with
 // best-of-three selection from a warm plan cache (20 distinct shapes, all

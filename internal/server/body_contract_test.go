@@ -24,12 +24,8 @@ func TestBodyContractUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Escrow on, because /v1/escrow/lease is a 404 without it, and a ring with
-	// one other member for this replica to grant the lease to (plan keys that
-	// member owns fall back locally: nothing listens there).
-	s, ts := newTestServer(t, Config{Tenants: reg, MaxBodyBytes: wireMaxBody, Escrow: true})
+	s, ts := newTestServer(t, Config{Tenants: reg, MaxBodyBytes: wireMaxBody})
 	t.Cleanup(s.Close)
-	holder := leaseHolder(t, s, "team")
 
 	endpoints := []struct{ path, valid string }{
 		{"/v1/plan", `{"job":` + wireJob + `,"econ":` + wireEcon + `}`},
@@ -37,7 +33,6 @@ func TestBodyContractUniform(t *testing.T) {
 		{"/v1/admit", `{"tenant":"team","job":` + wireJob + `}`},
 		{"/v1/admit/batch", `{"tenant":"team","jobs":[{"job":` + wireJob + `}]}`},
 		{"/v1/replay", `{"config":{"strategy":"clone","seed":7},"jobs":[` + wireSimJob + `]}`},
-		{"/v1/escrow/lease", `{"tenant":"team","holder":"` + holder + `","want":100}`},
 	}
 	malformed := []struct {
 		name   string

@@ -109,8 +109,9 @@ func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached b
 // and every later squeeze in the warm cell answers from the table with no
 // model evaluations (and, on the admit path, no allocation).
 //
-// The budget read before this call may top up an escrow lease, a span of its
-// own, so the cache span here never starts where the key build ended.
+// The pool read and, in a batch, the jobs before this one come between the
+// key build and this call, so the cache span here never starts where the key
+// build ended.
 func (s *Server) planWithin(tr *obs.Trace, c *cell, budget float64) (chronos.Plan, error) {
 	c.keyed = time.Time{}
 	plan, _, err := s.cachedPlan(tr, c)

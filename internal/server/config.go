@@ -24,11 +24,8 @@ const (
 	cacheShards = 16
 	// maxTradeoffPoints caps the r range of /v1/tradeoff.
 	maxTradeoffPoints = 256
-	// escrowLeaseFraction is the share of a tenant's total budget one holder
-	// targets for its local lease (top-ups ask for enough to reach it).
-	escrowLeaseFraction = 0.1
-	// escrowSnapshotInterval is how often the owner folds the escrow WAL into
-	// a fresh snapshot.
+	// escrowSnapshotInterval is how often the ledger folds its WAL into a
+	// fresh snapshot.
 	escrowSnapshotInterval = 30 * time.Second
 	// http.Server limits. The write deadline runs from the request header
 	// to the end of the answer, so it spans the handler's work: a cold
@@ -79,8 +76,9 @@ type Config struct {
 	// Server.SetRing.
 	Self  string
 	Peers []string
-	// ForwardTimeout bounds one replica-to-replica call (forward or lease)
-	// before the caller degrades. Default 2 s.
+	// ForwardTimeout bounds one replica-to-replica forward before the
+	// caller degrades: a plan is solved locally, an admit refused. Default
+	// 2 s.
 	ForwardTimeout time.Duration
 	// BreakerThreshold is the consecutive failed peer calls that open a
 	// peer's circuit; BreakerCooldown is how long an open circuit skips the
@@ -105,20 +103,21 @@ type Config struct {
 	TraceRingSize int
 
 	// Tenants is the initial multi-tenant budget registry, spent only
-	// through /v1/admit and /v1/admit/batch. Nil disables admission: both
-	// answer 404. Swappable at runtime with Server.SetTenants.
+	// through /v1/admit and /v1/admit/batch, and only on each tenant's pool
+	// owner (the ring owner of its tenant key; every replica without a
+	// ring). Nil disables admission: both answer 404. Swappable at runtime
+	// with Server.SetTenants.
 	Tenants *tenant.Registry
 
-	// Escrow turns on fleet-exact tenant accounting: the ring owner of each
-	// tenant key holds the authoritative pool, every other replica debits a
-	// local lease topped up over the internal /v1/escrow/lease API. Off, the
-	// fleet runs the legacy per-replica approximation (each replica holds a
-	// full copy of every pool).
+	// Escrow is ignored.
+	//
+	// Deprecated: every replica runs the one accounting mode Escrow once
+	// selected, less its leases: a tenant's admits are decided and debited
+	// only on its pool owner.
 	Escrow bool
-	// Store is the snapshot+WAL durability layer for escrow accounting
-	// (opened from -data-dir). Nil keeps the ledger memory-only; escrow still
-	// enforces fleet-exactness, it just cannot survive an owner restart. A
-	// Store without Escrow is an Open error: nothing else is persisted.
+	// Store is the snapshot+WAL durability layer of the pools this replica
+	// owns (opened from -data-dir). Nil keeps the ledger memory-only: a
+	// restarted owner starts its pools full.
 	Store *tenant.Store
 }
 

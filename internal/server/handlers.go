@@ -23,8 +23,6 @@ func errorCodeForStatus(status int) string {
 		return api.CodeBadRequest
 	case http.StatusNotFound:
 		return api.CodeNotFound
-	case http.StatusConflict:
-		return api.CodeNotOwner
 	case http.StatusRequestEntityTooLarge:
 		return api.CodePayloadTooLarge
 	case http.StatusUnprocessableEntity:
@@ -67,13 +65,18 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if hb.in, ok = s.readBody(w, r, hb.in); !ok {
 		return false
 	}
+	return s.decodeBody(w, r, hb.in, v)
+}
+
+// decodeBody is decode for a body already read.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, body []byte, v any) bool {
 	var err error
-	if json.Valid(hb.in) {
-		dec := json.NewDecoder(bytes.NewReader(hb.in))
+	if json.Valid(body) {
+		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		err = dec.Decode(v)
 	} else {
-		err = json.Unmarshal(hb.in, v)
+		err = json.Unmarshal(body, v)
 	}
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "invalid JSON: %v", err)
@@ -134,7 +137,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	c := cell{strat: strat, best: best, job: req.Job, econ: req.Econ}
 	c.buildKey(tr, hb.key[:0])
 	hb.key = c.key
-	if s.forwardToOwner(w, r, "/v1/plan", &c, req) {
+	if s.forwardToOwner(w, r, "/v1/plan", &c, hb.in) {
 		return
 	}
 	plan, cached, err := s.cachedPlan(tr, &c)
@@ -265,5 +268,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves GET /metrics in Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.writePrometheus(w, s.cache, s.tenants.Load(), s.ringSt.Load(), s.escrow)
+	s.metrics.writePrometheus(w, s.cache, s.tenants.Load(), s.ringSt.Load(), s.ledger)
 }

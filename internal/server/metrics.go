@@ -63,11 +63,6 @@ type serverMetrics struct {
 	// as HTTP 500 and logged at warn with the trace ID).
 	encodeFailures metrics.Counter
 
-	// Escrow series: per-tenant grants issued (owner side), lease top-ups
-	// performed (holder side), and expired-lease reclamations (owner side).
-	escrowGrants counterVec[string] // by tenant
-	escrowTopups counterVec[string] // by tenant
-
 	// stageSeconds histograms the per-request time spent in each hot-path
 	// stage (chronosd_stage_seconds{stage=...}); each request contributes
 	// its accumulated span per stage that fired.
@@ -236,15 +231,15 @@ func (m *serverMetrics) tenantReject(name, reason string) {
 }
 
 // scrape is the live state one /metrics rendering reads besides the
-// counters: the cache, tenant registry, ring view and escrow manager whose
-// gauges reflect the moment of the scrape (rs and esc are nil when
-// unconfigured), and the label sets, snapshotted once so every family prints
-// the same endpoints and tenants in the same order.
+// counters: the cache, tenant registry, ring view and ledger whose gauges
+// reflect the moment of the scrape (rs is nil when sharding is off), and the
+// label sets, snapshotted once so every family prints the same endpoints and
+// tenants in the same order.
 type scrape struct {
 	cache     *planCache
 	reg       *tenant.Registry
 	rs        *ringState
-	esc       *escrowManager
+	led       *tenant.EscrowLedger
 	endpoints []string // sorted
 	tenants   []string // sorted; every tenant a counter has seen
 }
@@ -266,8 +261,6 @@ type series struct {
 
 // sampleWriter prints one family's sample lines.
 type sampleWriter func(w io.Writer, name string, sc *scrape)
-
-func hasEscrow(sc *scrape) bool { return sc.esc != nil }
 
 // counter writes an unlabelled counter's one sample.
 func counter(c *metrics.Counter) sampleWriter {
@@ -320,16 +313,10 @@ func (m *serverMetrics) catalog() []series {
 			fmt.Fprintf(w, "%s{tenant=%q} %g\n", name, p.Name(), p.Remaining())
 		}
 	}
-	outstanding := func(w io.Writer, name string, sc *scrape) {
-		writeLabeled(w, name+"{", "tenant", sc.esc.outstanding(sc.reg))
-	}
-	leaseLevels := func(w io.Writer, name string, sc *scrape) {
-		writeLabeled(w, name+"{", "tenant", sc.esc.leaseLevels())
-	}
 	cacheHits := gauge(func(sc *scrape) uint64 { hits, _ := sc.cache.stats(); return hits })
 	cacheMisses := gauge(func(sc *scrape) uint64 { _, misses := sc.cache.stats(); return misses })
 	cacheEntries := gauge(func(sc *scrape) int { return sc.cache.len() })
-	walFailures := gauge(func(sc *scrape) uint64 { fails, _ := sc.esc.led.WALFailures(); return fails })
+	walFailures := gauge(func(sc *scrape) uint64 { fails, _ := sc.led.WALFailures(); return fails })
 	replaysActive := gauge(func(*scrape) int64 { return m.replaysActive.Load() })
 	ringNodes := gauge(func(sc *scrape) int {
 		if sc.rs == nil {
@@ -353,18 +340,14 @@ func (m *serverMetrics) catalog() []series {
 		{"chronosd_tenant_rejects_total", "counter", "Admission rejections, by tenant and reason.", "TestAdmitEqualsBatchOfOne", nil, rejects},
 		{"chronosd_tenant_plans_total", "counter", "Admitted plans, by tenant and strategy.", "TestAdmitEqualsBatchOfOne", nil, tenantPlans},
 		{"chronosd_tenant_budget_remaining", "gauge", "Machine-seconds left in each pool.", "TestTenantMetrics", nil, budgets},
-		{"chronosd_escrow_outstanding", "gauge", "Machine-seconds granted and not yet reported spent, by owned tenant.", "TestFleetEscrowNeverOverCommits", hasEscrow, outstanding},
-		{"chronosd_escrow_lease_level", "gauge", "Machine-seconds available in this replica's local leases, by tenant.", "TestAdmitBatchSingleLeaseDebit", hasEscrow, leaseLevels},
-		{"chronosd_escrow_grants_total", "counter", "Escrow grants issued by this replica as pool owner, by tenant.", "TestAdmitBatchSingleLeaseDebit", hasEscrow, labelled("tenant", &m.escrowGrants)},
-		{"chronosd_escrow_topups_total", "counter", "Lease top-ups performed by this replica as holder, by tenant.", "TestAdmitBatchSingleLeaseDebit", hasEscrow, labelled("tenant", &m.escrowTopups)},
-		{"chronosd_escrow_wal_append_failures_total", "counter", "Ledger records the WAL failed to persist; nonzero means recovery after a restart would resurrect spent budget.", "TestWALAppendFailureCounted", hasEscrow, walFailures},
+		{"chronosd_escrow_wal_append_failures_total", "counter", "Ledger records the WAL failed to persist; nonzero means recovery after a restart would resurrect spent budget.", "TestWALAppendFailureCounted", nil, walFailures},
 		{"chronosd_replays_total", "counter", "Streaming replays started over /v1/replay.", "TestReplayStreamProtocol", nil, counter(&m.replaysStarted)},
 		{"chronosd_replays_active", "gauge", "Replay streams currently open.", "TestReplayClientDisconnect", nil, replaysActive},
 		{"chronosd_replay_jobs_total", "counter", "Jobs replayed to completion over /v1/replay.", "TestReplayStreamProtocol", nil, counter(&m.replayJobs)},
 		{"chronosd_replay_events_total", "counter", "NDJSON events emitted over /v1/replay.", "TestReplayStreamProtocol", nil, counter(&m.replayEvents)},
 		{"chronosd_ring_nodes", "gauge", "Replicas in the ring; each owns 1/n of the plan keys (0 = sharding off).", "TestRingMetricsGauges", nil, ringNodes},
 		{"chronosd_ring_forwarded_total", "counter", "Requests proxied to the owning replica, by peer.", "bench:server.forwarded_frac", nil, labelled("peer", &m.ringForwards)},
-		{"chronosd_ring_peer_errors_total", "counter", "Failed peer calls (forwards and escrow leases), by peer.", "TestPeerCall", nil, labelled("peer", &m.ringErrors)},
+		{"chronosd_ring_peer_errors_total", "counter", "Failed peer calls (forwards), by peer.", "TestPeerCall", nil, labelled("peer", &m.ringErrors)},
 		{"chronosd_ring_peer_dials_total", "counter", "Connections dialed to a peer; peer calls reuse them, so forwards per dial is the reuse ratio.", "TestPeerCall", nil, labelled("peer", &m.ringDials)},
 		{"chronosd_ring_local_fallbacks_total", "counter", "Non-owned keys computed locally because the owner was unreachable.", "TestFleetOwnerDownLocalFallback", nil, counter(&m.ringLocalFallbacks)},
 		{"chronosd_ring_received_forwards_total", "counter", "Requests served under the single-hop forwarding guard.", "TestForwardLoopGuard", nil, counter(&m.ringReceivedForwards)},
@@ -374,8 +357,8 @@ func (m *serverMetrics) catalog() []series {
 }
 
 // writePrometheus renders the catalog in the text exposition format.
-func (m *serverMetrics) writePrometheus(w io.Writer, cache *planCache, reg *tenant.Registry, rs *ringState, esc *escrowManager) {
-	sc := &scrape{cache: cache, reg: reg, rs: rs, esc: esc}
+func (m *serverMetrics) writePrometheus(w io.Writer, cache *planCache, reg *tenant.Registry, rs *ringState, led *tenant.EscrowLedger) {
+	sc := &scrape{cache: cache, reg: reg, rs: rs, led: led}
 	m.mu.Lock()
 	for path := range m.endpoints {
 		sc.endpoints = append(sc.endpoints, path)

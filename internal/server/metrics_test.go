@@ -35,11 +35,6 @@ func TestMetricsGolden(t *testing.T) {
 		Self: "http://127.0.0.1:10", Peers: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
 	})
 	defer s.Close()
-	// Self is the first port from 3 up, as leaseHolder picks a holder, at
-	// which this replica owns alpha's pool and not beta's.
-	if !s.escrow.ownsTenant("alpha") || s.escrow.ownsTenant("beta") {
-		t.Fatal("the fixture must own alpha's pool and not beta's")
-	}
 	m := s.metrics
 	for _, code := range []int{200, 200, 200, 400, 1000, 99} {
 		seconds := 0.002
@@ -66,18 +61,12 @@ func TestMetricsGolden(t *testing.T) {
 	m.ringErrors.inc("http://127.0.0.1:2")
 	m.ringDials.inc("http://127.0.0.1:1")
 	m.ringDials.inc("http://127.0.0.1:2")
-	m.escrowGrants.inc("beta")
-	for _, name := range []string{"alpha", "alpha", "beta"} {
-		m.escrowTopups.inc(name)
-	}
-	s.escrow.lease("beta").Fund(12.5)
-	s.escrow.lease("alpha")
 	m.stageSeconds[obs.StageSolve].Observe(0.0004)
 	m.ringLocalFallbacks.Inc()
 	m.replayEmit(true)
 
 	var buf bytes.Buffer
-	m.writePrometheus(&buf, s.cache, s.tenants.Load(), s.ringSt.Load(), s.escrow)
+	m.writePrometheus(&buf, s.cache, s.tenants.Load(), s.ringSt.Load(), s.ledger)
 	got := regexp.MustCompile(`(?m)^chronosd_uptime_seconds .*$`).
 		ReplaceAll(buf.Bytes(), []byte("chronosd_uptime_seconds X"))
 	want, err := os.ReadFile("testdata/metrics.golden")

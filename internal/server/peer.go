@@ -21,10 +21,11 @@ import (
 	"chronos/internal/ring"
 )
 
-// This file is the one replica-to-replica HTTP client. Forwards and escrow
-// lease calls are both peerState.call: one request builder, one timeout, one
-// body cap, and one circuit-breaker policy, so the allow→settle protocol is
-// written exactly once. Underneath it speaks
+// This file is the one replica-to-replica HTTP client. Every forward — a plan
+// to its key's owner, an admit to its tenant's pool owner — is
+// peerState.call: one request builder, one timeout, one body cap, and one
+// circuit-breaker policy, so the allow→settle protocol is written exactly
+// once. Underneath it speaks
 // HTTP/1.1 by hand over persistent per-peer connections — one write per
 // request, one buffered parse per answer, on the caller's goroutine —
 // because a forward sits on the request path and net/http's client spends
@@ -33,8 +34,9 @@ import (
 
 const (
 	// maxPeerBodyBytes caps a buffered peer answer. A relayed /v1/plan or
-	// /v1/admit answer, a lease grant and an error envelope are all under a
-	// kilobyte; a peer sending more than the default request limit is broken.
+	// /v1/admit answer and an error envelope are under a kilobyte, and an
+	// /v1/admit/batch answer of the default 1,024 jobs a few hundred; a peer
+	// sending more than the default request limit is broken.
 	maxPeerBodyBytes = 1 << 20
 	// maxPeerHeaderLines bounds an answer's header section (and a chunked
 	// answer's trailer). One line is bounded by the connection's 4 KiB
@@ -153,10 +155,11 @@ func (p *peerState) call(ctx context.Context, method, path string, body []byte) 
 // of as a truncated relay downstream — under one deadline that covers all of
 // it. A pooled connection the peer closed while it idled (a restart, its own
 // idle reaper) fails before the first byte of an answer; the request is then
-// resent once on a fresh connection inside the same deadline. That is no new
-// exposure: a failed forward already falls back to computing (and, for an
-// admit, debiting) locally, so a request the peer may have seen is executed
-// a second time either way. A fresh connection that fails is never retried.
+// resent once on a fresh connection inside the same deadline. A plan the peer
+// may have seen is then solved twice, which is harmless; an admit it debited
+// before it died is debited again only if its next life answers the resend
+// within the deadline, which spends budget twice but never admits past it. A
+// fresh connection that fails is never retried.
 func (p *peerState) exchange(ctx context.Context, method, path string, body []byte) (peerAnswer, error) {
 	if err := ctx.Err(); err != nil {
 		return peerAnswer{}, err

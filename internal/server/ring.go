@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -10,9 +9,11 @@ import (
 )
 
 // Sharding headers. ForwardedFromHeader marks a request as already forwarded
-// once (its value is the sender's self URL); a replica that receives it
-// always computes locally, so ownership disagreements during a rolling
-// membership change degrade to one extra hop, never a forwarding loop.
+// once (its value is the sender's self URL); a replica that receives it never
+// forwards it again — it solves a plan locally, and decides an admit only if
+// it owns the tenant's pool, refusing it otherwise — so ownership
+// disagreements during a rolling membership change never make a forwarding
+// loop.
 // ServedByHeader names the replica that actually computed (or cached) the
 // response, which is how the ring demo and the fleet tests observe
 // cross-replica serving.
@@ -41,11 +42,11 @@ type ringState struct {
 // one signal reloads both tenant budgets and ring membership.
 //
 // The ring is the operator's membership and nothing else: a dead member keeps
-// its plan keys and its tenant pools (-escrow). Its peer's breaker answers
-// for it — plan keys fall back to a local solve, its tenants' admits are
-// refused once the survivors' leases run dry — until a half-open probe finds
-// it back. A reload that moves a tenant to another owner is a fresh pool
-// there — budget the old owner already debited is not carried over.
+// its plan keys and its tenant pools. Its peer's breaker answers for it —
+// plan keys fall back to a local solve, its tenants' admits are refused at
+// once — until a half-open probe finds it back. A reload that moves a tenant
+// to another owner is a fresh pool there — budget the old owner already
+// debited is not carried over.
 func (s *Server) SetRing(m ring.Membership) error {
 	if !m.Enabled() {
 		s.applyRing("", nil)
@@ -109,29 +110,27 @@ func (s *Server) RingMembers() (self string, members []string) {
 	return rs.self, rs.ring.Nodes()
 }
 
-// forwardToOwner implements the sharded serving path for one plan-keyed
-// request. It returns true when the response has been fully written (the
-// request was proxied to the owning replica); false means the caller must
-// compute locally — either because this replica owns the key, sharding is
-// off, the request already took its one forwarding hop, or the owner is
-// unreachable (its circuit is open or the call failed; peerState.call
-// settles the breaker) and we fall back to local computation rather than
-// failing the request.
+// forwardToOwner is the sharded serving path of one plan-keyed request. It
+// returns true when the response has been fully written: the owner of the
+// request's key answered, and its answer was relayed. false means the caller
+// computes locally — this replica owns the key, sharding is off, the request
+// already took its one forwarding hop, or the owner is unreachable and the
+// plan is solved here instead of failing the request (a plan spends no
+// budget, so any replica's answer is as good as the owner's).
 //
-// payload is the decoded request, re-marshaled for the forward so that
-// fields this replica resolved (e.g. tenant econ defaults) travel with it
-// and the owner computes the exact cache key the routing decision used.
+// body is the request as received: the owner decodes the same bytes into
+// the same request, so it computes the cache key the routing decision used.
 // c is the request's cell, routed by its key; a fallback after a forward
 // attempt clears c.keyed, so the local cache span does not cover the attempt.
-func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path string, c *cell, payload any) bool {
+func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path string, c *cell, body []byte) bool {
 	rs := s.ringSt.Load()
 	if rs == nil {
 		return false
 	}
-	// A replica that computes locally stamps itself; the proxy branch below
-	// overwrites this with the owner's stamp when the forward succeeds. The
-	// shared immutable slice goes straight into the header map (canonical
-	// key) so the hot path's stamp does not allocate.
+	// A replica that computes locally stamps itself; relay overwrites this
+	// with the owner's stamp when the forward succeeds. The shared immutable
+	// slice goes straight into the header map (canonical key) so the hot
+	// path's stamp does not allocate.
 	w.Header()[ServedByHeader] = rs.selfHdr
 	if r.Header.Get(ForwardedFromHeader) != "" {
 		// Single-hop guard: this request was already forwarded once.
@@ -142,35 +141,36 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path str
 	if !ok || owner == rs.self {
 		return false
 	}
+	c.keyed = time.Time{}
+	if s.relay(w, r, rs, owner, path, body) {
+		return true
+	}
+	s.metrics.ringLocalFallbacks.Inc()
+	return false
+}
+
+// relay sends body, unchanged, to owner over the peer transport and writes
+// the owner's answer, whatever its status, as this request's. It returns
+// false when there is no answer to write: owner is not a peer of rs (a
+// membership reload raced the lookup), its circuit is open, or the call
+// failed (peerState.call settles the breaker). A client gone mid-call counts
+// as relayed: nobody would read an answer. The attempt — request out through
+// body read — is one StageForward span.
+func (s *Server) relay(w http.ResponseWriter, r *http.Request, rs *ringState, owner, path string, body []byte) bool {
 	peer := rs.peers[owner]
 	if peer == nil {
-		// Membership raced a reload between Owner and the peer lookup;
-		// serving locally is always safe.
 		return false
 	}
-	c.keyed = time.Time{}
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return false
-	}
-	// The attempt — request out through body read — is one StageForward span
-	// on this side.
 	start := time.Now()
 	ans, outcome := peer.call(r.Context(), http.MethodPost, path, body)
 	if outcome != peerSkipped {
 		obs.FromContext(r.Context()).Observe(obs.StageForward, time.Since(start))
 	}
-	switch {
-	case outcome == peerAborted:
-		// The client went away mid-forward; a local fallback would compute
-		// a plan nobody reads. Drop the request.
+	switch outcome {
+	case peerAborted:
 		return true
-	case outcome != peerAnswered || ans.status == http.StatusNotFound:
-		// The owner is unreachable, or — a 404 — config drift during a rolling
-		// rollout: this replica resolved the request (tenant lookup included)
-		// before forwarding, so the owner's view disagrees. Serve locally
-		// instead of failing a request we know how to answer.
-		s.metrics.ringLocalFallbacks.Inc()
+	case peerAnswered:
+	default:
 		return false
 	}
 	s.metrics.ringForwards.inc(peer.base)
@@ -179,6 +179,10 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path str
 	}
 	if ans.servedBy != "" {
 		w.Header().Set(ServedByHeader, ans.servedBy)
+	} else {
+		// An answer the owner gave before it stamped itself (an unknown
+		// tenant's 404) is still the owner's.
+		w.Header().Set(ServedByHeader, owner)
 	}
 	w.WriteHeader(ans.status)
 	_, _ = w.Write(ans.body)

@@ -297,88 +297,85 @@ func TestForwardLoopGuard(t *testing.T) {
 }
 
 // TestFleetAdmitForwarded routes admission control through the ring: the
-// decision (and the ledger debit) lands on the owning replica, whose cache
-// then serves the repeated admit.
+// decision (and the ledger debit) lands on the tenant's pool owner, whose
+// cache then serves the repeated admit, whichever replica received it.
 func TestFleetAdmitForwarded(t *testing.T) {
 	servers, listeners := newRingFleet(t, 3, func(int) Config {
 		return Config{Tenants: testRegistry(t, "etl", 1e9)}
 	})
+	owner := tenantOwner(t, servers, "etl")
 	areq := api.AdmitRequest{Tenant: "etl", Job: testJob()}
 
-	resp := postJSON(t, listeners[0].URL+"/v1/admit", areq)
+	via := (owner + 1) % 3
+	resp := postJSON(t, listeners[via].URL+"/v1/admit", areq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("admit: status = %d, want 200", resp.StatusCode)
 	}
-	servedBy := resp.Header.Get(ServedByHeader)
-	dec := decodeBody[api.AdmitResponse](t, resp)
-	if !dec.Admitted {
+	if got := resp.Header.Get(ServedByHeader); got != listeners[owner].URL {
+		t.Errorf("admit served by %q, want the pool owner %q", got, listeners[owner].URL)
+	}
+	if dec := decodeBody[api.AdmitResponse](t, resp); !dec.Admitted {
 		t.Fatalf("admit rejected: %+v", dec)
 	}
 
-	// The serving replica — and only it — debited its ledger and cached the
+	// The owner — and only it — debited its ledger and cached the
 	// unconstrained optimum.
-	debited := 0
 	for i, s := range servers {
-		rem := s.Tenants().Get("etl").Remaining()
-		if rem < 1e9 {
-			debited++
-			if listeners[i].URL != servedBy {
-				t.Errorf("replica %d debited but %q served", i, servedBy)
-			}
+		if debited := s.Tenants().Get("etl").Remaining() < 1e9; debited != (i == owner) {
+			t.Errorf("replica %d (owner %d) debited: %v", i, owner, debited)
 		}
-	}
-	if debited != 1 {
-		t.Errorf("%d replicas debited the admit, want exactly 1", debited)
 	}
 
-	// A second admit through another replica reuses the owner's cached plan:
-	// its cache stats show a hit.
-	resp2 := postJSON(t, listeners[1].URL+"/v1/admit", areq)
-	dec2 := decodeBody[api.AdmitResponse](t, resp2)
-	if !dec2.Admitted {
+	// A second admit through the third replica reuses the owner's cached
+	// plan: its cache stats show a hit.
+	resp2 := postJSON(t, listeners[(owner+2)%3].URL+"/v1/admit", areq)
+	if dec2 := decodeBody[api.AdmitResponse](t, resp2); !dec2.Admitted {
 		t.Fatalf("second admit rejected: %+v", dec2)
 	}
-	hitSomewhere := false
-	for _, s := range servers {
-		if hits, _, _ := s.CacheStats(); hits > 0 {
-			hitSomewhere = true
-		}
-	}
-	if !hitSomewhere {
-		t.Error("repeated admit did not hit any plan cache")
+	if hits, _, _ := servers[owner].CacheStats(); hits == 0 {
+		t.Error("repeated admit did not hit the owner's plan cache")
 	}
 }
 
-// TestFleetTenantDriftFallsBackLocally models a rolling tenant-config
-// rollout: the owner does not know the tenant yet (404), so the replica
-// that already resolved it serves — and debits — locally instead of
-// relaying the owner's 404.
-func TestFleetTenantDriftFallsBackLocally(t *testing.T) {
+// TestFleetTenantDriftRelaysOwner404 models a rolling tenant-config
+// rollout: the pool owner does not know the tenant yet, so its 404 is the
+// answer, relayed by the replica that received the admit. No replica debits
+// a pool it does not own: not the receiver, which knows the tenant, and not
+// the owner, which does not. (The receiver used to serve — and debit —
+// locally.)
+func TestFleetTenantDriftRelaysOwner404(t *testing.T) {
 	servers, listeners := newRingFleet(t, 3, func(i int) Config {
 		return Config{Tenants: testRegistry(t, "etl", 1e9)}
 	})
-	req := api.AdmitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}
-	owner := fleetOwner(t, servers, listeners, api.PlanRequest{Job: req.Job, Econ: req.Econ})
+	owner := tenantOwner(t, servers, "etl")
 	via := (owner + 1) % 3
 	// The owner's registry loses the tenant (drifted config).
 	servers[owner].SetTenants(testRegistry(t, "other", 1))
 
-	resp := postJSON(t, listeners[via].URL+"/v1/admit", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("drift fallback: status = %d, want 200", resp.StatusCode)
+	for _, path := range []string{"/v1/admit", "/v1/admit/batch"} {
+		var body any = api.AdmitRequest{Tenant: "etl", Job: testJob(), Econ: testEcon()}
+		if path == "/v1/admit/batch" {
+			body = api.AdmitBatchRequest{Tenant: "etl", Jobs: []api.AdmitBatchJob{{Job: testJob()}}}
+		}
+		resp := postJSON(t, listeners[via].URL+path, body)
+		if got := resp.Header.Get(ServedByHeader); got != listeners[owner].URL {
+			t.Errorf("%s: served by %q, want the owner %q", path, got, listeners[owner].URL)
+		}
+		env := decodeBody[api.ErrorResponse](t, resp)
+		if resp.StatusCode != http.StatusNotFound || env.Code != api.CodeNotFound || !strings.Contains(env.Error, `"etl"`) {
+			t.Errorf("%s: %d %q %q, want the owner's 404 naming the tenant", path, resp.StatusCode, env.Code, env.Error)
+		}
 	}
-	if got := resp.Header.Get(ServedByHeader); got != listeners[via].URL {
-		t.Errorf("drift fallback served by %q, want local replica %q", got, listeners[via].URL)
-	}
-	out := decodeBody[api.AdmitResponse](t, resp)
-	if !out.Admitted || out.BudgetRemaining >= 1e9 {
-		t.Errorf("local fallback did not debit the local ledger: %+v", out)
+	for i, s := range servers {
+		if p := s.Tenants().Get("etl"); p != nil && p.Remaining() != 1e9 {
+			t.Errorf("replica %d debited a pool it does not own: %g left", i, p.Remaining())
+		}
 	}
 	text := getMetricsText(t, listeners[via].URL)
-	if got := metricValue(text, "chronosd_ring_local_fallbacks_total"); got != "1" {
-		t.Errorf("chronosd_ring_local_fallbacks_total = %q, want 1", got)
+	if got := metricValue(text, "chronosd_ring_local_fallbacks_total"); got != "0" {
+		t.Errorf("chronosd_ring_local_fallbacks_total = %q, want 0", got)
 	}
-	// The owner is healthy — the drift must not charge its breaker.
+	// The owner is healthy — its 404 must not charge its breaker.
 	errLine := "chronosd_ring_peer_errors_total{peer=\"" + listeners[owner].URL + "\"}"
 	if got := metricValue(text, errLine); got != "" {
 		t.Errorf("%s = %q, want absent", errLine, got)
@@ -735,7 +732,11 @@ func TestForwardClientDisconnectDoesNotChargeBreaker(t *testing.T) {
 		cancel()
 	}()
 
-	if done := s.forwardToOwner(httptest.NewRecorder(), hreq, "/v1/plan", &c, req); !done {
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := s.forwardToOwner(httptest.NewRecorder(), hreq, "/v1/plan", &c, body); !done {
 		t.Fatal("client disconnect mid-forward must consume the request, not fall back locally")
 	}
 	peer := s.ringSt.Load().peers[hanging.URL]

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -41,9 +40,11 @@ type Server struct {
 	// being unused (reqLog is nil without a configured logger).
 	traces *obs.TraceRing
 	reqLog *obs.Logger
-	// escrow is the fleet-exact tenant accounting subsystem; nil when
-	// cfg.Escrow is off (the legacy per-replica approximation).
-	escrow *escrowManager
+	// ledger is the one debit path of the tenant pools this replica owns
+	// (ledger.go). With a Store, compactLoop folds its WAL into snapshots
+	// until compactStop closes, and closes compactDone when it returns.
+	ledger                   *tenant.EscrowLedger
+	compactStop, compactDone chan struct{}
 	// solveHook, when set (tests), runs on every plan-cache miss just before
 	// the solve — the hook point for counting real solves.
 	solveHook func(key string)
@@ -76,17 +77,13 @@ func New(cfg Config) *Server {
 // Open builds a server from cfg (zero fields take defaults). It fails on a
 // negative cache capacity; on invalid ring membership (peers without a self
 // URL), a startup misconfiguration that would otherwise silently disable
-// sharding; on a Store without Escrow, which would persist nothing; and on a
-// data dir the escrow ledger cannot anchor its snapshot in: the WAL records
-// that follow are deltas against that snapshot, so serving without it would
-// restore wrong levels at the next boot.
+// sharding; and on a data dir the ledger cannot anchor its snapshot in: the
+// WAL records that follow are deltas against that snapshot, so serving
+// without it would restore wrong levels at the next boot.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.CacheCapacity < 0 {
 		return nil, fmt.Errorf("cache capacity %d is negative", cfg.CacheCapacity)
-	}
-	if cfg.Store != nil && !cfg.Escrow {
-		return nil, errors.New("a data dir needs escrow accounting: only the escrow ledger is persisted")
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -102,20 +99,18 @@ func Open(cfg Config) (*Server, error) {
 	if err := s.SetRing(ring.Membership{Self: cfg.Self, Peers: cfg.Peers}); err != nil {
 		return nil, err
 	}
-	if cfg.Escrow {
-		led := tenant.NewEscrowLedger(cfg.Tenants, cfg.Store)
-		if cfg.Store != nil {
-			// Fold the recovered snapshot+WAL state into the live pools and
-			// leases, then anchor it: WAL records are deltas against the
-			// latest snapshot, so the restored absolute levels must be
-			// compacted before the first post-boot append.
-			led.Restore(cfg.Store.State())
-			if err := led.Compact(); err != nil {
-				return nil, fmt.Errorf("escrow anchor snapshot: %w", err)
-			}
+	s.ledger = tenant.NewEscrowLedger(cfg.Tenants, cfg.Store)
+	if cfg.Store != nil {
+		// Fold the recovered snapshot+WAL state into the live pools, then
+		// anchor it: WAL records are deltas against the latest snapshot, so
+		// the restored absolute levels must be compacted before the first
+		// post-boot append.
+		s.ledger.Restore(cfg.Store.State())
+		if err := s.ledger.Compact(); err != nil {
+			return nil, fmt.Errorf("escrow anchor snapshot: %w", err)
 		}
-		s.escrow = newEscrowManager(s, led)
-		go s.escrow.run()
+		s.compactStop, s.compactDone = make(chan struct{}), make(chan struct{})
+		go s.compactLoop()
 	}
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/plan", "/v1/plan", s.handlePlan)
@@ -124,7 +119,6 @@ func Open(cfg Config) (*Server, error) {
 	s.route("POST /v1/admit/batch", "/v1/admit/batch", s.handleAdmitBatch)
 	s.route("GET /v1/tradeoff", "/v1/tradeoff", s.handleTradeoff)
 	s.route("POST /v1/replay", "/v1/replay", s.handleReplay)
-	s.route("POST "+escrowPath, escrowPath, s.handleEscrowLease)
 	s.route("GET /healthz", "/healthz", s.handleHealthz)
 	s.route("GET /metrics", "/metrics", s.handleMetrics)
 	// The slow-trace buffer is also reachable on the serving listener (it is
@@ -151,25 +145,23 @@ func (s *Server) Tenants() *tenant.Registry { return s.tenants.Load() }
 // Carrying live ledger levels across the swap is the caller's choice via
 // tenant.Registry.Rebase.
 func (s *Server) SetTenants(reg *tenant.Registry) {
-	old := s.tenants.Load()
 	s.tenants.Store(reg)
-	if s.escrow != nil {
-		// Rebased pools must not double-count budget already escrowed into
-		// outstanding leases: the ledger re-debits their escrow from any pool
-		// that did not carry its ledger across the swap.
-		s.escrow.led.Rebase(old, reg)
-	}
+	s.ledger.Rebase(reg)
 	s.FlushCache()
 }
 
-// Close releases this replica's escrow leases back to their owners, compacts
-// the ledger into a final snapshot, and leaves the ring, which closes the idle
-// peer connections (after the lease release, which travels on them). Safe to
-// call more than once; a server without those subsystems closes as a no-op.
+// Close stops the snapshot loop, compacts the ledger into a final snapshot
+// (so the next boot replays nothing), and leaves the ring, which closes the
+// idle peer connections. Safe to call more than once; a server without a
+// Store or a ring closes as a no-op.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		if s.escrow != nil {
-			s.escrow.shutdown()
+		if s.compactStop != nil {
+			close(s.compactStop)
+			<-s.compactDone
+			if err := s.ledger.Compact(); err != nil {
+				s.logOp().Error("escrow final snapshot failed", "error", err.Error())
+			}
 		}
 		s.applyRing("", nil)
 	})

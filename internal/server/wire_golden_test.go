@@ -6,7 +6,8 @@ package server
 // body, traceId value blanked, with testdata/wire_golden.json. The file was
 // generated at d9d3b30; rows are only ever appended, except the eight tenant
 // rows of /v1/plan, /v1/plan/batch and /v1/replay, deleted with the field,
-// and the eight /v1/simulate rows, deleted with the route.
+// the eight /v1/simulate rows and the five /v1/escrow/lease rows, deleted
+// with their routes.
 
 import (
 	"encoding/json"
@@ -35,16 +36,11 @@ type wireRow struct {
 }
 
 type wireCase struct {
-	name   string
-	path   string // with its query on the one GET endpoint
-	body   string // "" on a GET
-	times  int    // send the request this many times and pin the last answer; 0 means once
-	escrow bool   // boot with escrow accounting on (the lease endpoint 404s without it)
+	name  string
+	path  string // with its query on the one GET endpoint
+	body  string // "" on a GET
+	times int    // send the request this many times and pin the last answer; 0 means once
 }
-
-// wireHolder is the ring member the escrow rows' server grants leases to (see
-// leaseHolder).
-const wireHolder = "http://127.0.0.1:4"
 
 // wireMaxBody is the golden servers' -max-body: small, so the 413 rows stay
 // small.
@@ -129,13 +125,6 @@ func wireCases() []wireCase {
 	add("/v1/replay 400 unknown strategy", "/v1/replay", `{"config":{"strategy":"bogus"},"benchmark":`+wireBench+`}`)
 	add("/v1/replay 400 unknown benchmark", "/v1/replay", `{"config":{"strategy":"clone"},"benchmark":{"name":"Grep","jobs":5,"tasks":6}}`)
 
-	// The peer-only POST endpoint shares the body path with the rest.
-	lease := `{"tenant":"team","holder":"` + wireHolder + `","want":100}`
-	cases = append(cases, wireCase{name: "/v1/escrow/lease 200", path: "/v1/escrow/lease", body: lease, escrow: true})
-	cases = append(cases, wireCase{name: "/v1/escrow/lease 400 invalid JSON", path: "/v1/escrow/lease", body: `{"tenant" nope}`, escrow: true})
-	cases = append(cases, wireCase{name: "/v1/escrow/lease 413", path: "/v1/escrow/lease", body: wireOversize, escrow: true})
-	add("/v1/escrow/lease 404 escrow off", "/v1/escrow/lease", lease)
-
 	// Appended with the one body path: bytes after the JSON value are a 400 on
 	// every endpoint (at d9d3b30 all but the first and the third of these
 	// answered 200).
@@ -145,7 +134,6 @@ func wireCases() []wireCase {
 	trailing("/v1/admit", `{"tenant":"team","job":`+wireJob+`}`)
 	trailing("/v1/admit/batch", `{"tenant":"team","jobs":[{"job":`+wireJob+`}]}`)
 	trailing("/v1/replay", `{"config":{"strategy":"clone","seed":7},"benchmark":`+wireBench+`}`)
-	cases = append(cases, wireCase{name: "/v1/escrow/lease 400 trailing bytes", path: "/v1/escrow/lease", body: lease + " xyz", escrow: true})
 
 	// Appended when only the admit endpoints kept a tenant: the field is now
 	// unknown to the other three, and an unknown key is a 400 from both body
@@ -161,7 +149,7 @@ func wireCases() []wireCase {
 
 // newWireServer boots one golden server: fixed (non-refilling) tenant pools,
 // so every budgetRemaining is a pure function of the requests sent.
-func newWireServer(t *testing.T, escrow bool) *httptest.Server {
+func newWireServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	reg, err := tenant.NewRegistry(map[string]tenant.Limits{
 		"team":   {Budget: 5000, Theta: 1e-4, UnitPrice: 1},
@@ -173,10 +161,7 @@ func newWireServer(t *testing.T, escrow bool) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Tenants: reg, MaxBodyBytes: wireMaxBody, Escrow: escrow})
-	if escrow && leaseHolder(t, s, "team") != wireHolder {
-		t.Fatalf("wireHolder is not the member leaseHolder picks for tenant team")
-	}
+	s := New(Config{Tenants: reg, MaxBodyBytes: wireMaxBody})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return ts
@@ -186,7 +171,7 @@ var wireTraceID = regexp.MustCompile(`"traceId":"[^"]*"`)
 
 func runWireCase(t *testing.T, c wireCase) wireRow {
 	t.Helper()
-	ts := newWireServer(t, c.escrow)
+	ts := newWireServer(t)
 	var row wireRow
 	for i := 0; i < max(c.times, 1); i++ {
 		var resp *http.Response

@@ -12,7 +12,6 @@ package tenant
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -164,59 +163,6 @@ func (p *Pool) TryDebit(cost float64) (ok bool, remaining float64) {
 	return true, p.led.level
 }
 
-// DebitUpTo deducts min(want, level) and returns the amount actually
-// debited. It is the escrow grant primitive: a lease request for more budget
-// than the pool holds gets the remainder rather than nothing, and the sum of
-// partial grants can never exceed what the pool had. A NaN want debits
-// nothing.
-func (p *Pool) DebitUpTo(want float64) (debited, remaining float64) {
-	if want < 0 || math.IsNaN(want) {
-		want = 0
-	}
-	p.led.mu.Lock()
-	defer p.led.mu.Unlock()
-	p.led.refillLocked()
-	if want > p.led.level {
-		want = p.led.level
-	}
-	if want < 0 {
-		want = 0
-	}
-	p.led.level -= want
-	return want, p.led.level
-}
-
-// ForceDebit deducts amount unconditionally, flooring the level at zero. It
-// exists for WAL replay, where the debit already happened in a previous
-// process life and must be reproduced exactly, not re-negotiated.
-func (p *Pool) ForceDebit(amount float64) {
-	if amount <= 0 {
-		return
-	}
-	p.led.mu.Lock()
-	defer p.led.mu.Unlock()
-	p.led.refillLocked()
-	p.led.level -= amount
-	if p.led.level < 0 {
-		p.led.level = 0
-	}
-}
-
-// Credit returns amount to the pool, capped at the pool's capacity. Used
-// when a leaseholder releases unspent escrow back to the owner.
-func (p *Pool) Credit(amount float64) {
-	if amount <= 0 {
-		return
-	}
-	p.led.mu.Lock()
-	defer p.led.mu.Unlock()
-	p.led.refillLocked()
-	p.led.level += amount
-	if p.led.level > p.led.budget {
-		p.led.level = p.led.budget
-	}
-}
-
 // SetLevel pins the ledger to level (clamped to [0, budget]) as of now. It
 // exists for snapshot restore at boot; refill resumes from the restore
 // instant, so budget that would have refilled while the process was down is
@@ -232,14 +178,6 @@ func (p *Pool) SetLevel(level float64) {
 	defer p.led.mu.Unlock()
 	p.led.level = level
 	p.led.last = p.led.now()
-}
-
-// SharesLedger reports whether p and other debit the same underlying
-// ledger — true across a Rebase that carried the bucket over. The escrow
-// layer uses it to decide whether outstanding leases are already reflected
-// in a reloaded pool's level or must be re-reserved.
-func (p *Pool) SharesLedger(other *Pool) bool {
-	return other != nil && p.led == other.led
 }
 
 // Registry is an immutable set of pools keyed by tenant name. The pool map

@@ -13,11 +13,10 @@ import (
 )
 
 // Store is the durability layer under one chronosd -data-dir: a point-in-time
-// snapshot of every pool level and outstanding escrow lease, plus an
-// append-only WAL of the authoritative ledger mutations since that snapshot.
-// On boot the snapshot is loaded and the WAL replayed on top, so a restarted
-// pool owner resumes with exactly the levels and leases it had — no lost and
-// no duplicated debits.
+// snapshot of every pool level, plus an append-only WAL of the authoritative
+// debits since that snapshot. On boot the snapshot is loaded and the WAL
+// replayed on top, so a restarted pool owner resumes with exactly the levels
+// it had — no lost and no duplicated debits.
 //
 // WAL records are deltas relative to the snapshot they follow, so the owner
 // must Compact an anchor snapshot once at boot (after EscrowLedger.Restore)
@@ -45,37 +44,17 @@ type Store struct {
 // Op names one WAL record type.
 type Op string
 
-const (
-	// OpDebit is an authoritative local debit against a pool (an admit or
-	// plan served by the pool owner itself).
-	OpDebit Op = "debit"
-	// OpCredit returns budget to a pool (a released lease's unspent escrow).
-	OpCredit Op = "credit"
-	// OpGrant escrows budget from a pool into a holder's lease.
-	OpGrant Op = "grant"
-	// OpSpent acknowledges a holder's report of lease budget spent; the pool
-	// level is unchanged (the grant already debited it), only the
-	// outstanding escrow shrinks.
-	OpSpent Op = "spent"
-	// OpRelease ends a lease; what it returned to the pool is the OpCredit
-	// record before it.
-	OpRelease Op = "release"
-)
+// OpDebit is an authoritative debit against a pool: an admit its owner
+// decided. It is the only op written; replay also reads the ops of data dirs
+// from when pools leased escrow to other replicas (see decodeRecord).
+const OpDebit Op = "debit"
 
 // Record is one WAL entry.
 type Record struct {
 	Seq    uint64  `json:"seq"`
 	Op     Op      `json:"op"`
 	Tenant string  `json:"tenant"`
-	Holder string  `json:"holder,omitempty"`
 	Amount float64 `json:"amount,omitempty"`
-}
-
-// LeaseRecord is one outstanding lease in a snapshot.
-type LeaseRecord struct {
-	Tenant string  `json:"tenant"`
-	Holder string  `json:"holder"`
-	Escrow float64 `json:"escrow"`
 }
 
 // Snapshot is the durable point-in-time ledger state.
@@ -87,8 +66,6 @@ type Snapshot struct {
 	AtUnixNano int64 `json:"at"`
 	// Pools maps tenant name to ledger level.
 	Pools map[string]float64 `json:"pools"`
-	// Leases are the outstanding escrow grants.
-	Leases []LeaseRecord `json:"leases,omitempty"`
 }
 
 const (
@@ -116,8 +93,8 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// State returns the ledger state recovered at open: pool levels and
-// outstanding leases with WAL replay already applied.
+// State returns the ledger state recovered at open: pool levels with WAL
+// replay already applied.
 func (s *Store) State() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -131,22 +108,18 @@ func (s *Store) recover() error {
 	switch {
 	case err == nil:
 		// Strict, like a WAL line: with a damaged "pools" key a lenient
-		// decode restored every pool full. Snapshots from when leases
-		// expired carry an expiry per lease.
+		// decode restored every pool full. Snapshots from when pools leased
+		// escrow list the outstanding leases; the grants behind them already
+		// debited the pool levels, and their holders can no longer return
+		// them, so they are read and counted as spent.
 		var doc struct {
 			Snapshot
-			Leases []struct {
-				LeaseRecord
-				Expiry json.RawMessage `json:"expiry"`
-			} `json:"leases"`
+			Leases json.RawMessage `json:"leases"`
 		}
 		if err := decodeStrict(raw, &doc); err != nil {
 			return fmt.Errorf("tenant: snapshot %s: %w", snapshotFile, err)
 		}
 		snap = doc.Snapshot
-		for _, l := range doc.Leases {
-			snap.Leases = append(snap.Leases, l.LeaseRecord)
-		}
 		if snap.Pools == nil {
 			snap.Pools = map[string]float64{}
 		}
@@ -167,7 +140,6 @@ func (s *Store) recover() error {
 		return fmt.Errorf("tenant: wal: %w", err)
 	}
 	defer f.Close()
-	leases := leaseIndex(snap.Leases)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	// start and off are the byte offsets the line just scanned begins and
@@ -210,7 +182,7 @@ func (s *Store) recover() error {
 		if rec.Seq > s.seq {
 			s.seq = rec.Seq
 		}
-		applyRecord(&snap, leases, rec)
+		applyRecord(&snap, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("tenant: wal replay: %w", err)
@@ -227,7 +199,6 @@ func (s *Store) recover() error {
 	if err != nil {
 		return fmt.Errorf("tenant: wal tail repair: %w", err)
 	}
-	snap.Leases = flattenLeases(leases)
 	s.snap = snap
 	return nil
 }
@@ -235,79 +206,41 @@ func (s *Store) recover() error {
 // decodeRecord decodes one WAL line. A key a Record does not have or an op
 // replay does not know makes the line undecodable, like a torn one: decoded
 // leniently, one damaged byte in "debit", "amount" or "tenant" replayed a
-// debit as nothing and brought its spend back. Logs from when leases
-// expired also hold an expiry on grants.
+// debit as nothing and brought its spend back. Logs from when pools leased
+// escrow also hold a holder on lease records, and from when leases expired
+// an expiry on grants.
 func decodeRecord(line []byte) (Record, error) {
 	var rec struct {
 		Record
+		Holder json.RawMessage `json:"holder"`
 		Expiry json.RawMessage `json:"expiry"`
 	}
 	if err := decodeStrict(line, &rec); err != nil {
 		return Record{}, err
 	}
 	switch rec.Op {
-	case OpDebit, OpCredit, OpGrant, OpSpent, OpRelease, "renew", "reclaim":
+	case OpDebit, "grant", "credit", "spent", "release", "renew", "reclaim":
 		return rec.Record, nil
 	}
 	return Record{}, fmt.Errorf("unknown op %q", rec.Op)
 }
 
-// leaseKey indexes a lease by tenant and holder.
-type leaseKey struct{ tenant, holder string }
-
-func leaseIndex(recs []LeaseRecord) map[leaseKey]*LeaseRecord {
-	idx := make(map[leaseKey]*LeaseRecord, len(recs))
-	for i := range recs {
-		r := recs[i]
-		idx[leaseKey{r.Tenant, r.Holder}] = &r
-	}
-	return idx
-}
-
-func flattenLeases(idx map[leaseKey]*LeaseRecord) []LeaseRecord {
-	out := make([]LeaseRecord, 0, len(idx))
-	for _, r := range idx {
-		if r.Escrow > 0 {
-			out = append(out, *r)
-		}
-	}
-	return out
-}
-
-// applyRecord folds one WAL record into the in-memory snapshot state. Pool
-// levels here are raw numbers; clamping to [0, budget] happens when the
-// state is loaded into a live Registry (whose config may have changed since
-// the record was written).
-func applyRecord(snap *Snapshot, leases map[leaseKey]*LeaseRecord, rec Record) {
+// applyRecord folds one WAL record into the in-memory pool levels. Of the
+// lease ops, a grant debited its pool and a credit returned a released
+// lease's unspent escrow to it; the others ("spent", "release", "renew",
+// "reclaim") moved only escrow already out of the pool. Levels here are raw
+// numbers; clamping to [0, budget] happens when the state is loaded into a
+// live Registry (whose config may have changed since the record was
+// written).
+func applyRecord(snap *Snapshot, rec Record) {
 	switch rec.Op {
-	case OpDebit, OpGrant:
+	case OpDebit, "grant":
 		snap.Pools[rec.Tenant] -= rec.Amount
 		if snap.Pools[rec.Tenant] < 0 {
 			snap.Pools[rec.Tenant] = 0
 		}
-		if rec.Op == OpGrant {
-			k := leaseKey{rec.Tenant, rec.Holder}
-			l := leases[k]
-			if l == nil {
-				l = &LeaseRecord{Tenant: rec.Tenant, Holder: rec.Holder}
-				leases[k] = l
-			}
-			l.Escrow += rec.Amount
-		}
-	case OpCredit:
+	case "credit":
 		snap.Pools[rec.Tenant] += rec.Amount
-	case OpSpent:
-		if l := leases[leaseKey{rec.Tenant, rec.Holder}]; l != nil {
-			l.Escrow -= rec.Amount
-			if l.Escrow < 0 {
-				l.Escrow = 0
-			}
-		}
-	// Logs from when leases expired also hold "reclaim", which ended a
-	// silent holder's lease with no credit, and "renew", which moved only an
-	// expiry and so, like the expiry fields, is ignored.
-	case OpRelease, "reclaim":
-		delete(leases, leaseKey{rec.Tenant, rec.Holder})
 	}
 }
 
@@ -362,7 +295,7 @@ func (s *Store) AppendFailures() (uint64, error) {
 // The snapshot lands via writeFileDurable, so a crash mid-compaction leaves
 // either the old snapshot (plus the intact WAL) or the new one; the stored
 // sequence number makes leftover WAL records idempotent.
-func (s *Store) Compact(pools map[string]float64, leases []LeaseRecord) error {
+func (s *Store) Compact(pools map[string]float64) error {
 	if s == nil {
 		return nil
 	}
@@ -372,7 +305,6 @@ func (s *Store) Compact(pools map[string]float64, leases []LeaseRecord) error {
 		Seq:        s.seq,
 		AtUnixNano: time.Now().UnixNano(),
 		Pools:      pools,
-		Leases:     leases,
 	}
 	raw, err := json.MarshalIndent(snap, "", " ")
 	if err != nil {

@@ -20,14 +20,10 @@ func TestStoreRoundTripThroughWAL(t *testing.T) {
 	if err := e.Compact(); err != nil { // anchor snapshot, as boot does
 		t.Fatal(err)
 	}
-	if ok, _ := e.DebitLocal("etl", 10); !ok {
-		t.Fatal("debit failed")
-	}
-	if g, _, _ := e.Grant("etl", "h1", 0, 30); g != 30 {
-		t.Fatal("grant failed")
-	}
-	if _, _, err := e.Grant("etl", "h1", 5, 0); err != nil {
-		t.Fatal(err)
+	for _, cost := range []float64{10, 30} {
+		if ok, _ := e.DebitLocal("etl", cost); !ok {
+			t.Fatalf("debit of %v failed", cost)
+		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -41,10 +37,7 @@ func TestStoreRoundTripThroughWAL(t *testing.T) {
 	defer st2.Close()
 	state := st2.State()
 	if got := state.Pools["etl"]; got != 60 {
-		t.Errorf("replayed pool level = %v, want 60 (100 - 10 debit - 30 grant)", got)
-	}
-	if len(state.Leases) != 1 || state.Leases[0].Escrow != 25 {
-		t.Errorf("replayed leases = %+v, want one h1 lease with escrow 25", state.Leases)
+		t.Errorf("replayed pool level = %v, want 60 (100 - 10 - 30)", got)
 	}
 }
 
@@ -56,15 +49,14 @@ func TestStoreSnapshotPlusTailReplay(t *testing.T) {
 	}
 	reg := mustRegistry(t, map[string]Limits{"etl": {Budget: 100}})
 	e := NewEscrowLedger(reg, st)
-	_, _, _ = e.Grant("etl", "h1", 0, 30)
+	e.DebitLocal("etl", 30)
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	// Post-snapshot mutations land in the (now truncated) WAL.
+	// Post-snapshot debits land in the (now truncated) WAL.
 	if ok, _ := e.DebitLocal("etl", 7); !ok {
 		t.Fatal("debit failed")
 	}
-	_, _ = e.Release("etl", "h1", 0) // everything spent, then released
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +68,7 @@ func TestStoreSnapshotPlusTailReplay(t *testing.T) {
 	defer st2.Close()
 	state := st2.State()
 	if got := state.Pools["etl"]; got != 63 {
-		t.Errorf("recovered level = %v, want 63 (70 snapshot - 7 debit; release returned 0)", got)
-	}
-	if len(state.Leases) != 0 {
-		t.Errorf("released lease survived recovery: %+v", state.Leases)
+		t.Errorf("recovered level = %v, want 63 (70 snapshot - 7 debit)", got)
 	}
 }
 
@@ -177,7 +166,7 @@ func TestStoreTornTailTrimmed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Compact(map[string]float64{"a": 1000}, nil); err != nil {
+		if err := st.Compact(map[string]float64{"a": 1000}); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
@@ -239,7 +228,7 @@ func TestStoreMidFileCorruptionFailsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Compact(map[string]float64{"a": 1000}, nil); err != nil {
+	if err := st.Compact(map[string]float64{"a": 1000}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -288,7 +277,7 @@ func TestStoreDamagedNameIsUndecodable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Compact(map[string]float64{"a": 1000}, nil); err != nil {
+			if err := st.Compact(map[string]float64{"a": 1000}); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 3; i++ {
@@ -374,7 +363,7 @@ func TestStoreSequencesSurviveReopen(t *testing.T) {
 }
 
 // TestStoreCompactConcurrentMutationsExact races compactions against ledger
-// mutations. Any debit or grant landing "inside" a compaction must be either
+// debits. Any debit landing "inside" a compaction must be either
 // folded into the snapshot or left alive in the WAL — exactly one of the two
 // — so recovery reproduces the live state bit-exactly. (All amounts are
 // binary fractions, so float comparison below really is exact.)
@@ -408,27 +397,18 @@ func TestStoreCompactConcurrentMutationsExact(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			holder := string(rune('a' + w))
 			for i := 0; i < 300; i++ {
-				switch i % 3 {
-				case 0:
-					e.DebitLocal("etl", 0.25)
-				case 1:
-					_, _, _ = e.Grant("etl", holder, 0, 0.5)
-				case 2:
-					_, _, _ = e.Grant("etl", holder, 0.25, 0)
-				}
+				e.DebitLocal("etl", 0.25*float64(1+i%3))
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	close(stop)
 	<-compactDone
 
 	wantPool := reg.Get("etl").Remaining()
-	_, wantEscrow := e.Outstanding("etl")
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -441,13 +421,6 @@ func TestStoreCompactConcurrentMutationsExact(t *testing.T) {
 	state := st2.State()
 	if got := state.Pools["etl"]; got != wantPool {
 		t.Errorf("recovered pool level = %v, want exactly %v", got, wantPool)
-	}
-	var gotEscrow float64
-	for _, l := range state.Leases {
-		gotEscrow += l.Escrow
-	}
-	if gotEscrow != wantEscrow {
-		t.Errorf("recovered escrow = %v, want exactly %v", gotEscrow, wantEscrow)
 	}
 }
 
@@ -475,16 +448,12 @@ func TestStoreAppendFailureLatched(t *testing.T) {
 	}
 }
 
-// TestStoreOpensExpiringLeaseDataDir opens a data dir written while leases
-// still expired: grants and snapshot leases carry an "expiry", and the log
-// holds a dry-pool "renew" and a "reclaim" of the lease of h2. It must
-// restore the pool levels that build restored (etl 1000 - 100 - 50 - 10 - 30
-// - 5 = 805, ml drained to 0). The reclaim still ends h2's lease; the other
-// two stay outstanding until their holder releases them.
-func TestStoreOpensExpiringLeaseDataDir(t *testing.T) {
+// copyFixture copies one testdata data dir into a fresh directory.
+func copyFixture(t *testing.T, fixture string) string {
+	t.Helper()
 	dir := t.TempDir()
 	for _, name := range []string{snapshotFile, walFile} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "expiring-leases", name))
+		raw, err := os.ReadFile(filepath.Join("testdata", fixture, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,27 +461,73 @@ func TestStoreOpensExpiringLeaseDataDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// TestStoreOpensExpiringLeaseDataDir opens a data dir written while leases
+// still expired: grants and snapshot leases carry an "expiry", and the log
+// holds a "spent" report, a dry-pool "renew" and a "reclaim" of the lease of
+// h2. It must restore the pool levels that build restored (etl 1000 - 100 -
+// 50 - 10 - 30 - 5 = 805, ml drained to 0); the escrow still out on lease
+// stays spent. After the boot-time anchor Compact the snapshot holds no
+// lease, and a reopen restores the same levels from it.
+func TestStoreOpensExpiringLeaseDataDir(t *testing.T) {
+	dir := copyFixture(t, "expiring-leases")
+	want := map[string]float64{"etl": 805, "ml": 0}
+	restore := func() {
+		t.Helper()
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		reg := mustRegistry(t, map[string]Limits{"etl": {Budget: 1000}, "ml": {Budget: 500}})
+		e := NewEscrowLedger(reg, st)
+		e.Restore(st.State())
+		for name, level := range want {
+			if got := reg.Get(name).Remaining(); got != level {
+				t.Errorf("%s pool = %v, want %v", name, got, level)
+			}
+		}
+		if err := e.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restore()
+	raw, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "lease") {
+		t.Errorf("the anchor snapshot still lists leases:\n%s", raw)
+	}
+	restore()
+}
+
+// TestStoreFoldsLeaseRecords replays every record a leasing owner wrote: a
+// grant debits the pool, the credit of a release returns its unspent escrow,
+// and spent reports and releases move nothing.
+func TestStoreFoldsLeaseRecords(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, data string) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(snapshotFile, `{"seq":1,"at":0,"pools":{"etl":1000},"leases":[{"tenant":"etl","holder":"h1","escrow":50}]}`)
+	write(walFile, `{"seq":2,"op":"grant","tenant":"etl","holder":"h2","amount":100}
+{"seq":3,"op":"spent","tenant":"etl","holder":"h2","amount":40}
+{"seq":4,"op":"credit","tenant":"etl","amount":60}
+{"seq":5,"op":"release","tenant":"etl","holder":"h2"}
+{"seq":6,"op":"debit","tenant":"etl","amount":7}
+`)
 	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	reg := mustRegistry(t, map[string]Limits{"etl": {Budget: 1000}, "ml": {Budget: 500}})
-	e := NewEscrowLedger(reg, st)
-	e.Restore(st.State())
-	const h1 = "http://10.0.0.2:8080"
-	for _, c := range []struct {
-		tenant       string
-		pool, escrow float64
-	}{{"etl", 805, 110}, {"ml", 0, 500}} {
-		if got := reg.Get(c.tenant).Remaining(); got != c.pool {
-			t.Errorf("%s pool = %v, want %v", c.tenant, got, c.pool)
-		}
-		if holders, escrow := e.Outstanding(c.tenant); holders != 1 || escrow != c.escrow {
-			t.Errorf("%s outstanding = (%d, %v), want (1, %v)", c.tenant, holders, escrow, c.escrow)
-		}
-	}
-	if rem, err := e.Release("etl", h1, 110); err != nil || rem != 915 {
-		t.Errorf("releasing the restored lease = (%v, %v), want (915, nil)", rem, err)
+	// h1's 50 stays spent: only its holder could have returned it.
+	if got := st.State().Pools["etl"]; got != 953 {
+		t.Errorf("folded level = %v, want 953 (1000 - 100 + 60 - 7)", got)
 	}
 }

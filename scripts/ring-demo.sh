@@ -10,10 +10,11 @@
 # SIGKILLs the plan owner, shows the very next request solved by the replica
 # it was sent to (a counted local fallback), restarts the owner, and asserts
 # that within one breaker cooldown the key is forwarded to it again. Finally
-# it exercises the escrow failure path: it plants a lease at the tenant's pool
-# owner, SIGKILLs that owner mid-run, asserts that both survivors refuse the
-# tenant instead of opening a second pool, restarts it from its data dir, and
-# asserts the boot-time lease reclamation in the structured logs. It ends by reading
+# it exercises the tenant pool: admits sent through all three replicas are
+# decided on the tenant's one pool owner; it SIGKILLs that owner mid-run,
+# asserts that both survivors refuse the tenant at once instead of opening a
+# second pool, restarts it from its data dir, and asserts that it restored
+# its pre-crash pool level from the WAL. It ends by reading
 # every replica's stderr file back: request lines and operational lines share
 # one stream, and through two SIGKILLs every line of it must still be one
 # complete JSON object. Also used as the CI smoke step for the ring serving
@@ -48,12 +49,12 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# start_replica <port> <logfile>: one escrow-enabled ring member with a
-# per-port durable data dir.
+# start_replica <port> <logfile>: one ring member with a per-port durable
+# data dir.
 start_replica() {
   local p="$1" log="$2"
   "$BIN" -addr "127.0.0.1:$p" -self "http://127.0.0.1:$p" -peers "$PEERS" \
-    -tenants "$TENANTS" -escrow -data-dir "$DATA_DIR/$p" 2>"$log" &
+    -tenants "$TENANTS" -data-dir "$DATA_DIR/$p" 2>"$log" &
   PID_OF[$p]=$!
 }
 
@@ -198,88 +199,86 @@ echo "   back; $ENTRY forwards the key to $OWNER again"
 echo
 echo "OK: dead owner's key solved where the request landed, the restarted owner took it back within a cooldown"
 
-# --- escrow: kill the pool owner, assert it restores pool and leases -------
-# Real admits flow through the fleet (non-owners of the tenant key lease
-# escrow from the pool owner), then a deterministic lease is planted via the
-# internal escrow API under another member's URL (the only holders an owner
-# grants to): the replica that answers 200 is the pool owner; the others
-# answer 409/not_owner. The owner is then SIGKILLed mid-run — no graceful
-# release, no final snapshot. The tenant's pool stays with it: a job no
-# survivor's lease can pay for is refused, not admitted from a fresh pool.
+# --- tenant pool: admits land on the owner; kill it, restore it -----------
+# Every admit is decided on the tenant's pool owner (the ring owner of the
+# tenant key), whichever replica receives it: admits sent through all three
+# replicas are all served by one replica, and only its pool moves. The owner
+# is then SIGKILLed mid-run — no final snapshot. The tenant's pool stays with
+# it: both survivors refuse the tenant at once with budget_exhausted, even a
+# job the pool could pay many times over, instead of opening a second pool.
 # Restarted from its data dir, the owner replays the snapshot+WAL and comes
-# back with its pre-crash pool level and every outstanding lease, the planted
-# one included: leases do not expire, they end when their holder releases
-# them.
+# back with its pre-crash pool level.
 echo
-echo "== escrow: admits across the fleet (tenant 'demo') =="
+echo "== tenant pool: admits through every replica (tenant 'demo') =="
+# admit <port> <tasks>: one admit for tenant 'demo'; prints the body, then
+# the X-Chronosd-Served-By value on the last line.
+admit() {
+  local hdr
+  hdr="$(mktemp)"
+  curl -sf -D "$hdr" -X POST -H 'Content-Type: application/json' \
+    -d "{\"tenant\":\"demo\",\"job\":{\"tasks\":$2,\"deadline\":3600,\"tmin\":40,\"beta\":1.6,\"tauEst\":300,\"tauKill\":600}}" \
+    "http://127.0.0.1:$1/v1/admit"
+  echo
+  awk -F': ' 'tolower($1)=="x-chronosd-served-by" {gsub(/\r/,"",$2); print $2}' "$hdr"
+  rm -f "$hdr"
+}
+POOL_OWNER=""
 for i in 1 2 3 4 5 6; do
   port="${PORTS[$((i % 3))]}"
-  ADMIT_BODY="{\"tenant\":\"demo\",\"job\":{\"tasks\":$((90 + i)),\"deadline\":3600,\"tmin\":40,\"beta\":1.6,\"tauEst\":300,\"tauKill\":600}}"
-  curl -sf -X POST -H 'Content-Type: application/json' -d "$ADMIT_BODY" \
-    "http://127.0.0.1:$port/v1/admit" | grep -q '"admitted":true' \
-    || { echo "FAIL: admit $i via :$port rejected"; exit 1; }
+  OUT="$(admit "$port" $((90 + i)))"
+  head -n 1 <<<"$OUT" | grep -q '"admitted":true' \
+    || { echo "FAIL: admit $i via :$port rejected: $OUT"; exit 1; }
+  BY="$(tail -n 1 <<<"$OUT")"
+  [ -z "$POOL_OWNER" ] && POOL_OWNER="$BY"
+  [ "$BY" = "$POOL_OWNER" ] \
+    || { echo "FAIL: admit $i via :$port was decided by '$BY', earlier ones by $POOL_OWNER"; exit 1; }
 done
+POOL_OWNER_PORT="${POOL_OWNER##*:}"
+echo "   every admit decided by the pool owner, 127.0.0.1:$POOL_OWNER_PORT"
 
-POOL_OWNER_PORT=""
-for i in 0 1 2; do
-  p="${PORTS[$i]}"
-  LEASE_BODY="{\"tenant\":\"demo\",\"holder\":\"http://127.0.0.1:${PORTS[$(((i + 1) % 3))]}\",\"want\":500}"
-  code="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
-    -H 'Content-Type: application/json' -d "$LEASE_BODY" \
-    "http://127.0.0.1:$p/v1/escrow/lease")"
-  [ "$code" = "200" ] && POOL_OWNER_PORT="$p"
-done
-[ -n "$POOL_OWNER_PORT" ] \
-  || { echo "FAIL: no replica granted the escrow lease (no pool owner?)"; exit 1; }
-echo "   pool owner for tenant 'demo': 127.0.0.1:$POOL_OWNER_PORT"
-
-# escrow_gauge <port> <family>: the owner's gauge for tenant 'demo'.
-escrow_gauge() {
-  curl -sf "http://127.0.0.1:$1/metrics" | awk -v k="$2{tenant=\"demo\"}" '$1 == k {print $2}'
+# pool_level <port>: the replica's chronosd_tenant_budget_remaining for 'demo'.
+pool_level() {
+  curl -sf "http://127.0.0.1:$1/metrics" | awk -v k='chronosd_tenant_budget_remaining{tenant="demo"}' '$1 == k {print $2}'
 }
-LEVEL_BEFORE="$(escrow_gauge "$POOL_OWNER_PORT" chronosd_tenant_budget_remaining)"
-OWED_BEFORE="$(escrow_gauge "$POOL_OWNER_PORT" chronosd_escrow_outstanding)"
-awk -v o="${OWED_BEFORE:-0}" 'BEGIN {exit !(o >= 500)}' \
-  || { echo "FAIL: owner reports ${OWED_BEFORE:-no} outstanding escrow, want the planted 500 at least"; exit 1; }
-echo "   before the crash: pool $LEVEL_BEFORE, outstanding escrow $OWED_BEFORE"
+SURVIVORS=()
+for p in "${PORTS[@]}"; do
+  [ "$p" != "$POOL_OWNER_PORT" ] && SURVIVORS+=("$p")
+done
+for p in "${SURVIVORS[@]}"; do
+  [ "$(pool_level "$p")" = "100000" ] \
+    || { echo "FAIL: non-owner :$p spent its copy of the pool: $(pool_level "$p")"; exit 1; }
+done
+LEVEL_BEFORE="$(pool_level "$POOL_OWNER_PORT")"
+awk -v l="$LEVEL_BEFORE" 'BEGIN {exit !(l < 100000)}' \
+  || { echo "FAIL: the owner's pool is '$LEVEL_BEFORE' after six admits, want below 100000"; exit 1; }
+echo "   before the crash: owner's pool $LEVEL_BEFORE, the survivors' copies untouched"
 
 echo "== SIGKILL the pool owner (:$POOL_OWNER_PORT) =="
 kill -9 "${PID_OF[$POOL_OWNER_PORT]}"
 wait "${PID_OF[$POOL_OWNER_PORT]}" 2>/dev/null || true
 unset "PID_OF[$POOL_OWNER_PORT]"
 
-# Jobs of 200-odd tasks cost two lease targets (a tenth of the budget) each:
-# no survivor's lease pays for one, a pool would pay for several. Eight plan
-# keys, so that both survivors decide some of them.
-SURVIVORS=()
-for p in "${PORTS[@]}"; do
-  [ "$p" != "$POOL_OWNER_PORT" ] && SURVIVORS+=("$p")
-done
-for i in 0 1 2 3 4 5 6 7; do
+for i in 0 1 2 3; do
   p="${SURVIVORS[$((i % 2))]}"
-  BIG_ADMIT="{\"tenant\":\"demo\",\"job\":{\"tasks\":$((200 + i)),\"deadline\":3600,\"tmin\":40,\"beta\":1.6,\"tauEst\":300,\"tauKill\":600}}"
-  R4="$(curl -sf -X POST -H 'Content-Type: application/json' -d "$BIG_ADMIT" "http://127.0.0.1:$p/v1/admit")"
+  R4="$(admit "$p" $((10 + i)) | head -n 1)"
   jq -e '.admitted == false and .reason == "budget_exhausted"' <<<"$R4" >/dev/null \
     || { echo "FAIL: with the pool owner dead, survivor :$p answered $R4, want budget_exhausted"; exit 1; }
 done
-echo "   pool owner dead; both survivors refuse the tenant (budget_exhausted), no second pool"
+echo "   pool owner dead; both survivors refuse the tenant at once (budget_exhausted), no second pool"
 
 echo "== restarting the owner from $DATA_DIR/$POOL_OWNER_PORT =="
 start_replica "$POOL_OWNER_PORT" "$LOG_DIR/$POOL_OWNER_PORT.restart.log"
 wait_healthy "$POOL_OWNER_PORT"
 
-# The restarted owner's pool and leases must be the pre-crash ones (they
-# came back from snapshot+WAL, not from the config default).
-LEVEL="$(escrow_gauge "$POOL_OWNER_PORT" chronosd_tenant_budget_remaining)"
-OWED="$(escrow_gauge "$POOL_OWNER_PORT" chronosd_escrow_outstanding)"
+# The restarted owner's pool must be the pre-crash one (it came back from
+# snapshot+WAL, not from the config default).
+LEVEL="$(pool_level "$POOL_OWNER_PORT")"
 [ "$LEVEL" = "$LEVEL_BEFORE" ] \
   || { echo "FAIL: restarted owner's pool is '$LEVEL', want the pre-crash $LEVEL_BEFORE"; exit 1; }
-[ "$OWED" = "$OWED_BEFORE" ] \
-  || { echo "FAIL: restarted owner's outstanding escrow is '$OWED', want the pre-crash $OWED_BEFORE"; exit 1; }
-echo "   restored: pool $LEVEL / 100000 machine-seconds, outstanding escrow $OWED (planted lease included)"
+echo "   restored: pool $LEVEL / 100000 machine-seconds"
 
 echo
-echo "OK: owner crash refused the tenant on the survivors; restart restored the pool and its leases from the WAL"
+echo "OK: every admit decided on the pool owner; owner crash refused the tenant on the survivors; restart restored the pool from the WAL"
 
 # --- one stream, whole lines -----------------------------------------------
 # Stop the fleet so the files are final, then require every line of every
