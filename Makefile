@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test pins goldens examples bench bench-test cover ring-demo loc ci
+.PHONY: all fmt vet build test pins goldens fuzz-smoke examples bench bench-test cover ring-demo loc ci
 
 all: build
 
@@ -25,6 +25,10 @@ pins: ## the allocation pins, which skip themselves under -race and so never run
 
 goldens: ## the full-size simulation goldens (figures at 270 jobs, the 2,000-job oracle cells, 10^7 Pareto draws and 10^7 closed-form kernel powers against math.Pow) and the full 900-cell budget-frontier breakpoint sweep, which shrink or skip themselves under -race
 	$(GO) test -run 'Golden|ModelOracle|MatchesPow|AtEveryBreakpoint' . ./cmd/chronos-figures ./internal/pareto ./internal/optimize ./internal/analysis
+
+fuzz-smoke: ## every internal/hotjson fuzz target for 5 s past its seeds: the codec against encoding/json on inputs the committed corpus does not hold
+	@for f in $$($(GO) test -list '^Fuzz' ./internal/hotjson | grep '^Fuzz'); do echo "fuzz $$f"; \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 5s ./internal/hotjson || exit 1; done
 
 examples: ## run every example program end to end: each must exit 0 within the timeout (a compiling example can still fail at runtime)
 	@for d in examples/*/; do echo "go run ./$$d"; \
@@ -62,4 +66,4 @@ ring-demo: ## 3-replica consistent-hash ring smoke: plan via A, cache hit via B
 # cover subsumes test (its single -race run is both gates), so ci does not
 # execute the suite twice; pins and goldens rerun only the tests that -race
 # skips or shrinks.
-ci: fmt vet build cover pins goldens examples bench bench-test ring-demo
+ci: fmt vet build cover pins goldens fuzz-smoke examples bench bench-test ring-demo

@@ -8,6 +8,7 @@ import (
 	"unicode/utf8"
 
 	"chronos"
+	"chronos/api"
 )
 
 // decoder is a single-pass JSON scanner over one request body. It lives on
@@ -297,6 +298,44 @@ func (d *decoder) object(names []string, field func(i int) error) error {
 	}
 }
 
+// array walks one JSON array, or consumes a null, which it reports as
+// isNull. elem(i) decodes the i-th element; n is how many it decoded.
+func (d *decoder) array(elem func(i int) error) (n int, isNull bool, err error) {
+	if isNull, err = d.null(); isNull || err != nil {
+		return 0, isNull, err
+	}
+	if d.data[d.off] != '[' {
+		return 0, false, d.syntaxf("expected array")
+	}
+	d.off++
+	c, err := d.peek()
+	if err != nil {
+		return 0, false, err
+	}
+	if c == ']' {
+		d.off++
+		return 0, false, nil
+	}
+	for {
+		if err := elem(n); err != nil {
+			return n, false, err
+		}
+		n++
+		if c, err = d.peek(); err != nil {
+			return n, false, err
+		}
+		switch c {
+		case ']':
+			d.off++
+			return n, false, nil
+		case ',':
+			d.off++
+		default:
+			return n, false, d.syntaxf("expected ',' or ']' in array")
+		}
+	}
+}
+
 // fieldIndex resolves a decoded key to its index in names with
 // encoding/json's precedence: an exact match anywhere in the struct beats a
 // case-folded one. -1 means the struct has no such field.
@@ -384,6 +423,8 @@ var (
 	econFields      = []string{"theta", "unitPrice", "rmin"}
 	planFields      = []string{"job", "econ", "strategy"}
 	admitFields     = []string{"job", "econ", "strategy", "tenant"}
+	batchFields     = []string{"tenant", "jobs", "econ"}
+	batchJobFields  = []string{"job", "strategy"}
 )
 
 func (d *decoder) jobParams(v *chronos.JobParams) error {
@@ -454,4 +495,73 @@ func decodeRequest(data []byte, in Interner, names []string, job *chronos.JobPar
 		return err
 	}
 	return d.end()
+}
+
+// DecodeAdmitBatchRequest decodes data into v with encoding/json's
+// semantics for a zero AdmitBatchRequest. in may be nil. It keeps v.Jobs's
+// backing array, cleared, for the jobs to decode into, so a caller that
+// reuses v decodes a batch no longer than the last one without allocating.
+func DecodeAdmitBatchRequest(data []byte, v *AdmitBatchRequest, in Interner) error {
+	spare := v.Jobs[:cap(v.Jobs)]
+	clear(spare)
+	*v = AdmitBatchRequest{}
+	d := decoder{data: data, intern: in}
+	err := d.object(batchFields, func(i int) error {
+		switch i {
+		case 0:
+			return d.stringField(&v.Tenant)
+		case 1:
+			return d.batchJobs(&v.Jobs, spare[:0])
+		default:
+			return d.econ(&v.Econ)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	return d.end()
+}
+
+// batchJobs decodes a "jobs" value into *jobs as encoding/json decodes into
+// a slice: null makes it nil; an array decodes into the elements the slice
+// already has (so a repeated key merges into them), grows it by zero
+// elements and cuts it to the array's length; an empty array makes it a
+// fresh empty slice. A nil slice grows into spare, whose elements are zero
+// whenever *jobs is nil or empty.
+func (d *decoder) batchJobs(jobs *[]api.AdmitBatchJob, spare []api.AdmitBatchJob) error {
+	s := *jobs
+	if s == nil {
+		s = spare
+	}
+	n, isNull, err := d.array(func(i int) error {
+		switch {
+		case i == cap(s):
+			s = append(s, api.AdmitBatchJob{})
+		case i >= len(s):
+			s = s[:i+1]
+		}
+		j := &s[i]
+		return d.object(batchJobFields, func(k int) error {
+			if k == 0 {
+				return d.jobParams(&j.Job)
+			}
+			return d.stringField(&j.Strategy)
+		})
+	})
+	switch {
+	case err != nil:
+	case isNull:
+		clear(spare[:cap(spare)])
+		s = nil
+	case n == 0:
+		clear(spare[:cap(spare)])
+		s = spare
+		if s == nil {
+			s = []api.AdmitBatchJob{}
+		}
+	default:
+		s = s[:n]
+	}
+	*jobs = s
+	return err
 }

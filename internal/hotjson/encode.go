@@ -157,6 +157,35 @@ func AppendAdmitResponse(dst []byte, r *AdmitResponse) ([]byte, error) {
 	return w.done()
 }
 
+// AppendAdmitBatchResponse appends r as json.Marshal would, byte for byte.
+func AppendAdmitBatchResponse(dst []byte, r *AdmitBatchResponse) ([]byte, error) {
+	w := writer{buf: dst}
+	w.str(`{"tenant":`, r.Tenant)
+	if r.Results == nil {
+		w.raw(`,"results":null`)
+	} else {
+		w.raw(`,"results":[`)
+		for i := range r.Results {
+			res := &r.Results[i]
+			if i > 0 {
+				w.raw(",")
+			}
+			w.bool(`{"admitted":`, res.Admitted)
+			if res.Plan != nil {
+				w.plan(`,"plan":`, res.Plan)
+			}
+			if res.Reason != "" {
+				w.str(`,"reason":`, res.Reason)
+			}
+			w.raw("}")
+		}
+		w.raw("]")
+	}
+	w.int(`,"admitted":`, r.Admitted)
+	w.float(`,"budgetRemaining":`, r.BudgetRemaining)
+	return w.done()
+}
+
 func (w *writer) jobEvent(key string, ev *chronos.ReplayJobEvent) {
 	w.raw(key)
 	w.int(`{"id":`, ev.ID)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"chronos"
@@ -88,6 +89,41 @@ func FuzzAdmitRequest(f *testing.F) {
 	f.Add([]byte(`{"tenant":"","job":{},"econ":null}`))
 	f.Add([]byte(`{"Tenant":"fold","job":{"phiEst":0.5},"unknown":{"a":"b"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data, DecodeAdmitRequest) })
+}
+
+func FuzzAdmitBatchRequest(f *testing.F) {
+	f.Add([]byte(`{"tenant":"analytics","jobs":[{"job":{"tasks":20,"deadline":300,"tmin":60,"beta":1.2},"strategy":"resume"},{"job":{"tasks":4}}],"econ":{"theta":0.001}}`))
+	f.Add([]byte(`{"jobs":[{"job":{"tasks":1}} ,]}`))
+	f.Add([]byte(`{"jobs":{}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecode(t, data, DecodeAdmitBatchRequest)
+		// The serving layer decodes into a pooled request that held a longer
+		// batch before: that must decode data to the zero request's value.
+		var fresh, reused AdmitBatchRequest
+		freshErr := DecodeAdmitBatchRequest(data, &fresh, nil)
+		if err := DecodeAdmitBatchRequest(reusedBatch, &reused, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeAdmitBatchRequest(data, &reused, nil); (err == nil) != (freshErr == nil) {
+			t.Fatalf("reused request on %q: error %v, fresh %v", data, err, freshErr)
+		} else if err == nil && !reflect.DeepEqual(fresh, reused) {
+			t.Fatalf("reused request on %q:\nfresh  %+v\nreused %+v", data, fresh, reused)
+		}
+	})
+}
+
+// reusedBatch fills every field of eight jobs, which a decode into the same
+// request must not carry over.
+var reusedBatch = []byte(`{"tenant":"acme","econ":{"theta":1,"unitPrice":2,"rmin":0.5},"jobs":[` +
+	strings.Repeat(`{"job":{"tasks":9,"deadline":9,"tmin":9,"beta":9,"tauEst":9,"tauKill":9,"phiEst":0.9},"strategy":"mantri"},`, 7) +
+	`{"strategy":"clone"}]}`)
+
+func FuzzAdmitBatchResponse(f *testing.F) {
+	f.Add([]byte(`{"tenant":"mid","results":[{"admitted":true,"plan":{"strategy":"Speculative-Resume","r":1,"pocd":0.99,"machineTime":228.1,"cost":228.1,"utility":-0.02}},{"admitted":false,"reason":"budget_exhausted"}],"admitted":1,"budgetRemaining":4.38}`))
+	f.Add([]byte(`{"tenant":"t<&>","results":[],"admitted":0,"budgetRemaining":-0}`))
+	f.Add([]byte(`{"results":null}`))
+	f.Add([]byte(`{"results":[null,{"plan":null,"reason":""},{"plan":{"strategy":0}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) { checkEncode(t, data, AppendAdmitBatchResponse) })
 }
 
 // appendPlan runs writer.plan as a standalone encoder, the shape checkEncode

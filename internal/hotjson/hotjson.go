@@ -1,7 +1,10 @@
 // Package hotjson is a hand-rolled, reflection-free JSON codec for the
 // chronosd wire structs on the serving hot path, in the one direction
-// production uses each: decoders for plan and admit requests, encoders for
-// plan and admit responses and replay stream events.
+// production uses each: decoders for the /v1/plan, /v1/admit and
+// /v1/admit/batch request bodies, encoders for their 200 responses and for
+// /v1/replay's stream events. encoding/json serves what is left: the
+// /v1/plan/batch, /v1/tradeoff and /v1/replay requests, their responses, and
+// every error envelope.
 //
 // The encoders are append-style and byte-identical to encoding/json
 // (declared field order, omitempty, HTML-escaped strings, ES6 float
@@ -27,13 +30,15 @@ type Interner interface {
 	InternString(b []byte) (string, bool)
 }
 
-// The four bodies this codec serves, by the names its callers (the serving
+// The six bodies this codec serves, by the names its callers (the serving
 // layer, bench/) have always used; api holds the one declaration.
 type (
-	PlanRequest   = api.PlanRequest
-	PlanResponse  = api.PlanResponse
-	AdmitRequest  = api.AdmitRequest
-	AdmitResponse = api.AdmitResponse
+	PlanRequest        = api.PlanRequest
+	PlanResponse       = api.PlanResponse
+	AdmitRequest       = api.AdmitRequest
+	AdmitResponse      = api.AdmitResponse
+	AdmitBatchRequest  = api.AdmitBatchRequest
+	AdmitBatchResponse = api.AdmitBatchResponse
 )
 
 // commonStrings interns the strategy vocabulary every request carries, so

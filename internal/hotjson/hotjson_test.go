@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"chronos"
+	"chronos/api"
 )
 
 func mustPlan(t *testing.T) chronos.Plan {
@@ -199,7 +200,21 @@ func TestDecodeZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("DecodeAdmitRequest allocates %.1f times per op", avg)
 	}
-	if ar.Tenant != "analytics" || pr.Strategy != "clone" {
+	batchBody := []byte(`{"tenant":"analytics","jobs":[` +
+		strings.Repeat(`{"job":{"tasks":20,"deadline":300,"tmin":60,"beta":1.2},"strategy":"resume"},`, 15) +
+		`{"job":{"tasks":4,"deadline":300,"tmin":60,"beta":1.2}}],"econ":{"theta":0.001}}`)
+	var br AdmitBatchRequest
+	if err := DecodeAdmitBatchRequest(batchBody, &br, in); err != nil { // grows br.Jobs once
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := DecodeAdmitBatchRequest(batchBody, &br, in); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("DecodeAdmitBatchRequest into a reused request allocates %.1f times per op", avg)
+	}
+	if ar.Tenant != "analytics" || pr.Strategy != "clone" || br.Tenant != "analytics" || len(br.Jobs) != 16 {
 		t.Fatal("decoded values lost")
 	}
 }
@@ -210,13 +225,24 @@ func TestEncodeZeroAlloc(t *testing.T) {
 	plan := mustPlan(t)
 	resp := PlanResponse{Plan: plan, Cached: true}
 	admit := AdmitResponse{Admitted: true, Tenant: "analytics", Plan: &plan, BudgetRemaining: 90}
-	buf := make([]byte, 0, 1024)
+	batch := AdmitBatchResponse{Tenant: "analytics", Results: make([]api.AdmitBatchResult, 16), Admitted: 8, BudgetRemaining: 90}
+	for i := range batch.Results {
+		if i%2 == 0 {
+			batch.Results[i] = api.AdmitBatchResult{Admitted: true, Plan: &plan}
+		} else {
+			batch.Results[i] = api.AdmitBatchResult{Reason: "budget_exhausted"}
+		}
+	}
+	buf := make([]byte, 0, 4096)
 	if avg := testing.AllocsPerRun(200, func() {
 		var err error
 		if buf, err = AppendPlanResponse(buf[:0], &resp); err != nil {
 			t.Fatal(err)
 		}
 		if buf, err = AppendAdmitResponse(buf[:0], &admit); err != nil {
+			t.Fatal(err)
+		}
+		if buf, err = AppendAdmitBatchResponse(buf[:0], &batch); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {

@@ -22,8 +22,8 @@ const admitDebitRetries = 3
 // trip, the paper's online setting. The optimizer runs against the tenant's
 // remaining budget on the tenant's pool owner (ledger.go); an accepted plan
 // is debited atomically, a rejection carries a structured reason. It is
-// /v1/admit/batch for one job, run on the pooled hotBuf so a warm admit
-// allocates nothing.
+// /v1/admit/batch for one job, and like it runs on the pooled hotBuf, so a
+// warm admit allocates nothing.
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	hb := getHotBuf()
 	defer putHotBuf(hb)
@@ -47,27 +47,28 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, "unknown strategy %q", req.Strategy)
 		return
 	}
+	jobs, results := hb.admitScratch(1)
 	var rem float64
 	switch s.routeAdmit(w, r, "/v1/admit", req.Tenant, hb.in) {
 	case admitRelayed:
 		return
 	case admitRefused:
-		s.refuseAll(req.Tenant, hb.results[:])
+		s.refuseAll(req.Tenant, results)
 	default:
 		req.Econ = tenantEcon(req.Econ, pool)
-		j := &hb.jobs[0]
+		j := &jobs[0]
 		*j = admitJob{cell: cell{strat: strat, best: best, job: req.Job, econ: req.Econ}}
 		j.buildKey(tr, hb.key[:0])
 		hb.key = j.key
 		var err error
-		if _, rem, err = s.admitJobs(tr, pool, hb.jobs[:], hb.results[:]); err != nil {
+		if _, rem, err = s.admitJobs(tr, pool, jobs, results); err != nil {
 			// A lone job has no index worth reporting.
 			err = errors.Unwrap(err)
 			s.apiError(w, r, planStatus(err), "%v", err)
 			return
 		}
 	}
-	res := &hb.results[0]
+	res := &results[0]
 	hb.admitResp = api.AdmitResponse{
 		Admitted: res.Admitted, Tenant: req.Tenant, Plan: res.Plan, Reason: res.Reason, BudgetRemaining: rem,
 	}

@@ -2,8 +2,10 @@ package server
 
 import (
 	"net/http"
+	"slices"
 
 	"chronos/api"
+	"chronos/internal/hotjson"
 	"chronos/internal/obs"
 	"chronos/internal/plankey"
 )
@@ -17,7 +19,10 @@ import (
 // A batch names one tenant, so it is decided where /v1/admit is: on the
 // tenant's pool owner, to which any other replica relays it (ledger.go).
 
-// handleAdmitBatch serves POST /v1/admit/batch.
+// handleAdmitBatch serves POST /v1/admit/batch on the pooled hotBuf, as
+// handleAdmit serves one job: hotjson decodes the body into the pooled
+// request and encodes the answer, and the jobs, results and plan keys are the
+// object's scratch, so a warm batch allocates nothing.
 func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 	hb := getHotBuf()
 	defer putHotBuf(hb)
@@ -25,8 +30,9 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 	if hb.in, ok = s.readBody(w, r, hb.in); !ok {
 		return
 	}
-	var req api.AdmitBatchRequest
-	if !s.decodeBody(w, r, hb.in, &req) {
+	req := &hb.batchReq
+	if err := hotjson.DecodeAdmitBatchRequest(hb.in, req, s); err != nil {
+		s.apiError(w, r, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
 	tr := obs.FromContext(r.Context())
@@ -47,16 +53,16 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve every job's strategy up front; an unparseable strategy name is
 	// the request's fault, not an admission decision.
-	jobs := make([]admitJob, len(req.Jobs))
-	for i, j := range req.Jobs {
+	jobs, results := hb.admitScratch(len(req.Jobs))
+	for i := range req.Jobs {
+		j := &req.Jobs[i]
 		strat, best, ok := plankey.ParseStrategy(j.Strategy)
 		if !ok {
 			s.apiError(w, r, http.StatusBadRequest, "job %d: unknown strategy %q", i, j.Strategy)
 			return
 		}
-		jobs[i].cell = cell{strat: strat, best: best, job: j.Job}
+		jobs[i] = admitJob{cell: cell{strat: strat, best: best, job: j.Job}}
 	}
-	results := make([]api.AdmitBatchResult, len(jobs))
 	var admitted int
 	var remaining float64
 	switch s.routeAdmit(w, r, "/v1/admit/batch", req.Tenant, hb.in) {
@@ -65,7 +71,7 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 	case admitRefused:
 		s.refuseAll(req.Tenant, results)
 	default:
-		// The plan keys share one buffer, sized once from their fixed
+		// The plan keys share one buffer, grown once from their fixed
 		// lengths, each cell's key a cap-limited window of it.
 		econ := tenantEcon(req.Econ, pool)
 		n := 0
@@ -73,23 +79,33 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 			jobs[i].econ = econ
 			n += plankey.Len(jobs[i].name())
 		}
-		keys := make([]byte, 0, n)
+		keys := slices.Grow(hb.key[:0], n)
 		for i := range jobs {
 			c := &jobs[i].cell
 			start := len(keys)
 			keys = plankey.AppendKey(keys, c.name(), c.job, c.econ)
 			c.key = keys[start:len(keys):len(keys)]
 		}
+		hb.key = keys
 		var err error
 		if admitted, remaining, err = s.admitJobs(tr, pool, jobs, results); err != nil {
 			s.apiError(w, r, planStatus(err), "%v", err)
 			return
 		}
 	}
-	s.writeJSON(w, r, http.StatusOK, api.AdmitBatchResponse{
+	resp := api.AdmitBatchResponse{
 		Tenant:          req.Tenant,
 		Results:         results,
 		Admitted:        admitted,
 		BudgetRemaining: remaining,
-	})
+	}
+	out, err := hotjson.AppendAdmitBatchResponse(hb.out[:0], &resp)
+	if err != nil {
+		s.encodeFailed(w, r, err)
+		return
+	}
+	// The newline json.Encoder ended this body with before, kept so every
+	// answer keeps its bytes.
+	hb.out = append(out, '\n')
+	writeHotBody(w, http.StatusOK, hb.out)
 }

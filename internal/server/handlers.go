@@ -54,9 +54,10 @@ func (s *Server) apiError(w http.ResponseWriter, r *http.Request, status int, fo
 
 // decode reads the whole body (readBody, which answers 413 and read errors)
 // and decodes it into v, answering 400 for anything but exactly one JSON
-// value of v's shape with no key v does not declare: the one body path of
-// every POST endpoint that is not served by the hotjson codec, which applies
-// the same rule with the same texts. The bytes are checked first, so a
+// value of v's shape with no key v does not declare: the encoding/json body
+// path of /v1/plan/batch and /v1/replay (/v1/tradeoff reads a query). The
+// plan and admit routes decode with hotjson, which applies the same rule and
+// gives the same text for an unknown key. The bytes are checked first, so a
 // syntax error reads as json.Unmarshal words it.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	hb := getHotBuf()
@@ -65,18 +66,13 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if hb.in, ok = s.readBody(w, r, hb.in); !ok {
 		return false
 	}
-	return s.decodeBody(w, r, hb.in, v)
-}
-
-// decodeBody is decode for a body already read.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, body []byte, v any) bool {
 	var err error
-	if json.Valid(body) {
-		dec := json.NewDecoder(bytes.NewReader(body))
+	if json.Valid(hb.in) {
+		dec := json.NewDecoder(bytes.NewReader(hb.in))
 		dec.DisallowUnknownFields()
 		err = dec.Decode(v)
 	} else {
-		err = json.Unmarshal(body, v)
+		err = json.Unmarshal(hb.in, v)
 	}
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "invalid JSON: %v", err)

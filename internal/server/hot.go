@@ -12,32 +12,35 @@ import (
 	"chronos/internal/obs"
 )
 
-// This file is the zero-allocation serving core for the plan/admit hot path:
-// pooled request/response buffers, the reflection-free hotjson wiring, and
-// the buffered writeJSON used by every other endpoint. A cached plan or a
-// warm admit allocates nothing between the body read and the response write
-// (net/http's own per-request machinery aside), which
-// TestPlanHandlerCachedZeroAlloc and TestAdmitHandlerCachedZeroAlloc pin
-// down.
+// This file is the zero-allocation serving core for the plan and admit
+// routes: pooled request/response buffers, the reflection-free hotjson
+// wiring, and the buffered writeJSON the other endpoints and every error
+// envelope use. A cached plan, a warm admit or a warm batch of admits
+// allocates nothing between the body read and the response write (net/http's
+// own per-request machinery aside), which TestPlanHandlerCachedZeroAlloc,
+// TestAdmitHandlerCachedZeroAlloc and TestAdmitBatchHandlerCachedZeroAlloc
+// pin down.
 
-// hotBuf carries every per-request scratch object the plan/admit handlers
-// need: body and response buffers, the plan-key buffer, and the wire structs
-// themselves, so a request borrows one pool object instead of allocating
-// each piece.
+// hotBuf carries every per-request scratch object the plan and admit
+// handlers need: body and response buffers, the plan-key buffer, the wire
+// structs, and the jobs an admit decides, so a request borrows one pool
+// object instead of allocating each piece. The batch scratch grows on demand
+// and keeps its capacity while the object is pooled.
 type hotBuf struct {
 	in  []byte // request body
 	out []byte // encoded response body
-	key []byte // plan cache / ring key
+	key []byte // plan cache / ring key; a batch's keys end to end
 
 	planReq   api.PlanRequest
 	planResp  api.PlanResponse
 	admitReq  api.AdmitRequest
 	admitResp api.AdmitResponse
+	batchReq  api.AdmitBatchRequest // its Jobs' backing array is reused
 
-	// The one-job batch /v1/admit hands to admitJobs. jobs[0].plan also
-	// backs admitResp.Plan, which would otherwise escape to the heap.
-	jobs    [1]admitJob
-	results [1]api.AdmitBatchResult
+	// The jobs an admit hands to admitJobs, one for /v1/admit, one per job
+	// for /v1/admit/batch; jobs[i].plan backs results[i].Plan.
+	jobs    []admitJob
+	results []api.AdmitBatchResult
 }
 
 var hotBufPool = sync.Pool{New: func() any {
@@ -51,20 +54,40 @@ var hotBufPool = sync.Pool{New: func() any {
 func getHotBuf() *hotBuf { return hotBufPool.Get().(*hotBuf) }
 
 // putHotBuf clears the request's strings and pointers (so the pool does not
-// pin tenant names or a stale plan across requests) and returns the object.
-// Buffers grown past the retention cap are dropped: one huge body must not
-// turn the pool into a ballast of megabyte slabs.
-func putHotBuf(hb *hotBuf) {
-	const maxRetain = 64 << 10
-	if cap(hb.in) > maxRetain || cap(hb.out) > maxRetain {
-		return
+// pin tenant names or a stale plan across requests) and returns the object,
+// reporting whether it did. Scratch grown past the retention caps is
+// dropped: one huge body or batch must not turn the pool into a ballast of
+// megabyte slabs.
+func putHotBuf(hb *hotBuf) (pooled bool) {
+	const (
+		maxRetain     = 64 << 10 // bytes of body, response or keys
+		maxRetainJobs = 256      // jobs of a batch
+	)
+	if cap(hb.in) > maxRetain || cap(hb.out) > maxRetain || cap(hb.key) > maxRetain ||
+		cap(hb.jobs) > maxRetainJobs || cap(hb.batchReq.Jobs) > maxRetainJobs {
+		return false
 	}
 	hb.planReq = api.PlanRequest{}
 	hb.planResp = api.PlanResponse{}
 	hb.admitReq = api.AdmitRequest{}
 	hb.admitResp = api.AdmitResponse{}
-	hb.jobs, hb.results = [1]admitJob{}, [1]api.AdmitBatchResult{}
+	jobs := hb.batchReq.Jobs[:cap(hb.batchReq.Jobs)]
+	clear(jobs)
+	hb.batchReq = api.AdmitBatchRequest{Jobs: jobs[:0]}
 	hotBufPool.Put(hb)
+	return true
+}
+
+// admitScratch returns n jobs and n results for one admit request, grown
+// only when n exceeds what the pooled object already holds. Every element is
+// assigned before it is read, so they are not cleared.
+func (hb *hotBuf) admitScratch(n int) ([]admitJob, []api.AdmitBatchResult) {
+	if cap(hb.jobs) < n {
+		hb.jobs = make([]admitJob, n)
+		hb.results = make([]api.AdmitBatchResult, n)
+	}
+	hb.jobs, hb.results = hb.jobs[:n], hb.results[:n]
+	return hb.jobs, hb.results
 }
 
 // jsonContentType is the shared Content-Type header value for every JSON

@@ -7,7 +7,9 @@ package server
 // generated at d9d3b30; rows are only ever appended, except the eight tenant
 // rows of /v1/plan, /v1/plan/batch and /v1/replay, deleted with the field,
 // the eight /v1/simulate rows and the five /v1/escrow/lease rows, deleted
-// with their routes.
+// with their routes, and the "invalid JSON" and "trailing bytes" rows of
+// /v1/admit/batch, re-pinned to the hotjson texts /v1/admit gives when that
+// route moved onto the codec.
 
 import (
 	"encoding/json"
