@@ -23,8 +23,8 @@ test:
 pins: ## the allocation pins, which skip themselves under -race and so never run in test/cover
 	$(GO) test -run 'Alloc' ./...
 
-goldens: ## the full-size simulation goldens (figures at 270 jobs, the 2,000-job oracle cells, 10^7 Pareto draws and 10^7 closed-form kernel powers against math.Pow) and the full 900-cell budget-frontier breakpoint sweep, which shrink or skip themselves under -race
-	$(GO) test -run 'Golden|ModelOracle|MatchesPow|AtEveryBreakpoint' . ./cmd/chronos-figures ./internal/pareto ./internal/optimize ./internal/analysis
+goldens: ## the full-size simulation goldens (figures at 270 jobs, the 2,000-job oracle cells, 10^7 Pareto draws and 10^7 closed-form kernel powers against math.Pow), the full 900-cell budget-frontier breakpoint sweep and the 3,000-batch shared-budget allocator against brute force, which shrink or skip themselves under -race
+	$(GO) test -run 'Golden|ModelOracle|MatchesPow|AtEveryBreakpoint|BatchSolveMatchesBruteForce' . ./cmd/chronos-figures ./internal/pareto ./internal/optimize ./internal/analysis
 
 fuzz-smoke: ## every internal/hotjson fuzz target for 5 s past its seeds: the codec against encoding/json on inputs the committed corpus does not hold
 	@for f in $$($(GO) test -list '^Fuzz' ./internal/hotjson | grep '^Fuzz'); do echo "fuzz $$f"; \

@@ -199,6 +199,34 @@ func BenchmarkBudgetFrontier(b *testing.B) {
 	b.ReportMetric(float64(held.HeapAlloc-freed.HeapAlloc)/float64(len(params)), "retained-B/frontier")
 }
 
+// BenchmarkPlanBatch splits one shared budget, three times what r = 0 costs,
+// across 1,024 seeded random jobs of all three strategies (N 1-100, beta
+// 1.2-2.2, D 1.5-6.5 tmin, tau_est <= 0.6 tmin, tau_kill <= tau_est +
+// 0.6 tmin). ns/op is one PlanBatch: every job's window, its undominated
+// points and the walk over all of their hulls.
+func BenchmarkPlanBatch(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1024, 3))
+	jobs := make([]BatchJob, 1024)
+	budget := 0.0
+	for i := range jobs {
+		tauEst := rng.Float64() * 6
+		p := JobParams{Tasks: 1 + rng.IntN(100), Deadline: 10 * (1.5 + 5*rng.Float64()), TMin: 10,
+			Beta: 1.2 + rng.Float64(), TauEst: tauEst, TauKill: tauEst + rng.Float64()*6}
+		jobs[i] = BatchJob{Strategy: ChronosStrategies()[rng.IntN(3)], Params: p}
+		mt, err := ExpectedMachineTime(jobs[i].Strategy, p, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		budget += 3 * mt
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := PlanBatch(jobs, budget); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkClosedFormPoCD measures a single Theorem 5 evaluation.
 func BenchmarkClosedFormPoCD(b *testing.B) {
 	m := analysis.NewModel(analysis.StrategyResume, analysis.Params{

@@ -374,10 +374,13 @@ type BatchPlan struct {
 }
 
 // PlanBatch allocates a shared machine-time budget across M concurrent jobs
-// (the paper's multi-job setting, Section III): it greedily grants extra
-// attempts where they buy the most log-PoCD per machine-second, stopping at
-// the budget. Returns ErrBudgetTooSmall (from the optimize package) when the
-// budget cannot even cover r=0 for every job.
+// (the paper's multi-job setting, Section III). Each job's options are the
+// plans some budget can pick; the allocator walks their upper concave hulls,
+// always taking the affordable move that buys the most log-PoCD per
+// machine-second, and lifts a job below its RMin straight to its cheapest
+// feasible plan. Returns ErrBudgetTooSmall (from the optimize package) when
+// the budget cannot even cover r=0 for every job, and ErrBadRMin when a job's
+// RMin is outside [0, 1).
 func PlanBatch(jobs []BatchJob, budget float64) ([]BatchPlan, error) {
 	batch := make([]optimize.BatchJob, len(jobs))
 	for i, j := range jobs {

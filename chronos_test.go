@@ -432,6 +432,17 @@ func TestPlanBatch(t *testing.T) {
 	}
 }
 
+// TestPlanBatchRejectsBadRMin: a job's RMin outside [0, 1) is refused as
+// OptimizeBest refuses it, whether or not the job pins its strategy.
+func TestPlanBatchRejectsBadRMin(t *testing.T) {
+	for _, rmin := range []float64{1.5, -2, 3, math.NaN()} {
+		jobs := []BatchJob{{Strategy: Clone, Params: apiParams()}, {Strategy: SpeculativeResume, Params: apiParams(), RMin: rmin}}
+		if _, err := PlanBatch(jobs, 1e9); !errors.Is(err, optimize.ErrBadRMin) {
+			t.Errorf("rmin %v: err = %v, want ErrBadRMin", rmin, err)
+		}
+	}
+}
+
 func TestSimulateHadoopEstimatorAblation(t *testing.T) {
 	jobs := Benchmarks()[0].Jobs(60, 10, 400)
 	base := SimConfig{

@@ -1,9 +1,11 @@
 package optimize
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"chronos/internal/analysis"
 )
@@ -15,33 +17,36 @@ import (
 //	maximize   sum_i log10(R_i(r_i) - Rmin_i)
 //	subject to sum_i E_i[T](r_i) <= B,  r_i >= 0 integer.
 //
-// BatchSolve performs greedy marginal-gain allocation: starting from
-// r_i = 0, repeatedly grant one more attempt to the job with the highest
-// utility gain per unit of additional machine time. On the concave region
-// (r_i > Gamma_i) the marginal gains are decreasing, so the greedy choice is
-// the classic near-optimal allocation for separable concave maximization
-// under a knapsack constraint; below the concavity threshold the gains can
-// briefly increase, so the greedy result is validated against single-step
-// lookahead. Exactness on concave instances is property-tested against
-// brute force.
+// This is a multiple-choice knapsack: each job picks one r. A job's options
+// are the undominated (machine time, utility) points of r = 0..batchRCap —
+// the points some budget can pick, as a Frontier keeps them — and its window
+// stops at the first feasible r whose next attempt gains at most 1e-9, so no
+// budget is spent on a float epsilon of PoCD. A job starts at its cheapest
+// feasible point when that costs no more than r = 0, so a machine-time dip
+// is credited; otherwise it starts at r = 0.
+//
+// BatchSolve then walks the jobs' upper concave hulls. Each step takes the
+// steepest affordable move over all jobs — the next vertex of that job's
+// hull that still fits, the cheaper move on ties — and a job below RMin
+// jumps to its cheapest feasible point at rate +Inf. Up to the first move
+// that does not fit, this is the greedy that solves the knapsack's LP
+// relaxation (Sinha and Zoltners, Operations Research 1979), whose optimum
+// lies one fractional move further; the integer answer then keeps taking the
+// shorter moves that still fit. That is exact where the LP optimum is
+// integral and otherwise trails by the integrality gap: an early cheap move
+// can crowd out a dear one the budget could have bought instead.
+// TestBatchSolveMatchesBruteForce measures the gap on 3,000 random 2-3-job
+// batches against brute force over r <= 10. No answer is -Inf where a finite
+// allocation exists and none overspends; the p99 gap is 3e-5 log10 units,
+// but 4 batches trail by more than 0.02, the worst by 0.50 (2-8 batches and
+// a worst of 0.04-0.81 on six other seeds).
 
 // BatchJob is one job of a shared-budget batch.
 type BatchJob struct {
 	// Model is the job's analytic strategy model.
 	Model analysis.Model
-	// RMin is the job's minimum acceptable PoCD (may be 0).
+	// RMin is the job's minimum acceptable PoCD, in [0, 1).
 	RMin float64
-}
-
-// BatchResult is the allocation for one job.
-type BatchResult struct {
-	// R is the granted number of extra attempts.
-	R int
-	// PoCD and MachineTime evaluate the grant.
-	PoCD        float64
-	MachineTime float64
-	// Utility is log10(PoCD - RMin).
-	Utility float64
 }
 
 // ErrBudgetTooSmall reports a budget below the cost of running every job
@@ -52,87 +57,100 @@ var ErrBudgetTooSmall = errors.New("optimize: budget below the r=0 cost of the b
 // below this.
 const batchRCap = 64
 
-// BatchSolve allocates the machine-time budget across the batch.
-func BatchSolve(jobs []BatchJob, budget float64) ([]BatchResult, error) {
+// hull is one job's side of the walk: its options and its cached best move.
+type hull struct {
+	opts       []Point // undominated feasible points, by machine time
+	k          int     // the job's point in opts; -1 while below RMin
+	to         int     // the best affordable move's target in opts; -1 for none
+	rate, cost float64 // that move's utility gain per machine time, and its cost; 0, 0 for none
+}
+
+// BatchSolve allocates the machine-time budget across the batch and returns
+// each job's chosen point, in job order.
+func BatchSolve(jobs []BatchJob, budget float64) ([]Point, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("optimize: empty batch")
 	}
 	if math.IsNaN(budget) {
 		return nil, ErrNaNBudget
 	}
-	// The greedy loop below re-evaluates every job's marginal step each
-	// round; memoize the closed forms so each (job, r) pair is computed once.
-	// The memos are pooled, so their dense caches are recycled across batches.
-	models := make([]*memoModel, 0, len(jobs))
-	defer func() {
-		for _, m := range models {
-			m.release()
-		}
-	}()
-	rs := make([]int, len(jobs))
-	spent := 0.0
+	hulls, at := make([]hull, len(jobs)), make([]Point, len(jobs))
+	base, left := 0.0, budget
 	for i, j := range jobs {
 		if err := j.Model.Params().Validate(); err != nil {
 			return nil, fmt.Errorf("optimize: batch job %d: %w", i, err)
 		}
-		models = append(models, acquire(j.Model))
-		spent += models[i].MachineTime(0)
-	}
-	if spent > budget {
-		return nil, fmt.Errorf("%w: need %v, have %v", ErrBudgetTooSmall, spent, budget)
-	}
-
-	utility := func(i, r int) float64 {
-		p := models[i].PoCD(r)
-		if p <= jobs[i].RMin {
-			return math.Inf(-1)
+		if !(j.RMin >= 0 && j.RMin < 1) {
+			return nil, fmt.Errorf("optimize: batch job %d: %w: got %v", i, ErrBadRMin, j.RMin)
 		}
-		return math.Log10(p - jobs[i].RMin)
+		h, p := newHull(j)
+		base += p.MachineTime
+		if len(h.opts) > 0 && h.opts[0].MachineTime <= p.MachineTime {
+			h.k, p = 0, h.opts[0] // the cheapest feasible point costs no more than r = 0
+		}
+		hulls[i], at[i] = h, p
+		left -= p.MachineTime
 	}
-
+	if base > budget {
+		return nil, fmt.Errorf("%w: need %v, have %v", ErrBudgetTooSmall, base, budget)
+	}
 	for {
-		// Pick the affordable step with the best gain per cost.
-		best, bestRate := -1, 0.0
-		var bestCost float64
-		for i := range jobs {
-			if rs[i] >= batchRCap {
-				continue
+		best, rate, cost := -1, 0.0, 0.0 // a move gains, so its rate beats 0; no move is rate 0, cost 0
+		for i := range hulls {
+			h := &hulls[i]
+			if h.cost > left { // left only shrinks: a move that fits stays the best
+				h.step(at[i], left)
 			}
-			dCost := models[i].MachineTime(rs[i]+1) - models[i].MachineTime(rs[i])
-			if dCost <= 0 {
-				// Extra attempts can reduce expected machine time for
-				// reactive strategies (straggler truncation): always take
-				// a free improvement.
-				dCost = 1e-12
-			}
-			if spent+dCost > budget+1e-9 {
-				continue
-			}
-			dU := utility(i, rs[i]+1) - utility(i, rs[i])
-			// Ignore float-epsilon gains once PoCD has saturated: they
-			// would otherwise absorb the whole budget for nothing.
-			if math.IsNaN(dU) || dU <= 1e-9 {
-				continue
-			}
-			if rate := dU / dCost; best < 0 || rate > bestRate {
-				best, bestRate, bestCost = i, rate, dCost
+			if h.rate > rate || h.rate == rate && h.cost < cost {
+				best, rate, cost = i, h.rate, h.cost
 			}
 		}
 		if best < 0 {
+			return at, nil
+		}
+		h := &hulls[best]
+		left -= h.cost
+		h.k, at[best] = h.to, h.opts[h.to]
+		h.step(at[best], left)
+	}
+}
+
+// newHull evaluates job j's window and returns its hull, placed below RMin,
+// and its r = 0 point. Options of equal machine time keep r order. The memo
+// goes back to the pool at once: the options are a fresh slice and the point
+// a copy.
+func newHull(j BatchJob) (hull, Point) {
+	mm := acquire(j.Model)
+	defer mm.release()
+	cfg := Config{RMin: j.RMin} // theta 0: the utility is log10(PoCD - RMin)
+	mm.window = mm.window[:0]
+	for r := 0; r <= batchRCap; r++ {
+		p := mm.pointAt(cfg, r)
+		mm.window = append(mm.window, p)
+		if r < batchRCap && !math.IsInf(p.Utility, -1) && mm.utility(cfg, r+1)-p.Utility <= 1e-9 {
 			break
 		}
-		rs[best]++
-		spent += bestCost
 	}
+	h := hull{opts: mm.undominated(mm.window), k: -1, cost: math.Inf(1)} // cost +Inf: the walk's first round steps it
+	slices.SortStableFunc(h.opts, func(a, b Point) int { return cmp.Compare(a.MachineTime, b.MachineTime) })
+	return h, mm.window[0]
+}
 
-	out := make([]BatchResult, len(jobs))
-	for i := range jobs {
-		out[i] = BatchResult{
-			R:           rs[i],
-			PoCD:        models[i].PoCD(rs[i]),
-			MachineTime: models[i].MachineTime(rs[i]),
-			Utility:     utility(i, rs[i]),
+// step caches the steepest move from at that costs at most left: the next
+// vertex of the hull over the affordable options, the cheaper one on ties.
+// Options cost more the further they lie, so the scan stops at the first
+// that does not fit. From below RMin every option gains +Inf, so the move
+// is the jump to the cheapest feasible point.
+func (h *hull) step(at Point, left float64) {
+	h.to, h.rate, h.cost = -1, 0, 0
+	for k := h.k + 1; k < len(h.opts); k++ {
+		cost := h.opts[k].MachineTime - at.MachineTime
+		if cost > left {
+			break
+		}
+		// An option of equal utility gains 0/0 = NaN, which is never taken.
+		if rate := (h.opts[k].Utility - at.Utility) / cost; rate > h.rate {
+			h.to, h.rate, h.cost = k, rate, cost
 		}
 	}
-	return out, nil
 }

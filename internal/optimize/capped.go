@@ -54,7 +54,7 @@ func SolveCapped(s analysis.Strategy, p analysis.Params, cfg Config, budget floa
 		return un, err // no budget fixes ErrInfeasible; a fitting optimum needs no scan
 	}
 	window := mm.scanWindow(cfg, un.R)
-	return within(un.Strategy, window, cheapestFeasible(window), budget)
+	return within(un.Strategy, window, budget)
 }
 
 // scanWindow evaluates the capped scan's candidates around the
@@ -85,13 +85,19 @@ func (m *memoModel) scanWindow(cfg Config, unR int) []Point {
 }
 
 // within answers a capped solve whose unconstrained optimum does not fit:
-// the affordable window point of highest utility (the lowest such r on
-// ties). The rejection names cheapest, the window's cheapestFeasible: what
-// the budget would have had to be.
-func within(strategy string, window []Point, cheapest, budget float64) (Result, error) {
-	best := Point{R: -1, Utility: math.Inf(-1)}
-	for i := range window { // by index: ranging by value copies all five fields per point
-		if p := &window[i]; p.MachineTime <= budget && p.Utility > best.Utility {
+// the affordable point of highest utility (the lowest r on ties, as points
+// come in r order). The rejection names the cheapest feasible point's machine
+// time, which the same pass finds: what the budget would have had to be. A
+// window and its undominated points share that point, so SolveCapped and
+// Frontier.Solve reject with the same text.
+func within(strategy string, points []Point, budget float64) (Result, error) {
+	best, cheapest := Point{R: -1, Utility: math.Inf(-1)}, math.Inf(1)
+	for i := range points { // by index: ranging by value copies all five fields per point
+		p := &points[i]
+		if !math.IsInf(p.Utility, -1) && p.MachineTime < cheapest {
+			cheapest = p.MachineTime
+		}
+		if p.MachineTime <= budget && p.Utility > best.Utility {
 			best = *p
 		}
 	}
@@ -99,16 +105,4 @@ func within(strategy string, window []Point, cheapest, budget float64) (Result, 
 		return Result{}, fmt.Errorf("%w: need %v, have %v", ErrBudgetTooSmall, cheapest, budget)
 	}
 	return best.result(strategy), nil
-}
-
-// cheapestFeasible is the lowest machine time among the window's feasible
-// points (+Inf when there is none).
-func cheapestFeasible(window []Point) float64 {
-	cheapest := math.Inf(1)
-	for _, p := range window {
-		if !math.IsInf(p.Utility, -1) && p.MachineTime < cheapest {
-			cheapest = p.MachineTime
-		}
-	}
-	return cheapest
 }

@@ -33,7 +33,6 @@ import (
 type Frontier struct {
 	unconstrained Result
 	points        []Point // the window's undominated points, in r order
-	cheapest      float64 // cheapestFeasible of the whole window, for the rejection text
 }
 
 // NewFrontier precomputes the SolveCapped scan for one cell. Errors are
@@ -50,7 +49,7 @@ func NewFrontier(s analysis.Strategy, p analysis.Params, cfg Config) (*Frontier,
 		return nil, err
 	}
 	window := mm.scanWindow(cfg, un.R)
-	return &Frontier{unconstrained: un, points: mm.undominated(window), cheapest: cheapestFeasible(window)}, nil
+	return &Frontier{unconstrained: un, points: mm.undominated(window)}, nil
 }
 
 // undominated returns a fresh slice of the window points within can pick
@@ -95,5 +94,5 @@ func (f *Frontier) Solve(budget float64) (Result, error) {
 	if f.unconstrained.MachineTime <= budget {
 		return f.unconstrained, nil
 	}
-	return within(f.unconstrained.Strategy, f.points, f.cheapest, budget)
+	return within(f.unconstrained.Strategy, f.points, budget)
 }

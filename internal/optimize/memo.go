@@ -9,9 +9,10 @@ import (
 
 // memoModel is the one way the solvers evaluate a model: it caches PoCD,
 // MachineTime and the utility by r. The closed forms cost hundreds of
-// floating-point operations per call, and the Algorithm 1 bracketing search,
-// the capped scan and the greedy batch allocator all revisit the same r
-// values, so every (model, r) pair is evaluated at most once per solve.
+// floating-point operations per call, the Algorithm 1 bracketing search and
+// the capped scan revisit the same r values, and a batch job's window reads
+// again the r + 1 its saturation test probed, so every (model, r) pair is
+// evaluated at most once per solve.
 //
 // The caches are dense NaN-sentinel slices indexed by r rather than maps, so
 // a pooled memoModel solves without allocating: the slices keep their

@@ -156,8 +156,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 // handleBatch serves POST /v1/plan/batch: shared-budget allocation across M
 // concurrent jobs. Per-job strategy selection (for jobs without a pinned
-// strategy) goes through the plan cache; the coupled budget split then runs
-// through the greedy marginal-gain allocator (optimize.BatchSolve).
+// strategy) goes through the plan cache; the coupled budget split then walks
+// each job's hull of undominated plans (optimize.BatchSolve).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchRequest
 	if !s.decode(w, r, &req) {

@@ -86,6 +86,8 @@ func wireCases() []wireCase {
 	add("/v1/plan/batch 200", "/v1/plan/batch", `{"jobs":`+batchJobs+`,"budget":5000,"econ":`+wireEcon+`}`)
 	add("/v1/plan/batch 400 no jobs", "/v1/plan/batch", `{"jobs":[],"budget":5000}`)
 	add("/v1/plan/batch 400 unknown strategy", "/v1/plan/batch", `{"jobs":[{"job":`+wireJob+`,"strategy":"bogus"}],"budget":5000}`)
+	add("/v1/plan/batch 400 rmin out of range", "/v1/plan/batch", `{"jobs":[{"job":`+wireJob+`,"strategy":"clone"},{"job":`+wireJob+`,"strategy":"resume","rmin":1.5}],"budget":5000}`)
+	add("/v1/plan/batch 400 rmin out of range via econ", "/v1/plan/batch", `{"jobs":[{"job":`+wireJob+`,"strategy":"clone"}],"budget":5000,"econ":{"rmin":3}}`)
 	add("/v1/plan/batch 422 budget too small", "/v1/plan/batch", `{"jobs":`+batchJobs+`,"budget":1,"econ":`+wireEcon+`}`)
 	add("/v1/plan/batch 422 infeasible", "/v1/plan/batch", `{"jobs":[{"job":`+wireJob+`},{"job":`+wireTight+`}],"budget":5000,"econ":{"theta":1e-4,"unitPrice":1,"rmin":0.999999999}}`)
 
