@@ -220,6 +220,7 @@ func BenchmarkPlanBatch(b *testing.B) {
 		budget += 3 * mt
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := PlanBatch(jobs, budget); err != nil {
 			b.Fatal(err)

@@ -2,8 +2,10 @@ package chronos
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"chronos/internal/optimize"
@@ -433,12 +435,14 @@ func TestPlanBatch(t *testing.T) {
 }
 
 // TestPlanBatchRejectsBadRMin: a job's RMin outside [0, 1) is refused as
-// OptimizeBest refuses it, whether or not the job pins its strategy.
+// OptimizeBest refuses it, with the job's index, as a bad job's parameters
+// are.
 func TestPlanBatchRejectsBadRMin(t *testing.T) {
-	for _, rmin := range []float64{1.5, -2, 3, math.NaN()} {
+	for _, rmin := range []float64{-2, 1, 1.5, math.NaN()} {
 		jobs := []BatchJob{{Strategy: Clone, Params: apiParams()}, {Strategy: SpeculativeResume, Params: apiParams(), RMin: rmin}}
-		if _, err := PlanBatch(jobs, 1e9); !errors.Is(err, optimize.ErrBadRMin) {
-			t.Errorf("rmin %v: err = %v, want ErrBadRMin", rmin, err)
+		_, err := PlanBatch(jobs, 1e9)
+		if !errors.Is(err, optimize.ErrBadRMin) || !strings.HasPrefix(fmt.Sprint(err), "optimize: batch job 1: ") {
+			t.Errorf("rmin %v: err = %v, want ErrBadRMin naming job 1", rmin, err)
 		}
 	}
 }

@@ -59,8 +59,7 @@ const batchRCap = 64
 
 // hull is one job's side of the walk: its options and its cached best move.
 type hull struct {
-	opts       []Point // undominated feasible points, by machine time
-	k          int     // the job's point in opts; -1 while below RMin
+	opts       []Point // undominated feasible points by machine time, from the job's point on
 	to         int     // the best affordable move's target in opts; -1 for none
 	rate, cost float64 // that move's utility gain per machine time, and its cost; 0, 0 for none
 }
@@ -86,10 +85,11 @@ func BatchSolve(jobs []BatchJob, budget float64) ([]Point, error) {
 		h, p := newHull(j)
 		base += p.MachineTime
 		if len(h.opts) > 0 && h.opts[0].MachineTime <= p.MachineTime {
-			h.k, p = 0, h.opts[0] // the cheapest feasible point costs no more than r = 0
+			p = h.opts[0] // the cheapest feasible point costs no more than r = 0
 		}
 		hulls[i], at[i] = h, p
 		left -= p.MachineTime
+		hulls[i].step(p, left) // left shrinks as jobs join; the walk re-steps a move that stops fitting
 	}
 	if base > budget {
 		return nil, fmt.Errorf("%w: need %v, have %v", ErrBudgetTooSmall, base, budget)
@@ -98,7 +98,7 @@ func BatchSolve(jobs []BatchJob, budget float64) ([]Point, error) {
 		best, rate, cost := -1, 0.0, 0.0 // a move gains, so its rate beats 0; no move is rate 0, cost 0
 		for i := range hulls {
 			h := &hulls[i]
-			if h.cost > left { // left only shrinks: a move that fits stays the best
+			if h.cost > left { // left only shrinks, so a move that still fits is still the best
 				h.step(at[i], left)
 			}
 			if h.rate > rate || h.rate == rate && h.cost < cost {
@@ -110,15 +110,14 @@ func BatchSolve(jobs []BatchJob, budget float64) ([]Point, error) {
 		}
 		h := &hulls[best]
 		left -= h.cost
-		h.k, at[best] = h.to, h.opts[h.to]
+		at[best], h.opts = h.opts[h.to], h.opts[h.to:]
 		h.step(at[best], left)
 	}
 }
 
-// newHull evaluates job j's window and returns its hull, placed below RMin,
-// and its r = 0 point. Options of equal machine time keep r order. The memo
-// goes back to the pool at once: the options are a fresh slice and the point
-// a copy.
+// newHull evaluates job j's window and returns its hull and its r = 0
+// point. Options of equal machine time keep r order. The memo goes back to
+// the pool at once: the options are a fresh slice and the point a copy.
 func newHull(j BatchJob) (hull, Point) {
 	mm := acquire(j.Model)
 	defer mm.release()
@@ -131,7 +130,7 @@ func newHull(j BatchJob) (hull, Point) {
 			break
 		}
 	}
-	h := hull{opts: mm.undominated(mm.window), k: -1, cost: math.Inf(1)} // cost +Inf: the walk's first round steps it
+	h := hull{opts: mm.undominated(mm.window)}
 	slices.SortStableFunc(h.opts, func(a, b Point) int { return cmp.Compare(a.MachineTime, b.MachineTime) })
 	return h, mm.window[0]
 }
@@ -143,12 +142,13 @@ func newHull(j BatchJob) (hull, Point) {
 // is the jump to the cheapest feasible point.
 func (h *hull) step(at Point, left float64) {
 	h.to, h.rate, h.cost = -1, 0, 0
-	for k := h.k + 1; k < len(h.opts); k++ {
+	for k := range h.opts {
 		cost := h.opts[k].MachineTime - at.MachineTime
 		if cost > left {
 			break
 		}
-		// An option of equal utility gains 0/0 = NaN, which is never taken.
+		// An option of no more utility gains at most 0 (0/0 = NaN at equal
+		// machine time, the job's own point included), which is never taken.
 		if rate := (h.opts[k].Utility - at.Utility) / cost; rate > h.rate {
 			h.to, h.rate, h.cost = k, rate, cost
 		}

@@ -53,7 +53,8 @@ func NewFrontier(s analysis.Strategy, p analysis.Params, cfg Config) (*Frontier,
 }
 
 // undominated returns a fresh slice of the window points within can pick
-// for some budget, in r order. It sorts indices into the memo's scratch by
+// for some budget, in r order: a Frontier's table, and a batch job's options
+// (BatchSolve). It sorts indices into the memo's scratch by
 // machine time, then utility descending, then r, so every point that could
 // dominate a point precedes it; one pass keeping each point that beats the
 // best before it then leaves exactly the undominated ones.
