@@ -44,7 +44,7 @@ bench-test: ## vet + unit-test the bench/ module against this tree (its own modu
 loc: ## comment-free, blank-free, non-test Go line count per package: serving layer, planner core, simulator substrate, contract and SDK, then their sum, then the knobs: chronosd flags, server.Config fields, SimConfig fields (the /v1 simulation schema), /metrics families, routes (the numbers simplicity PRs quote)
 	@count() { cat "$$@" | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }; \
 	for group in "internal/server internal/hotjson internal/jsonfloat cmd/chronosd" "internal/analysis internal/optimize ." \
-		"internal/sim internal/cluster internal/mapreduce internal/speculate internal/replay internal/experiment internal/workload internal/trace internal/metrics internal/pareto cmd/chronos-figures" \
+		"internal/sim internal/cluster internal/mapreduce internal/speculate internal/replay internal/workload internal/trace internal/metrics internal/pareto cmd/chronos-figures" \
 		"api client internal/tenant internal/ring internal/obs internal/plankey"; do total=0; \
 		for d in $$group; do \
 			n=$$(count $$(ls $$d/*.go | grep -v _test.go)); total=$$((total + n)); \

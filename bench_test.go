@@ -2,9 +2,8 @@ package chronos
 
 // The ablation benchmarks (design choices called out in DESIGN.md) and the
 // micro-benchmarks for the hot paths (Pareto sampling, the event queue,
-// Algorithm 1). The benchmarks that regenerate the paper's tables and figures
-// live beside their drivers in internal/experiment, which imports this
-// package. Run them all with:
+// Algorithm 1). BenchmarkFigures, which times each table and figure that
+// cmd/chronos-figures prints, lives beside that command. Run them all with:
 //
 //	go test -bench=. -benchmem ./...
 

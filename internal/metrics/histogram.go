@@ -14,15 +14,6 @@ import (
 // distribution of Figure 5, as chronos.Report.RHistogram carries it.
 type Histogram map[int]int
 
-// Total returns the number of observations.
-func (h Histogram) Total() int {
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	return total
-}
-
 // Mode returns the most frequent value (smallest wins ties); ok is false
 // for an empty histogram.
 func (h Histogram) Mode() (v int, ok bool) {
@@ -43,19 +34,6 @@ func (h Histogram) Keys() []int {
 	}
 	sort.Ints(keys)
 	return keys
-}
-
-// Mean returns the average observation.
-func (h Histogram) Mean() float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	var sum float64
-	for k, c := range h {
-		sum += float64(k * c)
-	}
-	return sum / float64(total)
 }
 
 // String renders "v:count" pairs in ascending order.

@@ -11,14 +11,8 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []int{2, 2, 2, 4, 4, 1} {
 		h[v]++
 	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d", h.Total())
-	}
 	if mode, ok := h.Mode(); !ok || mode != 2 {
 		t.Errorf("Mode = %d, %v", mode, ok)
-	}
-	if got := h.Mean(); math.Abs(got-15.0/6) > 1e-12 {
-		t.Errorf("Mean = %v", got)
 	}
 	if keys := h.Keys(); len(keys) != 3 || keys[0] != 1 || keys[2] != 4 {
 		t.Errorf("Keys = %v", keys)
@@ -30,9 +24,6 @@ func TestHistogram(t *testing.T) {
 	if _, ok := empty.Mode(); ok {
 		t.Error("empty histogram has a mode")
 	}
-	if empty.Mean() != 0 {
-		t.Error("empty histogram mean != 0")
-	}
 }
 
 func TestTableRendering(t *testing.T) {
@@ -41,9 +32,6 @@ func TestTableRendering(t *testing.T) {
 	tab.AddRow("Hadoop-NS", FormatFloat(0.1, 3), FormatFloat(100, 1), FormatFloat(math.Inf(-1), 3))
 	tab.AddRow("short")
 	out := tab.String()
-	if tab.Rows() != 3 {
-		t.Errorf("Rows = %d", tab.Rows())
-	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 { // header + separator + 3 rows
 		t.Fatalf("rendered %d lines:\n%s", len(lines), out)

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Table renders aligned plain-text tables: the output format of the
-// benchmark harness that regenerates the paper's tables and figure series.
+// Table renders aligned plain-text tables: the output format of
+// chronos-figures, which regenerates the paper's tables and figure series.
 type Table struct {
 	headers []string
 	rows    [][]string
@@ -29,9 +29,6 @@ func (t *Table) AddRow(cells ...string) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {

@@ -40,9 +40,11 @@ func TestSimulateReduceValidation(t *testing.T) {
 }
 
 // TestSimulateRejectsBadControl: a control instant before its stage, an
-// undefined tau scale or an unbounded fixed r is an error from Simulate, not
-// a panic in the engine ("sim: schedule at -50 before now 0") and not r+1 =
-// four million attempts of one task.
+// undefined tau scale, an unbounded fixed r or a negative cluster shape is an
+// error from Simulate, not a panic in the engine ("sim: schedule at -50
+// before now 0") and not r+1 = four million attempts of one task. A zero
+// Nodes or SlotsPerNode means the default, so the bad shape is a negative
+// one.
 func TestSimulateRejectsBadControl(t *testing.T) {
 	jobs := []SimJob{{Tasks: 4, Deadline: 100, TMin: 10, Beta: 1.5}}
 	for name, cfg := range map[string]SimConfig{
@@ -55,6 +57,8 @@ func TestSimulateRejectsBadControl(t *testing.T) {
 		"tauScale -1":      {Strategy: Clone, TauEst: 0.3, TauKill: 0.6, TauScale: -1},
 		"fixedR at cap":    {Strategy: Clone, UseFixedR: true, FixedR: maxFixedR},
 		"fixedR 4e6":       {Strategy: Clone, UseFixedR: true, FixedR: 4_000_000},
+		"negative nodes":   {Strategy: Clone, Nodes: -1, SlotsPerNode: 8},
+		"negative slots":   {Strategy: HadoopNS, Nodes: 8, SlotsPerNode: -1},
 	} {
 		start := time.Now()
 		if rep, err := Simulate(cfg, jobs); err == nil {
