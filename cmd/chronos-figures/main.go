@@ -137,6 +137,8 @@ func sections(seed uint64) []section {
 
 	// Figure 2: 100 jobs of 10 tasks per benchmark, tauEst = 40 s and
 	// tauKill = 80 s after arrival, theta = 1e-4.
+	// chronos.Benchmarks lists workload.Profiles in order; the profile adds
+	// the benchmark's JVM start-up delay.
 	var fig2 []cell
 	profiles := workload.Profiles()
 	for i, b := range chronos.Benchmarks() {
