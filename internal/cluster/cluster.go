@@ -100,6 +100,25 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	return &Cluster{eng: eng, capacity: cfg.Nodes * cfg.SlotsPerNode}, nil
 }
 
+// Reset empties the cluster for a new run on cfg, as New would build it:
+// every slot free, the queue empty, the meter at zero. The queue ring keeps
+// its capacity and the container pool its containers, which is what a
+// recycled cluster is for; the ring's waiters are dropped, so the cluster
+// holds no reference into the run that ended. served keeps counting, so a
+// Ticket from before the reset names no later request. A container still
+// held when the run ended is not taken back: its holder keeps a pointer to
+// it, and the pool grows a fresh one when it runs short.
+func (c *Cluster) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	c.capacity, c.inUse, c.meter = cfg.Nodes*cfg.SlotsPerNode, 0, Meter{}
+	clear(c.queue)
+	c.served += uint64(c.qlen)
+	c.qhead, c.qlen = 0, 0
+	return nil
+}
+
 // Meter exposes the usage meter.
 func (c *Cluster) Meter() *Meter { return &c.meter }
 

@@ -131,6 +131,42 @@ func TestMeterCharging(t *testing.T) {
 	}
 }
 
+// TestResetEmptiesCluster holds a recycled cluster to a new one: every slot
+// free at the new size, an empty queue that a stale Ticket cannot reach, a
+// zero meter, and nothing of the ended run's waiters granted.
+func TestResetEmptiesCluster(t *testing.T) {
+	eng, c := newTestCluster(t, 1, 1)
+	c.Allocate()
+	old := c.RequestFor(grantFunc(func(*Container) { t.Error("a waiter from before Reset was granted") }))
+	eng.Reset()
+	if err := c.Reset(Config{Nodes: 0, SlotsPerNode: 1}); err == nil {
+		t.Fatal("Reset accepted a cluster of no slots")
+	}
+	if err := c.Reset(Config{Nodes: 2, SlotsPerNode: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Capacity() != 2 || c.InUse() != 0 || c.QueueLength() != 0 ||
+		c.Meter().MachineTime() != 0 || c.Meter().Releases() != 0 {
+		t.Fatalf("after Reset: capacity %d, in use %d, queue %d, meter %v/%d",
+			c.Capacity(), c.InUse(), c.QueueLength(), c.Meter().MachineTime(), c.Meter().Releases())
+	}
+	a, _ := c.Allocate()
+	b, _ := c.Allocate()
+	granted := 0
+	fresh := c.RequestFor(grantFunc(func(*Container) { granted++ }))
+	if c.Cancel(old) {
+		t.Error("a Ticket from before Reset cancelled a request made after it")
+	}
+	eng.Schedule(1, func() { c.Release(a); c.Release(b) })
+	eng.Run()
+	if granted != 1 || fresh == 0 {
+		t.Errorf("request after Reset granted %d times (ticket %d)", granted, fresh)
+	}
+	if got := c.Meter().MachineTime(); got != 2 {
+		t.Errorf("MachineTime() = %v, want 2", got)
+	}
+}
+
 func TestDoubleReleasePanics(t *testing.T) {
 	_, c := newTestCluster(t, 1, 1)
 	ctr, _ := c.Allocate()

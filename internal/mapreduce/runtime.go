@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math/bits"
 
 	"chronos/internal/cluster"
 	"chronos/internal/pareto"
@@ -44,8 +45,9 @@ const (
 //   - a task's attempts once the task settles — it is Done and none of its
 //     attempts is queued or running — so an *Attempt is valid until its task
 //     settles and the next Submit runs (Task.Attempts becomes empty);
-//   - a job's tasks once OnJobSettled has returned (Job.Tasks becomes nil;
-//     the Job's own fields stay readable).
+//   - a job's tasks, and the Tasks slice that listed them, once OnJobSettled
+//     has returned (Job.Tasks becomes nil; the Job's own fields stay
+//     readable).
 type Runtime struct {
 	// Eng is the discrete-event engine driving the simulation.
 	Eng *sim.Engine
@@ -58,6 +60,9 @@ type Runtime struct {
 	// jobs; a recycled task keeps its Attempts capacity.
 	freeTasks    []*Task
 	freeAttempts []*Attempt
+	// taskLists holds the Tasks slices of reclaimed jobs for Submit to
+	// reuse, by capacity: taskLists[k] holds slices of capacity 1<<k.
+	taskLists [bits.UintSize][][]*Task
 	// settledTasks and reclaimable list the settled tasks and jobs whose
 	// records reclaim has yet to take back.
 	settledTasks []*Task
@@ -98,7 +103,13 @@ func (rt *Runtime) Submit(spec JobSpec, strat Strategy) (*Job, error) {
 			rt.freeTasks = append(rt.freeTasks, &slab[i])
 		}
 	}
-	job.Tasks = make([]*Task, n)
+	k := bits.Len(uint(n - 1)) // 1<<k is the least power of two >= n
+	if m := len(rt.taskLists[k]); m > 0 {
+		job.Tasks = rt.taskLists[k][m-1][:n]
+		rt.taskLists[k] = rt.taskLists[k][:m-1]
+	} else {
+		job.Tasks = make([]*Task, n, 1<<k)
+	}
 	copy(job.Tasks, rt.freeTasks[len(rt.freeTasks)-n:])
 	rt.freeTasks = rt.freeTasks[:len(rt.freeTasks)-n]
 	for i, t := range job.Tasks {
@@ -136,6 +147,8 @@ func (rt *Runtime) reclaim() {
 	rt.settledTasks = rt.settledTasks[:0]
 	for i, job := range rt.reclaimable {
 		rt.freeTasks = append(rt.freeTasks, job.Tasks...)
+		k := bits.TrailingZeros(uint(cap(job.Tasks)))
+		rt.taskLists[k] = append(rt.taskLists[k], job.Tasks)
 		job.Tasks = nil
 		rt.reclaimable[i] = nil
 	}

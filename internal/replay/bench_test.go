@@ -3,6 +3,7 @@ package replay_test
 import (
 	"context"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"chronos"
@@ -15,7 +16,8 @@ import (
 // Chronos strategy. ns/task and
 // allocs/job are bench/'s speculate.task_ns.* and replay.allocs_per_job
 // units, so the artifact `make bench` archives reads against them; B/op is
-// the bytes one replay allocates.
+// the bytes one replay allocates, and gc/op the garbage-collection cycles
+// that ran per replay.
 func BenchmarkReplayThroughput(b *testing.B) {
 	jobs, err := chronos.SyntheticTrace(chronos.TraceConfig{Jobs: 500, HorizonSeconds: 200 * 500, Seed: 1})
 	if err != nil {
@@ -31,7 +33,10 @@ func BenchmarkReplayThroughput(b *testing.B) {
 			b.ReportAllocs()
 			cfg := chronos.SimConfig{Strategy: s, Seed: 1}
 			var before, after runtime.MemStats
+			gc := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
 			runtime.ReadMemStats(&before)
+			metrics.Read(gc)
+			cycles := gc[0].Value.Uint64()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := chronos.Replay(context.Background(), cfg, jobs,
@@ -41,6 +46,8 @@ func BenchmarkReplayThroughput(b *testing.B) {
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
+			metrics.Read(gc)
+			b.ReportMetric(float64(gc[0].Value.Uint64()-cycles)/float64(b.N), "gc/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tasks*b.N), "ns/task")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(len(jobs)*b.N), "allocs/job")
 			b.ReportMetric(float64(len(jobs)*b.N)/b.Elapsed().Seconds(), "jobs/sec")

@@ -99,8 +99,8 @@ type Timer struct {
 
 // live returns the timer's slot while its event is still scheduled.
 func (t *Timer) live() *slot {
-	if t == nil || t.eng == nil {
-		return nil
+	if t == nil || t.eng == nil || int(t.slot) >= len(t.eng.slots) {
+		return nil // a Reset since, which may have shortened the slots
 	}
 	if s := &t.eng.slots[t.slot]; s.seq == t.seq && s.h != nil {
 		return s
@@ -129,6 +129,26 @@ func (t *Timer) Pending() bool { return t.live() != nil }
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
 	return &Engine{}
+}
+
+// Reset empties the engine for a new run: the clock, the base and the
+// processed count go back to zero and every queued event is dropped. The
+// ready list, the buckets, the slots and the free list keep their capacity,
+// which is what a recycled engine is for; every slot's handler is dropped,
+// so the engine holds no reference into the run that ended. seq keeps
+// counting: a Timer from before the reset names a seq no later event is
+// given, so it reports not Pending and its Cancel cannot reach an event
+// that reuses its slot. Events fire in filing order, which a reset engine
+// assigns exactly as a new one does, so a run after Reset is the run a new
+// engine would give.
+func (e *Engine) Reset() {
+	e.now, e.base, e.filled, e.processed = 0, 0, 0, 0
+	e.ready, e.head = e.ready[:0], 0
+	for i := range e.buckets {
+		e.buckets[i] = e.buckets[i][:0]
+	}
+	clear(e.slots)
+	e.slots, e.free = e.slots[:0], e.free[:0]
 }
 
 // Now returns the current simulation time.

@@ -284,6 +284,44 @@ func TestStaleTimerSparesRecycledRecord(t *testing.T) {
 	}
 }
 
+// TestResetStrandsOldTimers holds a recycled engine to a new one: a Timer
+// taken before Reset is not Pending afterwards, and its Cancel leaves alone
+// the event scheduled after the reset into the same slot (with the same seq,
+// were seq restarted); the clock, the processed count and the queue start
+// from zero, and nothing queued before the reset fires.
+func TestResetStrandsOldTimers(t *testing.T) {
+	e := NewEngine()
+	dropped := false
+	stale := e.Schedule(5, func() { dropped = true })
+	e.Schedule(3, func() {})
+	e.Step() // the clock and the processed count move
+	e.Reset()
+	if e.Now() != 0 || e.Processed() != 0 || e.Pending() != 0 {
+		t.Fatalf("after Reset: now %v, processed %d, pending %d", e.Now(), e.Processed(), e.Pending())
+	}
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("an event queued before Reset is still queued")
+	}
+	if stale.Pending() {
+		t.Error("a Timer from before Reset reports Pending")
+	}
+	fired := false
+	fresh := e.Schedule(2, func() { fired = true })
+	if fresh.slot != stale.slot {
+		t.Fatalf("first event after Reset in slot %d, want %d as in a new engine", fresh.slot, stale.slot)
+	}
+	if stale.Pending() || stale.Cancel() {
+		t.Error("a Timer from before Reset acted on an event scheduled after it")
+	}
+	e.Run()
+	if !fired || dropped {
+		t.Errorf("fired %v, pre-Reset event fired %v", fired, dropped)
+	}
+	if e.Processed() != 1 || e.Now() != 2 {
+		t.Errorf("processed %d, now %v; want 1, 2", e.Processed(), e.Now())
+	}
+}
+
 // TestNextAt covers the peek API the streaming replay loop drives windows
 // with: it must see through cancelled heads and never advance the clock.
 func TestNextAt(t *testing.T) {

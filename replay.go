@@ -2,6 +2,7 @@ package chronos
 
 import (
 	"context"
+	"sync"
 
 	"chronos/internal/cluster"
 	"chronos/internal/mapreduce"
@@ -65,10 +66,11 @@ type ReplayOptions struct {
 // the trace length. Cancelling ctx stops the replay between events.
 func Replay(ctx context.Context, cfg SimConfig, jobs []SimJob, opts ReplayOptions) (Report, error) {
 	cfg = cfg.withDefaults()
-	rt, rjobs, err := buildReplay(cfg, jobs)
+	rt, rjobs, release, err := buildReplay(cfg, jobs)
 	if err != nil {
 		return Report{}, err
 	}
+	defer release()
 	sum, err := replay.Run(ctx, rt, rjobs, replay.Config{
 		WindowSeconds: opts.WindowSeconds,
 		MaxOpenTasks:  opts.MaxOpenTasks,
@@ -79,18 +81,52 @@ func Replay(ctx context.Context, cfg SimConfig, jobs []SimJob, opts ReplayOption
 	return reportFromSummary(sum, cfg), nil
 }
 
+// simulator is an engine and the cluster bound to it. A run grows the
+// engine's buckets and slots and the cluster's wait ring to its stream's
+// peak; replays recycle the pair through simulators, and a reset empties
+// them but keeps that capacity. A pooled pair holds no reference into the
+// run that ended, and a reset engine or cluster runs exactly as a new one.
+type simulator struct {
+	eng *sim.Engine
+	cl  *cluster.Cluster
+	// size is the cluster's configuration for the current run.
+	size cluster.Config
+}
+
+var simulators = sync.Pool{New: func() any { return new(simulator) }}
+
+// acquire readies s for a run on a cluster of the given size.
+func (s *simulator) acquire(size cluster.Config) (err error) {
+	if s.eng == nil {
+		s.eng = sim.NewEngine()
+		s.cl, err = cluster.New(s.eng, size)
+	} else {
+		err = s.cl.Reset(size)
+	}
+	s.size = size
+	return err
+}
+
+// release empties s and returns it to the pool.
+func (s *simulator) release() {
+	s.eng.Reset()
+	_ = s.cl.Reset(s.size) // cannot fail: acquire accepted this size
+	simulators.Put(s)
+}
+
 // buildReplay assembles the engine, cluster, runtime and per-job specs and
-// strategies for one run of the stream. cfg must already have defaults.
-func buildReplay(cfg SimConfig, jobs []SimJob) (*mapreduce.Runtime, []replay.Job, error) {
+// strategies for one run of the stream, and the func that hands the engine
+// and cluster back for a later run once the runtime is done with them. cfg
+// must already have defaults.
+func buildReplay(cfg SimConfig, jobs []SimJob) (*mapreduce.Runtime, []replay.Job, func(), error) {
 	if err := cfg.validate(jobs); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	eng := sim.NewEngine()
-	cl, err := cluster.New(eng, cluster.Config{Nodes: cfg.Nodes, SlotsPerNode: cfg.SlotsPerNode})
-	if err != nil {
-		return nil, nil, err
+	s := simulators.Get().(*simulator)
+	if err := s.acquire(cluster.Config{Nodes: cfg.Nodes, SlotsPerNode: cfg.SlotsPerNode}); err != nil {
+		return nil, nil, nil, err // s is dropped: a failed New leaves no cluster
 	}
-	rt := mapreduce.NewRuntime(eng, cl, mapreduce.Config{
+	rt := mapreduce.NewRuntime(s.eng, s.cl, mapreduce.Config{
 		Seed:           cfg.Seed,
 		ReportInterval: cfg.ReportInterval,
 		ReportNoise:    cfg.ReportNoise,
@@ -100,15 +136,17 @@ func buildReplay(cfg SimConfig, jobs []SimJob) (*mapreduce.Runtime, []replay.Job
 	for i, j := range jobs {
 		spec, err := j.spec(i, cfg)
 		if err != nil {
-			return nil, nil, err
+			s.release()
+			return nil, nil, nil, err
 		}
 		strat, err := cfg.strategyFor(j)
 		if err != nil {
-			return nil, nil, err
+			s.release()
+			return nil, nil, nil, err
 		}
 		rjobs[i] = replay.Job{Spec: spec, Strategy: strat}
 	}
-	return rt, rjobs, nil
+	return rt, rjobs, s.release, nil
 }
 
 // reportFromSummary folds the stream aggregates into the one-shot report.
