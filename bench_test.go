@@ -198,6 +198,35 @@ func BenchmarkBudgetFrontier(b *testing.B) {
 	b.ReportMetric(float64(held.HeapAlloc-freed.HeapAlloc)/float64(len(params)), "retained-B/frontier")
 }
 
+// BenchmarkBudgetFrontierQuery answers squeezed best-of-three admits from
+// prebuilt frontiers: the 512 fleet_admit shapes of BenchmarkBudgetFrontier,
+// each asked at 0.7 of its unconstrained plan's machine time, the budget the
+// socket benchmark's optimize.frontier_query_ns layer asks at. ns/op is one
+// PlanWithinBudget.
+func BenchmarkBudgetFrontierQuery(b *testing.B) {
+	jobs, err := SyntheticTrace(TraceConfig{Jobs: 512, Seed: 2_000_009})
+	if err != nil {
+		b.Fatal(err)
+	}
+	econ := Econ{Theta: 1e-4, UnitPrice: 1}
+	frontiers := make([]*BudgetFrontier, len(jobs))
+	for i, j := range jobs {
+		p := JobParams{Tasks: j.Tasks, Deadline: j.Deadline, TMin: j.TMin, Beta: j.Beta,
+			TauEst: 0.3 * j.TMin, TauKill: 0.6 * j.TMin}
+		if frontiers[i], err = NewBudgetFrontierBest(p, econ); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := frontiers[i%len(frontiers)]
+		sinkPlan, _ = f.PlanWithinBudget(0.7 * f.Unconstrained().MachineTime)
+	}
+}
+
+var sinkPlan Plan
+
 // BenchmarkPlanBatch splits one shared budget, three times what r = 0 costs,
 // across 1,024 seeded random jobs of all three strategies (N 1-100, beta
 // 1.2-2.2, D 1.5-6.5 tmin, tau_est <= 0.6 tmin, tau_kill <= tau_est +

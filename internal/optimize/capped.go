@@ -102,7 +102,19 @@ func within(strategy string, points []Point, budget float64) (Result, error) {
 		}
 	}
 	if best.R < 0 {
-		return Result{}, fmt.Errorf("%w: need %v, have %v", ErrBudgetTooSmall, cheapest, budget)
+		return Result{}, &budgetError{need: cheapest, have: budget}
 	}
 	return best.result(strategy), nil
 }
+
+// budgetError is a capped solve's ErrBudgetTooSmall with the budget it would
+// have needed. The text is formatted only when it is asked for: a
+// best-of-three caller checks errors.Is and drops the rejection of every
+// unaffordable strategy, and formatting it was most of a squeezed query.
+type budgetError struct{ need, have float64 }
+
+func (e *budgetError) Error() string {
+	return fmt.Sprintf("%v: need %v, have %v", ErrBudgetTooSmall, e.need, e.have)
+}
+
+func (e *budgetError) Unwrap() error { return ErrBudgetTooSmall }

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"chronos/internal/analysis"
@@ -89,8 +90,11 @@ func denseStore(s []float64, r int, v float64) []float64 {
 	if r >= searchCap {
 		return s
 	}
-	for len(s) <= r {
-		s = append(s, math.NaN())
+	if n := len(s); r >= n {
+		s = slices.Grow(s, r+1-n)[:r+1]
+		for i := n; i < r; i++ {
+			s[i] = math.NaN()
+		}
 	}
 	s[r] = v
 	return s
