@@ -378,9 +378,10 @@ type BatchPlan struct {
 // plans some budget can pick; the allocator walks their upper concave hulls,
 // always taking the affordable move that buys the most log-PoCD per
 // machine-second, and lifts a job below its RMin straight to its cheapest
-// feasible plan. Returns ErrBudgetTooSmall (from the optimize package) when
-// the budget cannot even cover r=0 for every job, and ErrBadRMin when a job's
-// RMin is outside [0, 1).
+// feasible plan. Each job starts at its cheapest feasible plan, or at r = 0
+// when that costs less. Returns ErrBudgetTooSmall (from the optimize package)
+// when the budget cannot cover those starting plans, and ErrBadRMin when a
+// job's RMin is outside [0, 1).
 func PlanBatch(jobs []BatchJob, budget float64) ([]BatchPlan, error) {
 	batch := make([]optimize.BatchJob, len(jobs))
 	for i, j := range jobs {

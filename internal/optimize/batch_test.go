@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
@@ -150,19 +151,24 @@ const batchBruteCap = 10
 // log10 units); what it must never do is answer -Inf where a finite
 // allocation exists, spend over the budget, or leave an affordable
 // r -> r+1 step untaken that gains more than the 1e-9 saturation threshold.
+// Each batch is solved at two budgets: 1-3x its r = 0 cost, the draw whose
+// gap is held, and one drawn from below the r = 0 cost down to the sum of
+// each job's cheapest point, where the walk must refuse only a budget that
+// brute force cannot fill with a finite allocation either.
 func TestBatchSolveMatchesBruteForce(t *testing.T) {
 	batches := 3000
 	if testing.Short() || race.Enabled {
 		batches = 300
 	}
 	rng := rand.New(rand.NewSource(49))
-	var gaps []float64
-	over := 0 // batches trailing brute force by more than 0.02 log10 units
+	lowRng := rand.New(rand.NewSource(52)) // its own stream, so the 1-3x draw keeps its batches
+	var gaps, lowGaps []float64
+	over, refused := 0, 0 // batches trailing brute force by more than 0.02 log10 units; low budgets refused
 	for b := 0; b < batches; b++ {
 		jobs := make([]BatchJob, 2+rng.Intn(2))
 		// pts[i][r] is job i's point at r, each evaluated once.
 		pts := make([][batchBruteCap + 1]Point, len(jobs))
-		base := 0.0
+		base, cheapest := 0.0, 0.0
 		for i := range jobs {
 			tmin := 1 + rng.Float64()*49
 			tauEst := rng.Float64() * 0.6 * tmin
@@ -181,52 +187,23 @@ func TestBatchSolveMatchesBruteForce(t *testing.T) {
 				pts[i][r] = batchPoint(jobs[i], r)
 			}
 			base += pts[i][0].MachineTime
+			cheapest += slices.MinFunc(pts[i][:], func(a, b Point) int { return cmp.Compare(a.MachineTime, b.MachineTime) }).MachineTime
 		}
 		budget := base * (1 + 2*rng.Float64())
-
-		got, err := BatchSolve(jobs, budget)
-		if err != nil {
-			t.Fatalf("batch %d: %v", b, err)
-		}
-		gotU, spent := 0.0, 0.0
-		for _, p := range got {
-			gotU += p.Utility
-			spent += p.MachineTime
-		}
-		if spent > budget {
-			t.Errorf("batch %d: spends %v over budget %v", b, spent, budget)
-		}
-		for i, p := range got {
-			next := batchPoint(jobs[i], p.R+1)
-			if p.R < batchRCap && next.MachineTime-p.MachineTime <= budget-spent && next.Utility-p.Utility > 1e-9 {
-				t.Errorf("batch %d job %d: affordable step r=%d -> %d gains %v, untaken",
-					b, i, p.R, p.R+1, next.Utility-p.Utility)
-			}
-		}
-
-		bestU := math.Inf(-1)
-		var search func(i int, u, cost float64)
-		search = func(i int, u, cost float64) {
-			if cost > budget {
-				return
-			}
-			if i == len(jobs) {
-				bestU = max(bestU, u)
-				return
-			}
-			for r := range pts[i] {
-				search(i+1, u+pts[i][r].Utility, cost+pts[i][r].MachineTime)
-			}
-		}
-		search(0, 0, 0)
-		switch {
-		case math.IsInf(gotU, -1) && !math.IsInf(bestU, -1):
-			t.Errorf("batch %d: -Inf where brute force finds %v", b, bestU)
-		case !math.IsInf(bestU, -1):
-			gaps = append(gaps, max(bestU-gotU, 0))
-			if bestU-gotU > 0.02 {
+		if gap, ok := batchVsBruteForce(t, b, jobs, pts, budget); ok {
+			gaps = append(gaps, gap)
+			if gap > 0.02 {
 				over++
 			}
+		}
+		low := cheapest + (base-cheapest)*lowRng.Float64()
+		if _, err := BatchSolve(jobs, low); errors.Is(err, ErrBudgetTooSmall) {
+			refused++
+			if bestU := bruteForce(pts, low); !math.IsInf(bestU, -1) {
+				t.Errorf("batch %d: budget %v refused (%v), brute force finds %v", b, low, err, bestU)
+			}
+		} else if gap, ok := batchVsBruteForce(t, b, jobs, pts, low); ok {
+			lowGaps = append(lowGaps, gap)
 		}
 	}
 	if over > batches/100 {
@@ -235,6 +212,66 @@ func TestBatchSolveMatchesBruteForce(t *testing.T) {
 	slices.Sort(gaps)
 	t.Logf("%d batches, %d finite: gap p50 %.3g, p99 %.3g, max %.3g; %d over 0.02",
 		batches, len(gaps), gaps[len(gaps)/2], gaps[len(gaps)*99/100], gaps[len(gaps)-1], over)
+	slices.Sort(lowGaps)
+	t.Logf("below the r = 0 cost: %d refused, %d finite: gap p50 %.3g, p99 %.3g, max %.3g",
+		refused, len(lowGaps), lowGaps[len(lowGaps)/2], lowGaps[len(lowGaps)*99/100], lowGaps[len(lowGaps)-1])
+}
+
+// batchVsBruteForce solves batch b at budget and checks the answer against
+// brute force over pts, the jobs' points by r. It returns how far the walk
+// trails brute force, and false when brute force finds no finite allocation.
+func batchVsBruteForce(t *testing.T, b int, jobs []BatchJob, pts [][batchBruteCap + 1]Point, budget float64) (float64, bool) {
+	t.Helper()
+	got, err := BatchSolve(jobs, budget)
+	if err != nil {
+		t.Fatalf("batch %d: budget %v: %v", b, budget, err)
+	}
+	gotU, spent := 0.0, 0.0
+	for _, p := range got {
+		gotU += p.Utility
+		spent += p.MachineTime
+	}
+	if spent > budget {
+		t.Errorf("batch %d: spends %v over budget %v", b, spent, budget)
+	}
+	for i, p := range got {
+		next := batchPoint(jobs[i], p.R+1)
+		if p.R < batchRCap && next.MachineTime-p.MachineTime <= budget-spent && next.Utility-p.Utility > 1e-9 {
+			t.Errorf("batch %d job %d: affordable step r=%d -> %d gains %v, untaken",
+				b, i, p.R, p.R+1, next.Utility-p.Utility)
+		}
+	}
+
+	bestU := bruteForce(pts, budget)
+	if math.IsInf(bestU, -1) {
+		return 0, false
+	}
+	if math.IsInf(gotU, -1) {
+		t.Errorf("batch %d: budget %v: -Inf where brute force finds %v", b, budget, bestU)
+	}
+	return max(bestU-gotU, 0), true
+}
+
+// bruteForce returns the highest total utility of any choice of one point
+// per job whose machine time fits budget, -Inf when none fits or none is
+// finite.
+func bruteForce(pts [][batchBruteCap + 1]Point, budget float64) float64 {
+	bestU := math.Inf(-1)
+	var search func(i int, u, cost float64)
+	search = func(i int, u, cost float64) {
+		if cost > budget {
+			return
+		}
+		if i == len(pts) {
+			bestU = max(bestU, u)
+			return
+		}
+		for r := range pts[i] {
+			search(i+1, u+pts[i][r].Utility, cost+pts[i][r].MachineTime)
+		}
+	}
+	search(0, 0, 0)
+	return bestU
 }
 
 // batchPoint is job j's point at r under BatchSolve's utility.
@@ -265,5 +302,22 @@ func TestBatchSolveLiftsJobAboveRMin(t *testing.T) {
 		if got[0].R < 3 || !(got[0].PoCD > j.RMin) {
 			t.Errorf("budget %v: got r=%d at PoCD %v, want r >= 3 above RMin %v", budget, got[0].R, got[0].PoCD, j.RMin)
 		}
+	}
+}
+
+// TestBatchSolveCreditsCheaperStart: a Restart job costs 1,500 machine-s at
+// r = 0 but 894.1 at r = 1 and 893.8 at r = 4 (PoCD 0.975). A budget of 894.1
+// covers the point the walk starts from, so the batch is solved, not refused
+// as short of the r = 0 cost.
+func TestBatchSolveCreditsCheaperStart(t *testing.T) {
+	j := BatchJob{Model: analysis.NewModel(analysis.StrategyRestart, analysis.Params{
+		N: 50, Deadline: 30, Task: pareto.MustNew(10, 1.5), TauEst: 3, TauKill: 6,
+	})}
+	got, err := BatchSolve([]BatchJob{j}, 894.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].R < 4 || got[0].MachineTime > 894.1 {
+		t.Errorf("got r=%d for %v machine-s at PoCD %v, want r >= 4 within 894.1", got[0].R, got[0].MachineTime, got[0].PoCD)
 	}
 }
