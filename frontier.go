@@ -1,7 +1,9 @@
 package chronos
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"chronos/internal/optimize"
 )
@@ -22,6 +24,9 @@ import (
 //
 // PlanWithinBudget returns bit-identical plans and errors to the
 // corresponding Optimize*WithinBudget call for every budget.
+//
+// The tables' points are also kept as one option list for the walk that
+// splits a shared pool (FrontierWalk), built once with the tables.
 type BudgetFrontier struct {
 	// tables holds one capped-solve table per Chronos strategy, indexed by
 	// strategy - Clone. A nil entry is a strategy that is infeasible at any
@@ -32,6 +37,11 @@ type BudgetFrontier struct {
 	pinned Strategy
 	// unconstrained is the best plan at an unlimited budget.
 	unconstrained Plan
+	// options are the tables' points by machine time, each of higher
+	// utility than every cheaper one (see listOptions), and strategies[k] is
+	// options[k]'s strategy.
+	options    []optimize.Point
+	strategies []Strategy
 }
 
 // table builds strategy s's capped-solve table into bf and returns its
@@ -58,6 +68,7 @@ func NewBudgetFrontier(s Strategy, p JobParams, e Econ) (*BudgetFrontier, error)
 	if bf.unconstrained, err = bf.table(s, p, e); err != nil {
 		return nil, err
 	}
+	bf.listOptions()
 	return bf, nil
 }
 
@@ -73,7 +84,41 @@ func NewBudgetFrontierBest(p JobParams, e Econ) (*BudgetFrontier, error) {
 	if err != nil {
 		return nil, err
 	}
+	bf.listOptions()
 	return bf, nil
+}
+
+// listOptions lists the tables' points by machine time, keeping a point only
+// when its utility beats every cheaper-or-equal one's. Among points of equal
+// machine time the one PlanWithinBudget would pick sorts first — the higher
+// utility, then the earlier strategy, then the lower r — so the dearest
+// option that fits a budget is PlanWithinBudget's plan at that budget, but
+// for an exact tie in utility at different machine times, which goes to the
+// cheaper plan. The list ends at the unconstrained optimum, the most useful
+// point of all the tables.
+func (bf *BudgetFrontier) listOptions() {
+	type option struct {
+		p optimize.Point
+		s Strategy
+	}
+	var all []option
+	for i, f := range bf.tables {
+		if f != nil {
+			for _, p := range f.Points() {
+				all = append(all, option{p, Clone + Strategy(i)})
+			}
+		}
+	}
+	slices.SortFunc(all, func(a, b option) int {
+		return cmp.Or(cmp.Compare(a.p.MachineTime, b.p.MachineTime), cmp.Compare(b.p.Utility, a.p.Utility),
+			cmp.Compare(a.s, b.s), cmp.Compare(a.p.R, b.p.R))
+	})
+	best := math.Inf(-1)
+	for _, o := range all {
+		if o.p.Utility > best {
+			bf.options, bf.strategies, best = append(bf.options, o.p), append(bf.strategies, o.s), o.p.Utility
+		}
+	}
 }
 
 // PlanWithinBudget answers OptimizeWithinBudget (pinned construction) or
@@ -104,3 +149,44 @@ func (bf *BudgetFrontier) PlanWithinBudget(budget float64) (Plan, error) {
 // what PlanWithinBudget returns for any budget that covers it, and the
 // plan OptimizeBest / Optimize would compute for the same cell.
 func (bf *BudgetFrontier) Unconstrained() Plan { return bf.unconstrained }
+
+// FrontierWalk splits one machine-time pool across jobs whose budget
+// frontiers are built: PlanBatch's walk, over each frontier's options under
+// its own job's econ. Add the jobs, then Spend. Its zero value is ready, and
+// a reused FrontierWalk allocates nothing once grown.
+type FrontierWalk struct {
+	walk  optimize.Walk
+	fs    []*BudgetFrontier // each job's frontier
+	plans []*Plan           // where Spend writes each job's plan
+}
+
+// Reset empties the walk, keeping its capacity and no frontier or plan.
+func (fw *FrontierWalk) Reset() {
+	fw.walk.Reset()
+	clear(fw.fs)
+	clear(fw.plans)
+	fw.fs, fw.plans = fw.fs[:0], fw.plans[:0]
+}
+
+// Add enters a job at its frontier's cheapest plan if that fits in pool
+// beside the cheapest plans of the jobs already entered, and reports whether
+// it did. Spend writes the job's plan to *plan.
+func (fw *FrontierWalk) Add(bf *BudgetFrontier, pool float64, plan *Plan) bool {
+	if !fw.walk.Add(bf.options, pool) {
+		return false
+	}
+	fw.fs, fw.plans = append(fw.fs, bf), append(fw.plans, plan)
+	return true
+}
+
+// Spend moves the jobs up their frontiers while a move that fits in pool
+// gains utility, and writes each job's plan. A lone job ends at
+// PlanWithinBudget(pool)'s plan.
+func (fw *FrontierWalk) Spend(pool float64) {
+	fw.walk.Spend(pool)
+	for i, bf := range fw.fs {
+		k := fw.walk.Index(i)
+		p := bf.options[k]
+		*fw.plans[i] = Plan{Strategy: bf.strategies[k], R: p.R, PoCD: p.PoCD, MachineTime: p.MachineTime, Cost: p.Cost, Utility: p.Utility}
+	}
+}

@@ -87,6 +87,10 @@ func (m *memoModel) undominated(window []Point) []Point {
 // returns whenever the budget covers it.
 func (f *Frontier) Unconstrained() Result { return f.unconstrained }
 
+// Points returns the table: the window's undominated points, in r order.
+// The slice is the frontier's own; callers must not modify it.
+func (f *Frontier) Points() []Point { return f.points }
+
 // Solve answers SolveCapped(s, p, cfg, budget) from the table.
 func (f *Frontier) Solve(budget float64) (Result, error) {
 	if math.IsNaN(budget) {

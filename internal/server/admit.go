@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net/http"
@@ -61,7 +62,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		j.buildKey(tr, hb.key[:0])
 		hb.key = j.key
 		var err error
-		if _, rem, err = s.admitJobs(tr, pool, jobs, results); err != nil {
+		if _, rem, err = s.admitJobs(tr, pool, jobs, results, &hb.walk); err != nil {
 			// A lone job has no index worth reporting.
 			err = errors.Unwrap(err)
 			s.apiError(w, r, planStatus(err), "%v", err)
@@ -81,39 +82,58 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	writeHotBody(w, http.StatusOK, out)
 }
 
-// admitJob is one job crossing admitJobs: its cell and the plan its result
-// points at.
+// admitJob is one job crossing admitJobs: its cell, its unconstrained
+// optimum, and the plan its result points at.
 type admitJob struct {
 	cell
-	plan chronos.Plan
+	opt    chronos.Plan
+	reason string // api.ReasonInfeasible when the job has no optimum
+	in     bool   // whether the job is admitted in the current allocation
+	plan   chronos.Plan
 }
 
-// admitJobs decides jobs in request order against one tenant's pool —
-// each squeezed into whatever the ones before it left — and settles the
-// whole accepted set in ONE debit: the body of /v1/admit and /v1/admit/batch
-// on the pool's owner. results[i] is job i's decision; remaining is the
-// pool level to report. A non-nil error is one job's request fault, prefixed
-// with its index; nothing was debited or counted.
-func (s *Server) admitJobs(tr *obs.Trace, pool *tenant.Pool, jobs []admitJob, results []api.AdmitBatchResult) (admitted int, remaining float64, err error) {
+// admitJobs decides jobs against one tenant's pool and settles the whole
+// accepted set in ONE debit: the body of /v1/admit and /v1/admit/batch on
+// the pool's owner. When the jobs' optima fit the pool, each job gets its
+// optimum. Otherwise request order decides who is admitted, and the
+// shared-budget walk of /v1/plan/batch decides how much each admitted job
+// gets (walkPool). results[i] is job i's decision; remaining is the pool
+// level to report. A non-nil error is one job's request fault, prefixed with
+// its index; nothing was debited or counted.
+func (s *Server) admitJobs(tr *obs.Trace, pool *tenant.Pool, jobs []admitJob, results []api.AdmitBatchResult, walk *chronos.FrontierWalk) (admitted int, remaining float64, err error) {
+	optima := 0.0
+	for i := range jobs {
+		j := &jobs[i]
+		var err error
+		if j.opt, _, err = s.cachedPlan(tr, &j.cell); errors.Is(err, optimize.ErrInfeasible) {
+			j.reason = api.ReasonInfeasible
+		} else if err != nil {
+			// Not an admission decision: the job itself is malformed.
+			return 0, 0, fmt.Errorf("job %d: %w", i, err)
+		}
+		optima += j.opt.MachineTime // zero without an optimum
+	}
 	remaining, settled, err := s.settle(tr, pool, func(left float64) (float64, error) {
+		squeezed := optima > left
+		if squeezed {
+			if err := s.walkPool(tr, jobs, walk, left); err != nil {
+				return 0, err
+			}
+		}
 		total := 0.0
 		admitted = 0
 		for i := range jobs {
 			j := &jobs[i]
-			var err error
-			j.plan, err = s.planWithin(tr, &j.cell, left)
-			switch reason := rejectReason(err); {
-			case err == nil:
-				results[i] = api.AdmitBatchResult{Admitted: true, Plan: &j.plan}
-				total += j.plan.MachineTime
-				left -= j.plan.MachineTime
-				admitted++
-			case reason != "":
-				results[i] = api.AdmitBatchResult{Reason: reason}
-			default:
-				// Not an admission decision: the job itself is malformed.
-				return 0, fmt.Errorf("job %d: %w", i, err)
+			if !squeezed {
+				j.plan, j.in = j.opt, j.reason == ""
 			}
+			if !j.in {
+				results[i] = api.AdmitBatchResult{Reason: cmp.Or(j.reason, api.ReasonBudgetExhausted)}
+				continue
+			}
+			results[i] = api.AdmitBatchResult{Admitted: true, Plan: &j.plan}
+			total += j.plan.MachineTime
+			admitted++
 		}
 		return total, nil
 	})
@@ -142,6 +162,35 @@ func (s *Server) admitJobs(tr *obs.Trace, pool *tenant.Pool, jobs []admitJob, re
 	return admitted, remaining, nil
 }
 
+// walkPool splits a pool the jobs' optima overrun. In request order, each job
+// with an optimum enters the walk at its cheapest plan if that fits beside
+// the cheapest plans of the jobs entered before it; the walk then spends the
+// rest of the pool across the entered jobs and sets their plans. The options
+// come from each cell's budget frontier, cached beside its plan, so a warm
+// batch evaluates no model.
+func (s *Server) walkPool(tr *obs.Trace, jobs []admitJob, walk *chronos.FrontierWalk, pool float64) error {
+	start := time.Now()
+	defer func() { tr.Observe(obs.StageSolve, time.Since(start)) }()
+	walk.Reset()
+	for i := range jobs {
+		j := &jobs[i]
+		if j.in = false; j.reason != "" {
+			continue
+		}
+		bf := s.cache.frontier(j.key)
+		if bf == nil {
+			var err error
+			if bf, err = j.frontier(); err != nil {
+				return fmt.Errorf("job %d: %w", i, err)
+			}
+			s.cache.setFrontier(j.key, bf)
+		}
+		j.in = walk.Add(bf, pool, &j.plan)
+	}
+	walk.Spend(pool)
+	return nil
+}
+
 // settle is the one ledger-settlement loop: snapshot the pool's level, run
 // allocate against the snapshot, debit what it asks for once through the
 // ledger, and when a concurrent request won the race for that remainder
@@ -168,19 +217,6 @@ func (s *Server) settle(tr *obs.Trace, pool *tenant.Pool, allocate func(remainin
 		}
 	}
 	return 0, false, nil
-}
-
-// rejectReason maps optimization failures onto the admission-control
-// rejection vocabulary; "" marks errors that are the request's fault
-// (reported as HTTP errors instead).
-func rejectReason(err error) string {
-	switch {
-	case errors.Is(err, optimize.ErrBudgetTooSmall):
-		return api.ReasonBudgetExhausted
-	case errors.Is(err, optimize.ErrInfeasible):
-		return api.ReasonInfeasible
-	}
-	return ""
 }
 
 // lookupPool resolves a tenant name against the live registry, writing the

@@ -11,10 +11,12 @@ import (
 )
 
 // POST /v1/admit/batch: admission decisions for several same-tenant jobs in
-// one round trip. The jobs are planned in order through the plan cache (each
-// is a cache hit or a full solve, so repeated shapes solve once) and — the
-// point — settled in one atomic ledger debit for the whole accepted set, so
-// high-arrival tenants stop serializing on their own budget counter.
+// one round trip. Each job's optimum comes from the plan cache (a hit or a
+// full solve, so repeated shapes solve once). When the optima overrun the
+// pool, request order decides who is admitted and the shared-budget walk
+// decides how much each admitted job gets (admitJobs). The accepted set is
+// settled in one atomic ledger debit, so high-arrival tenants stop
+// serializing on their own budget counter.
 //
 // A batch names one tenant, so it is decided where /v1/admit is: on the
 // tenant's pool owner, to which any other replica relays it (ledger.go).
@@ -88,7 +90,7 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		hb.key = keys
 		var err error
-		if admitted, remaining, err = s.admitJobs(tr, pool, jobs, results); err != nil {
+		if admitted, remaining, err = s.admitJobs(tr, pool, jobs, results, &hb.walk); err != nil {
 			s.apiError(w, r, planStatus(err), "%v", err)
 			return
 		}

@@ -21,8 +21,9 @@ func TestAdmitBatchEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two optimal plans plus change that cannot cover a third even at r=0:
-	// a 6-job batch must admit the front of the queue and reject the tail.
+	// Two optimal plans plus change that cannot cover a third even at its
+	// cheapest: a 6-job batch must admit the front of the queue and reject
+	// the tail.
 	budget := 2*mt + r0/2
 	_, ts := newTestServer(t, Config{Tenants: testRegistry(t, "etl", budget)})
 
@@ -46,7 +47,7 @@ func TestAdmitBatchEndpoint(t *testing.T) {
 		if res.Admitted {
 			if sawReject {
 				t.Errorf("job %d admitted after an earlier budget rejection; "+
-					"in-order allocation should drain monotonically", i)
+					"request order decides who is admitted, so the rejections are the queue's tail", i)
 			}
 			if res.Plan == nil {
 				t.Fatalf("job %d admitted without a plan", i)

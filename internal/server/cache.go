@@ -43,9 +43,9 @@ type cacheEntry struct {
 	hash uint64
 	key  []byte
 	plan chronos.Plan
-	// frontier is the cell's precomputed capped-solve table, attached
-	// lazily by the first budget-squeezed admit against this entry; later
-	// squeezes in the warm cell skip the feasibility bisection entirely.
+	// frontier is the cell's precomputed budget frontier, attached lazily
+	// by the first admit whose pool the optima overrun; the walk of every
+	// later squeezed pool reads this cell's options from it.
 	// Guarded by the shard mutex like the rest of the entry.
 	frontier   *chronos.BudgetFrontier
 	prev, next int32
@@ -131,8 +131,8 @@ func (c *planCache) get(key []byte) (chronos.Plan, bool) {
 	return s.slots[i].plan, true
 }
 
-// frontier returns the entry's precomputed capped-solve table, nil when the
-// key is cold or no squeeze has built one yet. Does not touch recency or hit
+// frontier returns the entry's precomputed budget frontier, nil when the
+// key is cold or no squeezed pool has built one yet. Does not touch recency or hit
 // counters: every caller just did a get for the same key.
 func (c *planCache) frontier(key []byte) *chronos.BudgetFrontier {
 	s, h := c.lock(key)
@@ -143,9 +143,9 @@ func (c *planCache) frontier(key []byte) *chronos.BudgetFrontier {
 	return nil
 }
 
-// setFrontier attaches a capped-solve table to the key's entry, if the key
-// is still cached (an evicted entry simply drops the table). Concurrent
-// squeezes may race to build the same table; both are correct, last one
+// setFrontier attaches a budget frontier to the key's entry, if the key is
+// still cached (an evicted entry simply drops it). Concurrent squeezed
+// admits may race to build the same table; both are correct, last one
 // wins.
 func (c *planCache) setFrontier(key []byte, f *chronos.BudgetFrontier) {
 	s, h := c.lock(key)

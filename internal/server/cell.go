@@ -99,36 +99,3 @@ func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached b
 	s.cache.put(c.key, plan)
 	return plan, false, nil
 }
-
-// planWithin returns the cell's best plan whose expected machine time fits
-// budget. The unconstrained optimum comes from (and populates) the plan
-// cache — squeezed plans depend on the transient ledger level and are never
-// cached. What is cached, attached to the same entry, is the cell's
-// precomputed feasibility frontier (chronos.BudgetFrontier): the first
-// budget-squeezed admit in a cell pays the bisection and window scan once,
-// and every later squeeze in the warm cell answers from the table with no
-// model evaluations (and, on the admit path, no allocation).
-//
-// The pool read and, in a batch, the jobs before this one come between the
-// key build and this call, so the cache span here never starts where the key
-// build ended.
-func (s *Server) planWithin(tr *obs.Trace, c *cell, budget float64) (chronos.Plan, error) {
-	c.keyed = time.Time{}
-	plan, _, err := s.cachedPlan(tr, c)
-	if err != nil {
-		return chronos.Plan{}, err
-	}
-	if plan.MachineTime <= budget {
-		return plan, nil
-	}
-	sStart := time.Now()
-	defer func() { tr.Observe(obs.StageSolve, time.Since(sStart)) }()
-	bf := s.cache.frontier(c.key)
-	if bf == nil {
-		if bf, err = c.frontier(); err != nil {
-			return chronos.Plan{}, err
-		}
-		s.cache.setFrontier(c.key, bf)
-	}
-	return bf.PlanWithinBudget(budget)
-}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sync"
 
+	"chronos"
 	"chronos/api"
 	"chronos/internal/obs"
 )
@@ -38,9 +39,11 @@ type hotBuf struct {
 	batchReq  api.AdmitBatchRequest // its Jobs' backing array is reused
 
 	// The jobs an admit hands to admitJobs, one for /v1/admit, one per job
-	// for /v1/admit/batch; jobs[i].plan backs results[i].Plan.
+	// for /v1/admit/batch; jobs[i].plan backs results[i].Plan. walk is the
+	// scratch of the walk that splits a squeezed pool across them.
 	jobs    []admitJob
 	results []api.AdmitBatchResult
+	walk    chronos.FrontierWalk
 }
 
 var hotBufPool = sync.Pool{New: func() any {
@@ -74,6 +77,7 @@ func putHotBuf(hb *hotBuf) (pooled bool) {
 	jobs := hb.batchReq.Jobs[:cap(hb.batchReq.Jobs)]
 	clear(jobs)
 	hb.batchReq = api.AdmitBatchRequest{Jobs: jobs[:0]}
+	hb.walk.Reset()
 	hotBufPool.Put(hb)
 	return true
 }

@@ -10,8 +10,8 @@ import (
 // One accounting mode. A tenant's admits — /v1/admit and /v1/admit/batch —
 // are decided only on its pool owner: the ring owner of the tenant's key
 // (ring.TenantKeyPrefix + name), or this replica when sharding is off. The
-// owner squeezes plans into its pool's real level and debits it through the
-// escrow ledger, WAL-logged when a Store is configured. No replica ever
+// owner splits its pool's real level across the request's jobs (admitJobs)
+// and debits it through the escrow ledger, WAL-logged when a Store is configured. No replica ever
 // debits a pool it does not own: a non-owner relays the request's bytes,
 // unchanged, to the owner over the peer transport, and when the owner cannot
 // be asked — its circuit is open, the call failed, or the request already

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,7 +14,6 @@ import (
 
 	"chronos/api"
 	"chronos/internal/obs"
-	"chronos/internal/plankey"
 	"chronos/internal/ring"
 )
 
@@ -121,9 +119,9 @@ func TestPlanTraceRecordsStages(t *testing.T) {
 
 // TestCacheSpanSkipsInterveningWork holds the shared key-build/cache-probe
 // boundary to the requests it is true for. A forward attempt that falls back
-// to local work, and the admit path's budget read (which may top up an
-// escrow lease), run between the key build and the probe, and the cache
-// span must cover neither.
+// to local work runs between the key build and the probe, and the cache span
+// must not cover it. (The admit path probes the cache right after its key
+// build, before it reads the pool's level.)
 func TestCacheSpanSkipsInterveningWork(t *testing.T) {
 	t.Run("forward fallback", func(t *testing.T) {
 		slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -152,19 +150,6 @@ func TestCacheSpanSkipsInterveningWork(t *testing.T) {
 		}
 		if cache >= fwd {
 			t.Errorf("cache span %v covers the %v forward attempt before it", time.Duration(cache), time.Duration(fwd))
-		}
-	})
-	t.Run("admit budget read", func(t *testing.T) {
-		s := New(Config{})
-		defer s.Close()
-		c := cell{best: true, job: testJob(), econ: testEcon(), keyed: time.Now().Add(-time.Hour)}
-		c.key = []byte(plankey.Key(c.name(), c.job, c.econ))
-		tr := obs.NewTrace("", "/v1/admit")
-		if _, err := s.planWithin(tr, &c, math.Inf(1)); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Duration(tr.Finish(http.StatusOK, 0, "", false).StageNanos[obs.StageCache]); d >= time.Minute {
-			t.Errorf("cache span %v starts at the key build, before the budget read", d)
 		}
 	})
 }

@@ -126,13 +126,41 @@ func batch16() []api.AdmitBatchJob {
 	return batch
 }
 
+// TestAdmitBatchHandlerCachedZeroAlloc pins a warm 16-job batch at 0
+// allocations twice: at an ample pool, where every job takes its cached
+// optimum, and at a pool squeezed to 0.95x the sum of the optima, pinned
+// there before every request, where the walk splits it over the jobs'
+// cached frontiers.
 func TestAdmitBatchHandlerCachedZeroAlloc(t *testing.T) {
-	s := New(Config{Tenants: testRegistry(t, "bench", 1e18)})
-	body, req, w := zeroAllocRequest(t, "/v1/admit/batch",
-		api.AdmitBatchRequest{Tenant: "bench", Jobs: batch16(), Econ: testEcon()})
-	assertZeroAlloc(t, "handleAdmitBatch", body, w, func() { s.handleAdmitBatch(w, req) })
-	if hits, _, _ := s.CacheStats(); hits == 0 {
-		t.Fatal("measured requests never hit the plan cache")
+	_, optima := batchOptima(t, batch16(), testEcon())
+	for _, tc := range []struct {
+		name  string
+		level float64 // the pool level each request sees; 0 leaves the pool full
+	}{{"ample", 0}, {"squeezed", 0.95 * optima}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Tenants: testRegistry(t, "bench", 1e18)})
+			pool := s.tenants.Load().Get("bench")
+			body, req, w := zeroAllocRequest(t, "/v1/admit/batch",
+				api.AdmitBatchRequest{Tenant: "bench", Jobs: batch16(), Econ: testEcon()})
+			assertZeroAlloc(t, "handleAdmitBatch", body, w, func() {
+				if tc.level > 0 {
+					pool.SetLevel(tc.level)
+				}
+				s.handleAdmitBatch(w, req)
+			})
+			if hits, _, _ := s.CacheStats(); hits == 0 {
+				t.Fatal("measured requests never hit the plan cache")
+			}
+			if tc.level > 0 {
+				var got api.AdmitBatchResponse
+				serveAdmit(t, s.handleAdmitBatch, pool, tc.level, "/v1/admit/batch",
+					api.AdmitBatchRequest{Tenant: "bench", Jobs: batch16(), Econ: testEcon()}, &got)
+				// The optima overrun the pool, so every admitted plan is the walk's.
+				if got.Admitted == 0 {
+					t.Error("squeezed batch admitted no job")
+				}
+			}
+		})
 	}
 }
 
