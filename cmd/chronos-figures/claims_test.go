@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"regexp"
@@ -225,7 +224,7 @@ var chronosStrategies = []string{"Clone", "Speculative-Restart", "Speculative-Re
 var statusRE = regexp.MustCompile(`^(holds|known-divergence: item [0-9]+)$`)
 
 // TestPaperClaims checks every claim against what run(w, "all", jobs, 1)
-// prints at 60 jobs and, unless -short or -race is set, at the command's
+// prints (printedAll, the figures golden's run) at 60 jobs and, unless -short or -race is set, at the command's
 // default 270.
 func TestPaperClaims(t *testing.T) {
 	for _, jobs := range []int{60, 270} {
@@ -233,11 +232,7 @@ func TestPaperClaims(t *testing.T) {
 			if jobs > 60 && (testing.Short() || race.Enabled) {
 				t.Skip("the default-size run takes several seconds; skipped under -short and -race")
 			}
-			var out bytes.Buffer
-			if err := run(&out, "all", jobs, 1); err != nil {
-				t.Fatal(err)
-			}
-			p := parsePrinted(out.String())
+			p := parsePrinted(string(printedAll(t, jobs)))
 			for _, c := range claims {
 				t.Run(c.id, func(t *testing.T) {
 					if !statusRE.MatchString(c.status) {

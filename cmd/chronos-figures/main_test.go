@@ -33,15 +33,30 @@ func TestFiguresGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got bytes.Buffer
-			if err := run(&got, "all", tc.jobs, 1); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("output differs from %s:\n%s", tc.file, firstDiff(got.Bytes(), want))
+			if got := printedAll(t, tc.jobs); !bytes.Equal(got, want) {
+				t.Errorf("output differs from %s:\n%s", tc.file, firstDiff(got, want))
 			}
 		})
 	}
+}
+
+// printedRuns memoizes printedAll by job count.
+var printedRuns = map[int][]byte{}
+
+// printedAll returns what run(w, "all", jobs, 1) prints, running it once per
+// job count per test binary, so the figures golden and the claims ledger
+// read the same bytes and the 270-job evaluation is simulated once.
+func printedAll(t *testing.T, jobs int) []byte {
+	t.Helper()
+	if out, ok := printedRuns[jobs]; ok {
+		return out
+	}
+	var out bytes.Buffer
+	if err := run(&out, "all", jobs, 1); err != nil {
+		t.Fatal(err)
+	}
+	printedRuns[jobs] = out.Bytes()
+	return out.Bytes()
 }
 
 // firstDiff reports the first line on which two outputs disagree.

@@ -10,12 +10,13 @@ import (
 // same series as ASCII charts so `chronos-figures` output can be eyeballed
 // against the published plots without leaving the terminal.
 
+// barWidth is the longest bar, in characters: the maximum value's.
+const barWidth = 40
+
 // BarChart renders labeled horizontal bars scaled to the maximum value.
 type BarChart struct {
 	// Title is printed above the bars.
 	Title string
-	// Width is the maximum bar width in characters (default 40).
-	Width int
 
 	labels []string
 	values []float64
@@ -23,7 +24,7 @@ type BarChart struct {
 
 // NewBarChart starts an empty chart.
 func NewBarChart(title string) *BarChart {
-	return &BarChart{Title: title, Width: 40}
+	return &BarChart{Title: title}
 }
 
 // Add appends one bar.
@@ -34,13 +35,6 @@ func (c *BarChart) Add(label string, value float64) {
 
 // String renders the chart.
 func (c *BarChart) String() string {
-	if len(c.values) == 0 {
-		return c.Title + " (no data)\n"
-	}
-	width := c.Width
-	if width <= 0 {
-		width = 40
-	}
 	maxVal, maxLabel := 0.0, 0
 	for i, v := range c.values {
 		if v > maxVal {
@@ -58,7 +52,7 @@ func (c *BarChart) String() string {
 	for i, v := range c.values {
 		bar := 0
 		if maxVal > 0 && v > 0 {
-			bar = int(math.Round(v / maxVal * float64(width)))
+			bar = int(math.Round(v / maxVal * barWidth))
 		}
 		fmt.Fprintf(&b, "%-*s |%s %s\n",
 			maxLabel, c.labels[i], strings.Repeat("#", bar), FormatFloat(v, 3))

@@ -81,10 +81,6 @@ func TestBarChart(t *testing.T) {
 	if !strings.Contains(out, "0.980") {
 		t.Errorf("missing value rendering:\n%s", out)
 	}
-	empty := NewBarChart("x")
-	if !strings.Contains(empty.String(), "no data") {
-		t.Error("empty chart missing placeholder")
-	}
 }
 
 func TestBarChartZeroValues(t *testing.T) {
