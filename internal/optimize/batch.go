@@ -52,7 +52,7 @@ type BatchJob struct {
 }
 
 // ErrBudgetTooSmall reports a budget below the cheapest answer it could buy:
-// for a batch, the sum of the points its jobs start from (see BatchSolve);
+// for a batch, the sum of the points its jobs start from (see above);
 // for a capped solve, the cheapest feasible point. The "need" of the error
 // that wraps it is that amount. The text still names the r = 0 cost: it is
 // part of the /v1 error bodies the wire golden pins.
