@@ -134,12 +134,31 @@ func (w *writer) plan(key string, p *chronos.Plan) {
 	w.raw("}")
 }
 
+// AppendPlan appends p, the plan object alone, as json.Marshal would, byte
+// for byte.
+func AppendPlan(dst []byte, p *chronos.Plan) ([]byte, error) {
+	w := writer{buf: dst}
+	w.plan("", p)
+	return w.buf, w.err
+}
+
+// PlanResponseHead is what a PlanResponse's encoding holds before its plan
+// object; AppendPlanResponseTail writes what follows it. Between them goes
+// AppendPlan's output, or a copy of it kept from an earlier response.
+const PlanResponseHead = `{"plan":`
+
+// AppendPlanResponseTail appends the rest of a PlanResponse after its plan
+// object.
+func AppendPlanResponseTail(dst []byte, cached bool) []byte {
+	dst = append(dst, `,"cached":`...)
+	dst = strconv.AppendBool(dst, cached)
+	return append(dst, '}')
+}
+
 // AppendPlanResponse appends r as json.Marshal would, byte for byte.
 func AppendPlanResponse(dst []byte, r *PlanResponse) ([]byte, error) {
-	w := writer{buf: dst}
-	w.plan(`{"plan":`, &r.Plan)
-	w.bool(`,"cached":`, r.Cached)
-	return w.done()
+	dst, err := AppendPlan(append(dst, PlanResponseHead...), &r.Plan)
+	return AppendPlanResponseTail(dst, r.Cached), err
 }
 
 // AppendAdmitResponse appends r as json.Marshal would, byte for byte.

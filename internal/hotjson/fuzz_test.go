@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"chronos"
 	"chronos/internal/jsonfloat"
 )
 
@@ -126,28 +125,35 @@ func FuzzAdmitBatchResponse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkEncode(t, data, AppendAdmitBatchResponse) })
 }
 
-// appendPlan runs writer.plan as a standalone encoder, the shape checkEncode
-// and the invalid-strategy test take.
-func appendPlan(dst []byte, p *chronos.Plan) ([]byte, error) {
-	w := writer{buf: dst}
-	w.plan("", p)
-	return w.buf, w.err
-}
-
 func FuzzPlan(f *testing.F) {
 	f.Add([]byte(`{"strategy":"Mantri","r":3,"pocd":0.5,"machineTime":1,"cost":1,"utility":-1}`))
 	f.Add([]byte(`{"strategy":2,"r":-1,"pocd":1e-9,"machineTime":1e21,"cost":6.123e-9,"utility":0}`))
 	f.Add([]byte(`{"strategy":"unknown"}`))
 	f.Add([]byte(`{"strategy":null}`))
 	f.Add([]byte(`{"strategy":" clone "}`))
-	f.Fuzz(func(t *testing.T, data []byte) { checkEncode(t, data, appendPlan) })
+	f.Fuzz(func(t *testing.T, data []byte) { checkEncode(t, data, AppendPlan) })
 }
 
+// FuzzPlanResponse also checks the response /v1/plan serves on a cache hit:
+// PlanResponseHead, the plan object rendered once by AppendPlan and copied
+// out of a reused buffer that held a longer plan before, then
+// AppendPlanResponseTail.
 func FuzzPlanResponse(f *testing.F) {
 	f.Add([]byte(`{"plan":{"strategy":"Clone","r":2,"pocd":0.9999,"machineTime":123.4,"cost":12.3,"utility":3.21},"cached":true}`))
 	f.Add([]byte(`{"plan":{"strategy":"Mantri","r":0,"pocd":0,"machineTime":0,"cost":0,"utility":0},"cached":false}`))
 	f.Add([]byte(`{"cached":true}`))
-	f.Fuzz(func(t *testing.T, data []byte) { checkEncode(t, data, AppendPlanResponse) })
+	f.Add([]byte(`{"plan":{"strategy":"Speculative-Restart","r":-9223372036854775808,"pocd":1e-7,"machineTime":1.5e21,"cost":-4.2e-9,"utility":-1.7976931348623157e308},"cached":true}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkEncode(t, data, AppendPlanResponse)
+		checkEncode(t, data, func(dst []byte, r *PlanResponse) ([]byte, error) {
+			slot := []byte(strings.Repeat("x", 256))
+			slot, err := AppendPlan(slot[:0], &r.Plan)
+			if err != nil {
+				return nil, err
+			}
+			return AppendPlanResponseTail(append(append(dst, PlanResponseHead...), slot...), r.Cached), nil
+		})
+	})
 }
 
 func FuzzAdmitResponse(f *testing.F) {

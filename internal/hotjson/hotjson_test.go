@@ -70,8 +70,8 @@ func TestAppendPlanInvalidStrategyErrors(t *testing.T) {
 	if _, err := json.Marshal(&p); err == nil {
 		t.Fatal("encoding/json unexpectedly marshaled invalid strategy")
 	}
-	if _, err := appendPlan(nil, &p); err == nil {
-		t.Fatal("appendPlan accepted invalid strategy")
+	if _, err := AppendPlan(nil, &p); err == nil {
+		t.Fatal("AppendPlan accepted invalid strategy")
 	}
 	resp := PlanResponse{Plan: p}
 	if _, err := AppendPlanResponse(nil, &resp); err == nil {

@@ -97,6 +97,33 @@ func TestTraceSnapshotStages(t *testing.T) {
 	}
 }
 
+// TestBeginStartsOver reuses one trace for a second request, as the serving
+// layer's pool does: the second request starts with no span, tag or cached
+// flag of the first, and the ring's copy of the first snapshot keeps them.
+func TestBeginStartsOver(t *testing.T) {
+	r := NewTraceRing(4)
+	tr := NewTrace("first", "/v1/admit")
+	tr.Observe(StageDebit, time.Millisecond)
+	tr.SetTenant("acme")
+	tr.SetCached(true)
+	r.Add(tr.Finish(200, 2*time.Millisecond, "http://a", true))
+
+	tr.Begin("second", "/healthz")
+	second := tr.Finish(404, time.Millisecond, "", false)
+	if second.ID != "second" || second.Route != "/healthz" || second.Tenant != "" || second.Cached != nil ||
+		second.ServedBy != "" || second.ForwardHop || second.StageCounts != [NumStages]int64{} || second.StageNanos != [NumStages]int64{} {
+		t.Errorf("second request inherited the first's state: %+v", second)
+	}
+	first := r.Find("first")
+	if first == nil || first.Route != "/v1/admit" || first.Status != 200 || first.Tenant != "acme" ||
+		first.Cached == nil || !*first.Cached || first.StageCounts[StageDebit] != 1 {
+		t.Errorf("ring copy changed when its trace was reused: %+v", first)
+	}
+	if !hitFlag || missFlag {
+		t.Fatal("the shared cached flags were written")
+	}
+}
+
 // TestNilTraceIsInert: the nil receiver contract every call site relies on.
 func TestNilTraceIsInert(t *testing.T) {
 	var tr *Trace
@@ -105,9 +132,6 @@ func TestNilTraceIsInert(t *testing.T) {
 	tr.SetCached(true)
 	if snap := tr.Finish(200, time.Second, "", false); snap != nil {
 		t.Errorf("nil trace Finish = %+v, want nil", snap)
-	}
-	if got := FromContext(t.Context()); got != nil {
-		t.Errorf("FromContext(plain) = %v, want nil", got)
 	}
 }
 

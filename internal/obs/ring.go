@@ -7,16 +7,18 @@ import (
 	"time"
 )
 
-// TraceRing keeps the last capacity finished request snapshots. Inserts are
-// O(1) under one mutex, once per request, after the handler returns. That
-// is off the client's latency only for a streamed answer: a buffered one
-// leaves net/http after the middleware does, so the insert is ahead of it.
-// Readers get the slowest of the retained window, which is what an operator
-// debugging a latency regression wants: "what were the worst recent
-// requests and where did they spend their time".
+// TraceRing keeps the last capacity finished request snapshots, by value:
+// Add copies the snapshot in, so the trace it came from can serve the next
+// request, and readers get copies out. Inserts are O(1) under one mutex,
+// once per request, after the handler returns. That is off the client's
+// latency only for a streamed answer: a buffered one leaves net/http after
+// the middleware does, so the insert is ahead of it. Readers get the slowest
+// of the retained window, which is what an operator debugging a latency
+// regression wants: "what were the worst recent requests and where did they
+// spend their time".
 type TraceRing struct {
 	mu   sync.Mutex
-	buf  []*Snapshot
+	buf  []Snapshot
 	next int
 	n    uint64 // lifetime inserts
 }
@@ -31,37 +33,44 @@ func NewTraceRing(capacity int) *TraceRing {
 	if capacity <= 0 {
 		capacity = DefaultTraceRingSize
 	}
-	return &TraceRing{buf: make([]*Snapshot, capacity)}
+	return &TraceRing{buf: make([]Snapshot, capacity)}
 }
 
-// Add inserts one finished snapshot, evicting the oldest when full. Nil
+// Add copies one finished snapshot in, evicting the oldest when full. Nil
 // receivers and nil snapshots are ignored.
 func (r *TraceRing) Add(s *Snapshot) {
 	if r == nil || s == nil {
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.next] = s
+	r.buf[r.next] = *s
 	r.next = (r.next + 1) % len(r.buf)
 	r.n++
 	r.mu.Unlock()
 }
 
-// Slowest returns up to n retained snapshots, slowest first (n <= 0 returns
-// all retained). The returned slice is a fresh copy; snapshots themselves
-// are immutable.
+// retained is the number of filled slots. Caller holds mu.
+func (r *TraceRing) retained() int {
+	if r.n >= uint64(len(r.buf)) {
+		return len(r.buf)
+	}
+	return int(r.n)
+}
+
+// Slowest returns copies of up to n retained snapshots, slowest first (n <=
+// 0 returns all retained).
 func (r *TraceRing) Slowest(n int) []*Snapshot {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]*Snapshot, 0, len(r.buf))
-	for _, s := range r.buf {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
+	snaps := make([]Snapshot, r.retained())
+	copy(snaps, r.buf) // the filled slots are buf's first retained ones
 	r.mu.Unlock()
+	out := make([]*Snapshot, len(snaps))
+	for i := range snaps {
+		out[i] = &snaps[i]
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seconds > out[j].Seconds })
 	if n > 0 && len(out) > n {
 		out = out[:n]
@@ -69,10 +78,10 @@ func (r *TraceRing) Slowest(n int) []*Snapshot {
 	return out
 }
 
-// Find returns the most recent retained snapshot with the given trace ID, or
-// nil. A forwarded request leaves one snapshot per replica it touched; Find
-// on each replica's ring is how tests and the ring demo assert cross-replica
-// propagation.
+// Find returns a copy of the most recent retained snapshot with the given
+// trace ID, or nil. A forwarded request leaves one snapshot per replica it
+// touched; Find on each replica's ring is how tests and the ring demo assert
+// cross-replica propagation.
 func (r *TraceRing) Find(id string) *Snapshot {
 	if r == nil {
 		return nil
@@ -80,10 +89,10 @@ func (r *TraceRing) Find(id string) *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// Walk backwards from the most recent insert.
-	for i := 0; i < len(r.buf); i++ {
-		s := r.buf[(r.next-1-i+2*len(r.buf))%len(r.buf)]
-		if s != nil && s.ID == id {
-			return s
+	for i := 0; i < r.retained(); i++ {
+		if s := &r.buf[(r.next-1-i+len(r.buf))%len(r.buf)]; s.ID == id {
+			found := *s
+			return &found
 		}
 	}
 	return nil
@@ -96,10 +105,7 @@ func (r *TraceRing) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n >= uint64(len(r.buf)) {
-		return len(r.buf)
-	}
-	return int(r.n)
+	return r.retained()
 }
 
 // stageJSON is the wire form of one stage's accumulated span.
@@ -124,7 +130,7 @@ type snapshotJSON struct {
 
 // MarshalJSON renders the snapshot with stages as a keyed object, omitting
 // stages that never fired. The map is built here, at exposition time, so the
-// per-request Finish path stays a single flat allocation.
+// per-request Finish path stays a flat copy.
 func (sn *Snapshot) MarshalJSON() ([]byte, error) {
 	out := snapshotJSON{
 		TraceID:    sn.ID,

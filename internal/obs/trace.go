@@ -7,7 +7,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/hex"
 	"math/rand/v2"
 	"sync/atomic"
@@ -61,13 +60,18 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// Trace is one request's span recorder. Stage observations are lock-free
-// atomic accumulations (matching the internal/metrics style): every span is
-// observed on the request's own goroutine today, and a goroutine a handler
-// starts may record beside it without locking. The identity fields are
-// written only by the request's own handler goroutine. A nil *Trace is valid
+// Trace is one request's span recorder. It lives exactly as long as its
+// request: the routing middleware takes it from a pool when the request
+// arrives, hands it to the handler through the routed ResponseWriter, and
+// returns it once the request is finished and its snapshot copied out, so
+// nothing may keep a *Trace (or the Snapshot Finish returns) past the
+// handler's return. Stage observations are lock-free atomic accumulations
+// (matching the internal/metrics style): every span is observed on the
+// request's own goroutine today, and a goroutine a handler starts and waits
+// for may record beside it without locking. The identity fields are written
+// only by the request's own handler goroutine. A nil *Trace is valid
 // everywhere and records nothing, so library call paths without a request
-// context stay uninstrumented at zero cost.
+// stay uninstrumented at zero cost.
 type Trace struct {
 	// ID is the request's trace ID: honored from the inbound TraceHeader or
 	// minted at the edge.
@@ -82,20 +86,34 @@ type Trace struct {
 	// Single-writer metadata (handler goroutine only).
 	tenant string
 	cached int8 // 0 unknown, 1 miss, 2 hit
+
+	// snap is what Finish fills and returns, so finishing a request
+	// allocates no snapshot of its own.
+	snap Snapshot
 }
 
 // NewTrace starts a trace for route, honoring id when it is usable and
 // minting otherwise.
 func NewTrace(id, route string) *Trace {
+	t := new(Trace)
+	t.Begin(id, route)
+	return t
+}
+
+// Begin starts t over for a new request on route, as NewTrace starts a
+// fresh one: the clock is read first, id is honored when it is usable and
+// minted otherwise, and every span and tag of the previous request is
+// cleared.
+func (t *Trace) Begin(id, route string) {
 	start := time.Now()
 	if !ValidID(id) {
 		id = MintID()
 	}
-	return &Trace{ID: id, Route: route, start: start}
+	*t = Trace{ID: id, Route: route, start: start}
 }
 
-// Start returns the instant NewTrace started the trace, so the edge can time
-// the request from the same clock read.
+// Start returns the instant the trace began, so the edge can time the
+// request from the same clock read.
 func (t *Trace) Start() time.Time { return t.start }
 
 // Observe adds one stage span of duration d.
@@ -128,15 +146,26 @@ func (t *Trace) SetCached(hit bool) {
 	}
 }
 
+// hitFlag and missFlag are what every Snapshot.Cached points at, indexed by
+// Trace.cached: shared by all snapshots and never written, so a snapshot and
+// its copies carry the flag without an allocation of their own.
+var (
+	hitFlag, missFlag = true, false
+	cachedFlags       = [3]*bool{nil, &missFlag, &hitFlag}
+)
+
 // Finish snapshots the trace once the response is written. status is the
 // HTTP status, servedBy the replica that computed the answer (from the
 // response header, empty when sharding is off), and forwardHop reports
-// whether the request arrived already forwarded from a peer.
+// whether the request arrived already forwarded from a peer. The snapshot is
+// the trace's own and lives as long as the trace does; TraceRing.Add copies
+// it.
 func (t *Trace) Finish(status int, elapsed time.Duration, servedBy string, forwardHop bool) *Snapshot {
 	if t == nil {
 		return nil
 	}
-	snap := &Snapshot{
+	snap := &t.snap
+	*snap = Snapshot{
 		ID:         t.ID,
 		Route:      t.Route,
 		Status:     status,
@@ -144,12 +173,9 @@ func (t *Trace) Finish(status int, elapsed time.Duration, servedBy string, forwa
 		End:        t.start.Add(elapsed),
 		Seconds:    elapsed.Seconds(),
 		Tenant:     t.tenant,
+		Cached:     cachedFlags[t.cached],
 		ServedBy:   servedBy,
 		ForwardHop: forwardHop,
-	}
-	if t.cached != 0 {
-		hit := t.cached == 2
-		snap.Cached = &hit
 	}
 	for s := Stage(0); s < NumStages; s++ {
 		snap.StageNanos[s] = t.nanos[s].Load()
@@ -158,10 +184,11 @@ func (t *Trace) Finish(status int, elapsed time.Duration, servedBy string, forwa
 	return snap
 }
 
-// Snapshot is the immutable record of one finished request: what /debug/traces
+// Snapshot is the record of one finished request: what /debug/traces
 // serves and the request log line is built from. Stage data is kept as flat
-// arrays so snapshotting stays one allocation on the hot path; MarshalJSON
-// expands them into a keyed object for human consumption.
+// arrays so a snapshot is one value with no pointers to chase but its
+// strings and the shared Cached flag, copied whole into the trace ring;
+// MarshalJSON expands them into a keyed object for human consumption.
 type Snapshot struct {
 	ID         string
 	Route      string
@@ -185,21 +212,6 @@ func (sn *Snapshot) StageSeconds(s Stage) float64 {
 	return float64(sn.StageNanos[s]) / 1e9
 }
 
-// ctxKey keys the trace in a request context.
-type ctxKey struct{}
-
-// NewContext returns ctx carrying t.
-func NewContext(ctx context.Context, t *Trace) context.Context {
-	return context.WithValue(ctx, ctxKey{}, t)
-}
-
-// FromContext returns the context's trace, or nil when the request is not
-// traced (library callers, untraced test paths).
-func FromContext(ctx context.Context) *Trace {
-	t, _ := ctx.Value(ctxKey{}).(*Trace)
-	return t
-}
-
 // MintID returns a fresh 128-bit lowercase-hex trace ID. IDs need collision
 // resistance across a fleet, not unpredictability, so the process-seeded
 // math/rand/v2 generator is enough and keeps minting off the hot path's
@@ -211,7 +223,9 @@ func MintID() string {
 		b[i] = byte(hi >> (56 - 8*i))
 		b[8+i] = byte(lo >> (56 - 8*i))
 	}
-	return hex.EncodeToString(b[:])
+	var h [32]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // maxIDLen bounds honored inbound trace IDs; anything longer is replaced,

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"chronos"
@@ -330,10 +331,17 @@ func TestReplayAllocsPerJob(t *testing.T) {
 // measured run. The ceilings are some 13 % above the 33.7, 22.3 and 13.2 KB
 // measured; before the recycling a replay allocated 47.5, 32.6 and 22.9 KB
 // per job here.
+//
+// The warm and the measured replay run on one P with the collector off, so
+// the measured one gets what the warm one put back: a sync.Pool Get never
+// takes another P's private slot, and a GC cycle between the two empties
+// the pool, either of which would measure the cold figure instead.
 func TestReplayAllocBytesPerJob(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	jobs, err := chronos.SyntheticTrace(chronos.TraceConfig{Jobs: 200, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	tr := obs.FromContext(r.Context())
+	tr := traceOf(w)
 	tr.SetTenant(req.Tenant)
 	pool, ok := s.lookupPool(w, r, req.Tenant)
 	if !ok {
@@ -105,7 +105,7 @@ func (s *Server) admitJobs(tr *obs.Trace, pool *tenant.Pool, jobs []admitJob, re
 	for i := range jobs {
 		j := &jobs[i]
 		var err error
-		if j.opt, _, err = s.cachedPlan(tr, &j.cell); errors.Is(err, optimize.ErrInfeasible) {
+		if j.opt, _, _, err = s.cachedPlan(tr, &j.cell, nil); errors.Is(err, optimize.ErrInfeasible) {
 			j.reason = api.ReasonInfeasible
 		} else if err != nil {
 			// Not an admission decision: the job itself is malformed.

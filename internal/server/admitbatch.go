@@ -6,7 +6,6 @@ import (
 
 	"chronos/api"
 	"chronos/internal/hotjson"
-	"chronos/internal/obs"
 	"chronos/internal/plankey"
 )
 
@@ -37,7 +36,7 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	tr := obs.FromContext(r.Context())
+	tr := traceOf(w)
 	tr.SetTenant(req.Tenant)
 	pool, ok := s.lookupPool(w, r, req.Tenant)
 	if !ok {

@@ -109,20 +109,22 @@ func BenchmarkForwardHop(b *testing.B) {
 }
 
 // BenchmarkRouteEnvelope is what route wraps around every handler, as one
-// number: mux dispatch, MaxBytesReader, trace mint and header stamp,
-// WithContext, the status recorder, the latency and stage histograms, the
-// trace ring and the default request log line — around a handler that does
-// nothing, with chronosd's own log handler on.
+// number: mux dispatch, MaxBytesReader (the body's length is unknown), trace
+// mint and header stamp, the pooled routed writer and trace, the latency
+// and stage histograms, the trace ring and the default request log line —
+// around a handler that does nothing, with chronosd's own log handler on.
+// TestRouteEnvelopeAlloc pins its allocations.
 func BenchmarkRouteEnvelope(b *testing.B) {
 	s := New(Config{Logger: slog.New(obs.NewHandler(io.Discard, slog.LevelInfo))})
 	defer s.Close()
 	s.route("POST /bench/noop", "/bench/noop", func(http.ResponseWriter, *http.Request) {})
 	h := s.Handler()
-	_, req, w := zeroAllocRequest(b, "/bench/noop", api.PlanRequest{Job: testJob(), Econ: testEcon()})
+	body, req, w := zeroAllocRequest(b, "/bench/noop", api.PlanRequest{Job: testJob(), Econ: testEcon()})
 	h.ServeHTTP(w, req)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		req.Body = body // unwrap the last iteration's MaxBytesReader
 		h.ServeHTTP(w, req)
 	}
 }
@@ -148,12 +150,12 @@ func BenchmarkPlanCache(b *testing.B) {
 		c := newPlanCache(cacheShards, capacity)
 		hot := keys(1024)
 		for _, k := range hot {
-			c.put(k, plan)
+			c.put(k, plan, nil)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok := c.get(hot[i%len(hot)]); !ok {
+			if _, _, ok := c.get(hot[i%len(hot)], nil); !ok {
 				b.Fatal("miss on a cached key")
 			}
 		}
@@ -162,16 +164,16 @@ func BenchmarkPlanCache(b *testing.B) {
 		c := newPlanCache(cacheShards, capacity)
 		cold := keys(4 * capacity)
 		for _, k := range cold { // fill every shard to capacity
-			c.put(k, plan)
+			c.put(k, plan, nil)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := cold[i%len(cold)]
-			if _, ok := c.get(k); ok {
+			if _, _, ok := c.get(k, nil); ok {
 				b.Fatal("hit on a key evicted a lap ago")
 			}
-			c.put(k, plan)
+			c.put(k, plan, nil)
 		}
 	})
 }

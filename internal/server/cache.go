@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"chronos"
+	"chronos/internal/hotjson"
 	"chronos/internal/metrics"
 	"chronos/internal/ring"
 )
@@ -22,8 +23,9 @@ type planCache struct {
 
 // cacheShard keeps its entries in one slice linked in recency order by
 // int32 slot indices, so neither a hit nor a miss allocates: a miss reuses
-// the evicted slot and its key buffer, and the GC scans one slice per shard
-// instead of a key string, an entry and a list element per plan.
+// the evicted slot and its key and rendered-plan buffers, and the GC scans
+// one slice per shard instead of a key string, an entry and a list element
+// per plan.
 //
 // index maps a key's 64-bit hash to its slot. Two keys with the same hash
 // share one slot and evict each other; every lookup compares the whole key,
@@ -43,6 +45,11 @@ type cacheEntry struct {
 	hash uint64
 	key  []byte
 	plan chronos.Plan
+	// rendered is plan's wire form (hotjson.AppendPlan), filled the first
+	// time /v1/plan renders the plan and emptied whenever the key or the
+	// plan changes, so a /v1/plan hit copies it instead of formatting four
+	// floats. Its buffer is reused like key's, at renderedCap bytes a slot.
+	rendered []byte
 	// frontier is the cell's precomputed budget frontier, attached lazily
 	// by the first admit whose pool the optima overrun; the walk of every
 	// later squeezed pool reads this cell's options from it.
@@ -115,20 +122,47 @@ func (s *cacheShard) pushFront(i int32) {
 	s.head = i
 }
 
+// renderedCap is the longest plan object hotjson.AppendPlan can write (the
+// longest strategy name, a 20-digit r and four 25-byte floats), so a slot's
+// rendered buffer, allocated once at this size, never grows.
+const renderedCap = 208
+
+// setRendered keeps b as the entry's rendered plan, or empties it when b is
+// empty.
+func (e *cacheEntry) setRendered(b []byte) {
+	if len(b) > 0 && cap(e.rendered) == 0 {
+		e.rendered = make([]byte, 0, renderedCap)
+	}
+	e.rendered = append(e.rendered[:0], b...)
+}
+
 // get returns the cached plan for key and marks it most recently used. Keys
-// arrive as the []byte still in the caller's pooled request buffer.
-func (c *planCache) get(key []byte) (chronos.Plan, bool) {
+// arrive as the []byte still in the caller's pooled request buffer. With dst
+// non-nil (/v1/plan) a hit also appends the plan's wire form to dst, copied
+// from the slot under the shard lock, after rendering it into the slot if an
+// earlier put left none (a plan the admit or batch paths cached); a plan
+// hotjson cannot render leaves dst as given. With dst nil, out is nil.
+func (c *planCache) get(key, dst []byte) (plan chronos.Plan, out []byte, hit bool) {
 	s, h := c.lock(key)
 	defer s.mu.Unlock()
 	i := s.find(h, key)
 	if i < 0 {
 		c.misses.Inc()
-		return chronos.Plan{}, false
+		return chronos.Plan{}, dst, false
 	}
 	s.unlink(i)
 	s.pushFront(i)
 	c.hits.Inc()
-	return s.slots[i].plan, true
+	e := &s.slots[i]
+	if dst == nil {
+		return e.plan, nil, true
+	}
+	if len(e.rendered) == 0 {
+		if b, err := hotjson.AppendPlan(dst, &e.plan); err == nil {
+			e.setRendered(b[len(dst):])
+		}
+	}
+	return e.plan, append(dst, e.rendered...), true
 }
 
 // frontier returns the entry's precomputed budget frontier, nil when the
@@ -156,8 +190,9 @@ func (c *planCache) setFrontier(key []byte, f *chronos.BudgetFrontier) {
 }
 
 // put inserts or refreshes key, evicting the shard's least recently used
-// entry when full. The key is copied: callers may reuse its buffer.
-func (c *planCache) put(key []byte, plan chronos.Plan) {
+// entry when full. rendered is plan's wire form when the caller has it, else
+// empty. The key and rendered are copied: callers may reuse their buffers.
+func (c *planCache) put(key []byte, plan chronos.Plan, rendered []byte) {
 	s, h := c.lock(key)
 	defer s.mu.Unlock()
 	i, ok := s.index[h]
@@ -178,12 +213,15 @@ func (c *planCache) put(key []byte, plan chronos.Plan) {
 		s.index[h] = i
 	}
 	e.plan = plan
+	e.setRendered(rendered)
 	s.pushFront(i)
 }
 
 // flush empties every shard. Called when the tenant config is hot-reloaded,
 // so no plan computed under the old defaults outlives the config change.
-// The slots keep their key buffers for the plans that refill the cache.
+// The slots keep their key and rendered buffers for the plans that refill
+// the cache; put empties or overwrites a slot's rendered bytes as it takes
+// the slot.
 func (c *planCache) flush() {
 	for i := range c.shards {
 		s := &c.shards[i]

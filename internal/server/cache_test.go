@@ -6,15 +6,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"chronos"
 	"chronos/api"
+	"chronos/internal/hotjson"
 	"chronos/internal/plankey"
 	"chronos/internal/ring"
 )
@@ -65,19 +68,19 @@ func TestPlanBytesIndependentOfFillOrder(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := newPlanCache(1, 2) // single shard, capacity 2
 	plan := chronos.Plan{Strategy: chronos.Clone, R: 1}
-	c.put([]byte("a"), plan)
-	c.put([]byte("b"), plan)
-	if _, ok := c.get([]byte("a")); !ok { // refresh a: b becomes LRU
+	c.put([]byte("a"), plan, nil)
+	c.put([]byte("b"), plan, nil)
+	if _, _, ok := c.get([]byte("a"), nil); !ok { // refresh a: b becomes LRU
 		t.Fatal("a should be cached")
 	}
-	c.put([]byte("c"), plan)
-	if _, ok := c.get([]byte("b")); ok {
+	c.put([]byte("c"), plan, nil)
+	if _, _, ok := c.get([]byte("b"), nil); ok {
 		t.Error("b should have been evicted as least recently used")
 	}
-	if _, ok := c.get([]byte("a")); !ok {
+	if _, _, ok := c.get([]byte("a"), nil); !ok {
 		t.Error("a was refreshed and should survive")
 	}
-	if _, ok := c.get([]byte("c")); !ok {
+	if _, _, ok := c.get([]byte("c"), nil); !ok {
 		t.Error("c was just inserted and should be cached")
 	}
 	if got := c.len(); got != 2 {
@@ -145,7 +148,7 @@ func TestPlanCacheMatchesReferenceLRU(t *testing.T) {
 				}
 				switch op := rng.Intn(100); {
 				case op < 40:
-					plan, ok := c.get([]byte(key))
+					plan, _, ok := c.get([]byte(key), nil)
 					if ok != (i >= 0) {
 						fail("get hit = %v, reference %v", ok, i >= 0)
 					}
@@ -156,7 +159,7 @@ func TestPlanCacheMatchesReferenceLRU(t *testing.T) {
 					}
 				case op < 75:
 					plan := chronos.Plan{Strategy: chronos.Clone, R: step}
-					c.put([]byte(key), plan)
+					c.put([]byte(key), plan, nil)
 					ref.put(key, plan)
 				case op < 85:
 					f := new(chronos.BudgetFrontier)
@@ -203,6 +206,78 @@ func TestKeyHashSpreadsPlanKeys(t *testing.T) {
 	}
 }
 
+// TestRenderedPlanBytes holds what /v1/plan serves from a cache slot's
+// rendered bytes to hotjson.AppendPlanResponse and json.Marshal of the plan
+// the slot holds, on plans whose floats jsonfloat writes in exponent form,
+// and checks that no change to the slot serves its previous bytes: a re-put
+// with a different plan by a path that renders nothing, an eviction that
+// reuses the slot for another key, and FlushCache.
+func TestRenderedPlanBytes(t *testing.T) {
+	s := New(Config{CacheCapacity: cacheShards}) // one slot per shard
+	defer s.Close()
+	h := s.Handler()
+	key := func(job chronos.JobParams) []byte { return plankey.AppendKey(nil, "", job, testEcon()) }
+	jobA, jobB := testJob(), testJob()
+	keyA := key(jobA)
+	// jobB's key falls in keyA's shard, so putting one evicts the other.
+	for jobB.Deadline++; ring.Hash(key(jobB))%cacheShards != ring.Hash(keyA)%cacheShards; jobB.Deadline++ {
+	}
+	serve := func(step string, job chronos.JobParams, plan chronos.Plan, cached bool) {
+		t.Helper()
+		raw, err := json.Marshal(api.PlanRequest{Job: job, Econ: testEcon()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(raw)))
+		want := api.PlanResponse{Plan: plan, Cached: cached}
+		hot, err := hotjson.AppendPlanResponse(nil, &want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(hot, ref) {
+			t.Fatalf("%s: hotjson %s, encoding/json %s", step, hot, ref)
+		}
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), hot) {
+			t.Errorf("%s: served %d %s, want %s", step, rec.Code, rec.Body, hot)
+		}
+		if !cached {
+			return
+		}
+		sh, h := s.cache.lock(key(job))
+		defer sh.mu.Unlock()
+		if i := sh.find(h, key(job)); i < 0 || !bytes.Equal(sh.slots[i].rendered, hot[len(hotjson.PlanResponseHead):len(hot)-len(`,"cached":true}`)]) {
+			t.Errorf("%s: the slot does not hold the plan's rendered bytes", step)
+		}
+	}
+	exp1 := chronos.Plan{Strategy: chronos.Clone, R: 2, PoCD: 1e-7, MachineTime: 1.5e21, Cost: 6.123e-9, Utility: -4.2e-9}
+	exp2 := chronos.Plan{Strategy: chronos.SpeculativeRestart, R: 3, PoCD: 0.999, MachineTime: 2.5e-7, Cost: 1e22, Utility: -math.MaxFloat64}
+	solved, err := chronos.OptimizeBest(jobA, testEcon())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s.cache.put(keyA, exp1, nil) // as the admit path does: no bytes
+	serve("first hit renders", jobA, exp1, true)
+	serve("second hit copies", jobA, exp1, true)
+	s.cache.put(keyA, exp2, nil)
+	serve("re-put with another plan", jobA, exp2, true)
+	s.cache.put(key(jobB), exp1, nil)
+	serve("eviction reuses the slot", jobB, exp1, true)
+	serve("miss solves and renders", jobA, solved, false)
+	serve("hit after the miss", jobA, solved, true)
+	s.FlushCache()
+	s.cache.put(keyA, exp2, nil)
+	serve("put after a flush", jobA, exp2, true)
+	s.FlushCache()
+	serve("miss after a flush", jobA, solved, false)
+	serve("hit after the flush", jobA, solved, true)
+}
+
 // TestPlanCacheHashCollision plants key a's entry under key b's hash, the
 // state two keys with one 64-bit hash leave behind, and checks that b never
 // gets a's plan or table: b misses, b's put takes the slot in place with a
@@ -213,7 +288,7 @@ func TestPlanCacheHashCollision(t *testing.T) {
 	planB := chronos.Plan{Strategy: chronos.SpeculativeResume, R: 2}
 	tableA := new(chronos.BudgetFrontier)
 	c := newPlanCache(1, 4)
-	c.put(a, planA)
+	c.put(a, planA, nil)
 	c.setFrontier(a, tableA)
 	s := &c.shards[0]
 	i := s.index[ring.Hash(a)]
@@ -221,7 +296,7 @@ func TestPlanCacheHashCollision(t *testing.T) {
 	s.index[ring.Hash(b)] = i
 	s.slots[i].hash = ring.Hash(b)
 
-	if plan, ok := c.get(b); ok {
+	if plan, _, ok := c.get(b, nil); ok {
 		t.Errorf("get(b) hit with %+v from a's slot", plan)
 	}
 	if f := c.frontier(b); f != nil {
@@ -232,17 +307,17 @@ func TestPlanCacheHashCollision(t *testing.T) {
 		t.Error("setFrontier(b) replaced a's table")
 	}
 
-	c.put(b, planB)
+	c.put(b, planB, nil)
 	if n := c.len(); n != 1 {
 		t.Errorf("len = %d after b took a's slot, want 1", n)
 	}
 	if f := c.frontier(b); f != nil {
 		t.Error("b inherited a's table")
 	}
-	if plan, ok := c.get(b); !ok || plan != planB {
+	if plan, _, ok := c.get(b, nil); !ok || plan != planB {
 		t.Errorf("get(b) = %+v, %v; want %+v, true", plan, ok, planB)
 	}
-	if plan, ok := c.get(a); ok {
+	if plan, _, ok := c.get(a, nil); ok {
 		t.Errorf("get(a) hit with %+v after b took its slot", plan)
 	}
 }
@@ -275,9 +350,9 @@ func TestCacheConcurrentStress(t *testing.T) {
 			for i := 0; i < opsPerG; i++ {
 				key := fmt.Sprintf("job-%d", (g*opsPerG+i)%200)
 				if i%3 == 0 {
-					c.put([]byte(key), chronos.Plan{Strategy: chronos.Clone, R: i % 8})
+					c.put([]byte(key), chronos.Plan{Strategy: chronos.Clone, R: i % 8}, nil)
 				} else {
-					c.get([]byte(key))
+					c.get([]byte(key), nil)
 				}
 			}
 		}(g)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"chronos"
+	"chronos/internal/hotjson"
 	"chronos/internal/obs"
 	"chronos/internal/plankey"
 )
@@ -72,20 +73,26 @@ func (c *cell) frontier() (*chronos.BudgetFrontier, error) {
 // The StageCache span starts at c.keyed when it is set, so the key build and
 // the probe share one clock read at their boundary.
 //
+// With dst non-nil (/v1/plan, which passes its response buffer), the plan's
+// wire form (hotjson.AppendPlan) is appended to dst as well: a hit copies it
+// from the slot, a miss renders it and stores it with the plan. A plan
+// hotjson cannot render comes back with dst as given, for the caller's own
+// encode to report. With dst nil, out is nil.
+//
 // A miss solves on the request's own goroutine. A solve costs a few
 // microseconds, so concurrent misses on one key each solve (and the last
 // insert wins) rather than wait on one another, and a batch's repeated shapes
 // are hits after their first job.
-func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached bool, err error) {
+func (s *Server) cachedPlan(tr *obs.Trace, c *cell, dst []byte) (plan chronos.Plan, out []byte, cached bool, err error) {
 	cStart := c.keyed
 	if cStart.IsZero() {
 		cStart = time.Now()
 	}
 	c.keyed = time.Time{}
-	plan, hit := s.cache.get(c.key)
+	plan, out, hit := s.cache.get(c.key, dst)
 	tr.Observe(obs.StageCache, time.Since(cStart))
 	if hit {
-		return plan, true, nil
+		return plan, out, true, nil
 	}
 	if s.solveHook != nil {
 		s.solveHook(string(c.key))
@@ -94,8 +101,14 @@ func (s *Server) cachedPlan(tr *obs.Trace, c *cell) (plan chronos.Plan, cached b
 	plan, err = c.solve()
 	tr.Observe(obs.StageSolve, time.Since(sStart))
 	if err != nil {
-		return chronos.Plan{}, false, err
+		return chronos.Plan{}, dst, false, err
 	}
-	s.cache.put(c.key, plan)
-	return plan, false, nil
+	var rendered []byte
+	if dst != nil {
+		if b, err := hotjson.AppendPlan(dst, &plan); err == nil {
+			out, rendered = b, b[len(dst):]
+		}
+	}
+	s.cache.put(c.key, plan, rendered)
+	return plan, out, false, nil
 }

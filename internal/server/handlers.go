@@ -11,7 +11,6 @@ import (
 	"chronos"
 	"chronos/api"
 	"chronos/internal/hotjson"
-	"chronos/internal/obs"
 	"chronos/internal/optimize"
 	"chronos/internal/plankey"
 )
@@ -39,15 +38,13 @@ func errorCodeForStatus(status int) string {
 // --- helpers --------------------------------------------------------------
 
 // apiError emits the unified error envelope, the only place one is built: the
-// code follows from the status, the trace ID comes from the request context
+// code follows from the status, the trace ID comes from the routed writer
 // (empty for untraced callers).
 func (s *Server) apiError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
 	resp := api.ErrorResponse{
-		Error: fmt.Sprintf(format, args...),
-		Code:  errorCodeForStatus(status),
-	}
-	if tr := obs.FromContext(r.Context()); tr != nil {
-		resp.TraceID = tr.ID
+		Error:   fmt.Sprintf(format, args...),
+		Code:    errorCodeForStatus(status),
+		TraceID: traceIDOf(w),
 	}
 	s.writeJSON(w, r, status, resp)
 }
@@ -108,7 +105,8 @@ func finitePtr(x float64) *float64 {
 // sharded cache short-circuits repeated requests for bit-identical jobs. It
 // spends no tenant budget; that is /v1/admit. The whole path — body read,
 // hotjson decode, key build, cache probe, encode, write — runs on one pooled
-// hotBuf and allocates nothing on a cache hit.
+// hotBuf and allocates nothing on a cache hit, where the plan's wire form is
+// copied from its cache slot rather than formatted again.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	hb := getHotBuf()
 	defer putHotBuf(hb)
@@ -121,7 +119,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	tr := obs.FromContext(r.Context())
+	tr := traceOf(w)
 	strat, best, ok := plankey.ParseStrategy(req.Strategy)
 	if !ok {
 		s.apiError(w, r, http.StatusBadRequest, "unknown strategy %q", req.Strategy)
@@ -136,20 +134,21 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if s.forwardToOwner(w, r, "/v1/plan", &c, hb.in) {
 		return
 	}
-	plan, cached, err := s.cachedPlan(tr, &c)
+	head := append(hb.out[:0], hotjson.PlanResponseHead...)
+	plan, out, cached, err := s.cachedPlan(tr, &c, head)
 	if err != nil {
 		s.apiError(w, r, planStatus(err), "%v", err)
 		return
 	}
 	tr.SetCached(cached)
-	resp := &hb.planResp
-	*resp = api.PlanResponse{Plan: plan, Cached: cached}
 	s.metrics.plans.inc(plan.Strategy.String())
-	out, err := hotjson.AppendPlanResponse(hb.out[:0], resp)
-	if err != nil {
-		s.encodeFailed(w, r, err)
-		return
+	if len(out) == len(head) {
+		if out, err = hotjson.AppendPlan(out, &plan); err != nil {
+			s.encodeFailed(w, r, err)
+			return
+		}
 	}
+	out = hotjson.AppendPlanResponseTail(out, cached)
 	hb.out = out
 	writeHotBody(w, http.StatusOK, out)
 }
@@ -163,7 +162,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	tr := obs.FromContext(r.Context())
+	tr := traceOf(w)
 	if len(req.Jobs) == 0 {
 		s.apiError(w, r, http.StatusBadRequest, "batch has no jobs")
 		return
@@ -192,7 +191,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			c := cell{best: true, job: jr.Job, econ: req.Econ}
 			c.buildKey(tr, key[:0])
 			key = c.key
-			plan, _, err := s.cachedPlan(tr, &c)
+			plan, _, _, err := s.cachedPlan(tr, &c, nil)
 			if err != nil {
 				s.apiError(w, r, planStatus(err), "job %d: %v", i, err)
 				return

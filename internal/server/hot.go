@@ -10,7 +10,6 @@ import (
 
 	"chronos"
 	"chronos/api"
-	"chronos/internal/obs"
 )
 
 // This file is the zero-allocation serving core for the plan and admit
@@ -33,7 +32,6 @@ type hotBuf struct {
 	key []byte // plan cache / ring key; a batch's keys end to end
 
 	planReq   api.PlanRequest
-	planResp  api.PlanResponse
 	admitReq  api.AdmitRequest
 	admitResp api.AdmitResponse
 	batchReq  api.AdmitBatchRequest // its Jobs' backing array is reused
@@ -71,7 +69,6 @@ func putHotBuf(hb *hotBuf) (pooled bool) {
 		return false
 	}
 	hb.planReq = api.PlanRequest{}
-	hb.planResp = api.PlanResponse{}
 	hb.admitReq = api.AdmitRequest{}
 	hb.admitResp = api.AdmitResponse{}
 	jobs := hb.batchReq.Jobs[:cap(hb.batchReq.Jobs)]
@@ -153,12 +150,8 @@ func (s *Server) InternString(b []byte) (string, bool) {
 // envelope. Counted in chronosd_response_encode_failures_total.
 func (s *Server) encodeFailed(w http.ResponseWriter, r *http.Request, err error) {
 	s.metrics.encodeFailures.Inc()
-	traceID := ""
-	if tr := obs.FromContext(r.Context()); tr != nil {
-		traceID = tr.ID
-	}
 	s.logOp().Warn("response encode failed",
-		"endpoint", r.URL.Path, "trace_id", traceID, "error", err.Error())
+		"endpoint", r.URL.Path, "trace_id", traceIDOf(w), "error", err.Error())
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusInternalServerError)
 	_, _ = io.WriteString(w, `{"error":"response encoding failed","code":"internal"}`)

@@ -145,7 +145,7 @@ func TestMetricCatalog(t *testing.T) {
 func TestEncodeFailureIsCounted500(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	s.cache.put([]byte(plankey.Key("", testJob(), testEcon())),
-		chronos.Plan{Strategy: chronos.Clone, R: 1, Utility: math.NaN()})
+		chronos.Plan{Strategy: chronos.Clone, R: 1, Utility: math.NaN()}, nil)
 	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: testJob(), Econ: testEcon()})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", resp.StatusCode)

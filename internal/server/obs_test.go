@@ -241,14 +241,18 @@ func TestFleetTraceSpansForwardHop(t *testing.T) {
 // plan requests under -race: every response gets a distinct minted trace ID
 // and every retained snapshot's stage counts are internally consistent (a
 // single-plan request records each fired stage exactly once — interleaved
-// recording across requests would inflate them).
+// recording across requests would inflate them). The trace and its
+// snapshot are pooled per request, so 1,000 later requests — health checks,
+// 400s, a tenant's admits, more plans — then run on the same pooled objects,
+// and each earlier request must still read back, from TraceRing.Find and
+// from /debug/traces, as its own: ID, route, status, cached flag and stages.
 func TestConcurrentRequestsKeepTracesIsolated(t *testing.T) {
-	s, ts := newTestServer(t, Config{TraceRingSize: 4096})
+	s, ts := newTestServer(t, Config{TraceRingSize: 4096, Tenants: testRegistry(t, "later", 1e30)})
 	const workers = 8
 	const perWorker = 25
 
 	var mu sync.Mutex
-	seen := make(map[string]bool)
+	cached := make(map[string]bool) // each early request's trace ID and its answer's cached flag
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -259,17 +263,18 @@ func TestConcurrentRequestsKeepTracesIsolated(t *testing.T) {
 				job.Deadline = 100 + float64((w*perWorker+i)%31)
 				resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: job, Econ: testEcon()})
 				id := resp.Header.Get(obs.TraceHeader)
-				_, _ = io.Copy(io.Discard, resp.Body)
+				var plan api.PlanResponse
+				err := json.NewDecoder(resp.Body).Decode(&plan)
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("status = %d", resp.StatusCode)
+				if resp.StatusCode != http.StatusOK || err != nil {
+					t.Errorf("status = %d, %v", resp.StatusCode, err)
 					return
 				}
 				mu.Lock()
-				if seen[id] {
+				if _, dup := cached[id]; dup {
 					t.Errorf("trace ID %q minted twice", id)
 				}
-				seen[id] = true
+				cached[id] = plan.Cached
 				mu.Unlock()
 			}
 		}(w)
@@ -289,6 +294,110 @@ func TestConcurrentRequestsKeepTracesIsolated(t *testing.T) {
 		if snap.StageCounts[obs.StageQuantize] != 1 {
 			t.Errorf("trace %s missing its quantize span", snap.ID)
 		}
+	}
+
+	get := func(url string) *http.Response {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	const later = 1000
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < later; i += workers {
+				var resp *http.Response
+				switch job := testJob(); i % 4 {
+				case 0:
+					resp = get(ts.URL + "/healthz")
+				case 1:
+					resp = postJSON(t, ts.URL+"/v1/plan", map[string]any{"job": "not a job"})
+				case 2:
+					job.Deadline = 200 + float64(i)
+					resp = postJSON(t, ts.URL+"/v1/admit", api.AdmitRequest{Tenant: "later", Job: job, Econ: testEcon()})
+				default:
+					job.Tasks = 5 + i%7
+					resp = postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Job: job, Econ: testEcon()})
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	check := func(from string, snap *obs.Snapshot, id string) {
+		t.Helper()
+		if snap == nil || snap.ID != id || snap.Route != "/v1/plan" || snap.Status != http.StatusOK ||
+			snap.Cached == nil || *snap.Cached != cached[id] || snap.Tenant != "" {
+			t.Fatalf("%s: trace %s reads back as %+v, want its own 200 /v1/plan with cached %v", from, id, snap, cached[id])
+		}
+		solves := int64(1)
+		if cached[id] {
+			solves = 0
+		}
+		want := [obs.NumStages]int64{obs.StageQuantize: 1, obs.StageCache: 1, obs.StageSolve: solves}
+		if snap.StageCounts != want {
+			t.Fatalf("%s: trace %s stage counts %v, want %v", from, id, snap.StageCounts, want)
+		}
+	}
+	for id := range cached {
+		check("Find", s.Traces().Find(id), id)
+	}
+	// The later requests ran on recycled traces: none may carry a tag or a
+	// span of the request its trace served before.
+	for _, snap := range s.Traces().Slowest(0) {
+		if _, early := cached[snap.ID]; early {
+			continue
+		}
+		var leak bool
+		switch {
+		case snap.Route == "/v1/admit":
+			leak = snap.Tenant != "later"
+		case snap.Route == "/v1/plan" && snap.Status == http.StatusOK:
+			leak = snap.Tenant != "" || snap.Cached == nil || snap.StageCounts[obs.StageQuantize] != 1
+		default: // /healthz, and the 400s that fail before any stage
+			leak = snap.Tenant != "" || snap.Cached != nil || snap.StageCounts != [obs.NumStages]int64{}
+		}
+		if leak {
+			t.Errorf("later request %s %s %d carries another request's state: %+v", snap.ID, snap.Route, snap.Status, snap)
+		}
+	}
+	resp := get(ts.URL + "/debug/traces?n=0")
+	defer resp.Body.Close()
+	var wire []struct {
+		TraceID string `json:"traceId"`
+		Route   string `json:"route"`
+		Status  int    `json:"status"`
+		Tenant  string `json:"tenant"`
+		Cached  *bool  `json:"cached"`
+		Stages  map[string]struct {
+			Count int64 `json:"count"`
+		} `json:"stages"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if len(wire) != workers*perWorker+later {
+		t.Fatalf("/debug/traces returned %d traces, want %d", len(wire), workers*perWorker+later)
+	}
+	found := 0
+	for _, e := range wire {
+		if _, early := cached[e.TraceID]; !early {
+			continue
+		}
+		found++
+		snap := &obs.Snapshot{ID: e.TraceID, Route: e.Route, Status: e.Status, Tenant: e.Tenant, Cached: e.Cached}
+		for st := obs.Stage(0); st < obs.NumStages; st++ {
+			snap.StageCounts[st] = e.Stages[st.String()].Count
+		}
+		check("/debug/traces", snap, e.TraceID)
+	}
+	if found != len(cached) {
+		t.Errorf("/debug/traces holds %d of the %d early traces", found, len(cached))
 	}
 }
 

@@ -127,15 +127,15 @@ const (
 
 // call performs one HTTP exchange with the peer, bounded by the forward
 // timeout (and ctx), and settles the breaker exactly once on every path
-// past allow. The trace ID in ctx (or a minted one) and this replica's URL
+// past allow. traceID (minted when empty) and this replica's URL
 // travel with every request, so the peer's span record and logs join this
 // side's and the peer knows the request already took its one hop. The answer
 // is meaningful only for peerAnswered (a peerFailed 5xx keeps its status).
-func (p *peerState) call(ctx context.Context, method, path string, body []byte) (peerAnswer, peerOutcome) {
+func (p *peerState) call(ctx context.Context, traceID, method, path string, body []byte) (peerAnswer, peerOutcome) {
 	if !p.breaker.allow() {
 		return peerAnswer{}, peerSkipped
 	}
-	ans, err := p.exchange(ctx, method, path, body)
+	ans, err := p.exchange(ctx, traceID, method, path, body)
 	switch {
 	case err == nil && ans.status < http.StatusInternalServerError:
 		p.breaker.success()
@@ -160,7 +160,7 @@ func (p *peerState) call(ctx context.Context, method, path string, body []byte) 
 // before it died is debited again only if its next life answers the resend
 // within the deadline, which spends budget twice but never admits past it. A
 // fresh connection that fails is never retried.
-func (p *peerState) exchange(ctx context.Context, method, path string, body []byte) (peerAnswer, error) {
+func (p *peerState) exchange(ctx context.Context, traceID, method, path string, body []byte) (peerAnswer, error) {
 	if err := ctx.Err(); err != nil {
 		return peerAnswer{}, err
 	}
@@ -169,10 +169,7 @@ func (p *peerState) exchange(ctx context.Context, method, path string, body []by
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	var traceID string
-	if tr := obs.FromContext(ctx); tr != nil {
-		traceID = tr.ID
-	} else {
+	if traceID == "" {
 		traceID = obs.MintID()
 	}
 	if pc := p.takeIdle(now); pc != nil {

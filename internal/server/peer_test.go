@@ -84,10 +84,13 @@ func TestPeerCall(t *testing.T) {
 			_, _ = io.Copy(io.Discard, conn)
 		}
 	}
+	// Every call of a row carries one trace ID, which the peer must see on
+	// each request it got.
+	const traceID = "peer-call-test"
 	// answered makes one call that must succeed, leaving its connection in
 	// the pool.
 	answered := func(t *testing.T, ctx context.Context, p *peerState) {
-		if _, outcome := p.call(ctx, http.MethodPost, "/x", []byte(`{}`)); outcome != peerAnswered {
+		if _, outcome := p.call(ctx, traceID, http.MethodPost, "/x", []byte(`{}`)); outcome != peerAnswered {
 			t.Fatalf("priming call: outcome = %d, want answered", outcome)
 		}
 	}
@@ -203,7 +206,7 @@ func TestPeerCall(t *testing.T) {
 				<-started
 				cancel()
 			}()
-			if _, outcome := p.call(ctx, http.MethodPost, "/x", []byte(`{}`)); outcome != peerAborted {
+			if _, outcome := p.call(ctx, traceID, http.MethodPost, "/x", []byte(`{}`)); outcome != peerAborted {
 				t.Fatalf("first call: outcome = %d, want aborted mid-body", outcome)
 			}
 		}, want: peerAnswered, wantStatus: 200, wantDials: 2},
@@ -222,8 +225,7 @@ func TestPeerCall(t *testing.T) {
 				}
 				s, p, ts, seen := peerUnderTest(t, cfg, tc.handler(started))
 				defer s.Close()
-				tr := obs.NewTrace("", "/test")
-				ctx, cancel := context.WithCancel(obs.NewContext(context.Background(), tr))
+				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				if tc.before != nil {
 					tc.before(t, ctx, p, ts, started)
@@ -242,7 +244,7 @@ func TestPeerCall(t *testing.T) {
 				}
 
 				begin := time.Now()
-				ans, outcome := p.call(ctx, http.MethodPost, "/x", []byte(`{}`))
+				ans, outcome := p.call(ctx, traceID, http.MethodPost, "/x", []byte(`{}`))
 
 				if outcome != tc.want {
 					t.Fatalf("outcome = %d, want %d", outcome, tc.want)
@@ -308,9 +310,9 @@ func TestPeerCall(t *testing.T) {
 					t.Fatalf("peer saw %d requests, unreached = %v", len(hdrs), tc.unreached)
 				}
 				for _, h := range hdrs {
-					if h.Get(obs.TraceHeader) != tr.ID || h.Get(ForwardedFromHeader) != peerTestSelf {
+					if h.Get(obs.TraceHeader) != traceID || h.Get(ForwardedFromHeader) != peerTestSelf {
 						t.Errorf("request carried trace %q from %q, want %q from %q",
-							h.Get(obs.TraceHeader), h.Get(ForwardedFromHeader), tr.ID, peerTestSelf)
+							h.Get(obs.TraceHeader), h.Get(ForwardedFromHeader), traceID, peerTestSelf)
 					}
 				}
 			})
@@ -333,7 +335,7 @@ func TestPeerCallHalfOpenRace(t *testing.T) {
 	outcomes := make(chan peerOutcome, 16)
 	for i := 0; i < 16; i++ {
 		go func() {
-			_, outcome := p.call(context.Background(), http.MethodGet, "/x", nil)
+			_, outcome := p.call(context.Background(), "", http.MethodGet, "/x", nil)
 			outcomes <- outcome
 		}()
 	}
@@ -397,12 +399,10 @@ func TestPeerCallConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < calls; i++ {
-				tr := obs.NewTrace("", "/test")
-				ctx, cancel := context.WithCancel(obs.NewContext(context.Background(), tr))
-				ans, outcome := p.call(ctx, http.MethodPost, "/x", []byte(`{}`))
-				cancel()
-				if outcome != peerAnswered || ans.status != http.StatusOK || string(ans.body) != tr.ID {
-					t.Errorf("call %d: outcome %d status %d answer %q, want its own trace ID %q", i, outcome, ans.status, ans.body, tr.ID)
+				traceID := obs.MintID()
+				ans, outcome := p.call(context.Background(), traceID, http.MethodPost, "/x", []byte(`{}`))
+				if outcome != peerAnswered || ans.status != http.StatusOK || string(ans.body) != traceID {
+					t.Errorf("call %d: outcome %d status %d answer %q, want its own trace ID %q", i, outcome, ans.status, ans.body, traceID)
 					return
 				}
 			}
@@ -446,7 +446,7 @@ func TestPeerCallLargeBody(t *testing.T) {
 	defer s.Close()
 	for _, size := range []int{peerInlineBodyBytes, peerInlineBodyBytes + 1, 1 << 20} {
 		body := bytes.Repeat([]byte("0123456789abcdef"), size/16+1)[:size]
-		ans, outcome := p.call(context.Background(), http.MethodPost, "/x", body)
+		ans, outcome := p.call(context.Background(), "", http.MethodPost, "/x", body)
 		if outcome != peerAnswered || !bytes.Equal(ans.body, body) {
 			t.Fatalf("%d-byte body: outcome %d, %d bytes echoed", size, outcome, len(ans.body))
 		}
@@ -468,7 +468,7 @@ func TestPeerLateReturnDoesNotPool(t *testing.T) {
 	})
 	done := make(chan peerOutcome)
 	go func() {
-		_, outcome := p.call(context.Background(), http.MethodGet, "/x", nil)
+		_, outcome := p.call(context.Background(), "", http.MethodGet, "/x", nil)
 		done <- outcome
 	}()
 	<-inHandler
@@ -494,7 +494,7 @@ func TestPeerIdleConnectionExpires(t *testing.T) {
 	defer s.Close()
 	call := func() {
 		t.Helper()
-		if _, outcome := p.call(context.Background(), http.MethodGet, "/x", nil); outcome != peerAnswered {
+		if _, outcome := p.call(context.Background(), "", http.MethodGet, "/x", nil); outcome != peerAnswered {
 			t.Fatalf("outcome = %d, want answered", outcome)
 		}
 	}
@@ -572,10 +572,11 @@ func TestPeerExchangeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.ringSt.Load().peers[peerURL]
-	ctx, cancel := context.WithCancel(obs.NewContext(context.Background(), obs.NewTrace("", "/test")))
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	traceID := obs.MintID()
 	exchange := func() {
-		ans, err := p.exchange(ctx, http.MethodGet, "/x", nil)
+		ans, err := p.exchange(ctx, traceID, http.MethodGet, "/x", nil)
 		if err != nil || ans.status != http.StatusOK || string(ans.body) != planAnswerBody || ans.contentType != "application/json" {
 			t.Fatalf("exchange = %+v, %v", ans, err)
 		}

@@ -67,7 +67,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		w:  w,
 		rc: http.NewResponseController(w),
 		m:  s.metrics,
-		tr: obs.FromContext(r.Context()),
+		tr: traceOf(w),
 	}
 	finish := s.metrics.replayStarted()
 	defer finish()

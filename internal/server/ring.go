@@ -162,9 +162,9 @@ func (s *Server) relay(w http.ResponseWriter, r *http.Request, rs *ringState, ow
 		return false
 	}
 	start := time.Now()
-	ans, outcome := peer.call(r.Context(), http.MethodPost, path, body)
+	ans, outcome := peer.call(r.Context(), traceIDOf(w), http.MethodPost, path, body)
 	if outcome != peerSkipped {
-		obs.FromContext(r.Context()).Observe(obs.StageForward, time.Since(start))
+		traceOf(w).Observe(obs.StageForward, time.Since(start))
 	}
 	switch outcome {
 	case peerAborted:

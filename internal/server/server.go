@@ -174,33 +174,45 @@ func (s *Server) FlushCache() { s.cache.flush() }
 // capping, latency measurement, per-endpoint/status counting under the
 // stable label name, and request-scoped tracing — every request gets a
 // trace ID (honored from the inbound X-Chronosd-Trace-Id or minted here),
-// stamped on the response, carried in the request context for the handlers'
-// stage spans, and finished into the slow-trace ring, the per-stage
-// histograms, and the sampled structured request log.
+// stamped on the response, reachable by the handler through the routed
+// writer (traceOf) for its stage spans, and finished into the slow-trace
+// ring, the per-stage histograms, and the sampled structured request log.
+//
+// The writer, the trace and its snapshot are one pooled routedWriter, so
+// the envelope allocates only a minted trace ID and the header value that
+// stamps it. The body is capped by http.MaxBytesReader only when its length
+// is unknown or over the cap: a declared length within it is already the
+// limit net/http's body reader enforces.
 func (s *Server) route(pattern, label string, h http.HandlerFunc) {
 	em := s.metrics.endpoint(label)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		if r.Body != nil {
+		if r.Body != nil && (r.ContentLength < 0 || r.ContentLength > s.cfg.MaxBodyBytes) {
 			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		}
-		tr := obs.NewTrace(r.Header.Get(obs.TraceHeader), label)
+		rw := routedPool.Get().(*routedWriter)
+		rw.ResponseWriter, rw.code, rw.wrote = w, http.StatusOK, false
+		tr := &rw.tr
+		tr.Begin(r.Header.Get(obs.TraceHeader), label)
 		w.Header().Set(obs.TraceHeader, tr.ID)
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r.WithContext(obs.NewContext(r.Context(), tr)))
-		if !rec.wrote && r.Context().Err() != nil {
-			rec.code = statusClientClosed // nothing went out: not a 200
+		h(rw, r)
+		if !rw.wrote && r.Context().Err() != nil {
+			rw.code = statusClientClosed // nothing went out: not a 200
 		}
 		elapsed := time.Since(tr.Start())
-		em.observe(rec.code, elapsed.Seconds())
+		em.observe(rw.code, elapsed.Seconds())
 		// ServedByHeader is stamped by the sharded path (self or, after a
 		// successful proxy, the owning replica); reading it back here keeps
 		// the snapshot consistent with what the client saw.
-		snap := tr.Finish(rec.code, elapsed,
-			rec.Header().Get(ServedByHeader),
+		snap := tr.Finish(rw.code, elapsed,
+			w.Header().Get(ServedByHeader),
 			r.Header.Get(ForwardedFromHeader) != "")
 		s.metrics.observeStages(snap)
 		s.traces.Add(snap)
 		s.reqLog.Request(snap)
+		// Drop net/http's writer, which would pin the connection; the trace
+		// keeps its strings until the next request's Begin clears it.
+		rw.ResponseWriter = nil
+		routedPool.Put(rw)
 	})
 }
 
@@ -209,27 +221,51 @@ func (s *Server) route(pattern, label string, h http.HandlerFunc) {
 // status line was sent, so neither the implicit 200 nor an error applies.
 const statusClientClosed = 499
 
-// statusRecorder captures the response code for metrics, and whether the
-// handler wrote anything at all.
-type statusRecorder struct {
+// routedWriter is the ResponseWriter route hands its handler: it captures
+// the response code for metrics and whether the handler wrote anything at
+// all, and it carries the request's trace. It lives exactly as long as its
+// request (see obs.Trace): a handler must not keep it, or the trace,
+// after it returns.
+type routedWriter struct {
 	http.ResponseWriter
 	code  int
 	wrote bool
+	tr    obs.Trace
 }
 
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code, r.wrote = code, true
-	r.ResponseWriter.WriteHeader(code)
+var routedPool = sync.Pool{New: func() any { return new(routedWriter) }}
+
+// traceOf returns the trace of the request w answers, nil when w is not a
+// routed writer (a handler called directly, as the allocation pins do).
+func traceOf(w http.ResponseWriter) *obs.Trace {
+	if rw, ok := w.(*routedWriter); ok {
+		return &rw.tr
+	}
+	return nil
 }
 
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	r.wrote = true
-	return r.ResponseWriter.Write(b)
+// traceIDOf returns the trace ID of the request w answers, "" when
+// untraced.
+func traceIDOf(w http.ResponseWriter) string {
+	if tr := traceOf(w); tr != nil {
+		return tr.ID
+	}
+	return ""
+}
+
+func (rw *routedWriter) WriteHeader(code int) {
+	rw.code, rw.wrote = code, true
+	rw.ResponseWriter.WriteHeader(code)
+}
+
+func (rw *routedWriter) Write(b []byte) (int, error) {
+	rw.wrote = true
+	return rw.ResponseWriter.Write(b)
 }
 
 // Unwrap lets http.ResponseController reach the underlying writer's Flush
 // and SetWriteDeadline, which the /v1/replay NDJSON stream depends on.
-func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+func (rw *routedWriter) Unwrap() http.ResponseWriter { return rw.ResponseWriter }
 
 // Handler returns the routed handler (also used by tests and embedders).
 func (s *Server) Handler() http.Handler { return s.mux }

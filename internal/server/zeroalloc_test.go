@@ -234,6 +234,55 @@ func TestPlanHandlerColdAllocs(t *testing.T) {
 	}
 }
 
+// TestRouteEnvelopeAlloc pins what route adds around a handler that does
+// nothing, through the mux and with chronosd's own log handler on: a minted
+// trace ID and the header value that stamps it, and http.MaxBytesReader's
+// wrapper when the body's length is unknown. An honored inbound ID costs the
+// header value alone. The recorder, the trace and its snapshot come from one
+// pooled object; the histograms, the trace ring and the request line add
+// nothing. BenchmarkRouteEnvelope times the first row.
+func TestRouteEnvelopeAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates and defeats sync.Pool; alloc counts only hold without -race")
+	}
+	s := New(Config{Logger: slog.New(obs.NewHandler(io.Discard, slog.LevelInfo))})
+	defer s.Close()
+	s.route("POST /test/noop", "/test/noop", func(http.ResponseWriter, *http.Request) {})
+	h := s.Handler()
+	for _, tc := range []struct {
+		name     string
+		declared bool   // the request declares its body's length
+		traceID  string // the inbound trace ID, "" to mint one
+		want     float64
+	}{
+		{"minted ID, unknown length", false, "", 3},
+		{"minted ID, declared length", true, "", 2},
+		{"honored ID, declared length", true, "caller-chosen.id-42", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body, req, w := zeroAllocRequest(t, "/test/noop", api.PlanRequest{Job: testJob(), Econ: testEcon()})
+			if tc.declared {
+				req.ContentLength = int64(len(body.data))
+			}
+			if tc.traceID != "" {
+				req.Header.Set(obs.TraceHeader, tc.traceID)
+			}
+			serve := func() {
+				body.off, req.Body = 0, body
+				h.ServeHTTP(w, req)
+			}
+			serve()
+			allocs := testing.AllocsPerRun(200, serve)
+			if got := w.h.Get(obs.TraceHeader); tc.traceID != "" && got != tc.traceID {
+				t.Errorf("trace header %q, want the honored %q", got, tc.traceID)
+			}
+			if allocs != tc.want {
+				t.Errorf("%g allocs per request around a no-op handler, want exactly %g", allocs, tc.want)
+			}
+		})
+	}
+}
+
 // TestServingStackAllocCeilings holds the three admission rows the retired
 // BENCH_N pipeline tracked to the allocation counts it last recorded. Unlike
 // the pins above these cross the full stack — routing, middleware, trace,
