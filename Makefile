@@ -23,7 +23,7 @@ test:
 pins: ## the allocation pins (the serving handlers' 0s and full-stack ceilings, the route envelope's exact count, the simulator's event, grant and per-job pins, a warm replay's bytes per job, the request line and the peer exchange), which skip themselves under -race and so never run in test/cover
 	$(GO) test -run 'Alloc' ./...
 
-goldens: ## the full-size simulation goldens (figures and the paper-claims ledger at 270 jobs, the 2,000-job oracle cells, 10^7 Pareto draws and 10^7 closed-form kernel powers against math.Pow), the full 900-cell budget-frontier breakpoint sweep and the 3,000-batch shared-budget allocator against brute force, which shrink or skip themselves under -race
+goldens: ## the full-size simulation goldens (figures and the paper-claims ledger at 270 jobs, the 2,000-job oracle cells, 10^7 Pareto draws and 10^7 closed-form kernel powers against math.Pow), the full 900-cell breakpoint sweep of the budget-frontier option search against SolveCapped and the 3,000-batch shared-budget allocator against brute force, which shrink or skip themselves under -race
 	$(GO) test -run 'Golden|PaperClaims|ModelOracle|MatchesPow|AtEveryBreakpoint|BatchSolveMatchesBruteForce' . ./cmd/chronos-figures ./internal/pareto ./internal/optimize ./internal/analysis
 
 fuzz-smoke: ## every internal/hotjson fuzz target for 5 s past its seeds: the codec against encoding/json on inputs the committed corpus does not hold

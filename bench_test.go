@@ -158,9 +158,9 @@ func BenchmarkOptimizeBest(b *testing.B) {
 
 // BenchmarkBudgetFrontier builds the best-of-three budget frontier of 512
 // trace jobs drawn as the socket benchmark's fleet_admit workload draws its
-// seed-1 shapes (control instants at 0.3 and 0.6 of tmin), the table the
-// plan cache keeps per squeezed admit cell. ns/op is one build;
-// retained-B/frontier is the live heap all 512 tables hold after a GC,
+// seed-1 shapes (control instants at 0.3 and 0.6 of tmin), the option list
+// the plan cache keeps per squeezed admit cell. ns/op is one build;
+// retained-B/frontier is the live heap all 512 frontiers hold after a GC,
 // divided by 512.
 func BenchmarkBudgetFrontier(b *testing.B) {
 	jobs, err := SyntheticTrace(TraceConfig{Jobs: 512, Seed: 2_000_009})

@@ -225,7 +225,8 @@ func Optimize(s Strategy, p JobParams, e Econ) (Plan, error) {
 
 // bestOf asks solve for each Chronos strategy's plan, passing the strategy
 // and its index in ChronosStrategies, and returns the one of highest
-// utility; on a tie the earlier strategy in ChronosStrategies order stays. A
+// utility; on an exact tie the one of lower machine time, then the earlier
+// strategy in ChronosStrategies order. A
 // strategy that is infeasible at any budget (ErrInfeasible) or merely
 // unaffordable (ErrBudgetTooSmall) is skipped, any other error is returned
 // at once. When every strategy was skipped the bare sentinel is returned:
@@ -242,7 +243,7 @@ func bestOf(solve func(i int, s Strategy) (Plan, error)) (Plan, error) {
 		case errors.Is(err, optimize.ErrInfeasible):
 		case err != nil:
 			return Plan{}, err
-		case !found || plan.Utility > best.Utility:
+		case !found || plan.Utility > best.Utility || plan.Utility == best.Utility && plan.MachineTime < best.MachineTime:
 			best, found = plan, true
 		}
 	}

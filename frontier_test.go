@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"chronos/internal/race"
 )
 
 // budgetSweep builds the budgets that matter for one cell: zero, tiny,
@@ -118,6 +120,84 @@ func TestBudgetFrontierRandomCells(t *testing.T) {
 	}
 }
 
+// TestBudgetFrontierBestTiesOnlyOnUtility asks a best-of-three frontier and
+// OptimizeBestWithinBudget every budget where either answer can change —
+// each strategy's tradeoff points and optimum at their machine time and its
+// two float neighbours — over random cells, every fourth one a plateau: it
+// kills at the instant it detects, under a theta that sinks the price term
+// below the last bit of the log term. The two must give the same error text
+// or a plan of the same utility, and off the plateaus the same plan. On a
+// plateau they may pick different plans of that utility:
+// OptimizeBestWithinBudget takes each strategy's own optimum once the budget
+// covers it, the frontier only the best-of-three optimum, and Algorithm 1's
+// optimum is not always the cheapest of its ties.
+func TestBudgetFrontierBestTiesOnlyOnUtility(t *testing.T) {
+	n := 40
+	if testing.Short() || race.Enabled {
+		n = 8
+	}
+	rng := rand.New(rand.NewSource(54))
+	var cells, budgets, differ int
+	for i := 0; i < n; i++ {
+		tmin := 1 + rng.Float64()*49
+		p := JobParams{
+			Tasks:    int(math.Exp(rng.Float64() * math.Log(2000))),
+			Deadline: tmin * (1.05 + rng.Float64()*10),
+			TMin:     tmin,
+			Beta:     1.05 + rng.Float64()*2,
+			PhiEst:   rng.Float64() * 0.8,
+		}
+		p.TauEst = rng.Float64() * 0.6 * p.Deadline
+		p.TauKill = p.TauEst + rng.Float64()*(p.Deadline-p.TauEst)
+		e := Econ{
+			Theta:     math.Pow(10, -6+4*rng.Float64()),
+			UnitPrice: 0.1 + rng.Float64()*5,
+			RMin:      []float64{0, 0.5, 0.9, 0.99}[rng.Intn(4)],
+		}
+		if i%4 == 3 {
+			p.TauKill, e.Theta = p.TauEst, 1e-30
+		}
+		bf, err := NewBudgetFrontierBest(p, e)
+		if err != nil {
+			continue
+		}
+		cells++
+		bs := []float64{math.NaN(), 0, math.Inf(1)}
+		for _, s := range ChronosStrategies() {
+			un, err := Optimize(s, p, e)
+			if err != nil {
+				continue
+			}
+			curve, err := TradeoffCurve(s, p, e, un.R+70)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range append(curve, TradeoffPoint{MachineTime: un.MachineTime}) {
+				bs = append(bs, math.Nextafter(q.MachineTime, 0), q.MachineTime, math.Nextafter(q.MachineTime, math.Inf(1)))
+			}
+		}
+		for _, b := range bs {
+			budgets++
+			want, wantErr := OptimizeBestWithinBudget(p, e, b)
+			got, gotErr := bf.PlanWithinBudget(b)
+			if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() ||
+				got.Utility != want.Utility {
+				t.Fatalf("cell %d %+v %+v budget %v: optimizer %+v %v, frontier %+v %v", i, p, e, b, want, wantErr, got, gotErr)
+			}
+			if got != want {
+				if i%4 != 3 {
+					t.Fatalf("cell %d %+v %+v budget %v: optimizer %+v, frontier %+v", i, p, e, b, want, got)
+				}
+				differ++
+			}
+		}
+	}
+	if cells < n/2 {
+		t.Fatalf("only %d of %d cells feasible — sweep too weak", cells, n)
+	}
+	t.Logf("%d budgets over %d cells, %d answered on a plateau by a different plan of the same utility", budgets, cells, differ)
+}
+
 func TestBudgetFrontierInfeasibleStrategy(t *testing.T) {
 	// Mantri is not analytically optimizable; a pinned frontier must report
 	// the same error the optimizer does.
@@ -137,16 +217,18 @@ func TestBudgetFrontierInfeasibleStrategy(t *testing.T) {
 	}
 }
 
-// TestBudgetFrontierSolveZeroAlloc: a warm-table capped solve performs no
-// allocation (errors on the rejection path may allocate; admits must not).
+// TestBudgetFrontierSolveZeroAlloc: a squeezed capped solve from a warm
+// frontier performs no allocation (errors on the rejection path may
+// allocate; admits must not). The budget is one float below the optimum's
+// machine time, so the answer comes from the option list.
 func TestBudgetFrontierSolveZeroAlloc(t *testing.T) {
 	bf, err := NewBudgetFrontierBest(apiParams(), apiEcon())
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := bf.Unconstrained().MachineTime * 0.6
+	budget := math.Nextafter(bf.Unconstrained().MachineTime, 0)
 	if _, err := bf.PlanWithinBudget(budget); err != nil {
-		t.Skipf("cell has no affordable squeeze at %v: %v", budget, err)
+		t.Fatalf("cell has no affordable squeeze at %v: %v", budget, err)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
 		if _, err := bf.PlanWithinBudget(budget); err != nil {

@@ -17,7 +17,7 @@ import "math"
 // BindJob computes the terms of the job alone, and Rebind the terms of one
 // strategy on top of them. Reset does both.
 //
-// Cache keys, goldens and frontier tables all depend on the exact float64 each
+// Cache keys, goldens and frontier lists all depend on the exact float64 each
 // probe returns. Those bits are pinned by the from-scratch reference forms in
 // kernel_property_test.go (no hoisting, no tables: the published formulas
 // over powInt and math.Pow, in the operation order the branches below keep)

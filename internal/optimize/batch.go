@@ -1,7 +1,6 @@
 package optimize
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -18,14 +17,14 @@ import (
 //	subject to sum_i E_i[T](r_i) <= B,  r_i >= 0 integer.
 //
 // This is a multiple-choice knapsack: each job picks one r. A job's options
-// are the undominated (machine time, utility) points of r = 0..batchRCap —
-// the points some budget can pick, as a Frontier keeps them — and its window
-// stops at the first feasible r whose next attempt gains at most 1e-9 and
-// costs no less, so no budget is spent on a float epsilon of PoCD and no
-// machine-time dip past saturation is missed. A job starts at its cheapest
-// feasible point when that costs no more than r = 0, so a machine-time dip
-// is credited; otherwise it starts at r = 0. The budget must cover the
-// points the jobs start from, and nothing more.
+// are the undominated (machine time, utility) points of r = 0..batchRCap by
+// machine time — the points some budget can pick, as in a cell's Options —
+// and its window stops at the first feasible r whose next attempt gains at
+// most 1e-9 and costs no less, so no budget is spent on a float epsilon of
+// PoCD and no machine-time dip past saturation is missed. A job starts at its
+// cheapest feasible point when that costs no more than r = 0, so a
+// machine-time dip is credited; otherwise it starts at r = 0. The budget must
+// cover the points the jobs start from, and nothing more.
 //
 // A Walk then walks the jobs' upper concave hulls. Each step takes the
 // steepest affordable move over all jobs — the next vertex of that job's
@@ -110,7 +109,6 @@ func batchOptions(j BatchJob) []Point {
 		}
 	}
 	opts := mm.undominated(mm.window)
-	slices.SortFunc(opts, func(a, b Point) int { return cmp.Compare(a.MachineTime, b.MachineTime) })
 	if r0 := mm.window[0]; len(opts) == 0 || r0.MachineTime < opts[0].MachineTime {
 		opts = slices.Insert(opts, 0, r0)
 	}

@@ -11,8 +11,8 @@ import (
 // optimum. Expected machine time is monotone in r for Clone but can dip for
 // the reactive strategies (straggler truncation), so an affordable plan may
 // sit slightly above the unconstrained argmax; PoCD saturates geometrically,
-// so a bounded margin covers every non-degenerate dip. A cached Frontier
-// keeps only the window's undominated points, and a dip cannot cost it an
+// so a bounded margin covers every non-degenerate dip. A cell's Options
+// keep only the window's undominated points, and a dip cannot cost them an
 // answer: each point is judged against every point that costs no more,
 // whatever its r, never against its neighbour in r.
 const cappedScanMargin = 64
@@ -85,11 +85,11 @@ func (m *memoModel) scanWindow(cfg Config, unR int) []Point {
 }
 
 // within answers a capped solve whose unconstrained optimum does not fit:
-// the affordable point of highest utility (the lowest r on ties, as points
-// come in r order). The rejection names the cheapest feasible point's machine
-// time, which the same pass finds: what the budget would have had to be. A
-// window and its undominated points share that point, so SolveCapped and
-// Frontier.Solve reject with the same text.
+// the affordable point of highest utility; on an exact tie the lower machine
+// time, then the lower r, as points come in r order. The rejection names the
+// cheapest feasible point's machine time, which the same pass finds: what
+// the budget would have had to be. A window and its Options share that
+// point, so a cached frontier rejects with the same text.
 func within(strategy string, points []Point, budget float64) (Result, error) {
 	best, cheapest := Point{R: -1, Utility: math.Inf(-1)}, math.Inf(1)
 	for i := range points { // by index: ranging by value copies all five fields per point
@@ -97,7 +97,8 @@ func within(strategy string, points []Point, budget float64) (Result, error) {
 		if !math.IsInf(p.Utility, -1) && p.MachineTime < cheapest {
 			cheapest = p.MachineTime
 		}
-		if p.MachineTime <= budget && p.Utility > best.Utility {
+		if p.MachineTime <= budget && (p.Utility > best.Utility ||
+			p.Utility == best.Utility && p.MachineTime < best.MachineTime) {
 			best = *p
 		}
 	}

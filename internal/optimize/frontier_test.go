@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -23,7 +24,7 @@ type frontierCell struct {
 // the instant it detects, so a reactive strategy's machine time falls with
 // r until PoCD saturates, and plans under a theta so small that the price
 // term sinks below the last bit of the log term: its saturated points tie
-// on utility, and the equal-utility/lower-r rule decides between them.
+// on utility, and the cheaper-on-tie rule decides between them.
 func frontierCells(n int) []frontierCell {
 	rng := rand.New(rand.NewSource(40))
 	var cells []frontierCell
@@ -83,18 +84,35 @@ func (c frontierCell) scan() (Result, []Point, error) {
 	return un, slices.Clone(mm.scanWindow(c.cfg, un.R)), nil
 }
 
-// TestFrontierMatchesSolveCappedAtEveryBreakpoint asks the pruned table and
-// the uncached solver the same question at every budget where the answer
-// can change — each window point's machine time and its two neighbouring
-// floats — plus 0, +Inf and NaN, and requires the same result or the same
-// error text.
+// query answers SolveCapped from the cell's Options un and opts, as a cached
+// budget frontier does: a NaN budget is rejected, a budget that covers the
+// optimum gets it, and any other the dearest option that fits.
+func (c frontierCell) query(un Result, opts []Point, budget float64) (Result, error) {
+	switch {
+	case math.IsNaN(budget):
+		return Result{}, ErrNaNBudget
+	case budget >= un.MachineTime:
+		return un, nil
+	}
+	k, err := Fit(opts, budget)
+	if err != nil {
+		return Result{}, err
+	}
+	return opts[k].result(un.Strategy), nil
+}
+
+// TestFrontierMatchesSolveCappedAtEveryBreakpoint asks the option search
+// over a cell's Options and the uncached solver the same question at every
+// budget where the answer can change — each window point's machine time and
+// its two neighbouring floats — plus 0, +Inf and NaN, and requires the same
+// result or the same error text.
 func TestFrontierMatchesSolveCappedAtEveryBreakpoint(t *testing.T) {
 	var dips, ties, budgets int
 	for _, c := range frontierCells(frontierJobCount()) {
-		f, err := NewFrontier(c.s, c.p, c.cfg)
-		un, window, scanErr := c.scan()
+		un, opts, err := Options(c.s, c.p, c.cfg)
+		_, window, scanErr := c.scan()
 		if (err == nil) != (scanErr == nil) || err != nil && err.Error() != scanErr.Error() {
-			t.Fatalf("%v %+v %+v: NewFrontier error %v, scan error %v", c.s, c.p, c.cfg, err, scanErr)
+			t.Fatalf("%v %+v %+v: Options error %v, scan error %v", c.s, c.p, c.cfg, err, scanErr)
 		}
 		if err != nil {
 			continue
@@ -104,51 +122,50 @@ func TestFrontierMatchesSolveCappedAtEveryBreakpoint(t *testing.T) {
 		for i, p := range window {
 			bs = append(bs, math.Nextafter(p.MachineTime, math.Inf(-1)), p.MachineTime, math.Nextafter(p.MachineTime, math.Inf(1)))
 			dipped = dipped || i > 0 && p.MachineTime < window[i-1].MachineTime && !math.IsInf(p.Utility, -1)
-		}
-		if dipped {
-			dips++
-		}
-		for _, p := range f.points {
-			// A kept point that another point as cheap matches in utility:
-			// only the lower-r rule keeps it, and it answers when it is below
-			// the unconstrained optimum's machine time.
+			// A point a cheaper one matches in utility: only the
+			// cheaper-on-tie rule drops it, and it could answer when it is
+			// below the unconstrained optimum's machine time.
 			for _, q := range window {
-				if q.R != p.R && q.MachineTime <= p.MachineTime && q.Utility == p.Utility && p.MachineTime < un.MachineTime {
+				if q.MachineTime < p.MachineTime && q.Utility == p.Utility && !math.IsInf(p.Utility, -1) && p.MachineTime < un.MachineTime {
 					ties++
 					break
 				}
 			}
 		}
+		if dipped {
+			dips++
+		}
 		for _, b := range bs {
 			budgets++
-			got, gotErr := f.Solve(b)
+			got, gotErr := c.query(un, opts, b)
 			want, wantErr := SolveCapped(c.s, c.p, c.cfg, b)
 			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
-				t.Fatalf("%v %+v %+v budget %v: Frontier.Solve error %v, SolveCapped error %v", c.s, c.p, c.cfg, b, gotErr, wantErr)
+				t.Fatalf("%v %+v %+v budget %v: option search error %v, SolveCapped error %v", c.s, c.p, c.cfg, b, gotErr, wantErr)
 			}
 			if got != want {
-				t.Fatalf("%v %+v %+v budget %v: Frontier.Solve %+v, SolveCapped %+v", c.s, c.p, c.cfg, b, got, want)
+				t.Fatalf("%v %+v %+v budget %v: option search %+v, SolveCapped %+v", c.s, c.p, c.cfg, b, got, want)
 			}
 		}
 	}
-	// Without cells whose machine time dips and points only the tie rule
-	// keeps, the sweep would not exercise what the pruning must get right.
+	// Without cells whose machine time dips and points a cheaper tie
+	// displaces, the sweep would not exercise what the pruning must get right.
 	if dips == 0 || ties == 0 {
-		t.Fatalf("sweep too weak: %d cells whose machine time dips, %d tie-kept points", dips, ties)
+		t.Fatalf("sweep too weak: %d cells whose machine time dips, %d tie-displaced points", dips, ties)
 	}
-	t.Logf("%d budgets, %d cells whose machine time dips, %d tie-kept points", budgets, dips, ties)
+	t.Logf("%d budgets, %d cells whose machine time dips, %d tie-displaced points", budgets, dips, ties)
 }
 
-// TestFrontierKeepsExactlyTheUndominatedPoints holds the table to an O(n²)
-// reference: a window point stays unless within can never pick it — its
-// utility is -Inf or NaN, or its machine time NaN — or another point costs
-// no more machine time and has higher utility, or equal utility at lower r.
-// Fewer points would lose answers; more would keep memory the table does
-// not need.
+// TestFrontierKeepsExactlyTheUndominatedPoints holds a cell's Options to an
+// O(n²) reference: a window point stays unless within can never pick it —
+// its utility is -Inf or NaN, or its machine time NaN — or another point
+// costs no more machine time and has higher utility, or equal utility at
+// lower machine time, or equal both at lower r; what stays comes by machine
+// time. Fewer points would lose answers; more would keep memory the list
+// does not need.
 func TestFrontierKeepsExactlyTheUndominatedPoints(t *testing.T) {
 	var windowed, kept int
 	for _, c := range frontierCells(frontierJobCount()) {
-		f, err := NewFrontier(c.s, c.p, c.cfg)
+		_, opts, err := Options(c.s, c.p, c.cfg)
 		if err != nil {
 			continue
 		}
@@ -158,8 +175,8 @@ func TestFrontierKeepsExactlyTheUndominatedPoints(t *testing.T) {
 		for _, p := range window {
 			dominated := !pickable(p)
 			for _, q := range window {
-				if q.R != p.R && pickable(q) && q.MachineTime <= p.MachineTime &&
-					(q.Utility > p.Utility || q.Utility == p.Utility && q.R < p.R) {
+				if q.R != p.R && pickable(q) && q.MachineTime <= p.MachineTime && (q.Utility > p.Utility ||
+					q.Utility == p.Utility && (q.MachineTime < p.MachineTime || q.R < p.R)) {
 					dominated = true
 				}
 			}
@@ -167,11 +184,12 @@ func TestFrontierKeepsExactlyTheUndominatedPoints(t *testing.T) {
 				want = append(want, p)
 			}
 		}
-		if !slices.Equal(f.points, want) {
-			t.Fatalf("%v %+v %+v: kept %+v, undominated %+v", c.s, c.p, c.cfg, f.points, want)
+		slices.SortFunc(want, func(a, b Point) int { return cmp.Compare(a.MachineTime, b.MachineTime) })
+		if !slices.Equal(opts, want) {
+			t.Fatalf("%v %+v %+v: kept %+v, undominated %+v", c.s, c.p, c.cfg, opts, want)
 		}
 		windowed += len(window)
-		kept += len(f.points)
+		kept += len(opts)
 	}
 	if kept == 0 || kept >= windowed {
 		t.Fatalf("kept %d of %d window points", kept, windowed)

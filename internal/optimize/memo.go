@@ -132,7 +132,7 @@ func (m *memoModel) utility(cfg Config, r int) float64 {
 
 // pointAt evaluates both sides of the tradeoff and the utility at r. Unlike
 // Config.Utility it evaluates the machine time of an infeasible r too: the
-// tradeoff curve and the frontier tables report it.
+// tradeoff curve and the scan window report it.
 func (m *memoModel) pointAt(cfg Config, r int) Point {
 	pocd, mt := m.PoCD(r), m.MachineTime(r)
 	return Point{R: r, PoCD: pocd, MachineTime: mt, Cost: cfg.UnitPrice * mt, Utility: m.utility(cfg, r)}

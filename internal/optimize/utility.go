@@ -69,7 +69,7 @@ func (c Config) Validate() error {
 
 // Utility evaluates the net utility U(r) for the given analytic model.
 // Returns -Inf when the PoCD does not exceed RMin. Goldens and frontier
-// tables hold its bits: c.Theta*c.UnitPrice*mt associates left, and changing
+// lists hold its bits: c.Theta*c.UnitPrice*mt associates left, and changing
 // the association changes low-order bits.
 func (c Config) Utility(m analysis.Model, r int) float64 {
 	pocd := m.PoCD(r)

@@ -22,6 +22,16 @@ func restartDipJob() chronos.JobParams {
 	return chronos.JobParams{Tasks: 50, Deadline: 30, TMin: 10, Beta: 1.5, TauEst: 3, TauKill: 6}
 }
 
+// plateauJob is testJob killing at the instant it detects, under an econ
+// whose theta sinks the price term below the last bit of log10(1 - RMin):
+// Speculative-Restart's machine time falls with r from its optimum, r = 12,
+// while its utility ties, so the list picks the cheapest of the tied plans.
+func plateauJob() (chronos.JobParams, chronos.Econ) {
+	job := testJob()
+	job.TauKill = job.TauEst
+	return job, chronos.Econ{Theta: 1e-30, UnitPrice: 1, RMin: 0.5}
+}
+
 // serveAdmit posts body to one of the admit handlers in process, with the
 // pool pinned at level first, and decodes the answer into v.
 func serveAdmit(t *testing.T, handler http.HandlerFunc, pool *tenant.Pool, level float64, path string, body any, v any) {
@@ -55,12 +65,17 @@ type walkDecision struct {
 // a one-job /v1/admit/batch answers /v1/admit's plan byte for byte, and
 // both answer what BudgetFrontier.PlanWithinBudget answers at that level,
 // for the job pinned to each Chronos strategy and left to the best of three.
+// On the plateau job's tied plans both pick the cheapest.
 func TestAdmitWalkMatchesPlanWithinBudget(t *testing.T) {
 	s := New(Config{Tenants: testRegistry(t, "etl", 1e18)})
 	defer s.Close()
 	pool := s.tenants.Load().Get("etl")
-	econ := testEcon()
-	for _, job := range []chronos.JobParams{testJob(), restartDipJob()} {
+	plateau, plateauEcon := plateauJob()
+	for _, c := range []struct {
+		job  chronos.JobParams
+		econ chronos.Econ
+	}{{testJob(), testEcon()}, {restartDipJob(), testEcon()}, {plateau, plateauEcon}} {
+		job, econ := c.job, c.econ
 		for _, name := range []string{"best", "clone", "s-restart", "s-resume"} {
 			strat, best, _ := plankey.ParseStrategy(name)
 			bf, err := chronos.NewBudgetFrontier(strat, job, econ)

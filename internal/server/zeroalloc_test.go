@@ -287,12 +287,13 @@ func TestRouteEnvelopeAlloc(t *testing.T) {
 // BENCH_N pipeline tracked to the allocation counts it last recorded. Unlike
 // the pins above these cross the full stack — routing, middleware, trace,
 // a fresh httptest request and recorder per call — so the figures are
-// ceilings, not exact pins: a Go release may move net/http's share. The
-// batch row fell from 92 to 85 when its plan keys went into one buffer sized
-// once from their fixed lengths, and from 85 to 28, the single admit's
-// count, when hotjson took over its body and its scratch joined the pooled
-// hotBuf: what is left is net/http's and the middleware's. The logged row has no figure of its own: on chronosd's log handler a cached
-// plan may allocate nothing its unlogged twin does not.
+// ceilings, not exact pins. Each sits 2 allocations above the count the
+// row makes (21, 21 and 23): what is left is net/http's and the
+// middleware's, and a Go release may move net/http's share by one or two
+// without anything of ours changing, while a new allocation per request on
+// our side of the stack fails the row. The logged row has no figure of its
+// own: on chronosd's log handler a cached plan may allocate nothing its
+// unlogged twin does not.
 func TestServingStackAllocCeilings(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool; alloc counts only hold without -race")
@@ -312,9 +313,9 @@ func TestServingStackAllocCeilings(t *testing.T) {
 		ceiling float64
 	}{
 		{"admit batch of 16", Config{Tenants: deep()}, "/v1/admit/batch",
-			api.AdmitBatchRequest{Tenant: "bench", Jobs: batch16(), Econ: testEcon()}, 28},
-		{"escrowed admit", Config{Tenants: deep(), Escrow: true}, "/v1/admit", admit, 29},
-		{"escrowed admit with WAL", Config{Tenants: deep(), Escrow: true, Store: store}, "/v1/admit", admit, 31},
+			api.AdmitBatchRequest{Tenant: "bench", Jobs: batch16(), Econ: testEcon()}, 23},
+		{"escrowed admit", Config{Tenants: deep(), Escrow: true}, "/v1/admit", admit, 23},
+		{"escrowed admit with WAL", Config{Tenants: deep(), Escrow: true, Store: store}, "/v1/admit", admit, 25},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(tc.cfg)
